@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -50,11 +51,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	raw, err := os.ReadFile(*in)
+	input, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
-	input := string(raw)
 
 	if *pruneFirst {
 		if *dtdPath == "" {
@@ -68,22 +68,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var pruned strings.Builder
+		// Prune the bytes ReadFile returned in place and render the result
+		// once, into the buffer the loader reads.
 		start := time.Now()
-		stats, err := p.PruneStream(&pruned, strings.NewReader(input))
+		res, err := p.PruneGather(input, xmlproj.StreamOptions{})
 		if err != nil {
 			return err
 		}
+		pruned := res.Bytes()
+		res.Close()
 		fmt.Fprintf(stderr, "xqrun: pruned %d -> %d bytes in %s\n",
-			len(input), stats.BytesOut, time.Since(start))
-		input = pruned.String()
+			len(input), len(pruned), time.Since(start))
+		input = pruned
 	}
 
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	doc, err := xmlproj.ParseXMLString(input)
+	doc, err := xmlproj.ParseXML(bytes.NewReader(input))
 	if err != nil {
 		return err
 	}

@@ -189,7 +189,7 @@ type BatchOptions struct {
 	FailFast bool
 	// Parallel forces the intra-document parallel pruner for every job.
 	// When false it is still auto-selected per job for large inputs of
-	// known size on multi-CPU hosts.
+	// known size when the job's worker budget is at least 4.
 	Parallel bool
 	// IntraWorkers bounds the parallel pruner's concurrency within one
 	// document (0 means GOMAXPROCS). Batches mixing inter-document and
@@ -202,8 +202,9 @@ type BatchOptions struct {
 	// PipelineWindowSize and PipelineRingDepth bound the pipelined
 	// streaming pruner per job — window slab size in bytes and in-flight
 	// slab count (0 = engine defaults). Auto-selection runs the pipelined
-	// engine for unsized (or large sized) reader sources on multi-CPU
-	// hosts; each such job's peak input residency is their product.
+	// engine for unsized (or large sized) reader sources with a worker
+	// budget of at least 4; each such job's peak input residency is
+	// their product.
 	PipelineWindowSize int
 	PipelineRingDepth  int
 }

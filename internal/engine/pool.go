@@ -44,7 +44,7 @@ type JobResult struct {
 	// Pipeline holds the per-stage timings of a pipelined streaming
 	// prune; Pipeline.Workers == 0 means the pipelined engine did not
 	// run. Auto-selection picks it for unsized (or large sized) reader
-	// sources on multi-CPU hosts.
+	// sources when the job's worker budget is at least 4.
 	Pipeline prune.PipelineDetail
 	// Err is nil on success. Jobs skipped after cancellation (fail-fast
 	// or a cancelled context) carry the context error.
@@ -71,8 +71,8 @@ type BatchOptions struct {
 	// Otherwise the batch keeps going and reports every error.
 	FailFast bool
 	// Engine selects the pruner per job; the zero value (EngineAuto)
-	// uses the serial scanner for small or unsized inputs and the
-	// intra-document parallel pruner for large ones on multi-CPU hosts.
+	// uses the serial scanner unless the input is large or unsized and
+	// IntraWorkers is at least 4 (prune.chooseEngine).
 	Engine prune.Engine
 	// IntraWorkers bounds the parallel pruner's workers within one
 	// document. Zero budgets automatically: each job gets

@@ -17,6 +17,15 @@
 // cursor lands inside of (the worker had desynchronised) are dropped
 // and the region is rescanned serially until it resynchronises.
 //
+// The index holds cut points, not tags. Its one consumer, the fragment
+// planner, only ever looks at the children of elements larger than a
+// threshold (Options.Collapse), so every element no larger than that is
+// folded into a single Element entry as soon as its end tag is seen —
+// by the chunk workers when both tags lie in one chunk, by the stitch
+// otherwise — and each surviving Start entry records its End entry's
+// position. Entries, time and memory are then proportional to the
+// number of children of dominant elements, not to the number of tags.
+//
 // The index is intentionally conservative: structure it cannot classify
 // (an unterminated construct, '<' inside a quoted attribute value, no
 // single non-empty root) reports ErrStructure and the caller falls back
@@ -46,6 +55,9 @@ const (
 	PI
 	CDATA
 	Directive
+	// Element is a whole element no larger than Options.Collapse, start
+	// tag through end tag, folded into one entry.
+	Element
 )
 
 // Entry is one structural position: the construct's byte extent
@@ -54,12 +66,15 @@ const (
 // assigned by the stitch pass. Depth is the number of open elements
 // enclosing the construct, with an End tag recording the depth of the
 // element it closes — an element's Start and End entries carry the
-// same Depth (the root's are 0, its children's 1, and so on).
+// same Depth (the root's are 0, its children's 1, and so on). Match is
+// set on Start entries of a batch index only: the Entries position of
+// the element's End entry.
 type Entry struct {
 	Off   int
 	End   int
 	Sym   int32
 	Depth int32
+	Match int32
 	Kind  Kind
 }
 
@@ -77,6 +92,21 @@ type Options struct {
 	// Lookup resolves a tag's local name to its DTD symbol (for Entry.Sym);
 	// nil leaves every Sym at -1.
 	Lookup func(local []byte) (int32, bool)
+	// Collapse is the largest element, in bytes from its start tag's '<'
+	// to its end tag's '>', that is folded into one Element entry. The
+	// caller promises not to look inside such elements: the planner
+	// passes twice its fragment target, computed once and shared with
+	// plan. 0 means 2×FragTarget(len(data), workers); 1 folds nothing
+	// (no element is that small).
+	Collapse int
+}
+
+// FragTarget is the planner's default per-fragment size for a document
+// of dataLen bytes pruned by workers workers. It lives here because it
+// also sets the default collapse threshold.
+func FragTarget(dataLen, workers int) int {
+	const minTarget, maxTarget = 128 << 10, 8 << 20
+	return min(max(dataLen/(workers*8), minTarget), maxTarget)
 }
 
 // Index is the structural index of one document.
@@ -87,6 +117,7 @@ type Index struct {
 	RootStart, RootEnd int
 
 	chunks [][]Entry // pooled per-chunk scratch
+	open   []int32   // stitch scratch: Entries positions of the open Starts
 }
 
 // ErrStructure reports document structure the index cannot describe
@@ -124,6 +155,9 @@ func Build(data []byte, opts Options) (*Index, error) {
 	n := (len(data) + chunk - 1) / chunk
 	if n < 1 {
 		n = 1
+	}
+	if opts.Collapse <= 0 {
+		opts.Collapse = 2 * FragTarget(len(data), workers)
 	}
 
 	ix := indexPool.Get().(*Index)
@@ -166,7 +200,7 @@ func Build(data []byte, opts Options) (*Index, error) {
 				if to > len(data) {
 					to = len(data)
 				}
-				chunks[ci], anoms[ci] = scanChunk(data, from, to, chunks[ci][:0], opts.Lookup)
+				chunks[ci], anoms[ci] = scanChunk(data, from, to, chunks[ci][:0], opts)
 			}
 		}()
 	}
@@ -193,7 +227,20 @@ func (ix *Index) Release() {
 // assuming from lies in element content. Constructs may extend past to;
 // classification reads as far as it needs. Returns the entries and the
 // offset of the first '<' it could not classify (-1 when none).
-func scanChunk(data []byte, from, to int, out []Entry, lookup func([]byte) (int32, bool)) ([]Entry, int) {
+//
+// An element whose start and end tags both turn up here is folded into
+// one Element entry when it is no larger than opts.Collapse. That keeps
+// the stitch's invariant as it is: the entries inside were reached from
+// the element's own '<' by the same context-free scan the stitch would
+// run, so the folded entry is valid exactly when the cursor arrives at
+// its Off through verified text. An element holding a token longer than
+// MaxTokenSize stays unfolded, so the stitch still meets that token and
+// reports it.
+func scanChunk(data []byte, from, to int, out []Entry, opts Options) ([]Entry, int) {
+	var open []int // positions in out of the Starts not yet closed
+	// long is the offset of the last construct that is longer than
+	// MaxTokenSize or ends a text run that is.
+	long := -1
 	pos := from
 	for pos < to {
 		j := bytes.IndexByte(data[pos:to], '<')
@@ -201,12 +248,30 @@ func scanChunk(data []byte, from, to int, out []Entry, lookup func([]byte) (int3
 			break
 		}
 		off := pos + j
-		e, ok := classifyAt(data, off, lookup)
+		e, ok := classifyAt(data, off)
 		if !ok {
 			return out, off
 		}
-		out = append(out, e)
+		if opts.MaxTokenSize > 0 && (j > opts.MaxTokenSize || e.End-off > opts.MaxTokenSize) {
+			long = off
+		}
 		pos = e.End
+		switch e.Kind {
+		case Start:
+			open = append(open, len(out))
+		case End:
+			if len(open) == 0 {
+				break // closes an element opened before this chunk
+			}
+			s := open[len(open)-1]
+			open = open[:len(open)-1]
+			if st := &out[s]; e.End-st.Off <= opts.Collapse && st.Off > long {
+				st.Kind, st.End = Element, e.End
+				out = out[:s+1]
+				continue
+			}
+		}
+		out = append(out, e)
 	}
 	return out, -1
 }
@@ -218,9 +283,10 @@ func scanChunk(data []byte, from, to int, out []Entry, lookup func([]byte) (int3
 // start handled permissively — see below). The batch index does not
 // care why classification failed; the streaming indexer does, so the
 // guts live in classifyStream (stream.go) and this wrapper collapses
-// its tri-state result.
-func classifyAt(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, bool) {
-	e, st := classifyStream(data, off, lookup)
+// its tri-state result. Sym is left at -1: most tags fold away, so
+// the batch index resolves symbols once folding is done (resolveSyms).
+func classifyAt(data []byte, off int) (Entry, bool) {
+	e, st := classifyStream(data, off, nil)
 	return e, st == streamOK
 }
 
@@ -234,14 +300,7 @@ func classifyEndTag(data []byte, off int, lookup func([]byte) (int32, bool)) (En
 		return e, streamNeedMore
 	}
 	e.End = off + k + 1
-	if lookup != nil {
-		name := nameAt(data[off+2 : off+k])
-		if local := localOf(name); len(local) > 0 {
-			if sym, ok := lookup(local); ok {
-				e.Sym = sym
-			}
-		}
-	}
+	e.Sym = symOf(data[off+2:off+k], lookup)
 	return e, streamOK
 }
 
@@ -261,14 +320,7 @@ func classifyStartTag(data []byte, off int, lookup func([]byte) (int32, bool)) (
 			if data[i-1] == '/' {
 				e.Kind = StartEmpty
 			}
-			if lookup != nil {
-				name := nameAt(data[off+1 : i])
-				if local := localOf(name); len(local) > 0 {
-					if sym, ok := lookup(local); ok {
-						e.Sym = sym
-					}
-				}
-			}
+			e.Sym = symOf(data[off+1:i], lookup)
 			return e, streamOK
 		case '"', '\'':
 			k := bytes.IndexByte(data[i+1:], c)
@@ -326,6 +378,19 @@ func classifyDirective(data []byte, off int) (Entry, streamStatus) {
 	return e, streamNeedMore
 }
 
+// symOf resolves the tag name b begins with to its DTD symbol, -1 when
+// there is no lookup or the name is not declared.
+func symOf(b []byte, lookup func([]byte) (int32, bool)) int32 {
+	if lookup != nil {
+		if local := localOf(nameAt(b)); len(local) > 0 {
+			if sym, ok := lookup(local); ok {
+				return sym
+			}
+		}
+	}
+	return -1
+}
+
 // nameAt returns the leading XML-name byte run of b (the tag name).
 func nameAt(b []byte) []byte {
 	i := 0
@@ -378,15 +443,28 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 	depth := int32(0)
 	rootClosed := false
 
+	// Every entry that survives is appended once; the chunk lists bound
+	// the count except where a desynchronised region is rescanned.
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	if cap(ix.Entries) < total {
+		ix.Entries = make([]Entry, 0, total)
+	}
+	ix.open = ix.open[:0]
+
 	accept := func(e Entry) error {
 		if maxTok > 0 {
 			if gap := e.Off - runStart; gap > maxTok {
 				return fmt.Errorf("%w (%d-byte text run)", ErrTokenTooLong, gap)
 			}
-			if ln := e.End - e.Off; ln > maxTok {
+			// A folded element is not a token; its worker checked inside.
+			if ln := e.End - e.Off; ln > maxTok && e.Kind != Element {
 				return fmt.Errorf("%w (%d-byte construct)", ErrTokenTooLong, ln)
 			}
 		}
+		runStart = e.End
 		e.Depth = depth
 		switch e.Kind {
 		case Start:
@@ -397,6 +475,7 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 				ix.RootStart = len(ix.Entries)
 			}
 			depth++
+			ix.open = append(ix.open, int32(len(ix.Entries)))
 		case StartEmpty:
 			if depth == 0 {
 				// An empty-element root (or a second root): tiny content
@@ -411,13 +490,21 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 			// element's Start and End entries carry the same Depth.
 			depth--
 			e.Depth = depth
+			s := ix.open[len(ix.open)-1]
+			ix.open = ix.open[:len(ix.open)-1]
+			st := &ix.Entries[s]
 			if depth == 0 {
 				ix.RootEnd = len(ix.Entries)
 				rootClosed = true
+			} else if e.End-st.Off <= opts.Collapse {
+				// Everything after st is inside it, and folded already.
+				st.Kind, st.End = Element, e.End
+				ix.Entries = ix.Entries[:s+1]
+				return nil
 			}
+			st.Match = int32(len(ix.Entries))
 		}
 		ix.Entries = append(ix.Entries, e)
-		runStart = e.End
 		return nil
 	}
 
@@ -447,7 +534,10 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 				gapStart = ents[i-1].End
 			}
 			if i < len(ents) {
-				if cursor >= gapStart {
+				// A worker does not know depth: an element it folded at
+				// document level is the root, whose tags the planner needs,
+				// so that one is rescanned below.
+				if cursor >= gapStart && (depth > 0 || ents[i].Kind != Element) {
 					if err := accept(ents[i]); err != nil {
 						return err
 					}
@@ -471,7 +561,7 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 				cursor = len(data)
 				break
 			}
-			e, ok := classifyAt(data, cursor+j, opts.Lookup)
+			e, ok := classifyAt(data, cursor+j)
 			if !ok {
 				return fmt.Errorf("%w: unclassifiable construct at byte %d", ErrStructure, cursor+j)
 			}
@@ -490,5 +580,19 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 	if ix.RootStart < 0 || !rootClosed {
 		return fmt.Errorf("%w: no root element", ErrStructure)
 	}
+	ix.resolveSyms(data, opts.Lookup)
 	return nil
+}
+
+// resolveSyms sets Sym on the tag entries that survived folding, so the
+// lookup runs once per cut point and not once per tag.
+func (ix *Index) resolveSyms(data []byte, lookup func([]byte) (int32, bool)) {
+	for i := range ix.Entries {
+		switch e := &ix.Entries[i]; e.Kind {
+		case Start, StartEmpty, Element:
+			e.Sym = symOf(data[e.Off+1:], lookup)
+		case End:
+			e.Sym = symOf(data[e.Off+2:], lookup)
+		}
+	}
 }

@@ -2,8 +2,11 @@ package index
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+
+	"xmlproj/internal/xmark"
 )
 
 // lookupFor builds a Lookup over a fixed name→symbol table.
@@ -21,7 +24,7 @@ func lookupFor(names ...string) func([]byte) (int32, bool) {
 func TestBuildClassifiesConstructs(t *testing.T) {
 	doc := `<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a (b)*>]>` +
 		`<a><!-- c --><b x="1>2">t</b><![CDATA[<raw>]]><b/><?pi d?></a>`
-	ix, err := Build([]byte(doc), Options{Workers: 1, Lookup: lookupFor("a", "b")})
+	ix, err := Build([]byte(doc), Options{Workers: 1, Lookup: lookupFor("a", "b"), Collapse: 1})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -38,6 +41,9 @@ func TestBuildClassifiesConstructs(t *testing.T) {
 	}
 	if ix.RootStart != 2 || ix.RootEnd != len(wantKinds)-1 {
 		t.Errorf("root entries %d..%d, want 2..%d", ix.RootStart, ix.RootEnd, len(wantKinds)-1)
+	}
+	if ix.Entries[2].Match != int32(ix.RootEnd) || ix.Entries[4].Match != 5 {
+		t.Errorf("start entries do not record their end entries: %+v", ix.Entries)
 	}
 	// Depths: the prolog and the root's own tags at 0, everything
 	// inside <a> at 1.
@@ -63,7 +69,8 @@ func TestBuildClassifiesConstructs(t *testing.T) {
 
 // TestBuildChunkSizeSweep checks that every chunk size — including ones
 // that cut mid-tag, mid-comment, mid-CDATA and mid-name — produces the
-// same index as a single-chunk build.
+// same index as a single-chunk build, at every collapse threshold: none
+// (1), some elements (40, 160), everything but the root (0 = default).
 func TestBuildChunkSizeSweep(t *testing.T) {
 	doc := `<root><item id="1"><name>first &amp; last</name></item>` +
 		`<!-- a comment with <tags> inside -->` +
@@ -72,33 +79,84 @@ func TestBuildChunkSizeSweep(t *testing.T) {
 		`<empty/><deep><deeper><deepest>t</deepest></deeper></deep></root>`
 	lookup := lookupFor("root", "item", "name", "pad", "empty", "deep", "deeper", "deepest")
 
-	ref, err := Build([]byte(doc), Options{Workers: 1, ChunkSize: len(doc) + 1, Lookup: lookup})
-	if err != nil {
-		t.Fatalf("reference Build: %v", err)
-	}
-	want := append([]Entry(nil), ref.Entries...)
-	wantRS, wantRE := ref.RootStart, ref.RootEnd
-	ref.Release()
-
-	for _, cs := range []int{1, 2, 3, 5, 7, 11, 16, 33, 64, 100, 255} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			ix, err := Build([]byte(doc), Options{Workers: workers, ChunkSize: cs, Lookup: lookup})
-			if err != nil {
-				t.Fatalf("chunk %d workers %d: %v", cs, workers, err)
-			}
-			if len(ix.Entries) != len(want) {
-				t.Fatalf("chunk %d workers %d: %d entries, want %d", cs, workers, len(ix.Entries), len(want))
-			}
-			for i := range want {
-				if ix.Entries[i] != want[i] {
-					t.Errorf("chunk %d workers %d entry %d: %+v, want %+v", cs, workers, i, ix.Entries[i], want[i])
-				}
-			}
-			if ix.RootStart != wantRS || ix.RootEnd != wantRE {
-				t.Errorf("chunk %d workers %d: root %d..%d, want %d..%d", cs, workers, ix.RootStart, ix.RootEnd, wantRS, wantRE)
-			}
-			ix.Release()
+	for _, collapse := range []int{1, 40, 160, 0} {
+		ref, err := Build([]byte(doc), Options{Workers: 1, ChunkSize: len(doc) + 1, Lookup: lookup, Collapse: collapse})
+		if err != nil {
+			t.Fatalf("reference Build: %v", err)
 		}
+		want := append([]Entry(nil), ref.Entries...)
+		wantRS, wantRE := ref.RootStart, ref.RootEnd
+		ref.Release()
+
+		for _, cs := range []int{1, 2, 3, 5, 7, 11, 16, 33, 64, 100, 255} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				ix, err := Build([]byte(doc), Options{Workers: workers, ChunkSize: cs, Lookup: lookup, Collapse: collapse})
+				if err != nil {
+					t.Fatalf("collapse %d chunk %d workers %d: %v", collapse, cs, workers, err)
+				}
+				if len(ix.Entries) != len(want) {
+					t.Fatalf("collapse %d chunk %d workers %d: %d entries, want %d", collapse, cs, workers, len(ix.Entries), len(want))
+				}
+				for i := range want {
+					if ix.Entries[i] != want[i] {
+						t.Errorf("collapse %d chunk %d workers %d entry %d: %+v, want %+v", collapse, cs, workers, i, ix.Entries[i], want[i])
+					}
+				}
+				if ix.RootStart != wantRS || ix.RootEnd != wantRE {
+					t.Errorf("collapse %d chunk %d workers %d: root %d..%d, want %d..%d", collapse, cs, workers, ix.RootStart, ix.RootEnd, wantRS, wantRE)
+				}
+				ix.Release()
+			}
+		}
+	}
+}
+
+// TestBuildCollapse: an element no larger than the threshold becomes
+// one Element entry spanning both its tags; larger ones keep their
+// Start and End entries, paired through Match; the root is never folded.
+func TestBuildCollapse(t *testing.T) {
+	small := `<item id="1"><name>n</name><note/></item>`
+	doc := `<root><big>` + small + small + strings.Repeat("x", 100) + `</big>` + small + `</root>`
+	lookup := lookupFor("root", "big", "item", "name", "note")
+
+	ix, err := Build([]byte(doc), Options{Workers: 1, Lookup: lookup, Collapse: len(small)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Release()
+	wantKinds := []Kind{Start, Start, Element, Element, End, Element, End}
+	if len(ix.Entries) != len(wantKinds) {
+		t.Fatalf("got %d entries, want %d: %+v", len(ix.Entries), len(wantKinds), ix.Entries)
+	}
+	for i, e := range ix.Entries {
+		if e.Kind != wantKinds[i] {
+			t.Errorf("entry %d: kind %d, want %d", i, e.Kind, wantKinds[i])
+		}
+		if e.Kind == Element {
+			if got := doc[e.Off:e.End]; got != small {
+				t.Errorf("entry %d spans %q, want %q", i, got, small)
+			}
+			if e.Sym != 2 {
+				t.Errorf("entry %d: sym %d, want item's", i, e.Sym)
+			}
+		}
+	}
+	if ix.Entries[0].Match != 6 || ix.Entries[1].Match != 4 {
+		t.Errorf("matches: root %d, big %d; want 6, 4", ix.Entries[0].Match, ix.Entries[1].Match)
+	}
+	if ix.Entries[2].Depth != 2 || ix.Entries[5].Depth != 1 {
+		t.Errorf("element depths %d, %d; want 2, 1", ix.Entries[2].Depth, ix.Entries[5].Depth)
+	}
+
+	// A whole document under the default threshold keeps its root tags.
+	tiny, err := Build([]byte(doc), Options{Workers: 2, ChunkSize: 16, Lookup: lookup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiny.Release()
+	if len(tiny.Entries) != 4 || tiny.RootStart != 0 || tiny.RootEnd != 3 ||
+		tiny.Entries[1].Kind != Element || tiny.Entries[2].Kind != Element {
+		t.Errorf("default threshold: %+v", tiny.Entries)
 	}
 }
 
@@ -155,7 +213,7 @@ func TestBuildStructureErrors(t *testing.T) {
 }
 
 func TestBuildNoLookupLeavesSymsUnset(t *testing.T) {
-	ix, err := Build([]byte(`<a><b>t</b></a>`), Options{Workers: 1})
+	ix, err := Build([]byte(`<a><b>t</b></a>`), Options{Workers: 1, Collapse: 1})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -164,5 +222,50 @@ func TestBuildNoLookupLeavesSymsUnset(t *testing.T) {
 		if e.Sym != -1 {
 			t.Errorf("entry %d: sym %d, want -1", i, e.Sym)
 		}
+	}
+}
+
+// xmarkDoc is XMark at factor 0.1 (6.7 MB, 240 k constructs), with the
+// DTD's symbol lookup, as the parallel pruner indexes it.
+func xmarkDoc(tb testing.TB) ([]byte, func([]byte) (int32, bool)) {
+	tb.Helper()
+	return []byte(xmark.NewGenerator(0.1, 42).Document().XML()), xmark.DTD().Symbols().Lookup
+}
+
+// TestBuildColdAllocation pins what the collapsed representation buys:
+// a first Build in the process — nothing pooled — allocates less than
+// the document's own size (it was 12× when every tag kept an entry).
+func TestBuildColdAllocation(t *testing.T) {
+	data, lookup := xmarkDoc(t)
+	// Two collections empty sync.Pool's primary and victim caches.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix, err := Build(data, Options{Lookup: lookup})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Release()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d entries, %d bytes allocated for %d bytes of input (%.3fx)",
+		len(ix.Entries), got, len(data), float64(got)/float64(len(data)))
+	if got > uint64(len(data)) {
+		t.Errorf("cold Build allocated %d bytes for a %d-byte document", got, len(data))
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	data, lookup := xmarkDoc(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := Build(data, Options{Lookup: lookup})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix.Release()
 	}
 }

@@ -60,12 +60,15 @@ func TestStreamMatchesBuild(t *testing.T) {
 		`<pad>` + strings.Repeat("x", 100) + `</pad>` +
 		`<empty/><deep><deeper><deepest>t</deepest></deeper></deep></root>`
 	lookup := lookupFor("root", "item", "name", "pad", "empty", "deep", "deeper", "deepest", "a", "b")
-	ref, err := Build([]byte(doc), Options{Workers: 1, ChunkSize: len(doc) + 1, Lookup: lookup})
+	ref, err := Build([]byte(doc), Options{Workers: 1, ChunkSize: len(doc) + 1, Lookup: lookup, Collapse: 1})
 	if err != nil {
 		t.Fatalf("reference Build: %v", err)
 	}
 	want := append([]Entry(nil), ref.Entries...)
 	ref.Release()
+	for i := range want {
+		want[i].Match = 0 // the streaming indexer does not pair tags
+	}
 
 	for _, chunk := range []int{1, 2, 3, 5, 7, 11, 16, 33, 64, 100, 255, len(doc), len(doc) + 7} {
 		got, dead, werr := feedWindows(t, doc, chunk, 0)
@@ -169,7 +172,7 @@ func TestStreamDepthCarries(t *testing.T) {
 	if err != nil || dead {
 		t.Fatalf("err=%v dead=%v", err, dead)
 	}
-	ref, err := Build([]byte(doc), Options{Workers: 1})
+	ref, err := Build([]byte(doc), Options{Workers: 1, Collapse: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package prune
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -407,102 +405,6 @@ func TestParallelEngineMaxTokenSize(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), strings.Repeat("x", 512<<10)) {
 		t.Fatal("oversized token mangled in parallel output")
-	}
-}
-
-// TestStreamAutoSelectsPipelined: on multi-CPU hosts EngineAuto
-// upgrades reader input to the pipelined pruner — both known sizes past
-// the threshold (reading overlaps pruning) and unknown sizes (nothing
-// needs buffering) — and the upgraded runs match the serial scanner
-// byte for byte. Small known sizes and single-CPU hosts stay serial.
-func TestStreamAutoSelectsPipelined(t *testing.T) {
-	d := mustDTD(t)
-	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "book@isbn")
-	entry := `<book isbn="1"><title>T` + strings.Repeat("x", 200) +
-		`</title><author>A</author></book>`
-	var b strings.Builder
-	b.WriteString(`<bib>`)
-	for b.Len() < pipelineMinBytes {
-		b.WriteString(entry)
-	}
-	b.WriteString(`</bib>`)
-	big := b.String()
-
-	want := EngineScanner
-	if runtime.GOMAXPROCS(0) > 1 {
-		want = EnginePipelined
-	}
-	var sb strings.Builder
-	sst, err := Stream(&sb, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Known size past the threshold.
-	var chosen Engine
-	var pdet PipelineDetail
-	var pb strings.Builder
-	pst, err := Stream(&pb, strings.NewReader(big), d, pi, StreamOptions{Chosen: &chosen, Pipeline: &pdet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chosen != want {
-		t.Fatalf("auto-selection on a sized reader chose engine %d, want %d", chosen, want)
-	}
-	if want == EnginePipelined && pdet.Windows == 0 {
-		t.Fatal("pipelined run reported no windows")
-	}
-	if pb.String() != sb.String() {
-		t.Fatal("auto-selected engine output diverges from the serial scanner")
-	}
-	if pst != sst {
-		t.Fatalf("auto-selected engine stats diverge\nscanner: %+v\nauto:    %+v", sst, pst)
-	}
-
-	// Unknown size: the pipelined pruner is exactly the engine that does
-	// not need to know it.
-	chosen = EngineAuto
-	var unsized strings.Builder
-	ust, err := Stream(&unsized, bufio.NewReader(strings.NewReader(big)), d, pi, StreamOptions{Chosen: &chosen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chosen != want {
-		t.Fatalf("auto-selection on an unsized reader chose engine %d, want %d", chosen, want)
-	}
-	if unsized.String() != sb.String() {
-		t.Fatal("unsized-reader output diverges")
-	}
-	if ust != sst {
-		t.Fatalf("unsized-reader stats diverge\nscanner: %+v\nauto:    %+v", sst, ust)
-	}
-
-	// A small input of known size stays on the serial scanner.
-	chosen = EngineAuto
-	var small strings.Builder
-	if _, err := Stream(&small, strings.NewReader(bibDoc), d, pi, StreamOptions{Chosen: &chosen}); err != nil {
-		t.Fatal(err)
-	}
-	if chosen != EngineScanner {
-		t.Fatalf("auto-selection on a small input chose engine %d, want scanner", chosen)
-	}
-	// In-memory input of any size prefers the batch parallel pruner —
-	// it is already resident, so the pipeline's memory bound buys
-	// nothing.
-	chosen = EngineAuto
-	var inmem strings.Builder
-	if _, err := StreamBytes(&inmem, []byte(big), d, pi, StreamOptions{Chosen: &chosen}); err != nil {
-		t.Fatal(err)
-	}
-	wantMem := EngineScanner
-	if runtime.GOMAXPROCS(0) > 1 && len(big) >= parallelMinBytes {
-		wantMem = EngineParallel
-	}
-	if chosen != wantMem {
-		t.Fatalf("auto-selection on in-memory input chose engine %d, want %d", chosen, wantMem)
-	}
-	if inmem.String() != sb.String() {
-		t.Fatal("in-memory output diverges")
 	}
 }
 

@@ -127,17 +127,14 @@ const (
 	// structural index over byte chunks, concurrent fragment pruning,
 	// and a sequential splice pass — byte-identical output and identical
 	// verdicts to EngineScanner. The whole input is buffered in memory.
-	// EngineAuto selects it for large inputs of known size when more
-	// than one CPU is available.
+	// When EngineAuto selects it: see chooseEngine.
 	EngineParallel
 	// EnginePipelined forces the pipelined streaming parallel pruner:
 	// reading, incremental structural indexing, concurrent fragment
 	// pruning and in-order emission overlap in a bounded ring of window
 	// buffers, so memory stays at ring × window bytes however large the
 	// document — with byte-identical output and identical verdicts to
-	// EngineScanner. EngineAuto selects it for UTF-8 readers — unknown
-	// size, or known size past a threshold — when more than one CPU is
-	// available.
+	// EngineScanner. When EngineAuto selects it: see chooseEngine.
 	EnginePipelined
 )
 
@@ -172,14 +169,41 @@ type PipelineDetail struct {
 	Fallback bool
 }
 
-// parallelMinBytes is the input size below which EngineAuto does not
-// bother with the parallel pruner.
-const parallelMinBytes = 4 << 20
+// parallelMinBytes (resident input) and pipelineMinBytes (readers of
+// known size; unknown sizes always qualify, there is nothing to buffer)
+// are the sizes below which EngineAuto does not bother with a
+// concurrent engine.
+const parallelMinBytes, pipelineMinBytes = 4 << 20, 1 << 20
 
-// pipelineMinBytes is the known input size below which EngineAuto does
-// not bother with the pipelined pruner (unknown-size readers always
-// qualify — the point is not having to buffer them).
-const pipelineMinBytes = 1 << 20
+// concurrentMinWorkers is the worker budget below which EngineAuto stays
+// on the serial scanner. The parallel and pipelined engines add a
+// structural pass over every byte (0.5–0.6 of a scan when this was set:
+// index.build_mb_s 518 vs scan.low_mb_s 270) and a serial plan, stitch
+// and spine, so w workers take at best 1.55/w of the serial time: 0.78
+// at w = 2, where a one-shot measured 3.4× slower once its cold index
+// memory counted (cli_large, 335 vs 99 ms). 4 is the smallest budget a
+// measurement shows winning (CI: speedup_pipelined ≥ 1.2).
+const concurrentMinWorkers = 4
+
+// chooseEngine is EngineAuto's one routing rule, for every entry point.
+// resident: the input is in memory. workerBudget is ParallelWorkers:
+// 0 means GOMAXPROCS, which also caps it.
+func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int, nonUTF8 bool) Engine {
+	if procs := runtime.GOMAXPROCS(0); workerBudget <= 0 || workerBudget > procs {
+		workerBudget = procs
+	}
+	switch {
+	case nonUTF8:
+		return EngineDecoder
+	case workerBudget < concurrentMinWorkers:
+		return EngineScanner
+	case resident && size >= parallelMinBytes:
+		return EngineParallel
+	case !resident && (!sizeKnown || size >= pipelineMinBytes):
+		return EnginePipelined
+	}
+	return EngineScanner
+}
 
 // StreamOptions configures a streaming prune.
 type StreamOptions struct {
@@ -271,7 +295,10 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 			return stats, fmt.Errorf("prune: %w", err)
 		}
 	}
-	eng := resolveBytesEngine(data, opts)
+	eng := opts.Engine
+	if eng == EngineAuto {
+		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers, looksNonUTF8(data))
+	}
 	if eng == EngineDecoder {
 		// The reference path tokenizes through a reader; in-memory input
 		// is simply a reader that never refills.
@@ -391,7 +418,10 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	}
 	g := gatherPool.Get().(*Gather)
 	g.closed = false
-	eng := resolveBytesEngine(data, opts)
+	eng := opts.Engine
+	if eng == EngineAuto {
+		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers, looksNonUTF8(data))
+	}
 	if eng == EnginePipelined {
 		// Gather output spans the whole resident input; the pipeline's
 		// windowed streaming buys nothing here. Run the batch parallel
@@ -432,23 +462,6 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		return nil, stats, fmt.Errorf("prune: %w", err)
 	}
 	return g, stats, nil
-}
-
-// resolveBytesEngine picks the engine for in-memory input: non-UTF-8
-// heads sniff to the decoder; inputs worth splitting go parallel.
-func resolveBytesEngine(data []byte, opts StreamOptions) Engine {
-	eng := opts.Engine
-	if eng != EngineAuto {
-		return eng
-	}
-	switch {
-	case looksNonUTF8(data):
-		return EngineDecoder
-	case len(data) >= parallelMinBytes && runtime.GOMAXPROCS(0) > 1 && opts.ParallelWorkers != 1:
-		return EngineParallel
-	default:
-		return EngineScanner
-	}
 }
 
 func scanOptsOf(opts StreamOptions) scan.Options {
@@ -526,22 +539,7 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 		var hdr [4]byte
 		n, _ := io.ReadFull(src, hdr[:])
 		src = io.MultiReader(bytes.NewReader(hdr[:n]), src)
-		switch {
-		case looksNonUTF8(hdr[:n]):
-			eng = EngineDecoder
-		case runtime.GOMAXPROCS(0) > 1 && opts.ParallelWorkers != 1 &&
-			(!sizeKnown || size >= pipelineMinBytes):
-			// A worker budget of exactly 1 (a batch or server already
-			// saturating the CPUs) makes the overlap machinery pure
-			// overhead; stay serial. Otherwise the pipelined pruner
-			// covers both cases the parallel pruner could not: unknown
-			// sizes (no need to buffer the whole input to split it) and
-			// known sizes (reading overlaps pruning instead of
-			// completing before it).
-			eng = EnginePipelined
-		default:
-			eng = EngineScanner
-		}
+		eng = chooseEngine(size, sizeKnown, false, opts.ParallelWorkers, looksNonUTF8(hdr[:n]))
 	}
 	if opts.Chosen != nil {
 		*opts.Chosen = eng

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -66,48 +67,123 @@ func TestStreamContextCancelledMidway(t *testing.T) {
 	}
 }
 
-// TestStreamChosenEngine: Stream reports which engine it resolved, and
-// auto-selection refuses the concurrent pruners when the caller's
-// worker budget is exactly 1 — the overlap machinery with one worker is
-// pure overhead.
+// TestChooseEngine pins EngineAuto's routing rule: size × size known ×
+// resident × worker budget × UTF-8 sniff → engine, with GOMAXPROCS set
+// explicitly so the expectations do not depend on the host.
+func TestChooseEngine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	const small, mid, large = 64 << 10, pipelineMinBytes, parallelMinBytes
+	type input struct {
+		name             string
+		size             int64
+		known, resident  bool
+		concurrentEngine Engine // what a sufficient budget selects
+	}
+	inputs := []input{
+		{"small reader", small, true, false, EngineScanner},
+		{"1 MiB reader", mid, true, false, EnginePipelined},
+		{"4 MiB reader", large, true, false, EnginePipelined},
+		{"unsized reader", 0, false, false, EnginePipelined},
+		{"small bytes", small, true, true, EngineScanner},
+		{"1 MiB bytes", mid, true, true, EngineScanner},
+		{"4 MiB bytes", large, true, true, EngineParallel},
+	}
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, budget := range []int{0, 1, 2, 3, 4, 8} {
+			effective := budget
+			if effective == 0 || effective > procs {
+				effective = procs
+			}
+			for _, in := range inputs {
+				want := EngineScanner
+				if effective >= concurrentMinWorkers {
+					want = in.concurrentEngine
+				}
+				if got := chooseEngine(in.size, in.known, in.resident, budget, false); got != want {
+					t.Errorf("GOMAXPROCS=%d budget=%d %s: engine %d, want %d", procs, budget, in.name, got, want)
+				}
+				if got := chooseEngine(in.size, in.known, in.resident, budget, true); got != EngineDecoder {
+					t.Errorf("GOMAXPROCS=%d budget=%d %s, non-UTF-8: engine %d, want decoder", procs, budget, in.name, got)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamChosenEngine: every entry point routes through chooseEngine
+// and reports what it resolved — the concurrent engines at a worker
+// budget of 4, the scanner below it — with output and stats identical
+// to the forced serial scanner either way.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
 
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
-	// A document comfortably over the pipeline threshold, of known size.
+	// A document over both size thresholds.
 	var sb strings.Builder
 	sb.WriteString("<bib>")
 	row := `<book isbn="1"><title>T</title><author>A</author></book>`
-	for sb.Len() < pipelineMinBytes+1024 {
+	for sb.Len() < parallelMinBytes+1024 {
 		sb.WriteString(row)
 	}
 	sb.WriteString("</bib>")
 	big := sb.String()
 
-	cases := []struct {
-		name    string
-		workers int
-		want    Engine
-	}{
-		{"budget-free picks pipelined", 0, EnginePipelined},
-		{"budget of one stays serial", 1, EngineScanner},
-		{"budget of two picks pipelined", 2, EnginePipelined},
+	var ref bytes.Buffer
+	refStats, err := Stream(&ref, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		var chosen Engine
-		var out bytes.Buffer
-		_, err := Stream(&out, strings.NewReader(big), d, pi, StreamOptions{
-			ParallelWorkers: c.workers,
-			Chosen:          &chosen,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+
+	type entry func(opts StreamOptions) (string, Stats, error)
+	reader := func(src func() io.Reader) entry {
+		return func(opts StreamOptions) (string, Stats, error) {
+			var out strings.Builder
+			st, err := Stream(&out, src(), d, pi, opts)
+			return out.String(), st, err
 		}
-		if chosen != c.want {
-			t.Errorf("%s: chosen engine %d, want %d", c.name, chosen, c.want)
+	}
+	entries := []struct {
+		name       string
+		run        entry
+		concurrent Engine
+	}{
+		{"Stream sized", reader(func() io.Reader { return strings.NewReader(big) }), EnginePipelined},
+		{"Stream unsized", reader(func() io.Reader { return bufio.NewReader(strings.NewReader(big)) }), EnginePipelined},
+		{"StreamBytes", func(opts StreamOptions) (string, Stats, error) {
+			var out strings.Builder
+			st, err := StreamBytes(&out, []byte(big), d, pi, opts)
+			return out.String(), st, err
+		}, EngineParallel},
+		{"StreamGather", func(opts StreamOptions) (string, Stats, error) {
+			g, st, err := StreamGather([]byte(big), d, pi, opts)
+			if err != nil {
+				return "", st, err
+			}
+			defer g.Close()
+			return string(g.Bytes()), st, nil
+		}, EngineParallel},
+	}
+	for _, e := range entries {
+		for _, budget := range []int{0, 1, 2, 3, 4} {
+			want := EngineScanner
+			if budget == 0 || budget >= concurrentMinWorkers {
+				want = e.concurrent
+			}
+			var chosen Engine
+			out, st, err := e.run(StreamOptions{ParallelWorkers: budget, Chosen: &chosen})
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", e.name, budget, err)
+			}
+			if chosen != want {
+				t.Errorf("%s budget %d: chosen engine %d, want %d", e.name, budget, chosen, want)
+			}
+			if out != ref.String() || st != refStats {
+				t.Errorf("%s budget %d: output or stats diverge from the serial scanner", e.name, budget)
+			}
 		}
 	}
 

@@ -126,12 +126,21 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 		return serial()
 	}
 
+	// The fragment target is fixed before indexing: the planner never
+	// looks inside an element of at most twice the target, so the index
+	// need not keep what is in one.
+	target := opts.FragTarget
+	if target <= 0 {
+		target = index.FragTarget(len(data), workers)
+	}
+
 	t0 := time.Now()
 	ix, err := index.Build(data, index.Options{
 		Workers:      workers,
 		ChunkSize:    opts.ChunkSize,
 		MaxTokenSize: maxTok,
 		Lookup:       proj.Syms.Lookup,
+		Collapse:     2 * target,
 	})
 	det.IndexNanos = time.Since(t0).Nanoseconds()
 	if err != nil {
@@ -144,7 +153,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 	}
 	defer ix.Release()
 
-	tasks := plan(ix, len(data), proj, workers, opts.FragTarget)
+	tasks := plan(ix, proj, target)
 	det.Tasks = len(tasks)
 
 	t1 := time.Now()
@@ -235,7 +244,6 @@ func runTask(data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options, t *fra
 // planner cuts the structural index into delegated content ranges.
 type planner struct {
 	ents        []index.Entry
-	match       []int // Start entry index -> its End entry index
 	p           *dtd.Projection
 	target      int
 	depthBudget int
@@ -246,7 +254,7 @@ type planner struct {
 // boundaries, grouped to roughly target bytes, recursing into children
 // larger than twice the target so a handful of dominant subtrees (an
 // XMark root has only six children) still decompose across workers.
-func plan(ix *index.Index, dataLen int, proj *dtd.Projection, workers, fragTarget int) []*fragTask {
+func plan(ix *index.Index, proj *dtd.Projection, target int) []*fragTask {
 	if ix.RootStart < 0 || ix.RootEnd <= ix.RootStart {
 		return nil
 	}
@@ -255,20 +263,8 @@ func plan(ix *index.Index, dataLen int, proj *dtd.Projection, workers, fragTarge
 		// Undeclared root: the spine errors at the tag before any splice.
 		return nil
 	}
-	target := fragTarget
-	if target <= 0 {
-		target = dataLen / (workers * 8)
-		const minTarget, maxTarget = 128 << 10, 8 << 20
-		if target < minTarget {
-			target = minTarget
-		}
-		if target > maxTarget {
-			target = maxTarget
-		}
-	}
 	pl := &planner{
 		ents:        ix.Entries,
-		match:       buildMatch(ix.Entries),
 		p:           proj,
 		target:      target,
 		depthBudget: 64,
@@ -278,28 +274,11 @@ func plan(ix *index.Index, dataLen int, proj *dtd.Projection, workers, fragTarge
 	return pl.tasks
 }
 
-// buildMatch pairs every Start entry with its End entry.
-func buildMatch(ents []index.Entry) []int {
-	match := make([]int, len(ents))
-	var stack []int
-	for i := range ents {
-		switch ents[i].Kind {
-		case index.Start:
-			stack = append(stack, i)
-		case index.End:
-			j := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			match[j] = i
-		}
-	}
-	return match
-}
-
 // content plans the content of the element whose Start entry is pi,
 // emitting tasks in document order.
 func (pl *planner) content(pi int, kept bool, sym int32) {
 	pd := pl.ents[pi].Depth
-	end := pl.match[pi]
+	end := int(pl.ents[pi].Match)
 	endOff := pl.ents[end].Off // the parent's end tag: a valid cut point
 	ctxBase := int(pd) + 1
 
@@ -319,18 +298,18 @@ func (pl *planner) content(pi int, kept bool, sym int32) {
 	i := pi + 1
 	for i < end {
 		e := &pl.ents[i]
-		if e.Depth != pd+1 || (e.Kind != index.Start && e.Kind != index.StartEmpty) {
-			// Comments, PIs, CDATA and deeper entries are not cut points;
-			// they ride inside whichever range covers them.
+		var spanEnd, next int
+		switch e.Kind {
+		case index.StartEmpty, index.Element:
+			spanEnd, next = e.End, i+1
+		case index.Start:
+			m := int(e.Match)
+			spanEnd, next = pl.ents[m].End, m+1
+		default:
+			// Comments, PIs and CDATA are not cut points; they ride
+			// inside whichever range covers them.
 			i++
 			continue
-		}
-		var spanEnd, next int
-		if e.Kind == index.StartEmpty {
-			spanEnd, next = e.End, i+1
-		} else {
-			m := pl.match[i]
-			spanEnd, next = pl.ents[m].End, m+1
 		}
 		size := spanEnd - e.Off
 		if acc >= pl.target {

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/index"
+	"xmlproj/internal/xmark"
 )
 
 const siteDTD = `
@@ -157,28 +160,92 @@ func TestParallelRecursesDominantSubtree(t *testing.T) {
 	}
 }
 
+// TestPlanUnchangedByCollapse: the planner cuts the same task list from
+// the collapsed index as from one that keeps every tag (Collapse 1, the
+// oracle) — on XMark, on nested dominant subtrees and on the malformed
+// corpus, down to fragment targets of a few bytes — and the two builds
+// agree on every index verdict.
+func TestPlanUnchangedByCollapse(t *testing.T) {
+	type input struct {
+		name string
+		doc  string
+		p    *dtd.Projection
+	}
+	var inputs []input
+	xd := xmark.DTD()
+	xdoc := xmark.NewGenerator(0.01, 7).Document().XML()
+	for name, pi := range map[string]dtd.NameSet{
+		"xmark all":  dtd.NewNameSet(xd.Names()...),
+		"xmark root": dtd.NewNameSet(xd.Root),
+		"xmark mid":  dtd.NewNameSet("site", "people", "person", "name", "name#text", "open_auctions"),
+	} {
+		inputs = append(inputs, input{name, xdoc, xd.CompileProjection(pi)})
+	}
+	for pname, pi := range siteProjectors {
+		_, p := setupSite(t, pi)
+		inputs = append(inputs, input{"site " + pname, genSite(3, 6), p})
+		for i, doc := range badSiteDocs {
+			inputs = append(inputs, input{fmt.Sprintf("bad %d %s", i, pname), doc, p})
+		}
+	}
+
+	planOf := func(in input, collapse, chunk, target int) ([]fragTask, error) {
+		ix, err := index.Build([]byte(in.doc), index.Options{
+			Workers: 4, ChunkSize: chunk, MaxTokenSize: 1 << 20,
+			Lookup: in.p.Syms.Lookup, Collapse: collapse,
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer ix.Release()
+		var tasks []fragTask
+		for _, t := range plan(ix, in.p, target) {
+			tasks = append(tasks, *t)
+		}
+		return tasks, nil
+	}
+	for _, in := range inputs {
+		for _, target := range []int{1, 7, 64, 1000, 40 << 10} {
+			want, werr := planOf(in, 1, 0, target)
+			for _, chunk := range []int{0, 11, 4 << 10} {
+				got, gerr := planOf(in, 2*target, chunk, target)
+				if (werr == nil) != (gerr == nil) || errors.Is(werr, index.ErrTokenTooLong) != errors.Is(gerr, index.ErrTokenTooLong) {
+					t.Fatalf("%s target %d chunk %d: verdict %v, oracle %v", in.name, target, chunk, gerr, werr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s target %d chunk %d: %d tasks, oracle %d\ngot:  %+v\nwant: %+v",
+						in.name, target, chunk, len(got), len(want), got, want)
+				}
+			}
+		}
+	}
+}
+
+// badSiteDocs are malformed and DTD-invalid documents over siteDTD.
+var badSiteDocs = []string{
+	``,
+	`no xml here`,
+	`<site><regions></regions>`, // unterminated root
+	`<site><regions></regions></site><site></site>`, // two roots
+	`<site><regions><item id="1"></wrong></item></regions></site>`,
+	`<site><regions><item id="1"><name>n</name></item></regions></site>trailing`,
+	`<site><regions><item id="1"><name>n</name></item></regions>text</site>`,              // text in site content
+	`<region><item id="1"/></region>`,                                                     // undeclared root
+	`<site><regions><item><name>n</name></item></regions></site>`,                         // missing required attr
+	`<site><regions><item id="1" featured="maybe"><name>n</name></item></regions></site>`, // enum
+	`<site><regions><item id="1" bogus="x"><name>n</name></item></regions></site>`,        // undeclared attr
+	`<site><regions><item id="1"><note>n</note></item></regions></site>`,                  // model violation
+	`<site><regions><item id="1"><name>n</name>stray</item></regions></site>`,             // text not allowed
+	`<site><regions><item id="1"><name>a &unknown; b</name></item></regions></site>`,      // bad entity
+	`<site><regions><item id="1"><name attr="<">n</name></item></regions></site>`,         // '<' in value
+	`<site><regions><item id="1"><name>n</name><undeclared/></item></regions></site>`,
+}
+
 // TestParallelVerdictParityOnBadDocs: malformed and invalid documents
 // must be rejected (or accepted) exactly as the serial scanner decides,
 // whatever the fragmentation.
 func TestParallelVerdictParityOnBadDocs(t *testing.T) {
-	docs := []string{
-		``,
-		`no xml here`,
-		`<site><regions></regions>`, // unterminated root
-		`<site><regions></regions></site><site></site>`, // two roots
-		`<site><regions><item id="1"></wrong></item></regions></site>`,
-		`<site><regions><item id="1"><name>n</name></item></regions></site>trailing`,
-		`<site><regions><item id="1"><name>n</name></item></regions>text</site>`,              // text in site content
-		`<region><item id="1"/></region>`,                                                     // undeclared root
-		`<site><regions><item><name>n</name></item></regions></site>`,                         // missing required attr
-		`<site><regions><item id="1" featured="maybe"><name>n</name></item></regions></site>`, // enum
-		`<site><regions><item id="1" bogus="x"><name>n</name></item></regions></site>`,        // undeclared attr
-		`<site><regions><item id="1"><note>n</note></item></regions></site>`,                  // model violation
-		`<site><regions><item id="1"><name>n</name>stray</item></regions></site>`,             // text not allowed
-		`<site><regions><item id="1"><name>a &unknown; b</name></item></regions></site>`,      // bad entity
-		`<site><regions><item id="1"><name attr="<">n</name></item></regions></site>`,         // '<' in value
-		`<site><regions><item id="1"><name>n</name><undeclared/></item></regions></site>`,
-	}
+	docs := badSiteDocs
 	for pname, pi := range siteProjectors {
 		d, p := setupSite(t, pi)
 		for _, validate := range []bool{false, true} {

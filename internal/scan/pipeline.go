@@ -198,10 +198,16 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 
 	c := new(pipeCounters)
 	abort := make(chan struct{})
+	// free recycles slabs within this prune; the reader takes new ones
+	// from slabPool only while fewer than ring exist, so a body smaller
+	// than one window touches one slab and the bound stays ring × window.
 	free := make(chan []byte, ring)
-	for i := 0; i < ring; i++ {
-		free <- make([]byte, win)
-	}
+	defer func() {
+		for len(free) > 0 {
+			slab := <-free
+			slabPool.Put(&slab)
+		}
+	}()
 	rawCh := make(chan rawWin)
 	taskCh := make(chan pipeTask, 4*workers)
 	planCh := make(chan *pipeWin, ring)
@@ -214,13 +220,18 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	go func() {
 		defer wg.Done()
 		defer close(rawCh)
-		zero := 0
+		zero, made := 0, 0
 		for {
 			var slab []byte
-			select {
-			case slab = <-free:
-			case <-abort:
-				return
+			if made < ring && len(free) == 0 {
+				slab = getSlab(win)
+				made++
+			} else {
+				select {
+				case slab = <-free:
+				case <-abort:
+					return
+				}
 			}
 			n := 0
 			var rerr error
@@ -263,9 +274,19 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		defer wg.Done()
 		defer close(taskCh)
 		defer close(planCh)
-		si := index.StreamIndexer{MaxTokenSize: maxTok, Lookup: proj.Syms.Lookup}
-		pl := pipePlanner{p: proj, target: target, minFrag: minFrag}
-		var carry []byte
+		// The indexer's entry list and the planner's stacks are a few MB
+		// on a 1 MiB window; they are reused across prunes.
+		sc := pipeScratchPool.Get().(*pipeScratch)
+		si, pl := &sc.si, &sc.pl
+		si.Reset()
+		si.MaxTokenSize, si.Lookup = maxTok, proj.Syms.Lookup
+		pl.p, pl.target, pl.minFrag, pl.stack = proj, target, minFrag, pl.stack[:0]
+		carry := sc.carry[:0]
+		defer func() {
+			// Keep the buffers, not the projection they were used with.
+			sc.carry, si.Lookup, pl.p = carry, nil, nil
+			pipeScratchPool.Put(sc)
+		}()
 		present := func(pw *pipeWin) bool {
 			for _, t := range pw.tasks {
 				t.ready = make(chan struct{})
@@ -489,6 +510,26 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	return st, det, err
 }
 
+// slabPool recycles window slabs across prunes; pipeScratchPool the
+// indexer goroutine's state.
+var (
+	slabPool        sync.Pool
+	pipeScratchPool = sync.Pool{New: func() any { return new(pipeScratch) }}
+)
+
+type pipeScratch struct {
+	si    index.StreamIndexer
+	pl    pipePlanner
+	carry []byte
+}
+
+func getSlab(n int) []byte {
+	if p, _ := slabPool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]byte, n)
+}
+
 // runWindow processes one pipelined window: resume a skip scan paused
 // at the previous window boundary, then run the spine loop. Returns
 // errPause when a non-final window ends inside a skipped subtree.
@@ -534,11 +575,13 @@ func (pl *pipePlanner) window(ents []index.Entry) []*fragTask {
 	// Pair in-window Start entries with their End entries; unmatched
 	// Starts straddle the window end, unmatched Ends close frames from
 	// earlier windows.
-	match := pl.match[:0]
-	for range ents {
-		match = append(match, -1)
+	if cap(pl.match) < len(ents) {
+		pl.match = make([]int, len(ents))
 	}
-	pl.match = match
+	match := pl.match[:len(ents)]
+	for i := range match {
+		match[i] = -1
+	}
 	stk := pl.mstk[:0]
 	for i := range ents {
 		switch ents[i].Kind {

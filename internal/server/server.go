@@ -8,10 +8,11 @@
 // through the one-pass pruner and the pruned document streams back.
 // Bodies route by size: a declared Content-Length up to MaxGatherBytes
 // is buffered once and served on the span-gather path with a real
-// Content-Length; larger or chunked (unsized) bodies stream — on
-// multi-CPU hosts through the pipelined streaming engine, which
-// overlaps reading, indexing and pruning under bounded window memory
-// and flushes pruned windows to the client as they complete. The
+// Content-Length; larger or chunked (unsized) bodies stream — with a
+// worker budget of at least 4 through the pipelined streaming engine,
+// which overlaps reading, indexing and pruning under bounded window
+// memory — and pruned output is flushed to the client as it is
+// produced. The
 // streaming path never buffers the whole document, and every engine's
 // worker budget is divided by the admission-control width so a
 // saturated server never oversubscribes its CPUs.
@@ -405,6 +406,12 @@ func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The pruner writes while the body is still arriving. Without full
+	// duplex, net/http discards what is unread of the body at the first
+	// flush and the prune ends early on a read error. A writer that
+	// cannot do it (HTTP/2, a recorder) never needed it.
+	_ = http.NewResponseController(w).EnableFullDuplex()
+
 	// Headers must be final before the first body byte: declare the
 	// error trailer now, since a mid-stream failure can no longer change
 	// the status code.
@@ -420,11 +427,11 @@ func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cw := &countingResponseWriter{rw: w}
-	// Stream the pruned bytes out as they are produced: the pipelined
-	// engine (auto-selected here for chunked and over-gather bodies on
-	// multi-CPU hosts) emits windows long before the document ends, so
-	// flushing after each pruner write gives the client a first byte
-	// while later windows are still being read and pruned.
+	// Stream the pruned bytes out as they are produced: both the scanner
+	// and the pipelined engine (auto-selected here at a worker budget of
+	// at least 4) emit long before the document ends, so flushing after
+	// each pruner write gives the client a first byte while the rest is
+	// still being read and pruned.
 	var dst io.Writer = cw
 	if f, ok := w.(http.Flusher); ok {
 		dst = &flushWriter{w: cw, f: f}

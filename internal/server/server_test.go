@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"xmlproj"
+	"xmlproj/internal/xmark"
 )
 
 const bibDTD = `
@@ -639,5 +641,88 @@ func TestPipelinedPath(t *testing.T) {
 	}
 	if n := s.eng.Metrics().PipelinedPrunes; n != 1 {
 		t.Errorf("engine PipelinedPrunes = %d, want 1", n)
+	}
+}
+
+// TestStreamedLargeOutput: a chunked upload whose pruned output passes
+// the first flush long before the body is read — XMark 0.1 against
+// //person[emailaddress]/name, two 64 KiB flushes out — comes back whole, with an
+// empty error trailer, and leaves its connection reusable. Before the
+// streamed route enabled full duplex, net/http dropped the unread body
+// at the first write and the response was a truncated 200.
+func TestStreamedLargeOutput(t *testing.T) {
+	s := New(Options{Logger: quietLogger()})
+	d, err := xmlproj.ParseDTDString(xmark.DTDSource, "site")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddSchema("auction", d); err != nil {
+		t.Fatal(err)
+	}
+	const query = "//person[emailaddress]/name"
+	if err := s.AddProjection("mid", "auction", false, query); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc := xmark.NewGenerator(0.1, 42).Document().XML()
+	q, err := xmlproj.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := d.Infer(xmlproj.Materialized, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := p.PruneStream(&want, strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() <= 128<<10 {
+		t.Fatalf("pruned output is %d bytes; the test needs more than two 64 KiB flushes", want.Len())
+	}
+
+	// One connection at most, and a trace hook that says whether a
+	// request got it from the idle pool.
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	post := func(body io.Reader) (got []byte, trailer string, reused bool) {
+		t.Helper()
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/prune?projection=mid", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if got, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %.200s", resp.StatusCode, got)
+		}
+		return got, resp.Trailer.Get(errorTrailer), reused
+	}
+
+	// Wrapping the reader hides its size: the upload goes out chunked.
+	got, trailer, _ := post(struct{ io.Reader }{strings.NewReader(doc)})
+	if trailer != "" {
+		t.Errorf("error trailer %q", trailer)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("streamed output is %d bytes, want %d", len(got), want.Len())
+	}
+	got, trailer, reused := post(struct{ io.Reader }{strings.NewReader(doc)})
+	if !reused {
+		t.Error("the second request did not reuse the first one's connection")
+	}
+	if trailer != "" || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("second request: %d bytes (want %d), trailer %q", len(got), want.Len(), trailer)
 	}
 }

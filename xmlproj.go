@@ -478,11 +478,11 @@ func (p *Projector) pruneStream(dst io.Writer, src io.Reader, validate bool) (Pr
 }
 
 // PruneEngine names the tokenizer behind a streaming prune. The zero
-// value auto-selects: the pipelined streaming parallel pruner for
-// UTF-8 reader input on multi-CPU hosts (unknown sizes, or known sizes
-// past a threshold), the two-stage batch parallel pruner for large
-// in-memory input, the byte-level serial scanner otherwise for UTF-8,
-// and encoding/xml for everything else.
+// value auto-selects: with a worker budget of at least 4, the pipelined
+// streaming parallel pruner for UTF-8 reader input (unknown sizes, or
+// known sizes past a threshold) and the two-stage batch parallel pruner
+// for large in-memory input; the byte-level serial scanner otherwise
+// for UTF-8, and encoding/xml for everything else.
 type PruneEngine int
 
 const (
@@ -521,7 +521,7 @@ type StreamOptions struct {
 	// bound. Zero means the scanner default (8 MiB).
 	MaxTokenSize int
 	// IntraWorkers bounds intra-document parallel pruning (0 means
-	// GOMAXPROCS; 1 keeps the prune serial).
+	// GOMAXPROCS; below 4, auto-selection keeps the prune serial).
 	IntraWorkers int
 	// Context, when non-nil, aborts the prune when cancelled: the source
 	// is checked before every read and the prune returns the context
