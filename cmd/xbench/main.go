@@ -39,13 +39,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	streamprune := fs.Bool("streamprune", false, "benchmark the streaming pruner engines and write a JSON report")
 	spOut := fs.String("o", "BENCH_streamprune.json", "output path for the -streamprune report")
 	intra := fs.Int("intra", 0, "intra-document workers for the -streamprune parallel cases (0 = GOMAXPROCS)")
-	chunk := fs.Int("chunk", 0, "stage-1 index chunk size in bytes for the parallel cases (0 = auto)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *streamprune {
-		return runStreamPrune(*factor, *seed, *spOut, bench.StreamPruneOptions{IntraWorkers: *intra, ChunkSize: *chunk}, stdout, stderr)
+		return runStreamPrune(*factor, *seed, *spOut, bench.StreamPruneOptions{IntraWorkers: *intra}, stdout, stderr)
 	}
 
 	queries := bench.AllQueries()

@@ -62,9 +62,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")
 	intra := fs.Int("intra", 0, "intra-document parallel pruning workers; >0 forces the parallel pruner with that many; 0 = auto, which goes concurrent only for documents of at least 4 MiB (pipes: 1 MiB or unsized) and a worker budget (GOMAXPROCS / -jobs) of at least 4")
-	chunk := fs.Int("chunk", 0, "stage-1 index chunk size in bytes for intra-document parallelism (0 = auto)")
-	pipeWindow := fs.Int("pipe-window", 0, "pipelined streaming window size in bytes (0 = auto); stdin and pipe inputs use the pipelined pruner, whose memory is bounded by ring x window, when the worker budget is at least 4")
-	pipeRing := fs.Int("pipe-ring", 0, "pipelined streaming ring depth: window slabs in flight at once (0 = auto)")
 	resultCache := fs.Int64("result-cache", xmlproj.DefaultResultCacheBytes, "byte budget for the content-addressed result cache: duplicate documents in a batch are pruned once and served from cache (0 or negative = disabled)")
 	var queries, ins, projSpecs stringList
 	fs.Var(&queries, "q", "query (XPath or XQuery); repeatable")
@@ -218,14 +215,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	eng := xmlproj.NewEngine(xmlproj.EngineOptions{Workers: *jobs, ResultCacheBytes: cacheBudget})
 	start = time.Now()
 	results, agg, batchErr := eng.PruneBatch(context.Background(), p, batch, xmlproj.BatchOptions{
-		Workers:            *jobs,
-		Validate:           *validateFlag,
-		FailFast:           !*keepGoing,
-		Parallel:           *intra > 0,
-		IntraWorkers:       *intra,
-		IntraChunkSize:     *chunk,
-		PipelineWindowSize: *pipeWindow,
-		PipelineRingDepth:  *pipeRing,
+		Workers:      *jobs,
+		Validate:     *validateFlag,
+		FailFast:     !*keepGoing,
+		Parallel:     *intra > 0,
+		IntraWorkers: *intra,
 	})
 	elapsed := time.Since(start)
 	// Release the input mappings now that every prune has run; output

@@ -141,32 +141,12 @@ type BatchResult struct {
 // ParallelStages is the per-stage breakdown of one intra-document
 // parallel prune: structural indexing, concurrent fragment pruning, and
 // the sequential splice pass that stitches the fragments together.
-type ParallelStages struct {
-	IndexTime, PruneTime, StitchTime time.Duration
-	// Workers is the resolved worker count; Tasks the number of document
-	// ranges pruned concurrently.
-	Workers, Tasks int
-	// Fallback reports that the document was handed to the serial pruner
-	// (input the structural index cannot describe).
-	Fallback bool
-}
+type ParallelStages = prune.ParallelDetail
 
 // PipelineStages is the per-stage breakdown of one pipelined streaming
 // prune: reading source bytes into window slabs, incremental structural
 // indexing, concurrent fragment pruning, and in-order emission.
-type PipelineStages struct {
-	ReadTime, IndexTime, PruneTime, EmitTime time.Duration
-	// Windows is the number of window slabs the document was cut into;
-	// Tasks the number of fragment ranges delegated to workers; Workers
-	// the resolved worker count.
-	Windows, Tasks, Workers int
-	// PeakWindowBytes is the high-water mark of input bytes resident in
-	// window slabs at once — bounded by ring depth × window size.
-	PeakWindowBytes int64
-	// Fallback reports that the stream was handed to the serial pruner
-	// (token cap too small for the windowing invariants).
-	Fallback bool
-}
+type PipelineStages = prune.PipelineDetail
 
 // Throughput returns the job's input processing rate in MB/s (0 when
 // nothing was timed).
@@ -196,17 +176,6 @@ type BatchOptions struct {
 	// intra-document parallelism will want Workers × IntraWorkers to be
 	// about GOMAXPROCS.
 	IntraWorkers int
-	// IntraChunkSize overrides the parallel pruner's stage-1 chunk
-	// granularity in bytes (0 = auto).
-	IntraChunkSize int
-	// PipelineWindowSize and PipelineRingDepth bound the pipelined
-	// streaming pruner per job — window slab size in bytes and in-flight
-	// slab count (0 = engine defaults). Auto-selection runs the pipelined
-	// engine for unsized (or large sized) reader sources with a worker
-	// budget of at least 4; each such job's peak input residency is
-	// their product.
-	PipelineWindowSize int
-	PipelineRingDepth  int
 }
 
 // BatchStats aggregates a batch: summed pruner stats (MaxDepth is the
@@ -227,13 +196,10 @@ func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob
 		ejobs[i] = engine.Job{Name: j.Name, Src: j.Src, Dst: j.Dst}
 	}
 	eopts := engine.BatchOptions{
-		Workers:            opts.Workers,
-		Validate:           opts.Validate,
-		FailFast:           opts.FailFast,
-		IntraWorkers:       opts.IntraWorkers,
-		IntraChunkSize:     opts.IntraChunkSize,
-		PipelineWindowSize: opts.PipelineWindowSize,
-		PipelineRingDepth:  opts.PipelineRingDepth,
+		Workers:      opts.Workers,
+		Validate:     opts.Validate,
+		FailFast:     opts.FailFast,
+		IntraWorkers: opts.IntraWorkers,
 	}
 	if opts.Parallel {
 		eopts.Engine = prune.EngineParallel
@@ -248,31 +214,12 @@ func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob
 	out := make([]BatchResult, len(res))
 	for i, r := range res {
 		out[i] = BatchResult{
-			Name: r.Name, Stats: pruneStatsOf(r.Stats), BytesIn: r.BytesIn, Elapsed: r.Elapsed,
-			Parallel: ParallelStages{
-				IndexTime:  r.Parallel.IndexTime,
-				PruneTime:  r.Parallel.PruneTime,
-				StitchTime: r.Parallel.StitchTime,
-				Workers:    r.Parallel.Workers,
-				Tasks:      r.Parallel.Tasks,
-				Fallback:   r.Parallel.Fallback,
-			},
-			Pipeline: PipelineStages{
-				ReadTime:        r.Pipeline.ReadTime,
-				IndexTime:       r.Pipeline.IndexTime,
-				PruneTime:       r.Pipeline.PruneTime,
-				EmitTime:        r.Pipeline.EmitTime,
-				Windows:         r.Pipeline.Windows,
-				Tasks:           r.Pipeline.Tasks,
-				Workers:         r.Pipeline.Workers,
-				PeakWindowBytes: r.Pipeline.PeakWindowBytes,
-				Fallback:        r.Pipeline.Fallback,
-			},
-			Err: r.Err,
+			Name: r.Name, Stats: r.Stats, BytesIn: r.BytesIn, Elapsed: r.Elapsed,
+			Parallel: r.Parallel, Pipeline: r.Pipeline, Err: r.Err,
 		}
 	}
 	return out, BatchStats{
-		PruneStats: pruneStatsOf(agg.Stats),
+		PruneStats: agg.Stats,
 		BytesIn:    agg.BytesIn,
 		Pruned:     agg.Pruned,
 		Failed:     agg.Failed,
@@ -311,7 +258,7 @@ func (eng *Engine) PruneMultiGather(ps []*Projector, data []byte, opts StreamOpt
 			errs[j] = gerrs[j]
 			continue
 		}
-		results[j] = &PruneResult{Stats: pruneStatsOf(stats[j]), g: gathers[j]}
+		results[j] = &PruneResult{Stats: stats[j], g: gathers[j]}
 	}
 	return results, errs, hit
 }
@@ -428,24 +375,7 @@ func (eng *Engine) MetricsMap() map[string]any {
 // nil errors count as DocsPruned, context cancellations (however
 // wrapped) count in neither bucket, everything else as PruneErrors.
 func (eng *Engine) RecordPrune(bytesIn int64, stats PruneStats, det ParallelStages, pdet PipelineStages, err error) {
-	eng.e.RecordPrune(bytesIn, stats.BytesOut, prune.ParallelDetail{
-		IndexTime:  det.IndexTime,
-		PruneTime:  det.PruneTime,
-		StitchTime: det.StitchTime,
-		Workers:    det.Workers,
-		Tasks:      det.Tasks,
-		Fallback:   det.Fallback,
-	}, prune.PipelineDetail{
-		ReadTime:        pdet.ReadTime,
-		IndexTime:       pdet.IndexTime,
-		PruneTime:       pdet.PruneTime,
-		EmitTime:        pdet.EmitTime,
-		Windows:         pdet.Windows,
-		Tasks:           pdet.Tasks,
-		Workers:         pdet.Workers,
-		PeakWindowBytes: pdet.PeakWindowBytes,
-		Fallback:        pdet.Fallback,
-	}, err)
+	eng.e.RecordPrune(bytesIn, stats.BytesOut, det, pdet, err)
 }
 
 // IntraWorkerBudget divides the host's CPUs across width concurrent

@@ -19,7 +19,7 @@ import (
 type StreamPruneCase struct {
 	// Projector names the π shape: "low" keeps a thin slice (most
 	// subtrees skip-scanned), "mid" a moderate one, "full" everything
-	// (the raw-copy fast path, exercised with and without validation).
+	// (all output verbatim spans, exercised with and without validation).
 	Projector string `json:"projector"`
 	// Engine is "scanner" (internal/scan), "decoder" (encoding/xml),
 	// "parallel" (the two-stage intra-document parallel pruner), or the
@@ -53,8 +53,6 @@ type StreamPruneCase struct {
 type StreamPruneOptions struct {
 	// IntraWorkers bounds the parallel pruner's workers (0 = GOMAXPROCS).
 	IntraWorkers int
-	// ChunkSize overrides the parallel pruner's stage-1 chunk size.
-	ChunkSize int
 }
 
 // StreamPruneReport is the JSON artifact emitted by `xbench -streamprune`.
@@ -229,11 +227,10 @@ func RunStreamPrune(factor float64, seed int64, opts StreamPruneOptions) (*Strea
 	}
 	mkOpts := func(name string, eng prune.Engine, v bool) prune.StreamOptions {
 		return prune.StreamOptions{
-			Engine:            eng,
-			Validate:          v,
-			Projection:        compiled[name],
-			ParallelWorkers:   opts.IntraWorkers,
-			ParallelChunkSize: opts.ChunkSize,
+			Engine:          eng,
+			Validate:        v,
+			Projection:      compiled[name],
+			ParallelWorkers: opts.IntraWorkers,
 		}
 	}
 	mkPipeOpts := func(name string, v bool, det *prune.PipelineDetail) prune.StreamOptions {

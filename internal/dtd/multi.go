@@ -3,51 +3,16 @@ package dtd
 import "fmt"
 
 // MaxMultiProjections bounds how many projectors one fused decision
-// table can hold: the shared-scan pruner threads the projector set
-// through its element stack as a uint64 live-set bitmask, so one fused
-// pass covers at most 64 projectors (callers shard larger sets).
+// table can hold: the pruner threads the projector set through its
+// element stack as a uint64 live-set bitmask, so one fused pass covers
+// at most 64 projectors (callers shard larger sets).
 const MaxMultiProjections = 64
 
-// MultiAttr is the fused per-attribute decision for one declared
-// attribute: which projectors keep it, plus the declaration for
-// validating pruners. The declaration (name, Def) is projector-
-// independent — it comes from the grammar.
-type MultiAttr struct {
-	// Attr is the attribute name as written in documents.
-	Attr string
-	// Keep has bit j set when projector j keeps elem@attr.
-	Keep uint64
-	// Def is the declaration, for validating pruners.
-	Def *AttDef
-}
-
-// MultiProjection is a set of type projectors compiled into one fused
-// per-symbol decision table: for every element symbol, bitmasks over
-// the projector set answer keep-element, keep-text and per-attribute
-// decisions with one array load each. A shared-scan pruner threads
-// these masks through its element stack as a live set, so a subtree
-// dead for every projector is skipped once and a symbol's fate for all
-// N projectors costs the same lookup as for one.
-type MultiProjection struct {
-	// Syms is the symbol table all member projections were compiled
-	// against.
-	Syms *Symbols
-
-	n        int
-	keepElem []uint64
-	keepText []uint64
-	attrs    [][]MultiAttr
-	// extra fuses the members' undeclared-attribute side tables
-	// (π entries naming attributes the DTD does not declare on that
-	// element). Almost always nil.
-	extra []map[string]uint64
-}
-
-// CombineProjections fuses up to MaxMultiProjections compiled
-// projections into one decision table. Every member must have been
+// CombineProjections fuses up to MaxMultiProjections single-projector
+// tables into one N-wide decision table. Every member must have been
 // compiled against the same DTD (the same symbol table); projector
 // order is preserved — bit j of every mask answers for ps[j].
-func CombineProjections(ps []*Projection) (*MultiProjection, error) {
+func CombineProjections(ps []*Projection) (*Projection, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("dtd: no projections to combine")
 	}
@@ -59,37 +24,31 @@ func CombineProjections(ps []*Projection) (*MultiProjection, error) {
 		if p.Syms != syms {
 			return nil, fmt.Errorf("dtd: projection %d compiled against a different symbol table", j)
 		}
+		if p.n != 1 {
+			return nil, fmt.Errorf("dtd: projection %d is already a fused table", j)
+		}
 	}
 	n := syms.Len()
-	mp := &MultiProjection{
+	mp := &Projection{
 		Syms:     syms,
 		n:        len(ps),
 		keepElem: make([]uint64, n),
 		keepText: make([]uint64, n),
-		attrs:    make([][]MultiAttr, n),
+		attrs:    make([][]AttrProj, n),
 	}
 	for sym := 0; sym < n; sym++ {
 		for j, p := range ps {
-			bit := uint64(1) << uint(j)
-			f := p.flags[sym]
-			if f&KeepElem != 0 {
-				mp.keepElem[sym] |= bit
-			}
-			if f&KeepText != 0 {
-				mp.keepText[sym] |= bit
-			}
+			mp.keepElem[sym] |= p.keepElem[sym] << uint(j)
+			mp.keepText[sym] |= p.keepText[sym] << uint(j)
 		}
 		// Declared-attribute lists come from the grammar, so every member
 		// has the same attributes in the same order; only Keep differs.
-		decl := ps[0].attrs[sym]
-		if len(decl) > 0 {
-			ma := make([]MultiAttr, len(decl))
+		if decl := ps[0].attrs[sym]; len(decl) > 0 {
+			ma := make([]AttrProj, len(decl))
 			for a := range decl {
-				ma[a] = MultiAttr{Attr: decl[a].Attr, Def: decl[a].Def}
+				ma[a] = AttrProj{Attr: decl[a].Attr, Def: decl[a].Def}
 				for j, p := range ps {
-					if p.attrs[sym][a].Keep {
-						ma[a].Keep |= uint64(1) << uint(j)
-					}
+					ma[a].Keep |= p.attrs[sym][a].Keep << uint(j)
 				}
 			}
 			mp.attrs[sym] = ma
@@ -105,42 +64,9 @@ func CombineProjections(ps []*Projection) (*MultiProjection, error) {
 				mp.extra[sym] = make(map[string]uint64)
 			}
 			for attr, keep := range p.extra[sym] {
-				if keep {
-					mp.extra[sym][attr] |= uint64(1) << uint(j)
-				}
+				mp.extra[sym][attr] |= keep << uint(j)
 			}
 		}
 	}
 	return mp, nil
-}
-
-// N returns the number of fused projectors.
-func (mp *MultiProjection) N() int { return mp.n }
-
-// All is the mask with one bit per fused projector.
-func (mp *MultiProjection) All() uint64 {
-	if mp.n == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(mp.n)) - 1
-}
-
-// KeepElem returns the mask of projectors keeping the element.
-func (mp *MultiProjection) KeepElem(sym int32) uint64 { return mp.keepElem[sym] }
-
-// KeepText returns the mask of projectors keeping the element's text.
-func (mp *MultiProjection) KeepText(sym int32) uint64 { return mp.keepText[sym] }
-
-// Attrs returns the fused attribute decisions for a symbol, in
-// declaration order.
-func (mp *MultiProjection) Attrs(sym int32) []MultiAttr { return mp.attrs[sym] }
-
-// KeepExtraAttr returns the mask of projectors keeping an attribute the
-// DTD does not declare on this element. The byte-slice map probe does
-// not allocate.
-func (mp *MultiProjection) KeepExtraAttr(sym int32, attr []byte) uint64 {
-	if mp.extra == nil || mp.extra[sym] == nil {
-		return 0
-	}
-	return mp.extra[sym][string(attr)]
 }

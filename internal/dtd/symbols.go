@@ -56,66 +56,67 @@ func (s *Symbols) Lookup(tag []byte) (int32, bool) {
 	return sym, ok
 }
 
-// Projection bits.
-const (
-	// KeepElem: the element name is in π.
-	KeepElem = 1 << iota
-	// KeepText: the element's text name is in π.
-	KeepText
-	// RawCopy: every name reachable from the element (its full content
-	// closure, including text and attribute names) is in π, so a subtree
-	// rooted here projects to itself and a pruner may copy its bytes
-	// through without per-name projector decisions.
-	RawCopy
-)
-
-// AttrProj is the compiled projector decision for one declared attribute.
+// AttrProj is the compiled projector decision for one declared
+// attribute. The declaration (name, Def) comes from the grammar and is
+// the same for every projector; only Keep differs.
 type AttrProj struct {
 	// Attr is the attribute name as written in documents.
 	Attr string
-	// Keep is true when the derived name elem@attr is in π.
-	Keep bool
+	// Keep has bit j set when projector j keeps elem@attr.
+	Keep uint64
 	// Def is the declaration, for validating pruners.
 	Def *AttDef
 }
 
-// Projection is a type projector π compiled against a symbol table: a
-// dense flag array indexed by element symbol plus per-element attribute
-// decisions. Compiling once per prune moves every set-membership test
-// off the token loop.
+// Projection is N ≥ 1 type projectors compiled against a symbol table
+// into one per-symbol decision table: for every element symbol,
+// bitmasks over the projector set answer keep-element, keep-text and
+// per-attribute decisions with one array load each. CompileProjection
+// yields N = 1 (every mask is 0 or 1); CombineProjections fuses such
+// tables, projector j answering in bit j. The pruner threads the masks
+// through its element stack as a live set, so a symbol's fate for all N
+// projectors costs the same lookup as for one, and compiling once per
+// (DTD, π) moves every set-membership test off the token loop.
 type Projection struct {
-	Syms  *Symbols
-	flags []uint8
-	attrs [][]AttrProj
+	// Syms is the symbol table the projectors were compiled against.
+	Syms *Symbols
+
+	n        int
+	keepElem []uint64
+	keepText []uint64
+	attrs    [][]AttrProj
 	// extra holds π entries naming attributes that the DTD does not
 	// declare on that element (possible when a caller hand-builds π).
 	// Almost always nil.
-	extra []map[string]bool
+	extra []map[string]uint64
 }
 
 // CompileProjection compiles π against the grammar's symbol table.
 func (d *DTD) CompileProjection(pi NameSet) *Projection {
 	syms := d.Symbols()
 	p := &Projection{
-		Syms:  syms,
-		flags: make([]uint8, len(syms.infos)),
-		attrs: make([][]AttrProj, len(syms.infos)),
+		Syms:     syms,
+		n:        1,
+		keepElem: make([]uint64, len(syms.infos)),
+		keepText: make([]uint64, len(syms.infos)),
+		attrs:    make([][]AttrProj, len(syms.infos)),
 	}
 	for i := range syms.infos {
 		info := &syms.infos[i]
-		var f uint8
 		if pi.Has(info.Name) {
-			f |= KeepElem
+			p.keepElem[i] = 1
 		}
 		if pi.Has(TextName(info.Name)) {
-			f |= KeepText
+			p.keepText[i] = 1
 		}
-		p.flags[i] = f
 		atts := info.Def.Atts
 		if len(atts) > 0 {
 			ap := make([]AttrProj, len(atts))
 			for j := range atts {
-				ap[j] = AttrProj{Attr: atts[j].Attr, Keep: pi.Has(atts[j].Name), Def: &atts[j]}
+				ap[j] = AttrProj{Attr: atts[j].Attr, Def: &atts[j]}
+				if pi.Has(atts[j].Name) {
+					ap[j].Keep = 1
+				}
 			}
 			p.attrs[i] = ap
 		}
@@ -129,7 +130,7 @@ func (d *DTD) CompileProjection(pi NameSet) *Projection {
 		}
 		s := string(n)
 		at := strings.IndexByte(s, '@')
-		sym, ok := d.Symbols().byTag[elemTagOf(d, Name(s[:at]))]
+		sym, ok := syms.byTag[elemTagOf(d, Name(s[:at]))]
 		if !ok {
 			continue
 		}
@@ -143,15 +144,14 @@ func (d *DTD) CompileProjection(pi NameSet) *Projection {
 		}
 		if !declared {
 			if p.extra == nil {
-				p.extra = make([]map[string]bool, len(syms.infos))
+				p.extra = make([]map[string]uint64, len(syms.infos))
 			}
 			if p.extra[sym] == nil {
-				p.extra[sym] = make(map[string]bool)
+				p.extra[sym] = make(map[string]uint64)
 			}
-			p.extra[sym][attr] = true
+			p.extra[sym][attr] = 1
 		}
 	}
-	p.compileRawCopy(d, pi)
 	return p
 }
 
@@ -163,71 +163,33 @@ func elemTagOf(d *DTD, n Name) string {
 	return ""
 }
 
-// compileRawCopy marks the symbols whose entire reachable closure is in
-// π: iterate to a fixpoint, demoting any kept element that can reach a
-// discarded name. Runs in O(edges · depth); grammars are small.
-func (p *Projection) compileRawCopy(d *DTD, pi NameSet) {
-	n := len(p.flags)
-	closed := make([]bool, n)
-	for i := range closed {
-		closed[i] = p.flags[i]&KeepElem != 0 && p.extra == nil
+// N returns the number of projectors in the table.
+func (p *Projection) N() int { return p.n }
+
+// All is the mask with one bit per projector.
+func (p *Projection) All() uint64 {
+	if p.n == 64 {
+		return ^uint64(0)
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < n; i++ {
-			if !closed[i] {
-				continue
-			}
-			info := &p.Syms.infos[i]
-			ok := true
-			for c := range d.Children(info.Name) {
-				if c.IsAttr() || c.IsText() {
-					if !pi.Has(c) {
-						ok = false
-						break
-					}
-					continue
-				}
-				cdef := d.Defs[c]
-				if cdef == nil || cdef.Text {
-					if !pi.Has(c) {
-						ok = false
-						break
-					}
-					continue
-				}
-				csym, found := p.Syms.byTag[cdef.Tag]
-				if !found || !closed[csym] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				closed[i] = false
-				changed = true
-			}
-		}
-	}
-	for i, c := range closed {
-		if c {
-			p.flags[i] |= RawCopy
-		}
-	}
+	return (uint64(1) << uint(p.n)) - 1
 }
 
-// Flags returns the projector bits for a symbol.
-func (p *Projection) Flags(sym int32) uint8 { return p.flags[sym] }
+// KeepElem returns the mask of projectors keeping the element.
+func (p *Projection) KeepElem(sym int32) uint64 { return p.keepElem[sym] }
+
+// KeepText returns the mask of projectors keeping the element's text.
+func (p *Projection) KeepText(sym int32) uint64 { return p.keepText[sym] }
 
 // Attrs returns the compiled attribute decisions for a symbol, in
 // declaration order.
 func (p *Projection) Attrs(sym int32) []AttrProj { return p.attrs[sym] }
 
-// KeepExtraAttr reports whether π keeps an attribute that the DTD does
-// not declare on this element. The byte-slice map probe does not
-// allocate.
-func (p *Projection) KeepExtraAttr(sym int32, attr []byte) bool {
+// KeepExtraAttr returns the mask of projectors keeping an attribute the
+// DTD does not declare on this element. The byte-slice map probe does
+// not allocate.
+func (p *Projection) KeepExtraAttr(sym int32, attr []byte) uint64 {
 	if p.extra == nil || p.extra[sym] == nil {
-		return false
+		return 0
 	}
 	return p.extra[sym][string(attr)]
 }

@@ -19,14 +19,14 @@ type multiKey struct {
 // multiEntry is one cached fused decision table.
 type multiEntry struct {
 	key multiKey
-	mp  *dtd.MultiProjection
+	mp  *dtd.Projection
 }
 
 // multiFlight is one in-flight fuse; concurrent requests for the same
 // key block on done and share mp.
 type multiFlight struct {
 	done chan struct{}
-	mp   *dtd.MultiProjection
+	mp   *dtd.Projection
 }
 
 // multiCache caches fused multi-projection decision tables with the
@@ -54,7 +54,7 @@ func newMultiCache() *multiCache {
 // shard), the compiled members aligned with pis, and whether the fused
 // table was answered from the cache (piggybacking on an in-flight fuse
 // counts as a hit).
-func (e *Engine) MultiProjectionFor(d *dtd.DTD, pis []dtd.NameSet) (*dtd.MultiProjection, []*dtd.Projection, bool) {
+func (e *Engine) MultiProjectionFor(d *dtd.DTD, pis []dtd.NameSet) (*dtd.Projection, []*dtd.Projection, bool) {
 	projs := make([]*dtd.Projection, len(pis))
 	fps := make([]string, len(pis))
 	for j, pi := range pis {

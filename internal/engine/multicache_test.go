@@ -82,7 +82,7 @@ func TestMultiProjectionForSingleFlight(t *testing.T) {
 	e := New(Options{})
 	pis := multiTestSets()
 	const callers = 16
-	tables := make([]*dtd.MultiProjection, callers)
+	tables := make([]*dtd.Projection, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)

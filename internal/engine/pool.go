@@ -80,15 +80,6 @@ type BatchOptions struct {
 	// Workers × IntraWorkers ≈ GOMAXPROCS and a batch of large
 	// documents never oversubscribes the CPUs.
 	IntraWorkers int
-	// IntraChunkSize overrides the parallel pruner's stage-1 chunk
-	// granularity in bytes (0 = auto).
-	IntraChunkSize int
-	// PipelineWindowSize and PipelineRingDepth bound the pipelined
-	// streaming pruner's window slabs and in-flight slab count per job
-	// (0 = engine defaults); peak per-job input residency is their
-	// product.
-	PipelineWindowSize int
-	PipelineRingDepth  int
 	// ResultVariant enables the result cache for this batch: the
 	// projection-variant half of the cache key (projection fingerprint
 	// with the validate mode already folded in — see the public layer's
@@ -216,15 +207,12 @@ func (e *Engine) runJob(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, proj *d
 		start := time.Now()
 		if !e.tryCachedJob(src, job, d, pi, proj, opts, &res) {
 			res.Stats, res.Err = prune.Stream(job.Dst, src, d, pi, prune.StreamOptions{
-				Validate:           opts.Validate,
-				Projection:         proj,
-				Engine:             opts.Engine,
-				ParallelWorkers:    opts.IntraWorkers,
-				ParallelChunkSize:  opts.IntraChunkSize,
-				PipelineWindowSize: opts.PipelineWindowSize,
-				PipelineRingDepth:  opts.PipelineRingDepth,
-				Detail:             &res.Parallel,
-				Pipeline:           &res.Pipeline,
+				Validate:        opts.Validate,
+				Projection:      proj,
+				Engine:          opts.Engine,
+				ParallelWorkers: opts.IntraWorkers,
+				Detail:          &res.Parallel,
+				Pipeline:        &res.Pipeline,
 			})
 		}
 		res.Elapsed = time.Since(start)
@@ -280,12 +268,11 @@ func (e *Engine) tryCachedJob(src *countingReader, job Job, d *dtd.DTD, pi dtd.N
 	}
 	entry, g, stats, _, err := e.CachedGather(key, func() (*prune.Gather, prune.Stats, error) {
 		return prune.StreamGather(data, d, pi, prune.StreamOptions{
-			Validate:          opts.Validate,
-			Projection:        proj,
-			Engine:            opts.Engine,
-			ParallelWorkers:   opts.IntraWorkers,
-			ParallelChunkSize: opts.IntraChunkSize,
-			Detail:            &res.Parallel,
+			Validate:        opts.Validate,
+			Projection:      proj,
+			Engine:          opts.Engine,
+			ParallelWorkers: opts.IntraWorkers,
+			Detail:          &res.Parallel,
 		})
 	})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // benchProjectors are the π shapes the streaming pruner meets in
 // practice: a low-selectivity projector keeping a thin slice of the
 // document (most subtrees skip-scanned), a mid one, and the identity
-// projector (everything raw-copied, validated or not).
+// projector (everything emitted as verbatim spans, validated or not).
 func benchProjectors(d *dtd.DTD) map[string]dtd.NameSet {
 	low := dtd.NewNameSet("site", "regions", "africa", "item", "item@id",
 		"location", "location#text")
@@ -96,7 +96,7 @@ func benchGather(b *testing.B, eng Engine, pi dtd.NameSet, validate bool) {
 // beat the decoder by ≥2x throughput and ≥10x fewer allocations on the
 // low-selectivity projector, and the validating scanner must stay
 // within ~25% of the unvalidated one (dense DFAs keep validation on the
-// raw-copy and skip-scan fast paths).
+// verbatim-span and skip-scan fast paths).
 //
 // The parallel cases measure the two-stage intra-document pruner; the
 // pipelined cases measure the windowed read→index→prune→emit pipeline

@@ -164,8 +164,8 @@ func init() {
 		`<bib><book isbn="&quot;1&quot;"><title>&#x48;i</title><author>A</author></book></bib>`,
 		"<bib><book isbn=\"1\"><title>line\r\nbreak\rx</title><author>A</author></book></bib>",
 		// Non-verbatim text, then comments splitting the run, then a
-		// verbatim chunk: the verbatim bytes must not ride the raw-copy
-		// window ahead of the pending decoded text (reordering bug).
+		// verbatim chunk: the verbatim bytes must not be emitted as a span
+		// ahead of the pending decoded text (reordering bug).
 		`<bib><book isbn="1"><title>a&lt;b<!--x-->mid<!--y-->c&gt;d</title><author>A</author></book></bib>`,
 		`<bib><book isbn="1"><title>plain<!--x-->a&lt;b<!--y-->tail</title><author>A</author></book></bib>`,
 		// Escape-heavy mixes: alternating raw and synthesized output makes
@@ -272,8 +272,8 @@ func TestScannerMalformed(t *testing.T) {
 // the DTD. Both engines must agree on acceptance with and without
 // validation (the skipped parts of a document are only shallowly
 // validated, identically on both paths), and under the full-closure π —
-// where raw-copy windows span the whole document even while validating —
-// the scanner must still reject every one of them.
+// where the whole document is emitted as verbatim spans even while
+// validating — the scanner must still reject every one of them.
 func TestScannerMatchesDecoderInvalid(t *testing.T) {
 	d := mustDTD(t)
 	docs := []string{
@@ -482,20 +482,87 @@ func TestStreamTortureReaders(t *testing.T) {
 	}
 }
 
-// TestStreamAutoSniffsUTF16 routes byte-order-marked input to the
-// decoder path, which rejects it as an unhandled charset rather than
-// tripping the byte scanner on binary noise.
-func TestStreamAutoSniffsUTF16(t *testing.T) {
+// TestKeptSubtreeTokenEdges: tokens inside a subtree π keeps whole that
+// are not their own canonical rendering — each through the copying sink
+// fed by a reader (one-byte reads, so every token straddles a refill),
+// the copying sink over in-memory input, and the gather sink, all
+// byte-compared with the decoder.
+func TestKeptSubtreeTokenEdges(t *testing.T) {
+	d := mustDTD(t)
+	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text",
+		"year", "year#text", "book@isbn", "book@lang")
+	docs := map[string]string{
+		// The start tag's '>' is withheld; a comment later, the element
+		// turns out to self-close in the output.
+		"self-close after provisional >":   `<bib><book isbn="1"><title><!--x--></title><author>A</author></book></bib>`,
+		"whitespace between kept siblings": "<bib><book isbn=\"1\"><title>T</title>\n  <author>A</author></book></bib>",
+		"prefixed end tag":                 `<bib><book isbn="1"><p:title>T</p:title><author>A</author></book></bib>`,
+		"space in end tag":                 `<bib><book isbn="1"><title>T</title ><author>A</author ></book></bib >`,
+	}
+	for name, doc := range docs {
+		for _, validate := range []bool{false, true} {
+			var want strings.Builder
+			wst, err := Stream(&want, strings.NewReader(doc), d, pi, StreamOptions{Validate: validate, Engine: EngineDecoder})
+			if err != nil {
+				t.Fatalf("%s: decoder rejected the input: %v", name, err)
+			}
+			opts := StreamOptions{Validate: validate, Engine: EngineScanner}
+			var rd, by strings.Builder
+			rst, rerr := Stream(&rd, oneByteAtATime{strings.NewReader(doc)}, d, pi, opts)
+			bst, berr := StreamBytes(&by, []byte(doc), d, pi, opts)
+			if rerr != nil || berr != nil || rd.String() != want.String() || by.String() != want.String() || rst != wst || bst != wst {
+				t.Errorf("%s (validate=%v): copying sink diverges from the decoder\nreader: %q %v\nbytes:  %q %v\nwant:   %q",
+					name, validate, rd.String(), rerr, by.String(), berr, want.String())
+			}
+			checkGather(t, name, doc, d, pi, opts, true, want.String(), wst)
+		}
+	}
+}
+
+// TestNonUTF8Rejected: UTF-16/32 input fails on every entry point with
+// scan.ErrNotUTF8, naming the encoding family — not with whatever syntax
+// error the first null-padded byte happens to trip — and EngineAuto
+// never hands it to the decoder.
+func TestNonUTF8Rejected(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib")
-	utf16 := []byte{0xFE, 0xFF}
-	for _, r := range "<bib/>" {
-		utf16 = append(utf16, 0x00, byte(r))
+	encode := func(bom []byte, width int, bigEndian bool) []byte {
+		out := append([]byte(nil), bom...)
+		for _, r := range "<bib/>" {
+			unit := make([]byte, width)
+			if bigEndian {
+				unit[width-1] = byte(r)
+			} else {
+				unit[0] = byte(r)
+			}
+			out = append(out, unit...)
+		}
+		return out
 	}
-	var sb strings.Builder
-	_, err := Stream(&sb, bytes.NewReader(utf16), d, pi, StreamOptions{})
-	if err == nil {
-		t.Fatal("UTF-16 input unexpectedly accepted")
+	docs := []struct {
+		name, family string
+		data         []byte
+	}{
+		{"UTF-16LE", "UTF-16", encode([]byte{0xFF, 0xFE}, 2, false)},
+		{"UTF-16BE without BOM", "UTF-16", encode(nil, 2, true)},
+		{"UTF-32BE", "UTF-32", encode([]byte{0, 0, 0xFE, 0xFF}, 4, true)},
+	}
+	for _, doc := range docs {
+		chosen := EngineAuto
+		opts := StreamOptions{Chosen: &chosen}
+		_, serr := Stream(io.Discard, oneByteAtATime{bytes.NewReader(doc.data)}, d, pi, opts)
+		_, berr := StreamBytes(io.Discard, doc.data, d, pi, opts)
+		_, _, gerr := StreamGather(doc.data, d, pi, opts)
+		_, _, merrs := StreamMultiGather(doc.data, d, []dtd.NameSet{pi, pi}, MultiOptions{})
+		for entry, err := range map[string]error{"Stream": serr, "StreamBytes": berr, "StreamGather": gerr, "StreamMultiGather": merrs[1]} {
+			if !errors.Is(err, scan.ErrNotUTF8) || !strings.Contains(err.Error(), doc.family) ||
+				!strings.Contains(err.Error(), "transcode to UTF-8") {
+				t.Errorf("%s on %s: got %v, want ErrNotUTF8 naming %s", entry, doc.name, err, doc.family)
+			}
+		}
+		if chosen == EngineDecoder {
+			t.Errorf("%s: EngineAuto resolved to the decoder", doc.name)
+		}
 	}
 }
 
@@ -547,7 +614,8 @@ func FuzzStreamDifferential(f *testing.F) {
 		}
 		// The shared-scan multi-pruner must agree per projector with
 		// serial gathers on whatever the fuzzer found — verdicts, bytes
-		// and stats, with and without validation.
+		// and stats, with and without validation — and, both being the one
+		// automaton, each serial gather with the decoder oracle.
 		mpis := []dtd.NameSet{
 			pi,
 			dtd.NewNameSet("bib", "book", "title", "title#text"),
@@ -610,8 +678,8 @@ func FuzzStreamDifferential(f *testing.F) {
 		if sst != dst {
 			t.Fatalf("engines disagree on stats\nscanner: %+v\ndecoder: %+v", sst, dst)
 		}
-		// Validation must also agree — raw-copy windows stay on under
-		// validation, so this exercises the fused fast path too.
+		// Validation must also agree — verbatim spans are still emitted
+		// under validation, so this exercises the fused fast path too.
 		var sv, dv strings.Builder
 		svst, sverr := Stream(&sv, strings.NewReader(src), d, pi, StreamOptions{Validate: true, Engine: EngineScanner})
 		_, dverr := Stream(&dv, strings.NewReader(src), d, pi, StreamOptions{Validate: true, Engine: EngineDecoder})

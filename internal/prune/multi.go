@@ -3,7 +3,7 @@ package prune
 // Shared-scan multi-projection: prune one in-memory document against N
 // projectors in a single scanner pass (scan.PruneMulti), producing one
 // independent span-gather result per projector. The projector set is
-// fused into a dtd.MultiProjection decision table; sets larger than the
+// fused into one N-wide dtd.Projection decision table; sets larger than the
 // 64-projector fuse limit are sharded into consecutive fused passes.
 
 import (
@@ -34,7 +34,7 @@ type MultiOptions struct {
 	// whole projector set (engine caches hold these); it must have been
 	// combined from the same projections in the same order. Ignored
 	// when the set exceeds the fuse limit.
-	Combined *dtd.MultiProjection
+	Combined *dtd.Projection
 	// Ctx, when non-nil, aborts between fused passes when cancelled.
 	Ctx context.Context
 }
@@ -50,9 +50,6 @@ type MultiOptions struct {
 // well-formedness error (which fails every projector, as it would every
 // serial run). The caller must Close every non-nil Gather; data must
 // stay alive and unmodified until then.
-//
-// Non-UTF-8 input falls back to one decoder-path StreamGather per
-// projector — correct, but without the shared-scan saving.
 func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]*Gather, []Stats, []error) {
 	n := len(pis)
 	gathers := make([]*Gather, n)
@@ -63,13 +60,6 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
 		fillErr(errs, 0, n, err)
-		return gathers, stats, errs
-	}
-	if looksNonUTF8(data) {
-		sopts := StreamOptions{Validate: opts.Validate, Engine: EngineDecoder, MaxTokenSize: opts.MaxTokenSize, Ctx: opts.Ctx}
-		for j, pi := range pis {
-			gathers[j], stats[j], errs[j] = StreamGather(data, d, pi, sopts)
-		}
 		return gathers, stats, errs
 	}
 	projs := make([]*dtd.Projection, n)

@@ -14,7 +14,9 @@ import (
 // serial span-gather path: for every projector in the set, the fused
 // pass must reproduce the serial StreamGather's verdict, rendered
 // bytes and stats exactly — with and without validation, including
-// sets where validation kills some projectors and not others.
+// sets where validation kills some projectors and not others. The
+// serial gather is the same automaton at N = 1, so each serial result is
+// itself held to the encoding/xml oracle first.
 
 // checkMulti runs StreamMultiGather (and the writer-path StreamMulti)
 // over data and requires per-projector agreement with serial
@@ -33,6 +35,12 @@ func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.N
 		if err == nil {
 			wants[j] = want{ok: true, out: string(g.Bytes()), st: st}
 			g.Close()
+		}
+		var ob bytes.Buffer
+		ost, oerr := Stream(&ob, bytes.NewReader(data), d, pi, StreamOptions{Validate: validate, Engine: EngineDecoder})
+		if (oerr == nil) != wants[j].ok || oerr == nil && (ob.String() != wants[j].out || ost != st) {
+			t.Fatalf("%s: serial gather diverges from the decoder oracle (validate=%v, projector %d)\nserial: %v %+v %q\noracle: %v %+v %q",
+				label, validate, j, err, st, wants[j].out, oerr, ost, ob.String())
 		}
 	}
 	gathers, stats, errs := StreamMultiGather(data, d, pis, MultiOptions{Validate: validate})

@@ -113,9 +113,10 @@ func (st *Stats) fold(sst scan.Stats) {
 type Engine int
 
 const (
-	// EngineAuto picks the byte-level scanner for UTF-8 input and falls
-	// back to encoding/xml when the first bytes look like a UTF-16/32
-	// document. This is the default.
+	// EngineAuto picks among the scanner-based engines by input size and
+	// worker budget (see chooseEngine). This is the default. Input must
+	// be UTF-8: UTF-16/32 fails with scan.ErrNotUTF8 on every engine but
+	// EngineDecoder, which rejects it as invalid UTF-8.
 	EngineAuto Engine = iota
 	// EngineScanner forces the byte-level scanner (internal/scan).
 	EngineScanner
@@ -188,13 +189,11 @@ const concurrentMinWorkers = 4
 // chooseEngine is EngineAuto's one routing rule, for every entry point.
 // resident: the input is in memory. workerBudget is ParallelWorkers:
 // 0 means GOMAXPROCS, which also caps it.
-func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int, nonUTF8 bool) Engine {
+func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int) Engine {
 	if procs := runtime.GOMAXPROCS(0); workerBudget <= 0 || workerBudget > procs {
 		workerBudget = procs
 	}
 	switch {
-	case nonUTF8:
-		return EngineDecoder
 	case workerBudget < concurrentMinWorkers:
 		return EngineScanner
 	case resident && size >= parallelMinBytes:
@@ -209,8 +208,8 @@ func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int, nonUTF
 type StreamOptions struct {
 	// Validate checks content models, attribute declarations and the root
 	// element while pruning (§6: "prune the document while validating it").
-	// Validation is fused into the scanner's fast paths: raw-copy
-	// passthrough stays enabled, with every element and text symbol still
+	// Validation is fused into the scanner's fast paths: kept input is
+	// still emitted as verbatim spans, with every element and text symbol
 	// walked through the dense content-model DFAs.
 	Validate bool
 	// Engine selects the tokenizer; the zero value is EngineAuto.
@@ -262,11 +261,11 @@ type StreamOptions struct {
 // By default the prune runs on the byte-level scanner (internal/scan):
 // tags and text are tokenized as sub-slices of the read buffer, names
 // resolve through the DTD's dense symbol table, subtrees outside π are
-// skip-scanned without materialisation, and subtrees whose reachable
-// closure lies inside π are copied through verbatim — with or without
-// validation, which rides along on the dense content-model DFAs. Output
-// is byte-identical to the encoding/xml path, which is kept as the
-// fallback for non-UTF-8 input and as the testing oracle.
+// skip-scanned without materialisation, and kept bytes that are already
+// canonical are copied through verbatim — with or without validation,
+// which rides along on the dense content-model DFAs. Output is
+// byte-identical to the encoding/xml path (EngineDecoder), which is kept
+// as the testing oracle. Input must be UTF-8 (scan.ErrNotUTF8).
 //
 // A src implementing BytesSource (an mmap'd file, a buffered request
 // body) is never read: the prune switches to the in-memory fast paths
@@ -297,18 +296,16 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 	}
 	eng := opts.Engine
 	if eng == EngineAuto {
-		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers, looksNonUTF8(data))
+		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers)
 	}
 	if eng == EngineDecoder {
 		// The reference path tokenizes through a reader; in-memory input
 		// is simply a reader that never refills.
-		ropts := opts
-		ropts.Engine = EngineDecoder
 		var src io.Reader = bytes.NewReader(data)
 		if opts.Ctx != nil {
 			src = &ctxReader{ctx: opts.Ctx, r: src}
 		}
-		return streamReader(dst, src, d, pi, ropts)
+		return streamReader(dst, src, d, pi, opts)
 	}
 	if opts.Chosen != nil {
 		*opts.Chosen = eng
@@ -354,7 +351,7 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 // described as an ordered list of spans over the caller's input plus a
 // small escape buffer of synthesized bytes. Flushing (io.WriterTo)
 // hands the spans to the kernel as one writev on TCP connections —
-// raw-copied subtrees go out straight from the input buffer. The input
+// kept subtrees go out straight from the input buffer. The input
 // slice must stay alive and unmodified until Close, which recycles the
 // gather's state; a Gather must not be used after Close.
 type Gather struct {
@@ -403,9 +400,9 @@ func (g *Gather) Close() error {
 // writes straight out of data. The rendered output is byte-identical
 // to Stream's, and stats match it (BytesOut is the rendered size).
 //
-// Engine selection follows StreamBytes; non-UTF-8 input runs the
-// decoder reference path, materialised into the escape buffer as one
-// segment. MaxTokenSize is not enforced on the in-memory scanner paths
+// Engine selection follows StreamBytes; a forced EngineDecoder is
+// materialised into the escape buffer as one segment. MaxTokenSize is
+// not enforced on the in-memory scanner paths
 // (see StreamBytes). On error no Gather is returned (partial output is
 // discarded, unlike the streaming paths which have already written
 // it). The caller must Close the returned Gather.
@@ -420,7 +417,7 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	g.closed = false
 	eng := opts.Engine
 	if eng == EngineAuto {
-		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers, looksNonUTF8(data))
+		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers)
 	}
 	if eng == EnginePipelined {
 		// Gather output spans the whole resident input; the pipeline's
@@ -430,9 +427,7 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	}
 	if eng == EngineDecoder {
 		g.sl.Reset(data)
-		ropts := opts
-		ropts.Engine = EngineDecoder
-		st, err := streamReader(g.sl, bytes.NewReader(data), d, pi, ropts)
+		st, err := streamReader(g.sl, bytes.NewReader(data), d, pi, opts)
 		if err != nil {
 			g.Close()
 			return nil, st, err
@@ -467,7 +462,6 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 func scanOptsOf(opts StreamOptions) scan.Options {
 	return scan.Options{
 		Validate:     opts.Validate,
-		RawCopy:      true,
 		MaxTokenSize: opts.MaxTokenSize,
 	}
 }
@@ -532,14 +526,9 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 	}()
 
 	eng := opts.Engine
-	// The input size must be probed before the sniff below wraps src in a
-	// MultiReader that hides the concrete reader type.
 	size, sizeKnown := inputSize(src)
 	if eng == EngineAuto {
-		var hdr [4]byte
-		n, _ := io.ReadFull(src, hdr[:])
-		src = io.MultiReader(bytes.NewReader(hdr[:n]), src)
-		eng = chooseEngine(size, sizeKnown, false, opts.ParallelWorkers, looksNonUTF8(hdr[:n]))
+		eng = chooseEngine(size, sizeKnown, false, opts.ParallelWorkers)
 	}
 	if opts.Chosen != nil {
 		*opts.Chosen = eng
@@ -851,25 +840,6 @@ func allSpace(b []byte) bool {
 		i += size
 	}
 	return true
-}
-
-// looksNonUTF8 sniffs the first bytes for UTF-16/32 byte-order marks or
-// null-padded '<' patterns; such documents go to the encoding/xml path
-// (which itself rejects undeclared non-UTF-8 encodings, matching the
-// scanner). UTF-8 declarations and the UTF-8 BOM stay on the scanner.
-func looksNonUTF8(h []byte) bool {
-	if len(h) >= 2 {
-		if (h[0] == 0xFE && h[1] == 0xFF) || (h[0] == 0xFF && h[1] == 0xFE) {
-			return true // UTF-16 BOM (UTF-32LE BOM shares the prefix)
-		}
-		if (h[0] == 0x3C && h[1] == 0x00) || (h[0] == 0x00 && h[1] == 0x3C) {
-			return true // '<' in UTF-16 without a BOM
-		}
-	}
-	if len(h) >= 4 && h[0] == 0x00 && h[1] == 0x00 && h[2] == 0xFE && h[3] == 0xFF {
-		return true // UTF-32BE BOM
-	}
-	return false
 }
 
 func inList(xs []string, v string) bool {

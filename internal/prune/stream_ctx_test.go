@@ -68,8 +68,8 @@ func TestStreamContextCancelledMidway(t *testing.T) {
 }
 
 // TestChooseEngine pins EngineAuto's routing rule: size × size known ×
-// resident × worker budget × UTF-8 sniff → engine, with GOMAXPROCS set
-// explicitly so the expectations do not depend on the host.
+// resident × worker budget → engine (never the decoder), with GOMAXPROCS
+// set explicitly so the expectations do not depend on the host.
 func TestChooseEngine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
@@ -101,11 +101,8 @@ func TestChooseEngine(t *testing.T) {
 				if effective >= concurrentMinWorkers {
 					want = in.concurrentEngine
 				}
-				if got := chooseEngine(in.size, in.known, in.resident, budget, false); got != want {
+				if got := chooseEngine(in.size, in.known, in.resident, budget); got != want {
 					t.Errorf("GOMAXPROCS=%d budget=%d %s: engine %d, want %d", procs, budget, in.name, got, want)
-				}
-				if got := chooseEngine(in.size, in.known, in.resident, budget, true); got != EngineDecoder {
-					t.Errorf("GOMAXPROCS=%d budget=%d %s, non-UTF-8: engine %d, want decoder", procs, budget, in.name, got)
 				}
 			}
 		}

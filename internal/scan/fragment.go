@@ -60,45 +60,44 @@ func (sp *spliceSet) at(pos int) bool {
 }
 
 // applySplice folds the next delegated range's result into the spine at
-// its cut point: flush the pending text run (the serial pruner would
-// flush it at the element tag the range starts with), replay the
-// fragment's context-level events through the live content-model state,
-// write the fragment's output, fold its stats, surface its error, and
-// jump the scanner past the range. Event replay precedes the fragment's
-// own error because every recorded event happened earlier in document
-// order than the point where the fragment stopped.
+// its cut point: flush the pending text run (it would be flushed at the
+// element tag the range starts with), replay the fragment's
+// context-level events through the live content-model state, write the
+// fragment's output, fold its stats, surface its error, and jump the
+// scanner past the range. Event replay precedes the fragment's own
+// error because every recorded event happened earlier in document order
+// than the point where the fragment stopped. The spine has one
+// projector, so every mask here is bit 0.
 func (pr *pruner) applySplice() error {
 	t := pr.sp.tasks[pr.sp.i]
 	pr.sp.i++
 	if t.ready != nil {
 		<-t.ready
 	}
-	if err := pr.flushText(); err != nil {
-		return err
+	pr.flushText()
+	if pr.alive == 0 {
+		return nil
 	}
 	res := &t.res
 	if pr.opts.Validate {
 		top := &pr.stack[len(pr.stack)-1]
 		for _, ev := range res.events {
 			if ev == eventText {
-				next := top.aut.NextText(top.state)
-				if next < 0 {
-					return fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name)
+				if top.state = top.aut.NextText(top.state); top.state < 0 {
+					pr.kill(1, fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
+					return nil
 				}
-				top.state = next
-			} else {
-				next := top.aut.Next(top.state, ev)
-				if next < 0 {
-					return fmt.Errorf("element %s not allowed here in content of %s",
-						pr.p.Syms.Info(ev).Name, pr.p.Syms.Info(top.sym).Name)
-				}
-				top.state = next
+			} else if top.state = top.aut.Next(top.state, ev); top.state < 0 {
+				pr.kill(1, fmt.Errorf("element %s not allowed here in content of %s",
+					pr.p.Syms.Info(ev).Name, pr.p.Syms.Info(top.sym).Name))
+				return nil
 			}
 		}
 	}
 	if res.sl != nil && res.sl.Len() > 0 {
-		pr.closeOpen()
-		pr.em.splice(res.sl)
+		pr.closeOpen(1)
+		pr.flushRun(0)
+		pr.outs[0].splice(res.sl)
 	}
 	pr.foldStats(&res.st)
 	if res.err != nil {
@@ -126,201 +125,38 @@ func (pr *pruner) applySkipSplice() error {
 
 func (pr *pruner) foldStats(st *Stats) {
 	pr.st.ElementsIn += st.ElementsIn
-	pr.st.ElementsOut += st.ElementsOut
 	pr.st.TextIn += st.TextIn
-	pr.st.TextOut += st.TextOut
-	pr.st.ElementsSkipped += st.ElementsSkipped
-	pr.st.TextSkipped += st.TextSkipped
-	if st.MaxDepth > pr.st.MaxDepth {
-		pr.st.MaxDepth = st.MaxDepth
+	own := &pr.per[0].st
+	own.ElementsOut += st.ElementsOut
+	own.TextOut += st.TextOut
+	own.ElementsSkipped += st.ElementsSkipped
+	own.TextSkipped += st.TextSkipped
+	if st.MaxDepth > own.MaxDepth {
+		own.MaxDepth = st.MaxDepth
 	}
 }
 
 // runFragment prunes one kept content range. The scanner is already
-// reset over the range's bytes; the stack is seeded with ctxBase frames
-// (only the top one's symbol matters — ancestor end tags are outside
-// the range) so stack depth equals real document depth and MaxDepth
-// folds by max.
+// reset over the range's bytes; the stack is seeded with ctxBase live
+// frames (only the top one's symbol matters — ancestor end tags are
+// outside the range) so stack depth equals real document depth and
+// MaxDepth folds by max.
 func (pr *pruner) runFragment(ctxSym int32, ctxBase int) error {
 	pr.mode = modeFragment
 	pr.ctxBase = ctxBase
 	pr.stack = pr.stack[:0]
 	for i := 0; i < ctxBase; i++ {
-		pr.stack = append(pr.stack, frame{sym: -1})
+		pr.stack = append(pr.stack, frame{sym: -1, live: 1})
 	}
-	pr.stack[ctxBase-1] = frame{sym: ctxSym}
+	pr.stack[ctxBase-1].sym = ctxSym
 	pr.sawRoot = true
 	return pr.run()
 }
 
 // runSkipFragment processes one range inside a discarded subtree with
-// skipScan's exact semantics — full well-formedness checks, skipped
-// element and logical-text-run counting, nothing materialised — but
-// terminated by the end of the range instead of by the subtree's end
-// tag. Structure stage 1 verified guarantees the range holds complete,
-// balanced constructs, so no end tag here can close an element opened
-// outside the range.
+// the skip scan's exact semantics — full well-formedness checks, skipped
+// element and logical-text-run counting, nothing materialised.
 func (pr *pruner) runSkipFragment() error {
-	s := pr.s
-	pending := false
-	flush := func() {
-		if pending {
-			pr.st.TextIn++
-			pr.st.TextSkipped++
-			pending = false
-		}
-	}
-	for {
-		b, ok := s.getc()
-		if !ok {
-			if !s.atEOF() {
-				return s.rerr
-			}
-			// The byte after the range is an element tag, where skipScan
-			// would flush the pending run.
-			flush()
-			if len(pr.skipOffs) != 0 {
-				return errSyntax("unterminated element in skipped content")
-			}
-			return nil
-		}
-		if b != '<' {
-			s.ungetc()
-			var info textInfo
-			var err error
-			pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, false)
-			if err != nil {
-				return err
-			}
-			if !info.ws {
-				pending = true
-			}
-			continue
-		}
-		b2, ok := s.getc()
-		if !ok {
-			return s.readErr()
-		}
-		switch b2 {
-		case '/':
-			flush()
-			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
-				return err
-			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			nameEnd := s.pos - s.mark
-			s.space()
-			b, ok = s.getc()
-			if !ok {
-				s.clearMark()
-				return s.readErr()
-			}
-			if b != '>' {
-				err := errSyntax("invalid characters between </" + string(s.buf[s.mark:s.mark+nameEnd]) + " and >")
-				s.clearMark()
-				return err
-			}
-			name := s.buf[s.mark : s.mark+nameEnd]
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			if len(pr.skipOffs) == 0 {
-				err := errSyntax("unbalanced end element " + string(name))
-				s.clearMark()
-				return err
-			}
-			if string(name) != string(pr.topSkipName()) {
-				err := errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(name) + ">")
-				s.clearMark()
-				return err
-			}
-			s.clearMark()
-			pr.popSkipName()
-		case '?':
-			if err := s.skipPI(); err != nil {
-				return err
-			}
-		case '!':
-			b3, ok := s.getc()
-			if !ok {
-				return s.readErr()
-			}
-			switch b3 {
-			case '-':
-				b4, ok := s.getc()
-				if !ok {
-					return s.readErr()
-				}
-				if b4 != '-' {
-					return errSyntax("invalid sequence <!- not part of <!--")
-				}
-				if err := s.skipComment(); err != nil {
-					return err
-				}
-			case '[':
-				if err := s.expectCDATA(); err != nil {
-					return err
-				}
-				var info textInfo
-				var err error
-				pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, true)
-				if err != nil {
-					return err
-				}
-				if !info.ws {
-					pending = true
-				}
-			default:
-				if err := s.skipDirective(); err != nil {
-					return err
-				}
-			}
-		default:
-			flush()
-			pr.st.ElementsIn++
-			pr.st.ElementsSkipped++
-			s.ungetc()
-			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
-				return err
-			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after <")
-			}
-			name := s.marked()
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after <")
-			}
-			pr.pushSkipName(name)
-			s.clearMark()
-			empty, err := pr.skipAttrs()
-			if err != nil {
-				return err
-			}
-			if empty {
-				pr.popSkipName()
-			}
-		}
-	}
+	pr.mode = modeSkipFragment
+	return pr.skipAll()
 }

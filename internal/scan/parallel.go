@@ -119,10 +119,11 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 		st, err := out.serial(data, d, proj, opts.Options)
 		return st, det, err
 	}
-	if maxTok < 2*windowFlushSize {
-		// A cap this tight interacts with the serial scanner's buffer
-		// growth in ways stage 1's per-construct bound does not
-		// reproduce; the serial pruner gives the exact verdict.
+	if maxTok < defaultBufSize {
+		// The serial scanner's buffer starts at defaultBufSize and only
+		// consults the cap when it has to grow, so under a cap this tight
+		// it accepts tokens stage 1's per-construct bound would reject;
+		// the serial pruner gives the exact verdict.
 		return serial()
 	}
 
@@ -163,25 +164,14 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 	det.PruneNanos = time.Since(t1).Nanoseconds()
 
 	t2 := time.Now()
-	spineOpts := opts.Options
-	if len(tasks) > 0 {
-		// Raw-copy windows must not ride across splice jumps; fragments
-		// still use them internally, and window output is byte-identical
-		// to the plain path, so disabling them on the (tiny) spine
-		// changes nothing observable.
-		spineOpts.RawCopy = false
-	}
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(data)
-	pr.prep(d, proj, spineOpts)
+	pr.prep(d, proj, opts.Options)
 	out.install(pr, data)
 	if len(tasks) > 0 {
 		pr.sp = &spliceSet{tasks: tasks}
 	}
-	err = pr.run()
-	st := pr.st
-	pr.release()
-	prunerPool.Put(pr)
+	st, err := pr.finish(pr.run())
 	det.StitchNanos = time.Since(t2).Nanoseconds()
 
 	for _, t := range tasks {
@@ -228,17 +218,13 @@ func runTask(data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options, t *fra
 	if t.skip {
 		pr.useDiscard()
 		t.res.err = pr.runSkipFragment()
-		t.res.st = pr.st
 	} else {
-		sl := getSpanList(data)
-		pr.useGather(sl)
+		t.res.sl = getSpanList(data)
+		pr.useGather(t.res.sl)
 		t.res.err = pr.runFragment(t.ctxSym, t.ctxBase)
-		t.res.st = pr.st
 		t.res.events = append([]int32(nil), pr.events...)
-		t.res.sl = sl
 	}
-	pr.release()
-	prunerPool.Put(pr)
+	t.res.st, t.res.err = pr.finish(t.res.err)
 }
 
 // planner cuts the structural index into delegated content ranges.
@@ -269,7 +255,7 @@ func plan(ix *index.Index, proj *dtd.Projection, target int) []*fragTask {
 		target:      target,
 		depthBudget: 64,
 	}
-	kept := proj.Flags(root.Sym)&dtd.KeepElem != 0
+	kept := proj.KeepElem(root.Sym) != 0
 	pl.content(ix.RootStart, kept, root.Sym)
 	return pl.tasks
 }
@@ -320,7 +306,7 @@ func (pl *planner) content(pi int, kept bool, sym int32) {
 			// Dominant subtree: the spine handles its start and end tags;
 			// its content decomposes recursively.
 			closeAt(e.Off)
-			childKept := kept && e.Sym >= 0 && pl.p.Flags(e.Sym)&dtd.KeepElem != 0
+			childKept := kept && e.Sym >= 0 && pl.p.KeepElem(e.Sym) != 0
 			pl.depthBudget--
 			pl.content(i, childKept, e.Sym)
 			pl.depthBudget++

@@ -103,7 +103,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		d, p := setupSite(t, pi)
 		for dname, doc := range docs {
 			for _, validate := range []bool{false, true} {
-				opts := Options{Validate: validate, RawCopy: true}
+				opts := Options{Validate: validate}
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
 				sst, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
@@ -147,7 +147,7 @@ func TestParallelRecursesDominantSubtree(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["all"])
 	doc := genSite(2, 5)
 	_, _, det, err := pruneParallelStr(t, doc, d, p, ParallelOptions{
-		Options: Options{RawCopy: true}, Workers: 4, FragTarget: 64,
+		Options: Options{}, Workers: 4, FragTarget: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestParallelVerdictParityOnBadDocs(t *testing.T) {
 	for pname, pi := range siteProjectors {
 		d, p := setupSite(t, pi)
 		for _, validate := range []bool{false, true} {
-			opts := Options{Validate: validate, RawCopy: true}
+			opts := Options{Validate: validate}
 			for i, doc := range docs {
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
@@ -273,10 +273,10 @@ func TestParallelVerdictParityOnBadDocs(t *testing.T) {
 // the serial scanner's verdict.
 func TestParallelMaxTokenSize(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["all"])
-	big := strings.Repeat("x", 3*windowFlushSize)
+	big := strings.Repeat("x", 3*defaultBufSize/2)
 	doc := `<site><regions><item id="1"><name>` + big + `</name></item></regions></site>`
-	cap := 2 * windowFlushSize
-	opts := ParallelOptions{Options: Options{RawCopy: true, MaxTokenSize: cap}, Workers: 2}
+	cap := defaultBufSize
+	opts := ParallelOptions{Options: Options{MaxTokenSize: cap}, Workers: 2}
 	_, _, det, err := pruneParallelStr(t, doc, d, p, opts)
 	if !errors.Is(err, ErrTokenTooLong) {
 		t.Fatalf("got %v, want ErrTokenTooLong", err)

@@ -144,10 +144,10 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	if maxTok <= 0 {
 		maxTok = DefaultMaxTokenSize
 	}
-	if maxTok < 2*windowFlushSize {
-		// Same rule as the batch parallel pruner: a cap this tight
-		// interacts with the serial scanner's buffer growth in ways the
-		// per-window bound does not reproduce.
+	if maxTok < defaultBufSize {
+		// Same rule as the batch parallel pruner: under a cap this tight
+		// the serial scanner accepts tokens the per-window bound would
+		// reject.
 		det.Fallback = true
 		st, err := Prune(bw, src, d, proj, opts.Options)
 		return st, det, err
@@ -422,15 +422,10 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		}()
 	}
 
-	// Spine: the calling goroutine consumes windows in order. Raw-copy
-	// windows must not span the per-window scanner re-point, so they
-	// stay off on the spine (fragments still use them; their output is
-	// byte-identical either way).
-	spineOpts := opts.Options
-	spineOpts.RawCopy = false
+	// Spine: the calling goroutine consumes windows in order.
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(nil)
-	pr.prep(d, proj, spineOpts)
+	pr.prep(d, proj, opts.Options)
 	pr.useStream(bw)
 	pr.mode = modePipe
 
@@ -451,7 +446,8 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		}
 		pr.sp = sp
 		t0 := time.Now()
-		werr := pr.runWindow()
+		werr := pr.errOf(0, pr.runWindow())
+		pr.flushRuns() // nothing may point into the window's slab once it is recycled
 		emitNanos += time.Since(t0).Nanoseconds()
 		if werr == errPause {
 			werr = nil
@@ -496,9 +492,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	if err == nil && !finished {
 		err = fmt.Errorf("scan: pipelined prune ended without a final window")
 	}
-	st := pr.st
-	pr.release()
-	prunerPool.Put(pr)
+	st, _ := pr.finish(nil)
 
 	det.ReadNanos = atomic.LoadInt64(&c.readNanos)
 	det.IndexNanos = atomic.LoadInt64(&c.idxNanos)
@@ -535,7 +529,7 @@ func getSlab(n int) []byte {
 // errPause when a non-final window ends inside a skipped subtree.
 func (pr *pruner) runWindow() error {
 	if len(pr.skipOffs) > 0 {
-		if err := pr.skipScan(); err != nil {
+		if err := pr.skipAll(); err != nil {
 			return err
 		}
 	}
@@ -617,7 +611,7 @@ func (pl *pipePlanner) window(ents []index.Entry) []*fragTask {
 		if n := len(pl.stack); n > 0 {
 			parentKept = pl.stack[n-1].kept
 		}
-		kept := parentKept && e.Sym >= 0 && pl.p.Flags(e.Sym)&dtd.KeepElem != 0
+		kept := parentKept && e.Sym >= 0 && pl.p.KeepElem(e.Sym) != 0
 		pl.stack = append(pl.stack, pipeFrame{sym: e.Sym, kept: kept})
 	}
 

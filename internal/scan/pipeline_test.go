@@ -62,7 +62,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		d, p := setupSite(t, pi)
 		for dname, doc := range docs {
 			for _, validate := range []bool{false, true} {
-				opts := Options{Validate: validate, RawCopy: true}
+				opts := Options{Validate: validate}
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
 				sst, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
@@ -108,7 +108,7 @@ func TestPipelinedTortureReaders(t *testing.T) {
 	doc := genSite(2, 2)
 	for pname, pi := range siteProjectors {
 		d, p := setupSite(t, pi)
-		opts := Options{Validate: true, RawCopy: true}
+		opts := Options{Validate: true}
 		var sb strings.Builder
 		bw := bufio.NewWriter(&sb)
 		sst, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
@@ -166,7 +166,7 @@ func TestPipelinedVerdictParityOnBadDocs(t *testing.T) {
 	for pname, pi := range siteProjectors {
 		d, p := setupSite(t, pi)
 		for _, validate := range []bool{false, true} {
-			opts := Options{Validate: validate, RawCopy: true}
+			opts := Options{Validate: validate}
 			for i, doc := range docs {
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
@@ -191,11 +191,11 @@ func TestPipelinedVerdictParityOnBadDocs(t *testing.T) {
 // back to the serial pruner wholesale.
 func TestPipelinedMaxTokenSize(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["all"])
-	big := strings.Repeat("x", 3*windowFlushSize)
+	big := strings.Repeat("x", 3*defaultBufSize/2)
 	doc := `<site><regions><item id="1"><name>` + big + `</name></item></regions></site>`
-	cap := 2 * windowFlushSize
+	cap := defaultBufSize
 	_, _, det, err := prunePipelinedStr(t, strings.NewReader(doc), d, p, PipelineOptions{
-		Options: Options{RawCopy: true, MaxTokenSize: cap}, Workers: 2, WindowSize: 16 << 10,
+		Options: Options{MaxTokenSize: cap}, Workers: 2, WindowSize: 16 << 10,
 	})
 	if !errors.Is(err, ErrTokenTooLong) {
 		t.Fatalf("got %v, want ErrTokenTooLong", err)
@@ -228,13 +228,13 @@ func TestPipelinedBoundedMemory(t *testing.T) {
 	win, ring := 8<<10, 3
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	sst, serr := Prune(bw, strings.NewReader(doc), d, p, Options{RawCopy: true})
+	sst, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
 	bw.Flush()
 	if serr != nil {
 		t.Fatal(serr)
 	}
 	got, pst, det, err := prunePipelinedStr(t, strings.NewReader(doc), d, p, PipelineOptions{
-		Options: Options{RawCopy: true}, Workers: 4, WindowSize: win, RingDepth: ring, FragTarget: 512,
+		Options: Options{}, Workers: 4, WindowSize: win, RingDepth: ring, FragTarget: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,13 +262,13 @@ func TestPipelinedDelegatesSkippedSubtrees(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["skip-heavy"])
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	sst, serr := Prune(bw, strings.NewReader(doc), d, p, Options{RawCopy: true})
+	sst, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
 	bw.Flush()
 	if serr != nil {
 		t.Fatal(serr)
 	}
 	got, pst, det, err := prunePipelinedStr(t, strings.NewReader(doc), d, p, PipelineOptions{
-		Options: Options{RawCopy: true}, Workers: 4, WindowSize: 2 << 10, RingDepth: 3, FragTarget: 256,
+		Options: Options{}, Workers: 4, WindowSize: 2 << 10, RingDepth: 3, FragTarget: 256,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,45 @@
 package scan
 
+// The pruning automaton. One pass of the byte-level scanner evaluates
+// the N ≥ 1 projectors of a compiled decision table (dtd.Projection)
+// simultaneously: per-symbol keep-element / keep-text / per-attribute
+// bitmasks over the projectors, and a "live set" bitmask threaded
+// through the element stack — bit j set means projector j keeps every
+// element on the path, so this region of the document is being emitted
+// for j. A child's live set is always a subset of its parent's, so the
+// masks shrink monotonically with depth and a subtree whose live set is
+// empty is dead for every projector: it is consumed once by the skip
+// scan (well-formedness only, memchr hot loop), its skipped-node counts
+// distributed to all projectors. The serial pruner is the N = 1 case:
+// every mask is 0 or 1 and the one output is a bufio.Writer, a gather
+// list or nothing; with N > 1 each projector writes its own gather list
+// and renders exactly what a run with that projector alone would.
+//
+// Output is written through the emitter seam as spans of the scanner's
+// buffer wherever the input already is the canonical rendering — tags
+// with nothing dropped, end tags, text with nothing to escape — and as
+// synthesized bytes otherwise. Adjacent spans merge into one pending run
+// per projector (rawTo) before they reach the sink — a start tag's
+// withheld '>' included, which goes out as the input's own byte when
+// the tag did — so a subtree π keeps whole is one gather segment, or
+// one Write, without any token handler knowing it is in one. Offsets
+// are relative to the scanner's mark, pinned at each token's first
+// byte, so they survive buffer refills when the input is a reader.
+//
+// Validation is per projector: a projector only validates the regions
+// it keeps, so with N projectors the verdicts can differ. A validation
+// failure kills exactly the projectors that would have seen it alone
+// (the emitting-region mask at the failure point, or the keeper mask for
+// attribute checks): their error is recorded, their bits leave the
+// alive mask, and the scan continues for the rest. Syntax and
+// well-formedness errors abort the whole pass — every projector fails
+// on those.
+
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 
 	"xmlproj/internal/dtd"
@@ -14,13 +50,6 @@ type Options struct {
 	// Validate checks content models, attribute declarations and the
 	// root element while pruning.
 	Validate bool
-	// RawCopy enables verbatim passthrough windows for subtrees whose
-	// reachable closure is inside π. Safe to combine with Validate:
-	// while a subtree rides a window the scanner keeps feeding element
-	// and text symbols through the dense content-model DFAs and checking
-	// attributes, so validation continues without leaving the verbatim
-	// path.
-	RawCopy bool
 	// MaxTokenSize bounds the scanner's sliding buffer: a single token
 	// (one tag, one text chunk, one attribute value) larger than this
 	// fails with scan.ErrTokenTooLong. Zero means DefaultMaxTokenSize.
@@ -39,41 +68,40 @@ type Stats struct {
 // prunerPool recycles pruner state — the scanner's sliding buffer, the
 // element stack, text and tag scratch — across prunes, so a batch of
 // documents pays the allocation cost once, not per document.
-var prunerPool = sync.Pool{New: func() any { return &pruner{s: NewScanner(nil)} }}
+var prunerPool = sync.Pool{New: func() any { return newPruner(NewScanner(nil)) }}
 
-// Prune runs the byte-level pruner: src is tokenized in place, names
-// resolve through the DTD symbol table, and the compiled projection
-// answers keep/skip per element with an array lookup. Output written to
-// bw is byte-identical to the encoding/xml-based pruner's. Scanner and
-// pruner state come from a pool and are returned on completion.
+func newPruner(s *Scanner) *pruner {
+	pr := &pruner{s: s}
+	s.beforeFill = pr.flushRuns
+	return pr
+}
+
+// Prune runs the byte-level pruner with a single projector: src is
+// tokenized in place, names resolve through the DTD symbol table, and
+// the compiled projection answers keep/skip per element with an array
+// lookup. Output written to bw is byte-identical to the
+// encoding/xml-based pruner's. Scanner and pruner state come from a
+// pool and are returned on completion.
 func Prune(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
 	pr := prunerPool.Get().(*pruner)
 	pr.s.Reset(src)
 	pr.prep(d, proj, opts)
 	pr.useStream(bw)
-	err := pr.run()
-	st := pr.st
-	pr.release()
-	prunerPool.Put(pr)
-	return st, err
+	return pr.finish(pr.run())
 }
 
 // PruneBytes is Prune over input that is already fully in memory: the
 // scanner aliases data (ResetBytes), so nothing is read or copied on
-// the input side and raw-copy windows stream straight out of data.
-// MaxTokenSize is not enforced — the cap exists to bound the streaming
-// scanner's buffer growth, and an in-memory input has no buffer to
-// grow; bound such inputs by size before handing them over.
+// the input side. MaxTokenSize is not enforced — the cap exists to
+// bound the streaming scanner's buffer growth, and an in-memory input
+// has no buffer to grow; bound such inputs by size before handing them
+// over.
 func PruneBytes(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(data)
 	pr.prep(d, proj, opts)
 	pr.useStream(bw)
-	err := pr.run()
-	st := pr.st
-	pr.release()
-	prunerPool.Put(pr)
-	return st, err
+	return pr.finish(pr.run())
 }
 
 // PruneGather prunes in-memory input into sl: output is recorded as a
@@ -87,25 +115,62 @@ func PruneGather(sl *SpanList, data []byte, d *dtd.DTD, proj *dtd.Projection, op
 	pr.s.ResetBytes(data)
 	pr.prep(d, proj, opts)
 	pr.useGather(sl)
-	err := pr.run()
-	st := pr.st
+	return pr.finish(pr.run())
+}
+
+// PruneMulti prunes in-memory input against every projector of a fused
+// decision table in a single scanner pass. sls must hold one SpanList
+// per projector; each is Reset over data and receives that projector's
+// output, byte-identical to a PruneGather with the same projector
+// alone. The returned slices are per projector: errs[j] is non-nil when
+// projector j's own prune would have failed (its SpanList contents are
+// then meaningless), and stats[j] are that prune's counters. Like
+// PruneGather, MaxTokenSize is not enforced.
+func PruneMulti(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projection, opts Options) ([]Stats, []error) {
+	if len(sls) != mp.N() {
+		panic("scan.PruneMulti: len(sls) != mp.N()")
+	}
+	pr := prunerPool.Get().(*pruner)
+	pr.s.ResetBytes(data)
+	pr.prep(d, mp, opts)
+	for _, sl := range sls {
+		sl.Reset(data)
+		pr.outs = append(pr.outs, sl)
+	}
+	gerr := pr.run()
+	pr.flushRuns()
+	stats := make([]Stats, len(sls))
+	errs := make([]error, len(sls))
+	for j := range sls {
+		stats[j], errs[j] = pr.stats(j), pr.errOf(j, gerr)
+	}
 	pr.release()
 	prunerPool.Put(pr)
-	return st, err
+	return stats, errs
 }
 
 // prep prepares pooled state for a new input. The caller has already
 // pointed the scanner at the input (Reset / ResetBytes / ResetBytesAt)
-// and must install an output target with useStream, useGather or
-// useDiscard before run.
+// and must install one output target per projector (useStream,
+// useGather, useDiscard, or appending to outs) before run.
 func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.s.SetMaxTokenSize(opts.MaxTokenSize)
 	pr.d, pr.p, pr.opts = d, proj, opts
 	pr.st = Stats{}
+	pr.outs = pr.outs[:0]
+	n := proj.N()
+	if cap(pr.per) < n {
+		pr.per = make([]projState, n)
+	}
+	pr.per = pr.per[:n]
+	for j := range pr.per {
+		pp := &pr.per[j]
+		pp.st, pp.err, pp.runOff, pp.runEnd = Stats{}, nil, 0, 0
+	}
+	pr.alive = proj.All()
 	pr.stack = pr.stack[:0]
-	pr.open, pr.sawRoot, pr.runPending = false, false, false
+	pr.open, pr.openRaw, pr.begun, pr.sawRoot, pr.runPending = 0, 0, false, false, false
 	pr.textBuf = pr.textBuf[:0]
-	pr.win, pr.winDepth, pr.openInWin, pr.openRel = false, 0, false, 0
 	pr.skipBuf = pr.skipBuf[:0]
 	pr.skipOffs = pr.skipOffs[:0]
 	pr.skipPending = false
@@ -114,44 +179,88 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.sp = nil
 }
 
-// useStream targets the classic buffered-copy output path. The
-// streamEmitter lives inside the pooled pruner, so installing it
-// allocates nothing.
+// useStream targets the buffered-copy output path of a single
+// projector. The streamEmitter lives inside the pooled pruner, so
+// installing it allocates nothing.
 func (pr *pruner) useStream(bw *bufio.Writer) {
 	pr.se.bw = bw
-	pr.em = &pr.se
+	pr.outs = append(pr.outs[:0], &pr.se)
 }
 
 // useGather targets a span-gather list (in-memory inputs only: gather
 // spans are absolute input offsets, sound only in ResetBytes mode).
-func (pr *pruner) useGather(sl *SpanList) { pr.em = sl }
+func (pr *pruner) useGather(sl *SpanList) { pr.outs = append(pr.outs[:0], sl) }
 
 // useDiscard wires a non-emitting role (skip fragments).
-func (pr *pruner) useDiscard() { pr.em = nopEmitter{} }
+func (pr *pruner) useDiscard() { pr.outs = append(pr.outs[:0], nopEmitter{}) }
+
+// stats composes projector j's counters: what was read is the same for
+// every projector, what was kept or skipped is its own.
+func (pr *pruner) stats(j int) Stats {
+	st := pr.per[j].st
+	st.ElementsIn, st.TextIn = pr.st.ElementsIn, pr.st.TextIn
+	return st
+}
+
+// errOf is projector j's verdict given the pass's own error: the
+// validation error that killed it, if any, comes first — alone, its
+// prune would have stopped there.
+func (pr *pruner) errOf(j int, gerr error) error {
+	if err := pr.per[j].err; err != nil {
+		return err
+	}
+	return gerr
+}
+
+// finish ends a single-projector prune and recycles the pruner.
+func (pr *pruner) finish(gerr error) (Stats, error) {
+	pr.flushRuns()
+	st, err := pr.stats(0), pr.errOf(0, gerr)
+	pr.release()
+	prunerPool.Put(pr)
+	return st, err
+}
 
 // release drops references to per-prune inputs so the pool does not pin
-// the caller's reader, writer, DTD or projection. Scratch buffers keep
+// the caller's reader, writers, DTD or projection. Scratch buffers keep
 // their capacity — that is the point of pooling.
 func (pr *pruner) release() {
 	for i := range pr.stack {
 		pr.stack[i] = frame{}
 	}
 	pr.stack = pr.stack[:0]
+	for i := range pr.outs {
+		pr.outs[i] = nil
+	}
+	pr.outs = pr.outs[:0]
+	for j := range pr.per {
+		pr.per[j].err = nil
+	}
 	pr.s.Reset(nil)
 	pr.d, pr.p = nil, nil
-	pr.em, pr.se.bw = nil, nil
+	pr.se.bw = nil
 }
 
-// windowFlushSize bounds how many verbatim bytes a raw-copy window may
-// hold before being streamed out, keeping memory independent of the
-// copied subtree's size.
-const windowFlushSize = 32 << 10
-
+// frame is one open element.
 type frame struct {
 	sym    int32
 	prefix string        // interned; "" for unprefixed tags
+	live   uint64        // projectors keeping every element on this path
 	state  int32         // dense content-model DFA state (when validating)
 	aut    *dtd.DenseDFA // the element's dense automaton
+}
+
+// projState is what one projector owns in a pass.
+type projState struct {
+	st     Stats  // ElementsOut, TextOut, the skipped counts and MaxDepth
+	err    error  // the validation error that killed it
+	tagBuf []byte // demoted rendering of the current start tag
+	// The pending run: the span buf[runOff:runEnd] of the scanner's
+	// buffer is due to its sink but not handed over yet, so that spans
+	// adjacent to it extend it instead of costing a call each. It goes
+	// out (flushRun) before anything else does, at the end of the pass,
+	// and before the bytes it points at move.
+	runOff, runEnd int
 }
 
 type pruner struct {
@@ -159,35 +268,36 @@ type pruner struct {
 	d    *dtd.DTD
 	p    *dtd.Projection
 	opts Options
-	st   Stats
 
-	// em is the output target; se backs it on the streaming path so
-	// installing the emitter never allocates.
-	em emitter
-	se streamEmitter
+	// st counts what is the same for every projector: ElementsIn and
+	// TextIn, and the skip scan's running skipped totals, which skipAll
+	// hands to the projectors a skipped region is dead for.
+	st  Stats
+	per []projState
 
-	stack   []frame
-	open    bool // last start tag's '>' not yet written (enables <e/>)
-	sawRoot bool
+	// outs holds one output target per projector; se backs the single
+	// one of the streaming path so installing it never allocates.
+	outs []emitter
+	se   streamEmitter
+
+	alive uint64 // projectors not yet killed by a validation error
+	stack []frame
+	// open has a projector's bit while the '>' of the last start tag it
+	// was given is provisional, so the element can still come out as
+	// <e/>. Where the tag went out as an input span (openRaw) the '>' sits
+	// at the end of the pending run, to be taken back if the element
+	// self-closes; elsewhere it is withheld and synthesized on demand.
+	open, openRaw uint64
+	begun         bool // the document's head has been sniffed (run re-enters per pipelined window)
+	sawRoot       bool
 
 	// Logical text run: runPending is set when a non-whitespace chunk
-	// joined the current run; textBuf holds the decoded bytes that are
-	// not already flowing through the raw-copy window.
+	// joined the current run; textBuf holds the decoded bytes not already
+	// emitted as a verbatim span.
 	runPending bool
 	textBuf    []byte
 
-	// Raw-copy window: while win is set, the scanner's mark pins the
-	// start of a span of input bytes already known to equal the
-	// canonical output; non-verbatim tokens flush the span and restart
-	// it. openInWin marks a provisionally-copied '>' (at mark-relative
-	// openRel) that must be withheld if the element turns out to
-	// self-close in the output.
-	win       bool
-	winDepth  int // stack depth of the raw root; window closes below it
-	openInWin bool
-	openRel   int
-
-	tagBuf   []byte // canonical rendering of the current start tag
+	attrBuf  []byte // shared canonical attr / escaped text / end-tag scratch
 	attrVal  []byte // decoded attribute value / discard scratch
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
 	prefixes map[string]string
@@ -197,17 +307,18 @@ type pruner struct {
 	skipBuf  []byte
 	skipOffs []int
 
-	// Parallel-prune state. mode selects the pruner's role: modeNormal is
-	// the plain serial pruner (also the spine of a parallel prune, when
-	// sp is set); modeFragment prunes one content range of a kept context
-	// element, recording child-level symbols in events instead of walking
-	// the context element's content-model DFA (the spine replays them at
-	// the splice point, in document order); modePipe is the spine of a
-	// pipelined prune over one non-final window — end of input means
-	// "window exhausted, more to come", so run returns nil with all
-	// cross-window state (stack, DFA states, pending text run, open '>')
-	// left in place for the next window. ctxBase is the seeded stack
-	// depth a fragment starts and must end at.
+	// Parallel-prune roles, single projector only. mode selects the role:
+	// modeNormal is the plain pass (also the spine of a parallel prune,
+	// when sp is set); modeFragment prunes one content range of a kept
+	// context element, recording child-level symbols in events instead of
+	// walking the context element's content-model DFA (the spine replays
+	// them at the splice point, in document order); modeSkipFragment
+	// skip-scans one content range of a discarded element; modePipe is
+	// the spine of a pipelined prune over one non-final window — end of
+	// input means "window exhausted, more to come", so run returns nil
+	// with all cross-window state (stack, DFA states, pending text run,
+	// open '>') left in place for the next window. ctxBase is the seeded
+	// stack depth a fragment starts and must end at.
 	mode    uint8
 	ctxBase int
 	events  []int32
@@ -222,6 +333,7 @@ type pruner struct {
 const (
 	modeNormal uint8 = iota
 	modeFragment
+	modeSkipFragment
 	modePipe
 )
 
@@ -234,21 +346,103 @@ var errPause = fmt.Errorf("scan: window pause")
 // values are child element symbols.
 const eventText int32 = -1
 
+// maxRun is the length past which a pending run is handed to its sink
+// rather than extended: output trails the read position by little more
+// than this, at one sink call per 4 KiB of kept input.
+const maxRun = 4 << 10
+
+// Mask-fanned emission helpers, one step per set bit. rawTo emits the
+// span buf[off:end] of the scanner's buffer: it only extends the
+// projector's pending run when adjacent to it. The lit helpers emit
+// synthesized bytes, behind the run.
+
+func (pr *pruner) rawTo(mask uint64, off, end int) {
+	for ; mask != 0; mask &= mask - 1 {
+		j := bits.TrailingZeros64(mask)
+		pp := &pr.per[j]
+		if pp.runEnd != off || end-pp.runOff > maxRun {
+			pr.flushRun(j)
+			pp.runOff = off
+		}
+		pp.runEnd = end
+	}
+}
+
+func (pr *pruner) flushRun(j int) {
+	if pp := &pr.per[j]; pp.runOff < pp.runEnd {
+		pr.outs[j].raw(pr.s.buf, pp.runOff, pp.runEnd)
+		pp.runOff = pp.runEnd
+	}
+}
+
+// flushRuns hands every pending run to its sink, short of a provisional
+// '>', which is withheld from here on. It is the scanner's beforeFill
+// hook — a refill moves the bytes runs point at — and runs at the end of
+// a pass or a pipelined window.
+func (pr *pruner) flushRuns() {
+	for mk := pr.open & pr.openRaw; mk != 0; mk &= mk - 1 {
+		pr.per[bits.TrailingZeros64(mk)].runEnd--
+	}
+	pr.openRaw = 0
+	for j := range pr.per {
+		pr.flushRun(j)
+	}
+}
+
+func (pr *pruner) litTo(mask uint64, p []byte) {
+	for ; mask != 0; mask &= mask - 1 {
+		j := bits.TrailingZeros64(mask)
+		pr.flushRun(j)
+		pr.outs[j].lit(p)
+	}
+}
+
+func (pr *pruner) litStringTo(mask uint64, s string) {
+	for ; mask != 0; mask &= mask - 1 {
+		j := bits.TrailingZeros64(mask)
+		pr.flushRun(j)
+		pr.outs[j].litString(s)
+	}
+}
+
+// kill records err for every projector in mask and removes them from
+// the alive set. Their outputs are abandoned.
+func (pr *pruner) kill(mask uint64, err error) {
+	mask &= pr.alive
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		pr.per[bits.TrailingZeros64(mk)].err = err
+	}
+	pr.alive &^= mask
+	pr.open &^= mask
+}
+
+// closeOpen commits the provisional start-tag '>'s of the projectors in
+// mask: the synthesized ones are written, the ones riding a run stay.
+func (pr *pruner) closeOpen(mask uint64) {
+	if pend := pr.open & mask; pend != 0 {
+		pr.open &^= pend
+		pr.litStringTo(pend&^pr.openRaw, ">")
+	}
+}
+
 func (pr *pruner) run() error {
 	s := pr.s
-	for {
+	if !pr.begun {
+		pr.begun = true
+		if pr.mode != modeFragment {
+			if err := s.checkEncoding(); err != nil {
+				return err
+			}
+		}
+	}
+	for pr.alive != 0 {
 		if pr.sp != nil && pr.sp.at(s.pos) {
 			if err := pr.applySplice(); err != nil {
 				return err
 			}
 			continue
 		}
-		var tokRel int
-		if pr.win {
-			tokRel = s.pos - s.mark
-		} else {
-			s.setMark()
-		}
+		s.setMark()
 		b, ok := s.getc()
 		if !ok {
 			if !s.atEOF() {
@@ -258,114 +452,96 @@ func (pr *pruner) run() error {
 		}
 		if b != '<' {
 			s.ungetc()
-			if err := pr.chunk(tokRel, false); err != nil {
+			if err := pr.chunk(false); err != nil {
 				return err
 			}
-		} else {
-			b2, ok := s.getc()
+			continue
+		}
+		b2, ok := s.getc()
+		if !ok {
+			return s.readErr()
+		}
+		switch b2 {
+		case '/':
+			if err := pr.endTag(); err != nil {
+				return err
+			}
+		case '?':
+			if err := s.skipPI(); err != nil {
+				return err
+			}
+		case '!':
+			b3, ok := s.getc()
 			if !ok {
 				return s.readErr()
 			}
-			switch b2 {
-			case '/':
-				if err := pr.endTag(tokRel); err != nil {
-					return err
-				}
-			case '?':
-				if pr.win {
-					pr.flushWindowUpTo(tokRel)
-				}
-				if err := s.skipPI(); err != nil {
-					return err
-				}
-				pr.winRestart()
-			case '!':
-				b3, ok := s.getc()
+			switch b3 {
+			case '-':
+				b4, ok := s.getc()
 				if !ok {
 					return s.readErr()
 				}
-				switch b3 {
-				case '-':
-					b4, ok := s.getc()
-					if !ok {
-						return s.readErr()
-					}
-					if b4 != '-' {
-						return errSyntax("invalid sequence <!- not part of <!--")
-					}
-					if pr.win {
-						pr.flushWindowUpTo(tokRel)
-					}
-					if err := s.skipComment(); err != nil {
-						return err
-					}
-					pr.winRestart()
-				case '[':
-					if err := s.expectCDATA(); err != nil {
-						return err
-					}
-					if err := pr.chunk(tokRel, true); err != nil {
-						return err
-					}
-				default:
-					// Directive. The first byte after <! is accumulated
-					// uninterpreted, as in encoding/xml.
-					if pr.win {
-						pr.flushWindowUpTo(tokRel)
-					}
-					if err := s.skipDirective(); err != nil {
-						return err
-					}
-					pr.winRestart()
+				if b4 != '-' {
+					return errSyntax("invalid sequence <!- not part of <!--")
+				}
+				if err := s.skipComment(); err != nil {
+					return err
+				}
+			case '[':
+				if err := s.expectCDATA(); err != nil {
+					return err
+				}
+				if err := pr.chunk(true); err != nil {
+					return err
 				}
 			default:
-				s.ungetc()
-				if err := pr.startTag(tokRel); err != nil {
+				// Directive. The first byte after <! is accumulated
+				// uninterpreted, as in encoding/xml.
+				if err := s.skipDirective(); err != nil {
 					return err
 				}
 			}
-		}
-		if !pr.win {
-			s.clearMark()
+		default:
+			s.ungetc()
+			if err := pr.startTag(); err != nil {
+				return err
+			}
 		}
 	}
-	if pr.mode == modePipe {
+	switch {
+	case pr.alive == 0:
+		// Every projector has already failed the way it would have alone;
+		// the rest of the input is irrelevant.
+		return nil
+	case pr.mode == modePipe:
 		// End of a non-final pipelined window. The indexer guarantees the
 		// window ends exactly after a complete construct, so the loop
 		// paused at a token boundary; everything else (pending text run,
 		// open '>', element stack) continues into the next window.
 		return nil
-	}
-	if pr.mode == modeFragment {
+	case pr.mode == modeFragment:
 		// The cut rule guarantees the byte after this range is an element
-		// tag, where the serial pruner would flush the pending text run.
-		if err := pr.flushText(); err != nil {
-			return err
-		}
-		if pr.win {
-			pr.closeWindow()
-		}
-		if len(pr.stack) != pr.ctxBase {
-			top := pr.stack[len(pr.stack)-1]
-			return fmt.Errorf("unterminated element %s", pr.p.Syms.Info(top.sym).Name)
-		}
-		return nil
+		// tag, where the pending text run would be flushed.
+		pr.flushText()
+	case !pr.sawRoot:
+		return fmt.Errorf("no root element in input")
 	}
-	if len(pr.stack) != 0 {
+	if len(pr.stack) != pr.ctxBase {
 		top := pr.stack[len(pr.stack)-1]
 		return fmt.Errorf("unterminated element %s", pr.p.Syms.Info(top.sym).Name)
-	}
-	if !pr.sawRoot {
-		return fmt.Errorf("no root element in input")
 	}
 	return nil
 }
 
-// chunk reads one character-data chunk (plain text after the current
-// position, or a CDATA section body) and folds it into the current
-// logical text run, mirroring the decoder path: whitespace-only chunks
-// are dropped, others coalesce until the next element tag.
-func (pr *pruner) chunk(tokRel int, cdata bool) error {
+// chunk reads one character-data chunk (plain text from the mark, or a
+// CDATA section body) and folds it into the current logical text run,
+// mirroring the decoder path: whitespace-only chunks are dropped, others
+// coalesce until the next element tag. A verbatim chunk whose run has no
+// earlier decoded bytes pending is emitted at once as a span of the
+// scanner's buffer for the projectors keeping this element's text — its
+// raw bytes equal the escaped output — instead of joining the run
+// buffer.
+func (pr *pruner) chunk(cdata bool) error {
 	s := pr.s
 	depth := len(pr.stack)
 	var dst []byte
@@ -377,152 +553,77 @@ func (pr *pruner) chunk(tokRel int, cdata bool) error {
 		prevLen = len(dst)
 	}
 	out, info, err := s.text(dst, -1, cdata)
-	if cdata {
-		// CDATA bodies are re-escaped on output, never copied raw.
-		info.verbatim = false
-	}
 	if depth == 0 {
-		pr.attrVal = out[:0]
 		// Text outside the root is tokenized and validated but ignored
 		// by the pruner, exactly like the decoder path.
+		pr.attrVal = out[:0]
 		return err
 	}
-	if err != nil {
-		pr.textBuf = out[:prevLen]
+	pr.textBuf = out[:prevLen]
+	if err != nil || info.ws {
 		return err
-	}
-	if info.ws {
-		pr.textBuf = out[:prevLen]
-		if pr.win {
-			// Dropped bytes must not ride along in the window.
-			pr.flushWindowUpTo(tokRel)
-			pr.winRestart()
-		}
-		return nil
 	}
 	pr.runPending = true
-	if pr.win {
-		top := &pr.stack[depth-1]
-		if info.verbatim && prevLen == 0 && pr.p.Flags(top.sym)&dtd.KeepText != 0 {
-			// The raw bytes are exactly the canonical output, and no
-			// earlier decoded text from this run is pending in textBuf
-			// (which a later window flush would reorder behind these
-			// bytes): keep them in the window, not in textBuf.
-			pr.closeOpen()
-			pr.textBuf = out[:prevLen]
-			pr.maybeSlide()
-			return nil
-		}
-		pr.flushWindowUpTo(tokRel)
+	top := &pr.stack[depth-1]
+	keep := top.live & pr.alive & pr.p.KeepText(top.sym)
+	switch {
+	case keep == 0:
+		// No surviving projector keeps this element's text: the run only
+		// needs its counters and placement validation, not its bytes.
+		// (Masks shrink monotonically, so keep is still 0 at flush.)
+	case info.verbatim && !cdata && prevLen == 0:
+		// The raw bytes are exactly the canonical output (a CDATA body
+		// never is: it is re-escaped) and nothing earlier in this run is
+		// pending in the buffer, which a later flush would reorder behind
+		// these bytes.
+		pr.closeOpen(keep)
+		pr.rawTo(keep, s.mark, s.pos)
+	default:
 		pr.textBuf = out
-		pr.winRestart()
-		return nil
 	}
-	pr.textBuf = out
 	return nil
 }
 
-// flushText ends the current logical text run: counts it, validates its
-// placement, and writes the escaped bytes if π keeps the element's text.
-func (pr *pruner) flushText() error {
-	if !pr.runPending {
-		return nil
+// flushText ends the current logical text run, if there is one: counts
+// it (globally and per dead-region projector), validates its placement
+// for the live projectors, and emits the escaped remainder to the
+// keepers.
+func (pr *pruner) flushText() {
+	if pr.runPending {
+		pr.endTextRun()
 	}
+}
+
+func (pr *pruner) endTextRun() {
 	pr.runPending = false
 	pr.st.TextIn++
 	top := &pr.stack[len(pr.stack)-1]
-	if pr.opts.Validate {
+	for mk := pr.alive &^ top.live; mk != 0; mk &= mk - 1 {
+		pr.per[bits.TrailingZeros64(mk)].st.TextSkipped++
+	}
+	live := top.live & pr.alive
+	if pr.opts.Validate && live != 0 {
 		if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
 			// The context element's incoming DFA state is unknown here;
 			// record the event for the spine to replay at the splice.
 			pr.events = append(pr.events, eventText)
+		} else if next := top.aut.NextText(top.state); next < 0 {
+			pr.kill(live, fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
 		} else {
-			next := top.aut.NextText(top.state)
-			if next < 0 {
-				pr.textBuf = pr.textBuf[:0]
-				return fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name)
-			}
 			top.state = next
 		}
 	}
-	if pr.p.Flags(top.sym)&dtd.KeepText != 0 {
-		pr.closeOpen()
-		writeEscapedText(pr.em, pr.textBuf)
-		pr.st.TextOut++
+	if keep := live & pr.alive & pr.p.KeepText(top.sym); keep != 0 {
+		pr.closeOpen(keep)
+		if len(pr.textBuf) > 0 {
+			pr.attrBuf = appendEscapedText(pr.attrBuf[:0], pr.textBuf)
+			pr.litTo(keep, pr.attrBuf)
+		}
+		for mk := keep; mk != 0; mk &= mk - 1 {
+			pr.per[bits.TrailingZeros64(mk)].st.TextOut++
+		}
 	}
 	pr.textBuf = pr.textBuf[:0]
-	return nil
-}
-
-// closeOpen commits a pending start-tag '>'. When the '>' is riding in
-// the raw-copy window its bytes flow out with the window; otherwise it
-// is written here.
-func (pr *pruner) closeOpen() {
-	if !pr.open {
-		return
-	}
-	pr.open = false
-	if pr.openInWin {
-		pr.openInWin = false
-		return
-	}
-	pr.em.litByte('>')
-}
-
-// flushWindowUpTo writes the window's verbatim span up to mark-relative
-// position rel and releases the mark; the caller restarts the window
-// after consuming the current (non-verbatim) token. A provisional
-// start-tag '>' at the end of the span is withheld — closeOpen writes
-// it later if the element gets kept content, and "/>" replaces it if
-// the element self-closes in the output.
-func (pr *pruner) flushWindowUpTo(rel int) {
-	s := pr.s
-	end := rel
-	if pr.openInWin && pr.openRel < end {
-		end = pr.openRel
-		pr.openInWin = false
-	}
-	if end > 0 {
-		pr.em.raw(s.buf, s.mark, s.mark+end)
-	}
-	s.clearMark()
-}
-
-// winRestart re-pins the window at the current position.
-func (pr *pruner) winRestart() {
-	if pr.win {
-		pr.s.setMark()
-	}
-}
-
-// maybeSlide streams out the window's committed bytes once it grows
-// past windowFlushSize, so raw-copied subtrees never buffer wholesale.
-func (pr *pruner) maybeSlide() {
-	s := pr.s
-	if s.pos-s.mark < windowFlushSize {
-		return
-	}
-	if pr.openInWin {
-		if pr.openRel > 0 {
-			pr.em.raw(s.buf, s.mark, s.mark+pr.openRel)
-			s.mark += pr.openRel
-			pr.openRel = 0
-		}
-		return
-	}
-	pr.em.raw(s.buf, s.mark, s.pos)
-	s.mark = s.pos
-}
-
-// closeWindow flushes the remaining span and deactivates raw copying.
-func (pr *pruner) closeWindow() {
-	s := pr.s
-	if s.mark >= 0 && s.pos > s.mark {
-		pr.em.raw(s.buf, s.mark, s.pos)
-	}
-	s.clearMark()
-	pr.win = false
-	pr.openInWin = false
 }
 
 func (pr *pruner) intern(b []byte) string {
@@ -542,7 +643,7 @@ func (pr *pruner) intern(b []byte) string {
 
 // startTag handles a start (or empty-element) tag; the scanner mark is
 // at the '<' and the '<' is consumed.
-func (pr *pruner) startTag(tokRel int) error {
+func (pr *pruner) startTag() error {
 	s := pr.s
 	nameRel := s.pos - s.mark
 	ok, err := s.readName()
@@ -561,92 +662,107 @@ func (pr *pruner) startTag(tokRel int) error {
 	if !okn {
 		return errSyntax("expected element name after <")
 	}
-	if err := pr.flushText(); err != nil {
-		return err
-	}
+	pr.flushText()
 	pr.st.ElementsIn++
 	pr.sawRoot = true
+	// P: projectors for which this element sits in an emitting region.
+	// The rest are inside a subtree they would, alone, consume with the
+	// skip scan — no symbol lookup, no validation, and this element
+	// counts as skipped for them. (A discard root is counted skipped only
+	// for projectors it is *inside* a skipped region of, not for the ones
+	// discarding it right here.)
+	P := pr.alive
+	if len(pr.stack) > 0 {
+		P &= pr.stack[len(pr.stack)-1].live
+	}
+	for mk := pr.alive &^ P; mk != 0; mk &= mk - 1 {
+		pr.per[bits.TrailingZeros64(mk)].st.ElementsSkipped++
+	}
+	var info *dtd.SymInfo
+	var K uint64
 	sym, found := pr.p.Syms.Lookup(local)
 	if !found {
-		return fmt.Errorf("element %q not declared in DTD", local)
-	}
-	info := pr.p.Syms.Info(sym)
-	if pr.opts.Validate {
-		if len(pr.stack) == 0 {
-			if info.Name != pr.d.Root {
-				return fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root)
+		pr.kill(P, fmt.Errorf("element %q not declared in DTD", local))
+	} else {
+		info = pr.p.Syms.Info(sym)
+		if pr.opts.Validate && P != 0 {
+			var verr error
+			if len(pr.stack) == 0 {
+				if info.Name != pr.d.Root {
+					verr = fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root)
+				}
+			} else if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
+				// A child of the fragment's context element: its transition in
+				// the context DFA is replayed by the spine at the splice point.
+				pr.events = append(pr.events, sym)
+			} else {
+				// The parent's dense automaton takes the child transition
+				// with two array loads — no name hashing on the hot path.
+				top := &pr.stack[len(pr.stack)-1]
+				if next := top.aut.Next(top.state, sym); next < 0 {
+					verr = fmt.Errorf("element %s not allowed here in content of %s",
+						info.Name, pr.p.Syms.Info(top.sym).Name)
+				} else {
+					top.state = next
+				}
 			}
-		} else if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
-			// A child of the fragment's context element: its transition in
-			// the context DFA is replayed by the spine at the splice point.
-			pr.events = append(pr.events, sym)
-		} else {
-			// The parent's dense automaton takes the child transition
-			// with two array loads — no name hashing on the hot path.
-			top := &pr.stack[len(pr.stack)-1]
-			top.state = top.aut.Next(top.state, sym)
-			if top.state < 0 {
-				return fmt.Errorf("element %s not allowed here in content of %s",
-					info.Name, pr.p.Syms.Info(top.sym).Name)
+			if verr != nil {
+				pr.kill(P, verr)
 			}
 		}
+		K = P & pr.alive & pr.p.KeepElem(sym)
 	}
-	flags := pr.p.Flags(sym)
 
-	if flags&dtd.KeepElem == 0 {
-		// Discarded subtree: the root's end-tag name must still match,
-		// so copy the full name before attribute spans invalidate it.
-		pr.pushSkipName(name)
-		if pr.win {
-			pr.flushWindowUpTo(tokRel)
+	if K == 0 {
+		// Dead for every surviving projector: one skip pass over the tag
+		// and subtree. The root's end-tag name must still match, so copy
+		// the full name before attribute spans invalidate it.
+		if pr.alive == 0 {
+			return nil
 		}
+		pr.pushSkipName(name)
 		empty, err := pr.skipAttrs()
 		if err != nil {
 			return err
 		}
 		if !empty {
-			if err := pr.skipScan(); err != nil {
-				return err
-			}
-		} else {
-			pr.popSkipName()
+			return pr.skipAll()
 		}
-		pr.winRestart()
+		pr.popSkipName()
 		return nil
 	}
 
 	prefix := pr.intern(prefixB)
-	pr.closeOpen()
+	pr.closeOpen(K)
 
-	// Raw-copy window activation: every name reachable from this
-	// element is in π, so on valid inputs the whole subtree projects to
-	// itself and its canonical spans can be copied through.
-	if !pr.win && pr.opts.RawCopy && flags&dtd.RawCopy != 0 {
-		pr.win = true
-		tokRel = 0 // mark already sits at this token's '<'
+	// Lazy tag rendering, masked: canonMask holds the keepers whose
+	// rendering so far is exactly the raw span from the mark, so nothing
+	// is materialised for them — the bytes are emitted straight from the
+	// scanner's buffer. At a projector's first deviation it is demoted:
+	// the still-canonical head of the span is copied into its tag buffer
+	// and kept attributes append canonically from there. The
+	// per-attribute parse runs once; only the keep decisions differ
+	// across projectors.
+	canonMask := K
+	if len(prefixB) != 0 {
+		// The prefix is dropped in canonical output, so no raw span was
+		// ever equal to any keeper's rendering.
+		canonMask = 0
+		for mk := K; mk != 0; mk &= mk - 1 {
+			pp := &pr.per[bits.TrailingZeros64(mk)]
+			pp.tagBuf = append(append(pp.tagBuf[:0], '<'), info.Tag...)
+		}
+	}
+	demote := func(mask uint64, boundaryRel int) {
+		for mk := mask; mk != 0; mk &= mk - 1 {
+			pp := &pr.per[bits.TrailingZeros64(mk)]
+			pp.tagBuf = append(pp.tagBuf[:0], s.buf[s.mark:s.mark+boundaryRel]...)
+		}
+		canonMask &^= mask
 	}
 
-	// Lazy tag rendering: while the tag stays canonical its rendering is
-	// exactly the raw input span [tokRel, ...), so nothing is materialised
-	// into tagBuf — in a raw-copy window the bytes ride the window, and
-	// outside one they are written straight from the scanner's buffer. At
-	// the first deviation, demote copies the still-canonical head of the
-	// span into tagBuf and kept attributes append canonically from there.
-	canonical := len(prefixB) == 0
-	pr.tagBuf = pr.tagBuf[:0]
-	demote := func(boundaryRel int) {
-		canonical = false
-		pr.tagBuf = append(pr.tagBuf[:0], s.buf[s.mark+tokRel:s.mark+boundaryRel]...)
-	}
-	if !canonical {
-		// The prefix is dropped in canonical output, so the raw span was
-		// never equal to the rendering; start tagBuf from scratch.
-		pr.tagBuf = append(pr.tagBuf, '<')
-		pr.tagBuf = append(pr.tagBuf, info.Tag...)
-	}
-
+	decl := pr.p.Attrs(sym)
 	if pr.opts.Validate {
-		decl := pr.p.Attrs(sym)
 		if cap(pr.seen) < len(decl) {
 			pr.seen = make([]bool, len(decl))
 		}
@@ -665,9 +781,12 @@ func (pr *pruner) startTag(tokRel int) error {
 		if !ok {
 			return s.readErr()
 		}
-		if b == '/' {
-			if canonical && spaceLen != 0 {
-				demote(preSpace)
+		if b == '/' || b == '>' {
+			if spaceLen != 0 && canonMask != 0 {
+				demote(canonMask, preSpace)
+			}
+			if b == '>' {
+				break
 			}
 			b2, ok := s.getc()
 			if !ok {
@@ -679,15 +798,10 @@ func (pr *pruner) startTag(tokRel int) error {
 			empty = true
 			break
 		}
-		if b == '>' {
-			if canonical && spaceLen != 0 {
-				demote(preSpace)
-			}
-			break
-		}
 		s.ungetc()
 		// attrCanon tracks whether this attribute's raw bytes (from
-		// preSpace) are already its canonical rendering.
+		// preSpace) are already its canonical rendering — a projector-
+		// independent property of the input.
 		attrCanon := spaceLen == 1 && s.buf[s.mark+preSpace] == ' '
 		anRel := s.pos - s.mark
 		ok, err := s.readName()
@@ -701,9 +815,8 @@ func (pr *pruner) startTag(tokRel int) error {
 		if !s.checkName(s.buf[s.mark+anRel : s.mark+anEndRel]) {
 			return errSyntax("invalid XML name: " + string(s.buf[s.mark+anRel:s.mark+anEndRel]))
 		}
-		eqRel := s.pos - s.mark
 		s.space()
-		if s.pos-s.mark != eqRel {
+		if s.pos-s.mark != anEndRel {
 			attrCanon = false
 		}
 		b, ok = s.getc()
@@ -737,14 +850,12 @@ func (pr *pruner) startTag(tokRel int) error {
 			attrCanon = false
 		}
 
-		// Re-derive the name from its offsets: the value decode may
+		// Derive the name from its offsets only now: the value decode may
 		// have slid the buffer.
-		aname := s.buf[s.mark+anRel : s.mark+anEndRel]
-		aprefix, alocal, okn := splitName(aname)
+		aprefix, alocal, okn := splitName(s.buf[s.mark+anRel : s.mark+anEndRel])
 		if !okn {
 			return errSyntax("expected attribute name in element")
 		}
-		decl := pr.p.Attrs(sym)
 		api := -1
 		for i := range decl {
 			if string(alocal) == decl[i].Attr {
@@ -755,122 +866,116 @@ func (pr *pruner) startTag(tokRel int) error {
 		if pr.opts.Validate && api >= 0 {
 			pr.seen[api] = true
 		}
-		if string(aprefix) == "xmlns" || string(alocal) == "xmlns" {
-			if canonical {
-				demote(preSpace)
+		if isXMLNSAttr(aprefix, alocal) {
+			if canonMask != 0 {
+				demote(canonMask, preSpace)
 			}
 			continue
 		}
 		if pr.opts.Validate {
-			if api < 0 {
-				return fmt.Errorf("undeclared attribute %q on %s", alocal, info.Tag)
-			}
-			ad := decl[api].Def
-			if len(ad.Enum) > 0 && !inEnum(ad.Enum, pr.attrVal) {
-				return fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, info.Tag, pr.attrVal)
+			// Only the projectors keeping this element validate its
+			// attributes — a discarding one skips past them.
+			if vk := K & pr.alive; vk != 0 {
+				if api < 0 {
+					pr.kill(vk, fmt.Errorf("undeclared attribute %q on %s", alocal, info.Tag))
+				} else if ad := decl[api].Def; len(ad.Enum) > 0 && !inEnum(ad.Enum, pr.attrVal) {
+					pr.kill(vk, fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, info.Tag, pr.attrVal))
+				}
 			}
 		}
-		keep := false
+		var keepMask uint64
 		if api >= 0 {
-			keep = decl[api].Keep
+			keepMask = decl[api].Keep
 		} else {
-			keep = pr.p.KeepExtraAttr(sym, alocal)
+			keepMask = pr.p.KeepExtraAttr(sym, alocal)
 		}
-		if !keep {
-			if canonical {
-				demote(preSpace)
-			}
-			continue
-		}
+		keepMask &= K
+		// Keepers dropping this attribute can no longer ride the raw span,
+		// and nobody can when its raw bytes are not its canonical form.
 		if len(aprefix) != 0 {
 			attrCanon = false
 		}
-		if canonical && attrCanon {
-			continue // the raw span already carries this attribute canonically
+		dm := canonMask &^ keepMask
+		if !attrCanon {
+			dm = canonMask
 		}
-		if canonical {
-			demote(preSpace)
+		if dm != 0 {
+			demote(dm, preSpace)
 		}
-		pr.tagBuf = append(pr.tagBuf, ' ')
-		pr.tagBuf = append(pr.tagBuf, alocal...)
-		pr.tagBuf = append(pr.tagBuf, '=', '"')
-		pr.tagBuf = appendEscapedAttr(pr.tagBuf, pr.attrVal)
-		pr.tagBuf = append(pr.tagBuf, '"')
-	}
-
-	if pr.opts.Validate {
-		decl := pr.p.Attrs(sym)
-		for i := range decl {
-			if decl[i].Def.Required && !pr.seen[i] {
-				return fmt.Errorf("missing required attribute %q on %s", decl[i].Def.Attr, info.Tag)
+		// Still-canonical keepers carry the attribute inside their raw
+		// span; the demoted ones get its canonical rendering appended
+		// (built once, shared).
+		if appendMask := keepMask &^ canonMask; appendMask != 0 {
+			pr.attrBuf = append(append(pr.attrBuf[:0], ' '), alocal...)
+			pr.attrBuf = append(pr.attrBuf, '=', '"')
+			pr.attrBuf = appendEscapedAttr(pr.attrBuf, pr.attrVal)
+			pr.attrBuf = append(pr.attrBuf, '"')
+			for mk := appendMask; mk != 0; mk &= mk - 1 {
+				pp := &pr.per[bits.TrailingZeros64(mk)]
+				pp.tagBuf = append(pp.tagBuf, pr.attrBuf...)
 			}
 		}
 	}
 
-	pr.stack = append(pr.stack, frame{sym: sym, prefix: prefix, state: info.Dense.Start(), aut: info.Dense})
-	if len(pr.stack) > pr.st.MaxDepth {
-		pr.st.MaxDepth = len(pr.stack)
+	if pr.opts.Validate && K&pr.alive != 0 {
+		for i := range decl {
+			if decl[i].Def.Required && !pr.seen[i] {
+				pr.kill(K, fmt.Errorf("missing required attribute %q on %s", decl[i].Def.Attr, info.Tag))
+				break
+			}
+		}
 	}
-	if pr.win && pr.winDepth == 0 {
-		pr.winDepth = len(pr.stack)
+
+	K &= pr.alive
+	if K == 0 {
+		// Every keeper died mid-tag. The tag is already consumed; the
+		// content, if any, is dead for whoever is left.
+		if pr.alive == 0 || empty {
+			return nil
+		}
+		pr.pushSkipName(s.buf[s.mark+nameRel : s.mark+nameEndRel])
+		return pr.skipAll()
+	}
+
+	pr.stack = append(pr.stack, frame{sym: sym, prefix: prefix, live: K, state: info.Dense.Start(), aut: info.Dense})
+	depth := len(pr.stack)
+	// A projector in K is, by the live-set prefix property, live in
+	// every frame below — so this shared depth is its own depth.
+	for mk := K; mk != 0; mk &= mk - 1 {
+		if pp := &pr.per[bits.TrailingZeros64(mk)]; depth > pp.st.MaxDepth {
+			pp.st.MaxDepth = depth
+		}
 	}
 
 	if empty {
 		// The decoder synthesizes the end element immediately.
-		if pr.opts.Validate {
-			top := pr.stack[len(pr.stack)-1]
-			if !top.aut.Accepting(top.state) {
-				return fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content)
-			}
+		if pr.opts.Validate && !info.Dense.Accepting(info.Dense.Start()) {
+			pr.kill(K, fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
+			K &= pr.alive
 		}
-		pr.stack = pr.stack[:len(pr.stack)-1]
-		pr.st.ElementsOut++
-		if pr.win {
-			if canonical {
-				pr.maybeSlide()
-			} else {
-				pr.flushWindowUpTo(tokRel)
-				pr.em.lit(pr.tagBuf)
-				pr.em.litString("/>")
-				pr.winRestart()
-			}
-			if len(pr.stack) < pr.winDepth {
-				pr.closeWindow()
-				pr.winDepth = 0
-			}
-		} else if canonical {
-			pr.em.raw(s.buf, s.mark+tokRel, s.pos)
-		} else {
-			pr.em.lit(pr.tagBuf)
-			pr.em.litString("/>")
+		pr.stack = pr.stack[:depth-1]
+		for mk := K; mk != 0; mk &= mk - 1 {
+			pr.per[bits.TrailingZeros64(mk)].st.ElementsOut++
 		}
-		return nil
-	}
-
-	pr.open = true
-	if pr.win {
-		if canonical {
-			pr.openInWin = true
-			pr.openRel = (s.pos - s.mark) - 1
-			pr.maybeSlide()
-		} else {
-			pr.flushWindowUpTo(tokRel)
-			pr.em.lit(pr.tagBuf)
-			pr.openInWin = false
-			pr.winRestart()
-		}
-	} else if canonical {
-		// The trailing '>' stays deferred (closeOpen) so the element can
-		// still self-close in the output.
-		pr.em.raw(s.buf, s.mark+tokRel, s.pos-1)
 	} else {
-		pr.em.lit(pr.tagBuf)
+		// The trailing '>' stays provisional per projector (closeOpen) so
+		// the element can still self-close in that projector's output.
+		pr.open |= K
+		pr.openRaw = pr.openRaw&^K | canonMask&K
+	}
+	pr.rawTo(canonMask&K, s.mark, s.pos)
+	for mk := K &^ canonMask; mk != 0; mk &= mk - 1 {
+		bit := mk & -mk
+		pr.litTo(bit, pr.per[bits.TrailingZeros64(bit)].tagBuf)
+		if empty {
+			pr.litStringTo(bit, "/>")
+		}
 	}
 	return nil
 }
 
 // endTag handles an end tag; "</" is consumed and the mark is at '<'.
-func (pr *pruner) endTag(tokRel int) error {
+func (pr *pruner) endTag() error {
 	s := pr.s
 	nameRel := s.pos - s.mark
 	ok, err := s.readName()
@@ -881,18 +986,16 @@ func (pr *pruner) endTag(tokRel int) error {
 		return errSyntax("expected element name after </")
 	}
 	nameEndRel := s.pos - s.mark
-	preSpace := s.pos - s.mark
 	s.space()
-	spaceLen := (s.pos - s.mark) - preSpace
+	spaceLen := (s.pos - s.mark) - nameEndRel
 	b, ok := s.getc()
 	if !ok {
 		return s.readErr()
 	}
-	if b != '>' {
-		return errSyntax("invalid characters between </" +
-			string(s.buf[s.mark+nameRel:s.mark+nameEndRel]) + " and >")
-	}
 	name := s.buf[s.mark+nameRel : s.mark+nameEndRel]
+	if b != '>' {
+		return errSyntax("invalid characters between </" + string(name) + " and >")
+	}
 	if !s.checkName(name) {
 		return errSyntax("invalid XML name: " + string(name))
 	}
@@ -900,53 +1003,39 @@ func (pr *pruner) endTag(tokRel int) error {
 	if !okn {
 		return errSyntax("expected element name after </")
 	}
-	if err := pr.flushText(); err != nil {
-		return err
-	}
-	if len(pr.stack) == 0 {
+	pr.flushText()
+	if len(pr.stack) == pr.ctxBase {
 		return fmt.Errorf("unbalanced end element %s", local)
 	}
 	top := pr.stack[len(pr.stack)-1]
 	info := pr.p.Syms.Info(top.sym)
 	if string(local) != info.Tag || string(prefixB) != top.prefix {
+		// The skip scan enforces end-tag matching too, so every projector
+		// fails here: a whole-pass error, like the other syntax errors.
 		return fmt.Errorf("element <%s> closed by </%s>", info.Tag, name)
 	}
-	if pr.opts.Validate && !top.aut.Accepting(top.state) {
-		return fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content)
+	if live := top.live & pr.alive; live != 0 && pr.opts.Validate && !top.aut.Accepting(top.state) {
+		pr.kill(live, fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
 	}
 	pr.stack = pr.stack[:len(pr.stack)-1]
-	pr.st.ElementsOut++
-
-	if pr.open {
-		pr.open = false
-		if pr.win {
-			pr.flushWindowUpTo(tokRel)
-			pr.em.litString("/>")
-			pr.winRestart()
-		} else {
-			pr.em.litString("/>")
-		}
-		pr.openInWin = false
-	} else if pr.win {
-		if len(prefixB) == 0 && spaceLen == 0 {
-			pr.maybeSlide()
-		} else {
-			pr.flushWindowUpTo(tokRel)
-			pr.em.litString("</")
-			pr.em.litString(info.Tag)
-			pr.em.litByte('>')
-			pr.winRestart()
-		}
-	} else if len(prefixB) == 0 && spaceLen == 0 {
-		pr.em.raw(s.buf, s.mark+tokRel, s.pos) // raw "</tag>" is canonical
-	} else {
-		pr.em.litString("</")
-		pr.em.litString(info.Tag)
-		pr.em.litByte('>')
+	live := top.live & pr.alive
+	for mk := live; mk != 0; mk &= mk - 1 {
+		pr.per[bits.TrailingZeros64(mk)].st.ElementsOut++
 	}
-	if pr.win && len(pr.stack) < pr.winDepth {
-		pr.closeWindow()
-		pr.winDepth = 0
+	op := pr.open & live
+	pr.open &^= op
+	for mk := op & pr.openRaw; mk != 0; mk &= mk - 1 {
+		pr.per[bits.TrailingZeros64(mk)].runEnd-- // take the '>' back
+	}
+	pr.litStringTo(op, "/>")
+	if closed := live &^ op; closed != 0 {
+		if len(prefixB) == 0 && spaceLen == 0 {
+			pr.rawTo(closed, s.mark, s.pos) // raw "</tag>" is canonical
+		} else {
+			pr.attrBuf = append(append(pr.attrBuf[:0], '<', '/'), info.Tag...)
+			pr.attrBuf = append(pr.attrBuf, '>')
+			pr.litTo(closed, pr.attrBuf)
+		}
 	}
 	return nil
 }
@@ -960,27 +1049,22 @@ func inEnum(enum []string, v []byte) bool {
 	return false
 }
 
-// writeEscapedText emits text content with the pruner's escaping
+// appendEscapedText appends text content with the pruner's escaping
 // (matching tree.EscapeText: &, < and > become entities).
-func writeEscapedText(em emitter, b []byte) {
-	last := 0
+func appendEscapedText(dst, b []byte) []byte {
 	for i := 0; i < len(b); i++ {
-		var esc string
 		switch b[i] {
 		case '&':
-			esc = "&amp;"
+			dst = append(dst, "&amp;"...)
 		case '<':
-			esc = "&lt;"
+			dst = append(dst, "&lt;"...)
 		case '>':
-			esc = "&gt;"
+			dst = append(dst, "&gt;"...)
 		default:
-			continue
+			dst = append(dst, b[i])
 		}
-		em.lit(b[last:i])
-		em.litString(esc)
-		last = i + 1
 	}
-	em.lit(b[last:])
+	return dst
 }
 
 // appendEscapedAttr appends an attribute value with the pruner's

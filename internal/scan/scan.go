@@ -3,10 +3,11 @@
 // Unlike encoding/xml it materialises nothing: tags, attributes and text
 // are handled as sub-slices of an internal sliding read buffer, element
 // tags resolve through a byte-keyed symbol table, and projector
-// membership is a dense flag array lookup. Subtrees outside π are
+// membership is a dense mask array lookup. Subtrees outside π are
 // discarded by a validate-only skip scan that never builds tokens, and
-// subtrees whose reachable closure is inside π can be copied to the
-// output as verbatim byte spans.
+// whatever the input already spells canonically — tags with nothing
+// dropped, text with nothing to escape — reaches the output as verbatim
+// spans of the read buffer.
 //
 // The scanner mirrors encoding/xml's strict-mode tokenizer behaviour
 // byte for byte (entity rules, \r normalisation, character validation,
@@ -40,6 +41,32 @@ const DefaultMaxTokenSize = 8 << 20
 // maximum token size.
 var ErrTokenTooLong = fmt.Errorf("xml token exceeds the scanner's maximum token size")
 
+// ErrNotUTF8 reports input whose first bytes are a UTF-16 or UTF-32
+// byte-order mark or a null-padded '<'. The scanner reads UTF-8 only
+// (as encoding/xml does without a CharsetReader), and says so up front
+// instead of tripping over the first padded byte with a syntax error.
+// The wrapped message names the encoding family detected.
+var ErrNotUTF8 = fmt.Errorf("input is not UTF-8")
+
+// checkEncoding sniffs the head of a document for UTF-16/32. It is
+// called before anything is consumed; a UTF-8 byte-order mark and any
+// <?xml encoding?> declaration are left to the tokenizer.
+func (s *Scanner) checkEncoding() error {
+	h := s.Peek(4)
+	pair := func(i int, a, b byte) bool { return len(h) >= i+2 && h[i] == a && h[i+1] == b }
+	family := ""
+	switch {
+	case pair(0, 0, 0) && (pair(2, 0xFE, 0xFF) || pair(2, 0, '<')),
+		(pair(0, 0xFF, 0xFE) || pair(0, '<', 0)) && pair(2, 0, 0):
+		family = "UTF-32"
+	case pair(0, 0xFE, 0xFF), pair(0, 0xFF, 0xFE), pair(0, '<', 0), pair(0, 0, '<'):
+		family = "UTF-16"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: it looks like %s; transcode to UTF-8 first", ErrNotUTF8, family)
+}
+
 // Scanner is the low-level byte source: a sliding buffer over an
 // io.Reader with mark-based span retention, plus the tokenization
 // primitives shared by the emitting pruner and the skip scanner.
@@ -51,6 +78,11 @@ type Scanner struct {
 	mark     int // earliest byte that must survive a refill; -1 when none
 	rerr     error
 	maxToken int // buffer growth cap; 0 means DefaultMaxTokenSize
+
+	// beforeFill, when set, runs before fill moves buffered bytes: whoever
+	// holds offsets into buf that are not protected by the mark (the
+	// pruner's pending output runs) settles them there.
+	beforeFill func()
 
 	// ownBuf preserves the scanner-owned buffer across ResetBytes (which
 	// aliases buf to caller data) so Reset can restore it.
@@ -124,6 +156,9 @@ func (s *Scanner) Peek(n int) []byte {
 func (s *Scanner) fill() bool {
 	if s.rerr != nil {
 		return false
+	}
+	if s.beforeFill != nil {
+		s.beforeFill()
 	}
 	base := s.pos
 	if s.mark >= 0 && s.mark < base {
@@ -526,9 +561,8 @@ func (s *Scanner) skipDirective() error {
 // skipPI consumes a processing instruction after "<?": the target name
 // is validated, and an <?xml?> declaration gets the same version and
 // encoding checks as encoding/xml (no CharsetReader: any non-UTF-8
-// declared encoding is an error — Stream routes byte-order-marked
-// UTF-16/32 inputs to the decoder path up front, and both paths reject
-// declared non-UTF-8 encodings). The caller must not hold a mark.
+// declared encoding is an error on both paths; UTF-16/32 input never
+// gets here, see checkEncoding). Any mark the caller holds is dropped.
 func (s *Scanner) skipPI() error {
 	s.setMark()
 	ok, err := s.readName()
@@ -616,8 +650,8 @@ type textInfo struct {
 	ws bool
 	// verbatim is true when the chunk's raw input bytes are already in
 	// canonical output form: no entity was decoded, no \r was
-	// normalised, and no '>' occurs (the escaper would rewrite it).
-	// Raw-copy windows may pass such chunks through untouched.
+	// normalised, and no '>' occurs (the escaper would rewrite it). The
+	// pruner emits such chunks as spans of the input.
 	verbatim bool
 }
 

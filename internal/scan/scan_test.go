@@ -2,11 +2,13 @@ package scan
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strings"
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/xmark"
 )
 
 const bibDTD = `
@@ -43,51 +45,44 @@ var fullPi = dtd.NewNameSet(
 	"year", "year#text", "book@isbn", "book@lang",
 )
 
-// TestRawCopyMatchesSlowPath: for a π whose closure is closed (raw-copy
-// eligible), output with RawCopy on and off must be identical.
-func TestRawCopyMatchesSlowPath(t *testing.T) {
+// TestClosedProjectionIsIdentity: under a π that keeps every name,
+// canonical input is emitted unchanged and only the non-canonical
+// tokens are re-rendered.
+func TestClosedProjectionIsIdentity(t *testing.T) {
 	d, p := setup(t, fullPi)
-	docs := []string{
-		`<bib><book isbn="1" lang="it"><title>T</title><author>A</author><year>1999</year></book></bib>`,
-		`<bib><book isbn="1"><title>a&amp;b</title><author>A</author></book></bib>`,
-		`<bib><book isbn="1"><title><![CDATA[<x>]]></title><author>A</author></book></bib>`,
-		`<bib><book isbn="1"><title>t</title><!-- c --><author>A</author></book></bib>`,
-		"<bib>\n <book isbn=\"1\">\n  <title>T</title><author>A</author>\n </book>\n</bib>",
-		`<bib><book  isbn="1" ><title>T</title><author>A</author></book></bib>`,
-		`<bib><book isbn='1'><title>T</title><author>A</author></book></bib>`,
-	}
-	for _, doc := range docs {
-		slow, sst, serr := prune(t, doc, d, p, Options{})
-		fast, fst, ferr := prune(t, doc, d, p, Options{RawCopy: true})
-		if serr != nil || ferr != nil {
-			t.Fatalf("prune failed: %v / %v (input %q)", serr, ferr, doc)
+	for _, c := range []struct{ doc, want string }{
+		{`<bib><book isbn="1" lang="it"><title>T</title><author>A</author><year>1999</year></book></bib>`, ""},
+		{`<bib><book isbn="1"><title>a&amp;b</title><author>A</author></book></bib>`, ""},
+		{`<bib><book isbn="1"><title><![CDATA[<x>]]></title><author>A</author></book></bib>`,
+			`<bib><book isbn="1"><title>&lt;x&gt;</title><author>A</author></book></bib>`},
+		{`<bib><book isbn="1"><title>t</title><!-- c --><author>A</author></book></bib>`,
+			`<bib><book isbn="1"><title>t</title><author>A</author></book></bib>`},
+		{"<bib>\n <book isbn=\"1\">\n  <title>T</title><author>A</author>\n </book>\n</bib>",
+			`<bib><book isbn="1"><title>T</title><author>A</author></book></bib>`},
+		{`<bib><book  isbn="1" ><title>T</title><author>A</author></book></bib>`,
+			`<bib><book isbn="1"><title>T</title><author>A</author></book></bib>`},
+		{`<bib><book isbn='1'><title>T</title><author>A</author></book></bib>`,
+			`<bib><book isbn="1"><title>T</title><author>A</author></book></bib>`},
+		// <a></a> must collapse to <a/>: the start tag's '>' is withheld.
+		{`<bib><book isbn="1"><title></title><author>A</author></book></bib>`,
+			`<bib><book isbn="1"><title/><author>A</author></book></bib>`},
+	} {
+		if c.want == "" {
+			c.want = c.doc
 		}
-		if slow != fast {
-			t.Errorf("raw copy diverges\nslow: %q\nfast: %q\ninput: %q", slow, fast, doc)
+		out, _, err := prune(t, c.doc, d, p, Options{})
+		if err != nil {
+			t.Fatalf("prune failed: %v (input %q)", err, c.doc)
 		}
-		if sst != fst {
-			t.Errorf("raw copy stats diverge: %+v vs %+v (input %q)", sst, fst, doc)
+		if out != c.want {
+			t.Errorf("got  %q\nwant %q\ninput %q", out, c.want, c.doc)
 		}
 	}
 }
 
-// TestRawCopyEmptyElement: <a></a> must collapse to <a/> even when the
-// bytes ride through a raw-copy window.
-func TestRawCopyEmptyElement(t *testing.T) {
-	d, p := setup(t, fullPi)
-	out, _, err := prune(t, `<bib><book isbn="1"><title></title><author>A</author></book></bib>`, d, p, Options{RawCopy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `<bib><book isbn="1"><title/><author>A</author></book></bib>`
-	if out != want {
-		t.Fatalf("got %q, want %q", out, want)
-	}
-}
-
-// TestRawCopyWindowSlides: a verbatim subtree much larger than the
-// window flush size must stream through unchanged.
-func TestRawCopyWindowSlides(t *testing.T) {
+// TestLargeKeptSubtreeStreams: a kept subtree many times the scanner's
+// buffer must stream through unchanged.
+func TestLargeKeptSubtreeStreams(t *testing.T) {
 	d, p := setup(t, fullPi)
 	var b strings.Builder
 	b.WriteString(`<bib>`)
@@ -96,10 +91,10 @@ func TestRawCopyWindowSlides(t *testing.T) {
 	}
 	b.WriteString(`</bib>`)
 	doc := b.String()
-	if len(doc) < 4*windowFlushSize {
-		t.Fatalf("test document too small to exercise sliding: %d bytes", len(doc))
+	if len(doc) < 2*defaultBufSize {
+		t.Fatalf("test document too small to exercise refills: %d bytes", len(doc))
 	}
-	out, st, err := prune(t, doc, d, p, Options{RawCopy: true})
+	out, st, err := prune(t, doc, d, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +182,13 @@ func TestScannerBufferBoundaries(t *testing.T) {
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
 	s := NewScanner(iotest(strings.NewReader(doc)))
-	pr := &pruner{s: s, d: d, p: p, opts: Options{RawCopy: true}}
+	pr := newPruner(s)
+	pr.prep(d, p, Options{})
 	pr.useStream(bw)
 	if err := pr.run(); err != nil {
 		t.Fatal(err)
 	}
+	pr.flushRuns()
 	bw.Flush()
 	want, _, err := prune(t, doc, d, p, Options{})
 	if err != nil {
@@ -230,10 +227,58 @@ func TestNoProgressReaderErrors(t *testing.T) {
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
 	s := NewScanner(noProgressReader{strings.NewReader(`<bib><book isbn="1">`)})
-	pr := &pruner{s: s, d: d, p: p, opts: Options{}}
+	pr := newPruner(s)
+	pr.prep(d, p, Options{})
 	pr.useStream(bw)
 	err := pr.run()
 	if err != io.ErrNoProgress {
 		t.Fatalf("want io.ErrNoProgress, got %v", err)
+	}
+}
+
+// TestSoloPruneAllocs: with a pooled pruner and a compiled projection, a
+// single-projector prune of in-memory input allocates nothing — into a
+// gather list or through a reused bufio.Writer, at any selectivity,
+// validated or not. (README Performance advertises it.)
+func TestSoloPruneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	d := xmark.DTD()
+	var doc bytes.Buffer
+	if err := xmark.NewGenerator(0.002, 42).Document().WriteXML(&doc); err != nil {
+		t.Fatal(err)
+	}
+	full := dtd.NewNameSet()
+	for _, n := range d.Names() {
+		full.Add(n)
+	}
+	pis := map[string]dtd.NameSet{
+		"low": dtd.NewNameSet("site", "regions", "africa", "item", "item@id", "location", "location#text"),
+		"mid": dtd.NewNameSet("site", "people", "person", "person@id", "name", "name#text",
+			"emailaddress", "emailaddress#text", "open_auctions", "open_auction", "open_auction@id",
+			"initial", "initial#text"),
+		"full": full,
+	}
+	sl := new(SpanList)
+	bw := bufio.NewWriterSize(io.Discard, 64<<10)
+	for name, pi := range pis {
+		p := d.CompileProjection(pi)
+		for _, validate := range []bool{false, true} {
+			opts := Options{Validate: validate}
+			gather := testing.AllocsPerRun(10, func() {
+				if _, err := PruneGather(sl, doc.Bytes(), d, p, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			stream := testing.AllocsPerRun(10, func() {
+				if _, err := PruneBytes(bw, doc.Bytes(), d, p, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if gather != 0 || stream != 0 {
+				t.Errorf("%s validate=%v: PruneGather %v allocs/op, PruneBytes %v allocs/op, want 0", name, validate, gather, stream)
+			}
+		}
 	}
 }

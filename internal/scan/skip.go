@@ -8,6 +8,8 @@ package scan
 // lookups, no attribute decisions, no output. Only the stats contract
 // is maintained (ElementsSkipped and logical TextSkipped runs).
 
+import "math/bits"
+
 // pushSkipName records a full tag name on the skip name stack (one
 // shared buffer; allocation-free in steady state).
 func (pr *pruner) pushSkipName(name []byte) {
@@ -96,6 +98,23 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 	}
 }
 
+// skipAll skip-scans the current discarded region — the names of its
+// open elements already sit on the skip name stack — and distributes the
+// skipped-node counts to every surviving projector: alone, each would
+// consume exactly this region with the skip scan, either from this
+// element or from a shallower discarded ancestor.
+func (pr *pruner) skipAll() error {
+	preE, preT := pr.st.ElementsSkipped, pr.st.TextSkipped
+	err := pr.skipScan()
+	dE, dT := pr.st.ElementsSkipped-preE, pr.st.TextSkipped-preT
+	for mk := pr.alive; mk != 0 && dE|dT != 0; mk &= mk - 1 {
+		st := &pr.per[bits.TrailingZeros64(mk)].st
+		st.ElementsSkipped += dE
+		st.TextSkipped += dT
+	}
+	return err
+}
+
 // skipScan consumes the content and end tags of the discarded elements
 // whose names sit on the skip name stack, counting skipped elements and
 // logical text runs. Depth-only scanning with full well-formedness
@@ -103,8 +122,15 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 // (len(pr.skipOffs)), so a modePipe window boundary can pause the scan
 // (errPause) and the pipelined spine can resume it on the next window
 // with nothing but the pruner's own state.
+//
+// In modeSkipFragment the scan covers one content range inside a
+// discarded subtree and is terminated by the end of the range instead
+// of by the subtree's end tag. Structure stage 1 verified guarantees the
+// range holds complete, balanced constructs, so no end tag here can
+// close an element opened outside the range.
 func (pr *pruner) skipScan() error {
 	s := pr.s
+	frag := pr.mode == modeSkipFragment
 	flush := func() {
 		if pr.skipPending {
 			pr.st.TextIn++
@@ -112,7 +138,7 @@ func (pr *pruner) skipScan() error {
 			pr.skipPending = false
 		}
 	}
-	for len(pr.skipOffs) > 0 {
+	for frag || len(pr.skipOffs) > 0 {
 		if pr.sp != nil && pr.sp.at(s.pos) {
 			// A delegated range inside this skipped subtree. The range
 			// starts at an element tag, where this loop would flush.
@@ -124,7 +150,17 @@ func (pr *pruner) skipScan() error {
 		}
 		b, ok := s.getc()
 		if !ok {
-			if pr.mode == modePipe && s.atEOF() {
+			switch {
+			case !s.atEOF():
+			case frag:
+				// The byte after the range is an element tag, where the
+				// pending run would be flushed.
+				flush()
+				if len(pr.skipOffs) != 0 {
+					return errSyntax("unterminated element in skipped content")
+				}
+				return nil
+			case pr.mode == modePipe:
 				// Non-final window exhausted at a construct boundary;
 				// the next window resumes here.
 				return errPause
@@ -182,6 +218,11 @@ func (pr *pruner) skipScan() error {
 			if _, _, okn := splitName(name); !okn {
 				s.clearMark()
 				return errSyntax("expected element name after </")
+			}
+			if len(pr.skipOffs) == 0 {
+				err := errSyntax("unbalanced end element " + string(name))
+				s.clearMark()
+				return err
 			}
 			if string(name) != string(pr.topSkipName()) {
 				err := errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(name) + ">")

@@ -19,7 +19,8 @@ import (
 )
 
 // emitter is the pruner's output target. raw emits a verbatim span
-// buf[off:end] of the scanner's buffer; in ResetBytes mode the buffer
+// buf[off:end] of the scanner's buffer (the pruner has already merged
+// adjacent ones into runs); in ResetBytes mode the buffer
 // aliases the whole input and never slides, so off/end are absolute
 // input offsets — the invariant that makes gather output sound. The
 // lit* methods emit synthesized bytes, which the emitter must copy
@@ -32,7 +33,6 @@ type emitter interface {
 	raw(buf []byte, off, end int)
 	lit(p []byte)
 	litString(s string)
-	litByte(c byte)
 	splice(fr *SpanList)
 }
 
@@ -43,7 +43,6 @@ type streamEmitter struct{ bw *bufio.Writer }
 func (e *streamEmitter) raw(buf []byte, off, end int) { e.bw.Write(buf[off:end]) }
 func (e *streamEmitter) lit(p []byte)                 { e.bw.Write(p) }
 func (e *streamEmitter) litString(s string)           { e.bw.WriteString(s) }
-func (e *streamEmitter) litByte(c byte)               { e.bw.WriteByte(c) }
 
 // splice copies a fragment's segments out in order — one copy per
 // fragment, where the old per-fragment bytes.Buffer path paid two
@@ -63,7 +62,6 @@ type nopEmitter struct{}
 func (nopEmitter) raw([]byte, int, int) {}
 func (nopEmitter) lit([]byte)           {}
 func (nopEmitter) litString(string)     {}
-func (nopEmitter) litByte(byte)         {}
 func (nopEmitter) splice(*SpanList)     {}
 
 // Span is one gather segment. Off >= 0 addresses the input; Off < 0
@@ -163,10 +161,8 @@ func (sl *SpanList) Write(p []byte) (int, error) {
 }
 
 // raw records input[off:end], merging with an adjacent preceding input
-// span — the pruner emits canonical tags and window flushes as many
-// small contiguous spans, so merging keeps the list (and the eventual
-// iovec count) proportional to the number of pruning decisions, not
-// tokens.
+// span: a run the pruner had to hand over early and then continued, or
+// a fragment list spliced in right behind the spine's last span.
 func (sl *SpanList) raw(_ []byte, off, end int) {
 	n := end - off
 	if n <= 0 {
@@ -199,12 +195,6 @@ func (sl *SpanList) litString(s string) {
 	off := len(sl.esc)
 	sl.esc = append(sl.esc, s...)
 	sl.escSpan(off, len(s))
-}
-
-func (sl *SpanList) litByte(c byte) {
-	off := len(sl.esc)
-	sl.esc = append(sl.esc, c)
-	sl.escSpan(off, 1)
 }
 
 // escSpan records escape-buffer range [off, off+n), merging with a

@@ -18,7 +18,7 @@ func TestSpanListGatherMechanics(t *testing.T) {
 	}
 	// Adjacent synthesized bytes coalesce too.
 	sl.litString("<x>")
-	sl.litByte('!')
+	sl.litString("!")
 	if sl.Segments() != 2 {
 		t.Fatalf("after lits: %d segments, want 2", sl.Segments())
 	}
@@ -61,7 +61,7 @@ func TestSpanListSplice(t *testing.T) {
 
 	var sl SpanList
 	sl.Reset(input)
-	sl.litByte('>')
+	sl.litString(">")
 	sl.splice(&fr)
 	sl.raw(input, 14, 16)
 
@@ -84,7 +84,7 @@ func TestSpanListClearDropsReferences(t *testing.T) {
 	input := []byte("abcd")
 	sl := getSpanList(input)
 	sl.raw(input, 0, 4)
-	sl.litByte('x')
+	sl.litString("x")
 	putSpanList(sl)
 	if sl.input != nil || len(sl.spans) != 0 || len(sl.esc) != 0 || sl.Len() != 0 {
 		t.Fatal("putSpanList left state behind; the pool would pin caller data")

@@ -183,20 +183,18 @@ func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string
 
 	proj := eng.e.ProjectionFor(p.d, p.pr.Names)
 	entry, g, st, hit, err := eng.e.CachedGather(rescache.Key{Doc: dig, Variant: fp}, func() (*prune.Gather, prune.Stats, error) {
-		popts, finish := streamOptsOf(opts)
+		popts := streamOptsOf(opts)
 		popts.Projection = proj
-		gg, gst, gerr := prune.StreamGather(data, p.d, p.pr.Names, popts)
-		finish()
-		return gg, gst, gerr
+		return prune.StreamGather(data, p.d, p.pr.Names, popts)
 	})
 	if err != nil {
 		return nil, info, err
 	}
 	info.Hit = hit
 	if g != nil {
-		return &PruneResult{Stats: pruneStatsOf(st), g: g}, info, nil
+		return &PruneResult{Stats: st, g: g}, info, nil
 	}
-	return &PruneResult{Stats: pruneStatsOf(entry.Stats), cached: entry}, info, nil
+	return &PruneResult{Stats: entry.Stats, cached: entry}, info, nil
 }
 
 // PruneBytes is Projector.PruneBytes routed through the engine's result

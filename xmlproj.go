@@ -439,25 +439,11 @@ func (p *Projector) Prune(doc *Document) *Document {
 	return &Document{t: prune.Tree(p.d, doc.t, p.pr.Names)}
 }
 
-// PruneStats reports what a streaming prune did.
-type PruneStats struct {
-	// ElementsIn and ElementsOut count element start tags read / elements
-	// written. ElementsIn includes descendants of pruned subtrees (they
-	// are scanned past, not materialised).
-	ElementsIn, ElementsOut int64
-	// TextIn and TextOut count non-whitespace logical text nodes read /
-	// written; consecutive character-data chunks (entities, CDATA) count
-	// as one text node.
-	TextIn, TextOut int64
-	// ElementsSkipped and TextSkipped count nodes inside pruned subtrees
-	// (a subset of ElementsIn / TextIn).
-	ElementsSkipped, TextSkipped int64
-	// BytesOut counts output bytes.
-	BytesOut int64
-	// MaxDepth is the deepest open-element stack seen; the pruner's
-	// memory is proportional to it, not to the document size.
-	MaxDepth int
-}
+// PruneStats reports what a streaming prune did: elements and logical
+// text nodes read, written and skipped inside pruned subtrees, output
+// bytes, and the deepest open-element stack seen (the pruner's memory is
+// proportional to it, not to the document size).
+type PruneStats = prune.Stats
 
 // PruneStream prunes the document read from src to dst in a single
 // bufferless pass with constant memory (§6). Subtrees of pruned elements
@@ -473,16 +459,17 @@ func (p *Projector) PruneStreamValidating(dst io.Writer, src io.Reader) (PruneSt
 }
 
 func (p *Projector) pruneStream(dst io.Writer, src io.Reader, validate bool) (PruneStats, error) {
-	st, err := prune.Stream(dst, src, p.d, p.pr.Names, prune.StreamOptions{Validate: validate})
-	return pruneStatsOf(st), err
+	return prune.Stream(dst, src, p.d, p.pr.Names, prune.StreamOptions{Validate: validate})
 }
 
 // PruneEngine names the tokenizer behind a streaming prune. The zero
 // value auto-selects: with a worker budget of at least 4, the pipelined
 // streaming parallel pruner for UTF-8 reader input (unknown sizes, or
 // known sizes past a threshold) and the two-stage batch parallel pruner
-// for large in-memory input; the byte-level serial scanner otherwise
-// for UTF-8, and encoding/xml for everything else.
+// for large in-memory input; the byte-level serial scanner otherwise.
+// Input must be UTF-8 — UTF-16/32 is rejected with an error that says
+// so; encoding/xml (PruneDecoder) runs only when forced, as the
+// reference implementation.
 type PruneEngine int
 
 const (
@@ -534,13 +521,6 @@ type StreamOptions struct {
 	// window residency of a pipelined prune (Windows == 0 means the
 	// pipelined engine did not run).
 	Pipeline *PipelineStages
-	// PipelineWindowSize bounds each pipelined window slab in bytes
-	// (0 means the engine default, 1 MiB). Peak input residency is
-	// bounded by PipelineRingDepth × PipelineWindowSize.
-	PipelineWindowSize int
-	// PipelineRingDepth bounds how many window slabs can be in flight at
-	// once across the read → index → prune stages (0 means workers+2).
-	PipelineRingDepth int
 	// Chosen, when non-nil, receives the engine that actually ran.
 	Chosen *PruneEngine
 	// NoResultCache bypasses the engine's content-addressed result cache
@@ -555,10 +535,7 @@ type StreamOptions struct {
 // cancellation — what a long-lived server needs to run untrusted
 // streams through the pruner safely.
 func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOptions) (PruneStats, error) {
-	popts, finish := streamOptsOf(opts)
-	st, err := prune.Stream(dst, src, p.d, p.pr.Names, popts)
-	finish()
-	return pruneStatsOf(st), err
+	return prune.Stream(dst, src, p.d, p.pr.Names, streamOptsOf(opts))
 }
 
 // PruneBytes is PruneStreamOpts over input that is already fully in
@@ -567,10 +544,7 @@ func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOpt
 // in-memory scanner paths (len(data) already bounds memory); bound
 // such inputs by size.
 func (p *Projector) PruneBytes(dst io.Writer, data []byte, opts StreamOptions) (PruneStats, error) {
-	popts, finish := streamOptsOf(opts)
-	st, err := prune.StreamBytes(dst, data, p.d, p.pr.Names, popts)
-	finish()
-	return pruneStatsOf(st), err
+	return prune.StreamBytes(dst, data, p.d, p.pr.Names, streamOptsOf(opts))
 }
 
 // PruneResult is the span-gather outcome of PruneGather: the pruned
@@ -685,13 +659,11 @@ func (r *PruneResult) Close() error {
 // result is flushed. Rendered output is byte-identical to PruneStream.
 // The caller must Close the result.
 func (p *Projector) PruneGather(data []byte, opts StreamOptions) (*PruneResult, error) {
-	popts, finish := streamOptsOf(opts)
-	g, st, err := prune.StreamGather(data, p.d, p.pr.Names, popts)
-	finish()
+	g, st, err := prune.StreamGather(data, p.d, p.pr.Names, streamOptsOf(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &PruneResult{Stats: pruneStatsOf(st), g: g}, nil
+	return &PruneResult{Stats: st, g: g}, nil
 }
 
 // MaxFusedProjectors is how many projectors one shared scan can fuse
@@ -733,7 +705,7 @@ func PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*Prun
 			errs[j] = gerrs[j]
 			continue
 		}
-		results[j] = &PruneResult{Stats: pruneStatsOf(stats[j]), g: gathers[j]}
+		results[j] = &PruneResult{Stats: stats[j], g: gathers[j]}
 	}
 	return results, errs
 }
@@ -747,23 +719,18 @@ func PruneMulti(dsts []io.Writer, src io.Reader, ps []*Projector, opts StreamOpt
 	if len(dsts) != len(ps) {
 		panic("xmlproj.PruneMulti: len(dsts) != len(ps)")
 	}
-	stats := make([]PruneStats, len(ps))
-	errs := make([]error, len(ps))
 	if len(ps) == 0 {
-		return stats, errs
+		return nil, nil
 	}
 	d, pis, err := multiProjectorSet(ps)
 	if err != nil {
+		errs := make([]error, len(ps))
 		for j := range errs {
 			errs[j] = err
 		}
-		return stats, errs
+		return make([]PruneStats, len(ps)), errs
 	}
-	msts, merrs := prune.StreamMulti(dsts, src, d, pis, multiOptsOf(opts))
-	for j := range ps {
-		stats[j], errs[j] = pruneStatsOf(msts[j]), merrs[j]
-	}
-	return stats, errs
+	return prune.StreamMulti(dsts, src, d, pis, multiOptsOf(opts))
 }
 
 // multiProjectorSet checks that every projector stems from one DTD and
@@ -788,70 +755,24 @@ func multiOptsOf(opts StreamOptions) prune.MultiOptions {
 	}
 }
 
-// streamOptsOf converts public stream options; the returned finish
-// writes Detail/Chosen back after the prune ran.
-func streamOptsOf(opts StreamOptions) (prune.StreamOptions, func()) {
-	popts := prune.StreamOptions{
-		Validate:           opts.Validate,
-		Engine:             prune.Engine(opts.Engine),
-		MaxTokenSize:       opts.MaxTokenSize,
-		ParallelWorkers:    opts.IntraWorkers,
-		PipelineWindowSize: opts.PipelineWindowSize,
-		PipelineRingDepth:  opts.PipelineRingDepth,
-		Ctx:                opts.Context,
-	}
-	var det prune.ParallelDetail
+// streamOptsOf converts public stream options. The out-params are
+// zeroed first: the prune only writes the one of the engine that ran.
+func streamOptsOf(opts StreamOptions) prune.StreamOptions {
 	if opts.Detail != nil {
-		popts.Detail = &det
+		*opts.Detail = ParallelStages{}
 	}
-	var pdet prune.PipelineDetail
 	if opts.Pipeline != nil {
-		popts.Pipeline = &pdet
+		*opts.Pipeline = PipelineStages{}
 	}
-	var chosen prune.Engine
-	if opts.Chosen != nil {
-		popts.Chosen = &chosen
-	}
-	return popts, func() {
-		if opts.Detail != nil {
-			*opts.Detail = ParallelStages{
-				IndexTime:  det.IndexTime,
-				PruneTime:  det.PruneTime,
-				StitchTime: det.StitchTime,
-				Workers:    det.Workers,
-				Tasks:      det.Tasks,
-				Fallback:   det.Fallback,
-			}
-		}
-		if opts.Pipeline != nil {
-			*opts.Pipeline = PipelineStages{
-				ReadTime:        pdet.ReadTime,
-				IndexTime:       pdet.IndexTime,
-				PruneTime:       pdet.PruneTime,
-				EmitTime:        pdet.EmitTime,
-				Windows:         pdet.Windows,
-				Tasks:           pdet.Tasks,
-				Workers:         pdet.Workers,
-				PeakWindowBytes: pdet.PeakWindowBytes,
-				Fallback:        pdet.Fallback,
-			}
-		}
-		if opts.Chosen != nil {
-			*opts.Chosen = PruneEngine(chosen)
-		}
-	}
-}
-
-func pruneStatsOf(st prune.Stats) PruneStats {
-	return PruneStats{
-		ElementsIn:      st.ElementsIn,
-		ElementsOut:     st.ElementsOut,
-		TextIn:          st.TextIn,
-		TextOut:         st.TextOut,
-		ElementsSkipped: st.ElementsSkipped,
-		TextSkipped:     st.TextSkipped,
-		BytesOut:        st.BytesOut,
-		MaxDepth:        st.MaxDepth,
+	return prune.StreamOptions{
+		Validate:        opts.Validate,
+		Engine:          prune.Engine(opts.Engine),
+		MaxTokenSize:    opts.MaxTokenSize,
+		ParallelWorkers: opts.IntraWorkers,
+		Ctx:             opts.Context,
+		Detail:          opts.Detail,
+		Pipeline:        opts.Pipeline,
+		Chosen:          (*prune.Engine)(opts.Chosen),
 	}
 }
 
