@@ -291,9 +291,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			agg.ElementsIn, agg.ElementsOut, agg.BytesIn, agg.BytesOut, mbps, agg.MaxDepth)
 		// Duplicate documents in the batch were pruned once and copied
 		// out of the result cache; say how often that paid off.
-		if m := eng.Metrics(); m.ResultHits+m.ResultCoalesced+m.ResultMisses > 0 {
-			served := m.ResultHits + m.ResultCoalesced
-			total := served + m.ResultMisses
+		if m := eng.Metrics().ResultCache; m.Hits+m.Coalesced+m.Misses > 0 {
+			served := m.Hits + m.Coalesced
+			total := served + m.Misses
 			fmt.Fprintf(stderr, "xmlprune: result cache: %d/%d prunes served from cache (%.0f%% hit ratio)\n",
 				served, total, 100*float64(served)/float64(total))
 		}

@@ -3,9 +3,7 @@ package xmlproj
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
-	"time"
 
 	"xmlproj/internal/core"
 	"xmlproj/internal/engine"
@@ -21,16 +19,14 @@ import (
 // (§5: projectors are closed under union and can be computed once per
 // workload), which is exactly what makes the cache sound.
 //
-// An Engine is safe for concurrent use by any number of goroutines.
+// The projector cache holds 128 workloads. An Engine is safe for
+// concurrent use by any number of goroutines.
 type Engine struct {
 	e *engine.Engine
 }
 
 // EngineOptions configures NewEngine.
 type EngineOptions struct {
-	// CacheSize bounds the projector cache. Zero means a default (128);
-	// negative disables caching while keeping single-flight deduplication.
-	CacheSize int
 	// Workers is the default pool width for PruneBatch. Zero means
 	// GOMAXPROCS.
 	Workers int
@@ -39,16 +35,15 @@ type EngineOptions struct {
 	// digest, projection fingerprint, validate mode), with single-flight
 	// fill. Repeat prunes of an unchanged document under the same
 	// projector are served from cached bytes in O(digest) time through
-	// Engine.PruneGather / Engine.PruneBytes and batch jobs with
-	// in-memory sources. Zero or negative disables the cache (the
-	// recommended server default is 256 MiB, DefaultResultCacheBytes).
+	// Engine.PruneGatherDigest and batch jobs with in-memory sources.
+	// Zero or negative disables the cache (the recommended server default
+	// is 256 MiB, DefaultResultCacheBytes).
 	ResultCacheBytes int64
 }
 
 // NewEngine returns an engine with the given options.
 func NewEngine(opts EngineOptions) *Engine {
 	return &Engine{e: engine.New(engine.Options{
-		CacheSize:        opts.CacheSize,
 		Workers:          opts.Workers,
 		ResultCacheBytes: opts.ResultCacheBytes,
 	})}
@@ -110,33 +105,13 @@ func bunchFingerprint(queries []*Query) string {
 // the job finishes, folding the close error into the job's error — so
 // "disk full at close" surfaces on the job, and at most Workers
 // destinations are open at a time.
-type BatchJob struct {
-	// Name labels the job in results (typically the input path).
-	Name string
-	Src  io.Reader
-	Dst  io.Writer
-}
+type BatchJob = engine.Job
 
-// BatchResult is the outcome of one batch job.
-type BatchResult struct {
-	Name string
-	// Stats covers what was pruned; on error, the prefix before the
-	// failure.
-	Stats PruneStats
-	// BytesIn counts bytes read from the source.
-	BytesIn int64
-	// Elapsed is the wall time the prune took (zero for skipped jobs).
-	Elapsed time.Duration
-	// Parallel reports how the intra-document parallel pruner ran for
-	// this job; Parallel.Workers == 0 means the job ran serially.
-	Parallel ParallelStages
-	// Pipeline reports how the pipelined streaming pruner ran for this
-	// job; Pipeline.Workers == 0 means the pipelined engine did not run.
-	Pipeline PipelineStages
-	// Err is nil on success; jobs skipped after cancellation carry the
-	// context error.
-	Err error
-}
+// BatchResult is the outcome of one batch job: its stats (on error, the
+// prefix before the failure), bytes read, wall time, how the parallel or
+// pipelined engine ran if one did (Workers == 0: it did not), and the
+// error — the context error for jobs skipped after cancellation.
+type BatchResult = engine.JobResult
 
 // ParallelStages is the per-stage breakdown of one intra-document
 // parallel prune: structural indexing, concurrent fragment pruning, and
@@ -147,15 +122,6 @@ type ParallelStages = prune.ParallelDetail
 // prune: reading source bytes into window slabs, incremental structural
 // indexing, concurrent fragment pruning, and in-order emission.
 type PipelineStages = prune.PipelineDetail
-
-// Throughput returns the job's input processing rate in MB/s (0 when
-// nothing was timed).
-func (r BatchResult) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.BytesIn) / r.Elapsed.Seconds() / 1e6
-}
 
 // BatchOptions configures one PruneBatch call.
 type BatchOptions struct {
@@ -180,21 +146,13 @@ type BatchOptions struct {
 
 // BatchStats aggregates a batch: summed pruner stats (MaxDepth is the
 // maximum), total input bytes, and job outcomes.
-type BatchStats struct {
-	PruneStats
-	BytesIn                 int64
-	Pruned, Failed, Skipped int
-}
+type BatchStats = engine.BatchStats
 
 // PruneBatch prunes every job against p through a bounded worker pool,
 // in one streaming pass per document. Results are in job order. The
 // batch stops early when ctx is cancelled or, with FailFast, on the
 // first failure. The returned error is nil only if every job succeeded.
 func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob, opts BatchOptions) ([]BatchResult, BatchStats, error) {
-	ejobs := make([]engine.Job, len(jobs))
-	for i, j := range jobs {
-		ejobs[i] = engine.Job{Name: j.Name, Src: j.Src, Dst: j.Dst}
-	}
 	eopts := engine.BatchOptions{
 		Workers:      opts.Workers,
 		Validate:     opts.Validate,
@@ -210,21 +168,7 @@ func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob
 	if eng.e.ResultCache().Enabled() {
 		eopts.ResultVariant = p.resultFingerprint(opts.Validate)
 	}
-	res, agg, err := eng.e.PruneBatch(ctx, p.d, p.pr.Names, ejobs, eopts)
-	out := make([]BatchResult, len(res))
-	for i, r := range res {
-		out[i] = BatchResult{
-			Name: r.Name, Stats: r.Stats, BytesIn: r.BytesIn, Elapsed: r.Elapsed,
-			Parallel: r.Parallel, Pipeline: r.Pipeline, Err: r.Err,
-		}
-	}
-	return out, BatchStats{
-		PruneStats: agg.Stats,
-		BytesIn:    agg.BytesIn,
-		Pruned:     agg.Pruned,
-		Failed:     agg.Failed,
-		Skipped:    agg.Skipped,
-	}, err
+	return eng.e.PruneBatch(ctx, p.d, p.pr.Names, jobs, eopts)
 }
 
 // PruneMultiGather is the package-level PruneMultiGather routed through
@@ -236,130 +180,17 @@ func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob
 // sharded). Results follow the package-level contract: per-projector
 // verdicts, Close every non-nil result.
 func (eng *Engine) PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*PruneResult, []error, bool) {
-	results := make([]*PruneResult, len(ps))
-	errs := make([]error, len(ps))
-	if len(ps) == 0 {
-		return results, errs, false
-	}
-	d, pis, err := multiProjectorSet(ps)
-	if err != nil {
-		for j := range errs {
-			errs[j] = err
-		}
-		return results, errs, false
-	}
-	mp, projs, hit := eng.e.MultiProjectionFor(d, pis)
-	mopts := multiOptsOf(opts)
-	mopts.Projections = projs
-	mopts.Combined = mp
-	gathers, stats, gerrs := prune.StreamMultiGather(data, d, pis, mopts)
-	for j := range ps {
-		if gerrs[j] != nil {
-			errs[j] = gerrs[j]
-			continue
-		}
-		results[j] = &PruneResult{Stats: stats[j], g: gathers[j]}
-	}
-	return results, errs, hit
+	return pruneMultiGather(eng, ps, data, opts)
 }
 
-// EngineMetrics is a point-in-time snapshot of an engine's counters.
-type EngineMetrics struct {
-	// CacheHits counts InferCached calls answered from the cache,
-	// CacheMisses calls that ran inference, Coalesced calls that shared
-	// another caller's in-flight inference, Evictions LRU evictions, and
-	// CacheEntries the current cache population.
-	CacheHits, CacheMisses, Coalesced, Evictions int64
-	CacheEntries                                 int
-	// Inferences counts analyses actually executed; InferenceTime is
-	// their cumulative wall time.
-	Inferences    int64
-	InferenceTime time.Duration
-	// DocsPruned / PruneErrors count batch jobs by outcome; BytesIn /
-	// BytesOut total the document bytes streamed.
-	DocsPruned, PruneErrors int64
-	BytesIn, BytesOut       int64
-	// ProjectionHits / ProjectionMisses count compiled-projection cache
-	// lookups: PruneBatch compiles π against the schema's symbol table
-	// once per (schema, π) workload and reuses it across batches.
-	ProjectionHits, ProjectionMisses int64
-	// MultiHits / MultiMisses count fused multi-projection decision-table
-	// cache lookups (PruneMultiGather fuses an ordered projector set once
-	// per workload).
-	MultiHits, MultiMisses int64
-	// ParallelPrunes counts jobs that ran on the intra-document parallel
-	// pruner; ParallelFallbacks the subset handed back to the serial
-	// scanner. IndexTime, FragmentTime and StitchTime accumulate the
-	// parallel pruner's per-stage wall times across those jobs.
-	ParallelPrunes, ParallelFallbacks   int64
-	IndexTime, FragmentTime, StitchTime time.Duration
-	// PipelinedPrunes counts prunes that ran on the pipelined streaming
-	// engine; PipelinedFallbacks the subset handed to the serial scanner.
-	// The stage times accumulate across those prunes; PeakWindowBytes is
-	// the largest window-slab residency any single prune reached.
-	PipelinedPrunes, PipelinedFallbacks                                      int64
-	PipelineReadTime, PipelineIndexTime, PipelinePruneTime, PipelineEmitTime time.Duration
-	PeakWindowBytes                                                          int64
-	// ResultHits counts prunes served from the content-addressed result
-	// cache, ResultMisses prunes that filled it, ResultCoalesced callers
-	// that piggybacked on another caller's in-flight fill, and
-	// ResultEvictions entries dropped by the size-aware LRU.
-	// ResultBypasses counts outputs served but too large to store,
-	// ResultIdentityHits digests answered by the file-identity fast path
-	// without rehashing. ResultEntries / ResultBytes are the current
-	// population and footprint under ResultBudget. All zero when the
-	// cache is disabled.
-	ResultHits, ResultMisses, ResultCoalesced, ResultEvictions int64
-	ResultBypasses, ResultIdentityHits                         int64
-	ResultEntries                                              int
-	ResultBytes, ResultBudget                                  int64
-}
+// EngineMetrics is a point-in-time snapshot of an engine's counters:
+// the projector, compiled-projection and fused-table caches, batch and
+// recorded prunes, the parallel and pipelined engines' stage times, and
+// (ResultCache) the content-addressed result cache.
+type EngineMetrics = engine.Metrics
 
 // Metrics returns a snapshot of the engine's counters.
-func (eng *Engine) Metrics() EngineMetrics {
-	m := eng.e.Metrics()
-	return EngineMetrics{
-		CacheHits:        m.CacheHits,
-		CacheMisses:      m.CacheMisses,
-		Coalesced:        m.Coalesced,
-		Evictions:        m.Evictions,
-		CacheEntries:     m.CacheEntries,
-		Inferences:       m.Inferences,
-		InferenceTime:    m.InferenceTime,
-		DocsPruned:       m.DocsPruned,
-		PruneErrors:      m.PruneErrors,
-		BytesIn:          m.BytesIn,
-		BytesOut:         m.BytesOut,
-		ProjectionHits:   m.ProjectionHits,
-		ProjectionMisses: m.ProjectionMisses,
-		MultiHits:        m.MultiHits,
-		MultiMisses:      m.MultiMisses,
-
-		ParallelPrunes:    m.ParallelPrunes,
-		ParallelFallbacks: m.ParallelFallbacks,
-		IndexTime:         m.IndexTime,
-		FragmentTime:      m.FragmentTime,
-		StitchTime:        m.StitchTime,
-
-		PipelinedPrunes:    m.PipelinedPrunes,
-		PipelinedFallbacks: m.PipelinedFallbacks,
-		PipelineReadTime:   m.PipelineReadTime,
-		PipelineIndexTime:  m.PipelineIndexTime,
-		PipelinePruneTime:  m.PipelinePruneTime,
-		PipelineEmitTime:   m.PipelineEmitTime,
-		PeakWindowBytes:    m.PeakWindowBytes,
-
-		ResultHits:         m.ResultCache.Hits,
-		ResultMisses:       m.ResultCache.Misses,
-		ResultCoalesced:    m.ResultCache.Coalesced,
-		ResultEvictions:    m.ResultCache.Evictions,
-		ResultBypasses:     m.ResultCache.Bypasses,
-		ResultIdentityHits: m.ResultCache.IdentityHits,
-		ResultEntries:      m.ResultCache.Entries,
-		ResultBytes:        m.ResultCache.Bytes,
-		ResultBudget:       m.ResultCache.Budget,
-	}
-}
+func (eng *Engine) Metrics() EngineMetrics { return eng.e.Metrics() }
 
 // MetricsMap returns the metrics snapshot flattened into
 // export-friendly key/value pairs (durations in nanoseconds) — the

@@ -4,7 +4,7 @@
 //
 // The example synthesises a log-like document of configurable size on the
 // fly, so the pruner's input never exists in memory at once, and streams
-// it through PruneStreamValidating.
+// it through PruneStreamOpts with Validate set.
 package main
 
 import (
@@ -77,7 +77,7 @@ func main() {
 
 	counter := &countWriter{}
 	start := time.Now()
-	stats, err := p.PruneStreamValidating(counter, pr)
+	stats, err := p.PruneStreamOpts(counter, pr, xmlproj.StreamOptions{Validate: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // Package engine is the concurrent projection engine: a bounded LRU
-// cache of inferred projectors with single-flight deduplication, a
+// cache of inferred projectors with single-flight deduplication
+// (internal/cache), a
 // worker pool that prunes batches of documents through the §6 streaming
 // pruner, and counters exposing what the engine did.
 //
@@ -13,15 +14,15 @@
 package engine
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
+	"xmlproj/internal/cache"
 	"xmlproj/internal/core"
+	"xmlproj/internal/dtd"
 	"xmlproj/internal/rescache"
 )
 
@@ -34,17 +35,14 @@ type Key struct {
 	Mode   uint8
 }
 
-// DefaultCacheSize bounds the projector cache when Options.CacheSize is
-// zero. Projectors are small (a name set over the DTD), so the bound
-// exists to cap the number of distinct workloads retained, not memory.
-const DefaultCacheSize = 128
+// CacheSize bounds each of the projector, compiled-projection and
+// fused-table caches. Their entries are small (a name set or a decision
+// table over the DTD), so the bound caps the number of distinct
+// workloads retained, not memory.
+const CacheSize = 128
 
 // Options configures an Engine.
 type Options struct {
-	// CacheSize is the maximum number of cached projectors. Zero means
-	// DefaultCacheSize; negative disables caching (single-flight
-	// deduplication of concurrent identical requests still applies).
-	CacheSize int
 	// Workers is the default worker-pool width for PruneBatch when the
 	// batch options leave it unset. Zero means GOMAXPROCS.
 	Workers int
@@ -59,18 +57,16 @@ type Options struct {
 type Engine struct {
 	opts Options
 
-	mu     sync.Mutex
-	lru    *list.List // *entry, most recently used first
-	idx    map[Key]*list.Element
-	flight map[Key]*flightCall
+	// inferred caches projectors by workload.
+	inferred *cache.Cache[Key, *core.Projector]
 
 	// proj caches compiled projections (π against a DTD's symbol table)
 	// so batches and repeated prunes of one workload compile π once.
-	proj *projCache
+	proj *cache.Cache[projKey, *dtd.Projection]
 
-	// multi caches fused multi-projection decision tables (guarded by
-	// proj.mu) so repeated shared-scan requests fuse their set once.
-	multi *multiCache
+	// multi caches fused multi-projection decision tables so repeated
+	// shared-scan requests fuse their set once.
+	multi *cache.Cache[multiKey, *dtd.Projection]
 
 	// results caches pruned outputs by (document digest, variant); nil
 	// when Options.ResultCacheBytes is not positive.
@@ -79,40 +75,14 @@ type Engine struct {
 	m counters
 }
 
-type entry struct {
-	key Key
-	pr  *core.Projector
-}
-
-// flightCall is one in-flight inference; concurrent requests for the
-// same key block on done and share pr/err.
-type flightCall struct {
-	done chan struct{}
-	pr   *core.Projector
-	err  error
-}
-
 // New returns an engine with the given options.
 func New(opts Options) *Engine {
 	return &Engine{
-		opts:    opts,
-		lru:     list.New(),
-		idx:     make(map[Key]*list.Element),
-		flight:  make(map[Key]*flightCall),
-		proj:    newProjCache(),
-		multi:   newMultiCache(),
-		results: rescache.New(opts.ResultCacheBytes),
-	}
-}
-
-func (e *Engine) cacheCap() int {
-	switch {
-	case e.opts.CacheSize < 0:
-		return 0
-	case e.opts.CacheSize == 0:
-		return DefaultCacheSize
-	default:
-		return e.opts.CacheSize
+		opts:     opts,
+		inferred: cache.New[Key, *core.Projector](CacheSize, nil),
+		proj:     cache.New[projKey, *dtd.Projection](CacheSize, nil),
+		multi:    cache.New[multiKey, *dtd.Projection](CacheSize, nil),
+		results:  rescache.New(opts.ResultCacheBytes),
 	}
 }
 
@@ -129,65 +99,21 @@ func (e *Engine) workers() int {
 // shared with the callers that were waiting but are not cached, so a
 // later request retries.
 func (e *Engine) InferCached(key Key, infer func() (*core.Projector, error)) (*core.Projector, error) {
-	e.mu.Lock()
-	if el, ok := e.idx[key]; ok {
-		e.lru.MoveToFront(el)
-		pr := el.Value.(*entry).pr
-		e.mu.Unlock()
+	pr, out, err := e.inferred.GetOrFill(key, func() (*core.Projector, bool, error) {
+		e.m.misses.Add(1)
+		start := time.Now()
+		pr, err := infer()
+		e.m.inferences.Add(1)
+		e.m.inferNanos.Add(time.Since(start).Nanoseconds())
+		return pr, true, err
+	})
+	switch out {
+	case cache.Hit:
 		e.m.hits.Add(1)
-		return pr, nil
-	}
-	if c, ok := e.flight[key]; ok {
-		e.mu.Unlock()
-		<-c.done
+	case cache.Coalesced:
 		e.m.coalesced.Add(1)
-		return c.pr, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
-	e.flight[key] = c
-	e.mu.Unlock()
-
-	e.m.misses.Add(1)
-	start := time.Now()
-	c.pr, c.err = infer()
-	e.m.inferences.Add(1)
-	e.m.inferNanos.Add(time.Since(start).Nanoseconds())
-
-	e.mu.Lock()
-	delete(e.flight, key)
-	if c.err == nil {
-		e.insertLocked(key, c.pr)
-	}
-	e.mu.Unlock()
-	close(c.done)
-	return c.pr, c.err
-}
-
-// insertLocked adds key→pr to the LRU, evicting from the cold end.
-func (e *Engine) insertLocked(key Key, pr *core.Projector) {
-	cap := e.cacheCap()
-	if cap == 0 {
-		return
-	}
-	if el, ok := e.idx[key]; ok {
-		el.Value.(*entry).pr = pr
-		e.lru.MoveToFront(el)
-		return
-	}
-	e.idx[key] = e.lru.PushFront(&entry{key: key, pr: pr})
-	for e.lru.Len() > cap {
-		cold := e.lru.Back()
-		e.lru.Remove(cold)
-		delete(e.idx, cold.Value.(*entry).key)
-		e.m.evictions.Add(1)
-	}
-}
-
-// CacheLen returns the number of cached projectors.
-func (e *Engine) CacheLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lru.Len()
+	return pr, err
 }
 
 // Fingerprint hashes the given parts into a compact stable hex key,

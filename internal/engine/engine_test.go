@@ -135,40 +135,36 @@ func TestInferCachedErrorNotCached(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Fatalf("failed inference not retried: %d calls", calls.Load())
 	}
-	if e.CacheLen() != 0 {
-		t.Fatal("error cached")
+	if n := e.Metrics().CacheEntries; n != 0 {
+		t.Fatalf("error cached: %d entries", n)
 	}
 }
 
-// TestCacheEviction: the LRU stays bounded and evicts the cold end.
+// TestCacheEviction: the LRU stays bounded at CacheSize and evicts the
+// cold end.
 func TestCacheEviction(t *testing.T) {
 	d := bib(t)
-	e := New(Options{CacheSize: 2})
+	e := New(Options{})
 	infer := inferTitle(t, d)
-	for i := 0; i < 4; i++ {
+	const n = CacheSize + 2
+	for i := 0; i < n; i++ {
 		if _, err := e.InferCached(Key{Bunch: fmt.Sprint(i)}, infer); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.CacheLen() != 2 {
-		t.Fatalf("cache size = %d, want 2", e.CacheLen())
+	if got := e.Metrics().CacheEntries; got != CacheSize {
+		t.Fatalf("cache size = %d, want %d", got, CacheSize)
 	}
-	// Key 0 and 1 were evicted; 2 and 3 remain.
+	// Keys 0 and 1 were evicted; the rest remain.
 	var calls atomic.Int64
 	counting := func() (*core.Projector, error) { calls.Add(1); return infer() }
-	e.InferCached(Key{Bunch: "3"}, counting)
+	e.InferCached(Key{Bunch: fmt.Sprint(n - 1)}, counting)
 	e.InferCached(Key{Bunch: "0"}, counting)
 	if calls.Load() != 1 {
 		t.Fatalf("want 1 re-inference (evicted key), got %d", calls.Load())
 	}
-	if m := e.Metrics(); m.Evictions == 0 {
-		t.Fatalf("no evictions recorded: %+v", m)
-	}
-	// Disabled cache still single-flights but stores nothing.
-	off := New(Options{CacheSize: -1})
-	off.InferCached(Key{Bunch: "x"}, infer)
-	if off.CacheLen() != 0 {
-		t.Fatal("disabled cache stored an entry")
+	if m := e.Metrics(); m.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3: %+v", m.Evictions, m)
 	}
 }
 
@@ -351,12 +347,12 @@ func TestProjectionCache(t *testing.T) {
 	for n := range pi {
 		cp[n] = struct{}{}
 	}
-	if e.projectionFor(d, cp) != e.projectionFor(d, pi) {
+	if e.ProjectionFor(d, cp) != e.ProjectionFor(d, pi) {
 		t.Fatal("equal name sets compiled to distinct projections")
 	}
 
 	// A different π is a different entry.
-	e.projectionFor(d, dtd.NewNameSet("bib"))
+	e.ProjectionFor(d, dtd.NewNameSet("bib"))
 	m = e.Metrics()
 	if m.ProjectionMisses != 2 {
 		t.Fatalf("distinct π did not miss: %+v", m)
@@ -376,7 +372,7 @@ func TestProjectionForSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = e.projectionFor(d, pi)
+			got[i] = e.ProjectionFor(d, pi)
 		}(i)
 	}
 	wg.Wait()

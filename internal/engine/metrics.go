@@ -13,7 +13,6 @@ type counters struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	coalesced   atomic.Int64
-	evictions   atomic.Int64
 	inferences  atomic.Int64
 	inferNanos  atomic.Int64
 	docsPruned  atomic.Int64
@@ -105,12 +104,13 @@ type Metrics struct {
 // atomically; the snapshot as a whole is not a consistent cut, which is
 // fine for observability.
 func (e *Engine) Metrics() Metrics {
+	inferred := e.inferred.Usage()
 	return Metrics{
 		CacheHits:        e.m.hits.Load(),
 		CacheMisses:      e.m.misses.Load(),
 		Coalesced:        e.m.coalesced.Load(),
-		Evictions:        e.m.evictions.Load(),
-		CacheEntries:     e.CacheLen(),
+		Evictions:        inferred.Evictions,
+		CacheEntries:     inferred.Entries,
 		Inferences:       e.m.inferences.Load(),
 		InferenceTime:    time.Duration(e.m.inferNanos.Load()),
 		DocsPruned:       e.m.docsPruned.Load(),

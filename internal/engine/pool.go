@@ -126,7 +126,7 @@ func (e *Engine) PruneBatch(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, job
 
 	// Compile π once for the whole batch (cached across batches too):
 	// every worker shares the same immutable *dtd.Projection.
-	proj := e.projectionFor(d, pi)
+	proj := e.ProjectionFor(d, pi)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

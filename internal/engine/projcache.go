@@ -1,10 +1,9 @@
 package engine
 
 import (
-	"container/list"
 	"sort"
-	"sync"
 
+	"xmlproj/internal/cache"
 	"xmlproj/internal/dtd"
 )
 
@@ -17,79 +16,27 @@ type projKey struct {
 	pi string
 }
 
-// projEntry is one cached compiled projection.
-type projEntry struct {
-	key projKey
-	p   *dtd.Projection
-}
-
-// projFlight is one in-flight compilation; concurrent requests for the
-// same key block on done and share p. Compilation cannot fail, so there
-// is no error to share.
-type projFlight struct {
-	done chan struct{}
-	p    *dtd.Projection
-}
-
-// projCache caches compiled projections with the same LRU +
-// single-flight discipline as the projector cache: a 10k-document batch
-// compiles π against the symbol table once, and concurrent batches for
-// the same workload share that one compilation.
-type projCache struct {
-	mu     sync.Mutex
-	lru    *list.List // *projEntry, most recently used first
-	idx    map[projKey]*list.Element
-	flight map[projKey]*projFlight
-}
-
-func newProjCache() *projCache {
-	return &projCache{
-		lru:    list.New(),
-		idx:    make(map[projKey]*list.Element),
-		flight: make(map[projKey]*projFlight),
+// ProjectionFor returns the compiled form of π against d, compiling on a
+// cache miss: a 10k-document batch compiles π against the symbol table
+// once, and concurrent batches for the same workload share that one
+// compilation. Calls that piggyback on another caller's in-flight
+// compilation count as hits. Exported for the front doors that prune
+// outside PruneBatch (the result-cache fill).
+func (e *Engine) ProjectionFor(d *dtd.DTD, pi dtd.NameSet) *dtd.Projection {
+	p, out, err := e.proj.GetOrFill(projKey{d: d, pi: piFingerprint(pi)}, func() (*dtd.Projection, bool, error) {
+		return d.CompileProjection(pi), true, nil
+	})
+	if err != nil {
+		// Compilation returns no error, so the compilation this call
+		// waited for panicked: compile here, where a repeat surfaces.
+		out, p = cache.Filled, d.CompileProjection(pi)
 	}
-}
-
-// projectionFor returns the compiled form of π against d, compiling on a
-// cache miss. Calls that piggyback on another caller's in-flight
-// compilation count as hits.
-func (e *Engine) projectionFor(d *dtd.DTD, pi dtd.NameSet) *dtd.Projection {
-	c := e.proj
-	key := projKey{d: d, pi: piFingerprint(pi)}
-	c.mu.Lock()
-	if el, ok := c.idx[key]; ok {
-		c.lru.MoveToFront(el)
-		p := el.Value.(*projEntry).p
-		c.mu.Unlock()
+	if out == cache.Filled {
+		e.m.projMisses.Add(1)
+	} else {
 		e.m.projHits.Add(1)
-		return p
 	}
-	if f, ok := c.flight[key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		e.m.projHits.Add(1)
-		return f.p
-	}
-	f := &projFlight{done: make(chan struct{})}
-	c.flight[key] = f
-	c.mu.Unlock()
-
-	e.m.projMisses.Add(1)
-	f.p = d.CompileProjection(pi)
-
-	c.mu.Lock()
-	delete(c.flight, key)
-	if cap := e.cacheCap(); cap > 0 {
-		c.idx[key] = c.lru.PushFront(&projEntry{key: key, p: f.p})
-		for c.lru.Len() > cap {
-			cold := c.lru.Back()
-			c.lru.Remove(cold)
-			delete(c.idx, cold.Value.(*projEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.p
+	return p
 }
 
 // piFingerprint canonicalises π: names sorted, then hashed

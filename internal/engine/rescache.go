@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"xmlproj/internal/dtd"
 	"xmlproj/internal/prune"
 	"xmlproj/internal/rescache"
 )
@@ -10,13 +9,6 @@ import (
 // outputs; nil when disabled. Callers use it for digesting (with the
 // file-identity memo) and for peek-style lookups (HEAD, CachedLen).
 func (e *Engine) ResultCache() *rescache.Cache { return e.results }
-
-// ProjectionFor exposes the compiled-projection cache so front doors
-// that prune outside PruneBatch (the result-cache fill paths) still
-// compile π once per (DTD, π) pair.
-func (e *Engine) ProjectionFor(d *dtd.DTD, pi dtd.NameSet) *dtd.Projection {
-	return e.projectionFor(d, pi)
-}
 
 // CachedGather serves one prune through the result cache with
 // single-flight fill. On a hit (or when this caller coalesced onto

@@ -1,16 +1,14 @@
 package prune
 
 // Shared-scan multi-projection: prune one in-memory document against N
-// projectors in a single scanner pass (scan.PruneMulti), producing one
+// projectors in a single scanner pass (scan.PruneMultiGather), producing one
 // independent span-gather result per projector. The projector set is
 // fused into one N-wide dtd.Projection decision table; sets larger than the
 // 64-projector fuse limit are sharded into consecutive fused passes.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/scan"
@@ -95,76 +93,20 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 			gathers[base+i] = g
 			sls[i] = g.sl
 		}
-		ssts, serrs := scan.PruneMulti(sls, data, d, mp, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
+		ssts, serrs := scan.PruneMultiGather(sls, data, d, mp, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
 		for i := range sls {
 			j := base + i
-			stats[j].fold(ssts[i])
+			stats[j] = ssts[i]
 			if serrs[i] != nil {
 				errs[j] = fmt.Errorf("prune: %w", serrs[i])
 				gathers[j].Close()
 				gathers[j] = nil
-				stats[j].BytesOut = 0
 				continue
 			}
 			stats[j].BytesOut = gathers[j].sl.Len()
 		}
 	}
 	return gathers, stats, errs
-}
-
-// StreamMulti is StreamMultiGather for streaming destinations: the
-// source is materialised in memory once (an input implementing
-// BytesSource is used in place), pruned against every projector in one
-// shared scan, and each projector's output is flushed to the matching
-// writer with vectored I/O. dsts must align with pis; a nil writer
-// skips the flush (the stats still report the rendered size).
-func StreamMulti(dsts []io.Writer, src io.Reader, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]Stats, []error) {
-	if len(dsts) != len(pis) {
-		panic("prune.StreamMulti: len(dsts) != len(pis)")
-	}
-	stats := make([]Stats, len(pis))
-	errs := make([]error, len(pis))
-	if err := ctxErr(opts.Ctx); err != nil {
-		fillErr(errs, 0, len(pis), err)
-		return stats, errs
-	}
-	data, inMem := inputBytesOf(src)
-	if !inMem {
-		buf := inputPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if size, known := inputSize(src); known && size > 0 && size < int64(int(^uint(0)>>1)) {
-			buf.Grow(int(size))
-		}
-		r := src
-		if opts.Ctx != nil {
-			r = &ctxReader{ctx: opts.Ctx, r: src}
-		}
-		if _, rerr := buf.ReadFrom(r); rerr != nil {
-			inputPool.Put(buf)
-			fillErr(errs, 0, len(pis), fmt.Errorf("prune: %w", rerr))
-			return stats, errs
-		}
-		data = buf.Bytes()
-		defer func() {
-			if buf.Cap() <= maxPooledInput {
-				inputPool.Put(buf)
-			}
-		}()
-	}
-	gathers, gstats, gerrs := StreamMultiGather(data, d, pis, opts)
-	for j, g := range gathers {
-		stats[j], errs[j] = gstats[j], gerrs[j]
-		if g == nil {
-			continue
-		}
-		if dsts[j] != nil {
-			if _, werr := g.WriteTo(dsts[j]); werr != nil && errs[j] == nil {
-				errs[j] = fmt.Errorf("prune: %w", werr)
-			}
-		}
-		g.Close()
-	}
-	return stats, errs
 }
 
 func ctxErr(ctx context.Context) error {

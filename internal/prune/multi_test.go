@@ -2,7 +2,6 @@ package prune
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -18,9 +17,10 @@ import (
 // serial gather is the same automaton at N = 1, so each serial result is
 // itself held to the encoding/xml oracle first.
 
-// checkMulti runs StreamMultiGather (and the writer-path StreamMulti)
-// over data and requires per-projector agreement with serial
-// StreamGather runs.
+// checkMulti runs StreamMultiGather over data and requires
+// per-projector agreement with serial StreamGather runs: verdict, stats,
+// and the bytes both materialised and flushed through WriteTo (the form
+// xmlprune -proj and /multiprune use).
 func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.NameSet, validate bool) {
 	t.Helper()
 	sopts := StreamOptions{Validate: validate, Engine: EngineScanner}
@@ -68,31 +68,6 @@ func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.N
 				label, validate, j, stats[j], wants[j].st)
 		}
 		gathers[j].Close()
-	}
-
-	// Writer path: same verdicts, same rendered bytes through WriteTo.
-	outs := make([]bytes.Buffer, len(pis))
-	dsts := make([]io.Writer, len(pis))
-	for j := range outs {
-		dsts[j] = &outs[j]
-	}
-	msts, merrs := StreamMulti(dsts, bytes.NewReader(data), d, pis, MultiOptions{Validate: validate})
-	for j := range pis {
-		if wants[j].ok != (merrs[j] == nil) {
-			t.Fatalf("%s: StreamMulti verdict diverges (validate=%v, projector %d): %v",
-				label, validate, j, merrs[j])
-		}
-		if merrs[j] != nil {
-			continue
-		}
-		if outs[j].String() != wants[j].out {
-			t.Fatalf("%s: StreamMulti output diverges (validate=%v, projector %d)\nmulti:  %q\nserial: %q",
-				label, validate, j, outs[j].String(), wants[j].out)
-		}
-		if msts[j] != wants[j].st {
-			t.Fatalf("%s: StreamMulti stats diverge (projector %d)\nmulti:  %+v\nserial: %+v",
-				label, j, msts[j], wants[j].st)
-		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 	"unicode"
 	"unicode/utf8"
 
@@ -71,43 +70,9 @@ func pruneNode(d *dtd.DTD, n *tree.Node, pi dtd.NameSet, parent *tree.Node) *tre
 	return m
 }
 
-// Stats reports what a streaming prune did.
-type Stats struct {
-	// ElementsIn / ElementsOut count element start tags read / elements
-	// written. ElementsIn includes the descendants of discarded subtrees:
-	// the pruner consumes their tokens (without materialising them) to
-	// find the matching end tag, so they are part of the input actually
-	// scanned.
-	ElementsIn, ElementsOut int64
-	// TextIn / TextOut count non-whitespace logical text nodes read /
-	// written. Consecutive character-data chunks (entity boundaries, CDATA
-	// sections) are coalesced into one logical text node before counting,
-	// mirroring the tree data model. TextIn includes text inside discarded
-	// subtrees.
-	TextIn, TextOut int64
-	// ElementsSkipped / TextSkipped count the elements and logical text
-	// nodes inside discarded subtrees (a subset of ElementsIn / TextIn;
-	// the discarded subtree's root element is not included — it was
-	// surfaced, and counted, before being discarded).
-	ElementsSkipped, TextSkipped int64
-	// BytesOut counts bytes written to the destination.
-	BytesOut int64
-	// MaxDepth is the deepest open-element stack observed — the streaming
-	// pruner's working set is proportional to this, not to the document.
-	MaxDepth int
-}
-
-// fold copies a scanner-path Stats into the public struct (BytesOut is
-// accounted separately by the counting writer).
-func (st *Stats) fold(sst scan.Stats) {
-	st.ElementsIn = sst.ElementsIn
-	st.ElementsOut = sst.ElementsOut
-	st.TextIn = sst.TextIn
-	st.TextOut = sst.TextOut
-	st.ElementsSkipped = sst.ElementsSkipped
-	st.TextSkipped = sst.TextSkipped
-	st.MaxDepth = sst.MaxDepth
-}
+// Stats reports what a streaming prune did: elements and logical text
+// nodes read, written and skipped, bytes written, deepest stack.
+type Stats = scan.Stats
 
 // Engine selects the tokenizer behind Stream.
 type Engine int
@@ -139,36 +104,31 @@ const (
 	EnginePipelined
 )
 
-// ParallelDetail reports how an EngineParallel prune executed.
-type ParallelDetail struct {
-	// IndexTime, PruneTime and StitchTime are the wall times of the
-	// structural-index stage, the concurrent fragment stage, and the
-	// sequential splice pass.
-	IndexTime, PruneTime, StitchTime time.Duration
-	// Workers is the resolved worker count; Tasks the number of content
-	// ranges pruned concurrently.
-	Workers, Tasks int
-	// Fallback reports that the input was handed to the serial scanner
-	// (structure the index cannot describe, or a tiny token cap).
-	Fallback bool
+// String returns the engine's name as logged by servers and tools.
+func (e Engine) String() string {
+	switch e {
+	case EngineScanner:
+		return "scanner"
+	case EngineDecoder:
+		return "decoder"
+	case EngineParallel:
+		return "parallel"
+	case EnginePipelined:
+		return "pipelined"
+	default:
+		return "auto"
+	}
 }
 
-// PipelineDetail reports how an EnginePipelined prune executed.
-type PipelineDetail struct {
-	// ReadTime, IndexTime, PruneTime and EmitTime are the per-stage
-	// times: source reads, incremental index+plan, summed concurrent
-	// fragment work, and the spine's in-order splice-and-emit pass.
-	ReadTime, IndexTime, PruneTime, EmitTime time.Duration
-	// Windows is the number of windows streamed; Tasks the number of
-	// delegated content ranges; Workers the resolved worker count.
-	Windows, Tasks, Workers int
-	// PeakWindowBytes is the peak window bytes simultaneously resident —
-	// bounded by PipelineRingDepth × PipelineWindowSize.
-	PeakWindowBytes int64
-	// Fallback reports that the input was handed to the serial scanner
-	// (a token cap too small for the parallel invariants).
-	Fallback bool
-}
+// ParallelDetail reports how an EngineParallel prune executed: per-stage
+// wall times, resolved workers, delegated tasks, and whether the input
+// fell back to the serial scanner.
+type ParallelDetail = scan.ParallelDetail
+
+// PipelineDetail reports how an EnginePipelined prune executed:
+// per-stage times, windows streamed, and the peak window bytes resident
+// (bounded by PipelineRingDepth × PipelineWindowSize).
+type PipelineDetail = scan.PipelineDetail
 
 // parallelMinBytes (resident input) and pipelineMinBytes (readers of
 // known size; unknown sizes always qualify, there is nothing to buffer)
@@ -268,16 +228,10 @@ type StreamOptions struct {
 // as the testing oracle. Input must be UTF-8 (scan.ErrNotUTF8).
 //
 // A src implementing BytesSource (an mmap'd file, a buffered request
-// body) is never read: the prune switches to the in-memory fast paths
-// (StreamBytes) and scans the caller's bytes in place.
+// body) is never read: the prune scans the caller's bytes in place, as
+// StreamBytes does.
 func Stream(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
-	if opts.Ctx != nil {
-		src = &ctxReader{ctx: opts.Ctx, r: src}
-	}
-	if data, ok := inputBytesOf(src); ok {
-		return StreamBytes(dst, data, d, pi, opts)
-	}
-	return streamReader(dst, src, d, pi, opts)
+	return run(source{r: src}, sink{w: dst}, d, pi, opts)
 }
 
 // StreamBytes is Stream over input that is already fully in memory:
@@ -288,63 +242,7 @@ func Stream(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts Strea
 // scanner paths (the cap bounds the streaming scanner's buffer growth,
 // which in-memory input does not have) — bound such inputs by size.
 func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
-	var stats Stats
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-	}
-	eng := opts.Engine
-	if eng == EngineAuto {
-		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers)
-	}
-	if eng == EngineDecoder {
-		// The reference path tokenizes through a reader; in-memory input
-		// is simply a reader that never refills.
-		var src io.Reader = bytes.NewReader(data)
-		if opts.Ctx != nil {
-			src = &ctxReader{ctx: opts.Ctx, r: src}
-		}
-		return streamReader(dst, src, d, pi, opts)
-	}
-	if opts.Chosen != nil {
-		*opts.Chosen = eng
-	}
-	bw := bwPool.Get().(*bufio.Writer)
-	bw.Reset(countingWriter{w: dst, n: &stats.BytesOut})
-	defer func() {
-		bw.Reset(io.Discard) // drop the caller's writer before pooling
-		bwPool.Put(bw)
-	}()
-	proj := opts.Projection
-	if proj == nil {
-		proj = d.CompileProjection(pi)
-	}
-	var sst scan.Stats
-	var err error
-	switch eng {
-	case EngineParallel:
-		var det scan.ParallelDetail
-		sst, det, err = scan.PruneParallel(bw, data, d, proj, parallelOptsOf(opts))
-		setDetail(opts, det)
-	case EnginePipelined:
-		// Forced pipelined over in-memory input: stream it. (EngineAuto
-		// prefers EngineParallel here — the input is already resident,
-		// so the pipeline's memory bound buys nothing.)
-		var det scan.PipelineDetail
-		sst, det, err = scan.PrunePipelined(bw, bytes.NewReader(data), d, proj, pipelineOptsOf(opts))
-		setPipeDetail(opts, det)
-	default:
-		sst, err = scan.PruneBytes(bw, data, d, proj, scanOptsOf(opts))
-	}
-	stats.fold(sst)
-	if err != nil {
-		return stats, fmt.Errorf("prune: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return stats, fmt.Errorf("prune: %w", err)
-	}
-	return stats, nil
+	return run(source{data: data}, sink{w: dst}, d, pi, opts)
 }
 
 // Gather is the span-gather result of StreamGather: the pruned output
@@ -400,199 +298,197 @@ func (g *Gather) Close() error {
 // writes straight out of data. The rendered output is byte-identical
 // to Stream's, and stats match it (BytesOut is the rendered size).
 //
-// Engine selection follows StreamBytes; a forced EngineDecoder is
-// materialised into the escape buffer as one segment. MaxTokenSize is
-// not enforced on the in-memory scanner paths
+// Engine selection follows StreamBytes (see run for the two cells that
+// differ). MaxTokenSize is not enforced on the in-memory scanner paths
 // (see StreamBytes). On error no Gather is returned (partial output is
 // discarded, unlike the streaming paths which have already written
 // it). The caller must Close the returned Gather.
 func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*Gather, Stats, error) {
-	var stats Stats
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return nil, stats, fmt.Errorf("prune: %w", err)
-		}
-	}
 	g := gatherPool.Get().(*Gather)
 	g.closed = false
-	eng := opts.Engine
-	if eng == EngineAuto {
-		eng = chooseEngine(int64(len(data)), true, true, opts.ParallelWorkers)
-	}
-	if eng == EnginePipelined {
-		// Gather output spans the whole resident input; the pipeline's
-		// windowed streaming buys nothing here. Run the batch parallel
-		// pruner, which produces the same bytes.
-		eng = EngineParallel
-	}
-	if eng == EngineDecoder {
-		g.sl.Reset(data)
-		st, err := streamReader(g.sl, bytes.NewReader(data), d, pi, opts)
-		if err != nil {
-			g.Close()
-			return nil, st, err
-		}
-		return g, st, nil
-	}
-	if opts.Chosen != nil {
-		*opts.Chosen = eng
-	}
-	proj := opts.Projection
-	if proj == nil {
-		proj = d.CompileProjection(pi)
-	}
-	var sst scan.Stats
-	var err error
-	if eng == EngineParallel {
-		var det scan.ParallelDetail
-		sst, det, err = scan.PruneParallelGather(g.sl, data, d, proj, parallelOptsOf(opts))
-		setDetail(opts, det)
-	} else {
-		sst, err = scan.PruneGather(g.sl, data, d, proj, scanOptsOf(opts))
-	}
-	stats.fold(sst)
-	stats.BytesOut = g.sl.Len()
+	st, err := run(source{data: data}, sink{sl: g.sl}, d, pi, opts)
 	if err != nil {
 		g.Close()
-		return nil, stats, fmt.Errorf("prune: %w", err)
+		return nil, st, err
 	}
-	return g, stats, nil
+	return g, st, nil
 }
 
-func scanOptsOf(opts StreamOptions) scan.Options {
-	return scan.Options{
-		Validate:     opts.Validate,
-		MaxTokenSize: opts.MaxTokenSize,
-	}
+// source is where a prune's bytes come from: a reader, or (r == nil) a
+// document already resident in memory.
+type source struct {
+	r    io.Reader
+	data []byte
 }
 
-func parallelOptsOf(opts StreamOptions) scan.ParallelOptions {
-	return scan.ParallelOptions{
-		Options:    scanOptsOf(opts),
-		Workers:    opts.ParallelWorkers,
-		ChunkSize:  opts.ParallelChunkSize,
-		FragTarget: opts.ParallelFragTarget,
-	}
+// sink is where they go: a writer, or (w == nil) a span list over the
+// resident input.
+type sink struct {
+	w  io.Writer
+	sl *scan.SpanList
 }
 
-func pipelineOptsOf(opts StreamOptions) scan.PipelineOptions {
-	return scan.PipelineOptions{
-		Options:    scanOptsOf(opts),
-		Workers:    opts.ParallelWorkers,
-		WindowSize: opts.PipelineWindowSize,
-		RingDepth:  opts.PipelineRingDepth,
-		FragTarget: opts.ParallelFragTarget,
-	}
+// cell is one cell of run's routing table.
+type cell struct {
+	eng      Engine
+	resident bool // the source is in memory
+	spans    bool // the sink is a span list
 }
 
-func setPipeDetail(opts StreamOptions, det scan.PipelineDetail) {
-	if opts.Pipeline != nil {
-		*opts.Pipeline = PipelineDetail{
-			ReadTime:        time.Duration(det.ReadNanos),
-			IndexTime:       time.Duration(det.IndexNanos),
-			PruneTime:       time.Duration(det.PruneNanos),
-			EmitTime:        time.Duration(det.EmitNanos),
-			Windows:         det.Windows,
-			Tasks:           det.Tasks,
-			Workers:         det.Workers,
-			PeakWindowBytes: det.PeakWindowBytes,
-			Fallback:        det.Fallback,
-		}
-	}
-}
+const (
+	fromReader, fromBytes = false, true
+	toWriter, toSpans     = false, true
+)
 
-func setDetail(opts StreamOptions, det scan.ParallelDetail) {
-	if opts.Detail != nil {
-		*opts.Detail = ParallelDetail{
-			IndexTime:  time.Duration(det.IndexNanos),
-			PruneTime:  time.Duration(det.PruneNanos),
-			StitchTime: time.Duration(det.StitchNanos),
-			Workers:    det.Workers,
-			Tasks:      det.Tasks,
-			Fallback:   det.Fallback,
-		}
-	}
-}
-
-// streamReader is the reader-based body of Stream; src is already
-// context-wrapped by the caller when a context is set.
-func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
-	var stats Stats
-	bw := bwPool.Get().(*bufio.Writer)
-	bw.Reset(countingWriter{w: dst, n: &stats.BytesOut})
+// run is the one route every streaming prune takes. It resolves the
+// source (a reader that is a BytesSource is resident input), resolves
+// the engine (chooseEngine, unless one is forced) and dispatches on
+//
+//	engine     source  sink    runs
+//	scanner    reader  writer  scan.Prune
+//	scanner    bytes   writer  scan.PruneBytes
+//	scanner    bytes   spans   scan.PruneGather
+//	parallel   bytes   writer  scan.PruneParallel
+//	parallel   bytes   spans   scan.PruneParallelGather
+//	parallel   reader  writer  → parallel, bytes: the batch pruner needs
+//	                           resident input, buffered through inputPool
+//	pipelined  reader  writer  scan.PrunePipelined
+//	pipelined  bytes   writer  scan.PrunePipelined over a bytes.Reader
+//	pipelined  bytes   spans   → parallel: spans cover the whole resident
+//	                           input, so streaming it in windows buys nothing
+//	decoder    any     any     decode; spans take it as one escape segment
+//
+// Only the scanner rows, parallel from bytes and pipelined from a reader
+// are reachable through EngineAuto; the rest are forced. A span sink
+// needs resident input, so no entry point builds reader × spans.
+//
+// It holds the only engine choice, the only projection compile, the only
+// hand-back of stats and details (both detail out-params are written:
+// the zero value says that engine did not run) and the only error wrap.
+func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (st Stats, err error) {
+	var det ParallelDetail
+	var pdet PipelineDetail
 	defer func() {
-		bw.Reset(io.Discard) // drop the caller's writer before pooling
-		bwPool.Put(bw)
-	}()
-
-	eng := opts.Engine
-	size, sizeKnown := inputSize(src)
-	if eng == EngineAuto {
-		eng = chooseEngine(size, sizeKnown, false, opts.ParallelWorkers)
-	}
-	if opts.Chosen != nil {
-		*opts.Chosen = eng
-	}
-	if eng == EnginePipelined {
-		proj := opts.Projection
-		if proj == nil {
-			proj = d.CompileProjection(pi)
+		if opts.Detail != nil {
+			*opts.Detail = det
 		}
-		sst, det, err := scan.PrunePipelined(bw, src, d, proj, pipelineOptsOf(opts))
-		setPipeDetail(opts, det)
-		stats.fold(sst)
+		if opts.Pipeline != nil {
+			*opts.Pipeline = pdet
+		}
 		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
+			err = fmt.Errorf("prune: %w", err)
 		}
-		if err := bw.Flush(); err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
+	}()
+	if opts.Ctx != nil {
+		if err := opts.Ctx.Err(); err != nil {
+			return st, err
 		}
-		return stats, nil
 	}
-	if eng == EngineParallel {
-		proj := opts.Projection
-		if proj == nil {
-			proj = d.CompileProjection(pi)
+	var size int64
+	var sizeKnown bool
+	if src.r != nil {
+		if data, ok := inputBytesOf(src.r); ok {
+			src = source{data: data}
+		} else {
+			size, sizeKnown = inputSize(src.r)
+			if opts.Ctx != nil {
+				src.r = &ctxReader{ctx: opts.Ctx, r: src.r}
+			}
 		}
+	}
+	if src.r == nil {
+		size, sizeKnown = int64(len(src.data)), true
+	}
+	at := cell{opts.Engine, src.r == nil, out.w == nil}
+	if at.eng == EngineAuto {
+		at.eng = chooseEngine(size, sizeKnown, at.resident, opts.ParallelWorkers)
+	}
+	switch at { // the re-route rows
+	case cell{EnginePipelined, fromBytes, toSpans}:
+		at.eng = EngineParallel
+	case cell{EngineParallel, fromReader, toWriter}:
 		buf := inputPool.Get().(*bytes.Buffer)
 		buf.Reset()
+		defer func() {
+			if buf.Cap() <= maxPooledInput {
+				inputPool.Put(buf)
+			}
+		}()
 		if sizeKnown && size > 0 && size < int64(int(^uint(0)>>1)) {
 			buf.Grow(int(size))
 		}
-		if _, rerr := buf.ReadFrom(src); rerr != nil {
-			inputPool.Put(buf)
-			return stats, fmt.Errorf("prune: %w", rerr)
+		if _, err := buf.ReadFrom(src.r); err != nil {
+			return st, err
 		}
-		sst, det, err := scan.PruneParallel(bw, buf.Bytes(), d, proj, parallelOptsOf(opts))
-		if buf.Cap() <= maxPooledInput {
-			inputPool.Put(buf)
-		}
-		setDetail(opts, det)
-		stats.fold(sst)
-		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		return stats, nil
+		src, at.resident = source{data: buf.Bytes()}, fromBytes
 	}
-	if eng == EngineScanner {
-		proj := opts.Projection
-		if proj == nil {
-			proj = d.CompileProjection(pi)
-		}
-		sst, err := scan.Prune(bw, src, d, proj, scanOptsOf(opts))
-		stats.fold(sst)
-		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
-		}
-		return stats, nil
+	if opts.Chosen != nil {
+		*opts.Chosen = at.eng
 	}
 
+	if at.eng == EngineDecoder && at.spans {
+		out.sl.Reset(src.data)
+		out.w = out.sl
+	}
+	var bw *bufio.Writer
+	var written *countingWriter
+	if out.w != nil {
+		written = &countingWriter{w: out.w}
+		bw = bwPool.Get().(*bufio.Writer)
+		bw.Reset(written)
+		defer func() {
+			bw.Reset(io.Discard) // drop the caller's writer before pooling
+			bwPool.Put(bw)
+		}()
+	}
+	proj := opts.Projection
+	if proj == nil && at.eng != EngineDecoder {
+		proj = d.CompileProjection(pi)
+	}
+	so := scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize}
+	po := scan.ParallelOptions{Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.ParallelChunkSize, FragTarget: opts.ParallelFragTarget}
+	switch at {
+	case cell{EngineScanner, fromReader, toWriter}:
+		st, err = scan.Prune(bw, src.r, d, proj, so)
+	case cell{EngineScanner, fromBytes, toWriter}:
+		st, err = scan.PruneBytes(bw, src.data, d, proj, so)
+	case cell{EngineScanner, fromBytes, toSpans}:
+		st, err = scan.PruneGather(out.sl, src.data, d, proj, so)
+	case cell{EngineParallel, fromBytes, toWriter}:
+		st, det, err = scan.PruneParallel(bw, src.data, d, proj, po)
+	case cell{EngineParallel, fromBytes, toSpans}:
+		st, det, err = scan.PruneParallelGather(out.sl, src.data, d, proj, po)
+	case cell{EnginePipelined, fromReader, toWriter}, cell{EnginePipelined, fromBytes, toWriter}:
+		if at.resident {
+			src.r = bytes.NewReader(src.data)
+		}
+		st, pdet, err = scan.PrunePipelined(bw, src.r, d, proj, scan.PipelineOptions{
+			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.ParallelFragTarget,
+			WindowSize: opts.PipelineWindowSize, RingDepth: opts.PipelineRingDepth,
+		})
+	case cell{EngineDecoder, fromReader, toWriter}, cell{EngineDecoder, fromBytes, toWriter}, cell{EngineDecoder, fromBytes, toSpans}:
+		if at.resident {
+			src.r = bytes.NewReader(src.data)
+		}
+		st, err = decode(bw, src.r, d, pi, opts.Validate)
+	default:
+		return st, fmt.Errorf("no route for engine %d (resident input %v, span sink %v)", at.eng, at.resident, at.spans)
+	}
+	if bw == nil {
+		st.BytesOut = out.sl.Len()
+	} else {
+		if err == nil {
+			err = bw.Flush()
+		}
+		st.BytesOut = written.n
+	}
+	return st, err
+}
+
+// decode is the encoding/xml pruner: the reference implementation the
+// scanner engines are differentially tested against. It does not flush bw.
+func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validate bool) (Stats, error) {
+	var stats Stats
 	dec := xml.NewDecoder(src)
 
 	type frame struct {
@@ -627,10 +523,10 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 		stats.TextIn++
 		top := &stack[len(stack)-1]
 		tn := dtd.TextName(top.name)
-		if opts.Validate {
+		if validate {
 			next := top.def.Automaton().Next(top.state, tn)
 			if next < 0 {
-				return fmt.Errorf("prune: text content not allowed in %s", top.name)
+				return fmt.Errorf("text content not allowed in %s", top.name)
 			}
 			top.state = next
 		}
@@ -648,7 +544,7 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 			break
 		}
 		if err != nil {
-			return stats, fmt.Errorf("prune: %w", err)
+			return stats, err
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
@@ -660,16 +556,16 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 			tag := t.Name.Local
 			name, ok := d.ElementName(tag)
 			if !ok {
-				return stats, fmt.Errorf("prune: element %q not declared in DTD", tag)
+				return stats, fmt.Errorf("element %q not declared in DTD", tag)
 			}
-			if len(stack) == 0 && opts.Validate && name != d.Root {
-				return stats, fmt.Errorf("prune: root element is %s, DTD requires %s", name, d.Root)
+			if len(stack) == 0 && validate && name != d.Root {
+				return stats, fmt.Errorf("root element is %s, DTD requires %s", name, d.Root)
 			}
-			if opts.Validate && len(stack) > 0 {
+			if validate && len(stack) > 0 {
 				top := &stack[len(stack)-1]
 				top.state = top.def.Automaton().Next(top.state, name)
 				if top.state < 0 {
-					return stats, fmt.Errorf("prune: element %s not allowed here in content of %s", name, top.name)
+					return stats, fmt.Errorf("element %s not allowed here in content of %s", name, top.name)
 				}
 			}
 			if !pi.Has(name) {
@@ -679,13 +575,13 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 				// shallowly; the paper's pruner behaves the same way
 				// (discarded data is not needed, hence not checked deeply).
 				if err := skipSubtree(dec, &stats); err != nil {
-					return stats, fmt.Errorf("prune: %w", err)
+					return stats, err
 				}
 				continue
 			}
 			def := d.Def(name)
 			closeOpen()
-			if err := writeStart(bw, tag, t.Attr, def, pi, opts); err != nil {
+			if err := writeStart(bw, tag, t.Attr, def, pi, validate); err != nil {
 				return stats, err
 			}
 			open = true
@@ -695,14 +591,14 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 			}
 		case xml.EndElement:
 			if len(stack) == 0 {
-				return stats, fmt.Errorf("prune: unbalanced end element %s", t.Name.Local)
+				return stats, fmt.Errorf("unbalanced end element %s", t.Name.Local)
 			}
 			if err := flushText(); err != nil {
 				return stats, err
 			}
 			top := stack[len(stack)-1]
-			if opts.Validate && !top.def.Automaton().Accepting(top.state) {
-				return stats, fmt.Errorf("prune: content of %s is incomplete (model %s)", top.name, top.def.Content)
+			if validate && !top.def.Automaton().Accepting(top.state) {
+				return stats, fmt.Errorf("content of %s is incomplete (model %s)", top.name, top.def.Content)
 			}
 			stack = stack[:len(stack)-1]
 			if open {
@@ -730,13 +626,10 @@ func streamReader(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts
 		}
 	}
 	if len(stack) != 0 {
-		return stats, fmt.Errorf("prune: unterminated element %s", stack[len(stack)-1].name)
+		return stats, fmt.Errorf("unterminated element %s", stack[len(stack)-1].name)
 	}
 	if !sawRoot {
-		return stats, fmt.Errorf("prune: no root element in input")
-	}
-	if err := bw.Flush(); err != nil {
-		return stats, fmt.Errorf("prune: %w", err)
+		return stats, fmt.Errorf("no root element in input")
 	}
 	return stats, nil
 }
@@ -780,20 +673,20 @@ func skipSubtree(dec *xml.Decoder, stats *Stats) error {
 	return nil
 }
 
-func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi dtd.NameSet, opts StreamOptions) error {
+func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi dtd.NameSet, validate bool) error {
 	bw.WriteString("<")
 	bw.WriteString(tag)
 	for _, a := range attrs {
 		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 			continue
 		}
-		if opts.Validate {
+		if validate {
 			ad := def.AttDef(a.Name.Local)
 			if ad == nil {
-				return fmt.Errorf("prune: undeclared attribute %q on %s", a.Name.Local, tag)
+				return fmt.Errorf("undeclared attribute %q on %s", a.Name.Local, tag)
 			}
 			if len(ad.Enum) > 0 && !inList(ad.Enum, a.Value) {
-				return fmt.Errorf("prune: attribute %q on %s has value %q outside its enumeration", a.Name.Local, tag, a.Value)
+				return fmt.Errorf("attribute %q on %s has value %q outside its enumeration", a.Name.Local, tag, a.Value)
 			}
 		}
 		if !pi.Has(dtd.AttrName(def.Name, a.Name.Local)) {
@@ -805,14 +698,14 @@ func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi
 		bw.WriteString(tree.EscapeAttr(a.Value))
 		bw.WriteString("\"")
 	}
-	if opts.Validate {
+	if validate {
 		for i := range def.Atts {
 			ad := &def.Atts[i]
 			if !ad.Required {
 				continue
 			}
 			if !hasAttr(attrs, ad.Attr) {
-				return fmt.Errorf("prune: missing required attribute %q on %s", ad.Attr, tag)
+				return fmt.Errorf("missing required attribute %q on %s", ad.Attr, tag)
 			}
 		}
 	}
@@ -873,23 +766,6 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return c.r.Read(p)
-}
-
-// InputSize forwards the underlying reader's size so EngineAuto can
-// still see it through the wrapper.
-func (c *ctxReader) InputSize() (int64, bool) { return inputSize(c.r) }
-
-// InputBytes forwards an in-memory source through the wrapper. A
-// cancelled context declines the fast path so the error surfaces
-// through the ordinary read.
-func (c *ctxReader) InputBytes() []byte {
-	if c.ctx.Err() != nil {
-		return nil
-	}
-	if bs, ok := c.r.(BytesSource); ok {
-		return bs.InputBytes()
-	}
-	return nil
 }
 
 // BytesSource is implemented by readers whose entire content is
@@ -964,12 +840,12 @@ const maxPooledInput = 64 << 20
 
 type countingWriter struct {
 	w io.Writer
-	n *int64
+	n int64
 }
 
-func (c countingWriter) Write(p []byte) (int, error) {
+func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	*c.n += int64(n)
+	c.n += int64(n)
 	return n, err
 }
 

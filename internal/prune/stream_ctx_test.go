@@ -109,10 +109,26 @@ func TestChooseEngine(t *testing.T) {
 	}
 }
 
-// TestStreamChosenEngine: every entry point routes through chooseEngine
-// and reports what it resolved — the concurrent engines at a worker
-// budget of 4, the scanner below it — with output and stats identical
-// to the forced serial scanner either way.
+// residentReader is a reader whose content is already in memory
+// (BytesSource): the route must take the bytes and never read.
+type residentReader struct {
+	t    *testing.T
+	data []byte
+}
+
+func (r residentReader) InputBytes() []byte { return r.data }
+
+func (r residentReader) Read([]byte) (int, error) {
+	r.t.Error("the route read from a BytesSource")
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestStreamChosenEngine is run's routing table, cell by cell: every
+// source × sink the entry points can build, under EngineAuto at a worker
+// budget of 1 and of 4 and under each forced engine. Each cell must
+// report the engine the table names — including the two re-route rows —
+// hand back the detail of that engine and no other, and produce output
+// and stats identical to the forced serial scanner.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
@@ -143,54 +159,94 @@ func TestStreamChosenEngine(t *testing.T) {
 			return out.String(), st, err
 		}
 	}
-	entries := []struct {
-		name       string
-		run        entry
-		concurrent Engine
+	sources := []struct {
+		name           string
+		run            entry
+		resident, span bool
 	}{
-		{"Stream sized", reader(func() io.Reader { return strings.NewReader(big) }), EnginePipelined},
-		{"Stream unsized", reader(func() io.Reader { return bufio.NewReader(strings.NewReader(big)) }), EnginePipelined},
-		{"StreamBytes", func(opts StreamOptions) (string, Stats, error) {
+		{"reader unsized → writer", reader(func() io.Reader { return bufio.NewReader(strings.NewReader(big)) }), false, false},
+		{"reader sized → writer", reader(func() io.Reader { return strings.NewReader(big) }), false, false},
+		{"BytesSource reader → writer", reader(func() io.Reader { return residentReader{t, []byte(big)} }), true, false},
+		{"bytes → writer", func(opts StreamOptions) (string, Stats, error) {
 			var out strings.Builder
 			st, err := StreamBytes(&out, []byte(big), d, pi, opts)
 			return out.String(), st, err
-		}, EngineParallel},
-		{"StreamGather", func(opts StreamOptions) (string, Stats, error) {
+		}, true, false},
+		{"bytes → spans", func(opts StreamOptions) (string, Stats, error) {
 			g, st, err := StreamGather([]byte(big), d, pi, opts)
 			if err != nil {
 				return "", st, err
 			}
 			defer g.Close()
-			return string(g.Bytes()), st, nil
-		}, EngineParallel},
+			var out strings.Builder
+			_, err = g.WriteTo(&out)
+			return out.String(), st, err
+		}, true, true},
 	}
-	for _, e := range entries {
-		for _, budget := range []int{0, 1, 2, 3, 4} {
-			want := EngineScanner
-			if budget == 0 || budget >= concurrentMinWorkers {
-				want = e.concurrent
+	engines := []struct {
+		name string
+		opts StreamOptions
+		// want is the engine the table names for a source × sink.
+		want func(resident, span bool) Engine
+	}{
+		{"auto, budget 1", StreamOptions{ParallelWorkers: 1}, func(bool, bool) Engine { return EngineScanner }},
+		{"auto, budget 4", StreamOptions{ParallelWorkers: 4}, func(resident, _ bool) Engine {
+			if resident {
+				return EngineParallel
 			}
-			var chosen Engine
-			out, st, err := e.run(StreamOptions{ParallelWorkers: budget, Chosen: &chosen})
+			return EnginePipelined
+		}},
+		{"scanner", StreamOptions{Engine: EngineScanner}, func(bool, bool) Engine { return EngineScanner }},
+		{"decoder", StreamOptions{Engine: EngineDecoder}, func(bool, bool) Engine { return EngineDecoder }},
+		// Forced on a reader, parallel buffers the input: still parallel.
+		{"parallel", StreamOptions{Engine: EngineParallel}, func(bool, bool) Engine { return EngineParallel }},
+		// Forced into spans, pipelined is re-routed to parallel.
+		{"pipelined", StreamOptions{Engine: EnginePipelined}, func(_, span bool) Engine {
+			if span {
+				return EngineParallel
+			}
+			return EnginePipelined
+		}},
+	}
+	for _, src := range sources {
+		for _, eng := range engines {
+			label := src.name + ", " + eng.name
+			want := eng.want(src.resident, src.span)
+			// Stale details: the route must overwrite both.
+			chosen, det, pdet := EngineAuto, ParallelDetail{Tasks: -1}, PipelineDetail{Tasks: -1}
+			opts := eng.opts
+			opts.Chosen, opts.Detail, opts.Pipeline = &chosen, &det, &pdet
+			out, st, err := src.run(opts)
 			if err != nil {
-				t.Fatalf("%s budget %d: %v", e.name, budget, err)
+				t.Fatalf("%s: %v", label, err)
 			}
 			if chosen != want {
-				t.Errorf("%s budget %d: chosen engine %d, want %d", e.name, budget, chosen, want)
+				t.Errorf("%s: chose %v, want %v", label, chosen, want)
+			}
+			if ran := det.Workers > 0; ran != (want == EngineParallel) || det.Tasks < 0 {
+				t.Errorf("%s: parallel detail %+v after engine %v", label, det, want)
+			}
+			if ran := pdet.Windows > 0; ran != (want == EnginePipelined) || pdet.Tasks < 0 {
+				t.Errorf("%s: pipeline detail %+v after engine %v", label, pdet, want)
 			}
 			if out != ref.String() || st != refStats {
-				t.Errorf("%s budget %d: output or stats diverge from the serial scanner", e.name, budget)
+				t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats)
 			}
 		}
 	}
 
-	// Small input: the scanner, and the out-param reports it.
+	// Small input: the scanner at any budget, and the out-param reports it.
 	var chosen Engine
 	var out bytes.Buffer
 	if _, err := Stream(&out, strings.NewReader(bibDoc), d, pi, StreamOptions{Chosen: &chosen}); err != nil {
 		t.Fatal(err)
 	}
 	if chosen != EngineScanner {
-		t.Errorf("small input chose engine %d, want scanner", chosen)
+		t.Errorf("small input chose %v, want scanner", chosen)
+	}
+
+	// An engine value outside the table is an error, not a silent default.
+	if _, err := Stream(&out, strings.NewReader(bibDoc), d, pi, StreamOptions{Engine: Engine(99)}); err == nil {
+		t.Error("unknown engine accepted")
 	}
 }

@@ -20,15 +20,14 @@
 package rescache
 
 import (
-	"container/list"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/maphash"
 	"io"
-	"sync"
 	"sync/atomic"
 
+	"xmlproj/internal/cache"
 	"xmlproj/internal/prune"
 )
 
@@ -133,29 +132,6 @@ const shardCount = 16
 // identityCap bounds the file-identity memo table.
 const identityCap = 4096
 
-type shard struct {
-	mu    sync.Mutex
-	lru   *list.List // *shardEntry, most recently used first
-	idx   map[Key]*list.Element
-	bytes int64
-}
-
-type shardEntry struct {
-	key  Key
-	e    *Entry
-	cost int64
-}
-
-// call is one in-flight fill; concurrent requests for the same key
-// block on done and share entry/err. A nil entry with a nil err means
-// the leader's output was too large to cache — waiters re-fill
-// privately.
-type call struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
-}
-
 // Identity is a file's identity for the digest fast path: device,
 // inode, size and mtime. An unchanged identity memoizes the content
 // digest, so repeat prunes of the same file never rehash it. The usual
@@ -173,28 +149,22 @@ type Identifier interface {
 	ResultCacheIdentity() (Identity, bool)
 }
 
-type idEntry struct {
-	id     Identity
-	digest Digest
-}
-
 // Cache is a sharded, byte-budgeted, content-addressed cache of pruned
 // outputs. Safe for concurrent use. A nil *Cache is valid and disabled:
 // Get always misses and GetOrFill degenerates to calling fill.
 type Cache struct {
-	shards   [shardCount]shard
-	perShard int64 // byte budget per shard; global budget = shardCount × perShard ≤ budget
+	// shards are cache instances costed by entryCost, each under
+	// perShard bytes, so the global footprint never exceeds
+	// shardCount × perShard ≤ budget.
+	shards   [shardCount]*cache.Cache[Key, *Entry]
+	perShard int64
+	budget   int64
 
-	flightMu sync.Mutex
-	flight   map[Key]*call
+	// ids memoizes file identity → digest, identityCap entries.
+	ids *cache.Cache[Identity, Digest]
 
-	idMu  sync.Mutex
-	idLRU *list.List // *idEntry
-	idIdx map[Identity]*list.Element
-
-	budget                       int64
 	hits, misses, coalesced      atomic.Int64
-	evictions, bypasses          atomic.Int64
+	bypasses                     atomic.Int64
 	identityHits, identityMisses atomic.Int64
 }
 
@@ -207,27 +177,16 @@ func New(budget int64) *Cache {
 	c := &Cache{
 		budget:   budget,
 		perShard: budget / shardCount,
-		flight:   make(map[Key]*call),
-		idLRU:    list.New(),
-		idIdx:    make(map[Identity]*list.Element),
+		ids:      cache.New[Identity, Digest](identityCap, nil),
 	}
 	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].idx = make(map[Key]*list.Element)
+		c.shards[i] = cache.New(c.perShard, entryCost)
 	}
 	return c
 }
 
 // Enabled reports whether the cache exists.
 func (c *Cache) Enabled() bool { return c != nil }
-
-// Budget returns the global byte budget (0 when disabled).
-func (c *Cache) Budget() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.budget
-}
 
 // Cacheable reports whether an output of n bytes can be retained at
 // all: entries above the per-shard budget are served but never stored
@@ -236,25 +195,12 @@ func (c *Cache) Cacheable(n int64) bool {
 	return c != nil && n+entryOverhead <= c.perShard
 }
 
-func (c *Cache) shardOf(key Key) *shard {
+func (c *Cache) shardOf(key Key) *cache.Cache[Key, *Entry] {
 	var h maphash.Hash
 	h.SetSeed(shardSeed)
 	h.Write(key.Doc[:])
 	h.WriteString(key.Variant)
-	return &c.shards[h.Sum64()&(shardCount-1)]
-}
-
-// lookup probes one shard, refreshing LRU position on success.
-func (c *Cache) lookup(key Key) (*Entry, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.idx[key]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*shardEntry).e, true
+	return c.shards[h.Sum64()&(shardCount-1)]
 }
 
 // Get probes the cache without filling: a peek for HEAD-style lookups.
@@ -264,7 +210,7 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 	if c == nil {
 		return nil, false
 	}
-	return c.lookup(key)
+	return c.shardOf(key).Get(key)
 }
 
 // GetOrFill returns the entry for key, running fill on a miss with
@@ -273,143 +219,52 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 // the error (shared but never cached, so a later request retries).
 // fill may return (nil, nil) to decline caching — its caller keeps
 // whatever it produced privately, and blocked waiters get (nil, false,
-// nil) and should fill for themselves.
+// nil) and should fill for themselves. An entry larger than a shard's
+// budget is declined on fill's behalf.
 func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (*Entry, bool, error) {
 	if c == nil {
 		e, err := fill()
 		return e, false, err
 	}
-	if e, ok := c.lookup(key); ok {
+	e, out, err := c.shardOf(key).GetOrFill(key, func() (*Entry, bool, error) {
+		c.misses.Add(1)
+		e, err := fill()
+		store := err == nil && e != nil && entryCost(key, e) <= c.perShard
+		if err == nil && !store {
+			c.bypasses.Add(1)
+		}
+		return e, store, err
+	})
+	switch out {
+	case cache.Hit:
 		c.hits.Add(1)
 		return e, true, nil
-	}
-	c.flightMu.Lock()
-	if f, ok := c.flight[key]; ok {
-		c.flightMu.Unlock()
-		<-f.done
+	case cache.Coalesced, cache.Declined:
 		c.coalesced.Add(1)
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		if f.entry != nil {
-			return f.entry, true, nil
-		}
-		return nil, false, nil
+		return e, e != nil, err
 	}
-	f := &call{done: make(chan struct{})}
-	c.flight[key] = f
-	c.flightMu.Unlock()
-
-	c.misses.Add(1)
-	f.entry, f.err = fill()
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	switch {
-	case f.err != nil:
-		// Errors are shared with waiters but never cached.
-	case f.entry != nil:
-		c.insert(key, f.entry)
-	default:
-		c.bypasses.Add(1)
-	}
-	close(f.done)
-	return f.entry, false, f.err
-}
-
-// insert adds key→e to its shard, evicting from the cold end until the
-// shard is back under budget. The per-shard budget is an invariant,
-// never exceeded after insert returns — which bounds the global
-// footprint by shardCount × perShard ≤ Budget.
-func (c *Cache) insert(key Key, e *Entry) {
-	cost := entryCost(key, e)
-	if cost > c.perShard {
-		c.bypasses.Add(1)
-		return
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if el, ok := s.idx[key]; ok {
-		old := el.Value.(*shardEntry)
-		s.bytes += cost - old.cost
-		old.e, old.cost = e, cost
-		s.lru.MoveToFront(el)
-	} else {
-		s.idx[key] = s.lru.PushFront(&shardEntry{key: key, e: e, cost: cost})
-		s.bytes += cost
-	}
-	for s.bytes > c.perShard {
-		cold := s.lru.Back()
-		se := cold.Value.(*shardEntry)
-		s.lru.Remove(cold)
-		delete(s.idx, se.key)
-		s.bytes -= se.cost
-		c.evictions.Add(1)
-	}
-	s.mu.Unlock()
+	return e, false, err
 }
 
 // DigestFor digests data, memoizing by file identity when one is
 // offered: an unchanged (dev, inode, size, mtime) returns the stored
-// digest without rehashing. An identity whose Size disagrees with the
+// digest without rehashing, as does a call that finds another already
+// hashing the same identity. An identity whose Size disagrees with the
 // data in hand (a stat that raced a rewrite) is not trusted and not
 // memoized.
 func (c *Cache) DigestFor(data []byte, id *Identity) Digest {
 	if c == nil || id == nil || id.Size != int64(len(data)) {
 		return DigestBytes(data)
 	}
-	c.idMu.Lock()
-	if el, ok := c.idIdx[*id]; ok {
-		c.idLRU.MoveToFront(el)
-		d := el.Value.(*idEntry).digest
-		c.idMu.Unlock()
+	d, out, _ := c.ids.GetOrFill(*id, func() (Digest, bool, error) {
+		return DigestBytes(data), true, nil
+	})
+	if out == cache.Filled {
+		c.identityMisses.Add(1)
+	} else {
 		c.identityHits.Add(1)
-		return d
 	}
-	c.idMu.Unlock()
-	c.identityMisses.Add(1)
-	d := DigestBytes(data)
-	c.idMu.Lock()
-	if _, ok := c.idIdx[*id]; !ok {
-		c.idIdx[*id] = c.idLRU.PushFront(&idEntry{id: *id, digest: d})
-		for c.idLRU.Len() > identityCap {
-			cold := c.idLRU.Back()
-			c.idLRU.Remove(cold)
-			delete(c.idIdx, cold.Value.(*idEntry).id)
-		}
-	}
-	c.idMu.Unlock()
 	return d
-}
-
-// Bytes returns the cache's current accounted footprint.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	var total int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.bytes
-		s.mu.Unlock()
-	}
-	return total
-}
-
-// Entries returns the number of cached results.
-func (c *Cache) Entries() int {
-	if c == nil {
-		return 0
-	}
-	var n int
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Metrics is a point-in-time snapshot of the cache's counters.
@@ -437,16 +292,20 @@ func (c *Cache) Snapshot() Metrics {
 	if c == nil {
 		return Metrics{}
 	}
-	return Metrics{
+	m := Metrics{
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
 		Coalesced:      c.coalesced.Load(),
-		Evictions:      c.evictions.Load(),
 		Bypasses:       c.bypasses.Load(),
 		IdentityHits:   c.identityHits.Load(),
 		IdentityMisses: c.identityMisses.Load(),
-		Entries:        c.Entries(),
-		Bytes:          c.Bytes(),
 		Budget:         c.budget,
 	}
+	for _, s := range c.shards {
+		u := s.Usage()
+		m.Entries += u.Entries
+		m.Bytes += u.Cost
+		m.Evictions += u.Evictions
+	}
+	return m
 }

@@ -44,10 +44,10 @@ type ParallelOptions struct {
 
 // ParallelDetail reports how a parallel prune was executed.
 type ParallelDetail struct {
-	// IndexNanos, PruneNanos and StitchNanos are the wall times of the
+	// IndexTime, PruneTime and StitchTime are the wall times of the
 	// structural-index stage, the parallel fragment stage, and the
 	// sequential spine/splice pass.
-	IndexNanos, PruneNanos, StitchNanos int64
+	IndexTime, PruneTime, StitchTime time.Duration
 	// Workers is the resolved worker count; Tasks the number of
 	// delegated content ranges.
 	Workers, Tasks int
@@ -143,7 +143,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 		Lookup:       proj.Syms.Lookup,
 		Collapse:     2 * target,
 	})
-	det.IndexNanos = time.Since(t0).Nanoseconds()
+	det.IndexTime = time.Since(t0)
 	if err != nil {
 		if errors.Is(err, index.ErrTokenTooLong) {
 			// Matches the serial scanner's cap, detected before any
@@ -161,7 +161,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 	if len(tasks) > 0 {
 		runTasks(data, d, proj, opts.Options, tasks, workers)
 	}
-	det.PruneNanos = time.Since(t1).Nanoseconds()
+	det.PruneTime = time.Since(t1)
 
 	t2 := time.Now()
 	pr := prunerPool.Get().(*pruner)
@@ -172,7 +172,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 		pr.sp = &spliceSet{tasks: tasks}
 	}
 	st, err := pr.finish(pr.run())
-	det.StitchNanos = time.Since(t2).Nanoseconds()
+	det.StitchTime = time.Since(t2)
 
 	for _, t := range tasks {
 		if t.res.sl != nil {

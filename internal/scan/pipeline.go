@@ -67,10 +67,10 @@ type PipelineOptions struct {
 
 // PipelineDetail reports how a pipelined prune was executed.
 type PipelineDetail struct {
-	// ReadNanos is time spent in src.Read; IndexNanos the incremental
-	// index+plan stage; PruneNanos the summed fragment-worker time;
-	// EmitNanos the spine's in-order splice-and-emit pass.
-	ReadNanos, IndexNanos, PruneNanos, EmitNanos int64
+	// ReadTime is time spent in src.Read; IndexTime the incremental
+	// index+plan stage; PruneTime the summed fragment-worker time;
+	// EmitTime the spine's in-order splice-and-emit pass.
+	ReadTime, IndexTime, PruneTime, EmitTime time.Duration
 	// Windows is the number of windows presented to the spine; Tasks
 	// the number of delegated content ranges; Workers the resolved
 	// worker count.
@@ -430,7 +430,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	pr.mode = modePipe
 
 	var err error
-	var emitNanos int64
+	var emit time.Duration
 	finished := false
 	for pw := range planCh {
 		pr.s.ResetBytesAt(pw.data, 0, len(pw.data))
@@ -448,7 +448,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		t0 := time.Now()
 		werr := pr.errOf(0, pr.runWindow())
 		pr.flushRuns() // nothing may point into the window's slab once it is recycled
-		emitNanos += time.Since(t0).Nanoseconds()
+		emit += time.Since(t0)
 		if werr == errPause {
 			werr = nil
 		}
@@ -494,10 +494,10 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	}
 	st, _ := pr.finish(nil)
 
-	det.ReadNanos = atomic.LoadInt64(&c.readNanos)
-	det.IndexNanos = atomic.LoadInt64(&c.idxNanos)
-	det.PruneNanos = atomic.LoadInt64(&c.pruneNanos)
-	det.EmitNanos = emitNanos
+	det.ReadTime = time.Duration(atomic.LoadInt64(&c.readNanos))
+	det.IndexTime = time.Duration(atomic.LoadInt64(&c.idxNanos))
+	det.PruneTime = time.Duration(atomic.LoadInt64(&c.pruneNanos))
+	det.EmitTime = emit
 	det.Windows = int(atomic.LoadInt64(&c.windows))
 	det.Tasks = int(atomic.LoadInt64(&c.tasks))
 	det.PeakWindowBytes = atomic.LoadInt64(&c.peak)

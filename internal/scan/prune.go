@@ -56,13 +56,32 @@ type Options struct {
 	MaxTokenSize int
 }
 
-// Stats mirrors the streaming pruner's counters (the prune package owns
-// the documented contract; BytesOut is counted by the caller's writer).
+// Stats reports what a streaming prune did.
 type Stats struct {
-	ElementsIn, ElementsOut      int64
-	TextIn, TextOut              int64
+	// ElementsIn / ElementsOut count element start tags read / elements
+	// written. ElementsIn includes the descendants of discarded subtrees:
+	// the pruner consumes their tokens (without materialising them) to
+	// find the matching end tag, so they are part of the input actually
+	// scanned.
+	ElementsIn, ElementsOut int64
+	// TextIn / TextOut count non-whitespace logical text nodes read /
+	// written. Consecutive character-data chunks (entity boundaries, CDATA
+	// sections) are coalesced into one logical text node before counting,
+	// mirroring the tree data model. TextIn includes text inside discarded
+	// subtrees.
+	TextIn, TextOut int64
+	// ElementsSkipped / TextSkipped count the elements and logical text
+	// nodes inside discarded subtrees (a subset of ElementsIn / TextIn;
+	// the discarded subtree's root element is not included — it was
+	// surfaced, and counted, before being discarded).
 	ElementsSkipped, TextSkipped int64
-	MaxDepth                     int
+	// BytesOut counts bytes written to the destination. This package
+	// leaves it zero: only the owner of the sink (internal/prune) can
+	// count it.
+	BytesOut int64
+	// MaxDepth is the deepest open-element stack observed — the streaming
+	// pruner's working set is proportional to this, not to the document.
+	MaxDepth int
 }
 
 // prunerPool recycles pruner state — the scanner's sliding buffer, the
@@ -118,7 +137,7 @@ func PruneGather(sl *SpanList, data []byte, d *dtd.DTD, proj *dtd.Projection, op
 	return pr.finish(pr.run())
 }
 
-// PruneMulti prunes in-memory input against every projector of a fused
+// PruneMultiGather prunes in-memory input against every projector of a fused
 // decision table in a single scanner pass. sls must hold one SpanList
 // per projector; each is Reset over data and receives that projector's
 // output, byte-identical to a PruneGather with the same projector
@@ -126,9 +145,9 @@ func PruneGather(sl *SpanList, data []byte, d *dtd.DTD, proj *dtd.Projection, op
 // projector j's own prune would have failed (its SpanList contents are
 // then meaningless), and stats[j] are that prune's counters. Like
 // PruneGather, MaxTokenSize is not enforced.
-func PruneMulti(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projection, opts Options) ([]Stats, []error) {
+func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projection, opts Options) ([]Stats, []error) {
 	if len(sls) != mp.N() {
-		panic("scan.PruneMulti: len(sls) != mp.N()")
+		panic("scan.PruneMultiGather: len(sls) != mp.N()")
 	}
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(data)

@@ -2,7 +2,6 @@ package xmlproj
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
@@ -57,29 +56,32 @@ func TestPruneMultiGatherMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPruneMultiWriters: each result of the gather form, flushed to a
+// writer, is the serial streaming prune's output, and BytesOut is what
+// was written.
 func TestPruneMultiWriters(t *testing.T) {
 	d, _ := apiSetup(t)
 	ps := multiAPIProjectors(t, d)
-	outs := make([]bytes.Buffer, len(ps))
-	dsts := make([]io.Writer, len(ps))
-	for j := range outs {
-		dsts[j] = &outs[j]
-	}
-	stats, errs := PruneMulti(dsts, strings.NewReader(apiDoc), ps, StreamOptions{})
+	results, errs := PruneMultiGather(ps, []byte(apiDoc), StreamOptions{})
 	for j, p := range ps {
 		if errs[j] != nil {
 			t.Fatalf("projector %d: %v", j, errs[j])
 		}
-		var want bytes.Buffer
+		var out, want bytes.Buffer
+		n, err := results[j].WriteTo(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := p.PruneStream(&want, strings.NewReader(apiDoc)); err != nil {
 			t.Fatal(err)
 		}
-		if outs[j].String() != want.String() {
-			t.Fatalf("projector %d output diverges\nmulti:  %q\nserial: %q", j, outs[j].String(), want.String())
+		if out.String() != want.String() {
+			t.Fatalf("projector %d output diverges\nmulti:  %q\nserial: %q", j, out.String(), want.String())
 		}
-		if stats[j].BytesOut != int64(outs[j].Len()) {
-			t.Fatalf("projector %d BytesOut = %d, wrote %d", j, stats[j].BytesOut, outs[j].Len())
+		if results[j].Stats.BytesOut != n || n != int64(out.Len()) {
+			t.Fatalf("projector %d BytesOut = %d, WriteTo = %d, wrote %d", j, results[j].Stats.BytesOut, n, out.Len())
 		}
+		results[j].Close()
 	}
 }
 

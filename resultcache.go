@@ -2,7 +2,6 @@ package xmlproj
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -143,29 +142,25 @@ func (eng *Engine) CachedLen(p *Projector, docDigest string, validate bool) (int
 	return entry.Len(), true
 }
 
-// PruneGather is Projector.PruneGather routed through the engine's
-// result cache: the document is digested, and a repeat (digest,
-// projector, validate) triple is served from cached bytes — byte
-// identical to a fresh prune — without scanning the document. Cold
-// triples prune once (concurrent duplicates coalesce onto one fill)
-// and leave a materialized copy behind, subject to the byte budget.
-// The caller must Close the result either way.
+// PruneGatherDigest is Projector.PruneGather routed through the
+// engine's result cache: a repeat (digest, projector, validate) triple
+// is served from cached bytes — byte identical to a fresh prune —
+// without scanning the document. Cold triples prune once (concurrent
+// duplicates coalesce onto one fill) and leave a materialized copy
+// behind, subject to the byte budget. The caller must Close the result
+// either way.
+//
+// docDigest is the document digest when already in hand (as returned by
+// DigestBytes), so callers that digested the body for ETag purposes
+// don't hash it twice; an empty or malformed digest is computed from
+// data instead.
 //
 // The cache is bypassed (info.Enabled false, plain prune) when the
-// engine has no cache, opts.NoResultCache is set, or the pipelined
-// engine is forced — pipelined semantics are about streaming bounded
-// windows, which an in-memory cached serve would misrepresent.
-func (eng *Engine) PruneGather(p *Projector, data []byte, opts StreamOptions) (*PruneResult, CacheInfo, error) {
-	return eng.PruneGatherDigest(p, data, "", opts)
-}
-
-// PruneGatherDigest is PruneGather with the document digest already in
-// hand (as returned by DigestBytes) so callers that digested the body
-// for ETag purposes don't hash it twice. An empty or malformed digest
-// is computed from data instead.
+// engine has no cache or the pipelined engine is forced — pipelined
+// semantics are about streaming bounded windows, which an in-memory
+// cached serve would misrepresent.
 func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string, opts StreamOptions) (*PruneResult, CacheInfo, error) {
-	c := eng.e.ResultCache()
-	if !c.Enabled() || opts.NoResultCache || opts.Engine == PrunePipelined {
+	if !eng.ResultCacheEnabled() || opts.Engine == PrunePipelined {
 		res, err := p.PruneGather(data, opts)
 		return res, CacheInfo{}, err
 	}
@@ -181,10 +176,10 @@ func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string
 	fp := p.resultFingerprint(opts.Validate)
 	info := CacheInfo{Enabled: true, Digest: dig.String(), ETag: etagOf(dig.String(), fp)}
 
-	proj := eng.e.ProjectionFor(p.d, p.pr.Names)
 	entry, g, st, hit, err := eng.e.CachedGather(rescache.Key{Doc: dig, Variant: fp}, func() (*prune.Gather, prune.Stats, error) {
+		// Only a miss needs the compiled projection.
 		popts := streamOptsOf(opts)
-		popts.Projection = proj
+		popts.Projection = eng.e.ProjectionFor(p.d, p.pr.Names)
 		return prune.StreamGather(data, p.d, p.pr.Names, popts)
 	})
 	if err != nil {
@@ -195,23 +190,4 @@ func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string
 		return &PruneResult{Stats: st, g: g}, info, nil
 	}
 	return &PruneResult{Stats: entry.Stats, cached: entry}, info, nil
-}
-
-// PruneBytes is Projector.PruneBytes routed through the engine's result
-// cache (see PruneGather for eligibility and semantics): the pruned
-// output is written to dst, from cached bytes on a hit.
-func (eng *Engine) PruneBytes(p *Projector, dst io.Writer, data []byte, opts StreamOptions) (PruneStats, CacheInfo, error) {
-	if !eng.ResultCacheEnabled() || opts.NoResultCache || opts.Engine == PrunePipelined {
-		st, err := p.PruneBytes(dst, data, opts)
-		return st, CacheInfo{}, err
-	}
-	res, info, err := eng.PruneGatherDigest(p, data, "", opts)
-	if err != nil {
-		return PruneStats{}, info, err
-	}
-	defer res.Close()
-	if _, werr := res.WriteTo(dst); werr != nil {
-		return res.Stats, info, werr
-	}
-	return res.Stats, info, nil
 }

@@ -60,7 +60,7 @@ func TestEnginePruneGatherCacheDifferential(t *testing.T) {
 				wantStats := fresh.Stats
 				fresh.Close()
 
-				cold, info, err := eng.PruneGather(p, []byte(doc), opts)
+				cold, info, err := eng.PruneGatherDigest(p, []byte(doc), "", opts)
 				if err != nil {
 					t.Fatalf("%s: cold cached prune: %v", label, err)
 				}
@@ -72,12 +72,16 @@ func TestEnginePruneGatherCacheDifferential(t *testing.T) {
 				}
 				cold.Close()
 
-				warm, winfo, err := eng.PruneGather(p, []byte(doc), opts)
+				compiled := eng.Metrics().ProjectionHits
+				warm, winfo, err := eng.PruneGatherDigest(p, []byte(doc), "", opts)
 				if err != nil {
 					t.Fatalf("%s: warm cached prune: %v", label, err)
 				}
 				if !winfo.Hit {
 					t.Fatalf("%s: warm prune missed the cache", label)
+				}
+				if got := eng.Metrics().ProjectionHits; got != compiled {
+					t.Fatalf("%s: a result-cache hit looked up the compiled projection (projection_hits %d -> %d)", label, compiled, got)
 				}
 				if winfo.ETag != info.ETag || winfo.Digest != info.Digest {
 					t.Fatalf("%s: unstable cache identity: %+v vs %+v", label, winfo, info)
@@ -100,8 +104,8 @@ func TestEnginePruneGatherCacheDifferential(t *testing.T) {
 	// no cross-variant hits.
 	m := eng.Metrics()
 	wantMisses := int64(len(docs) * 2 * 2)
-	if m.ResultMisses != wantMisses || m.ResultHits != wantMisses {
-		t.Fatalf("result cache hits=%d misses=%d, want %d each", m.ResultHits, m.ResultMisses, wantMisses)
+	if m.ResultCache.Misses != wantMisses || m.ResultCache.Hits != wantMisses {
+		t.Fatalf("result cache hits=%d misses=%d, want %d each", m.ResultCache.Hits, m.ResultCache.Misses, wantMisses)
 	}
 }
 
@@ -111,22 +115,22 @@ func TestEnginePruneGatherETags(t *testing.T) {
 	eng, _, pt, py := cacheEngineSetup(t)
 	data := []byte(apiDoc)
 
-	res, a, err := eng.PruneGather(pt, data, StreamOptions{})
+	res, a, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Close()
-	res, b, err := eng.PruneGather(py, data, StreamOptions{})
+	res, b, err := eng.PruneGatherDigest(py, data, "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Close()
-	res, c, err := eng.PruneGather(pt, data, StreamOptions{Validate: true})
+	res, c, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Close()
-	res, d, err := eng.PruneGather(pt, []byte(`<bib></bib>`), StreamOptions{})
+	res, d, err := eng.PruneGatherDigest(pt, []byte(`<bib></bib>`), "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,26 +165,18 @@ func TestEnginePruneGatherETags(t *testing.T) {
 		t.Fatalf("CachedLen accepted a malformed digest")
 	}
 	after := eng.Metrics()
-	if after.ResultHits != before.ResultHits || after.ResultMisses != before.ResultMisses {
+	if after.ResultCache.Hits != before.ResultCache.Hits || after.ResultCache.Misses != before.ResultCache.Misses {
 		t.Fatalf("CachedLen moved hit/miss counters: %+v -> %+v", before, after)
 	}
 }
 
-// TestEnginePruneGatherBypasses: NoResultCache and the pipelined engine
-// skip the cache entirely; a disabled engine never reports Enabled.
+// TestEnginePruneGatherBypasses: a forced pipelined engine skips the
+// cache entirely; a disabled engine never reports Enabled.
 func TestEnginePruneGatherBypasses(t *testing.T) {
 	eng, _, pt, _ := cacheEngineSetup(t)
 	data := []byte(apiDoc)
 
-	res, info, err := eng.PruneGather(pt, data, StreamOptions{NoResultCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
-	if info.Enabled {
-		t.Fatalf("NoResultCache still touched the cache: %+v", info)
-	}
-	res, info, err = eng.PruneGather(pt, data, StreamOptions{Engine: PrunePipelined})
+	res, info, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{Engine: PrunePipelined})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +184,7 @@ func TestEnginePruneGatherBypasses(t *testing.T) {
 	if info.Enabled {
 		t.Fatalf("forced pipelined engine touched the cache: %+v", info)
 	}
-	if m := eng.Metrics(); m.ResultMisses != 0 || m.ResultHits != 0 {
+	if m := eng.Metrics(); m.ResultCache.Misses != 0 || m.ResultCache.Hits != 0 {
 		t.Fatalf("bypassed prunes moved cache counters: %+v", m)
 	}
 
@@ -196,7 +192,7 @@ func TestEnginePruneGatherBypasses(t *testing.T) {
 	if off.ResultCacheEnabled() {
 		t.Fatalf("engine without ResultCacheBytes has a cache")
 	}
-	res, info, err = off.PruneGather(pt, data, StreamOptions{})
+	res, info, err = off.PruneGatherDigest(pt, data, "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,32 +205,37 @@ func TestEnginePruneGatherBypasses(t *testing.T) {
 	}
 }
 
-// TestEnginePruneBytesCached: the writer-facing wrapper serves warm
-// hits byte-identical to the projector's own PruneBytes.
+// TestEnginePruneBytesCached: a cached result flushed to a writer, cold
+// and warm, is byte-identical to the projector's own streaming prune of
+// the same bytes.
 func TestEnginePruneBytesCached(t *testing.T) {
 	eng, _, pt, _ := cacheEngineSetup(t)
 	data := []byte(apiDoc)
 
 	var want bytes.Buffer
-	wantStats, err := pt.PruneBytes(&want, data, StreamOptions{})
+	wantStats, err := pt.PruneStreamOpts(&want, bytes.NewReader(data), StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		var got bytes.Buffer
-		st, info, err := eng.PruneBytes(pt, &got, data, StreamOptions{})
+		res, info, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if _, err := res.WriteTo(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("round %d: output differs:\n got %q\nwant %q", i, got.Bytes(), want.Bytes())
 		}
-		if st != wantStats {
-			t.Fatalf("round %d: stats %+v != %+v", i, st, wantStats)
+		if res.Stats != wantStats {
+			t.Fatalf("round %d: stats %+v != %+v", i, res.Stats, wantStats)
 		}
 		if info.Hit != (i > 0) {
 			t.Fatalf("round %d: hit=%v", i, info.Hit)
 		}
+		res.Close()
 	}
 }
 
@@ -261,7 +262,7 @@ func TestEngineMultiGatherUnaffectedByResultCache(t *testing.T) {
 		serial.Close()
 		results[j].Close()
 	}
-	if m := eng.Metrics(); m.ResultHits != 0 || m.ResultMisses != 0 {
+	if m := eng.Metrics(); m.ResultCache.Hits != 0 || m.ResultCache.Misses != 0 {
 		t.Fatalf("multi-projector path touched the result cache: %+v", m)
 	}
 }
@@ -273,11 +274,11 @@ func TestPruneResultReleaseContract(t *testing.T) {
 	eng, _, pt, _ := cacheEngineSetup(t)
 	data := []byte(apiDoc)
 
-	cold, _, err := eng.PruneGather(pt, data, StreamOptions{})
+	cold, _, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, info, err := eng.PruneGather(pt, data, StreamOptions{})
+	warm, info, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

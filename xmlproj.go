@@ -447,19 +447,11 @@ type PruneStats = prune.Stats
 
 // PruneStream prunes the document read from src to dst in a single
 // bufferless pass with constant memory (§6). Subtrees of pruned elements
-// are skipped without being materialised.
+// are skipped without being materialised. It is PruneStreamOpts with the
+// zero options; StreamOptions.Validate fuses DTD validation with the
+// prune.
 func (p *Projector) PruneStream(dst io.Writer, src io.Reader) (PruneStats, error) {
-	return p.pruneStream(dst, src, false)
-}
-
-// PruneStreamValidating is PruneStream fused with DTD validation: the
-// kept part of the document is validated while it is pruned.
-func (p *Projector) PruneStreamValidating(dst io.Writer, src io.Reader) (PruneStats, error) {
-	return p.pruneStream(dst, src, true)
-}
-
-func (p *Projector) pruneStream(dst io.Writer, src io.Reader, validate bool) (PruneStats, error) {
-	return prune.Stream(dst, src, p.d, p.pr.Names, prune.StreamOptions{Validate: validate})
+	return p.PruneStreamOpts(dst, src, StreamOptions{})
 }
 
 // PruneEngine names the tokenizer behind a streaming prune. The zero
@@ -469,32 +461,17 @@ func (p *Projector) pruneStream(dst io.Writer, src io.Reader, validate bool) (Pr
 // for large in-memory input; the byte-level serial scanner otherwise.
 // Input must be UTF-8 — UTF-16/32 is rejected with an error that says
 // so; encoding/xml (PruneDecoder) runs only when forced, as the
-// reference implementation.
-type PruneEngine int
+// reference implementation. String returns the name servers and tools
+// log.
+type PruneEngine = prune.Engine
 
 const (
-	PruneAuto      PruneEngine = PruneEngine(prune.EngineAuto)
-	PruneScanner   PruneEngine = PruneEngine(prune.EngineScanner)
-	PruneDecoder   PruneEngine = PruneEngine(prune.EngineDecoder)
-	PruneParallel  PruneEngine = PruneEngine(prune.EngineParallel)
-	PrunePipelined PruneEngine = PruneEngine(prune.EnginePipelined)
+	PruneAuto      = prune.EngineAuto
+	PruneScanner   = prune.EngineScanner
+	PruneDecoder   = prune.EngineDecoder
+	PruneParallel  = prune.EngineParallel
+	PrunePipelined = prune.EnginePipelined
 )
-
-// String returns the engine's name as logged by servers and tools.
-func (e PruneEngine) String() string {
-	switch e {
-	case PruneScanner:
-		return "scanner"
-	case PruneDecoder:
-		return "decoder"
-	case PruneParallel:
-		return "parallel"
-	case PrunePipelined:
-		return "pipelined"
-	default:
-		return "auto"
-	}
-}
 
 // StreamOptions configures PruneStreamOpts. The zero value matches
 // PruneStream: no validation, auto-selected engine, default limits.
@@ -523,11 +500,6 @@ type StreamOptions struct {
 	Pipeline *PipelineStages
 	// Chosen, when non-nil, receives the engine that actually ran.
 	Chosen *PruneEngine
-	// NoResultCache bypasses the engine's content-addressed result cache
-	// for this call (Engine.PruneGather and friends): the document is
-	// digested and pruned fresh, and nothing is stored. It has no effect
-	// on plain Projector methods, which never touch the cache.
-	NoResultCache bool
 }
 
 // PruneStreamOpts is PruneStream with per-call options: validation,
@@ -536,15 +508,6 @@ type StreamOptions struct {
 // streams through the pruner safely.
 func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOptions) (PruneStats, error) {
 	return prune.Stream(dst, src, p.d, p.pr.Names, streamOptsOf(opts))
-}
-
-// PruneBytes is PruneStreamOpts over input that is already fully in
-// memory: the scanner tokenizes data in place, so the input side of
-// the prune copies nothing. Note MaxTokenSize is not enforced on the
-// in-memory scanner paths (len(data) already bounds memory); bound
-// such inputs by size.
-func (p *Projector) PruneBytes(dst io.Writer, data []byte, opts StreamOptions) (PruneStats, error) {
-	return prune.StreamBytes(dst, data, p.d, p.pr.Names, streamOptsOf(opts))
 }
 
 // PruneResult is the span-gather outcome of PruneGather: the pruned
@@ -687,19 +650,35 @@ const MaxFusedProjectors = dtd.MaxMultiProjections
 // (see the PruneResult release contract); data must stay alive and
 // unmodified until then.
 func PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*PruneResult, []error) {
+	results, errs, _ := pruneMultiGather(nil, ps, data, opts)
+	return results, errs
+}
+
+// pruneMultiGather is the body of both PruneMultiGather forms; a non-nil
+// eng supplies the compiled members and the fused table from its caches.
+func pruneMultiGather(eng *Engine, ps []*Projector, data []byte, opts StreamOptions) ([]*PruneResult, []error, bool) {
 	results := make([]*PruneResult, len(ps))
 	errs := make([]error, len(ps))
 	if len(ps) == 0 {
-		return results, errs
+		return results, errs, false
 	}
-	d, pis, err := multiProjectorSet(ps)
-	if err != nil {
-		for j := range errs {
-			errs[j] = err
+	d := ps[0].d
+	pis := make([]dtd.NameSet, len(ps))
+	for j, p := range ps {
+		if p.d != d {
+			for i := range errs {
+				errs[i] = fmt.Errorf("xmlproj: projector %d was inferred from a different DTD", j)
+			}
+			return results, errs, false
 		}
-		return results, errs
+		pis[j] = p.pr.Names
 	}
-	gathers, stats, gerrs := prune.StreamMultiGather(data, d, pis, multiOptsOf(opts))
+	mopts := prune.MultiOptions{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize, Ctx: opts.Context}
+	hit := false
+	if eng != nil {
+		mopts.Combined, mopts.Projections, hit = eng.e.MultiProjectionFor(d, pis)
+	}
+	gathers, stats, gerrs := prune.StreamMultiGather(data, d, pis, mopts)
 	for j := range ps {
 		if gerrs[j] != nil {
 			errs[j] = gerrs[j]
@@ -707,72 +686,20 @@ func PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*Prun
 		}
 		results[j] = &PruneResult{Stats: stats[j], g: gathers[j]}
 	}
-	return results, errs
+	return results, errs, hit
 }
 
-// PruneMulti is PruneMultiGather for streaming destinations: src is
-// materialised once, pruned against every projector in one shared scan,
-// and each projector's output is flushed to the matching writer. dsts
-// must align with ps; a nil writer skips the flush (the stats still
-// report the rendered size).
-func PruneMulti(dsts []io.Writer, src io.Reader, ps []*Projector, opts StreamOptions) ([]PruneStats, []error) {
-	if len(dsts) != len(ps) {
-		panic("xmlproj.PruneMulti: len(dsts) != len(ps)")
-	}
-	if len(ps) == 0 {
-		return nil, nil
-	}
-	d, pis, err := multiProjectorSet(ps)
-	if err != nil {
-		errs := make([]error, len(ps))
-		for j := range errs {
-			errs[j] = err
-		}
-		return make([]PruneStats, len(ps)), errs
-	}
-	return prune.StreamMulti(dsts, src, d, pis, multiOptsOf(opts))
-}
-
-// multiProjectorSet checks that every projector stems from one DTD and
-// extracts the name sets for the shared scan.
-func multiProjectorSet(ps []*Projector) (*dtd.DTD, []dtd.NameSet, error) {
-	d := ps[0].d
-	pis := make([]dtd.NameSet, len(ps))
-	for j, p := range ps {
-		if p.d != d {
-			return nil, nil, fmt.Errorf("xmlproj: projector %d was inferred from a different DTD", j)
-		}
-		pis[j] = p.pr.Names
-	}
-	return d, pis, nil
-}
-
-func multiOptsOf(opts StreamOptions) prune.MultiOptions {
-	return prune.MultiOptions{
-		Validate:     opts.Validate,
-		MaxTokenSize: opts.MaxTokenSize,
-		Ctx:          opts.Context,
-	}
-}
-
-// streamOptsOf converts public stream options. The out-params are
-// zeroed first: the prune only writes the one of the engine that ran.
+// streamOptsOf converts public stream options.
 func streamOptsOf(opts StreamOptions) prune.StreamOptions {
-	if opts.Detail != nil {
-		*opts.Detail = ParallelStages{}
-	}
-	if opts.Pipeline != nil {
-		*opts.Pipeline = PipelineStages{}
-	}
 	return prune.StreamOptions{
 		Validate:        opts.Validate,
-		Engine:          prune.Engine(opts.Engine),
+		Engine:          opts.Engine,
 		MaxTokenSize:    opts.MaxTokenSize,
 		ParallelWorkers: opts.IntraWorkers,
 		Ctx:             opts.Context,
 		Detail:          opts.Detail,
 		Pipeline:        opts.Pipeline,
-		Chosen:          (*prune.Engine)(opts.Chosen),
+		Chosen:          opts.Chosen,
 	}
 }
 

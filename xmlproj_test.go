@@ -148,11 +148,11 @@ func TestPruneStream(t *testing.T) {
 	}
 	// Fused validation accepts the valid document…
 	out.Reset()
-	if _, err := p.PruneStreamValidating(&out, strings.NewReader(apiDoc)); err != nil {
+	if _, err := p.PruneStreamOpts(&out, strings.NewReader(apiDoc), StreamOptions{Validate: true}); err != nil {
 		t.Fatal(err)
 	}
 	// …and rejects an invalid one.
-	if _, err := p.PruneStreamValidating(&out, strings.NewReader(`<bib><book/></bib>`)); err == nil {
+	if _, err := p.PruneStreamOpts(&out, strings.NewReader(`<bib><book/></bib>`), StreamOptions{Validate: true}); err == nil {
 		t.Fatal("invalid doc accepted by validating prune")
 	}
 }
