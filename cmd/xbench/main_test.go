@@ -25,3 +25,13 @@ func TestRunUnknownQuery(t *testing.T) {
 		t.Fatal("unknown query accepted")
 	}
 }
+
+// TestRunRemovedMode: the pruner micro-benchmark mode is gone (benchmark/
+// measures the same layers as rows of a traced run); its flag is unknown.
+func TestRunRemovedMode(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	err := run([]string{"-streamprune"}, &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -streamprune") {
+		t.Fatalf("-streamprune: err = %v, want an unknown-flag error", err)
+	}
+}

@@ -143,7 +143,8 @@ const parallelMinBytes, pipelineMinBytes = 4 << 20, 1 << 20
 // and spine, so w workers take at best 1.55/w of the serial time: 0.78
 // at w = 2, where a one-shot measured 3.4× slower once its cold index
 // memory counted (cli_large, 335 vs 99 ms). 4 is the smallest budget a
-// measurement shows winning (CI: speedup_pipelined ≥ 1.2).
+// measurement shows winning (CI, runners with ≥ 4 CPUs: pipelined.mb_s ≥
+// 1.2 × scan.reader_mb_s in one traced benchmark run).
 const concurrentMinWorkers = 4
 
 // chooseEngine is EngineAuto's one routing rule, for every entry point.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -61,16 +60,18 @@ func (h *histogram) snapshot() map[string]any {
 
 // metrics are the server's own counters, alongside the engine's.
 type metrics struct {
-	// requests counts every /prune request received; the outcome
-	// counters below partition the finished ones.
+	// requests counts every prune request received (POST and HEAD /prune,
+	// POST /multiprune). The seven outcome counters below partition the
+	// finished ones: exchange.done bumps exactly one, chosen by outcome,
+	// and observes latency once.
 	requests      atomic.Int64
-	ok            atomic.Int64
-	badRequests   atomic.Int64 // malformed request: unknown schema, bad query, wrong method
+	ok            atomic.Int64 // any 2xx, or 304
+	badRequests   atomic.Int64 // malformed request: unknown schema, bad query, missing header
 	rejectedBusy  atomic.Int64 // admission control said no (429)
 	rejectedLarge atomic.Int64 // body over the size limit (413)
 	timeouts      atomic.Int64 // request deadline passed mid-prune (408)
 	pruneFailures atomic.Int64 // the document itself failed to prune (422)
-	clientGone    atomic.Int64 // client disconnected mid-request
+	clientGone    atomic.Int64 // client disconnected or cut its upload short (499)
 	gatherPrunes  atomic.Int64 // requests served by the span-gather path
 	inFlight      atomic.Int64 // prunes currently holding an admission slot
 
@@ -103,6 +104,27 @@ type metrics struct {
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
 	latency  histogram
+}
+
+// outcome is the one counter a request that finished with status lands
+// in.
+func (m *metrics) outcome(status int) *atomic.Int64 {
+	switch {
+	case status < 400:
+		return &m.ok
+	case status == http.StatusRequestEntityTooLarge:
+		return &m.rejectedLarge
+	case status == http.StatusTooManyRequests:
+		return &m.rejectedBusy
+	case status == http.StatusRequestTimeout:
+		return &m.timeouts
+	case status == http.StatusUnprocessableEntity:
+		return &m.pruneFailures
+	case status == statusClientGone:
+		return &m.clientGone
+	default:
+		return &m.badRequests
+	}
 }
 
 // raise lifts a high-water gauge to v if v is larger (lock-free max).
@@ -159,8 +181,5 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"intra_workers":    s.intraWorkers,
 		},
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(vars)
+	writeJSON(w, vars)
 }

@@ -1,16 +1,12 @@
 package server
 
 import (
-	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"mime/multipart"
 	"net/http"
 	"net/textproto"
 	"strconv"
 	"strings"
-	"time"
 
 	"xmlproj"
 )
@@ -25,119 +21,56 @@ import (
 // carry X-Prune-Error. Verdicts are per projector — one projector's
 // validation failure does not disturb the others' output.
 func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.Add(1)
+	x := s.begin(w, r)
+	defer x.done()
 	s.m.multiRequests.Add(1)
 
-	nps, errStatus, errMsg := s.resolveMulti(r)
+	nps, status, msg := s.resolveMulti(r)
 	if nps == nil {
-		s.m.badRequests.Add(1)
-		http.Error(w, errMsg, errStatus)
-		s.logRequest(r, errStatus, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New(errMsg))
+		x.reject(status, msg)
 		return
 	}
 	s.m.multiFanout.Add(int64(len(nps)))
-
-	if s.maxBody > 0 && r.ContentLength > s.maxBody {
-		s.m.rejectedLarge.Add(1)
-		http.Error(w, fmt.Sprintf("request body %d bytes exceeds limit %d", r.ContentLength, s.maxBody), http.StatusRequestEntityTooLarge)
-		s.logRequest(r, http.StatusRequestEntityTooLarge, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New("content-length over limit"))
+	if !x.admit() {
 		return
-	}
-
-	if !s.admit(r.Context()) {
-		s.m.rejectedBusy.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "server at concurrency limit", http.StatusTooManyRequests)
-		s.logRequest(r, http.StatusTooManyRequests, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New("admission rejected"))
-		return
-	}
-	defer func() { <-s.sem }()
-	s.m.inFlight.Add(1)
-	defer s.m.inFlight.Add(-1)
-
-	ctx := r.Context()
-	var rc *http.ResponseController
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-		rc = http.NewResponseController(w)
-		deadline := time.Now().Add(s.opts.RequestTimeout)
-		_ = rc.SetReadDeadline(deadline)
-		_ = rc.SetWriteDeadline(deadline)
 	}
 
 	// The shared scan tokenizes in place, so the body is buffered whole
 	// (bounded by MaxBodyBytes) — the multi path is the span-gather path.
-	var src = r.Body
-	if s.maxBody > 0 {
-		src = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	body := &meteredBody{r: src, size: r.ContentLength}
-	buf := gatherBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if body.size > 0 {
-		buf.Grow(int(body.size))
-	}
-	_, rerr := buf.ReadFrom(body)
-
-	var results []*xmlproj.PruneResult
-	var errs []error
-	if rerr == nil {
-		ps := make([]*xmlproj.Projector, len(nps))
-		for j, np := range nps {
-			ps[j] = np.p
-		}
-		var hit bool
-		results, errs, hit = s.eng.PruneMultiGather(ps, buf.Bytes(), xmlproj.StreamOptions{
-			Validate:     nps[0].validate,
-			MaxTokenSize: s.opts.MaxTokenSize,
-			Context:      ctx,
-		})
-		if hit {
-			s.m.multiTableHits.Add(1)
-		} else {
-			s.m.multiTableMisses.Add(1)
-		}
-	}
-	elapsed := time.Since(start)
-
-	if rc != nil {
-		_ = rc.SetReadDeadline(time.Time{})
-		_ = rc.SetWriteDeadline(time.Time{})
-	}
-
-	if rerr != nil {
-		status := s.classifyPruneErr(rerr)
-		http.Error(w, rerr.Error(), status)
-		if buf.Cap() <= maxPooledGatherBuf {
-			gatherBufPool.Put(buf)
-		}
-		s.m.bytesIn.Add(body.n)
-		s.m.latency.observe(elapsed)
-		s.logRequest(r, status, body.n, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, elapsed, "", rerr)
+	data := x.readBody()
+	if x.err != nil {
 		return
 	}
+	ps := make([]*xmlproj.Projector, len(nps))
+	for j, np := range nps {
+		ps[j] = np.p
+	}
+	results, errs, hit := s.eng.PruneMultiGather(ps, data, x.streamOptions(nps[0].validate))
+	if hit {
+		s.m.multiTableHits.Add(1)
+	} else {
+		s.m.multiTableMisses.Add(1)
+	}
+	x.disarm()
 
+	// The shared scan prunes N projections in one pass; its outputs are
+	// interleaved with the scan, so the result cache never covers it.
+	if s.eng.ResultCacheEnabled() {
+		x.cache = "bypass"
+	}
 	// Per-projector verdicts ride in the parts, so the response itself is
-	// 200 even when some (or all) projectors failed on this document.
-	mw := multipart.NewWriter(w)
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	var bytesOut int64
-	var firstErr error
-	failed := 0
+	// 200 even when some (or all) projectors failed on this document; the
+	// first failure is the request's outcome in the log and the counters.
+	x.perPart = true
+	mw := multipart.NewWriter(&x.w)
+	x.w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
 	for j, np := range nps {
 		h := make(textproto.MIMEHeader)
-		h.Set("X-Projection", np.label)
+		h.Set("X-Projection", np.name)
 		if errs[j] != nil {
 			h.Set("X-Prune-Error", errs[j].Error())
-			if firstErr == nil {
-				firstErr = errs[j]
-			}
-			failed++
 			mw.CreatePart(h)
-			s.recordMultiPart(0, xmlproj.PruneStats{}, errs[j])
+			x.recordPart(0, xmlproj.PruneStats{}, errs[j])
 			continue
 		}
 		res := results[j]
@@ -154,55 +87,28 @@ func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
 		// document was read once, however many projectors shared the scan.
 		in := int64(0)
 		if j == 0 {
-			in = body.n
+			in = x.body.n
 		}
-		s.recordMultiPart(in, res.Stats, perr)
-		bytesOut += res.Stats.BytesOut
+		x.recordPart(in, res.Stats, perr)
 		res.Close()
 		if perr != nil {
 			// The client stopped draining mid-part; nothing more can be
 			// delivered.
-			if firstErr == nil {
-				firstErr = perr
-			}
 			break
 		}
 	}
 	mw.Close()
-	// Close released the gather lists referencing buf; it may be reused.
-	if buf.Cap() <= maxPooledGatherBuf {
-		gatherBufPool.Put(buf)
-	}
-
-	s.m.bytesIn.Add(body.n)
-	s.m.bytesOut.Add(bytesOut)
-	s.m.latency.observe(elapsed)
-	if failed == 0 && firstErr == nil {
-		s.m.ok.Add(1)
-	} else if firstErr != nil {
-		s.classifyPruneErr(firstErr)
-	}
-	// The shared scan prunes N projections in one pass; its outputs are
-	// interleaved with the scan, so the result cache never covers it.
-	cacheAttr := ""
-	if s.eng.ResultCacheEnabled() {
-		cacheAttr = "bypass"
-	}
-	s.logRequest(r, http.StatusOK, body.n, bytesOut, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, elapsed, cacheAttr, firstErr)
 }
 
-// recordMultiPart credits one projector's share of a multiprune into the
-// engine counters, with the usual outcome classification.
-func (s *Server) recordMultiPart(bytesIn int64, stats xmlproj.PruneStats, err error) {
-	s.eng.RecordPrune(bytesIn, stats, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, err)
-}
-
-// multiProjection is one member of a multiprune set: a resolved
-// projector plus the label its response part carries.
-type multiProjection struct {
-	label    string
-	validate bool
-	p        *xmlproj.Projector
+// recordPart credits one projector's share of a multiprune into the
+// engine counters (with the usual outcome classification) and into the
+// request's outcome.
+func (x *exchange) recordPart(bytesIn int64, stats xmlproj.PruneStats, err error) {
+	x.s.eng.RecordPrune(bytesIn, stats, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, err)
+	x.stats.BytesOut += stats.BytesOut
+	if err != nil && x.err == nil {
+		x.err = err
+	}
 }
 
 // resolveMulti maps the request to an ordered projector list: repeated
@@ -210,9 +116,9 @@ type multiProjection struct {
 // (queries separated by ';'), or both — named projections first, then
 // specs, all against one schema. A nil return carries the HTTP status
 // and message.
-func (s *Server) resolveMulti(r *http.Request) ([]*multiProjection, int, string) {
+func (s *Server) resolveMulti(r *http.Request) ([]*namedProjection, int, string) {
 	q := r.URL.Query()
-	var out []*multiProjection
+	var out []*namedProjection
 	schema := q.Get("schema")
 	validate := q.Get("validate") == "1" || q.Get("validate") == "true"
 
@@ -226,11 +132,12 @@ func (s *Server) resolveMulti(r *http.Request) ([]*multiProjection, int, string)
 		} else if np.schema != schema {
 			return nil, http.StatusBadRequest, fmt.Sprintf("projection %q is for schema %q, request uses %q — one multiprune shares one scan, so one schema", name, np.schema, schema)
 		}
-		v := np.validate
-		if q.Has("validate") {
-			v = validate
+		if q.Has("validate") && validate != np.validate {
+			cp := *np
+			cp.validate = validate
+			np = &cp
 		}
-		out = append(out, &multiProjection{label: name, validate: v, p: np.p})
+		out = append(out, np)
 	}
 
 	specs := q["proj"]
@@ -253,7 +160,7 @@ func (s *Server) resolveMulti(r *http.Request) ([]*multiProjection, int, string)
 			if err != nil {
 				return nil, http.StatusBadRequest, fmt.Sprintf("proj %d: %v", i, err)
 			}
-			out = append(out, &multiProjection{label: fmt.Sprintf("proj%d", i), validate: validate, p: p})
+			out = append(out, &namedProjection{name: fmt.Sprintf("proj%d", i), validate: validate, p: p})
 		}
 	}
 

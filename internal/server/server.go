@@ -23,22 +23,16 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"xmlproj"
@@ -116,9 +110,12 @@ type Server struct {
 	m            metrics
 }
 
-// namedProjection is a projector precompiled at startup, addressable by
-// name so hot workloads skip query compilation entirely.
+// namedProjection is a resolved projector: one precompiled at startup,
+// addressable by name so hot workloads skip query compilation entirely,
+// or one a request spelled out (/multiprune names those proj0, proj1, …
+// in its parts).
 type namedProjection struct {
+	name     string
 	schema   string
 	queries  []string
 	validate bool
@@ -202,7 +199,7 @@ func (s *Server) AddProjection(name, schema string, validate bool, queries ...st
 	if err != nil {
 		return fmt.Errorf("server: projection %q: %w", name, err)
 	}
-	s.projections[name] = &namedProjection{schema: schema, queries: queries, validate: validate, p: p}
+	s.projections[name] = &namedProjection{name: name, schema: schema, queries: queries, validate: validate, p: p}
 	return nil
 }
 
@@ -315,33 +312,16 @@ func etagMatch(ifNoneMatch, etag string) bool {
 	return false
 }
 
-// statusClientGone is nginx's non-standard "client closed request";
-// nothing can be delivered, the code only exists for logs and metrics.
-const statusClientGone = 499
-
-// isTimeout reports whether err is an i/o timeout from the armed
-// connection read deadline (as opposed to the request context's
-// deadline, which errors.Is catches directly).
-func isTimeout(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 // handlePrune streams the request body through the pruner and the
 // pruned document back. The serial path holds O(depth) state, never the
 // document.
 func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.Add(1)
+	x := s.begin(w, r)
+	defer x.done()
 
-	np, errStatus, errMsg := s.resolve(r)
+	np, status, msg := s.resolve(r)
 	if np == nil {
-		s.m.badRequests.Add(1)
-		http.Error(w, errMsg, errStatus)
-		s.logRequest(r, errStatus, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New(errMsg))
+		x.reject(status, msg)
 		return
 	}
 
@@ -351,132 +331,60 @@ func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
 	// exact document bytes, so the match is as strong as re-digesting.
 	if dig := r.Header.Get(headerDocDigest); dig != "" {
 		if etag := s.eng.ResultETag(np.p, dig, np.validate); etagMatch(r.Header.Get("If-None-Match"), etag) {
-			s.m.cache304.Add(1)
-			w.Header().Set("ETag", etag)
-			w.Header().Set(headerDocDigest, dig)
-			w.Header().Set(headerXCache, "HIT")
-			w.WriteHeader(http.StatusNotModified)
-			s.logRequest(r, http.StatusNotModified, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "revalidated", nil)
+			x.notModified(etag, dig)
 			return
 		}
 	}
 
-	if s.maxBody > 0 && r.ContentLength > s.maxBody {
-		s.m.rejectedLarge.Add(1)
-		http.Error(w, fmt.Sprintf("request body %d bytes exceeds limit %d", r.ContentLength, s.maxBody), http.StatusRequestEntityTooLarge)
-		s.logRequest(r, http.StatusRequestEntityTooLarge, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New("content-length over limit"))
+	if !x.admit() {
 		return
 	}
-
-	if !s.admit(r.Context()) {
-		s.m.rejectedBusy.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "server at concurrency limit", http.StatusTooManyRequests)
-		s.logRequest(r, http.StatusTooManyRequests, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New("admission rejected"))
-		return
+	if s.maxGather > 0 && x.body.size > 0 && x.body.size <= s.maxGather {
+		s.pruneGathered(x, np)
+	} else {
+		s.pruneStreamed(x, np)
 	}
-	defer func() { <-s.sem }()
-	s.m.inFlight.Add(1)
-	defer s.m.inFlight.Add(-1)
+}
 
-	ctx := r.Context()
-	var rc *http.ResponseController
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-		// The context only gates the gaps between reads; a read already
-		// blocked on a stalled body can outlive it. Arm the connection
-		// deadlines too, so a blocked read (or a write to a client that
-		// stopped draining) fails with an i/o timeout.
-		rc = http.NewResponseController(w)
-		deadline := time.Now().Add(s.opts.RequestTimeout)
-		_ = rc.SetReadDeadline(deadline)
-		_ = rc.SetWriteDeadline(deadline)
-	}
-
-	var src io.Reader = r.Body
-	if s.maxBody > 0 {
-		src = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	body := &meteredBody{r: src, size: r.ContentLength}
-
-	if s.maxGather > 0 && body.size > 0 && body.size <= s.maxGather {
-		s.pruneGathered(w, r, np, body, ctx, rc, start)
-		return
-	}
-
-	// The pruner writes while the body is still arriving. Without full
-	// duplex, net/http discards what is unread of the body at the first
-	// flush and the prune ends early on a read error. A writer that
-	// cannot do it (HTTP/2, a recorder) never needed it.
-	_ = http.NewResponseController(w).EnableFullDuplex()
+// pruneStreamed serves a large or unsized body: the pruner writes while
+// the body is still arriving, and nothing is buffered whole.
+func (s *Server) pruneStreamed(x *exchange, np *namedProjection) {
+	// Without full duplex, net/http discards what is unread of the body
+	// at the first flush and the prune ends early on a read error. A
+	// writer that cannot do it (HTTP/2, a recorder) never needed it.
+	_ = http.NewResponseController(&x.w).EnableFullDuplex()
 
 	// Headers must be final before the first body byte: declare the
 	// error trailer now, since a mid-stream failure can no longer change
 	// the status code.
-	w.Header().Set("Content-Type", "application/xml")
-	w.Header().Set("Trailer", errorTrailer)
+	h := x.w.Header()
+	h.Set("Content-Type", "application/xml")
+	h.Set("Trailer", errorTrailer)
 	// The streaming path never holds the whole document, so there is
 	// nothing to digest or cache — say so explicitly, so clients can tell
 	// a bypass from a cache-disabled server.
-	cacheAttr := ""
 	if s.eng.ResultCacheEnabled() {
-		w.Header().Set(headerXCache, "BYPASS")
-		cacheAttr = "bypass"
+		h.Set(headerXCache, "BYPASS")
+		x.cache = "bypass"
 	}
 
-	cw := &countingResponseWriter{rw: w}
-	// Stream the pruned bytes out as they are produced: both the scanner
-	// and the pipelined engine (auto-selected here at a worker budget of
-	// at least 4) emit long before the document ends, so flushing after
-	// each pruner write gives the client a first byte while the rest is
-	// still being read and pruned.
-	var dst io.Writer = cw
-	if f, ok := w.(http.Flusher); ok {
-		dst = &flushWriter{w: cw, f: f}
+	// Push each pruner write through to the client: both the scanner and
+	// the pipelined engine (auto-selected here at a worker budget of at
+	// least 4) emit long before the document ends, so this is a real
+	// time-to-first-byte win. The pruner writes through a bufio layer, so
+	// the flush cost is per window, not per token.
+	x.w.flush, _ = x.w.ResponseWriter.(http.Flusher)
+	x.stats, x.err = np.p.PruneStreamOpts(&x.w, &x.body, x.streamOptions(np.validate))
+	switch {
+	case x.err == nil:
+	case x.w.code != 0:
+		// Bytes are out; the only channel left is the trailer.
+		h.Set(errorTrailer, x.err.Error())
+	default:
+		// Nothing is out yet: done sends a clean error status.
+		h.Del("Trailer")
 	}
-	var det xmlproj.ParallelStages
-	var pdet xmlproj.PipelineStages
-	chosen := xmlproj.PruneAuto
-	stats, err := np.p.PruneStreamOpts(dst, body, xmlproj.StreamOptions{
-		Validate:     np.validate,
-		MaxTokenSize: s.opts.MaxTokenSize,
-		IntraWorkers: s.intraWorkers,
-		Context:      ctx,
-		Detail:       &det,
-		Pipeline:     &pdet,
-		Chosen:       &chosen,
-	})
-	elapsed := time.Since(start)
-
-	if rc != nil {
-		// Clear the prune deadlines so the error response (written after
-		// an expired deadline) still reaches the client.
-		_ = rc.SetReadDeadline(time.Time{})
-		_ = rc.SetWriteDeadline(time.Time{})
-	}
-
-	status := http.StatusOK
-	if err != nil {
-		status = s.classifyPruneErr(err)
-		if cw.wrote {
-			// Bytes are out; the only channel left is the trailer.
-			w.Header().Set(errorTrailer, err.Error())
-		} else {
-			w.Header().Del("Trailer")
-			http.Error(w, err.Error(), status)
-		}
-	}
-	s.finish(r, status, body, stats, chosen, det, pdet, elapsed, cacheAttr, err)
 }
-
-// gatherBufPool recycles the request-body buffers of the span-gather
-// path; maxPooledGatherBuf keeps an occasional huge body (a raised
-// MaxGatherBytes) from pinning its buffer in the pool forever.
-var gatherBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledGatherBuf = DefaultMaxGatherBytes
 
 // pruneGathered serves a body of known, bounded length on the
 // span-gather path: the body is buffered once, pruned with zero output
@@ -484,100 +392,43 @@ const maxPooledGatherBuf = DefaultMaxGatherBytes
 // the response carries a real Content-Length. Because nothing is
 // written before the prune finishes, errors get a clean pre-write
 // status — no trailer.
-func (s *Server) pruneGathered(w http.ResponseWriter, r *http.Request, np *namedProjection, body *meteredBody, ctx context.Context, rc *http.ResponseController, start time.Time) {
-	buf := gatherBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Grow(int(body.size))
-	_, err := buf.ReadFrom(body)
+func (s *Server) pruneGathered(x *exchange, np *namedProjection) {
+	data := x.readBody()
+	if x.err != nil {
+		return
+	}
+	// The body is in hand and digested (an empty digest and ETag when the
+	// result cache is off); if the client already holds exactly this
+	// pruned entity, skip the prune and send nothing back.
+	digest, _ := s.eng.DigestBytes(data)
+	if etag := s.eng.ResultETag(np.p, digest, np.validate); etagMatch(x.r.Header.Get("If-None-Match"), etag) {
+		x.notModified(etag, digest)
+		return
+	}
+	res, info, err := s.eng.PruneGatherDigest(np.p, data, digest, x.streamOptions(np.validate))
+	if err != nil {
+		x.err = err
+		return
+	}
+	// The gather result references the request buffer until Close.
+	defer res.Close()
+	x.stats = res.Stats
+	x.disarm()
 
-	var det xmlproj.ParallelStages
-	chosen := xmlproj.PruneAuto
-	var stats xmlproj.PruneStats
-	var res *xmlproj.PruneResult
-	var info xmlproj.CacheInfo
-	var notModified bool
-	if err == nil {
-		sopts := xmlproj.StreamOptions{
-			Validate:     np.validate,
-			MaxTokenSize: s.opts.MaxTokenSize,
-			IntraWorkers: s.intraWorkers,
-			Context:      ctx,
-			Detail:       &det,
-			Chosen:       &chosen,
-		}
-		if digest, ok := s.eng.DigestBytes(buf.Bytes()); ok {
-			// The body is in hand and digested; if the client already
-			// holds exactly this pruned entity, skip the prune and send
-			// nothing back.
-			etag := s.eng.ResultETag(np.p, digest, np.validate)
-			if etagMatch(r.Header.Get("If-None-Match"), etag) {
-				notModified = true
-				info = xmlproj.CacheInfo{Enabled: true, Hit: true, Digest: digest, ETag: etag}
-			} else {
-				res, info, err = s.eng.PruneGatherDigest(np.p, buf.Bytes(), digest, sopts)
-			}
+	s.m.gatherPrunes.Add(1)
+	if info.Enabled {
+		x.entity(info.ETag, info.Digest, info.Hit)
+		if info.Hit {
+			s.m.cacheHits.Add(1)
 		} else {
-			res, err = np.p.PruneGather(buf.Bytes(), sopts)
-		}
-		if res != nil {
-			stats = res.Stats
+			s.m.cacheMisses.Add(1)
 		}
 	}
-	elapsed := time.Since(start)
-
-	if rc != nil {
-		// Clear the prune deadlines so the response (possibly written
-		// after an expired deadline) still reaches the client.
-		_ = rc.SetReadDeadline(time.Time{})
-		_ = rc.SetWriteDeadline(time.Time{})
-	}
-
-	cacheAttr := ""
-	status := http.StatusOK
-	switch {
-	case err != nil:
-		status = s.classifyPruneErr(err)
-		http.Error(w, err.Error(), status)
-	case notModified:
-		s.m.cache304.Add(1)
-		status = http.StatusNotModified
-		w.Header().Set("ETag", info.ETag)
-		w.Header().Set(headerDocDigest, info.Digest)
-		w.Header().Set(headerXCache, "HIT")
-		w.WriteHeader(status)
-		cacheAttr = "revalidated"
-	default:
-		s.m.gatherPrunes.Add(1)
-		if info.Enabled {
-			w.Header().Set("ETag", info.ETag)
-			w.Header().Set(headerDocDigest, info.Digest)
-			if info.Hit {
-				s.m.cacheHits.Add(1)
-				w.Header().Set(headerXCache, "HIT")
-				cacheAttr = "hit"
-			} else {
-				s.m.cacheMisses.Add(1)
-				w.Header().Set(headerXCache, "MISS")
-				cacheAttr = "miss"
-			}
-		}
-		w.Header().Set("Content-Type", "application/xml")
-		w.Header().Set("Content-Length", strconv.FormatInt(res.Len(), 10))
-		if _, werr := res.WriteTo(w); werr != nil {
-			// The status line is out; record the failure for logs and
-			// metrics. A write error here means the client stopped
-			// reading, so classify accordingly.
-			err = werr
-			status = s.classifyPruneErr(werr)
-		}
-		res.Close()
-	}
-	// The gather result referenced buf until Close; only now may the
-	// buffer be reused.
-	if buf.Cap() <= maxPooledGatherBuf {
-		gatherBufPool.Put(buf)
-	}
-	s.finish(r, status, body, stats, chosen, det, xmlproj.PipelineStages{}, elapsed, cacheAttr, err)
+	x.w.Header().Set("Content-Type", "application/xml")
+	x.w.Header().Set("Content-Length", strconv.FormatInt(res.Len(), 10))
+	// A write error means the client stopped reading. The status line is
+	// out; done records the failure for logs and metrics.
+	_, x.err = res.WriteTo(&x.w)
 }
 
 // handlePruneHead answers HEAD /prune from the result cache alone: no
@@ -588,93 +439,37 @@ func (s *Server) pruneGathered(w http.ResponseWriter, r *http.Request, np *named
 // its Content-Length. With If-None-Match it degenerates to a pure
 // revalidation probe (304 on match).
 func (s *Server) handlePruneHead(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.Add(1)
+	x := s.begin(w, r)
+	defer x.done()
 	s.m.cacheHead.Add(1)
 
-	np, errStatus, errMsg := s.resolve(r)
+	np, status, msg := s.resolve(r)
 	if np == nil {
-		s.m.badRequests.Add(1)
-		http.Error(w, errMsg, errStatus)
-		s.logRequest(r, errStatus, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New(errMsg))
+		x.reject(status, msg)
 		return
 	}
 	dig := r.Header.Get(headerDocDigest)
-	var msg string
 	switch {
 	case !s.eng.ResultCacheEnabled():
-		msg = "HEAD /prune needs the result cache, which is disabled"
+		x.reject(http.StatusBadRequest, "HEAD /prune needs the result cache, which is disabled")
+		return
 	case dig == "":
-		msg = "HEAD /prune needs an " + headerDocDigest + " header (as returned by a prior POST /prune)"
-	}
-	if msg != "" {
-		s.m.badRequests.Add(1)
-		http.Error(w, msg, http.StatusBadRequest)
-		s.logRequest(r, http.StatusBadRequest, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), "", errors.New(msg))
+		x.reject(http.StatusBadRequest, "HEAD /prune needs an "+headerDocDigest+" header (as returned by a prior POST /prune)")
 		return
 	}
 
 	etag := s.eng.ResultETag(np.p, dig, np.validate)
-	w.Header().Set("ETag", etag)
-	w.Header().Set(headerDocDigest, dig)
-	status := http.StatusOK
-	var cacheAttr string
-	switch {
-	case etagMatch(r.Header.Get("If-None-Match"), etag):
-		s.m.cache304.Add(1)
-		status = http.StatusNotModified
-		w.Header().Set(headerXCache, "HIT")
-		cacheAttr = "revalidated"
-	default:
-		if n, ok := s.eng.CachedLen(np.p, dig, np.validate); ok {
-			w.Header().Set(headerXCache, "HIT")
-			w.Header().Set("Content-Type", "application/xml")
-			w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-			cacheAttr = "hit"
-		} else {
-			w.Header().Set(headerXCache, "MISS")
-			cacheAttr = "miss"
-		}
+	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+		x.notModified(etag, dig)
+		return
 	}
-	w.WriteHeader(status)
-	s.m.ok.Add(1)
-	s.logRequest(r, status, 0, 0, xmlproj.PruneAuto, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, time.Since(start), cacheAttr, nil)
-}
-
-// classifyPruneErr maps a failed prune (or body read) to its HTTP
-// status, bumping the matching outcome counter.
-func (s *Server) classifyPruneErr(err error) int {
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		s.m.rejectedLarge.Add(1)
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, context.DeadlineExceeded), isTimeout(err):
-		s.m.timeouts.Add(1)
-		return http.StatusRequestTimeout
-	case errors.Is(err, context.Canceled):
-		s.m.clientGone.Add(1)
-		return statusClientGone
-	default:
-		s.m.pruneFailures.Add(1)
-		return http.StatusUnprocessableEntity
+	n, cached := s.eng.CachedLen(np.p, dig, np.validate)
+	x.entity(etag, dig, cached)
+	if cached {
+		x.w.Header().Set("Content-Type", "application/xml")
+		x.w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	}
-}
-
-// finish records the request's metrics and log line.
-func (s *Server) finish(r *http.Request, status int, body *meteredBody, stats xmlproj.PruneStats, chosen xmlproj.PruneEngine, det xmlproj.ParallelStages, pdet xmlproj.PipelineStages, elapsed time.Duration, cache string, err error) {
-	s.m.bytesIn.Add(body.n)
-	s.m.bytesOut.Add(stats.BytesOut)
-	s.m.latency.observe(elapsed)
-	if pdet.Workers > 0 {
-		s.m.pipelinedPrunes.Add(1)
-		raise(&s.m.peakWindowBytes, pdet.PeakWindowBytes)
-	}
-	s.eng.RecordPrune(body.n, stats, det, pdet, err)
-	if err == nil {
-		s.m.ok.Add(1)
-	}
-	s.logRequest(r, status, body.n, stats.BytesOut, chosen, det, pdet, elapsed, cache, err)
+	x.w.WriteHeader(http.StatusOK)
 }
 
 // resolve maps the request to a projector: either a precompiled named
@@ -714,138 +509,9 @@ func (s *Server) resolve(r *http.Request) (*namedProjection, int, string) {
 	return &namedProjection{schema: schema, queries: queries, validate: validate, p: p}, 0, ""
 }
 
-// admit takes an admission slot, waiting up to AdmissionWait. It
-// reports false when the server is at its concurrency limit (or the
-// client gave up while queued).
-func (s *Server) admit(ctx context.Context) bool {
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	default:
-	}
-	if s.opts.AdmissionWait <= 0 {
-		return false
-	}
-	t := time.NewTimer(s.opts.AdmissionWait)
-	defer t.Stop()
-	select {
-	case s.sem <- struct{}{}:
-		return true
-	case <-t.C:
-		return false
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// logRequest emits the per-request structured record. cache is the
-// result-cache outcome ("hit", "miss", "bypass", "revalidated"; empty
-// when the cache played no part).
-func (s *Server) logRequest(r *http.Request, status int, bytesIn, bytesOut int64, eng xmlproj.PruneEngine, det xmlproj.ParallelStages, pdet xmlproj.PipelineStages, elapsed time.Duration, cache string, err error) {
-	attrs := []any{
-		"method", r.Method,
-		"path", r.URL.Path,
-		"query", r.URL.RawQuery,
-		"remote", r.RemoteAddr,
-		"status", status,
-		"bytes_in", bytesIn,
-		"bytes_out", bytesOut,
-		"engine", eng.String(),
-		"elapsed", elapsed,
-	}
-	if cache != "" {
-		attrs = append(attrs, "cache", cache)
-	}
-	if det.Workers > 0 {
-		attrs = append(attrs,
-			"intra_workers", det.Workers,
-			"intra_tasks", det.Tasks,
-			"index_time", det.IndexTime,
-			"prune_time", det.PruneTime,
-			"stitch_time", det.StitchTime,
-			"intra_fallback", det.Fallback,
-		)
-	}
-	if pdet.Workers > 0 {
-		attrs = append(attrs,
-			"pipeline_workers", pdet.Workers,
-			"pipeline_windows", pdet.Windows,
-			"pipeline_tasks", pdet.Tasks,
-			"peak_window_bytes", pdet.PeakWindowBytes,
-			"pipeline_fallback", pdet.Fallback,
-		)
-	}
-	if err != nil {
-		attrs = append(attrs, "err", err.Error())
-		s.log.Warn("prune", attrs...)
-		return
-	}
-	s.log.Info("prune", attrs...)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// meteredBody counts bytes read and forwards the declared request size
-// so engine auto-selection can consider the parallel pruner for large
-// uploads of known length.
-type meteredBody struct {
-	r    io.Reader
-	n    int64
-	size int64 // Content-Length; <= 0 means unknown
-}
-
-func (b *meteredBody) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	b.n += int64(n)
-	return n, err
-}
-
-// InputSize implements prune.Sizer: the unread remainder of a body of
-// declared length.
-func (b *meteredBody) InputSize() (int64, bool) {
-	if b.size <= 0 {
-		return 0, false
-	}
-	return b.size - b.n, true
-}
-
-// flushWriter pushes each pruner write through to the client: the
-// streaming path's output arrives in window-sized bursts long before
-// the document ends (the pipelined engine emits windows as they are
-// pruned), and flushing per write turns that into a real
-// time-to-first-byte win instead of buffering until net/http feels
-// like it. The pruner writes through a bufio layer, so writes here are
-// already batched — the flush cost is per window, not per token.
-type flushWriter struct {
-	w io.Writer
-	f http.Flusher
-}
-
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	if n > 0 {
-		fw.f.Flush()
-	}
-	return n, err
-}
-
-// countingResponseWriter counts body bytes and records whether the
-// response has started, which decides between a clean error status and
-// the trailer path.
-type countingResponseWriter struct {
-	rw    http.ResponseWriter
-	n     int64
-	wrote bool
-}
-
-func (w *countingResponseWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	n, err := w.rw.Write(p)
-	w.n += int64(n)
-	return n, err
 }
