@@ -14,7 +14,12 @@
 //	  'http://localhost:8080/prune?projection=people'
 //
 // POST /prune streams the body through the one-pass pruner and streams
-// the pruned document back. GET /debug/vars exports engine and server
+// the pruned document back. With validate=1 the document is validated
+// against the schema and checked for well-formedness throughout, and
+// anything wrong with it is a 422; without, the prune guarantees
+// well-formedness where the projection keeps and balanced tags where it
+// discards — a bad name, attribute, entity or character inside a
+// discarded subtree is not seen. GET /debug/vars exports engine and server
 // counters; pprof lives on the loopback-only admin listener. On SIGTERM
 // the server stops accepting work and drains in-flight prunes.
 package main

@@ -57,11 +57,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	show := fs.Bool("show", false, "print the inferred projector and exit")
 	saveProj := fs.String("save-projector", "", "also write the inferred projector to this file")
 	loadProj := fs.String("load-projector", "", "skip inference and load a projector previously saved with -save-projector")
-	validateFlag := fs.Bool("validate", false, "validate while pruning")
+	validateFlag := fs.Bool("validate", false, "validate against the DTD while pruning, and check the whole document for well-formedness; without it the subtrees the projector discards are only checked for balanced tags")
 	materialize := fs.Bool("materialize", true, "keep full subtrees of result nodes")
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")
-	intra := fs.Int("intra", 0, "intra-document parallel pruning workers; >0 forces the parallel pruner with that many; 0 = auto, which goes concurrent only for documents of at least 4 MiB (pipes: 1 MiB or unsized) and a worker budget (GOMAXPROCS / -jobs) of at least 4")
+	intra := fs.Int("intra", 0, "intra-document parallel pruning workers; >0 forces the parallel pruner with that many; 0 = auto, which goes concurrent only with -validate, for documents of at least 4 MiB (pipes: 1 MiB or unsized) and a worker budget (GOMAXPROCS / -jobs) of at least 4")
 	resultCache := fs.Int64("result-cache", xmlproj.DefaultResultCacheBytes, "byte budget for the content-addressed result cache: duplicate documents in a batch are pruned once and served from cache (0 or negative = disabled)")
 	var queries, ins, projSpecs stringList
 	fs.Var(&queries, "q", "query (XPath or XQuery); repeatable")

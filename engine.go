@@ -128,14 +128,16 @@ type BatchOptions struct {
 	// Workers bounds the pool for this batch; zero uses the engine
 	// default.
 	Workers int
-	// Validate fuses DTD validation with each prune.
+	// Validate fuses DTD validation with each prune and checks each whole
+	// document for well-formedness (see StreamOptions.Validate).
 	Validate bool
 	// FailFast cancels the remaining jobs after the first failure;
 	// otherwise the batch keeps going and reports every error.
 	FailFast bool
 	// Parallel forces the intra-document parallel pruner for every job.
 	// When false it is still auto-selected per job for large inputs of
-	// known size when the job's worker budget is at least 4.
+	// known size when the job validates and its worker budget is at
+	// least 4.
 	Parallel bool
 	// IntraWorkers bounds the parallel pruner's concurrency within one
 	// document (0 means GOMAXPROCS). Batches mixing inter-document and

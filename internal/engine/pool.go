@@ -44,7 +44,7 @@ type JobResult struct {
 	// Pipeline holds the per-stage timings of a pipelined streaming
 	// prune; Pipeline.Workers == 0 means the pipelined engine did not
 	// run. Auto-selection picks it for unsized (or large sized) reader
-	// sources when the job's worker budget is at least 4.
+	// sources when the job validates and its worker budget is at least 4.
 	Pipeline prune.PipelineDetail
 	// Err is nil on success. Jobs skipped after cancellation (fail-fast
 	// or a cancelled context) carry the context error.
@@ -71,8 +71,9 @@ type BatchOptions struct {
 	// Otherwise the batch keeps going and reports every error.
 	FailFast bool
 	// Engine selects the pruner per job; the zero value (EngineAuto)
-	// uses the serial scanner unless the input is large or unsized and
-	// IntraWorkers is at least 4 (prune.chooseEngine).
+	// uses the serial scanner unless the input is large or unsized,
+	// Validate is set and IntraWorkers is at least 4
+	// (prune.chooseEngine).
 	Engine prune.Engine
 	// IntraWorkers bounds the parallel pruner's workers within one
 	// document. Zero budgets automatically: each job gets

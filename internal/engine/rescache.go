@@ -15,10 +15,11 @@ func (e *Engine) ResultCache() *rescache.Cache { return e.results }
 // another's fill) it returns the shared immutable entry with g == nil.
 // On a miss the caller's fill runs: the returned g is the live pooled
 // Gather — the caller keeps zero-copy ownership and must Close it —
-// while the cache retains its own materialized copy (made here, at
-// insert time, so pool reuse can never alias cached bytes). Outputs
-// larger than a shard's budget are returned but not cached, and a
-// caller that coalesced onto such a fill re-runs fill privately.
+// while the cache retains its own materialized copy (made inside
+// GetOrFill, and only if it does not hold those bytes already, so pool
+// reuse can never alias cached bytes). Outputs larger than a shard's
+// budget are returned but not cached, and a caller that coalesced onto
+// such a fill re-runs fill privately.
 //
 // With the cache disabled this degenerates to calling fill.
 func (e *Engine) CachedGather(key rescache.Key, fill func() (*prune.Gather, prune.Stats, error)) (entry *rescache.Entry, g *prune.Gather, stats prune.Stats, hit bool, err error) {
@@ -35,7 +36,7 @@ func (e *Engine) CachedGather(key rescache.Key, fill func() (*prune.Gather, prun
 		if !e.results.Cacheable(gg.Len()) {
 			return nil, nil
 		}
-		return rescache.NewEntry(gg.AppendTo(make([]byte, 0, gg.Len())), st), nil
+		return rescache.NewGatherEntry(gg, st), nil
 	})
 	switch {
 	case err != nil:

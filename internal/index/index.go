@@ -248,8 +248,10 @@ func scanChunk(data []byte, from, to int, out []Entry, opts Options) ([]Entry, i
 			break
 		}
 		off := pos + j
-		e, ok := classifyAt(data, off)
-		if !ok {
+		// Most tags fold away, so symbols are resolved once folding is
+		// done (stitch).
+		e, st := entryAt(data, off)
+		if st != OK {
 			return out, off
 		}
 		if opts.MaxTokenSize > 0 && (j > opts.MaxTokenSize || e.End-off > opts.MaxTokenSize) {
@@ -274,162 +276,6 @@ func scanChunk(data []byte, from, to int, out []Entry, opts Options) ([]Entry, i
 		out = append(out, e)
 	}
 	return out, -1
-}
-
-// classifyAt classifies the construct starting at the structural '<' at
-// data[off]. It is context-free: the result depends only on bytes from
-// off forward. ok is false when the construct cannot be classified
-// (unterminated, '<' inside the tag or a quoted value, malformed name
-// start handled permissively — see below). The batch index does not
-// care why classification failed; the streaming indexer does, so the
-// guts live in classifyStream (stream.go) and this wrapper collapses
-// its tri-state result. Sym is left at -1: most tags fold away, so
-// the batch index resolves symbols once folding is done (resolveSyms).
-func classifyAt(data []byte, off int) (Entry, bool) {
-	e, st := classifyStream(data, off, nil)
-	return e, st == streamOK
-}
-
-// classifyEndTag scans "</name ... >". Malformed interiors still get an
-// extent (the first '>'): the fragment that re-tokenizes the region
-// reports the precise serial error.
-func classifyEndTag(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, streamStatus) {
-	e := Entry{Off: off, Sym: -1, Kind: End}
-	k := bytes.IndexByte(data[off:], '>')
-	if k < 0 {
-		return e, streamNeedMore
-	}
-	e.End = off + k + 1
-	e.Sym = symOf(data[off+2:off+k], lookup)
-	return e, streamOK
-}
-
-// classifyStartTag scans "<name attr='...' ...>" respecting quotes ('>'
-// is legal inside a quoted attribute value). A '<' inside the tag —
-// quoted or not — is malformed: the serial scanner is guaranteed to
-// error at that byte with no later input needed, which is what lets the
-// streaming indexer distinguish it from a tag merely cut short by a
-// window boundary (streamNeedMore).
-func classifyStartTag(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, streamStatus) {
-	e := Entry{Off: off, Sym: -1, Kind: Start}
-	i := off + 1
-	for i < len(data) {
-		switch c := data[i]; c {
-		case '>':
-			e.End = i + 1
-			if data[i-1] == '/' {
-				e.Kind = StartEmpty
-			}
-			e.Sym = symOf(data[off+1:i], lookup)
-			return e, streamOK
-		case '"', '\'':
-			k := bytes.IndexByte(data[i+1:], c)
-			if k < 0 {
-				return e, streamNeedMore
-			}
-			if bytes.IndexByte(data[i+1:i+1+k], '<') >= 0 {
-				return e, streamMalformed
-			}
-			i += k + 2
-		case '<':
-			return e, streamMalformed
-		default:
-			i++
-		}
-	}
-	return e, streamNeedMore
-}
-
-// classifyDirective scans a "<!DOCTYPE ...>"-style directive with the
-// serial scanner's rules: quoted angle brackets ignored, nested <...>
-// groups tracked by depth, comments inside skipped.
-func classifyDirective(data []byte, off int) (Entry, streamStatus) {
-	e := Entry{Off: off, Sym: -1, Kind: Directive}
-	inquote := byte(0)
-	depth := 0
-	i := off + 2 // past "<!"; the first byte after is uninterpreted
-	for i < len(data) {
-		b := data[i]
-		i++
-		if inquote == 0 && b == '>' && depth == 0 {
-			e.End = i
-			return e, streamOK
-		}
-		switch {
-		case b == inquote:
-			inquote = 0
-		case inquote != 0:
-		case b == '\'' || b == '"':
-			inquote = b
-		case b == '>' && depth > 0:
-			depth--
-		case b == '<':
-			if bytes.HasPrefix(data[i:], []byte("!--")) {
-				k := bytes.Index(data[i+3:], []byte("-->"))
-				if k < 0 {
-					return e, streamNeedMore
-				}
-				i += 3 + k + 3
-			} else {
-				depth++
-			}
-		}
-	}
-	return e, streamNeedMore
-}
-
-// symOf resolves the tag name b begins with to its DTD symbol, -1 when
-// there is no lookup or the name is not declared.
-func symOf(b []byte, lookup func([]byte) (int32, bool)) int32 {
-	if lookup != nil {
-		if local := localOf(nameAt(b)); len(local) > 0 {
-			if sym, ok := lookup(local); ok {
-				return sym
-			}
-		}
-	}
-	return -1
-}
-
-// nameAt returns the leading XML-name byte run of b (the tag name).
-func nameAt(b []byte) []byte {
-	i := 0
-	for i < len(b) && isNameByte(b[i]) {
-		i++
-	}
-	return b[:i]
-}
-
-// localOf strips a single namespace prefix, mirroring scan.splitName's
-// accepted shape; names it would reject return nil (Sym stays -1).
-func localOf(name []byte) []byte {
-	first := -1
-	n := 0
-	for i, c := range name {
-		if c == ':' {
-			if first < 0 {
-				first = i
-			}
-			n++
-		}
-	}
-	if n > 1 {
-		return nil
-	}
-	if n == 1 && first > 0 && first < len(name)-1 {
-		return name[first+1:]
-	}
-	return name
-}
-
-// isNameByte mirrors scan.isNameByte: single-byte characters allowed
-// inside names, with multi-byte runes accepted permissively.
-func isNameByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' ||
-		'a' <= c && c <= 'z' ||
-		'0' <= c && c <= '9' ||
-		c == '_' || c == ':' || c == '.' || c == '-' ||
-		c >= 0x80
 }
 
 // stitch merges the per-chunk speculative entries into ix.Entries,
@@ -561,8 +407,8 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 				cursor = len(data)
 				break
 			}
-			e, ok := classifyAt(data, cursor+j)
-			if !ok {
+			e, st := entryAt(data, cursor+j)
+			if st != OK {
 				return fmt.Errorf("%w: unclassifiable construct at byte %d", ErrStructure, cursor+j)
 			}
 			if err := accept(e); err != nil {
@@ -580,19 +426,9 @@ func (ix *Index) stitch(data []byte, chunks [][]Entry, anoms []int, chunkSize in
 	if ix.RootStart < 0 || !rootClosed {
 		return fmt.Errorf("%w: no root element", ErrStructure)
 	}
-	ix.resolveSyms(data, opts.Lookup)
-	return nil
-}
-
-// resolveSyms sets Sym on the tag entries that survived folding, so the
-// lookup runs once per cut point and not once per tag.
-func (ix *Index) resolveSyms(data []byte, lookup func([]byte) (int32, bool)) {
+	// The lookup runs once per cut point, not once per tag.
 	for i := range ix.Entries {
-		switch e := &ix.Entries[i]; e.Kind {
-		case Start, StartEmpty, Element:
-			e.Sym = symOf(data[e.Off+1:], lookup)
-		case End:
-			e.Sym = symOf(data[e.Off+2:], lookup)
-		}
+		ix.Entries[i].resolveSym(data, opts.Lookup)
 	}
+	return nil
 }

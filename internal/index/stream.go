@@ -11,81 +11,17 @@ package index
 // straddles one.
 //
 // Classification is the same speculative, context-free routine Build
-// uses, refactored into a tri-state form: a construct is complete
-// (streamOK), needs bytes beyond the window (streamNeedMore — retry
-// when more input arrives), or is malformed in a way the serial
-// scanner is guaranteed to error at within the bytes already seen
-// (streamMalformed — a '<' inside a start tag, quoted or bare). Only
-// the malformed case kills a window: the caller stops delegating and
-// lets the spine pruner reproduce the exact serial error.
+// uses (Classify): a construct is complete (OK), needs bytes beyond the
+// window (NeedMore — retry when more input arrives), or is malformed in
+// a way the serial scanner is guaranteed to error at within the bytes
+// already seen (Malformed). Only the malformed case kills a window: the
+// caller stops delegating and lets the spine pruner reproduce the exact
+// serial error.
 
 import (
 	"bytes"
 	"fmt"
 )
-
-// streamStatus is the tri-state result of classifying one construct
-// against a bounded window.
-type streamStatus uint8
-
-const (
-	// streamOK: the construct is complete within the window.
-	streamOK streamStatus = iota
-	// streamNeedMore: the construct extends past the window; retry with
-	// more bytes.
-	streamNeedMore
-	// streamMalformed: the serial scanner is guaranteed to reject the
-	// construct using only the bytes already seen ('<' inside a start
-	// tag, bare or inside a closed quoted value).
-	streamMalformed
-)
-
-// classifyStream classifies the construct starting at the structural
-// '<' at data[off], like classifyAt but distinguishing "incomplete"
-// from "malformed". It is context-free: the result depends only on
-// bytes from off forward.
-func classifyStream(data []byte, off int, lookup func([]byte) (int32, bool)) (Entry, streamStatus) {
-	e := Entry{Off: off, Sym: -1}
-	rest := data[off+1:]
-	if len(rest) == 0 {
-		return e, streamNeedMore
-	}
-	switch rest[0] {
-	case '/':
-		return classifyEndTag(data, off, lookup)
-	case '?':
-		// PI: ends at the first "?>".
-		k := bytes.Index(rest[1:], []byte("?>"))
-		if k < 0 {
-			return e, streamNeedMore
-		}
-		e.Kind = PI
-		e.End = off + 2 + k + 2
-		return e, streamOK
-	case '!':
-		if bytes.HasPrefix(rest, []byte("!--")) {
-			k := bytes.Index(rest[3:], []byte("-->"))
-			if k < 0 {
-				return e, streamNeedMore
-			}
-			e.Kind = Comment
-			e.End = off + 4 + k + 3
-			return e, streamOK
-		}
-		if bytes.HasPrefix(rest, []byte("![CDATA[")) {
-			k := bytes.Index(rest[8:], []byte("]]>"))
-			if k < 0 {
-				return e, streamNeedMore
-			}
-			e.Kind = CDATA
-			e.End = off + 9 + k + 3
-			return e, streamOK
-		}
-		return classifyDirective(data, off)
-	default:
-		return classifyStartTag(data, off, lookup)
-	}
-}
 
 // StreamIndexer builds a structural index incrementally, one window at
 // a time. Windows must be presented in document order, each beginning
@@ -156,11 +92,11 @@ func (si *StreamIndexer) Window(data []byte) Window {
 			break
 		}
 		j += pos
-		e, st := classifyStream(data, j, si.Lookup)
-		if st == streamNeedMore {
+		e, st := entryAt(data, j)
+		if st == NeedMore {
 			break
 		}
-		if st == streamMalformed {
+		if st == Malformed {
 			si.dead = true
 			w.Dead = true
 			break
@@ -179,6 +115,7 @@ func (si *StreamIndexer) Window(data []byte) Window {
 				break
 			}
 		}
+		e.resolveSym(data, si.Lookup)
 		e.Depth = si.depth
 		switch e.Kind {
 		case Start:

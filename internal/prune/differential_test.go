@@ -15,9 +15,17 @@ import (
 )
 
 // The byte-level scanner (EngineScanner) is differentially tested
-// against the encoding/xml path (EngineDecoder): on every input where
-// both succeed they must produce byte-identical output and identical
-// stats, and any input rejected by one must be rejected by the other.
+// against the encoding/xml path (EngineDecoder). With Validate, on every
+// input where both succeed they must produce byte-identical output and
+// identical stats, and any input rejected by one must be rejected by the
+// other. Without it the scanner only balances the subtrees π discards
+// (scan/skip.go), and the contract is three properties: (i) whatever the
+// decoder accepts the scanner accepts, with identical bytes and stats;
+// (ii) the level is never the stricter one — what it rejects, the
+// decoder and the validating scanner reject; (iii) every engine and
+// every fused projector equals the serial scanner in bytes, stats and
+// verdict. (iii) is what every engine comparison below asserts at both
+// levels; checkOracle asserts the rest.
 //
 // One documented divergence is excluded: the scanner matches end tags
 // by literal prefix, while encoding/xml matches them by resolved
@@ -84,17 +92,59 @@ func checkGather(t *testing.T, label, src string, d *dtd.DTD, pi dtd.NameSet, op
 	}
 }
 
+// checkOracle holds one serial-scanner result to the decoder: verdict,
+// bytes and stats with Validate, properties (i) and (ii) without.
+func checkOracle(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool, sout string, sst Stats, serr error) {
+	t.Helper()
+	var db strings.Builder
+	dst, derr := Stream(&db, strings.NewReader(src), d, pi, StreamOptions{Validate: validate, Engine: EngineDecoder})
+	switch {
+	case validate && (serr == nil) != (derr == nil):
+		t.Fatalf("engines disagree on acceptance (validate=true)\nscanner: %v\ndecoder: %v\ninput: %q", serr, derr, src)
+	case serr != nil && derr == nil:
+		t.Fatalf("scanner rejects what the decoder accepts (validate=false)\nscanner: %v\ninput: %q", serr, src)
+	case serr != nil && !validate:
+		if _, verr := Stream(io.Discard, strings.NewReader(src), d, pi, StreamOptions{Validate: true, Engine: EngineScanner}); verr == nil {
+			t.Fatalf("scanner without Validate is the stricter level: it rejects (%v) what Validate accepts\ninput: %q", serr, src)
+		}
+	}
+	if serr != nil || derr != nil {
+		return
+	}
+	if sout != db.String() {
+		t.Fatalf("engines disagree on output (validate=%v, π=%s)\nscanner: %q\ndecoder: %q\ninput:   %q",
+			validate, pi, sout, db.String(), src)
+	}
+	if sst != dst {
+		t.Fatalf("engines disagree on stats (validate=%v, π=%s)\nscanner: %+v\ndecoder: %+v\ninput: %q",
+			validate, pi, sst, dst, src)
+	}
+}
+
+// checkSources runs the serial scanner from its other sources —
+// resident bytes, and a reader whose refills land inside every
+// construct — and requires the result a plain reader gave.
+func checkSources(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool, sout string, sst Stats, serr error) {
+	t.Helper()
+	sopts := StreamOptions{Validate: validate, Engine: EngineScanner}
+	var bb, ob strings.Builder
+	bst, berr := StreamBytes(&bb, []byte(src), d, pi, sopts)
+	ost, oerr := Stream(&ob, oneByteAtATime{strings.NewReader(src)}, d, pi, sopts)
+	if (serr == nil) != (berr == nil) || (serr == nil) != (oerr == nil) ||
+		serr == nil && (bb.String() != sout || ob.String() != sout || bst != sst || ost != sst) {
+		t.Fatalf("scanner sources disagree (validate=%v)\nreader:   %q %+v %v\nbytes:    %q %+v %v\none-byte: %q %+v %v\ninput: %q",
+			validate, sout, sst, serr, bb.String(), bst, berr, ob.String(), ost, oerr, src)
+	}
+}
+
 func runBoth(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool) {
 	t.Helper()
-	var sb, db strings.Builder
+	var sb strings.Builder
 	sst, serr := Stream(&sb, strings.NewReader(src), d, pi, StreamOptions{Validate: validate, Engine: EngineScanner})
-	dst, derr := Stream(&db, strings.NewReader(src), d, pi, StreamOptions{Validate: validate, Engine: EngineDecoder})
-	if (serr == nil) != (derr == nil) {
-		t.Fatalf("engines disagree on acceptance (validate=%v)\nscanner: %v\ndecoder: %v\ninput: %q",
-			validate, serr, derr, src)
-	}
+	checkOracle(t, src, d, pi, validate, sb.String(), sst, serr)
 	checkGather(t, "serial", src, d, pi,
 		StreamOptions{Validate: validate, Engine: EngineScanner}, serr == nil, sb.String(), sst)
+	checkSources(t, src, d, pi, validate, sb.String(), sst, serr)
 	for _, popts := range parallelVariants {
 		popts.Validate = validate
 		var pb strings.Builder
@@ -136,17 +186,6 @@ func runBoth(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool
 				validate, popts.ParallelWorkers, sst, pst, src)
 		}
 	}
-	if serr != nil {
-		return
-	}
-	if sb.String() != db.String() {
-		t.Fatalf("engines disagree on output (validate=%v, π=%s)\nscanner: %q\ndecoder: %q\ninput:   %q",
-			validate, pi, sb.String(), db.String(), src)
-	}
-	if sst != dst {
-		t.Fatalf("engines disagree on stats (validate=%v, π=%s)\nscanner: %+v\ndecoder: %+v\ninput: %q",
-			validate, pi, sst, dst, src)
-	}
 }
 
 var fixedBibDocs []string
@@ -173,6 +212,9 @@ func init() {
 		// spans at every boundary.
 		`<bib><book isbn="&#49;"><title>&lt;a&gt;&amp;b</title><author>A&#x41;B</author><year>&#50;</year></book></bib>`,
 		`<bib><book isbn="1"><title>r</title><author>a&amp;<![CDATA[&]]>&lt;</author></book><book isbn="2"><title>raw2</title><author>plain</author></book></bib>`,
+		// Every construct the structural skip streams past once a refill
+		// cuts it short, with its terminator's bytes scattered inside.
+		`<bib><book isbn="1"><title>T</title><author>A</author><year>1<!e "a>b" <n <!-- > --> '>' > x><!---->-<![CDATA[]]]]>]<?p ?? >?></year></book></bib>`,
 	}
 }
 
@@ -223,6 +265,67 @@ func TestScannerMatchesDecoderOnXMark(t *testing.T) {
 		pi := randomProjector(d, rng, 5+rng.Intn(40))
 		runBoth(t, doc, d, pi, false)
 		runBoth(t, doc, d, pi, true)
+	}
+}
+
+// insideDiscard holds one document per check that Validate decides
+// inside a discarded subtree, each malformed only inside <year>, which
+// the projectors below discard. lax says whether a prune without
+// Validate accepts it; with Validate every one is rejected.
+var insideDiscard = []struct {
+	name, year string
+	lax        bool
+}{
+	{"bad name", `<year><9x/></year>`, true},
+	{"attribute without =", `<year><y a/></year>`, true},
+	{"undefined entity", `<year>&nosuch;</year>`, true},
+	{"illegal character", "<year>\x01</year>", true},
+	{"invalid UTF-8", "<year>\xff</year>", true},
+	{"]]> in text", `<year>]]></year>`, true},
+	{"-- in a comment", `<year><!-- a -- b --></year>`, true},
+	{"mismatched inner end tag", `<year><a>x</b></year>`, true},
+	{"unterminated comment", `<year><!-- x</year>`, false},
+	{"EOF inside", `<year><a>`, false},
+	{"< in an attribute value", `<year><a x="<"/></year>`, false},
+	{"closed by the wrong name", `<year>1</yeer>`, false},
+}
+
+func insideDiscardDoc(year string) string {
+	if strings.HasSuffix(year, "<a>") { // "EOF inside": the input ends there
+		return `<bib><book isbn="1"><title>T</title><author>A</author>` + year
+	}
+	return `<bib><book isbn="1"><title>T</title><author>A</author>` + year + `</book><book isbn="2"><title>U</title><author>B</author></book></bib>`
+}
+
+// TestValidateLevelsInsideDiscard: the twelve documents are accepted or
+// rejected as listed, by name, at each level — identically by every
+// engine, every source and every fused projector (runBoth, checkMulti).
+func TestValidateLevelsInsideDiscard(t *testing.T) {
+	d := mustDTD(t)
+	// The first two discard <year> itself, the last one <book> around it
+	// — there the wrong name closes an inner element, and is not seen.
+	pis := []dtd.NameSet{
+		dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn"),
+		dtd.NewNameSet("bib", "book", "title", "title#text"),
+		dtd.NewNameSet("bib"),
+	}
+	for _, c := range insideDiscard {
+		t.Run(c.name, func(t *testing.T) {
+			doc := insideDiscardDoc(c.year)
+			for _, validate := range []bool{false, true} {
+				for _, pi := range pis[:2] {
+					_, err := Stream(io.Discard, strings.NewReader(doc), d, pi, StreamOptions{Validate: validate, Engine: EngineScanner})
+					if want := c.lax && !validate; (err == nil) != want {
+						t.Fatalf("validate=%v π=%s: accepted=%v, want %v (%v)\ninput: %q", validate, pi, err == nil, want, err, doc)
+					}
+				}
+				for _, pi := range pis {
+					runBoth(t, doc, d, pi, validate)
+				}
+				// Fused with a projector that keeps <year>, and so reads it.
+				checkMulti(t, c.name, []byte(doc), d, append(pis[:len(pis):len(pis)], multiBibPis[0]), validate)
+			}
+		})
 	}
 }
 
@@ -599,6 +702,12 @@ func FuzzStreamDifferential(f *testing.F) {
 	// between raw input spans and synthesized escape-buffer bytes.
 	f.Add(`<bib><book isbn="&#49;"><title>&lt;t&gt;</title><author>A&amp;B</author></book></bib>`, uint16(5))
 	f.Add(`<bib><book isbn="1"><title>raw</title><author><![CDATA[&]]>&#x42;</author></book></bib>`, uint16(12))
+	// One document per check that Validate decides inside a discarded
+	// subtree (π drops <year>), and one per check that stays.
+	for i, c := range insideDiscard {
+		f.Add(insideDiscardDoc(c.year), uint16(i))
+	}
+	f.Add(fixedBibDocs[len(fixedBibDocs)-1], uint16(7))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
 		// End tags are matched by resolved namespace in encoding/xml but
 		// by literal prefix in the scanner; inputs that bind prefixes are
@@ -606,16 +715,15 @@ func FuzzStreamDifferential(f *testing.F) {
 		if strings.Contains(src, "xmlns") {
 			t.Skip()
 		}
-		var sb, db strings.Builder
+		// Without Validate: properties (i) and (ii) against the decoder.
+		var sb strings.Builder
 		sst, serr := Stream(&sb, strings.NewReader(src), d, pi, StreamOptions{Engine: EngineScanner})
-		dst, derr := Stream(&db, strings.NewReader(src), d, pi, StreamOptions{Engine: EngineDecoder})
-		if (serr == nil) != (derr == nil) {
-			t.Fatalf("engines disagree on acceptance\nscanner: %v\ndecoder: %v", serr, derr)
-		}
+		checkOracle(t, src, d, pi, false, sb.String(), sst, serr)
+		checkSources(t, src, d, pi, false, sb.String(), sst, serr)
 		// The shared-scan multi-pruner must agree per projector with
 		// serial gathers on whatever the fuzzer found — verdicts, bytes
-		// and stats, with and without validation — and, both being the one
-		// automaton, each serial gather with the decoder oracle.
+		// and stats, with and without validation (without, a projector
+		// must not inherit an error from a region only another one reads).
 		mpis := []dtd.NameSet{
 			pi,
 			dtd.NewNameSet("bib", "book", "title", "title#text"),
@@ -672,23 +780,13 @@ func FuzzStreamDifferential(f *testing.F) {
 			}
 			return
 		}
-		if sb.String() != db.String() {
-			t.Fatalf("engines disagree on output\nscanner: %q\ndecoder: %q", sb.String(), db.String())
-		}
-		if sst != dst {
-			t.Fatalf("engines disagree on stats\nscanner: %+v\ndecoder: %+v", sst, dst)
-		}
-		// Validation must also agree — verbatim spans are still emitted
-		// under validation, so this exercises the fused fast path too.
-		var sv, dv strings.Builder
+		// With Validate the two agree outright — verbatim spans are still
+		// emitted under validation, so this exercises the fused fast path
+		// too.
+		var sv strings.Builder
 		svst, sverr := Stream(&sv, strings.NewReader(src), d, pi, StreamOptions{Validate: true, Engine: EngineScanner})
-		_, dverr := Stream(&dv, strings.NewReader(src), d, pi, StreamOptions{Validate: true, Engine: EngineDecoder})
-		if (sverr == nil) != (dverr == nil) {
-			t.Fatalf("engines disagree on acceptance under validation\nscanner: %v\ndecoder: %v", sverr, dverr)
-		}
-		if sverr == nil && sv.String() != dv.String() {
-			t.Fatalf("engines disagree on validated output\nscanner: %q\ndecoder: %q", sv.String(), dv.String())
-		}
+		checkOracle(t, src, d, pi, true, sv.String(), svst, sverr)
+		checkSources(t, src, d, pi, true, sv.String(), svst, sverr)
 		// The parallel engine, under the fuzzed stage-1 chunk size and a
 		// fragment target that forces splices, must match the scanner's
 		// verdict, bytes and stats — validated and not. The span-gather

@@ -17,9 +17,12 @@ import (
 // MultiOptions configures a shared-scan multi-prune.
 type MultiOptions struct {
 	// Validate checks content models, attribute declarations and the
-	// root element while pruning. Verdicts are per projector: a serial
+	// root element while pruning, and well-formedness everywhere
+	// (StreamOptions.Validate). Verdicts are per projector: a serial
 	// prune only validates the regions its projector keeps, so one
-	// projector can fail while the others complete.
+	// projector can fail while the others complete — and without
+	// Validate it only checks the well-formedness of those regions, so
+	// the same holds for a syntax error.
 	Validate bool
 	// MaxTokenSize is accepted for symmetry with StreamOptions but, as
 	// on every in-memory scanner path, not enforced (see StreamBytes).
@@ -45,9 +48,9 @@ type MultiOptions struct {
 // The results are per projector: errs[j] non-nil means projector j's
 // serial prune would have failed — gathers[j] is then nil, and the
 // other projectors are unaffected unless the failure was a syntax or
-// well-formedness error (which fails every projector, as it would every
-// serial run). The caller must Close every non-nil Gather; data must
-// stay alive and unmodified until then.
+// well-formedness error their serial runs would have met too (with
+// Validate, every one of them). The caller must Close every non-nil
+// Gather; data must stay alive and unmodified until then.
 func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]*Gather, []Stats, []error) {
 	n := len(pis)
 	gathers := make([]*Gather, n)

@@ -78,8 +78,8 @@ type Stats = scan.Stats
 type Engine int
 
 const (
-	// EngineAuto picks among the scanner-based engines by input size and
-	// worker budget (see chooseEngine). This is the default. Input must
+	// EngineAuto picks among the scanner-based engines by input size,
+	// worker budget and Validate (see chooseEngine). This is the default. Input must
 	// be UTF-8: UTF-16/32 fails with scan.ErrNotUTF8 on every engine but
 	// EngineDecoder, which rejects it as invalid UTF-8.
 	EngineAuto Engine = iota
@@ -144,18 +144,24 @@ const parallelMinBytes, pipelineMinBytes = 4 << 20, 1 << 20
 // at w = 2, where a one-shot measured 3.4× slower once its cold index
 // memory counted (cli_large, 335 vs 99 ms). 4 is the smallest budget a
 // measurement shows winning (CI, runners with ≥ 4 CPUs: pipelined.mb_s ≥
-// 1.2 × scan.reader_mb_s in one traced benchmark run).
+// 1.2 × scan.reader_mb_s in one traced benchmark run, taken when every
+// prune tokenised what it discarded, as a validating one still does).
 const concurrentMinWorkers = 4
 
 // chooseEngine is EngineAuto's one routing rule, for every entry point.
 // resident: the input is in memory. workerBudget is ParallelWorkers:
-// 0 means GOMAXPROCS, which also caps it.
-func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int) Engine {
+// 0 means GOMAXPROCS, which also caps it. Without validate the serial
+// scanner only balances what π discards, with the classifier the
+// concurrent engines build their index with and at its speed
+// (scan.reader_mb_s ≈ index.build_mb_s), so their structural pass buys
+// nothing a measurement has shown — pipelined.mb_s is 0.35 of
+// scan.reader_mb_s at w = 2, where it was 0.98 — and auto stays serial.
+func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int, validate bool) Engine {
 	if procs := runtime.GOMAXPROCS(0); workerBudget <= 0 || workerBudget > procs {
 		workerBudget = procs
 	}
 	switch {
-	case workerBudget < concurrentMinWorkers:
+	case !validate || workerBudget < concurrentMinWorkers:
 		return EngineScanner
 	case resident && size >= parallelMinBytes:
 		return EngineParallel
@@ -172,6 +178,18 @@ type StreamOptions struct {
 	// Validation is fused into the scanner's fast paths: kept input is
 	// still emitted as verbatim spans, with every element and text symbol
 	// walked through the dense content-model DFAs.
+	//
+	// It is also the switch between the two levels of checking a prune
+	// offers. With it the whole document is checked for well-formedness,
+	// the subtrees π discards token by token. Without it — the paper
+	// assumes valid input (Thm. 4.5) — well-formedness is guaranteed where
+	// π keeps and structural balance where it discards: in a discarded
+	// subtree an unterminated construct, the end of input, a '<' inside a
+	// tag, unbalanced tags and an end tag closing the subtree under
+	// another name are still errors; a bad name, attribute syntax, an
+	// undefined entity, an illegal character or invalid UTF-8, "]]>" in
+	// text, "--" in a comment and a mismatched inner end-tag name are not
+	// seen, and text in there is not counted (Stats.TextIn, TextSkipped).
 	Validate bool
 	// Engine selects the tokenizer; the zero value is EngineAuto.
 	Engine Engine
@@ -402,7 +420,7 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	}
 	at := cell{opts.Engine, src.r == nil, out.w == nil}
 	if at.eng == EngineAuto {
-		at.eng = chooseEngine(size, sizeKnown, at.resident, opts.ParallelWorkers)
+		at.eng = chooseEngine(size, sizeKnown, at.resident, opts.ParallelWorkers, opts.Validate)
 	}
 	switch at { // the re-route rows
 	case cell{EnginePipelined, fromBytes, toSpans}:
@@ -575,7 +593,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				// The skipped subtree still counts as validated only
 				// shallowly; the paper's pruner behaves the same way
 				// (discarded data is not needed, hence not checked deeply).
-				if err := skipSubtree(dec, &stats); err != nil {
+				if err := skipSubtree(dec, &stats, validate); err != nil {
 					return stats, err
 				}
 				continue
@@ -636,20 +654,21 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 }
 
 // skipSubtree consumes the remainder of the current element — the
-// equivalent of xml.Decoder.Skip — while counting the elements and
-// logical text nodes scanned past, so Stats reflects the whole input.
-// Nothing is materialised; memory stays constant.
-func skipSubtree(dec *xml.Decoder, stats *Stats) error {
+// equivalent of xml.Decoder.Skip — while counting the elements and,
+// when validating, the logical text nodes scanned past (Stats defines
+// TextIn and TextSkipped that way for every engine). Nothing is
+// materialised; memory stays constant.
+func skipSubtree(dec *xml.Decoder, stats *Stats, countText bool) error {
 	depth := 1
 	// pending is true while a non-whitespace text run is open; runs merge
 	// across comments and PIs, matching the main loop and the tree parser.
 	pending := false
 	flush := func() {
-		if pending {
+		if pending && countText {
 			stats.TextIn++
 			stats.TextSkipped++
-			pending = false
 		}
+		pending = false
 	}
 	for depth > 0 {
 		tok, err := dec.Token()

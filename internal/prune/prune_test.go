@@ -120,24 +120,32 @@ func TestStreamMatchesTree(t *testing.T) {
 func TestStreamStats(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
-	_, stats, err := StreamString(bibDoc, d, pi, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ElementsIn != 8 { // every start tag in the input, skipped subtrees included
-		t.Errorf("ElementsIn = %d", stats.ElementsIn)
-	}
-	if stats.ElementsOut != 5 { // bib, 2 books, 2 titles
-		t.Errorf("ElementsOut = %d", stats.ElementsOut)
-	}
-	if stats.TextIn != 5 { // 2 titles + 3 texts inside pruned author/year subtrees
-		t.Errorf("TextIn = %d", stats.TextIn)
-	}
-	if stats.ElementsSkipped != 0 || stats.TextSkipped != 3 {
-		t.Errorf("skipped counts = %d elements, %d texts", stats.ElementsSkipped, stats.TextSkipped)
-	}
-	if stats.TextOut != 2 || stats.BytesOut == 0 || stats.MaxDepth != 3 {
-		t.Errorf("stats = %+v", stats)
+	for _, validate := range []bool{false, true} {
+		_, stats, err := StreamString(bibDoc, d, pi, StreamOptions{Validate: validate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ElementsIn != 8 { // every start tag in the input, skipped subtrees included
+			t.Errorf("ElementsIn = %d", stats.ElementsIn)
+		}
+		if stats.ElementsOut != 5 { // bib, 2 books, 2 titles
+			t.Errorf("ElementsOut = %d", stats.ElementsOut)
+		}
+		// 2 titles, and the 3 texts inside the pruned author / year
+		// subtrees, which only a validating prune reads.
+		wantIn, wantSkipped := int64(2), int64(0)
+		if validate {
+			wantIn, wantSkipped = 5, 3
+		}
+		if stats.TextIn != wantIn {
+			t.Errorf("validate=%v: TextIn = %d", validate, stats.TextIn)
+		}
+		if stats.ElementsSkipped != 0 || stats.TextSkipped != wantSkipped {
+			t.Errorf("validate=%v: skipped counts = %d elements, %d texts", validate, stats.ElementsSkipped, stats.TextSkipped)
+		}
+		if stats.TextOut != 2 || stats.BytesOut == 0 || stats.MaxDepth != 3 {
+			t.Errorf("stats = %+v", stats)
+		}
 	}
 }
 
@@ -172,7 +180,8 @@ func TestStreamCoalescesCharData(t *testing.T) {
 }
 
 // TestStreamCountsSkippedSubtrees: descendants of a discarded subtree are
-// scanned past by the pruner and must show up in ElementsIn / TextIn.
+// scanned past by the pruner and must show up in ElementsIn — and, when
+// the prune validates and so reads their text, in TextIn.
 func TestStreamCountsSkippedSubtrees(t *testing.T) {
 	d, err := dtd.ParseString(`
 <!ELEMENT r (keep?, drop?)>
@@ -185,21 +194,29 @@ func TestStreamCountsSkippedSubtrees(t *testing.T) {
 	}
 	pi := dtd.NewNameSet("r", "keep", dtd.TextName("keep"))
 	doc := `<r><keep>k</keep><drop><leaf>a<![CDATA[b]]></leaf><leaf> </leaf></drop></r>`
-	out, stats, err := StreamString(doc, d, pi, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != `<r><keep>k</keep></r>` {
-		t.Errorf("output = %s", out)
-	}
-	if stats.ElementsIn != 5 { // r, keep, drop, leaf, leaf
-		t.Errorf("ElementsIn = %d, want 5", stats.ElementsIn)
-	}
-	if stats.ElementsSkipped != 2 { // the two leaves under drop
-		t.Errorf("ElementsSkipped = %d, want 2", stats.ElementsSkipped)
-	}
-	if stats.TextIn != 2 || stats.TextSkipped != 1 { // "k" and coalesced "ab"; whitespace-only leaf text is not a text node
-		t.Errorf("TextIn = %d, TextSkipped = %d", stats.TextIn, stats.TextSkipped)
+	for _, validate := range []bool{false, true} {
+		out, stats, err := StreamString(doc, d, pi, StreamOptions{Validate: validate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != `<r><keep>k</keep></r>` {
+			t.Errorf("output = %s", out)
+		}
+		if stats.ElementsIn != 5 { // r, keep, drop, leaf, leaf
+			t.Errorf("ElementsIn = %d, want 5", stats.ElementsIn)
+		}
+		if stats.ElementsSkipped != 2 { // the two leaves under drop
+			t.Errorf("ElementsSkipped = %d, want 2", stats.ElementsSkipped)
+		}
+		// "k", and under Validate the coalesced "ab"; whitespace-only leaf
+		// text is not a text node.
+		wantIn, wantSkipped := int64(1), int64(0)
+		if validate {
+			wantIn, wantSkipped = 2, 1
+		}
+		if stats.TextIn != wantIn || stats.TextSkipped != wantSkipped {
+			t.Errorf("validate=%v: TextIn = %d, TextSkipped = %d", validate, stats.TextIn, stats.TextSkipped)
+		}
 	}
 }
 

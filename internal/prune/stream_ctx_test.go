@@ -68,7 +68,7 @@ func TestStreamContextCancelledMidway(t *testing.T) {
 }
 
 // TestChooseEngine pins EngineAuto's routing rule: size × size known ×
-// resident × worker budget → engine (never the decoder), with GOMAXPROCS
+// resident × worker budget × Validate → engine (never the decoder), with GOMAXPROCS
 // set explicitly so the expectations do not depend on the host.
 func TestChooseEngine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -101,8 +101,12 @@ func TestChooseEngine(t *testing.T) {
 				if effective >= concurrentMinWorkers {
 					want = in.concurrentEngine
 				}
-				if got := chooseEngine(in.size, in.known, in.resident, budget); got != want {
+				if got := chooseEngine(in.size, in.known, in.resident, budget, true); got != want {
 					t.Errorf("GOMAXPROCS=%d budget=%d %s: engine %d, want %d", procs, budget, in.name, got, want)
+				}
+				// Without Validate the scanner, whatever the budget.
+				if got := chooseEngine(in.size, in.known, in.resident, budget, false); got != EngineScanner {
+					t.Errorf("GOMAXPROCS=%d budget=%d %s, no Validate: engine %d, want the scanner", procs, budget, in.name, got)
 				}
 			}
 		}
@@ -125,7 +129,8 @@ func (r residentReader) Read([]byte) (int, error) {
 
 // TestStreamChosenEngine is run's routing table, cell by cell: every
 // source × sink the entry points can build, under EngineAuto at a worker
-// budget of 1 and of 4 and under each forced engine. Each cell must
+// budget of 1 and of 4 (with Validate and without) and under each forced
+// engine. Each cell must
 // report the engine the table names — including the two re-route rows —
 // hand back the detail of that engine and no other, and produce output
 // and stats identical to the forced serial scanner.
@@ -145,10 +150,15 @@ func TestStreamChosenEngine(t *testing.T) {
 	sb.WriteString("</bib>")
 	big := sb.String()
 
-	var ref bytes.Buffer
-	refStats, err := Stream(&ref, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner})
-	if err != nil {
-		t.Fatal(err)
+	// The serial scanner's result at each level of Validate.
+	var ref [2]bytes.Buffer
+	var refStats [2]Stats
+	level := map[bool]int{false: 0, true: 1}
+	for validate, i := range level {
+		var err error
+		if refStats[i], err = Stream(&ref[i], strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner, Validate: validate}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	type entry func(opts StreamOptions) (string, Stats, error)
@@ -189,13 +199,14 @@ func TestStreamChosenEngine(t *testing.T) {
 		// want is the engine the table names for a source × sink.
 		want func(resident, span bool) Engine
 	}{
-		{"auto, budget 1", StreamOptions{ParallelWorkers: 1}, func(bool, bool) Engine { return EngineScanner }},
-		{"auto, budget 4", StreamOptions{ParallelWorkers: 4}, func(resident, _ bool) Engine {
+		{"auto, budget 1", StreamOptions{ParallelWorkers: 1, Validate: true}, func(bool, bool) Engine { return EngineScanner }},
+		{"auto, budget 4", StreamOptions{ParallelWorkers: 4, Validate: true}, func(resident, _ bool) Engine {
 			if resident {
 				return EngineParallel
 			}
 			return EnginePipelined
 		}},
+		{"auto, budget 4, no Validate", StreamOptions{ParallelWorkers: 4}, func(bool, bool) Engine { return EngineScanner }},
 		{"scanner", StreamOptions{Engine: EngineScanner}, func(bool, bool) Engine { return EngineScanner }},
 		{"decoder", StreamOptions{Engine: EngineDecoder}, func(bool, bool) Engine { return EngineDecoder }},
 		// Forced on a reader, parallel buffers the input: still parallel.
@@ -229,8 +240,8 @@ func TestStreamChosenEngine(t *testing.T) {
 			if ran := pdet.Windows > 0; ran != (want == EnginePipelined) || pdet.Tasks < 0 {
 				t.Errorf("%s: pipeline detail %+v after engine %v", label, pdet, want)
 			}
-			if out != ref.String() || st != refStats {
-				t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats)
+			if i := level[opts.Validate]; out != ref[i].String() || st != refStats[i] {
+				t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats[i])
 			}
 		}
 	}

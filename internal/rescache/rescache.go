@@ -11,8 +11,19 @@
 // of the key: a result filled by the scanner serves a request that
 // would have run the parallel pruner.
 //
-// Entries store materialized output bytes — an owned copy made at
-// insert time — so the pooled span-gather buffers the pruner works in
+// The cache has two levels, because projection is many-to-one:
+// documents that differ only outside π have one pruned output (and
+// Thm. 4.5 says that output is all the query needs), so versions of a
+// document that change where the projector does not look should not
+// each pay for a copy of it. The first level maps a key to the digest
+// of its output and the prune's stats; the second maps an output digest
+// to the bytes, stored once however many keys name them. Both are
+// instances of internal/cache. There are no reference counts: the two
+// levels evict independently, and a key whose bytes are gone is a miss
+// that prunes again and puts them back.
+//
+// Stored bytes are materialized — an owned copy made when an output is
+// first seen — so the pooled span-gather buffers the pruner works in
 // can be released immediately; nothing in the cache aliases pooled
 // state. Eviction is size-aware LRU per shard under a global byte
 // budget, and concurrent cold requests for one key are single-flight
@@ -20,6 +31,7 @@
 package rescache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -42,11 +54,8 @@ import (
 // populations.
 type Digest [16]byte
 
-// docSeed keys DigestBytes; shardSeed spreads keys across shards.
-var (
-	docSeed   = maphash.MakeSeed()
-	shardSeed = maphash.MakeSeed()
-)
+// docSeed keys DigestBytes.
+var docSeed = maphash.MakeSeed()
 
 // DigestBytes digests document content. One pass at memory bandwidth —
 // an order of magnitude cheaper than the scan it stands in for, which
@@ -85,18 +94,47 @@ type Key struct {
 	Variant string
 }
 
-// Entry is one cached pruned output: an owned, immutable copy of the
-// rendered bytes plus the prune's stats. Entries are shared by every
-// reader that hits them; nothing may mutate the byte slice.
+// Entry is one pruned output: the rendered bytes — immutable, and
+// shared with the cache and with every entry of the same output — plus
+// the stats of the prune that produced them.
 type Entry struct {
 	out   []byte
+	src   output // what a fill returned, until the cache has looked at it
 	Stats prune.Stats
 }
 
-// NewEntry wraps an output copy the cache takes ownership of. The
-// caller must not retain or modify out afterwards.
+// output is a fill's result as the cache takes it: something to digest
+// and, if those bytes are not held yet, to render once. *prune.Gather
+// is one.
+type output interface {
+	Len() int64
+	io.WriterTo
+}
+
+// rendered is an output that is bytes already.
+type rendered []byte
+
+func (b rendered) Len() int64 { return int64(len(b)) }
+
+func (b rendered) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
+// NewGatherEntry wraps an output still held as g's spans over its
+// input, for a fill to return: the cache digests the spans where they
+// lie and copies them only if it does not already hold those bytes. g
+// must stay open until GetOrFill returns; the entry does not use it
+// afterwards.
+func NewGatherEntry(g *prune.Gather, stats prune.Stats) *Entry {
+	return &Entry{src: g, Stats: stats}
+}
+
+// NewEntry is NewGatherEntry for an output rendered already. No prune
+// route fills with one any more; benchmark/seams.go does, and the
+// constructor goes with the next change allowed to edit it.
 func NewEntry(out []byte, stats prune.Stats) *Entry {
-	return &Entry{out: out, Stats: stats}
+	return &Entry{src: rendered(out), Stats: stats}
 }
 
 // Bytes returns the rendered output. The slice is shared and must be
@@ -107,22 +145,44 @@ func (e *Entry) Bytes() []byte { return e.out }
 func (e *Entry) Len() int64 { return int64(len(e.out)) }
 
 // WriteTo writes the rendered output to w (io.WriterTo).
-func (e *Entry) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(e.out)
-	return int64(n), err
-}
+func (e *Entry) WriteTo(w io.Writer) (int64, error) { return rendered(e.out).WriteTo(w) }
 
 // AppendTo appends the rendered output to dst.
 func (e *Entry) AppendTo(dst []byte) []byte { return append(dst, e.out...) }
 
-// entryOverhead approximates the per-entry bookkeeping cost (list
-// element, map bucket share, Entry and key headers) charged against
-// the byte budget alongside the output bytes.
+// digest identifies a fill's output exactly as DigestBytes would
+// identify its rendered bytes; a Gather is hashed span by span, uncopied.
+func (e *Entry) digest() Digest {
+	var h maphash.Hash
+	h.SetSeed(docSeed)
+	e.src.WriteTo(&h) // a Hash never fails a Write
+	var d Digest
+	binary.LittleEndian.PutUint64(d[0:8], h.Sum64())
+	binary.LittleEndian.PutUint64(d[8:16], uint64(e.src.Len()))
+	return d
+}
+
+// own renders a fill's output into bytes of the entry's own.
+func (e *Entry) own() {
+	buf := bytes.NewBuffer(make([]byte, 0, e.src.Len()))
+	e.src.WriteTo(buf) // nor does a Buffer
+	e.out, e.src = buf.Bytes(), nil
+}
+
+// ref is what the first level stores for a key: which output, and the
+// stats of the prune that found it.
+type ref struct {
+	out   Digest
+	stats prune.Stats
+}
+
+// entryOverhead approximates the bookkeeping cost of one stored item at
+// either level (ring entry, map slot, key and value headers), charged
+// against the byte budget alongside the variant or the output bytes.
 const entryOverhead = 128
 
-func entryCost(key Key, e *Entry) int64 {
-	return int64(len(e.out)) + int64(len(key.Variant)) + entryOverhead
-}
+func refCost(key Key, _ ref) int64     { return int64(len(key.Variant)) + entryOverhead }
+func outCost(_ Digest, b []byte) int64 { return int64(len(b)) + entryOverhead }
 
 // shardCount is the fixed shard fan-out (power of two). Sixteen
 // mutexes keep hit-path contention negligible at server concurrency
@@ -153,12 +213,16 @@ type Identifier interface {
 // outputs. Safe for concurrent use. A nil *Cache is valid and disabled:
 // Get always misses and GetOrFill degenerates to calling fill.
 type Cache struct {
-	// shards are cache instances costed by entryCost, each under
-	// perShard bytes, so the global footprint never exceeds
-	// shardCount × perShard ≤ budget.
-	shards   [shardCount]*cache.Cache[Key, *Entry]
-	perShard int64
-	budget   int64
+	// refs and outs are the two levels, each sharded, each shard an
+	// instance under its own slice of the budget — refPerShard and
+	// outPerShard — so the global footprint never exceeds
+	// shardCount × (refPerShard + outPerShard) ≤ budget. An output is
+	// charged once, to the one outs shard its digest selects.
+	refs        [shardCount]*cache.Cache[Key, ref]
+	outs        [shardCount]*cache.Cache[Digest, []byte]
+	refPerShard int64
+	outPerShard int64
+	budget      int64
 
 	// ids memoizes file identity → digest, identityCap entries.
 	ids *cache.Cache[Identity, Digest]
@@ -168,19 +232,29 @@ type Cache struct {
 	identityHits, identityMisses atomic.Int64
 }
 
+// refShare is the part of the budget the first level gets: an eighth.
+// A key costs ~150 bytes, so at the default 256 MiB that is 200 000
+// documents naming 224 MiB of outputs. Keys run out first only when the
+// average distinct output is under about a kilobyte — and a key evicted
+// early costs a prune, never a wrong answer.
+const refShare = 8
+
 // New returns a cache with the given global byte budget, or nil (a
 // valid, disabled cache) when the budget is not positive.
 func New(budget int64) *Cache {
 	if budget <= 0 {
 		return nil
 	}
+	perShard := budget / shardCount
 	c := &Cache{
-		budget:   budget,
-		perShard: budget / shardCount,
-		ids:      cache.New[Identity, Digest](identityCap, nil),
+		budget:      budget,
+		refPerShard: perShard / refShare,
+		ids:         cache.New[Identity, Digest](identityCap, nil),
 	}
-	for i := range c.shards {
-		c.shards[i] = cache.New(c.perShard, entryCost)
+	c.outPerShard = perShard - c.refPerShard
+	for i := range c.refs {
+		c.refs[i] = cache.New(c.refPerShard, refCost)
+		c.outs[i] = cache.New(c.outPerShard, outCost)
 	}
 	return c
 }
@@ -189,28 +263,69 @@ func New(budget int64) *Cache {
 func (c *Cache) Enabled() bool { return c != nil }
 
 // Cacheable reports whether an output of n bytes can be retained at
-// all: entries above the per-shard budget are served but never stored
-// — copying them out would only thrash the LRU.
+// all: outputs above a shard's budget are served but never stored —
+// copying them out would only thrash the LRU.
 func (c *Cache) Cacheable(n int64) bool {
-	return c != nil && n+entryOverhead <= c.perShard
+	return c != nil && n+entryOverhead <= c.outPerShard
 }
 
-func (c *Cache) shardOf(key Key) *cache.Cache[Key, *Entry] {
-	var h maphash.Hash
-	h.SetSeed(shardSeed)
-	h.Write(key.Doc[:])
-	h.WriteString(key.Variant)
-	return c.shards[h.Sum64()&(shardCount-1)]
+// Both levels spread by their digest's own hash bits, which are keyed
+// with a seed no client knows. A client can name a document digest of
+// its choosing only where nothing is stored under it (HEAD, a body-free
+// revalidation); what is stored is keyed by digests computed here.
+func (c *Cache) refShard(key Key) *cache.Cache[Key, ref] {
+	return c.refs[key.Doc[0]&(shardCount-1)]
+}
+
+func (c *Cache) outShard(d Digest) *cache.Cache[Digest, []byte] {
+	return c.outs[d[1]&(shardCount-1)]
 }
 
 // Get probes the cache without filling: a peek for HEAD-style lookups.
-// It refreshes the entry's LRU position but moves no hit/miss counters
-// — a probe that finds nothing did not cost a prune.
-func (c *Cache) Get(key Key) (*Entry, bool) {
+// It refreshes the LRU position at both levels but moves no hit/miss
+// counters — a probe that finds nothing did not cost a prune.
+func (c *Cache) Get(key Key) (Entry, bool) {
 	if c == nil {
-		return nil, false
+		return Entry{}, false
 	}
-	return c.shardOf(key).Get(key)
+	r, ok := c.refShard(key).Get(key)
+	if !ok {
+		return Entry{}, false
+	}
+	return c.entryOf(r)
+}
+
+// entryOf resolves a first-level hit to its bytes; false when they have
+// been evicted since.
+func (c *Cache) entryOf(r ref) (Entry, bool) {
+	out, ok := c.outShard(r.out).Get(r.out)
+	return Entry{out: out, Stats: r.stats}, ok
+}
+
+// hold gives a filled entry the cache's copy of its output — the one
+// already stored under its digest, in which case a Gather's spans are
+// never copied at all, or the one stored now — and reports the ref to
+// keep. Two outputs are taken for the same bytes when their keyed
+// 64-bit hashes and their lengths agree: the argument Digest makes for
+// documents, on which serving any cached byte already rests, so no
+// compare is made. An output too large to store is left with the
+// entry, owned, and ok is false.
+func (c *Cache) hold(e *Entry) (r ref, ok bool) {
+	if !c.Cacheable(e.src.Len()) {
+		e.own()
+		return ref{}, false
+	}
+	r = ref{out: e.digest(), stats: e.Stats}
+	out, _, err := c.outShard(r.out).GetOrFill(r.out, func() ([]byte, bool, error) {
+		e.own()
+		return e.out, true, nil
+	})
+	if err != nil { // the store this one waited for panicked
+		e.own()
+		return ref{}, false
+	}
+	e.out, e.src = out, nil
+	return r, true
 }
 
 // GetOrFill returns the entry for key, running fill on a miss with
@@ -220,30 +335,52 @@ func (c *Cache) Get(key Key) (*Entry, bool) {
 // fill may return (nil, nil) to decline caching — its caller keeps
 // whatever it produced privately, and blocked waiters get (nil, false,
 // nil) and should fill for themselves. An entry larger than a shard's
-// budget is declined on fill's behalf.
+// budget is declined on fill's behalf. A key whose output bytes were
+// evicted from under it fills again, outside the single flight.
 func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (*Entry, bool, error) {
 	if c == nil {
 		e, err := fill()
+		if e != nil {
+			e.own()
+		}
 		return e, false, err
 	}
-	e, out, err := c.shardOf(key).GetOrFill(key, func() (*Entry, bool, error) {
+	var filled *Entry
+	run := func() (ref, bool, error) {
 		c.misses.Add(1)
 		e, err := fill()
-		store := err == nil && e != nil && entryCost(key, e) <= c.perShard
-		if err == nil && !store {
+		if err != nil || e == nil {
+			if err == nil {
+				c.bypasses.Add(1)
+			}
+			return ref{}, false, err
+		}
+		filled = e
+		r, ok := c.hold(e)
+		if !ok {
 			c.bypasses.Add(1)
 		}
-		return e, store, err
-	})
-	switch out {
-	case cache.Hit:
-		c.hits.Add(1)
-		return e, true, nil
-	case cache.Coalesced, cache.Declined:
-		c.coalesced.Add(1)
-		return e, e != nil, err
+		return r, ok, nil
 	}
-	return e, false, err
+	r, outcome, err := c.refShard(key).GetOrFill(key, run)
+	switch {
+	case outcome == cache.Filled:
+		return filled, false, err
+	case outcome == cache.Declined || err != nil:
+		c.coalesced.Add(1)
+		return nil, false, err
+	}
+	e, ok := c.entryOf(r)
+	if !ok {
+		_, _, err := run()
+		return filled, false, err
+	}
+	if outcome == cache.Hit {
+		c.hits.Add(1)
+	} else {
+		c.coalesced.Add(1)
+	}
+	return &e, true, nil
 }
 
 // DigestFor digests data, memoizing by file identity when one is
@@ -273,15 +410,16 @@ type Metrics struct {
 	// that ran a fill, Coalesced callers that piggybacked on another
 	// caller's in-flight fill.
 	Hits, Misses, Coalesced int64
-	// Evictions counts entries dropped by the size-aware LRU; Bypasses
-	// counts results served but never stored (larger than a shard's
-	// budget).
+	// Evictions counts keys and outputs dropped by the size-aware LRU;
+	// Bypasses counts results served but never stored (larger than a
+	// shard's budget).
 	Evictions, Bypasses int64
 	// IdentityHits / IdentityMisses count digest-fast-path probes by
 	// outcome: a hit skipped rehashing an unchanged file.
 	IdentityHits, IdentityMisses int64
-	// Entries and Bytes are the current population and accounted
-	// footprint; Budget the configured global byte budget.
+	// Entries is the number of keys held and Bytes the accounted
+	// footprint of both levels — an output counts once however many
+	// keys share it; Budget is the configured global byte budget.
 	Entries int
 	Bytes   int64
 	Budget  int64
@@ -301,11 +439,11 @@ func (c *Cache) Snapshot() Metrics {
 		IdentityMisses: c.identityMisses.Load(),
 		Budget:         c.budget,
 	}
-	for _, s := range c.shards {
-		u := s.Usage()
-		m.Entries += u.Entries
-		m.Bytes += u.Cost
-		m.Evictions += u.Evictions
+	for i := range c.refs {
+		ru, ou := c.refs[i].Usage(), c.outs[i].Usage()
+		m.Entries += ru.Entries
+		m.Bytes += ru.Cost + ou.Cost
+		m.Evictions += ru.Evictions + ou.Evictions
 	}
 	return m
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"xmlproj/internal/cache"
+	"xmlproj/internal/dtd"
 	"xmlproj/internal/prune"
 )
 
@@ -154,8 +156,8 @@ func TestGetOrFillSingleFlight(t *testing.T) {
 		t.Fatalf("fill ran %d times, want 1", got)
 	}
 	for i := 1; i < n; i++ {
-		if entries[i] != entries[0] {
-			t.Fatalf("caller %d got a different entry instance", i)
+		if &entries[i].Bytes()[0] != &entries[0].Bytes()[0] {
+			t.Fatalf("caller %d got a different copy of the output", i)
 		}
 	}
 	m := c.Snapshot()
@@ -240,13 +242,13 @@ func TestNilCache(t *testing.T) {
 }
 
 func TestEvictionKeepsEveryShardUnderBudget(t *testing.T) {
-	// Budget sized so each shard retains roughly one small entry; a
-	// flood of inserts must evict rather than grow.
-	const budget = 16 * 512
+	// Budget sized so each shard retains roughly one key and a few small
+	// outputs; a flood of inserts must evict rather than grow.
+	const budget = 16 * 2048
 	c := New(budget)
 	for i := 0; i < 128; i++ {
 		key := Key{Doc: DigestBytes([]byte(fmt.Sprintf("doc-%d", i))), Variant: "fp"}
-		out := bytes.Repeat([]byte("x"), 200)
+		out := bytes.Repeat([]byte{byte(i)}, 200)
 		if _, _, err := c.GetOrFill(key, func() (*Entry, error) { return NewEntry(out, prune.Stats{}), nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -264,49 +266,44 @@ func TestEvictionKeepsEveryShardUnderBudget(t *testing.T) {
 	checkShardInvariants(t, c)
 }
 
-func TestLRUEvictsColdestAndTouchRefreshes(t *testing.T) {
-	// White-box: find three keys that share a shard (the shard seed is
-	// process-stable), size the shard to hold two, and check that Get
-	// refreshes recency: a, b inserted; a touched; c inserted → b, the
-	// coldest, is the one evicted.
-	cost := entryCost(Key{Variant: "fp"}, NewEntry(make([]byte, 100), prune.Stats{}))
-	c := New(shardCount * cost * 2)
-
-	keys := make([]Key, 0, 3)
-	target := -1
-	for i := 0; len(keys) < 3; i++ {
-		k := Key{Doc: DigestBytes([]byte(fmt.Sprintf("probe-%d", i))), Variant: "fp"}
-		sh := -1
-		for j := range c.shards {
-			if c.shardOf(k) == c.shards[j] {
-				sh = j
-				break
-			}
-		}
-		if target == -1 {
-			target = sh
-		}
-		if sh == target {
-			keys = append(keys, k)
-		}
+// keysInOneShard finds n keys the first level puts in the same shard
+// (the shard seed is process-stable).
+func keysInOneShard(t *testing.T, c *Cache, n int) []Key {
+	t.Helper()
+	var keys []Key
+	var target *cache.Cache[Key, ref]
+	for i := 0; len(keys) < n; i++ {
 		if i > 10000 {
 			t.Fatalf("could not find colliding keys")
 		}
-	}
-	a, b, cc := keys[0], keys[1], keys[2]
-	fillWith := func(tag string) func() (*Entry, error) {
-		return func() (*Entry, error) {
-			out := make([]byte, 100)
-			copy(out, tag)
-			return NewEntry(out, prune.Stats{}), nil
+		k := Key{Doc: DigestBytes([]byte(fmt.Sprintf("probe-%d", i))), Variant: "fp"}
+		if target == nil {
+			target = c.refShard(k)
+		}
+		if c.refShard(k) == target {
+			keys = append(keys, k)
 		}
 	}
-	c.GetOrFill(a, fillWith("a"))
-	c.GetOrFill(b, fillWith("b"))
+	return keys
+}
+
+func fillWith(out []byte) func() (*Entry, error) {
+	return func() (*Entry, error) { return NewEntry(bytes.Clone(out), prune.Stats{}), nil }
+}
+
+func TestLRUEvictsColdestAndTouchRefreshes(t *testing.T) {
+	// White-box: three keys that share a first-level shard sized to hold
+	// two, and Get must refresh recency: a, b inserted; a touched; c
+	// inserted → b, the coldest, is the one evicted.
+	c := New(shardCount * refShare * 2 * refCost(Key{Variant: "fp"}, ref{}))
+	keys := keysInOneShard(t, c, 3)
+	a, b, cc := keys[0], keys[1], keys[2]
+	c.GetOrFill(a, fillWith([]byte("output a")))
+	c.GetOrFill(b, fillWith([]byte("output b")))
 	if _, ok := c.Get(a); !ok { // touch a: b becomes coldest
 		t.Fatalf("a missing before eviction")
 	}
-	c.GetOrFill(cc, fillWith("c"))
+	c.GetOrFill(cc, fillWith([]byte("output c")))
 
 	if _, ok := c.Get(b); ok {
 		t.Fatalf("coldest entry b survived eviction")
@@ -320,10 +317,147 @@ func TestLRUEvictsColdestAndTouchRefreshes(t *testing.T) {
 	checkShardInvariants(t, c)
 }
 
+// TestSharedOutputStoredOnce: projection is many-to-one, and the cache
+// charges an output once however many documents prune to it.
+func TestSharedOutputStoredOnce(t *testing.T) {
+	c := New(1 << 20)
+	out := bytes.Repeat([]byte("<kept/>"), 1000)
+	const n = 50
+	var first *Entry
+	for i := 0; i < n; i++ {
+		key := Key{Doc: DigestBytes([]byte(fmt.Sprintf("version-%d", i))), Variant: "fp"}
+		e, hit, err := c.GetOrFill(key, func() (*Entry, error) {
+			return NewEntry(bytes.Clone(out), prune.Stats{ElementsIn: int64(i)}), nil
+		})
+		if err != nil || hit || !bytes.Equal(e.Bytes(), out) {
+			t.Fatalf("fill %d: hit=%v err=%v", i, hit, err)
+		}
+		if first == nil {
+			first = e
+		} else if &e.Bytes()[0] != &first.Bytes()[0] {
+			t.Fatalf("fill %d kept its own copy of an output already stored", i)
+		}
+		// Each document keeps its own stats beside the shared bytes.
+		if g, ok := c.Get(key); !ok || g.Stats.ElementsIn != int64(i) || &g.Bytes()[0] != &first.Bytes()[0] {
+			t.Fatalf("key %d after fill: ok=%v entry=%+v", i, ok, g)
+		}
+	}
+	m := c.Snapshot()
+	want := int64(len(out)) + entryOverhead + n*refCost(Key{Variant: "fp"}, ref{})
+	if m.Entries != n || m.Bytes != want {
+		t.Fatalf("entries=%d bytes=%d, want %d entries and %d bytes (one output + %d keys)", m.Entries, m.Bytes, n, want, n)
+	}
+	if m.Misses != n || m.Hits != 0 {
+		t.Fatalf("a new document must be a miss even when its output is held: %+v", m)
+	}
+}
+
+// TestGatherEntrySharesWithoutCopy: a fill that returns its Gather has
+// it digested in place; the second document with the same pruned output
+// gets the first one's bytes, and both outlive their Gathers.
+func TestGatherEntrySharesWithoutCopy(t *testing.T) {
+	d, err := dtd.ParseString(`<!ELEMENT a (b*)> <!ELEMENT b (#PCDATA)> <!ATTLIST a id CDATA #IMPLIED>`, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := dtd.NewNameSet("a", "a@id")
+	c := New(1 << 20)
+	var entries []*Entry
+	for _, doc := range []string{`<a id="&lt;"><b>1</b></a>`, `<a id="&lt;"><b>22</b><b/></a>`} {
+		g, st, err := prune.StreamGather([]byte(doc), d, pi, prune.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := c.GetOrFill(Key{Doc: DigestBytes([]byte(doc)), Variant: "fp"}, func() (*Entry, error) {
+			return NewGatherEntry(g, st), nil
+		})
+		g.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	for i, e := range entries {
+		if string(e.Bytes()) != `<a id="&lt;"/>` || &e.Bytes()[0] != &entries[0].Bytes()[0] {
+			t.Fatalf("entry %d: %q, shared=%v", i, e.Bytes(), &e.Bytes()[0] == &entries[0].Bytes()[0])
+		}
+	}
+	if entries[0].Stats.ElementsIn == entries[1].Stats.ElementsIn {
+		t.Fatalf("stats must stay per document: %+v", entries[1].Stats)
+	}
+	if m := c.Snapshot(); m.Entries != 2 || m.Bytes != int64(len(entries[0].Bytes()))+entryOverhead+2*refCost(Key{Variant: "fp"}, ref{}) {
+		t.Fatalf("footprint: %+v", m)
+	}
+}
+
+// TestEvictedOutputRefills: the levels evict independently and count no
+// references, so shared bytes can go while their keys stay. Every such
+// key is then a miss that prunes again and puts the bytes back — never
+// a hit on nothing, never another output's bytes.
+func TestEvictedOutputRefills(t *testing.T) {
+	c := New(shardCount * 4096) // an outs shard holds 3584 bytes
+	shared := bytes.Repeat([]byte("s"), 1000)
+	keys := make([]Key, 5)
+	for i := range keys {
+		keys[i] = Key{Doc: DigestBytes([]byte(fmt.Sprintf("referrer-%d", i))), Variant: "fp"}
+		c.GetOrFill(keys[i], fillWith(shared))
+	}
+	// Push the shared bytes out with other outputs of their shard.
+	sh := c.outShard(DigestBytes(shared))
+	for i := 0; sh.Usage().Evictions == 0; i++ {
+		if i > 100000 {
+			t.Fatal("could not evict the shared output")
+		}
+		other := []byte(fmt.Sprintf("%01000d", i))
+		if c.outShard(DigestBytes(other)) == sh {
+			c.GetOrFill(Key{Doc: DigestBytes(other), Variant: "fp"}, fillWith(other))
+		}
+	}
+	if _, ok := sh.Get(DigestBytes(shared)); ok {
+		t.Fatal("the shared output was not the one evicted")
+	}
+	for i, k := range keys {
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("key %d: Get hit although its bytes are gone", i)
+		}
+	}
+	for i, k := range keys {
+		ran := false
+		e, hit, err := c.GetOrFill(k, func() (*Entry, error) { ran = true; return NewEntry(bytes.Clone(shared), prune.Stats{}), nil })
+		if err != nil || !bytes.Equal(e.Bytes(), shared) {
+			t.Fatalf("key %d: wrong bytes after eviction (err=%v)", i, err)
+		}
+		// The first referrer refills; the bytes are back for the rest.
+		if ran != (i == 0) || hit != (i != 0) {
+			t.Fatalf("key %d: ran=%v hit=%v", i, ran, hit)
+		}
+	}
+	checkShardInvariants(t, c)
+}
+
+// TestEqualLengthOutputsNeverAlias: the output digest folds the length
+// in, but equal lengths still differ by their keyed hash.
+func TestEqualLengthOutputsNeverAlias(t *testing.T) {
+	c := New(1 << 20)
+	for i := 0; i < 200; i++ {
+		out := []byte(fmt.Sprintf("<out n=%06d/>", i))
+		key := Key{Doc: DigestBytes([]byte(fmt.Sprintf("doc-%d", i))), Variant: "fp"}
+		c.GetOrFill(key, fillWith(out))
+	}
+	for i := 0; i < 200; i++ {
+		key := Key{Doc: DigestBytes([]byte(fmt.Sprintf("doc-%d", i))), Variant: "fp"}
+		if e, ok := c.Get(key); !ok || string(e.Bytes()) != fmt.Sprintf("<out n=%06d/>", i) {
+			t.Fatalf("key %d serves %q", i, e.Bytes())
+		}
+	}
+}
+
 // TestStressBudgetInvariant hammers the cache from many goroutines —
-// hits, misses, coalesced fills, declines and evictions across shards —
-// while sampling the global footprint, which must never exceed the
-// budget. Run under -race in CI.
+// hits, misses, coalesced fills, declines and evictions across shards,
+// with outputs that many keys share (every even size is one output) and
+// outputs only one key has — while sampling the global footprint, which
+// must never exceed the budget, and checking that no key is ever served
+// another key's bytes. Run under -race in CI.
 func TestStressBudgetInvariant(t *testing.T) {
 	const budget = 16 * 4096
 	c := New(budget)
@@ -359,19 +493,35 @@ func TestStressBudgetInvariant(t *testing.T) {
 				return (rng >> 33) % n
 			}
 			for i := 0; i < 400; i++ {
-				key := Key{Doc: DigestBytes([]byte(fmt.Sprintf("doc-%d", next(64)))), Variant: "fp"}
-				size := int(next(5000)) // some entries exceed the per-shard budget
+				doc := next(64)
+				key := Key{Doc: DigestBytes([]byte(fmt.Sprintf("doc-%d", doc))), Variant: "fp"}
+				// A document's output is a function of the document: its
+				// size (some exceed the per-shard budget) and, for odd
+				// sizes, a fill byte of its own.
+				size := int(doc*79) % 5000
+				fillByte := byte(0)
+				if size%2 == 1 {
+					fillByte = byte(doc)
+				}
+				check := func(e *Entry) {
+					if e != nil && (len(e.Bytes()) != size || size > 0 && (e.Bytes()[0] != fillByte || e.Bytes()[size-1] != fillByte)) {
+						t.Errorf("doc %d served %d bytes of %d, want %d of %d", doc, len(e.Bytes()), e.Bytes()[0], size, fillByte)
+					}
+				}
 				switch next(3) {
 				case 0:
-					c.Get(key)
+					if e, ok := c.Get(key); ok {
+						check(&e)
+					}
 				default:
-					c.GetOrFill(key, func() (*Entry, error) {
-						e := NewEntry(make([]byte, size), prune.Stats{})
+					e, _, _ := c.GetOrFill(key, func() (*Entry, error) {
+						e := NewEntry(bytes.Repeat([]byte{fillByte}, size), prune.Stats{})
 						if !c.Cacheable(e.Len()) {
 							return nil, nil
 						}
 						return e, nil
 					})
+					check(e)
 				}
 			}
 		}(w)
@@ -392,13 +542,20 @@ func TestStressBudgetInvariant(t *testing.T) {
 	}
 }
 
-// checkShardInvariants verifies that no shard exceeds the per-shard
-// budget (the shard's own accounting is internal/cache's to test).
+// checkShardInvariants verifies that no shard of either level exceeds
+// its budget, and that the shards' budgets sum to no more than the
+// cache's (the shard's own accounting is internal/cache's to test).
 func checkShardInvariants(t *testing.T, c *Cache) {
 	t.Helper()
-	for i, s := range c.shards {
-		if u := s.Usage(); u.Cost > c.perShard {
-			t.Errorf("shard %d: %d bytes exceeds per-shard budget %d", i, u.Cost, c.perShard)
+	if total := shardCount * (c.refPerShard + c.outPerShard); total > c.budget {
+		t.Errorf("shard budgets sum to %d > budget %d", total, c.budget)
+	}
+	for i := range c.refs {
+		if u := c.refs[i].Usage(); u.Cost > c.refPerShard {
+			t.Errorf("key shard %d: %d bytes exceeds its budget %d", i, u.Cost, c.refPerShard)
+		}
+		if u := c.outs[i].Usage(); u.Cost > c.outPerShard {
+			t.Errorf("output shard %d: %d bytes exceeds its budget %d", i, u.Cost, c.outPerShard)
 		}
 	}
 }

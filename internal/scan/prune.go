@@ -9,11 +9,12 @@ package scan
 // for j. A child's live set is always a subset of its parent's, so the
 // masks shrink monotonically with depth and a subtree whose live set is
 // empty is dead for every projector: it is consumed once by the skip
-// scan (well-formedness only, memchr hot loop), its skipped-node counts
-// distributed to all projectors. The serial pruner is the N = 1 case:
-// every mask is 0 or 1 and the one output is a bufio.Writer, a gather
-// list or nothing; with N > 1 each projector writes its own gather list
-// and renders exactly what a run with that projector alone would.
+// scan (checked token by token with Validate, only balanced without —
+// skip.go), its skipped-node counts distributed to all projectors. The
+// serial pruner is the N = 1 case: every mask is 0 or 1 and the one
+// output is a bufio.Writer, a gather list or nothing; with N > 1 each
+// projector writes its own gather list and renders exactly what a run
+// with that projector alone would.
 //
 // Output is written through the emitter seam as spans of the scanner's
 // buffer wherever the input already is the canonical rendering — tags
@@ -32,8 +33,10 @@ package scan
 // (the emitting-region mask at the failure point, or the keeper mask for
 // attribute checks): their error is recorded, their bits leave the
 // alive mask, and the scan continues for the rest. Syntax and
-// well-formedness errors abort the whole pass — every projector fails
-// on those.
+// well-formedness errors abort the whole pass: with Validate every
+// projector fails on those; without, a projector fails only on the ones
+// in what it keeps, so PruneMultiGather gives each surviving projector
+// a pass of its own.
 
 import (
 	"bufio"
@@ -47,8 +50,13 @@ import (
 
 // Options configures a scanner-based prune.
 type Options struct {
-	// Validate checks content models, attribute declarations and the
-	// root element while pruning.
+	// Validate checks the document while pruning it: content models,
+	// attribute declarations and the root element against the DTD, and
+	// well-formedness everywhere, the subtrees π discards included.
+	// Without it the prune guarantees well-formedness where π keeps and
+	// structural balance where it discards (skip.go says exactly what is
+	// and is not seen in there) — sound for the paper's claim, which
+	// assumes valid input (Thm. 4.5), and several times faster.
 	Validate bool
 	// MaxTokenSize bounds the scanner's sliding buffer: a single token
 	// (one tag, one text chunk, one attribute value) larger than this
@@ -56,24 +64,30 @@ type Options struct {
 	MaxTokenSize int
 }
 
-// Stats reports what a streaming prune did.
+// Stats reports what a streaming prune did. Every engine, and every
+// projector of a fused pass, reports what the serial scanner reports
+// for that projector alone. ElementsIn, ElementsOut, ElementsSkipped,
+// TextOut, BytesOut and MaxDepth do not depend on Options.Validate;
+// TextIn and TextSkipped do.
 type Stats struct {
 	// ElementsIn / ElementsOut count element start tags read / elements
 	// written. ElementsIn includes the descendants of discarded subtrees:
-	// the pruner consumes their tokens (without materialising them) to
+	// the pruner walks past their tags (without materialising them) to
 	// find the matching end tag, so they are part of the input actually
 	// scanned.
 	ElementsIn, ElementsOut int64
 	// TextIn / TextOut count non-whitespace logical text nodes read /
 	// written. Consecutive character-data chunks (entity boundaries, CDATA
 	// sections) are coalesced into one logical text node before counting,
-	// mirroring the tree data model. TextIn includes text inside discarded
-	// subtrees.
+	// mirroring the tree data model. With Validate, TextIn includes text
+	// inside discarded subtrees; without, that text is never classified
+	// as whitespace or not, and is not counted.
 	TextIn, TextOut int64
 	// ElementsSkipped / TextSkipped count the elements and logical text
 	// nodes inside discarded subtrees (a subset of ElementsIn / TextIn;
 	// the discarded subtree's root element is not included — it was
-	// surfaced, and counted, before being discarded).
+	// surfaced, and counted, before being discarded). TextSkipped is zero
+	// without Validate.
 	ElementsSkipped, TextSkipped int64
 	// BytesOut counts bytes written to the destination. This package
 	// leaves it zero: only the owner of the sink (internal/prune) can
@@ -150,18 +164,37 @@ func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projecti
 		panic("scan.PruneMultiGather: len(sls) != mp.N()")
 	}
 	pr := prunerPool.Get().(*pruner)
-	pr.s.ResetBytes(data)
-	pr.prep(d, mp, opts)
-	for _, sl := range sls {
-		sl.Reset(data)
-		pr.outs = append(pr.outs, sl)
-	}
-	gerr := pr.run()
-	pr.flushRuns()
 	stats := make([]Stats, len(sls))
 	errs := make([]error, len(sls))
-	for j := range sls {
-		stats[j], errs[j] = pr.stats(j), pr.errOf(j, gerr)
+	// pass runs the projectors in alive over data and records their
+	// results, returning who survived to the end of the pass and the
+	// pass's own error.
+	pass := func(alive uint64) (uint64, error) {
+		pr.s.ResetBytes(data)
+		pr.prep(d, mp, opts)
+		pr.alive = alive
+		for _, sl := range sls {
+			pr.outs = append(pr.outs, sl)
+		}
+		for mk := alive; mk != 0; mk &= mk - 1 {
+			sls[bits.TrailingZeros64(mk)].Reset(data)
+		}
+		gerr := pr.run()
+		pr.flushRuns()
+		for mk := alive; mk != 0; mk &= mk - 1 {
+			j := bits.TrailingZeros64(mk)
+			stats[j], errs[j] = pr.stats(j), pr.errOf(j, gerr)
+		}
+		return pr.alive, gerr
+	}
+	if met, gerr := pass(mp.All()); gerr != nil && !opts.Validate && met&(met-1) != 0 {
+		// Without Validate a projector checks only the regions it keeps, so
+		// an error the fused pass met in a region another projector keeps
+		// need not be this one's: each projector that got that far reports
+		// a pass of its own instead.
+		for ; met != 0; met &= met - 1 {
+			pass(met & -met)
+		}
 	}
 	pr.release()
 	prunerPool.Put(pr)
@@ -192,7 +225,7 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.textBuf = pr.textBuf[:0]
 	pr.skipBuf = pr.skipBuf[:0]
 	pr.skipOffs = pr.skipOffs[:0]
-	pr.skipPending = false
+	pr.skipPending, pr.skipDepth = false, 0
 	pr.mode, pr.ctxBase = modeNormal, 0
 	pr.events = pr.events[:0]
 	pr.sp = nil
@@ -218,6 +251,13 @@ func (pr *pruner) useDiscard() { pr.outs = append(pr.outs[:0], nopEmitter{}) }
 func (pr *pruner) stats(j int) Stats {
 	st := pr.per[j].st
 	st.ElementsIn, st.TextIn = pr.st.ElementsIn, pr.st.TextIn
+	if !pr.opts.Validate {
+		// What j discards is balanced, not read (skipBalance): a text run
+		// in there was seen only if another projector keeps it, and alone
+		// j would not have counted it.
+		st.TextIn -= st.TextSkipped
+		st.TextSkipped = 0
+	}
 	return st
 }
 
@@ -325,6 +365,9 @@ type pruner struct {
 	// growable buffer to stay allocation-free in steady state.
 	skipBuf  []byte
 	skipOffs []int
+	// skipDepth is the structural skip's depth below the one name it
+	// keeps, the discarded element's own (skipBalance).
+	skipDepth int
 
 	// Parallel-prune roles, single projector only. mode selects the role:
 	// modeNormal is the plain pass (also the spine of a parallel prune,
@@ -740,7 +783,7 @@ func (pr *pruner) startTag() error {
 			return nil
 		}
 		pr.pushSkipName(name)
-		empty, err := pr.skipAttrs()
+		empty, err := pr.skipTag()
 		if err != nil {
 			return err
 		}

@@ -137,24 +137,48 @@ func (x *exchange) streamOptions(validate bool) xmlproj.StreamOptions {
 
 // gatherBufPool recycles the request-body buffers of the routes that
 // prune in place; maxPooledGatherBuf keeps an occasional huge body (a
-// raised MaxGatherBytes) from pinning its buffer in the pool forever.
+// raised MaxGatherBytes) from pinning its buffer forever.
+//
+// Server.lastBuf, in front of the pool, is the buffer the last request
+// returned. A sync.Pool alone hands a buffer back only on the P that
+// put it there, so one connection's sequential requests, scheduled now
+// here and now there, would each grow a body-sized buffer of their own
+// — and keep growing them, since every GC cycle empties the pool. The
+// slot makes them reuse one. It is not the pool's to clear: an idle
+// daemon pins at most this one buffer, of at most maxPooledGatherBuf
+// bytes.
 var gatherBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledGatherBuf = DefaultMaxGatherBytes
 
-// readBody buffers the admitted body whole in a pooled buffer, which
-// done returns to the pool once the handler — and with it every prune
-// result referencing these bytes — is finished. On failure x.err is set.
+// readBody buffers the admitted body whole in a recycled buffer, which
+// done gives back once the handler — and with it every prune result
+// referencing these bytes — is finished. On failure x.err is set.
 func (x *exchange) readBody() []byte {
-	x.buf = gatherBufPool.Get().(*bytes.Buffer)
+	if x.buf = x.s.lastBuf.Swap(nil); x.buf == nil {
+		x.buf = gatherBufPool.Get().(*bytes.Buffer)
+	}
 	x.buf.Reset()
 	// A declared length costs the client nothing, so it pre-sizes the
 	// buffer only up to the gather bound; past that, arriving bytes do.
+	// MinRead on top is the room ReadFrom wants before every read: without
+	// it a read that stops just short of the end doubles the buffer.
 	if n := min(x.body.size, x.s.maxGather); n > 0 {
-		x.buf.Grow(int(n))
+		x.buf.Grow(int(n) + bytes.MinRead)
 	}
 	_, x.err = x.buf.ReadFrom(&x.body)
 	return x.buf.Bytes()
+}
+
+// releaseBody gives readBody's buffer to the next request: into the
+// slot, and whatever the slot held into the pool.
+func (x *exchange) releaseBody() {
+	if x.buf == nil || x.buf.Cap() > maxPooledGatherBuf {
+		return
+	}
+	if prev := x.s.lastBuf.Swap(x.buf); prev != nil {
+		gatherBufPool.Put(prev)
+	}
 }
 
 // disarm clears the connection deadlines, so that what is written after
@@ -211,9 +235,7 @@ func (x *exchange) done() {
 		if x.cancel != nil {
 			x.cancel()
 		}
-		if x.buf != nil && x.buf.Cap() <= maxPooledGatherBuf {
-			gatherBufPool.Put(x.buf)
-		}
+		x.releaseBody()
 		if !x.perPart {
 			s.eng.RecordPrune(x.body.n, x.stats, x.det, x.pdet, x.err)
 		}

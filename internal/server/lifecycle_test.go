@@ -334,6 +334,44 @@ func TestDeclaredLengthDoesNotPresize(t *testing.T) {
 	}
 }
 
+// TestSequentialBodiesReuseOneBuffer: the requests of one keep-alive
+// connection run one after another but not on one P, and a bare
+// sync.Pool gives a buffer back only where it was put — each P grew a
+// body-sized buffer of its own, again after every GC cycle. 200 sized
+// POSTs of one 4 MB body must cost one body buffer on both gather
+// routes: under 4 bodies' worth, since a race-detector build allocates
+// the buffer twice and has sync.Pool drop a quarter of the transport's
+// 32 KB copy buffers.
+func TestSequentialBodiesReuseOneBuffer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	doc := func(n int) string {
+		return `<bib><book><title>t</title><author>` + strings.Repeat("a", n) + `</author></book></bib>`
+	}
+	for _, url := range []string{"/prune?projection=titles", "/multiprune?projection=titles"} {
+		s := newTestServer(t, Options{})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		// allocated is what 200 sequential POSTs of body allocate, in
+		// this process: client, server and all.
+		allocated := func(body string) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 200; i++ {
+				if resp := do(t, "POST", ts.URL+url, strings.NewReader(body)); resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: request %d: status %d", url, i, resp.StatusCode)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		big := doc(4 << 20)
+		perRequest := allocated(doc(1)) // what a request costs besides its body
+		if grew := allocated(big) - perRequest; grew >= 4*uint64(len(big)) {
+			t.Errorf("%s: 200 sequential requests allocated %d MiB for their bodies, want under 4 bodies of %d MiB", url, grew>>20, len(big)>>20)
+		}
+	}
+}
+
 // TestTruncatedUploadIsClientGone: a body that ends before its declared
 // length, or before its last chunk, is the client's transport failing —
 // 499 and client_gone on every route, not a bad document (422,

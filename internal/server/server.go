@@ -8,14 +8,21 @@
 // through the one-pass pruner and the pruned document streams back.
 // Bodies route by size: a declared Content-Length up to MaxGatherBytes
 // is buffered once and served on the span-gather path with a real
-// Content-Length; larger or chunked (unsized) bodies stream — with a
-// worker budget of at least 4 through the pipelined streaming engine,
-// which overlaps reading, indexing and pruning under bounded window
-// memory — and pruned output is flushed to the client as it is
-// produced. The
+// Content-Length; larger or chunked (unsized) bodies stream — a
+// validating request with a worker budget of at least 4 through the
+// pipelined streaming engine, which overlaps reading, indexing and
+// pruning under bounded window memory — and pruned output is flushed to
+// the client as it is produced. The
 // streaming path never buffers the whole document, and every engine's
 // worker budget is divided by the admission-control width so a
 // saturated server never oversubscribes its CPUs.
+//
+// A request's validate=1 (or a projection registered as validating)
+// runs the prune with StreamOptions.Validate: DTD validation, and
+// well-formedness checked everywhere. Without it a document is checked
+// where the projection keeps and only balanced where it discards, so a
+// 422 for a malformed document is then a statement about the part of it
+// the client gets back.
 //
 // Admission control, body-size and token-size limits, and per-request
 // deadlines make the service safe to expose to untrusted inputs;
@@ -23,6 +30,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,6 +41,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"xmlproj"
@@ -108,6 +117,7 @@ type Server struct {
 	intraWorkers int
 	log          *slog.Logger
 	m            metrics
+	lastBuf      atomic.Pointer[bytes.Buffer] // see gatherBufPool
 }
 
 // namedProjection is a resolved projector: one precompiled at startup,
@@ -369,10 +379,11 @@ func (s *Server) pruneStreamed(x *exchange, np *namedProjection) {
 	}
 
 	// Push each pruner write through to the client: both the scanner and
-	// the pipelined engine (auto-selected here at a worker budget of at
-	// least 4) emit long before the document ends, so this is a real
-	// time-to-first-byte win. The pruner writes through a bufio layer, so
-	// the flush cost is per window, not per token.
+	// the pipelined engine (auto-selected here for a validating request
+	// at a worker budget of at least 4) emit long before the document
+	// ends, so this is a real time-to-first-byte win. The pruner writes
+	// through a bufio layer, so the flush cost is per window, not per
+	// token.
 	x.w.flush, _ = x.w.ResponseWriter.(http.Flusher)
 	x.stats, x.err = np.p.PruneStreamOpts(&x.w, &x.body, x.streamOptions(np.validate))
 	switch {

@@ -593,8 +593,9 @@ func TestGatherPath(t *testing.T) {
 	}
 }
 
-// TestPipelinedPath: a chunked (unsized) body on a multi-CPU host is
-// served by the pipelined streaming engine — output still byte-identical
+// TestPipelinedPath: a chunked (unsized) body on a multi-CPU host,
+// validated while it is pruned (auto stays serial without), is served by
+// the pipelined streaming engine — output still byte-identical
 // to the serial pruner, and the pipelined counters move: the server's
 // pipelined_prunes and peak_window_bytes, and the engine's pipelined
 // stage metrics.
@@ -634,7 +635,7 @@ func TestPipelinedPath(t *testing.T) {
 
 	// Wrapping the reader hides its size from net/http: the request goes
 	// out chunked and the server sees ContentLength -1.
-	resp, got := postPrune(t, ts, "/prune?projection=titles", struct{ io.Reader }{strings.NewReader(doc.String())})
+	resp, got := postPrune(t, ts, "/prune?projection=titles&validate=1", struct{ io.Reader }{strings.NewReader(doc.String())})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, got[:min(len(got), 200)])
 	}

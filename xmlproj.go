@@ -442,7 +442,8 @@ func (p *Projector) Prune(doc *Document) *Document {
 // PruneStats reports what a streaming prune did: elements and logical
 // text nodes read, written and skipped inside pruned subtrees, output
 // bytes, and the deepest open-element stack seen (the pruner's memory is
-// proportional to it, not to the document size).
+// proportional to it, not to the document size). Text inside pruned
+// subtrees is counted (TextIn, TextSkipped) only by a validating prune.
 type PruneStats = prune.Stats
 
 // PruneStream prunes the document read from src to dst in a single
@@ -455,10 +456,12 @@ func (p *Projector) PruneStream(dst io.Writer, src io.Reader) (PruneStats, error
 }
 
 // PruneEngine names the tokenizer behind a streaming prune. The zero
-// value auto-selects: with a worker budget of at least 4, the pipelined
-// streaming parallel pruner for UTF-8 reader input (unknown sizes, or
-// known sizes past a threshold) and the two-stage batch parallel pruner
-// for large in-memory input; the byte-level serial scanner otherwise.
+// value auto-selects: for a validating prune with a worker budget of at
+// least 4, the pipelined streaming parallel pruner for UTF-8 reader
+// input (unknown sizes, or known sizes past a threshold) and the
+// two-stage batch parallel pruner for large in-memory input; the
+// byte-level serial scanner otherwise — without Validate it walks what
+// it discards as fast as the parallel pruners index it.
 // Input must be UTF-8 — UTF-16/32 is rejected with an error that says
 // so; encoding/xml (PruneDecoder) runs only when forced, as the
 // reference implementation. String returns the name servers and tools
@@ -476,7 +479,16 @@ const (
 // StreamOptions configures PruneStreamOpts. The zero value matches
 // PruneStream: no validation, auto-selected engine, default limits.
 type StreamOptions struct {
-	// Validate fuses DTD validation with the prune.
+	// Validate fuses DTD validation with the prune, and checks the whole
+	// document for well-formedness. Without it the prune guarantees
+	// well-formedness where the projector keeps and structural balance
+	// where it discards: inside a discarded subtree unterminated
+	// constructs, truncated input, a '<' inside a tag and unbalanced or
+	// wrongly closed subtrees are still errors, while names, attribute
+	// syntax, entities, character ranges, "]]>" in text, "--" in comments
+	// and inner end-tag names are not looked at, and text in there is not
+	// counted in PruneStats.TextIn / TextSkipped. The paper assumes valid
+	// input (Thm. 4.5); set Validate for input that may not be.
 	Validate bool
 	// Engine forces a tokenizer; zero auto-selects.
 	Engine PruneEngine
