@@ -33,7 +33,6 @@ import (
 
 	"xmlproj"
 	"xmlproj/internal/mmapio"
-	"xmlproj/internal/rescache"
 )
 
 type stringList []string
@@ -62,7 +61,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")
 	intra := fs.Int("intra", 0, "intra-document parallel pruning workers; >0 forces the parallel pruner with that many; 0 = auto, which goes concurrent only with -validate, for documents of at least 4 MiB (pipes: 1 MiB or unsized) and a worker budget (GOMAXPROCS / -jobs) of at least 4")
-	resultCache := fs.Int64("result-cache", xmlproj.DefaultResultCacheBytes, "byte budget for the content-addressed result cache: duplicate documents in a batch are pruned once and served from cache (0 or negative = disabled)")
 	var queries, ins, projSpecs stringList
 	fs.Var(&queries, "q", "query (XPath or XQuery); repeatable")
 	fs.Var(&ins, "in", "input document or glob pattern; repeatable (default stdin)")
@@ -206,13 +204,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// A batch of one cannot hit its own result cache: skip the digest
-	// pass and the materialised copy of its output.
-	cacheBudget := *resultCache
-	if cacheBudget < 0 || len(batch) == 1 {
-		cacheBudget = 0
-	}
-	eng := xmlproj.NewEngine(xmlproj.EngineOptions{Workers: *jobs, ResultCacheBytes: cacheBudget})
+	eng := xmlproj.NewEngine(xmlproj.EngineOptions{})
 	start = time.Now()
 	results, agg, batchErr := eng.PruneBatch(context.Background(), p, batch, xmlproj.BatchOptions{
 		Workers:      *jobs,
@@ -289,14 +281,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			"xmlprune: %spruned %d/%d documents in %s; elements %d -> %d; %d -> %d bytes (%.1f MB/s); depth %d\n",
 			inferNote, agg.Pruned, len(batch), elapsed,
 			agg.ElementsIn, agg.ElementsOut, agg.BytesIn, agg.BytesOut, mbps, agg.MaxDepth)
-		// Duplicate documents in the batch were pruned once and copied
-		// out of the result cache; say how often that paid off.
-		if m := eng.Metrics().ResultCache; m.Hits+m.Coalesced+m.Misses > 0 {
-			served := m.Hits + m.Coalesced
-			total := served + m.Misses
-			fmt.Fprintf(stderr, "xmlprune: result cache: %d/%d prunes served from cache (%.0f%% hit ratio)\n",
-				served, total, 100*float64(served)/float64(total))
-		}
 	}
 	return batchErr
 }
@@ -438,16 +422,7 @@ func runMulti(specs, ins stringList, dtdPath, root, out string, materialize, val
 				_, werr := res.WriteTo(stdout)
 				return werr
 			}
-			f, err := os.Create(sinkPath[j])
-			if err != nil {
-				return err
-			}
-			if _, err := res.WriteTo(f); err != nil {
-				f.Close()
-				os.Remove(sinkPath[j])
-				return err
-			}
-			return f.Close()
+			return writeFile(sinkPath[j], res)
 		}()
 		st := res.Stats
 		res.Close()
@@ -466,6 +441,34 @@ func runMulti(specs, ins stringList, dtdPath, root, out string, materialize, val
 		"xmlprune: %d projections inferred in %s; shared scan over %s (%d bytes) in %s; %d bytes out total\n",
 		len(specs), inferTime, inName, len(data), elapsed, bytesOut)
 	return firstErr
+}
+
+// writeFile renders src into a new file at path. Close errors surface; a
+// file that did not get all of src is removed.
+func writeFile(path string, src io.WriterTo) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = writeBuffered(f, src)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
+// writeBuffered renders src to w through a 64 KiB buffer: a gather
+// result is thousands of small segments, one Write each, and an *os.File
+// takes a write(2) per Write.
+func writeBuffered(w io.Writer, src io.WriterTo) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := src.WriteTo(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // expandInputs glob-expands every -in value; a value without matches is
@@ -571,18 +574,6 @@ func (s *fileSource) InputBytes() []byte {
 	}
 	s.data = d
 	return d.Bytes()
-}
-
-// ResultCacheIdentity implements rescache.Identifier: a (device, inode,
-// size, mtime) fingerprint that lets the result cache skip hashing a
-// file it digested before — batches with duplicate inputs (snapshots,
-// hard links) identify repeats by stat alone.
-func (s *fileSource) ResultCacheIdentity() (rescache.Identity, bool) {
-	fi, err := os.Stat(s.path)
-	if err != nil {
-		return rescache.Identity{}, false
-	}
-	return rescache.FileIdentity(fi)
 }
 
 // close releases the mapping after the batch; the prune is done with

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xmlproj"
 )
 
 const testDTD = `
@@ -335,56 +338,106 @@ func TestRunMultiProjStdinBounded(t *testing.T) {
 	}
 }
 
-// TestRunBatchResultCache: duplicate documents in a batch hit the
-// result cache — both output files are byte-identical to a fresh prune
-// and the summary reports the hit ratio.
-func TestRunBatchResultCache(t *testing.T) {
+// TestRunBatchDuplicateInputs: a batch is one prune per input, and two
+// byte-identical inputs are two prunes — both outputs equal a single
+// prune of that document, and no cache is mentioned. -result-cache, the
+// flag that used to pick between two batch paths, is gone.
+func TestRunBatchDuplicateInputs(t *testing.T) {
 	dir := t.TempDir()
 	dtdPath := write(t, dir, "bib.dtd", testDTD)
 	a := write(t, dir, "a.xml", testDoc)
 	b := write(t, dir, "b.xml", testDoc) // same content, different file
 	outDir := filepath.Join(dir, "out")
 
-	var out, errBuf bytes.Buffer
+	var out, single, errBuf bytes.Buffer
+	if err := run([]string{"-dtd", dtdPath, "-q", "//book/title", "-in", a}, strings.NewReader(""), &single, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	errBuf.Reset()
 	err := run([]string{"-dtd", dtdPath, "-q", "//book/title", "-jobs", "1",
 		"-in", a, "-in", b, "-out", outDir},
 		strings.NewReader(""), &out, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got1, err := os.ReadFile(filepath.Join(outDir, "a.xml"))
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"a.xml", "b.xml"} {
+		got, err := os.ReadFile(filepath.Join(outDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, single.Bytes()) || !strings.Contains(string(got), "<title>Commedia</title>") {
+			t.Fatalf("%s differs from a single prune or lost the title:\n got: %s\nwant: %s", name, got, single.Bytes())
+		}
 	}
-	got2, err := os.ReadFile(filepath.Join(outDir, "b.xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got1, got2) || !strings.Contains(string(got1), "<title>Commedia</title>") {
-		t.Fatalf("outputs differ or lost the title:\n a: %s\n b: %s", got1, got2)
-	}
-	if !strings.Contains(errBuf.String(), "result cache: 1/2 prunes served from cache (50% hit ratio)") {
-		t.Fatalf("missing cache summary: %s", errBuf.String())
+	if !strings.Contains(errBuf.String(), "pruned 2/2 documents") || strings.Contains(errBuf.String(), "cache") {
+		t.Fatalf("batch summary: %s", errBuf.String())
 	}
 
-	// With the cache off the summary line disappears and output parity
-	// holds regardless.
 	errBuf.Reset()
-	err = run([]string{"-dtd", dtdPath, "-q", "//book/title", "-jobs", "1", "-result-cache", "0",
-		"-in", a, "-in", b, "-out", filepath.Join(dir, "out2")},
+	err = run([]string{"-dtd", dtdPath, "-q", "//book/title", "-result-cache", "0", "-in", a},
 		strings.NewReader(""), &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -result-cache") {
+		t.Fatalf("-result-cache: err = %v, want an unknown-flag error", err)
+	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	calls, bytes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.calls++
+	c.bytes += len(p)
+	return len(p), nil
+}
+
+// TestProjOutputIsBuffered: a gather result reaches a -proj output file
+// in 64 KiB writes, not in one write(2) per span — which is what handing
+// the *os.File to WriteTo costs, and what xmlprune did: 5 103 writes for
+// 73 329 bytes on one XMark projection.
+func TestProjOutputIsBuffered(t *testing.T) {
+	d, err := xmlproj.ParseDTDString(testDTD, "bib")
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := os.ReadFile(filepath.Join(dir, "out2", "b.xml"))
+	q, err := xmlproj.CompileXPath("//book/title")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(uncached, got2) {
-		t.Fatalf("cached output differs from uncached:\n cached: %s\nuncached: %s", got2, uncached)
+	p, err := d.Infer(xmlproj.Materialized, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(errBuf.String(), "result cache:") {
-		t.Fatalf("disabled cache still summarised: %s", errBuf.String())
+	var doc strings.Builder
+	doc.WriteString("<bib>")
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&doc, "<book><title>Canto %d</title><author>Dante</author><year>1313</year></book>", i)
+	}
+	doc.WriteString("</bib>")
+	results, errs := xmlproj.PruneMultiGather([]*xmlproj.Projector{p}, []byte(doc.String()), xmlproj.StreamOptions{})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	res := results[0]
+	defer res.Close()
+
+	var direct, buffered countingWriter
+	if _, err := res.WriteTo(&direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeBuffered(&buffered, res); err != nil {
+		t.Fatal(err)
+	}
+	size := int(res.Len())
+	if buffered.bytes != size || direct.bytes != size {
+		t.Fatalf("wrote %d buffered and %d direct of %d bytes", buffered.bytes, direct.bytes, size)
+	}
+	if direct.calls != res.Segments() || direct.calls < 5000 {
+		t.Fatalf("unbuffered WriteTo made %d writes for %d segments: the fixture no longer shows the problem", direct.calls, res.Segments())
+	}
+	if limit := size/(32<<10) + 2; buffered.calls > limit {
+		t.Fatalf("%d bytes reached the file in %d writes, want <= %d", size, buffered.calls, limit)
 	}
 }
 

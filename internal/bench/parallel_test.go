@@ -36,7 +36,7 @@ func TestParallelPruneMatchesSerial(t *testing.T) {
 		outs[i] = &bytes.Buffer{}
 		jobs[i] = engine.Job{Name: fmt.Sprint(i), Src: bytes.NewReader(w.DocBytes), Dst: outs[i]}
 	}
-	if _, _, err := e.PruneBatch(context.Background(), w.D, pr.Names, jobs, engine.BatchOptions{Workers: 4}); err != nil {
+	if _, _, err := e.PruneBatch(context.Background(), pr, jobs, engine.BatchOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for i, out := range outs {
@@ -75,7 +75,7 @@ func BenchmarkParallelPrune(b *testing.B) {
 				for j := range jobs {
 					jobs[j] = engine.Job{Name: fmt.Sprint(j), Src: bytes.NewReader(w.DocBytes), Dst: io.Discard}
 				}
-				if _, _, err := e.PruneBatch(context.Background(), w.D, pr.Names, jobs, engine.BatchOptions{Workers: workers}); err != nil {
+				if _, _, err := e.PruneBatch(context.Background(), pr, jobs, engine.BatchOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

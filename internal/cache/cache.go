@@ -1,8 +1,7 @@
 // Package cache is the repository's one memoisation mechanism: an LRU
-// under a cost budget whose misses are filled single-flight. The
-// projector cache, the compiled-projection and fused-table caches
-// (internal/engine), every shard of the result cache and its
-// file-identity memo (internal/rescache) are instances of it.
+// under a cost budget whose misses are filled single-flight. It has
+// three instances: the projector cache (internal/engine) and the two
+// levels of the result cache, keys and outputs (internal/rescache).
 //
 // What an outcome means to a caller — whether piggybacking on another
 // caller's fill counts as a hit, whether a peek moves a counter — is the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/xpath"
@@ -12,9 +13,53 @@ import (
 
 // Projector is an inferred type projector π for a DTD (Def. 2.6): the set
 // of names whose nodes survive pruning.
+//
+// π's derived forms — the decision table the pruners walk and the two
+// fingerprints the result cache keys on — are computed on first use and
+// kept here, so whoever holds the projector (a caller, the engine's
+// inference cache) holds them too and nothing downstream needs a cache
+// to avoid recomputing them. Names must not change once either has been
+// asked for; inference unions into a projector before handing it out.
 type Projector struct {
 	D     *dtd.DTD
 	Names dtd.NameSet
+
+	compileOnce sync.Once
+	compiled    *dtd.Projection
+
+	fpOnce sync.Once
+	fp     [2]string
+}
+
+// Compiled returns π compiled against the grammar's symbol table
+// (dtd.CompileProjection: ≈ 6 µs, 18 allocations on the XMark DTD),
+// computed once per projector.
+func (p *Projector) Compiled() *dtd.Projection {
+	p.compileOnce.Do(func() { p.compiled = p.D.CompileProjection(p.Names) })
+	return p.compiled
+}
+
+// ResultFingerprint identifies the bytes a prune with π produces, as
+// the variant half of a result-cache key and of an ETag: the grammar
+// fingerprint, π's sorted names and the validate mode, hashed once per
+// projector. The prune engine is not in it: every engine emits
+// byte-identical output (differential-tested), so a result filled by
+// one serves them all.
+func (p *Projector) ResultFingerprint(validate bool) string {
+	p.fpOnce.Do(func() {
+		names := p.Names.Sorted()
+		parts := make([]string, 0, len(names)+2)
+		parts = append(parts, p.D.Fingerprint())
+		for _, n := range names {
+			parts = append(parts, string(n))
+		}
+		p.fp[0] = dtd.Fingerprint(parts...)
+		p.fp[1] = dtd.Fingerprint(append(parts, "validate")...)
+	})
+	if validate {
+		return p.fp[1]
+	}
+	return p.fp[0]
 }
 
 // Has reports whether a name is kept by the projector.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"xmlproj/internal/dtd"
@@ -304,5 +305,54 @@ func TestKeepRatio(t *testing.T) {
 	selective := inferFor(t, d, "child::nosuchelement")
 	if r := selective.KeepRatio(); r <= 0 || r > 0.5 {
 		t.Fatalf("selective KeepRatio = %v", r)
+	}
+}
+
+// TestDerivedFormsOnce: π's compiled table and result fingerprints are
+// computed on first use, by whichever of 32 concurrent first users gets
+// there (run under -race), and cost nothing afterwards.
+func TestDerivedFormsOnce(t *testing.T) {
+	d := bibDTD(t)
+	pr := inferFor(t, d, "//book/title")
+	const n = 32
+	tables := make([]*dtd.Projection, n)
+	fps := make([][2]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tables[i] = pr.Compiled()
+			fps[i] = [2]string{pr.ResultFingerprint(false), pr.ResultFingerprint(true)}
+		}(i)
+	}
+	wg.Wait()
+	for i := range tables {
+		if tables[i] == nil || tables[i] != tables[0] {
+			t.Fatal("concurrent first use compiled more than one table")
+		}
+		if fps[i] != fps[0] {
+			t.Fatalf("fingerprints differ between callers: %v vs %v", fps[i], fps[0])
+		}
+	}
+	if fps[0][0] == fps[0][1] || len(fps[0][0]) != 32 {
+		t.Fatalf("plain and validating fingerprints: %v", fps[0])
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		pr.Compiled()
+		pr.ResultFingerprint(false)
+		pr.ResultFingerprint(true)
+	}); allocs != 0 {
+		t.Fatalf("derived forms cost %v allocations after first use, want 0", allocs)
+	}
+
+	// The fingerprint is of the grammar and the names, not of the object:
+	// an equal π over an equal grammar agrees, another π does not.
+	same := &Projector{D: bibDTD(t), Names: pr.Names.Clone()}
+	if same.ResultFingerprint(false) != fps[0][0] || same.ResultFingerprint(true) != fps[0][1] {
+		t.Fatal("equal projectors over equal grammars fingerprint differently")
+	}
+	if inferFor(t, d, "//book/year").ResultFingerprint(false) == fps[0][0] {
+		t.Fatal("different projectors share a fingerprint")
 	}
 }

@@ -108,6 +108,10 @@ type DTD struct {
 	// built lazily once (the grammar is immutable after parsing).
 	symOnce sync.Once
 	syms    *Symbols
+
+	// fp is Fingerprint's memo.
+	fpOnce sync.Once
+	fp     string
 }
 
 // Names returns all defined names DN(E) in declaration order (element

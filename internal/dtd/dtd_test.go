@@ -284,3 +284,24 @@ func TestDTDString(t *testing.T) {
 		t.Fatalf("String output unexpected:\n%s", s)
 	}
 }
+
+// TestFingerprint: stable, collision-resistant across part boundaries;
+// a grammar's own fingerprint covers attribute declarations (which
+// String omits) and is shared by structurally identical grammars.
+func TestFingerprint(t *testing.T) {
+	if Fingerprint("a", "bc") == Fingerprint("ab", "c") {
+		t.Fatal("fingerprint collides across part boundaries")
+	}
+	if Fingerprint("x") != Fingerprint("x") {
+		t.Fatal("fingerprint not deterministic")
+	}
+	const src = `<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)><!ATTLIST b id CDATA #IMPLIED>`
+	g1, g2 := MustParseString(src, "a"), MustParseString(src, "a")
+	if g1.Fingerprint() != g2.Fingerprint() || g1.Fingerprint() != g1.Fingerprint() {
+		t.Fatal("identical grammars fingerprint differently")
+	}
+	g3 := MustParseString(`<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)><!ATTLIST b id CDATA #REQUIRED>`, "a")
+	if g3.String() != g1.String() || g3.Fingerprint() == g1.Fingerprint() {
+		t.Fatal("the fingerprint does not see an attribute declaration String omits")
+	}
+}

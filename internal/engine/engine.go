@@ -14,15 +14,10 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"io"
-	"runtime"
 	"time"
 
 	"xmlproj/internal/cache"
 	"xmlproj/internal/core"
-	"xmlproj/internal/dtd"
 	"xmlproj/internal/rescache"
 )
 
@@ -35,38 +30,29 @@ type Key struct {
 	Mode   uint8
 }
 
-// CacheSize bounds each of the projector, compiled-projection and
-// fused-table caches. Their entries are small (a name set or a decision
-// table over the DTD), so the bound caps the number of distinct
-// workloads retained, not memory.
+// CacheSize bounds the projector cache. An entry is a name set plus the
+// decision table and fingerprints derived from it, so the bound caps the
+// number of distinct workloads retained, not memory.
 const CacheSize = 128
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the default worker-pool width for PruneBatch when the
-	// batch options leave it unset. Zero means GOMAXPROCS.
-	Workers int
 	// ResultCacheBytes budgets the content-addressed cache of pruned
-	// outputs (internal/rescache): repeat (document digest, projection
-	// fingerprint, validate) requests are served from cached bytes
-	// instead of rescanning. Zero or negative disables it.
+	// outputs (internal/rescache) on the gather route: a repeat
+	// (document digest, projection fingerprint, validate) request is
+	// served from cached bytes instead of rescanning. Zero or negative
+	// disables it. PruneBatch never consults it.
 	ResultCacheBytes int64
 }
 
 // Engine is safe for concurrent use by any number of goroutines.
 type Engine struct {
-	opts Options
-
-	// inferred caches projectors by workload.
+	// inferred caches projectors by workload. Traffic: every ad-hoc
+	// xmlprojd request (?q=) asks for its bunch's projector. A hit is a
+	// map probe; the fill it saves is an inference, core.infer_ms / 10
+	// ≈ 5.5 ms. The cached projector carries π's compiled table and
+	// result fingerprints (core.Projector), so a hit recomputes neither.
 	inferred *cache.Cache[Key, *core.Projector]
-
-	// proj caches compiled projections (π against a DTD's symbol table)
-	// so batches and repeated prunes of one workload compile π once.
-	proj *cache.Cache[projKey, *dtd.Projection]
-
-	// multi caches fused multi-projection decision tables so repeated
-	// shared-scan requests fuse their set once.
-	multi *cache.Cache[multiKey, *dtd.Projection]
 
 	// results caches pruned outputs by (document digest, variant); nil
 	// when Options.ResultCacheBytes is not positive.
@@ -78,19 +64,9 @@ type Engine struct {
 // New returns an engine with the given options.
 func New(opts Options) *Engine {
 	return &Engine{
-		opts:     opts,
 		inferred: cache.New[Key, *core.Projector](CacheSize, nil),
-		proj:     cache.New[projKey, *dtd.Projection](CacheSize, nil),
-		multi:    cache.New[multiKey, *dtd.Projection](CacheSize, nil),
 		results:  rescache.New(opts.ResultCacheBytes),
 	}
-}
-
-func (e *Engine) workers() int {
-	if e.opts.Workers > 0 {
-		return e.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // InferCached returns the projector for key, computing it with infer on
@@ -114,20 +90,4 @@ func (e *Engine) InferCached(key Key, infer func() (*core.Projector, error)) (*c
 		e.m.coalesced.Add(1)
 	}
 	return pr, err
-}
-
-// Fingerprint hashes the given parts into a compact stable hex key,
-// suitable for Key.Schema and Key.Bunch. Parts are length-delimited, so
-// distinct part lists never collide by concatenation.
-func Fingerprint(parts ...string) string {
-	h := sha256.New()
-	for _, p := range parts {
-		var n [8]byte
-		for i, l := 0, len(p); i < 8; i, l = i+1, l>>8 {
-			n[i] = byte(l)
-		}
-		h.Write(n[:])
-		io.WriteString(h, p)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }

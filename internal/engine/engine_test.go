@@ -179,13 +179,13 @@ func batchJobs(n int) ([]Job, []*bytes.Buffer) {
 	return jobs, outs
 }
 
-func titleProjector(t *testing.T, d *dtd.DTD) dtd.NameSet {
+func titleProjector(t *testing.T, d *dtd.DTD) *core.Projector {
 	t.Helper()
 	pr, err := inferTitle(t, d)()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr.Names
+	return pr
 }
 
 // TestPruneBatch: every document is pruned, results stay in job order,
@@ -193,9 +193,9 @@ func titleProjector(t *testing.T, d *dtd.DTD) dtd.NameSet {
 func TestPruneBatch(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 	jobs, outs := batchJobs(20)
-	results, agg, err := e.PruneBatch(context.Background(), d, pi, jobs, BatchOptions{Workers: 4})
+	results, agg, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +231,10 @@ func TestPruneBatch(t *testing.T) {
 func TestPruneBatchKeepGoing(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 	jobs, outs := batchJobs(6)
 	jobs[2].Src = strings.NewReader(`<bib><unknown/></bib>`)
-	results, agg, err := e.PruneBatch(context.Background(), d, pi, jobs, BatchOptions{Workers: 2})
+	results, agg, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("batch error swallowed")
 	}
@@ -259,11 +259,11 @@ func TestPruneBatchKeepGoing(t *testing.T) {
 func TestPruneBatchFailFast(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 	const n = 64
 	jobs, _ := batchJobs(n)
 	jobs[0].Src = strings.NewReader(`not xml at all <<<`)
-	results, agg, err := e.PruneBatch(context.Background(), d, pi, jobs, BatchOptions{Workers: 1, FailFast: true})
+	results, agg, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{Workers: 1, FailFast: true})
 	if err == nil {
 		t.Fatal("batch error swallowed")
 	}
@@ -287,11 +287,11 @@ func TestPruneBatchFailFast(t *testing.T) {
 func TestPruneBatchContextCancel(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 	jobs, _ := batchJobs(16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the batch starts
-	results, agg, err := e.PruneBatch(ctx, d, pi, jobs, BatchOptions{Workers: 4})
+	results, agg, err := e.PruneBatch(ctx, pr, jobs, BatchOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
@@ -305,87 +305,63 @@ func TestPruneBatchContextCancel(t *testing.T) {
 	}
 }
 
-// TestFingerprint: stable, collision-resistant across part boundaries.
-func TestFingerprint(t *testing.T) {
-	if Fingerprint("a", "bc") == Fingerprint("ab", "c") {
-		t.Fatal("fingerprint collides across part boundaries")
-	}
-	if Fingerprint("x") != Fingerprint("x") {
-		t.Fatal("fingerprint not deterministic")
-	}
-}
-
-// TestProjectionCache: a batch compiles π against the symbol table once;
-// later batches for the same (DTD, π) workload reuse the compilation,
-// and the same name set built independently fingerprints to the same
-// cache entry.
+// TestProjectionCache: a batch compiles π against the symbol table once,
+// on the projector; later batches for the same projector reuse that
+// table, and asking for it again allocates nothing.
 func TestProjectionCache(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 
 	jobs, _ := batchJobs(8)
-	if _, _, err := e.PruneBatch(context.Background(), d, pi, jobs, BatchOptions{Workers: 4}); err != nil {
+	if _, _, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if m.ProjectionMisses != 1 || m.ProjectionHits != 0 {
-		t.Fatalf("first batch: projection hits=%d misses=%d", m.ProjectionHits, m.ProjectionMisses)
-	}
-
-	jobs2, _ := batchJobs(8)
-	if _, _, err := e.PruneBatch(context.Background(), d, pi, jobs2, BatchOptions{Workers: 4}); err != nil {
+	table := pr.Compiled()
+	jobs2, outs := batchJobs(8)
+	if _, _, err := e.PruneBatch(context.Background(), pr, jobs2, BatchOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	m = e.Metrics()
-	if m.ProjectionMisses != 1 || m.ProjectionHits != 1 {
-		t.Fatalf("second batch: projection hits=%d misses=%d", m.ProjectionHits, m.ProjectionMisses)
+	if pr.Compiled() != table {
+		t.Fatal("second batch compiled π again")
 	}
-
-	// An independently built but equal name set is the same workload.
-	cp := dtd.NameSet{}
-	for n := range pi {
-		cp[n] = struct{}{}
+	if got := outs[3].String(); got != `<bib><book><title>T3</title></book></bib>` {
+		t.Fatalf("second batch output = %q", got)
 	}
-	if e.ProjectionFor(d, cp) != e.ProjectionFor(d, pi) {
-		t.Fatal("equal name sets compiled to distinct projections")
-	}
-
-	// A different π is a different entry.
-	e.ProjectionFor(d, dtd.NewNameSet("bib"))
-	m = e.Metrics()
-	if m.ProjectionMisses != 2 {
-		t.Fatalf("distinct π did not miss: %+v", m)
+	if allocs := testing.AllocsPerRun(100, func() { pr.Compiled() }); allocs != 0 {
+		t.Fatalf("a compiled π costs %v allocations after first use, want 0", allocs)
 	}
 }
 
-// TestProjectionForSingleFlight: concurrent cold requests for one
-// workload share a single compilation.
-func TestProjectionForSingleFlight(t *testing.T) {
+// TestInferCachedSharesCompiledTable: concurrent cold requests for one
+// workload get one projector from the inference cache, and their
+// concurrent first use of it compiles one table.
+func TestInferCachedSharesCompiledTable(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	infer := inferTitle(t, d)
 
 	var wg sync.WaitGroup
-	got := make([]*dtd.Projection, 16)
+	got := make([]*dtd.Projection, 32)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = e.ProjectionFor(d, pi)
+			pr, err := e.InferCached(Key{Schema: "s", Bunch: "b"}, infer)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = pr.Compiled()
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < len(got); i++ {
-		if got[i] != got[0] {
+	for i := range got {
+		if got[i] == nil || got[i] != got[0] {
 			t.Fatal("concurrent callers saw distinct projections")
 		}
 	}
-	m := e.Metrics()
-	if m.ProjectionMisses != 1 {
-		t.Fatalf("want exactly one compilation, got %d misses", m.ProjectionMisses)
-	}
-	if m.ProjectionHits != 15 {
-		t.Fatalf("want 15 hits (cached or coalesced), got %d", m.ProjectionHits)
+	if m := e.Metrics(); m.Inferences != 1 {
+		t.Fatalf("want exactly one inference, got %d", m.Inferences)
 	}
 }

@@ -19,10 +19,6 @@ type counters struct {
 	pruneErrors atomic.Int64
 	bytesIn     atomic.Int64
 	bytesOut    atomic.Int64
-	projHits    atomic.Int64
-	projMisses  atomic.Int64
-	multiHits   atomic.Int64
-	multiMisses atomic.Int64
 
 	parallelPrunes    atomic.Int64
 	parallelFallbacks atomic.Int64
@@ -67,14 +63,6 @@ type Metrics struct {
 	// BytesIn / BytesOut total the document bytes read and written by
 	// batch pruning.
 	BytesIn, BytesOut int64
-	// ProjectionHits / ProjectionMisses count compiled-projection cache
-	// lookups (a miss compiles π against the DTD's symbol table; calls
-	// that piggyback on an in-flight compilation count as hits).
-	ProjectionHits, ProjectionMisses int64
-	// MultiHits / MultiMisses count fused multi-projection cache lookups
-	// (a miss fuses the projector set into one decision table; calls that
-	// piggyback on an in-flight fuse count as hits).
-	MultiHits, MultiMisses int64
 	// ParallelPrunes counts batch jobs that ran on the intra-document
 	// parallel pruner; ParallelFallbacks the subset handed back to the
 	// serial scanner (unindexable input). IndexTime, FragmentTime and
@@ -106,21 +94,17 @@ type Metrics struct {
 func (e *Engine) Metrics() Metrics {
 	inferred := e.inferred.Usage()
 	return Metrics{
-		CacheHits:        e.m.hits.Load(),
-		CacheMisses:      e.m.misses.Load(),
-		Coalesced:        e.m.coalesced.Load(),
-		Evictions:        inferred.Evictions,
-		CacheEntries:     inferred.Entries,
-		Inferences:       e.m.inferences.Load(),
-		InferenceTime:    time.Duration(e.m.inferNanos.Load()),
-		DocsPruned:       e.m.docsPruned.Load(),
-		PruneErrors:      e.m.pruneErrors.Load(),
-		BytesIn:          e.m.bytesIn.Load(),
-		BytesOut:         e.m.bytesOut.Load(),
-		ProjectionHits:   e.m.projHits.Load(),
-		ProjectionMisses: e.m.projMisses.Load(),
-		MultiHits:        e.m.multiHits.Load(),
-		MultiMisses:      e.m.multiMisses.Load(),
+		CacheHits:     e.m.hits.Load(),
+		CacheMisses:   e.m.misses.Load(),
+		Coalesced:     e.m.coalesced.Load(),
+		Evictions:     inferred.Evictions,
+		CacheEntries:  inferred.Entries,
+		Inferences:    e.m.inferences.Load(),
+		InferenceTime: time.Duration(e.m.inferNanos.Load()),
+		DocsPruned:    e.m.docsPruned.Load(),
+		PruneErrors:   e.m.pruneErrors.Load(),
+		BytesIn:       e.m.bytesIn.Load(),
+		BytesOut:      e.m.bytesOut.Load(),
 
 		ParallelPrunes:    e.m.parallelPrunes.Load(),
 		ParallelFallbacks: e.m.parallelFallbacks.Load(),
@@ -156,10 +140,6 @@ func (m Metrics) Map() map[string]any {
 		"prune_errors":            m.PruneErrors,
 		"bytes_in":                m.BytesIn,
 		"bytes_out":               m.BytesOut,
-		"projection_hits":         m.ProjectionHits,
-		"projection_misses":       m.ProjectionMisses,
-		"multi_projection_hits":   m.MultiHits,
-		"multi_projection_misses": m.MultiMisses,
 		"parallel_prunes":         m.ParallelPrunes,
 		"parallel_fallbacks":      m.ParallelFallbacks,
 		"parallel_index_nanos":    int64(m.IndexTime),
@@ -174,15 +154,13 @@ func (m Metrics) Map() map[string]any {
 		"pipelined_emit_nanos":        int64(m.PipelineEmitTime),
 		"pipelined_peak_window_bytes": m.PeakWindowBytes,
 
-		"result_cache_hits":            m.ResultCache.Hits,
-		"result_cache_misses":          m.ResultCache.Misses,
-		"result_cache_coalesced":       m.ResultCache.Coalesced,
-		"result_cache_evictions":       m.ResultCache.Evictions,
-		"result_cache_bypasses":        m.ResultCache.Bypasses,
-		"result_cache_identity_hits":   m.ResultCache.IdentityHits,
-		"result_cache_identity_misses": m.ResultCache.IdentityMisses,
-		"result_cache_entries":         m.ResultCache.Entries,
-		"result_cache_bytes":           m.ResultCache.Bytes,
-		"result_cache_budget_bytes":    m.ResultCache.Budget,
+		"result_cache_hits":         m.ResultCache.Hits,
+		"result_cache_misses":       m.ResultCache.Misses,
+		"result_cache_coalesced":    m.ResultCache.Coalesced,
+		"result_cache_evictions":    m.ResultCache.Evictions,
+		"result_cache_bypasses":     m.ResultCache.Bypasses,
+		"result_cache_entries":      m.ResultCache.Entries,
+		"result_cache_bytes":        m.ResultCache.Bytes,
+		"result_cache_budget_bytes": m.ResultCache.Budget,
 	}
 }

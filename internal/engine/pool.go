@@ -10,9 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"xmlproj/internal/dtd"
+	"xmlproj/internal/core"
 	"xmlproj/internal/prune"
-	"xmlproj/internal/rescache"
 )
 
 // Job is one document to prune: a source stream and a destination.
@@ -62,8 +61,7 @@ func (r JobResult) Throughput() float64 {
 
 // BatchOptions configures one PruneBatch call.
 type BatchOptions struct {
-	// Workers bounds the pool for this batch; zero uses the engine's
-	// default (Options.Workers, else GOMAXPROCS).
+	// Workers bounds the pool for this batch; zero means GOMAXPROCS.
 	Workers int
 	// Validate fuses DTD validation with the prune.
 	Validate bool
@@ -81,13 +79,6 @@ type BatchOptions struct {
 	// Workers × IntraWorkers ≈ GOMAXPROCS and a batch of large
 	// documents never oversubscribes the CPUs.
 	IntraWorkers int
-	// ResultVariant enables the result cache for this batch: the
-	// projection-variant half of the cache key (projection fingerprint
-	// with the validate mode already folded in — see the public layer's
-	// resultFingerprint). Empty leaves the cache out of the batch.
-	// Only jobs whose sources expose in-memory bytes (prune.BytesSource)
-	// take the cached path; streaming jobs are pruned as before.
-	ResultVariant string
 }
 
 // BatchStats aggregates a batch.
@@ -101,15 +92,19 @@ type BatchStats struct {
 	Pruned, Failed, Skipped int
 }
 
-// PruneBatch prunes every job against π through a bounded worker pool.
-// Results are returned in job order. The batch stops early when ctx is
-// cancelled or, with FailFast, on the first job error; the remaining
-// jobs are marked with the cancellation error. The returned error is
-// nil only if every job succeeded.
-func (e *Engine) PruneBatch(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, jobs []Job, opts BatchOptions) ([]JobResult, BatchStats, error) {
+// PruneBatch prunes every job against π through a bounded worker pool:
+// one prune.Stream per job, sharing π's compiled table, and nothing
+// else — a batch is the paper's traffic, one projector over many
+// different documents, which a result cache cannot hit (the engine's is
+// not consulted, whatever Options.ResultCacheBytes says; two identical
+// inputs are pruned twice). Results are returned in job order. The batch
+// stops early when ctx is cancelled or, with FailFast, on the first job
+// error; the remaining jobs are marked with the cancellation error. The
+// returned error is nil only if every job succeeded.
+func (e *Engine) PruneBatch(ctx context.Context, pr *core.Projector, jobs []Job, opts BatchOptions) ([]JobResult, BatchStats, error) {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = e.workers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -125,10 +120,6 @@ func (e *Engine) PruneBatch(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, job
 		opts.IntraWorkers = IntraBudget(runtime.GOMAXPROCS(0), workers)
 	}
 
-	// Compile π once for the whole batch (cached across batches too):
-	// every worker shares the same immutable *dtd.Projection.
-	proj := e.ProjectionFor(d, pi)
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -139,7 +130,7 @@ func (e *Engine) PruneBatch(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, job
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = e.runJob(ctx, d, pi, proj, jobs[i], opts)
+				results[i] = e.runJob(ctx, pr, jobs[i], opts)
 				if results[i].Err != nil && opts.FailFast {
 					cancel()
 				}
@@ -199,23 +190,21 @@ feed:
 }
 
 // runJob prunes one document, accounting bytes and metrics.
-func (e *Engine) runJob(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, proj *dtd.Projection, job Job, opts BatchOptions) JobResult {
+func (e *Engine) runJob(ctx context.Context, pr *core.Projector, job Job, opts BatchOptions) JobResult {
 	res := JobResult{Name: job.Name}
 	if err := ctx.Err(); err != nil {
 		res.Err = err
 	} else {
 		src := &countingReader{r: job.Src, ctx: ctx}
 		start := time.Now()
-		if !e.tryCachedJob(src, job, d, pi, proj, opts, &res) {
-			res.Stats, res.Err = prune.Stream(job.Dst, src, d, pi, prune.StreamOptions{
-				Validate:        opts.Validate,
-				Projection:      proj,
-				Engine:          opts.Engine,
-				ParallelWorkers: opts.IntraWorkers,
-				Detail:          &res.Parallel,
-				Pipeline:        &res.Pipeline,
-			})
-		}
+		res.Stats, res.Err = prune.Stream(job.Dst, src, pr.D, pr.Names, prune.StreamOptions{
+			Validate:        opts.Validate,
+			Projection:      pr.Compiled(),
+			Engine:          opts.Engine,
+			ParallelWorkers: opts.IntraWorkers,
+			Detail:          &res.Parallel,
+			Pipeline:        &res.Pipeline,
+		})
 		res.Elapsed = time.Since(start)
 		res.BytesIn = src.n
 		// A prune aborted by cancellation already carries the context
@@ -233,63 +222,6 @@ func (e *Engine) runJob(ctx context.Context, d *dtd.DTD, pi dtd.NameSet, proj *d
 	}
 	e.RecordPrune(res.BytesIn, res.Stats.BytesOut, res.Parallel, res.Pipeline, res.Err)
 	return res
-}
-
-// tryCachedJob serves one batch job through the result cache, reporting
-// whether it handled the job. Eligibility: the cache and a batch
-// variant are configured, the engine is not forced pipelined (a
-// streaming-semantics engine the cache deliberately bypasses), and the
-// source exposes its whole input in memory. The file-identity fast path
-// kicks in when the source also implements rescache.Identifier, so
-// repeat runs over unchanged files skip rehashing. On a cold key the
-// fill prunes the in-memory bytes with the shared compiled projection —
-// the same spans the streaming path would emit — and the output lands
-// in the cache; warm keys copy cached bytes straight to the
-// destination.
-func (e *Engine) tryCachedJob(src *countingReader, job Job, d *dtd.DTD, pi dtd.NameSet, proj *dtd.Projection, opts BatchOptions, res *JobResult) bool {
-	if e.results == nil || opts.ResultVariant == "" || opts.Engine == prune.EnginePipelined {
-		return false
-	}
-	data := src.InputBytes()
-	if data == nil {
-		// Not an in-memory source (or cancelled): the streaming path's own
-		// InputBytes probe repeats the question, which is harmless — a nil
-		// answer left nothing consumed.
-		return false
-	}
-	var idp *rescache.Identity
-	if ider, ok := job.Src.(rescache.Identifier); ok {
-		if id, idOK := ider.ResultCacheIdentity(); idOK {
-			idp = &id
-		}
-	}
-	key := rescache.Key{
-		Doc:     e.results.DigestFor(data, idp),
-		Variant: opts.ResultVariant,
-	}
-	entry, g, stats, _, err := e.CachedGather(key, func() (*prune.Gather, prune.Stats, error) {
-		return prune.StreamGather(data, d, pi, prune.StreamOptions{
-			Validate:        opts.Validate,
-			Projection:      proj,
-			Engine:          opts.Engine,
-			ParallelWorkers: opts.IntraWorkers,
-			Detail:          &res.Parallel,
-		})
-	})
-	if err != nil {
-		res.Err = err
-		return true
-	}
-	res.Stats = stats
-	if g != nil {
-		_, werr := g.WriteTo(job.Dst)
-		g.Close()
-		res.Err = werr
-	} else {
-		_, werr := entry.WriteTo(job.Dst)
-		res.Err = werr
-	}
-	return true
 }
 
 // RecordPrune credits one streaming prune into the engine's counters —

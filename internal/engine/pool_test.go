@@ -38,7 +38,7 @@ func (r *cancelAfterReader) Read(p []byte) (int, error) {
 func TestBatchWrappedContextClassifiedSkipped(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -47,7 +47,7 @@ func TestBatchWrappedContextClassifiedSkipped(t *testing.T) {
 		Src:  &cancelAfterReader{data: []byte(`<bib><book><title>T`), cancel: cancel},
 		Dst:  &bytes.Buffer{},
 	}}
-	results, agg, err := e.PruneBatch(ctx, d, pi, jobs, BatchOptions{Workers: 1})
+	results, agg, err := e.PruneBatch(ctx, pr, jobs, BatchOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
@@ -100,7 +100,7 @@ func (r *badDocCancelReader) Read(p []byte) (int, error) {
 func TestBatchPreservesRootCauseOnCancel(t *testing.T) {
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -109,7 +109,7 @@ func TestBatchPreservesRootCauseOnCancel(t *testing.T) {
 		Src:  &badDocCancelReader{data: []byte(`<bib><zzz/></bib>`), cancel: cancel},
 		Dst:  &bytes.Buffer{},
 	}}
-	results, agg, err := e.PruneBatch(ctx, d, pi, jobs, BatchOptions{Workers: 1})
+	results, agg, err := e.PruneBatch(ctx, pr, jobs, BatchOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("failed batch reported success")
 	}
@@ -162,7 +162,7 @@ func TestBatchBoundsIntraWorkers(t *testing.T) {
 
 	d := bib(t)
 	e := New(Options{})
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 
 	const workers = 2
 	jobs := make([]Job, 4)
@@ -172,7 +172,7 @@ func TestBatchBoundsIntraWorkers(t *testing.T) {
 		doc := fmt.Sprintf(`<bib><book><title>T%d</title><author>A%d</author></book></bib>`, i, i)
 		jobs[i] = Job{Name: fmt.Sprintf("doc%d", i), Src: strings.NewReader(doc), Dst: outs[i]}
 	}
-	results, _, err := e.PruneBatch(context.Background(), d, pi, jobs, BatchOptions{
+	results, _, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{
 		Workers: workers,
 		Engine:  prune.EngineParallel, // force the intra-document pruner regardless of size
 	})

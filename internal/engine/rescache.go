@@ -6,8 +6,8 @@ import (
 )
 
 // ResultCache exposes the engine's content-addressed cache of pruned
-// outputs; nil when disabled. Callers use it for digesting (with the
-// file-identity memo) and for peek-style lookups (HEAD, CachedLen).
+// outputs; nil when disabled. Callers use it for peek-style lookups
+// (HEAD, CachedLen).
 func (e *Engine) ResultCache() *rescache.Cache { return e.results }
 
 // CachedGather serves one prune through the result cache with
@@ -21,12 +21,9 @@ func (e *Engine) ResultCache() *rescache.Cache { return e.results }
 // budget are returned but not cached, and a caller that coalesced onto
 // such a fill re-runs fill privately.
 //
-// With the cache disabled this degenerates to calling fill.
+// With the cache disabled (a nil rescache.Cache stores nothing) this
+// degenerates to calling fill.
 func (e *Engine) CachedGather(key rescache.Key, fill func() (*prune.Gather, prune.Stats, error)) (entry *rescache.Entry, g *prune.Gather, stats prune.Stats, hit bool, err error) {
-	if e.results == nil {
-		g, stats, err = fill()
-		return nil, g, stats, false, err
-	}
 	entry, hit, err = e.results.GetOrFill(key, func() (*rescache.Entry, error) {
 		gg, st, ferr := fill()
 		if ferr != nil {

@@ -15,12 +15,10 @@ import (
 const cachedDoc = `<bib><book><title>Projection</title><author>B</author><year>2006</year></book></bib>`
 
 // memSource is an in-memory batch source that takes the zero-copy
-// bytes path and (optionally) volunteers a file identity.
+// bytes path.
 type memSource struct {
-	data  []byte
-	id    rescache.Identity
-	hasID bool
-	off   int
+	data []byte
+	off  int
 }
 
 func (m *memSource) Read(p []byte) (int, error) {
@@ -38,9 +36,8 @@ type errStr string
 
 func (e errStr) Error() string { return string(e) }
 
-func (m *memSource) InputBytes() []byte                             { return m.data }
-func (m *memSource) InputSize() (int64, bool)                       { return int64(len(m.data)), true }
-func (m *memSource) ResultCacheIdentity() (rescache.Identity, bool) { return m.id, m.hasID }
+func (m *memSource) InputBytes() []byte       { return m.data }
+func (m *memSource) InputSize() (int64, bool) { return int64(len(m.data)), true }
 
 // TestCachedGatherSingleFlight mirrors TestInferCachedSingleFlight one
 // layer down: N concurrent cold CachedGather calls for one key run
@@ -48,7 +45,7 @@ func (m *memSource) ResultCacheIdentity() (rescache.Identity, bool) { return m.i
 // the cached entry, and every caller sees identical bytes.
 func TestCachedGatherSingleFlight(t *testing.T) {
 	d := bib(t)
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 	e := New(Options{ResultCacheBytes: 1 << 20})
 	key := rescache.Key{Doc: rescache.DigestBytes([]byte(cachedDoc)), Variant: "fp"}
 
@@ -56,10 +53,10 @@ func TestCachedGatherSingleFlight(t *testing.T) {
 	fill := func() (*prune.Gather, prune.Stats, error) {
 		calls.Add(1)
 		time.Sleep(20 * time.Millisecond) // hold the flight open so others pile on
-		return prune.StreamGather([]byte(cachedDoc), d, pi, prune.StreamOptions{})
+		return prune.StreamGather([]byte(cachedDoc), d, pr.Names, prune.StreamOptions{})
 	}
 
-	want, _, err := prune.StreamGather([]byte(cachedDoc), d, pi, prune.StreamOptions{})
+	want, _, err := prune.StreamGather([]byte(cachedDoc), d, pr.Names, prune.StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestCachedGatherSingleFlight(t *testing.T) {
 // budget is served but never stored; later callers prune again.
 func TestCachedGatherUncacheableOutput(t *testing.T) {
 	d := bib(t)
-	pi := titleProjector(t, d)
+	pr := titleProjector(t, d)
 	// Budget so small every real output exceeds a shard's slice.
 	e := New(Options{ResultCacheBytes: 16})
 	key := rescache.Key{Doc: rescache.DigestBytes([]byte(cachedDoc)), Variant: "fp"}
@@ -138,7 +135,7 @@ func TestCachedGatherUncacheableOutput(t *testing.T) {
 	var calls atomic.Int64
 	fill := func() (*prune.Gather, prune.Stats, error) {
 		calls.Add(1)
-		return prune.StreamGather([]byte(cachedDoc), d, pi, prune.StreamOptions{})
+		return prune.StreamGather([]byte(cachedDoc), d, pr.Names, prune.StreamOptions{})
 	}
 	for i := 0; i < 2; i++ {
 		entry, g, _, hit, err := e.CachedGather(key, fill)
@@ -158,52 +155,42 @@ func TestCachedGatherUncacheableOutput(t *testing.T) {
 	}
 }
 
-// TestBatchResultCache: a batch with ResultVariant set serves repeat
-// documents from the cache — byte-identical to the uncached run — and
-// sources that volunteer a file identity skip rehashing on the second
-// round.
-func TestBatchResultCache(t *testing.T) {
+// TestBatchIgnoresResultCache: a batch is prune.Stream per job whatever
+// the engine was built with. Two byte-identical in-memory inputs (the
+// only sources the old cached path took) produce two correct outputs,
+// and an engine with a result cache — what the benchmark's one-shot
+// xmlprune seam constructs — behaves exactly as a plain one: same
+// bytes, same counters, nothing digested, nothing stored.
+func TestBatchIgnoresResultCache(t *testing.T) {
 	d := bib(t)
-	pi := titleProjector(t, d)
-	e := New(Options{ResultCacheBytes: 1 << 20})
-
-	id := rescache.Identity{Dev: 1, Ino: 99, Size: int64(len(cachedDoc)), MTimeNanos: 7}
-	runBatch := func(variant string) []byte {
-		var out bytes.Buffer
-		jobs := []Job{{
-			Name: "doc",
-			Src:  &memSource{data: []byte(cachedDoc), id: id, hasID: true},
-			Dst:  &out,
-		}}
-		_, _, err := e.PruneBatch(context.Background(), d, pi, jobs, BatchOptions{
-			Workers:       1,
-			ResultVariant: variant,
-		})
+	pr := titleProjector(t, d)
+	want, _, err := prune.StreamString(cachedDoc, d, pr.Names, prune.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1 << 20} {
+		e := New(Options{ResultCacheBytes: budget})
+		var a, b bytes.Buffer
+		jobs := []Job{
+			{Name: "a", Src: &memSource{data: []byte(cachedDoc)}, Dst: &a},
+			{Name: "b", Src: &memSource{data: []byte(cachedDoc)}, Dst: &b},
+		}
+		results, agg, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out.Bytes()
-	}
-
-	plain := runBatch("") // cache bypassed: the reference output
-	first := runBatch("fp")
-	second := runBatch("fp")
-	if !bytes.Equal(first, plain) || !bytes.Equal(second, plain) {
-		t.Fatalf("cached batch output differs from uncached:\nplain  %q\nfirst  %q\nsecond %q", plain, first, second)
-	}
-
-	m := e.Metrics().ResultCache
-	if m.Misses != 1 || m.Hits != 1 {
-		t.Fatalf("result cache misses=%d hits=%d, want 1 and 1", m.Misses, m.Hits)
-	}
-	if m.IdentityHits != 1 {
-		t.Fatalf("identity fast path hits=%d, want 1 (second round memoized)", m.IdentityHits)
-	}
-	em := e.Metrics()
-	if em.DocsPruned != 3 {
-		t.Fatalf("docs pruned = %d, want 3 (cache hits still count)", em.DocsPruned)
-	}
-	if em.BytesIn != 3*int64(len(cachedDoc)) {
-		t.Fatalf("bytes in = %d, want %d", em.BytesIn, 3*len(cachedDoc))
+		if a.String() != want || b.String() != want {
+			t.Fatalf("budget %d: outputs %q and %q, want %q twice", budget, a.String(), b.String(), want)
+		}
+		if results[0].Stats != results[1].Stats || agg.Pruned != 2 {
+			t.Fatalf("budget %d: results %+v, agg %+v", budget, results, agg)
+		}
+		m := e.Metrics()
+		if m.DocsPruned != 2 || m.BytesIn != 2*int64(len(cachedDoc)) {
+			t.Fatalf("budget %d: docs pruned = %d, bytes in = %d", budget, m.DocsPruned, m.BytesIn)
+		}
+		if rc := m.ResultCache; rc.Hits+rc.Misses+rc.Coalesced != 0 || rc.Entries != 0 {
+			t.Fatalf("budget %d: the batch touched the result cache: %+v", budget, rc)
+		}
 	}
 }

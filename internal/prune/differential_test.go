@@ -48,8 +48,8 @@ func mustDTD(t *testing.T) *dtd.DTD {
 // smallest documents.
 var parallelVariants = []StreamOptions{
 	{Engine: EngineParallel, ParallelWorkers: 1},
-	{Engine: EngineParallel, ParallelWorkers: 4, ParallelChunkSize: 3},
-	{Engine: EngineParallel, ParallelWorkers: 3, ParallelFragTarget: 64},
+	{Engine: EngineParallel, ParallelWorkers: 4, parallelChunkSize: 3},
+	{Engine: EngineParallel, ParallelWorkers: 3, parallelFragTarget: 64},
 }
 
 // pipelinedVariants are the EnginePipelined configurations every
@@ -57,9 +57,9 @@ var parallelVariants = []StreamOptions{
 // the documents (so constructs straddle window boundaries), a minimal
 // ring, a tiny fragment target forcing splices, and the defaults.
 var pipelinedVariants = []StreamOptions{
-	{Engine: EnginePipelined, ParallelWorkers: 1, PipelineWindowSize: 300},
-	{Engine: EnginePipelined, ParallelWorkers: 4, PipelineWindowSize: 300, PipelineRingDepth: 2, ParallelFragTarget: 24},
-	{Engine: EnginePipelined, ParallelWorkers: 3, ParallelFragTarget: 64},
+	{Engine: EnginePipelined, ParallelWorkers: 1, pipelineWindowSize: 300},
+	{Engine: EnginePipelined, ParallelWorkers: 4, pipelineWindowSize: 300, pipelineRingDepth: 2, parallelFragTarget: 24},
+	{Engine: EnginePipelined, ParallelWorkers: 3, parallelFragTarget: 64},
 }
 
 // checkGather runs the span-gather path under opts and requires the
@@ -460,8 +460,8 @@ func TestParallelEngineAdversarialChunks(t *testing.T) {
 				pst, perr := Stream(&pb, strings.NewReader(doc), d, pi, StreamOptions{
 					Engine:             EngineParallel,
 					ParallelWorkers:    workers,
-					ParallelChunkSize:  chunk,
-					ParallelFragTarget: 1,
+					parallelChunkSize:  chunk,
+					parallelFragTarget: 1,
 				})
 				if (serr == nil) != (perr == nil) {
 					t.Fatalf("w=%d chunk=%d: verdicts diverge: scanner=%v parallel=%v\ninput: %q",
@@ -553,7 +553,7 @@ func TestStreamTortureReaders(t *testing.T) {
 			sst, serr := Stream(&sb, strings.NewReader(doc), d, pi, StreamOptions{Validate: validate, Engine: EngineScanner})
 			engines := []StreamOptions{
 				{Engine: EngineScanner},
-				{Engine: EnginePipelined, ParallelWorkers: 2, PipelineWindowSize: 300, PipelineRingDepth: 2, ParallelFragTarget: 16},
+				{Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 300, pipelineRingDepth: 2, parallelFragTarget: 16},
 			}
 			readers := map[string]func() io.Reader{
 				"onebyte": func() io.Reader { return oneByteAtATime{strings.NewReader(doc)} },
@@ -764,13 +764,13 @@ func FuzzStreamDifferential(f *testing.F) {
 		if serr != nil {
 			var pb strings.Builder
 			if _, perr := Stream(&pb, strings.NewReader(src), d, pi, StreamOptions{
-				Engine: EngineParallel, ParallelWorkers: 4, ParallelChunkSize: int(chunk), ParallelFragTarget: 1,
+				Engine: EngineParallel, ParallelWorkers: 4, parallelChunkSize: int(chunk), parallelFragTarget: 1,
 			}); perr == nil {
 				t.Fatalf("parallel engine accepted input the scanner rejects (chunk=%d): %q", chunk, src)
 			}
 			var plb strings.Builder
 			if _, perr := Stream(&plb, strings.NewReader(src), d, pi, StreamOptions{
-				Engine: EnginePipelined, ParallelWorkers: 4, PipelineWindowSize: fuzzWin, PipelineRingDepth: 2, ParallelFragTarget: 1,
+				Engine: EnginePipelined, ParallelWorkers: 4, pipelineWindowSize: fuzzWin, pipelineRingDepth: 2, parallelFragTarget: 1,
 			}); perr == nil {
 				t.Fatalf("pipelined engine accepted input the scanner rejects (win=%d): %q", fuzzWin, src)
 			}
@@ -800,8 +800,8 @@ func FuzzStreamDifferential(f *testing.F) {
 				Validate:           validate,
 				Engine:             EngineParallel,
 				ParallelWorkers:    4,
-				ParallelChunkSize:  int(chunk),
-				ParallelFragTarget: 1,
+				parallelChunkSize:  int(chunk),
+				parallelFragTarget: 1,
 			}
 			var pb strings.Builder
 			pst, perr := Stream(&pb, strings.NewReader(src), d, pi, popts)
@@ -817,9 +817,9 @@ func FuzzStreamDifferential(f *testing.F) {
 				Validate:           validate,
 				Engine:             EnginePipelined,
 				ParallelWorkers:    4,
-				PipelineWindowSize: fuzzWin,
-				PipelineRingDepth:  2,
-				ParallelFragTarget: 1,
+				pipelineWindowSize: fuzzWin,
+				pipelineRingDepth:  2,
+				parallelFragTarget: 1,
 			})
 			if (wantErr == nil) != (plerr == nil) {
 				t.Fatalf("pipelined engine disagrees on acceptance (validate=%v, win=%d)\nscanner:   %v\npipelined: %v",

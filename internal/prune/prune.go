@@ -127,7 +127,7 @@ type ParallelDetail = scan.ParallelDetail
 
 // PipelineDetail reports how an EnginePipelined prune executed:
 // per-stage times, windows streamed, and the peak window bytes resident
-// (bounded by PipelineRingDepth × PipelineWindowSize).
+// (bounded by ring depth × window size).
 type PipelineDetail = scan.PipelineDetail
 
 // parallelMinBytes (resident input) and pipelineMinBytes (readers of
@@ -202,19 +202,9 @@ type StreamOptions struct {
 	// pair instead of once per document. It must have been compiled from
 	// the same DTD and π passed to Stream.
 	Projection *dtd.Projection
-	// ParallelWorkers bounds EngineParallel's concurrency (0 means
-	// GOMAXPROCS); ParallelChunkSize and ParallelFragTarget override the
-	// stage-1 chunk granularity and the per-fragment target size.
-	ParallelWorkers    int
-	ParallelChunkSize  int
-	ParallelFragTarget int
-	// PipelineWindowSize and PipelineRingDepth configure EnginePipelined:
-	// the window buffer size and the number of windows in flight. Peak
-	// input-side memory is their product. Zero means the engine defaults
-	// (1 MiB windows, workers+2 ring). ParallelWorkers and
-	// ParallelFragTarget apply to the pipelined engine too.
-	PipelineWindowSize int
-	PipelineRingDepth  int
+	// ParallelWorkers bounds the concurrency of EngineParallel and
+	// EnginePipelined (0 means GOMAXPROCS).
+	ParallelWorkers int
 	// Detail, when non-nil, receives per-stage execution details of an
 	// EngineParallel prune.
 	Detail *ParallelDetail
@@ -230,6 +220,17 @@ type StreamOptions struct {
 	// Chosen, when non-nil, receives the engine Stream resolved for this
 	// input (never EngineAuto), so callers can log what actually ran.
 	Chosen *Engine
+
+	// The concurrent engines' granularity, zero meaning their defaults:
+	// the parallel index's chunk size, the per-fragment target size (both
+	// engines), and the pipelined engine's window size and windows in
+	// flight (1 MiB, workers+2; peak input-side memory is their product).
+	// No caller outside this package's tests has a reason to set them —
+	// the tests do, to put fragment and window boundaries on every byte.
+	parallelChunkSize  int
+	parallelFragTarget int
+	pipelineWindowSize int
+	pipelineRingDepth  int
 }
 
 // Stream prunes the XML document read from src against π, writing the
@@ -266,11 +267,11 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 
 // Gather is the span-gather result of StreamGather: the pruned output
 // described as an ordered list of spans over the caller's input plus a
-// small escape buffer of synthesized bytes. Flushing (io.WriterTo)
-// hands the spans to the kernel as one writev on TCP connections —
-// kept subtrees go out straight from the input buffer. The input
-// slice must stay alive and unmodified until Close, which recycles the
-// gather's state; a Gather must not be used after Close.
+// small escape buffer of synthesized bytes. Nothing is copied until it
+// is written out (io.WriterTo), and then once, into the writer: one
+// Write per span, so the writer should buffer. The input slice must stay
+// alive and unmodified until Close, which recycles the gather's state; a
+// Gather must not be used after Close.
 type Gather struct {
 	sl     *scan.SpanList
 	closed bool
@@ -278,7 +279,8 @@ type Gather struct {
 
 var gatherPool = sync.Pool{New: func() any { return &Gather{sl: new(scan.SpanList)} }}
 
-// WriteTo flushes the rendered output with vectored I/O.
+// WriteTo writes the rendered output to w, one Write per segment: hand
+// it a buffered writer (scan.SpanList.WriteTo).
 func (g *Gather) WriteTo(w io.Writer) (int64, error) { return g.sl.WriteTo(w) }
 
 // Bytes materialises the rendered output in a fresh slice.
@@ -295,7 +297,7 @@ func (g *Gather) Len() int64 { return g.sl.Len() }
 // remainder (re-rendered tags, escaped text).
 func (g *Gather) RawBytes() int64 { return g.sl.RawBytes() }
 
-// Segments is the number of gather segments (writev iovecs).
+// Segments is the number of gather segments, WriteTo's Write calls.
 func (g *Gather) Segments() int { return g.sl.Segments() }
 
 // Close drops the gather's input reference and recycles its state.
@@ -313,9 +315,8 @@ func (g *Gather) Close() error {
 // StreamGather prunes in-memory input into a span-gather result
 // instead of a destination writer: output bytes that survive the
 // projection are referenced in place, so nothing is copied until the
-// result is flushed — and flushing to a TCP connection is vectored
-// writes straight out of data. The rendered output is byte-identical
-// to Stream's, and stats match it (BytesOut is the rendered size).
+// result is written out. The rendered output is byte-identical to
+// Stream's, and stats match it (BytesOut is the rendered size).
 //
 // Engine selection follows StreamBytes (see run for the two cells that
 // differ). MaxTokenSize is not enforced on the in-memory scanner paths
@@ -370,7 +371,7 @@ const (
 //	parallel   bytes   writer  scan.PruneParallel
 //	parallel   bytes   spans   scan.PruneParallelGather
 //	parallel   reader  writer  → parallel, bytes: the batch pruner needs
-//	                           resident input, buffered through inputPool
+//	                           resident input, so the reader is read whole
 //	pipelined  reader  writer  scan.PrunePipelined
 //	pipelined  bytes   writer  scan.PrunePipelined over a bytes.Reader
 //	pipelined  bytes   spans   → parallel: spans cover the whole resident
@@ -426,13 +427,7 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	case cell{EnginePipelined, fromBytes, toSpans}:
 		at.eng = EngineParallel
 	case cell{EngineParallel, fromReader, toWriter}:
-		buf := inputPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer func() {
-			if buf.Cap() <= maxPooledInput {
-				inputPool.Put(buf)
-			}
-		}()
+		var buf bytes.Buffer
 		if sizeKnown && size > 0 && size < int64(int(^uint(0)>>1)) {
 			buf.Grow(int(size))
 		}
@@ -465,7 +460,7 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		proj = d.CompileProjection(pi)
 	}
 	so := scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize}
-	po := scan.ParallelOptions{Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.ParallelChunkSize, FragTarget: opts.ParallelFragTarget}
+	po := scan.ParallelOptions{Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.parallelChunkSize, FragTarget: opts.parallelFragTarget}
 	switch at {
 	case cell{EngineScanner, fromReader, toWriter}:
 		st, err = scan.Prune(bw, src.r, d, proj, so)
@@ -482,8 +477,8 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 			src.r = bytes.NewReader(src.data)
 		}
 		st, pdet, err = scan.PrunePipelined(bw, src.r, d, proj, scan.PipelineOptions{
-			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.ParallelFragTarget,
-			WindowSize: opts.PipelineWindowSize, RingDepth: opts.PipelineRingDepth,
+			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.parallelFragTarget,
+			WindowSize: opts.pipelineWindowSize, RingDepth: opts.pipelineRingDepth,
 		})
 	case cell{EngineDecoder, fromReader, toWriter}, cell{EngineDecoder, fromBytes, toWriter}, cell{EngineDecoder, fromBytes, toSpans}:
 		if at.resident {
@@ -851,12 +846,6 @@ func inputSize(src io.Reader) (int64, bool) {
 var bwPool = sync.Pool{New: func() any {
 	return bufio.NewWriterSize(io.Discard, 1<<16)
 }}
-
-// inputPool recycles EngineParallel's whole-document input buffers.
-// Buffers above maxPooledInput are dropped rather than pinned.
-var inputPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledInput = 64 << 20
 
 type countingWriter struct {
 	w io.Writer

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,66 +55,6 @@ func TestDigestFoldsLength(t *testing.T) {
 	}
 	if bytes.Equal(a[8:16], b[8:16]) {
 		t.Fatalf("length not folded into digest: %s vs %s", a, b)
-	}
-}
-
-func TestFileIdentity(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "doc.xml")
-	if err := os.WriteFile(path, []byte("<site/>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, ok := FileIdentity(fi)
-	if !ok {
-		t.Skip("FileIdentity unsupported on this platform")
-	}
-	if id.Size != int64(len("<site/>")) {
-		t.Fatalf("identity size = %d, want %d", id.Size, len("<site/>"))
-	}
-	if id.Ino == 0 && id.Dev == 0 {
-		t.Fatalf("identity has no device/inode: %+v", id)
-	}
-	di, err := os.Stat(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := FileIdentity(di); ok {
-		t.Fatalf("FileIdentity accepted a directory")
-	}
-}
-
-func TestDigestForIdentityMemo(t *testing.T) {
-	c := New(1 << 20)
-	data := []byte("<site><person/></site>")
-	id := Identity{Dev: 7, Ino: 42, Size: int64(len(data)), MTimeNanos: 12345}
-
-	d1 := c.DigestFor(data, &id)
-	d2 := c.DigestFor(data, &id)
-	if d1 != d2 {
-		t.Fatalf("memoized digest differs: %s vs %s", d1, d2)
-	}
-	m := c.Snapshot()
-	if m.IdentityMisses != 1 || m.IdentityHits != 1 {
-		t.Fatalf("identity memo counters = %d misses / %d hits, want 1/1", m.IdentityMisses, m.IdentityHits)
-	}
-
-	// A stale identity (size disagrees with the bytes in hand) must not
-	// be trusted or memoized.
-	stale := Identity{Dev: 7, Ino: 42, Size: int64(len(data)) + 1, MTimeNanos: 12345}
-	if got := c.DigestFor(data, &stale); got != DigestBytes(data) {
-		t.Fatalf("stale identity changed the digest")
-	}
-	if m := c.Snapshot(); m.IdentityMisses != 1 || m.IdentityHits != 1 {
-		t.Fatalf("stale identity touched the memo: %+v", m)
-	}
-
-	// Nil identity digests directly.
-	if got := c.DigestFor(data, nil); got != d1 {
-		t.Fatalf("nil-identity digest differs from content digest")
 	}
 }
 
@@ -235,9 +173,6 @@ func TestNilCache(t *testing.T) {
 	}
 	if got := c.Snapshot(); got != (Metrics{}) {
 		t.Fatalf("nil cache metrics = %+v", got)
-	}
-	if c.DigestFor([]byte("d"), nil) != DigestBytes([]byte("d")) {
-		t.Fatalf("nil cache DigestFor mismatch")
 	}
 }
 

@@ -6,15 +6,15 @@ package scan
 // recorded as a SpanList — an ordered gather list of {off, len} ranges
 // over the input plus a small escape buffer holding the few bytes the
 // pruner synthesizes (re-rendered tags, escaped text, "/>") — and
-// flushed with vectored I/O. The emitter interface below is the single
-// seam: the pruner writes through it, and the target is either the
-// classic bufio.Writer (streaming path, unchanged) or a SpanList
-// (in-memory ResetBytes path, zero output copies).
+// rendered only when it is written out, one Write per span. The emitter
+// interface below is the single seam: the pruner writes through it, and
+// the target is either the classic bufio.Writer (streaming path,
+// unchanged) or a SpanList (in-memory ResetBytes path, zero output
+// copies).
 
 import (
 	"bufio"
 	"io"
-	"net"
 	"sync"
 )
 
@@ -74,7 +74,7 @@ type Span struct {
 // SpanList is the span-gather output of one prune over in-memory
 // input: rendered output equals the concatenation of its spans, most
 // of which point straight into the input. It implements the pruner's
-// emitter interface, and io.WriterTo for vectored flushing.
+// emitter interface, and io.WriterTo.
 //
 // A SpanList is single-goroutine state; Reset it before reuse.
 type SpanList struct {
@@ -84,8 +84,6 @@ type SpanList struct {
 
 	total    int64 // rendered output size
 	rawTotal int64 // bytes referenced in place (not copied)
-
-	bufs net.Buffers // reusable WriteTo scratch
 }
 
 // Reset points the list at a new input and drops all recorded output;
@@ -104,7 +102,6 @@ func (sl *SpanList) Clear() {
 	sl.spans = sl.spans[:0]
 	sl.esc = sl.esc[:0]
 	sl.total, sl.rawTotal = 0, 0
-	sl.bufs = sl.bufs[:0]
 }
 
 // Len is the rendered output size in bytes.
@@ -115,7 +112,7 @@ func (sl *SpanList) Len() int64 { return sl.total }
 // not. Len()-RawBytes() is the synthesized remainder.
 func (sl *SpanList) RawBytes() int64 { return sl.rawTotal }
 
-// Segments is the number of gather segments (writev iovecs).
+// Segments is the number of gather segments: WriteTo's Write calls.
 func (sl *SpanList) Segments() int { return len(sl.spans) }
 
 func (sl *SpanList) segment(sp Span) []byte {
@@ -126,18 +123,21 @@ func (sl *SpanList) segment(sp Span) []byte {
 	return sl.esc[off : off+sp.Len]
 }
 
-// WriteTo flushes the gather list with vectored I/O: the segments are
-// assembled into a net.Buffers, which hands them to the kernel in one
-// writev when w is a TCP connection and writes them in order
-// otherwise. The assembly scratch is retained across calls.
-func (sl *SpanList) WriteTo(w io.Writer) (int64, error) {
-	bufs := sl.bufs[:0]
+// WriteTo writes the segments to w in order, one Write each, stopping at
+// the first error. Segments are small — a selective prune of XMark
+// averages 14 bytes — so hand it a buffered writer (net/http's response
+// writer is one; an *os.File or a raw connection is a system call per
+// segment). It is not a writev: no shipped caller holds the raw TCP
+// connection that net.Buffers needs for one.
+func (sl *SpanList) WriteTo(w io.Writer) (n int64, err error) {
 	for _, sp := range sl.spans {
-		bufs = append(bufs, sl.segment(sp))
+		m, err := w.Write(sl.segment(sp))
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
 	}
-	sl.bufs = bufs[:0] // net.Buffers consumes its slice; keep the capacity
-	nb := net.Buffers(bufs)
-	return nb.WriteTo(w)
+	return n, nil
 }
 
 // AppendTo appends the rendered output to dst.
@@ -149,7 +149,7 @@ func (sl *SpanList) AppendTo(dst []byte) []byte {
 }
 
 // Bytes materialises the rendered output in a fresh slice (tests,
-// small results); the zero-copy paths use WriteTo.
+// small results).
 func (sl *SpanList) Bytes() []byte { return sl.AppendTo(make([]byte, 0, sl.total)) }
 
 // Write appends p as synthesized bytes, making SpanList an io.Writer —

@@ -44,7 +44,7 @@ func TestSpanListGatherMechanics(t *testing.T) {
 	if err != nil || n != int64(len(want)) || wb.String() != want {
 		t.Fatalf("WriteTo: n=%d err=%v got %q", n, err, wb.String())
 	}
-	// WriteTo is repeatable (the net.Buffers scratch is rebuilt).
+	// WriteTo is repeatable.
 	wb.Reset()
 	if _, err := sl.WriteTo(&wb); err != nil || wb.String() != want {
 		t.Fatalf("second WriteTo: err=%v got %q", err, wb.String())

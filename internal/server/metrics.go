@@ -83,12 +83,8 @@ type metrics struct {
 
 	// multiRequests counts /multiprune requests; multiFanout totals the
 	// projectors they named (fanout/requests is the mean set size).
-	// multiTableHits / multiTableMisses count whether each request's
-	// fused decision table came from the engine's projector cache.
-	multiRequests    atomic.Int64
-	multiFanout      atomic.Int64
-	multiTableHits   atomic.Int64
-	multiTableMisses atomic.Int64
+	multiRequests atomic.Int64
+	multiFanout   atomic.Int64
 
 	// cacheHits / cacheMisses partition gather-path prunes that went
 	// through the result cache (HIT served cached bytes, MISS filled the
@@ -153,8 +149,6 @@ func (m *metrics) snapshot() map[string]any {
 		"in_flight":            m.inFlight.Load(),
 		"multi_requests":       m.multiRequests.Load(),
 		"multi_fanout":         m.multiFanout.Load(),
-		"multi_table_hits":     m.multiTableHits.Load(),
-		"multi_table_misses":   m.multiTableMisses.Load(),
 		"cache_hits":           m.cacheHits.Load(),
 		"cache_misses":         m.cacheMisses.Load(),
 		"cache_304":            m.cache304.Load(),

@@ -45,12 +45,7 @@ func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
 	for j, np := range nps {
 		ps[j] = np.p
 	}
-	results, errs, hit := s.eng.PruneMultiGather(ps, data, x.streamOptions(nps[0].validate))
-	if hit {
-		s.m.multiTableHits.Add(1)
-	} else {
-		s.m.multiTableMisses.Add(1)
-	}
+	results, errs := xmlproj.PruneMultiGather(ps, data, x.streamOptions(nps[0].validate))
 	x.disarm()
 
 	// The shared scan prunes N projections in one pass; its outputs are

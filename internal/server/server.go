@@ -59,9 +59,6 @@ const DefaultMaxGatherBytes = 32 << 20
 
 // Options configures a Server.
 type Options struct {
-	// Engine handles projector inference and caching; nil creates a
-	// default engine.
-	Engine *xmlproj.Engine
 	// MaxBodyBytes bounds the request body; a larger body fails the
 	// prune with 413. Zero means DefaultMaxBodyBytes, negative disables
 	// the limit.
@@ -90,13 +87,12 @@ type Options struct {
 	// means no per-request deadline.
 	RequestTimeout time.Duration
 	// ResultCacheBytes budgets the engine's content-addressed cache of
-	// pruned outputs when the server creates its own engine (Engine ==
-	// nil; an explicitly provided engine keeps its own configuration).
-	// Gather-path requests for a repeat (document, projection, validate)
-	// triple are served from cached bytes with a strong ETag, and
-	// clients holding the ETag revalidate body-free via If-None-Match +
-	// X-Doc-Digest. Zero means xmlproj.DefaultResultCacheBytes (256
-	// MiB); negative disables the cache.
+	// pruned outputs. Gather-path requests for a repeat (document,
+	// projection, validate) triple are served from cached bytes with a
+	// strong ETag, and clients holding the ETag revalidate body-free via
+	// If-None-Match + X-Doc-Digest. Zero means
+	// xmlproj.DefaultResultCacheBytes (256 MiB); negative disables the
+	// cache.
 	ResultCacheBytes int64
 	// Logger receives one structured record per /prune request. Nil
 	// means slog.Default().
@@ -134,17 +130,11 @@ type namedProjection struct {
 
 // New returns a server with the given options and no schemas yet.
 func New(opts Options) *Server {
-	eng := opts.Engine
-	if eng == nil {
-		resultCache := opts.ResultCacheBytes
-		if resultCache == 0 {
-			resultCache = xmlproj.DefaultResultCacheBytes
-		}
-		if resultCache < 0 {
-			resultCache = 0
-		}
-		eng = xmlproj.NewEngine(xmlproj.EngineOptions{ResultCacheBytes: resultCache})
+	resultCache := opts.ResultCacheBytes
+	if resultCache == 0 {
+		resultCache = xmlproj.DefaultResultCacheBytes
 	}
+	eng := xmlproj.NewEngine(xmlproj.EngineOptions{ResultCacheBytes: resultCache})
 	width := opts.MaxConcurrent
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)

@@ -430,7 +430,11 @@ func TestDebugVars(t *testing.T) {
 		} `json:"server"`
 		Limits map[string]any `json:"limits"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatal(err)
 	}
 	if vars.Server.Requests != 4 || vars.Server.OK != 3 || vars.Server.BadRequests != 1 {
@@ -450,9 +454,18 @@ func TestDebugVars(t *testing.T) {
 	if got := vars.Engine["docs_pruned"].(float64); got != 3 {
 		t.Fatalf("engine docs_pruned = %v, want 3", got)
 	}
-	for _, key := range []string{"inferences", "docs_pruned", "bytes_in", "bytes_out", "cache_hits", "projection_hits", "parallel_prunes"} {
+	for _, key := range []string{"inferences", "docs_pruned", "bytes_in", "bytes_out", "cache_hits", "result_cache_hits", "parallel_prunes"} {
 		if _, ok := vars.Engine[key]; !ok {
 			t.Errorf("engine snapshot missing %q: %v", key, vars.Engine)
+		}
+	}
+	// The look-ups these counted are gone: π's compiled table and
+	// fingerprints live on the projector, a fused table is built per pass,
+	// and nothing memoises a file's identity.
+	for _, key := range []string{"projection_hits", "projection_misses", "multi_projection_hits", "multi_projection_misses",
+		"multi_table_hits", "multi_table_misses", "result_cache_identity_hits", "result_cache_identity_misses"} {
+		if bytes.Contains(body, []byte(`"`+key+`"`)) {
+			t.Errorf("/debug/vars still has %q", key)
 		}
 	}
 	if vars.Engine["inferences"].(float64) < 1 {

@@ -56,6 +56,41 @@ func TestPruneMultiGatherMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPruneMultiGatherSetSizes: with no Engine involved — the fused
+// table is built per pass from the members' own compiled tables — every
+// member's output equals its serial prune at N = 1, 4, 64 (the widest
+// single table) and 65 (sharded into two passes).
+func TestPruneMultiGatherSetSizes(t *testing.T) {
+	d, _ := apiSetup(t)
+	base := multiAPIProjectors(t, d)
+	data := []byte(apiDoc)
+	want := make([][]byte, len(base))
+	for i, p := range base {
+		serial, err := p.PruneGather(data, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = serial.Bytes()
+		serial.Close()
+	}
+	for _, n := range []int{1, 4, MaxFusedProjectors, MaxFusedProjectors + 1} {
+		ps := make([]*Projector, n)
+		for j := range ps {
+			ps[j] = base[j%len(base)]
+		}
+		results, errs := PruneMultiGather(ps, data, StreamOptions{})
+		for j := range ps {
+			if errs[j] != nil {
+				t.Fatalf("N=%d member %d: %v", n, j, errs[j])
+			}
+			if got := results[j].Bytes(); !bytes.Equal(got, want[j%len(base)]) {
+				t.Fatalf("N=%d member %d diverges\nmulti:  %q\nserial: %q", n, j, got, want[j%len(base)])
+			}
+			results[j].Close()
+		}
+	}
+}
+
 // TestPruneMultiWriters: each result of the gather form, flushed to a
 // writer, is the serial streaming prune's output, and BytesOut is what
 // was written.

@@ -1,20 +1,14 @@
 package xmlproj
 
 import (
-	"fmt"
-	"strings"
-	"sync"
-
-	"xmlproj/internal/dtd"
-	"xmlproj/internal/engine"
 	"xmlproj/internal/prune"
 	"xmlproj/internal/rescache"
 )
 
 // DefaultResultCacheBytes is the recommended result-cache budget for
-// server deployments (the xmlprojd and xmlprune default): large enough
-// to hold a working set of pruned outputs, small next to the document
-// corpus the paper's workloads assume.
+// server deployments (the xmlprojd default): large enough to hold a
+// working set of pruned outputs, small next to the document corpus the
+// paper's workloads assume.
 const DefaultResultCacheBytes int64 = 256 << 20
 
 // CacheInfo describes how the engine's result cache handled one prune.
@@ -32,62 +26,6 @@ type CacheInfo struct {
 	// ETag is the strong entity tag for the (document, projector,
 	// validate) triple: quoted "digest-fingerprint".
 	ETag string
-}
-
-// grammarFingerprint renders the grammar — root, edges, content models
-// and attribute declarations (which dtd.String omits but inference
-// uses) — and hashes it, so structurally identical schemas share cache
-// entries.
-func grammarFingerprint(g *dtd.DTD) string {
-	var sb strings.Builder
-	sb.WriteString(g.String())
-	for _, n := range g.Names() {
-		def := g.Def(n)
-		for i := range def.Atts {
-			a := &def.Atts[i]
-			fmt.Fprintf(&sb, "att %s %s %q %v %q %v\n",
-				a.Name, a.Type, strings.Join(a.Enum, "|"), a.Required, a.Default, a.HasDefault)
-		}
-	}
-	return engine.Fingerprint(sb.String())
-}
-
-// dtdFPs memoizes grammar fingerprints per parsed grammar, so
-// projectors built from the same *dtd.DTD (the common case: one schema,
-// many projectors) render and hash it once. Keyed by pointer: the map
-// holds as many entries as the process holds distinct live grammars.
-var dtdFPs sync.Map // *dtd.DTD → string
-
-func dtdFingerprintOf(g *dtd.DTD) string {
-	if v, ok := dtdFPs.Load(g); ok {
-		return v.(string)
-	}
-	fp := grammarFingerprint(g)
-	dtdFPs.Store(g, fp)
-	return fp
-}
-
-// resultFingerprint is the projection-variant half of a result-cache
-// key and ETag: the schema fingerprint, the sorted projector names and
-// the validate mode, hashed. Everything that changes the output bytes
-// is in here; the prune engine is not, because every engine emits
-// byte-identical output (differential-tested), so a result filled by
-// one engine legitimately serves them all.
-func (p *Projector) resultFingerprint(validate bool) string {
-	p.fpOnce.Do(func() {
-		names := p.pr.Names.Sorted()
-		parts := make([]string, 0, len(names)+1)
-		parts = append(parts, dtdFingerprintOf(p.d))
-		for _, n := range names {
-			parts = append(parts, string(n))
-		}
-		p.fp[0] = engine.Fingerprint(parts...)
-		p.fp[1] = engine.Fingerprint(append(parts, "validate")...)
-	})
-	if validate {
-		return p.fp[1]
-	}
-	return p.fp[0]
 }
 
 // etagOf renders the strong ETag for a (digest, fingerprint) pair.
@@ -120,7 +58,7 @@ func (eng *Engine) ResultETag(p *Projector, docDigest string, validate bool) str
 	if docDigest == "" || !eng.ResultCacheEnabled() {
 		return ""
 	}
-	return etagOf(docDigest, p.resultFingerprint(validate))
+	return etagOf(docDigest, p.pr.ResultFingerprint(validate))
 }
 
 // CachedLen peeks at the result cache: the rendered output size for
@@ -135,7 +73,7 @@ func (eng *Engine) CachedLen(p *Projector, docDigest string, validate bool) (int
 	if err != nil {
 		return 0, false
 	}
-	entry, ok := c.Get(rescache.Key{Doc: dig, Variant: p.resultFingerprint(validate)})
+	entry, ok := c.Get(rescache.Key{Doc: dig, Variant: p.pr.ResultFingerprint(validate)})
 	if !ok {
 		return 0, false
 	}
@@ -155,12 +93,9 @@ func (eng *Engine) CachedLen(p *Projector, docDigest string, validate bool) (int
 // don't hash it twice; an empty or malformed digest is computed from
 // data instead.
 //
-// The cache is bypassed (info.Enabled false, plain prune) when the
-// engine has no cache or the pipelined engine is forced — pipelined
-// semantics are about streaming bounded windows, which an in-memory
-// cached serve would misrepresent.
+// Without a cache this is a plain PruneGather (info.Enabled false).
 func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string, opts StreamOptions) (*PruneResult, CacheInfo, error) {
-	if !eng.ResultCacheEnabled() || opts.Engine == PrunePipelined {
+	if !eng.ResultCacheEnabled() {
 		res, err := p.PruneGather(data, opts)
 		return res, CacheInfo{}, err
 	}
@@ -173,14 +108,11 @@ func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string
 	if dig.IsZero() {
 		dig = rescache.DigestBytes(data)
 	}
-	fp := p.resultFingerprint(opts.Validate)
+	fp := p.pr.ResultFingerprint(opts.Validate)
 	info := CacheInfo{Enabled: true, Digest: dig.String(), ETag: etagOf(dig.String(), fp)}
 
 	entry, g, st, hit, err := eng.e.CachedGather(rescache.Key{Doc: dig, Variant: fp}, func() (*prune.Gather, prune.Stats, error) {
-		// Only a miss needs the compiled projection.
-		popts := streamOptsOf(opts)
-		popts.Projection = eng.e.ProjectionFor(p.d, p.pr.Names)
-		return prune.StreamGather(data, p.d, p.pr.Names, popts)
+		return prune.StreamGather(data, p.d, p.pr.Names, p.streamOpts(opts))
 	})
 	if err != nil {
 		return nil, info, err

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"xmlproj/internal/dtd"
 )
 
 // cacheEngineSetup builds an engine with a result cache plus two
@@ -40,7 +44,7 @@ func cacheEngineSetup(t *testing.T) (*Engine, *DTD, *Projector, *Projector) {
 // (and stats) to a fresh uncached prune, under distinct cache keys per
 // variant.
 func TestEnginePruneGatherCacheDifferential(t *testing.T) {
-	eng, _, pt, py := cacheEngineSetup(t)
+	eng, d, pt, py := cacheEngineSetup(t)
 	docs := []string{
 		apiDoc,
 		`<bib></bib>`,
@@ -72,16 +76,12 @@ func TestEnginePruneGatherCacheDifferential(t *testing.T) {
 				}
 				cold.Close()
 
-				compiled := eng.Metrics().ProjectionHits
 				warm, winfo, err := eng.PruneGatherDigest(p, []byte(doc), "", opts)
 				if err != nil {
 					t.Fatalf("%s: warm cached prune: %v", label, err)
 				}
 				if !winfo.Hit {
 					t.Fatalf("%s: warm prune missed the cache", label)
-				}
-				if got := eng.Metrics().ProjectionHits; got != compiled {
-					t.Fatalf("%s: a result-cache hit looked up the compiled projection (projection_hits %d -> %d)", label, compiled, got)
 				}
 				if winfo.ETag != info.ETag || winfo.Digest != info.Digest {
 					t.Fatalf("%s: unstable cache identity: %+v vs %+v", label, winfo, info)
@@ -107,7 +107,49 @@ func TestEnginePruneGatherCacheDifferential(t *testing.T) {
 	if m.ResultCache.Misses != wantMisses || m.ResultCache.Hits != wantMisses {
 		t.Fatalf("result cache hits=%d misses=%d, want %d each", m.ResultCache.Hits, m.ResultCache.Misses, wantMisses)
 	}
+
+	// A hit compiles nothing: only a miss's fill asks the projector for
+	// its decision table. Every run below is the first use of a projector
+	// that has never been compiled (its fingerprint, which the key needs,
+	// is taken beforehand), so a hit that compiled would pay
+	// dtd.CompileProjection's allocations — 5 on this DTD — every time.
+	text, err := pt.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var fresh []*Projector
+	for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
+		p, err := d.LoadProjector(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.ResultETag(p, "00", false) == "" {
+			t.Fatal("no ETag from an engine with a result cache")
+		}
+		fresh = append(fresh, p)
+	}
+	data := []byte(apiDoc)
+	digest, _ := eng.DigestBytes(data)
+	allocs := testing.AllocsPerRun(runs, func() {
+		p := fresh[0]
+		fresh = fresh[1:]
+		res, info, err := eng.PruneGatherDigest(p, data, digest, StreamOptions{})
+		if err != nil || !info.Hit {
+			t.Fatalf("hit=%v err=%v", info.Hit, err)
+		}
+		res.Close()
+	})
+	if allocs > hitAllocCeiling && !raceEnabled {
+		t.Fatalf("a result-cache hit on a never-compiled projector costs %v allocations, want <= %d: it compiled π", allocs, hitAllocCeiling)
+	}
 }
+
+// hitAllocCeiling bounds a PruneGatherDigest hit, which measures 6: the
+// result, the entry and the digest and ETag strings of its CacheInfo.
+// Compiling π (5 allocations on the api DTD, 18 on XMark's) or hashing it
+// (sort + two SHA-256 passes, 24 and 44) does not fit under it.
+const hitAllocCeiling = 8
 
 // TestEnginePruneGatherETags: ETags separate projectors and validate
 // modes over one document, and separate documents under one projector.
@@ -170,8 +212,11 @@ func TestEnginePruneGatherETags(t *testing.T) {
 	}
 }
 
-// TestEnginePruneGatherBypasses: a forced pipelined engine skips the
-// cache entirely; a disabled engine never reports Enabled.
+// TestEnginePruneGatherBypasses: only an engine without a cache
+// bypasses it, and it never reports Enabled. A forced engine does not:
+// the output is engine-independent, and prune.run re-routes pipelined
+// over resident input into spans to the parallel engine anyway, so the
+// forced prune fills the entry the unforced one then hits.
 func TestEnginePruneGatherBypasses(t *testing.T) {
 	eng, _, pt, _ := cacheEngineSetup(t)
 	data := []byte(apiDoc)
@@ -180,13 +225,19 @@ func TestEnginePruneGatherBypasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	forced := res.Bytes()
 	res.Close()
-	if info.Enabled {
-		t.Fatalf("forced pipelined engine touched the cache: %+v", info)
+	if !info.Enabled || info.Hit {
+		t.Fatalf("forced pipelined engine: %+v, want a cache miss", info)
 	}
-	if m := eng.Metrics(); m.ResultCache.Misses != 0 || m.ResultCache.Hits != 0 {
-		t.Fatalf("bypassed prunes moved cache counters: %+v", m)
+	res, info, err = eng.PruneGatherDigest(pt, data, "", StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !info.Hit || !bytes.Equal(res.Bytes(), forced) {
+		t.Fatalf("unforced prune after a forced one: %+v, %q vs %q", info, res.Bytes(), forced)
+	}
+	res.Close()
 
 	off := NewEngine(EngineOptions{})
 	if off.ResultCacheEnabled() {
@@ -240,14 +291,19 @@ func TestEnginePruneBytesCached(t *testing.T) {
 }
 
 // TestEngineMultiGatherUnaffectedByResultCache: the shared-scan multi
-// path bypasses the result cache by construction; with a cache
-// configured its outputs still match serial prunes and no result-cache
-// counters move.
+// path involves no engine; with one projector's output for this very
+// document sitting in an engine's result cache, its outputs still match
+// serial prunes and no result-cache counters move.
 func TestEngineMultiGatherUnaffectedByResultCache(t *testing.T) {
 	eng, _, pt, py := cacheEngineSetup(t)
 	data := []byte(apiDoc)
+	cached, _, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.Close()
 
-	results, errs, _ := eng.PruneMultiGather([]*Projector{pt, py}, data, StreamOptions{})
+	results, errs := PruneMultiGather([]*Projector{pt, py}, data, StreamOptions{})
 	for j, p := range []*Projector{pt, py} {
 		if errs[j] != nil {
 			t.Fatalf("projector %d: %v", j, errs[j])
@@ -262,7 +318,7 @@ func TestEngineMultiGatherUnaffectedByResultCache(t *testing.T) {
 		serial.Close()
 		results[j].Close()
 	}
-	if m := eng.Metrics(); m.ResultCache.Hits != 0 || m.ResultCache.Misses != 0 {
+	if m := eng.Metrics(); m.ResultCache.Hits != 0 || m.ResultCache.Misses != 1 {
 		t.Fatalf("multi-projector path touched the result cache: %+v", m)
 	}
 }
@@ -314,5 +370,47 @@ func TestPruneResultReleaseContract(t *testing.T) {
 		if res.Bytes() != nil || res.Len() != 0 || res.RawBytes() != 0 || res.Segments() != 0 {
 			t.Fatalf("%s: accessors alive after Close", name)
 		}
+	}
+}
+
+// TestGrammarCollectableAfterCachedPrune: the grammar fingerprint a
+// result-cache key needs is memoised on the grammar, so pruning through
+// the engine's cache pins nothing: once the DTD and its projectors are
+// dropped the grammar is garbage, though the cached output stays. (It
+// used to sit in a package-level map keyed by *dtd.DTD for the life of
+// the process — one entry per document for InferDTD users.)
+func TestGrammarCollectableAfterCachedPrune(t *testing.T) {
+	eng := NewEngine(EngineOptions{ResultCacheBytes: 1 << 20})
+	collected := make(chan struct{})
+	func() {
+		d, err := ParseDTDString(apiDTD, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := CompileXPath("//book/title")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := d.Infer(Materialized, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, info, err := eng.PruneGatherDigest(p, []byte(apiDoc), "", StreamOptions{})
+		if err != nil || !info.Enabled {
+			t.Fatalf("info=%+v err=%v", info, err)
+		}
+		res.Close()
+		runtime.SetFinalizer(d.d, func(*dtd.DTD) { close(collected) })
+	}()
+	// Two collections: the first retires the prune's pooled state.
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the grammar is still reachable after its DTD and projectors were dropped")
+	}
+	if m := eng.Metrics().ResultCache; m.Entries != 1 {
+		t.Fatalf("the cached output went with the grammar: %+v", m)
 	}
 }
