@@ -75,6 +75,32 @@ func TestRunWithPrune(t *testing.T) {
 	}
 }
 
+// TestRunReportsPhases: the paper's four phases each get a line on
+// stderr, in order, and the two the benchmark reads keep their wording.
+func TestRunReportsPhases(t *testing.T) {
+	dtdPath, docPath := setup(t)
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-q", "//title", "-in", docPath, "-dtd", dtdPath, "-prune", "-quiet"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	stats := errBuf.String()
+	at := 0
+	for _, phase := range []string{"inferred the projector in ", "pruned 132 -> 84 bytes in ", "loaded 84 bytes in ", "2 item(s) in "} {
+		i := strings.Index(stats[at:], phase)
+		if i < 0 {
+			t.Fatalf("no %q after byte %d of %q", phase, at, stats)
+		}
+		at += i
+	}
+	errBuf.Reset()
+	if err := run([]string{"-q", "//title", "-in", docPath, "-quiet"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if stats := errBuf.String(); strings.Contains(stats, "inferred") || strings.Contains(stats, "pruned") || !strings.Contains(stats, "loaded 132 bytes in ") {
+		t.Fatalf("direct run reported %q", stats)
+	}
+}
+
 func TestRunQuiet(t *testing.T) {
 	_, docPath := setup(t)
 	var out, errBuf bytes.Buffer

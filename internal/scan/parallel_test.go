@@ -10,7 +10,6 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/index"
-	"xmlproj/internal/xmark"
 )
 
 const siteDTD = `
@@ -162,60 +161,46 @@ func TestParallelRecursesDominantSubtree(t *testing.T) {
 
 // TestPlanUnchangedByCollapse: the planner cuts the same task list from
 // the collapsed index as from one that keeps every tag (Collapse 1, the
-// oracle) — on XMark, on nested dominant subtrees and on the malformed
-// corpus, down to fragment targets of a few bytes — and the two builds
-// agree on every index verdict.
+// oracle) — on nested dominant subtrees and on the malformed corpus
+// (and, in xmark_test.go, on XMark), down to fragment targets of a few
+// bytes — and the two builds agree on every index verdict.
 func TestPlanUnchangedByCollapse(t *testing.T) {
-	type input struct {
-		name string
-		doc  string
-		p    *dtd.Projection
-	}
-	var inputs []input
-	xd := xmark.DTD()
-	xdoc := xmark.NewGenerator(0.01, 7).Document().XML()
-	for name, pi := range map[string]dtd.NameSet{
-		"xmark all":  dtd.NewNameSet(xd.Names()...),
-		"xmark root": dtd.NewNameSet(xd.Root),
-		"xmark mid":  dtd.NewNameSet("site", "people", "person", "name", "name#text", "open_auctions"),
-	} {
-		inputs = append(inputs, input{name, xdoc, xd.CompileProjection(pi)})
-	}
 	for pname, pi := range siteProjectors {
 		_, p := setupSite(t, pi)
-		inputs = append(inputs, input{"site " + pname, genSite(3, 6), p})
+		checkPlanUnchanged(t, "site "+pname, genSite(3, 6), p)
 		for i, doc := range badSiteDocs {
-			inputs = append(inputs, input{fmt.Sprintf("bad %d %s", i, pname), doc, p})
+			checkPlanUnchanged(t, fmt.Sprintf("bad %d %s", i, pname), doc, p)
 		}
 	}
+}
 
-	planOf := func(in input, collapse, chunk, target int) ([]fragTask, error) {
-		ix, err := index.Build([]byte(in.doc), index.Options{
+func checkPlanUnchanged(t *testing.T, name, doc string, p *dtd.Projection) {
+	t.Helper()
+	planOf := func(collapse, chunk, target int) ([]fragTask, error) {
+		ix, err := index.Build([]byte(doc), index.Options{
 			Workers: 4, ChunkSize: chunk, MaxTokenSize: 1 << 20,
-			Lookup: in.p.Syms.Lookup, Collapse: collapse,
+			Lookup: p.Syms.Lookup, Collapse: collapse,
 		})
 		if err != nil {
 			return nil, err
 		}
 		defer ix.Release()
 		var tasks []fragTask
-		for _, t := range plan(ix, in.p, target) {
+		for _, t := range plan(ix, p, target) {
 			tasks = append(tasks, *t)
 		}
 		return tasks, nil
 	}
-	for _, in := range inputs {
-		for _, target := range []int{1, 7, 64, 1000, 40 << 10} {
-			want, werr := planOf(in, 1, 0, target)
-			for _, chunk := range []int{0, 11, 4 << 10} {
-				got, gerr := planOf(in, 2*target, chunk, target)
-				if (werr == nil) != (gerr == nil) || errors.Is(werr, index.ErrTokenTooLong) != errors.Is(gerr, index.ErrTokenTooLong) {
-					t.Fatalf("%s target %d chunk %d: verdict %v, oracle %v", in.name, target, chunk, gerr, werr)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s target %d chunk %d: %d tasks, oracle %d\ngot:  %+v\nwant: %+v",
-						in.name, target, chunk, len(got), len(want), got, want)
-				}
+	for _, target := range []int{1, 7, 64, 1000, 40 << 10} {
+		want, werr := planOf(1, 0, target)
+		for _, chunk := range []int{0, 11, 4 << 10} {
+			got, gerr := planOf(2*target, chunk, target)
+			if (werr == nil) != (gerr == nil) || errors.Is(werr, index.ErrTokenTooLong) != errors.Is(gerr, index.ErrTokenTooLong) {
+				t.Fatalf("%s target %d chunk %d: verdict %v, oracle %v", name, target, chunk, gerr, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s target %d chunk %d: %d tasks, oracle %d\ngot:  %+v\nwant: %+v",
+					name, target, chunk, len(got), len(want), got, want)
 			}
 		}
 	}

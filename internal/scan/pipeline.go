@@ -528,7 +528,7 @@ func getSlab(n int) []byte {
 // at the previous window boundary, then run the spine loop. Returns
 // errPause when a non-final window ends inside a skipped subtree.
 func (pr *pruner) runWindow() error {
-	if len(pr.skipOffs) > 0 {
+	if pr.skipNames.depth() > 0 {
 		if err := pr.skipAll(); err != nil {
 			return err
 		}

@@ -223,8 +223,7 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.stack = pr.stack[:0]
 	pr.open, pr.openRaw, pr.begun, pr.sawRoot, pr.runPending = 0, 0, false, false, false
 	pr.textBuf = pr.textBuf[:0]
-	pr.skipBuf = pr.skipBuf[:0]
-	pr.skipOffs = pr.skipOffs[:0]
+	pr.skipNames.reset()
 	pr.skipPending, pr.skipDepth = false, 0
 	pr.mode, pr.ctxBase = modeNormal, 0
 	pr.events = pr.events[:0]
@@ -361,10 +360,9 @@ type pruner struct {
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
 	prefixes map[string]string
 
-	// skip-scan name stack: full end-tag names to match, stored in one
-	// growable buffer to stay allocation-free in steady state.
-	skipBuf  []byte
-	skipOffs []int
+	// skipNames are the full names of the discarded elements the skip
+	// scan is inside, for their end tags to match.
+	skipNames nameStack
 	// skipDepth is the structural skip's depth below the one name it
 	// keeps, the discarded element's own (skipBalance).
 	skipDepth int
@@ -401,7 +399,7 @@ const (
 
 // errPause is skipScan's internal signal that a modePipe window ended
 // mid-subtree: not an error — the pipelined spine resumes the skip scan
-// at the start of the next window (pr.skipOffs is non-empty).
+// at the start of the next window (pr.skipNames is non-empty).
 var errPause = fmt.Errorf("scan: window pause")
 
 // eventText marks a logical text run in a fragment's event stream; other
@@ -519,55 +517,20 @@ func (pr *pruner) run() error {
 			}
 			continue
 		}
-		b2, ok := s.getc()
-		if !ok {
-			return s.readErr()
+		kind, err := s.markup()
+		if err != nil {
+			return err
 		}
-		switch b2 {
-		case '/':
-			if err := pr.endTag(); err != nil {
-				return err
-			}
-		case '?':
-			if err := s.skipPI(); err != nil {
-				return err
-			}
-		case '!':
-			b3, ok := s.getc()
-			if !ok {
-				return s.readErr()
-			}
-			switch b3 {
-			case '-':
-				b4, ok := s.getc()
-				if !ok {
-					return s.readErr()
-				}
-				if b4 != '-' {
-					return errSyntax("invalid sequence <!- not part of <!--")
-				}
-				if err := s.skipComment(); err != nil {
-					return err
-				}
-			case '[':
-				if err := s.expectCDATA(); err != nil {
-					return err
-				}
-				if err := pr.chunk(true); err != nil {
-					return err
-				}
-			default:
-				// Directive. The first byte after <! is accumulated
-				// uninterpreted, as in encoding/xml.
-				if err := s.skipDirective(); err != nil {
-					return err
-				}
-			}
-		default:
-			s.ungetc()
-			if err := pr.startTag(); err != nil {
-				return err
-			}
+		switch kind {
+		case markupStart:
+			err = pr.startTag()
+		case markupEnd:
+			err = pr.endTag()
+		case markupCDATA:
+			err = pr.chunk(true)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	switch {
@@ -708,22 +671,11 @@ func (pr *pruner) intern(b []byte) string {
 func (pr *pruner) startTag() error {
 	s := pr.s
 	nameRel := s.pos - s.mark
-	ok, err := s.readName()
+	name, prefixB, local, err := s.qname("element name after <")
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return errSyntax("expected element name after <")
-	}
 	nameEndRel := s.pos - s.mark
-	name := s.buf[s.mark+nameRel : s.mark+nameEndRel]
-	if !s.checkName(name) {
-		return errSyntax("invalid XML name: " + string(name))
-	}
-	prefixB, local, okn := splitName(name)
-	if !okn {
-		return errSyntax("expected element name after <")
-	}
 	pr.flushText()
 	pr.st.ElementsIn++
 	pr.sawRoot = true
@@ -782,7 +734,7 @@ func (pr *pruner) startTag() error {
 		if pr.alive == 0 {
 			return nil
 		}
-		pr.pushSkipName(name)
+		pr.skipNames.push(name)
 		empty, err := pr.skipTag()
 		if err != nil {
 			return err
@@ -790,7 +742,7 @@ func (pr *pruner) startTag() error {
 		if !empty {
 			return pr.skipAll()
 		}
-		pr.popSkipName()
+		pr.skipNames.pop()
 		return nil
 	}
 
@@ -864,59 +816,13 @@ func (pr *pruner) startTag() error {
 		// attrCanon tracks whether this attribute's raw bytes (from
 		// preSpace) are already its canonical rendering — a projector-
 		// independent property of the input.
-		attrCanon := spaceLen == 1 && s.buf[s.mark+preSpace] == ' '
-		anRel := s.pos - s.mark
-		ok, err := s.readName()
+		aprefix, alocal, val, attrCanon, err := s.attr(pr.attrVal[:0])
+		pr.attrVal = val
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return errSyntax("expected attribute name in element")
-		}
-		anEndRel := s.pos - s.mark
-		if !s.checkName(s.buf[s.mark+anRel : s.mark+anEndRel]) {
-			return errSyntax("invalid XML name: " + string(s.buf[s.mark+anRel:s.mark+anEndRel]))
-		}
-		s.space()
-		if s.pos-s.mark != anEndRel {
+		if spaceLen != 1 || s.buf[s.mark+preSpace] != ' ' {
 			attrCanon = false
-		}
-		b, ok = s.getc()
-		if !ok {
-			return s.readErr()
-		}
-		if b != '=' {
-			return errSyntax("attribute name without = in element")
-		}
-		qRel := s.pos - s.mark
-		s.space()
-		if s.pos-s.mark != qRel {
-			attrCanon = false
-		}
-		qb, ok := s.getc()
-		if !ok {
-			return s.readErr()
-		}
-		if qb != '"' && qb != '\'' {
-			return errSyntax("unquoted or missing attribute value in element")
-		}
-		if qb != '"' {
-			attrCanon = false
-		}
-		var vinfo textInfo
-		pr.attrVal, vinfo, err = s.text(pr.attrVal[:0], int(qb), false)
-		if err != nil {
-			return err
-		}
-		if !vinfo.verbatim {
-			attrCanon = false
-		}
-
-		// Derive the name from its offsets only now: the value decode may
-		// have slid the buffer.
-		aprefix, alocal, okn := splitName(s.buf[s.mark+anRel : s.mark+anEndRel])
-		if !okn {
-			return errSyntax("expected attribute name in element")
 		}
 		api := -1
 		for i := range decl {
@@ -954,9 +860,6 @@ func (pr *pruner) startTag() error {
 		keepMask &= K
 		// Keepers dropping this attribute can no longer ride the raw span,
 		// and nobody can when its raw bytes are not its canonical form.
-		if len(aprefix) != 0 {
-			attrCanon = false
-		}
 		dm := canonMask &^ keepMask
 		if !attrCanon {
 			dm = canonMask
@@ -995,7 +898,7 @@ func (pr *pruner) startTag() error {
 		if pr.alive == 0 || empty {
 			return nil
 		}
-		pr.pushSkipName(s.buf[s.mark+nameRel : s.mark+nameEndRel])
+		pr.skipNames.push(s.buf[s.mark+nameRel : s.mark+nameEndRel])
 		return pr.skipAll()
 	}
 

@@ -288,6 +288,17 @@ func isNameByte(c byte) bool {
 // rel = s.pos - s.mark before the call (with a mark already held) and
 // slice s.buf[s.mark+rel : s.pos] after it.
 func (s *Scanner) readName() (ok bool, err error) {
+	// A name that ends inside the buffered bytes — all but the one a
+	// refill cuts — needs no byte-at-a-time reads.
+	i := s.pos
+	for i < s.end && isNameByte(s.buf[i]) {
+		i++
+	}
+	if i < s.end {
+		ok = i > s.pos
+		s.pos = i
+		return ok, nil
+	}
 	b, got := s.getc()
 	if !got {
 		return false, s.readErr()
@@ -835,4 +846,141 @@ func (s *Scanner) expectCDATA() error {
 		}
 	}
 	return nil
+}
+
+// markupKind is what markup found after a '<'.
+type markupKind uint8
+
+const (
+	// markupStart: a start tag. Nothing past the '<' is consumed; the
+	// scanner stands on the name's first byte.
+	markupStart markupKind = iota
+	// markupEnd: an end tag, "</" consumed.
+	markupEnd
+	// markupCDATA: a CDATA section, "<![CDATA[" consumed; its body is
+	// next (text with cdata set).
+	markupCDATA
+	// markupNone: a comment, processing instruction or directive,
+	// consumed whole — outside the data model.
+	markupNone
+)
+
+// markup classifies the construct whose '<' was just consumed, and
+// consumes the ones that carry no data. Any mark the caller holds does
+// not survive a processing instruction (skipPI).
+func (s *Scanner) markup() (markupKind, error) {
+	b, ok := s.getc()
+	if !ok {
+		return markupNone, s.readErr()
+	}
+	switch b {
+	case '/':
+		return markupEnd, nil
+	case '?':
+		return markupNone, s.skipPI()
+	case '!':
+	default:
+		s.ungetc()
+		return markupStart, nil
+	}
+	if b, ok = s.getc(); !ok {
+		return markupNone, s.readErr()
+	}
+	switch b {
+	case '-':
+		if b, ok = s.getc(); !ok {
+			return markupNone, s.readErr()
+		}
+		if b != '-' {
+			return markupNone, errSyntax("invalid sequence <!- not part of <!--")
+		}
+		return markupNone, s.skipComment()
+	case '[':
+		return markupCDATA, s.expectCDATA()
+	}
+	// Directive. The first byte after <! is accumulated uninterpreted,
+	// as in encoding/xml.
+	return markupNone, s.skipDirective()
+}
+
+// qname reads, validates and splits the name at the current position:
+// readName, checkName, splitName. what completes the diagnostic
+// ("expected <what>"). A mark must be held at or before the name; the
+// returned slices are views of the buffer, valid until the next read.
+func (s *Scanner) qname(what string) (name, prefix, local []byte, err error) {
+	rel := s.pos - s.mark
+	ok, err := s.readName()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if !ok {
+		return nil, nil, nil, errSyntax("expected " + what)
+	}
+	name = s.buf[s.mark+rel : s.pos]
+	if !s.checkName(name) {
+		return nil, nil, nil, errSyntax("invalid XML name: " + string(name))
+	}
+	prefix, local, ok = splitName(name)
+	if !ok {
+		return nil, nil, nil, errSyntax("expected " + what)
+	}
+	return name, prefix, local, nil
+}
+
+// attr tokenises one attribute — name, '=', quoted value — with the
+// scanner on the name's first byte and a mark held at or before it. The
+// decoded value is appended to val. prefix and local are the split name,
+// views of the buffer valid until the next read (they are derived after
+// the value, whose decode may slide the buffer). canon reports that the
+// attribute's input bytes are already its canonical rendering
+// local="value": no prefix, nothing around the '=', double quotes and a
+// verbatim value.
+func (s *Scanner) attr(val []byte) (prefix, local, out []byte, canon bool, err error) {
+	out = val
+	nameRel := s.pos - s.mark
+	ok, err := s.readName()
+	if err != nil {
+		return
+	}
+	if !ok {
+		err = errSyntax("expected attribute name in element")
+		return
+	}
+	nameEnd := s.pos - s.mark
+	if name := s.buf[s.mark+nameRel : s.mark+nameEnd]; !s.checkName(name) {
+		err = errSyntax("invalid XML name: " + string(name))
+		return
+	}
+	s.space()
+	spaced := s.pos-s.mark != nameEnd
+	b, ok := s.getc()
+	if !ok {
+		err = s.readErr()
+		return
+	}
+	if b != '=' {
+		err = errSyntax("attribute name without = in element")
+		return
+	}
+	eqEnd := s.pos - s.mark
+	s.space()
+	spaced = spaced || s.pos-s.mark != eqEnd
+	qb, ok := s.getc()
+	if !ok {
+		err = s.readErr()
+		return
+	}
+	if qb != '"' && qb != '\'' {
+		err = errSyntax("unquoted or missing attribute value in element")
+		return
+	}
+	out, info, err := s.text(val, int(qb), false)
+	if err != nil {
+		return nil, nil, out, false, err
+	}
+	prefix, local, ok = splitName(s.buf[s.mark+nameRel : s.mark+nameEnd])
+	if !ok {
+		return nil, nil, out, false, errSyntax("expected attribute name in element")
+	}
+	return prefix, local, out, !spaced && qb == '"' && info.verbatim && len(prefix) == 0, nil
 }

@@ -2,14 +2,12 @@ package scan
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"io"
 	"strings"
 	"testing"
 
 	"xmlproj/internal/dtd"
-	"xmlproj/internal/xmark"
 )
 
 const bibDTD = `
@@ -374,53 +372,6 @@ func TestDiscardedTagTooLong(t *testing.T) {
 			}
 			if err := prune(0); err != nil {
 				t.Errorf("%s, chunk %d: the default cap rejected it: %v", name, chunk, err)
-			}
-		}
-	}
-}
-
-// TestSoloPruneAllocs: with a pooled pruner and a compiled projection, a
-// single-projector prune of in-memory input allocates nothing — into a
-// gather list or through a reused bufio.Writer, at any selectivity,
-// validated or not. (README Performance advertises it.)
-func TestSoloPruneAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates")
-	}
-	d := xmark.DTD()
-	var doc bytes.Buffer
-	if err := xmark.NewGenerator(0.002, 42).Document().WriteXML(&doc); err != nil {
-		t.Fatal(err)
-	}
-	full := dtd.NewNameSet()
-	for _, n := range d.Names() {
-		full.Add(n)
-	}
-	pis := map[string]dtd.NameSet{
-		"low": dtd.NewNameSet("site", "regions", "africa", "item", "item@id", "location", "location#text"),
-		"mid": dtd.NewNameSet("site", "people", "person", "person@id", "name", "name#text",
-			"emailaddress", "emailaddress#text", "open_auctions", "open_auction", "open_auction@id",
-			"initial", "initial#text"),
-		"full": full,
-	}
-	sl := new(SpanList)
-	bw := bufio.NewWriterSize(io.Discard, 64<<10)
-	for name, pi := range pis {
-		p := d.CompileProjection(pi)
-		for _, validate := range []bool{false, true} {
-			opts := Options{Validate: validate}
-			gather := testing.AllocsPerRun(10, func() {
-				if _, err := PruneGather(sl, doc.Bytes(), d, p, opts); err != nil {
-					t.Fatal(err)
-				}
-			})
-			stream := testing.AllocsPerRun(10, func() {
-				if _, err := PruneBytes(bw, doc.Bytes(), d, p, opts); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if gather != 0 || stream != 0 {
-				t.Errorf("%s validate=%v: PruneGather %v allocs/op, PruneBytes %v allocs/op, want 0", name, validate, gather, stream)
 			}
 		}
 	}

@@ -37,22 +37,32 @@ import (
 	"xmlproj/internal/index"
 )
 
-// pushSkipName records a full tag name on the skip name stack (one
-// shared buffer; allocation-free in steady state).
-func (pr *pruner) pushSkipName(name []byte) {
-	pr.skipOffs = append(pr.skipOffs, len(pr.skipBuf))
-	pr.skipBuf = append(pr.skipBuf, name...)
+// nameStack holds the full names of open elements end to end in one
+// growable buffer (allocation-free in steady state), for matching end
+// tags where no symbol is kept: the skip scan's discarded elements, the
+// document walk's open ones.
+type nameStack struct {
+	buf  []byte
+	offs []int // offs[i] is where the i-th name starts in buf
 }
 
-func (pr *pruner) popSkipName() {
-	last := len(pr.skipOffs) - 1
-	pr.skipBuf = pr.skipBuf[:pr.skipOffs[last]]
-	pr.skipOffs = pr.skipOffs[:last]
+func (n *nameStack) push(name []byte) {
+	n.offs = append(n.offs, len(n.buf))
+	n.buf = append(n.buf, name...)
 }
 
-func (pr *pruner) topSkipName() []byte {
-	return pr.skipBuf[pr.skipOffs[len(pr.skipOffs)-1]:]
+func (n *nameStack) pop() {
+	last := len(n.offs) - 1
+	n.buf = n.buf[:n.offs[last]]
+	n.offs = n.offs[:last]
 }
+
+// top returns the innermost name; the stack must not be empty.
+func (n *nameStack) top() []byte { return n.buf[n.offs[len(n.offs)-1]:] }
+
+func (n *nameStack) depth() int { return len(n.offs) }
+
+func (n *nameStack) reset() { n.buf, n.offs = n.buf[:0], n.offs[:0] }
 
 // skipAttrs consumes the rest of a start tag — attributes and the
 // closing '>' or '/>' — with syntax-level checks only, reporting
@@ -163,7 +173,7 @@ func (pr *pruner) skipAll() error {
 // whose names sit on the skip name stack, counting skipped elements and
 // logical text runs. Depth-only scanning with full well-formedness
 // checks; memory stays constant. Depth is the name stack itself
-// (len(pr.skipOffs)), so a modePipe window boundary can pause the scan
+// (pr.skipNames.depth()), so a modePipe window boundary can pause the scan
 // (errPause) and the pipelined spine can resume it on the next window
 // with nothing but the pruner's own state.
 //
@@ -182,7 +192,7 @@ func (pr *pruner) skipScan() error {
 			pr.skipPending = false
 		}
 	}
-	for frag || len(pr.skipOffs) > 0 {
+	for frag || pr.skipNames.depth() > 0 {
 		if pr.sp != nil && pr.sp.at(s.pos) {
 			// A delegated range inside this skipped subtree. The range
 			// starts at an element tag, where this loop would flush.
@@ -200,7 +210,7 @@ func (pr *pruner) skipScan() error {
 				// The byte after the range is an element tag, where the
 				// pending run would be flushed.
 				flush()
-				if len(pr.skipOffs) != 0 {
+				if pr.skipNames.depth() != 0 {
 					return errSyntax("unterminated element in skipped content")
 				}
 				return nil
@@ -224,12 +234,12 @@ func (pr *pruner) skipScan() error {
 			}
 			continue
 		}
-		b2, ok := s.getc()
-		if !ok {
-			return s.readErr()
+		kind, err := s.markup()
+		if err != nil {
+			return err
 		}
-		switch b2 {
-		case '/':
+		switch kind {
+		case markupEnd:
 			flush()
 			s.setMark()
 			ok, err := s.readName()
@@ -263,90 +273,46 @@ func (pr *pruner) skipScan() error {
 				s.clearMark()
 				return errSyntax("expected element name after </")
 			}
-			if len(pr.skipOffs) == 0 {
+			if pr.skipNames.depth() == 0 {
 				err := errSyntax("unbalanced end element " + string(name))
 				s.clearMark()
 				return err
 			}
-			if string(name) != string(pr.topSkipName()) {
-				err := errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(name) + ">")
+			if string(name) != string(pr.skipNames.top()) {
+				err := errSyntax("element <" + string(pr.skipNames.top()) + "> closed by </" + string(name) + ">")
 				s.clearMark()
 				return err
 			}
 			s.clearMark()
-			pr.popSkipName()
-		case '?':
-			if err := s.skipPI(); err != nil {
+			pr.skipNames.pop()
+		case markupCDATA:
+			var info textInfo
+			pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, true)
+			if err != nil {
 				return err
 			}
-		case '!':
-			b3, ok := s.getc()
-			if !ok {
-				return s.readErr()
+			if !info.ws {
+				pr.skipPending = true
 			}
-			switch b3 {
-			case '-':
-				b4, ok := s.getc()
-				if !ok {
-					return s.readErr()
-				}
-				if b4 != '-' {
-					return errSyntax("invalid sequence <!- not part of <!--")
-				}
-				if err := s.skipComment(); err != nil {
-					return err
-				}
-			case '[':
-				if err := s.expectCDATA(); err != nil {
-					return err
-				}
-				var info textInfo
-				var err error
-				pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, true)
-				if err != nil {
-					return err
-				}
-				if !info.ws {
-					pr.skipPending = true
-				}
-			default:
-				if err := s.skipDirective(); err != nil {
-					return err
-				}
-			}
-		default:
+		case markupStart:
 			flush()
 			pr.st.ElementsIn++
 			pr.st.ElementsSkipped++
-			s.ungetc()
 			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
-				return err
+			name, _, _, err := s.qname("element name after <")
+			if err == nil {
+				pr.skipNames.push(name)
 			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after <")
-			}
-			name := s.marked()
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after <")
-			}
-			pr.pushSkipName(name)
 			s.clearMark()
+			if err != nil {
+				return err
+			}
 			empty, err := pr.skipAttrs()
 			if err != nil {
 				return err
 			}
 			if empty {
-				pr.popSkipName()
+				pr.skipNames.pop()
 			}
 		}
 	}
@@ -455,7 +421,7 @@ func (pr *pruner) skipBalance() error {
 	s := pr.s
 	frag := pr.mode == modeSkipFragment
 	s.clearMark()
-	for frag || len(pr.skipOffs) > 0 {
+	for frag || pr.skipNames.depth() > 0 {
 		j := 0 // tags mostly follow tags
 		if s.pos == s.end || s.buf[s.pos] != '<' {
 			j = bytes.IndexByte(s.buf[s.pos:s.end], '<')
@@ -504,10 +470,10 @@ func (pr *pruner) skipBalance() error {
 			if frag {
 				return errSyntax("unbalanced end element " + string(tag))
 			}
-			if !closesName(tag, pr.topSkipName()) {
-				return errSyntax("element <" + string(pr.topSkipName()) + "> closed by </" + string(tag) + ">")
+			if !closesName(tag, pr.skipNames.top()) {
+				return errSyntax("element <" + string(pr.skipNames.top()) + "> closed by </" + string(tag) + ">")
 			}
-			pr.popSkipName()
+			pr.skipNames.pop()
 		}
 	}
 	return nil

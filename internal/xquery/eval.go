@@ -459,7 +459,7 @@ func Serialize(s Seq) string {
 				sb.WriteString(v.StringValue())
 			} else {
 				d := tree.Document{Root: v.N}
-				sb.WriteString(d.XML())
+				_ = d.WriteXML(&sb) // a Builder's writes do not fail
 			}
 		default:
 			sb.WriteString(atomicString(it))

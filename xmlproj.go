@@ -369,32 +369,37 @@ type Document struct {
 	t *tree.Document
 }
 
-// ParseXML reads an XML document.
+// ParseXML reads r to the end and parses what it read: a Document holds
+// the whole input anyway, so nothing is gained by parsing as it arrives.
 func ParseXML(r io.Reader) (*Document, error) {
-	t, err := tree.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Document{t: t}, nil
+	return wrapDoc(tree.Parse(r))
 }
 
 // ParseXMLString is ParseXML over a string.
 func ParseXMLString(src string) (*Document, error) {
-	t, err := tree.ParseString(src)
+	return wrapDoc(tree.ParseString(src))
+}
+
+// ParseXMLBytes is ParseXML over bytes already in memory. The document
+// keeps no reference to src.
+func ParseXMLBytes(src []byte) (*Document, error) {
+	return wrapDoc(tree.ParseBytes(src))
+}
+
+// ParseXMLFile is ParseXML over a file, read in one go.
+func ParseXMLFile(path string) (*Document, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return ParseXMLBytes(src)
+}
+
+func wrapDoc(t *tree.Document, err error) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
 	return &Document{t: t}, nil
-}
-
-// ParseXMLFile is ParseXML over a file.
-func ParseXMLFile(path string) (*Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseXML(f)
 }
 
 // XML serialises the document.
