@@ -75,8 +75,9 @@ func TestRunWithPrune(t *testing.T) {
 	}
 }
 
-// TestRunReportsPhases: the paper's four phases each get a line on
-// stderr, in order, and the two the benchmark reads keep their wording.
+// TestRunReportsPhases: the schema parse and the paper's four phases
+// each get a line on stderr, in order, and the two the benchmark reads
+// keep their wording.
 func TestRunReportsPhases(t *testing.T) {
 	dtdPath, docPath := setup(t)
 	var out, errBuf bytes.Buffer
@@ -85,7 +86,7 @@ func TestRunReportsPhases(t *testing.T) {
 	}
 	stats := errBuf.String()
 	at := 0
-	for _, phase := range []string{"inferred the projector in ", "pruned 132 -> 84 bytes in ", "loaded 84 bytes in ", "2 item(s) in "} {
+	for _, phase := range []string{"parsed the schema in ", "inferred the projector in ", "pruned 132 -> 84 bytes in ", "loaded 84 bytes in ", "2 item(s) in "} {
 		i := strings.Index(stats[at:], phase)
 		if i < 0 {
 			t.Fatalf("no %q after byte %d of %q", phase, at, stats)
@@ -98,6 +99,31 @@ func TestRunReportsPhases(t *testing.T) {
 	}
 	if stats := errBuf.String(); strings.Contains(stats, "inferred") || strings.Contains(stats, "pruned") || !strings.Contains(stats, "loaded 132 bytes in ") {
 		t.Fatalf("direct run reported %q", stats)
+	}
+}
+
+// TestRunKeepsAllSkipsThePrune: a projector that keeps every name prunes
+// nothing, so the input is loaded as it is — the prune line still reads
+// "pruned <n> -> <n> bytes" (the benchmark greps it) and says why, and
+// the answer is the direct run's.
+func TestRunKeepsAllSkipsThePrune(t *testing.T) {
+	dtdPath, docPath := setup(t)
+	var plain, out, errBuf bytes.Buffer
+	if err := run([]string{"-q", "//node()", "-in", docPath}, &plain, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	errBuf.Reset()
+	if err := run([]string{"-q", "//node()", "-in", docPath, "-dtd", dtdPath, "-prune"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	stats := errBuf.String()
+	for _, want := range []string{"pruned 132 -> 132 bytes in ", "not pruned, the projector keeps every name", "loaded 132 bytes in "} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("no %q in %q", want, stats)
+		}
+	}
+	if out.String() != plain.String() {
+		t.Fatalf("answers differ:\n%q\n%q", out.String(), plain.String())
 	}
 }
 

@@ -77,8 +77,15 @@ func TestCompleteness(t *testing.T) {
 				continue // removing the root empties every document
 			}
 			cut := dtd.NewNameSet(y)
-			cut.AddAll(d.ContentDescendants(cut))
-			smaller := pr.Names.Minus(cut)
+			if sym, ok := d.Symbols().Sym(y); ok {
+				cut.AddAll(d.Symbols().NameSet(d.Symbols().Descendants.Row(sym)))
+			}
+			smaller := dtd.NameSet{}
+			for n := range pr.Names {
+				if !cut.Has(n) {
+					smaller.Add(n)
+				}
+			}
 			witness := false
 			for _, doc := range docs {
 				full := results(q, doc)

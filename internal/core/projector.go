@@ -1,9 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"xmlproj/internal/dtd"
@@ -13,6 +12,11 @@ import (
 
 // Projector is an inferred type projector π for a DTD (Def. 2.6): the set
 // of names whose nodes survive pruning.
+//
+// Names is π in the exchange form — what a projector file, the tree
+// pruner and a hand-built π carry: a set that must exist without a
+// grammar cannot be a bitset over one. Inference works on bit rows and
+// renders Names once, at the end, keeping the row for Compiled.
 //
 // π's derived forms — the decision table the pruners walk and the two
 // fingerprints the result cache keys on — are computed on first use and
@@ -24,6 +28,10 @@ type Projector struct {
 	D     *dtd.DTD
 	Names dtd.NameSet
 
+	// row is Names over D.Symbols() when inference produced π; nil for a
+	// π built by hand (its Names may hold what the grammar never declared).
+	row dtd.Row
+
 	compileOnce sync.Once
 	compiled    *dtd.Projection
 
@@ -32,10 +40,16 @@ type Projector struct {
 }
 
 // Compiled returns π compiled against the grammar's symbol table
-// (dtd.CompileProjection: ≈ 6 µs, 18 allocations on the XMark DTD),
-// computed once per projector.
+// (≈ 6 µs, 18 allocations on the XMark DTD), computed once per
+// projector.
 func (p *Projector) Compiled() *dtd.Projection {
-	p.compileOnce.Do(func() { p.compiled = p.D.CompileProjection(p.Names) })
+	p.compileOnce.Do(func() {
+		if p.row != nil {
+			p.compiled = p.D.Symbols().Project(p.row)
+		} else {
+			p.compiled = p.D.CompileProjection(p.Names)
+		}
+	})
 	return p.compiled
 }
 
@@ -69,41 +83,53 @@ func (p *Projector) Has(n dtd.Name) bool { return p.Names.Has(n) }
 // closed under union, §5).
 func (p *Projector) Union(q *Projector) {
 	p.Names.AddAll(q.Names)
+	if p.row != nil && q.row != nil {
+		p.row.Or(q.row)
+	} else {
+		p.row = nil
+	}
 }
+
+// missing returns the root-reachable names π does not keep.
+func (p *Projector) missing() dtd.Row {
+	out := p.D.ReachableFromRoot().Clone()
+	out.AndNot(p.Compiled().Row())
+	return out
+}
+
+// KeepsAll reports whether π keeps every name a valid document can
+// contain: pruning with it copies the document, so a caller that holds
+// the input can skip the prune (/site//node() infers such a π).
+func (p *Projector) KeepsAll() bool { return p.missing().Empty() }
 
 // KeepRatio returns |π| / |DN(E) reachable from the root| — a static
 // indicator of pruning selectivity.
 func (p *Projector) KeepRatio() float64 {
-	reach := p.D.ReachableFromRoot()
-	if reach.Len() == 0 {
-		return 1
-	}
-	return float64(p.Names.Intersect(reach).Len()) / float64(reach.Len())
+	reach := p.D.ReachableFromRoot().Len() // ≥ 1: the root
+	return float64(reach-p.missing().Len()) / float64(reach)
 }
 
-func (p *Projector) String() string {
-	names := p.Names.Sorted()
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = string(n)
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, ", ") + "}"
-}
+func (p *Projector) String() string { return p.Names.String() }
 
-// Inferencer runs the Fig. 2 projector-inference rules.
+// Inferencer runs the Fig. 2 projector-inference rules. One Inferencer
+// serves one inference: its memo and step numbering are not shared, so
+// concurrent inferences over one grammar do not meet.
 type Inferencer struct {
 	c *Checker
-	// memo caches ⊩ results keyed by (name, context, path suffix).
-	memo map[string]dtd.NameSet
+	// memo caches ⊩ results keyed by (name, context, path suffix): the
+	// symbol, κ's words and stepIDs' numbers of the remaining steps, as
+	// bytes rendered into the scratch buffer key.
+	memo    map[string]dtd.Row
+	stepIDs map[xpathl.Step]uint32
+	key     []byte
 }
 
 // NewInferencer returns an Inferencer over d.
 func NewInferencer(d *dtd.DTD) *Inferencer {
-	return &Inferencer{c: NewChecker(d), memo: map[string]dtd.NameSet{}}
+	return &Inferencer{c: NewChecker(d), memo: map[string]dtd.Row{}, stepIDs: map[xpathl.Step]uint32{}}
 }
 
-// InferPath infers the projector for one XPathℓ path evaluated from the
+// inferPath infers the projector for one XPathℓ path evaluated from the
 // document root: ({X},{X}) ⊩E P : π (Thm. 4.5: querying the π-pruned
 // document is equivalent to querying the original).
 //
@@ -113,7 +139,7 @@ func NewInferencer(d *dtd.DTD) *Inferencer {
 // unioned (projectors are closed under union). A trailing
 // descendant-or-self::node() — the materialisation marker of §5 — thereby
 // realises exactly the remark after Thm. 4.5: π = τ′ ∪ A_E(τ″, descendant).
-func (inf *Inferencer) InferPath(p *xpathl.Path) (*Projector, error) {
+func (inf *Inferencer) inferPath(p *xpathl.Path) (dtd.Row, error) {
 	for _, s := range p.Steps {
 		if err := checkAxis(s.Axis); err != nil {
 			return nil, err
@@ -128,12 +154,12 @@ func (inf *Inferencer) InferPath(p *xpathl.Path) (*Projector, error) {
 			}
 		}
 	}
-	root := RootEnv(inf.c.D)
-	names := dtd.NewNameSet(inf.c.D.Root)
+	root := RootEnv(inf.c.s)
+	row := root.Tau.Clone()
 	for _, variant := range expandOrSelf(p.Steps) {
-		names.AddAll(inf.project(root.Tau, root.Kappa, variant))
+		row.Or(inf.project(root.Tau, root.Kappa, variant))
 	}
-	return &Projector{D: inf.c.D, Names: names}, nil
+	return row, nil
 }
 
 func checkAxis(a xpath.Axis) error {
@@ -179,116 +205,110 @@ func expandOrSelf(steps []xpathl.Step) [][]xpathl.Step {
 	return out
 }
 
-// expandSimpleOrSelf is expandOrSelf for predicate-free condition paths.
-func expandSimpleOrSelf(p xpathl.SimplePath) []xpathl.SimplePath {
-	steps := make([]xpathl.Step, len(p.Steps))
-	for i, s := range p.Steps {
-		steps[i] = xpathl.Step{SStep: s}
-	}
-	var out []xpathl.SimplePath
-	for _, variant := range expandOrSelf(steps) {
-		sp := xpathl.SimplePath{Absolute: p.Absolute}
-		for _, s := range variant {
-			sp.Steps = append(sp.Steps, s.SStep)
-		}
-		out = append(out, sp)
-	}
-	return out
-}
-
 // project implements Σ ⊩E P : τ for an expanded (or-self-free) path.
-func (inf *Inferencer) project(tau, kappa dtd.NameSet, steps []xpathl.Step) dtd.NameSet {
-	out := dtd.NameSet{}
+func (inf *Inferencer) project(tau, kappa dtd.Row, steps []xpathl.Step) dtd.Row {
+	out := inf.c.s.NewRow()
 	if len(steps) == 0 {
 		return out
 	}
 	// Third rule of Fig. 2: decompose the type into singletons.
-	for y := range tau {
-		out.AddAll(inf.projectSingle(y, kappa, steps))
+	for y := tau.Next(0); y >= 0; y = tau.Next(y + 1) {
+		out.Or(inf.projectSingle(y, kappa, steps))
 	}
 	return out
 }
 
-func (inf *Inferencer) projectSingle(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) dtd.NameSet {
-	key := memoKey(y, kappa, steps)
-	if cached, ok := inf.memo[key]; ok {
+func (inf *Inferencer) projectSingle(y int32, kappa dtd.Row, steps []xpathl.Step) dtd.Row {
+	inf.key = inf.appendKey(inf.key[:0], y, kappa, steps)
+	if cached, ok := inf.memo[string(inf.key)]; ok {
 		return cached
 	}
+	// The buffer is reused by the rules below; the memo owns this copy.
 	// Seed the memo against (impossible in well-founded paths, but cheap)
 	// re-entrancy with the empty set.
-	inf.memo[key] = dtd.NameSet{}
+	key := string(inf.key)
+	inf.memo[key] = inf.c.none
 	res := inf.projectSingleUncached(y, kappa, steps)
 	inf.memo[key] = res
 	return res
 }
 
-func memoKey(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) string {
-	var sb strings.Builder
-	sb.WriteString(string(y))
-	sb.WriteString("\x00")
-	for _, n := range kappa.Sorted() {
-		sb.WriteString(string(n))
-		sb.WriteString(",")
+// appendKey renders a memo key. xpathl.Step is comparable (a condition
+// is compared by identity, and one inference sees each condition through
+// one pointer), so steps are numbered as they are first met.
+func (inf *Inferencer) appendKey(key []byte, y int32, kappa dtd.Row, steps []xpathl.Step) []byte {
+	key = binary.LittleEndian.AppendUint32(key, uint32(y))
+	for _, w := range kappa {
+		key = binary.LittleEndian.AppendUint64(key, w)
 	}
-	sb.WriteString("\x00")
-	for i := range steps {
-		sb.WriteString(steps[i].String())
-		sb.WriteString("/")
+	for _, s := range steps {
+		id, ok := inf.stepIDs[s]
+		if !ok {
+			id = uint32(len(inf.stepIDs))
+			inf.stepIDs[s] = id
+		}
+		key = binary.LittleEndian.AppendUint32(key, id)
 	}
-	return sb.String()
+	return key
 }
 
-func (inf *Inferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) dtd.NameSet {
+var (
+	selfNode   = xpathl.Step{SStep: xpathl.SStep{Axis: xpath.Self, Test: xpath.NodeTestNode}}
+	childNode  = xpathl.Step{SStep: xpathl.SStep{Axis: xpath.Child, Test: xpath.NodeTestNode}}
+	parentNode = xpathl.Step{SStep: xpathl.SStep{Axis: xpath.Parent, Test: xpath.NodeTestNode}}
+)
+
+// before returns the steps first followed by rest, as a fresh slice.
+func before(rest []xpathl.Step, first ...xpathl.Step) []xpathl.Step {
+	return append(first, rest...)
+}
+
+func (inf *Inferencer) projectSingleUncached(y int32, kappa dtd.Row, steps []xpathl.Step) dtd.Row {
 	c := inf.c
 	s := steps[0]
 	rest := steps[1:]
-	selfEnv := Env{Tau: dtd.NewNameSet(y), Kappa: kappa}
+	selfEnv := Env{Tau: c.s.NewRow(y), Kappa: kappa}
 
 	// Encoded rules: normalise to the three primitive forms.
 	if s.Cond != nil && !(s.Axis == xpath.Self && s.Test.Kind == xpath.TestNode) {
 		// Axis::Test[Cond]/P ⇒ Axis::Test/self::node[Cond]/P.
-		norm := append([]xpathl.Step{
-			{SStep: s.SStep},
-			{SStep: xpathl.SStep{Axis: xpath.Self, Test: xpath.NodeTestNode}, Cond: s.Cond},
-		}, rest...)
-		return inf.projectSingle(y, kappa, norm)
+		cond := selfNode
+		cond.Cond = s.Cond
+		return inf.projectSingle(y, kappa, before(rest, xpathl.Step{SStep: s.SStep}, cond))
 	}
 	if s.Cond == nil && s.Axis != xpath.Self && s.Test.Kind != xpath.TestNode {
 		// Axis::Test/P ⇒ Axis::node/self::Test/P.
-		norm := append([]xpathl.Step{
-			{SStep: xpathl.SStep{Axis: s.Axis, Test: xpath.NodeTestNode}},
-			{SStep: xpathl.SStep{Axis: xpath.Self, Test: s.Test}},
-		}, rest...)
-		return inf.projectSingle(y, kappa, norm)
+		return inf.projectSingle(y, kappa, before(rest,
+			xpathl.Step{SStep: xpathl.SStep{Axis: s.Axis, Test: xpath.NodeTestNode}},
+			xpathl.Step{SStep: xpathl.SStep{Axis: xpath.Self, Test: s.Test}}))
 	}
 
 	// Base rule (single step): Σ ⊢ Step : (τ,κ′) ⟹ Σ ⊩ Step : τ ∪ κ′.
 	// Step[Cond] is encoded as Step[Cond]/self::node() (second base rule).
 	if len(rest) == 0 {
 		if s.Cond != nil {
-			norm := []xpathl.Step{s, {SStep: xpathl.SStep{Axis: xpath.Self, Test: xpath.NodeTestNode}}}
-			return inf.projectSingle(y, kappa, norm)
+			return inf.projectSingle(y, kappa, []xpathl.Step{s, selfNode})
 		}
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		return env.Tau.Union(env.Kappa)
+		return union(env.Tau, env.Kappa)
 	}
 
 	switch {
 	case s.Axis == xpath.Self && s.Cond == nil:
 		// First primitive rule: self::Test/P.
 		env := c.TypeStep(selfEnv, s)
-		res := dtd.NewNameSet(y)
-		res.AddAll(inf.project(env.Tau, env.Kappa, rest))
+		res := inf.project(env.Tau, env.Kappa, rest)
+		res.Add(y)
 		return res
 
 	case s.Axis == xpath.Self && s.Cond != nil:
 		// Second primitive rule: self::node[P1 or … or Pn]/P.
 		env := c.TypeCondStep(selfEnv, s.Cond)
-		res := dtd.NewNameSet(y)
-		res.AddAll(inf.project(env.Tau, env.Kappa, rest))
+		res := inf.project(env.Tau, env.Kappa, rest)
+		res.Add(y)
 		if !env.Tau.Empty() {
 			for _, d := range s.Cond.Disjuncts {
-				res.AddAll(inf.projectCondPath(env, d))
+				res.Or(inf.projectCondPath(env, d))
 			}
 		}
 		return res
@@ -303,15 +323,15 @@ func (inf *Inferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet, step
 		// is sound (per-name contexts still contain every name on a chain
 		// to Xi) and strictly more precise than the shared context.
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		res := dtd.NewNameSet(y)
-		for x := range env.Tau {
+		res := c.s.NewRow(y)
+		for x := env.Tau.Next(0); x >= 0; x = env.Tau.Next(x + 1) {
 			kx := inf.chainContext(kappa, env.Kappa, x, s.Axis)
-			sub := Env{Tau: dtd.NewNameSet(x), Kappa: kx}
-			if inf.typePathSteps(sub, rest).Tau.Empty() {
+			sub := Env{Tau: c.s.NewRow(x), Kappa: kx}
+			if inf.c.typeSteps(sub, rest).Tau.Empty() {
 				continue
 			}
 			res.Add(x)
-			res.AddAll(inf.projectSingle(x, kx, rest))
+			res.Or(inf.projectSingle(x, kx, rest))
 		}
 		return res
 
@@ -322,35 +342,37 @@ func (inf *Inferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet, step
 		// (each intermediate has the selection as a descendant), so the
 		// continuation context is κ ∪ useful, not κ ∪ A_E(τ, descendant).
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		useful := dtd.NewNameSet(y)
-		for x := range env.Tau {
-			sub := Env{Tau: dtd.NewNameSet(x), Kappa: env.Kappa}
-			if !inf.typePathSteps(sub, steps).Tau.Empty() {
-				useful.Add(x)
-			}
-		}
-		childStep := xpathl.Step{SStep: xpathl.SStep{Axis: xpath.Child, Test: xpath.NodeTestNode}}
-		res := useful.Clone()
-		res.AddAll(inf.project(useful, kappa.Union(useful), append([]xpathl.Step{childStep}, rest...)))
+		useful := inf.useful(y, env, steps)
+		res := inf.project(useful, union(kappa, useful), before(rest, childNode))
+		res.Or(useful)
 		return res
 
 	case s.Axis == xpath.Ancestor:
 		// Fifth primitive rule: ancs::node/P, symmetric via parent.
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		useful := dtd.NewNameSet(y)
-		for x := range env.Tau {
-			sub := Env{Tau: dtd.NewNameSet(x), Kappa: env.Kappa}
-			if !inf.typePathSteps(sub, steps).Tau.Empty() {
-				useful.Add(x)
-			}
-		}
-		parentStep := xpathl.Step{SStep: xpathl.SStep{Axis: xpath.Parent, Test: xpath.NodeTestNode}}
-		res := useful.Clone()
-		res.AddAll(inf.project(useful, env.Kappa.Intersect(kappa.Union(useful)), append([]xpathl.Step{parentStep}, rest...)))
+		useful := inf.useful(y, env, steps)
+		within := union(kappa, useful)
+		within.And(env.Kappa)
+		res := inf.project(useful, within, before(rest, parentNode))
+		res.Or(useful)
 		return res
 	}
 	// Unreachable given checkAxis + expandOrSelf.
 	panic(fmt.Sprintf("core: unhandled step %s", s))
+}
+
+// useful returns y and the names of env.Tau from which the whole of
+// steps still selects something — the premises ({Xi},κ′) ⊢ P : Σ^i of
+// the descendant and ancestor rules.
+func (inf *Inferencer) useful(y int32, env Env, steps []xpathl.Step) dtd.Row {
+	useful := inf.c.s.NewRow(y)
+	for x := env.Tau.Next(0); x >= 0; x = env.Tau.Next(x + 1) {
+		sub := Env{Tau: inf.c.s.NewRow(x), Kappa: env.Kappa}
+		if !inf.c.typeSteps(sub, steps).Tau.Empty() {
+			useful.Add(x)
+		}
+	}
+	return useful
 }
 
 // chainContext computes the continuation context for a single name x
@@ -358,47 +380,32 @@ func (inf *Inferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet, step
 // (post-step shared context kappaAfter): downward steps extend the chain
 // by exactly x; upward steps restrict the post-step context to x's
 // chains.
-func (inf *Inferencer) chainContext(kappaBefore, kappaAfter dtd.NameSet, x dtd.Name, axis xpath.Axis) dtd.NameSet {
+func (inf *Inferencer) chainContext(kappaBefore, kappaAfter dtd.Row, x int32, axis xpath.Axis) dtd.Row {
 	if axis.Upward() {
-		single := dtd.NewNameSet(x)
-		return kappaAfter.Intersect(single.Union(inf.c.D.Ancestors(single)))
+		return inf.c.chainsOf(kappaAfter, x)
 	}
 	out := kappaBefore.Clone()
 	out.Add(x)
 	return out
 }
 
-// typePathSteps runs the type system over a step slice (helper for the
-// usefulness premises ({Xi},κ′) ⊢ P : Σ^i of Fig. 2).
-func (inf *Inferencer) typePathSteps(env Env, steps []xpathl.Step) Env {
-	for _, s := range steps {
-		env = inf.c.TypeStep(env, s)
-		if env.Tau.Empty() {
-			return env
-		}
-	}
-	return env
-}
-
 // projectCondPath infers the projector of one condition disjunct
 // (Σ ⊩ Pi : τi in the second primitive rule). Absolute disjuncts run from
 // the root environment.
-func (inf *Inferencer) projectCondPath(env Env, p xpathl.SimplePath) dtd.NameSet {
-	res := dtd.NameSet{}
-	for _, variant := range expandSimpleOrSelf(p) {
-		steps := make([]xpathl.Step, len(variant.Steps))
-		for i, s := range variant.Steps {
-			steps[i] = xpathl.Step{SStep: s}
-		}
-		if len(steps) == 0 {
-			continue
-		}
-		if variant.Absolute {
-			root := RootEnv(inf.c.D)
-			res.AddAll(inf.project(root.Tau, root.Kappa, steps))
-			continue
-		}
-		res.AddAll(inf.project(env.Tau, env.Kappa, steps))
+func (inf *Inferencer) projectCondPath(env Env, p xpathl.SimplePath) dtd.Row {
+	res := inf.c.s.NewRow()
+	if len(p.Steps) == 0 {
+		return res
+	}
+	if p.Absolute {
+		env = RootEnv(inf.c.s)
+	}
+	steps := make([]xpathl.Step, len(p.Steps))
+	for i, s := range p.Steps {
+		steps[i] = xpathl.Step{SStep: s}
+	}
+	for _, variant := range expandOrSelf(steps) {
+		res.Or(inf.project(env.Tau, env.Kappa, variant))
 	}
 	return res
 }
@@ -406,7 +413,7 @@ func (inf *Inferencer) projectCondPath(env Env, p xpathl.SimplePath) dtd.NameSet
 // Infer computes the union projector for a set of XPathℓ paths — the
 // whole-query (or query-bunch) analysis of §5.
 func Infer(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
-	return NewInferencer(d).inferAll(paths)
+	return NewInferencer(d).infer(paths)
 }
 
 // InferNoContext is Infer with the Fig. 1 context machinery disabled —
@@ -416,17 +423,31 @@ func Infer(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
 func InferNoContext(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
 	inf := NewInferencer(d)
 	inf.c.NoContext = true
-	return inf.inferAll(paths)
+	return inf.infer(paths)
 }
 
-func (inf *Inferencer) inferAll(paths []*xpathl.Path) (*Projector, error) {
-	out := &Projector{D: inf.c.D, Names: dtd.NewNameSet(inf.c.D.Root)}
+func (inf *Inferencer) infer(paths []*xpathl.Path) (*Projector, error) {
+	row, err := inf.inferAll(paths)
+	if err != nil {
+		return nil, err
+	}
+	return inf.render(row), nil
+}
+
+// render turns an inferred row into the exchange form: the one place the
+// analysis produces names, once per inference.
+func (inf *Inferencer) render(row dtd.Row) *Projector {
+	return &Projector{D: inf.c.D, Names: inf.c.s.NameSet(row), row: row}
+}
+
+func (inf *Inferencer) inferAll(paths []*xpathl.Path) (dtd.Row, error) {
+	out := inf.c.s.NewRow(inf.c.s.Root())
 	for _, p := range paths {
-		pr, err := inf.InferPath(p)
+		row, err := inf.inferPath(p)
 		if err != nil {
 			return nil, err
 		}
-		out.Union(pr)
+		out.Or(row)
 	}
 	return out, nil
 }
@@ -458,7 +479,8 @@ func InferMaterialized(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
 	for i, p := range paths {
 		widened[i] = Materialize(p)
 	}
-	pr, err := Infer(d, widened)
+	inf := NewInferencer(d)
+	row, err := inf.inferAll(widened)
 	if err != nil {
 		return nil, err
 	}
@@ -466,11 +488,11 @@ func InferMaterialized(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
 	// descendant closure of the base rule only covers tree children, so
 	// add the attribute names of every result name and of its descendants
 	// (the implementation-level attribute extension of §6).
-	c := NewChecker(d)
+	s := inf.c.s
 	for _, p := range paths {
-		result := c.Type(p)
-		subtree := result.Union(d.ContentDescendants(result))
-		pr.Names.AddAll(d.AttNames(subtree))
+		result := inf.c.Type(p)
+		subtree := union(result, s.Descendants.Image(result))
+		row.Or(s.Atts.Image(subtree))
 	}
-	return pr, nil
+	return inf.render(row), nil
 }

@@ -39,16 +39,41 @@ func lpath(t *testing.T, src string) *xpathl.Path {
 
 func typeOf(t *testing.T, d *dtd.DTD, src string) dtd.NameSet {
 	t.Helper()
-	return NewChecker(d).Type(lpath(t, src))
+	return d.Symbols().NameSet(NewChecker(d).Type(lpath(t, src)))
+}
+
+// rowOf is the row of the given names, all of which d must define.
+func rowOf(t *testing.T, d *dtd.DTD, names ...dtd.Name) dtd.Row {
+	t.Helper()
+	row := d.Symbols().NewRow()
+	for _, n := range names {
+		x, ok := d.Symbols().Sym(n)
+		if !ok {
+			t.Fatalf("grammar does not define %s", n)
+		}
+		row.Add(x)
+	}
+	return row
+}
+
+// axisNames and testNames are A_E and T_E from names to names.
+func axisNames(t *testing.T, d *dtd.DTD, axis xpath.Axis, from ...dtd.Name) dtd.NameSet {
+	t.Helper()
+	s := d.Symbols()
+	return s.NameSet(AxisType(s, rowOf(t, d, from...), axis))
+}
+
+func testNames(d *dtd.DTD, tau dtd.Row, test xpath.NodeTest) dtd.NameSet {
+	s := d.Symbols()
+	return s.NameSet(TestType(s, tau, test))
 }
 
 func TestAxisType(t *testing.T) {
 	d := paperDTD(t)
-	c := dtd.NewNameSet("c")
-	if got := AxisType(d, c, xpath.Child); !got.Equal(dtd.NewNameSet("a", "b")) {
+	if got := axisNames(t, d, xpath.Child, "c"); !got.Equal(dtd.NewNameSet("a", "b")) {
 		t.Fatalf("child(c) = %s", got)
 	}
-	desc := AxisType(d, c, xpath.Descendant)
+	desc := axisNames(t, d, xpath.Descendant, "c")
 	for _, want := range []dtd.Name{"a", "b", "d", dtd.TextName("atext"), dtd.TextName("b")} {
 		if !desc.Has(want) {
 			t.Fatalf("descendant(c) misses %s: %s", want, desc)
@@ -58,13 +83,13 @@ func TestAxisType(t *testing.T) {
 		t.Fatalf("descendant(c) must not contain c: %s", desc)
 	}
 	// Y = a occurs under both c and d.
-	if got := AxisType(d, dtd.NewNameSet("a"), xpath.Parent); !got.Equal(dtd.NewNameSet("c", "d")) {
+	if got := axisNames(t, d, xpath.Parent, "a"); !got.Equal(dtd.NewNameSet("c", "d")) {
 		t.Fatalf("parent(a) = %s", got)
 	}
-	if got := AxisType(d, c, xpath.DescendantOrSelf); !got.Has("c") || !got.Has("d") {
+	if got := axisNames(t, d, xpath.DescendantOrSelf, "c"); !got.Has("c") || !got.Has("d") {
 		t.Fatalf("dos(c) = %s", got)
 	}
-	anc := AxisType(d, dtd.NewNameSet("d"), xpath.Ancestor)
+	anc := axisNames(t, d, xpath.Ancestor, "d")
 	if !anc.Has("a") || !anc.Has("c") || !anc.Has("d") {
 		// d is recursive through a: d → a? and a → d?.
 		t.Fatalf("ancestor(d) = %s", anc)
@@ -74,18 +99,18 @@ func TestAxisType(t *testing.T) {
 func TestTestType(t *testing.T) {
 	d := paperDTD(t)
 	all := d.ReachableFromRoot()
-	if got := TestType(d, all, xpath.NameTest("a")); !got.Equal(dtd.NewNameSet("a")) {
+	if got := testNames(d, all, xpath.NameTest("a")); !got.Equal(dtd.NewNameSet("a")) {
 		t.Fatalf("T(a) = %s", got)
 	}
-	txt := TestType(d, all, xpath.TextTest)
+	txt := testNames(d, all, xpath.TextTest)
 	if !txt.Has(dtd.TextName("b")) || txt.Has("b") {
 		t.Fatalf("T(text) = %s", txt)
 	}
-	star := TestType(d, all, xpath.NodeTest{Kind: xpath.TestStar})
+	star := testNames(d, all, xpath.NodeTest{Kind: xpath.TestStar})
 	if star.Has(dtd.TextName("b")) || !star.Has("b") {
 		t.Fatalf("T(*) = %s", star)
 	}
-	if got := TestType(d, all, xpath.NodeTestNode); !got.Equal(all) {
+	if got := testNames(d, all, xpath.NodeTestNode); !got.Equal(d.Symbols().NameSet(all)) {
 		t.Fatalf("T(node) = %s", got)
 	}
 }
@@ -233,15 +258,16 @@ func TestWellFormednessPreserved(t *testing.T) {
 	// After every step of a chain of judgements, κ ⊆ τ ∪ ancestors(τ).
 	d := paperDTD(t)
 	c := NewChecker(d)
-	env := RootEnv(d)
+	syms := d.Symbols()
+	env := RootEnv(syms)
 	path := lpath(t, "descendant::node()/self::d/ancestor::node()/child::a")
 	for _, s := range path.Steps {
 		env = c.TypeStep(env, s)
-		keep := env.Tau.Union(d.Ancestors(env.Tau))
-		for n := range env.Kappa {
-			if !keep.Has(n) {
-				t.Fatalf("context %s not well-formed for τ=%s after %s", env.Kappa, env.Tau, s)
-			}
+		stray := env.Kappa.Clone()
+		stray.AndNot(env.Tau)
+		stray.AndNot(syms.Ancestors.Image(env.Tau))
+		if !stray.Empty() {
+			t.Fatalf("context %s not well-formed for τ=%s after %s", syms.NameSet(env.Kappa), syms.NameSet(env.Tau), s)
 		}
 	}
 }

@@ -52,9 +52,7 @@ func (a *DFA) Matches(seq []Name) bool {
 // Automaton returns the compiled content-model automaton for the
 // definition, building it on first use.
 func (def *Def) Automaton() *DFA {
-	if def.dfa == nil {
-		def.dfa = CompileRegex(def.Content)
-	}
+	def.dfaOnce.Do(func() { def.dfa = CompileRegex(def.Content) })
 	return def.dfa
 }
 

@@ -8,9 +8,9 @@ package dtd
 // hashing, no map probe — which is what lets validation be fused with
 // pruning at essentially no overhead (§2.3, §6 of the paper).
 //
-// Dense tables are built once per DTD (inside Symbols) from the
-// map-based DFAs and shared across every prune of every document; the
-// grammar is immutable after parsing, so this is safe.
+// Dense tables are built once per DTD from the map-based DFAs — by
+// Symbols.CompileDense, the first time something validates, not when the
+// symbol table is built — and shared by every prune from then on.
 type DenseDFA struct {
 	// trans[state*width+sym] = next state, or -1. Column width-1 is the
 	// text pseudo-symbol (the element's own "#text" name).
@@ -45,13 +45,19 @@ func (a *DenseDFA) Accepting(state int32) bool {
 	return state >= 0 && a.accept[state]
 }
 
+// CompileDense makes sure every SymInfo.Dense is there: a pruner calls
+// it when prepared with Validate, and whoever gets there first compiles
+// the tables (≈ 1 ms for XMark's 74 content models) while the others
+// wait. Code that does not validate must not read SymInfo.Dense.
+func (s *Symbols) CompileDense() { s.denseOnce.Do(s.compileDense) }
+
 // compileDense recompiles every element's content-model DFA into a
 // dense table over the symbol IDs. Names in a content model that do not
 // resolve to an element symbol of this DTD (or to the element's own
 // text name) can never be matched by a scanned document, so their
 // transitions are dropped — the dense walk and the map walk then agree
 // on every sequence a scanner can feed them.
-func (s *Symbols) compileDense(d *DTD) {
+func (s *Symbols) compileDense() {
 	width := int32(len(s.infos) + 1)
 	for i := range s.infos {
 		info := &s.infos[i]
@@ -65,24 +71,17 @@ func (s *Symbols) compileDense(d *DTD) {
 		for j := range dd.trans {
 			dd.trans[j] = -1
 		}
-		textName := TextName(info.Name)
 		for st := 0; st < nstates; st++ {
 			row := int32(st) * width
 			for n, next := range dfa.trans[st] {
-				var col int32
+				col, ok := s.byName[n]
 				switch {
-				case n == textName:
+				case !ok:
+					continue
+				case col == s.textOf[i]:
 					col = width - 1
-				default:
-					def := d.Defs[n]
-					if def == nil || def.Text {
-						continue
-					}
-					c, ok := s.byTag[def.Tag]
-					if !ok {
-						continue
-					}
-					col = c
+				case int(col) >= len(s.infos):
+					continue
 				}
 				dd.trans[row+col] = int32(next)
 			}

@@ -23,6 +23,10 @@ func TestDenseDFAMatchesMapDFA(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms := d.Symbols()
+	if syms.DenseBuilt() {
+		t.Fatal("Symbols() compiled the dense automata; they are built when something validates")
+	}
+	syms.CompileDense()
 	for i := 0; i < syms.Len(); i++ {
 		info := syms.Info(int32(i))
 		dfa := info.Def.Automaton()

@@ -19,14 +19,10 @@ import (
 // Name is a non-terminal name of the grammar (X, Y, Z … in the paper).
 // Element names coincide with their tag; the text name of element X is
 // "X#text" (the §6 heuristic gives every String name a single occurrence);
-// the attribute a of element X has the derived name "X@a".
+// the attribute a of element X has the derived name "X@a". Which kind a
+// name is, is a fact of the grammar (Def.Text, the Text and Attr rows of
+// Symbols), not of its spelling.
 type Name string
-
-// IsText reports whether the name is a String name (Y → String).
-func (n Name) IsText() bool { return strings.Contains(string(n), "#text") }
-
-// IsAttr reports whether the name is a derived attribute name.
-func (n Name) IsAttr() bool { return strings.Contains(string(n), "@") }
 
 // TextName returns the String name of the text content of element name e.
 func TextName(e Name) Name { return e + "#text" }
@@ -71,7 +67,8 @@ type Def struct {
 	Atts []AttDef
 
 	// dfa is the compiled content-model automaton (built lazily).
-	dfa *DFA
+	dfaOnce sync.Once
+	dfa     *DFA
 }
 
 // AttDef returns the declaration for the named attribute, or nil.
@@ -96,15 +93,7 @@ type DTD struct {
 	// order preserves declaration order for deterministic output.
 	order []Name
 
-	// Relation caches, precomputed by finalize() once parsing is done (the
-	// static analysis queries them heavily). They treat the grammar as
-	// immutable from then on.
-	childrenOf  map[Name]NameSet // ⇒E image incl. text and attribute names
-	contentOf   map[Name]NameSet // content-model names only
-	parentsOf   map[Name]NameSet // ⇒E preimage
-	ancestorsOf map[Name]NameSet // ⇒E⁺ preimage
-
-	// syms is the dense symbol table used by byte-level scanners,
+	// syms is the symbol table with the grammar's relations as bit rows,
 	// built lazily once (the grammar is immutable after parsing).
 	symOnce sync.Once
 	syms    *Symbols
@@ -114,9 +103,8 @@ type DTD struct {
 	fp     string
 }
 
-// Names returns all defined names DN(E) in declaration order (element
-// names first as declared, with each element's text and attribute names
-// immediately after it).
+// Names returns the defined element and text names in declaration order
+// (each element's text name right after it).
 func (d *DTD) Names() []Name {
 	out := make([]Name, len(d.order))
 	copy(out, d.order)
@@ -146,130 +134,6 @@ func (d *DTD) add(def *Def) error {
 		d.ByTag[def.Tag] = def.Name
 	}
 	return nil
-}
-
-// finalize precomputes the relation caches. It must be called once after
-// all definitions are added; the grammar is immutable afterwards.
-func (d *DTD) finalize() {
-	d.childrenOf = make(map[Name]NameSet, len(d.order))
-	d.contentOf = make(map[Name]NameSet, len(d.order))
-	d.parentsOf = make(map[Name]NameSet, len(d.order))
-	for _, n := range d.order {
-		def := d.Defs[n]
-		content := NameSet{}
-		children := NameSet{}
-		if !def.Text {
-			addRegexNames(def.Content, content)
-			children = content.Clone()
-			for i := range def.Atts {
-				children.Add(def.Atts[i].Name)
-			}
-		}
-		d.contentOf[n] = content
-		d.childrenOf[n] = children
-	}
-	for _, n := range d.order {
-		d.parentsOf[n] = NameSet{}
-	}
-	for _, z := range d.order {
-		for c := range d.childrenOf[z] {
-			if d.parentsOf[c] == nil {
-				d.parentsOf[c] = NameSet{}
-			}
-			d.parentsOf[c].Add(z)
-		}
-	}
-	// Ancestors per name via upward closure — over every name that has a
-	// parent entry, which includes derived attribute names.
-	names := make([]Name, 0, len(d.parentsOf))
-	for n := range d.parentsOf {
-		names = append(names, n)
-	}
-	d.ancestorsOf = make(map[Name]NameSet, len(names))
-	for _, n := range names {
-		out := d.parentsOf[n].Clone()
-		frontier := out.Clone()
-		for !frontier.Empty() {
-			next := NameSet{}
-			for f := range frontier {
-				for p := range d.parentsOf[f] {
-					if !out.Has(p) {
-						out.Add(p)
-						next.Add(p)
-					}
-				}
-			}
-			frontier = next
-		}
-		d.ancestorsOf[n] = out
-	}
-}
-
-// Children returns the set of names Y with n ⇒E Y: the names in n's
-// content model, its text name (if any), and its attribute names.
-func (d *DTD) Children(n Name) NameSet {
-	if d.childrenOf != nil {
-		if s, ok := d.childrenOf[n]; ok {
-			return s
-		}
-		return NameSet{}
-	}
-	out := NameSet{}
-	def := d.Defs[n]
-	if def == nil || def.Text {
-		return out
-	}
-	addRegexNames(def.Content, out)
-	for i := range def.Atts {
-		out.Add(def.Atts[i].Name)
-	}
-	return out
-}
-
-// ContentNames returns only the names occurring in n's content model
-// (children in the tree sense: elements and text, no attributes).
-func (d *DTD) ContentNames(n Name) NameSet {
-	if d.contentOf != nil {
-		if s, ok := d.contentOf[n]; ok {
-			return s
-		}
-		return NameSet{}
-	}
-	out := NameSet{}
-	def := d.Defs[n]
-	if def == nil || def.Text {
-		return out
-	}
-	addRegexNames(def.Content, out)
-	return out
-}
-
-// Parents returns the set of names Z with Z ⇒E n.
-func (d *DTD) Parents(n Name) NameSet {
-	if d.parentsOf != nil {
-		if s, ok := d.parentsOf[n]; ok {
-			return s
-		}
-		return NameSet{}
-	}
-	out := NameSet{}
-	for _, z := range d.order {
-		if d.Children(z).Has(n) {
-			out.Add(z)
-		}
-	}
-	return out
-}
-
-// AncestorsOf returns the cached ⇒E⁺ preimage of a single name.
-func (d *DTD) AncestorsOf(n Name) NameSet {
-	if d.ancestorsOf != nil {
-		if s, ok := d.ancestorsOf[n]; ok {
-			return s
-		}
-		return NameSet{}
-	}
-	return d.Ancestors(NewNameSet(n))
 }
 
 // String renders the grammar in the paper's edge notation, one edge per
@@ -323,40 +187,6 @@ func (s NameSet) AddAll(t NameSet) bool {
 		}
 	}
 	return grew
-}
-
-// Union returns a fresh set s ∪ t.
-func (s NameSet) Union(t NameSet) NameSet {
-	u := make(NameSet, len(s)+len(t))
-	for n := range s {
-		u.Add(n)
-	}
-	for n := range t {
-		u.Add(n)
-	}
-	return u
-}
-
-// Intersect returns a fresh set s ∩ t.
-func (s NameSet) Intersect(t NameSet) NameSet {
-	u := NameSet{}
-	for n := range s {
-		if t.Has(n) {
-			u.Add(n)
-		}
-	}
-	return u
-}
-
-// Minus returns a fresh set s \ t.
-func (s NameSet) Minus(t NameSet) NameSet {
-	u := NameSet{}
-	for n := range s {
-		if !t.Has(n) {
-			u.Add(n)
-		}
-	}
-	return u
 }
 
 // Clone returns a fresh copy of s.

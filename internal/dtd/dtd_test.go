@@ -70,7 +70,7 @@ func TestParseMixedContent(t *testing.T) {
 <!ELEMENT bold (#PCDATA)>
 <!ELEMENT keyword (#PCDATA)>`, "text")
 	txt := d.Def("text")
-	names := RegexNames(txt.Content)
+	names := regexNames(txt.Content)
 	for _, want := range []Name{TextName("text"), "bold", "keyword"} {
 		if !names.Has(want) {
 			t.Fatalf("mixed content misses %s: %s", want, names)
@@ -88,7 +88,7 @@ func TestParseEmptyAndAny(t *testing.T) {
 	if _, ok := d.Def("e").Content.(Epsilon); !ok {
 		t.Fatalf("EMPTY content should be Epsilon: %T", d.Def("e").Content)
 	}
-	wNames := RegexNames(d.Def("w").Content)
+	wNames := regexNames(d.Def("w").Content)
 	for _, want := range []Name{"r", "e", "w", TextName("w")} {
 		if !wNames.Has(want) {
 			t.Fatalf("ANY content misses %s: %s", want, wNames)
@@ -120,25 +120,37 @@ func TestParseSkipsEntityAndComments(t *testing.T) {
 
 func TestReachability(t *testing.T) {
 	d := mustDTD(t, bookDTD, "")
-	kids := d.Children("book")
+	s := d.Symbols()
+	kids := s.NameSet(s.Content.Row(sym(t, s, "book")))
+	kids.AddAll(s.NameSet(s.Atts.Row(sym(t, s, "book"))))
 	for _, want := range []Name{"title", "author", "year", AttrName("book", "isbn"), AttrName("book", "lang")} {
 		if !kids.Has(want) {
-			t.Fatalf("Children(book) misses %s: %s", want, kids)
+			t.Fatalf("children of book miss %s: %s", want, kids)
 		}
 	}
-	if !d.Parents("author").Has("book") {
+	if !s.Parents.Row(sym(t, s, "author")).Has(sym(t, s, "book")) {
 		t.Fatal("Parents(author) misses book")
 	}
-	desc := d.Descendants(NewNameSet("bib"))
-	if !desc.Has(TextName("year")) {
-		t.Fatalf("Descendants(bib) misses year text: %s", desc)
+	if p := s.NameSet(s.Parents.Row(sym(t, s, AttrName("book", "isbn")))); !p.Equal(NewNameSet("book")) {
+		t.Fatalf("Parents(book@isbn) = %s, want {book}", p)
 	}
-	if desc.Has("bib") {
+	desc := s.Descendants.Row(sym(t, s, "bib"))
+	if !desc.Has(sym(t, s, TextName("year"))) {
+		t.Fatalf("Descendants(bib) misses year text: %s", s.NameSet(desc))
+	}
+	if desc.Has(sym(t, s, "bib")) {
 		t.Fatal("bib is not its own strict descendant in a non-recursive DTD")
 	}
-	anc := d.Ancestors(NewNameSet(TextName("author")))
-	if !anc.Has("book") || !anc.Has("bib") || !anc.Has("author") {
+	if att := desc.Clone(); func() bool { att.And(s.Attr); return !att.Empty() }() {
+		t.Fatalf("the descendant axis reaches attribute names: %s", s.NameSet(att))
+	}
+	anc := s.NameSet(s.Ancestors.Row(sym(t, s, TextName("author"))))
+	if !anc.Equal(NewNameSet("author", "book", "bib")) {
 		t.Fatalf("Ancestors wrong: %s", anc)
+	}
+	reach := s.NameSet(d.ReachableFromRoot())
+	if reach.Len() != s.NumNames() || !reach.Has(AttrName("book", "lang")) || !reach.Has("bib") {
+		t.Fatalf("ReachableFromRoot = %s, want all %d names", reach, s.NumNames())
 	}
 }
 
@@ -243,14 +255,8 @@ func TestDFAStarAlt(t *testing.T) {
 func TestNameSetOps(t *testing.T) {
 	a := NewNameSet("x", "y")
 	b := NewNameSet("y", "z")
-	if got := a.Union(b); got.Len() != 3 {
-		t.Fatalf("union = %s", got)
-	}
-	if got := a.Intersect(b); got.Len() != 1 || !got.Has("y") {
-		t.Fatalf("intersect = %s", got)
-	}
-	if got := a.Minus(b); got.Len() != 1 || !got.Has("x") {
-		t.Fatalf("minus = %s", got)
+	if u := a.Clone(); !u.AddAll(b) || u.Len() != 3 || u.AddAll(a) {
+		t.Fatalf("AddAll: union = %s", u)
 	}
 	if !a.Equal(NewNameSet("y", "x")) {
 		t.Fatal("Equal should ignore order")
@@ -268,12 +274,18 @@ func TestNameSetOps(t *testing.T) {
 	}
 }
 
+// TestNameHelpers: TextName and AttrName spell the derived names, and
+// what kind a name is comes from the grammar's masks, not its spelling.
 func TestNameHelpers(t *testing.T) {
-	if !TextName("a").IsText() || Name("a").IsText() {
-		t.Fatal("IsText misclassifies")
+	if TextName("a") != "a#text" || AttrName("a", "x") != "a@x" {
+		t.Fatalf("derived names: %s, %s", TextName("a"), AttrName("a", "x"))
 	}
-	if !AttrName("a", "x").IsAttr() || Name("a").IsAttr() {
-		t.Fatal("IsAttr misclassifies")
+	s := mustDTD(t, bookDTD, "").Symbols()
+	for x := int32(0); x < int32(s.NumNames()); x++ {
+		n := string(s.Name(x))
+		if s.Text.Has(x) != strings.HasSuffix(n, "#text") || s.Attr.Has(x) != strings.Contains(n, "@") {
+			t.Fatalf("%s: text %v, attr %v", n, s.Text.Has(x), s.Attr.Has(x))
+		}
 	}
 }
 

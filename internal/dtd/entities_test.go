@@ -39,7 +39,7 @@ func TestExpandParameterEntities(t *testing.T) {
 	if p == nil {
 		t.Fatal("p not declared")
 	}
-	names := RegexNames(p.Content)
+	names := regexNames(p.Content)
 	for _, want := range []Name{TextName("p"), "br", "span", "i", "b"} {
 		if !names.Has(want) {
 			t.Fatalf("p content misses %s (entity expansion broken): %s", want, names)

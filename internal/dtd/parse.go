@@ -131,13 +131,16 @@ func ParseString(src, rootTag string) (*DTD, error) {
 		if def.Text {
 			continue
 		}
-		for ref := range RegexNames(def.Content) {
-			if _, ok := d.Defs[ref]; !ok {
-				return nil, fmt.Errorf("dtd: element %s references undeclared element %s", n, ref)
+		var err error
+		walkRefs(def.Content, func(ref Name) {
+			if _, ok := d.Defs[ref]; !ok && err == nil {
+				err = fmt.Errorf("dtd: element %s references undeclared element %s", n, ref)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	d.finalize()
 	return d, nil
 }
 

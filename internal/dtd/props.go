@@ -1,147 +1,21 @@
 package dtd
 
-// This file implements the reachability relation ⇒E (Def. 2.5), the
-// closure operations used by the type system's A_E function, and the
-// Def. 4.3 grammar properties governing completeness.
+// This file decides the Def. 4.3 grammar properties governing
+// completeness. The reachability relation ⇒E (Def. 2.5) they are stated
+// over is the bit rows of Symbols.
 
-// Step returns the one-step image {Y | ∃Z∈from. Z ⇒E Y}.
-func (d *DTD) Step(from NameSet) NameSet {
-	out := NameSet{}
-	for z := range from {
-		out.AddAll(d.Children(z))
-	}
-	return out
-}
-
-// ContentStep is Step restricted to tree children (elements and text):
-// attribute names are not reachable on the XPath child/descendant axes.
-func (d *DTD) ContentStep(from NameSet) NameSet {
-	out := NameSet{}
-	for z := range from {
-		out.AddAll(d.ContentNames(z))
-	}
-	return out
-}
-
-// ContentDescendants is Descendants over ContentStep: the names reachable
-// on the XPath descendant axis (no attribute names).
-func (d *DTD) ContentDescendants(from NameSet) NameSet {
-	out := d.ContentStep(from)
-	frontier := out.Clone()
-	for !frontier.Empty() {
-		next := d.ContentStep(frontier)
-		frontier = NameSet{}
-		for n := range next {
-			if !out.Has(n) {
-				out.Add(n)
-				frontier.Add(n)
-			}
-		}
-	}
-	return out
-}
-
-// AttNames returns the derived attribute names of the names in from.
-func (d *DTD) AttNames(from NameSet) NameSet {
-	out := NameSet{}
-	for z := range from {
-		def := d.Defs[z]
-		if def == nil {
-			continue
-		}
-		for i := range def.Atts {
-			out.Add(def.Atts[i].Name)
-		}
-	}
-	return out
-}
-
-// StepUp returns the one-step preimage {Z | ∃Y∈from. Z ⇒E Y}.
-func (d *DTD) StepUp(from NameSet) NameSet {
-	out := NameSet{}
-	for y := range from {
-		out.AddAll(d.Parents(y))
-	}
-	return out
-}
-
-// Descendants returns the image of from under ⇒E⁺ (strict descendants).
-func (d *DTD) Descendants(from NameSet) NameSet {
-	out := d.Step(from)
-	frontier := out.Clone()
-	for !frontier.Empty() {
-		next := d.Step(frontier)
-		frontier = NameSet{}
-		for n := range next {
-			if !out.Has(n) {
-				out.Add(n)
-				frontier.Add(n)
-			}
-		}
-	}
-	return out
-}
-
-// Ancestors returns the preimage of from under ⇒E⁺ (strict ancestors).
-func (d *DTD) Ancestors(from NameSet) NameSet {
-	if d.ancestorsOf != nil {
-		out := NameSet{}
-		for n := range from {
-			out.AddAll(d.AncestorsOf(n))
-		}
-		return out
-	}
-	out := d.StepUp(from)
-	frontier := out.Clone()
-	for !frontier.Empty() {
-		next := d.StepUp(frontier)
-		frontier = NameSet{}
-		for n := range next {
-			if !out.Has(n) {
-				out.Add(n)
-				frontier.Add(n)
-			}
-		}
-	}
-	return out
-}
-
-// ReachableFromRoot returns ⇒E*-image of {Root}: every name that can occur
-// in a valid document.
-func (d *DTD) ReachableFromRoot() NameSet {
-	out := NewNameSet(d.Root)
-	out.AddAll(d.Descendants(NewNameSet(d.Root)))
-	return out
-}
+// ReachableFromRoot returns the ⇒E*-image of {Root}: every name that can
+// occur in a valid document, as a row over Symbols() (shared: do not
+// modify).
+func (d *DTD) ReachableFromRoot() Row { return d.Symbols().Reachable }
 
 // IsRecursive reports whether some name satisfies Y ⇒E⁺ Y (Def. 4.3(2)
-// fails).
+// fails). Text and attribute names are leaves, so only an element name
+// can be its own descendant.
 func (d *DTD) IsRecursive() bool {
-	// Standard three-colour DFS over the name graph.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	colour := make(map[Name]int, len(d.Defs))
-	var visit func(Name) bool
-	visit = func(n Name) bool {
-		colour[n] = grey
-		for c := range d.Children(n) {
-			switch colour[c] {
-			case grey:
-				return true
-			case white:
-				if visit(c) {
-					return true
-				}
-			}
-		}
-		colour[n] = black
-		return false
-	}
-	for _, n := range d.order {
-		if colour[n] == white && visit(n) {
+	s := d.Symbols()
+	for e := int32(0); e < int32(s.Len()); e++ {
+		if s.Descendants.Row(e).Has(e) {
 			return true
 		}
 	}
@@ -189,20 +63,17 @@ func starGuarded(r Regex) bool {
 // IsParentUnambiguous reports Def. 4.3(3): whenever cYZ is a chain from
 // the root, no chain cYc′Z with c′ ≠ ε exists. Equivalently: for every
 // root-reachable Y with Y ⇒E Z, Z is not reachable from Y through a
-// non-empty intermediate chain.
+// non-empty intermediate chain. An attribute name Y@a hangs under Y
+// alone, so it is reached a second way only if Y lies under itself, and
+// then one of Y's content names already is: content names decide.
 func (d *DTD) IsParentUnambiguous() bool {
-	reach := d.ReachableFromRoot()
-	for y := range reach {
-		direct := d.Children(y)
-		if direct.Empty() {
-			continue
-		}
-		// Names reachable from y in ≥ 2 steps.
-		twoPlus := d.Descendants(direct)
-		for z := range direct {
-			if twoPlus.Has(z) {
-				return false
-			}
+	s := d.Symbols()
+	for y := s.Reachable.Next(0); y >= 0 && y < int32(s.Len()); y = s.Reachable.Next(y + 1) {
+		direct := s.Content.Row(y)
+		twoPlus := s.Descendants.Image(direct)
+		twoPlus.And(direct)
+		if !twoPlus.Empty() {
+			return false
 		}
 	}
 	return true

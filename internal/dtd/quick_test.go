@@ -143,49 +143,45 @@ func TestQuickDFAAgreesWithNaive(t *testing.T) {
 }
 
 // TestQuickNameSetAlgebra checks the set-algebra laws the analysis relies
-// on.
+// on, on the representation it runs on: rows of three words, whose
+// members sit on both sides of each word boundary.
 func TestQuickNameSetAlgebra(t *testing.T) {
-	mk := func(bits uint8) NameSet {
-		s := NameSet{}
-		for i, n := range []Name{"a", "b", "c", "d", "e"} {
+	mk := func(bits uint16) Row {
+		r := make(Row, 3)
+		for i := 0; i < 16; i++ {
 			if bits&(1<<i) != 0 {
-				s.Add(n)
+				r.Add(int32(i * 12)) // 0, 12, …, 180
 			}
 		}
-		return s
+		return r
 	}
-	type lawFn func(a, b, c uint8) bool
+	or := func(a, b Row) Row { c := a.Clone(); c.Or(b); return c }
+	and := func(a, b Row) Row { c := a.Clone(); c.And(b); return c }
+	minus := func(a, b Row) Row { c := a.Clone(); c.AndNot(b); return c }
+	equal := func(a, b Row) bool { return minus(a, b).Empty() && minus(b, a).Empty() && a.Len() == b.Len() }
+	type lawFn func(a, b, c Row) bool
 	laws := map[string]lawFn{
-		"union-commutes": func(a, b, _ uint8) bool {
-			return mk(a).Union(mk(b)).Equal(mk(b).Union(mk(a)))
-		},
-		"intersect-commutes": func(a, b, _ uint8) bool {
-			return mk(a).Intersect(mk(b)).Equal(mk(b).Intersect(mk(a)))
-		},
-		"union-assoc": func(a, b, c uint8) bool {
-			return mk(a).Union(mk(b)).Union(mk(c)).Equal(mk(a).Union(mk(b).Union(mk(c))))
-		},
-		"distributivity": func(a, b, c uint8) bool {
-			l := mk(a).Intersect(mk(b).Union(mk(c)))
-			r := mk(a).Intersect(mk(b)).Union(mk(a).Intersect(mk(c)))
-			return l.Equal(r)
-		},
-		"minus-disjoint": func(a, b, _ uint8) bool {
-			return mk(a).Minus(mk(b)).Intersect(mk(b)).Empty()
-		},
-		"union-covers": func(a, b, _ uint8) bool {
-			u := mk(a).Union(mk(b))
-			for n := range mk(a) {
-				if !u.Has(n) {
+		"union-commutes":     func(a, b, _ Row) bool { return equal(or(a, b), or(b, a)) },
+		"intersect-commutes": func(a, b, _ Row) bool { return equal(and(a, b), and(b, a)) },
+		"union-assoc":        func(a, b, c Row) bool { return equal(or(or(a, b), c), or(a, or(b, c))) },
+		"distributivity":     func(a, b, c Row) bool { return equal(and(a, or(b, c)), or(and(a, b), and(a, c))) },
+		"minus-disjoint":     func(a, b, _ Row) bool { return and(minus(a, b), b).Empty() },
+		"union-covers": func(a, b, _ Row) bool {
+			u := or(a, b)
+			for x := a.Next(0); x >= 0; x = a.Next(x + 1) {
+				if !u.Has(x) {
 					return false
 				}
 			}
 			return true
 		},
+		"len-inclusion-exclusion": func(a, b, _ Row) bool {
+			return or(a, b).Len()+and(a, b).Len() == a.Len()+b.Len()
+		},
 	}
 	for name, law := range laws {
 		law := law
-		if err := quick.Check(func(a, b, c uint8) bool { return law(a, b, c) }, &quick.Config{MaxCount: 200}); err != nil {
+		if err := quick.Check(func(a, b, c uint16) bool { return law(mk(a), mk(b), mk(c)) }, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

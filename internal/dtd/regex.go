@@ -63,34 +63,26 @@ func (r Star) String() string { return r.Inner.String() + "*" }
 func (r Plus) String() string { return r.Inner.String() + "+" }
 func (r Opt) String() string  { return r.Inner.String() + "?" }
 
-// addRegexNames accumulates Names(r) into out.
-func addRegexNames(r Regex, out NameSet) {
+// walkRefs calls f for every occurrence of a name in r.
+func walkRefs(r Regex, f func(Name)) {
 	switch x := r.(type) {
-	case Epsilon, nil:
 	case Ref:
-		out.Add(x.Name)
+		f(x.Name)
 	case Seq:
 		for _, it := range x.Items {
-			addRegexNames(it, out)
+			walkRefs(it, f)
 		}
 	case Alt:
 		for _, it := range x.Items {
-			addRegexNames(it, out)
+			walkRefs(it, f)
 		}
 	case Star:
-		addRegexNames(x.Inner, out)
+		walkRefs(x.Inner, f)
 	case Plus:
-		addRegexNames(x.Inner, out)
+		walkRefs(x.Inner, f)
 	case Opt:
-		addRegexNames(x.Inner, out)
+		walkRefs(x.Inner, f)
 	}
-}
-
-// RegexNames returns the set Names(r).
-func RegexNames(r Regex) NameSet {
-	out := NameSet{}
-	addRegexNames(r, out)
-	return out
 }
 
 // Nullable reports whether r matches the empty sequence.

@@ -67,7 +67,7 @@ func (g *Generator) element(n dtd.Name, depth int) *tree.Node {
 		el.SetAttr(ad.Attr, g.attrValue(ad))
 	}
 	for _, c := range g.sequence(def.Content, depth) {
-		if c.IsText() {
+		if g.d.Def(c).Text {
 			el.Append(tree.NewText(g.text()))
 		} else {
 			el.Append(g.element(c, depth+1))

@@ -103,7 +103,7 @@ func TestStreamMatchesTree(t *testing.T) {
 		dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"), dtd.AttrName("book", "isbn")),
 		dtd.NewNameSet("bib", "book", "author", "year", dtd.TextName("author")),
 		dtd.NewNameSet("bib"),
-		d.ReachableFromRoot().Union(d.AttNames(d.ReachableFromRoot())),
+		d.Symbols().NameSet(d.ReachableFromRoot()),
 	}
 	for _, pi := range pis {
 		want := Tree(d, doc, pi).XML()
@@ -222,7 +222,7 @@ func TestStreamCountsSkippedSubtrees(t *testing.T) {
 
 func TestStreamValidates(t *testing.T) {
 	d, _ := setup(t)
-	pi := d.ReachableFromRoot()
+	pi := d.Symbols().NameSet(d.ReachableFromRoot())
 	cases := []struct {
 		name, doc string
 	}{
@@ -268,7 +268,7 @@ func TestStreamSkipsPrunedSubtreeValidation(t *testing.T) {
 
 func TestStreamUndeclaredElement(t *testing.T) {
 	d, _ := setup(t)
-	pi := d.ReachableFromRoot()
+	pi := d.Symbols().NameSet(d.ReachableFromRoot())
 	if _, _, err := StreamString(`<bib><zine/></bib>`, d, pi, StreamOptions{}); err == nil {
 		t.Fatal("undeclared element must fail (names drive pruning)")
 	}
@@ -299,7 +299,7 @@ func TestStreamEscaping(t *testing.T) {
 
 func TestStreamMalformed(t *testing.T) {
 	d, _ := setup(t)
-	pi := d.ReachableFromRoot()
+	pi := d.Symbols().NameSet(d.ReachableFromRoot())
 	for _, doc := range []string{`<bib>`, `<bib></bok>`, ``} {
 		if _, _, err := StreamString(doc, d, pi, StreamOptions{}); err == nil {
 			t.Errorf("malformed %q accepted", doc)

@@ -208,6 +208,12 @@ func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projecti
 func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.s.SetMaxTokenSize(opts.MaxTokenSize)
 	pr.d, pr.p, pr.opts = d, proj, opts
+	if opts.Validate {
+		// The first validating prune of a grammar compiles its dense
+		// content-model tables; a prune that does not validate never
+		// reads them.
+		proj.Syms.CompileDense()
+	}
 	pr.st = Stats{}
 	pr.outs = pr.outs[:0]
 	n := proj.N()
@@ -902,7 +908,13 @@ func (pr *pruner) startTag() error {
 		return pr.skipAll()
 	}
 
-	pr.stack = append(pr.stack, frame{sym: sym, prefix: prefix, live: K, state: info.Dense.Start(), aut: info.Dense})
+	// Only a validating prune steps the automaton, and only then do the
+	// dense tables exist (prep); state 0 is every DenseDFA's start state.
+	var aut *dtd.DenseDFA
+	if pr.opts.Validate {
+		aut = info.Dense
+	}
+	pr.stack = append(pr.stack, frame{sym: sym, prefix: prefix, live: K, aut: aut})
 	depth := len(pr.stack)
 	// A projector in K is, by the live-set prefix property, live in
 	// every frame below — so this shared depth is its own depth.
@@ -914,7 +926,7 @@ func (pr *pruner) startTag() error {
 
 	if empty {
 		// The decoder synthesizes the end element immediately.
-		if pr.opts.Validate && !info.Dense.Accepting(info.Dense.Start()) {
+		if pr.opts.Validate && !aut.Accepting(aut.Start()) {
 			pr.kill(K, fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
 			K &= pr.alive
 		}

@@ -63,7 +63,7 @@ func TestDescriptionDominatesSize(t *testing.T) {
 	doc := NewGenerator(0.004, 2).Document()
 	total := doc.SerializedSize()
 	// Prune away description subtrees and compare sizes.
-	pi := d.ReachableFromRoot().Union(d.AttNames(d.ReachableFromRoot()))
+	pi := d.Symbols().NameSet(d.ReachableFromRoot())
 	delete(pi, dtd.Name("description"))
 	pruned := prune.Tree(d, doc, pi)
 	rest := pruned.SerializedSize()

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -248,13 +247,20 @@ func (q *Query) DataNeeds() string {
 // approximation (Thm. 4.4: every result node's name is in the set).
 func (q *Query) StaticType(d *DTD) []string {
 	c := core.NewChecker(d.d)
-	names := dtd.NameSet{}
+	syms := d.d.Symbols()
+	tau := syms.NewRow()
 	for _, p := range q.paths {
-		names.AddAll(c.Type(p))
+		tau.Or(c.Type(p))
 	}
-	out := make([]string, 0, names.Len())
-	for _, n := range names.Sorted() {
-		out = append(out, string(n))
+	return sortedNames(syms.NameSet(tau))
+}
+
+// sortedNames renders a name set as sorted strings.
+func sortedNames(names dtd.NameSet) []string {
+	ns := names.Sorted()
+	out := make([]string, len(ns))
+	for i, n := range ns {
+		out[i] = string(n)
 	}
 	return out
 }
@@ -299,7 +305,7 @@ func (d *DTD) Infer(mode Mode, queries ...*Query) (*Projector, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("xmlproj: no queries to infer from")
 	}
-	out := &core.Projector{D: d.d, Names: dtd.NewNameSet(d.d.Root)}
+	var out *core.Projector
 	for _, q := range queries {
 		var pr *core.Projector
 		var err error
@@ -311,22 +317,18 @@ func (d *DTD) Infer(mode Mode, queries ...*Query) (*Projector, error) {
 		if err != nil {
 			return nil, fmt.Errorf("xmlproj: %s: %w", q.source, err)
 		}
-		out.Union(pr)
+		if out == nil {
+			out = pr
+		} else {
+			out.Union(pr)
+		}
 	}
 	return &Projector{d: d.d, pr: out}, nil
 }
 
 // Names returns the projector's names, sorted. Text names carry a
 // "#text" suffix and attribute names an "@attr" suffix.
-func (p *Projector) Names() []string {
-	ns := p.pr.Names.Sorted()
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = string(n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (p *Projector) Names() []string { return sortedNames(p.pr.Names) }
 
 // Has reports whether the projector keeps the given name.
 func (p *Projector) Has(name string) bool { return p.pr.Has(dtd.Name(name)) }
@@ -334,6 +336,12 @@ func (p *Projector) Has(name string) bool { return p.pr.Has(dtd.Name(name)) }
 // KeepRatio returns the fraction of root-reachable names kept — a static
 // selectivity indicator.
 func (p *Projector) KeepRatio() float64 { return p.pr.KeepRatio() }
+
+// KeepsAll reports whether the projector keeps every name a valid
+// document can contain — π knows when it is useless: pruning with it
+// only copies the document, so a caller that already holds the input
+// can use it as it is (//node() and /site//node() infer such a π).
+func (p *Projector) KeepsAll() bool { return p.pr.KeepsAll() }
 
 func (p *Projector) String() string { return p.pr.String() }
 
@@ -346,19 +354,21 @@ func (p *Projector) MarshalText() ([]byte, error) {
 
 // LoadProjector rebuilds a projector for d from a MarshalText rendering.
 // Unknown names are rejected — a projector is only meaningful against the
-// DTD it was inferred for.
+// DTD it was inferred for: every name must be one of the grammar's (an
+// element, its elem#text, a declared elem@attr), with one exception,
+// elem@attr for an attribute the DTD does not declare on a declared
+// element, which keeps matching document attributes of that name.
 func (d *DTD) LoadProjector(text []byte) (*Projector, error) {
+	syms := d.d.Symbols()
 	names := dtd.NameSet{}
 	for _, f := range strings.Fields(string(text)) {
-		n := dtd.Name(f)
-		base := n
-		if i := strings.IndexAny(string(n), "#@"); i > 0 {
-			base = n[:i]
+		if _, ok := syms.Sym(dtd.Name(f)); !ok {
+			elem, _, isAttr := strings.Cut(f, "@")
+			if sym, ok := syms.Sym(dtd.Name(elem)); !isAttr || !ok || int(sym) >= syms.Len() {
+				return nil, fmt.Errorf("xmlproj: projector name %q not defined by this DTD", f)
+			}
 		}
-		if d.d.Def(base) == nil {
-			return nil, fmt.Errorf("xmlproj: projector name %q not defined by this DTD", f)
-		}
-		names.Add(n)
+		names.Add(dtd.Name(f))
 	}
 	names.Add(d.d.Root)
 	return &Projector{d: d.d, pr: &core.Projector{D: d.d, Names: names}}, nil
