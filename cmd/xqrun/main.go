@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	dtdPath := fs.String("dtd", "", "DTD file (required with -prune)")
 	root := fs.String("root", "", "root element (default: first declared)")
 	pruneFirst := fs.Bool("prune", false, "prune with the inferred projector before evaluating")
-	quiet := fs.Bool("quiet", false, "suppress the result, print only statistics")
+	quiet := fs.Bool("quiet", false, "do not print the result, only statistics (the result is still serialised: the flag suppresses printing, not work)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -115,8 +115,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, res.Serialized)
 	}
 	fmt.Fprintf(stderr, "xqrun: loaded %d bytes in %s\n", len(input), loaded)
-	fmt.Fprintf(stderr, "xqrun: evaluated to %d item(s) in %s; load and evaluation allocated %.1f MB\n",
-		res.Count, evaluated, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+	fmt.Fprintf(stderr, "xqrun: evaluated to %d item(s), %d bytes serialised, in %s; load and evaluation allocated %.1f MB\n",
+		res.Count, len(res.Serialized), evaluated, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
 	return nil
 }
 

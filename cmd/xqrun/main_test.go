@@ -86,7 +86,7 @@ func TestRunReportsPhases(t *testing.T) {
 	}
 	stats := errBuf.String()
 	at := 0
-	for _, phase := range []string{"parsed the schema in ", "inferred the projector in ", "pruned 132 -> 84 bytes in ", "loaded 84 bytes in ", "2 item(s) in "} {
+	for _, phase := range []string{"parsed the schema in ", "inferred the projector in ", "pruned 132 -> 84 bytes in ", "loaded 84 bytes in ", "evaluated to 2 item(s), 48 bytes serialised, in "} {
 		i := strings.Index(stats[at:], phase)
 		if i < 0 {
 			t.Fatalf("no %q after byte %d of %q", phase, at, stats)

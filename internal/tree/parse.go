@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"xmlproj/internal/scan"
 )
@@ -153,160 +152,4 @@ func (l *loader) EndElement() {
 		top.n.Children = l.kids[at:len(l.kids):len(l.kids)]
 		l.pend = l.pend[:top.first]
 	}
-}
-
-// WriteXML serialises the document to w as XML. The output is
-// deterministic: attributes in stored order, text escaped, no added
-// whitespace.
-func (d *Document) WriteXML(w io.Writer) error {
-	bw := &errWriter{w: w}
-	writeNode(bw, d.Root)
-	return bw.err
-}
-
-// XML returns the document serialised as a string.
-func (d *Document) XML() string {
-	var sb strings.Builder
-	_ = d.WriteXML(&sb)
-	return sb.String()
-}
-
-// SerializedSize returns the number of bytes of the XML serialisation of d,
-// without materialising it.
-func (d *Document) SerializedSize() int64 {
-	cw := &countWriter{}
-	_ = d.WriteXML(cw)
-	return cw.n
-}
-
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) WriteString(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
-}
-
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-func writeNode(w *errWriter, n *Node) {
-	if n == nil {
-		return
-	}
-	if n.Kind == Text {
-		w.WriteString(EscapeText(n.Data))
-		return
-	}
-	w.WriteString("<")
-	w.WriteString(n.Tag)
-	for _, a := range n.Attrs {
-		w.WriteString(" ")
-		w.WriteString(a.Name)
-		w.WriteString("=\"")
-		w.WriteString(EscapeAttr(a.Value))
-		w.WriteString("\"")
-	}
-	if len(n.Children) == 0 {
-		w.WriteString("/>")
-		return
-	}
-	w.WriteString(">")
-	for _, c := range n.Children {
-		writeNode(w, c)
-	}
-	w.WriteString("</")
-	w.WriteString(n.Tag)
-	w.WriteString(">")
-}
-
-// WriteIndentedXML serialises the document with two-space indentation for
-// human consumption. Mixed content (elements with text children) is left
-// on one line so no significant whitespace is introduced.
-func (d *Document) WriteIndentedXML(w io.Writer) error {
-	bw := &errWriter{w: w}
-	writeIndented(bw, d.Root, 0)
-	bw.WriteString("\n")
-	return bw.err
-}
-
-// IndentedXML returns the indented serialisation as a string.
-func (d *Document) IndentedXML() string {
-	var sb strings.Builder
-	_ = d.WriteIndentedXML(&sb)
-	return sb.String()
-}
-
-func writeIndented(w *errWriter, n *Node, depth int) {
-	if n == nil {
-		return
-	}
-	pad := strings.Repeat("  ", depth)
-	w.WriteString(pad)
-	if n.Kind == Text {
-		w.WriteString(EscapeText(n.Data))
-		return
-	}
-	// Mixed or leaf content stays on one line.
-	inline := len(n.Children) == 0
-	for _, c := range n.Children {
-		if c.Kind == Text {
-			inline = true
-			break
-		}
-	}
-	if inline {
-		sub := Document{Root: n}
-		w.WriteString(sub.XML())
-		return
-	}
-	w.WriteString("<")
-	w.WriteString(n.Tag)
-	for _, a := range n.Attrs {
-		w.WriteString(" ")
-		w.WriteString(a.Name)
-		w.WriteString("=\"")
-		w.WriteString(EscapeAttr(a.Value))
-		w.WriteString("\"")
-	}
-	w.WriteString(">\n")
-	for _, c := range n.Children {
-		writeIndented(w, c, depth+1)
-		w.WriteString("\n")
-	}
-	w.WriteString(pad)
-	w.WriteString("</")
-	w.WriteString(n.Tag)
-	w.WriteString(">")
-}
-
-// The replacers are safe for concurrent use and cost a table build each,
-// so there is one of each.
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\"", "&quot;")
-)
-
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	return textEscaper.Replace(s)
-}
-
-// EscapeAttr escapes character data for a double-quoted attribute value.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"") {
-		return s
-	}
-	return attrEscaper.Replace(s)
 }

@@ -7,7 +7,10 @@
 // (§2.1, §6) — are carried on element nodes.
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // NodeID is the unique identifier i of a node within a well-formed forest
 // (Def. 2.2). IDs are assigned in document order by the parser and by
@@ -113,26 +116,60 @@ func (n *Node) Root() *Node {
 	return r
 }
 
+// LastDescendant returns the last node of n's subtree in document order,
+// the end of its rightmost path (n itself for a leaf). IDs are handed out
+// in document order, so the subtree is exactly the nodes with IDs from
+// n's to its, and a document's largest ID is its root's last descendant's.
+func (n *Node) LastDescendant() *Node {
+	for len(n.Children) > 0 {
+		n = n.Children[len(n.Children)-1]
+	}
+	return n
+}
+
 // StringValue returns the concatenation of all text-node descendants of n
 // in document order (the XPath string-value of an element), or Data for a
-// text node.
+// text node. It is sized by one walk and written by a second; when one
+// text node holds all of it, as under an element of simple content, that
+// node's string is the value and nothing is allocated.
 func (n *Node) StringValue() string {
 	if n.Kind == Text {
 		return n.Data
 	}
-	var buf []byte
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m.Kind == Text {
-			buf = append(buf, m.Data...)
-			return
-		}
-		for _, c := range m.Children {
-			walk(c)
+	var last string
+	size := textSize(n, &last)
+	if size == len(last) {
+		return last
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	appendText(&sb, n)
+	return sb.String()
+}
+
+// textSize returns the length of the text below n and leaves the last
+// text node's string in *last.
+func textSize(n *Node, last *string) int {
+	size := 0
+	for _, c := range n.Children {
+		if c.Kind == Text {
+			size += len(c.Data)
+			*last = c.Data
+		} else if len(c.Children) > 0 {
+			size += textSize(c, last)
 		}
 	}
-	walk(n)
-	return string(buf)
+	return size
+}
+
+func appendText(sb *strings.Builder, n *Node) {
+	for _, c := range n.Children {
+		if c.Kind == Text {
+			sb.WriteString(c.Data)
+		} else if len(c.Children) > 0 {
+			appendText(sb, c)
+		}
+	}
 }
 
 // Document is a well-formed tree (Def. 2.2) rooted at a single element.

@@ -7,25 +7,44 @@ import (
 	"xmlproj/internal/tree"
 )
 
-// Evaluator executes XPath expressions over a document. It is a classic
-// DOM-style main-memory engine: every axis step enumerates materialised
-// nodes, so its running time and allocation footprint scale with the
-// number of nodes reachable from the navigation — the quantity that
-// type-based projection shrinks.
+// Evaluator executes XPath expressions over a document. It is a
+// main-memory engine over the loaded tree, and it leans on what the
+// loader guarantees: node IDs are document order and a subtree is an ID
+// interval, so a step keeps its output ordered instead of re-sorting it
+// and //name reads a posting list (path.go). Its running time and
+// allocation still scale with the nodes the navigation reaches — the
+// quantity that type-based projection shrinks.
+//
+// Every node an expression meets must belong to Doc or be numbered above
+// every ID of Doc's and from Doc.NumNodes() up, as the XQuery evaluator
+// numbers the elements it constructs. An Evaluator is not safe for
+// concurrent use.
 type Evaluator struct {
 	Doc *tree.Document
 	// Vars provides values for $variables (the XQuery evaluator binds
 	// FLWR variables here).
 	Vars map[string]Value
-	// Visited counts the nodes touched by axis enumeration; a
-	// deterministic work metric used by the benchmark harness alongside
-	// wall time.
+	// Visited counts the nodes evaluation examined: each node an axis
+	// walk tested, and one per node read from a posting list (building a
+	// list is not counted). It is a deterministic work metric used by the
+	// benchmark harness alongside wall time.
 	Visited int64
+
+	// base is Doc.NumNodes(): a node with a smaller ID is Doc's, any other
+	// was constructed during evaluation and is in no posting list.
+	base tree.NodeID
+	// postings holds, per tag asked for, Doc's elements with that tag in
+	// document order. They live here and not on the Document because a
+	// tree can be mutated between evaluations and an evaluator's view of
+	// it cannot.
+	postings map[string][]*tree.Node
+	// free holds step buffers between uses.
+	free []NodeSet
 }
 
 // NewEvaluator returns an evaluator over doc.
 func NewEvaluator(doc *tree.Document) *Evaluator {
-	return &Evaluator{Doc: doc, Vars: map[string]Value{}}
+	return &Evaluator{Doc: doc, Vars: map[string]Value{}, base: tree.NodeID(doc.NumNodes())}
 }
 
 type context struct {
@@ -119,7 +138,7 @@ func (ev *Evaluator) evalBinary(b Binary, ctx context) (Value, error) {
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("xpath: union of non node-sets")
 		}
-		return append(append(NodeSet{}, ln...), rn...).SortDoc(), nil
+		return append(append(make(NodeSet, 0, len(ln)+len(rn)), ln...), rn...).SortDoc(), nil
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
 		l, err := ev.eval(b.L, ctx)
 		if err != nil {
@@ -282,311 +301,4 @@ func strCmp(op Op, a, b string) bool {
 		return a != b
 	}
 	return a == b
-}
-
-func (ev *Evaluator) evalPathExpr(pe PathExpr, ctx context) (Value, error) {
-	var start NodeSet
-	if pe.Filter != nil {
-		v, err := ev.eval(pe.Filter, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if len(pe.FilterPreds) == 0 && len(pe.Path.Steps) == 0 {
-			return v, nil
-		}
-		ns, ok := v.(NodeSet)
-		if !ok {
-			return nil, fmt.Errorf("xpath: filter expression %s is not a node-set", pe.Filter)
-		}
-		for _, pred := range pe.FilterPreds {
-			ns, err = ev.filterPredicate(ns, pred, false)
-			if err != nil {
-				return nil, err
-			}
-		}
-		start = ns
-	} else if pe.Path.Absolute {
-		start = NodeSet{ElemRef(ev.Doc.Root)}
-		// An absolute path starts at the (virtual) document root, whose
-		// only element child is the root element: /site selects the root
-		// element itself when it has the right tag.
-		if len(pe.Path.Steps) > 0 {
-			return ev.evalAbsolute(pe.Path, ctx)
-		}
-		return start, nil
-	} else {
-		start = NodeSet{ctx.node}
-	}
-	return ev.evalSteps(pe.Path.Steps, start)
-}
-
-// evalAbsolute handles /step1/… where step1 applies to the virtual
-// document root.
-func (ev *Evaluator) evalAbsolute(p Path, ctx context) (Value, error) {
-	first := p.Steps[0]
-	var start NodeSet
-	root := ElemRef(ev.Doc.Root)
-	switch first.Axis {
-	case Child:
-		// The root element is the single child of the document node.
-		if matchTest(first.Test, root, Child) {
-			start = NodeSet{root}
-		}
-	case Descendant, DescendantOrSelf:
-		// descendant(-or-self) from the document node: the root element
-		// and everything below it.
-		cands := NodeSet{root}
-		cands = append(cands, ev.axisNodes(root, Descendant)...)
-		for _, c := range cands {
-			if matchTest(first.Test, c, first.Axis) {
-				start = append(start, c)
-			}
-		}
-	case Self:
-		// self::node() on the document node — approximate with the root
-		// element (the data model has no separate document node).
-		if matchTest(first.Test, root, Self) {
-			start = NodeSet{root}
-		}
-	default:
-		return NodeSet{}, nil
-	}
-	var err error
-	start, err = ev.applyPredicates(first, start)
-	if err != nil {
-		return nil, err
-	}
-	return ev.evalSteps(p.Steps[1:], start)
-}
-
-func (ev *Evaluator) evalSteps(steps []Step, start NodeSet) (Value, error) {
-	cur := start
-	for i := range steps {
-		st := &steps[i]
-		var out NodeSet
-		for _, cn := range cur {
-			cands := ev.axisNodes(cn, st.Axis)
-			matched := cands[:0]
-			for _, c := range cands {
-				if matchTest(st.Test, c, st.Axis) {
-					matched = append(matched, c)
-				}
-			}
-			filtered, err := ev.applyPredicatesOrdered(st.Preds, matched, st.Axis.Reverse())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, filtered...)
-		}
-		cur = out.SortDoc()
-	}
-	return cur, nil
-}
-
-func (ev *Evaluator) applyPredicates(st Step, ns NodeSet) (NodeSet, error) {
-	return ev.applyPredicatesOrdered(st.Preds, ns, st.Axis.Reverse())
-}
-
-// applyPredicatesOrdered filters candidates (already in axis order for
-// forward axes, or in document order with reverse=true for reverse axes)
-// through each predicate in turn, maintaining proximity positions.
-func (ev *Evaluator) applyPredicatesOrdered(preds []Expr, ns NodeSet, reverse bool) (NodeSet, error) {
-	var err error
-	for _, pred := range preds {
-		ns, err = ev.filterPredicate(ns, pred, reverse)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ns, nil
-}
-
-func (ev *Evaluator) filterPredicate(ns NodeSet, pred Expr, reverse bool) (NodeSet, error) {
-	out := NodeSet{}
-	size := len(ns)
-	for i, r := range ns {
-		pos := i + 1
-		if reverse {
-			pos = size - i
-		}
-		v, err := ev.eval(pred, context{node: r, pos: pos, size: size})
-		if err != nil {
-			return nil, err
-		}
-		keep := false
-		if f, ok := v.(float64); ok {
-			keep = float64(pos) == f
-		} else {
-			keep = ToBoolean(v)
-		}
-		if keep {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// axisNodes enumerates the nodes on an axis from a context node, in axis
-// order (reverse axes yield reverse document order — filterPredicate
-// compensates via its reverse flag, which expects document order, so
-// reverse axes are returned in document order here and positions are
-// computed backwards).
-func (ev *Evaluator) axisNodes(r NodeRef, axis Axis) NodeSet {
-	var out NodeSet
-	add := func(n NodeRef) {
-		ev.Visited++
-		out = append(out, n)
-	}
-	if r.IsAttr() {
-		// From an attribute node only self/parent/ancestor(-or-self) are
-		// non-empty.
-		switch axis {
-		case Self:
-			add(r)
-		case AncestorOrSelf:
-			add(r)
-			for n := r.N; n != nil; n = n.Parent {
-				add(ElemRef(n))
-			}
-			out = out.SortDoc()
-		case Parent:
-			add(ElemRef(r.N))
-		case Ancestor:
-			for n := r.N; n != nil; n = n.Parent {
-				add(ElemRef(n))
-			}
-			out = out.SortDoc()
-		}
-		return out
-	}
-	n := r.N
-	switch axis {
-	case Self:
-		add(r)
-	case Child:
-		for _, c := range n.Children {
-			add(ElemRef(c))
-		}
-	case Descendant:
-		var walk func(*tree.Node)
-		walk = func(m *tree.Node) {
-			for _, c := range m.Children {
-				add(ElemRef(c))
-				walk(c)
-			}
-		}
-		walk(n)
-	case DescendantOrSelf:
-		add(r)
-		var walk func(*tree.Node)
-		walk = func(m *tree.Node) {
-			for _, c := range m.Children {
-				add(ElemRef(c))
-				walk(c)
-			}
-		}
-		walk(n)
-	case Parent:
-		if n.Parent != nil {
-			add(ElemRef(n.Parent))
-		}
-	case Ancestor:
-		for p := n.Parent; p != nil; p = p.Parent {
-			add(ElemRef(p))
-		}
-		out = out.SortDoc()
-	case AncestorOrSelf:
-		add(r)
-		for p := n.Parent; p != nil; p = p.Parent {
-			add(ElemRef(p))
-		}
-		out = out.SortDoc()
-	case FollowingSibling:
-		if n.Parent != nil {
-			sibs := n.Parent.Children
-			for i := n.Index + 1; i < len(sibs); i++ {
-				add(ElemRef(sibs[i]))
-			}
-		}
-	case PrecedingSibling:
-		if n.Parent != nil {
-			sibs := n.Parent.Children
-			for i := 0; i < n.Index; i++ {
-				add(ElemRef(sibs[i]))
-			}
-		}
-	case Following:
-		for cur := n; cur != nil; cur = cur.Parent {
-			if cur.Parent == nil {
-				break
-			}
-			sibs := cur.Parent.Children
-			for i := cur.Index + 1; i < len(sibs); i++ {
-				add(ElemRef(sibs[i]))
-				var walk func(*tree.Node)
-				walk = func(m *tree.Node) {
-					for _, c := range m.Children {
-						add(ElemRef(c))
-						walk(c)
-					}
-				}
-				walk(sibs[i])
-			}
-		}
-		out = out.SortDoc()
-	case Preceding:
-		// All nodes strictly before n in document order, excluding
-		// ancestors.
-		for cur := n; cur != nil; cur = cur.Parent {
-			if cur.Parent == nil {
-				break
-			}
-			sibs := cur.Parent.Children
-			for i := 0; i < cur.Index; i++ {
-				add(ElemRef(sibs[i]))
-				var walk func(*tree.Node)
-				walk = func(m *tree.Node) {
-					for _, c := range m.Children {
-						add(ElemRef(c))
-						walk(c)
-					}
-				}
-				walk(sibs[i])
-			}
-		}
-		out = out.SortDoc()
-	case Attribute:
-		for i := range n.Attrs {
-			add(NodeRef{N: n, AttrIdx: i})
-		}
-	}
-	return out
-}
-
-// matchTest applies a node test, honouring the principal node type of the
-// axis (attribute for the attribute axis, element otherwise).
-func matchTest(t NodeTest, r NodeRef, axis Axis) bool {
-	if r.IsAttr() {
-		switch t.Kind {
-		case TestNode:
-			return true
-		case TestStar:
-			return axis == Attribute
-		case TestName:
-			return axis == Attribute && r.N.Attrs[r.AttrIdx].Name == t.Name
-		}
-		return false
-	}
-	switch t.Kind {
-	case TestNode:
-		return true
-	case TestStar:
-		return r.N.Kind == tree.Element && axis != Attribute
-	case TestName:
-		return r.N.Kind == tree.Element && axis != Attribute && r.N.Tag == t.Name
-	case TestText:
-		return r.N.Kind == tree.Text
-	default: // comment(), processing-instruction(): not in the data model
-		return false
-	}
 }

@@ -1,8 +1,9 @@
 package xpath
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,47 +45,40 @@ func (r NodeRef) Name() string {
 	return ""
 }
 
-// orderKey orders nodes in document order; attribute nodes come after
-// their owner element and before its children (children have larger IDs,
-// so (ownerID, attrIdx+1) sorts correctly against (childID, 0)).
-func (r NodeRef) orderKey() (tree.NodeID, int) { return r.N.ID, r.AttrIdx + 1 }
-
-// Before reports document order between two refs.
-func (r NodeRef) Before(o NodeRef) bool {
-	a1, a2 := r.orderKey()
-	b1, b2 := o.orderKey()
-	if a1 != b1 {
-		return a1 < b1
+// compareRefs orders nodes in document order: by node ID, an attribute
+// node after its owner element and before the element's children, which
+// have larger IDs.
+func compareRefs(a, b NodeRef) int {
+	if c := cmp.Compare(a.N.ID, b.N.ID); c != 0 {
+		return c
 	}
-	return a2 < b2
+	return cmp.Compare(a.AttrIdx, b.AttrIdx)
 }
 
 // NodeSet is a set of nodes. The evaluation engine keeps node-sets sorted
 // in document order and duplicate-free.
 type NodeSet []NodeRef
 
-// SortDoc sorts the set in document order and removes duplicates.
+// SortDoc puts the set in document order and removes duplicates, in
+// place. Most sets arrive that way — the step loop keeps order instead of
+// restoring it — so one linear pass decides: a strictly ordered set is
+// returned as it is, an ordered one with repeats is only compacted.
 func (s NodeSet) SortDoc() NodeSet {
-	sort.Slice(s, func(i, j int) bool { return s[i].Before(s[j]) })
-	out := s[:0]
-	for i, r := range s {
-		if i > 0 && r == s[i-1] {
-			continue
+	strict := true
+	for i := 1; i < len(s); i++ {
+		c := compareRefs(s[i-1], s[i])
+		if c >= 0 {
+			strict = false
 		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// Nodes returns the underlying tree nodes of the non-attribute members.
-func (s NodeSet) Nodes() []*tree.Node {
-	out := make([]*tree.Node, 0, len(s))
-	for _, r := range s {
-		if !r.IsAttr() {
-			out = append(out, r.N)
+		if c > 0 {
+			slices.SortFunc(s, compareRefs)
+			break
 		}
 	}
-	return out
+	if strict {
+		return s
+	}
+	return slices.Compact(s)
 }
 
 // Value is an XPath value: one of NodeSet, float64, string, bool.

@@ -3,7 +3,7 @@ package xquery
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"xmlproj/internal/tree"
@@ -23,13 +23,28 @@ type Seq []Item
 type Evaluator struct {
 	doc *tree.Document
 	xe  *xpath.Evaluator
-	// vars holds FLWR bindings, stacked by name.
-	vars map[string][]Seq
+	// shadowed holds, per variable name, the XPath values of the bindings
+	// an inner binding of that name hides. The innermost binding is in
+	// xe.Vars, lowered from its sequence once, when it was bound.
+	shadowed map[string][]xpath.Value
+	// lowered counts the sequences lowered to XPath values.
+	lowered int
+	// next numbers the nodes of constructed elements, from above the
+	// document's own IDs: document order holds inside a constructed tree,
+	// no ID interval of one tree reaches into another, and the XPath
+	// engine tells a constructed node from the document's by its ID.
+	next tree.NodeID
 }
 
 // NewEvaluator returns an evaluator over doc.
 func NewEvaluator(doc *tree.Document) *Evaluator {
-	return &Evaluator{doc: doc, xe: xpath.NewEvaluator(doc), vars: map[string][]Seq{}}
+	ev := &Evaluator{doc: doc, xe: xpath.NewEvaluator(doc), shadowed: map[string][]xpath.Value{},
+		next: tree.NodeID(doc.NumNodes())}
+	// A tree pruner's output keeps the original's IDs but not its count.
+	if doc.Root != nil {
+		ev.next = max(ev.next, doc.Root.LastDescendant().ID+1)
+	}
+	return ev
 }
 
 // Visited exposes the underlying engine's node-visit counter.
@@ -40,22 +55,25 @@ func (ev *Evaluator) Eval(q Query) (Seq, error) {
 	return ev.eval(q)
 }
 
-func (ev *Evaluator) push(name string, v Seq) { ev.vars[name] = append(ev.vars[name], v) }
-
-func (ev *Evaluator) pop(name string) {
-	s := ev.vars[name]
-	ev.vars[name] = s[:len(s)-1]
+// push binds name to v for the XPath expressions evaluated until the
+// matching pop.
+func (ev *Evaluator) push(name string, v Seq) {
+	if outer, ok := ev.xe.Vars[name]; ok {
+		ev.shadowed[name] = append(ev.shadowed[name], outer)
+	}
+	ev.lowered++
+	ev.xe.Vars[name] = seqToXPathValue(v)
 }
 
-// syncXPathVars exposes the current FLWR bindings to the XPath engine.
-func (ev *Evaluator) syncXPathVars() {
-	for name, stack := range ev.vars {
-		if len(stack) == 0 {
-			delete(ev.xe.Vars, name)
-			continue
-		}
-		ev.xe.Vars[name] = seqToXPathValue(stack[len(stack)-1])
+// pop ends the innermost binding of name and restores the one it hid.
+func (ev *Evaluator) pop(name string) {
+	outer := ev.shadowed[name]
+	if len(outer) == 0 {
+		delete(ev.xe.Vars, name)
+		return
 	}
+	ev.xe.Vars[name] = outer[len(outer)-1]
+	ev.shadowed[name] = outer[:len(outer)-1]
 }
 
 // seqToXPathValue lowers a sequence to an XPath value: node sequences
@@ -107,7 +125,6 @@ func (ev *Evaluator) eval(q Query) (Seq, error) {
 		}
 		return out, nil
 	case Expr:
-		ev.syncXPathVars()
 		v, err := ev.xe.Eval(t.E)
 		if err != nil {
 			return nil, err
@@ -187,7 +204,6 @@ func (ev *Evaluator) evalOrderedFor(in Seq, varName string, ob OrderBy) (Seq, er
 	entries := make([]entry, 0, len(in))
 	for _, item := range in {
 		ev.push(varName, Seq{item})
-		ev.syncXPathVars()
 		keys := make([]string, len(ob.Keys))
 		for i, k := range ob.Keys {
 			v, err := ev.xe.Eval(k)
@@ -200,17 +216,12 @@ func (ev *Evaluator) evalOrderedFor(in Seq, varName string, ob OrderBy) (Seq, er
 		ev.pop(varName)
 		entries = append(entries, entry{keys: keys, item: item})
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		for k := range entries[i].keys {
-			if entries[i].keys[k] != entries[j].keys[k] {
-				less := entries[i].keys[k] < entries[j].keys[k]
-				if ob.Descending {
-					return !less
-				}
-				return less
-			}
+	slices.SortStableFunc(entries, func(a, b entry) int {
+		c := slices.Compare(a.keys, b.keys)
+		if ob.Descending {
+			c = -c
 		}
-		return false
+		return c
 	})
 	var out Seq
 	for _, e := range entries {
@@ -301,7 +312,19 @@ func (ev *Evaluator) evalElement(e Element) (Seq, error) {
 		}
 		flushText()
 	}
+	ev.number(n)
 	return Seq{xpath.ElemRef(n)}, nil
+}
+
+// number gives the nodes of a finished constructed tree their IDs, in
+// document order. What was copied into it from an earlier constructed
+// element is numbered again here, as part of this tree.
+func (ev *Evaluator) number(n *tree.Node) {
+	n.ID = ev.next
+	ev.next++
+	for _, c := range n.Children {
+		ev.number(c)
+	}
 }
 
 // bodyPieces splits a constructor body into its top-level content pieces.
@@ -447,23 +470,57 @@ func aggregateSeq(name string, s Seq) (Seq, error) {
 
 // Serialize renders a result sequence as XML text (constructed elements
 // serialised, atomics printed, top-level items separated by newlines).
-func Serialize(s Seq) string {
+func Serialize(s Seq) string { return serialize(s, itemSize, writeItem) }
+
+// SerializeNodes is Serialize for a node-set as the XPath engine returns
+// it, without boxing each node into an Item first.
+func SerializeNodes(ns xpath.NodeSet) string { return serialize(ns, refSize, writeRef) }
+
+// serialize sizes the text with one walk of the result and writes it with
+// a second, into a buffer allocated once.
+func serialize[T any](items []T, size func(T) int, write func(*strings.Builder, T)) string {
+	n := max(len(items)-1, 0) // the newlines
+	for _, it := range items {
+		n += size(it)
+	}
 	var sb strings.Builder
-	for i, it := range s {
+	sb.Grow(n)
+	for i, it := range items {
 		if i > 0 {
-			sb.WriteString("\n")
+			sb.WriteByte('\n')
 		}
-		switch v := it.(type) {
-		case xpath.NodeRef:
-			if v.IsAttr() {
-				sb.WriteString(v.StringValue())
-			} else {
-				d := tree.Document{Root: v.N}
-				_ = d.WriteXML(&sb) // a Builder's writes do not fail
-			}
-		default:
-			sb.WriteString(atomicString(it))
-		}
+		write(&sb, it)
 	}
 	return sb.String()
+}
+
+func itemSize(it Item) int {
+	if r, ok := it.(xpath.NodeRef); ok {
+		return refSize(r)
+	}
+	return len(atomicString(it))
+}
+
+func writeItem(sb *strings.Builder, it Item) {
+	if r, ok := it.(xpath.NodeRef); ok {
+		writeRef(sb, r)
+	} else {
+		sb.WriteString(atomicString(it))
+	}
+}
+
+// A node item is written as its XML, an attribute node as its value.
+func refSize(r xpath.NodeRef) int {
+	if r.IsAttr() {
+		return len(r.StringValue())
+	}
+	return r.N.XMLSize()
+}
+
+func writeRef(sb *strings.Builder, r xpath.NodeRef) {
+	if r.IsAttr() {
+		sb.WriteString(r.StringValue())
+	} else {
+		r.N.AppendXML(sb)
+	}
 }

@@ -244,3 +244,69 @@ func TestEvalWhitespaceQuery(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// TestEvalConstructedDocumentOrder: a constructed tree is numbered in
+// document order from where the document's own IDs end, so a path over it
+// answers in that order. Its nodes used to share ID 0, and the b below c
+// came out between the other two.
+func TestEvalConstructedDocumentOrder(t *testing.T) {
+	doc := siteDoc(t)
+	const x = `let $x := <r><a><b>1</b></a><b>2</b><c><b>3</b></c></r> return `
+	for _, c := range []struct{ body, want string }{
+		{`$x//b`, "<b>1</b>\n<b>2</b>\n<b>3</b>"},
+		{`$x//b/text()`, "1\n2\n3"},
+		{`$x/descendant::b[2]`, "<b>2</b>"},
+		{`count($x/descendant::node())`, "8"},
+		{`(let $y := <o>{ $x//b }</o> return $y//b/text())`, "1\n2\n3"},
+		{`count(($x | /site/people)//*)`, "16"},
+		{`for $n in ($x | /site/open_auctions)/* return name($n)`, "open_auction\nopen_auction\na\nb\nc"},
+	} {
+		if got := run(t, doc, x+c.body); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.body, got, c.want)
+		}
+		// As a tree pruner leaves a document: the IDs kept, the count not.
+		// The constructed tree must still be numbered clear of them, or its
+		// ID interval would cover /site/people's and hide it.
+		if got := run(t, &tree.Document{Root: doc.Root}, x+c.body); got != c.want {
+			t.Errorf("%s on an uncounted document: got %q, want %q", c.body, got, c.want)
+		}
+	}
+}
+
+// TestEvalBindingLoweredOnce: a binding becomes an XPath value when it is
+// made, not before every expression that can see it — an outer let read
+// in a for body costs one conversion however often the body runs.
+func TestEvalBindingLoweredOnce(t *testing.T) {
+	doc := siteDoc(t)
+	lowered := func(src string) int {
+		ev := NewEvaluator(doc)
+		if _, err := ev.Eval(MustParse(src)); err != nil {
+			t.Fatalf("Eval(%q): %v", src, err)
+		}
+		return ev.lowered
+	}
+	// One let, and one for binding per iteration: 3 persons, then 3 watches.
+	const body = ` return (count($all), count($all[@open_auction = "a1"]), $all[1]/@open_auction)`
+	perPerson := lowered(`let $all := //watch for $p in /site/people/person` + body)
+	perWatch := lowered(`let $all := //watch for $w in //watch` + body)
+	if perPerson != 1+3 || perWatch != 1+3 {
+		t.Fatalf("%d and %d sequences lowered, want 4 and 4: the let once, the for variable once an iteration", perPerson, perWatch)
+	}
+}
+
+func TestEvalShadowedBindingRestored(t *testing.T) {
+	doc := siteDoc(t)
+	got := run(t, doc, `for $x in /site/people/person[1] return
+		((for $x in $x/watches/watch return $x/@open_auction), $x/name/text(),
+		 (let $x := "inner" return $x), $x/@id)`)
+	if got != "a1\na2\nAda\ninner\np0" {
+		t.Fatalf("got %q", got)
+	}
+	ev := NewEvaluator(doc)
+	if _, err := ev.Eval(MustParse(`for $x in //person return (let $x := 1 return $x)`)); err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.xe.Vars) != 0 {
+		t.Fatalf("bindings left behind: %v", ev.xe.Vars)
+	}
+}

@@ -743,11 +743,7 @@ func (q *Query) Evaluate(doc *Document) (Result, error) {
 			return Result{}, err
 		}
 		if ns, ok := v.(xpath.NodeSet); ok {
-			items := make(xquery.Seq, len(ns))
-			for i, r := range ns {
-				items[i] = r
-			}
-			return Result{Count: len(ns), Serialized: xquery.Serialize(items)}, nil
+			return Result{Count: len(ns), Serialized: xquery.SerializeNodes(ns)}, nil
 		}
 		return Result{Count: 1, Serialized: xpath.ToString(v)}, nil
 	default:
