@@ -161,7 +161,7 @@ func TestEvalDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A constructed tree: numbered from where the document's IDs end, as
-	// the XQuery evaluator numbers one, and in no posting list.
+	// the XQuery evaluator numbers one.
 	built := tree.NewElement("r",
 		tree.NewElement("a", tree.NewElement("b", tree.NewText("1"))),
 		tree.NewElement("b", tree.NewText("2")),

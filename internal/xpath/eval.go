@@ -11,40 +11,31 @@ import (
 // main-memory engine over the loaded tree, and it leans on what the
 // loader guarantees: node IDs are document order and a subtree is an ID
 // interval, so a step keeps its output ordered instead of re-sorting it
-// and //name reads a posting list (path.go). Its running time and
-// allocation still scale with the nodes the navigation reaches — the
-// quantity that type-based projection shrinks.
+// (path.go). Its running time and allocation still scale with the nodes
+// the navigation reaches — the quantity that type-based projection
+// shrinks.
 //
-// Every node an expression meets must belong to Doc or be numbered above
-// every ID of Doc's and from Doc.NumNodes() up, as the XQuery evaluator
-// numbers the elements it constructs. An Evaluator is not safe for
-// concurrent use.
+// Every node an expression meets must belong to Doc or be numbered in
+// document order above every ID of Doc's, as the XQuery evaluator numbers
+// the elements it constructs. An Evaluator is not safe for concurrent
+// use.
 type Evaluator struct {
 	Doc *tree.Document
 	// Vars provides values for $variables (the XQuery evaluator binds
 	// FLWR variables here).
 	Vars map[string]Value
 	// Visited counts the nodes evaluation examined: each node an axis
-	// walk tested, and one per node read from a posting list (building a
-	// list is not counted). It is a deterministic work metric used by the
-	// benchmark harness alongside wall time.
+	// walk tested. It is a deterministic work metric used by the benchmark
+	// harness alongside wall time.
 	Visited int64
 
-	// base is Doc.NumNodes(): a node with a smaller ID is Doc's, any other
-	// was constructed during evaluation and is in no posting list.
-	base tree.NodeID
-	// postings holds, per tag asked for, Doc's elements with that tag in
-	// document order. They live here and not on the Document because a
-	// tree can be mutated between evaluations and an evaluator's view of
-	// it cannot.
-	postings map[string][]*tree.Node
 	// free holds step buffers between uses.
 	free []NodeSet
 }
 
 // NewEvaluator returns an evaluator over doc.
 func NewEvaluator(doc *tree.Document) *Evaluator {
-	return &Evaluator{Doc: doc, Vars: map[string]Value{}, base: tree.NodeID(doc.NumNodes())}
+	return &Evaluator{Doc: doc, Vars: map[string]Value{}}
 }
 
 type context struct {

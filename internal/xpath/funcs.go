@@ -6,10 +6,40 @@ import (
 	"strings"
 )
 
+// kind says whether a function's result can be a number, which is what a
+// predicate compares with the proximity position (positional, path.go).
+type kind uint8
+
+const (
+	number     kind = iota // a number; also what an unknown name reads as
+	notNumber              // a boolean, a string or a node-set
+	asArgument             // whatever its one argument is
+)
+
+// functions is the library: evalCall rejects a name that is not here, so
+// a function cannot be given to it without saying what it returns.
+var functions = map[string]kind{
+	"last": number, "position": number, "count": number, "string-length": number,
+	"number": number, "sum": number, "avg": number, "min": number, "max": number,
+	"floor": number, "ceiling": number, "round": number,
+
+	"name": notNumber, "local-name": notNumber, "string": notNumber, "concat": notNumber,
+	"starts-with": notNumber, "ends-with": notNumber, "contains": notNumber,
+	"substring-before": notNumber, "substring-after": notNumber, "substring": notNumber,
+	"normalize-space": notNumber, "translate": notNumber,
+	"boolean": notNumber, "not": notNumber, "true": notNumber, "false": notNumber,
+	"empty": notNumber, "exists": notNumber, "id": notNumber, "idref": notNumber,
+
+	"zero-or-one": asArgument, "exactly-one": asArgument, "one-or-more": asArgument, "data": asArgument,
+}
+
 // evalCall dispatches the XPath 1.0 core function library plus the few
 // XQuery functions the benchmark queries use (empty, exists, avg, min,
 // max).
 func (ev *Evaluator) evalCall(c Call, ctx context) (Value, error) {
+	if _, ok := functions[c.Name]; !ok {
+		return nil, fmt.Errorf("xpath: unknown function %s()", c.Name)
+	}
 	arity := func(n int) error {
 		if len(c.Args) != n {
 			return fmt.Errorf("xpath: %s() expects %d argument(s), got %d", c.Name, n, len(c.Args))
@@ -333,7 +363,7 @@ func (ev *Evaluator) evalCall(c Call, ctx context) (Value, error) {
 		// XQuery layer; in plain XPath it is unsupported.
 		return nil, fmt.Errorf("xpath: function %s() is not supported", c.Name)
 	}
-	return nil, fmt.Errorf("xpath: unknown function %s()", c.Name)
+	return nil, fmt.Errorf("xpath: function %s() is listed but not implemented", c.Name)
 }
 
 func aggregate(name string, ns NodeSet) float64 {

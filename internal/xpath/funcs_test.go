@@ -111,6 +111,38 @@ func TestFuncArityErrors(t *testing.T) {
 	}
 }
 
+// TestFunctionKinds holds the functions table to what evalCall returns:
+// positional reads a function's kind there to decide whether a predicate
+// can be a position, and a wrong entry would fuse a step that must not be.
+func TestFunctionKinds(t *testing.T) {
+	doc := fdoc(t)
+	ev := NewEvaluator(doc)
+	args := []string{"", "/r/a", "'ab', 'b'", "'ab', 'a', 'b'"}
+	for name, k := range functions {
+		if name == "id" || name == "idref" {
+			continue // listed to be refused by name
+		}
+		var v Value
+		err := error(nil)
+		for _, a := range args {
+			if v, err = ev.Eval(MustParse(name + "(" + a + ")")); err == nil {
+				break
+			}
+		}
+		if err != nil {
+			t.Errorf("%s(): no argument list evaluates: %v", name, err)
+			continue
+		}
+		_, isNumber := v.(float64)
+		if k == notNumber && isNumber || k == number && !isNumber {
+			t.Errorf("%s() returned %T, listed as kind %d", name, v, k)
+		}
+	}
+	if _, err := ev.Eval(MustParse("nosuch()")); err == nil {
+		t.Error("an unlisted function evaluated")
+	}
+}
+
 func TestComparisonsAllOperators(t *testing.T) {
 	doc := fdoc(t)
 	cases := map[string]bool{

@@ -13,8 +13,8 @@ import (
 // per-node closure into a candidate set, filtered into a second, appended
 // to a third, and every step's output is sorted with sort.Slice whether
 // or not the step could have disordered it. It is slow and obviously
-// right, and it knows nothing of ID intervals, posting lists or fused
-// steps, which is what makes agreeing with it mean something.
+// right, and it knows nothing of ID intervals or fused steps, which is
+// what makes agreeing with it mean something.
 //
 // Only paths are evaluated here. Operators and the function library are
 // the evaluator's own, reached with their operands already evaluated by

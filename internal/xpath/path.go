@@ -157,12 +157,10 @@ func numeric(e Expr) bool {
 	case PathExpr:
 		return x.Filter != nil && len(x.FilterPreds) == 0 && len(x.Path.Steps) == 0 && numeric(x.Filter)
 	case Call:
-		switch x.Name {
-		case "boolean", "not", "true", "false", "contains", "starts-with", "ends-with", "empty", "exists",
-			"string", "concat", "substring", "substring-before", "substring-after", "normalize-space",
-			"translate", "name", "local-name":
+		switch functions[x.Name] {
+		case notNumber:
 			return false
-		case "zero-or-one", "exactly-one", "one-or-more", "data":
+		case asArgument:
 			return len(x.Args) != 1 || numeric(x.Args[0])
 		}
 	}
@@ -382,22 +380,8 @@ func (ev *Evaluator) among(dst NodeSet, nodes []*tree.Node, t NodeTest) NodeSet 
 }
 
 // descend appends the nodes below n, and n itself with self, that pass
-// t. A name test on a node of the loaded document reads the tag's
-// posting list; anything else walks.
+// t.
 func (ev *Evaluator) descend(dst NodeSet, n *tree.Node, t NodeTest, self bool) NodeSet {
-	if t.Kind == TestName && n.ID < ev.base {
-		from := n.ID
-		if !self {
-			from++
-		}
-		list := ev.posting(t.Name)
-		i, _ := slices.BinarySearchFunc(list, from, func(e *tree.Node, id tree.NodeID) int { return int(e.ID - id) })
-		for last := n.LastDescendant().ID; i < len(list) && list[i].ID <= last; i++ {
-			ev.Visited++
-			dst = append(dst, ElemRef(list[i]))
-		}
-		return dst
-	}
 	if self {
 		dst = ev.self(dst, n, t)
 	}
@@ -415,32 +399,6 @@ func (ev *Evaluator) walk(dst NodeSet, n *tree.Node, t NodeTest) NodeSet {
 		}
 	}
 	return dst
-}
-
-// posting returns Doc's elements tagged name in document order, from one
-// walk of the document the first time a name is asked for.
-func (ev *Evaluator) posting(name string) []*tree.Node {
-	list, ok := ev.postings[name]
-	if !ok {
-		if ev.postings == nil {
-			ev.postings = make(map[string][]*tree.Node)
-		}
-		list = tagged(nil, ev.Doc.Root, name)
-		ev.postings[name] = list
-	}
-	return list
-}
-
-func tagged(list []*tree.Node, n *tree.Node, name string) []*tree.Node {
-	if n.Tag == name {
-		list = append(list, n)
-	}
-	for _, c := range n.Children {
-		if c.Kind == tree.Element {
-			list = tagged(list, c, name)
-		}
-	}
-	return list
 }
 
 // climb appends r's ancestors, and with orSelf r itself, that pass t and

@@ -30,9 +30,9 @@ type Evaluator struct {
 	// lowered counts the sequences lowered to XPath values.
 	lowered int
 	// next numbers the nodes of constructed elements, from above the
-	// document's own IDs: document order holds inside a constructed tree,
-	// no ID interval of one tree reaches into another, and the XPath
-	// engine tells a constructed node from the document's by its ID.
+	// document's own IDs: document order holds inside a constructed tree
+	// and no ID interval of one tree reaches into another, which is what
+	// the XPath engine's steps rely on.
 	next tree.NodeID
 }
 

@@ -125,7 +125,7 @@ func TestSerializedPinnedOnAll43(t *testing.T) { checkPinned(t, 0.003, 1, allSer
 // QP13 renders 6× its input and may allocate three times what it renders,
 // not seven (the node-set, its copy, and the text written once at its
 // size, against a buffer that doubled its way there); QM07 counts three
-// //name, each a posting list and not a 23 000-node set built, copied and
+// //name, each one fused walk and not a 23 000-node set built, copied and
 // sorted, with a slice per context node for the child step after it.
 func TestEvaluateAllocs(t *testing.T) {
 	doc, err := ParseXMLString(xmark.NewGenerator(0.01, 42).Document().XML())
