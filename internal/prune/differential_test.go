@@ -702,6 +702,19 @@ func FuzzStreamDifferential(f *testing.F) {
 	// between raw input spans and synthesized escape-buffer bytes.
 	f.Add(`<bib><book isbn="&#49;"><title>&lt;t&gt;</title><author>A&amp;B</author></book></bib>`, uint16(5))
 	f.Add(`<bib><book isbn="1"><title>raw</title><author><![CDATA[&]]>&#x42;</author></book></bib>`, uint16(12))
+	// Chunks that leave the tokeniser's one-loop path part of the way
+	// through, in kept text, in a kept attribute and in a discarded
+	// subtree (π drops <year>); end tags accepted by comparison and not.
+	for i, text := range []string{
+		`plain&amp;plain`, `plain]]>`, `plain]]`, "a\rb", `a>b`,
+		"0123456é", "01234567é", "012345678é", "0123456\xc3",
+		`plain<!--c-->plain`, `plain<!--c-->pl&#97;in`, `plain<![CDATA[<]]>`,
+	} {
+		f.Add(`<bib><book isbn="`+text+`"><title>`+text+`</title><author>A</author ><year>`+text+`</year ></book></bib>`, uint16(i))
+	}
+	f.Add(`<bib><book isbn="1"><title>T</title><author>A</author></book></bi>`, uint16(3))
+	f.Add(`<bib><book isbn="1"><title>T</titles><author>A</author></book></bib>`, uint16(3))
+	f.Add(`<bib><book isbn="1"><title>T</title><author>A</author><year>1</yea></book></bib>`, uint16(3))
 	// One document per check that Validate decides inside a discarded
 	// subtree (π drops <year>), and one per check that stays.
 	for i, c := range insideDiscard {

@@ -571,44 +571,47 @@ func (pr *pruner) run() error {
 // earlier decoded bytes pending is emitted at once as a span of the
 // scanner's buffer for the projectors keeping this element's text — its
 // raw bytes equal the escaped output — instead of joining the run
-// buffer.
+// buffer, and one plainChunk took whole is not copied anywhere.
 func (pr *pruner) chunk(cdata bool) error {
 	s := pr.s
-	depth := len(pr.stack)
-	var dst []byte
-	prevLen := 0
-	if depth == 0 {
-		dst = pr.attrVal[:0]
-	} else {
-		dst = pr.textBuf
-		prevLen = len(dst)
+	kept := len(pr.textBuf)
+	// The chunk is either a view of the input, in no buffer yet, or
+	// decoded behind the run's kept bytes in out.
+	var chunk, out []byte
+	var info textInfo
+	plain := false
+	if !cdata {
+		chunk, info, plain = s.plainChunk(-1)
 	}
-	out, info, err := s.text(dst, -1, cdata)
-	if depth == 0 {
+	if !plain {
+		var err error
+		if out, info, err = s.text(pr.textBuf, -1, cdata); err != nil {
+			return err
+		}
+		pr.textBuf = out[:kept]
+	}
+	if len(pr.stack) == 0 || info.ws {
 		// Text outside the root is tokenized and validated but ignored
 		// by the pruner, exactly like the decoder path.
-		pr.attrVal = out[:0]
-		return err
-	}
-	pr.textBuf = out[:prevLen]
-	if err != nil || info.ws {
-		return err
+		return nil
 	}
 	pr.runPending = true
-	top := &pr.stack[depth-1]
+	top := &pr.stack[len(pr.stack)-1]
 	keep := top.live & pr.alive & pr.p.KeepText(top.sym)
 	switch {
 	case keep == 0:
 		// No surviving projector keeps this element's text: the run only
 		// needs its counters and placement validation, not its bytes.
 		// (Masks shrink monotonically, so keep is still 0 at flush.)
-	case info.verbatim && !cdata && prevLen == 0:
+	case info.verbatim && !cdata && kept == 0:
 		// The raw bytes are exactly the canonical output (a CDATA body
 		// never is: it is re-escaped) and nothing earlier in this run is
 		// pending in the buffer, which a later flush would reorder behind
 		// these bytes.
 		pr.closeOpen(keep)
 		pr.rawTo(keep, s.mark, s.pos)
+	case plain:
+		pr.textBuf = append(pr.textBuf, chunk...)
 	default:
 		pr.textBuf = out
 	}
@@ -954,43 +957,35 @@ func (pr *pruner) startTag() error {
 // endTag handles an end tag; "</" is consumed and the mark is at '<'.
 func (pr *pruner) endTag() error {
 	s := pr.s
-	nameRel := s.pos - s.mark
-	ok, err := s.readName()
-	if err != nil {
-		return err
+	// canon: the input spells the canonical "</tag>". When the bytes after
+	// "</" are the open element's tag and '>', that comparison is the whole
+	// check: the name was validated where it opened.
+	canon := false
+	if len(pr.stack) > pr.ctxBase {
+		top := &pr.stack[len(pr.stack)-1]
+		canon = top.prefix == "" && closes(s, pr.p.Syms.Info(top.sym).Tag)
 	}
-	if !ok {
-		return errSyntax("expected element name after </")
-	}
-	nameEndRel := s.pos - s.mark
-	s.space()
-	spaceLen := (s.pos - s.mark) - nameEndRel
-	b, ok := s.getc()
-	if !ok {
-		return s.readErr()
-	}
-	name := s.buf[s.mark+nameRel : s.mark+nameEndRel]
-	if b != '>' {
-		return errSyntax("invalid characters between </" + string(name) + " and >")
-	}
-	if !s.checkName(name) {
-		return errSyntax("invalid XML name: " + string(name))
-	}
-	prefixB, local, okn := splitName(name)
-	if !okn {
-		return errSyntax("expected element name after </")
-	}
-	pr.flushText()
-	if len(pr.stack) == pr.ctxBase {
-		return fmt.Errorf("unbalanced end element %s", local)
+	if canon {
+		pr.flushText()
+	} else {
+		name, prefixB, local, spaced, err := s.endName()
+		if err != nil {
+			return err
+		}
+		pr.flushText()
+		if len(pr.stack) == pr.ctxBase {
+			return fmt.Errorf("unbalanced end element %s", local)
+		}
+		top := pr.stack[len(pr.stack)-1]
+		if tag := pr.p.Syms.Info(top.sym).Tag; string(local) != tag || string(prefixB) != top.prefix {
+			// The skip scan enforces end-tag matching too, so every projector
+			// fails here: a whole-pass error, like the other syntax errors.
+			return fmt.Errorf("element <%s> closed by </%s>", tag, name)
+		}
+		canon = len(prefixB) == 0 && !spaced
 	}
 	top := pr.stack[len(pr.stack)-1]
 	info := pr.p.Syms.Info(top.sym)
-	if string(local) != info.Tag || string(prefixB) != top.prefix {
-		// The skip scan enforces end-tag matching too, so every projector
-		// fails here: a whole-pass error, like the other syntax errors.
-		return fmt.Errorf("element <%s> closed by </%s>", info.Tag, name)
-	}
 	if live := top.live & pr.alive; live != 0 && pr.opts.Validate && !top.aut.Accepting(top.state) {
 		pr.kill(live, fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
 	}
@@ -1006,7 +1001,7 @@ func (pr *pruner) endTag() error {
 	}
 	pr.litStringTo(op, "/>")
 	if closed := live &^ op; closed != 0 {
-		if len(prefixB) == 0 && spaceLen == 0 {
+		if canon {
 			pr.rawTo(closed, s.mark, s.pos) // raw "</tag>" is canonical
 		} else {
 			pr.attrBuf = append(append(pr.attrBuf[:0], '<', '/'), info.Tag...)

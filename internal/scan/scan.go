@@ -17,7 +17,6 @@
 package scan
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -90,9 +89,12 @@ type Scanner struct {
 
 	// nameCache memoises full XML-name validation for the rare names
 	// that are not pure ASCII (checked by delegating to encoding/xml,
-	// keeping the two paths' notion of a valid name identical).
+	// keeping the two paths' notion of a valid name identical). A pooled
+	// scanner outlives its documents: the memo is emptied at maxNameCache.
 	nameCache map[string]bool
 }
+
+const maxNameCache = 1024
 
 // NewScanner returns a scanner reading from r.
 func NewScanner(r io.Reader) *Scanner {
@@ -275,11 +277,39 @@ func (s *Scanner) space() {
 // inside names. Multi-byte runes are accepted here and validated by
 // checkName.
 func isNameByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' ||
-		'a' <= c && c <= 'z' ||
-		'0' <= c && c <= '9' ||
-		c == '_' || c == ':' || c == '.' || c == '-' ||
-		c >= utf8.RuneSelf
+	return class[c]&cName != 0 || c == ':' || c >= utf8.RuneSelf
+}
+
+// plainName is the name kernel: it consumes the name at the read position
+// when it is ASCII, has no colon and ends inside the buffered bytes — a
+// valid name and its own local part — and reports whether it did.
+// Anything else is left, nothing consumed, for readName, checkName and
+// splitName to take from this byte.
+func (s *Scanner) plainName() bool {
+	i := s.pos
+	if i == s.end || class[s.buf[i]]&cNameStart == 0 {
+		return false
+	}
+	for i++; i < s.end && class[s.buf[i]]&cName != 0; i++ {
+	}
+	if i == s.end || isNameByte(s.buf[i]) {
+		return false
+	}
+	s.pos = i
+	return true
+}
+
+// closes consumes the rest of an end tag, after its "</", when it is name
+// and '>' and nothing else, and reports whether it did. name is the open
+// element's, validated where it opened, so equal bytes need no second
+// check; any other tag, or one the buffer cuts short, is left to tokenise.
+func closes[T string | []byte](s *Scanner, name T) bool {
+	n := len(name)
+	if s.end-s.pos <= n || s.buf[s.pos+n] != '>' || string(s.buf[s.pos:s.pos+n]) != string(name) {
+		return false
+	}
+	s.pos += n + 1
+	return true
 }
 
 // readName consumes a name (per encoding/xml's readName byte rules).
@@ -352,6 +382,8 @@ func (s *Scanner) checkName(name []byte) bool {
 	_, err := dec.Token()
 	if s.nameCache == nil {
 		s.nameCache = make(map[string]bool)
+	} else if len(s.nameCache) >= maxNameCache {
+		clear(s.nameCache)
 	}
 	s.nameCache[key] = err == nil
 	return err == nil
@@ -666,19 +698,77 @@ type textInfo struct {
 	verbatim bool
 }
 
-// firstSpecial returns the index of the first byte of chunk contained
-// in specials, or len(chunk) when none occurs. Each byte is located
-// with bytes.IndexByte (memchr), bounding every later search by the
-// earliest hit so far, so the scan is a handful of vectorised passes
-// instead of a byte-at-a-time loop.
-func firstSpecial(chunk []byte, specials string) int {
-	n := len(chunk)
-	for i := 0; i < len(specials); i++ {
-		if j := bytes.IndexByte(chunk[:n], specials[i]); j >= 0 {
-			n = j
+// Byte classes: what the text and name kernels ask of a byte. Which
+// classes end a run of plain character data depends on where the run
+// stands, so a run is measured against a mask; cGT and cNonSpace only say
+// what a run holding the byte has stopped being, verbatim or all space.
+const (
+	cMarkup    uint16 = 1 << iota // '<' and '&'
+	cGT                           // '>': plain to a reader, rewritten by the output escaper
+	cCR                           // '\r', normalised to '\n'
+	cBracket                      // ']', which may begin "]]>"
+	cDQuote                       // '"'
+	cSQuote                       // '\''
+	cCheck                        // not plain ASCII: an illegal control byte, or part of a multi-byte rune
+	cNonSpace                     // anything but ' ', '\t', '\n'
+	cNameStart                    // A-Z a-z _
+	cName                         // cNameStart and 0-9 . -
+)
+
+var class = func() (t [256]uint16) {
+	for c := range t {
+		switch b := byte(c); {
+		case b == ' ', b == '\t', b == '\n', b == '\r':
+		case b < ' ', b >= utf8.RuneSelf:
+			t[c] = cCheck
+		case 'A' <= b && b <= 'Z', 'a' <= b && b <= 'z', b == '_':
+			t[c] = cNonSpace | cNameStart | cName
+		case '0' <= b && b <= '9', b == '.', b == '-':
+			t[c] = cNonSpace | cName
+		default:
+			t[c] = cNonSpace
 		}
 	}
-	return n
+	for b, c := range map[byte]uint16{'<': cMarkup, '&': cMarkup, '>': cGT, '\r': cCR, ']': cBracket, '"': cDQuote, '\'': cSQuote} {
+		t[b] |= c
+	}
+	return t
+}()
+
+// plainRun is the tokeniser's one loop over character data: the length of
+// the run of buffered bytes at the read position that have no class in
+// stop, and the classes that occur in it. Nothing is consumed.
+func (s *Scanner) plainRun(stop uint16) (n int, seen uint16) {
+	buf := s.buf[s.pos:s.end]
+	for ; n < len(buf) && class[buf[n]]&stop == 0; n++ {
+		seen |= class[buf[n]]
+	}
+	return n, seen
+}
+
+// plainChunk consumes the text chunk (quote < 0) or the attribute value
+// and closing quote at the read position when one run answers all of it:
+// plain ASCII with no '&', ']' or '\r', up to a terminator ('<', the
+// quote) inside the buffered bytes. Such a chunk is valid and decodes to
+// itself: it is returned as a view of the buffer, valid until the next
+// read. Anything else is refused, nothing consumed, for text to take from
+// this byte.
+func (s *Scanner) plainChunk(quote int) (chunk []byte, info textInfo, ok bool) {
+	term := byte('<')
+	if quote >= 0 {
+		term = byte(quote)
+	}
+	// The other quote is plain inside a quoted value; '<' has neither bit.
+	n, seen := s.plainRun(cMarkup | cCR | cBracket | cCheck | class[term]&(cDQuote|cSQuote))
+	end := s.pos + n
+	if end == s.end || s.buf[end] != term {
+		return nil, textInfo{}, false
+	}
+	chunk = s.buf[s.pos:end]
+	if s.pos = end; quote >= 0 {
+		s.pos++ // the closing quote
+	}
+	return chunk, textInfo{ws: seen&cNonSpace == 0, verbatim: seen&cGT == 0}, true
 }
 
 // text decodes character data into dst (appending) and returns the
@@ -689,26 +779,20 @@ func firstSpecial(chunk []byte, specials string) int {
 // rejected in unquoted chardata, '<' rejected inside quoted values, and
 // the decoded result checked for UTF-8 validity and the XML Char range.
 //
-// The hot loop jumps from one "special" byte to the next with memchr
-// (firstSpecial) and bulk-copies the plain spans between them; only the
-// rare special bytes are handled individually.
+// The loop goes from one special byte to the next (plainRun) and
+// bulk-copies the spans between them. It is the path for what plainChunk
+// refuses; a caller that can use a view of the input tries that first.
 func (s *Scanner) text(dst []byte, quote int, cdata bool) ([]byte, textInfo, error) {
 	info := textInfo{verbatim: true}
 	base := len(dst)
-	// The terminator comes first so the later searches are bounded by
-	// its position. ']' matters only in unquoted chardata ("]]>"), '&'
-	// and '<' only outside CDATA, '>' only for the verbatim flag (the
-	// output escaper rewrites it; CDATA is re-escaped by the caller).
-	var specials string
-	switch {
-	case cdata:
-		specials = "]\r"
-	case quote < 0:
-		specials = "<&]\r>"
-	case quote == '"':
-		specials = "\"&<\r>"
-	default:
-		specials = "'&<\r>"
+	// ']' matters only in unquoted chardata ("]]>"), '&' and '<' only
+	// outside CDATA, '>' only for the verbatim flag (the output escaper
+	// rewrites it; CDATA is re-escaped by the caller).
+	stop := cCR | cBracket | cMarkup | cGT
+	if cdata {
+		stop = cCR | cBracket
+	} else if quote >= 0 {
+		stop = cCR | cMarkup | cGT | class[quote]&(cDQuote|cSQuote)
 	}
 loop:
 	for {
@@ -722,7 +806,7 @@ loop:
 			break
 		}
 		chunk := s.buf[s.pos:s.end]
-		j := firstSpecial(chunk, specials)
+		j, _ := s.plainRun(stop)
 		if j > 0 {
 			dst = append(dst, chunk[:j]...)
 			s.pos += j
@@ -904,11 +988,15 @@ func (s *Scanner) markup() (markupKind, error) {
 }
 
 // qname reads, validates and splits the name at the current position:
-// readName, checkName, splitName. what completes the diagnostic
-// ("expected <what>"). A mark must be held at or before the name; the
-// returned slices are views of the buffer, valid until the next read.
+// plainName, or readName, checkName, splitName. what completes the
+// diagnostic ("expected <what>"). A mark must be held at or before the
+// name; the returned slices are views of the buffer, valid until the next read.
 func (s *Scanner) qname(what string) (name, prefix, local []byte, err error) {
 	rel := s.pos - s.mark
+	if s.plainName() {
+		name = s.buf[s.mark+rel : s.pos]
+		return name, nil, name, nil
+	}
 	ok, err := s.readName()
 	if err != nil {
 		return nil, nil, nil, err
@@ -927,6 +1015,37 @@ func (s *Scanner) qname(what string) (name, prefix, local []byte, err error) {
 	return name, prefix, local, nil
 }
 
+// endName tokenises an end tag after its "</" — name, space, '>' — and
+// reports whether there was space. A mark must be held, as for qname.
+func (s *Scanner) endName() (name, prefix, local []byte, spaced bool, err error) {
+	rel := s.pos - s.mark
+	ok, err := s.readName()
+	if err != nil {
+		return nil, nil, nil, false, err
+	}
+	if !ok {
+		return nil, nil, nil, false, errSyntax("expected element name after </")
+	}
+	end := s.pos - s.mark
+	s.space()
+	spaced = s.pos-s.mark != end
+	b, ok := s.getc()
+	if !ok {
+		return nil, nil, nil, false, s.readErr()
+	}
+	name = s.buf[s.mark+rel : s.mark+end]
+	if b != '>' {
+		return nil, nil, nil, false, errSyntax("invalid characters between </" + string(name) + " and >")
+	}
+	if !s.checkName(name) {
+		return nil, nil, nil, false, errSyntax("invalid XML name: " + string(name))
+	}
+	if prefix, local, ok = splitName(name); !ok {
+		return nil, nil, nil, false, errSyntax("expected element name after </")
+	}
+	return name, prefix, local, spaced, nil
+}
+
 // attr tokenises one attribute — name, '=', quoted value — with the
 // scanner on the name's first byte and a mark held at or before it. The
 // decoded value is appended to val. prefix and local are the split name,
@@ -938,19 +1057,19 @@ func (s *Scanner) qname(what string) (name, prefix, local []byte, err error) {
 func (s *Scanner) attr(val []byte) (prefix, local, out []byte, canon bool, err error) {
 	out = val
 	nameRel := s.pos - s.mark
-	ok, err := s.readName()
-	if err != nil {
-		return
-	}
-	if !ok {
-		err = errSyntax("expected attribute name in element")
-		return
+	plain := s.plainName()
+	if !plain {
+		ok, rerr := s.readName()
+		switch name := s.buf[s.mark+nameRel : s.pos]; {
+		case rerr != nil:
+			return nil, nil, out, false, rerr
+		case !ok:
+			return nil, nil, out, false, errSyntax("expected attribute name in element")
+		case !s.checkName(name):
+			return nil, nil, out, false, errSyntax("invalid XML name: " + string(name))
+		}
 	}
 	nameEnd := s.pos - s.mark
-	if name := s.buf[s.mark+nameRel : s.mark+nameEnd]; !s.checkName(name) {
-		err = errSyntax("invalid XML name: " + string(name))
-		return
-	}
 	s.space()
 	spaced := s.pos-s.mark != nameEnd
 	b, ok := s.getc()
@@ -974,13 +1093,17 @@ func (s *Scanner) attr(val []byte) (prefix, local, out []byte, canon bool, err e
 		err = errSyntax("unquoted or missing attribute value in element")
 		return
 	}
-	out, info, err := s.text(val, int(qb), false)
-	if err != nil {
+	chunk, info, ok := s.plainChunk(int(qb))
+	if ok {
+		out = append(val, chunk...)
+	} else if out, info, err = s.text(val, int(qb), false); err != nil {
 		return nil, nil, out, false, err
 	}
-	prefix, local, ok = splitName(s.buf[s.mark+nameRel : s.mark+nameEnd])
-	if !ok {
-		return nil, nil, out, false, errSyntax("expected attribute name in element")
+	local = s.buf[s.mark+nameRel : s.mark+nameEnd]
+	if !plain {
+		if prefix, local, ok = splitName(local); !ok {
+			return nil, nil, out, false, errSyntax("expected attribute name in element")
+		}
 	}
 	return prefix, local, out, !spaced && qb == '"' && info.verbatim && len(prefix) == 0, nil
 }

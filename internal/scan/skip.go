@@ -92,26 +92,11 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 		}
 		s.ungetc()
 		s.setMark()
-		ok, err := s.readName()
-		if err != nil {
-			s.clearMark()
-			return false, err
-		}
-		if !ok {
-			s.clearMark()
-			return false, errSyntax("expected attribute name in element")
-		}
-		nm := s.marked()
-		if !s.checkName(nm) {
-			err := errSyntax("invalid XML name: " + string(nm))
-			s.clearMark()
-			return false, err
-		}
-		if _, _, okn := splitName(nm); !okn {
-			s.clearMark()
-			return false, errSyntax("expected attribute name in element")
-		}
+		_, _, _, err := s.qname("attribute name in element")
 		s.clearMark()
+		if err != nil {
+			return false, err
+		}
 		s.space()
 		b, ok = s.getc()
 		if !ok {
@@ -128,8 +113,10 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 		if qb != '"' && qb != '\'' {
 			return false, errSyntax("unquoted or missing attribute value in element")
 		}
-		pr.attrVal, _, err = s.text(pr.attrVal[:0], int(qb), false)
-		if err != nil {
+		if _, _, ok := s.plainChunk(int(qb)); ok {
+			continue
+		}
+		if pr.attrVal, _, err = s.text(pr.attrVal[:0], int(qb), false); err != nil {
 			return false, err
 		}
 	}
@@ -223,11 +210,12 @@ func (pr *pruner) skipScan() error {
 		}
 		if b != '<' {
 			s.ungetc()
-			var info textInfo
-			var err error
-			pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, false)
-			if err != nil {
-				return err
+			_, info, ok := s.plainChunk(-1)
+			if !ok {
+				var err error
+				if pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, false); err != nil {
+					return err
+				}
 			}
 			if !info.ws {
 				pr.skipPending = true
@@ -241,49 +229,23 @@ func (pr *pruner) skipScan() error {
 		switch kind {
 		case markupEnd:
 			flush()
+			if pr.skipNames.depth() > 0 && closes(s, pr.skipNames.top()) {
+				pr.skipNames.pop()
+				break
+			}
 			s.setMark()
-			ok, err := s.readName()
-			if err != nil {
-				s.clearMark()
-				return err
-			}
-			if !ok {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			nameEnd := s.pos - s.mark
-			s.space()
-			b, ok = s.getc()
-			if !ok {
-				s.clearMark()
-				return s.readErr()
-			}
-			if b != '>' {
-				err := errSyntax("invalid characters between </" + string(s.buf[s.mark:s.mark+nameEnd]) + " and >")
-				s.clearMark()
-				return err
-			}
-			name := s.buf[s.mark : s.mark+nameEnd]
-			if !s.checkName(name) {
-				err := errSyntax("invalid XML name: " + string(name))
-				s.clearMark()
-				return err
-			}
-			if _, _, okn := splitName(name); !okn {
-				s.clearMark()
-				return errSyntax("expected element name after </")
-			}
-			if pr.skipNames.depth() == 0 {
-				err := errSyntax("unbalanced end element " + string(name))
-				s.clearMark()
-				return err
-			}
-			if string(name) != string(pr.skipNames.top()) {
-				err := errSyntax("element <" + string(pr.skipNames.top()) + "> closed by </" + string(name) + ">")
-				s.clearMark()
-				return err
+			name, _, _, _, err := s.endName()
+			switch {
+			case err != nil:
+			case pr.skipNames.depth() == 0:
+				err = errSyntax("unbalanced end element " + string(name))
+			case string(name) != string(pr.skipNames.top()):
+				err = errSyntax("element <" + string(pr.skipNames.top()) + "> closed by </" + string(name) + ">")
 			}
 			s.clearMark()
+			if err != nil {
+				return err
+			}
 			pr.skipNames.pop()
 		case markupCDATA:
 			var info textInfo

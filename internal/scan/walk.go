@@ -55,8 +55,11 @@ type walker struct {
 	open    nameStack // an end tag must spell the innermost name
 	sawRoot bool
 
-	text    []byte // the current text run's kept chunks, decoded
-	pending bool   // the run has at least one kept chunk
+	// The current text run's kept chunks: the first as view, a slice of
+	// the input, when plainChunk took it; in text, view moved there first,
+	// once the run needs joining or decoding. One of the two is empty.
+	view, text []byte
+	pending    bool // the run has at least one kept chunk
 
 	vals  []byte // decoded attribute values of the current start tag
 	ends  []int  // ends[i] is where the i-th reported value ends in vals
@@ -108,12 +111,27 @@ func (w *walker) run() error {
 
 // chunk reads one character-data chunk into the current text run.
 func (w *walker) chunk(cdata bool) error {
+	drop := w.open.depth() == 0
+	if !cdata {
+		if chunk, info, ok := w.s.plainChunk(-1); ok {
+			switch {
+			case info.ws || drop:
+			case !w.pending:
+				w.view, w.pending = chunk, true
+			default:
+				w.text, w.view = append(append(w.text, w.view...), chunk...), nil
+			}
+			return nil
+		}
+	}
+	// A run held as a view moves into the buffer text appends to.
+	w.text, w.view = append(w.text, w.view...), nil
 	kept := len(w.text)
 	out, info, err := w.s.text(w.text, -1, cdata)
 	if err != nil {
 		return err
 	}
-	if info.ws || w.open.depth() == 0 {
+	if info.ws || drop {
 		w.text = out[:kept]
 		return nil
 	}
@@ -124,8 +142,12 @@ func (w *walker) chunk(cdata bool) error {
 // flushText reports the text run a tag ends, if it kept anything.
 func (w *walker) flushText() {
 	if w.pending {
-		w.h.Text(w.text)
-		w.text, w.pending = w.text[:0], false
+		if w.view != nil {
+			w.h.Text(w.view)
+		} else {
+			w.h.Text(w.text)
+		}
+		w.text, w.view, w.pending = w.text[:0], nil, false
 	}
 }
 
@@ -199,25 +221,27 @@ func (w *walker) startTag() error {
 // endTag handles an end tag; "</" is consumed.
 func (w *walker) endTag() error {
 	s := &w.s
-	name, _, _, err := s.qname("element name after </")
-	if err != nil {
-		return err
-	}
-	s.space()
-	b, ok := s.getc()
-	if !ok {
-		return s.readErr()
-	}
-	if b != '>' {
-		return errSyntax("invalid characters between </" + string(name) + " and >")
+	if w.open.depth() == 0 || !closes(s, w.open.top()) {
+		name, _, _, err := s.qname("element name after </")
+		if err != nil {
+			return err
+		}
+		s.space()
+		b, ok := s.getc()
+		if !ok {
+			return s.readErr()
+		}
+		if b != '>' {
+			return errSyntax("invalid characters between </" + string(name) + " and >")
+		}
+		if w.open.depth() == 0 {
+			return fmt.Errorf("unbalanced end element %s", name)
+		}
+		if open := w.open.top(); string(name) != string(open) {
+			return fmt.Errorf("element <%s> closed by </%s>", open, name)
+		}
 	}
 	w.flushText()
-	if w.open.depth() == 0 {
-		return fmt.Errorf("unbalanced end element %s", name)
-	}
-	if open := w.open.top(); string(name) != string(open) {
-		return fmt.Errorf("element <%s> closed by </%s>", open, name)
-	}
 	w.h.EndElement()
 	w.open.pop()
 	return nil

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 
 	"xmlproj"
@@ -270,8 +271,10 @@ func classify(err error) int {
 		return http.StatusRequestTimeout
 	// io.ErrUnexpectedEOF is the transport's: the body ended before its
 	// declared length. A document that ends early is the scanner's own
-	// syntax error, a 422.
-	case errors.Is(err, context.Canceled), errors.Is(err, io.ErrUnexpectedEOF):
+	// syntax error, a 422. EPIPE and ECONNRESET are what a read or a
+	// response write meets once the peer has closed the connection.
+	case errors.Is(err, context.Canceled), errors.Is(err, io.ErrUnexpectedEOF),
+		errors.Is(err, syscall.EPIPE), errors.Is(err, syscall.ECONNRESET):
 		return statusClientGone
 	default:
 		return http.StatusUnprocessableEntity

@@ -180,6 +180,28 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 		{"499", Options{}, func(t *testing.T, ts *httptest.Server) {
 			rawRequest(t, ts, "POST "+titles+" HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n<bib>")
 		}, []want{{499, ""}}},
+		{"499 on the response write", Options{}, func(t *testing.T, ts *httptest.Server) {
+			// The client sees the response begin — so the prune is over —
+			// and goes away with 2 MB of it unread, which two small socket
+			// buffers do not take: the write that waits on them meets a
+			// reset, or a broken pipe after it.
+			doc := "<bib>" + strings.Repeat("<book><title>"+strings.Repeat("t", 100)+"</title><author>a</author></book>", 16000) + "</bib>"
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", titles, len(doc), doc); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err != nil {
+				t.Fatalf("reading the response: %v", err)
+			}
+		}, []want{{499, "miss"}}},
 		{"200 MISS, HIT, BYPASS", Options{}, func(t *testing.T, ts *httptest.Server) {
 			do(t, "POST", ts.URL+titles, strings.NewReader(bibDoc))
 			do(t, "POST", ts.URL+titles, strings.NewReader(bibDoc))
@@ -223,7 +245,16 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 			opts := c.opts
 			opts.Logger = slog.New(logs)
 			s := newTestServer(t, opts)
-			ts := httptest.NewServer(s.Handler())
+			ts := httptest.NewUnstartedServer(s.Handler())
+			// A send buffer set by hand is one the kernel no longer grows
+			// (to megabytes, on loopback): what a client leaves unread makes
+			// the server's write wait for it instead of vanishing into it.
+			ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+				if st == http.StateNew {
+					c.(*net.TCPConn).SetWriteBuffer(16 << 10)
+				}
+			}
+			ts.Start()
 			defer ts.Close()
 			c.drive(t, ts)
 

@@ -39,6 +39,25 @@ func TestParseMatchesOracleOnXMark(t *testing.T) {
 	}
 }
 
+// TestLoadAllocs: loading an XMark document costs slabs, not nodes — at
+// most 20 allocations per 1 000 nodes, where one string per text node and
+// attribute value cost 513.
+func TestLoadAllocs(t *testing.T) {
+	src := bench.NewWorkload(0.01, 42).DocBytes
+	d, err := tree.ParseBytes(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := tree.ParseBytes(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := got * 1000 / float64(d.NumNodes()); per > 20 {
+		t.Errorf("%v allocations to load %d nodes: %.1f per 1 000, want at most 20", got, d.NumNodes(), per)
+	}
+}
+
 func BenchmarkParseBytes(b *testing.B) {
 	src := bench.NewWorkload(0.03, 42).DocBytes
 	b.SetBytes(int64(len(src)))

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"xmlproj/internal/scan"
 )
@@ -30,28 +31,32 @@ func ParseString(s string) (*Document, error) {
 // ParseBytes parses an XML document held in a byte slice. The tree
 // keeps no reference to b.
 func ParseBytes(b []byte) (*Document, error) {
-	var l loader
+	l := loader{names: make(map[string]string)}
 	if err := scan.Walk(b, &l); err != nil {
 		return nil, fmt.Errorf("tree: parse: %w", err)
 	}
 	return &Document{Root: l.root, next: l.next}, nil
 }
 
-// loader builds a Document from scan.Walk's events. Nodes, child lists
-// and attribute lists are cut from slabs, so a load costs a few
-// allocations per thousand nodes plus one string per text node and
-// attribute value; the price is that a node kept alive keeps its slabs
-// alive. Every list is cut at exact size with no spare capacity, so
-// appending to one (Node.Append, SetAttr) reallocates it instead of
-// running into its neighbour.
+// loader builds a Document from scan.Walk's events. Nodes, child lists,
+// attribute lists, text and attribute values are all cut from slabs, so a
+// load costs a few allocations per thousand nodes; the price is that a
+// node kept alive keeps its slabs alive. Every list is cut at exact size
+// with no spare capacity, so appending to one (Node.Append, SetAttr)
+// reallocates it instead of running into its neighbour.
 type loader struct {
 	root *Node
 	next NodeID // IDs are handed out as nodes are made: document order
 
-	nodes []Node  // slab the next node is cut from
-	kids  []*Node // slab the next Children list is cut from
-	attrs []Attr  // slab the next Attrs list is cut from
-	names map[string]string
+	nodes []Node          // slab the next node is cut from
+	kids  []*Node         // slab the next Children list is cut from
+	attrs []Attr          // slab the next Attrs list is cut from
+	text  strings.Builder // slab the next text or attribute value is cut from
+
+	// names holds the one string kept per distinct name; recent is a
+	// direct-mapped table in front of it.
+	names  map[string]string
+	recent [256]string
 
 	// open is the stack of open elements; pend holds their children so
 	// far, the i-th element's from open[i].first up to where the next
@@ -65,11 +70,11 @@ type openElem struct {
 	first int
 }
 
-// Slab sizes, in entries: a slab starts small, so that a ten-node
-// document costs what it should, and doubles up to the cap.
+// Slab sizes, in entries (bytes, for text): a slab starts small, so that
+// a ten-node document costs what it should, and doubles up to the cap.
 const (
-	minSlab = 32
-	maxSlab = 2048
+	minSlab, maxSlab         = 32, 2048
+	minTextSlab, maxTextSlab = 1 << 10, 64 << 10
 )
 
 // room returns slab if it has space for need more entries, and a fresh,
@@ -78,17 +83,25 @@ func room[T any](slab []T, need int) []T {
 	if len(slab)+need <= cap(slab) {
 		return slab
 	}
-	n := 2 * cap(slab)
-	if n < minSlab {
-		n = minSlab
+	return make([]T, 0, max(min(max(2*cap(slab), minSlab), maxSlab), need))
+}
+
+// str returns b as a string cut from the text slab. A slab is grown once,
+// when it is made, and never written past its capacity, so the strings
+// cut from it stay valid as later ones are appended behind them. A string
+// of a quarter slab or more is allocated alone rather than end a slab early.
+func (l *loader) str(b []byte) string {
+	if len(b) >= maxTextSlab/4 {
+		return string(b)
 	}
-	if n > maxSlab {
-		n = maxSlab
+	if l.text.Len()+len(b) > l.text.Cap() {
+		n := min(max(2*l.text.Cap(), minTextSlab), maxTextSlab)
+		l.text.Reset()
+		l.text.Grow(n)
 	}
-	if n < need {
-		n = need
-	}
-	return make([]T, 0, n)
+	at := l.text.Len()
+	l.text.Write(b)
+	return l.text.String()[at:]
 }
 
 // node cuts a node from the slab, numbers it and hangs it under the
@@ -109,15 +122,16 @@ func (l *loader) node() *Node {
 
 // name returns the one string the loader keeps per distinct name.
 func (l *loader) name(b []byte) string {
-	if s, ok := l.names[string(b)]; ok {
-		return s
+	slot := &l.recent[(uint32(len(b))*0x9E3779B1^uint32(b[0])*0x85EBCA6B^uint32(b[len(b)-1])*0xC2B2AE35^uint32(b[len(b)/2])*0x27D4EB2F)>>24]
+	if *slot != string(b) {
+		s, ok := l.names[string(b)]
+		if !ok {
+			s = string(b)
+			l.names[s] = s
+		}
+		*slot = s
 	}
-	if l.names == nil {
-		l.names = make(map[string]string)
-	}
-	s := string(b)
-	l.names[s] = s
-	return s
+	return *slot
 }
 
 func (l *loader) StartElement(name []byte, attrs []scan.Attr) {
@@ -130,7 +144,7 @@ func (l *loader) StartElement(name []byte, attrs []scan.Attr) {
 		l.attrs = room(l.attrs, len(attrs))
 		at := len(l.attrs)
 		for _, a := range attrs {
-			l.attrs = append(l.attrs, Attr{Name: l.name(a.Name), Value: string(a.Value)})
+			l.attrs = append(l.attrs, Attr{Name: l.name(a.Name), Value: l.str(a.Value)})
 		}
 		n.Attrs = l.attrs[at:len(l.attrs):len(l.attrs)]
 	}
@@ -139,7 +153,7 @@ func (l *loader) StartElement(name []byte, attrs []scan.Attr) {
 
 func (l *loader) Text(data []byte) {
 	n := l.node()
-	n.Kind, n.Data = Text, string(data)
+	n.Kind, n.Data = Text, l.str(data)
 }
 
 func (l *loader) EndElement() {

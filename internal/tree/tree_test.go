@@ -217,7 +217,9 @@ func validCharData(s string) bool {
 		if r == '�' {
 			return false
 		}
-		if r < 0x20 && r != '\t' && r != '\n' && r != '\r' {
+		// A '\r' comes back as '\n', and U+FFFE / U+FFFF are no XML
+		// characters: neither round-trips, by the rules.
+		if r < 0x20 && r != '\t' && r != '\n' || r == 0xFFFE || r == 0xFFFF {
 			return false
 		}
 	}
