@@ -1,6 +1,8 @@
 package xmlproj
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -153,6 +155,35 @@ func TestParseXSDAPI(t *testing.T) {
 		t.Fatal("junk schema accepted")
 	}
 	if _, err := ParseXSDFile("/nonexistent.xsd", ""); err == nil {
+		t.Fatal("missing file accepted")
+	}
+}
+
+// TestParseSchemaFile: the file name picks the parser — the one rule the
+// three tools share.
+func TestParseSchemaFile(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"r.xsd": `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="r" type="xs:string"/></xs:schema>`,
+		"r.dtd": `<!ELEMENT r (#PCDATA)>`,
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ParseSchemaFile(path, "")
+		if err != nil || d.Root() != "r" {
+			t.Fatalf("%s: root %v, err %v", name, d, err)
+		}
+	}
+	// A DTD under an .xsd name is not sniffed: the name decides.
+	path := filepath.Join(dir, "dtd.xsd")
+	os.WriteFile(path, []byte(files["r.dtd"]), 0o644)
+	if _, err := ParseSchemaFile(path, ""); err == nil {
+		t.Fatal("a DTD named .xsd parsed")
+	}
+	if _, err := ParseSchemaFile(filepath.Join(dir, "missing.dtd"), ""); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -208,13 +208,7 @@ func loadSchema(spec, root string) (string, *xmlproj.DTD, error) {
 	if name == "" || path == "" {
 		return "", nil, fmt.Errorf("bad -schema %q: want name=path", spec)
 	}
-	var d *xmlproj.DTD
-	var err error
-	if strings.HasSuffix(path, ".xsd") {
-		d, err = xmlproj.ParseXSDFile(path, root)
-	} else {
-		d, err = xmlproj.ParseDTDFile(path, root)
-	}
+	d, err := xmlproj.ParseSchemaFile(path, root)
 	if err != nil {
 		return "", nil, fmt.Errorf("schema %s: %w", name, err)
 	}

@@ -85,7 +85,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-dtd and at least one -q (or -load-projector) are required")
 	}
 
-	d, err := parseSchema(*dtdPath, *root)
+	d, err := xmlproj.ParseSchemaFile(*dtdPath, *root)
 	if err != nil {
 		return err
 	}
@@ -297,7 +297,7 @@ var maxMultiStdinBytes = int64(1 << 30)
 // the pass. Each projection's output is byte-identical to a serial
 // prune with it alone.
 func runMulti(specs, ins stringList, dtdPath, root, out string, materialize, validate, show bool, stdin io.Reader, stdout, stderr io.Writer) error {
-	d, err := parseSchema(dtdPath, root)
+	d, err := xmlproj.ParseSchemaFile(dtdPath, root)
 	if err != nil {
 		return err
 	}
@@ -628,13 +628,4 @@ func (s *fileSink) removeIfFailed(results []xmlproj.BatchResult) {
 			return
 		}
 	}
-}
-
-// parseSchema loads a DTD, or an XML Schema when the file has an .xsd
-// extension (lowered to a local tree grammar per the paper's footnote 1).
-func parseSchema(path, root string) (*xmlproj.DTD, error) {
-	if strings.HasSuffix(path, ".xsd") {
-		return xmlproj.ParseXSDFile(path, root)
-	}
-	return xmlproj.ParseDTDFile(path, root)
 }

@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"xmlproj"
@@ -60,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-prune requires -dtd")
 		}
 		start := time.Now()
-		d, err := parseSchema(*dtdPath, *root)
+		d, err := xmlproj.ParseSchemaFile(*dtdPath, *root)
 		if err != nil {
 			return err
 		}
@@ -118,13 +117,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "xqrun: evaluated to %d item(s), %d bytes serialised, in %s; load and evaluation allocated %.1f MB\n",
 		res.Count, len(res.Serialized), evaluated, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
 	return nil
-}
-
-// parseSchema loads a DTD, or an XML Schema when the file has an .xsd
-// extension (lowered to a local tree grammar per the paper's footnote 1).
-func parseSchema(path, root string) (*xmlproj.DTD, error) {
-	if strings.HasSuffix(path, ".xsd") {
-		return xmlproj.ParseXSDFile(path, root)
-	}
-	return xmlproj.ParseDTDFile(path, root)
 }

@@ -276,7 +276,7 @@ func RunBaseline(w *Workload, q QuerySpec) (BaselineComparison, error) {
 	if err != nil {
 		return out, err
 	}
-	typePruned := prune.Tree(w.D, w.Doc, pr.Names)
+	typePruned := prune.Tree(w.Doc, pr.Compiled())
 	out.TypePrunedBytes = typePruned.SerializedSize()
 	// The streaming pruner's visited work = elements it actually saw.
 	var sink bytes.Buffer

@@ -89,7 +89,7 @@ func TestCompleteness(t *testing.T) {
 			witness := false
 			for _, doc := range docs {
 				full := results(q, doc)
-				prunedDoc := prune.Tree(d, doc, smaller)
+				prunedDoc := prune.Tree(doc, d.CompileProjection(smaller))
 				if prunedDoc.Root == nil {
 					if full != "" {
 						witness = true

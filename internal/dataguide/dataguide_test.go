@@ -35,7 +35,7 @@ func TestFromDocumentBasics(t *testing.T) {
 		t.Fatal("attribute a lost")
 	}
 	// The producing document is valid against its dataguide.
-	if _, err := validate.Document(d, doc); err != nil {
+	if err := validate.Document(d, doc); err != nil {
 		t.Fatalf("document invalid against its own dataguide: %v", err)
 	}
 }
@@ -50,7 +50,7 @@ func TestDocumentValidAgainstOwnDataguide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := validate.Document(d, doc); err != nil {
+		if err := validate.Document(d, doc); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestSchemalessSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned := prune.Tree(d, doc, pr.Names)
+		pruned := prune.Tree(doc, pr.Compiled())
 		orig, err := xpath.NewEvaluator(doc).Select(q)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestSchemalessSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned := prune.Tree(d, doc, pr.Names)
+	pruned := prune.Tree(doc, pr.Compiled())
 	ratio := float64(pruned.SerializedSize()) / float64(doc.SerializedSize())
 	if ratio > 0.2 {
 		t.Fatalf("dataguide pruning kept %.0f%%, want selective", 100*ratio)

@@ -8,8 +8,10 @@ import (
 
 // DFA is a deterministic automaton over names, compiled from a content
 // model by Thompson construction followed by subset construction. Content
-// models are tiny, so eager determinisation is cheap; matching a child
-// sequence is then a single table walk per node.
+// models are tiny, so eager determinisation is cheap. Nothing validates
+// on it: it is what Symbols.CompileDense recompiles into the DenseDFA
+// tables every validator steps by symbol, and tests step it by name
+// (Start, Next, Accepting) as the second presentation of those tables.
 type DFA struct {
 	// trans[state][name] = next state; missing entry is a dead state.
 	trans []map[Name]int
@@ -37,20 +39,9 @@ func (a *DFA) Accepting(state int) bool {
 	return state >= 0 && a.accept[state]
 }
 
-// Matches reports whether the sequence of names is in the language.
-func (a *DFA) Matches(seq []Name) bool {
-	s := a.Start()
-	for _, n := range seq {
-		s = a.Next(s, n)
-		if s < 0 {
-			return false
-		}
-	}
-	return a.Accepting(s)
-}
-
 // Automaton returns the compiled content-model automaton for the
-// definition, building it on first use.
+// definition, building it on first use (compileDense's, and the test
+// oracles').
 func (def *Def) Automaton() *DFA {
 	def.dfaOnce.Do(func() { def.dfa = CompileRegex(def.Content) })
 	return def.dfa

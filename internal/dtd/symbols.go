@@ -138,6 +138,12 @@ func (s *Symbols) Lookup(tag []byte) (int32, bool) {
 	return sym, ok
 }
 
+// LookupTag is Lookup for a tag held as a string (a tree node's).
+func (s *Symbols) LookupTag(tag string) (int32, bool) {
+	sym, ok := s.byTag[tag]
+	return sym, ok
+}
+
 // Sym resolves any name of the grammar to its symbol.
 func (s *Symbols) Sym(n Name) (int32, bool) {
 	sym, ok := s.byName[n]

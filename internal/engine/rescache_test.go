@@ -164,10 +164,11 @@ func TestCachedGatherUncacheableOutput(t *testing.T) {
 func TestBatchIgnoresResultCache(t *testing.T) {
 	d := bib(t)
 	pr := titleProjector(t, d)
-	want, _, err := prune.StreamString(cachedDoc, d, pr.Names, prune.StreamOptions{})
-	if err != nil {
+	var wb bytes.Buffer
+	if _, err := prune.StreamBytes(&wb, []byte(cachedDoc), d, pr.Names, prune.StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	want := wb.String()
 	for _, budget := range []int64{0, 1 << 20} {
 		e := New(Options{ResultCacheBytes: budget})
 		var a, b bytes.Buffer

@@ -17,6 +17,9 @@ type DTDOptions struct {
 	// AttrChance is the per-element probability (in percent) of declaring
 	// attributes. Default 30.
 	AttrChance int
+	// TypedAttrs also declares, at the same chance, an enumerated or a
+	// #FIXED attribute (the CDATA ones are drawn as without it).
+	TypedAttrs bool
 }
 
 func (o DTDOptions) withDefaults() DTDOptions {
@@ -64,6 +67,10 @@ func RandomDTD(seed int64, opts DTDOptions) *dtd.DTD {
 				req = "#REQUIRED"
 			}
 			fmt.Fprintf(&sb, "<!ATTLIST %s k%d CDATA %s>\n", name, rng.Intn(3), req)
+		}
+		if opts.TypedAttrs && rng.Intn(100) < opts.AttrChance {
+			decl := []string{"(x|y|z) #REQUIRED", "(x|y|z) #IMPLIED", `(x|y|z) "y"`, `CDATA #FIXED "v"`}
+			fmt.Fprintf(&sb, "<!ATTLIST %s t %s>\n", name, decl[rng.Intn(len(decl))])
 		}
 	}
 	d, err := dtd.ParseString(sb.String(), "e0")

@@ -15,7 +15,8 @@ import (
 )
 
 // The byte-level scanner (EngineScanner) is differentially tested
-// against the encoding/xml path (EngineDecoder). With Validate, on every
+// against the encoding/xml pruner it replaced (oracle_test.go, called
+// directly: it is no engine of the build). With Validate, on every
 // input where both succeed they must produce byte-identical output and
 // identical stats, and any input rejected by one must be rejected by the
 // other. Without it the scanner only balances the subtrees π discards
@@ -96,8 +97,7 @@ func checkGather(t *testing.T, label, src string, d *dtd.DTD, pi dtd.NameSet, op
 // bytes and stats with Validate, properties (i) and (ii) without.
 func checkOracle(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool, sout string, sst Stats, serr error) {
 	t.Helper()
-	var db strings.Builder
-	dst, derr := Stream(&db, strings.NewReader(src), d, pi, StreamOptions{Validate: validate, Engine: EngineDecoder})
+	dout, dst, derr := oracleString(src, d, pi, validate)
 	switch {
 	case validate && (serr == nil) != (derr == nil):
 		t.Fatalf("engines disagree on acceptance (validate=true)\nscanner: %v\ndecoder: %v\ninput: %q", serr, derr, src)
@@ -111,9 +111,9 @@ func checkOracle(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate 
 	if serr != nil || derr != nil {
 		return
 	}
-	if sout != db.String() {
+	if sout != dout {
 		t.Fatalf("engines disagree on output (validate=%v, π=%s)\nscanner: %q\ndecoder: %q\ninput:   %q",
-			validate, pi, sout, db.String(), src)
+			validate, pi, sout, dout, src)
 	}
 	if sst != dst {
 		t.Fatalf("engines disagree on stats (validate=%v, π=%s)\nscanner: %+v\ndecoder: %+v\ninput: %q",
@@ -361,12 +361,15 @@ func TestScannerMalformed(t *testing.T) {
 		`<notdeclared/>`,                           // undeclared element
 	}
 	for _, src := range cases {
-		for _, eng := range []Engine{EngineScanner, EngineDecoder, EngineParallel, EnginePipelined} {
+		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
 			var sb strings.Builder
 			_, err := Stream(&sb, strings.NewReader(src), d, pi, StreamOptions{Engine: eng})
 			if err == nil {
-				t.Errorf("engine %d accepted malformed input %q", eng, src)
+				t.Errorf("engine %s accepted malformed input %q", eng, src)
 			}
+		}
+		if _, _, err := oracleString(src, d, pi, false); err == nil {
+			t.Errorf("the oracle accepted malformed input %q", src)
 		}
 	}
 }
@@ -604,8 +607,7 @@ func TestKeptSubtreeTokenEdges(t *testing.T) {
 	}
 	for name, doc := range docs {
 		for _, validate := range []bool{false, true} {
-			var want strings.Builder
-			wst, err := Stream(&want, strings.NewReader(doc), d, pi, StreamOptions{Validate: validate, Engine: EngineDecoder})
+			want, wst, err := oracleString(doc, d, pi, validate)
 			if err != nil {
 				t.Fatalf("%s: decoder rejected the input: %v", name, err)
 			}
@@ -613,19 +615,18 @@ func TestKeptSubtreeTokenEdges(t *testing.T) {
 			var rd, by strings.Builder
 			rst, rerr := Stream(&rd, oneByteAtATime{strings.NewReader(doc)}, d, pi, opts)
 			bst, berr := StreamBytes(&by, []byte(doc), d, pi, opts)
-			if rerr != nil || berr != nil || rd.String() != want.String() || by.String() != want.String() || rst != wst || bst != wst {
+			if rerr != nil || berr != nil || rd.String() != want || by.String() != want || rst != wst || bst != wst {
 				t.Errorf("%s (validate=%v): copying sink diverges from the decoder\nreader: %q %v\nbytes:  %q %v\nwant:   %q",
-					name, validate, rd.String(), rerr, by.String(), berr, want.String())
+					name, validate, rd.String(), rerr, by.String(), berr, want)
 			}
-			checkGather(t, name, doc, d, pi, opts, true, want.String(), wst)
+			checkGather(t, name, doc, d, pi, opts, true, want, wst)
 		}
 	}
 }
 
 // TestNonUTF8Rejected: UTF-16/32 input fails on every entry point with
 // scan.ErrNotUTF8, naming the encoding family — not with whatever syntax
-// error the first null-padded byte happens to trip — and EngineAuto
-// never hands it to the decoder.
+// error the first null-padded byte happens to trip.
 func TestNonUTF8Rejected(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib")
@@ -651,8 +652,7 @@ func TestNonUTF8Rejected(t *testing.T) {
 		{"UTF-32BE", "UTF-32", encode([]byte{0, 0, 0xFE, 0xFF}, 4, true)},
 	}
 	for _, doc := range docs {
-		chosen := EngineAuto
-		opts := StreamOptions{Chosen: &chosen}
+		opts := StreamOptions{}
 		_, serr := Stream(io.Discard, oneByteAtATime{bytes.NewReader(doc.data)}, d, pi, opts)
 		_, berr := StreamBytes(io.Discard, doc.data, d, pi, opts)
 		_, _, gerr := StreamGather(doc.data, d, pi, opts)
@@ -662,9 +662,6 @@ func TestNonUTF8Rejected(t *testing.T) {
 				!strings.Contains(err.Error(), "transcode to UTF-8") {
 				t.Errorf("%s on %s: got %v, want ErrNotUTF8 naming %s", entry, doc.name, err, doc.family)
 			}
-		}
-		if chosen == EngineDecoder {
-			t.Errorf("%s: EngineAuto resolved to the decoder", doc.name)
 		}
 	}
 }
@@ -859,4 +856,82 @@ func FuzzStreamDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFixedAttributeValidated: a #FIXED attribute spelled with another
+// value is a validity error on every validating route — the serial
+// scanner from each source and into each sink, parallel, pipelined, the
+// fused multi pass, the oracle — with one message (validate.Document says
+// the same and names the element in its path instead);
+// without Validate it passes, and the declared value passes both.
+func TestFixedAttributeValidated(t *testing.T) {
+	d, err := dtd.ParseString(`<!ELEMENT a (b*)><!ELEMENT b (#PCDATA)><!ATTLIST b v CDATA #FIXED "1" w CDATA #IMPLIED>`, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := dtd.NewNameSet("a", "b", "b#text", "b@v")
+	const msg = `attribute "v" on b must have fixed value "1"`
+	docs := []struct {
+		doc   string
+		valid bool
+	}{
+		{`<a><b v="2">x</b></a>`, false},
+		{`<a><b v="1">x</b><b w="3" v="">y</b></a>`, false},
+		{`<a><b v="1">x</b><b v='&#49;'>y</b><b>z</b></a>`, true},
+	}
+	routes := map[string]func(doc string, validate bool) error{
+		"oracle": func(doc string, validate bool) error {
+			_, _, err := oracleString(doc, d, pi, validate)
+			return err
+		},
+		"multi": func(doc string, validate bool) error {
+			gs, _, errs := StreamMultiGather([]byte(doc), d, []dtd.NameSet{pi, dtd.NewNameSet("a")}, MultiOptions{Validate: validate})
+			for _, g := range gs {
+				if g != nil {
+					g.Close()
+				}
+			}
+			// The projector that discards <b> does not validate its attributes.
+			if errs[1] != nil {
+				t.Errorf("multi: the projector discarding b failed on %q: %v", doc, errs[1])
+			}
+			return errs[0]
+		},
+		"gather": func(doc string, validate bool) error {
+			g, _, err := StreamGather([]byte(doc), d, pi, StreamOptions{Validate: validate})
+			if err == nil {
+				g.Close()
+			}
+			return err
+		},
+		"bytes": func(doc string, validate bool) error {
+			_, err := StreamBytes(io.Discard, []byte(doc), d, pi, StreamOptions{Validate: validate})
+			return err
+		},
+	}
+	for name, opts := range map[string]StreamOptions{
+		"scanner":   {Engine: EngineScanner},
+		"parallel":  {Engine: EngineParallel, ParallelWorkers: 3, parallelFragTarget: 8},
+		"pipelined": {Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 16, parallelFragTarget: 8},
+	} {
+		routes[name] = func(doc string, validate bool) error {
+			opts.Validate = validate
+			_, err := Stream(io.Discard, oneByteAtATime{strings.NewReader(doc)}, d, pi, opts)
+			return err
+		}
+	}
+	for _, c := range docs {
+		for name, run := range routes {
+			if err := run(c.doc, false); err != nil {
+				t.Errorf("%s, no Validate: %q rejected: %v", name, c.doc, err)
+			}
+			err := run(c.doc, true)
+			switch {
+			case c.valid && err != nil:
+				t.Errorf("%s: %q rejected: %v", name, c.doc, err)
+			case !c.valid && (err == nil || !strings.Contains(err.Error(), msg)):
+				t.Errorf("%s: %q: got %v, want an error saying %q", name, c.doc, err, msg)
+			}
+		}
+	}
 }

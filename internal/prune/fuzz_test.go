@@ -24,7 +24,7 @@ func fuzzRound(t *testing.T, dtdSeed int64, recursive bool) {
 	docs := make([]*tree.Document, 3)
 	for i := range docs {
 		docs[i] = gen.New(d, dtdSeed*17+int64(i), gen.Options{MaxDepth: 6}).Document()
-		if _, err := validate.Document(d, docs[i]); err != nil {
+		if err := validate.Document(d, docs[i]); err != nil {
 			t.Fatalf("dtd seed %d: generated invalid document: %v\ngrammar:\n%s", dtdSeed, err, d)
 		}
 	}
@@ -46,7 +46,7 @@ func fuzzRound(t *testing.T, dtdSeed int64, recursive bool) {
 				t.Fatalf("%q on original: %v", src, err)
 			}
 			ons := orig.(xpath.NodeSet)
-			pruned := Tree(d, doc, pr.Names)
+			pruned := Tree(doc, pr.Compiled())
 			if pruned.Root == nil {
 				if len(ons) != 0 {
 					t.Fatalf("dtd seed %d doc %d: %q selects %d nodes but π = %s pruned everything\ngrammar:\n%s\ndoc: %s",

@@ -2,72 +2,95 @@
 // document valid w.r.t. a DTD and a type projector π, it erases every
 // node whose name under the interpretation ℑ is not in π.
 //
-// Two pruners are provided. PruneTree projects an in-memory document.
+// Two pruners are provided. Tree projects an in-memory document.
 // Stream is the paper's §6 pruner: a single bufferless one-pass traversal
 // of the token stream with constant memory, optionally fused with
-// validation, suitable for running at parse/load time.
+// validation, suitable for running at parse/load time. Both decide on
+// one table, π compiled against the grammar's symbols (dtd.Projection),
+// and every streaming prune runs on the byte-level scanner
+// (internal/scan). The encoding/xml pruner is this package's test oracle
+// (oracle_test.go) and no part of the build.
 package prune
 
 import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
-	"unicode"
-	"unicode/utf8"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/scan"
 	"xmlproj/internal/tree"
-	"xmlproj/internal/validate"
 )
 
-// Tree computes the π-projection t∖π of a document (Def. 2.7). The
-// returned document shares nothing with the input; node IDs are preserved
-// so that query results on the original and the pruned document can be
-// compared by identity (the form of Thm. 4.5).
+// Tree computes the π-projection t∖π of a document (Def. 2.7), π given
+// as the compiled table the streaming pruner reads (bit 0 of each mask:
+// a single projector's table), so the two pruners cannot disagree about
+// what π keeps. ℑ is a symbol lookup: an element's name is the symbol of
+// its tag, a text node's the text column of its parent; an element the
+// grammar does not define is in no π.
+//
+// The returned document shares nothing with the input; node IDs are
+// preserved so that query results on the original and the pruned document
+// can be compared by identity (the form of Thm. 4.5).
 //
 // Attributes are kept when their derived name is in π; if the owning
 // element is kept but none of its attribute names are in π, the element
 // keeps no attributes.
-func Tree(d *dtd.DTD, doc *tree.Document, pi dtd.NameSet) *tree.Document {
+func Tree(doc *tree.Document, p *dtd.Projection) *tree.Document {
 	if doc.Root == nil {
 		return &tree.Document{}
 	}
-	rootName := validate.NameOf(d, doc.Root)
-	if !pi.Has(rootName) {
+	sym, ok := p.Syms.LookupTag(doc.Root.Tag)
+	if !ok || p.KeepElem(sym)&1 == 0 {
 		return &tree.Document{}
 	}
-	out := &tree.Document{Root: pruneNode(d, doc.Root, pi, nil)}
-	return out
+	return &tree.Document{Root: pruneNode(p, doc.Root, sym, nil)}
 }
 
-func pruneNode(d *dtd.DTD, n *tree.Node, pi dtd.NameSet, parent *tree.Node) *tree.Node {
+func pruneNode(p *dtd.Projection, n *tree.Node, sym int32, parent *tree.Node) *tree.Node {
 	m := &tree.Node{ID: n.ID, Kind: n.Kind, Tag: n.Tag, Data: n.Data, Parent: parent}
-	name := validate.NameOf(d, n)
-	if n.Kind == tree.Element {
-		for _, a := range n.Attrs {
-			if pi.Has(dtd.AttrName(name, a.Name)) {
-				m.Attrs = append(m.Attrs, a)
-			}
+	decl := p.Attrs(sym)
+	for _, a := range n.Attrs {
+		if keepAttr(p, sym, decl, a.Name) {
+			m.Attrs = append(m.Attrs, a)
 		}
 	}
+	keepText := p.KeepText(sym)&1 != 0
 	for _, c := range n.Children {
-		cn := validate.NameOf(d, c)
-		if !pi.Has(cn) {
-			continue
+		var child *tree.Node
+		if c.Kind == tree.Text {
+			if !keepText {
+				continue
+			}
+			child = &tree.Node{ID: c.ID, Kind: c.Kind, Tag: c.Tag, Data: c.Data, Parent: m}
+		} else {
+			csym, ok := p.Syms.LookupTag(c.Tag)
+			if !ok || p.KeepElem(csym)&1 == 0 {
+				continue
+			}
+			child = pruneNode(p, c, csym, m)
 		}
-		child := pruneNode(d, c, pi, m)
 		child.Index = len(m.Children)
 		m.Children = append(m.Children, child)
 	}
 	return m
+}
+
+// keepAttr is the scanner's attribute decision: the declared attribute's
+// Keep bit, or π's side table for one the DTD does not declare there.
+func keepAttr(p *dtd.Projection, sym int32, decl []dtd.AttrProj, attr string) bool {
+	for i := range decl {
+		if decl[i].Attr == attr {
+			return decl[i].Keep&1 != 0
+		}
+	}
+	return p.KeepExtraAttr(sym, []byte(attr))&1 != 0
 }
 
 // Stats reports what a streaming prune did: elements and logical text
@@ -80,14 +103,13 @@ type Engine int
 const (
 	// EngineAuto picks among the scanner-based engines by input size,
 	// worker budget and Validate (see chooseEngine). This is the default. Input must
-	// be UTF-8: UTF-16/32 fails with scan.ErrNotUTF8 on every engine but
-	// EngineDecoder, which rejects it as invalid UTF-8.
+	// be UTF-8: UTF-16/32 fails with scan.ErrNotUTF8 on every engine.
 	EngineAuto Engine = iota
 	// EngineScanner forces the byte-level scanner (internal/scan).
 	EngineScanner
-	// EngineDecoder forces the encoding/xml token path. It is the
-	// reference implementation: the scanner's output and stats are
-	// differentially tested against it.
+	// EngineDecoder names the encoding/xml pruner, which is the tests'
+	// oracle and not in the build: the value keeps its place and its
+	// name, and forcing it is run's "no route" error.
 	EngineDecoder
 	// EngineParallel forces the two-stage parallel pruner: a parallel
 	// structural index over byte chunks, concurrent fragment pruning,
@@ -115,8 +137,10 @@ func (e Engine) String() string {
 		return "parallel"
 	case EnginePipelined:
 		return "pipelined"
-	default:
+	case EngineAuto:
 		return "auto"
+	default:
+		return fmt.Sprintf("engine(%d)", int(e))
 	}
 }
 
@@ -195,7 +219,7 @@ type StreamOptions struct {
 	Engine Engine
 	// MaxTokenSize bounds the scanner-path token buffer; a single token
 	// larger than this fails with scan.ErrTokenTooLong. Zero means
-	// scan.DefaultMaxTokenSize. The decoder path is not affected.
+	// scan.DefaultMaxTokenSize.
 	MaxTokenSize int
 	// Projection, when non-nil, is the compiled form of π to use on the
 	// scanner path, letting batch callers compile π once per (DTD, π)
@@ -244,8 +268,8 @@ type StreamOptions struct {
 // skip-scanned without materialisation, and kept bytes that are already
 // canonical are copied through verbatim — with or without validation,
 // which rides along on the dense content-model DFAs. Output is
-// byte-identical to the encoding/xml path (EngineDecoder), which is kept
-// as the testing oracle. Input must be UTF-8 (scan.ErrNotUTF8).
+// byte-identical to the encoding/xml pruner's, the testing oracle
+// (oracle_test.go). Input must be UTF-8 (scan.ErrNotUTF8).
 //
 // A src implementing BytesSource (an mmap'd file, a buffered request
 // body) is never read: the prune scans the caller's bytes in place, as
@@ -376,11 +400,12 @@ const (
 //	pipelined  bytes   writer  scan.PrunePipelined over a bytes.Reader
 //	pipelined  bytes   spans   → parallel: spans cover the whole resident
 //	                           input, so streaming it in windows buys nothing
-//	decoder    any     any     decode; spans take it as one escape segment
 //
 // Only the scanner rows, parallel from bytes and pipelined from a reader
 // are reachable through EngineAuto; the rest are forced. A span sink
-// needs resident input, so no entry point builds reader × spans.
+// needs resident input, so no entry point builds reader × spans. Any
+// other engine value has no row and fails with "no route": EngineDecoder
+// is one, its pruner being the tests' oracle.
 //
 // It holds the only engine choice, the only projection compile, the only
 // hand-back of stats and details (both detail out-params are written:
@@ -440,10 +465,6 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		*opts.Chosen = at.eng
 	}
 
-	if at.eng == EngineDecoder && at.spans {
-		out.sl.Reset(src.data)
-		out.w = out.sl
-	}
 	var bw *bufio.Writer
 	var written *countingWriter
 	if out.w != nil {
@@ -456,7 +477,7 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		}()
 	}
 	proj := opts.Projection
-	if proj == nil && at.eng != EngineDecoder {
+	if proj == nil {
 		proj = d.CompileProjection(pi)
 	}
 	so := scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize}
@@ -480,13 +501,8 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.parallelFragTarget,
 			WindowSize: opts.pipelineWindowSize, RingDepth: opts.pipelineRingDepth,
 		})
-	case cell{EngineDecoder, fromReader, toWriter}, cell{EngineDecoder, fromBytes, toWriter}, cell{EngineDecoder, fromBytes, toSpans}:
-		if at.resident {
-			src.r = bytes.NewReader(src.data)
-		}
-		st, err = decode(bw, src.r, d, pi, opts.Validate)
 	default:
-		return st, fmt.Errorf("no route for engine %d (resident input %v, span sink %v)", at.eng, at.resident, at.spans)
+		return st, fmt.Errorf("no route for engine %s (resident input %v, span sink %v)", at.eng, at.resident, at.spans)
 	}
 	if bw == nil {
 		st.BytesOut = out.sl.Len()
@@ -497,275 +513,6 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		st.BytesOut = written.n
 	}
 	return st, err
-}
-
-// decode is the encoding/xml pruner: the reference implementation the
-// scanner engines are differentially tested against. It does not flush bw.
-func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validate bool) (Stats, error) {
-	var stats Stats
-	dec := xml.NewDecoder(src)
-
-	type frame struct {
-		name  dtd.Name
-		def   *dtd.Def
-		state int // content-model DFA state (when validating)
-	}
-	var stack []frame
-	sawRoot := false
-	// open is true while the most recent start tag is still unclosed in
-	// the output (no '>' written yet), enabling <e/> self-closing output.
-	open := false
-	closeOpen := func() {
-		if open {
-			bw.WriteString(">")
-			open = false
-		}
-	}
-
-	// text accumulates the current logical text node: consecutive
-	// character-data chunks (split by the decoder at entity and CDATA
-	// boundaries) coalesced, with whitespace-only chunks dropped, exactly
-	// as the tree parser merges them. The run is counted, validated and
-	// written once, when the next tag ends it.
-	var text strings.Builder
-	flushText := func() error {
-		if text.Len() == 0 {
-			return nil
-		}
-		s := text.String()
-		text.Reset()
-		stats.TextIn++
-		top := &stack[len(stack)-1]
-		tn := dtd.TextName(top.name)
-		if validate {
-			next := top.def.Automaton().Next(top.state, tn)
-			if next < 0 {
-				return fmt.Errorf("text content not allowed in %s", top.name)
-			}
-			top.state = next
-		}
-		if pi.Has(tn) {
-			closeOpen()
-			bw.WriteString(tree.EscapeText(s))
-			stats.TextOut++
-		}
-		return nil
-	}
-
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return stats, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if err := flushText(); err != nil {
-				return stats, err
-			}
-			stats.ElementsIn++
-			sawRoot = true
-			tag := t.Name.Local
-			name, ok := d.ElementName(tag)
-			if !ok {
-				return stats, fmt.Errorf("element %q not declared in DTD", tag)
-			}
-			if len(stack) == 0 && validate && name != d.Root {
-				return stats, fmt.Errorf("root element is %s, DTD requires %s", name, d.Root)
-			}
-			if validate && len(stack) > 0 {
-				top := &stack[len(stack)-1]
-				top.state = top.def.Automaton().Next(top.state, name)
-				if top.state < 0 {
-					return stats, fmt.Errorf("element %s not allowed here in content of %s", name, top.name)
-				}
-			}
-			if !pi.Has(name) {
-				// Constant memory: the decoder discards the whole subtree
-				// without materialising it, counting what it scans past.
-				// The skipped subtree still counts as validated only
-				// shallowly; the paper's pruner behaves the same way
-				// (discarded data is not needed, hence not checked deeply).
-				if err := skipSubtree(dec, &stats, validate); err != nil {
-					return stats, err
-				}
-				continue
-			}
-			def := d.Def(name)
-			closeOpen()
-			if err := writeStart(bw, tag, t.Attr, def, pi, validate); err != nil {
-				return stats, err
-			}
-			open = true
-			stack = append(stack, frame{name: name, def: def, state: def.Automaton().Start()})
-			if len(stack) > stats.MaxDepth {
-				stats.MaxDepth = len(stack)
-			}
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return stats, fmt.Errorf("unbalanced end element %s", t.Name.Local)
-			}
-			if err := flushText(); err != nil {
-				return stats, err
-			}
-			top := stack[len(stack)-1]
-			if validate && !top.def.Automaton().Accepting(top.state) {
-				return stats, fmt.Errorf("content of %s is incomplete (model %s)", top.name, top.def.Content)
-			}
-			stack = stack[:len(stack)-1]
-			if open {
-				bw.WriteString("/>")
-				open = false
-			} else {
-				bw.WriteString("</")
-				bw.WriteString(t.Name.Local)
-				bw.WriteString(">")
-			}
-			stats.ElementsOut++
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue
-			}
-			if allSpace(t) {
-				continue
-			}
-			text.Write(t)
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Outside the data model; dropped (the paper's pruner keeps
-			// only elements, attributes and text). The surrounding
-			// character data stays one logical text node, as in the tree
-			// parser, so the run is not flushed here.
-		}
-	}
-	if len(stack) != 0 {
-		return stats, fmt.Errorf("unterminated element %s", stack[len(stack)-1].name)
-	}
-	if !sawRoot {
-		return stats, fmt.Errorf("no root element in input")
-	}
-	return stats, nil
-}
-
-// skipSubtree consumes the remainder of the current element — the
-// equivalent of xml.Decoder.Skip — while counting the elements and,
-// when validating, the logical text nodes scanned past (Stats defines
-// TextIn and TextSkipped that way for every engine). Nothing is
-// materialised; memory stays constant.
-func skipSubtree(dec *xml.Decoder, stats *Stats, countText bool) error {
-	depth := 1
-	// pending is true while a non-whitespace text run is open; runs merge
-	// across comments and PIs, matching the main loop and the tree parser.
-	pending := false
-	flush := func() {
-		if pending && countText {
-			stats.TextIn++
-			stats.TextSkipped++
-		}
-		pending = false
-	}
-	for depth > 0 {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			flush()
-			stats.ElementsIn++
-			stats.ElementsSkipped++
-			depth++
-		case xml.EndElement:
-			flush()
-			depth--
-		case xml.CharData:
-			if !allSpace(t) {
-				pending = true
-			}
-		}
-	}
-	return nil
-}
-
-func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi dtd.NameSet, validate bool) error {
-	bw.WriteString("<")
-	bw.WriteString(tag)
-	for _, a := range attrs {
-		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-			continue
-		}
-		if validate {
-			ad := def.AttDef(a.Name.Local)
-			if ad == nil {
-				return fmt.Errorf("undeclared attribute %q on %s", a.Name.Local, tag)
-			}
-			if len(ad.Enum) > 0 && !inList(ad.Enum, a.Value) {
-				return fmt.Errorf("attribute %q on %s has value %q outside its enumeration", a.Name.Local, tag, a.Value)
-			}
-		}
-		if !pi.Has(dtd.AttrName(def.Name, a.Name.Local)) {
-			continue
-		}
-		bw.WriteString(" ")
-		bw.WriteString(a.Name.Local)
-		bw.WriteString("=\"")
-		bw.WriteString(tree.EscapeAttr(a.Value))
-		bw.WriteString("\"")
-	}
-	if validate {
-		for i := range def.Atts {
-			ad := &def.Atts[i]
-			if !ad.Required {
-				continue
-			}
-			if !hasAttr(attrs, ad.Attr) {
-				return fmt.Errorf("missing required attribute %q on %s", ad.Attr, tag)
-			}
-		}
-	}
-	return nil
-}
-
-// allSpace reports whether the chunk is whitespace-only, without the
-// string conversion that strings.TrimSpace(string(t)) would allocate on
-// every character-data token.
-func allSpace(b []byte) bool {
-	i := 0
-	for i < len(b) && b[i] < utf8.RuneSelf {
-		switch b[i] {
-		case ' ', '\t', '\n', '\r', '\v', '\f':
-			i++
-		default:
-			return false
-		}
-	}
-	for i < len(b) {
-		r, size := utf8.DecodeRune(b[i:])
-		if !unicode.IsSpace(r) {
-			return false
-		}
-		i += size
-	}
-	return true
-}
-
-func inList(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func hasAttr(attrs []xml.Attr, name string) bool {
-	for _, a := range attrs {
-		if a.Name.Local == name {
-			return true
-		}
-	}
-	return false
 }
 
 // ctxReader aborts reads once its context is cancelled, so a prune
@@ -856,11 +603,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// StreamString is Stream over strings, for tests and tools.
-func StreamString(src string, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (string, Stats, error) {
-	var sb strings.Builder
-	stats, err := Stream(&sb, strings.NewReader(src), d, pi, opts)
-	return sb.String(), stats, err
 }

@@ -30,7 +30,7 @@ func setup(t *testing.T) (*dtd.DTD, *tree.Document) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := validate.Document(d, doc); err != nil {
+	if err := validate.Document(d, doc); err != nil {
 		t.Fatal(err)
 	}
 	return d, doc
@@ -39,7 +39,7 @@ func setup(t *testing.T) (*dtd.DTD, *tree.Document) {
 func TestTreePruneKeepsSelected(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
-	out := Tree(d, doc, pi)
+	out := Tree(doc, d.CompileProjection(pi))
 	if got := out.XML(); got != `<bib><book><title>Commedia</title></book><book><title>Decameron</title></book></bib>` {
 		t.Fatalf("pruned = %s", got)
 	}
@@ -48,7 +48,7 @@ func TestTreePruneKeepsSelected(t *testing.T) {
 func TestTreePruneIsProjection(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "author", dtd.TextName("author"))
-	out := Tree(d, doc, pi)
+	out := Tree(doc, d.CompileProjection(pi))
 	if !tree.IsProjectionOf(out.Root, doc.Root) {
 		t.Fatal("pruned tree is not a ≤-projection of the original (Lemma 2.8)")
 	}
@@ -57,7 +57,7 @@ func TestTreePruneIsProjection(t *testing.T) {
 func TestTreePruneAttributes(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", dtd.AttrName("book", "isbn"))
-	out := Tree(d, doc, pi)
+	out := Tree(doc, d.CompileProjection(pi))
 	book := out.Root.Children[0]
 	if v, ok := book.Attr("isbn"); !ok || v != "1" {
 		t.Fatalf("isbn lost: %+v", book.Attrs)
@@ -69,7 +69,7 @@ func TestTreePruneAttributes(t *testing.T) {
 
 func TestTreePruneRootDropped(t *testing.T) {
 	d, doc := setup(t)
-	out := Tree(d, doc, dtd.NewNameSet("book"))
+	out := Tree(doc, d.CompileProjection(dtd.NewNameSet("book")))
 	if out.Root != nil {
 		t.Fatal("dropping the root name must yield the empty document")
 	}
@@ -78,7 +78,7 @@ func TestTreePruneRootDropped(t *testing.T) {
 func TestTreePrunePreservesIDs(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "year", dtd.TextName("year"))
-	out := Tree(d, doc, pi)
+	out := Tree(doc, d.CompileProjection(pi))
 	var origYear, prunedYear tree.NodeID
 	doc.Walk(func(n *tree.Node) bool {
 		if n.Tag == "year" {
@@ -106,7 +106,7 @@ func TestStreamMatchesTree(t *testing.T) {
 		d.Symbols().NameSet(d.ReachableFromRoot()),
 	}
 	for _, pi := range pis {
-		want := Tree(d, doc, pi).XML()
+		want := Tree(doc, d.CompileProjection(pi)).XML()
 		got, _, err := StreamString(bibDoc, d, pi, StreamOptions{})
 		if err != nil {
 			t.Fatalf("Stream(%s): %v", pi, err)
@@ -305,4 +305,11 @@ func TestStreamMalformed(t *testing.T) {
 			t.Errorf("malformed %q accepted", doc)
 		}
 	}
+}
+
+// StreamString is Stream over strings.
+func StreamString(src string, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (string, Stats, error) {
+	var sb strings.Builder
+	stats, err := Stream(&sb, strings.NewReader(src), d, pi, opts)
+	return sb.String(), stats, err
 }

@@ -58,7 +58,7 @@ func checkSound(t *testing.T, d *dtd.DTD, doc *tree.Document, qsrc string, mater
 	if err != nil {
 		t.Fatalf("infer %q: %v", qsrc, err)
 	}
-	pruned := Tree(d, doc, pr.Names)
+	pruned := Tree(doc, pr.Compiled())
 	if pruned.Root != nil && !tree.IsProjectionOf(pruned.Root, doc.Root) {
 		t.Fatalf("%q: pruned doc is not a projection", qsrc)
 	}
@@ -169,7 +169,7 @@ func TestSoundnessFixedQueries(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := gen.New(d, seed, gen.Options{MaxDepth: 7, MaxRepeat: 3})
 		doc := g.Document()
-		if _, err := validate.Document(d, doc); err != nil {
+		if err := validate.Document(d, doc); err != nil {
 			t.Fatalf("generator produced invalid doc (seed %d): %v", seed, err)
 		}
 		for _, q := range soundnessQueries {
@@ -244,7 +244,7 @@ func TestSoundnessRecursiveDTD(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		doc := gen.New(d, seed, gen.Options{MaxDepth: 5}).Document()
-		if _, err := validate.Document(d, doc); err != nil {
+		if err := validate.Document(d, doc); err != nil {
 			t.Fatalf("invalid generated doc: %v", err)
 		}
 		for _, q := range queries {

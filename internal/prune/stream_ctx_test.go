@@ -133,7 +133,8 @@ func (r residentReader) Read([]byte) (int, error) {
 // engine. Each cell must
 // report the engine the table names — including the two re-route rows —
 // hand back the detail of that engine and no other, and produce output
-// and stats identical to the forced serial scanner.
+// and stats identical to the forced serial scanner. The table has
+// scanner, parallel and pipelined rows and nothing else.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
@@ -208,7 +209,6 @@ func TestStreamChosenEngine(t *testing.T) {
 		}},
 		{"auto, budget 4, no Validate", StreamOptions{ParallelWorkers: 4}, func(bool, bool) Engine { return EngineScanner }},
 		{"scanner", StreamOptions{Engine: EngineScanner}, func(bool, bool) Engine { return EngineScanner }},
-		{"decoder", StreamOptions{Engine: EngineDecoder}, func(bool, bool) Engine { return EngineDecoder }},
 		// Forced on a reader, parallel buffers the input: still parallel.
 		{"parallel", StreamOptions{Engine: EngineParallel}, func(bool, bool) Engine { return EngineParallel }},
 		// Forced into spans, pipelined is re-routed to parallel.
@@ -256,8 +256,19 @@ func TestStreamChosenEngine(t *testing.T) {
 		t.Errorf("small input chose %v, want scanner", chosen)
 	}
 
-	// An engine value outside the table is an error, not a silent default.
-	if _, err := Stream(&out, strings.NewReader(bibDoc), d, pi, StreamOptions{Engine: Engine(99)}); err == nil {
-		t.Error("unknown engine accepted")
+	// An engine value outside the table is an error, not a silent default,
+	// from every source × sink. EngineDecoder is such a value: it names
+	// the tests' oracle, which the build does not hold.
+	for _, eng := range []Engine{EngineDecoder, Engine(99)} {
+		for _, src := range sources {
+			chosen := EngineAuto
+			out, _, err := src.run(StreamOptions{Engine: eng, Chosen: &chosen})
+			if err == nil || !strings.Contains(err.Error(), "no route for engine "+eng.String()) || out != "" {
+				t.Errorf("%s, forced %s: got %d bytes and %v, want the no-route error", src.name, eng, len(out), err)
+			}
+			if chosen != eng {
+				t.Errorf("%s, forced %s: Chosen reports %s", src.name, eng, chosen)
+			}
+		}
 	}
 }

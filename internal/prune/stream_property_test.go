@@ -64,7 +64,7 @@ func TestStreamEqualsTreeProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		doc := gen.New(d, int64(trial), gen.Options{MaxDepth: 6}).Document()
 		pi := randomProjector(d, rng, 1+rng.Intn(10))
-		want := Tree(d, doc, pi)
+		want := Tree(doc, d.CompileProjection(pi))
 		got, _, err := StreamString(doc.XML(), d, pi, StreamOptions{Validate: true})
 		if err != nil {
 			t.Fatalf("trial %d: stream: %v (π = %s)", trial, err, pi)
@@ -88,7 +88,7 @@ func TestStreamEqualsTreeOnXMark(t *testing.T) {
 	xml := doc.XML()
 	for trial := 0; trial < 15; trial++ {
 		pi := randomProjector(d, rng, 5+rng.Intn(40))
-		want := Tree(d, doc, pi).XML()
+		want := Tree(doc, d.CompileProjection(pi)).XML()
 		got, _, err := StreamString(xml, d, pi, StreamOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -107,11 +107,11 @@ func TestPruneIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		pi := randomProjector(d, rng, 10+rng.Intn(30))
-		once := Tree(d, doc, pi)
+		once := Tree(doc, d.CompileProjection(pi))
 		if once.Root == nil {
 			continue
 		}
-		twice := Tree(d, once, pi)
+		twice := Tree(once, d.CompileProjection(pi))
 		if once.XML() != twice.XML() {
 			t.Fatalf("pruning not idempotent for π = %s", pi)
 		}
@@ -138,8 +138,8 @@ func TestPruneMonotone(t *testing.T) {
 			large.Add(cs[rng.Intn(len(cs))])
 			kept = large.Sorted()
 		}
-		a := Tree(d, doc, small)
-		b := Tree(d, doc, large)
+		a := Tree(doc, d.CompileProjection(small))
+		b := Tree(doc, d.CompileProjection(large))
 		if a.Root == nil {
 			continue
 		}

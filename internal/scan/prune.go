@@ -857,6 +857,8 @@ func (pr *pruner) startTag() error {
 					pr.kill(vk, fmt.Errorf("undeclared attribute %q on %s", alocal, info.Tag))
 				} else if ad := decl[api].Def; len(ad.Enum) > 0 && !inEnum(ad.Enum, pr.attrVal) {
 					pr.kill(vk, fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, info.Tag, pr.attrVal))
+				} else if ad.Fixed != "" && string(pr.attrVal) != ad.Fixed {
+					pr.kill(vk, fmt.Errorf("attribute %q on %s must have fixed value %q", alocal, info.Tag, ad.Fixed))
 				}
 			}
 		}
@@ -1022,7 +1024,7 @@ func inEnum(enum []string, v []byte) bool {
 }
 
 // appendEscapedText appends text content with the pruner's escaping
-// (matching tree.EscapeText: &, < and > become entities).
+// (the tree serialiser's: &, < and > become entities).
 func appendEscapedText(dst, b []byte) []byte {
 	for i := 0; i < len(b); i++ {
 		switch b[i] {
@@ -1040,7 +1042,7 @@ func appendEscapedText(dst, b []byte) []byte {
 }
 
 // appendEscapedAttr appends an attribute value with the pruner's
-// escaping (matching tree.EscapeAttr: &, <, > and " become entities).
+// escaping (the tree serialiser's: &, <, > and " become entities).
 func appendEscapedAttr(dst, b []byte) []byte {
 	for i := 0; i < len(b); i++ {
 		switch b[i] {

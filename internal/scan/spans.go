@@ -152,14 +152,6 @@ func (sl *SpanList) AppendTo(dst []byte) []byte {
 // small results).
 func (sl *SpanList) Bytes() []byte { return sl.AppendTo(make([]byte, 0, sl.total)) }
 
-// Write appends p as synthesized bytes, making SpanList an io.Writer —
-// reference paths (the encoding/xml decoder) can materialise into a
-// gather list as one escape segment. It never fails.
-func (sl *SpanList) Write(p []byte) (int, error) {
-	sl.lit(p)
-	return len(p), nil
-}
-
 // raw records input[off:end], merging with an adjacent preceding input
 // span: a run the pruner had to hand over early and then continued, or
 // a fragment list spliced in right behind the spine's last span.

@@ -90,21 +90,3 @@ func TestSpanListClearDropsReferences(t *testing.T) {
 		t.Fatal("putSpanList left state behind; the pool would pin caller data")
 	}
 }
-
-func TestSpanListWrite(t *testing.T) {
-	// SpanList is an io.Writer (the decoder-fallback path renders into
-	// the escape buffer).
-	var sl SpanList
-	sl.Reset(nil)
-	n, err := sl.Write([]byte("hello "))
-	if err != nil || n != 6 {
-		t.Fatalf("Write: n=%d err=%v", n, err)
-	}
-	sl.Write([]byte("world"))
-	if got := string(sl.Bytes()); got != "hello world" {
-		t.Fatalf("Bytes() = %q", got)
-	}
-	if sl.RawBytes() != 0 || sl.Segments() != 1 {
-		t.Fatalf("written bytes should be one synthesized segment: raw=%d segs=%d", sl.RawBytes(), sl.Segments())
-	}
-}

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -12,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -89,6 +92,24 @@ func do(t *testing.T, method, url string, body io.Reader, header ...string) *htt
 	return resp
 }
 
+// lockedBuffer is a log destination written from serve goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // chunked hides a reader's size, so the upload goes out chunked and
 // takes the streamed route.
 func chunked(s string) io.Reader { return struct{ io.Reader }{strings.NewReader(s)} }
@@ -108,7 +129,8 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 	big := "<bib>" + strings.Repeat("<book><title>t</title><author>a</author></book>", 20) + "</bib>"
 	// Enough kept output to pass the pruner's write buffer and the first
 	// flush before the undeclared element fails the prune.
-	lateFailure := "<bib>" + strings.Repeat("<book><title>"+strings.Repeat("t", 100)+"</title><author>a</author></book>", 4000) + "<unknown/></bib>"
+	lateRow := "<book><title>" + strings.Repeat("t", 100) + "</title><author>a</author></book>"
+	lateFailure := "<bib>" + strings.Repeat(lateRow, 4000) + "<unknown/></bib>"
 
 	// want is one request's log status and cache attribute; the status
 	// names the outcome counter.
@@ -177,6 +199,29 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 				t.Errorf("status %d, trailer %q; want 200 and the error in the trailer", resp.StatusCode, resp.Trailer.Get(errorTrailer))
 			}
 		}, []want{{422, "bypass"}}},
+		{"422 in the trailer, body unread", Options{}, func(t *testing.T, ts *httptest.Server) {
+			// The prune fails after its first flush with the rest of the
+			// body unsent or unread: a few rows, which the handler reads
+			// on to the end of — the connection is reused, which is where
+			// net/http's serve loop used to panic — and 1.4 MB, which it
+			// gives up on so that the connection closes. Either way the
+			// next request of that client is served.
+			for _, rows := range []int{0, 10, 10000} {
+				resp := do(t, "POST", ts.URL+titles, chunked(strings.Replace(lateFailure, "<unknown/>", "<unknown/>"+strings.Repeat(lateRow, rows), 1)))
+				if resp.StatusCode != 200 || resp.Trailer.Get(errorTrailer) == "" {
+					t.Errorf("%d rows unread: status %d, trailer %q; want 200 and the error in the trailer", rows, resp.StatusCode, resp.Trailer.Get(errorTrailer))
+				}
+				if rows > 10 {
+					// The response could not say "Connection: close" any more,
+					// so the client may still hold the connection as idle; a
+					// POST on it would meet the close.
+					http.DefaultClient.CloseIdleConnections()
+				}
+				if resp := do(t, "POST", ts.URL+titles, chunked(bibDoc)); resp.StatusCode != 200 {
+					t.Errorf("%d rows unread: the request after it: status %d", rows, resp.StatusCode)
+				}
+			}
+		}, []want{{422, "bypass"}, {200, "bypass"}, {422, "bypass"}, {200, "bypass"}, {422, "bypass"}, {200, "bypass"}}},
 		{"499", Options{}, func(t *testing.T, ts *httptest.Server) {
 			rawRequest(t, ts, "POST "+titles+" HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n<bib>")
 		}, []want{{499, ""}}},
@@ -254,8 +299,17 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 					c.(*net.TCPConn).SetWriteBuffer(16 << 10)
 				}
 			}
+			// What net/http itself has to say: a recovered panic of its
+			// serve loop is logged here and nowhere else.
+			var httpLog lockedBuffer
+			ts.Config.ErrorLog = log.New(&httpLog, "", 0)
 			ts.Start()
-			defer ts.Close()
+			defer func() {
+				ts.Close() // every connection's serve loop has returned
+				if s := httpLog.String(); s != "" {
+					t.Errorf("net/http logged:\n%s", s)
+				}
+			}()
 			c.drive(t, ts)
 
 			wantIn := make(map[string]int64) // outcome counter → requests

@@ -385,6 +385,14 @@ func (s *Server) pruneStreamed(x *exchange, np *namedProjection) {
 		// Nothing is out yet: done sends a clean error status.
 		h.Del("Trailer")
 	}
+	// Full duplex left the body to this handler, and a failed prune leaves
+	// some of it unread. Settle it here: Close reads on for the end of the
+	// body, up to net/http's 256 KiB, and past that has the connection
+	// closed after the reply. Left to net/http, the same drain runs after
+	// the handler, reaches the end of the body, starts the connection's
+	// background read — and the next request's first read panics on it
+	// ("invalid concurrent Body.Read call").
+	_ = x.r.Body.Close()
 }
 
 // pruneGathered serves a body of known, bounded length on the

@@ -215,19 +215,3 @@ func writeIndented(w *errWriter, n *Node, depth int) {
 	w.WriteString(n.Tag)
 	w.WriteString(">")
 }
-
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string { return escaped(s, false) }
-
-// EscapeAttr escapes character data for a double-quoted attribute value.
-func EscapeAttr(s string) string { return escaped(s, true) }
-
-func escaped(s string, quot bool) string {
-	if special(s, quot) < 0 {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(escapedSize(s, quot))
-	writeEscaped(&sb, s, quot)
-	return sb.String()
-}

@@ -38,23 +38,33 @@ func setup(t *testing.T) (*dtd.DTD, *tree.Document) {
 
 func TestValidDocument(t *testing.T) {
 	d, doc := setup(t)
-	it, err := Document(d, doc)
-	if err != nil {
+	if err := Document(d, doc); err != nil {
 		t.Fatalf("valid document rejected: %v", err)
 	}
-	if it.NameOf(doc.Root) != "bib" {
-		t.Fatalf("NameOf(root) = %s", it.NameOf(doc.Root))
+	// A valid document is walked on the dense tables alone: no name is
+	// concatenated, no child sequence collected, no path spelled.
+	if n := testing.AllocsPerRun(20, func() { _ = Document(d, doc) }); n != 0 {
+		t.Fatalf("validating a valid document allocates %v times, want 0", n)
 	}
-	book := doc.Root.Children[0]
-	if it.NameOf(book) != "book" {
-		t.Fatalf("NameOf(book) = %s", it.NameOf(book))
-	}
-	titleText := book.Children[0].Children[0]
-	if titleText.Kind != tree.Text {
-		t.Fatal("expected text node")
-	}
-	if it.NameOf(titleText) != dtd.TextName("title") {
-		t.Fatalf("NameOf(title text) = %s", it.NameOf(titleText))
+}
+
+// TestErrorPaths: a path is spelled only on failure, from the failing
+// node outwards, and reads as it did when every call carried it down.
+func TestErrorPaths(t *testing.T) {
+	d, _ := setup(t)
+	for doc, want := range map[string]string{
+		`<bib><book isbn="1"><title>t</title><author>a</author></book><book isbn="2" lang="de"><title>t</title><author>a</author></book></bib>`: "validate: /bib/book[1]: attribute",
+		`<bib><book isbn="1"><title>t</title><zine/></book></bib>`:                                                                              "validate: /bib/book[0]/zine[1]: element not declared",
+		`<bib><book isbn="1"><title><year>1</year></title><author>a</author></book></bib>`:                                                      "validate: /bib/book[0]/title[0]: element year (child 0) is not allowed",
+		`<zine/>`: "validate: /zine: element not declared",
+	} {
+		tr, err := tree.ParseString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Document(d, tr); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s\n got %v\nwant prefix %q", doc, err, want)
+		}
 	}
 }
 
@@ -80,7 +90,7 @@ func TestInvalidDocuments(t *testing.T) {
 			if err != nil {
 				t.Fatalf("test doc does not parse: %v", err)
 			}
-			_, err = Document(d, doc)
+			err = Document(d, doc)
 			if err == nil {
 				t.Fatalf("invalid document accepted")
 			}
@@ -97,11 +107,11 @@ func TestFixedAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	good, _ := tree.ParseString(`<a v="1"/>`)
-	if _, err := Document(d, good); err != nil {
+	if err := Document(d, good); err != nil {
 		t.Fatalf("fixed value rejected: %v", err)
 	}
 	bad, _ := tree.ParseString(`<a v="2"/>`)
-	if _, err := Document(d, bad); err == nil {
+	if err := Document(d, bad); err == nil {
 		t.Fatal("wrong fixed value accepted")
 	}
 }
@@ -112,15 +122,14 @@ func TestMixedContentValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, _ := tree.ParseString(`<p>one <em>two</em> three</p>`)
-	it, err := Document(d, doc)
-	if err != nil {
+	if err := Document(d, doc); err != nil {
 		t.Fatalf("mixed content rejected: %v", err)
 	}
-	if it.NameOf(doc.Root.Children[0]) != dtd.TextName("p") {
-		t.Fatalf("text under p should map to p's text name")
-	}
-	if it.NameOf(doc.Root.Children[1].Children[0]) != dtd.TextName("em") {
-		t.Fatalf("text under em should map to em's text name")
+	// Text steps the text column of the element it sits under: em takes
+	// text and nothing else, so p's own model does not excuse <em><em/>.
+	nested, _ := tree.ParseString(`<p>one <em>two<em>three</em></em></p>`)
+	if err := Document(d, nested); err == nil || !strings.Contains(err.Error(), "/p/em[1]") {
+		t.Fatalf("em inside em: got %v, want an error at /p/em[1]", err)
 	}
 }
 
@@ -130,14 +139,14 @@ func TestRecursiveDTDValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc, _ := tree.ParseString(`<part><name>top</name><part><name>sub</name></part></part>`)
-	if _, err := Document(d, doc); err != nil {
+	if err := Document(d, doc); err != nil {
 		t.Fatalf("recursive structure rejected: %v", err)
 	}
 }
 
 func TestEmptyDocument(t *testing.T) {
 	d, _ := dtd.ParseString(`<!ELEMENT a EMPTY>`, "a")
-	if _, err := Document(d, &tree.Document{}); err == nil {
+	if err := Document(d, &tree.Document{}); err == nil {
 		t.Fatal("nil root accepted")
 	}
 }

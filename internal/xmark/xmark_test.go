@@ -31,7 +31,7 @@ func TestDTDParses(t *testing.T) {
 func TestGeneratedDocumentIsValid(t *testing.T) {
 	d := DTD()
 	doc := NewGenerator(0.002, 1).Document()
-	if _, err := validate.Document(d, doc); err != nil {
+	if err := validate.Document(d, doc); err != nil {
 		t.Fatalf("generated document invalid: %v", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestDescriptionDominatesSize(t *testing.T) {
 	// Prune away description subtrees and compare sizes.
 	pi := d.Symbols().NameSet(d.ReachableFromRoot())
 	delete(pi, dtd.Name("description"))
-	pruned := prune.Tree(d, doc, pi)
+	pruned := prune.Tree(doc, d.CompileProjection(pi))
 	rest := pruned.SerializedSize()
 	ratio := float64(total-rest) / float64(total)
 	if ratio < 0.4 {
@@ -110,7 +110,7 @@ func TestAllQueriesSoundUnderPruning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: infer: %v", q.ID, err)
 		}
-		pruned := prune.Tree(d, doc, pr.Names)
+		pruned := prune.Tree(doc, pr.Compiled())
 		if pruned.Root == nil {
 			t.Fatalf("%s: projector dropped the root", q.ID)
 		}

@@ -76,7 +76,7 @@ func TestAllQueriesRunAndSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: infer: %v", q.ID, err)
 		}
-		pruned := prune.Tree(d, doc, pr.Names)
+		pruned := prune.Tree(doc, pr.Compiled())
 		if pruned.Root == nil {
 			t.Fatalf("%s: projector dropped the root", q.ID)
 		}

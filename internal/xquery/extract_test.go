@@ -258,7 +258,7 @@ func TestXQuerySoundness(t *testing.T) {
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		doc := gen.New(d, seed, gen.Options{MaxDepth: 6}).Document()
-		if _, err := validate.Document(d, doc); err != nil {
+		if err := validate.Document(d, doc); err != nil {
 			t.Fatal(err)
 		}
 		for _, src := range queries {
@@ -268,7 +268,7 @@ func TestXQuerySoundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q: %v", src, err)
 			}
-			pruned := prune.Tree(d, doc, pr.Names)
+			pruned := prune.Tree(doc, pr.Compiled())
 			origSeq, err := NewEvaluator(doc).Eval(q)
 			if err != nil {
 				t.Fatalf("%q on original: %v", src, err)

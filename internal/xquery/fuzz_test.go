@@ -23,7 +23,7 @@ func TestFuzzXQuerySoundness(t *testing.T) {
 		d := gen.RandomDTD(seed, gen.DTDOptions{Elements: 8, AllowRecursion: seed%2 == 1})
 		qg := gen.NewQueryGen(d, seed*7+3, gen.QueryOptions{})
 		doc := gen.New(d, seed, gen.Options{MaxDepth: 6}).Document()
-		if _, err := validate.Document(d, doc); err != nil {
+		if err := validate.Document(d, doc); err != nil {
 			t.Fatal(err)
 		}
 		for qi := 0; qi < queriesPer; qi++ {
@@ -41,7 +41,7 @@ func TestFuzzXQuerySoundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %q on original: %v", seed, src, err)
 			}
-			pruned := prune.Tree(d, doc, pr.Names)
+			pruned := prune.Tree(doc, pr.Compiled())
 			if pruned.Root == nil {
 				if len(orig) != 0 && Serialize(orig) != "0" {
 					t.Fatalf("seed %d: %q returned %q but π = %s pruned everything\ngrammar:\n%s",

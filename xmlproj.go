@@ -133,6 +133,16 @@ func ParseDTDFile(path, rootTag string) (*DTD, error) {
 	return ParseDTD(f, rootTag)
 }
 
+// ParseSchemaFile loads the schema a tool's -dtd or -schema flag names:
+// an XML Schema when the file name ends in .xsd (lowered to a local tree
+// grammar, the paper's footnote 1), a DTD otherwise.
+func ParseSchemaFile(path, rootTag string) (*DTD, error) {
+	if strings.HasSuffix(path, ".xsd") {
+		return ParseXSDFile(path, rootTag)
+	}
+	return ParseDTDFile(path, rootTag)
+}
+
 // Root returns the root element tag.
 func (d *DTD) Root() string { return string(d.d.Root) }
 
@@ -431,8 +441,7 @@ func (doc *Document) NumNodes() int { return doc.t.NumNodes() }
 
 // Validate checks the document against the DTD (Def. 2.4).
 func (d *DTD) Validate(doc *Document) error {
-	_, err := validate.Document(d.d, doc.t)
-	return err
+	return validate.Document(d.d, doc.t)
 }
 
 // ApplyDefaults fills in the DTD's declared attribute defaults on every
@@ -445,7 +454,7 @@ func (d *DTD) ApplyDefaults(doc *Document) int {
 // Prune computes the π-projection of an in-memory document (Def. 2.7).
 // The document must be valid w.r.t. the projector's DTD.
 func (p *Projector) Prune(doc *Document) *Document {
-	return &Document{t: prune.Tree(p.d, doc.t, p.pr.Names)}
+	return &Document{t: prune.Tree(doc.t, p.pr.Compiled())}
 }
 
 // PruneStats reports what a streaming prune did: elements and logical
@@ -472,15 +481,14 @@ func (p *Projector) PruneStream(dst io.Writer, src io.Reader) (PruneStats, error
 // byte-level serial scanner otherwise — without Validate it walks what
 // it discards as fast as the parallel pruners index it.
 // Input must be UTF-8 — UTF-16/32 is rejected with an error that says
-// so; encoding/xml (PruneDecoder) runs only when forced, as the
-// reference implementation. String returns the name servers and tools
-// log.
+// so. Every engine is the byte-level scanner; the encoding/xml pruner it
+// replaced is a test oracle and cannot be selected. String returns the
+// name servers and tools log.
 type PruneEngine = prune.Engine
 
 const (
 	PruneAuto      = prune.EngineAuto
 	PruneScanner   = prune.EngineScanner
-	PruneDecoder   = prune.EngineDecoder
 	PruneParallel  = prune.EngineParallel
 	PrunePipelined = prune.EnginePipelined
 )
