@@ -337,7 +337,7 @@ func BenchmarkGenerator(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		doc := xmark.NewGenerator(0.005, int64(i)).Document()
-		if doc.Root == nil {
+		if doc.NumNodes() == 0 {
 			b.Fatal("empty document")
 		}
 	}

@@ -42,7 +42,7 @@ func TestTypeSoundnessProperty(t *testing.T) {
 				t.Fatalf("seed %d: %q: %v", seed, q, err)
 			}
 			for _, r := range res.(xpath.NodeSet) {
-				name := nameOf(d, r.N)
+				name := nameOf(d, r.N())
 				if r.IsAttr() {
 					name = dtd.AttrName(name, r.Name())
 				}
@@ -57,11 +57,11 @@ func TestTypeSoundnessProperty(t *testing.T) {
 
 // nameOf is ℑ (Def. 2.4) spelled as a name, for a node of a d-valid
 // document: the name its tag defines, or its parent's text name.
-func nameOf(d *dtd.DTD, n *tree.Node) dtd.Name {
-	if n.Kind == tree.Text {
-		pn, _ := d.ElementName(n.Parent.Tag)
+func nameOf(d *dtd.DTD, n tree.Node) dtd.Name {
+	if n.Kind() == tree.Text {
+		pn, _ := d.ElementName(n.Parent().Tag())
 		return dtd.TextName(pn)
 	}
-	nm, _ := d.ElementName(n.Tag)
+	nm, _ := d.ElementName(n.Tag())
 	return nm
 }

@@ -25,7 +25,7 @@ import (
 
 // FromDocument builds the dataguide grammar of a document.
 func FromDocument(doc *tree.Document) (*dtd.DTD, error) {
-	if doc.Root == nil {
+	if doc.NumNodes() == 0 {
 		return nil, fmt.Errorf("dataguide: empty document")
 	}
 	type info struct {
@@ -45,23 +45,23 @@ func FromDocument(doc *tree.Document) (*dtd.DTD, error) {
 		return in
 	}
 
-	doc.Walk(func(n *tree.Node) bool {
-		if n.Kind != tree.Element {
-			return true
+	for i := range int32(doc.NumNodes()) {
+		n := doc.At(i)
+		if n.Kind() != tree.Element {
+			continue
 		}
-		in := get(n.Tag)
-		for _, a := range n.Attrs {
-			in.attrs[a.Name] = true
+		in := get(n.Tag())
+		for k := range n.NumAttrs() {
+			in.attrs[n.AttrAt(k).Name] = true
 		}
-		for _, c := range n.Children {
-			if c.Kind == tree.Text {
+		for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+			if c.Kind() == tree.Text {
 				in.text = true
 			} else {
-				in.children[c.Tag] = true
+				in.children[c.Tag()] = true
 			}
 		}
-		return true
-	})
+	}
 
 	// Render as DTD source and reuse the DTD machinery (automata, caches,
 	// property checks) unchanged.
@@ -94,7 +94,7 @@ func FromDocument(doc *tree.Document) (*dtd.DTD, error) {
 		}
 		sb = appendAttrs(sb, tag, in.attrs)
 	}
-	return dtd.ParseString(string(sb), doc.Root.Tag)
+	return dtd.ParseString(string(sb), doc.Root().Tag())
 }
 
 func appendAttrs(sb []byte, tag string, attrs map[string]bool) []byte {

@@ -52,28 +52,29 @@ func New(d *dtd.DTD, seed int64, opts Options) *Generator {
 
 // Document generates one random valid document.
 func (g *Generator) Document() *tree.Document {
-	root := g.element(g.d.Root, 0)
-	return tree.NewDocument(root)
+	b := tree.NewBuilder(0)
+	g.element(b, g.d.Root, 0)
+	return b.Document()
 }
 
-func (g *Generator) element(n dtd.Name, depth int) *tree.Node {
+func (g *Generator) element(b *tree.Builder, n dtd.Name, depth int) {
 	def := g.d.Def(n)
-	el := tree.NewElement(def.Tag)
+	b.Start(def.Tag)
 	for i := range def.Atts {
 		ad := &def.Atts[i]
 		if !ad.Required && g.rng.Intn(2) == 0 {
 			continue
 		}
-		el.SetAttr(ad.Attr, g.attrValue(ad))
+		b.Attr(ad.Attr, g.attrValue(ad))
 	}
 	for _, c := range g.sequence(def.Content, depth) {
 		if g.d.Def(c).Text {
-			el.Append(tree.NewText(g.text()))
+			b.TextString(g.text())
 		} else {
-			el.Append(g.element(c, depth+1))
+			g.element(b, c, depth+1)
 		}
 	}
-	return el
+	b.EndElement()
 }
 
 func (g *Generator) attrValue(ad *dtd.AttDef) string {

@@ -84,16 +84,16 @@ func TestGeneratorBoundsDepth(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		doc := New(d, seed, Options{MaxDepth: 3, MaxRepeat: 2}).Document()
 		maxDepth := 0
-		var walk func(n *tree.Node, depth int)
-		walk = func(n *tree.Node, depth int) {
-			if n.Kind == tree.Element && depth > maxDepth {
+		var walk func(n tree.Node, depth int)
+		walk = func(n tree.Node, depth int) {
+			if n.Kind() == tree.Element && depth > maxDepth {
 				maxDepth = depth
 			}
-			for _, c := range n.Children {
+			for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
 				walk(c, depth+1)
 			}
 		}
-		walk(doc.Root, 0)
+		walk(doc.Root(), 0)
 		// Beyond MaxDepth the generator takes minimal expansions; for this
 		// DTD (part* is skippable) nesting must stop right there, plus the
 		// mandatory name child.

@@ -151,25 +151,30 @@ type Stats struct {
 // Prune projects doc against the paths: a node survives when it lies on a
 // root-to-match prefix, is a match, is below a KeepSubtree match, or has
 // a surviving descendant. The traversal is complete — this is the
-// overhead the paper contrasts with the one-pass type-driven pruner.
+// overhead the paper contrasts with the one-pass type-driven pruner. A
+// node's fate is known only once its subtree has been walked, so the walk
+// marks and a second pass builds what it marked, with the original's
+// node IDs.
 func Prune(doc *tree.Document, paths []Path) (*tree.Document, Stats) {
 	var stats Stats
-	if doc.Root == nil {
-		return &tree.Document{}, stats
+	b := tree.NewBuilder(0)
+	root := doc.Root()
+	if !root.Valid() {
+		return b.Document(), stats
 	}
 	// Initial states: every path at position 0, applied to the root via
 	// its Self prefix.
 	var rootStates []state
 	for pi := range paths {
-		if s, alive := advanceSelf(&paths[pi], state{path: pi, idx: 0}, doc.Root); alive {
+		if s, alive := advanceSelf(&paths[pi], state{path: pi, idx: 0}, root); alive {
 			rootStates = append(rootStates, s)
 		}
 	}
-	root, keep := pruneNode(doc.Root, nil, paths, rootStates, &stats)
-	if !keep {
-		return &tree.Document{}, stats
+	kept := make([]bool, doc.NumNodes())
+	if markNode(root, paths, rootStates, kept, &stats) {
+		build(b, root, kept)
 	}
-	return &tree.Document{Root: root}, stats
+	return b.Document(), stats
 }
 
 type state struct {
@@ -180,7 +185,7 @@ type state struct {
 // advanceSelf applies consecutive Self steps of the path to node n; the
 // Self kind also models descendant-or-self (stay OR descend), which is
 // handled by keeping the state alive in child transitions.
-func advanceSelf(p *Path, s state, n *tree.Node) (state, bool) {
+func advanceSelf(p *Path, s state, n tree.Node) (state, bool) {
 	for s.idx < len(p.Steps) && p.Steps[s.idx].Kind == Self {
 		if !matchTest(p.Steps[s.idx].Test, n) {
 			return s, false
@@ -190,23 +195,23 @@ func advanceSelf(p *Path, s state, n *tree.Node) (state, bool) {
 	return s, true
 }
 
-func matchTest(t xpath.NodeTest, n *tree.Node) bool {
+func matchTest(t xpath.NodeTest, n tree.Node) bool {
 	switch t.Kind {
 	case xpath.TestNode:
 		return true
 	case xpath.TestText:
-		return n.Kind == tree.Text
+		return n.Kind() == tree.Text
 	case xpath.TestStar:
-		return n.Kind == tree.Element
+		return n.Kind() == tree.Element
 	case xpath.TestName:
-		return n.Kind == tree.Element && n.Tag == t.Name
+		return n.Kind() == tree.Element && n.Tag() == t.Name
 	}
 	return false
 }
 
-// pruneNode walks the full tree, threading NFA states downwards and the
-// keep decision upwards.
-func pruneNode(n *tree.Node, parent *tree.Node, paths []Path, states []state, stats *Stats) (*tree.Node, bool) {
+// markNode walks the full tree, threading NFA states downwards and the
+// keep decision upwards, and reports whether n is kept.
+func markNode(n tree.Node, paths []Path, states []state, kept []bool, stats *Stats) bool {
 	stats.Visited++
 	matched := false
 	subtree := false
@@ -221,14 +226,16 @@ func pruneNode(n *tree.Node, parent *tree.Node, paths []Path, states []state, st
 	if subtree {
 		// Whole subtree kept verbatim (still counts as visited: the
 		// baseline copies it out node by node).
-		cp := copySubtree(n, parent, stats)
-		return cp, true
+		for i := n.Index(); i <= n.LastDescendant().Index(); i++ {
+			stats.Visited++
+			stats.Kept++
+			kept[i] = true
+		}
+		return true
 	}
 
-	m := &tree.Node{ID: n.ID, Kind: n.Kind, Tag: n.Tag, Data: n.Data, Parent: parent}
-	m.Attrs = append(m.Attrs, n.Attrs...)
 	anyChild := false
-	for _, c := range n.Children {
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
 		var next []state
 		for _, s := range states {
 			p := &paths[s.path]
@@ -256,29 +263,35 @@ func pruneNode(n *tree.Node, parent *tree.Node, paths []Path, states []state, st
 		}
 		// Completed states propagate to children only via KeepSubtree,
 		// handled above.
-		cc, keep := pruneNode(c, m, paths, next, stats)
-		if keep {
-			cc.Index = len(m.Children)
-			m.Children = append(m.Children, cc)
+		if markNode(c, paths, next, kept, stats) {
 			anyChild = true
 		}
 	}
 	if matched || anyChild {
 		stats.Kept++
-		return m, true
+		kept[n.Index()] = true
+		return true
 	}
-	return nil, false
+	return false
 }
 
-func copySubtree(n *tree.Node, parent *tree.Node, stats *Stats) *tree.Node {
-	stats.Visited++
-	stats.Kept++
-	m := &tree.Node{ID: n.ID, Kind: n.Kind, Tag: n.Tag, Data: n.Data, Parent: parent}
-	m.Attrs = append(m.Attrs, n.Attrs...)
-	for _, c := range n.Children {
-		cc := copySubtree(c, m, stats)
-		cc.Index = len(m.Children)
-		m.Children = append(m.Children, cc)
+// build builds the kept node n, keeping its ID, and what is kept below.
+func build(b *tree.Builder, n tree.Node, kept []bool) {
+	if n.Kind() == tree.Text {
+		b.TextString(n.Data())
+		b.SetID(n.ID())
+		return
 	}
-	return m
+	b.Start(n.Tag())
+	b.SetID(n.ID())
+	for i := range n.NumAttrs() {
+		a := n.AttrAt(i)
+		b.Attr(a.Name, a.Value)
+	}
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		if kept[c.Index()] {
+			build(b, c, kept)
+		}
+	}
+	b.EndElement()
 }

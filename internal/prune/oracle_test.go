@@ -46,10 +46,11 @@ func oracleString(src string, d *dtd.DTD, pi dtd.NameSet, validate bool) (string
 }
 
 // The canonical escaping of character data and of a double-quoted
-// attribute value: &, < and > become entities, and " in a value.
+// attribute value: &, < and > become entities, " in a value, and a
+// carriage return a reference.
 var (
-	escapeText = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	escapeAttr = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	escapeText = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#13;")
+	escapeAttr = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#13;")
 )
 
 // decode is the encoding/xml pruner. It does not flush bw.

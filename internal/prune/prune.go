@@ -43,43 +43,38 @@ import (
 // element is kept but none of its attribute names are in π, the element
 // keeps no attributes.
 func Tree(doc *tree.Document, p *dtd.Projection) *tree.Document {
-	if doc.Root == nil {
-		return &tree.Document{}
+	b := tree.NewBuilder(0)
+	root := doc.Root()
+	if !root.Valid() {
+		return b.Document()
 	}
-	sym, ok := p.Syms.LookupTag(doc.Root.Tag)
-	if !ok || p.KeepElem(sym)&1 == 0 {
-		return &tree.Document{}
+	if sym, ok := p.Syms.LookupTag(root.Tag()); ok && p.KeepElem(sym)&1 != 0 {
+		pruneNode(b, p, root, sym)
 	}
-	return &tree.Document{Root: pruneNode(p, doc.Root, sym, nil)}
+	return b.Document()
 }
 
-func pruneNode(p *dtd.Projection, n *tree.Node, sym int32, parent *tree.Node) *tree.Node {
-	m := &tree.Node{ID: n.ID, Kind: n.Kind, Tag: n.Tag, Data: n.Data, Parent: parent}
+func pruneNode(b *tree.Builder, p *dtd.Projection, n tree.Node, sym int32) {
+	b.Start(n.Tag())
+	b.SetID(n.ID())
 	decl := p.Attrs(sym)
-	for _, a := range n.Attrs {
-		if keepAttr(p, sym, decl, a.Name) {
-			m.Attrs = append(m.Attrs, a)
+	for i := range n.NumAttrs() {
+		if a := n.AttrAt(i); keepAttr(p, sym, decl, a.Name) {
+			b.Attr(a.Name, a.Value)
 		}
 	}
 	keepText := p.KeepText(sym)&1 != 0
-	for _, c := range n.Children {
-		var child *tree.Node
-		if c.Kind == tree.Text {
-			if !keepText {
-				continue
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		if c.Kind() == tree.Text {
+			if keepText {
+				b.TextString(c.Data())
+				b.SetID(c.ID())
 			}
-			child = &tree.Node{ID: c.ID, Kind: c.Kind, Tag: c.Tag, Data: c.Data, Parent: m}
-		} else {
-			csym, ok := p.Syms.LookupTag(c.Tag)
-			if !ok || p.KeepElem(csym)&1 == 0 {
-				continue
-			}
-			child = pruneNode(p, c, csym, m)
+		} else if csym, ok := p.Syms.LookupTag(c.Tag()); ok && p.KeepElem(csym)&1 != 0 {
+			pruneNode(b, p, c, csym)
 		}
-		child.Index = len(m.Children)
-		m.Children = append(m.Children, child)
 	}
-	return m
+	b.EndElement()
 }
 
 // keepAttr is the scanner's attribute decision: the declared attribute's

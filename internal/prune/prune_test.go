@@ -49,7 +49,7 @@ func TestTreePruneIsProjection(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "author", dtd.TextName("author"))
 	out := Tree(doc, d.CompileProjection(pi))
-	if !tree.IsProjectionOf(out.Root, doc.Root) {
+	if !tree.IsProjectionOf(out.Root(), doc.Root()) {
 		t.Fatal("pruned tree is not a ≤-projection of the original (Lemma 2.8)")
 	}
 }
@@ -58,9 +58,9 @@ func TestTreePruneAttributes(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", dtd.AttrName("book", "isbn"))
 	out := Tree(doc, d.CompileProjection(pi))
-	book := out.Root.Children[0]
+	book := out.Root().FirstChild()
 	if v, ok := book.Attr("isbn"); !ok || v != "1" {
-		t.Fatalf("isbn lost: %+v", book.Attrs)
+		t.Fatalf("isbn lost: %s", out.XML())
 	}
 	if _, ok := book.Attr("lang"); ok {
 		t.Fatal("lang should be pruned")
@@ -70,7 +70,7 @@ func TestTreePruneAttributes(t *testing.T) {
 func TestTreePruneRootDropped(t *testing.T) {
 	d, doc := setup(t)
 	out := Tree(doc, d.CompileProjection(dtd.NewNameSet("book")))
-	if out.Root != nil {
+	if out.NumNodes() > 0 {
 		t.Fatal("dropping the root name must yield the empty document")
 	}
 }
@@ -79,19 +79,15 @@ func TestTreePrunePreservesIDs(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "year", dtd.TextName("year"))
 	out := Tree(doc, d.CompileProjection(pi))
-	var origYear, prunedYear tree.NodeID
-	doc.Walk(func(n *tree.Node) bool {
-		if n.Tag == "year" {
-			origYear = n.ID
+	yearID := func(d *tree.Document) (id tree.NodeID) {
+		for i := range int32(d.NumNodes()) {
+			if n := d.At(i); n.Tag() == "year" {
+				id = n.ID()
+			}
 		}
-		return true
-	})
-	out.Walk(func(n *tree.Node) bool {
-		if n.Tag == "year" {
-			prunedYear = n.ID
-		}
-		return true
-	})
+		return id
+	}
+	origYear, prunedYear := yearID(doc), yearID(out)
 	if origYear == 0 || origYear != prunedYear {
 		t.Fatalf("IDs not preserved: %d vs %d", origYear, prunedYear)
 	}
@@ -289,10 +285,10 @@ func TestStreamEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pruned output does not re-parse: %v\n%s", err, out)
 	}
-	if re.Root.Children[0].Data != "1 < 2 & 3" {
-		t.Fatalf("text mangled: %q", re.Root.Children[0].Data)
+	if got := re.Root().FirstChild().Data(); got != "1 < 2 & 3" {
+		t.Fatalf("text mangled: %q", got)
 	}
-	if v, _ := re.Root.Attr("v"); v != `x&"y` {
+	if v, _ := re.Root().Attr("v"); v != `x&"y` {
 		t.Fatalf("attr mangled: %q", v)
 	}
 }

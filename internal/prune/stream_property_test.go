@@ -73,7 +73,7 @@ func TestStreamEqualsTreeProperty(t *testing.T) {
 			t.Fatalf("trial %d: stream and tree disagree for π = %s\nstream: %s\ntree:   %s\ninput:  %s",
 				trial, pi, got, want.XML(), doc.XML())
 		}
-		if want.Root != nil && !tree.IsProjectionOf(want.Root, doc.Root) {
+		if want.NumNodes() > 0 && !tree.IsProjectionOf(want.Root(), doc.Root()) {
 			t.Fatalf("trial %d: pruned tree is not a projection (Lemma 2.8)", trial)
 		}
 	}
@@ -108,7 +108,7 @@ func TestPruneIdempotent(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		pi := randomProjector(d, rng, 10+rng.Intn(30))
 		once := Tree(doc, d.CompileProjection(pi))
-		if once.Root == nil {
+		if once.NumNodes() == 0 {
 			continue
 		}
 		twice := Tree(once, d.CompileProjection(pi))
@@ -140,10 +140,10 @@ func TestPruneMonotone(t *testing.T) {
 		}
 		a := Tree(doc, d.CompileProjection(small))
 		b := Tree(doc, d.CompileProjection(large))
-		if a.Root == nil {
+		if a.NumNodes() == 0 {
 			continue
 		}
-		if !tree.IsProjectionOf(a.Root, b.Root) {
+		if !tree.IsProjectionOf(a.Root(), b.Root()) {
 			t.Fatalf("small-projector prune is not a projection of large-projector prune")
 		}
 	}

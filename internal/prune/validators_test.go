@@ -3,6 +3,7 @@ package prune
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,32 +20,40 @@ import (
 // undeclared element is. TestValidatorsAgree holds them to one verdict —
 // and the oracle, a third statement of those rules, with them.
 
-// mutation makes one change to a valid document; it reports false when
-// the document has no place for it.
+// mutation makes one change to a copy of a valid document; it reports
+// false when the document has no place for it.
 type mutation struct {
 	name  string
-	apply func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) bool
+	apply func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) (*tree.Document, bool)
 }
 
 // elements lists doc's elements that satisfy keep, in document order.
-func elements(doc *tree.Document, keep func(*tree.Node) bool) []*tree.Node {
-	var out []*tree.Node
-	doc.Walk(func(n *tree.Node) bool {
-		if n.Kind == tree.Element && keep(n) {
+func elements(doc *tree.Document, keep func(tree.Node) bool) []tree.Node {
+	var out []tree.Node
+	for i := range int32(doc.NumNodes()) {
+		if n := doc.At(i); n.Kind() == tree.Element && keep(n) {
 			out = append(out, n)
 		}
-		return true
-	})
+	}
 	return out
+}
+
+// numChildren counts n's children.
+func numChildren(n tree.Node) int {
+	k := 0
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		k++
+	}
+	return k
 }
 
 // withAttr picks an element carrying an attribute whose declaration
 // satisfies want, and returns both.
-func withAttr(rng *rand.Rand, d *dtd.DTD, doc *tree.Document, want func(*dtd.AttDef) bool) (*tree.Node, *dtd.AttDef) {
+func withAttr(rng *rand.Rand, d *dtd.DTD, doc *tree.Document, want func(*dtd.AttDef) bool) (tree.Node, *dtd.AttDef) {
 	var ads []*dtd.AttDef
-	els := elements(doc, func(n *tree.Node) bool {
-		for _, a := range n.Attrs {
-			if ad := d.Def(dtd.Name(n.Tag)).AttDef(a.Name); ad != nil && want(ad) {
+	els := elements(doc, func(n tree.Node) bool {
+		for i := range n.NumAttrs() {
+			if ad := d.Def(dtd.Name(n.Tag())).AttDef(n.AttrAt(i).Name); ad != nil && want(ad) {
 				ads = append(ads, ad)
 				return true
 			}
@@ -52,70 +61,117 @@ func withAttr(rng *rand.Rand, d *dtd.DTD, doc *tree.Document, want func(*dtd.Att
 		return false
 	})
 	if len(els) == 0 {
-		return nil, nil
+		return tree.Node{}, nil
 	}
 	i := rng.Intn(len(els))
 	return els[i], ads[i]
 }
 
-func removeAttr(n *tree.Node, name string) {
-	for i, a := range n.Attrs {
-		if a.Name == name {
-			n.Attrs = append(n.Attrs[:i:i], n.Attrs[i+1:]...)
+// change is what rebuilt does to one element: rewrite its attributes,
+// reorder its children, add content after them.
+type change struct {
+	attrs func([]tree.Attr) []tree.Attr
+	kids  func([]tree.Node) []tree.Node
+	extra func(b *tree.Builder)
+}
+
+// rebuilt copies doc with c applied to the element n.
+func rebuilt(doc *tree.Document, n tree.Node, c change) *tree.Document {
+	b := tree.NewBuilder(0)
+	var write func(m tree.Node)
+	write = func(m tree.Node) {
+		if m.Kind() == tree.Text {
+			b.TextString(m.Data())
 			return
 		}
+		var attrs []tree.Attr
+		for i := range m.NumAttrs() {
+			attrs = append(attrs, m.AttrAt(i))
+		}
+		var kids []tree.Node
+		for k := m.FirstChild(); k.Valid(); k = k.NextSibling() {
+			kids = append(kids, k)
+		}
+		if m == n && c.attrs != nil {
+			attrs = c.attrs(attrs)
+		}
+		if m == n && c.kids != nil {
+			kids = c.kids(kids)
+		}
+		b.Start(m.Tag())
+		for _, a := range attrs {
+			b.Attr(a.Name, a.Value)
+		}
+		for _, k := range kids {
+			write(k)
+		}
+		if m == n && c.extra != nil {
+			c.extra(b)
+		}
+		b.EndElement()
 	}
+	write(doc.Root())
+	return b.Document()
+}
+
+// setAttr is a change that sets one attribute.
+func setAttr(name, value string) change {
+	return change{attrs: func(as []tree.Attr) []tree.Attr { return append(as, tree.Attr{Name: name, Value: value}) }}
 }
 
 var mutations = []mutation{
-	{"required attribute dropped", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) bool {
+	{"required attribute dropped", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
 		n, ad := withAttr(rng, d, doc, func(ad *dtd.AttDef) bool { return ad.Required })
-		if n != nil {
-			removeAttr(n, ad.Attr)
+		if !n.Valid() {
+			return nil, false
 		}
-		return n != nil
+		return rebuilt(doc, n, change{attrs: func(as []tree.Attr) []tree.Attr {
+			return slices.DeleteFunc(as, func(a tree.Attr) bool { return a.Name == ad.Attr })
+		}}), true
 	}},
-	{"enumeration value changed", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) bool {
+	{"enumeration value changed", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
 		n, ad := withAttr(rng, d, doc, func(ad *dtd.AttDef) bool { return len(ad.Enum) > 0 })
-		if n != nil {
-			n.SetAttr(ad.Attr, "outside")
+		if !n.Valid() {
+			return nil, false
 		}
-		return n != nil
+		return rebuilt(doc, n, setAttr(ad.Attr, "outside")), true
 	}},
-	{"#FIXED value changed", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) bool {
+	{"#FIXED value changed", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
 		n, ad := withAttr(rng, d, doc, func(ad *dtd.AttDef) bool { return ad.Fixed != "" })
-		if n != nil {
-			n.SetAttr(ad.Attr, ad.Fixed+"x")
+		if !n.Valid() {
+			return nil, false
 		}
-		return n != nil
+		return rebuilt(doc, n, setAttr(ad.Attr, ad.Fixed+"x")), true
 	}},
-	{"two children swapped", func(rng *rand.Rand, _ *dtd.DTD, doc *tree.Document) bool {
-		els := elements(doc, func(n *tree.Node) bool { return len(n.Children) >= 2 })
+	{"two children swapped", func(rng *rand.Rand, _ *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
+		els := elements(doc, func(n tree.Node) bool { return numChildren(n) >= 2 })
 		if len(els) == 0 {
-			return false
+			return nil, false
 		}
 		n := els[rng.Intn(len(els))]
-		i := rng.Intn(len(n.Children) - 1)
-		n.Children[i], n.Children[i+1] = n.Children[i+1], n.Children[i]
-		return true
+		i := rng.Intn(numChildren(n) - 1)
+		return rebuilt(doc, n, change{kids: func(ks []tree.Node) []tree.Node {
+			ks[i], ks[i+1] = ks[i+1], ks[i]
+			return ks
+		}}), true
 	}},
-	{"undeclared element inserted", func(rng *rand.Rand, _ *dtd.DTD, doc *tree.Document) bool {
-		els := elements(doc, func(*tree.Node) bool { return true })
-		els[rng.Intn(len(els))].Append(tree.NewElement("undeclared"))
-		return true
+	{"undeclared element inserted", func(rng *rand.Rand, _ *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
+		els := elements(doc, func(tree.Node) bool { return true })
+		return rebuilt(doc, els[rng.Intn(len(els))], change{extra: func(b *tree.Builder) {
+			b.Start("undeclared")
+			b.EndElement()
+		}}), true
 	}},
-	{"undeclared attribute inserted", func(rng *rand.Rand, _ *dtd.DTD, doc *tree.Document) bool {
-		els := elements(doc, func(*tree.Node) bool { return true })
-		els[rng.Intn(len(els))].SetAttr("undeclared", "1")
-		return true
+	{"undeclared attribute inserted", func(rng *rand.Rand, _ *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
+		els := elements(doc, func(tree.Node) bool { return true })
+		return rebuilt(doc, els[rng.Intn(len(els))], setAttr("undeclared", "1")), true
 	}},
-	{"text under an element-only model", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) bool {
-		els := elements(doc, func(n *tree.Node) bool { return d.Def(dtd.TextName(dtd.Name(n.Tag))) == nil })
+	{"text under an element-only model", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
+		els := elements(doc, func(n tree.Node) bool { return d.Def(dtd.TextName(dtd.Name(n.Tag()))) == nil })
 		if len(els) == 0 {
-			return false
+			return nil, false
 		}
-		els[rng.Intn(len(els))].Append(tree.NewText("stray"))
-		return true
+		return rebuilt(doc, els[rng.Intn(len(els))], change{extra: func(b *tree.Builder) { b.TextString("stray") }}), true
 	}},
 }
 
@@ -159,8 +215,8 @@ func TestValidatorsAgree(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed*31 + i))
 			for _, m := range mutations {
-				doc := valid.Clone()
-				if !m.apply(rng, d, doc) {
+				doc, ok := m.apply(rng, d, valid)
+				if !ok {
 					continue
 				}
 				applied[m.name]++

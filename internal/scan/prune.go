@@ -1024,7 +1024,8 @@ func inEnum(enum []string, v []byte) bool {
 }
 
 // appendEscapedText appends text content with the pruner's escaping
-// (the tree serialiser's: &, < and > become entities).
+// (the tree serialiser's: &, < and > become entities, and a carriage
+// return a reference, which a reader does not turn into a line feed).
 func appendEscapedText(dst, b []byte) []byte {
 	for i := 0; i < len(b); i++ {
 		switch b[i] {
@@ -1034,6 +1035,8 @@ func appendEscapedText(dst, b []byte) []byte {
 			dst = append(dst, "&lt;"...)
 		case '>':
 			dst = append(dst, "&gt;"...)
+		case '\r':
+			dst = append(dst, "&#13;"...)
 		default:
 			dst = append(dst, b[i])
 		}
@@ -1042,7 +1045,8 @@ func appendEscapedText(dst, b []byte) []byte {
 }
 
 // appendEscapedAttr appends an attribute value with the pruner's
-// escaping (the tree serialiser's: &, <, > and " become entities).
+// escaping (the tree serialiser's: &, <, > and " become entities, a
+// carriage return a reference).
 func appendEscapedAttr(dst, b []byte) []byte {
 	for i := 0; i < len(b); i++ {
 		switch b[i] {
@@ -1052,6 +1056,8 @@ func appendEscapedAttr(dst, b []byte) []byte {
 			dst = append(dst, "&lt;"...)
 		case '>':
 			dst = append(dst, "&gt;"...)
+		case '\r':
+			dst = append(dst, "&#13;"...)
 		case '"':
 			dst = append(dst, "&quot;"...)
 		default:

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"xmlproj/internal/scan"
 )
 
 // parseOracle is the loader as it was before it moved onto internal/scan:
-// encoding/xml's strict decoder, one heap node per node, a Renumber walk
-// at the end. The differential tests hold Parse to it: same verdict,
-// and on accept the same tree, node IDs and serialisation.
+// encoding/xml's strict decoder, adjacent character data merged by hand.
+// It builds through the same Builder calls the loader makes, one token at
+// a time. The differential tests hold Parse to it: same verdict, and on
+// accept the same table, node IDs and serialisation.
 //
 // nsNamed reports the one input shape the two are not compared on: a
 // prefix bound to the namespace name "xmlns". encoding/xml hands back
@@ -20,8 +23,16 @@ import (
 func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 	dec := xml.NewDecoder(r)
 	dec.Strict = true
-	var root *Node
-	var stack []*Node
+	b := NewBuilder(0)
+	var open []string
+	roots := 0
+	pending := "" // the text run since the last tag
+	flush := func() {
+		if pending != "" {
+			b.TextString(pending)
+			pending = ""
+		}
+	}
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -32,7 +43,7 @@ func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Kind: Element, Tag: t.Name.Local}
+			var attrs []scan.Attr
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					if a.Value == "xmlns" {
@@ -40,58 +51,61 @@ func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 					}
 					continue
 				}
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
+				attrs = append(attrs, scan.Attr{Name: []byte(a.Name.Local), Value: []byte(a.Value)})
 			}
-			if len(stack) == 0 {
-				if root != nil {
+			if len(open) == 0 {
+				if roots++; roots > 1 {
 					return nil, nsNamed, fmt.Errorf("tree: parse: multiple root elements")
 				}
-				root = n
-			} else {
-				stack[len(stack)-1].Append(n)
 			}
-			stack = append(stack, n)
+			flush()
+			b.StartElement([]byte(t.Name.Local), attrs)
+			open = append(open, t.Name.Local)
 		case xml.EndElement:
-			if len(stack) == 0 {
+			if len(open) == 0 {
 				return nil, nsNamed, fmt.Errorf("tree: parse: unbalanced end element %s", t.Name.Local)
 			}
-			stack = stack[:len(stack)-1]
+			flush()
+			b.EndElement()
+			open = open[:len(open)-1]
 		case xml.CharData:
-			if len(stack) == 0 {
+			if len(open) == 0 {
 				continue // text outside the root
 			}
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
-				continue
-			}
-			parent := stack[len(stack)-1]
 			// Merge adjacent character data (comment, PI and CDATA boundaries).
-			if k := len(parent.Children); k > 0 && parent.Children[k-1].Kind == Text {
-				parent.Children[k-1].Data += s
-				continue
+			if s := string(t); strings.TrimSpace(s) != "" {
+				pending += s
 			}
-			parent.Append(NewText(s))
 		case xml.Comment, xml.ProcInst, xml.Directive:
 			// Outside the data model; ignored.
 		}
 	}
-	if root == nil {
+	if roots == 0 {
 		return nil, nsNamed, fmt.Errorf("tree: parse: no root element")
 	}
-	if len(stack) != 0 {
-		return nil, nsNamed, fmt.Errorf("tree: parse: unterminated element %s", stack[len(stack)-1].Tag)
+	if len(open) != 0 {
+		return nil, nsNamed, fmt.Errorf("tree: parse: unterminated element %s", open[len(open)-1])
 	}
-	return NewDocument(root), nsNamed, nil
+	return b.Document(), nsNamed, nil
 }
 
 // diffOracle loads src both ways and describes the first disagreement,
 // or returns "". Beyond Equal it compares what Equal does not: node IDs,
-// parent and index links, NumNodes and the serialisation.
+// parent and subtree links, NumNodes and the serialisation. It also holds
+// the loader to its sizing: the text buffer is allocated once, at the
+// input's length, and never grows.
 func diffOracle(src []byte) string {
 	want, nsNamed, werr := parseOracle(strings.NewReader(string(src)))
 	got, gerr := ParseBytes(src)
 	if (werr == nil) != (gerr == nil) {
 		return fmt.Sprintf("verdicts differ: oracle %v, loader %v", werr, gerr)
+	}
+	if gerr == nil {
+		b := NewBuilder(len(src))
+		c := b.text.Cap()
+		if scan.Walk(src, b) == nil && b.text.Cap() != c {
+			return fmt.Sprintf("the text buffer grew from %d to %d bytes", c, b.text.Cap())
+		}
 	}
 	if werr != nil || nsNamed {
 		return ""
@@ -99,35 +113,19 @@ func diffOracle(src []byte) string {
 	if got.NumNodes() != want.NumNodes() {
 		return fmt.Sprintf("NumNodes %d, oracle %d", got.NumNodes(), want.NumNodes())
 	}
-	if d := diffNode(got.Root, want.Root, nil); d != "" {
-		return d
+	if !Equal(got.Root(), want.Root()) {
+		return "the trees differ"
+	}
+	for i := range int32(got.NumNodes()) {
+		g, w := got.At(i), want.At(i)
+		if g.ID() != w.ID() || got.ParentAt(i) != want.ParentAt(i) || got.EndAt(i) != want.EndAt(i) || g.StringValue() != w.StringValue() {
+			return fmt.Sprintf("node %d <%s>: ID %d, parent %d, end %d, value %q; oracle %d, %d, %d, %q", i, g.Tag(),
+				g.ID(), got.ParentAt(i), got.EndAt(i), g.StringValue(),
+				w.ID(), want.ParentAt(i), want.EndAt(i), w.StringValue())
+		}
 	}
 	if g, w := got.XML(), want.XML(); g != w {
 		return fmt.Sprintf("XML() differs:\nloader %q\noracle %q", g, w)
-	}
-	return ""
-}
-
-func diffNode(g, w, parent *Node) string {
-	if g.ID != w.ID || g.Kind != w.Kind || g.Tag != w.Tag || g.Data != w.Data || g.Index != w.Index {
-		return fmt.Sprintf("node differs: loader %+v, oracle %+v", *g, *w)
-	}
-	if g.Parent != parent {
-		return fmt.Sprintf("node %d: parent link is %p, want %p", g.ID, g.Parent, parent)
-	}
-	if len(g.Attrs) != len(w.Attrs) || len(g.Children) != len(w.Children) {
-		return fmt.Sprintf("node %d <%s>: %d attrs and %d children, oracle %d and %d",
-			g.ID, g.Tag, len(g.Attrs), len(g.Children), len(w.Attrs), len(w.Children))
-	}
-	for i := range g.Attrs {
-		if g.Attrs[i] != w.Attrs[i] {
-			return fmt.Sprintf("node %d <%s>: attr %d is %+v, oracle %+v", g.ID, g.Tag, i, g.Attrs[i], w.Attrs[i])
-		}
-	}
-	for i := range g.Children {
-		if d := diffNode(g.Children[i], w.Children[i], g); d != "" {
-			return d
-		}
 	}
 	return ""
 }

@@ -2,20 +2,22 @@
 // ordered forest of labelled ordered trees with unique node identifiers.
 //
 // Nodes are either element nodes (a tag labelling an ordered forest of
-// children), text nodes (string leaves), or the document root. Attributes —
-// omitted from the paper's formal model but supported by its implementation
-// (§2.1, §6) — are carried on element nodes.
+// children) or text nodes (string leaves). Attributes — omitted from the
+// paper's formal model but supported by its implementation (§2.1, §6) —
+// are carried on element nodes.
+//
+// A Document is a table: one fixed-size record per node, in document
+// order, holding no Go pointer, so the collector does not trace it. A
+// subtree is the range of records from its root to its last descendant.
+// Character data is one string in document order, so an element's
+// string-value is one substring of it. A Builder makes every Document; a
+// Node is a handle on one record.
 package tree
 
-import (
-	"fmt"
-	"strings"
-)
-
 // NodeID is the unique identifier i of a node within a well-formed forest
-// (Def. 2.2). IDs are assigned in document order by the parser and by
-// Renumber, so comparing IDs of nodes of the same document compares
-// document order.
+// (Def. 2.2). IDs follow document order, so comparing the IDs of two
+// nodes of one document, or of a document and a store built past it
+// (NewStore), compares document order.
 type NodeID int
 
 // Kind discriminates the node kinds of the data model.
@@ -28,255 +30,225 @@ const (
 	Text
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Element:
-		return "element"
-	case Text:
-		return "text"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
 // Attr is a single attribute of an element node.
 type Attr struct {
 	Name  string
 	Value string
 }
 
-// Node is a tree t of the data model: either s_i (Kind == Text, Data holds
-// s) or l_i[f] (Kind == Element, Tag holds l, Children holds f).
-type Node struct {
-	ID   NodeID
-	Kind Kind
+// noName is a name number no record carries: Document.Name's answer for a
+// name the document does not use. A text node's name number is -1.
+const noName int32 = -2
 
-	// Tag is the element tag l; empty for text nodes.
-	Tag string
-	// Data is the text content s; empty for element nodes.
-	Data string
-
-	Attrs    []Attr
-	Children []*Node
-
-	// Parent is nil for a root node.
-	Parent *Node
-	// Index is the position of the node among its parent's children.
-	Index int
+// record is one node of a Document's table: 32 bytes, no pointer.
+type record struct {
+	kind Kind
+	// name is the element's name number, an index into Document.names;
+	// -1 for a text node.
+	name int32
+	// parent is the parent's index, -1 for a root; end is the index of
+	// the last descendant, the node's own for a leaf.
+	parent, end int32
+	// off and n locate the node's text in Document.text: a text node's
+	// data, an element's string-value (all the text below it).
+	off, n uint32
+	// attr and nattr locate the element's attributes in Document.attrs.
+	attr, nattr uint32
 }
 
-// NewElement returns a parentless element node labelled tag.
-func NewElement(tag string, children ...*Node) *Node {
-	n := &Node{Kind: Element, Tag: tag}
-	for _, c := range children {
-		n.Append(c)
+// attrRecord is one attribute of a Document's attribute table: 12 bytes,
+// no pointer.
+type attrRecord struct {
+	name   int32  // name number
+	off, n uint32 // the value, in Document.vals
+}
+
+// Document is a well-formed tree (Def. 2.2) rooted at a single element,
+// or, built by a store, a forest of them. What has been built does not
+// change; a store only grows at its end.
+type Document struct {
+	nodes []record
+	attrs []attrRecord
+	// text holds every text node's data in document order; vals holds
+	// the attribute values.
+	text, vals string
+	names      []string
+	byName     map[string]int32
+	// The i-th record's ID is base + i, unless ids is set: a pruned
+	// document keeps its original's IDs, with gaps.
+	base NodeID
+	ids  []NodeID
+}
+
+// NumNodes reports the number of nodes in the document.
+func (d *Document) NumNodes() int { return len(d.nodes) }
+
+// Root returns the document's root element, the first record; the zero
+// Node for an empty document.
+func (d *Document) Root() Node {
+	if len(d.nodes) == 0 {
+		return Node{}
 	}
-	return n
+	return Node{d, 0}
 }
 
-// NewText returns a parentless text node holding data.
-func NewText(data string) *Node {
-	return &Node{Kind: Text, Data: data}
+// At returns the node in the i-th record.
+func (d *Document) At(i int32) Node { return Node{d, i} }
+
+// Name returns the number the document gives to a name, or one no record
+// carries if the document does not use it. A name test looks its
+// name up once per document and compares numbers (NameAt) after that.
+func (d *Document) Name(tag string) int32 {
+	if n, ok := d.byName[tag]; ok {
+		return n
+	}
+	return noName
 }
 
-// Append adds c as the last child of n and fixes its parent/index links.
-func (n *Node) Append(c *Node) {
-	c.Parent = n
-	c.Index = len(n.Children)
-	n.Children = append(n.Children, c)
+// NameAt returns the name number of the i-th record: -1 for a text node.
+func (d *Document) NameAt(i int32) int32 { return d.nodes[i].name }
+
+// EndAt returns the index of the i-th record's last descendant.
+func (d *Document) EndAt(i int32) int32 { return d.nodes[i].end }
+
+// ParentAt returns the index of the i-th record's parent, -1 for a root.
+func (d *Document) ParentAt(i int32) int32 { return d.nodes[i].parent }
+
+// IDAt returns the ID of the i-th record.
+func (d *Document) IDAt(i int32) NodeID {
+	if d.ids != nil {
+		return d.ids[i]
+	}
+	return d.base + NodeID(i)
+}
+
+// ByID returns the node with the given ID, or the zero Node. It is a
+// linear search intended for tests and tooling, not for the query engine.
+func (d *Document) ByID(id NodeID) Node {
+	for i := range d.nodes {
+		if d.IDAt(int32(i)) == id {
+			return Node{d, int32(i)}
+		}
+	}
+	return Node{}
+}
+
+// Node is a node of a Document: the document and the index of the node's
+// record. The zero Node is no node.
+type Node struct {
+	d *Document
+	i int32
+}
+
+// Valid reports whether n is a node, not the zero Node.
+func (n Node) Valid() bool { return n.d != nil }
+
+// Doc returns the document the node belongs to.
+func (n Node) Doc() *Document { return n.d }
+
+// Index returns the index of the node's record in its document.
+func (n Node) Index() int32 { return n.i }
+
+func (n Node) rec() *record { return &n.d.nodes[n.i] }
+
+// ID returns the node's identifier.
+func (n Node) ID() NodeID { return n.d.IDAt(n.i) }
+
+// Kind returns the node's kind.
+func (n Node) Kind() Kind { return n.rec().kind }
+
+// Tag returns an element's tag, "" for a text node.
+func (n Node) Tag() string {
+	if r := n.rec(); r.kind == Element {
+		return n.d.names[r.name]
+	}
+	return ""
+}
+
+// Data returns a text node's string, "" for an element.
+func (n Node) Data() string {
+	if r := n.rec(); r.kind == Text {
+		return n.d.text[r.off : r.off+r.n]
+	}
+	return ""
+}
+
+// StringValue returns the XPath string-value: the concatenation of all
+// text below an element in document order, or a text node's string. Text
+// is stored in document order, so either is one substring of the
+// document's text and nothing is allocated.
+func (n Node) StringValue() string {
+	r := n.rec()
+	return n.d.text[r.off : r.off+r.n]
+}
+
+// Parent returns the node's parent, or the zero Node for a root.
+func (n Node) Parent() Node {
+	if p := n.rec().parent; p >= 0 {
+		return Node{n.d, p}
+	}
+	return Node{}
+}
+
+// LastDescendant returns the last node of n's subtree in document order
+// (n itself for a leaf): the subtree is the records from n's to its.
+func (n Node) LastDescendant() Node { return Node{n.d, n.rec().end} }
+
+// FirstChild returns the node's first child, or the zero Node.
+func (n Node) FirstChild() Node {
+	if n.rec().end > n.i {
+		return Node{n.d, n.i + 1}
+	}
+	return Node{}
+}
+
+// NextSibling returns the node after n's subtree when it has n's parent,
+// or the zero Node. The roots of a store's forest are siblings.
+func (n Node) NextSibling() Node {
+	r := n.rec()
+	next := r.end + 1
+	if r.parent >= 0 && next > n.d.nodes[r.parent].end || int(next) >= len(n.d.nodes) {
+		return Node{}
+	}
+	return Node{n.d, next}
+}
+
+// NumAttrs returns the number of the element's attributes.
+func (n Node) NumAttrs() int { return int(n.rec().nattr) }
+
+// AttrAt returns the element's i-th attribute.
+func (n Node) AttrAt(i int) Attr {
+	a := n.d.attrs[int(n.rec().attr)+i]
+	return Attr{Name: n.d.names[a.name], Value: n.d.vals[a.off : a.off+a.n]}
 }
 
 // Attr returns the value of the named attribute and whether it is present.
-func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
-		if a.Name == name {
-			return a.Value, true
+func (n Node) Attr(name string) (string, bool) {
+	r := n.rec()
+	for _, a := range n.d.attrs[r.attr : r.attr+r.nattr] {
+		if n.d.names[a.name] == name {
+			return n.d.vals[a.off : a.off+a.n], true
 		}
 	}
 	return "", false
 }
 
-// SetAttr sets (or overwrites) an attribute.
-func (n *Node) SetAttr(name, value string) {
-	for i, a := range n.Attrs {
-		if a.Name == name {
-			n.Attrs[i].Value = value
-			return
-		}
-	}
-	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
-}
-
-// Root walks parent links up to the root of the tree containing n.
-func (n *Node) Root() *Node {
-	r := n
-	for r.Parent != nil {
-		r = r.Parent
-	}
-	return r
-}
-
-// LastDescendant returns the last node of n's subtree in document order,
-// the end of its rightmost path (n itself for a leaf). IDs are handed out
-// in document order, so the subtree is exactly the nodes with IDs from
-// n's to its, and a document's largest ID is its root's last descendant's.
-func (n *Node) LastDescendant() *Node {
-	for len(n.Children) > 0 {
-		n = n.Children[len(n.Children)-1]
-	}
-	return n
-}
-
-// StringValue returns the concatenation of all text-node descendants of n
-// in document order (the XPath string-value of an element), or Data for a
-// text node. It is sized by one walk and written by a second; when one
-// text node holds all of it, as under an element of simple content, that
-// node's string is the value and nothing is allocated.
-func (n *Node) StringValue() string {
-	if n.Kind == Text {
-		return n.Data
-	}
-	var last string
-	size := textSize(n, &last)
-	if size == len(last) {
-		return last
-	}
-	var sb strings.Builder
-	sb.Grow(size)
-	appendText(&sb, n)
-	return sb.String()
-}
-
-// textSize returns the length of the text below n and leaves the last
-// text node's string in *last.
-func textSize(n *Node, last *string) int {
-	size := 0
-	for _, c := range n.Children {
-		if c.Kind == Text {
-			size += len(c.Data)
-			*last = c.Data
-		} else if len(c.Children) > 0 {
-			size += textSize(c, last)
-		}
-	}
-	return size
-}
-
-func appendText(sb *strings.Builder, n *Node) {
-	for _, c := range n.Children {
-		if c.Kind == Text {
-			sb.WriteString(c.Data)
-		} else if len(c.Children) > 0 {
-			appendText(sb, c)
-		}
-	}
-}
-
-// Document is a well-formed tree (Def. 2.2) rooted at a single element.
-type Document struct {
-	Root *Node
-	// next is the next fresh NodeID.
-	next NodeID
-}
-
-// NewDocument wraps root in a Document and numbers all nodes in document
-// order.
-func NewDocument(root *Node) *Document {
-	d := &Document{Root: root}
-	d.Renumber()
-	return d
-}
-
-// Renumber reassigns node IDs in document order. It must be called after
-// structural mutation if IDs are subsequently used for document-order
-// comparison.
-func (d *Document) Renumber() {
-	d.next = 0
-	d.Walk(func(n *Node) bool {
-		n.ID = d.next
-		d.next++
-		return true
-	})
-}
-
-// NumNodes reports the number of nodes currently numbered in the document.
-func (d *Document) NumNodes() int { return int(d.next) }
-
-// Walk visits every node of the document in document order. If f returns
-// false the children of the current node are skipped.
-func (d *Document) Walk(f func(*Node) bool) {
-	if d.Root == nil {
-		return
-	}
-	walk(d.Root, f)
-}
-
-func walk(n *Node, f func(*Node) bool) {
-	if !f(n) {
-		return
-	}
-	for _, c := range n.Children {
-		walk(c, f)
-	}
-}
-
-// ByID returns the node with the given ID, or nil. It is a linear search
-// intended for tests and tooling, not for the query engine.
-func (d *Document) ByID(id NodeID) *Node {
-	var found *Node
-	d.Walk(func(n *Node) bool {
-		if n.ID == id {
-			found = n
-			return false
-		}
-		return found == nil
-	})
-	return found
-}
-
-// Clone returns a deep copy of the document, preserving node IDs.
-func (d *Document) Clone() *Document {
-	c := &Document{next: d.next}
-	if d.Root != nil {
-		c.Root = cloneNode(d.Root, nil)
-	}
-	return c
-}
-
-func cloneNode(n *Node, parent *Node) *Node {
-	m := &Node{ID: n.ID, Kind: n.Kind, Tag: n.Tag, Data: n.Data, Parent: parent, Index: n.Index}
-	if len(n.Attrs) > 0 {
-		m.Attrs = append([]Attr(nil), n.Attrs...)
-	}
-	if len(n.Children) > 0 {
-		m.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
-			m.Children[i] = cloneNode(c, m)
-		}
-	}
-	return m
-}
-
 // Equal reports structural equality of two trees: same kinds, tags, data,
 // attributes (ordered) and children. Node IDs are ignored.
-func Equal(a, b *Node) bool {
-	if a == nil || b == nil {
-		return a == b
+func Equal(a, b Node) bool {
+	if !a.Valid() || !b.Valid() {
+		return a.Valid() == b.Valid()
 	}
-	if a.Kind != b.Kind || a.Tag != b.Tag || a.Data != b.Data {
-		return false
-	}
-	if len(a.Attrs) != len(b.Attrs) || len(a.Children) != len(b.Children) {
-		return false
-	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
+	for k := int32(0); k <= a.rec().end-a.i; k++ { // the sizes agree at k = 0
+		x, y := Node{a.d, a.i + k}, Node{b.d, b.i + k}
+		if x.rec().end-x.i != y.rec().end-y.i || x.Kind() != y.Kind() || x.Tag() != y.Tag() ||
+			x.Data() != y.Data() || x.NumAttrs() != y.NumAttrs() {
 			return false
 		}
-	}
-	for i := range a.Children {
-		if !Equal(a.Children[i], b.Children[i]) {
-			return false
+		for i := range x.NumAttrs() {
+			if x.AttrAt(i) != y.AttrAt(i) {
+				return false
+			}
 		}
 	}
 	return true
@@ -286,24 +258,21 @@ func Equal(a, b *Node) bool {
 // sense of Def. 2.1: p is obtained from t by replacing some subforests with
 // the empty forest. Matching is by node identity (IDs), so both trees must
 // stem from the same numbering.
-func IsProjectionOf(p, t *Node) bool {
-	if p.ID != t.ID || p.Kind != t.Kind || p.Tag != t.Tag || p.Data != t.Data {
+func IsProjectionOf(p, t Node) bool {
+	if p.ID() != t.ID() || p.Kind() != t.Kind() || p.Tag() != t.Tag() || p.Data() != t.Data() {
 		return false
 	}
 	// Children of p must be an ID-subsequence of children of t, each
 	// recursively a projection.
-	j := 0
-	for _, pc := range p.Children {
-		for j < len(t.Children) && t.Children[j].ID != pc.ID {
-			j++
+	tc := t.FirstChild()
+	for pc := p.FirstChild(); pc.Valid(); pc = pc.NextSibling() {
+		for tc.Valid() && tc.ID() != pc.ID() {
+			tc = tc.NextSibling()
 		}
-		if j == len(t.Children) {
+		if !tc.Valid() || !IsProjectionOf(pc, tc) {
 			return false
 		}
-		if !IsProjectionOf(pc, t.Children[j]) {
-			return false
-		}
-		j++
+		tc = tc.NextSibling()
 	}
 	return true
 }

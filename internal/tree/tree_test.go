@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,34 +16,43 @@ func mustParse(t *testing.T, s string) *Document {
 	return d
 }
 
+// children lists n's children.
+func children(n Node) []Node {
+	var out []Node
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestParseSimple(t *testing.T) {
 	d := mustParse(t, `<a><b>hi</b><c x="1"/></a>`)
-	r := d.Root
-	if r.Tag != "a" || len(r.Children) != 2 {
-		t.Fatalf("root = %s with %d children, want a with 2", r.Tag, len(r.Children))
+	r := d.Root()
+	kids := children(r)
+	if r.Tag() != "a" || len(kids) != 2 {
+		t.Fatalf("root = %s with %d children, want a with 2", r.Tag(), len(kids))
 	}
-	b := r.Children[0]
-	if b.Tag != "b" || len(b.Children) != 1 || b.Children[0].Kind != Text || b.Children[0].Data != "hi" {
-		t.Fatalf("bad <b> subtree: %+v", b)
+	b := kids[0]
+	if bk := children(b); b.Tag() != "b" || len(bk) != 1 || bk[0].Kind() != Text || bk[0].Data() != "hi" {
+		t.Fatalf("bad <b> subtree: %s", b.Tag())
 	}
-	c := r.Children[1]
-	if v, ok := c.Attr("x"); !ok || v != "1" {
+	if v, ok := kids[1].Attr("x"); !ok || v != "1" {
 		t.Fatalf("c@x = %q, %v", v, ok)
 	}
 }
 
 func TestParseWhitespaceDropped(t *testing.T) {
 	d := mustParse(t, "<a>\n  <b/>\n  <c/>\n</a>")
-	if len(d.Root.Children) != 2 {
-		t.Fatalf("got %d children, want 2 (whitespace-only text dropped)", len(d.Root.Children))
+	if n := len(children(d.Root())); n != 2 {
+		t.Fatalf("got %d children, want 2 (whitespace-only text dropped)", n)
 	}
 }
 
 func TestParseMixedContentKeepsText(t *testing.T) {
 	d := mustParse(t, "<a>one<b/>two</a>")
-	kids := d.Root.Children
-	if len(kids) != 3 || kids[0].Data != "one" || kids[1].Tag != "b" || kids[2].Data != "two" {
-		t.Fatalf("mixed content parsed wrong: %+v", kids)
+	kids := children(d.Root())
+	if len(kids) != 3 || kids[0].Data() != "one" || kids[1].Tag() != "b" || kids[2].Data() != "two" {
+		t.Fatalf("mixed content parsed wrong: %s", d.XML())
 	}
 }
 
@@ -62,12 +72,13 @@ func TestSerializeRoundTrip(t *testing.T) {
 		`<a>text &amp; more <b/> tail</a>`,
 		`<r><x y="a&quot;b"/></r>`,
 		`<a>one&lt;two</a>`,
+		`<a x="p&#13;q">p&#13;q<b>&#13;</b></a>`,
 	}
 	for _, src := range srcs {
 		d := mustParse(t, src)
 		out := d.XML()
 		d2 := mustParse(t, out)
-		if !Equal(d.Root, d2.Root) {
+		if !Equal(d.Root(), d2.Root()) {
 			t.Errorf("round trip changed tree:\n in: %s\nout: %s", src, out)
 		}
 	}
@@ -80,77 +91,89 @@ func TestSerializedSizeMatchesXML(t *testing.T) {
 	}
 }
 
-func TestRenumberDocumentOrder(t *testing.T) {
+func TestIDsInDocumentOrder(t *testing.T) {
 	d := mustParse(t, `<a><b><d/></b><c/></a>`)
-	var ids []NodeID
 	var tags []string
-	d.Walk(func(n *Node) bool {
-		ids = append(ids, n.ID)
-		tags = append(tags, n.Tag)
-		return true
-	})
-	for i, id := range ids {
-		if int(id) != i {
-			t.Fatalf("ids not in document order: %v (%v)", ids, tags)
+	for i := range int32(d.NumNodes()) {
+		if n := d.At(i); int(n.ID()) != int(i) {
+			t.Fatalf("node %d has ID %d", i, n.ID())
 		}
+		tags = append(tags, d.At(i).Tag())
 	}
 	if want := []string{"a", "b", "d", "c"}; strings.Join(tags, ",") != strings.Join(want, ",") {
-		t.Fatalf("walk order %v, want %v", tags, want)
+		t.Fatalf("table order %v, want %v", tags, want)
 	}
 }
 
 func TestStringValue(t *testing.T) {
 	d := mustParse(t, `<a>one<b>two<c>three</c></b>four</a>`)
-	if got := d.Root.StringValue(); got != "onetwothreefour" {
+	if got := d.Root().StringValue(); got != "onetwothreefour" {
 		t.Fatalf("StringValue = %q", got)
 	}
-	if got := d.Root.Children[1].StringValue(); got != "twothree" {
+	if got := children(d.Root())[1].StringValue(); got != "twothree" {
 		t.Fatalf("StringValue(b) = %q", got)
+	}
+	if got := d.ByID(4).StringValue(); got != "three" {
+		t.Fatalf("StringValue(c) = %q", got)
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	d := mustParse(t, `<a><b>hi</b></a>`)
-	c := d.Clone()
-	c.Root.Children[0].Children[0].Data = "changed"
-	if d.Root.Children[0].Children[0].Data != "hi" {
-		t.Fatal("Clone shares text nodes with original")
+// project copies d without the subtrees drop picks, with a new tag for
+// the nodes relabel names, keeping the IDs of what it keeps.
+func project(d *Document, drop func(Node) bool, relabel map[NodeID]string) *Document {
+	b := NewBuilder(0)
+	var walk func(n Node)
+	walk = func(n Node) {
+		if drop(n) {
+			return
+		}
+		if n.Kind() == Text {
+			b.TextString(n.Data())
+			b.SetID(n.ID())
+			return
+		}
+		tag := n.Tag()
+		if l, ok := relabel[n.ID()]; ok {
+			tag = l
+		}
+		b.Start(tag)
+		b.SetID(n.ID())
+		for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+			walk(c)
+		}
+		b.EndElement()
 	}
-	if !Equal(d.Root, mustParse(t, `<a><b>hi</b></a>`).Root) {
-		t.Fatal("original mutated")
-	}
-	if c.Root.Children[0].Parent != c.Root {
-		t.Fatal("clone parent links broken")
-	}
+	walk(d.Root())
+	return b.Document()
 }
 
 func TestIsProjectionOf(t *testing.T) {
-	d := mustParse(t, `<a><b><d/></b><c/></a>`)
-	full := d.Clone()
+	full := mustParse(t, `<a><b><d/></b><c/></a>`)
+	none := func(Node) bool { return false }
 	// Remove <c/>.
-	p1 := d.Clone()
-	p1.Root.Children = p1.Root.Children[:1]
-	if !IsProjectionOf(p1.Root, full.Root) {
+	p1 := project(full, func(n Node) bool { return n.Tag() == "c" }, nil)
+	if !IsProjectionOf(p1.Root(), full.Root()) {
 		t.Fatal("dropping a subtree should be a projection")
 	}
+	if p1.Root().LastDescendant().ID() != 2 {
+		t.Fatalf("the projection renumbered its nodes: %d", p1.Root().LastDescendant().ID())
+	}
 	// Remove <d/> under <b>.
-	p2 := d.Clone()
-	p2.Root.Children[0].Children = nil
-	if !IsProjectionOf(p2.Root, full.Root) {
+	p2 := project(full, func(n Node) bool { return n.Tag() == "d" }, nil)
+	if !IsProjectionOf(p2.Root(), full.Root()) {
 		t.Fatal("dropping a nested subtree should be a projection")
 	}
 	// Relabelling is not a projection.
-	p3 := d.Clone()
-	p3.Root.Children[0].Tag = "z"
-	if IsProjectionOf(p3.Root, full.Root) {
+	p3 := project(full, none, map[NodeID]string{1: "z"})
+	if IsProjectionOf(p3.Root(), full.Root()) {
 		t.Fatal("relabelled tree must not be a projection")
 	}
 	// The full tree is a projection of itself.
-	if !IsProjectionOf(full.Root, full.Root) {
+	if !IsProjectionOf(full.Root(), full.Root()) {
 		t.Fatal("tree must be a projection of itself")
 	}
 	// But not vice versa once something is dropped.
-	if IsProjectionOf(full.Root, p1.Root) {
+	if IsProjectionOf(full.Root(), p1.Root()) {
 		t.Fatal("projection order must not be symmetric here")
 	}
 }
@@ -158,57 +181,160 @@ func TestIsProjectionOf(t *testing.T) {
 func TestByID(t *testing.T) {
 	d := mustParse(t, `<a><b/><c/></a>`)
 	n := d.ByID(2)
-	if n == nil || n.Tag != "c" {
-		t.Fatalf("ByID(2) = %+v, want <c>", n)
+	if !n.Valid() || n.Tag() != "c" {
+		t.Fatalf("ByID(2) = %q, want <c>", n.Tag())
 	}
-	if d.ByID(99) != nil {
-		t.Fatal("ByID(99) should be nil")
+	if d.ByID(99).Valid() {
+		t.Fatal("ByID(99) should be no node")
 	}
 }
 
-func TestAppendFixesLinks(t *testing.T) {
-	a := NewElement("a")
-	b := NewElement("b")
-	c := NewText("x")
-	a.Append(b)
-	a.Append(c)
-	if b.Parent != a || c.Parent != a || b.Index != 0 || c.Index != 1 {
-		t.Fatalf("links wrong: b(%v,%d) c(%v,%d)", b.Parent == a, b.Index, c.Parent == a, c.Index)
+func TestBuilderFixesLinks(t *testing.T) {
+	b := NewBuilder(0)
+	b.Start("a")
+	b.Start("b")
+	b.EndElement()
+	b.TextString("x")
+	b.EndElement()
+	d := b.Document()
+	a, kids := d.Root(), children(d.Root())
+	if len(kids) != 2 || kids[0].Parent() != a || kids[1].Parent() != a || kids[0].NextSibling() != kids[1] || a.LastDescendant() != kids[1] {
+		t.Fatalf("links wrong: %s", d.XML())
+	}
+	if a.Parent().Valid() || kids[1].NextSibling().Valid() || kids[0].FirstChild().Valid() {
+		t.Fatal("a root, a last child and a leaf have links they should not")
 	}
 }
 
 func TestSetAttr(t *testing.T) {
-	n := NewElement("a")
-	n.SetAttr("x", "1")
-	n.SetAttr("x", "2")
-	n.SetAttr("y", "3")
+	b := NewBuilder(0)
+	b.Start("a")
+	b.Attr("x", "1")
+	b.Attr("x", "2")
+	b.Attr("y", "3")
+	b.EndElement()
+	n := b.Document().Root()
 	if v, _ := n.Attr("x"); v != "2" {
 		t.Fatalf("x = %q, want 2 (overwrite)", v)
 	}
-	if len(n.Attrs) != 2 {
-		t.Fatalf("%d attrs, want 2", len(n.Attrs))
+	if n.NumAttrs() != 2 {
+		t.Fatalf("%d attrs, want 2", n.NumAttrs())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an attribute after the element's content was accepted")
+		}
+	}()
+	b.Start("c")
+	b.TextString("t")
+	b.Attr("z", "1")
+}
+
+// TestCopyIsARangeCopy: a subtree copied into a store, from a loaded
+// document and from the store itself — a constructed element inside a
+// constructed element — reads back as its source, with fresh IDs past
+// the document's and names, text and values of its own.
+func TestCopyIsARangeCopy(t *testing.T) {
+	d := mustParse(t, `<r><a k="v">one<b x="1">two</b></a><c/>three</r>`)
+	a := children(d.Root())[0]
+	s := NewStore(d)
+	s.Start("w")
+	s.Attr("id", "w1")
+	s.Copy(a)
+	s.TextString("tail")
+	s.EndElement()
+	w := s.Document().Root()
+	s.Start("v")
+	s.Copy(w)
+	s.EndElement()
+	st := s.Document()
+	v := st.At(w.LastDescendant().Index() + 1)
+	if got := xmlOf(v); got != `<v><w id="w1"><a k="v">one<b x="1">two</b></a>tail</w></v>` {
+		t.Fatalf("copied into a copy: %s", got)
+	}
+	if w.ID() != NodeID(d.NumNodes()) || v.ID() <= w.LastDescendant().ID() {
+		t.Fatalf("store IDs %d and %d do not follow the document's %d nodes", w.ID(), v.ID(), d.NumNodes())
+	}
+	if got := children(v)[0].StringValue(); got != "onetwotail" {
+		t.Fatalf("string-value of the copy: %q", got)
+	}
+	if !Equal(children(w)[0], a) || !Equal(children(v)[0], w) {
+		t.Fatal("a copy differs from its source")
 	}
 }
 
-// escapeRoundTrip is a quick property: any text survives
-// serialise-then-parse unchanged.
+// xmlOf is AppendXML into a string of its own.
+func xmlOf(n Node) string {
+	var sb strings.Builder
+	n.AppendXML(&sb)
+	return sb.String()
+}
+
+// TestTablesArePointerFree: the node and attribute records hold no
+// pointer, string, slice, map, interface or func, so a document's tables
+// are memory the collector does not scan. One field of such a type would
+// bring back a trace over every node of every load.
+func TestTablesArePointerFree(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: the table would be scanned by the collector", path, typ.Kind())
+		}
+	}
+	d := reflect.TypeOf(Document{})
+	for _, name := range []string{"nodes", "attrs"} {
+		f, ok := d.FieldByName(name)
+		if !ok || f.Type.Kind() != reflect.Slice {
+			t.Fatalf("Document.%s is not a table", name)
+		}
+		check(f.Type.Elem().Name(), f.Type.Elem())
+	}
+	if s := reflect.TypeOf(record{}).Size(); s != 32 {
+		t.Errorf("a node record is %d bytes, want 32", s)
+	}
+	if s := reflect.TypeOf(attrRecord{}).Size(); s != 12 {
+		t.Errorf("an attribute record is %d bytes, want 12", s)
+	}
+}
+
+// TestQuickTextEscapeRoundTrip: any text survives serialise-then-parse
+// unchanged, a carriage return included.
 func TestQuickTextEscapeRoundTrip(t *testing.T) {
 	f := func(s string) bool {
 		if !validCharData(s) {
 			return true // XML cannot carry arbitrary control bytes
 		}
-		doc := NewDocument(NewElement("a", NewText(s)))
-		out, err := ParseString(doc.XML())
+		b := NewBuilder(0)
+		b.Start("a")
+		b.Attr("v", s)
+		b.TextString(s)
+		b.EndElement()
+		out, err := ParseString(b.Document().XML())
 		if err != nil {
 			return false
 		}
-		if strings.TrimSpace(s) == "" {
-			return len(out.Root.Children) == 0
+		if v, _ := out.Root().Attr("v"); v != s {
+			return false
 		}
-		return len(out.Root.Children) == 1 && out.Root.Children[0].Data == s
+		kids := children(out.Root())
+		if strings.TrimSpace(s) == "" {
+			return len(kids) == 0
+		}
+		return len(kids) == 1 && kids[0].Data() == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if !f("p\rq\r\n") {
+		t.Fatal(`"p\rq\r\n" does not survive serialise-then-parse`)
 	}
 }
 
@@ -217,9 +343,8 @@ func validCharData(s string) bool {
 		if r == '�' {
 			return false
 		}
-		// A '\r' comes back as '\n', and U+FFFE / U+FFFF are no XML
-		// characters: neither round-trips, by the rules.
-		if r < 0x20 && r != '\t' && r != '\n' || r == 0xFFFE || r == 0xFFFF {
+		// U+FFFE / U+FFFF are no XML characters.
+		if r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
 			return false
 		}
 	}
@@ -228,9 +353,13 @@ func validCharData(s string) bool {
 
 func TestEqualIgnoresIDs(t *testing.T) {
 	a := mustParse(t, `<a><b/></a>`)
-	b := mustParse(t, `<a><b/></a>`)
-	b.Root.ID = 42
-	if !Equal(a.Root, b.Root) {
+	s := NewStore(a)
+	s.Copy(a.Root())
+	b := s.Document().Root()
+	if b.ID() == a.Root().ID() {
+		t.Fatal("a store copy has its source's ID")
+	}
+	if !Equal(a.Root(), b) {
 		t.Fatal("Equal must ignore IDs")
 	}
 }
@@ -251,8 +380,8 @@ func TestIndentedXML(t *testing.T) {
 	// Indented output re-parses to an equivalent tree (mixed content kept
 	// inline, so no whitespace was invented inside it).
 	re := mustParse(t, out)
-	if re.Root.Children[1].Children[0].Data != "mixed " {
-		t.Fatalf("mixed text changed: %q", re.Root.Children[1].Children[0].Data)
+	if got := children(children(re.Root())[1])[0].Data(); got != "mixed " {
+		t.Fatalf("mixed text changed: %q", got)
 	}
 }
 
@@ -264,6 +393,7 @@ func TestQuickDocumentRoundTrip(t *testing.T) {
 		`<a x="1" y="&lt;&amp;&quot;"/>`,
 		`<a><b>t1</b>mid<c><d>deep</d></c>tail</a>`,
 		`<a>&amp;escaped&lt;</a>`,
+		`<a x="&#13;">&#13;<b>p&#13;q</b></a>`,
 	}
 	for _, src := range srcs {
 		d := mustParse(t, src)
@@ -271,7 +401,7 @@ func TestQuickDocumentRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if !Equal(d.Root, out.Root) {
+		if !Equal(d.Root(), out.Root()) {
 			t.Fatalf("round trip changed %s -> %s", src, out.XML())
 		}
 	}

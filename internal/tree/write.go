@@ -5,100 +5,113 @@ import (
 	"strings"
 )
 
-// The serialiser is two walks over one grammar: XMLSize counts the bytes
-// writeNode will write, so a caller that renders into memory sizes its
+// The serialiser is two loops over one grammar: XMLSize counts the bytes
+// writeTree will write, so a caller that renders into memory sizes its
 // buffer once and writes every tag, attribute and escaped run straight
-// into it. The output is deterministic: attributes in stored order, text
-// escaped, no added whitespace.
+// into it. Both run over a subtree's range of records. The output is
+// deterministic: attributes in stored order, text escaped, no added
+// whitespace.
 
 // WriteXML serialises the document to w as XML.
 func (d *Document) WriteXML(w io.Writer) error {
 	bw := &errWriter{w: w}
-	writeNode(bw, d.Root)
+	if root := d.Root(); root.Valid() {
+		writeTree(bw, root)
+	}
 	return bw.err
 }
 
 // XML returns the document serialised as a string.
 func (d *Document) XML() string {
+	root := d.Root()
+	if !root.Valid() {
+		return ""
+	}
 	var sb strings.Builder
-	sb.Grow(d.Root.XMLSize())
-	d.Root.AppendXML(&sb)
+	sb.Grow(root.XMLSize())
+	root.AppendXML(&sb)
 	return sb.String()
 }
 
 // SerializedSize returns the number of bytes of the XML serialisation of d,
 // without materialising it.
-func (d *Document) SerializedSize() int64 { return int64(d.Root.XMLSize()) }
+func (d *Document) SerializedSize() int64 {
+	if root := d.Root(); root.Valid() {
+		return int64(root.XMLSize())
+	}
+	return 0
+}
 
 // AppendXML writes the serialisation of the subtree rooted at n to sb;
 // XMLSize says how much room it takes.
-func (n *Node) AppendXML(sb *strings.Builder) { writeNode(sb, n) }
+func (n Node) AppendXML(sb *strings.Builder) { writeTree(sb, n) }
 
 // XMLSize returns the number of bytes AppendXML writes for n.
-func (n *Node) XMLSize() int {
-	if n == nil {
-		return 0
-	}
-	if n.Kind == Text {
-		return escapedSize(n.Data, false)
-	}
-	size := len("<") + len(n.Tag) + len("/>")
-	for _, a := range n.Attrs {
-		size += len(` =""`) + len(a.Name) + escapedSize(a.Value, true)
-	}
-	if len(n.Children) == 0 {
-		return size
-	}
-	size += len("</") + len(n.Tag) // "<tag>" and "</tag>" are one "/" short of "<tag/>" twice
-	for _, c := range n.Children {
-		size += c.XMLSize()
+func (n Node) XMLSize() int {
+	d, size := n.d, 0
+	for i := n.i; i <= d.nodes[n.i].end; i++ {
+		r := &d.nodes[i]
+		if r.kind == Text {
+			size += escapedSize(d.text[r.off:r.off+r.n], false)
+			continue
+		}
+		tag := d.names[r.name]
+		size += len("<") + len(tag) + len("/>")
+		for _, a := range d.attrs[r.attr : r.attr+r.nattr] {
+			size += len(` =""`) + len(d.names[a.name]) + escapedSize(d.vals[a.off:a.off+a.n], true)
+		}
+		if r.end > i {
+			size += len("</") + len(tag) // "<tag>" and "</tag>" are one "/" short of "<tag/>" twice
+		}
 	}
 	return size
 }
 
-func writeNode(w io.StringWriter, n *Node) {
-	if n == nil {
-		return
+// writeTree writes n's subtree record by record: a leaf — text or an
+// empty element — ends the elements whose subtrees end with it.
+func writeTree(w io.StringWriter, n Node) {
+	d := n.d
+	for i := n.i; i <= d.nodes[n.i].end; i++ {
+		r := &d.nodes[i]
+		if r.kind == Text {
+			writeEscaped(w, d.text[r.off:r.off+r.n], false)
+		} else {
+			writeOpenTag(w, d, r)
+			if r.end > i {
+				w.WriteString(">")
+				continue
+			}
+			w.WriteString("/>")
+		}
+		for p := r.parent; p >= n.i && d.nodes[p].end == i; p = d.nodes[p].parent {
+			w.WriteString("</")
+			w.WriteString(d.names[d.nodes[p].name])
+			w.WriteString(">")
+		}
 	}
-	if n.Kind == Text {
-		writeEscaped(w, n.Data, false)
-		return
-	}
-	writeOpenTag(w, n)
-	if len(n.Children) == 0 {
-		w.WriteString("/>")
-		return
-	}
-	w.WriteString(">")
-	for _, c := range n.Children {
-		writeNode(w, c)
-	}
-	w.WriteString("</")
-	w.WriteString(n.Tag)
-	w.WriteString(">")
 }
 
 // writeOpenTag writes a start tag up to, not including, its closing ">".
-func writeOpenTag(w io.StringWriter, n *Node) {
+func writeOpenTag(w io.StringWriter, d *Document, r *record) {
 	w.WriteString("<")
-	w.WriteString(n.Tag)
-	for _, a := range n.Attrs {
+	w.WriteString(d.names[r.name])
+	for _, a := range d.attrs[r.attr : r.attr+r.nattr] {
 		w.WriteString(" ")
-		w.WriteString(a.Name)
+		w.WriteString(d.names[a.name])
 		w.WriteString("=\"")
-		writeEscaped(w, a.Value, true)
+		writeEscaped(w, d.vals[a.off:a.off+a.n], true)
 		w.WriteString("\"")
 	}
 }
 
 // special returns the index of the first byte of s that element content
 // (quot false) or a double-quoted attribute value (quot true) must
-// escape, or -1. Most strings have none, and three or four vectorised
+// escape, or -1. Most strings have none, and four or five vectorised
 // searches of a short string cost less than one byte loop over it.
 func special(s string, quot bool) int {
-	set := `&<>"`
+	set := "&<>\r\""
 	if !quot {
-		set = set[:3]
+		set = set[:4]
 	}
 	at := -1
 	for i := 0; i < len(set); i++ {
@@ -110,6 +123,8 @@ func special(s string, quot bool) int {
 }
 
 // entity returns what c is written as, or "" for a byte written as it is.
+// A carriage return is a reference: written raw, any XML reader reads it
+// back as a line feed.
 func entity(c byte, quot bool) string {
 	switch c {
 	case '&':
@@ -118,6 +133,8 @@ func entity(c byte, quot bool) string {
 		return "&lt;"
 	case '>':
 		return "&gt;"
+	case '\r':
+		return "&#13;"
 	case '"':
 		if quot {
 			return "&quot;"
@@ -174,7 +191,9 @@ func (e *errWriter) WriteString(s string) (int, error) {
 // on one line so no significant whitespace is introduced.
 func (d *Document) WriteIndentedXML(w io.Writer) error {
 	bw := &errWriter{w: w}
-	writeIndented(bw, d.Root, 0)
+	if root := d.Root(); root.Valid() {
+		writeIndented(bw, root, 0)
+	}
 	bw.WriteString("\n")
 	return bw.err
 }
@@ -186,32 +205,26 @@ func (d *Document) IndentedXML() string {
 	return sb.String()
 }
 
-func writeIndented(w *errWriter, n *Node, depth int) {
-	if n == nil {
-		return
-	}
+func writeIndented(w *errWriter, n Node, depth int) {
 	pad := strings.Repeat("  ", depth)
 	w.WriteString(pad)
 	// Text, and mixed or leaf content, stays on one line.
-	inline := n.Kind == Text || len(n.Children) == 0
-	for _, c := range n.Children {
-		if c.Kind == Text {
-			inline = true
-			break
-		}
+	inline := n.Kind() == Text || !n.FirstChild().Valid()
+	for c := n.FirstChild(); c.Valid() && !inline; c = c.NextSibling() {
+		inline = c.Kind() == Text
 	}
 	if inline {
-		writeNode(w, n)
+		writeTree(w, n)
 		return
 	}
-	writeOpenTag(w, n)
+	writeOpenTag(w, n.d, n.rec())
 	w.WriteString(">\n")
-	for _, c := range n.Children {
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
 		writeIndented(w, c, depth+1)
 		w.WriteString("\n")
 	}
 	w.WriteString(pad)
 	w.WriteString("</")
-	w.WriteString(n.Tag)
+	w.WriteString(n.Tag())
 	w.WriteString(">")
 }

@@ -32,11 +32,12 @@ func (e *Error) Error() string { return fmt.Sprintf("validate: %s: %s", e.Path, 
 // Document checks that doc is valid with respect to d. The first
 // violation is reported as an *Error.
 func Document(d *dtd.DTD, doc *tree.Document) error {
-	if doc.Root == nil {
+	top := doc.Root()
+	if !top.Valid() {
 		return &Error{Path: "/", Msg: "empty document"}
 	}
 	syms := d.Symbols()
-	root, ok := syms.LookupTag(doc.Root.Tag)
+	root, ok := syms.LookupTag(top.Tag())
 	var e *Error
 	switch {
 	case !ok:
@@ -45,10 +46,10 @@ func Document(d *dtd.DTD, doc *tree.Document) error {
 		e = &Error{Msg: fmt.Sprintf("root element is %s, DTD requires %s", syms.Name(root), d.Root)}
 	default:
 		syms.CompileDense()
-		e = validateNode(syms, doc.Root, root)
+		e = validateNode(syms, top, root)
 	}
 	if e != nil {
-		e.Path = "/" + doc.Root.Tag + e.Path
+		e.Path = "/" + top.Tag() + e.Path
 		return e
 	}
 	return nil
@@ -56,12 +57,13 @@ func Document(d *dtd.DTD, doc *tree.Document) error {
 
 // validateNode reports the first violation in n's subtree, its Path
 // relative to n: a path is spelled only when something failed.
-func validateNode(syms *dtd.Symbols, n *tree.Node, sym int32) *Error {
+func validateNode(syms *dtd.Symbols, n tree.Node, sym int32) *Error {
 	info := syms.Info(sym)
 	def := info.Def
 
 	// Attributes: declared, enumerations respected, required present.
-	for _, a := range n.Attrs {
+	for i := range n.NumAttrs() {
+		a := n.AttrAt(i)
 		ad := def.AttDef(a.Name)
 		if ad == nil {
 			return &Error{Msg: fmt.Sprintf("undeclared attribute %q", a.Name)}
@@ -87,22 +89,23 @@ func validateNode(syms *dtd.Symbols, n *tree.Node, sym int32) *Error {
 	// element steps by its symbol, text by the element's text column.
 	aut := info.Dense
 	state := aut.Start()
-	for i, c := range n.Children {
-		if c.Kind == tree.Text {
+	i := 0
+	for c := n.FirstChild(); c.Valid(); c, i = c.NextSibling(), i+1 {
+		if c.Kind() == tree.Text {
 			if state = aut.NextText(state); state < 0 {
 				return &Error{Msg: fmt.Sprintf("text (child %d) is not allowed by content model %s", i, def.Content)}
 			}
 			continue
 		}
-		csym, ok := syms.LookupTag(c.Tag)
+		csym, ok := syms.LookupTag(c.Tag())
 		if !ok {
-			return &Error{Path: fmt.Sprintf("/%s[%d]", c.Tag, i), Msg: "element not declared in DTD"}
+			return &Error{Path: fmt.Sprintf("/%s[%d]", c.Tag(), i), Msg: "element not declared in DTD"}
 		}
 		if state = aut.Next(state, csym); state < 0 {
-			return &Error{Msg: fmt.Sprintf("element %s (child %d) is not allowed by content model %s", c.Tag, i, def.Content)}
+			return &Error{Msg: fmt.Sprintf("element %s (child %d) is not allowed by content model %s", c.Tag(), i, def.Content)}
 		}
 		if e := validateNode(syms, c, csym); e != nil {
-			e.Path = fmt.Sprintf("/%s[%d]%s", c.Tag, i, e.Path)
+			e.Path = fmt.Sprintf("/%s[%d]%s", c.Tag(), i, e.Path)
 			return e
 		}
 	}
@@ -114,30 +117,46 @@ func validateNode(syms *dtd.Symbols, n *tree.Node, sym int32) *Error {
 
 // ApplyDefaults fills in declared attribute defaults (including #FIXED
 // values) on every element that omits them, as an XML processor does
-// after DTD validation. It mutates doc in place and reports how many
-// attributes were added.
+// after DTD validation. It rebuilds doc in place, node IDs kept, and
+// reports how many attributes were added.
 func ApplyDefaults(d *dtd.DTD, doc *tree.Document) int {
+	if doc.NumNodes() == 0 {
+		return 0
+	}
+	b := tree.NewBuilder(0)
+	added := withDefaults(b, d, doc.Root())
+	*doc = *b.Document()
+	return added
+}
+
+// withDefaults builds n with the defaults its declaration adds, and its
+// subtree likewise, and counts what was added.
+func withDefaults(b *tree.Builder, d *dtd.DTD, n tree.Node) int {
+	if n.Kind() == tree.Text {
+		b.TextString(n.Data())
+		b.SetID(n.ID())
+		return 0
+	}
+	b.Start(n.Tag())
+	b.SetID(n.ID())
+	for i := range n.NumAttrs() {
+		a := n.AttrAt(i)
+		b.Attr(a.Name, a.Value)
+	}
 	added := 0
-	doc.Walk(func(n *tree.Node) bool {
-		if n.Kind != tree.Element {
-			return true
-		}
-		name, ok := d.ElementName(n.Tag)
-		if !ok {
-			return true
-		}
+	if name, ok := d.ElementName(n.Tag()); ok {
 		def := d.Def(name)
 		for i := range def.Atts {
 			ad := &def.Atts[i]
-			if !ad.HasDefault {
-				continue
-			}
-			if _, present := n.Attr(ad.Attr); !present {
-				n.SetAttr(ad.Attr, ad.Default)
+			if _, present := n.Attr(ad.Attr); ad.HasDefault && !present {
+				b.Attr(ad.Attr, ad.Default)
 				added++
 			}
 		}
-		return true
-	})
+	}
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		added += withDefaults(b, d, c)
+	}
+	b.EndElement()
 	return added
 }

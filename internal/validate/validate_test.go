@@ -165,7 +165,8 @@ func TestApplyDefaults(t *testing.T) {
 	if added != 3 { // lang+fix on first, fix on second
 		t.Fatalf("added = %d, want 3", added)
 	}
-	e1, e2 := doc.Root.Children[0], doc.Root.Children[1]
+	e1 := doc.Root().FirstChild()
+	e2 := e1.NextSibling()
 	if v, _ := e1.Attr("lang"); v != "en" {
 		t.Fatalf("default lang not applied: %q", v)
 	}

@@ -31,11 +31,19 @@ var regionShares = []struct {
 	{"samerica", 0.05},
 }
 
+// bytesAtFactor1 is the size of a factor-1 document, to size a
+// document's tables from.
+const bytesAtFactor1 = 68 << 20
+
 // Generator produces XMark auction documents deterministically.
 type Generator struct {
 	rng *rand.Rand
 
 	nCategories, nItems, nOpen, nClosed, nPersons int
+	size                                          int
+
+	b   *tree.Builder // where the document is built
+	buf []byte        // the sentence being drawn
 }
 
 // NewGenerator returns a generator at the given scale factor, seeded
@@ -54,45 +62,51 @@ func NewGenerator(factor float64, seed int64) *Generator {
 		nOpen:       atLeast(int(baseOpenAuctions * factor)),
 		nClosed:     atLeast(int(baseClosedAuctions * factor)),
 		nPersons:    atLeast(int(basePersons * factor)),
+		size:        int(bytesAtFactor1 * factor),
 	}
 }
 
-// Document generates the whole auction site.
+// Document generates the whole auction site. Nodes are built in document
+// order as their content is drawn; the order of the draws fixes the
+// document a factor and a seed give (TestGeneratorPinned).
 func (g *Generator) Document() *tree.Document {
-	site := tree.NewElement("site",
-		g.regions(),
-		g.categories(),
-		g.catgraph(),
-		g.people(),
-		g.openAuctions(),
-		g.closedAuctions(),
-	)
-	return tree.NewDocument(site)
+	g.b = tree.NewBuilder(g.size)
+	g.b.Start("site")
+	g.regions()
+	g.categories()
+	g.catgraph()
+	g.people()
+	g.openAuctions()
+	g.closedAuctions()
+	g.b.EndElement()
+	return g.b.Document()
 }
 
-func (g *Generator) categories() *tree.Node {
-	cats := tree.NewElement("categories")
+func (g *Generator) categories() {
+	g.b.Start("categories")
 	for i := 0; i < g.nCategories; i++ {
-		c := tree.NewElement("category", g.nameEl(), g.description())
-		c.SetAttr("id", fmt.Sprintf("category%d", i))
-		cats.Append(c)
+		g.b.Start("category")
+		g.b.Attr("id", fmt.Sprintf("category%d", i))
+		g.nameEl()
+		g.description()
+		g.b.EndElement()
 	}
-	return cats
+	g.b.EndElement()
 }
 
-func (g *Generator) catgraph() *tree.Node {
-	cg := tree.NewElement("catgraph")
+func (g *Generator) catgraph() {
+	g.b.Start("catgraph")
 	for i := 0; i < g.nCategories; i++ {
-		e := tree.NewElement("edge")
-		e.SetAttr("from", fmt.Sprintf("category%d", g.rng.Intn(g.nCategories)))
-		e.SetAttr("to", fmt.Sprintf("category%d", g.rng.Intn(g.nCategories)))
-		cg.Append(e)
+		g.b.Start("edge")
+		g.b.Attr("from", fmt.Sprintf("category%d", g.rng.Intn(g.nCategories)))
+		g.b.Attr("to", fmt.Sprintf("category%d", g.rng.Intn(g.nCategories)))
+		g.b.EndElement()
 	}
-	return cg
+	g.b.EndElement()
 }
 
-func (g *Generator) regions() *tree.Node {
-	regions := tree.NewElement("regions")
+func (g *Generator) regions() {
+	g.b.Start("regions")
 	itemID := 0
 	remaining := g.nItems
 	for i, r := range regionShares {
@@ -104,248 +118,253 @@ func (g *Generator) regions() *tree.Node {
 			n = remaining
 		}
 		remaining -= n
-		region := tree.NewElement(r.name)
+		g.b.Start(r.name)
 		for j := 0; j < n; j++ {
-			region.Append(g.item(itemID))
+			g.item(itemID)
 			itemID++
 		}
-		regions.Append(region)
+		g.b.EndElement()
 	}
-	return regions
+	g.b.EndElement()
 }
 
-func (g *Generator) item(id int) *tree.Node {
-	it := tree.NewElement("item",
-		g.pcdata("location", g.country()),
-		g.pcdata("quantity", fmt.Sprintf("%d", 1+g.rng.Intn(5))),
-		g.nameEl(),
-		g.pcdata("payment", g.payment()),
-		g.description(),
-		g.pcdata("shipping", "Will ship internationally, See description for charges"),
-	)
-	it.SetAttr("id", fmt.Sprintf("item%d", id))
+func (g *Generator) item(id int) {
+	// Whether an item is featured, an attribute, is drawn after its first
+	// six children: they are built aside and copied in behind the tag.
+	out := g.b
+	g.b = tree.NewBuilder(2048)
+	g.pcdata("location", g.country())
+	g.pcdata("quantity", fmt.Sprintf("%d", 1+g.rng.Intn(5)))
+	g.nameEl()
+	g.pcdata("payment", g.payment())
+	g.description()
+	g.pcdata("shipping", "Will ship internationally, See description for charges")
+	head := g.b.Document()
+	g.b = out
+	g.b.Start("item")
+	g.b.Attr("id", fmt.Sprintf("item%d", id))
 	if g.rng.Intn(10) == 0 {
-		it.SetAttr("featured", "yes")
+		g.b.Attr("featured", "yes")
+	}
+	for c := head.Root(); c.Valid(); c = c.NextSibling() {
+		g.b.Copy(c)
 	}
 	for n := 1 + g.rng.Intn(3); n > 0; n-- {
-		inc := tree.NewElement("incategory")
-		inc.SetAttr("category", fmt.Sprintf("category%d", g.rng.Intn(g.nCategories)))
-		it.Append(inc)
+		g.ref("incategory", "category", "category%d", g.nCategories)
 	}
-	mailbox := tree.NewElement("mailbox")
+	g.b.Start("mailbox")
 	for n := g.rng.Intn(3); n > 0; n-- {
-		mailbox.Append(tree.NewElement("mail",
-			g.pcdata("from", g.personName()+" mailto:"+g.email()),
-			g.pcdata("to", g.personName()+" mailto:"+g.email()),
-			g.pcdata("date", g.date()),
-			g.textEl(),
-		))
+		g.b.Start("mail")
+		g.pcdata("from", g.personName()+" mailto:"+g.email())
+		g.pcdata("to", g.personName()+" mailto:"+g.email())
+		g.pcdata("date", g.date())
+		g.textEl()
+		g.b.EndElement()
 	}
-	it.Append(mailbox)
-	return it
+	g.b.EndElement()
+	g.b.EndElement()
 }
 
-func (g *Generator) people() *tree.Node {
-	people := tree.NewElement("people")
+func (g *Generator) people() {
+	g.b.Start("people")
 	for i := 0; i < g.nPersons; i++ {
-		p := tree.NewElement("person",
-			g.pcdata("name", g.personName()),
-			g.pcdata("emailaddress", "mailto:"+g.email()),
-		)
-		p.SetAttr("id", fmt.Sprintf("person%d", i))
+		g.b.Start("person")
+		g.b.Attr("id", fmt.Sprintf("person%d", i))
+		g.pcdata("name", g.personName())
+		g.pcdata("emailaddress", "mailto:"+g.email())
 		if g.rng.Intn(2) == 0 {
-			p.Append(g.pcdata("phone", fmt.Sprintf("+%d (%d) %d", 1+g.rng.Intn(99), g.rng.Intn(999), g.rng.Intn(99999999))))
+			g.pcdata("phone", fmt.Sprintf("+%d (%d) %d", 1+g.rng.Intn(99), g.rng.Intn(999), g.rng.Intn(99999999)))
 		}
 		if g.rng.Intn(2) == 0 {
-			p.Append(tree.NewElement("address",
-				g.pcdata("street", fmt.Sprintf("%d %s St", 1+g.rng.Intn(99), g.word())),
-				g.pcdata("city", g.word()),
-				g.pcdata("country", g.country()),
-				g.pcdata("zipcode", fmt.Sprintf("%d", g.rng.Intn(99999))),
-			))
+			g.b.Start("address")
+			g.pcdata("street", fmt.Sprintf("%d %s St", 1+g.rng.Intn(99), g.word()))
+			g.pcdata("city", g.word())
+			g.pcdata("country", g.country())
+			g.pcdata("zipcode", fmt.Sprintf("%d", g.rng.Intn(99999)))
+			g.b.EndElement()
 		}
 		if g.rng.Intn(2) == 0 {
-			p.Append(g.pcdata("homepage", "http://www."+g.word()+".com/~"+g.word()))
+			g.pcdata("homepage", "http://www."+g.word()+".com/~"+g.word())
 		}
 		if g.rng.Intn(4) != 0 {
-			p.Append(g.pcdata("creditcard", fmt.Sprintf("%d %d %d %d", 1000+g.rng.Intn(9000), 1000+g.rng.Intn(9000), 1000+g.rng.Intn(9000), 1000+g.rng.Intn(9000))))
+			g.pcdata("creditcard", fmt.Sprintf("%d %d %d %d", 1000+g.rng.Intn(9000), 1000+g.rng.Intn(9000), 1000+g.rng.Intn(9000), 1000+g.rng.Intn(9000)))
 		}
 		if g.rng.Intn(2) == 0 {
-			p.Append(g.profile())
+			g.profile()
 		}
 		if g.rng.Intn(2) == 0 {
-			w := tree.NewElement("watches")
+			g.b.Start("watches")
 			for n := g.rng.Intn(4); n > 0; n-- {
-				watch := tree.NewElement("watch")
-				watch.SetAttr("open_auction", fmt.Sprintf("open_auction%d", g.rng.Intn(g.nOpen)))
-				w.Append(watch)
+				g.ref("watch", "open_auction", "open_auction%d", g.nOpen)
 			}
-			p.Append(w)
+			g.b.EndElement()
 		}
-		people.Append(p)
+		g.b.EndElement()
 	}
-	return people
+	g.b.EndElement()
 }
 
-func (g *Generator) profile() *tree.Node {
-	pr := tree.NewElement("profile")
-	pr.SetAttr("income", fmt.Sprintf("%d.%02d", 9876+g.rng.Intn(90000), g.rng.Intn(100)))
+func (g *Generator) profile() {
+	g.b.Start("profile")
+	g.b.Attr("income", fmt.Sprintf("%d.%02d", 9876+g.rng.Intn(90000), g.rng.Intn(100)))
 	for n := g.rng.Intn(4); n > 0; n-- {
-		in := tree.NewElement("interest")
-		in.SetAttr("category", fmt.Sprintf("category%d", g.rng.Intn(g.nCategories)))
-		pr.Append(in)
+		g.ref("interest", "category", "category%d", g.nCategories)
 	}
 	if g.rng.Intn(2) == 0 {
-		pr.Append(g.pcdata("education", pick(g.rng, educations)))
+		g.pcdata("education", pick(g.rng, educations))
 	}
 	if g.rng.Intn(2) == 0 {
-		pr.Append(g.pcdata("gender", pick(g.rng, []string{"male", "female"})))
+		g.pcdata("gender", pick(g.rng, []string{"male", "female"}))
 	}
-	pr.Append(g.pcdata("business", pick(g.rng, []string{"Yes", "No"})))
+	g.pcdata("business", pick(g.rng, []string{"Yes", "No"}))
 	if g.rng.Intn(2) == 0 {
-		pr.Append(g.pcdata("age", fmt.Sprintf("%d", 18+g.rng.Intn(60))))
+		g.pcdata("age", fmt.Sprintf("%d", 18+g.rng.Intn(60)))
 	}
-	return pr
+	g.b.EndElement()
 }
 
-func (g *Generator) openAuctions() *tree.Node {
-	oas := tree.NewElement("open_auctions")
+func (g *Generator) openAuctions() {
+	g.b.Start("open_auctions")
 	for i := 0; i < g.nOpen; i++ {
-		oa := tree.NewElement("open_auction", g.money("initial"))
-		oa.SetAttr("id", fmt.Sprintf("open_auction%d", i))
+		g.b.Start("open_auction")
+		g.b.Attr("id", fmt.Sprintf("open_auction%d", i))
+		g.money("initial")
 		if g.rng.Intn(2) == 0 {
-			oa.Append(g.money("reserve"))
+			g.money("reserve")
 		}
 		for n := g.rng.Intn(5); n > 0; n-- {
-			pref := tree.NewElement("personref")
-			pref.SetAttr("person", fmt.Sprintf("person%d", g.rng.Intn(g.nPersons)))
-			oa.Append(tree.NewElement("bidder",
-				g.pcdata("date", g.date()),
-				g.pcdata("time", g.time()),
-				pref,
-				g.money("increase"),
-			))
+			person := fmt.Sprintf("person%d", g.rng.Intn(g.nPersons)) // drawn first, written third
+			g.b.Start("bidder")
+			g.pcdata("date", g.date())
+			g.pcdata("time", g.time())
+			g.b.Start("personref")
+			g.b.Attr("person", person)
+			g.b.EndElement()
+			g.money("increase")
+			g.b.EndElement()
 		}
-		oa.Append(g.money("current"))
+		g.money("current")
 		if g.rng.Intn(2) == 0 {
-			oa.Append(g.pcdata("privacy", pick(g.rng, []string{"Yes", "No"})))
+			g.pcdata("privacy", pick(g.rng, []string{"Yes", "No"}))
 		}
-		iref := tree.NewElement("itemref")
-		iref.SetAttr("item", fmt.Sprintf("item%d", g.rng.Intn(g.nItems)))
-		oa.Append(iref)
-		seller := tree.NewElement("seller")
-		seller.SetAttr("person", fmt.Sprintf("person%d", g.rng.Intn(g.nPersons)))
-		oa.Append(seller)
-		oa.Append(g.annotation())
-		oa.Append(g.pcdata("quantity", fmt.Sprintf("%d", 1+g.rng.Intn(5))))
-		oa.Append(g.pcdata("type", pick(g.rng, []string{"Regular", "Featured", "Dutch"})))
-		oa.Append(tree.NewElement("interval",
-			g.pcdata("start", g.date()),
-			g.pcdata("end", g.date()),
-		))
-		oas.Append(oa)
+		g.ref("itemref", "item", "item%d", g.nItems)
+		g.ref("seller", "person", "person%d", g.nPersons)
+		g.annotation()
+		g.pcdata("quantity", fmt.Sprintf("%d", 1+g.rng.Intn(5)))
+		g.pcdata("type", pick(g.rng, []string{"Regular", "Featured", "Dutch"}))
+		g.b.Start("interval")
+		g.pcdata("start", g.date())
+		g.pcdata("end", g.date())
+		g.b.EndElement()
+		g.b.EndElement()
 	}
-	return oas
+	g.b.EndElement()
 }
 
-func (g *Generator) closedAuctions() *tree.Node {
-	cas := tree.NewElement("closed_auctions")
+func (g *Generator) closedAuctions() {
+	g.b.Start("closed_auctions")
 	for i := 0; i < g.nClosed; i++ {
-		seller := tree.NewElement("seller")
-		seller.SetAttr("person", fmt.Sprintf("person%d", g.rng.Intn(g.nPersons)))
-		buyer := tree.NewElement("buyer")
-		buyer.SetAttr("person", fmt.Sprintf("person%d", g.rng.Intn(g.nPersons)))
-		iref := tree.NewElement("itemref")
-		iref.SetAttr("item", fmt.Sprintf("item%d", g.rng.Intn(g.nItems)))
-		ca := tree.NewElement("closed_auction",
-			seller, buyer, iref,
-			g.money("price"),
-			g.pcdata("date", g.date()),
-			g.pcdata("quantity", fmt.Sprintf("%d", 1+g.rng.Intn(5))),
-			g.pcdata("type", pick(g.rng, []string{"Regular", "Featured", "Dutch"})),
-		)
+		g.b.Start("closed_auction")
+		g.ref("seller", "person", "person%d", g.nPersons)
+		g.ref("buyer", "person", "person%d", g.nPersons)
+		g.ref("itemref", "item", "item%d", g.nItems)
+		g.money("price")
+		g.pcdata("date", g.date())
+		g.pcdata("quantity", fmt.Sprintf("%d", 1+g.rng.Intn(5)))
+		g.pcdata("type", pick(g.rng, []string{"Regular", "Featured", "Dutch"}))
 		if g.rng.Intn(4) != 0 {
-			ca.Append(g.annotation())
+			g.annotation()
 		}
-		cas.Append(ca)
+		g.b.EndElement()
 	}
-	return cas
+	g.b.EndElement()
 }
 
-func (g *Generator) annotation() *tree.Node {
-	author := tree.NewElement("author")
-	author.SetAttr("person", fmt.Sprintf("person%d", g.rng.Intn(g.nPersons)))
-	an := tree.NewElement("annotation", author)
+// ref is an empty element whose one attribute refers to one of n things.
+func (g *Generator) ref(tag, attr, format string, n int) {
+	g.b.Start(tag)
+	g.b.Attr(attr, fmt.Sprintf(format, g.rng.Intn(n)))
+	g.b.EndElement()
+}
+
+func (g *Generator) annotation() {
+	g.b.Start("annotation")
+	g.ref("author", "person", "person%d", g.nPersons)
 	if g.rng.Intn(4) != 0 {
-		an.Append(g.description())
+		g.description()
 	}
-	an.Append(g.pcdata("happiness", fmt.Sprintf("%d", 1+g.rng.Intn(10))))
-	return an
+	g.pcdata("happiness", fmt.Sprintf("%d", 1+g.rng.Intn(10)))
+	g.b.EndElement()
 }
 
 // description is the size-dominating mixed-content subtree.
-func (g *Generator) description() *tree.Node {
-	d := tree.NewElement("description")
+func (g *Generator) description() {
+	g.b.Start("description")
 	if g.rng.Intn(10) < 7 {
-		d.Append(g.textEl())
+		g.textEl()
 	} else {
-		d.Append(g.parlist(0))
+		g.parlist(0)
 	}
-	return d
+	g.b.EndElement()
 }
 
-func (g *Generator) parlist(depth int) *tree.Node {
-	pl := tree.NewElement("parlist")
+func (g *Generator) parlist(depth int) {
+	g.b.Start("parlist")
 	for n := 1 + g.rng.Intn(3); n > 0; n-- {
-		li := tree.NewElement("listitem")
+		g.b.Start("listitem")
 		if depth < 2 && g.rng.Intn(5) == 0 {
-			li.Append(g.parlist(depth + 1))
+			g.parlist(depth + 1)
 		} else {
-			li.Append(g.textEl())
+			g.textEl()
 		}
-		pl.Append(li)
+		g.b.EndElement()
 	}
-	return pl
+	g.b.EndElement()
 }
 
 // textEl produces a mixed-content text element: sentences of word-list
 // prose interleaved with bold/keyword/emph wrappers.
-func (g *Generator) textEl() *tree.Node {
-	t := tree.NewElement("text")
+func (g *Generator) textEl() {
+	g.b.Start("text")
 	pieces := 2 + g.rng.Intn(4)
 	for i := 0; i < pieces; i++ {
-		t.Append(tree.NewText(g.sentence(8 + g.rng.Intn(18))))
+		g.b.Text(g.sentence(8 + g.rng.Intn(18)))
 		if g.rng.Intn(3) != 0 {
-			wrap := tree.NewElement(pick(g.rng, []string{"bold", "keyword", "emph"}))
-			wrap.Append(tree.NewText(g.sentence(1 + g.rng.Intn(3))))
-			t.Append(wrap)
+			g.b.Start(pick(g.rng, []string{"bold", "keyword", "emph"}))
+			g.b.Text(g.sentence(1 + g.rng.Intn(3)))
+			g.b.EndElement()
 		}
 	}
-	return t
+	g.b.EndElement()
 }
 
-func (g *Generator) sentence(words int) string {
-	buf := make([]byte, 0, words*8)
+// sentence draws words words into the generator's buffer, which holds
+// them until the next sentence is drawn.
+func (g *Generator) sentence(words int) []byte {
+	g.buf = g.buf[:0]
 	for i := 0; i < words; i++ {
 		if i > 0 {
-			buf = append(buf, ' ')
+			g.buf = append(g.buf, ' ')
 		}
-		buf = append(buf, g.word()...)
+		g.buf = append(g.buf, g.word()...)
 	}
-	buf = append(buf, ' ')
-	return string(buf)
+	g.buf = append(g.buf, ' ')
+	return g.buf
 }
 
-func (g *Generator) pcdata(tag, content string) *tree.Node {
-	return tree.NewElement(tag, tree.NewText(content))
+// pcdata is an element of simple content.
+func (g *Generator) pcdata(tag, content string) {
+	g.b.Start(tag)
+	g.b.TextString(content)
+	g.b.EndElement()
 }
 
-func (g *Generator) nameEl() *tree.Node {
-	return g.pcdata("name", g.word()+" "+g.word())
+func (g *Generator) nameEl() {
+	g.pcdata("name", g.word()+" "+g.word())
 }
 
-func (g *Generator) money(tag string) *tree.Node {
-	return g.pcdata(tag, fmt.Sprintf("%d.%02d", g.rng.Intn(300), g.rng.Intn(100)))
+func (g *Generator) money(tag string) {
+	g.pcdata(tag, fmt.Sprintf("%d.%02d", g.rng.Intn(300), g.rng.Intn(100)))
 }
 
 func (g *Generator) date() string {

@@ -12,6 +12,7 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
+	"xmlproj/internal/prune"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/xmark"
 	"xmlproj/internal/xpath"
@@ -55,7 +56,7 @@ func differ(doc *tree.Document, vars map[string]xpath.Value, e xpath.Expr) strin
 	for i := range gns {
 		if gns[i] != wns[i] {
 			return fmt.Sprintf("node %d is %s #%d (attribute %d), the oracle's %s #%d (attribute %d)", i,
-				gns[i].Name(), gns[i].N.ID, gns[i].AttrIdx, wns[i].Name(), wns[i].N.ID, wns[i].AttrIdx)
+				gns[i].Name(), gns[i].N().ID(), gns[i].AttrIdx(), wns[i].Name(), wns[i].N().ID(), wns[i].AttrIdx())
 		}
 	}
 	if xquery.SerializeNodes(gns) != xquery.SerializeNodes(wns) {
@@ -64,26 +65,37 @@ func differ(doc *tree.Document, vars map[string]xpath.Value, e xpath.Expr) strin
 	return ""
 }
 
-// thinned returns a copy of doc with some subtrees cut out and the IDs
-// left as they were: ordered but no longer dense, as in a document a
-// tree pruner has been over.
-func thinned(doc *tree.Document) *tree.Document {
-	c := doc.Clone()
-	var thin func(n *tree.Node)
-	thin = func(n *tree.Node) {
-		kept := n.Children[:0]
-		for _, k := range n.Children {
-			if k.ID%5 == 3 {
-				continue
+// thinned is doc pruned by prune.Tree against a projector that leaves
+// out every third name of d but the root: a document whose IDs are
+// ordered but no longer dense, as Def. 2.1 compares them.
+func thinned(d *dtd.DTD, doc *tree.Document) *tree.Document {
+	pi := dtd.NewNameSet(d.Root)
+	for i, n := range d.Names() {
+		if i%3 != 1 {
+			pi.Add(n)
+			for _, a := range d.Def(n).Atts {
+				pi.Add(dtd.AttrName(n, a.Attr))
 			}
-			k.Index = len(kept)
-			kept = append(kept, k)
-			thin(k)
 		}
-		n.Children = kept
 	}
-	thin(c.Root)
-	return c
+	return prune.Tree(doc, d.CompileProjection(pi))
+}
+
+// constructed is doc's root copied into a constructed element, which is
+// copied into a constructed element of a second store: the shape of a
+// query whose constructors nest (QM20's), numbered past doc's IDs.
+func constructed(doc *tree.Document) *tree.Document {
+	inner := tree.NewStore(doc)
+	inner.Start("w")
+	inner.Attr("k", "v")
+	inner.Copy(doc.Root())
+	inner.TextString("tail")
+	inner.EndElement()
+	outer := tree.NewStore(inner.Document())
+	outer.Start("u")
+	outer.Copy(inner.Document().Root())
+	outer.EndElement()
+	return outer.Document()
 }
 
 // randomDocument draws a document of d that is neither trivial nor so
@@ -99,9 +111,9 @@ func randomDocument(d *dtd.DTD, seed int64) *tree.Document {
 	return nil
 }
 
-// differentialRound draws a grammar, two documents of it and a thinned
-// copy of one, and queries over every axis, and returns how many
-// document × query pairs it compared.
+// differentialRound draws a grammar, two documents of it, a pruned copy
+// and a constructed copy of one, and queries over every axis, and returns
+// how many document × query pairs it compared.
 func differentialRound(t *testing.T, seed int64, recursive bool) int {
 	t.Helper()
 	d := gen.RandomDTD(seed, gen.DTDOptions{Elements: 9, AllowRecursion: recursive, AttrChance: 50})
@@ -113,7 +125,7 @@ func differentialRound(t *testing.T, seed int64, recursive bool) int {
 		}
 	}
 	if len(docs) > 0 {
-		docs = append(docs, thinned(docs[0]))
+		docs = append(docs, thinned(d, docs[0]), constructed(docs[0]))
 	}
 	pairs := 0
 	for qi := 0; qi < 12; qi++ {
@@ -162,23 +174,27 @@ func TestEvalDifferential(t *testing.T) {
 	}
 	// A constructed tree: numbered from where the document's IDs end, as
 	// the XQuery evaluator numbers one.
-	built := tree.NewElement("r",
-		tree.NewElement("a", tree.NewElement("b", tree.NewText("1"))),
-		tree.NewElement("b", tree.NewText("2")),
-		tree.NewElement("c", tree.NewElement("b", tree.NewText("3"))))
-	id := tree.NodeID(nest.NumNodes())
-	(&tree.Document{Root: built}).Walk(func(n *tree.Node) bool {
-		n.ID = id
-		id++
-		return true
-	})
+	s := tree.NewStore(nest)
+	s.Start("r")
+	for _, kid := range []struct{ tag, inner, text string }{{"a", "b", "1"}, {"b", "", "2"}, {"c", "b", "3"}} {
+		s.Start(kid.tag)
+		if kid.inner != "" {
+			s.Start(kid.inner)
+		}
+		s.TextString(kid.text)
+		if kid.inner != "" {
+			s.EndElement()
+		}
+		s.EndElement()
+	}
+	s.EndElement()
+	built := s.Document().Root()
 	bs := xpath.NodeSet{}
-	nest.Walk(func(n *tree.Node) bool {
-		if n.Tag == "b" {
+	for i := range int32(nest.NumNodes()) {
+		if n := nest.At(i); n.Tag() == "b" {
 			bs = append(xpath.NodeSet{xpath.ElemRef(n)}, bs...) // reverse document order
 		}
-		return true
-	})
+	}
 	vars := map[string]xpath.Value{"n": 2.0, "s": "b", "x": xpath.NodeSet{xpath.ElemRef(built)}, "rev": bs}
 	table := []string{
 		// Positional predicates: per parent, per context, never fused.
@@ -222,6 +238,16 @@ func TestEvalDifferential(t *testing.T) {
 		} {
 			if diff := differ(site, nil, xpath.MustParse(src)); diff != "" {
 				t.Errorf("on XMark, %s: %s", src, diff)
+			}
+		}
+		// Carriage returns, decoded from references, in text and values.
+		cr, err := tree.ParseString("<r x=\"p&#13;q\"><b>p&#13;q</b><b>l1\r\nl2&#xD;</b><c>&#13;</c></r>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{`//b`, `//text()`, `//c`, `/r/@x`, "//b[contains(., '\r')]", `string-length(//b)`, "//*[. = 'p\rq']"} {
+			if diff := differ(cr, nil, xpath.MustParse(src)); diff != "" {
+				t.Errorf("with carriage returns, %s: %s", src, diff)
 			}
 		}
 	})

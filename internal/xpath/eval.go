@@ -47,7 +47,7 @@ type context struct {
 // Eval evaluates an expression with the document root element as context
 // node.
 func (ev *Evaluator) Eval(e Expr) (Value, error) {
-	return ev.eval(e, context{node: ElemRef(ev.Doc.Root), pos: 1, size: 1})
+	return ev.eval(e, context{node: ElemRef(ev.Doc.Root()), pos: 1, size: 1})
 }
 
 // EvalWith evaluates an expression with the given context node.

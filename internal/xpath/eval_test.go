@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,10 +38,10 @@ func sel(t *testing.T, doc *tree.Document, src string) []string {
 		switch {
 		case r.IsAttr():
 			out = append(out, "@"+r.Name()+"="+r.StringValue())
-		case r.N.Kind == tree.Text:
-			out = append(out, "#"+r.N.Data)
+		case r.N().Kind() == tree.Text:
+			out = append(out, "#"+r.N().Data())
 		default:
-			out = append(out, r.N.Tag)
+			out = append(out, r.N().Tag())
 		}
 	}
 	return out
@@ -57,6 +58,15 @@ func evalVal(t *testing.T, doc *tree.Document, src string) Value {
 }
 
 func joined(xs []string) string { return strings.Join(xs, " ") }
+
+// child returns n's k-th child.
+func child(n tree.Node, k int) tree.Node {
+	c := n.FirstChild()
+	for ; k > 0; k-- {
+		c = c.NextSibling()
+	}
+	return c
+}
 
 func TestEvalChildAndDescendant(t *testing.T) {
 	doc := bibDoc(t)
@@ -90,7 +100,7 @@ func TestEvalAbsolutePaths(t *testing.T) {
 	}
 	// Absolute path from a nested context still starts at the root.
 	ev := NewEvaluator(doc)
-	title := doc.Root.Children[0].Children[0]
+	title := child(child(doc.Root(), 0), 0)
 	v, err := ev.EvalWith(MustParse("/bib/book"), ElemRef(title))
 	if err != nil || len(v.(NodeSet)) != 3 {
 		t.Fatalf("absolute from nested context: %v, %v", v, err)
@@ -424,6 +434,15 @@ func TestEvalStarTest(t *testing.T) {
 	doc := bibDoc(t)
 	if got := sel(t, doc, "book[1]/*"); joined(got) != "title author year" {
 		t.Fatalf("book/* = %v", got)
+	}
+}
+
+// TestNodeRefSize: a node reference is a document, a record index and an
+// attribute index, 16 bytes, which every node-set and step buffer holds
+// by value.
+func TestNodeRefSize(t *testing.T) {
+	if s := reflect.TypeOf(NodeRef{}).Size(); s != 16 {
+		t.Fatalf("NodeRef is %d bytes, want 16", s)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestFuncNameAndLocalName(t *testing.T) {
 	}
 	// Context-node forms.
 	ev := NewEvaluator(doc)
-	b := doc.Root.Children[2]
+	b := child(doc.Root(), 2)
 	v, err := ev.EvalWith(MustParse("name()"), ElemRef(b))
 	if err != nil || v != "b" {
 		t.Fatalf("name() with context = %v, %v", v, err)
@@ -41,7 +41,7 @@ func TestFuncNameAndLocalName(t *testing.T) {
 func TestFuncStringContextForms(t *testing.T) {
 	doc := fdoc(t)
 	ev := NewEvaluator(doc)
-	b := doc.Root.Children[2]
+	b := child(doc.Root(), 2)
 	for src, want := range map[string]Value{
 		"string()":          "hello world",
 		"string-length()":   11.0,

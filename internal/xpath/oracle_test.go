@@ -32,7 +32,7 @@ func OracleEval(doc *tree.Document, vars map[string]Value, e Expr) (Value, error
 	for k, v := range vars {
 		o.Vars[k] = v
 	}
-	return o.eval(e, context{node: ElemRef(doc.Root), pos: 1, size: 1})
+	return o.eval(e, context{node: ElemRef(doc.Root()), pos: 1, size: 1})
 }
 
 func (o *oracle) eval(e Expr, ctx context) (Value, error) {
@@ -129,7 +129,7 @@ func (o *oracle) evalPathExpr(pe PathExpr, ctx context) (Value, error) {
 		}
 		start = ns
 	} else if pe.Path.Absolute {
-		start = NodeSet{ElemRef(o.Doc.Root)}
+		start = NodeSet{ElemRef(o.Doc.Root())}
 		// An absolute path starts at the (virtual) document root, whose
 		// only element child is the root element: /site selects the root
 		// element itself when it has the right tag.
@@ -148,7 +148,7 @@ func (o *oracle) evalPathExpr(pe PathExpr, ctx context) (Value, error) {
 func (o *oracle) evalAbsolute(p Path, ctx context) (Value, error) {
 	first := p.Steps[0]
 	var start NodeSet
-	root := ElemRef(o.Doc.Root)
+	root := ElemRef(o.Doc.Root())
 	switch first.Axis {
 	case Child:
 		// The root element is the single child of the document node.
@@ -253,12 +253,35 @@ func (o *oracle) filterPredicate(ns NodeSet, pred Expr, reverse bool) (NodeSet, 
 // order (reverse axes yield reverse document order — filterPredicate
 // compensates via its reverse flag, which expects document order, so
 // reverse axes are returned in document order here and positions are
-// computed backwards).
+// computed backwards). It reaches every node through child, sibling and
+// parent links, one at a time, never through a range of records.
 func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 	var out NodeSet
 	add := func(n NodeRef) {
 		o.Visited++
 		out = append(out, n)
+	}
+	var walk func(m tree.Node)
+	walk = func(m tree.Node) {
+		for c := m.FirstChild(); c.Valid(); c = c.NextSibling() {
+			add(ElemRef(c))
+			walk(c)
+		}
+	}
+	// siblings returns n's siblings before it and after it.
+	siblings := func(n tree.Node) (before, after []tree.Node) {
+		if !n.Parent().Valid() {
+			return nil, nil
+		}
+		for c := n.Parent().FirstChild(); c.Valid(); c = c.NextSibling() {
+			switch {
+			case c.ID() < n.ID():
+				before = append(before, c)
+			case c.ID() > n.ID():
+				after = append(after, c)
+			}
+		}
+		return before, after
 	}
 	if r.IsAttr() {
 		// From an attribute node only self/parent/ancestor(-or-self) are
@@ -268,119 +291,81 @@ func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 			add(r)
 		case AncestorOrSelf:
 			add(r)
-			for n := r.N; n != nil; n = n.Parent {
+			for n := r.N(); n.Valid(); n = n.Parent() {
 				add(ElemRef(n))
 			}
 			out = out.sortDocOracle()
 		case Parent:
-			add(ElemRef(r.N))
+			add(ElemRef(r.N()))
 		case Ancestor:
-			for n := r.N; n != nil; n = n.Parent {
+			for n := r.N(); n.Valid(); n = n.Parent() {
 				add(ElemRef(n))
 			}
 			out = out.sortDocOracle()
 		}
 		return out
 	}
-	n := r.N
+	n := r.N()
 	switch axis {
 	case Self:
 		add(r)
 	case Child:
-		for _, c := range n.Children {
+		for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
 			add(ElemRef(c))
 		}
 	case Descendant:
-		var walk func(*tree.Node)
-		walk = func(m *tree.Node) {
-			for _, c := range m.Children {
-				add(ElemRef(c))
-				walk(c)
-			}
-		}
 		walk(n)
 	case DescendantOrSelf:
 		add(r)
-		var walk func(*tree.Node)
-		walk = func(m *tree.Node) {
-			for _, c := range m.Children {
-				add(ElemRef(c))
-				walk(c)
-			}
-		}
 		walk(n)
 	case Parent:
-		if n.Parent != nil {
-			add(ElemRef(n.Parent))
+		if p := n.Parent(); p.Valid() {
+			add(ElemRef(p))
 		}
 	case Ancestor:
-		for p := n.Parent; p != nil; p = p.Parent {
+		for p := n.Parent(); p.Valid(); p = p.Parent() {
 			add(ElemRef(p))
 		}
 		out = out.sortDocOracle()
 	case AncestorOrSelf:
 		add(r)
-		for p := n.Parent; p != nil; p = p.Parent {
+		for p := n.Parent(); p.Valid(); p = p.Parent() {
 			add(ElemRef(p))
 		}
 		out = out.sortDocOracle()
 	case FollowingSibling:
-		if n.Parent != nil {
-			sibs := n.Parent.Children
-			for i := n.Index + 1; i < len(sibs); i++ {
-				add(ElemRef(sibs[i]))
-			}
+		_, after := siblings(n)
+		for _, s := range after {
+			add(ElemRef(s))
 		}
 	case PrecedingSibling:
-		if n.Parent != nil {
-			sibs := n.Parent.Children
-			for i := 0; i < n.Index; i++ {
-				add(ElemRef(sibs[i]))
-			}
+		before, _ := siblings(n)
+		for _, s := range before {
+			add(ElemRef(s))
 		}
 	case Following:
-		for cur := n; cur != nil; cur = cur.Parent {
-			if cur.Parent == nil {
-				break
-			}
-			sibs := cur.Parent.Children
-			for i := cur.Index + 1; i < len(sibs); i++ {
-				add(ElemRef(sibs[i]))
-				var walk func(*tree.Node)
-				walk = func(m *tree.Node) {
-					for _, c := range m.Children {
-						add(ElemRef(c))
-						walk(c)
-					}
-				}
-				walk(sibs[i])
+		for cur := n; cur.Parent().Valid(); cur = cur.Parent() {
+			_, after := siblings(cur)
+			for _, s := range after {
+				add(ElemRef(s))
+				walk(s)
 			}
 		}
 		out = out.sortDocOracle()
 	case Preceding:
 		// All nodes strictly before n in document order, excluding
 		// ancestors.
-		for cur := n; cur != nil; cur = cur.Parent {
-			if cur.Parent == nil {
-				break
-			}
-			sibs := cur.Parent.Children
-			for i := 0; i < cur.Index; i++ {
-				add(ElemRef(sibs[i]))
-				var walk func(*tree.Node)
-				walk = func(m *tree.Node) {
-					for _, c := range m.Children {
-						add(ElemRef(c))
-						walk(c)
-					}
-				}
-				walk(sibs[i])
+		for cur := n; cur.Parent().Valid(); cur = cur.Parent() {
+			before, _ := siblings(cur)
+			for _, s := range before {
+				add(ElemRef(s))
+				walk(s)
 			}
 		}
 		out = out.sortDocOracle()
 	case Attribute:
-		for i := range n.Attrs {
-			add(NodeRef{N: n, AttrIdx: i})
+		for i := range n.NumAttrs() {
+			add(AttrRef(n, i))
 		}
 	}
 	return out
@@ -396,7 +381,7 @@ func oracleMatchTest(t NodeTest, r NodeRef, axis Axis) bool {
 		case TestStar:
 			return axis == Attribute
 		case TestName:
-			return axis == Attribute && r.N.Attrs[r.AttrIdx].Name == t.Name
+			return axis == Attribute && r.Name() == t.Name
 		}
 		return false
 	}
@@ -404,11 +389,11 @@ func oracleMatchTest(t NodeTest, r NodeRef, axis Axis) bool {
 	case TestNode:
 		return true
 	case TestStar:
-		return r.N.Kind == tree.Element && axis != Attribute
+		return r.N().Kind() == tree.Element && axis != Attribute
 	case TestName:
-		return r.N.Kind == tree.Element && axis != Attribute && r.N.Tag == t.Name
+		return r.N().Kind() == tree.Element && axis != Attribute && r.N().Tag() == t.Name
 	case TestText:
-		return r.N.Kind == tree.Text
+		return r.N().Kind() == tree.Text
 	default: // comment(), processing-instruction(): not in the data model
 		return false
 	}

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"xmlproj/internal/tree"
@@ -53,7 +54,7 @@ func (ev *Evaluator) evalPathExpr(pe PathExpr, ctx context) (Value, error) {
 		return ev.evalSteps(steps, ns, false)
 	case len(steps) == 0: // "/" alone, or nothing at all
 		if pe.Path.Absolute {
-			return NodeSet{ElemRef(ev.Doc.Root)}, nil
+			return NodeSet{ElemRef(ev.Doc.Root())}, nil
 		}
 		return NodeSet{ctx.node}, nil
 	case pe.Path.Absolute:
@@ -75,7 +76,7 @@ func (ev *Evaluator) evalSteps(steps []Step, start NodeSet, fromDoc bool) (NodeS
 		start = slices.Clone(start).SortDoc()
 	}
 	cur, w, r := start, ev.buffer(), ev.buffer()
-	root := [1]NodeRef{ElemRef(ev.Doc.Root)}
+	root := [1]NodeRef{ElemRef(ev.Doc.Root())}
 	var err error
 	for i := 0; i < len(steps) && err == nil; i++ {
 		st, atDoc := &steps[i], fromDoc && i == 0
@@ -84,7 +85,7 @@ func (ev *Evaluator) evalSteps(steps []Step, start NodeSet, fromDoc bool) (NodeS
 			fused = Step{Axis: Descendant, Test: steps[i+1].Test, Preds: steps[i+1].Preds}
 			st = &fused
 			i++
-			if atDoc && root[0].N != nil {
+			if atDoc && ev.Doc.NumNodes() > 0 {
 				// The document node's descendant-or-self::node() is the
 				// root element and all below it, and their children are
 				// what is below the root element: //site is empty.
@@ -189,15 +190,16 @@ func readsPosition(e Expr) bool {
 // element and everything below. Any other axis but self — approximated
 // by the root element — is empty there.
 func (ev *Evaluator) docStep(dst NodeSet, st *Step) (NodeSet, error) {
-	root := ev.Doc.Root
-	if root == nil {
+	if ev.Doc.NumNodes() == 0 {
 		return dst, nil
 	}
+	t := test{NodeTest: st.Test}
+	t.on(ev.Doc)
 	switch st.Axis {
 	case Child, Self:
-		dst = ev.self(dst, root, st.Test)
+		dst = ev.self(dst, 0, &t)
 	case Descendant, DescendantOrSelf:
-		dst = ev.descend(dst, root, st.Test, true)
+		dst = ev.descend(dst, 0, &t, true)
 	}
 	return ev.filter(dst, 0, st.Preds, false)
 }
@@ -209,25 +211,27 @@ func (ev *Evaluator) step(dst, cur NodeSet, st *Step) (NodeSet, error) {
 	// be left out of the second's group, and the downward and upward
 	// closures use that to stay ordered.
 	grouped := positional(st.Preds)
+	t := test{NodeTest: st.Test}
 	kept, cover := tree.NodeID(-1), tree.NodeID(-1) // the last context descended from, and the last ID of its subtree
 	floor := tree.NodeID(-1)                        // the largest ID climbed from so far
 	for _, cn := range cur {
 		at := len(dst)
+		t.on(cn.doc)
 		switch {
 		case grouped:
-			dst = ev.axisMatch(dst, cn, st.Axis, st.Test)
+			dst = ev.axisMatch(dst, cn, st.Axis, &t)
 		case st.Axis == Descendant || st.Axis == DescendantOrSelf:
-			if cn.IsAttr() || kept < cn.N.ID && cn.N.ID <= cover {
+			if id := cn.id(); cn.IsAttr() || kept < id && id <= cover {
 				continue // nothing below an attribute; inside the last subtree
 			}
-			kept, cover = cn.N.ID, cn.N.LastDescendant().ID
-			dst = ev.descend(dst, cn.N, st.Test, st.Axis == DescendantOrSelf)
+			kept, cover = cn.id(), cn.doc.IDAt(cn.doc.EndAt(cn.node))
+			dst = ev.descend(dst, cn.node, &t, st.Axis == DescendantOrSelf)
 		case st.Axis == Ancestor || st.Axis == AncestorOrSelf:
 			// A node on this climb was on an earlier context's exactly
 			// when its ID is at most where that one started: stop there.
-			dst, floor = ev.climb(dst, cn, st.Axis == AncestorOrSelf, st.Test, floor)
+			dst, floor = ev.climb(dst, cn, st.Axis == AncestorOrSelf, &t, floor)
 		default:
-			dst = ev.axisMatch(dst, cn, st.Axis, st.Test)
+			dst = ev.axisMatch(dst, cn, st.Axis, &t)
 		}
 		var err error
 		if dst, err = ev.filter(dst, at, st.Preds, st.Axis.Reverse()); err != nil {
@@ -277,29 +281,50 @@ func (ev *Evaluator) filterPredicate(dst, ns NodeSet, pred Expr, reverse bool) (
 	return dst, nil
 }
 
-// testNode applies a node test to an element or text node on an axis
-// whose principal node type is element.
-func testNode(t NodeTest, n *tree.Node) bool {
+// test is a node test bound to one document, on an axis whose principal
+// node type is element: the range of name numbers it passes (text is -1,
+// an element's tag its number there), so a name test looks its name up
+// once for each document a step meets and every test is one comparison.
+type test struct {
+	NodeTest
+	doc    *tree.Document
+	lo, hi int32
+}
+
+// on binds t to d.
+func (t *test) on(d *tree.Document) {
+	if d == t.doc {
+		return
+	}
+	t.doc = d
 	switch t.Kind {
 	case TestNode:
-		return true
+		t.lo, t.hi = -1, math.MaxInt32
 	case TestStar:
-		return n.Kind == tree.Element
+		t.lo, t.hi = 0, math.MaxInt32
 	case TestName:
-		return n.Kind == tree.Element && n.Tag == t.Name
+		t.lo = d.Name(t.Name)
+		t.hi = t.lo
 	case TestText:
-		return n.Kind == tree.Text
+		t.lo, t.hi = -1, -1
+	default: // comment(), processing-instruction(): not in the data model
+		t.lo, t.hi = 0, -1
 	}
-	return false // comment(), processing-instruction(): not in the data model
+}
+
+// pass applies t to the i-th record of its document.
+func (t *test) pass(i int32) bool {
+	n := t.doc.NameAt(i)
+	return t.lo <= n && n <= t.hi
 }
 
 // axisMatch appends to dst, in document order, the nodes on axis from r
-// that pass t (a reverse axis too: filterPredicate counts its positions
-// backwards). From an attribute node only self, parent and
-// ancestor(-or-self) are non-empty; an attribute node passes node() on
-// any axis and a name or * on the attribute axis alone.
-func (ev *Evaluator) axisMatch(dst NodeSet, r NodeRef, axis Axis, t NodeTest) NodeSet {
-	n := r.N
+// that pass t, bound to r's document (a reverse axis too: filterPredicate
+// counts its positions backwards). From an attribute node only self,
+// parent and ancestor(-or-self) are non-empty; an attribute node passes
+// node() on any axis and a name or * on the attribute axis alone.
+func (ev *Evaluator) axisMatch(dst NodeSet, r NodeRef, axis Axis, t *test) NodeSet {
+	d, n := r.doc, r.node
 	if r.IsAttr() {
 		switch axis {
 		case Self:
@@ -311,57 +336,64 @@ func (ev *Evaluator) axisMatch(dst NodeSet, r NodeRef, axis Axis, t NodeTest) No
 		}
 		return dst
 	}
+	parent := d.ParentAt(n)
 	switch axis {
 	case Self:
 		dst = ev.self(dst, n, t)
 	case Child:
-		dst = ev.among(dst, n.Children, t)
+		dst = ev.among(dst, n+1, d.EndAt(n), t)
 	case Descendant, DescendantOrSelf:
 		dst = ev.descend(dst, n, t, axis == DescendantOrSelf)
 	case Parent:
-		if n.Parent != nil {
-			dst = ev.self(dst, n.Parent, t)
+		if parent >= 0 {
+			dst = ev.self(dst, parent, t)
 		}
 	case Ancestor, AncestorOrSelf:
 		dst, _ = ev.climb(dst, r, axis == AncestorOrSelf, t, -1)
 	case FollowingSibling:
-		if n.Parent != nil {
-			dst = ev.among(dst, n.Parent.Children[n.Index+1:], t)
+		if parent >= 0 {
+			dst = ev.among(dst, d.EndAt(n)+1, d.EndAt(parent), t)
 		}
 	case PrecedingSibling:
-		if n.Parent != nil {
-			dst = ev.among(dst, n.Parent.Children[:n.Index], t)
+		if parent >= 0 {
+			dst = ev.among(dst, parent+1, n-1, t)
 		}
 	case Following:
-		for ; n.Parent != nil; n = n.Parent {
-			for _, s := range n.Parent.Children[n.Index+1:] {
-				dst = ev.descend(dst, s, t, true)
-			}
-		}
+		// What follows n in its tree is everything after its subtree.
+		dst = ev.below(dst, d.EndAt(n)+1, d.EndAt(treeRoot(d, n)), t)
 	case Preceding:
 		dst = ev.preceding(dst, n, t)
 	case Attribute:
-		ev.Visited += int64(len(n.Attrs))
-		for i, a := range n.Attrs {
-			if t.Kind == TestNode || t.Kind == TestStar || t.Kind == TestName && a.Name == t.Name {
-				dst = append(dst, NodeRef{N: n, AttrIdx: i})
+		e := d.At(n)
+		ev.Visited += int64(e.NumAttrs())
+		for i := range e.NumAttrs() {
+			if t.Kind == TestNode || t.Kind == TestStar || t.Kind == TestName && e.AttrAt(i).Name == t.Name {
+				dst = append(dst, AttrRef(e, i))
 			}
 		}
 	}
 	return dst
 }
 
-func (ev *Evaluator) self(dst NodeSet, n *tree.Node, t NodeTest) NodeSet {
+// treeRoot returns the root of the tree that holds record n.
+func treeRoot(d *tree.Document, n int32) int32 {
+	for p := d.ParentAt(n); p >= 0; p = d.ParentAt(p) {
+		n = p
+	}
+	return n
+}
+
+func (ev *Evaluator) self(dst NodeSet, n int32, t *test) NodeSet {
 	ev.Visited++
-	if testNode(t, n) {
-		dst = append(dst, ElemRef(n))
+	if t.pass(n) {
+		dst = append(dst, ref(t.doc, n))
 	}
 	return dst
 }
 
 // attrSelf is self for an attribute node, which passes node() alone off
 // the attribute axis.
-func (ev *Evaluator) attrSelf(dst NodeSet, r NodeRef, t NodeTest) NodeSet {
+func (ev *Evaluator) attrSelf(dst NodeSet, r NodeRef, t *test) NodeSet {
 	ev.Visited++
 	if t.Kind == TestNode {
 		dst = append(dst, r)
@@ -369,33 +401,32 @@ func (ev *Evaluator) attrSelf(dst NodeSet, r NodeRef, t NodeTest) NodeSet {
 	return dst
 }
 
-func (ev *Evaluator) among(dst NodeSet, nodes []*tree.Node, t NodeTest) NodeSet {
-	ev.Visited += int64(len(nodes))
-	for _, c := range nodes {
-		if testNode(t, c) {
-			dst = append(dst, ElemRef(c))
-		}
+// among appends the siblings from record lo up to record hi, a run of
+// whole subtrees, that pass t.
+func (ev *Evaluator) among(dst NodeSet, lo, hi int32, t *test) NodeSet {
+	for c := lo; c <= hi; c = t.doc.EndAt(c) + 1 {
+		dst = ev.self(dst, c, t)
 	}
 	return dst
 }
 
 // descend appends the nodes below n, and n itself with self, that pass
 // t.
-func (ev *Evaluator) descend(dst NodeSet, n *tree.Node, t NodeTest, self bool) NodeSet {
+func (ev *Evaluator) descend(dst NodeSet, n int32, t *test, self bool) NodeSet {
 	if self {
 		dst = ev.self(dst, n, t)
 	}
-	return ev.walk(dst, n, t)
+	return ev.below(dst, n+1, t.doc.EndAt(n), t)
 }
 
-func (ev *Evaluator) walk(dst NodeSet, n *tree.Node, t NodeTest) NodeSet {
-	ev.Visited += int64(len(n.Children))
-	for _, c := range n.Children {
-		if testNode(t, c) {
-			dst = append(dst, ElemRef(c))
-		}
-		if len(c.Children) > 0 {
-			dst = ev.walk(dst, c, t)
+// below appends the nodes in records lo to hi that pass t. A subtree, and
+// a run of subtrees that follow one another, is one range of the table,
+// so the descendant axis is one loop.
+func (ev *Evaluator) below(dst NodeSet, lo, hi int32, t *test) NodeSet {
+	ev.Visited += int64(max(hi-lo+1, 0))
+	for i := lo; i <= hi; i++ {
+		if t.pass(i) {
+			dst = append(dst, ref(t.doc, i))
 		}
 	}
 	return dst
@@ -404,39 +435,42 @@ func (ev *Evaluator) walk(dst NodeSet, n *tree.Node, t NodeTest) NodeSet {
 // climb appends r's ancestors, and with orSelf r itself, that pass t and
 // have an ID above floor, root first; it returns the larger of floor and
 // the ID of the node the climb began at.
-func (ev *Evaluator) climb(dst NodeSet, r NodeRef, orSelf bool, t NodeTest, floor tree.NodeID) (NodeSet, tree.NodeID) {
-	from := r.N // an attribute's first ancestor is its element
+func (ev *Evaluator) climb(dst NodeSet, r NodeRef, orSelf bool, t *test, floor tree.NodeID) (NodeSet, tree.NodeID) {
+	from := r.node // an attribute's first ancestor is its element
 	if !orSelf && !r.IsAttr() {
-		from = from.Parent
+		from = r.doc.ParentAt(from)
 	}
 	dst = ev.ancestors(dst, from, t, floor)
 	if orSelf && r.IsAttr() {
 		dst = ev.attrSelf(dst, r, t)
 	}
-	if from != nil && from.ID > floor {
-		floor = from.ID
+	if from >= 0 && r.doc.IDAt(from) > floor {
+		floor = r.doc.IDAt(from)
 	}
 	return dst, floor
 }
 
-// ancestors appends n and its ancestors with an ID above floor that pass
-// t, root first.
-func (ev *Evaluator) ancestors(dst NodeSet, n *tree.Node, t NodeTest, floor tree.NodeID) NodeSet {
-	if n == nil || n.ID <= floor {
+// ancestors appends record n and its ancestors with an ID above floor
+// that pass t, root first.
+func (ev *Evaluator) ancestors(dst NodeSet, n int32, t *test, floor tree.NodeID) NodeSet {
+	if n < 0 || t.doc.IDAt(n) <= floor {
 		return dst
 	}
-	return ev.self(ev.ancestors(dst, n.Parent, t, floor), n, t)
+	return ev.self(ev.ancestors(dst, t.doc.ParentAt(n), t, floor), n, t)
 }
 
-// preceding appends what precedes n — the earlier siblings of n and of
-// each ancestor, with what is below them — outermost first.
-func (ev *Evaluator) preceding(dst NodeSet, n *tree.Node, t NodeTest) NodeSet {
-	if n.Parent == nil {
-		return dst
-	}
-	dst = ev.preceding(dst, n.Parent, t)
-	for _, s := range n.Parent.Children[:n.Index] {
-		dst = ev.descend(dst, s, t, true)
+// preceding appends what precedes record n — the earlier siblings of n
+// and of each ancestor, with what is below them — outermost first: the
+// records of n's tree before n, less its ancestors.
+func (ev *Evaluator) preceding(dst NodeSet, n int32, t *test) NodeSet {
+	d := t.doc
+	for i := treeRoot(d, n) + 1; i < n; {
+		if end := d.EndAt(i); end < n {
+			dst = ev.below(dst, i, end, t)
+			i = end + 1
+		} else {
+			i++ // an ancestor of n: step into it
+		}
 	}
 	return dst
 }

@@ -11,48 +11,61 @@ import (
 )
 
 // NodeRef identifies a node in the XPath sense: either a tree node
-// (element or text) or one of an element's attributes.
+// (element or text) or one of an element's attributes. It is a document,
+// the index of the node's record and the attribute's index: 16 bytes,
+// compared and copied as a value.
 type NodeRef struct {
-	N *tree.Node
-	// AttrIdx is -1 for the node itself, otherwise an index into N.Attrs
-	// designating an attribute node.
-	AttrIdx int
+	doc  *tree.Document
+	node int32
+	attr int32 // -1 for the node itself
 }
 
 // ElemRef wraps a tree node as a NodeRef.
-func ElemRef(n *tree.Node) NodeRef { return NodeRef{N: n, AttrIdx: -1} }
+func ElemRef(n tree.Node) NodeRef { return NodeRef{n.Doc(), n.Index(), -1} }
+
+// AttrRef designates the i-th attribute of the element n.
+func AttrRef(n tree.Node, i int) NodeRef { return NodeRef{n.Doc(), n.Index(), int32(i)} }
+
+func ref(d *tree.Document, i int32) NodeRef { return NodeRef{d, i, -1} }
+
+// N returns the tree node: the node itself, or an attribute's element.
+func (r NodeRef) N() tree.Node { return r.doc.At(r.node) }
+
+// AttrIdx is -1 for a tree node, otherwise the index of the attribute
+// among its element's.
+func (r NodeRef) AttrIdx() int { return int(r.attr) }
 
 // IsAttr reports whether the ref designates an attribute node.
-func (r NodeRef) IsAttr() bool { return r.AttrIdx >= 0 }
+func (r NodeRef) IsAttr() bool { return r.attr >= 0 }
+
+// id is the node's ID, which orders it.
+func (r NodeRef) id() tree.NodeID { return r.doc.IDAt(r.node) }
 
 // StringValue returns the XPath string-value of the node.
 func (r NodeRef) StringValue() string {
 	if r.IsAttr() {
-		return r.N.Attrs[r.AttrIdx].Value
+		return r.N().AttrAt(int(r.attr)).Value
 	}
-	return r.N.StringValue()
+	return r.N().StringValue()
 }
 
 // Name returns the expanded name: tag for elements, attribute name for
 // attribute nodes, empty for text nodes.
 func (r NodeRef) Name() string {
 	if r.IsAttr() {
-		return r.N.Attrs[r.AttrIdx].Name
+		return r.N().AttrAt(int(r.attr)).Name
 	}
-	if r.N.Kind == tree.Element {
-		return r.N.Tag
-	}
-	return ""
+	return r.N().Tag()
 }
 
 // compareRefs orders nodes in document order: by node ID, an attribute
 // node after its owner element and before the element's children, which
 // have larger IDs.
 func compareRefs(a, b NodeRef) int {
-	if c := cmp.Compare(a.N.ID, b.N.ID); c != 0 {
+	if c := cmp.Compare(a.id(), b.id()); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.AttrIdx, b.AttrIdx)
+	return cmp.Compare(a.attr, b.attr)
 }
 
 // NodeSet is a set of nodes. The evaluation engine keeps node-sets sorted

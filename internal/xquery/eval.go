@@ -29,22 +29,17 @@ type Evaluator struct {
 	shadowed map[string][]xpath.Value
 	// lowered counts the sequences lowered to XPath values.
 	lowered int
-	// next numbers the nodes of constructed elements, from above the
-	// document's own IDs: document order holds inside a constructed tree
-	// and no ID interval of one tree reaches into another, which is what
-	// the XPath engine's steps rely on.
-	next tree.NodeID
+	// store holds the elements the query constructs, numbered from above
+	// the document's own IDs as they are built: document order holds
+	// inside a constructed tree and no ID interval of one tree reaches
+	// into another, which is what the XPath engine's steps rely on. It is
+	// made by the first constructor.
+	store *tree.Builder
 }
 
 // NewEvaluator returns an evaluator over doc.
 func NewEvaluator(doc *tree.Document) *Evaluator {
-	ev := &Evaluator{doc: doc, xe: xpath.NewEvaluator(doc), shadowed: map[string][]xpath.Value{},
-		next: tree.NodeID(doc.NumNodes())}
-	// A tree pruner's output keeps the original's IDs but not its count.
-	if doc.Root != nil {
-		ev.next = max(ev.next, doc.Root.LastDescendant().ID+1)
-	}
-	return ev
+	return &Evaluator{doc: doc, xe: xpath.NewEvaluator(doc), shadowed: map[string][]xpath.Value{}}
 }
 
 // Visited exposes the underlying engine's node-visit counter.
@@ -254,27 +249,37 @@ func effectiveBool(s Seq) bool {
 	return true // non-empty node sequence
 }
 
-// evalElement builds a constructed element. Node content is deep-copied
-// (XQuery constructor semantics); adjacent atomic values are joined with
-// single spaces.
+// evalElement builds a constructed element. Its attributes and content
+// are evaluated first — a constructor among them builds its own element,
+// in the store, before this one starts — and the element is then built
+// in one go: attributes, then the content, node items deep-copied
+// (XQuery constructor semantics) and adjacent atomic values joined with
+// single spaces into one text node.
 func (ev *Evaluator) evalElement(e Element) (Seq, error) {
-	n := tree.NewElement(e.Tag)
+	attrs := make([]tree.Attr, 0, len(e.Attrs))
 	for _, a := range e.Attrs {
 		if a.Expr == nil {
-			n.SetAttr(a.Name, a.Literal)
+			attrs = append(attrs, tree.Attr{Name: a.Name, Value: a.Literal})
 			continue
 		}
 		s, err := ev.eval(a.Expr)
 		if err != nil {
 			return nil, err
 		}
-		n.SetAttr(a.Name, seqString(s))
+		attrs = append(attrs, tree.Attr{Name: a.Name, Value: seqString(s)})
 	}
+	// content is the element's children: a text run or a node to copy.
+	type child struct {
+		text   string
+		node   xpath.NodeRef
+		isNode bool
+	}
+	var content []child
 	if e.Body != nil {
 		var textBuf strings.Builder
 		flushText := func() {
 			if textBuf.Len() > 0 {
-				n.Append(tree.NewText(textBuf.String()))
+				content = append(content, child{text: textBuf.String()})
 				textBuf.Reset()
 			}
 		}
@@ -295,11 +300,11 @@ func (ev *Evaluator) evalElement(e Element) (Seq, error) {
 				switch v := item.(type) {
 				case xpath.NodeRef:
 					if v.IsAttr() {
-						n.SetAttr(v.N.Attrs[v.AttrIdx].Name, v.N.Attrs[v.AttrIdx].Value)
+						attrs = append(attrs, tree.Attr{Name: v.Name(), Value: v.StringValue()})
 						continue
 					}
 					flushText()
-					n.Append(copyNode(v.N))
+					content = append(content, child{node: v, isNode: true})
 					pendingAtomic = false
 				default:
 					if pendingAtomic {
@@ -312,19 +317,24 @@ func (ev *Evaluator) evalElement(e Element) (Seq, error) {
 		}
 		flushText()
 	}
-	ev.number(n)
-	return Seq{xpath.ElemRef(n)}, nil
-}
-
-// number gives the nodes of a finished constructed tree their IDs, in
-// document order. What was copied into it from an earlier constructed
-// element is numbered again here, as part of this tree.
-func (ev *Evaluator) number(n *tree.Node) {
-	n.ID = ev.next
-	ev.next++
-	for _, c := range n.Children {
-		ev.number(c)
+	if ev.store == nil {
+		ev.store = tree.NewStore(ev.doc)
 	}
+	b := ev.store
+	at := int32(b.Document().NumNodes())
+	b.Start(e.Tag)
+	for _, a := range attrs {
+		b.Attr(a.Name, a.Value)
+	}
+	for _, c := range content {
+		if c.isNode {
+			b.Copy(c.node.N())
+		} else {
+			b.TextString(c.text)
+		}
+	}
+	b.EndElement()
+	return Seq{xpath.ElemRef(b.Document().At(at))}, nil
 }
 
 // bodyPieces splits a constructor body into its top-level content pieces.
@@ -333,15 +343,6 @@ func bodyPieces(q Query) []Query {
 		return s.Items
 	}
 	return []Query{q}
-}
-
-func copyNode(n *tree.Node) *tree.Node {
-	m := &tree.Node{Kind: n.Kind, Tag: n.Tag, Data: n.Data}
-	m.Attrs = append(m.Attrs, n.Attrs...)
-	for _, c := range n.Children {
-		m.Append(copyNode(c))
-	}
-	return m
 }
 
 func atomicString(it Item) string {
@@ -514,13 +515,13 @@ func refSize(r xpath.NodeRef) int {
 	if r.IsAttr() {
 		return len(r.StringValue())
 	}
-	return r.N.XMLSize()
+	return r.N().XMLSize()
 }
 
 func writeRef(sb *strings.Builder, r xpath.NodeRef) {
 	if r.IsAttr() {
 		sb.WriteString(r.StringValue())
 	} else {
-		r.N.AppendXML(sb)
+		r.N().AppendXML(sb)
 	}
 }

@@ -244,3 +244,58 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatal("invalid doc accepted")
 	}
 }
+
+// TestCarriageReturnSurvivesThePrune: a carriage return decoded from a
+// reference is written back as one by both pruners, so the query answers
+// the same on the pruned document as on the original (Thm. 4.5). Written
+// raw, it read back as a line feed and the two arms of xqrun disagreed.
+func TestCarriageReturnSurvivesThePrune(t *testing.T) {
+	d, err := ParseDTDString(`<!ELEMENT a (b*, c?)> <!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)>`, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `<a><b>p&#13;q</b><c>drop</c></a>`
+	q, err := Compile("for $b in /a/b return string-length(substring-before($b, \"\n\"))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := d.Infer(Materialized, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := ParseXMLString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := p.PruneStream(&out, strings.NewReader(src)); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "drop") {
+		t.Fatalf("the prune kept <c>: %s", out.String())
+	}
+	streamed, err := ParseXMLString(out.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := ParseXMLString(p.Prune(direct).XML())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.Evaluate(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Serialized != "0" {
+		t.Fatalf("on the original: %q, want 0", want.Serialized)
+	}
+	for arm, doc := range map[string]*Document{"streamed": streamed, "tree-pruned and reloaded": reloaded} {
+		got, err := q.Evaluate(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Serialized != want.Serialized {
+			t.Errorf("%s: %q, on the original %q", arm, got.Serialized, want.Serialized)
+		}
+	}
+}
