@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(main
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "request body limit in bytes (negative = unlimited)")
 	maxToken := fs.Int("max-token", 0, "scanner token-size limit in bytes (0 = default 8 MiB)")
 	maxGather := fs.Int64("max-gather", server.DefaultMaxGatherBytes, "span-gather fast-path limit in bytes: bodies of known length up to this are buffered and pruned in place (negative = disabled)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "concurrent prune limit; also divides the intra-document worker budget (0 = GOMAXPROCS)")
+	maxConcurrent := fs.Int("max-concurrent", 0, "concurrent prune limit: each prune is one serial pass, so this is how many cores pruning can use (0 = GOMAXPROCS)")
 	admissionWait := fs.Duration("admission-wait", 100*time.Millisecond, "how long a request queues for an admission slot before 429")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request prune deadline, 408 on expiry (0 = none)")
 	resultCache := fs.Int64("result-cache", xmlproj.DefaultResultCacheBytes, "byte budget for the content-addressed cache of pruned outputs; repeat documents on the gather path are served from cache with a strong ETag (0 or negative = disabled)")

@@ -60,7 +60,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	materialize := fs.Bool("materialize", true, "keep full subtrees of result nodes")
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")
-	intra := fs.Int("intra", 0, "intra-document parallel pruning workers; >0 forces the parallel pruner with that many; 0 = auto, which goes concurrent only with -validate, for documents of at least 4 MiB (pipes: 1 MiB or unsized) and a worker budget (GOMAXPROCS / -jobs) of at least 4")
 	var queries, ins, projSpecs stringList
 	fs.Var(&queries, "q", "query (XPath or XQuery); repeatable")
 	fs.Var(&ins, "in", "input document or glob pattern; repeatable (default stdin)")
@@ -207,11 +206,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	eng := xmlproj.NewEngine(xmlproj.EngineOptions{})
 	start = time.Now()
 	results, agg, batchErr := eng.PruneBatch(context.Background(), p, batch, xmlproj.BatchOptions{
-		Workers:      *jobs,
-		Validate:     *validateFlag,
-		FailFast:     !*keepGoing,
-		Parallel:     *intra > 0,
-		IntraWorkers: *intra,
+		Workers:  *jobs,
+		Validate: *validateFlag,
+		FailFast: !*keepGoing,
 	})
 	elapsed := time.Since(start)
 	// Release the input mappings now that every prune has run; output
@@ -244,26 +241,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if batchErr == nil {
 			r := results[0]
 			st := r.Stats
-			parNote := ""
-			if r.Parallel.Workers > 0 && !r.Parallel.Fallback {
-				parNote = fmt.Sprintf("; parallel %d workers, %d fragments (index %s, prune %s, stitch %s)",
-					r.Parallel.Workers, r.Parallel.Tasks,
-					r.Parallel.IndexTime.Round(time.Microsecond),
-					r.Parallel.PruneTime.Round(time.Microsecond),
-					r.Parallel.StitchTime.Round(time.Microsecond))
-			}
-			if r.Pipeline.Workers > 0 && !r.Pipeline.Fallback {
-				parNote = fmt.Sprintf("; pipelined %d workers, %d windows, %d fragments, peak %d window bytes (read %s, index %s, prune %s, emit %s)",
-					r.Pipeline.Workers, r.Pipeline.Windows, r.Pipeline.Tasks, r.Pipeline.PeakWindowBytes,
-					r.Pipeline.ReadTime.Round(time.Microsecond),
-					r.Pipeline.IndexTime.Round(time.Microsecond),
-					r.Pipeline.PruneTime.Round(time.Microsecond),
-					r.Pipeline.EmitTime.Round(time.Microsecond))
-			}
 			fmt.Fprintf(stderr,
-				"xmlprune: %spruned in %s; elements %d -> %d; %d -> %d bytes (%.1f MB/s); depth %d%s\n",
+				"xmlprune: %spruned in %s; elements %d -> %d; %d -> %d bytes (%.1f MB/s); depth %d\n",
 				inferNote, elapsed, st.ElementsIn, st.ElementsOut,
-				r.BytesIn, st.BytesOut, r.Throughput(), st.MaxDepth, parNote)
+				r.BytesIn, st.BytesOut, r.Throughput(), st.MaxDepth)
 		}
 	} else {
 		for _, r := range results {
@@ -552,15 +533,6 @@ func (l *lazyFile) Read(p []byte) (int, error) {
 type fileSource struct {
 	lazyFile
 	data *mmapio.Data
-}
-
-// InputSize implements prune.Sizer via stat, without opening the file.
-func (s *fileSource) InputSize() (int64, bool) {
-	fi, err := os.Stat(s.path)
-	if err != nil || !fi.Mode().IsRegular() {
-		return 0, false
-	}
-	return fi.Size(), true
 }
 
 // InputBytes implements prune.BytesSource: called at most once, at the

@@ -8,7 +8,6 @@ import (
 	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/engine"
-	"xmlproj/internal/prune"
 )
 
 // Engine is a concurrent projection engine for server-style workloads:
@@ -100,20 +99,9 @@ func bunchFingerprint(queries []*Query) string {
 type BatchJob = engine.Job
 
 // BatchResult is the outcome of one batch job: its stats (on error, the
-// prefix before the failure), bytes read, wall time, how the parallel or
-// pipelined engine ran if one did (Workers == 0: it did not), and the
-// error — the context error for jobs skipped after cancellation.
+// prefix before the failure), bytes read, wall time and the error — the
+// context error for jobs skipped after cancellation.
 type BatchResult = engine.JobResult
-
-// ParallelStages is the per-stage breakdown of one intra-document
-// parallel prune: structural indexing, concurrent fragment pruning, and
-// the sequential splice pass that stitches the fragments together.
-type ParallelStages = prune.ParallelDetail
-
-// PipelineStages is the per-stage breakdown of one pipelined streaming
-// prune: reading source bytes into window slabs, incremental structural
-// indexing, concurrent fragment pruning, and in-order emission.
-type PipelineStages = prune.PipelineDetail
 
 // BatchOptions configures one PruneBatch call.
 type BatchOptions struct {
@@ -125,16 +113,6 @@ type BatchOptions struct {
 	// FailFast cancels the remaining jobs after the first failure;
 	// otherwise the batch keeps going and reports every error.
 	FailFast bool
-	// Parallel forces the intra-document parallel pruner for every job.
-	// When false it is still auto-selected per job for large inputs of
-	// known size when the job validates and its worker budget is at
-	// least 4.
-	Parallel bool
-	// IntraWorkers bounds the parallel pruner's concurrency within one
-	// document (0 means GOMAXPROCS). Batches mixing inter-document and
-	// intra-document parallelism will want Workers × IntraWorkers to be
-	// about GOMAXPROCS.
-	IntraWorkers int
 }
 
 // BatchStats aggregates a batch: summed pruner stats (MaxDepth is the
@@ -142,28 +120,18 @@ type BatchOptions struct {
 type BatchStats = engine.BatchStats
 
 // PruneBatch prunes every job against p through a bounded worker pool,
-// in one streaming pass per document and nothing else: a batch is one
-// projector over many different documents, which the result cache
-// cannot hit, so it is not consulted — two byte-identical inputs are
-// pruned twice. Results are in job order. The batch stops early when ctx
+// in one serial streaming pass per document and nothing else: the
+// parallelism is across documents. A batch is one projector over many
+// different documents, which the result cache cannot hit, so it is not
+// consulted — two byte-identical inputs are pruned twice. Results are in job order. The batch stops early when ctx
 // is cancelled or, with FailFast, on the first failure. The returned
 // error is nil only if every job succeeded.
 func (eng *Engine) PruneBatch(ctx context.Context, p *Projector, jobs []BatchJob, opts BatchOptions) ([]BatchResult, BatchStats, error) {
-	eopts := engine.BatchOptions{
-		Workers:      opts.Workers,
-		Validate:     opts.Validate,
-		FailFast:     opts.FailFast,
-		IntraWorkers: opts.IntraWorkers,
-	}
-	if opts.Parallel {
-		eopts.Engine = prune.EngineParallel
-	}
-	return eng.e.PruneBatch(ctx, p.pr, jobs, eopts)
+	return eng.e.PruneBatch(ctx, p.pr, jobs, engine.BatchOptions(opts))
 }
 
 // EngineMetrics is a point-in-time snapshot of an engine's counters:
-// the projector cache, batch and recorded prunes, the parallel and
-// pipelined engines' stage times, and (ResultCache) the
+// the projector cache, batch and recorded prunes, and (ResultCache) the
 // content-addressed result cache.
 type EngineMetrics = engine.Metrics
 
@@ -183,15 +151,17 @@ func (eng *Engine) MetricsMap() map[string]any {
 // the engine's counters, with the batch pool's outcome classification:
 // nil errors count as DocsPruned, context cancellations (however
 // wrapped) count in neither bucket, everything else as PruneErrors.
-func (eng *Engine) RecordPrune(bytesIn int64, stats PruneStats, det ParallelStages, pdet PipelineStages, err error) {
-	eng.e.RecordPrune(bytesIn, stats.BytesOut, det, pdet, err)
+func (eng *Engine) RecordPrune(bytesIn int64, stats PruneStats, err error) {
+	eng.e.RecordPrune(bytesIn, stats.BytesOut, err)
 }
 
-// IntraWorkerBudget divides the host's CPUs across width concurrent
-// prunes: the recommended per-document intra-parallelism budget for a
-// server admitting up to width requests at once, never below 1.
-// PruneBatch applies the same rule against its pool width when
-// BatchOptions.IntraWorkers is unset.
+// IntraWorkerBudget divides procs CPUs across width concurrent prunes,
+// never below 1. Nothing reads the result: a prune is one serial pass.
+//
+// Deprecated: kept only because benchmark/seams.go:315 calls it.
 func IntraWorkerBudget(procs, width int) int {
-	return engine.IntraBudget(procs, width)
+	if width < 1 {
+		width = 1
+	}
+	return max(procs/width, 1)
 }

@@ -1,0 +1,110 @@
+package xmlproj
+
+import (
+	"io"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"xmlproj/internal/xmark"
+)
+
+// fuzzXMark is the auction DTD and a small document valid against it
+// (118 nodes: a query nesting a few loops over //* still ends quickly).
+var fuzzXMark = sync.OnceValues(func() (*DTD, *Document) {
+	d, err := ParseDTDString(xmark.DTDSource, "site")
+	if err != nil {
+		panic(err)
+	}
+	doc, err := ParseXMLString(xmark.NewGenerator(0.00005, 1).Document().XML())
+	if err != nil {
+		panic(err)
+	}
+	return d, doc
+})
+
+// FuzzCompile feeds the query parsers untrusted text: whatever Compile
+// accepts, the static side (StaticType, Infer) and the evaluator must
+// handle without a panic, and the compiled query keeps its source.
+func FuzzCompile(f *testing.F) {
+	for _, want := range q10Serialized {
+		f.Add(benchmarkQuerySource(want.id))
+	}
+	f.Add(`for $p in /site/people/person let $n := $p/name where $p/@id != "" order by $n return $n`)
+	f.Add(`some $b in //bidder satisfies $b/increase > 10`)
+	f.Add(`every $i in //item satisfies exists($i/name)`)
+	f.Add(`<r a="{count(//item)}">{ //person[1]/name/text() }</r>`)
+	f.Add(`()`)
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Compile(src)
+		if err != nil {
+			return
+		}
+		if q.Source() != src {
+			t.Fatalf("Source() = %q, compiled from %q", q.Source(), src)
+		}
+		d, doc := fuzzXMark()
+		q.StaticType(d)
+		q.DataNeeds()
+		for _, mode := range []Mode{NodesOnly, Materialized} {
+			if p, err := d.Infer(mode, q); err == nil {
+				p.Names()
+			}
+		}
+		q.Evaluate(doc)
+	})
+}
+
+// FuzzParseDTD feeds the DTD parser (parameter entities, conditional
+// sections, attribute lists) untrusted text: whatever it accepts must
+// answer the Def. 4.3 property checks and render its grammar, infer a
+// projector for //node() whose MarshalText loads back as the same
+// projector, and prune a one-element document with validation, all
+// without a panic.
+func FuzzParseDTD(f *testing.F) {
+	f.Add(xmark.DTDSource)
+	f.Add(apiDTD)
+	f.Add(`<!ENTITY % inline "#PCDATA | em">
+<!ENTITY % strict "INCLUDE">
+<!ENTITY % loose "IGNORE">
+<!ELEMENT doc (head, body)>
+<![%strict;[ <!ELEMENT head (title)> ]]>
+<![%loose;[ <!ELEMENT head ANY> ]]>
+<!ELEMENT title (%inline;)*>
+<!ELEMENT body (p+)>
+<!ELEMENT p (%inline;)*>
+<!ELEMENT em (#PCDATA)>
+<!ATTLIST doc version CDATA #FIXED "1.0" lang (en|fr) "en">
+<!ATTLIST p id ID #IMPLIED>`)
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseDTDString(src, "")
+		if err != nil {
+			return
+		}
+		d.IsStarGuarded()
+		d.IsRecursive()
+		d.IsParentUnambiguous()
+		d.Grammar()
+		q, err := CompileXPath("//node()")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := d.Infer(Materialized, q)
+		if err != nil {
+			return
+		}
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := d.LoadProjector(text)
+		if err != nil {
+			t.Fatalf("LoadProjector rejects MarshalText's rendering: %v\nprojector: %q", err, text)
+		}
+		if !slices.Equal(back.Names(), p.Names()) {
+			t.Fatalf("projector does not round-trip\ninferred: %q\nloaded:   %q", p.Names(), back.Names())
+		}
+		p.PruneStreamOpts(io.Discard, strings.NewReader("<"+d.Root()+"/>"), StreamOptions{Validate: true})
+	})
+}

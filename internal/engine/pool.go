@@ -37,14 +37,10 @@ type JobResult struct {
 	// Elapsed is the wall time the prune took (zero for skipped jobs),
 	// so callers can report per-job throughput.
 	Elapsed time.Duration
-	// Parallel holds the per-stage timings of an intra-document parallel
-	// prune; Parallel.Workers == 0 means the job ran serially.
+	// Parallel is always zero: every job runs on the serial scanner.
+	//
+	// Deprecated: kept only because benchmark/seams.go:402 reads it.
 	Parallel prune.ParallelDetail
-	// Pipeline holds the per-stage timings of a pipelined streaming
-	// prune; Pipeline.Workers == 0 means the pipelined engine did not
-	// run. Auto-selection picks it for unsized (or large sized) reader
-	// sources when the job validates and its worker budget is at least 4.
-	Pipeline prune.PipelineDetail
 	// Err is nil on success. Jobs skipped after cancellation (fail-fast
 	// or a cancelled context) carry the context error.
 	Err error
@@ -68,17 +64,6 @@ type BatchOptions struct {
 	// FailFast cancels the remaining jobs after the first failure.
 	// Otherwise the batch keeps going and reports every error.
 	FailFast bool
-	// Engine selects the pruner per job; the zero value (EngineAuto)
-	// uses the serial scanner unless the input is large or unsized,
-	// Validate is set and IntraWorkers is at least 4
-	// (prune.chooseEngine).
-	Engine prune.Engine
-	// IntraWorkers bounds the parallel pruner's workers within one
-	// document. Zero budgets automatically: each job gets
-	// IntraBudget(GOMAXPROCS, effective batch workers) workers, so
-	// Workers × IntraWorkers ≈ GOMAXPROCS and a batch of large
-	// documents never oversubscribes the CPUs.
-	IntraWorkers int
 }
 
 // BatchStats aggregates a batch.
@@ -112,12 +97,6 @@ func (e *Engine) PruneBatch(ctx context.Context, pr *core.Projector, jobs []Job,
 	results := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
 		return results, BatchStats{}, nil
-	}
-	// Budget intra-document parallelism against the pool width: a batch
-	// of large documents would otherwise run Workers × GOMAXPROCS
-	// pruning goroutines.
-	if opts.IntraWorkers <= 0 {
-		opts.IntraWorkers = IntraBudget(runtime.GOMAXPROCS(0), workers)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -198,12 +177,8 @@ func (e *Engine) runJob(ctx context.Context, pr *core.Projector, job Job, opts B
 		src := &countingReader{r: job.Src, ctx: ctx}
 		start := time.Now()
 		res.Stats, res.Err = prune.Stream(job.Dst, src, pr.D, pr.Names, prune.StreamOptions{
-			Validate:        opts.Validate,
-			Projection:      pr.Compiled(),
-			Engine:          opts.Engine,
-			ParallelWorkers: opts.IntraWorkers,
-			Detail:          &res.Parallel,
-			Pipeline:        &res.Pipeline,
+			Validate:   opts.Validate,
+			Projection: pr.Compiled(),
 		})
 		res.Elapsed = time.Since(start)
 		res.BytesIn = src.n
@@ -220,7 +195,7 @@ func (e *Engine) runJob(ctx context.Context, pr *core.Projector, job Job, opts B
 	if cerr := closeDst(job.Dst); cerr != nil && res.Err == nil {
 		res.Err = cerr
 	}
-	e.RecordPrune(res.BytesIn, res.Stats.BytesOut, res.Parallel, res.Pipeline, res.Err)
+	e.RecordPrune(res.BytesIn, res.Stats.BytesOut, res.Err)
 	return res
 }
 
@@ -231,29 +206,9 @@ func (e *Engine) runJob(ctx context.Context, pr *core.Projector, job Job, opts B
 // matches the batch pool's: nil is a pruned document, a (possibly
 // wrapped) context error is a skip counted in neither bucket, anything
 // else is a prune error.
-func (e *Engine) RecordPrune(bytesIn, bytesOut int64, det prune.ParallelDetail, pdet prune.PipelineDetail, err error) {
+func (e *Engine) RecordPrune(bytesIn, bytesOut int64, err error) {
 	e.m.bytesIn.Add(bytesIn)
 	e.m.bytesOut.Add(bytesOut)
-	if det.Workers > 0 {
-		e.m.parallelPrunes.Add(1)
-		if det.Fallback {
-			e.m.parallelFallbacks.Add(1)
-		}
-		e.m.indexNanos.Add(det.IndexTime.Nanoseconds())
-		e.m.fragmentNanos.Add(det.PruneTime.Nanoseconds())
-		e.m.stitchNanos.Add(det.StitchTime.Nanoseconds())
-	}
-	if pdet.Workers > 0 {
-		e.m.pipelinedPrunes.Add(1)
-		if pdet.Fallback {
-			e.m.pipelinedFallbacks.Add(1)
-		}
-		e.m.pipeReadNanos.Add(pdet.ReadTime.Nanoseconds())
-		e.m.pipeIndexNanos.Add(pdet.IndexTime.Nanoseconds())
-		e.m.pipePruneNanos.Add(pdet.PruneTime.Nanoseconds())
-		e.m.pipeEmitNanos.Add(pdet.EmitTime.Nanoseconds())
-		maxInt64(&e.m.peakWindowBytes, pdet.PeakWindowBytes)
-	}
 	switch {
 	case err == nil:
 		e.m.docsPruned.Add(1)
@@ -276,21 +231,6 @@ func isContextErr(err error) bool {
 		errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// IntraBudget divides procs CPU slots across width concurrent prunes:
-// the per-document worker budget for intra-document parallelism, never
-// below 1. PruneBatch applies it against the pool width; a server
-// applies it against its admission-control limit so concurrent requests
-// and batch jobs share one sizing rule.
-func IntraBudget(procs, width int) int {
-	if width < 1 {
-		width = 1
-	}
-	if b := procs / width; b > 1 {
-		return b
-	}
-	return 1
-}
-
 // closeDst closes the job destination if it is a Closer, so write-behind
 // errors (a full disk at close) surface and file descriptors are bounded
 // by the pool width, not the batch size.
@@ -308,12 +248,6 @@ type countingReader struct {
 	r   io.Reader
 	ctx context.Context
 	n   int64
-}
-
-// InputSize forwards the underlying reader's size so prune.Stream's
-// auto-selection can still see it through the wrapper.
-func (c *countingReader) InputSize() (int64, bool) {
-	return prune.InputSize(c.r)
 }
 
 // InputBytes forwards an in-memory source (prune.BytesSource) through

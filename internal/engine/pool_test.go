@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
-
-	"xmlproj/internal/prune"
 )
 
 // cancelAfterReader serves its document, then cancels the batch context
@@ -131,65 +127,5 @@ func TestBatchPreservesRootCauseOnCancel(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "zzz") {
 		t.Fatalf("batch error lost the root cause: %v", err)
-	}
-}
-
-// TestIntraBudget: the worker-budget rule divides the CPUs across the
-// pool width and never goes below one.
-func TestIntraBudget(t *testing.T) {
-	cases := []struct{ procs, width, want int }{
-		{8, 4, 2},
-		{4, 4, 1},
-		{4, 8, 1},
-		{4, 1, 4},
-		{4, 0, 4},
-		{1, 3, 1},
-	}
-	for _, c := range cases {
-		if got := IntraBudget(c.procs, c.width); got != c.want {
-			t.Errorf("IntraBudget(%d, %d) = %d, want %d", c.procs, c.width, got, c.want)
-		}
-	}
-}
-
-// TestBatchBoundsIntraWorkers: with IntraWorkers unset, a parallel
-// batch budgets each job's intra-document workers against the pool
-// width, so total pruning goroutines stay ~GOMAXPROCS instead of
-// Workers × GOMAXPROCS.
-func TestBatchBoundsIntraWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	d := bib(t)
-	e := New(Options{})
-	pr := titleProjector(t, d)
-
-	const workers = 2
-	jobs := make([]Job, 4)
-	outs := make([]*bytes.Buffer, len(jobs))
-	for i := range jobs {
-		outs[i] = &bytes.Buffer{}
-		doc := fmt.Sprintf(`<bib><book><title>T%d</title><author>A%d</author></book></bib>`, i, i)
-		jobs[i] = Job{Name: fmt.Sprintf("doc%d", i), Src: strings.NewReader(doc), Dst: outs[i]}
-	}
-	results, _, err := e.PruneBatch(context.Background(), pr, jobs, BatchOptions{
-		Workers: workers,
-		Engine:  prune.EngineParallel, // force the intra-document pruner regardless of size
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBudget := IntraBudget(4, workers) // 2
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %s: %v", r.Name, r.Err)
-		}
-		if r.Parallel.Workers == 0 {
-			t.Fatalf("job %s did not run the parallel pruner", r.Name)
-		}
-		if r.Parallel.Workers > wantBudget {
-			t.Fatalf("job %s ran %d intra workers; budget for %d batch workers on 4 CPUs is %d",
-				r.Name, r.Parallel.Workers, workers, wantBudget)
-		}
 	}
 }

@@ -36,8 +36,7 @@ type errStr string
 
 func (e errStr) Error() string { return string(e) }
 
-func (m *memSource) InputBytes() []byte       { return m.data }
-func (m *memSource) InputSize() (int64, bool) { return int64(len(m.data)), true }
+func (m *memSource) InputBytes() []byte { return m.data }
 
 // TestCachedGatherSingleFlight mirrors TestInferCachedSingleFlight one
 // layer down: N concurrent cold CachedGather calls for one key run

@@ -136,6 +136,9 @@ var indexPool = sync.Pool{New: func() any { return new(Index) }}
 // Build scans data in parallel and returns its structural index.
 // Errors are either ErrStructure (fall back to serial), ErrTokenTooLong
 // (hard failure, matches the serial scanner's cap) — both wrapped.
+//
+// Deprecated: stage 1 of the forced-only parallel engine, kept because
+// benchmark/seams.go:243 times it; it goes with that engine.
 func Build(data []byte, opts Options) (*Index, error) {
 	workers := opts.Workers
 	if workers <= 0 {

@@ -29,6 +29,7 @@ func TestBuildColdAllocation(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	//lint:ignore SA1019 Build is what this package tests
 	ix, err := index.Build(data, index.Options{Lookup: lookup})
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -49,6 +50,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		//lint:ignore SA1019 Build is what this package tests
 		ix, err := index.Build(data, index.Options{Lookup: lookup})
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -43,10 +44,10 @@ func mustDTD(t *testing.T) *dtd.DTD {
 }
 
 // parallelVariants are the EngineParallel configurations every
-// differential corpus additionally runs under: single worker, several
-// workers with an adversarial stage-1 chunk size that cuts mid-tag, and
-// a tiny fragment target that forces many splice points on even the
-// smallest documents.
+// differential corpus additionally runs under (from resident input, its
+// one row): single worker, several workers with an adversarial stage-1
+// chunk size that cuts mid-tag, and a tiny fragment target that forces
+// many splice points on even the smallest documents.
 var parallelVariants = []StreamOptions{
 	{Engine: EngineParallel, ParallelWorkers: 1},
 	{Engine: EngineParallel, ParallelWorkers: 4, parallelChunkSize: 3},
@@ -61,6 +62,15 @@ var pipelinedVariants = []StreamOptions{
 	{Engine: EnginePipelined, ParallelWorkers: 1, pipelineWindowSize: 300},
 	{Engine: EnginePipelined, ParallelWorkers: 4, pipelineWindowSize: 300, pipelineRingDepth: 2, parallelFragTarget: 24},
 	{Engine: EnginePipelined, ParallelWorkers: 3, parallelFragTarget: 64},
+}
+
+// streamForced runs src through the source a forced engine's row of run
+// takes: resident bytes for EngineParallel, a reader for the others.
+func streamForced(dst io.Writer, src string, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
+	if opts.Engine == EngineParallel {
+		return StreamBytes(dst, []byte(src), d, pi, opts)
+	}
+	return Stream(dst, strings.NewReader(src), d, pi, opts)
 }
 
 // checkGather runs the span-gather path under opts and requires the
@@ -148,12 +158,11 @@ func runBoth(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool
 	for _, popts := range parallelVariants {
 		popts.Validate = validate
 		var pb strings.Builder
-		pst, perr := Stream(&pb, strings.NewReader(src), d, pi, popts)
+		pst, perr := streamForced(&pb, src, d, pi, popts)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("parallel engine disagrees on acceptance (validate=%v, workers=%d)\nscanner:  %v\nparallel: %v\ninput: %q",
 				validate, popts.ParallelWorkers, serr, perr, src)
 		}
-		checkGather(t, "parallel", src, d, pi, popts, serr == nil, sb.String(), sst)
 		if serr != nil {
 			continue
 		}
@@ -332,6 +341,69 @@ func TestValidateLevelsInsideDiscard(t *testing.T) {
 	}
 }
 
+// twoRoots is a well-formed bib document followed by a second root.
+var twoRoots = `<bib><book isbn="1"><title>T</title><author>A</author></book></bib><bib/>`
+
+// TestSecondRootRejected: a start tag after the root element has closed
+// fails with scan.Walk's message — the loader's verdict — on every route,
+// at both levels, whether π keeps the second root or discards it; the
+// oracle says the same.
+func TestSecondRootRejected(t *testing.T) {
+	d, err := dtd.ParseString(`<!ELEMENT a (b*, c?)> <!ELEMENT b (#PCDATA)> <!ATTLIST b x CDATA #IMPLIED> <!ELEMENT c (#PCDATA)>`, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := dtd.NewNameSet("a", "b", "b#text")
+	routes := map[string]func(doc string, validate bool) error{
+		"oracle": func(doc string, validate bool) error {
+			_, _, err := oracleString(doc, d, pi, validate)
+			return err
+		},
+		"reader": func(doc string, validate bool) error {
+			_, err := Stream(io.Discard, oneByteAtATime{strings.NewReader(doc)}, d, pi, StreamOptions{Validate: validate})
+			return err
+		},
+		"bytes": func(doc string, validate bool) error {
+			_, err := StreamBytes(io.Discard, []byte(doc), d, pi, StreamOptions{Validate: validate})
+			return err
+		},
+		"gather": func(doc string, validate bool) error {
+			g, _, err := StreamGather([]byte(doc), d, pi, StreamOptions{Validate: validate})
+			if err == nil {
+				g.Close()
+			}
+			return err
+		},
+		"shared scan": func(doc string, validate bool) error {
+			gs, _, errs := StreamMultiGather([]byte(doc), d, []dtd.NameSet{pi, dtd.NewNameSet("a")}, MultiOptions{Validate: validate})
+			for j, g := range gs {
+				if g != nil {
+					g.Close()
+					t.Errorf("shared scan: projector %d accepted %q", j, doc)
+				}
+			}
+			return errs[0]
+		},
+		"parallel": func(doc string, validate bool) error {
+			_, err := StreamBytes(io.Discard, []byte(doc), d, pi, StreamOptions{Engine: EngineParallel, ParallelWorkers: 2, parallelFragTarget: 1, Validate: validate})
+			return err
+		},
+		"pipelined": func(doc string, validate bool) error {
+			_, err := Stream(io.Discard, strings.NewReader(doc), d, pi, StreamOptions{Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 16, Validate: validate})
+			return err
+		},
+	}
+	for _, doc := range []string{`<a><b>1</b></a><a><b>2</b></a>`, `<a><b>1</b></a><c>2</c>`} {
+		for name, run := range routes {
+			for _, validate := range []bool{false, true} {
+				if err := run(doc, validate); err == nil || !strings.Contains(err.Error(), "multiple root elements") {
+					t.Errorf("%s, validate=%v: %q: got %v, want multiple root elements", name, validate, doc, err)
+				}
+			}
+		}
+	}
+}
+
 // TestScannerMalformed: the malformed corpus must be rejected by both
 // engines.
 func TestScannerMalformed(t *testing.T) {
@@ -358,17 +430,21 @@ func TestScannerMalformed(t *testing.T) {
 		`<bib><book/><9tag/></bib>`,     // invalid name start
 		`<?xml version="2.0"?><bib/>`,   // unsupported version
 		`<?xml version="1.0" encoding="utf-16"?><bib/>`, // undeclared charset
-		"<bib>\x01</bib>",                          // char outside XML range
-		"<bib>\xff\xfe</bib>",                      // invalid UTF-8 in content
-		`<bib><book isbn="` + "\x02" + `"/></bib>`, // bad char in attr value
-		`<notdeclared/>`,                           // undeclared element
+		"<bib>\x01</bib>",                             // char outside XML range
+		"<bib>\xff\xfe</bib>",                         // invalid UTF-8 in content
+		`<bib><book isbn="` + "\x02" + `"/></bib>`,    // bad char in attr value
+		`<notdeclared/>`,                              // undeclared element
+		twoRoots,                                      // a second root π keeps
+		twoRoots[:len(twoRoots)-6] + `<year>2</year>`, // a second root π discards
 	}
 	for _, src := range cases {
 		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
-			var sb strings.Builder
-			_, err := Stream(&sb, strings.NewReader(src), d, pi, StreamOptions{Engine: eng})
-			if err == nil {
-				t.Errorf("engine %s accepted malformed input %q", eng, src)
+			for _, validate := range []bool{false, true} {
+				var sb strings.Builder
+				_, err := streamForced(&sb, src, d, pi, StreamOptions{Engine: eng, Validate: validate})
+				if err == nil || strings.Contains(err.Error(), "no route") {
+					t.Errorf("engine %s (validate=%v) accepted malformed input %q: %v", eng, validate, src, err)
+				}
 			}
 		}
 		if _, _, err := oracleString(src, d, pi, false); err == nil {
@@ -463,7 +539,7 @@ func TestParallelEngineAdversarialChunks(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, chunk := range []int{1, 2, 5} {
 				var pb strings.Builder
-				pst, perr := Stream(&pb, strings.NewReader(doc), d, pi, StreamOptions{
+				pst, perr := StreamBytes(&pb, []byte(doc), d, pi, StreamOptions{
 					Engine:             EngineParallel,
 					ParallelWorkers:    workers,
 					parallelChunkSize:  chunk,
@@ -491,25 +567,26 @@ func TestParallelEngineAdversarialChunks(t *testing.T) {
 
 // TestParallelEngineMaxTokenSize: the oversized token is caught by the
 // stage-1 index bound — before any fragment worker would buffer it —
-// not by a fallback to the serial scanner.
+// not by a fallback to the serial scanner, which scan.PruneParallel's
+// detail tells apart; run's parallel row returns the same verdict.
 func TestParallelEngineMaxTokenSize(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
 	big := `<bib><book isbn="1"><title>` + strings.Repeat("x", 512<<10) +
 		`</title><author>A</author></book></bib>`
-	var det ParallelDetail
-	var sb strings.Builder
-	_, err := Stream(&sb, strings.NewReader(big), d, pi, StreamOptions{
-		Engine: EngineParallel, MaxTokenSize: 256 << 10, Detail: &det,
-	})
+	capped := scan.ParallelOptions{Options: scan.Options{MaxTokenSize: 256 << 10}}
+	_, det, err := scan.PruneParallel(bufio.NewWriter(io.Discard), []byte(big), d, d.CompileProjection(pi), capped)
 	if !errors.Is(err, scan.ErrTokenTooLong) {
 		t.Fatalf("capped parallel prune: want ErrTokenTooLong, got %v", err)
 	}
 	if det.Fallback {
 		t.Fatal("oversized token should fail in the index stage, not via serial fallback")
 	}
-	sb.Reset()
-	if _, err := Stream(&sb, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineParallel, Detail: &det}); err != nil {
+	if _, err := StreamBytes(io.Discard, []byte(big), d, pi, StreamOptions{Engine: EngineParallel, MaxTokenSize: capped.MaxTokenSize}); !errors.Is(err, scan.ErrTokenTooLong) {
+		t.Fatalf("capped parallel row: want ErrTokenTooLong, got %v", err)
+	}
+	var sb strings.Builder
+	if _, err := StreamBytes(&sb, []byte(big), d, pi, StreamOptions{Engine: EngineParallel}); err != nil {
 		t.Fatalf("default cap rejected a 512KiB token: %v", err)
 	}
 	if !strings.Contains(sb.String(), strings.Repeat("x", 512<<10)) {
@@ -720,6 +797,10 @@ func FuzzStreamDifferential(f *testing.F) {
 	for i, c := range insideDiscard {
 		f.Add(insideDiscardDoc(c.year), uint16(i))
 	}
+	// A second root, kept and discarded: a well-formedness error, so
+	// rejected at both levels.
+	f.Add(twoRoots, uint16(5))
+	f.Add(twoRoots[:len(twoRoots)-6]+`<year>2</year>`, uint16(9))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-1], uint16(7))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-2], uint16(6))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
@@ -777,7 +858,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		fuzzWin := 256 + int(chunk)
 		if serr != nil {
 			var pb strings.Builder
-			if _, perr := Stream(&pb, strings.NewReader(src), d, pi, StreamOptions{
+			if _, perr := StreamBytes(&pb, []byte(src), d, pi, StreamOptions{
 				Engine: EngineParallel, ParallelWorkers: 4, parallelChunkSize: int(chunk), parallelFragTarget: 1,
 			}); perr == nil {
 				t.Fatalf("parallel engine accepted input the scanner rejects (chunk=%d): %q", chunk, src)
@@ -818,14 +899,13 @@ func FuzzStreamDifferential(f *testing.F) {
 				parallelFragTarget: 1,
 			}
 			var pb strings.Builder
-			pst, perr := Stream(&pb, strings.NewReader(src), d, pi, popts)
+			pst, perr := StreamBytes(&pb, []byte(src), d, pi, popts)
 			if (wantErr == nil) != (perr == nil) {
 				t.Fatalf("parallel engine disagrees on acceptance (validate=%v, chunk=%d)\nscanner:  %v\nparallel: %v",
 					validate, chunk, wantErr, perr)
 			}
 			checkGather(t, "serial", src, d, pi,
 				StreamOptions{Validate: validate, Engine: EngineScanner}, wantErr == nil, wantOut, wantStats)
-			checkGather(t, "parallel", src, d, pi, popts, wantErr == nil, wantOut, wantStats)
 			var plb strings.Builder
 			plst, plerr := Stream(&plb, strings.NewReader(src), d, pi, StreamOptions{
 				Validate:           validate,
@@ -915,7 +995,6 @@ func TestFixedAttributeValidated(t *testing.T) {
 	}
 	for name, opts := range map[string]StreamOptions{
 		"scanner":   {Engine: EngineScanner},
-		"parallel":  {Engine: EngineParallel, ParallelWorkers: 3, parallelFragTarget: 8},
 		"pipelined": {Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 16, parallelFragTarget: 8},
 	} {
 		routes[name] = func(doc string, validate bool) error {
@@ -923,6 +1002,11 @@ func TestFixedAttributeValidated(t *testing.T) {
 			_, err := Stream(io.Discard, oneByteAtATime{strings.NewReader(doc)}, d, pi, opts)
 			return err
 		}
+	}
+	routes["parallel"] = func(doc string, validate bool) error {
+		opts := StreamOptions{Engine: EngineParallel, ParallelWorkers: 3, parallelFragTarget: 8, Validate: validate}
+		_, err := StreamBytes(io.Discard, []byte(doc), d, pi, opts)
+		return err
 	}
 	for _, c := range docs {
 		for name, run := range routes {

@@ -118,6 +118,9 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 			if err := flushText(); err != nil {
 				return stats, err
 			}
+			if len(stack) == 0 && sawRoot {
+				return stats, fmt.Errorf("multiple root elements")
+			}
 			stats.ElementsIn++
 			sawRoot = true
 			tag := t.Name.Local

@@ -14,13 +14,9 @@ package prune
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"strings"
 	"sync"
 
 	"xmlproj/internal/dtd"
@@ -96,28 +92,35 @@ type Stats = scan.Stats
 type Engine int
 
 const (
-	// EngineAuto picks among the scanner-based engines by input size,
-	// worker budget and Validate (see chooseEngine). This is the default. Input must
-	// be UTF-8: UTF-16/32 fails with scan.ErrNotUTF8 on every engine.
+	// EngineAuto is the serial scanner on every input, and the default.
+	// Input must be UTF-8: UTF-16/32 fails with scan.ErrNotUTF8.
 	EngineAuto Engine = iota
-	// EngineScanner forces the byte-level scanner (internal/scan).
+	// EngineScanner forces the byte-level scanner (internal/scan), which
+	// is what EngineAuto runs.
 	EngineScanner
 	// EngineDecoder names the encoding/xml pruner, which is the tests'
-	// oracle and not in the build: the value keeps its place and its
-	// name, and forcing it is run's "no route" error.
+	// oracle and not in the build; forcing it is run's "no route" error.
+	//
+	// Deprecated: kept only because benchmark/seams.go:151 names it.
 	EngineDecoder
-	// EngineParallel forces the two-stage parallel pruner: a parallel
-	// structural index over byte chunks, concurrent fragment pruning,
-	// and a sequential splice pass — byte-identical output and identical
-	// verdicts to EngineScanner. The whole input is buffered in memory.
-	// When EngineAuto selects it: see chooseEngine.
+	// EngineParallel forces the two-stage parallel pruner over resident
+	// input into a writer: a parallel structural index over byte chunks,
+	// concurrent fragment pruning and a sequential splice pass, with
+	// output and verdicts identical to EngineScanner's.
+	//
+	// Deprecated: nothing in the product chooses it; it is kept for the
+	// parallel.* layer rows benchmark/seams.go:145–159 forces, and goes
+	// with them.
 	EngineParallel
-	// EnginePipelined forces the pipelined streaming parallel pruner:
-	// reading, incremental structural indexing, concurrent fragment
-	// pruning and in-order emission overlap in a bounded ring of window
-	// buffers, so memory stays at ring × window bytes however large the
-	// document — with byte-identical output and identical verdicts to
-	// EngineScanner. When EngineAuto selects it: see chooseEngine.
+	// EnginePipelined forces the pipelined streaming parallel pruner over
+	// a reader into a writer: reading, incremental structural indexing,
+	// concurrent fragment pruning and in-order emission overlap in a
+	// bounded ring of windows, with output and verdicts identical to
+	// EngineScanner's.
+	//
+	// Deprecated: nothing in the product chooses it; it is kept for the
+	// pipelined.* layer rows benchmark/seams.go:145–159 forces, and goes
+	// with them.
 	EnginePipelined
 )
 
@@ -139,56 +142,9 @@ func (e Engine) String() string {
 	}
 }
 
-// ParallelDetail reports how an EngineParallel prune executed: per-stage
-// wall times, resolved workers, delegated tasks, and whether the input
-// fell back to the serial scanner.
+// ParallelDetail is the type of engine.JobResult.Parallel, which the
+// benchmark reads and nothing fills.
 type ParallelDetail = scan.ParallelDetail
-
-// PipelineDetail reports how an EnginePipelined prune executed:
-// per-stage times, windows streamed, and the peak window bytes resident
-// (bounded by ring depth × window size).
-type PipelineDetail = scan.PipelineDetail
-
-// parallelMinBytes (resident input) and pipelineMinBytes (readers of
-// known size; unknown sizes always qualify, there is nothing to buffer)
-// are the sizes below which EngineAuto does not bother with a
-// concurrent engine.
-const parallelMinBytes, pipelineMinBytes = 4 << 20, 1 << 20
-
-// concurrentMinWorkers is the worker budget below which EngineAuto stays
-// on the serial scanner. The parallel and pipelined engines add a
-// structural pass over every byte (0.5–0.6 of a scan when this was set:
-// index.build_mb_s 518 vs scan.low_mb_s 270) and a serial plan, stitch
-// and spine, so w workers take at best 1.55/w of the serial time: 0.78
-// at w = 2, where a one-shot measured 3.4× slower once its cold index
-// memory counted (cli_large, 335 vs 99 ms). 4 is the smallest budget a
-// measurement shows winning (CI, runners with ≥ 4 CPUs: pipelined.mb_s ≥
-// 1.2 × scan.reader_mb_s in one traced benchmark run, taken when every
-// prune tokenised what it discarded, as a validating one still does).
-const concurrentMinWorkers = 4
-
-// chooseEngine is EngineAuto's one routing rule, for every entry point.
-// resident: the input is in memory. workerBudget is ParallelWorkers:
-// 0 means GOMAXPROCS, which also caps it. Without validate the serial
-// scanner only balances what π discards, with the classifier the
-// concurrent engines build their index with and at its speed
-// (scan.reader_mb_s ≈ index.build_mb_s), so their structural pass buys
-// nothing a measurement has shown — pipelined.mb_s is 0.35 of
-// scan.reader_mb_s at w = 2, where it was 0.98 — and auto stays serial.
-func chooseEngine(size int64, sizeKnown, resident bool, workerBudget int, validate bool) Engine {
-	if procs := runtime.GOMAXPROCS(0); workerBudget <= 0 || workerBudget > procs {
-		workerBudget = procs
-	}
-	switch {
-	case !validate || workerBudget < concurrentMinWorkers:
-		return EngineScanner
-	case resident && size >= parallelMinBytes:
-		return EngineParallel
-	case !resident && (!sizeKnown || size >= pipelineMinBytes):
-		return EnginePipelined
-	}
-	return EngineScanner
-}
 
 // StreamOptions configures a streaming prune.
 type StreamOptions struct {
@@ -221,15 +177,11 @@ type StreamOptions struct {
 	// pair instead of once per document. It must have been compiled from
 	// the same DTD and π passed to Stream.
 	Projection *dtd.Projection
-	// ParallelWorkers bounds the concurrency of EngineParallel and
+	// ParallelWorkers bounds the concurrency of a forced EngineParallel or
 	// EnginePipelined (0 means GOMAXPROCS).
+	//
+	// Deprecated: kept only because benchmark/seams.go:155–159 sets it.
 	ParallelWorkers int
-	// Detail, when non-nil, receives per-stage execution details of an
-	// EngineParallel prune.
-	Detail *ParallelDetail
-	// Pipeline, when non-nil, receives per-stage execution details of an
-	// EnginePipelined prune.
-	Pipeline *PipelineDetail
 	// Ctx, when non-nil, aborts the prune when the context is cancelled:
 	// the source is checked before every read and Stream returns the
 	// context error (wrapped), recognisable with errors.Is. Long prunes
@@ -275,11 +227,11 @@ func Stream(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts Strea
 
 // StreamBytes is Stream over input that is already fully in memory:
 // the scanner aliases data instead of reading and buffering it, so the
-// input side copies nothing, and EngineParallel skips the buffering
-// pass entirely. Output and stats are byte-identical to Stream's; one
-// documented exception: MaxTokenSize is not enforced on the in-memory
-// scanner paths (the cap bounds the streaming scanner's buffer growth,
-// which in-memory input does not have) — bound such inputs by size.
+// input side copies nothing. Output and stats are byte-identical to
+// Stream's; one documented exception: MaxTokenSize is not enforced on
+// the in-memory scanner paths (the cap bounds the streaming scanner's
+// buffer growth, which in-memory input does not have) — bound such
+// inputs by size.
 func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
 	return run(source{data: data}, sink{w: dst}, d, pi, opts)
 }
@@ -337,9 +289,8 @@ func (g *Gather) Close() error {
 // result is written out. The rendered output is byte-identical to
 // Stream's, and stats match it (BytesOut is the rendered size).
 //
-// Engine selection follows StreamBytes (see run for the two cells that
-// differ). MaxTokenSize is not enforced on the in-memory scanner paths
-// (see StreamBytes). On error no Gather is returned (partial output is
+// Only the serial scanner records spans (run). MaxTokenSize is not
+// enforced on the in-memory scanner paths (see StreamBytes). On error no Gather is returned (partial output is
 // discarded, unlike the streaming paths which have already written
 // it). The caller must Close the returned Gather.
 func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*Gather, Stats, error) {
@@ -381,40 +332,24 @@ const (
 
 // run is the one route every streaming prune takes. It resolves the
 // source (a reader that is a BytesSource is resident input), resolves
-// the engine (chooseEngine, unless one is forced) and dispatches on
+// EngineAuto to the serial scanner, and dispatches on
 //
 //	engine     source  sink    runs
 //	scanner    reader  writer  scan.Prune
 //	scanner    bytes   writer  scan.PruneBytes
 //	scanner    bytes   spans   scan.PruneGather
-//	parallel   bytes   writer  scan.PruneParallel
-//	parallel   bytes   spans   scan.PruneParallelGather
-//	parallel   reader  writer  → parallel, bytes: the batch pruner needs
-//	                           resident input, so the reader is read whole
-//	pipelined  reader  writer  scan.PrunePipelined
-//	pipelined  bytes   writer  scan.PrunePipelined over a bytes.Reader
-//	pipelined  bytes   spans   → parallel: spans cover the whole resident
-//	                           input, so streaming it in windows buys nothing
+//	parallel   bytes   writer  scan.PruneParallel (forced only)
+//	pipelined  reader  writer  scan.PrunePipelined (forced only)
 //
-// Only the scanner rows, parallel from bytes and pipelined from a reader
-// are reachable through EngineAuto; the rest are forced. A span sink
-// needs resident input, so no entry point builds reader × spans. Any
-// other engine value has no row and fails with "no route": EngineDecoder
-// is one, its pruner being the tests' oracle.
+// A span sink needs resident input, so no entry point builds reader ×
+// spans. Every other cell fails with "no route": a concurrent engine
+// forced from the other source or into spans, and EngineDecoder, whose
+// pruner is the tests' oracle.
 //
-// It holds the only engine choice, the only projection compile, the only
-// hand-back of stats and details (both detail out-params are written:
-// the zero value says that engine did not run) and the only error wrap.
+// It holds the only projection compile, the only hand-back of stats and
+// the only error wrap.
 func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (st Stats, err error) {
-	var det ParallelDetail
-	var pdet PipelineDetail
 	defer func() {
-		if opts.Detail != nil {
-			*opts.Detail = det
-		}
-		if opts.Pipeline != nil {
-			*opts.Pipeline = pdet
-		}
 		if err != nil {
 			err = fmt.Errorf("prune: %w", err)
 		}
@@ -424,37 +359,16 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 			return st, err
 		}
 	}
-	var size int64
-	var sizeKnown bool
 	if src.r != nil {
 		if data, ok := inputBytesOf(src.r); ok {
 			src = source{data: data}
-		} else {
-			size, sizeKnown = inputSize(src.r)
-			if opts.Ctx != nil {
-				src.r = &ctxReader{ctx: opts.Ctx, r: src.r}
-			}
+		} else if opts.Ctx != nil {
+			src.r = &ctxReader{ctx: opts.Ctx, r: src.r}
 		}
-	}
-	if src.r == nil {
-		size, sizeKnown = int64(len(src.data)), true
 	}
 	at := cell{opts.Engine, src.r == nil, out.w == nil}
 	if at.eng == EngineAuto {
-		at.eng = chooseEngine(size, sizeKnown, at.resident, opts.ParallelWorkers, opts.Validate)
-	}
-	switch at { // the re-route rows
-	case cell{EnginePipelined, fromBytes, toSpans}:
-		at.eng = EngineParallel
-	case cell{EngineParallel, fromReader, toWriter}:
-		var buf bytes.Buffer
-		if sizeKnown && size > 0 && size < int64(int(^uint(0)>>1)) {
-			buf.Grow(int(size))
-		}
-		if _, err := buf.ReadFrom(src.r); err != nil {
-			return st, err
-		}
-		src, at.resident = source{data: buf.Bytes()}, fromBytes
+		at.eng = EngineScanner
 	}
 	if opts.Chosen != nil {
 		*opts.Chosen = at.eng
@@ -476,7 +390,6 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		proj = d.CompileProjection(pi)
 	}
 	so := scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize}
-	po := scan.ParallelOptions{Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.parallelChunkSize, FragTarget: opts.parallelFragTarget}
 	switch at {
 	case cell{EngineScanner, fromReader, toWriter}:
 		st, err = scan.Prune(bw, src.r, d, proj, so)
@@ -485,14 +398,11 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	case cell{EngineScanner, fromBytes, toSpans}:
 		st, err = scan.PruneGather(out.sl, src.data, d, proj, so)
 	case cell{EngineParallel, fromBytes, toWriter}:
-		st, det, err = scan.PruneParallel(bw, src.data, d, proj, po)
-	case cell{EngineParallel, fromBytes, toSpans}:
-		st, det, err = scan.PruneParallelGather(out.sl, src.data, d, proj, po)
-	case cell{EnginePipelined, fromReader, toWriter}, cell{EnginePipelined, fromBytes, toWriter}:
-		if at.resident {
-			src.r = bytes.NewReader(src.data)
-		}
-		st, pdet, err = scan.PrunePipelined(bw, src.r, d, proj, scan.PipelineOptions{
+		st, _, err = scan.PruneParallel(bw, src.data, d, proj, scan.ParallelOptions{
+			Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.parallelChunkSize, FragTarget: opts.parallelFragTarget,
+		})
+	case cell{EnginePipelined, fromReader, toWriter}:
+		st, _, err = scan.PrunePipelined(bw, src.r, d, proj, scan.PipelineOptions{
 			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.parallelFragTarget,
 			WindowSize: opts.pipelineWindowSize, RingDepth: opts.pipelineRingDepth,
 		})
@@ -533,8 +443,7 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 // the point of commitment, so implementations may do real work (map
 // the file) and should account the full length as consumed; returning
 // nil declines, and the prune falls back to ordinary reads. Wrapping
-// readers (counting readers, instrumented streams) should forward it,
-// as they do Sizer.
+// readers (counting readers, instrumented streams) should forward it.
 type BytesSource interface {
 	InputBytes() []byte
 }
@@ -546,41 +455,6 @@ func inputBytesOf(src io.Reader) ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Sizer lets a wrapping reader (a counting reader, an instrumented
-// stream) forward the size of its underlying input so EngineAuto can
-// still consider the parallel pruner.
-type Sizer interface {
-	InputSize() (size int64, known bool)
-}
-
-// InputSize reports the number of unread bytes in src when its concrete
-// type (bytes/strings readers, regular files) or a Sizer implementation
-// exposes it — the signal EngineAuto uses to decide whether a parallel
-// prune is worth buffering the input.
-func InputSize(src io.Reader) (int64, bool) { return inputSize(src) }
-
-func inputSize(src io.Reader) (int64, bool) {
-	switch r := src.(type) {
-	case Sizer:
-		return r.InputSize()
-	case *bytes.Reader:
-		return int64(r.Len()), true
-	case *strings.Reader:
-		return int64(r.Len()), true
-	case *os.File:
-		cur, err := r.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return 0, false
-		}
-		fi, err := r.Stat()
-		if err != nil || !fi.Mode().IsRegular() || fi.Size() < cur {
-			return 0, false
-		}
-		return fi.Size() - cur, true
-	}
-	return 0, false
 }
 
 // bwPool recycles the output buffers across prunes; a batch of small

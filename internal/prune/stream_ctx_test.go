@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -67,52 +68,6 @@ func TestStreamContextCancelledMidway(t *testing.T) {
 	}
 }
 
-// TestChooseEngine pins EngineAuto's routing rule: size × size known ×
-// resident × worker budget × Validate → engine (never the decoder), with GOMAXPROCS
-// set explicitly so the expectations do not depend on the host.
-func TestChooseEngine(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-
-	const small, mid, large = 64 << 10, pipelineMinBytes, parallelMinBytes
-	type input struct {
-		name             string
-		size             int64
-		known, resident  bool
-		concurrentEngine Engine // what a sufficient budget selects
-	}
-	inputs := []input{
-		{"small reader", small, true, false, EngineScanner},
-		{"1 MiB reader", mid, true, false, EnginePipelined},
-		{"4 MiB reader", large, true, false, EnginePipelined},
-		{"unsized reader", 0, false, false, EnginePipelined},
-		{"small bytes", small, true, true, EngineScanner},
-		{"1 MiB bytes", mid, true, true, EngineScanner},
-		{"4 MiB bytes", large, true, true, EngineParallel},
-	}
-	for _, procs := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		for _, budget := range []int{0, 1, 2, 3, 4, 8} {
-			effective := budget
-			if effective == 0 || effective > procs {
-				effective = procs
-			}
-			for _, in := range inputs {
-				want := EngineScanner
-				if effective >= concurrentMinWorkers {
-					want = in.concurrentEngine
-				}
-				if got := chooseEngine(in.size, in.known, in.resident, budget, true); got != want {
-					t.Errorf("GOMAXPROCS=%d budget=%d %s: engine %d, want %d", procs, budget, in.name, got, want)
-				}
-				// Without Validate the scanner, whatever the budget.
-				if got := chooseEngine(in.size, in.known, in.resident, budget, false); got != EngineScanner {
-					t.Errorf("GOMAXPROCS=%d budget=%d %s, no Validate: engine %d, want the scanner", procs, budget, in.name, got)
-				}
-			}
-		}
-	}
-}
-
 // residentReader is a reader whose content is already in memory
 // (BytesSource): the route must take the bytes and never read.
 type residentReader struct {
@@ -128,45 +83,33 @@ func (r residentReader) Read([]byte) (int, error) {
 }
 
 // TestStreamChosenEngine is run's routing table, cell by cell: every
-// source × sink the entry points can build, under EngineAuto at a worker
-// budget of 1 and of 4 (with Validate and without) and under each forced
-// engine. Each cell must
-// report the engine the table names — including the two re-route rows —
-// hand back the detail of that engine and no other, and produce output
-// and stats identical to the forced serial scanner. The table has
-// scanner, parallel and pipelined rows and nothing else.
+// source × sink the entry points can build, under EngineAuto and under
+// each forced engine. Auto must resolve to the scanner at every size —
+// a small document and a 20 MiB one — from every source, into every
+// sink, at both levels of Validate, with GOMAXPROCS at 8. A forced engine
+// runs in its own rows only (scanner: all three; parallel: bytes into a
+// writer; pipelined: a reader into a writer) and is "no route" in every
+// other cell. Every cell that runs reports the engine the table names
+// and produces output and stats identical to the forced serial scanner.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
-	// A document over both size thresholds.
 	var sb strings.Builder
 	sb.WriteString("<bib>")
-	row := `<book isbn="1"><title>T</title><author>A</author></book>`
-	for sb.Len() < parallelMinBytes+1024 {
-		sb.WriteString(row)
+	for sb.Len() < 20<<20 {
+		sb.WriteString(`<book isbn="1"><title>T</title><author>A</author></book>`)
 	}
 	sb.WriteString("</bib>")
-	big := sb.String()
+	docs := map[string]string{"small": bibDoc, "20 MiB": sb.String()}
 
-	// The serial scanner's result at each level of Validate.
-	var ref [2]bytes.Buffer
-	var refStats [2]Stats
-	level := map[bool]int{false: 0, true: 1}
-	for validate, i := range level {
-		var err error
-		if refStats[i], err = Stream(&ref[i], strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner, Validate: validate}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	type entry func(opts StreamOptions) (string, Stats, error)
-	reader := func(src func() io.Reader) entry {
-		return func(opts StreamOptions) (string, Stats, error) {
+	type entry func(doc string, opts StreamOptions) (string, Stats, error)
+	reader := func(src func(doc string) io.Reader) entry {
+		return func(doc string, opts StreamOptions) (string, Stats, error) {
 			var out strings.Builder
-			st, err := Stream(&out, src(), d, pi, opts)
+			st, err := Stream(&out, src(doc), d, pi, opts)
 			return out.String(), st, err
 		}
 	}
@@ -175,16 +118,16 @@ func TestStreamChosenEngine(t *testing.T) {
 		run            entry
 		resident, span bool
 	}{
-		{"reader unsized → writer", reader(func() io.Reader { return bufio.NewReader(strings.NewReader(big)) }), false, false},
-		{"reader sized → writer", reader(func() io.Reader { return strings.NewReader(big) }), false, false},
-		{"BytesSource reader → writer", reader(func() io.Reader { return residentReader{t, []byte(big)} }), true, false},
-		{"bytes → writer", func(opts StreamOptions) (string, Stats, error) {
+		{"reader unsized → writer", reader(func(doc string) io.Reader { return bufio.NewReader(strings.NewReader(doc)) }), false, false},
+		{"reader sized → writer", reader(func(doc string) io.Reader { return strings.NewReader(doc) }), false, false},
+		{"BytesSource reader → writer", reader(func(doc string) io.Reader { return residentReader{t, []byte(doc)} }), true, false},
+		{"bytes → writer", func(doc string, opts StreamOptions) (string, Stats, error) {
 			var out strings.Builder
-			st, err := StreamBytes(&out, []byte(big), d, pi, opts)
+			st, err := StreamBytes(&out, []byte(doc), d, pi, opts)
 			return out.String(), st, err
 		}, true, false},
-		{"bytes → spans", func(opts StreamOptions) (string, Stats, error) {
-			g, st, err := StreamGather([]byte(big), d, pi, opts)
+		{"bytes → spans", func(doc string, opts StreamOptions) (string, Stats, error) {
+			g, st, err := StreamGather([]byte(doc), d, pi, opts)
 			if err != nil {
 				return "", st, err
 			}
@@ -194,80 +137,50 @@ func TestStreamChosenEngine(t *testing.T) {
 			return out.String(), st, err
 		}, true, true},
 	}
-	engines := []struct {
-		name string
-		opts StreamOptions
-		// want is the engine the table names for a source × sink.
-		want func(resident, span bool) Engine
-	}{
-		{"auto, budget 1", StreamOptions{ParallelWorkers: 1, Validate: true}, func(bool, bool) Engine { return EngineScanner }},
-		{"auto, budget 4", StreamOptions{ParallelWorkers: 4, Validate: true}, func(resident, _ bool) Engine {
-			if resident {
-				return EngineParallel
-			}
-			return EnginePipelined
-		}},
-		{"auto, budget 4, no Validate", StreamOptions{ParallelWorkers: 4}, func(bool, bool) Engine { return EngineScanner }},
-		{"scanner", StreamOptions{Engine: EngineScanner}, func(bool, bool) Engine { return EngineScanner }},
-		// Forced on a reader, parallel buffers the input: still parallel.
-		{"parallel", StreamOptions{Engine: EngineParallel}, func(bool, bool) Engine { return EngineParallel }},
-		// Forced into spans, pipelined is re-routed to parallel.
-		{"pipelined", StreamOptions{Engine: EnginePipelined}, func(_, span bool) Engine {
-			if span {
-				return EngineParallel
-			}
-			return EnginePipelined
-		}},
+	// hasRow reports whether an engine has a row for a source × sink.
+	hasRow := map[Engine]func(resident, span bool) bool{
+		EngineScanner:   func(bool, bool) bool { return true },
+		EngineParallel:  func(resident, span bool) bool { return resident && !span },
+		EnginePipelined: func(resident, _ bool) bool { return !resident },
+		EngineDecoder:   func(bool, bool) bool { return false },
+		Engine(99):      func(bool, bool) bool { return false },
 	}
-	for _, src := range sources {
-		for _, eng := range engines {
-			label := src.name + ", " + eng.name
-			want := eng.want(src.resident, src.span)
-			// Stale details: the route must overwrite both.
-			chosen, det, pdet := EngineAuto, ParallelDetail{Tasks: -1}, PipelineDetail{Tasks: -1}
-			opts := eng.opts
-			opts.Chosen, opts.Detail, opts.Pipeline = &chosen, &det, &pdet
-			out, st, err := src.run(opts)
+
+	for size, doc := range docs {
+		for _, validate := range []bool{false, true} {
+			var ref bytes.Buffer
+			refStats, err := Stream(&ref, strings.NewReader(doc), d, pi, StreamOptions{Engine: EngineScanner, Validate: validate})
 			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+				t.Fatal(err)
 			}
-			if chosen != want {
-				t.Errorf("%s: chose %v, want %v", label, chosen, want)
-			}
-			if ran := det.Workers > 0; ran != (want == EngineParallel) || det.Tasks < 0 {
-				t.Errorf("%s: parallel detail %+v after engine %v", label, det, want)
-			}
-			if ran := pdet.Windows > 0; ran != (want == EnginePipelined) || pdet.Tasks < 0 {
-				t.Errorf("%s: pipeline detail %+v after engine %v", label, pdet, want)
-			}
-			if i := level[opts.Validate]; out != ref[i].String() || st != refStats[i] {
-				t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats[i])
-			}
-		}
-	}
-
-	// Small input: the scanner at any budget, and the out-param reports it.
-	var chosen Engine
-	var out bytes.Buffer
-	if _, err := Stream(&out, strings.NewReader(bibDoc), d, pi, StreamOptions{Chosen: &chosen}); err != nil {
-		t.Fatal(err)
-	}
-	if chosen != EngineScanner {
-		t.Errorf("small input chose %v, want scanner", chosen)
-	}
-
-	// An engine value outside the table is an error, not a silent default,
-	// from every source × sink. EngineDecoder is such a value: it names
-	// the tests' oracle, which the build does not hold.
-	for _, eng := range []Engine{EngineDecoder, Engine(99)} {
-		for _, src := range sources {
-			chosen := EngineAuto
-			out, _, err := src.run(StreamOptions{Engine: eng, Chosen: &chosen})
-			if err == nil || !strings.Contains(err.Error(), "no route for engine "+eng.String()) || out != "" {
-				t.Errorf("%s, forced %s: got %d bytes and %v, want the no-route error", src.name, eng, len(out), err)
-			}
-			if chosen != eng {
-				t.Errorf("%s, forced %s: Chosen reports %s", src.name, eng, chosen)
+			for _, src := range sources {
+				for _, eng := range []Engine{EngineAuto, EngineScanner, EngineParallel, EnginePipelined, EngineDecoder, Engine(99)} {
+					if size != "small" && eng != EngineAuto {
+						continue // the forced cells are the same at any size
+					}
+					label := fmt.Sprintf("%s, %s, %s, validate=%v", size, src.name, eng, validate)
+					want := eng
+					if eng == EngineAuto {
+						want = EngineScanner
+					}
+					chosen := EngineAuto
+					out, st, err := src.run(doc, StreamOptions{Engine: eng, Validate: validate, Chosen: &chosen})
+					if chosen != want {
+						t.Errorf("%s: chose %v, want %v", label, chosen, want)
+					}
+					if !hasRow[want](src.resident, src.span) {
+						if err == nil || !strings.Contains(err.Error(), "no route for engine "+eng.String()) || out != "" {
+							t.Errorf("%s: got %d bytes and %v, want the no-route error", label, len(out), err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if out != ref.String() || st != refStats {
+						t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats)
+					}
+				}
 			}
 		}
 	}

@@ -5,11 +5,9 @@
 //
 // Keys are (document digest, variant), where the variant folds in the
 // projection fingerprint, the validate mode and any engine-visible
-// option that changes the answer. The pruned output itself is
-// engine-independent (every engine is differential-tested to produce
-// byte-identical bytes), so the engine choice is deliberately NOT part
-// of the key: a result filled by the scanner serves a request that
-// would have run the parallel pruner.
+// option that changes the answer. Options that do not change it — the
+// token cap, the sink — are deliberately NOT part of it: one output
+// serves them all.
 //
 // The cache has two levels, because projection is many-to-one:
 // documents that differ only outside π have one pruned output (and
@@ -131,8 +129,9 @@ func NewGatherEntry(g *prune.Gather, stats prune.Stats) *Entry {
 }
 
 // NewEntry is NewGatherEntry for an output rendered already. No prune
-// route fills with one any more; benchmark/seams.go does, and the
-// constructor goes with the next change allowed to edit it.
+// route fills with one.
+//
+// Deprecated: kept only because benchmark/seams.go:264 calls it.
 func NewEntry(out []byte, stats prune.Stats) *Entry {
 	return &Entry{src: rendered(out), Stats: stats}
 }

@@ -39,8 +39,8 @@ type fragTask struct {
 
 // fragResult is what a worker produced for one range. Output is a
 // span-gather list over the whole document (workers scan with absolute
-// offsets via ResetBytesAt), so the spine folds it in by concatenation
-// — or, on the streaming path, with a single copy out of the input.
+// offsets via ResetBytesAt), which the spine's writer copies out of the
+// input once.
 type fragResult struct {
 	st     Stats
 	events []int32
@@ -97,7 +97,7 @@ func (pr *pruner) applySplice() error {
 	if res.sl != nil && res.sl.Len() > 0 {
 		pr.closeOpen(1)
 		pr.flushRun(0)
-		pr.outs[0].splice(res.sl)
+		pr.se.splice(res.sl)
 	}
 	pr.foldStats(&res.st)
 	if res.err != nil {

@@ -59,51 +59,10 @@ type ParallelDetail struct {
 
 // PruneParallel prunes data with the two-stage parallel pruner, writing
 // output byte-identical to Prune's to bw. Inputs the structural index
-// cannot describe fall back to the serial pruner, which reproduces the
-// exact serial verdict.
+// cannot describe fall back to the serial pruner, which re-reads data
+// through the scanner and so reproduces the exact serial verdict,
+// MaxTokenSize enforcement included.
 func PruneParallel(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelOptions) (Stats, ParallelDetail, error) {
-	return pruneParallel(data, d, proj, opts, parallelOut{bw: bw})
-}
-
-// PruneParallelGather is PruneParallel with span-gather output: the
-// spine records into sl and fragment gather lists fold in by list
-// concatenation, so the stitch copies nothing but synthesized escape
-// bytes. Rendered output is byte-identical to PruneParallel's. Serial
-// fallbacks run PruneGather, so (like every in-memory gather path)
-// MaxTokenSize is enforced only by the stage-1 index pre-scan, not on
-// fallback.
-func PruneParallelGather(sl *SpanList, data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelOptions) (Stats, ParallelDetail, error) {
-	return pruneParallel(data, d, proj, opts, parallelOut{sl: sl})
-}
-
-// parallelOut selects the spine's output target: exactly one of bw/sl
-// is set.
-type parallelOut struct {
-	bw *bufio.Writer
-	sl *SpanList
-}
-
-func (o parallelOut) install(pr *pruner, data []byte) {
-	if o.sl != nil {
-		o.sl.Reset(data)
-		pr.useGather(o.sl)
-	} else {
-		pr.useStream(o.bw)
-	}
-}
-
-// serial runs the serial pruner into the same target. The streaming
-// fallback re-reads data through the scanner so the exact serial
-// verdict — including MaxTokenSize enforcement — is reproduced; the
-// gather fallback is PruneGather, which scans in place.
-func (o parallelOut) serial(data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
-	if o.sl != nil {
-		return PruneGather(o.sl, data, d, proj, opts)
-	}
-	return Prune(o.bw, bytes.NewReader(data), d, proj, opts)
-}
-
-func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelOptions, out parallelOut) (Stats, ParallelDetail, error) {
 	var det ParallelDetail
 	workers := opts.Workers
 	if workers <= 0 {
@@ -116,7 +75,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 	}
 	serial := func() (Stats, ParallelDetail, error) {
 		det.Fallback = true
-		st, err := out.serial(data, d, proj, opts.Options)
+		st, err := Prune(bw, bytes.NewReader(data), d, proj, opts.Options)
 		return st, det, err
 	}
 	if maxTok < defaultBufSize {
@@ -136,6 +95,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 	}
 
 	t0 := time.Now()
+	//lint:ignore SA1019 this engine is what Build is kept for
 	ix, err := index.Build(data, index.Options{
 		Workers:      workers,
 		ChunkSize:    opts.ChunkSize,
@@ -167,7 +127,7 @@ func pruneParallel(data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelO
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(data)
 	pr.prep(d, proj, opts.Options)
-	out.install(pr, data)
+	pr.useStream(bw)
 	if len(tasks) > 0 {
 		pr.sp = &spliceSet{tasks: tasks}
 	}

@@ -177,6 +177,7 @@ func TestPlanUnchangedByCollapse(t *testing.T) {
 func checkPlanUnchanged(t *testing.T, name, doc string, p *dtd.Projection) {
 	t.Helper()
 	planOf := func(collapse, chunk, target int) ([]fragTask, error) {
+		//lint:ignore SA1019 this engine is what Build is kept for
 		ix, err := index.Build([]byte(doc), index.Options{
 			Workers: 4, ChunkSize: chunk, MaxTokenSize: 1 << 20,
 			Lookup: p.Syms.Lookup, Collapse: collapse,

@@ -685,6 +685,11 @@ func (pr *pruner) startTag() error {
 		return err
 	}
 	nameEndRel := s.pos - s.mark
+	if len(pr.stack) == 0 && pr.sawRoot {
+		// A well-formedness error, so the whole pass's at both levels of
+		// checking, in scan.Walk's words.
+		return fmt.Errorf("multiple root elements")
+	}
 	pr.flushText()
 	pr.st.ElementsIn++
 	pr.sawRoot = true

@@ -24,8 +24,7 @@ import (
 // aliases the whole input and never slides, so off/end are absolute
 // input offsets — the invariant that makes gather output sound. The
 // lit* methods emit synthesized bytes, which the emitter must copy
-// before returning (callers reuse the scratch). splice folds a
-// fragment's pre-computed gather list in at the current point.
+// before returning (callers reuse the scratch).
 //
 // Emitters never fail: bufio defers write errors to Flush, and a
 // gather list cannot fail at all.
@@ -33,7 +32,6 @@ type emitter interface {
 	raw(buf []byte, off, end int)
 	lit(p []byte)
 	litString(s string)
-	splice(fr *SpanList)
 }
 
 // streamEmitter is the classic streaming target: every span and
@@ -44,9 +42,8 @@ func (e *streamEmitter) raw(buf []byte, off, end int) { e.bw.Write(buf[off:end])
 func (e *streamEmitter) lit(p []byte)                 { e.bw.Write(p) }
 func (e *streamEmitter) litString(s string)           { e.bw.WriteString(s) }
 
-// splice copies a fragment's segments out in order — one copy per
-// fragment, where the old per-fragment bytes.Buffer path paid two
-// (fragment buffer, then buffer into the spine writer).
+// splice copies a parallel prune's fragment segments out in order at
+// the spine's cut point — one copy per fragment.
 func (e *streamEmitter) splice(fr *SpanList) {
 	for _, sp := range fr.spans {
 		e.bw.Write(fr.segment(sp))
@@ -62,7 +59,6 @@ type nopEmitter struct{}
 func (nopEmitter) raw([]byte, int, int) {}
 func (nopEmitter) lit([]byte)           {}
 func (nopEmitter) litString(string)     {}
-func (nopEmitter) splice(*SpanList)     {}
 
 // Span is one gather segment. Off >= 0 addresses the input; Off < 0
 // encodes an escape-buffer segment starting at ^Off. The encoding is
@@ -153,8 +149,7 @@ func (sl *SpanList) AppendTo(dst []byte) []byte {
 func (sl *SpanList) Bytes() []byte { return sl.AppendTo(make([]byte, 0, sl.total)) }
 
 // raw records input[off:end], merging with an adjacent preceding input
-// span: a run the pruner had to hand over early and then continued, or
-// a fragment list spliced in right behind the spine's last span.
+// span: a run the pruner had to hand over early and then continued.
 func (sl *SpanList) raw(_ []byte, off, end int) {
 	n := end - off
 	if n <= 0 {
@@ -201,24 +196,6 @@ func (sl *SpanList) escSpan(off, n int) {
 		}
 	}
 	sl.spans = append(sl.spans, Span{Off: ^off, Len: n})
-}
-
-// splice concatenates a fragment's gather list: input spans are shared
-// verbatim — fragment workers scan with absolute offsets
-// (ResetBytesAt) over the same backing input, so the parallel stitch
-// is list concatenation with no per-fragment memcpy. Only escape bytes
-// are copied and rebased, and those are the few synthesized bytes.
-func (sl *SpanList) splice(fr *SpanList) {
-	for _, sp := range fr.spans {
-		if sp.Off >= 0 {
-			sl.raw(nil, sp.Off, sp.Off+sp.Len)
-		} else {
-			off := len(sl.esc)
-			o := ^sp.Off
-			sl.esc = append(sl.esc, fr.esc[o:o+sp.Len]...)
-			sl.escSpan(off, sp.Len)
-		}
-	}
 }
 
 // spanListPool recycles fragment gather lists across parallel prunes.

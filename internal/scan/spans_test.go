@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -51,6 +52,9 @@ func TestSpanListGatherMechanics(t *testing.T) {
 	}
 }
 
+// TestSpanListSplice: a parallel prune's fragment gather list spliced
+// into the spine's writer comes out as the list renders it — input spans
+// and escape bytes in order, behind what the spine wrote before.
 func TestSpanListSplice(t *testing.T) {
 	input := []byte("0123456789abcdef")
 	var fr SpanList
@@ -59,24 +63,19 @@ func TestSpanListSplice(t *testing.T) {
 	fr.litString("&amp;")
 	fr.raw(input, 8, 10)
 
-	var sl SpanList
-	sl.Reset(input)
-	sl.litString(">")
-	sl.splice(&fr)
-	sl.raw(input, 14, 16)
+	var out bytes.Buffer
+	e := streamEmitter{bw: bufio.NewWriter(&out)}
+	e.litString(">")
+	e.splice(&fr)
+	e.raw(input, 14, 16)
+	e.bw.Flush()
 
 	want := ">234&amp;89ef"
-	if got := string(sl.Bytes()); got != want {
-		t.Fatalf("spliced Bytes() = %q, want %q", got, want)
+	if got := out.String(); got != want {
+		t.Fatalf("spliced output = %q, want %q", got, want)
 	}
-	// Splice shares input spans and copies escape bytes: mutating the
-	// fragment afterwards must not change the spliced result.
-	fr.Clear()
-	if got := string(sl.Bytes()); got != want {
-		t.Fatalf("after fragment Clear: %q, want %q", got, want)
-	}
-	if sl.RawBytes() != 7 {
-		t.Fatalf("RawBytes() = %d, want 7", sl.RawBytes())
+	if got := ">" + string(fr.Bytes()) + "ef"; got != want {
+		t.Fatalf("the fragment renders %q, the splice wrote %q", got, want)
 	}
 }
 

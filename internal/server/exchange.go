@@ -41,9 +41,6 @@ type exchange struct {
 	status  int
 	err     error
 	stats   xmlproj.PruneStats
-	engine  xmlproj.PruneEngine
-	det     xmlproj.ParallelStages
-	pdet    xmlproj.PipelineStages
 	cache   string // "hit", "miss", "bypass", "revalidated"; empty when the cache played no part
 	perPart bool   // /multiprune credited the engine part by part
 }
@@ -128,11 +125,7 @@ func (x *exchange) streamOptions(validate bool) xmlproj.StreamOptions {
 	return xmlproj.StreamOptions{
 		Validate:     validate,
 		MaxTokenSize: x.s.opts.MaxTokenSize,
-		IntraWorkers: x.s.intraWorkers,
 		Context:      x.ctx,
-		Detail:       &x.det,
-		Pipeline:     &x.pdet,
-		Chosen:       &x.engine,
 	}
 }
 
@@ -238,7 +231,7 @@ func (x *exchange) done() {
 		}
 		x.releaseBody()
 		if !x.perPart {
-			s.eng.RecordPrune(x.body.n, x.stats, x.det, x.pdet, x.err)
+			s.eng.RecordPrune(x.body.n, x.stats, x.err)
 		}
 		s.m.inFlight.Add(-1)
 		<-s.sem
@@ -249,10 +242,6 @@ func (x *exchange) done() {
 	s.m.bytesIn.Add(x.body.n)
 	s.m.bytesOut.Add(x.stats.BytesOut)
 	s.m.latency.observe(elapsed)
-	if x.pdet.Workers > 0 {
-		s.m.pipelinedPrunes.Add(1)
-		raise(&s.m.peakWindowBytes, x.pdet.PeakWindowBytes)
-	}
 	x.logRequest(elapsed)
 }
 
@@ -302,30 +291,10 @@ func (x *exchange) logRequest(elapsed time.Duration) {
 		"status", x.status,
 		"bytes_in", x.body.n,
 		"bytes_out", x.stats.BytesOut,
-		"engine", x.engine.String(),
 		"elapsed", elapsed,
 	}
 	if x.cache != "" {
 		attrs = append(attrs, "cache", x.cache)
-	}
-	if det := x.det; det.Workers > 0 {
-		attrs = append(attrs,
-			"intra_workers", det.Workers,
-			"intra_tasks", det.Tasks,
-			"index_time", det.IndexTime,
-			"prune_time", det.PruneTime,
-			"stitch_time", det.StitchTime,
-			"intra_fallback", det.Fallback,
-		)
-	}
-	if pdet := x.pdet; pdet.Workers > 0 {
-		attrs = append(attrs,
-			"pipeline_workers", pdet.Workers,
-			"pipeline_windows", pdet.Windows,
-			"pipeline_tasks", pdet.Tasks,
-			"peak_window_bytes", pdet.PeakWindowBytes,
-			"pipeline_fallback", pdet.Fallback,
-		)
 	}
 	if x.err != nil {
 		attrs = append(attrs, "err", x.err.Error())
@@ -364,9 +333,8 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 // Unwrap lets http.ResponseController reach the connection.
 func (w *responseWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// meteredBody counts bytes read and forwards the declared request size
-// so engine auto-selection can consider the parallel pruner for large
-// uploads of known length.
+// meteredBody counts bytes read and keeps the declared request size,
+// which routes a body to the gather path and pre-sizes its buffer.
 type meteredBody struct {
 	r    io.Reader
 	n    int64
@@ -377,13 +345,4 @@ func (b *meteredBody) Read(p []byte) (int, error) {
 	n, err := b.r.Read(p)
 	b.n += int64(n)
 	return n, err
-}
-
-// InputSize implements prune.Sizer: the unread remainder of a body of
-// declared length.
-func (b *meteredBody) InputSize() (int64, bool) {
-	if b.size <= 0 {
-		return 0, false
-	}
-	return b.size - b.n, true
 }

@@ -193,6 +193,18 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 		{"422 before the first byte", Options{}, func(t *testing.T, ts *httptest.Server) {
 			do(t, "POST", ts.URL+titles, strings.NewReader("<bib><unknown/></bib>"))
 		}, []want{{422, ""}}},
+		{"422 on two roots", Options{}, func(t *testing.T, ts *httptest.Server) {
+			// A second root element is malformed at both levels, sized or
+			// chunked.
+			twoRoots := bibDoc + "<bib/>"
+			for _, url := range []string{titles, titles + "&validate=1"} {
+				for _, body := range []io.Reader{strings.NewReader(twoRoots), chunked(twoRoots)} {
+					if resp := do(t, "POST", ts.URL+url, body); resp.StatusCode != http.StatusUnprocessableEntity {
+						t.Errorf("%s: status %d, want 422", url, resp.StatusCode)
+					}
+				}
+			}
+		}, []want{{422, ""}, {422, "bypass"}, {422, ""}, {422, "bypass"}}},
 		{"422 in the trailer", Options{}, func(t *testing.T, ts *httptest.Server) {
 			resp := do(t, "POST", ts.URL+titles, chunked(lateFailure))
 			if resp.StatusCode != 200 || resp.Trailer.Get(errorTrailer) == "" {
@@ -316,7 +328,7 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 			var got, wanted []string
 			for _, w := range c.want {
 				attrs := logs.next(t)
-				for _, key := range []string{"method", "path", "query", "remote", "status", "bytes_in", "bytes_out", "engine", "elapsed"} {
+				for _, key := range []string{"method", "path", "query", "remote", "status", "bytes_in", "bytes_out", "elapsed"} {
 					if _, ok := attrs[key]; !ok {
 						t.Errorf("log record without %q: %v", key, attrs)
 					}

@@ -75,12 +75,6 @@ type metrics struct {
 	gatherPrunes  atomic.Int64 // requests served by the span-gather path
 	inFlight      atomic.Int64 // prunes currently holding an admission slot
 
-	// pipelinedPrunes counts requests served by the pipelined streaming
-	// engine; peakWindowBytes is the largest window-slab residency any
-	// single request reached (a high-water gauge, not a counter).
-	pipelinedPrunes atomic.Int64
-	peakWindowBytes atomic.Int64
-
 	// multiRequests counts /multiprune requests; multiFanout totals the
 	// projectors they named (fanout/requests is the mean set size).
 	multiRequests atomic.Int64
@@ -123,16 +117,6 @@ func (m *metrics) outcome(status int) *atomic.Int64 {
 	}
 }
 
-// raise lifts a high-water gauge to v if v is larger (lock-free max).
-func raise(g *atomic.Int64, v int64) {
-	for {
-		cur := g.Load()
-		if v <= cur || g.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 func (m *metrics) snapshot() map[string]any {
 	return map[string]any{
 		"requests":             m.requests.Load(),
@@ -144,8 +128,6 @@ func (m *metrics) snapshot() map[string]any {
 		"prune_failures":       m.pruneFailures.Load(),
 		"client_gone":          m.clientGone.Load(),
 		"gather_prunes":        m.gatherPrunes.Load(),
-		"pipelined_prunes":     m.pipelinedPrunes.Load(),
-		"peak_window_bytes":    m.peakWindowBytes.Load(),
 		"in_flight":            m.inFlight.Load(),
 		"multi_requests":       m.multiRequests.Load(),
 		"multi_fanout":         m.multiFanout.Load(),
@@ -172,7 +154,6 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 			"max_token_size":   s.opts.MaxTokenSize,
 			"max_gather_bytes": s.maxGather,
 			"max_concurrent":   cap(s.sem),
-			"intra_workers":    s.intraWorkers,
 		},
 	}
 	writeJSON(w, vars)

@@ -99,7 +99,7 @@ func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
 // engine counters (with the usual outcome classification) and into the
 // request's outcome.
 func (x *exchange) recordPart(bytesIn int64, stats xmlproj.PruneStats, err error) {
-	x.s.eng.RecordPrune(bytesIn, stats, xmlproj.ParallelStages{}, xmlproj.PipelineStages{}, err)
+	x.s.eng.RecordPrune(bytesIn, stats, err)
 	x.stats.BytesOut += stats.BytesOut
 	if err != nil && x.err == nil {
 		x.err = err

@@ -8,14 +8,11 @@
 // through the one-pass pruner and the pruned document streams back.
 // Bodies route by size: a declared Content-Length up to MaxGatherBytes
 // is buffered once and served on the span-gather path with a real
-// Content-Length; larger or chunked (unsized) bodies stream — a
-// validating request with a worker budget of at least 4 through the
-// pipelined streaming engine, which overlaps reading, indexing and
-// pruning under bounded window memory — and pruned output is flushed to
-// the client as it is produced. The
-// streaming path never buffers the whole document, and every engine's
-// worker budget is divided by the admission-control width so a
-// saturated server never oversubscribes its CPUs.
+// Content-Length; larger or chunked (unsized) bodies stream, and pruned
+// output is flushed to the client as it is produced. The streaming path
+// never buffers the whole document. Every prune is one serial pass of
+// the scanner; the server's parallelism is across requests, bounded by
+// the admission-control width.
 //
 // A request's validate=1 (or a projection registered as validating)
 // runs the prune with StreamOptions.Validate: DTD validation, and
@@ -103,17 +100,16 @@ type Options struct {
 // AddSchema/AddProjection before serving; the handlers themselves are
 // safe for any number of concurrent requests.
 type Server struct {
-	opts         Options
-	eng          *xmlproj.Engine
-	schemas      map[string]*xmlproj.DTD
-	projections  map[string]*namedProjection
-	sem          chan struct{}
-	maxBody      int64
-	maxGather    int64
-	intraWorkers int
-	log          *slog.Logger
-	m            metrics
-	lastBuf      atomic.Pointer[bytes.Buffer] // see gatherBufPool
+	opts        Options
+	eng         *xmlproj.Engine
+	schemas     map[string]*xmlproj.DTD
+	projections map[string]*namedProjection
+	sem         chan struct{}
+	maxBody     int64
+	maxGather   int64
+	log         *slog.Logger
+	m           metrics
+	lastBuf     atomic.Pointer[bytes.Buffer] // see gatherBufPool
 }
 
 // namedProjection is a resolved projector: one precompiled at startup,
@@ -159,12 +155,7 @@ func New(opts Options) *Server {
 		sem:         make(chan struct{}, width),
 		maxBody:     maxBody,
 		maxGather:   maxGather,
-		// The same budget rule as engine.PruneBatch, fed by the
-		// admission width: MaxConcurrent requests at full load share
-		// the CPUs, so each prune gets GOMAXPROCS/MaxConcurrent
-		// intra-document workers (never below 1 — 1 keeps it serial).
-		intraWorkers: xmlproj.IntraWorkerBudget(runtime.GOMAXPROCS(0), width),
-		log:          logger,
+		log:         logger,
 	}
 }
 
@@ -368,12 +359,10 @@ func (s *Server) pruneStreamed(x *exchange, np *namedProjection) {
 		x.cache = "bypass"
 	}
 
-	// Push each pruner write through to the client: both the scanner and
-	// the pipelined engine (auto-selected here for a validating request
-	// at a worker budget of at least 4) emit long before the document
-	// ends, so this is a real time-to-first-byte win. The pruner writes
-	// through a bufio layer, so the flush cost is per window, not per
-	// token.
+	// Push each pruner write through to the client: the scanner emits
+	// long before the document ends, so this is a real time-to-first-byte
+	// win. The pruner writes through a bufio layer, so the flush cost is
+	// per buffer, not per token.
 	x.w.flush, _ = x.w.ResponseWriter.(http.Flusher)
 	x.stats, x.err = np.p.PruneStreamOpts(&x.w, &x.body, x.streamOptions(np.validate))
 	switch {

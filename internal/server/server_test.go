@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -454,7 +453,7 @@ func TestDebugVars(t *testing.T) {
 	if got := vars.Engine["docs_pruned"].(float64); got != 3 {
 		t.Fatalf("engine docs_pruned = %v, want 3", got)
 	}
-	for _, key := range []string{"inferences", "docs_pruned", "bytes_in", "bytes_out", "cache_hits", "result_cache_hits", "parallel_prunes"} {
+	for _, key := range []string{"inferences", "docs_pruned", "bytes_in", "bytes_out", "cache_hits", "result_cache_hits"} {
 		if _, ok := vars.Engine[key]; !ok {
 			t.Errorf("engine snapshot missing %q: %v", key, vars.Engine)
 		}
@@ -462,8 +461,10 @@ func TestDebugVars(t *testing.T) {
 	// The look-ups these counted are gone: π's compiled table and
 	// fingerprints live on the projector, a fused table is built per pass,
 	// and nothing memoises a file's identity.
+	// Nor do the concurrent engines' counters: nothing chooses them.
 	for _, key := range []string{"projection_hits", "projection_misses", "multi_projection_hits", "multi_projection_misses",
-		"multi_table_hits", "multi_table_misses", "result_cache_identity_hits", "result_cache_identity_misses"} {
+		"multi_table_hits", "multi_table_misses", "result_cache_identity_hits", "result_cache_identity_misses",
+		"parallel_prunes", "pipelined_prunes", "peak_window_bytes", "pipelined_peak_window_bytes", "intra_workers"} {
 		if bytes.Contains(body, []byte(`"`+key+`"`)) {
 			t.Errorf("/debug/vars still has %q", key)
 		}
@@ -603,66 +604,6 @@ func TestGatherPath(t *testing.T) {
 	}
 	if n := s2.m.gatherPrunes.Load(); n != 0 {
 		t.Errorf("gather_prunes = %d with path disabled", n)
-	}
-}
-
-// TestPipelinedPath: a chunked (unsized) body on a multi-CPU host,
-// validated while it is pruned (auto stays serial without), is served by
-// the pipelined streaming engine — output still byte-identical
-// to the serial pruner, and the pipelined counters move: the server's
-// pipelined_prunes and peak_window_bytes, and the engine's pipelined
-// stage metrics.
-func TestPipelinedPath(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	// MaxConcurrent 1 gives each request the full GOMAXPROCS worker
-	// budget (the pipelined engine refuses to run with a budget of 1).
-	s := newTestServer(t, Options{MaxConcurrent: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var doc strings.Builder
-	doc.WriteString("<bib>")
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&doc, "<book><title>T%d</title><author>A%d</author></book>", i, i)
-	}
-	doc.WriteString("</bib>")
-
-	d, err := xmlproj.ParseDTDString(bibDTD, "bib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := xmlproj.Compile("//book/title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := d.Infer(xmlproj.Materialized, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if _, err := p.PruneStreamOpts(&want, strings.NewReader(doc.String()), xmlproj.StreamOptions{Engine: xmlproj.PruneScanner}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Wrapping the reader hides its size from net/http: the request goes
-	// out chunked and the server sees ContentLength -1.
-	resp, got := postPrune(t, ts, "/prune?projection=titles&validate=1", struct{ io.Reader }{strings.NewReader(doc.String())})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, got[:min(len(got), 200)])
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("pipelined HTTP output differs from serial prune (%d vs %d bytes)", len(got), want.Len())
-	}
-	if n := s.m.pipelinedPrunes.Load(); n != 1 {
-		t.Errorf("pipelined_prunes = %d, want 1", n)
-	}
-	if n := s.m.peakWindowBytes.Load(); n <= 0 {
-		t.Errorf("peak_window_bytes = %d, want > 0", n)
-	}
-	if n := s.eng.Metrics().PipelinedPrunes; n != 1 {
-		t.Errorf("engine PipelinedPrunes = %d, want 1", n)
 	}
 }
 

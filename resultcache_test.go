@@ -213,29 +213,28 @@ func TestEnginePruneGatherETags(t *testing.T) {
 }
 
 // TestEnginePruneGatherBypasses: only an engine without a cache
-// bypasses it, and it never reports Enabled. A forced engine does not:
-// the output is engine-independent, and prune.run re-routes pipelined
-// over resident input into spans to the parallel engine anyway, so the
-// forced prune fills the entry the unforced one then hits.
+// bypasses it, and it never reports Enabled. Options that do not change
+// the output do not either: a prune under a per-call token cap fills
+// the entry the plain one then hits.
 func TestEnginePruneGatherBypasses(t *testing.T) {
 	eng, _, pt, _ := cacheEngineSetup(t)
 	data := []byte(apiDoc)
 
-	res, info, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{Engine: PrunePipelined})
+	res, info, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{MaxTokenSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced := res.Bytes()
+	capped := res.Bytes()
 	res.Close()
 	if !info.Enabled || info.Hit {
-		t.Fatalf("forced pipelined engine: %+v, want a cache miss", info)
+		t.Fatalf("capped prune: %+v, want a cache miss", info)
 	}
 	res, info, err = eng.PruneGatherDigest(pt, data, "", StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Hit || !bytes.Equal(res.Bytes(), forced) {
-		t.Fatalf("unforced prune after a forced one: %+v, %q vs %q", info, res.Bytes(), forced)
+	if !info.Hit || !bytes.Equal(res.Bytes(), capped) {
+		t.Fatalf("plain prune after a capped one: %+v, %q vs %q", info, res.Bytes(), capped)
 	}
 	res.Close()
 

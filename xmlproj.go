@@ -473,28 +473,20 @@ func (p *Projector) PruneStream(dst io.Writer, src io.Reader) (PruneStats, error
 	return p.PruneStreamOpts(dst, src, StreamOptions{})
 }
 
-// PruneEngine names the tokenizer behind a streaming prune. The zero
-// value auto-selects: for a validating prune with a worker budget of at
-// least 4, the pipelined streaming parallel pruner for UTF-8 reader
-// input (unknown sizes, or known sizes past a threshold) and the
-// two-stage batch parallel pruner for large in-memory input; the
-// byte-level serial scanner otherwise — without Validate it walks what
-// it discards as fast as the parallel pruners index it.
-// Input must be UTF-8 — UTF-16/32 is rejected with an error that says
-// so. Every engine is the byte-level scanner; the encoding/xml pruner it
-// replaced is a test oracle and cannot be selected. String returns the
-// name servers and tools log.
+// PruneEngine names the tokenizer behind a streaming prune: always the
+// byte-level serial scanner, whose String is "scanner". Input must be
+// UTF-8 — UTF-16/32 is rejected with an error that says so.
+//
+// Deprecated: kept only because benchmark/seams.go:313–323 names it.
 type PruneEngine = prune.Engine
 
-const (
-	PruneAuto      = prune.EngineAuto
-	PruneScanner   = prune.EngineScanner
-	PruneParallel  = prune.EngineParallel
-	PrunePipelined = prune.EnginePipelined
-)
+// PruneAuto is PruneEngine's zero value.
+//
+// Deprecated: kept only because benchmark/seams.go:321 names it.
+const PruneAuto = prune.EngineAuto
 
 // StreamOptions configures PruneStreamOpts. The zero value matches
-// PruneStream: no validation, auto-selected engine, default limits.
+// PruneStream: no validation, default limits.
 type StreamOptions struct {
 	// Validate fuses DTD validation with the prune, and checks the whole
 	// document for well-formedness. Without it the prune guarantees
@@ -507,34 +499,27 @@ type StreamOptions struct {
 	// counted in PruneStats.TextIn / TextSkipped. The paper assumes valid
 	// input (Thm. 4.5); set Validate for input that may not be.
 	Validate bool
-	// Engine forces a tokenizer; zero auto-selects.
-	Engine PruneEngine
 	// MaxTokenSize bounds the scanner's token buffer; a single token
 	// larger than this fails the prune instead of growing memory without
 	// bound. Zero means the scanner default (8 MiB).
 	MaxTokenSize int
-	// IntraWorkers bounds intra-document parallel pruning (0 means
-	// GOMAXPROCS; below 4, auto-selection keeps the prune serial).
+	// IntraWorkers is ignored: a prune is one serial pass.
+	//
+	// Deprecated: kept only because benchmark/seams.go:315 sets it.
 	IntraWorkers int
 	// Context, when non-nil, aborts the prune when cancelled: the source
 	// is checked before every read and the prune returns the context
 	// error (wrapped), recognisable with errors.Is.
 	Context context.Context
-	// Detail, when non-nil, receives the per-stage timings of a parallel
-	// prune (Workers == 0 means the prune ran serially).
-	Detail *ParallelStages
-	// Pipeline, when non-nil, receives the per-stage timings and peak
-	// window residency of a pipelined prune (Windows == 0 means the
-	// pipelined engine did not run).
-	Pipeline *PipelineStages
-	// Chosen, when non-nil, receives the engine that actually ran.
+	// Chosen, when non-nil, receives the engine that ran: the scanner.
+	//
+	// Deprecated: kept only because benchmark/seams.go:315–323 reads it.
 	Chosen *PruneEngine
 }
 
 // PruneStreamOpts is PruneStream with per-call options: validation,
-// engine selection, token-size limits, worker budgets and context
-// cancellation — what a long-lived server needs to run untrusted
-// streams through the pruner safely.
+// token-size limits and context cancellation — what a long-lived server
+// needs to run untrusted streams through the pruner safely.
 func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOptions) (PruneStats, error) {
 	return prune.Stream(dst, src, p.d, p.pr.Names, p.streamOpts(opts))
 }
@@ -720,15 +705,11 @@ func PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*Prun
 // streamOpts converts public stream options, adding p's compiled table.
 func (p *Projector) streamOpts(opts StreamOptions) prune.StreamOptions {
 	return prune.StreamOptions{
-		Validate:        opts.Validate,
-		Engine:          opts.Engine,
-		MaxTokenSize:    opts.MaxTokenSize,
-		Projection:      p.pr.Compiled(),
-		ParallelWorkers: opts.IntraWorkers,
-		Ctx:             opts.Context,
-		Detail:          opts.Detail,
-		Pipeline:        opts.Pipeline,
-		Chosen:          opts.Chosen,
+		Validate:     opts.Validate,
+		MaxTokenSize: opts.MaxTokenSize,
+		Projection:   p.pr.Compiled(),
+		Ctx:          opts.Context,
+		Chosen:       opts.Chosen,
 	}
 }
 
