@@ -4,8 +4,15 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"xmlproj"
+	"xmlproj/internal/xmark"
+	"xmlproj/internal/xpathmark"
 )
 
 const testDTD = `
@@ -75,9 +82,9 @@ func TestRunWithPrune(t *testing.T) {
 	}
 }
 
-// TestRunReportsPhases: the schema parse and the paper's four phases
-// each get a line on stderr, in order, and the two the benchmark reads
-// keep their wording.
+// TestRunReportsPhases: the schema parse and the paper's phases each get
+// a line on stderr, in order — with -prune the prune and the load are one
+// pass and one line — and the two the benchmark reads keep their wording.
 func TestRunReportsPhases(t *testing.T) {
 	dtdPath, docPath := setup(t)
 	var out, errBuf bytes.Buffer
@@ -86,7 +93,7 @@ func TestRunReportsPhases(t *testing.T) {
 	}
 	stats := errBuf.String()
 	at := 0
-	for _, phase := range []string{"parsed the schema in ", "inferred the projector in ", "pruned 132 -> 84 bytes in ", "loaded 84 bytes in ", "evaluated to 2 item(s), 48 bytes serialised, in "} {
+	for _, phase := range []string{"parsed the schema in ", "inferred the projector in ", "pruned 132 -> 84 bytes and loaded them in ", "evaluated to 2 item(s), 48 bytes serialised, in "} {
 		i := strings.Index(stats[at:], phase)
 		if i < 0 {
 			t.Fatalf("no %q after byte %d of %q", phase, at, stats)
@@ -151,4 +158,107 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("-prune without -dtd accepted")
 	}
 	_ = dtdPath
+}
+
+// q10 is the benchmark's query set: its answer_* workloads run xqrun on
+// each, with and without -prune.
+var q10 = []string{"QM01", "QM06", "QM07", "QM14", "QM20", "QP09", "QP11", "QP13", "QP19", "QP21"}
+
+func querySource(id string) string {
+	if q := xmark.ByID(id); q != nil {
+		return q.Source
+	}
+	return xpathmark.ByID(id).Source
+}
+
+// xmarkSetup writes the XMark DTD and a factor-0.01 document.
+func xmarkSetup(t *testing.T) (dtdPath, docPath string, doc []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	dtdPath, docPath = filepath.Join(dir, "auction.dtd"), filepath.Join(dir, "auction.xml")
+	doc = []byte(xmark.NewGenerator(0.01, 42).Document().XML())
+	if err := os.WriteFile(dtdPath, []byte(xmark.DTDSource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(docPath, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dtdPath, docPath, doc
+}
+
+// The benchmark's regular expressions for xqrun's stderr.
+var (
+	itemsRE  = regexp.MustCompile(`(\d+) item\(s\)`)
+	prunedRE = regexp.MustCompile(`pruned (\d+) -> (\d+) bytes`)
+)
+
+// TestRunQ10BenchmarkContract pins what the benchmark reads from xqrun on
+// every Q10 query: -prune prints exactly what the direct run prints (Thm.
+// 4.5 through the process boundary), both report the same item count,
+// and the pruned line reads "pruned <in> -> <out> bytes" with <in> the
+// file's size and <out> what PruneStream writes.
+func TestRunQ10BenchmarkContract(t *testing.T) {
+	dtdPath, docPath, doc := xmarkSetup(t)
+	d, err := xmlproj.ParseDTDFile(dtdPath, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range q10 {
+		src := querySource(id)
+		var direct, pruned, derr, perr bytes.Buffer
+		if err := run([]string{"-q", src, "-in", docPath}, &direct, &derr); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := run([]string{"-q", src, "-in", docPath, "-dtd", dtdPath, "-prune"}, &pruned, &perr); err != nil {
+			t.Fatalf("%s -prune: %v", id, err)
+		}
+		if direct.String() != pruned.String() {
+			t.Errorf("%s: -prune printed %d bytes, the direct run %d: the answers differ", id, pruned.Len(), direct.Len())
+		}
+		di, pi := itemsRE.FindStringSubmatch(derr.String()), itemsRE.FindStringSubmatch(perr.String())
+		if di == nil || pi == nil || di[1] != pi[1] {
+			t.Errorf("%s: item counts %v and %v", id, di, pi)
+		}
+		q, err := xmlproj.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := d.Infer(xmlproj.Materialized, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := p.PruneStream(&out, bytes.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{strconv.Itoa(len(doc)), strconv.Itoa(out.Len())}
+		if p.KeepsAll() {
+			want[1] = want[0]
+		}
+		if m := prunedRE.FindStringSubmatch(perr.String()); m == nil || m[1] != want[0] || m[2] != want[1] {
+			t.Errorf("%s: pruned line %v, want %v in %q", id, m, want, perr.String())
+		}
+	}
+}
+
+// TestRunPrunedInputNeverResident: a selective -prune run (QM06 keeps
+// a few kilobytes) allocates, from flag parsing to the printed answer,
+// less than half the size of its input: the file is pruned as it is read,
+// never held whole.
+func TestRunPrunedInputNeverResident(t *testing.T) {
+	dtdPath, docPath, doc := xmarkSetup(t)
+	args := []string{"-q", querySource("QM06"), "-in", docPath, "-dtd", dtdPath, "-prune", "-quiet"}
+	var out, errBuf bytes.Buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := run(args, &out, &errBuf)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated to answer QM06 on %d bytes: %s", allocated, len(doc), errBuf.String())
+	if allocated >= uint64(len(doc))/2 {
+		t.Errorf("xqrun -prune allocated %d bytes on a %d-byte input, want less than half", allocated, len(doc))
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
 	"xmlproj/internal/scan"
+	"xmlproj/internal/tree"
 	"xmlproj/internal/xmark"
 )
 
@@ -147,6 +148,36 @@ func checkSources(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate
 	}
 }
 
+// checkLoad holds the table sink (Load) to a load of what the writer sink
+// wrote, tree.ParseBytes on sout: the same verdict and error text, and on
+// accept the same document — Equal, node count, serialisation — and the
+// same stats, BytesOut included. It runs from a reader, from a reader
+// whose refills land inside every construct, and from resident bytes.
+func checkLoad(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool, sout string, sst Stats, serr error) {
+	t.Helper()
+	want, werr := (*tree.Document)(nil), serr
+	if serr == nil {
+		want, werr = tree.ParseBytes([]byte(sout))
+	}
+	for name, r := range map[string]io.Reader{
+		"reader":   strings.NewReader(src),
+		"one-byte": oneByteAtATime{strings.NewReader(src)},
+		"bytes":    residentReader{t, []byte(src)},
+	} {
+		got, gst, gerr := Load(r, d, pi, StreamOptions{Validate: validate})
+		switch {
+		case (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error():
+			t.Fatalf("table sink from %s (validate=%v): %v, a load of the writer's output: %v\ninput: %q", name, validate, gerr, werr, src)
+		case gerr != nil:
+			// A failed writer prune's BytesOut is what left its buffer.
+		case gst != sst:
+			t.Fatalf("table sink from %s (validate=%v): stats %+v, the writer's %+v\ninput: %q", name, validate, gst, sst, src)
+		case got.NumNodes() != want.NumNodes() || !tree.Equal(got.Root(), want.Root()) || got.XML() != want.XML():
+			t.Fatalf("table sink from %s (validate=%v) built another document\ntable: %q\nload:  %q\ninput: %q", name, validate, got.XML(), want.XML(), src)
+		}
+	}
+}
+
 func runBoth(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool) {
 	t.Helper()
 	var sb strings.Builder
@@ -155,6 +186,7 @@ func runBoth(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool
 	checkGather(t, "serial", src, d, pi,
 		StreamOptions{Validate: validate, Engine: EngineScanner}, serr == nil, sb.String(), sst)
 	checkSources(t, src, d, pi, validate, sb.String(), sst, serr)
+	checkLoad(t, src, d, pi, validate, sb.String(), sst, serr)
 	for _, popts := range parallelVariants {
 		popts.Validate = validate
 		var pb strings.Builder
@@ -216,6 +248,10 @@ func init() {
 		// ahead of the pending decoded text (reordering bug).
 		`<bib><book isbn="1"><title>a&lt;b<!--x-->mid<!--y-->c&gt;d</title><author>A</author></book></bib>`,
 		`<bib><book isbn="1"><title>plain<!--x-->a&lt;b<!--y-->tail</title><author>A</author></book></bib>`,
+		// Runs of kept text parted only by elements π discards: one text
+		// node in the rendering, so one in the table sink's document
+		// (valid only where year is kept, and not at all).
+		`<bib><book isbn="1"><title>a<year>1</year>b&amp;<year>2</year><!--c-->c</title><author>A</author></book></bib>`,
 		// Escape-heavy mixes: alternating raw and synthesized output makes
 		// the gather emitter interleave input spans with escape-buffer
 		// spans at every boundary.
@@ -349,12 +385,59 @@ var twoRoots = `<bib><book isbn="1"><title>T</title><author>A</author></book></b
 // at both levels, whether π keeps the second root or discards it; the
 // oracle says the same.
 func TestSecondRootRejected(t *testing.T) {
+	checkDocumentLevel(t, "multiple root elements", `<a><b>1</b></a><a><b>2</b></a>`, `<a><b>1</b></a><c>2</c>`)
+}
+
+// TestTextOutsideRootRejected: text that is not whitespace before or
+// after the root element (XML 1.0 §2.1 allows only comments, PIs and
+// whitespace there) fails with scan.Walk's message on every route, at
+// both levels; the oracle says the same. Whitespace, a character
+// reference to it and a byte-order mark opening the document are no
+// text.
+func TestTextOutsideRootRejected(t *testing.T) {
+	checkDocumentLevel(t, "text outside the root element", `<a><b>1</b></a>junk`, `junk<a><b>1</b></a>`, `<a><b>1</b></a><!--c-->&amp;`,
+		"\ufeff\ufeff<a/>", "<a/>\ufeff")
+	d, pi := documentLevelGrammar(t)
+	for _, doc := range []string{"\ufeff<a><b>1</b></a>", " \n<?p?>&#32;<a><b>1</b></a>\t<!--c-->\r\n"} {
+		for name, run := range documentLevelRoutes(t, d, pi) {
+			for _, validate := range []bool{false, true} {
+				if err := run(doc, validate); err != nil {
+					t.Errorf("%s, validate=%v: %q: %v", name, validate, doc, err)
+				}
+			}
+		}
+	}
+}
+
+func documentLevelGrammar(t *testing.T) (*dtd.DTD, dtd.NameSet) {
 	d, err := dtd.ParseString(`<!ELEMENT a (b*, c?)> <!ELEMENT b (#PCDATA)> <!ATTLIST b x CDATA #IMPLIED> <!ELEMENT c (#PCDATA)>`, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := dtd.NewNameSet("a", "b", "b#text")
-	routes := map[string]func(doc string, validate bool) error{
+	return d, dtd.NewNameSet("a", "b", "b#text")
+}
+
+// checkDocumentLevel requires every route to reject every doc with msg,
+// at both levels of checking.
+func checkDocumentLevel(t *testing.T, msg string, docs ...string) {
+	t.Helper()
+	d, pi := documentLevelGrammar(t)
+	for _, doc := range docs {
+		for name, run := range documentLevelRoutes(t, d, pi) {
+			for _, validate := range []bool{false, true} {
+				if err := run(doc, validate); err == nil || !strings.Contains(err.Error(), msg) {
+					t.Errorf("%s, validate=%v: %q: got %v, want %s", name, validate, doc, err, msg)
+				}
+			}
+		}
+	}
+}
+
+// documentLevelRoutes is every way to prune a document: the oracle, the
+// scanner from each source into each sink, the shared scan and both
+// forced engines.
+func documentLevelRoutes(t *testing.T, d *dtd.DTD, pi dtd.NameSet) map[string]func(doc string, validate bool) error {
+	return map[string]func(doc string, validate bool) error{
 		"oracle": func(doc string, validate bool) error {
 			_, _, err := oracleString(doc, d, pi, validate)
 			return err
@@ -374,12 +457,18 @@ func TestSecondRootRejected(t *testing.T) {
 			}
 			return err
 		},
+		"handler": func(doc string, validate bool) error {
+			_, _, err := Load(oneByteAtATime{strings.NewReader(doc)}, d, pi, StreamOptions{Validate: validate})
+			return err
+		},
 		"shared scan": func(doc string, validate bool) error {
 			gs, _, errs := StreamMultiGather([]byte(doc), d, []dtd.NameSet{pi, dtd.NewNameSet("a")}, MultiOptions{Validate: validate})
 			for j, g := range gs {
 				if g != nil {
 					g.Close()
-					t.Errorf("shared scan: projector %d accepted %q", j, doc)
+					if errs[0] != nil {
+						t.Errorf("shared scan: projector %d accepted %q", j, doc)
+					}
 				}
 			}
 			return errs[0]
@@ -392,15 +481,6 @@ func TestSecondRootRejected(t *testing.T) {
 			_, err := Stream(io.Discard, strings.NewReader(doc), d, pi, StreamOptions{Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 16, Validate: validate})
 			return err
 		},
-	}
-	for _, doc := range []string{`<a><b>1</b></a><a><b>2</b></a>`, `<a><b>1</b></a><c>2</c>`} {
-		for name, run := range routes {
-			for _, validate := range []bool{false, true} {
-				if err := run(doc, validate); err == nil || !strings.Contains(err.Error(), "multiple root elements") {
-					t.Errorf("%s, validate=%v: %q: got %v, want multiple root elements", name, validate, doc, err)
-				}
-			}
-		}
 	}
 }
 
@@ -436,6 +516,8 @@ func TestScannerMalformed(t *testing.T) {
 		`<notdeclared/>`,                              // undeclared element
 		twoRoots,                                      // a second root π keeps
 		twoRoots[:len(twoRoots)-6] + `<year>2</year>`, // a second root π discards
+		twoRoots[:len(twoRoots)-6] + `junk`,           // text after the root
+		`junk` + twoRoots[:len(twoRoots)-6],           // text before the root
 	}
 	for _, src := range cases {
 		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
@@ -801,6 +883,9 @@ func FuzzStreamDifferential(f *testing.F) {
 	// rejected at both levels.
 	f.Add(twoRoots, uint16(5))
 	f.Add(twoRoots[:len(twoRoots)-6]+`<year>2</year>`, uint16(9))
+	// Text outside the root, after and before it: rejected at both levels.
+	f.Add(twoRoots[:len(twoRoots)-6]+`junk`, uint16(4))
+	f.Add(`junk`+twoRoots[:len(twoRoots)-6], uint16(2))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-1], uint16(7))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-2], uint16(6))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
@@ -815,6 +900,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		sst, serr := Stream(&sb, strings.NewReader(src), d, pi, StreamOptions{Engine: EngineScanner})
 		checkOracle(t, src, d, pi, false, sb.String(), sst, serr)
 		checkSources(t, src, d, pi, false, sb.String(), sst, serr)
+		checkLoad(t, src, d, pi, false, sb.String(), sst, serr)
 		// The shared-scan multi-pruner must agree per projector with
 		// serial gathers on whatever the fuzzer found — verdicts, bytes
 		// and stats, with and without validation (without, a projector
@@ -882,6 +968,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		svst, sverr := Stream(&sv, strings.NewReader(src), d, pi, StreamOptions{Validate: true, Engine: EngineScanner})
 		checkOracle(t, src, d, pi, true, sv.String(), svst, sverr)
 		checkSources(t, src, d, pi, true, sv.String(), svst, sverr)
+		checkLoad(t, src, d, pi, true, sv.String(), svst, sverr)
 		// The parallel engine, under the fuzzed stage-1 chunk size and a
 		// fragment target that forces splices, must match the scanner's
 		// verdict, bytes and stats — validated and not. The span-gather

@@ -2,6 +2,7 @@ package prune
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -106,6 +107,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 	}
 
 	for {
+		at := dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -182,6 +184,14 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 			stats.ElementsOut++
 		case xml.CharData:
 			if len(stack) == 0 {
+				// Only whitespace may stand outside the root; a byte-order
+				// mark opening the document is none of its text.
+				if at == 0 {
+					t = bytes.TrimPrefix(t, []byte("\ufeff"))
+				}
+				if !allSpace(t) {
+					return stats, fmt.Errorf("text outside the root element")
+				}
 				continue
 			}
 			if allSpace(t) {

@@ -304,6 +304,28 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 	return g, st, nil
 }
 
+// Load prunes the document read from src into a table: the pruning
+// automaton hands each node π keeps to a tree.Builder (scan.PruneHandler),
+// so the projected document is built in the pass that prunes it, and is
+// neither rendered nor tokenised a second time. The document, the verdict
+// and the error are tree.ParseBytes's on what Stream writes, at both
+// levels of checking, and node IDs are the pruned document's own
+// positions, as that load gives them. Stats are Stream's; BytesOut is the
+// length Stream would have written, counted. A BytesSource reader is
+// pruned in place; any other is read through the scanner's buffer, so
+// MaxTokenSize applies. The builder grows with what is kept: sized from
+// the input, it would reserve the whole input's text for a prune that
+// keeps a fraction of it.
+func Load(src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*tree.Document, Stats, error) {
+	b := tree.NewBuilder(0)
+	st, err := run(source{r: src}, sink{h: b}, d, pi, opts)
+	if err != nil {
+		return nil, st, err
+	}
+	doc, err := b.Loaded()
+	return doc, st, err
+}
+
 // source is where a prune's bytes come from: a reader, or (r == nil) a
 // document already resident in memory.
 type source struct {
@@ -311,39 +333,61 @@ type source struct {
 	data []byte
 }
 
-// sink is where they go: a writer, or (w == nil) a span list over the
-// resident input.
+// sink is where they go: a writer, a span list over the resident input,
+// or a handler given the kept nodes (the table sink). One is set.
 type sink struct {
 	w  io.Writer
 	sl *scan.SpanList
+	h  scan.Handler
+}
+
+// sinkKind names a sink's kind in run's table.
+type sinkKind uint8
+
+const (
+	toWriter sinkKind = iota
+	toSpans
+	toHandler
+)
+
+func (k sinkKind) String() string { return [...]string{"writer", "span", "handler"}[k] }
+
+func (o sink) kind() sinkKind {
+	switch {
+	case o.sl != nil:
+		return toSpans
+	case o.h != nil:
+		return toHandler
+	}
+	return toWriter
 }
 
 // cell is one cell of run's routing table.
 type cell struct {
 	eng      Engine
 	resident bool // the source is in memory
-	spans    bool // the sink is a span list
+	to       sinkKind
 }
 
-const (
-	fromReader, fromBytes = false, true
-	toWriter, toSpans     = false, true
-)
+const fromReader, fromBytes = false, true
 
 // run is the one route every streaming prune takes. It resolves the
 // source (a reader that is a BytesSource is resident input), resolves
 // EngineAuto to the serial scanner, and dispatches on
 //
-//	engine     source  sink    runs
-//	scanner    reader  writer  scan.Prune
-//	scanner    bytes   writer  scan.PruneBytes
-//	scanner    bytes   spans   scan.PruneGather
-//	parallel   bytes   writer  scan.PruneParallel (forced only)
-//	pipelined  reader  writer  scan.PrunePipelined (forced only)
+//	engine     source  sink     runs
+//	scanner    reader  writer   scan.Prune
+//	scanner    bytes   writer   scan.PruneBytes
+//	scanner    bytes   spans    scan.PruneGather
+//	scanner    reader  handler  scan.PruneHandler
+//	scanner    bytes   handler  scan.PruneBytesHandler
+//	parallel   bytes   writer   scan.PruneParallel (forced only)
+//	pipelined  reader  writer   scan.PrunePipelined (forced only)
 //
 // A span sink needs resident input, so no entry point builds reader ×
-// spans. Every other cell fails with "no route": a concurrent engine
-// forced from the other source or into spans, and EngineDecoder, whose
+// spans, and the shared scan of N > 1 projectors has span lists only.
+// Every other cell fails with "no route": a concurrent engine forced from
+// the other source or into spans or a handler, and EngineDecoder, whose
 // pruner is the tests' oracle.
 //
 // It holds the only projection compile, the only hand-back of stats and
@@ -366,7 +410,7 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 			src.r = &ctxReader{ctx: opts.Ctx, r: src.r}
 		}
 	}
-	at := cell{opts.Engine, src.r == nil, out.w == nil}
+	at := cell{opts.Engine, src.r == nil, out.kind()}
 	if at.eng == EngineAuto {
 		at.eng = EngineScanner
 	}
@@ -397,6 +441,10 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		st, err = scan.PruneBytes(bw, src.data, d, proj, so)
 	case cell{EngineScanner, fromBytes, toSpans}:
 		st, err = scan.PruneGather(out.sl, src.data, d, proj, so)
+	case cell{EngineScanner, fromReader, toHandler}:
+		st, err = scan.PruneHandler(out.h, src.r, d, proj, so)
+	case cell{EngineScanner, fromBytes, toHandler}:
+		st, err = scan.PruneBytesHandler(out.h, src.data, d, proj, so)
 	case cell{EngineParallel, fromBytes, toWriter}:
 		st, _, err = scan.PruneParallel(bw, src.data, d, proj, scan.ParallelOptions{
 			Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.parallelChunkSize, FragTarget: opts.parallelFragTarget,
@@ -407,15 +455,17 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 			WindowSize: opts.pipelineWindowSize, RingDepth: opts.pipelineRingDepth,
 		})
 	default:
-		return st, fmt.Errorf("no route for engine %s (resident input %v, span sink %v)", at.eng, at.resident, at.spans)
+		return st, fmt.Errorf("no route for engine %s (resident input %v, %s sink)", at.eng, at.resident, at.to)
 	}
-	if bw == nil {
-		st.BytesOut = out.sl.Len()
-	} else {
+	// A handler sink's BytesOut was counted by the scanner.
+	switch at.to {
+	case toWriter:
 		if err == nil {
 			err = bw.Flush()
 		}
 		st.BytesOut = written.n
+	case toSpans:
+		st.BytesOut = out.sl.Len()
 	}
 	return st, err
 }

@@ -87,10 +87,11 @@ func (r residentReader) Read([]byte) (int, error) {
 // each forced engine. Auto must resolve to the scanner at every size —
 // a small document and a 20 MiB one — from every source, into every
 // sink, at both levels of Validate, with GOMAXPROCS at 8. A forced engine
-// runs in its own rows only (scanner: all three; parallel: bytes into a
+// runs in its own rows only (scanner: all five; parallel: bytes into a
 // writer; pipelined: a reader into a writer) and is "no route" in every
 // other cell. Every cell that runs reports the engine the table names
-// and produces output and stats identical to the forced serial scanner.
+// and produces output and stats identical to the forced serial scanner —
+// for the table sink, a document whose serialisation is that output.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
@@ -113,19 +114,30 @@ func TestStreamChosenEngine(t *testing.T) {
 			return out.String(), st, err
 		}
 	}
+	load := func(src func(doc string) io.Reader) entry {
+		return func(doc string, opts StreamOptions) (string, Stats, error) {
+			t, st, err := Load(src(doc), d, pi, opts)
+			if err != nil {
+				return "", st, err
+			}
+			return t.XML(), st, nil
+		}
+	}
+	resident := func(doc string) io.Reader { return residentReader{t, []byte(doc)} }
 	sources := []struct {
-		name           string
-		run            entry
-		resident, span bool
+		name     string
+		run      entry
+		resident bool
+		to       sinkKind
 	}{
-		{"reader unsized → writer", reader(func(doc string) io.Reader { return bufio.NewReader(strings.NewReader(doc)) }), false, false},
-		{"reader sized → writer", reader(func(doc string) io.Reader { return strings.NewReader(doc) }), false, false},
-		{"BytesSource reader → writer", reader(func(doc string) io.Reader { return residentReader{t, []byte(doc)} }), true, false},
+		{"reader unsized → writer", reader(func(doc string) io.Reader { return bufio.NewReader(strings.NewReader(doc)) }), false, toWriter},
+		{"reader sized → writer", reader(func(doc string) io.Reader { return strings.NewReader(doc) }), false, toWriter},
+		{"BytesSource reader → writer", reader(resident), true, toWriter},
 		{"bytes → writer", func(doc string, opts StreamOptions) (string, Stats, error) {
 			var out strings.Builder
 			st, err := StreamBytes(&out, []byte(doc), d, pi, opts)
 			return out.String(), st, err
-		}, true, false},
+		}, true, toWriter},
 		{"bytes → spans", func(doc string, opts StreamOptions) (string, Stats, error) {
 			g, st, err := StreamGather([]byte(doc), d, pi, opts)
 			if err != nil {
@@ -135,15 +147,19 @@ func TestStreamChosenEngine(t *testing.T) {
 			var out strings.Builder
 			_, err = g.WriteTo(&out)
 			return out.String(), st, err
-		}, true, true},
+		}, true, toSpans},
+		// The table sink, rendered: a load's serialisation is the bytes it
+		// was loaded from.
+		{"reader → handler", load(func(doc string) io.Reader { return strings.NewReader(doc) }), false, toHandler},
+		{"BytesSource reader → handler", load(resident), true, toHandler},
 	}
 	// hasRow reports whether an engine has a row for a source × sink.
-	hasRow := map[Engine]func(resident, span bool) bool{
-		EngineScanner:   func(bool, bool) bool { return true },
-		EngineParallel:  func(resident, span bool) bool { return resident && !span },
-		EnginePipelined: func(resident, _ bool) bool { return !resident },
-		EngineDecoder:   func(bool, bool) bool { return false },
-		Engine(99):      func(bool, bool) bool { return false },
+	hasRow := map[Engine]func(resident bool, to sinkKind) bool{
+		EngineScanner:   func(bool, sinkKind) bool { return true },
+		EngineParallel:  func(resident bool, to sinkKind) bool { return resident && to == toWriter },
+		EnginePipelined: func(resident bool, to sinkKind) bool { return !resident && to == toWriter },
+		EngineDecoder:   func(bool, sinkKind) bool { return false },
+		Engine(99):      func(bool, sinkKind) bool { return false },
 	}
 
 	for size, doc := range docs {
@@ -168,7 +184,7 @@ func TestStreamChosenEngine(t *testing.T) {
 					if chosen != want {
 						t.Errorf("%s: chose %v, want %v", label, chosen, want)
 					}
-					if !hasRow[want](src.resident, src.span) {
+					if !hasRow[want](src.resident, src.to) {
 						if err == nil || !strings.Contains(err.Error(), "no route for engine "+eng.String()) || out != "" {
 							t.Errorf("%s: got %d bytes and %v, want the no-route error", label, len(out), err)
 						}

@@ -75,12 +75,14 @@ func readChunk(s *Scanner, quote int, cdata bool) string {
 	return outcome(s, err, out, info)
 }
 
-// xmlAccepts is encoding/xml's verdict on a document, with the two
-// document-level rules Walk adds: one root element, nothing left open.
+// xmlAccepts is encoding/xml's verdict on a document, with the three
+// document-level rules Walk adds: one root element, no text outside it,
+// nothing left open.
 func xmlAccepts(doc string) bool {
 	dec := xml.NewDecoder(strings.NewReader(doc))
 	roots, depth := 0, 0
 	for {
+		at := dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
 			return roots == 1 && depth == 0
@@ -88,7 +90,7 @@ func xmlAccepts(doc string) bool {
 		if err != nil {
 			return false
 		}
-		switch tok.(type) {
+		switch t := tok.(type) {
 		case xml.StartElement:
 			if depth == 0 {
 				roots++
@@ -96,6 +98,16 @@ func xmlAccepts(doc string) bool {
 			depth++
 		case xml.EndElement:
 			depth--
+		case xml.CharData:
+			// Outside the root only whitespace, after a byte-order mark
+			// opening the document.
+			s := string(t)
+			if at == 0 {
+				s = strings.TrimPrefix(s, "\ufeff")
+			}
+			if depth == 0 && strings.TrimSpace(s) != "" {
+				return false
+			}
 		}
 	}
 }

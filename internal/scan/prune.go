@@ -12,9 +12,10 @@ package scan
 // scan (checked token by token with Validate, only balanced without —
 // skip.go), its skipped-node counts distributed to all projectors. The
 // serial pruner is the N = 1 case: every mask is 0 or 1 and the one
-// output is a bufio.Writer, a gather list or nothing; with N > 1 each
-// projector writes its own gather list and renders exactly what a run
-// with that projector alone would.
+// output is a bufio.Writer, a gather list, a Handler (the table sink:
+// the kept nodes as events, nothing rendered) or nothing; with N > 1
+// each projector writes its own gather list and renders exactly what a
+// run with that projector alone would.
 //
 // Output is written through the emitter seam as spans of the scanner's
 // buffer wherever the input already is the canonical rendering — tags
@@ -90,8 +91,9 @@ type Stats struct {
 	// without Validate.
 	ElementsSkipped, TextSkipped int64
 	// BytesOut counts bytes written to the destination. This package
-	// leaves it zero: only the owner of the sink (internal/prune) can
-	// count it.
+	// leaves it zero, since only the owner of a writer or span sink
+	// (internal/prune) can count it, except for a Handler, which is given
+	// no bytes: there it is the length the rendering would have had.
 	BytesOut int64
 	// MaxDepth is the deepest open-element stack observed — the streaming
 	// pruner's working set is proportional to this, not to the document.
@@ -151,6 +153,33 @@ func PruneGather(sl *SpanList, data []byte, d *dtd.DTD, proj *dtd.Projection, op
 	return pr.finish(pr.run())
 }
 
+// PruneHandler is Prune into a Handler instead of a writer: the table
+// sink. h receives the pruned document as Walk would report it — each
+// kept element with its kept attributes (input order, values decoded,
+// namespace declarations left out), each run of kept text decoded and
+// joined up to the next kept tag, each end of a kept element — so that a
+// tree.Builder given the events builds what a load of Prune's output
+// builds, in the pass that prunes. Nothing is rendered: Stats.BytesOut is
+// the length Prune would have written, counted.
+func PruneHandler(h Handler, src io.Reader, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
+	pr := prunerPool.Get().(*pruner)
+	pr.s.Reset(src)
+	pr.prep(d, proj, opts)
+	pr.useHandler(h)
+	return pr.finish(pr.run())
+}
+
+// PruneBytesHandler is PruneHandler over input that is already in
+// memory, scanned in place; like PruneBytes, MaxTokenSize is not
+// enforced.
+func PruneBytesHandler(h Handler, data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
+	pr := prunerPool.Get().(*pruner)
+	pr.s.ResetBytes(data)
+	pr.prep(d, proj, opts)
+	pr.useHandler(h)
+	return pr.finish(pr.run())
+}
+
 // PruneMultiGather prunes in-memory input against every projector of a fused
 // decision table in a single scanner pass. sls must hold one SpanList
 // per projector; each is Reset over data and receives that projector's
@@ -204,7 +233,7 @@ func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projecti
 // prep prepares pooled state for a new input. The caller has already
 // pointed the scanner at the input (Reset / ResetBytes / ResetBytesAt)
 // and must install one output target per projector (useStream,
-// useGather, useDiscard, or appending to outs) before run.
+// useGather, useHandler, useDiscard, or appending to outs) before run.
 func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.s.SetMaxTokenSize(opts.MaxTokenSize)
 	pr.d, pr.p, pr.opts = d, proj, opts
@@ -234,6 +263,7 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.mode, pr.ctxBase = modeNormal, 0
 	pr.events = pr.events[:0]
 	pr.sp = nil
+	pr.counted.n, pr.htext = 0, pr.htext[:0]
 }
 
 // useStream targets the buffered-copy output path of a single
@@ -250,6 +280,15 @@ func (pr *pruner) useGather(sl *SpanList) { pr.outs = append(pr.outs[:0], sl) }
 
 // useDiscard wires a non-emitting role (skip fragments).
 func (pr *pruner) useDiscard() { pr.outs = append(pr.outs[:0], nopEmitter{}) }
+
+// useHandler targets the table sink: the kept nodes go to h where they
+// are decided (handStart, handEnd, and the text they gather), and the
+// rendering, which the span and literal logic still drive as for a
+// writer, is only counted.
+func (pr *pruner) useHandler(h Handler) {
+	pr.h = h
+	pr.outs = append(pr.outs[:0], &pr.counted)
+}
 
 // stats composes projector j's counters: what was read is the same for
 // every projector, what was kept or skipped is its own.
@@ -276,10 +315,12 @@ func (pr *pruner) errOf(j int, gerr error) error {
 	return gerr
 }
 
-// finish ends a single-projector prune and recycles the pruner.
+// finish ends a single-projector prune and recycles the pruner. Only a
+// handler sink's BytesOut is known here: it was counted.
 func (pr *pruner) finish(gerr error) (Stats, error) {
 	pr.flushRuns()
 	st, err := pr.stats(0), pr.errOf(0, gerr)
+	st.BytesOut = pr.counted.n
 	pr.release()
 	prunerPool.Put(pr)
 	return st, err
@@ -303,6 +344,7 @@ func (pr *pruner) release() {
 	pr.s.Reset(nil)
 	pr.d, pr.p = nil, nil
 	pr.se.bw = nil
+	pr.h = nil
 }
 
 // frame is one open element.
@@ -343,6 +385,19 @@ type pruner struct {
 	// one of the streaming path so installing it never allocates.
 	outs []emitter
 	se   streamEmitter
+
+	// The table sink (useHandler). h is handed the kept nodes, and
+	// counted, the one output, sums what a writer would have been given.
+	// htext is the decoded text kept since the last kept tag: a discarded
+	// element between two runs does not part them, as it does not in the
+	// rendering. hvals holds the kept start tag's attribute names and
+	// values, then its tag, hends where each ends, hattrs the view of them
+	// that h gets.
+	h            Handler
+	counted      countEmitter
+	htext, hvals []byte
+	hends        []int
+	hattrs       []Attr
 
 	alive uint64 // projectors not yet killed by a validation error
 	stack []frame
@@ -555,7 +610,7 @@ func (pr *pruner) run() error {
 		// tag, where the pending text run would be flushed.
 		pr.flushText()
 	case !pr.sawRoot:
-		return fmt.Errorf("no root element in input")
+		return ErrNoRoot
 	}
 	if len(pr.stack) != pr.ctxBase {
 		top := pr.stack[len(pr.stack)-1]
@@ -590,10 +645,13 @@ func (pr *pruner) chunk(cdata bool) error {
 		}
 		pr.textBuf = out[:kept]
 	}
-	if len(pr.stack) == 0 || info.ws {
-		// Text outside the root is tokenized and validated but ignored
-		// by the pruner, exactly like the decoder path.
+	if info.ws {
 		return nil
+	}
+	if len(pr.stack) == 0 {
+		// A well-formedness error, so the whole pass's at both levels of
+		// checking, in scan.Walk's words.
+		return errOutsideRoot
 	}
 	pr.runPending = true
 	top := &pr.stack[len(pr.stack)-1]
@@ -610,6 +668,10 @@ func (pr *pruner) chunk(cdata bool) error {
 		// these bytes.
 		pr.closeOpen(keep)
 		pr.rawTo(keep, s.mark, s.pos)
+		if pr.h != nil {
+			// Verbatim: the raw bytes are the decoded ones too.
+			pr.htext = append(pr.htext, s.buf[s.mark:s.pos]...)
+		}
 	case plain:
 		pr.textBuf = append(pr.textBuf, chunk...)
 	default:
@@ -652,6 +714,9 @@ func (pr *pruner) endTextRun() {
 		if len(pr.textBuf) > 0 {
 			pr.attrBuf = appendEscapedText(pr.attrBuf[:0], pr.textBuf)
 			pr.litTo(keep, pr.attrBuf)
+			if pr.h != nil {
+				pr.htext = append(pr.htext, pr.textBuf...)
+			}
 		}
 		for mk := keep; mk != 0; mk &= mk - 1 {
 			pr.per[bits.TrailingZeros64(mk)].st.TextOut++
@@ -762,6 +827,9 @@ func (pr *pruner) startTag() error {
 
 	prefix := pr.intern(prefixB)
 	pr.closeOpen(K)
+	if pr.h != nil {
+		pr.hvals, pr.hends = pr.hvals[:0], pr.hends[:0]
+	}
 
 	// Lazy tag rendering, masked: canonMask holds the keepers whose
 	// rendering so far is exactly the raw span from the mark, so nothing
@@ -874,6 +942,9 @@ func (pr *pruner) startTag() error {
 			keepMask = pr.p.KeepExtraAttr(sym, alocal)
 		}
 		keepMask &= K
+		if pr.h != nil && keepMask != 0 {
+			pr.handAttr(alocal, pr.attrVal)
+		}
 		// Keepers dropping this attribute can no longer ride the raw span,
 		// and nobody can when its raw bytes are not its canonical form.
 		dm := canonMask &^ keepMask
@@ -958,7 +1029,52 @@ func (pr *pruner) startTag() error {
 			pr.litStringTo(bit, "/>")
 		}
 	}
+	if pr.h != nil {
+		pr.handStart(info.Tag)
+		if empty {
+			pr.handEnd()
+		}
+	}
 	return nil
+}
+
+// handAttr records a kept attribute of the start tag being read. Its
+// name is a view of the buffer, which the next read may move, so both
+// are copied.
+func (pr *pruner) handAttr(name, value []byte) {
+	pr.hvals = append(pr.hvals, name...)
+	pr.hends = append(pr.hends, len(pr.hvals))
+	pr.hvals = append(pr.hvals, value...)
+	pr.hends = append(pr.hends, len(pr.hvals))
+}
+
+// handStart hands a kept element to the handler, behind the text kept
+// before it.
+func (pr *pruner) handStart(tag string) {
+	pr.handText()
+	at := len(pr.hvals)
+	pr.hvals = append(pr.hvals, tag...)
+	pr.hattrs = pr.hattrs[:0]
+	off := 0
+	for i := 0; i < len(pr.hends); i += 2 {
+		pr.hattrs = append(pr.hattrs, Attr{Name: pr.hvals[off:pr.hends[i]], Value: pr.hvals[pr.hends[i]:pr.hends[i+1]]})
+		off = pr.hends[i+1]
+	}
+	pr.h.StartElement(pr.hvals[at:], pr.hattrs)
+}
+
+// handEnd closes a kept element in the handler, behind the text kept
+// inside it.
+func (pr *pruner) handEnd() {
+	pr.handText()
+	pr.h.EndElement()
+}
+
+func (pr *pruner) handText() {
+	if len(pr.htext) > 0 {
+		pr.h.Text(pr.htext)
+		pr.htext = pr.htext[:0]
+	}
 }
 
 // endTag handles an end tag; "</" is consumed and the mark is at '<'.
@@ -1000,6 +1116,9 @@ func (pr *pruner) endTag() error {
 	live := top.live & pr.alive
 	for mk := live; mk != 0; mk &= mk - 1 {
 		pr.per[bits.TrailingZeros64(mk)].st.ElementsOut++
+	}
+	if pr.h != nil && live != 0 {
+		pr.handEnd()
 	}
 	op := pr.open & live
 	pr.open &^= op

@@ -18,6 +18,7 @@ package scan
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -47,14 +48,28 @@ var ErrTokenTooLong = fmt.Errorf("xml token exceeds the scanner's maximum token 
 // The wrapped message names the encoding family detected.
 var ErrNotUTF8 = fmt.Errorf("input is not UTF-8")
 
+// ErrNoRoot reports a document without a root element.
+var ErrNoRoot = errors.New("no root element in input")
+
+// errOutsideRoot reports character data other than whitespace before or
+// after the root element, where XML 1.0 §2.1 allows only comments,
+// processing instructions and whitespace. The walk and the pruner say it
+// in these words, at both levels of checking.
+var errOutsideRoot = errors.New("text outside the root element")
+
 // checkEncoding sniffs the head of a document for UTF-16/32. It is
-// called before anything is consumed; a UTF-8 byte-order mark and any
-// <?xml encoding?> declaration are left to the tokenizer.
+// called before anything is consumed. A UTF-8 byte-order mark is
+// consumed here: it is not character data (XML 1.0 §4.3.3), so it is not
+// text outside the root. Any <?xml encoding?> declaration is left to the
+// tokenizer.
 func (s *Scanner) checkEncoding() error {
 	h := s.Peek(4)
 	pair := func(i int, a, b byte) bool { return len(h) >= i+2 && h[i] == a && h[i+1] == b }
 	family := ""
 	switch {
+	case pair(0, 0xEF, 0xBB) && len(h) >= 3 && h[2] == 0xBF:
+		s.pos += 3
+		return nil
 	case pair(0, 0, 0) && (pair(2, 0xFE, 0xFF) || pair(2, 0, '<')),
 		(pair(0, 0xFF, 0xFE) || pair(0, '<', 0)) && pair(2, 0, 0):
 		family = "UTF-32"

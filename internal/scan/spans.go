@@ -8,9 +8,9 @@ package scan
 // pruner synthesizes (re-rendered tags, escaped text, "/>") — and
 // rendered only when it is written out, one Write per span. The emitter
 // interface below is the single seam: the pruner writes through it, and
-// the target is either the classic bufio.Writer (streaming path,
-// unchanged) or a SpanList (in-memory ResetBytes path, zero output
-// copies).
+// the target is the classic bufio.Writer (streaming path, unchanged), a
+// SpanList (in-memory ResetBytes path, zero output copies), or a counter
+// beside the table sink, which renders nothing.
 
 import (
 	"bufio"
@@ -49,6 +49,15 @@ func (e *streamEmitter) splice(fr *SpanList) {
 		e.bw.Write(fr.segment(sp))
 	}
 }
+
+// countEmitter renders nothing and sums the length of what it is given:
+// the bytes a writer would have received. It is the table sink's output
+// (useHandler), whose nodes go to a Handler instead.
+type countEmitter struct{ n int64 }
+
+func (e *countEmitter) raw(_ []byte, off, end int) { e.n += int64(end - off) }
+func (e *countEmitter) lit(p []byte)               { e.n += int64(len(p)) }
+func (e *countEmitter) litString(s string)         { e.n += int64(len(s)) }
 
 // nopEmitter discards everything. Skip fragments never produce output;
 // wiring them to nopEmitter makes that invariant crash-proof (the old

@@ -6,7 +6,8 @@ package scan
 // emitting path applies — names, attribute syntax, entities, character
 // ranges, comment, PI and directive rules, end tags against start tags —
 // plus the document-level ones a loader needs: exactly one root element,
-// nothing left open.
+// no text outside it, nothing left open. The pruner applies the same
+// three, so a pruned document is one the walk accepts.
 
 import "fmt"
 
@@ -33,12 +34,13 @@ type Handler interface {
 	EndElement()
 }
 
-// Walk tokenises the document in data and reports it to h. Text outside
-// the root element is checked and not reported. Walk accepts exactly
+// Walk tokenises the document in data and reports it to h. Outside the
+// root element only whitespace may stand between the comments and
+// processing instructions, and it is not reported. Walk accepts exactly
 // the documents encoding/xml's strict decoder accepts that have one root
-// element and leave nothing open; data is not modified, and is not
-// subject to MaxTokenSize (the cap bounds a sliding buffer, and there is
-// none here).
+// element, no other text outside it and nothing left open; data is not
+// modified, and is not subject to MaxTokenSize (the cap bounds a sliding
+// buffer, and there is none here).
 func Walk(data []byte, h Handler) error {
 	w := walker{h: h}
 	w.s.ResetBytes(data)
@@ -101,7 +103,7 @@ func (w *walker) run() error {
 		}
 	}
 	if !w.sawRoot {
-		return fmt.Errorf("no root element in input")
+		return ErrNoRoot
 	}
 	if w.open.depth() != 0 {
 		return fmt.Errorf("unterminated element %s", w.open.top())
@@ -111,11 +113,13 @@ func (w *walker) run() error {
 
 // chunk reads one character-data chunk into the current text run.
 func (w *walker) chunk(cdata bool) error {
-	drop := w.open.depth() == 0
+	outside := w.open.depth() == 0
 	if !cdata {
 		if chunk, info, ok := w.s.plainChunk(-1); ok {
 			switch {
-			case info.ws || drop:
+			case info.ws:
+			case outside:
+				return errOutsideRoot
 			case !w.pending:
 				w.view, w.pending = chunk, true
 			default:
@@ -131,9 +135,12 @@ func (w *walker) chunk(cdata bool) error {
 	if err != nil {
 		return err
 	}
-	if info.ws || drop {
+	if info.ws {
 		w.text = out[:kept]
 		return nil
+	}
+	if outside {
+		return errOutsideRoot
 	}
 	w.text, w.pending = out, true
 	return nil

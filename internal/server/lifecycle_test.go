@@ -205,6 +205,16 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 				}
 			}
 		}, []want{{422, ""}, {422, "bypass"}, {422, ""}, {422, "bypass"}}},
+		{"422 on text outside the root", Options{}, func(t *testing.T, ts *httptest.Server) {
+			// So is text that is not whitespace after the root, sized or
+			// chunked.
+			junk := bibDoc + "junk"
+			for _, body := range []io.Reader{strings.NewReader(junk), chunked(junk)} {
+				if resp := do(t, "POST", ts.URL+titles, body); resp.StatusCode != http.StatusUnprocessableEntity {
+					t.Errorf("status %d, want 422", resp.StatusCode)
+				}
+			}
+		}, []want{{422, ""}, {422, "bypass"}}},
 		{"422 in the trailer", Options{}, func(t *testing.T, ts *httptest.Server) {
 			resp := do(t, "POST", ts.URL+titles, chunked(lateFailure))
 			if resp.StatusCode != 200 || resp.Trailer.Get(errorTrailer) == "" {

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
@@ -27,7 +28,8 @@ type Builder struct {
 // The loader sizes its tables from the input: the text is never longer
 // (only the predefined entities and character references are decoded,
 // and "\r\n" becomes "\n"), and XMark runs at 30 bytes a node and 2 %
-// of its bytes in attribute values. A short estimate grows by append.
+// of its bytes in attribute values. A short estimate, or none — a prune
+// into the table cannot know what it will keep — grows by doubling.
 const (
 	bytesPerNode = 24
 	bytesPerAttr = 192
@@ -66,6 +68,18 @@ func (b *Builder) Document() *Document {
 	return b.d
 }
 
+// Loaded returns the document as a load returns it: a document with no
+// root element is ParseBytes's error. A prune into the table ends here,
+// because what it keeps can be nothing — without validation a root
+// element other than the DTD's is not refused, and π may discard it —
+// where a load of its rendering fails.
+func (b *Builder) Loaded() (*Document, error) {
+	if len(b.d.nodes) == 0 {
+		return nil, fmt.Errorf("tree: parse: %w", scan.ErrNoRoot)
+	}
+	return b.Document(), nil
+}
+
 // sync publishes what the strings hold to the document.
 func (b *Builder) sync() {
 	b.d.text, b.d.vals = b.text.String(), b.vals.String()
@@ -82,6 +96,11 @@ func (b *Builder) parent() int32 {
 // add appends a record under the innermost open element.
 func (b *Builder) add(kind Kind, name int32) *record {
 	i := int32(len(b.d.nodes))
+	if len(b.d.nodes) == cap(b.d.nodes) {
+		// Double: past 256 records append grows by a quarter, and a table
+		// grown from empty would copy itself four times over.
+		b.d.nodes = slices.Grow(b.d.nodes, cap(b.d.nodes))
+	}
 	b.d.nodes = append(b.d.nodes, record{kind: kind, name: name, parent: b.parent(), end: i,
 		off: uint32(b.text.Len()), attr: uint32(len(b.d.attrs))})
 	if b.d.ids != nil {
@@ -106,6 +125,7 @@ func (b *Builder) StartElement(name []byte, attrs []scan.Attr) {
 	r := &b.d.nodes[len(b.d.nodes)-1]
 	for _, a := range attrs {
 		b.d.attrs = append(b.d.attrs, attrRecord{name: b.nameOf(a.Name), off: uint32(b.vals.Len()), n: uint32(len(a.Value))})
+		b.vals.Grow(len(a.Value))
 		b.vals.Write(a.Value)
 	}
 	r.nattr = uint32(len(attrs))
@@ -138,6 +158,7 @@ func (b *Builder) Attr(name, value string) {
 // Text appends a text node holding data; it is scan.Handler's method.
 func (b *Builder) Text(data []byte) {
 	b.add(Text, -1).n = uint32(len(data))
+	b.text.Grow(len(data)) // doubles when it must grow; Write, by append, would not
 	b.text.Write(data)
 	b.d.text = b.text.String()
 }
@@ -145,6 +166,7 @@ func (b *Builder) Text(data []byte) {
 // TextString appends a text node holding s.
 func (b *Builder) TextString(s string) {
 	b.add(Text, -1).n = uint32(len(s))
+	b.text.Grow(len(s))
 	b.text.WriteString(s)
 	b.d.text = b.text.String()
 }

@@ -34,6 +34,7 @@ func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 		}
 	}
 	for {
+		at := dec.InputOffset()
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -70,7 +71,16 @@ func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 			open = open[:len(open)-1]
 		case xml.CharData:
 			if len(open) == 0 {
-				continue // text outside the root
+				// Only whitespace may stand outside the root; a byte-order
+				// mark opening the document is none of its text.
+				s := string(t)
+				if at == 0 {
+					s = strings.TrimPrefix(s, "\ufeff")
+				}
+				if strings.TrimSpace(s) != "" {
+					return nil, nsNamed, fmt.Errorf("tree: parse: text outside the root element")
+				}
+				continue
 			}
 			// Merge adjacent character data (comment, PI and CDATA boundaries).
 			if s := string(t); strings.TrimSpace(s) != "" {

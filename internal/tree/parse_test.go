@@ -105,6 +105,11 @@ var differentialSeeds = []string{
 	// Document level.
 	`text<a/>`,
 	`<a/>text`,
+	`<a><b>1</b></a>junk`,
+	`junk<a><b>1</b></a>`,
+	` &#32;<a/>`,
+	"\ufeff\ufeff<a/>",
+	"<a/>\ufeff",
 	`&amp;<a/>`,
 	`<a/>&bogus;`,
 	`<a/><b/>`,

@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// The serialiser is two loops over one grammar: XMLSize counts the bytes
-// writeTree will write, so a caller that renders into memory sizes its
-// buffer once and writes every tag, attribute and escaped run straight
-// into it. Both run over a subtree's range of records. The output is
-// deterministic: attributes in stored order, text escaped, no added
-// whitespace.
+// The serialiser is two loops over one grammar: XMLSize (XMLSpans) counts
+// the bytes writeTree will write, so a caller that renders into memory
+// sizes its buffer once and writes every tag, attribute and escaped run
+// straight into it. Both run over a subtree's range of records, in the
+// same order. The output is deterministic: attributes in stored order,
+// text escaped, no added whitespace.
 
 // WriteXML serialises the document to w as XML.
 func (d *Document) WriteXML(w io.Writer) error {
@@ -47,21 +47,45 @@ func (d *Document) SerializedSize() int64 {
 func (n Node) AppendXML(sb *strings.Builder) { writeTree(sb, n) }
 
 // XMLSize returns the number of bytes AppendXML writes for n.
-func (n Node) XMLSize() int {
+func (n Node) XMLSize() int { return n.XMLSpans(nil) }
+
+// Span is where a node's serialisation starts and ends within the
+// serialisation of a subtree that holds it. Its offsets are 32-bit, as a
+// document's text offsets are, so a caller uses no span of a rendering of
+// 2 GiB or more.
+type Span struct{ Start, End int32 }
+
+// XMLSpans is XMLSize, recording in spans, when it is not nil, where the
+// serialisation of each record of n's subtree starts and ends in n's:
+// spans[k] for the k-th record from n's, so len(spans) is the subtree's
+// record count. Serialisation is context-free — no namespace declaration
+// and no indentation depends on what encloses a node — so a copy of a
+// descendant's span is its XML. It is writeTree's loop, counting.
+func (n Node) XMLSpans(spans []Span) int {
 	d, size := n.d, 0
 	for i := n.i; i <= d.nodes[n.i].end; i++ {
 		r := &d.nodes[i]
+		if spans != nil {
+			spans[i-n.i].Start = int32(size)
+		}
 		if r.kind == Text {
 			size += escapedSize(d.text[r.off:r.off+r.n], false)
-			continue
+		} else {
+			size += openTagSize(d, r)
+			if r.end > i {
+				size += len(">")
+				continue
+			}
+			size += len("/>")
 		}
-		tag := d.names[r.name]
-		size += len("<") + len(tag) + len("/>")
-		for _, a := range d.attrs[r.attr : r.attr+r.nattr] {
-			size += len(` =""`) + len(d.names[a.name]) + escapedSize(d.vals[a.off:a.off+a.n], true)
+		if spans != nil {
+			spans[i-n.i].End = int32(size)
 		}
-		if r.end > i {
-			size += len("</") + len(tag) // "<tag>" and "</tag>" are one "/" short of "<tag/>" twice
+		for p := r.parent; p >= n.i && d.nodes[p].end == i; p = d.nodes[p].parent {
+			size += len("</>") + len(d.names[d.nodes[p].name])
+			if spans != nil {
+				spans[p-n.i].End = int32(size)
+			}
 		}
 	}
 	return size
@@ -102,6 +126,15 @@ func writeOpenTag(w io.StringWriter, d *Document, r *record) {
 		writeEscaped(w, d.vals[a.off:a.off+a.n], true)
 		w.WriteString("\"")
 	}
+}
+
+// openTagSize is the number of bytes writeOpenTag writes for r.
+func openTagSize(d *Document, r *record) int {
+	size := len("<") + len(d.names[r.name])
+	for _, a := range d.attrs[r.attr : r.attr+r.nattr] {
+		size += len(` =""`) + len(d.names[a.name]) + escapedSize(d.vals[a.off:a.off+a.n], true)
+	}
+	return size
 }
 
 // special returns the index of the first byte of s that element content

@@ -424,6 +424,11 @@ func (ev *Evaluator) descend(dst NodeSet, n int32, t *test, self bool) NodeSet {
 // so the descendant axis is one loop.
 func (ev *Evaluator) below(dst NodeSet, lo, hi int32, t *test) NodeSet {
 	ev.Visited += int64(max(hi-lo+1, 0))
+	if t.Kind == TestNode {
+		// Every record passes node(): the range is the output, grown once
+		// (/site//node() is every node of the document).
+		dst = slices.Grow(dst, int(max(hi-lo+1, 0)))
+	}
 	for i := lo; i <= hi; i++ {
 		if t.pass(i) {
 			dst = append(dst, ref(t.doc, i))

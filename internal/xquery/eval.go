@@ -471,57 +471,123 @@ func aggregateSeq(name string, s Seq) (Seq, error) {
 
 // Serialize renders a result sequence as XML text (constructed elements
 // serialised, atomics printed, top-level items separated by newlines).
-func Serialize(s Seq) string { return serialize(s, itemSize, writeItem) }
+func Serialize(s Seq) string { return serialize(s, itemNode, atomicString) }
 
 // SerializeNodes is Serialize for a node-set as the XPath engine returns
 // it, without boxing each node into an Item first.
-func SerializeNodes(ns xpath.NodeSet) string { return serialize(ns, refSize, writeRef) }
+func SerializeNodes(ns xpath.NodeSet) string {
+	return serialize(ns, refNode, xpath.NodeRef.StringValue)
+}
 
 // serialize sizes the text with one walk of the result and writes it with
-// a second, into a buffer allocated once.
-func serialize[T any](items []T, size func(T) int, write func(*strings.Builder, T)) string {
+// a second, into a buffer allocated once at that size. A node is rendered
+// once: a node item inside the last node rendered whole — below it, or it
+// again — is a copy of its span in that rendering, which the sizing walk
+// records (tree.Node.XMLSpans) when the item after a node lies inside it,
+// and the writing walk copies from the builder's own earlier bytes; the
+// capacity never moves, so they stay where they were written. Nodes
+// outside the last rendered one — of another document, or a sequence out
+// of document order — are rendered item by item, to the same bytes; an
+// attribute or an atomic value is written as its text.
+func serialize[T any](items []T, node func(T) (tree.Node, bool), text func(T) string) string {
+	var r renderer
 	n := max(len(items)-1, 0) // the newlines
-	for _, it := range items {
-		n += size(it)
+	for i, it := range items {
+		if m, ok := node(it); !ok {
+			n += len(text(it))
+		} else if sp, ok := r.within(m); ok {
+			n += int(sp.End - sp.Start)
+		} else {
+			n += r.measure(m, nextWithin(items, i, node, m))
+		}
 	}
 	var sb strings.Builder
 	sb.Grow(n)
+	r.last, r.spans = tree.Node{}, nil
 	for i, it := range items {
 		if i > 0 {
 			sb.WriteByte('\n')
 		}
-		write(&sb, it)
+		if m, ok := node(it); !ok {
+			sb.WriteString(text(it))
+		} else if sp, ok := r.within(m); ok {
+			sb.WriteString(sb.String()[r.at+int(sp.Start) : r.at+int(sp.End)])
+		} else {
+			r.render(m, sb.Len(), nextWithin(items, i, node, m))
+			m.AppendXML(&sb)
+		}
 	}
 	return sb.String()
 }
 
-func itemSize(it Item) int {
+// renderer is what serialize knows of the last node it rendered whole.
+type renderer struct {
+	last  tree.Node
+	at    int         // where last's rendering starts in the output
+	spans []tree.Span // its records' spans in that rendering, if recorded
+	// recorded holds the spans of every node measure recorded, in item
+	// order, each allocated at its size; taken counts those render has
+	// taken back.
+	recorded [][]tree.Span
+	taken    int
+}
+
+// within returns m's span in the last node's rendering, when it was
+// recorded and m lies inside the node.
+func (r *renderer) within(m tree.Node) (tree.Span, bool) {
+	k := int(m.Index() - r.last.Index())
+	if r.spans == nil || m.Doc() != r.last.Doc() || k < 0 || k >= len(r.spans) {
+		return tree.Span{}, false
+	}
+	return r.spans[k], true
+}
+
+// measure makes m the last node rendered whole and returns its size,
+// recording its spans if record.
+func (r *renderer) measure(m tree.Node, record bool) int {
+	r.last, r.spans = m, nil
+	if !record {
+		return m.XMLSize()
+	}
+	spans := make([]tree.Span, records(m))
+	size := m.XMLSpans(spans)
+	if size <= math.MaxInt32 { // a span holds 32-bit offsets
+		r.spans = spans
+	}
+	r.recorded = append(r.recorded, r.spans)
+	return size
+}
+
+// render makes m, written from the output's offset at, the last node
+// rendered whole, with the spans measure recorded for it if recorded.
+func (r *renderer) render(m tree.Node, at int, recorded bool) {
+	r.last, r.at, r.spans = m, at, nil
+	if recorded {
+		r.spans = r.recorded[r.taken]
+		r.taken++
+	}
+}
+
+// nextWithin reports whether the item after the i-th is a node inside m:
+// only then is m's rendering worth recording.
+func nextWithin[T any](items []T, i int, node func(T) (tree.Node, bool), m tree.Node) bool {
+	if i+1 == len(items) {
+		return false
+	}
+	next, ok := node(items[i+1])
+	return ok && next.Doc() == m.Doc() && next.Index() >= m.Index() && next.Index() <= m.LastDescendant().Index()
+}
+
+// records is the number of records in m's subtree.
+func records(m tree.Node) int { return int(m.LastDescendant().Index()-m.Index()) + 1 }
+
+// itemNode and refNode return the tree node an item is, if it is one
+// written as XML: not an attribute, which is written as its value.
+func itemNode(it Item) (tree.Node, bool) {
 	if r, ok := it.(xpath.NodeRef); ok {
-		return refSize(r)
+		return refNode(r)
 	}
-	return len(atomicString(it))
+	return tree.Node{}, false
 }
 
-func writeItem(sb *strings.Builder, it Item) {
-	if r, ok := it.(xpath.NodeRef); ok {
-		writeRef(sb, r)
-	} else {
-		sb.WriteString(atomicString(it))
-	}
-}
-
-// A node item is written as its XML, an attribute node as its value.
-func refSize(r xpath.NodeRef) int {
-	if r.IsAttr() {
-		return len(r.StringValue())
-	}
-	return r.N().XMLSize()
-}
-
-func writeRef(sb *strings.Builder, r xpath.NodeRef) {
-	if r.IsAttr() {
-		sb.WriteString(r.StringValue())
-	} else {
-		r.N().AppendXML(sb)
-	}
-}
+func refNode(r xpath.NodeRef) (tree.Node, bool) { return r.N(), !r.IsAttr() }

@@ -122,9 +122,12 @@ func TestSerializedPinnedOnQ10(t *testing.T) { checkPinned(t, 0.01, 42, q10Seria
 func TestSerializedPinnedOnAll43(t *testing.T) { checkPinned(t, 0.003, 1, allSerialized) }
 
 // TestEvaluateAllocs holds the two allocation patterns the evaluator shed:
-// QP13 renders 6× its input and may allocate three times what it renders,
-// not seven (the node-set, its copy, and the text written once at its
-// size, against a buffer that doubled its way there); QM07 counts three
+// QP13 renders 6× its input and may allocate 1.25 times what it renders,
+// not seven: the text, written once at its size into one buffer; the
+// node-set, built at its size — node() passes every record of the range
+// it walks — and copied out once; and the spans of the six children of
+// site, in whose renderings every other node of the answer is found and
+// copied, not rendered again (xquery.serialize). QM07 counts three
 // //name, each one fused walk and not a 23 000-node set built, copied and
 // sorted, with a slice per context node for the child step after it.
 func TestEvaluateAllocs(t *testing.T) {
@@ -147,7 +150,8 @@ func TestEvaluateAllocs(t *testing.T) {
 	}
 	res, bytes, allocs := measure("QP13")
 	t.Logf("QP13: %d bytes in %d allocations to render %d bytes", bytes, allocs, len(res.Serialized))
-	if bytes > 3*uint64(len(res.Serialized)) {
+	// The race detector's instrumentation allocates beside the answer.
+	if bytes > uint64(len(res.Serialized))*5/4 && !raceEnabled {
 		t.Errorf("QP13 allocated %d bytes to render %d", bytes, len(res.Serialized))
 	}
 	_, bytes, allocs = measure("QM07")

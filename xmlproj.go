@@ -524,6 +524,25 @@ func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOpt
 	return prune.Stream(dst, src, p.d, p.pr.Names, p.streamOpts(opts))
 }
 
+// LoadProjected prunes the document read from src and loads what the
+// projector keeps in the same pass (§6: pruning "fused with parsing"):
+// the kept nodes go straight into the document's table, so the input is
+// never resident and the pruned document is neither rendered nor
+// tokenised again. The document, verdict and error are those of
+// ParseXMLBytes on what PruneStreamOpts writes, at both levels of
+// checking, and the stats are PruneStreamOpts's: BytesOut is the length
+// it would have written. A reader holding its input in memory (an
+// InputBytes() []byte method, as an mmap'd file has) is pruned in place;
+// any other is read through the scanner's buffer, so a single token
+// longer than MaxTokenSize fails the load.
+func (p *Projector) LoadProjected(src io.Reader, opts StreamOptions) (*Document, PruneStats, error) {
+	t, st, err := prune.Load(src, p.d, p.pr.Names, p.streamOpts(opts))
+	if err != nil {
+		return nil, st, err
+	}
+	return &Document{t: t}, st, nil
+}
+
 // PruneResult is the span-gather outcome of PruneGather: the pruned
 // output described as spans over the caller's input plus a small
 // buffer of synthesized bytes. Nothing is copied until WriteTo, which
