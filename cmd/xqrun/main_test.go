@@ -262,3 +262,77 @@ func TestRunPrunedInputNeverResident(t *testing.T) {
 		t.Errorf("xqrun -prune allocated %d bytes on a %d-byte input, want less than half", allocated, len(doc))
 	}
 }
+
+// TestRunInputSources: the direct arm maps a regular file of 64 KiB or
+// more and reads anything else whole — a short file, a pipe — and all
+// three print the same answer; an empty or a missing file fails as it did
+// when the file was read with os.ReadFile.
+func TestRunInputSources(t *testing.T) {
+	_, big, doc := xmarkSetup(t)
+	_, small := setup(t)
+	if len(doc) < 64<<10 {
+		t.Fatalf("a %d-byte document is not mapped", len(doc))
+	}
+	answer := func(path string) (string, error) {
+		var out, errBuf bytes.Buffer
+		err := run([]string{"-q", "count(//*)", "-in", path}, &out, &errBuf)
+		return out.String(), err
+	}
+	for name, c := range map[string]struct {
+		path string
+		src  []byte
+	}{"mapped": {big, doc}, "short, read": {small, []byte(testDoc)}} {
+		want, err := xmlproj.ParseXMLBytes(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, _ := xmlproj.Compile("count(//*)")
+		res, err := q.Evaluate(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := answer(c.path); err != nil || got != res.Serialized+"\n" {
+			t.Errorf("%s: %q, %v; want %q", name, got, err, res.Serialized)
+		}
+		if name == "mapped" {
+			pipeAnswer(t, doc, answer, res.Serialized+"\n")
+		}
+	}
+
+	empty := filepath.Join(t.TempDir(), "empty.xml")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.xml")
+	for path, want := range map[string]string{
+		empty:   "tree: parse: no root element in input",
+		missing: "open " + missing + ": no such file or directory",
+	} {
+		if _, err := answer(path); err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %q", path, err, want)
+		}
+	}
+}
+
+// pipeAnswer runs answer on the read end of a pipe that doc is written to:
+// a file that is not regular, read whole.
+func pipeAnswer(t *testing.T, doc []byte, answer func(string) (string, error), want string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	path := "/dev/fd/" + strconv.Itoa(int(r.Fd()))
+	if _, err := os.Stat(path); err != nil {
+		w.Close()
+		t.Skipf("no %s on this system", path)
+	}
+	go func() {
+		w.Write(doc)
+		w.Close()
+	}()
+	if got, err := answer(path); err != nil || got != want {
+		t.Errorf("pipe: %q, %v; want %q", got, err, want)
+	}
+}

@@ -1,9 +1,18 @@
 // Package mmapio maps regular files into memory for zero-read-copy
-// pruning. Open returns the file's content as a byte slice: on Linux a
-// read-only private mapping, elsewhere (or when mapping is not worth
-// it, or fails) a plain os.ReadFile. Either way the caller gets the
-// whole file as one slice suitable for the in-memory prune paths; the
-// distinction only matters for how the bytes arrived.
+// pruning and loading. Open returns the file's content as a byte slice:
+// on Linux a read-only private mapping, elsewhere (or when mapping is not
+// worth it, or fails) a plain os.ReadFile. Either way the caller gets the
+// whole file as one slice suitable for the in-memory prune and load
+// paths; the distinction only matters for how the bytes arrived.
+//
+// Two workloads run through it: cli_large (xmlprune on one file) and
+// answer_direct (xqrun's load, and ParseXMLFile's). In a cold process a
+// copy writes a fresh page for every 4 KiB of input, 2.6–2.9 µs each on
+// a 2-vCPU host, where the mapping reads the page cache in place: xqrun
+// on the 2 MB XMark document, 40 alternating pairs against os.ReadFile,
+// answered QM06 in 16.32 ms against 17.13 (29 wins) and
+// /site/people/person/name in 16.02 against 17.46 (34 wins), with 1 373
+// minor faults against 1 864.
 package mmapio
 
 import "os"

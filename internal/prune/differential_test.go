@@ -336,6 +336,8 @@ var insideDiscard = []struct {
 	{"EOF inside", `<year><a>`, false},
 	{"< in an attribute value", `<year><a x="<"/></year>`, false},
 	{"closed by the wrong name", `<year>1</yeer>`, false},
+	{"repeated attribute", `<year><y a="1" b="2" a="3"/></year>`, true},
+	{"repeated attribute on the discarded element", `<year a="1" a='1'>1</year>`, true},
 }
 
 func insideDiscardDoc(year string) string {
@@ -345,7 +347,7 @@ func insideDiscardDoc(year string) string {
 	return `<bib><book isbn="1"><title>T</title><author>A</author>` + year + `</book><book isbn="2"><title>U</title><author>B</author></book></bib>`
 }
 
-// TestValidateLevelsInsideDiscard: the twelve documents are accepted or
+// TestValidateLevelsInsideDiscard: the fourteen documents are accepted or
 // rejected as listed, by name, at each level — identically by every
 // engine, every source and every fused projector (runBoth, checkMulti).
 func TestValidateLevelsInsideDiscard(t *testing.T) {
@@ -409,8 +411,39 @@ func TestTextOutsideRootRejected(t *testing.T) {
 	}
 }
 
+// TestRepeatedAttributeRejected: a start tag that spells an attribute
+// name twice (XML 1.0 §3.1, Unique Att Spec) fails on every route, at
+// both levels, and in the loader, with one message. Names are compared by
+// their local part, the one name the data model keeps, so p:x beside q:x
+// or x is a repeat too; a namespace declaration's name is compared as
+// written, so xmlns:x beside x is not. The tags are the root's, which
+// every projector keeps and so reads.
+func TestRepeatedAttributeRejected(t *testing.T) {
+	docs := []string{`<a x="1" x="2"><b>1</b></a>`, `<a x="1" p:x="2"><b>1</b></a>`, `<a p:x="1" q:x="2"><b>1</b></a>`,
+		`<a xmlns="u" xmlns='u'><b>1</b></a>`}
+	checkDocumentLevel(t, "attribute x repeated", docs[:3]...)
+	checkDocumentLevel(t, "attribute xmlns repeated", docs[3])
+	for _, doc := range docs {
+		if _, err := tree.ParseBytes([]byte(doc)); err == nil || !strings.Contains(err.Error(), " repeated in element") {
+			t.Errorf("the loader: %q: %v", doc, err)
+		}
+	}
+	ok := `<a><b xmlns:x="u" x="1" xmlns="v" p:xmlns="w">1</b></a>`
+	if _, err := tree.ParseBytes([]byte(ok)); err != nil {
+		t.Errorf("the loader: %q: %v", ok, err)
+	}
+	d, pi := documentLevelGrammar(t)
+	for name, run := range documentLevelRoutes(t, d, pi) {
+		for _, validate := range []bool{false, true} {
+			if err := run(ok, validate); err != nil {
+				t.Errorf("%s, validate=%v: %q: %v", name, validate, ok, err)
+			}
+		}
+	}
+}
+
 func documentLevelGrammar(t *testing.T) (*dtd.DTD, dtd.NameSet) {
-	d, err := dtd.ParseString(`<!ELEMENT a (b*, c?)> <!ELEMENT b (#PCDATA)> <!ATTLIST b x CDATA #IMPLIED> <!ELEMENT c (#PCDATA)>`, "a")
+	d, err := dtd.ParseString(`<!ELEMENT a (b*, c?)> <!ATTLIST a x CDATA #IMPLIED> <!ELEMENT b (#PCDATA)> <!ATTLIST b x CDATA #IMPLIED> <!ELEMENT c (#PCDATA)>`, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,6 +551,9 @@ func TestScannerMalformed(t *testing.T) {
 		twoRoots[:len(twoRoots)-6] + `<year>2</year>`, // a second root π discards
 		twoRoots[:len(twoRoots)-6] + `junk`,           // text after the root
 		`junk` + twoRoots[:len(twoRoots)-6],           // text before the root
+		`<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`,    // a kept attribute repeated
+		`<bib><book isbn="1"><title a="1" a="1">T</title><author>A</author></book></bib>`, // an undeclared one
+		`<bib><book isbn="1" x:isbn="2" isbn='3'><title>T</title><author>A</author></book></bib>`,
 	}
 	for _, src := range cases {
 		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
@@ -834,6 +870,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		f.Fatal(err)
 	}
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
+	all := everyName(d)
 	f.Add(bibDoc, uint16(0))
 	f.Add(`<bib><book isbn="1"><title>T</title><author>A</author></book></bib>`, uint16(7))
 	f.Add(`<?xml version="1.0"?><bib><!--c--><book isbn="&lt;"><title><![CDATA[x]]></title></book></bib>`, uint16(3))
@@ -886,6 +923,12 @@ func FuzzStreamDifferential(f *testing.F) {
 	// Text outside the root, after and before it: rejected at both levels.
 	f.Add(twoRoots[:len(twoRoots)-6]+`junk`, uint16(4))
 	f.Add(`junk`+twoRoots[:len(twoRoots)-6], uint16(2))
+	// A repeated attribute name, kept, dropped by π and inside a
+	// discarded subtree (Validate only), and two names with one local part.
+	f.Add(`<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`, uint16(3))
+	f.Add(`<bib><book isbn="1"><title a="1" a="2">T</title><author>A</author></book></bib>`, uint16(8))
+	f.Add(`<bib><book isbn="1"><title>T</title><author>A</author><year y="1" y="2"/></book></bib>`, uint16(5))
+	f.Add(`<bib><book isbn="1" p:isbn="2"><title>T</title><author>A</author></book></bib>`, uint16(2))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-1], uint16(7))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-2], uint16(6))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
@@ -901,6 +944,7 @@ func FuzzStreamDifferential(f *testing.F) {
 		checkOracle(t, src, d, pi, false, sb.String(), sst, serr)
 		checkSources(t, src, d, pi, false, sb.String(), sst, serr)
 		checkLoad(t, src, d, pi, false, sb.String(), sst, serr)
+		checkTop(t, src, d, all)
 		// The shared-scan multi-pruner must agree per projector with
 		// serial gathers on whatever the fuzzer found — verdicts, bytes
 		// and stats, with and without validation (without, a projector
@@ -1109,4 +1153,81 @@ func TestFixedAttributeValidated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// everyName is π = ⊤ for d: every element, text and attribute name.
+func everyName(d *dtd.DTD) dtd.NameSet {
+	all := dtd.NewNameSet(d.Names()...)
+	for _, n := range d.Names() {
+		if def := d.Def(n); !def.Text {
+			for _, a := range def.Atts {
+				all.Add(a.Name)
+			}
+		}
+	}
+	return all
+}
+
+// checkTop holds the walker to the pruner with π = ⊤ (ROADMAP 6(c): the
+// pruner did not replace the walker, it is 1.75–1.9× slower, so the two
+// stay and are held together): on a document valid for d, Load with every
+// name builds what tree.ParseBytes builds, at both levels. Anything else
+// is outside the claim and skipped; checkTop reports whether it compared.
+func checkTop(t *testing.T, src string, d *dtd.DTD, all dtd.NameSet) bool {
+	t.Helper()
+	if _, err := Stream(io.Discard, strings.NewReader(src), d, all, StreamOptions{Validate: true, Engine: EngineScanner}); err != nil {
+		return false
+	}
+	want, err := tree.ParseBytes([]byte(src))
+	if err != nil {
+		t.Fatalf("a valid document does not load: %v\ninput: %q", err, src)
+	}
+	for _, validate := range []bool{false, true} {
+		got, _, err := Load(strings.NewReader(src), d, all, StreamOptions{Validate: validate})
+		switch {
+		case err != nil:
+			t.Fatalf("pruner(⊤) (validate=%v) rejects a valid document: %v\ninput: %q", validate, err, src)
+		case got.NumNodes() != want.NumNodes() || !tree.Equal(got.Root(), want.Root()) || got.XML() != want.XML():
+			t.Fatalf("pruner(⊤) (validate=%v) built another document\npruner: %q\nwalker: %q\ninput: %q", validate, got.XML(), want.XML(), src)
+		}
+	}
+	return true
+}
+
+// TestWalkerIsPrunerOfEveryName runs checkTop on the differential corpus:
+// the fixed bib documents, random documents of a grammar with attributes
+// and mixed content, and an XMark document.
+func TestWalkerIsPrunerOfEveryName(t *testing.T) {
+	d := mustDTD(t)
+	all := everyName(d)
+	valid := 0
+	for _, doc := range fixedBibDocs {
+		if checkTop(t, doc, d, all) {
+			valid++
+		}
+	}
+	r, err := dtd.ParseString(`
+<!ELEMENT s (a*, b?)>
+<!ELEMENT a (c, d*)>
+<!ATTLIST a id CDATA #REQUIRED kind (x|y) "x">
+<!ELEMENT b (#PCDATA | c)*>
+<!ELEMENT c (#PCDATA)>
+<!ELEMENT d (a?, c?)>
+`, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := int64(0); trial < 40; trial++ {
+		if checkTop(t, gen.New(r, trial, gen.Options{MaxDepth: 6}).Document().XML(), r, everyName(r)) {
+			valid++
+		}
+	}
+	x := xmark.DTD()
+	if checkTop(t, xmark.NewGenerator(0.002, 23).Document().XML(), x, everyName(x)) {
+		valid++
+	}
+	if valid < 40 {
+		t.Errorf("only %d documents of the corpus are valid for their DTD", valid)
+	}
+	t.Logf("%d documents compared", valid)
 }

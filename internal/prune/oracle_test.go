@@ -54,10 +54,27 @@ var (
 	escapeAttr = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#13;")
 )
 
-// decode is the encoding/xml pruner. It does not flush bw.
+// decode is the encoding/xml pruner. It does not flush bw. encoding/xml
+// does not check XML 1.0's Unique Att Spec, so decode does, on every
+// start tag, kept or skipped, with the names read off the tag's bytes
+// (repeatedAttr).
 func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validate bool) (Stats, error) {
 	var stats Stats
-	dec := xml.NewDecoder(src)
+	data, err := io.ReadAll(src)
+	if err != nil {
+		return stats, err
+	}
+	dec := xml.NewDecoder(bytes.NewReader(data))
+	token := func() (xml.Token, error) {
+		at := dec.InputOffset()
+		tok, err := dec.Token()
+		if _, ok := tok.(xml.StartElement); ok && err == nil {
+			if name := repeatedAttr(data[at:dec.InputOffset()]); name != "" {
+				return nil, fmt.Errorf("attribute %s repeated", name)
+			}
+		}
+		return tok, err
+	}
 
 	type frame struct {
 		name  dtd.Name
@@ -108,7 +125,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 
 	for {
 		at := dec.InputOffset()
-		tok, err := dec.Token()
+		tok, err := token()
 		if err == io.EOF {
 			break
 		}
@@ -146,7 +163,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				// The skipped subtree still counts as validated only
 				// shallowly; the paper's pruner behaves the same way
 				// (discarded data is not needed, hence not checked deeply).
-				if err := skipSubtree(dec, &stats, validate); err != nil {
+				if err := skipSubtree(token, &stats, validate); err != nil {
 					return stats, err
 				}
 				continue
@@ -219,7 +236,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 // when validating, the logical text nodes scanned past (Stats defines
 // TextIn and TextSkipped that way for every engine). Nothing is
 // materialised; memory stays constant.
-func skipSubtree(dec *xml.Decoder, stats *Stats, countText bool) error {
+func skipSubtree(token func() (xml.Token, error), stats *Stats, countText bool) error {
 	depth := 1
 	// pending is true while a non-whitespace text run is open; runs merge
 	// across comments and PIs, matching the main loop and the tree parser.
@@ -232,7 +249,7 @@ func skipSubtree(dec *xml.Decoder, stats *Stats, countText bool) error {
 		pending = false
 	}
 	for depth > 0 {
-		tok, err := dec.Token()
+		tok, err := token()
 		if err != nil {
 			return err
 		}
@@ -335,4 +352,36 @@ func hasAttr(attrs []xml.Attr, name string) bool {
 		}
 	}
 	return false
+}
+
+// repeatedAttr returns an attribute name that the start tag raw, as the
+// decoder accepted it, spells twice, or "": a namespace declaration's name
+// as written, any other's local part (the data model drops prefixes). The
+// decoder has resolved prefixes by then, so the names are read off the
+// bytes.
+func repeatedAttr(raw []byte) string {
+	i := bytes.IndexAny(raw, " \t\r\n") // past '<' and the element name
+	if i < 0 {
+		return ""
+	}
+	seen := map[string]bool{}
+	for raw = raw[i:]; ; {
+		raw = bytes.TrimLeft(raw, " \t\r\n")
+		eq := bytes.IndexByte(raw, '=')
+		if eq < 0 {
+			return "" // only "/>" or ">" is left
+		}
+		name := string(bytes.TrimRight(raw[:eq], " \t\r\n"))
+		if prefix, local, ok := strings.Cut(name, ":"); ok && prefix != "" && local != "" && prefix != "xmlns" && local != "xmlns" {
+			name = local
+		}
+		if seen[name] {
+			return name
+		}
+		seen[name] = true
+		raw = bytes.TrimLeft(raw[eq+1:], " \t\r\n")
+		quote := raw[0]
+		raw = raw[1:]
+		raw = raw[bytes.IndexByte(raw, quote)+1:]
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/tree"
 )
 
 // TestStreamContextCancelled: a cancelled context aborts the prune
@@ -196,6 +197,26 @@ func TestStreamChosenEngine(t *testing.T) {
 					if out != ref.String() || st != refStats {
 						t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats)
 					}
+				}
+			}
+		}
+	}
+
+	// A repeated attribute name is malformed on every row, at both levels,
+	// in the loader's words.
+	const repeated = "attribute isbn repeated in element"
+	dup := `<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`
+	if _, err := tree.ParseBytes([]byte(dup)); err == nil || !strings.Contains(err.Error(), repeated) {
+		t.Errorf("the loader: %v, want %q", err, repeated)
+	}
+	for _, src := range sources {
+		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
+			if !hasRow[eng](src.resident, src.to) {
+				continue
+			}
+			for _, validate := range []bool{false, true} {
+				if _, _, err := src.run(dup, StreamOptions{Engine: eng, Validate: validate}); err == nil || !strings.Contains(err.Error(), repeated) {
+					t.Errorf("%s, %s, validate=%v: %v, want %q", src.name, eng, validate, err, repeated)
 				}
 			}
 		}

@@ -184,14 +184,7 @@ func TestValidatorsAgree(t *testing.T) {
 	rejected := make(map[string]int)
 	for seed := int64(0); seed < rounds; seed++ {
 		d := gen.RandomDTD(seed, gen.DTDOptions{Elements: 8, AllowRecursion: seed%3 == 0, AttrChance: 60, TypedAttrs: true})
-		all := dtd.NewNameSet(d.Names()...)
-		for _, n := range d.Names() {
-			if def := d.Def(n); !def.Text {
-				for _, a := range def.Atts {
-					all.Add(a.Name)
-				}
-			}
-		}
+		all := everyName(d)
 		// verdict asks all three and fails the test when they differ.
 		verdict := func(label, src string) bool {
 			t.Helper()

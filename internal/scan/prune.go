@@ -419,6 +419,7 @@ type pruner struct {
 	attrBuf  []byte // shared canonical attr / escaped text / end-tag scratch
 	attrVal  []byte // decoded attribute value / discard scratch
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
+	spelt    spelt  // the attribute names of the tag being read
 	prefixes map[string]string
 
 	// skipNames are the full names of the discarded elements the skip
@@ -869,6 +870,7 @@ func (pr *pruner) startTag() error {
 	}
 
 	empty := false
+	pr.spelt = pr.spelt[:0]
 	for {
 		preSpace := s.pos - s.mark
 		s.space()
@@ -898,7 +900,7 @@ func (pr *pruner) startTag() error {
 		// attrCanon tracks whether this attribute's raw bytes (from
 		// preSpace) are already its canonical rendering — a projector-
 		// independent property of the input.
-		aprefix, alocal, val, attrCanon, err := s.attr(pr.attrVal[:0])
+		aprefix, alocal, val, attrCanon, err := s.attr(pr.attrVal[:0], &pr.spelt)
 		pr.attrVal = val
 		if err != nil {
 			return err

@@ -1061,15 +1061,114 @@ func (s *Scanner) endName() (name, prefix, local []byte, spaced bool, err error)
 	return name, prefix, local, spaced, nil
 }
 
+// spelt is the attribute names a start tag has spelt so far, as offsets
+// from the mark, which pins the tag while it is read. XML 1.0 §3.1 (WFC
+// Unique Att Spec) forbids a name written twice, and the data model,
+// which drops prefixes, has no place for p:x beside q:x or x: an
+// attribute's name is compared by its local part, a namespace
+// declaration's (isXMLNSAttr) as written.
+type spelt []int
+
+// add records the attribute name at the mark-relative [lo, hi), split as
+// prefix and local, and reports a repeat, in the same words on every
+// route that reads attribute names.
+func (sp *spelt) add(s *Scanner, lo, hi int, prefix, local []byte) error {
+	if !isXMLNSAttr(prefix, local) {
+		lo = hi - len(local)
+	}
+	name := s.buf[s.mark+lo : s.mark+hi]
+	for i := 0; i < len(*sp); i += 2 {
+		if string(s.buf[s.mark+(*sp)[i]:s.mark+(*sp)[i+1]]) == string(name) {
+			return errRepeatedAttr(name)
+		}
+	}
+	*sp = append(*sp, lo, hi)
+	return nil
+}
+
+func errRepeatedAttr(name []byte) error {
+	return errSyntax("attribute " + string(name) + " repeated in element")
+}
+
+// plainTag is the tag kernel: with the scanner just past a '<', it
+// consumes a start or empty-element tag when all of it is plain — a
+// plainName, then per attribute exactly one space, a plainName, '=', a
+// quote and a value plainChunk takes whole, then '>' or "/>" — and no
+// attribute name repeats. It returns the tag's name and appends its
+// attributes to attrs, all views of the buffer, leaving out the namespace
+// declaration xmlns as isXMLNSAttr does. Anything else is refused, nothing
+// consumed, for markup, qname and attr to take from the same byte.
+func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, ok bool) {
+	start, out := s.pos, attrs
+	if !s.plainName() {
+		return nil, attrs, false, false
+	}
+	name = s.buf[start:s.pos]
+	xmlns := false
+	for s.pos+1 < s.end {
+		switch s.buf[s.pos] {
+		case '>':
+			s.pos++
+			return name, out, false, true
+		case '/':
+			if s.buf[s.pos+1] == '>' {
+				s.pos += 2
+				return name, out, true, true
+			}
+		case ' ':
+			s.pos++
+			at := s.pos
+			if !s.plainName() || s.pos+1 >= s.end || s.buf[s.pos] != '=' {
+				break
+			}
+			aname, q := s.buf[at:s.pos], s.buf[s.pos+1]
+			if q != '"' && q != '\'' {
+				break
+			}
+			s.pos += 2
+			val, _, plain := s.plainChunk(int(q))
+			if !plain {
+				break
+			}
+			if isXMLNSAttr(nil, aname) {
+				if !xmlns {
+					xmlns = true
+					continue
+				}
+				break
+			}
+			if repeated(out[len(attrs):], aname) {
+				break
+			}
+			out = append(out, Attr{Name: aname, Value: val})
+			continue
+		}
+		break
+	}
+	s.pos = start
+	return nil, attrs, false, false
+}
+
+// repeated reports whether name is one of attrs' names.
+func repeated(attrs []Attr, name []byte) bool {
+	for _, a := range attrs {
+		if string(a.Name) == string(name) {
+			return true
+		}
+	}
+	return false
+}
+
 // attr tokenises one attribute — name, '=', quoted value — with the
-// scanner on the name's first byte and a mark held at or before it. The
-// decoded value is appended to val. prefix and local are the split name,
-// views of the buffer valid until the next read (they are derived after
-// the value, whose decode may slide the buffer). canon reports that the
-// attribute's input bytes are already its canonical rendering
-// local="value": no prefix, nothing around the '=', double quotes and a
-// verbatim value.
-func (s *Scanner) attr(val []byte) (prefix, local, out []byte, canon bool, err error) {
+// scanner on the name's first byte and a mark held at or before it,
+// pinning the tag; a name the tag has spelt already (seen) is an error.
+// The decoded value is appended to val. prefix and local are the split
+// name, views of the buffer valid until the next read (they are sliced
+// again after the value, whose decode may slide the buffer). canon
+// reports that the attribute's input bytes are already its canonical
+// rendering local="value": no prefix, nothing around the '=', double
+// quotes and a verbatim value.
+func (s *Scanner) attr(val []byte, seen *spelt) (prefix, local, out []byte, canon bool, err error) {
 	out = val
 	nameRel := s.pos - s.mark
 	plain := s.plainName()
@@ -1085,6 +1184,17 @@ func (s *Scanner) attr(val []byte) (prefix, local, out []byte, canon bool, err e
 		}
 	}
 	nameEnd := s.pos - s.mark
+	local = s.buf[s.mark+nameRel : s.mark+nameEnd]
+	if !plain {
+		var ok bool
+		if prefix, local, ok = splitName(local); !ok {
+			return nil, nil, out, false, errSyntax("expected attribute name in element")
+		}
+	}
+	if err = seen.add(s, nameRel, nameEnd, prefix, local); err != nil {
+		return nil, nil, out, false, err
+	}
+	prefixLen, localLen := len(prefix), len(local)
 	s.space()
 	spaced := s.pos-s.mark != nameEnd
 	b, ok := s.getc()
@@ -1114,11 +1224,8 @@ func (s *Scanner) attr(val []byte) (prefix, local, out []byte, canon bool, err e
 	} else if out, info, err = s.text(val, int(qb), false); err != nil {
 		return nil, nil, out, false, err
 	}
-	local = s.buf[s.mark+nameRel : s.mark+nameEnd]
-	if !plain {
-		if prefix, local, ok = splitName(local); !ok {
-			return nil, nil, out, false, errSyntax("expected attribute name in element")
-		}
-	}
-	return prefix, local, out, !spaced && qb == '"' && info.verbatim && len(prefix) == 0, nil
+	// The value's decode may have slid the buffer under the name.
+	prefix = s.buf[s.mark+nameRel : s.mark+nameRel+prefixLen]
+	local = s.buf[s.mark+nameEnd-localLen : s.mark+nameEnd]
+	return prefix, local, out, !spaced && qb == '"' && info.verbatim && prefixLen == 0, nil
 }

@@ -68,9 +68,13 @@ func (n *nameStack) reset() { n.buf, n.offs = n.buf[:0], n.offs[:0] }
 // closing '>' or '/>' — with syntax-level checks only, reporting
 // whether the element was self-closing. Attribute values are decoded
 // into scratch (their character content must still validate) and
-// discarded.
+// discarded. The tag is pinned while it is read, for the names to be
+// compared (spelt), so MaxTokenSize bounds it as it bounds a kept one.
 func (pr *pruner) skipAttrs() (empty bool, err error) {
 	s := pr.s
+	s.setMark()
+	defer s.clearMark()
+	pr.spelt = pr.spelt[:0]
 	for {
 		s.space()
 		b, ok := s.getc()
@@ -91,10 +95,12 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 			return false, nil
 		}
 		s.ungetc()
-		s.setMark()
-		_, _, _, err := s.qname("attribute name in element")
-		s.clearMark()
+		rel := s.pos - s.mark
+		_, prefix, local, err := s.qname("attribute name in element")
 		if err != nil {
+			return false, err
+		}
+		if err := pr.spelt.add(s, rel, s.pos-s.mark, prefix, local); err != nil {
 			return false, err
 		}
 		s.space()

@@ -41,8 +41,12 @@ type Handler interface {
 // element, no other text outside it and nothing left open; data is not
 // modified, and is not subject to MaxTokenSize (the cap bounds a sliding
 // buffer, and there is none here).
-func Walk(data []byte, h Handler) error {
-	w := walker{h: h}
+func Walk(data []byte, h Handler) error { return walk(data, h, false) }
+
+// walk is Walk; general sends every start tag the long way, past the tag
+// kernel, which is how the kernel is held to it (walk_test.go).
+func walk(data []byte, h Handler, general bool) error {
+	w := walker{h: h, general: general}
 	w.s.ResetBytes(data)
 	if err := w.s.checkEncoding(); err != nil {
 		return err
@@ -51,10 +55,14 @@ func Walk(data []byte, h Handler) error {
 }
 
 type walker struct {
-	s Scanner
-	h Handler
+	s       Scanner
+	h       Handler
+	general bool // no tag kernel
 
-	open    nameStack // an end tag must spell the innermost name
+	// open is the names of the open elements, innermost last, as views of
+	// the input, which stands still under ResetBytes: an end tag must spell
+	// the innermost one.
+	open    [][]byte
 	sawRoot bool
 
 	// The current text run's kept chunks: the first as view, a slice of
@@ -66,25 +74,39 @@ type walker struct {
 	vals  []byte // decoded attribute values of the current start tag
 	ends  []int  // ends[i] is where the i-th reported value ends in vals
 	attrs []Attr
+	seen  spelt
 }
 
+// run dispatches from each '<' or text byte. The input is resident, so a
+// token that ends inside the buffer is one that ends before EOF: a plain
+// end tag (closes), a plain start tag (plainTag) and a text chunk
+// (plainChunk) are read straight from the bytes, and whatever the kernels
+// refuse goes through markup, startTag and endTag from the same byte.
 func (w *walker) run() error {
 	s := &w.s
-	for {
+	for s.pos < s.end {
 		s.setMark()
-		b, ok := s.getc()
-		if !ok {
-			if !s.atEOF() {
-				return s.rerr
-			}
-			break
-		}
-		if b != '<' {
-			s.ungetc()
+		if s.buf[s.pos] != '<' {
 			if err := w.chunk(false); err != nil {
 				return err
 			}
 			continue
+		}
+		s.pos++
+		if s.pos < s.end && s.buf[s.pos] == '/' {
+			s.pos++
+			if err := w.endTag(); err != nil {
+				return err
+			}
+			continue
+		}
+		// A second root goes the long way, which reports it.
+		if !w.general && (len(w.open) > 0 || !w.sawRoot) {
+			if name, attrs, empty, ok := s.plainTag(w.attrs[:0]); ok {
+				w.attrs = attrs
+				w.element(name, name, attrs, empty)
+				continue
+			}
 		}
 		kind, err := s.markup()
 		if err != nil {
@@ -105,15 +127,15 @@ func (w *walker) run() error {
 	if !w.sawRoot {
 		return ErrNoRoot
 	}
-	if w.open.depth() != 0 {
-		return fmt.Errorf("unterminated element %s", w.open.top())
+	if len(w.open) != 0 {
+		return fmt.Errorf("unterminated element %s", w.open[len(w.open)-1])
 	}
 	return nil
 }
 
 // chunk reads one character-data chunk into the current text run.
 func (w *walker) chunk(cdata bool) error {
-	outside := w.open.depth() == 0
+	outside := len(w.open) == 0
 	if !cdata {
 		if chunk, info, ok := w.s.plainChunk(-1); ok {
 			switch {
@@ -158,23 +180,32 @@ func (w *walker) flushText() {
 	}
 }
 
-// startTag handles a start or empty-element tag; the mark is at its '<'.
+// element reports a start tag read whole, behind the text run it ends:
+// name as written, for its end tag to spell, and its local part.
+func (w *walker) element(name, local []byte, attrs []Attr, empty bool) {
+	w.flushText()
+	w.sawRoot = true
+	w.h.StartElement(local, attrs)
+	if empty {
+		w.h.EndElement()
+	} else {
+		w.open = append(w.open, name)
+	}
+}
+
+// startTag handles a start or empty-element tag the kernel refused; the
+// mark is at its '<'.
 func (w *walker) startTag() error {
 	s := &w.s
 	name, _, local, err := s.qname("element name after <")
 	if err != nil {
 		return err
 	}
-	w.flushText()
-	if w.open.depth() == 0 {
-		if w.sawRoot {
-			return fmt.Errorf("multiple root elements")
-		}
-		w.sawRoot = true
+	if len(w.open) == 0 && w.sawRoot {
+		return fmt.Errorf("multiple root elements")
 	}
-	w.open.push(name)
 
-	w.vals, w.ends, w.attrs = w.vals[:0], w.ends[:0], w.attrs[:0]
+	w.vals, w.ends, w.attrs, w.seen = w.vals[:0], w.ends[:0], w.attrs[:0], w.seen[:0]
 	empty := false
 	for {
 		s.space()
@@ -198,7 +229,7 @@ func (w *walker) startTag() error {
 		s.ungetc()
 		var prefix, alocal []byte
 		mark := len(w.vals)
-		prefix, alocal, w.vals, _, err = s.attr(w.vals)
+		prefix, alocal, w.vals, _, err = s.attr(w.vals, &w.seen)
 		if err != nil {
 			return err
 		}
@@ -206,9 +237,8 @@ func (w *walker) startTag() error {
 			w.vals = w.vals[:mark]
 			continue
 		}
-		// The names are views of the input, which stands still under
-		// ResetBytes; vals moves when it grows, so the values are sliced
-		// once the tag is read.
+		// The names are views of the input; vals moves when it grows, so
+		// the values are sliced once the tag is read.
 		w.attrs = append(w.attrs, Attr{Name: alocal})
 		w.ends = append(w.ends, len(w.vals))
 	}
@@ -217,18 +247,14 @@ func (w *walker) startTag() error {
 		w.attrs[i].Value = w.vals[off:end]
 		off = end
 	}
-	w.h.StartElement(local, w.attrs)
-	if empty {
-		w.h.EndElement()
-		w.open.pop()
-	}
+	w.element(name, local, w.attrs, empty)
 	return nil
 }
 
 // endTag handles an end tag; "</" is consumed.
 func (w *walker) endTag() error {
 	s := &w.s
-	if w.open.depth() == 0 || !closes(s, w.open.top()) {
+	if len(w.open) == 0 || !closes(s, w.open[len(w.open)-1]) {
 		name, _, _, err := s.qname("element name after </")
 		if err != nil {
 			return err
@@ -241,15 +267,15 @@ func (w *walker) endTag() error {
 		if b != '>' {
 			return errSyntax("invalid characters between </" + string(name) + " and >")
 		}
-		if w.open.depth() == 0 {
+		if len(w.open) == 0 {
 			return fmt.Errorf("unbalanced end element %s", name)
 		}
-		if open := w.open.top(); string(name) != string(open) {
+		if open := w.open[len(w.open)-1]; string(name) != string(open) {
 			return fmt.Errorf("element <%s> closed by </%s>", open, name)
 		}
 	}
 	w.flushText()
 	w.h.EndElement()
-	w.open.pop()
+	w.open = w.open[:len(w.open)-1]
 	return nil
 }

@@ -205,6 +205,18 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 				}
 			}
 		}, []want{{422, ""}, {422, "bypass"}, {422, ""}, {422, "bypass"}}},
+		{"422 on a repeated attribute", Options{}, func(t *testing.T, ts *httptest.Server) {
+			// A tag that spells one attribute name twice is malformed at
+			// both levels, sized or chunked.
+			dup := strings.Replace(bibDoc, "<book>", `<book x="1" x="2">`, 1)
+			for _, url := range []string{titles, titles + "&validate=1"} {
+				for _, body := range []io.Reader{strings.NewReader(dup), chunked(dup)} {
+					if resp := do(t, "POST", ts.URL+url, body); resp.StatusCode != http.StatusUnprocessableEntity {
+						t.Errorf("%s: status %d, want 422", url, resp.StatusCode)
+					}
+				}
+			}
+		}, []want{{422, ""}, {422, "bypass"}, {422, ""}, {422, "bypass"}}},
 		{"422 on text outside the root", Options{}, func(t *testing.T, ts *httptest.Server) {
 			// So is text that is not whitespace after the root, sized or
 			// chunked.

@@ -57,14 +57,27 @@ func TestLoadAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkParseBytes loads d3 as the benchmark writes it, on one line,
+// and indented: whitespace between the tags, which the one-line document
+// never has, goes through the text path and is dropped.
 func BenchmarkParseBytes(b *testing.B) {
 	src := bench.NewWorkload(0.03, 42).DocBytes
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.ParseBytes(src); err != nil {
-			b.Fatal(err)
-		}
+	doc, err := tree.ParseBytes(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		src  []byte
+	}{{"d3", src}, {"d3-indented", []byte(doc.IndentedXML())}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tree.ParseBytes(c.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

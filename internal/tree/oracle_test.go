@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -20,8 +21,11 @@ import (
 // the resolved namespace, so this loop drops every attribute carrying
 // such a prefix as if it were a declaration; Parse, like the pruner,
 // goes by the prefix as spelled.
-func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
-	dec := xml.NewDecoder(r)
+//
+// encoding/xml does not check XML 1.0's Unique Att Spec, so the loop does
+// (repeatedAttr).
+func parseOracle(src []byte) (doc *Document, nsNamed bool, err error) {
+	dec := xml.NewDecoder(bytes.NewReader(src))
 	dec.Strict = true
 	b := NewBuilder(0)
 	var open []string
@@ -44,6 +48,9 @@ func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if name := repeatedAttr(src[at:dec.InputOffset()]); name != "" {
+				return nil, nsNamed, fmt.Errorf("tree: parse: attribute %s repeated", name)
+			}
 			var attrs []scan.Attr
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
@@ -105,7 +112,7 @@ func parseOracle(r io.Reader) (doc *Document, nsNamed bool, err error) {
 // the loader to its sizing: the text buffer is allocated once, at the
 // input's length, and never grows.
 func diffOracle(src []byte) string {
-	want, nsNamed, werr := parseOracle(strings.NewReader(string(src)))
+	want, nsNamed, werr := parseOracle(src)
 	got, gerr := ParseBytes(src)
 	if (werr == nil) != (gerr == nil) {
 		return fmt.Sprintf("verdicts differ: oracle %v, loader %v", werr, gerr)
@@ -138,4 +145,36 @@ func diffOracle(src []byte) string {
 		return fmt.Sprintf("XML() differs:\nloader %q\noracle %q", g, w)
 	}
 	return ""
+}
+
+// repeatedAttr returns an attribute name that the start tag raw, as the
+// decoder accepted it, spells twice, or "": a namespace declaration's name
+// as written, any other's local part (the data model drops prefixes). The
+// decoder has resolved prefixes by then, so the names are read off the
+// bytes.
+func repeatedAttr(raw []byte) string {
+	i := bytes.IndexAny(raw, " \t\r\n") // past '<' and the element name
+	if i < 0 {
+		return ""
+	}
+	seen := map[string]bool{}
+	for raw = raw[i:]; ; {
+		raw = bytes.TrimLeft(raw, " \t\r\n")
+		eq := bytes.IndexByte(raw, '=')
+		if eq < 0 {
+			return "" // only "/>" or ">" is left
+		}
+		name := string(bytes.TrimRight(raw[:eq], " \t\r\n"))
+		if prefix, local, ok := strings.Cut(name, ":"); ok && prefix != "" && local != "" && prefix != "xmlns" && local != "xmlns" {
+			name = local
+		}
+		if seen[name] {
+			return name
+		}
+		seen[name] = true
+		raw = bytes.TrimLeft(raw[eq+1:], " \t\r\n")
+		quote := raw[0]
+		raw = raw[1:]
+		raw = raw[bytes.IndexByte(raw, quote)+1:]
+	}
 }
