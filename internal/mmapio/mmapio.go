@@ -6,7 +6,7 @@
 // paths; the distinction only matters for how the bytes arrived.
 //
 // Two workloads run through it: cli_large (xmlprune on one file) and
-// answer_direct (xqrun's load, and ParseXMLFile's). In a cold process a
+// answer_direct (xqrun's load). In a cold process a
 // copy writes a fresh page for every 4 KiB of input, 2.6–2.9 µs each on
 // a 2-vCPU host, where the mapping reads the page cache in place: xqrun
 // on the 2 MB XMark document, 40 alternating pairs against os.ReadFile,

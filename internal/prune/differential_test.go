@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
@@ -413,32 +416,122 @@ func TestTextOutsideRootRejected(t *testing.T) {
 
 // TestRepeatedAttributeRejected: a start tag that spells an attribute
 // name twice (XML 1.0 §3.1, Unique Att Spec) fails on every route, at
-// both levels, and in the loader, with one message. Names are compared by
-// their local part, the one name the data model keeps, so p:x beside q:x
-// or x is a repeat too; a namespace declaration's name is compared as
-// written, so xmlns:x beside x is not. The tags are the root's, which
-// every projector keeps and so reads.
+// both levels, and in the loader, with one message. Names are compared as
+// written, namespace declarations too, so x beside p:x, p:x beside q:x
+// and XHTML's lang beside xml:lang are no repeat and load, as before the
+// rule, as two attributes of one local name. The tags are the root's,
+// which every projector keeps and so reads.
 func TestRepeatedAttributeRejected(t *testing.T) {
-	docs := []string{`<a x="1" x="2"><b>1</b></a>`, `<a x="1" p:x="2"><b>1</b></a>`, `<a p:x="1" q:x="2"><b>1</b></a>`,
+	docs := []string{`<a x="1" x="2"><b>1</b></a>`, `<a p:x="1" p:x="2"><b>1</b></a>`,
 		`<a xmlns="u" xmlns='u'><b>1</b></a>`}
-	checkDocumentLevel(t, "attribute x repeated", docs[:3]...)
-	checkDocumentLevel(t, "attribute xmlns repeated", docs[3])
+	checkDocumentLevel(t, "attribute x repeated", docs[0])
+	checkDocumentLevel(t, "attribute p:x repeated", docs[1])
+	checkDocumentLevel(t, "attribute xmlns repeated", docs[2])
 	for _, doc := range docs {
 		if _, err := tree.ParseBytes([]byte(doc)); err == nil || !strings.Contains(err.Error(), " repeated in element") {
 			t.Errorf("the loader: %q: %v", doc, err)
 		}
 	}
-	ok := `<a><b xmlns:x="u" x="1" xmlns="v" p:xmlns="w">1</b></a>`
-	if _, err := tree.ParseBytes([]byte(ok)); err != nil {
-		t.Errorf("the loader: %q: %v", ok, err)
+	oks := []string{`<a><b xmlns:x="u" x="1" xmlns="v" p:xmlns="w">1</b></a>`, `<a x="1" p:x="2" q:x="3"><b>1</b></a>`}
+	for _, ok := range append(oks, `<html lang="en" xml:lang="en"><body/></html>`) {
+		if _, err := tree.ParseBytes([]byte(ok)); err != nil {
+			t.Errorf("the loader: %q: %v", ok, err)
+		}
 	}
 	d, pi := documentLevelGrammar(t)
 	for name, run := range documentLevelRoutes(t, d, pi) {
-		for _, validate := range []bool{false, true} {
-			if err := run(ok, validate); err != nil {
-				t.Errorf("%s, validate=%v: %q: %v", name, validate, ok, err)
+		for _, ok := range oks {
+			for _, validate := range []bool{false, true} {
+				if err := run(ok, validate); err != nil {
+					t.Errorf("%s, validate=%v: %q: %v", name, validate, ok, err)
+				}
 			}
 		}
+	}
+
+	// A projection writes attribute names without their prefixes, so one
+	// that keeps a@x cannot write x beside p:x: that is the data model's
+	// limit, reported as such, and only to the projectors that keep x.
+	const twice = "two attributes named x on a differ only by prefix, which the projection drops"
+	kx := dtd.NewNameSet("a", "a@x", "b", "b#text")
+	for name, run := range documentLevelRoutes(t, d, kx) {
+		if name == "shared scan" {
+			continue // below: the other projector keeps no x
+		}
+		for _, doc := range []string{`<a x="1" p:x="2"><b>1</b></a>`, `<a p:x="1" q:x="2"><b>1</b></a>`, `<a p:x="1" x="2"><b>1</b></a>`} {
+			for _, validate := range []bool{false, true} {
+				if err := run(doc, validate); err == nil || !strings.Contains(err.Error(), twice) {
+					t.Errorf("%s, validate=%v: %q: got %v, want %q", name, validate, doc, err, twice)
+				}
+			}
+		}
+		// Dropped names that differ only by prefix are written by nobody.
+		if doc := `<a p:y="1" q:y="2" p:x="3"><b>1</b></a>`; run(doc, false) != nil {
+			t.Errorf("%s: %q: %v", name, doc, run(doc, false))
+		}
+	}
+	gs, _, errs := StreamMultiGather([]byte(`<a x="1" p:x="2"><b>1</b></a>`), d, []dtd.NameSet{kx, pi}, MultiOptions{})
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), twice) || errs[1] != nil {
+		t.Errorf("shared scan: %v", errs)
+	}
+	for _, g := range gs {
+		if g != nil {
+			g.Close()
+		}
+	}
+}
+
+// TestWideTagIsLinear: a start tag of 100 000 distinct attribute names
+// is read in linear time — past its first few names spelt indexes them —
+// by the loader, by the pruner's kept path at both levels and by the
+// validating skip; and with its first name spelt again at the end it is
+// still rejected. Compared one by one, the names would cost about 5·10⁹
+// comparisons a read; the bound leaves a slow host and the race detector
+// room, and is far below that.
+func TestWideTagIsLinear(t *testing.T) {
+	const n = 100_000
+	var b strings.Builder
+	for i := range n {
+		b.WriteString(` a` + strconv.Itoa(i) + `=""`)
+	}
+	wide := b.String()
+	d, err := dtd.ParseString(`<!ELEMENT r (k?, s?)> <!ELEMENT k EMPTY> <!ELEMENT s EMPTY>`, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := dtd.NewNameSet("r", "k")
+	routes := []struct {
+		name, tag string
+		validate  bool
+	}{{"kept", "k", false}, {"discarded", "s", true}, {"discarded", "s", false}}
+	for _, dup := range []bool{false, true} {
+		attrs := wide
+		if dup {
+			attrs += ` a0="x"`
+		}
+		check := func(what string, err error) {
+			t.Helper()
+			if want := "attribute a0 repeated in element"; dup && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Errorf("%s, repeated: %v, want %q", what, err, want)
+			} else if !dup && err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+		}
+		start := time.Now()
+		_, err := tree.ParseBytes([]byte(`<r` + attrs + `/>`))
+		check("the loader", err)
+		for _, r := range routes {
+			if dup && r.tag == "s" && !r.validate {
+				continue // the lax skip reads no names
+			}
+			doc := `<r><` + r.tag + attrs + `/></r>`
+			_, err := Stream(io.Discard, strings.NewReader(doc), d, pi, StreamOptions{Validate: r.validate})
+			check(fmt.Sprintf("%s, validate=%v", r.name, r.validate), err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("dup=%v: the reads took %v", dup, took)
+		}
+		t.Logf("dup=%v: %v", dup, time.Since(start))
 	}
 }
 
@@ -554,6 +647,7 @@ func TestScannerMalformed(t *testing.T) {
 		`<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`,    // a kept attribute repeated
 		`<bib><book isbn="1"><title a="1" a="1">T</title><author>A</author></book></bib>`, // an undeclared one
 		`<bib><book isbn="1" x:isbn="2" isbn='3'><title>T</title><author>A</author></book></bib>`,
+		`<bib><book isbn="1" x:isbn="2" x:isbn='3'><title>T</title><author>A</author></book></bib>`,
 	}
 	for _, src := range cases {
 		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
@@ -629,18 +723,22 @@ func TestStreamMaxTokenSize(t *testing.T) {
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
 	big := `<bib><book isbn="1"><title>` + strings.Repeat("x", 100<<10) +
 		`</title><author>A</author></book></bib>`
-	var sb strings.Builder
-	_, err := Stream(&sb, strings.NewReader(big), d, pi,
-		StreamOptions{Engine: EngineScanner, MaxTokenSize: 64 << 10})
-	if !errors.Is(err, scan.ErrTokenTooLong) {
-		t.Fatalf("capped prune: want ErrTokenTooLong, got %v", err)
-	}
-	sb.Reset()
-	if _, err := Stream(&sb, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner}); err != nil {
-		t.Fatalf("default cap rejected a 100KiB token: %v", err)
-	}
-	if !strings.Contains(sb.String(), strings.Repeat("x", 100<<10)) {
-		t.Fatal("oversized token mangled in output")
+	// Twice: the second capped prune may get the pooled scanner whose
+	// buffer the uncapped one grew, and must be bounded all the same.
+	for round := 0; round < 2; round++ {
+		var sb strings.Builder
+		_, err := Stream(&sb, strings.NewReader(big), d, pi,
+			StreamOptions{Engine: EngineScanner, MaxTokenSize: 64 << 10})
+		if !errors.Is(err, scan.ErrTokenTooLong) {
+			t.Fatalf("round %d, capped prune: want ErrTokenTooLong, got %v", round, err)
+		}
+		sb.Reset()
+		if _, err := Stream(&sb, strings.NewReader(big), d, pi, StreamOptions{Engine: EngineScanner}); err != nil {
+			t.Fatalf("default cap rejected a 100KiB token: %v", err)
+		}
+		if !strings.Contains(sb.String(), strings.Repeat("x", 100<<10)) {
+			t.Fatal("oversized token mangled in output")
+		}
 	}
 }
 
@@ -924,11 +1022,13 @@ func FuzzStreamDifferential(f *testing.F) {
 	f.Add(twoRoots[:len(twoRoots)-6]+`junk`, uint16(4))
 	f.Add(`junk`+twoRoots[:len(twoRoots)-6], uint16(2))
 	// A repeated attribute name, kept, dropped by π and inside a
-	// discarded subtree (Validate only), and two names with one local part.
+	// discarded subtree (Validate only), two names with one local part,
+	// which is no repeat, and one prefixed name twice, which is.
 	f.Add(`<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`, uint16(3))
 	f.Add(`<bib><book isbn="1"><title a="1" a="2">T</title><author>A</author></book></bib>`, uint16(8))
 	f.Add(`<bib><book isbn="1"><title>T</title><author>A</author><year y="1" y="2"/></book></bib>`, uint16(5))
 	f.Add(`<bib><book isbn="1" p:isbn="2"><title>T</title><author>A</author></book></bib>`, uint16(2))
+	f.Add(`<bib><book isbn="1"><title p:a="1" p:a="2">T</title><author>A</author></book></bib>`, uint16(6))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-1], uint16(7))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-2], uint16(6))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {

@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/scan/scantest"
 )
 
 // The oracle: the encoding/xml pruner the byte-level scanner replaced,
@@ -57,7 +58,7 @@ var (
 // decode is the encoding/xml pruner. It does not flush bw. encoding/xml
 // does not check XML 1.0's Unique Att Spec, so decode does, on every
 // start tag, kept or skipped, with the names read off the tag's bytes
-// (repeatedAttr).
+// (scantest.RepeatedAttr, the one copy the loader's oracle shares).
 func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validate bool) (Stats, error) {
 	var stats Stats
 	data, err := io.ReadAll(src)
@@ -69,7 +70,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 		at := dec.InputOffset()
 		tok, err := dec.Token()
 		if _, ok := tok.(xml.StartElement); ok && err == nil {
-			if name := repeatedAttr(data[at:dec.InputOffset()]); name != "" {
+			if name := scantest.RepeatedAttr(data[at:dec.InputOffset()]); name != "" {
 				return nil, fmt.Errorf("attribute %s repeated", name)
 			}
 		}
@@ -274,6 +275,7 @@ func skipSubtree(token func() (xml.Token, error), stats *Stats, countText bool) 
 func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi dtd.NameSet, validate bool) error {
 	bw.WriteString("<")
 	bw.WriteString(tag)
+	var kept []string
 	for _, a := range attrs {
 		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 			continue
@@ -293,6 +295,12 @@ func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi
 		if !pi.Has(dtd.AttrName(def.Name, a.Name.Local)) {
 			continue
 		}
+		// The output drops prefixes, so two kept names that differ only
+		// by theirs would be written as one name twice.
+		if inList(kept, a.Name.Local) {
+			return fmt.Errorf("two attributes named %s on %s differ only by prefix, which the projection drops", a.Name.Local, tag)
+		}
+		kept = append(kept, a.Name.Local)
 		bw.WriteString(" ")
 		bw.WriteString(a.Name.Local)
 		bw.WriteString("=\"")
@@ -352,36 +360,4 @@ func hasAttr(attrs []xml.Attr, name string) bool {
 		}
 	}
 	return false
-}
-
-// repeatedAttr returns an attribute name that the start tag raw, as the
-// decoder accepted it, spells twice, or "": a namespace declaration's name
-// as written, any other's local part (the data model drops prefixes). The
-// decoder has resolved prefixes by then, so the names are read off the
-// bytes.
-func repeatedAttr(raw []byte) string {
-	i := bytes.IndexAny(raw, " \t\r\n") // past '<' and the element name
-	if i < 0 {
-		return ""
-	}
-	seen := map[string]bool{}
-	for raw = raw[i:]; ; {
-		raw = bytes.TrimLeft(raw, " \t\r\n")
-		eq := bytes.IndexByte(raw, '=')
-		if eq < 0 {
-			return "" // only "/>" or ">" is left
-		}
-		name := string(bytes.TrimRight(raw[:eq], " \t\r\n"))
-		if prefix, local, ok := strings.Cut(name, ":"); ok && prefix != "" && local != "" && prefix != "xmlns" && local != "xmlns" {
-			name = local
-		}
-		if seen[name] {
-			return name
-		}
-		seen[name] = true
-		raw = bytes.TrimLeft(raw[eq+1:], " \t\r\n")
-		quote := raw[0]
-		raw = raw[1:]
-		raw = raw[bytes.IndexByte(raw, quote)+1:]
-	}
 }

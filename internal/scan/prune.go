@@ -420,6 +420,13 @@ type pruner struct {
 	attrVal  []byte // decoded attribute value / discard scratch
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
 	spelt    spelt  // the attribute names of the tag being read
+	skipAttr []byte // a discarded tag's attribute names, for spelt (skipAttrs)
+	// locals is the local parts of the tag's attribute names, recorded
+	// from its first kept prefixed attribute on (keepLocal).
+	locals struct {
+		spelt
+		on bool
+	}
 	prefixes map[string]string
 
 	// skipNames are the full names of the discarded elements the skip
@@ -870,7 +877,8 @@ func (pr *pruner) startTag() error {
 	}
 
 	empty := false
-	pr.spelt = pr.spelt[:0]
+	pr.spelt.reset()
+	pr.locals.on = false
 	for {
 		preSpace := s.pos - s.mark
 		s.space()
@@ -944,6 +952,11 @@ func (pr *pruner) startTag() error {
 			keepMask = pr.p.KeepExtraAttr(sym, alocal)
 		}
 		keepMask &= K
+		if keepMask != 0 && (len(aprefix) != 0 || pr.locals.on) {
+			if err := pr.keepLocal(info.Tag); err != nil {
+				pr.kill(keepMask, err)
+			}
+		}
 		if pr.h != nil && keepMask != 0 {
 			pr.handAttr(alocal, pr.attrVal)
 		}
@@ -1035,6 +1048,34 @@ func (pr *pruner) startTag() error {
 		pr.handStart(info.Tag)
 		if empty {
 			pr.handEnd()
+		}
+	}
+	return nil
+}
+
+// keepLocal records the local part of the attribute just read, which a
+// projector keeps, and reports one the tag has already: the output drops
+// prefixes, so p:x beside x or q:x, which XML allows, would be written as
+// one name twice. Whether an attribute is kept depends on its local part
+// only, so the earlier one is kept too. Nothing is recorded until the tag's
+// first kept prefixed attribute, where every name before it is.
+func (pr *pruner) keepLocal(tag string) error {
+	s, l := pr.s, &pr.locals
+	from := len(pr.spelt.at) - 2
+	if !l.on {
+		l.on, from = true, 0
+		l.reset()
+	}
+	for i := from; i < len(pr.spelt.at); i += 2 {
+		lo, hi := pr.spelt.at[i], pr.spelt.at[i+1]
+		prefix, local, _ := splitName(s.buf[s.mark+lo : s.mark+hi])
+		if isXMLNSAttr(prefix, local) {
+			continue
+		}
+		// Before the current one, names can repeat only among dropped
+		// attributes, where nothing is written twice.
+		if l.add(s.buf[s.mark:], hi-len(local), hi) != nil && i == len(pr.spelt.at)-2 {
+			return errSyntax("two attributes named " + string(local) + " on " + tag + " differ only by prefix, which the projection drops")
 		}
 	}
 	return nil

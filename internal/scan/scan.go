@@ -20,7 +20,10 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math/bits"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -116,10 +119,16 @@ func NewScanner(r io.Reader) *Scanner {
 	return &Scanner{r: r, buf: make([]byte, defaultBufSize), mark: -1}
 }
 
-// Reset reuses the scanner (and its buffer) for a new input.
+// Reset reuses the scanner (and its buffer) for a new input. A buffer a
+// long token grew is dropped, so every input's tokens are bounded by its
+// own MaxTokenSize, not by what an earlier one left (and a pooled scanner
+// does not hold up to DefaultMaxTokenSize between inputs).
 func (s *Scanner) Reset(r io.Reader) {
 	if s.ownBuf != nil {
 		s.buf, s.ownBuf = s.ownBuf, nil
+	}
+	if len(s.buf) > defaultBufSize {
+		s.buf = make([]byte, defaultBufSize)
 	}
 	s.r = r
 	s.pos, s.end = 0, 0
@@ -155,7 +164,7 @@ func (s *Scanner) ResetBytesAt(data []byte, lo, hi int) {
 
 // SetMaxTokenSize bounds the buffer growth a single token may force;
 // n <= 0 restores DefaultMaxTokenSize. Tokens already fitting the
-// current buffer are unaffected.
+// current buffer are unaffected; Reset starts from the default size.
 func (s *Scanner) SetMaxTokenSize(n int) { s.maxToken = n }
 
 // Peek returns up to n buffered bytes without consuming them.
@@ -1061,29 +1070,75 @@ func (s *Scanner) endName() (name, prefix, local []byte, spaced bool, err error)
 	return name, prefix, local, spaced, nil
 }
 
-// spelt is the attribute names a start tag has spelt so far, as offsets
-// from the mark, which pins the tag while it is read. XML 1.0 §3.1 (WFC
-// Unique Att Spec) forbids a name written twice, and the data model,
-// which drops prefixes, has no place for p:x beside q:x or x: an
-// attribute's name is compared by its local part, a namespace
-// declaration's (isXMLNSAttr) as written.
-type spelt []int
+// spelt is the attribute names a start tag has spelt so far, as [lo, hi)
+// offsets into a base its caller passes on every call: the tag from its
+// mark, which pins it while it is read, or a scratch copy of its names.
+// XML 1.0 §3.1 (WFC Unique Att Spec) forbids a name written twice, and
+// names are compared as written: x beside p:x, or p:x beside q:x, is no
+// repeat. Up to speltLinear names are compared one by one, so a tag with
+// no attribute compares nothing and one with one only records it; past
+// that the names are indexed by hash, so a tag of any width is read in
+// linear time.
+type spelt struct {
+	at    []int // at[2i], at[2i+1] bound the i-th name
+	slots []int // open addressing: i+1 for the i-th name, 0 for free
+}
 
-// add records the attribute name at the mark-relative [lo, hi), split as
-// prefix and local, and reports a repeat, in the same words on every
-// route that reads attribute names.
-func (sp *spelt) add(s *Scanner, lo, hi int, prefix, local []byte) error {
-	if !isXMLNSAttr(prefix, local) {
-		lo = hi - len(local)
-	}
-	name := s.buf[s.mark+lo : s.mark+hi]
-	for i := 0; i < len(*sp); i += 2 {
-		if string(s.buf[s.mark+(*sp)[i]:s.mark+(*sp)[i+1]]) == string(name) {
+// speltLinear is how many names spelt compares one by one, and how many
+// attributes the tag kernel takes.
+const speltLinear = 8
+
+var speltSeed = maphash.MakeSeed()
+
+func (sp *spelt) reset() { sp.at, sp.slots = sp.at[:0], sp.slots[:0] }
+
+// add records the attribute name base[lo:hi] and reports a repeat, in the
+// same words on every route that reads attribute names.
+func (sp *spelt) add(base []byte, lo, hi int) error {
+	name := base[lo:hi]
+	n := len(sp.at) / 2
+	if n < speltLinear {
+		for i := 0; i < len(sp.at); i += 2 {
+			if string(base[sp.at[i]:sp.at[i+1]]) == string(name) {
+				return errRepeatedAttr(name)
+			}
+		}
+	} else {
+		if 2*(n+1) > len(sp.slots) {
+			sp.index(base, 4*(n+1))
+		}
+		k := sp.probe(base, name)
+		if sp.slots[k] != 0 {
 			return errRepeatedAttr(name)
 		}
+		sp.slots[k] = n + 1
 	}
-	*sp = append(*sp, lo, hi)
+	sp.at = append(sp.at, lo, hi)
 	return nil
+}
+
+// probe returns the slot that holds name, or the free slot it belongs in.
+func (sp *spelt) probe(base, name []byte) int {
+	mask := len(sp.slots) - 1
+	k := int(maphash.Bytes(speltSeed, name) & uint64(mask))
+	for ; sp.slots[k] != 0; k = (k + 1) & mask {
+		i := 2 * (sp.slots[k] - 1)
+		if string(base[sp.at[i]:sp.at[i+1]]) == string(name) {
+			break
+		}
+	}
+	return k
+}
+
+// index rebuilds the slots, at least size of them, a power of two, over
+// every name recorded so far.
+func (sp *spelt) index(base []byte, size int) {
+	size = 1 << bits.Len(uint(size-1))
+	sp.slots = slices.Grow(sp.slots[:0], size)[:size]
+	clear(sp.slots)
+	for i := 0; i < len(sp.at); i += 2 {
+		sp.slots[sp.probe(base, base[sp.at[i]:sp.at[i+1]])] = i/2 + 1
+	}
 }
 
 func errRepeatedAttr(name []byte) error {
@@ -1093,11 +1148,12 @@ func errRepeatedAttr(name []byte) error {
 // plainTag is the tag kernel: with the scanner just past a '<', it
 // consumes a start or empty-element tag when all of it is plain — a
 // plainName, then per attribute exactly one space, a plainName, '=', a
-// quote and a value plainChunk takes whole, then '>' or "/>" — and no
-// attribute name repeats. It returns the tag's name and appends its
-// attributes to attrs, all views of the buffer, leaving out the namespace
-// declaration xmlns as isXMLNSAttr does. Anything else is refused, nothing
-// consumed, for markup, qname and attr to take from the same byte.
+// quote and a value plainChunk takes whole, then '>' or "/>" — with at
+// most speltLinear attributes, no name repeated. It returns the tag's
+// name and appends its attributes to attrs, all views of the buffer,
+// leaving out the namespace declaration xmlns as isXMLNSAttr does.
+// Anything else is refused, nothing consumed, for markup, qname and attr
+// to take from the same byte.
 func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, ok bool) {
 	start, out := s.pos, attrs
 	if !s.plainName() {
@@ -1137,7 +1193,8 @@ func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, ok boo
 				}
 				break
 			}
-			if repeated(out[len(attrs):], aname) {
+			// A wider tag goes the long way, where spelt indexes its names.
+			if took := out[len(attrs):]; len(took) == speltLinear || repeated(took, aname) {
 				break
 			}
 			out = append(out, Attr{Name: aname, Value: val})
@@ -1191,7 +1248,7 @@ func (s *Scanner) attr(val []byte, seen *spelt) (prefix, local, out []byte, cano
 			return nil, nil, out, false, errSyntax("expected attribute name in element")
 		}
 	}
-	if err = seen.add(s, nameRel, nameEnd, prefix, local); err != nil {
+	if err = seen.add(s.buf[s.mark:], nameRel, nameEnd); err != nil {
 		return nil, nil, out, false, err
 	}
 	prefixLen, localLen := len(prefix), len(local)

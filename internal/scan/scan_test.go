@@ -353,7 +353,9 @@ func TestDiscardedTextStreamsThrough(t *testing.T) {
 
 // TestDiscardedTagTooLong: without Validate a tag inside a discarded
 // subtree is pinned at its '<' while it is read, so the token cap bounds
-// it exactly as it bounds a kept one.
+// it exactly as it bounds a kept one. With Validate only an attribute's
+// name is pinned (skipAttrs compares copies of the names), so a value
+// longer than the cap streams through.
 func TestDiscardedTagTooLong(t *testing.T) {
 	d, p := setup(t, dtd.NewNameSet("bib", "book", "title", "title#text", "book@isbn"))
 	long := strings.Repeat("v", 3*defaultBufSize)
@@ -363,15 +365,22 @@ func TestDiscardedTagTooLong(t *testing.T) {
 	} {
 		doc := `<bib><book isbn="1"><title>T</title><author>` + inner + `</author></book></bib>`
 		for _, chunk := range []int{1, defaultBufSize + 1} {
-			prune := func(max int) error {
-				_, err := freshPrune(io.Discard, tortureReader{strings.NewReader(doc), chunk}, d, p, Options{MaxTokenSize: max})
+			prune := func(max int, validate bool) error {
+				_, err := freshPrune(io.Discard, tortureReader{strings.NewReader(doc), chunk}, d, p, Options{MaxTokenSize: max, Validate: validate})
 				return err
 			}
-			if err := prune(2 * defaultBufSize); !errors.Is(err, ErrTokenTooLong) {
+			if err := prune(2*defaultBufSize, false); !errors.Is(err, ErrTokenTooLong) {
 				t.Errorf("%s, chunk %d: got %v, want ErrTokenTooLong", name, chunk, err)
 			}
-			if err := prune(0); err != nil {
-				t.Errorf("%s, chunk %d: the default cap rejected it: %v", name, chunk, err)
+			for _, validate := range []bool{false, true} {
+				if err := prune(0, validate); err != nil {
+					t.Errorf("%s, chunk %d, validate=%v: the default cap rejected it: %v", name, chunk, validate, err)
+				}
+			}
+			if name == "start tag" {
+				if err := prune(2*defaultBufSize, true); err != nil {
+					t.Errorf("%s, chunk %d, validate=true: the value did not stream: %v", name, chunk, err)
+				}
 			}
 		}
 	}

@@ -68,13 +68,12 @@ func (n *nameStack) reset() { n.buf, n.offs = n.buf[:0], n.offs[:0] }
 // closing '>' or '/>' — with syntax-level checks only, reporting
 // whether the element was self-closing. Attribute values are decoded
 // into scratch (their character content must still validate) and
-// discarded. The tag is pinned while it is read, for the names to be
-// compared (spelt), so MaxTokenSize bounds it as it bounds a kept one.
+// discarded. Only each name is pinned while it is read, and copied out for
+// the names to be compared (spelt), so a value of any size streams.
 func (pr *pruner) skipAttrs() (empty bool, err error) {
 	s := pr.s
-	s.setMark()
-	defer s.clearMark()
-	pr.spelt = pr.spelt[:0]
+	pr.spelt.reset()
+	pr.skipAttr = pr.skipAttr[:0]
 	for {
 		s.space()
 		b, ok := s.getc()
@@ -95,12 +94,15 @@ func (pr *pruner) skipAttrs() (empty bool, err error) {
 			return false, nil
 		}
 		s.ungetc()
-		rel := s.pos - s.mark
-		_, prefix, local, err := s.qname("attribute name in element")
-		if err != nil {
-			return false, err
+		s.setMark()
+		name, _, _, err := s.qname("attribute name in element")
+		if err == nil {
+			lo := len(pr.skipAttr)
+			pr.skipAttr = append(pr.skipAttr, name...)
+			err = pr.spelt.add(pr.skipAttr, lo, len(pr.skipAttr))
 		}
-		if err := pr.spelt.add(s, rel, s.pos-s.mark, prefix, local); err != nil {
+		s.clearMark()
+		if err != nil {
 			return false, err
 		}
 		s.space()

@@ -205,7 +205,8 @@ func (w *walker) startTag() error {
 		return fmt.Errorf("multiple root elements")
 	}
 
-	w.vals, w.ends, w.attrs, w.seen = w.vals[:0], w.ends[:0], w.attrs[:0], w.seen[:0]
+	w.vals, w.ends, w.attrs = w.vals[:0], w.ends[:0], w.attrs[:0]
+	w.seen.reset()
 	empty := false
 	for {
 		s.space()

@@ -1,65 +1,18 @@
 package scan
 
 import (
-	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
+
+	"xmlproj/internal/scan/scantest"
 )
 
-// kernelTags reads testdata/kernel_tags.txt: every tag, and the ones
-// under "# Plain.", which the kernel takes.
-func kernelTags(t *testing.T) (tags, plain []string) {
-	src, err := os.ReadFile("testdata/kernel_tags.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	section := ""
-	for _, line := range strings.Split(strings.TrimSpace(string(src)), "\n") {
-		if strings.HasPrefix(line, "#") {
-			section = line
-			continue
-		}
-		tag, err := strconv.Unquote(line)
-		if err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		tags = append(tags, tag)
-		if section == "# Plain." {
-			plain = append(plain, tag)
-		}
-	}
-	return tags, plain
-}
-
-// kernelDocs puts each tag where the kernel meets it — inside the root,
-// and as the root — and every truncation of it at the end of input, and
-// adds a second root and text outside the root right after a plain tag.
-func kernelDocs(tags []string) []string {
-	docs := []string{
-		`<r x="1"/><a/>`, `<r></r><a x="1">`, `<r x="1"/>junk`, `<r/> `,
-		`<r></r>junk<a/>`, `<r x="1"></r><!--c--><a/>`, `<r/><?p?> <a/>`,
-	}
-	for _, tag := range tags {
-		end := "</a>"
-		if strings.HasSuffix(tag, "/>") {
-			end = ""
-		}
-		docs = append(docs, "<r>"+tag+"t"+end+"</r>", tag+end)
-		for k := 1; k < len(tag); k++ {
-			docs = append(docs, "<r>"+tag[:k], tag[:k])
-		}
-	}
-	return docs
-}
-
-// TestTagKernelMatchesGeneralPath: on every document of kernelDocs the
-// walk gives the events, the verdict and the message of a walk that reads
-// every start tag the long way.
+// TestTagKernelMatchesGeneralPath: on every document of
+// scantest.KernelDocs the walk gives the events, the verdict and the
+// message of a walk that reads every start tag the long way.
 func TestTagKernelMatchesGeneralPath(t *testing.T) {
-	tags, _ := kernelTags(t)
-	for _, doc := range kernelDocs(tags) {
+	for _, doc := range scantest.KernelDocs() {
 		var fast, slow events
 		ferr := Walk([]byte(doc), &fast)
 		serr := walk([]byte(doc), &slow, true)
@@ -72,7 +25,7 @@ func TestTagKernelMatchesGeneralPath(t *testing.T) {
 // TestTagKernelRefuses: the kernel consumes nothing when it refuses, and
 // on a tag it takes it stops right after the tag.
 func TestTagKernelRefuses(t *testing.T) {
-	tags, plain := kernelTags(t)
+	tags, plain := scantest.KernelTags()
 	if len(plain) == 0 {
 		t.Fatal("no plain tags")
 	}

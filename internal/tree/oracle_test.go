@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"xmlproj/internal/scan"
+	"xmlproj/internal/scan/scantest"
 )
 
 // parseOracle is the loader as it was before it moved onto internal/scan:
@@ -23,7 +24,7 @@ import (
 // goes by the prefix as spelled.
 //
 // encoding/xml does not check XML 1.0's Unique Att Spec, so the loop does
-// (repeatedAttr).
+// (scantest.RepeatedAttr).
 func parseOracle(src []byte) (doc *Document, nsNamed bool, err error) {
 	dec := xml.NewDecoder(bytes.NewReader(src))
 	dec.Strict = true
@@ -48,7 +49,7 @@ func parseOracle(src []byte) (doc *Document, nsNamed bool, err error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if name := repeatedAttr(src[at:dec.InputOffset()]); name != "" {
+			if name := scantest.RepeatedAttr(src[at:dec.InputOffset()]); name != "" {
 				return nil, nsNamed, fmt.Errorf("tree: parse: attribute %s repeated", name)
 			}
 			var attrs []scan.Attr
@@ -145,36 +146,4 @@ func diffOracle(src []byte) string {
 		return fmt.Sprintf("XML() differs:\nloader %q\noracle %q", g, w)
 	}
 	return ""
-}
-
-// repeatedAttr returns an attribute name that the start tag raw, as the
-// decoder accepted it, spells twice, or "": a namespace declaration's name
-// as written, any other's local part (the data model drops prefixes). The
-// decoder has resolved prefixes by then, so the names are read off the
-// bytes.
-func repeatedAttr(raw []byte) string {
-	i := bytes.IndexAny(raw, " \t\r\n") // past '<' and the element name
-	if i < 0 {
-		return ""
-	}
-	seen := map[string]bool{}
-	for raw = raw[i:]; ; {
-		raw = bytes.TrimLeft(raw, " \t\r\n")
-		eq := bytes.IndexByte(raw, '=')
-		if eq < 0 {
-			return "" // only "/>" or ">" is left
-		}
-		name := string(bytes.TrimRight(raw[:eq], " \t\r\n"))
-		if prefix, local, ok := strings.Cut(name, ":"); ok && prefix != "" && local != "" && prefix != "xmlns" && local != "xmlns" {
-			name = local
-		}
-		if seen[name] {
-			return name
-		}
-		seen[name] = true
-		raw = bytes.TrimLeft(raw[eq+1:], " \t\r\n")
-		quote := raw[0]
-		raw = raw[1:]
-		raw = raw[bytes.IndexByte(raw, quote)+1:]
-	}
 }

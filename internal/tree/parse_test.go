@@ -2,11 +2,11 @@ package tree
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
+
+	"xmlproj/internal/scan/scantest"
 )
 
 // differentialSeeds are well-formed and malformed documents chosen to
@@ -101,10 +101,12 @@ var differentialSeeds = []string{
 '2'/>`,
 	`<a x="1"y="2"/>`,
 	`<a x="1" x="2"/>`,
-	// Unique Att Spec: by local part, declarations as written.
+	// Unique Att Spec: names as written, declarations too.
 	`<a x="1" y="2" x="1"/>`,
 	`<a p:x="1" q:x="2"/>`,
 	`<a p:x="1" x="2"/>`,
+	`<a p:x="1" p:x="2"/>`,
+	`<html lang="en" xml:lang="en"/>`,
 	`<a p:x="1" p:y="2"/>`,
 	`<a xmlns="u" xmlns="v"/>`,
 	`<a xmlns:p="u" xmlns:p="v"/>`,
@@ -144,40 +146,12 @@ var differentialSeeds = []string{
 	`<a></a`,
 }
 
-// kernelSeeds are the documents internal/scan holds its tag kernel to the
-// general path on (walk_test.go): each tag of its testdata inside a root
-// and as the root, cut at every byte, and a second root or text right
-// after a plain tag.
-func kernelSeeds(t testing.TB) []string {
-	src, err := os.ReadFile("../scan/testdata/kernel_tags.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := []string{`<r x="1"/><a/>`, `<r></r><a x="1">`, `<r x="1"/>junk`, `<r></r>junk<a/>`}
-	for _, line := range strings.Split(strings.TrimSpace(string(src)), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		tag, err := strconv.Unquote(line)
-		if err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		end := "</a>"
-		if strings.HasSuffix(tag, "/>") {
-			end = ""
-		}
-		docs = append(docs, "<r>"+tag+"t"+end+"</r>", tag+end)
-		for k := 1; k < len(tag); k++ {
-			docs = append(docs, "<r>"+tag[:k], tag[:k])
-		}
-	}
-	return docs
-}
-
 // TestParseDifferential runs the seed corpus of FuzzParseDifferential as
-// a plain test, so every `go test` holds the loader to the oracle on it.
+// a plain test, so every `go test` holds the loader to the oracle on it:
+// with the documents internal/scan holds its tag kernel to the general
+// path on (scantest.KernelDocs).
 func TestParseDifferential(t *testing.T) {
-	for _, src := range append(differentialSeeds, kernelSeeds(t)...) {
+	for _, src := range append(differentialSeeds, scantest.KernelDocs()...) {
 		if d := diffOracle([]byte(src)); d != "" {
 			t.Errorf("%q: %s", src, d)
 		}
@@ -188,7 +162,7 @@ func TestParseDifferential(t *testing.T) {
 // replaced: the same verdict on every input and, on accept, the same
 // tree — structure, node IDs, links and serialisation.
 func FuzzParseDifferential(f *testing.F) {
-	for _, src := range append(differentialSeeds, kernelSeeds(f)...) {
+	for _, src := range append(differentialSeeds, scantest.KernelDocs()...) {
 		f.Add([]byte(src))
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {

@@ -31,7 +31,6 @@ import (
 	"xmlproj/internal/core"
 	"xmlproj/internal/dataguide"
 	"xmlproj/internal/dtd"
-	"xmlproj/internal/mmapio"
 	"xmlproj/internal/prune"
 	"xmlproj/internal/rescache"
 	"xmlproj/internal/tree"
@@ -407,18 +406,13 @@ func ParseXMLBytes(src []byte) (*Document, error) {
 	return wrapDoc(tree.ParseBytes(src))
 }
 
-// ParseXMLFile is ParseXML over a file, mapped into memory when it is
-// regular and at least 64 KiB (internal/mmapio), read in one go when not.
-// The document keeps no reference to the file's bytes, so the mapping is
-// released before it returns; a file truncated while it is mapped
-// faults the process (SIGBUS).
+// ParseXMLFile is ParseXML over a file, read in one go.
 func ParseXMLFile(path string) (*Document, error) {
-	src, err := mmapio.Open(path)
+	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer src.Close()
-	return ParseXMLBytes(src.Bytes())
+	return ParseXMLBytes(src)
 }
 
 func wrapDoc(t *tree.Document, err error) (*Document, error) {
