@@ -3,17 +3,22 @@ package xmlproj
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/xmark"
 )
 
 // TestEngineInferCachedConcurrent: 8 concurrent InferCached calls for
-// the same query bunch perform exactly one inference, and a warm cache
+// the same query bunch perform exactly one inference; a warm cache
 // answers a second burst without inferring at all.
 func TestEngineInferCachedConcurrent(t *testing.T) {
 	d, _ := apiSetup(t)
@@ -85,6 +90,179 @@ func TestEngineInferCachedConcurrent(t *testing.T) {
 	}
 }
 
+// TestInferCachedSingleFlight: N concurrent requests for one cold key
+// run exactly one inference; everyone gets the same projector, and a
+// warm burst is answered from the cache.
+func TestInferCachedSingleFlight(t *testing.T) {
+	d, _ := apiSetup(t)
+	q, err := CompileXPath("//book/title")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{})
+	key := inferKey{schema: "s", bunch: "b"}
+
+	var calls atomic.Int64
+	slow := func() (*core.Projector, error) {
+		calls.Add(1)
+		time.Sleep(20 * time.Millisecond) // hold the flight open so others pile on
+		p, err := d.Infer(Materialized, q)
+		if err != nil {
+			return nil, err
+		}
+		return p.pr, nil
+	}
+
+	const N = 8
+	var wg sync.WaitGroup
+	prs := make([]*core.Projector, N)
+	errs := make([]error, N)
+	start := make(chan struct{})
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			prs[i], errs[i] = eng.inferCached(key, slow)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("inference ran %d times for one key, want 1", got)
+	}
+	for i := 0; i < N; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if prs[i] != prs[0] {
+			t.Fatalf("caller %d got a different projector instance", i)
+		}
+	}
+	m := eng.Metrics()
+	if m.Inferences != 1 || m.CacheMisses != 1 {
+		t.Fatalf("metrics after cold burst: %+v", m)
+	}
+	if m.Coalesced != N-1 {
+		t.Fatalf("Coalesced = %d, want %d", m.Coalesced, N-1)
+	}
+
+	// Warm cache: another concurrent burst performs zero inferences.
+	var wg2 sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg2.Add(1)
+		go func() {
+			defer wg2.Done()
+			if _, err := eng.inferCached(key, slow); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg2.Wait()
+	m = eng.Metrics()
+	if m.Inferences != 1 {
+		t.Fatalf("warm cache still inferred: %+v", m)
+	}
+	if m.CacheHits != N {
+		t.Fatalf("CacheHits = %d, want %d", m.CacheHits, N)
+	}
+}
+
+// TestInferCachedSharesCompiledTable: concurrent cold requests for one
+// workload get one projector from the inference cache, and their
+// concurrent first use of it compiles one table.
+func TestInferCachedSharesCompiledTable(t *testing.T) {
+	d, _ := apiSetup(t)
+	q, err := CompileXPath("//book/title")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineOptions{})
+
+	var wg sync.WaitGroup
+	got := make([]*dtd.Projection, 32)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := eng.InferCached(d, Materialized, q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = p.pr.Compiled()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatal("concurrent callers saw distinct projections")
+		}
+	}
+	if m := eng.Metrics(); m.Inferences != 1 {
+		t.Fatalf("want exactly one inference, got %d", m.Inferences)
+	}
+}
+
+// TestInferCachedErrorNotCached: a failed inference is reported but not
+// cached, so the next request retries. No compiled query fails
+// inference — compilation rewrites every axis the rules do not cover —
+// so the failure is handed to the cache below InferCached.
+func TestInferCachedErrorNotCached(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	var calls atomic.Int64
+	fail := func() (*core.Projector, error) {
+		calls.Add(1)
+		return nil, errors.New("boom")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := eng.inferCached(inferKey{schema: "s", bunch: "bad"}, fail); err == nil {
+			t.Fatalf("call %d: the failed inference reported success", i)
+		}
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("failed inference not retried: %d calls", calls.Load())
+	}
+	if n := eng.Metrics().CacheEntries; n != 0 {
+		t.Fatalf("error cached: %d entries", n)
+	}
+}
+
+// TestInferCacheEviction: the projector cache stays bounded at 128
+// workloads and evicts the cold end.
+func TestInferCacheEviction(t *testing.T) {
+	d, _ := apiSetup(t)
+	eng := NewEngine(EngineOptions{})
+	infer := func(i int) {
+		t.Helper()
+		q, err := CompileXPath(fmt.Sprintf("/bib/book[%d]/title", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.InferCached(d, Materialized, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = inferCacheSize + 2
+	for i := 0; i < n; i++ {
+		infer(i)
+	}
+	if got := eng.Metrics().CacheEntries; got != inferCacheSize {
+		t.Fatalf("cache size = %d, want %d", got, inferCacheSize)
+	}
+	// Workloads 0 and 1 were evicted; the rest remain.
+	before := eng.Metrics().Inferences
+	infer(n - 1)
+	infer(0)
+	if got := eng.Metrics().Inferences - before; got != 1 {
+		t.Fatalf("want 1 re-inference (evicted workload), got %d", got)
+	}
+	if m := eng.Metrics(); m.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3: %+v", m.Evictions, m)
+	}
+}
+
 // TestEngineSchemaKeyedCache: structurally identical schemas share a
 // cache entry; a different schema does not.
 func TestEngineSchemaKeyedCache(t *testing.T) {
@@ -119,7 +297,36 @@ func TestEngineSchemaKeyedCache(t *testing.T) {
 	}
 }
 
-// TestEnginePruneBatch drives the public batch API end to end.
+// titleProjector infers //book/title over the api DTD.
+func titleProjector(t *testing.T) *Projector {
+	t.Helper()
+	d, _ := apiSetup(t)
+	q, err := CompileXPath("//book/title")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := d.Infer(Materialized, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// batchJobs returns n small documents, job i titled Ti, with their
+// output buffers.
+func batchJobs(n int) ([]BatchJob, []*bytes.Buffer) {
+	jobs := make([]BatchJob, n)
+	outs := make([]*bytes.Buffer, n)
+	for i := range jobs {
+		outs[i] = &bytes.Buffer{}
+		doc := fmt.Sprintf(`<bib><book isbn="%d"><title>T%d</title><author>A%d</author></book></bib>`, i, i, i)
+		jobs[i] = BatchJob{Name: fmt.Sprintf("doc%d", i), Src: strings.NewReader(doc), Dst: outs[i]}
+	}
+	return jobs, outs
+}
+
+// TestEnginePruneBatch: a validating batch prunes every document with a
+// projector from the inference cache.
 func TestEnginePruneBatch(t *testing.T) {
 	d, _ := apiSetup(t)
 	eng := NewEngine(EngineOptions{})
@@ -132,13 +339,7 @@ func TestEnginePruneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 9
-	jobs := make([]BatchJob, n)
-	outs := make([]*bytes.Buffer, n)
-	for i := range jobs {
-		outs[i] = &bytes.Buffer{}
-		doc := fmt.Sprintf(`<bib><book isbn="%d"><title>T%d</title><author>A</author></book></bib>`, i, i)
-		jobs[i] = BatchJob{Name: fmt.Sprintf("doc%d", i), Src: strings.NewReader(doc), Dst: outs[i]}
-	}
+	jobs, outs := batchJobs(n)
 	results, agg, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Validate: true})
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +358,298 @@ func TestEnginePruneBatch(t *testing.T) {
 	if agg.BytesIn == 0 || agg.BytesOut == 0 || agg.MaxDepth != 3 {
 		t.Fatalf("aggregate stats: %+v", agg)
 	}
-	if m := eng.Metrics(); m.DocsPruned != n || m.BytesIn != agg.BytesIn {
-		t.Fatalf("metrics: %+v", m)
+}
+
+// TestPruneBatch: every document is pruned, results stay in job order,
+// stats aggregate.
+func TestPruneBatch(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+	const n = 20
+	jobs, outs := batchJobs(n)
+	results, agg, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytesIn int64
+	for i, r := range results {
+		if r.Name != fmt.Sprintf("doc%d", i) {
+			t.Fatalf("result %d out of order: %s", i, r.Name)
+		}
+		if r.Err != nil {
+			t.Fatalf("job %s: %v", r.Name, r.Err)
+		}
+		if want := fmt.Sprintf("<bib><book><title>T%d</title></book></bib>", i); outs[i].String() != want {
+			t.Fatalf("job %d output = %s, want %s", i, outs[i].String(), want)
+		}
+		bytesIn += r.BytesIn
+	}
+	if agg.Pruned != n || agg.Failed != 0 || agg.Skipped != 0 {
+		t.Fatalf("aggregate: %+v", agg)
+	}
+	if agg.ElementsOut != n*3 || agg.BytesIn == 0 || agg.BytesIn != bytesIn || agg.BytesOut == 0 || agg.MaxDepth != 3 {
+		t.Fatalf("aggregate stats: %+v", agg)
+	}
+}
+
+// TestProjectionCache: a batch compiles π against the symbol table once,
+// on the projector; later batches for the same projector reuse that
+// table, and asking for it again allocates nothing.
+func TestProjectionCache(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+	jobs, _ := batchJobs(8)
+	if _, _, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	table := p.pr.Compiled()
+	jobs, outs := batchJobs(8)
+	if _, _, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if p.pr.Compiled() != table {
+		t.Fatal("second batch compiled π again")
+	}
+	if got := outs[3].String(); got != `<bib><book><title>T3</title></book></bib>` {
+		t.Fatalf("second batch output = %q", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.pr.Compiled() }); allocs != 0 {
+		t.Fatalf("a compiled π costs %v allocations after first use, want 0", allocs)
+	}
+}
+
+// TestPruneBatchKeepGoing: without FailFast a bad document fails alone;
+// every other job still completes.
+func TestPruneBatchKeepGoing(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+	jobs, outs := batchJobs(6)
+	jobs[2].Src = strings.NewReader(`<bib><unknown/></bib>`)
+	results, agg, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Workers: 2})
+	if err == nil {
+		t.Fatal("batch error swallowed")
+	}
+	if results[2].Err == nil {
+		t.Fatal("bad job reported success")
+	}
+	if agg.Pruned != 5 || agg.Failed != 1 || agg.Skipped != 0 {
+		t.Fatalf("aggregate outcome: %+v", agg)
+	}
+	for i := range jobs {
+		if i == 2 {
+			continue
+		}
+		if results[i].Err != nil || !strings.Contains(outs[i].String(), "<title>") {
+			t.Fatalf("job %d did not complete: err=%v out=%s", i, results[i].Err, outs[i].String())
+		}
+	}
+}
+
+// TestPruneBatchFailFast: with FailFast the remaining jobs are skipped
+// and marked with the cancellation error.
+func TestPruneBatchFailFast(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+	const n = 64
+	jobs, _ := batchJobs(n)
+	jobs[0].Src = strings.NewReader(`not xml at all <<<`)
+	results, agg, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Workers: 1, FailFast: true})
+	if err == nil {
+		t.Fatal("batch error swallowed")
+	}
+	if results[0].Err == nil {
+		t.Fatal("bad job reported success")
+	}
+	if agg.Failed != 1 {
+		t.Fatalf("Failed = %d, want 1", agg.Failed)
+	}
+	if agg.Skipped == 0 {
+		t.Fatalf("fail-fast skipped nothing: %+v", agg)
+	}
+	for _, r := range results[1:] {
+		if r.Err != nil && r.Err != context.Canceled {
+			t.Fatalf("job %s: unexpected error %v", r.Name, r.Err)
+		}
+	}
+}
+
+// TestPruneBatchContextCancel: a cancelled context stops the batch.
+func TestPruneBatchContextCancel(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+	jobs, _ := batchJobs(16)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before the batch starts
+	results, agg, err := eng.PruneBatch(ctx, p, jobs, BatchOptions{Workers: 4})
+	if err == nil {
+		t.Fatal("cancelled batch reported success")
+	}
+	if agg.Pruned != 0 {
+		t.Fatalf("cancelled batch pruned %d jobs", agg.Pruned)
+	}
+	for _, r := range results {
+		if r.Err == nil {
+			t.Fatalf("job %s ran after cancellation", r.Name)
+		}
+	}
+}
+
+// cancelAfterReader serves its document, then cancels the batch context
+// instead of returning EOF — the next read through the countingReader
+// surfaces the context error mid-document.
+type cancelAfterReader struct {
+	data   []byte
+	cancel context.CancelFunc
+}
+
+func (r *cancelAfterReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		r.cancel()
+		return 0, nil // countingReader reports ctx.Err() on the retry
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestBatchWrappedContextClassifiedSkipped: a job aborted mid-read by
+// cancellation carries the context error wrapped by the pruner
+// ("prune: context canceled"), not the bare sentinel. It must count as
+// Skipped, not Failed.
+func TestBatchWrappedContextClassifiedSkipped(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	jobs := []BatchJob{{
+		Name: "aborted",
+		Src:  &cancelAfterReader{data: []byte(`<bib><book><title>T`), cancel: cancel},
+		Dst:  &bytes.Buffer{},
+	}}
+	results, agg, err := eng.PruneBatch(ctx, p, jobs, BatchOptions{Workers: 1})
+	if err == nil {
+		t.Fatal("cancelled batch reported success")
+	}
+	rerr := results[0].Err
+	if rerr == nil {
+		t.Fatal("aborted job reported success")
+	}
+	if !errors.Is(rerr, context.Canceled) {
+		t.Fatalf("job error %v does not unwrap to context.Canceled", rerr)
+	}
+	if rerr == context.Canceled {
+		t.Fatalf("job error is the bare sentinel; expected the pruner's wrapped form")
+	}
+	if agg.Skipped != 1 || agg.Failed != 0 {
+		t.Fatalf("wrapped context error misclassified: %+v", agg)
+	}
+}
+
+// badDocCancelReader delivers an invalid document and cancels the
+// batch context together with the final chunk, so the job's genuine
+// input failure races with — and must survive — the cancellation.
+type badDocCancelReader struct {
+	data   []byte
+	cancel context.CancelFunc
+}
+
+func (r *badDocCancelReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		// Cancel inside the read: the countingReader's pre-read check
+		// already passed, so the pruner sees the whole bad document and
+		// fails on it while ctx is already cancelled.
+		r.cancel()
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// TestBatchPreservesRootCauseOnCancel: a job that failed on bad input
+// while the batch was being cancelled keeps its root-cause error (the
+// old code overwrote it with ctx.Err(), losing the only record of what
+// was wrong) and still counts as Failed.
+func TestBatchPreservesRootCauseOnCancel(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	p := titleProjector(t)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	jobs := []BatchJob{{
+		Name: "bad",
+		Src:  &badDocCancelReader{data: []byte(`<bib><zzz/></bib>`), cancel: cancel},
+		Dst:  &bytes.Buffer{},
+	}}
+	results, agg, err := eng.PruneBatch(ctx, p, jobs, BatchOptions{Workers: 1})
+	if err == nil {
+		t.Fatal("failed batch reported success")
+	}
+	rerr := results[0].Err
+	if rerr == nil {
+		t.Fatal("bad job reported success")
+	}
+	if !strings.Contains(rerr.Error(), "zzz") {
+		t.Fatalf("root cause lost: %v", rerr)
+	}
+	if !strings.Contains(rerr.Error(), "batch cancelled") {
+		t.Fatalf("cancellation not recorded alongside the root cause: %v", rerr)
+	}
+	if errors.Is(rerr, context.Canceled) {
+		t.Fatalf("genuine input failure classifies as a context error: %v", rerr)
+	}
+	if agg.Failed != 1 || agg.Skipped != 0 {
+		t.Fatalf("root-cause failure misclassified: %+v", agg)
+	}
+	if !strings.Contains(err.Error(), "zzz") {
+		t.Fatalf("batch error lost the root cause: %v", err)
+	}
+}
+
+// memSource is an in-memory batch source: the prune takes its bytes
+// (prune.BytesSource) and never reads it.
+type memSource struct{ data []byte }
+
+func (m *memSource) Read([]byte) (int, error) { return 0, io.EOF }
+func (m *memSource) InputBytes() []byte       { return m.data }
+
+// TestBatchIgnoresResultCache: a batch is prune.Stream per job whatever
+// the engine was built with. Two byte-identical in-memory inputs (the
+// only sources the old cached path took) produce two correct outputs,
+// and an engine with a result cache — what the benchmark's one-shot
+// xmlprune seam constructs — behaves exactly as a plain one: same
+// bytes, same stats, nothing digested, nothing stored.
+func TestBatchIgnoresResultCache(t *testing.T) {
+	p := titleProjector(t)
+	const doc = `<bib><book isbn="1"><title>Projection</title><author>B</author><year>2006</year></book></bib>`
+	var want bytes.Buffer
+	if _, err := p.PruneStream(&want, strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, 1 << 20} {
+		eng := NewEngine(EngineOptions{ResultCacheBytes: budget})
+		var a, b bytes.Buffer
+		jobs := []BatchJob{
+			{Name: "a", Src: &memSource{data: []byte(doc)}, Dst: &a},
+			{Name: "b", Src: &memSource{data: []byte(doc)}, Dst: &b},
+		}
+		results, agg, err := eng.PruneBatch(context.Background(), p, jobs, BatchOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != want.String() || b.String() != want.String() {
+			t.Fatalf("budget %d: outputs %q and %q, want %q twice", budget, a.String(), b.String(), want.String())
+		}
+		if results[0].Stats != results[1].Stats || agg.Pruned != 2 || agg.BytesIn != 2*int64(len(doc)) {
+			t.Fatalf("budget %d: results %+v, agg %+v", budget, results, agg)
+		}
+		if rc := eng.Metrics().ResultCache; rc.Hits+rc.Misses+rc.Coalesced != 0 || rc.Entries != 0 {
+			t.Fatalf("budget %d: the batch touched the result cache: %+v", budget, rc)
+		}
 	}
 }
 

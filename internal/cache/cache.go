@@ -1,12 +1,14 @@
 // Package cache is the repository's one memoisation mechanism: an LRU
 // under a cost budget whose misses are filled single-flight. It has
-// three instances: the projector cache (internal/engine) and the two
+// three instances: the projector cache (xmlproj.Engine) and the two
 // levels of the result cache, keys and outputs (internal/rescache).
 //
 // What an outcome means to a caller — whether piggybacking on another
 // caller's fill counts as a hit, whether a peek moves a counter — is the
 // caller's policy: GetOrFill reports what happened and counts nothing
 // but evictions, which only it can see.
+//
+// Defended by: `serve_warm`, `rescache.hit_us` and `engine.gather_hit_us_d1`.
 package cache
 
 import (

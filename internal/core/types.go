@@ -8,6 +8,8 @@
 //     produce, with *contexts* κ making upward axes precise;
 //   - the projector-inference rules of Fig. 2 (projector.go): judgements
 //     (τ,κ) ⊩E Path : π computing the type projector itself.
+//
+// Defended by: Fig. 1, Fig. 2 and Thm. 4.5; timed as `core.infer_ms` in `answer_projected`.
 package core
 
 import (

@@ -13,6 +13,8 @@
 // Compared to a hand-written DTD a dataguide is weaker — every content
 // model is (a | b | …)* — but the reachability structure, which is what
 // drives projector inference, is exactly the document's own.
+//
+// Defended by: §7 (projection without a schema, xmlproj.InferDTD).
 package dataguide
 
 import (

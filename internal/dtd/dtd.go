@@ -7,6 +7,8 @@
 // validation, computes the reachability relation ⇒E and chains, and decides
 // the Def. 4.3 properties (*-guarded, non-recursive, parent-unambiguous)
 // that govern completeness of the analysis.
+//
+// Defended by: §2.2 and Def. 4.3; timed as `dtd.parse_us` and `dtd.compile_projection_us`.
 package dtd
 
 import (

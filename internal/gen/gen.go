@@ -2,6 +2,8 @@
 // It is the test harness' instance generator: property-based tests draw
 // random valid documents, prune them with inferred projectors, and check
 // Thm. 4.5 / Thm. 4.7 style properties against the query engine.
+//
+// Defended by: test oracle (the random grammars, documents and queries of the differential tests).
 package gen
 
 import (

@@ -30,6 +30,8 @@
 // (an unterminated construct, '<' inside a quoted attribute value, no
 // single non-empty root) reports ErrStructure and the caller falls back
 // to the serial pruner, which reproduces the exact serial verdict.
+//
+// Defended by: `scan.skip_mb_s` (the skip path's classifier) and `index.build_mb_s`.
 package index
 
 import (

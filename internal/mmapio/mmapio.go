@@ -13,6 +13,8 @@
 // answered QM06 in 16.32 ms against 17.13 (29 wins) and
 // /site/people/person/name in 16.02 against 17.46 (34 wins), with 1 373
 // minor faults against 1 864.
+//
+// Defended by: `cli_large` and `answer_direct`, and `mmapio.open_us`.
 package mmapio
 
 import "os"

@@ -14,6 +14,8 @@
 //
 // The package exists so the benchmark harness can reproduce the paper's
 // precision and pruning-overhead comparisons.
+//
+// Defended by: §1.1 (path projection, the baseline the paper compares with).
 package pathproj
 
 import (

@@ -41,27 +41,27 @@ type MultiOptions struct {
 }
 
 // StreamMultiGather prunes in-memory input against every projector in
-// pis with a shared scan, returning one Gather per projector. Each
+// pis with a shared scan, returning one span list per projector. Each
 // projector's rendered output is byte-identical to a serial
 // StreamGather with that projector alone, and stats match it.
 //
 // The results are per projector: errs[j] non-nil means projector j's
-// serial prune would have failed — gathers[j] is then nil, and the
+// serial prune would have failed — sls[j] is then nil, and the
 // other projectors are unaffected unless the failure was a syntax or
 // well-formedness error their serial runs would have met too (with
 // Validate, every one of them). The caller must Close every non-nil
-// Gather; data must stay alive and unmodified until then.
-func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]*Gather, []Stats, []error) {
+// list; data must stay alive and unmodified until then.
+func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]*scan.SpanList, []Stats, []error) {
 	n := len(pis)
-	gathers := make([]*Gather, n)
+	sls := make([]*scan.SpanList, n)
 	stats := make([]Stats, n)
 	errs := make([]error, n)
 	if n == 0 {
-		return gathers, stats, errs
+		return sls, stats, errs
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
 		fillErr(errs, 0, n, err)
-		return gathers, stats, errs
+		return sls, stats, errs
 	}
 	projs := make([]*dtd.Projection, n)
 	for j := range pis {
@@ -89,27 +89,24 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 				continue
 			}
 		}
-		sls := make([]*scan.SpanList, end-base)
-		for i := range sls {
-			g := gatherPool.Get().(*Gather)
-			g.closed = false
-			gathers[base+i] = g
-			sls[i] = g.sl
+		pass := sls[base:end]
+		for i := range pass {
+			pass[i] = scan.NewSpanList(data)
 		}
-		ssts, serrs := scan.PruneMultiGather(sls, data, d, mp, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
-		for i := range sls {
+		ssts, serrs := scan.PruneMultiGather(pass, data, d, mp, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
+		for i := range pass {
 			j := base + i
 			stats[j] = ssts[i]
 			if serrs[i] != nil {
 				errs[j] = fmt.Errorf("prune: %w", serrs[i])
-				gathers[j].Close()
-				gathers[j] = nil
+				sls[j].Close()
+				sls[j] = nil
 				continue
 			}
-			stats[j].BytesOut = gathers[j].sl.Len()
+			stats[j].BytesOut = sls[j].Len()
 		}
 	}
-	return gathers, stats, errs
+	return sls, stats, errs
 }
 
 func ctxErr(ctx context.Context) error {

@@ -10,6 +10,8 @@
 // and every streaming prune runs on the byte-level scanner
 // (internal/scan). The encoding/xml pruner is this package's test oracle
 // (oracle_test.go) and no part of the build.
+//
+// Defended by: Def. 2.7 and §6; `cli_large`, `serve_cold` and `serve_stream` run it.
 package prune
 
 import (
@@ -142,7 +144,7 @@ func (e Engine) String() string {
 	}
 }
 
-// ParallelDetail is the type of engine.JobResult.Parallel, which the
+// ParallelDetail is the type of xmlproj.BatchResult.Parallel, which the
 // benchmark reads and nothing fills.
 type ParallelDetail = scan.ParallelDetail
 
@@ -236,72 +238,28 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 	return run(source{data: data}, sink{w: dst}, d, pi, opts)
 }
 
-// Gather is the span-gather result of StreamGather: the pruned output
-// described as an ordered list of spans over the caller's input plus a
-// small escape buffer of synthesized bytes. Nothing is copied until it
-// is written out (io.WriterTo), and then once, into the writer: one
-// Write per span, so the writer should buffer. The input slice must stay
-// alive and unmodified until Close, which recycles the gather's state; a
-// Gather must not be used after Close.
-type Gather struct {
-	sl     *scan.SpanList
-	closed bool
-}
-
-var gatherPool = sync.Pool{New: func() any { return &Gather{sl: new(scan.SpanList)} }}
-
-// WriteTo writes the rendered output to w, one Write per segment: hand
-// it a buffered writer (scan.SpanList.WriteTo).
-func (g *Gather) WriteTo(w io.Writer) (int64, error) { return g.sl.WriteTo(w) }
-
-// Bytes materialises the rendered output in a fresh slice.
-func (g *Gather) Bytes() []byte { return g.sl.Bytes() }
-
-// AppendTo appends the rendered output to dst.
-func (g *Gather) AppendTo(dst []byte) []byte { return g.sl.AppendTo(dst) }
-
-// Len is the rendered output size in bytes.
-func (g *Gather) Len() int64 { return g.sl.Len() }
-
-// RawBytes counts the output bytes referenced in place from the input
-// — bytes the prune never copied. Len()-RawBytes() is the synthesized
-// remainder (re-rendered tags, escaped text).
-func (g *Gather) RawBytes() int64 { return g.sl.RawBytes() }
-
-// Segments is the number of gather segments, WriteTo's Write calls.
-func (g *Gather) Segments() int { return g.sl.Segments() }
-
-// Close drops the gather's input reference and recycles its state.
-// Safe to call more than once.
-func (g *Gather) Close() error {
-	if g.closed {
-		return nil
-	}
-	g.closed = true
-	g.sl.Clear()
-	gatherPool.Put(g)
-	return nil
-}
-
 // StreamGather prunes in-memory input into a span-gather result
-// instead of a destination writer: output bytes that survive the
-// projection are referenced in place, so nothing is copied until the
-// result is written out. The rendered output is byte-identical to
-// Stream's, and stats match it (BytesOut is the rendered size).
+// instead of a destination writer: a pooled scan.SpanList, the pruned
+// output as spans over data plus a small escape buffer of synthesized
+// bytes. Output bytes that survive the projection are referenced in
+// place, so nothing is copied until the list is written out
+// (io.WriterTo: one Write per span, so the writer should buffer). The
+// rendered output is byte-identical to Stream's, and stats match it
+// (BytesOut is the rendered size).
 //
 // Only the serial scanner records spans (run). MaxTokenSize is not
-// enforced on the in-memory scanner paths (see StreamBytes). On error no Gather is returned (partial output is
-// discarded, unlike the streaming paths which have already written
-// it). The caller must Close the returned Gather.
-func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*Gather, Stats, error) {
-	g := gatherPool.Get().(*Gather)
-	g.closed = false
-	st, err := run(source{data: data}, sink{sl: g.sl}, d, pi, opts)
+// enforced on the in-memory scanner paths (see StreamBytes). On error no
+// list is returned (partial output is discarded, unlike the streaming
+// paths which have already written it). The caller must Close the
+// returned list; data must stay alive and unmodified until then.
+func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*scan.SpanList, Stats, error) {
+	sl := scan.NewSpanList(data)
+	st, err := run(source{data: data}, sink{sl: sl}, d, pi, opts)
 	if err != nil {
-		g.Close()
+		sl.Close()
 		return nil, st, err
 	}
-	return g, st, nil
+	return sl, st, nil
 }
 
 // Load prunes the document read from src into a table: the pruning

@@ -26,6 +26,8 @@
 // state. Eviction is size-aware LRU per shard under a global byte
 // budget, and concurrent cold requests for one key are single-flight
 // deduplicated: N callers, one prune.
+//
+// Defended by: `serve_warm`, `rescache.hit_us` and `engine.gather_hit_us_d1`.
 package rescache
 
 import (
@@ -39,6 +41,7 @@ import (
 
 	"xmlproj/internal/cache"
 	"xmlproj/internal/prune"
+	"xmlproj/internal/scan"
 )
 
 // Digest identifies document content: a keyed 64-bit hash over the
@@ -102,7 +105,7 @@ type Entry struct {
 }
 
 // output is a fill's result as the cache takes it: something to digest
-// and, if those bytes are not held yet, to render once. *prune.Gather
+// and, if those bytes are not held yet, to render once. *scan.SpanList
 // is one.
 type output interface {
 	Len() int64
@@ -119,13 +122,13 @@ func (b rendered) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// NewGatherEntry wraps an output still held as g's spans over its
+// NewGatherEntry wraps an output still held as sl's spans over its
 // input, for a fill to return: the cache digests the spans where they
-// lie and copies them only if it does not already hold those bytes. g
+// lie and copies them only if it does not already hold those bytes. sl
 // must stay open until GetOrFill returns; the entry does not use it
 // afterwards.
-func NewGatherEntry(g *prune.Gather, stats prune.Stats) *Entry {
-	return &Entry{src: g, Stats: stats}
+func NewGatherEntry(sl *scan.SpanList, stats prune.Stats) *Entry {
+	return &Entry{src: sl, Stats: stats}
 }
 
 // NewEntry is NewGatherEntry for an output rendered already. No prune
@@ -150,7 +153,7 @@ func (e *Entry) WriteTo(w io.Writer) (int64, error) { return rendered(e.out).Wri
 func (e *Entry) AppendTo(dst []byte) []byte { return append(dst, e.out...) }
 
 // digest identifies a fill's output exactly as DigestBytes would
-// identify its rendered bytes; a Gather is hashed span by span, uncopied.
+// identify its rendered bytes; a span list is hashed span by span, uncopied.
 func (e *Entry) digest() Digest {
 	var h maphash.Hash
 	h.SetSeed(docSeed)
@@ -283,7 +286,7 @@ func (c *Cache) entryOf(r ref) (Entry, bool) {
 }
 
 // hold gives a filled entry the cache's copy of its output — the one
-// already stored under its digest, in which case a Gather's spans are
+// already stored under its digest, in which case a span list's spans are
 // never copied at all, or the one stored now — and reports the ref to
 // keep. Two outputs are taken for the same bytes when their keyed
 // 64-bit hashes and their lengths agree: the argument Digest makes for

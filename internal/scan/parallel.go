@@ -136,7 +136,7 @@ func PruneParallel(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projecti
 
 	for _, t := range tasks {
 		if t.res.sl != nil {
-			putSpanList(t.res.sl)
+			t.res.sl.Close()
 			t.res.sl = nil
 		}
 	}
@@ -179,7 +179,7 @@ func runTask(data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options, t *fra
 		pr.useDiscard()
 		t.res.err = pr.runSkipFragment()
 	} else {
-		t.res.sl = getSpanList(data)
+		t.res.sl = NewSpanList(data)
 		pr.useGather(t.res.sl)
 		t.res.err = pr.runFragment(t.ctxSym, t.ctxBase)
 		t.res.events = append([]int32(nil), pr.events...)

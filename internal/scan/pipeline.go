@@ -455,7 +455,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		if sp != nil {
 			for _, t := range pw.tasks[:sp.i] {
 				if t.res.sl != nil {
-					putSpanList(t.res.sl)
+					t.res.sl.Close()
 					t.res.sl = nil
 				}
 			}

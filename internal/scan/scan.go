@@ -14,6 +14,8 @@
 // "]]>" rejection, directive nesting), so the two pruning paths accept
 // the same documents and produce identical output; the differential
 // tests in internal/prune hold it to that.
+//
+// Defended by: §6; `scan.low_mb_s`, `scan.skip_mb_s` and `tree.parse_mb_s`.
 package scan
 
 import (

@@ -2,6 +2,8 @@
 // scanner share: the tag kernel's table of start tags, the documents built
 // from it, and the Unique Att Spec check the encoding/xml oracles add to
 // the decoder. Only tests import it.
+//
+// Defended by: test oracle (the tag table and the Unique Att Spec check the oracles share).
 package scantest
 
 import (

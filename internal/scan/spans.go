@@ -89,21 +89,13 @@ type SpanList struct {
 
 	total    int64 // rendered output size
 	rawTotal int64 // bytes referenced in place (not copied)
+	closed   bool  // Close gave the list back to the pool
 }
 
 // Reset points the list at a new input and drops all recorded output;
 // span and escape capacity is retained.
 func (sl *SpanList) Reset(input []byte) {
 	sl.input = input
-	sl.spans = sl.spans[:0]
-	sl.esc = sl.esc[:0]
-	sl.total, sl.rawTotal = 0, 0
-}
-
-// Clear drops every reference (input, spans, escape bytes) so a pooled
-// list never pins caller buffers.
-func (sl *SpanList) Clear() {
-	sl.input = nil
 	sl.spans = sl.spans[:0]
 	sl.esc = sl.esc[:0]
 	sl.total, sl.rawTotal = 0, 0
@@ -207,18 +199,28 @@ func (sl *SpanList) escSpan(off, n int) {
 	sl.spans = append(sl.spans, Span{Off: ^off, Len: n})
 }
 
-// spanListPool recycles fragment gather lists across parallel prunes.
+// spanListPool recycles span lists: a gather prune's result, and the
+// fragments of a parallel one.
 var spanListPool = sync.Pool{New: func() any { return new(SpanList) }}
 
-func getSpanList(input []byte) *SpanList {
+// NewSpanList returns an empty list over input from the pool; Close
+// gives it back.
+func NewSpanList(input []byte) *SpanList {
 	sl := spanListPool.Get().(*SpanList)
 	sl.Reset(input)
+	sl.closed = false
 	return sl
 }
 
-// putSpanList clears the list — dropping its input reference so the
-// pool never pins caller data — and recycles it.
-func putSpanList(sl *SpanList) {
-	sl.Clear()
+// Close drops every reference (input, spans, escape bytes), so the pool
+// never pins caller data, and recycles the list, which must not be used
+// afterwards. Safe to call more than once.
+func (sl *SpanList) Close() error {
+	if sl.closed {
+		return nil
+	}
+	sl.closed = true
+	sl.Reset(nil)
 	spanListPool.Put(sl)
+	return nil
 }

@@ -81,11 +81,11 @@ func TestSpanListSplice(t *testing.T) {
 
 func TestSpanListClearDropsReferences(t *testing.T) {
 	input := []byte("abcd")
-	sl := getSpanList(input)
+	sl := NewSpanList(input)
 	sl.raw(input, 0, 4)
 	sl.litString("x")
-	putSpanList(sl)
+	sl.Close()
 	if sl.input != nil || len(sl.spans) != 0 || len(sl.esc) != 0 || sl.Len() != 0 {
-		t.Fatal("putSpanList left state behind; the pool would pin caller data")
+		t.Fatal("Close left state behind; the pool would pin caller data")
 	}
 }

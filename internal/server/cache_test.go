@@ -161,6 +161,50 @@ func TestPruneHead(t *testing.T) {
 	}
 }
 
+// TestMalformedDigest: X-Doc-Digest is the client's word. HEAD rejects
+// one that is not a digest, as it rejects a missing one, and a body-free
+// POST echoing an ETag built on one is not a 304: a 304 must name a
+// document.
+func TestMalformedDigest(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	do := func(method, digest, inm string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+"/prune?projection=titles", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(headerDocDigest, digest)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+
+	for _, bad := range []string{"zz", strings.Repeat("g", 32), strings.Repeat("0", 31)} {
+		if resp := do("HEAD", bad, ""); resp.StatusCode != http.StatusBadRequest || resp.Header.Get("ETag") != "" {
+			t.Fatalf("HEAD with digest %q: status %d, ETag %q; want 400 and none", bad, resp.StatusCode, resp.Header.Get("ETag"))
+		}
+	}
+
+	// The projection's fingerprint, as a served ETag carries it, behind a
+	// digest that names no document.
+	posted, _ := postPrune(t, ts, "/prune?projection=titles", strings.NewReader(bibDoc))
+	etag := posted.Header.Get("ETag")
+	forged := `"zz-` + etag[strings.Index(etag, "-")+1:]
+	if resp := do("POST", "zz", forged); resp.StatusCode == http.StatusNotModified {
+		t.Fatalf("a body-free POST echoing %s with digest zz was answered 304", forged)
+	}
+}
+
 // TestPruneCacheDisabled: a negative budget turns the cache off — no
 // cache headers on POST, HEAD refused.
 func TestPruneCacheDisabled(t *testing.T) {

@@ -38,11 +38,10 @@ type exchange struct {
 
 	// The outcome. Only reject sets status; otherwise done takes it from
 	// err, or from the response when there is none.
-	status  int
-	err     error
-	stats   xmlproj.PruneStats
-	cache   string // "hit", "miss", "bypass", "revalidated"; empty when the cache played no part
-	perPart bool   // /multiprune credited the engine part by part
+	status int
+	err    error
+	stats  xmlproj.PruneStats
+	cache  string // "hit", "miss", "bypass", "revalidated"; empty when the cache played no part
 }
 
 // begin is the one way in; done must follow.
@@ -230,9 +229,6 @@ func (x *exchange) done() {
 			x.cancel()
 		}
 		x.releaseBody()
-		if !x.perPart {
-			s.eng.RecordPrune(x.body.n, x.stats, x.err)
-		}
 		s.m.inFlight.Add(-1)
 		<-s.sem
 	}

@@ -303,7 +303,8 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 			do(t, "HEAD", ts.URL+titles, nil, headerDocDigest, digest)
 			do(t, "HEAD", ts.URL+titles, nil, headerDocDigest, strings.Repeat("0", len(digest)))
 			do(t, "HEAD", ts.URL+titles, nil, headerDocDigest, digest, "If-None-Match", etag)
-		}, []want{{200, "miss"}, {400, ""}, {200, "hit"}, {200, "miss"}, {304, "revalidated"}}},
+			do(t, "HEAD", ts.URL+titles, nil, headerDocDigest, "zz")
+		}, []want{{200, "miss"}, {400, ""}, {200, "hit"}, {200, "miss"}, {304, "revalidated"}, {400, ""}}},
 		{"multiprune", Options{}, func(t *testing.T, ts *httptest.Server) {
 			do(t, "POST", ts.URL+multi, strings.NewReader(bibDoc))
 			do(t, "POST", ts.URL+"/multiprune", strings.NewReader(bibDoc))

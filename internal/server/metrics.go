@@ -58,7 +58,8 @@ func (h *histogram) snapshot() map[string]any {
 	return m
 }
 
-// metrics are the server's own counters, alongside the engine's.
+// metrics are the server's own counters, alongside the engine's caches:
+// what a request did is counted here and nowhere else.
 type metrics struct {
 	// requests counts every prune request received (POST and HEAD /prune,
 	// POST /multiprune). The seven outcome counters below partition the
@@ -141,8 +142,8 @@ func (m *metrics) snapshot() map[string]any {
 	}
 }
 
-// handleVars serves the /debug/vars document: the full engine.Metrics
-// snapshot plus the server counters, as one JSON object. It is
+// handleVars serves the /debug/vars document: the engine's two caches
+// (Engine.MetricsMap) plus the server counters, as one JSON object. It is
 // self-contained (not the global expvar registry) so several servers in
 // one process — or one test binary — never fight over published names.
 func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {

@@ -56,7 +56,6 @@ func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
 	// Per-projector verdicts ride in the parts, so the response itself is
 	// 200 even when some (or all) projectors failed on this document; the
 	// first failure is the request's outcome in the log and the counters.
-	x.perPart = true
 	mw := multipart.NewWriter(&x.w)
 	x.w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
 	for j, np := range nps {
@@ -65,7 +64,9 @@ func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
 		if errs[j] != nil {
 			h.Set("X-Prune-Error", errs[j].Error())
 			mw.CreatePart(h)
-			x.recordPart(0, xmlproj.PruneStats{}, errs[j])
+			if x.err == nil {
+				x.err = errs[j]
+			}
 			continue
 		}
 		res := results[j]
@@ -78,32 +79,18 @@ func (s *Server) handleMultiprune(w http.ResponseWriter, r *http.Request) {
 		if perr == nil {
 			_, perr = res.WriteTo(pw)
 		}
-		// The input bytes are credited once, on the first part — the
-		// document was read once, however many projectors shared the scan.
-		in := int64(0)
-		if j == 0 {
-			in = x.body.n
-		}
-		x.recordPart(in, res.Stats, perr)
+		x.stats.BytesOut += res.Stats.BytesOut
 		res.Close()
 		if perr != nil {
 			// The client stopped draining mid-part; nothing more can be
 			// delivered.
+			if x.err == nil {
+				x.err = perr
+			}
 			break
 		}
 	}
 	mw.Close()
-}
-
-// recordPart credits one projector's share of a multiprune into the
-// engine counters (with the usual outcome classification) and into the
-// request's outcome.
-func (x *exchange) recordPart(bytesIn int64, stats xmlproj.PruneStats, err error) {
-	x.s.eng.RecordPrune(bytesIn, stats, err)
-	x.stats.BytesOut += stats.BytesOut
-	if err != nil && x.err == nil {
-		x.err = err
-	}
 }
 
 // resolveMulti maps the request to an ordered projector list: repeated

@@ -151,9 +151,9 @@ func TestMultipruneRejections(t *testing.T) {
 	}
 }
 
-// TestMultipruneCounters: the /debug/vars counters new with multiprune —
-// request count, fan-out, fused-table cache hits/misses, and the
-// engine's multi-projection cache counters — move as requests run.
+// TestMultipruneCounters: the /debug/vars counters of multiprune —
+// request count and fan-out — move as requests run, and a request is
+// one outcome and one body however many projectors shared its scan.
 func TestMultipruneCounters(t *testing.T) {
 	s := newTestServer(t, Options{})
 	if err := s.AddProjection("authors", "bib", false, "//book/author"); err != nil {
@@ -162,7 +162,7 @@ func TestMultipruneCounters(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	vars := func() (server, engine map[string]any) {
+	vars := func() map[string]any {
 		resp, err := http.Get(ts.URL + "/debug/vars")
 		if err != nil {
 			t.Fatal(err)
@@ -176,13 +176,12 @@ func TestMultipruneCounters(t *testing.T) {
 			t.Fatalf("/debug/vars: %d", resp.StatusCode)
 		}
 		var v struct {
-			Engine map[string]any `json:"engine"`
 			Server map[string]any `json:"server"`
 		}
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
-		return v.Server, v.Engine
+		return v.Server
 	}
 	num := func(m map[string]any, k string) float64 {
 		v, ok := m[k].(float64)
@@ -192,7 +191,7 @@ func TestMultipruneCounters(t *testing.T) {
 		return v
 	}
 
-	sv0, ev0 := vars()
+	sv0 := vars()
 	url := "/multiprune?projection=titles&projection=authors"
 	for i := 0; i < 2; i++ {
 		resp, body := postPrune(t, ts, url, strings.NewReader(bibDoc))
@@ -200,7 +199,7 @@ func TestMultipruneCounters(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 	}
-	sv1, ev1 := vars()
+	sv1 := vars()
 
 	if got := num(sv1, "multi_requests") - num(sv0, "multi_requests"); got != 2 {
 		t.Fatalf("multi_requests moved by %v, want 2", got)
@@ -208,9 +207,10 @@ func TestMultipruneCounters(t *testing.T) {
 	if got := num(sv1, "multi_fanout") - num(sv0, "multi_fanout"); got != 4 {
 		t.Fatalf("multi_fanout moved by %v, want 4", got)
 	}
-	// The pruned documents count toward the engine's documents/bytes too:
-	// two requests × two projectors.
-	if got := num(ev1, "docs_pruned") - num(ev0, "docs_pruned"); got != 4 {
-		t.Fatalf("docs_pruned moved by %v, want 4", got)
+	if got := num(sv1, "ok") - num(sv0, "ok"); got != 2 {
+		t.Fatalf("ok moved by %v, want 2", got)
+	}
+	if got := num(sv1, "bytes_in") - num(sv0, "bytes_in"); got != 2*float64(len(bibDoc)) {
+		t.Fatalf("bytes_in moved by %v, want %d", got, 2*len(bibDoc))
 	}
 }

@@ -24,6 +24,8 @@
 // Admission control, body-size and token-size limits, and per-request
 // deadlines make the service safe to expose to untrusted inputs;
 // /debug/vars and the admin pprof listener make it observable.
+//
+// Defended by: `serve_cold`, `serve_warm` and `serve_stream`.
 package server
 
 import (
@@ -447,6 +449,7 @@ func (s *Server) handlePruneHead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dig := r.Header.Get(headerDocDigest)
+	etag := s.eng.ResultETag(np.p, dig, np.validate)
 	switch {
 	case !s.eng.ResultCacheEnabled():
 		x.reject(http.StatusBadRequest, "HEAD /prune needs the result cache, which is disabled")
@@ -454,9 +457,11 @@ func (s *Server) handlePruneHead(w http.ResponseWriter, r *http.Request) {
 	case dig == "":
 		x.reject(http.StatusBadRequest, "HEAD /prune needs an "+headerDocDigest+" header (as returned by a prior POST /prune)")
 		return
+	case etag == "":
+		x.reject(http.StatusBadRequest, fmt.Sprintf("HEAD /prune: %s %q is not a document digest (as returned by a prior POST /prune)", headerDocDigest, dig))
+		return
 	}
 
-	etag := s.eng.ResultETag(np.p, dig, np.validate)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		x.notModified(etag, dig)
 		return

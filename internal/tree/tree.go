@@ -12,6 +12,8 @@
 // Character data is one string in document order, so an element's
 // string-value is one substring of it. A Builder makes every Document; a
 // Node is a handle on one record.
+//
+// Defended by: §2.1; `answer_direct` and `tree.parse_mb_s`.
 package tree
 
 // NodeID is the unique identifier i of a node within a well-formed forest

@@ -10,6 +10,8 @@
 // Document therefore never spells a name: it walks each element's
 // children through the dense content-model automaton the streaming
 // pruner validates with (dtd.DenseDFA), one array load per child.
+//
+// Defended by: Def. 2.4 (xmlproj.DTD.Validate).
 package validate
 
 import (

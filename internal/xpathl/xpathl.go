@@ -10,6 +10,8 @@
 //     per-function table F(f, i);
 //   - §4.3: the rewriting of the sibling, preceding and following axes
 //     into parent/child/ancestor-or-self/descendant-or-self steps.
+//
+// Defended by: §3 and §4.3 (the XPathℓ fragment the analysis reads).
 package xpathl
 
 import (

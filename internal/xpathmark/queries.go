@@ -9,6 +9,8 @@
 // sibling/backward-axis queries the paper's §4.3 calls out, and QP13 the
 // deliberately unselective query for which (per Table 1) nearly the whole
 // document must be kept.
+//
+// Defended by: Table 1 (its QP rows).
 package xpathmark
 
 // Query is one benchmark query (pure XPath 1.0).

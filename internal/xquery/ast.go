@@ -1,6 +1,8 @@
 // Package xquery implements the FLWR core of XQuery used by the paper
 // (§5): parsing, the Fig. 3 path-extraction function E(q, Γ, m), the
 // for/if predicate-pushing heuristic, and an evaluator.
+//
+// Defended by: §5 and Fig. 3; `answer_projected` and `answer_direct` run its Q10 XQuery queries.
 package xquery
 
 import (

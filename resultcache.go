@@ -1,9 +1,6 @@
 package xmlproj
 
-import (
-	"xmlproj/internal/prune"
-	"xmlproj/internal/rescache"
-)
+import "xmlproj/internal/rescache"
 
 // DefaultResultCacheBytes is the recommended result-cache budget for
 // server deployments (the xmlprojd default): large enough to hold a
@@ -36,7 +33,7 @@ func etagOf(digest, fp string) string {
 // ResultCacheEnabled reports whether this engine was built with a
 // result cache (EngineOptions.ResultCacheBytes > 0).
 func (eng *Engine) ResultCacheEnabled() bool {
-	return eng.e.ResultCache().Enabled()
+	return eng.results.Enabled()
 }
 
 // DigestBytes returns the content digest (32 hex chars) the result
@@ -53,9 +50,13 @@ func (eng *Engine) DigestBytes(data []byte) (digest string, ok bool) {
 
 // ResultETag composes the strong ETag for (document digest, projector,
 // validate): the token a client revalidates with via If-None-Match.
-// Empty when the digest is empty or the cache is disabled.
+// Empty when the cache is disabled or the digest is not one DigestBytes
+// returns: it is the client's word, and an ETag must name a document.
 func (eng *Engine) ResultETag(p *Projector, docDigest string, validate bool) string {
-	if docDigest == "" || !eng.ResultCacheEnabled() {
+	if !eng.ResultCacheEnabled() {
+		return ""
+	}
+	if _, err := rescache.ParseDigest(docDigest); err != nil {
 		return ""
 	}
 	return etagOf(docDigest, p.pr.ResultFingerprint(validate))
@@ -65,7 +66,7 @@ func (eng *Engine) ResultETag(p *Projector, docDigest string, validate bool) str
 // (document digest, projector, validate) if it is cached right now.
 // No prune runs and no hit/miss counters move — this is the HEAD path.
 func (eng *Engine) CachedLen(p *Projector, docDigest string, validate bool) (int64, bool) {
-	c := eng.e.ResultCache()
+	c := eng.results
 	if !c.Enabled() {
 		return 0, false
 	}
@@ -95,7 +96,8 @@ func (eng *Engine) CachedLen(p *Projector, docDigest string, validate bool) (int
 //
 // Without a cache this is a plain PruneGather (info.Enabled false).
 func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string, opts StreamOptions) (*PruneResult, CacheInfo, error) {
-	if !eng.ResultCacheEnabled() {
+	c := eng.results
+	if !c.Enabled() {
 		res, err := p.PruneGather(data, opts)
 		return res, CacheInfo{}, err
 	}
@@ -111,15 +113,33 @@ func (eng *Engine) PruneGatherDigest(p *Projector, data []byte, docDigest string
 	fp := p.pr.ResultFingerprint(opts.Validate)
 	info := CacheInfo{Enabled: true, Digest: dig.String(), ETag: etagOf(dig.String(), fp)}
 
-	entry, g, st, hit, err := eng.e.CachedGather(rescache.Key{Doc: dig, Variant: fp}, func() (*prune.Gather, prune.Stats, error) {
-		return prune.StreamGather(data, p.d, p.pr.Names, p.streamOpts(opts))
+	// The fill leader keeps its pooled spans and writes its own response
+	// from them. The cache gets a view of them to digest and, if it holds
+	// no copy of those bytes yet, to copy — and only when it can keep the
+	// copy: an output larger than a shard's budget is never copied.
+	var filled *PruneResult
+	entry, hit, err := c.GetOrFill(rescache.Key{Doc: dig, Variant: fp}, func() (*rescache.Entry, error) {
+		res, err := p.PruneGather(data, opts)
+		if err != nil {
+			return nil, err
+		}
+		filled = res
+		if !c.Cacheable(res.sl.Len()) {
+			return nil, nil
+		}
+		return rescache.NewGatherEntry(res.sl, res.Stats), nil
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, info, err
+	case hit:
+		info.Hit = true
+		return &PruneResult{Stats: entry.Stats, cached: entry}, info, nil
+	case filled != nil:
+		return filled, info, nil
 	}
-	info.Hit = hit
-	if g != nil {
-		return &PruneResult{Stats: st, g: g}, info, nil
-	}
-	return &PruneResult{Stats: entry.Stats, cached: entry}, info, nil
+	// Coalesced onto a fill whose output was too large to cache: nothing
+	// shareable came back, so prune privately.
+	res, err := p.PruneGather(data, opts)
+	return res, info, err
 }

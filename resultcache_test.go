@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,19 +119,19 @@ func TestEnginePruneGatherCacheDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 20
+	data := []byte(apiDoc)
+	digest, _ := eng.DigestBytes(data)
 	var fresh []*Projector
 	for i := 0; i <= runs; i++ { // AllocsPerRun makes one warm-up call
 		p, err := d.LoadProjector(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.ResultETag(p, "00", false) == "" {
+		if eng.ResultETag(p, digest, false) == "" {
 			t.Fatal("no ETag from an engine with a result cache")
 		}
 		fresh = append(fresh, p)
 	}
-	data := []byte(apiDoc)
-	digest, _ := eng.DigestBytes(data)
 	allocs := testing.AllocsPerRun(runs, func() {
 		p := fresh[0]
 		fresh = fresh[1:]
@@ -206,6 +207,13 @@ func TestEnginePruneGatherETags(t *testing.T) {
 	if _, ok := eng.CachedLen(pt, "not-a-digest", false); ok {
 		t.Fatalf("CachedLen accepted a malformed digest")
 	}
+	// A digest is the client's word: one that DigestBytes cannot have
+	// returned names no document, and gets no ETag.
+	for _, bad := range []string{"", "zz", "not-a-digest", a.Digest[:30], a.Digest + "00"} {
+		if got := eng.ResultETag(pt, bad, false); got != "" {
+			t.Fatalf("ResultETag(%q) = %q, want none", bad, got)
+		}
+	}
 	after := eng.Metrics()
 	if after.ResultCache.Hits != before.ResultCache.Hits || after.ResultCache.Misses != before.ResultCache.Misses {
 		t.Fatalf("CachedLen moved hit/miss counters: %+v -> %+v", before, after)
@@ -253,6 +261,105 @@ func TestEnginePruneGatherBypasses(t *testing.T) {
 	if _, ok := off.DigestBytes(data); ok {
 		t.Fatalf("disabled cache still digests")
 	}
+}
+
+// TestPruneGatherDigestSingleFlight: N concurrent cold requests for one
+// (document, projector) run one prune. The caller that fills keeps its
+// pooled spans, the rest share the cached entry, and every caller gets
+// the bytes a fresh prune writes.
+func TestPruneGatherDigestSingleFlight(t *testing.T) {
+	eng, _, pt, _ := cacheEngineSetup(t)
+	data := []byte(apiDoc)
+	fresh, err := pt.PruneGather(data, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Bytes()
+	fresh.Close()
+
+	outs, hits := gatherBurst(t, eng, pt, data)
+	var hitCount int
+	for i := range outs {
+		if !bytes.Equal(outs[i], want) {
+			t.Fatalf("caller %d output differs:\n got %q\nwant %q", i, outs[i], want)
+		}
+		if hits[i] {
+			hitCount++
+		}
+	}
+	if hitCount != len(outs)-1 {
+		t.Fatalf("%d callers reported hits, want %d (one filled)", hitCount, len(outs)-1)
+	}
+	if m := eng.Metrics().ResultCache; m.Misses != 1 || m.Hits+m.Coalesced != int64(len(outs)-1) {
+		t.Fatalf("one cold key, %d callers: %+v", len(outs), m)
+	}
+}
+
+// TestPruneGatherDigestUncacheableOutput: an output above a shard's
+// budget is served but never stored, so a later request prunes again,
+// and callers that coalesced onto its fill prune for themselves.
+func TestPruneGatherDigestUncacheableOutput(t *testing.T) {
+	_, _, pt, _ := cacheEngineSetup(t)
+	eng := NewEngine(EngineOptions{ResultCacheBytes: 16}) // every output exceeds a shard's slice
+	data := []byte(apiDoc)
+	fresh, err := pt.PruneGather(data, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Bytes()
+	fresh.Close()
+
+	for i := 0; i < 2; i++ {
+		res, info, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Enabled || info.Hit || res.RawBytes() == 0 || !bytes.Equal(res.Bytes(), want) {
+			t.Fatalf("round %d: %+v, raw %d, %q", i, info, res.RawBytes(), res.Bytes())
+		}
+		res.Close()
+	}
+	if m := eng.Metrics().ResultCache; m.Misses != 2 || m.Bypasses != 2 || m.Entries != 0 {
+		t.Fatalf("uncacheable output: %+v, want two misses, two bypasses, nothing stored", m)
+	}
+
+	outs, hits := gatherBurst(t, eng, pt, data)
+	for i := range outs {
+		if hits[i] || !bytes.Equal(outs[i], want) {
+			t.Fatalf("caller %d: hit=%v, %q", i, hits[i], outs[i])
+		}
+	}
+	if m := eng.Metrics().ResultCache; m.Hits != 0 || m.Entries != 0 || m.Misses+m.Coalesced != 2+int64(len(outs)) {
+		t.Fatalf("after a burst of %d: %+v", len(outs), m)
+	}
+}
+
+// gatherBurst runs eight concurrent PruneGatherDigest calls for one
+// (document, projector) and returns each caller's bytes and cache hit.
+func gatherBurst(t *testing.T, eng *Engine, p *Projector, data []byte) ([][]byte, []bool) {
+	t.Helper()
+	const n = 8
+	outs := make([][]byte, n)
+	hits := make([]bool, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			res, info, err := eng.PruneGatherDigest(p, data, "", StreamOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			outs[i], hits[i] = res.Bytes(), info.Hit
+			res.Close()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	return outs, hits
 }
 
 // TestEnginePruneBytesCached: a cached result flushed to a writer, cold

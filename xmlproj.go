@@ -17,6 +17,8 @@
 // The package also ships the in-memory XPath/XQuery engine used by the
 // reproduction benchmarks (Evaluate), validation, and the XMark document
 // generator (under internal/, driven by cmd/xmarkgen).
+//
+// Defended by: every workload, e.g. `answer_projected`, `cli_large`, `serve_cold` (§6).
 package xmlproj
 
 import (
@@ -33,6 +35,7 @@ import (
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/prune"
 	"xmlproj/internal/rescache"
+	"xmlproj/internal/scan"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
 	"xmlproj/internal/xpath"
@@ -572,7 +575,7 @@ func (p *Projector) LoadProjected(src io.Reader, opts StreamOptions) (*Document,
 type PruneResult struct {
 	// Stats reports what the prune did; BytesOut is the rendered size.
 	Stats    PruneStats
-	g        *prune.Gather
+	sl       *scan.SpanList
 	cached   *rescache.Entry
 	released atomic.Bool
 }
@@ -589,7 +592,7 @@ func (r *PruneResult) WriteTo(w io.Writer) (int64, error) {
 	if r.cached != nil {
 		return r.cached.WriteTo(w)
 	}
-	return r.g.WriteTo(w)
+	return r.sl.WriteTo(w)
 }
 
 // Bytes materialises the pruned document in a fresh slice (nil after
@@ -601,7 +604,7 @@ func (r *PruneResult) Bytes() []byte {
 	if r.cached != nil {
 		return r.cached.AppendTo(nil)
 	}
-	return r.g.Bytes()
+	return r.sl.Bytes()
 }
 
 // Len is the rendered output size in bytes (0 after Close).
@@ -612,7 +615,7 @@ func (r *PruneResult) Len() int64 {
 	if r.cached != nil {
 		return r.cached.Len()
 	}
-	return r.g.Len()
+	return r.sl.Len()
 }
 
 // RawBytes counts output bytes referenced in place from the input —
@@ -622,7 +625,7 @@ func (r *PruneResult) RawBytes() int64 {
 	if r.released.Load() || r.cached != nil {
 		return 0
 	}
-	return r.g.RawBytes()
+	return r.sl.RawBytes()
 }
 
 // Segments is the number of gather segments, which is WriteTo's number
@@ -634,7 +637,7 @@ func (r *PruneResult) Segments() int {
 	if r.cached != nil {
 		return 1
 	}
-	return r.g.Segments()
+	return r.sl.Segments()
 }
 
 // Close releases the result's internal state for reuse. Safe to call
@@ -644,10 +647,10 @@ func (r *PruneResult) Close() error {
 	if !r.released.CompareAndSwap(false, true) {
 		return nil
 	}
-	g := r.g
-	r.g, r.cached = nil, nil
-	if g != nil {
-		return g.Close()
+	sl := r.sl
+	r.sl, r.cached = nil, nil
+	if sl != nil {
+		return sl.Close()
 	}
 	return nil
 }
@@ -657,11 +660,11 @@ func (r *PruneResult) Close() error {
 // result is flushed. Rendered output is byte-identical to PruneStream.
 // The caller must Close the result.
 func (p *Projector) PruneGather(data []byte, opts StreamOptions) (*PruneResult, error) {
-	g, st, err := prune.StreamGather(data, p.d, p.pr.Names, p.streamOpts(opts))
+	sl, st, err := prune.StreamGather(data, p.d, p.pr.Names, p.streamOpts(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &PruneResult{Stats: st, g: g}, nil
+	return &PruneResult{Stats: st, sl: sl}, nil
 }
 
 // MaxFusedProjectors is how many projectors one shared scan can fuse
@@ -710,13 +713,13 @@ func PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*Prun
 		}
 		pis[j], mopts.Projections[j] = p.pr.Names, p.pr.Compiled()
 	}
-	gathers, stats, gerrs := prune.StreamMultiGather(data, d, pis, mopts)
+	sls, stats, gerrs := prune.StreamMultiGather(data, d, pis, mopts)
 	for j := range ps {
 		if gerrs[j] != nil {
 			errs[j] = gerrs[j]
 			continue
 		}
-		results[j] = &PruneResult{Stats: stats[j], g: gathers[j]}
+		results[j] = &PruneResult{Stats: stats[j], sl: sls[j]}
 	}
 	return results, errs
 }
