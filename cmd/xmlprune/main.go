@@ -341,16 +341,15 @@ func runMulti(specs, ins stringList, dtdPath, root, out string, materialize, val
 	// The shared scan tokenizes in place, so the input is materialised
 	// once: mapped when it is a regular file, read otherwise.
 	var data []byte
-	var mapped *mmapio.Data
 	inName := "stdin"
 	if len(inputs) == 1 {
 		inName = inputs[0]
-		if m, merr := mmapio.Open(inputs[0]); merr == nil {
-			mapped = m
-			data = m.Bytes()
-		} else if data, err = os.ReadFile(inputs[0]); err != nil {
+		m, err := mmapio.Open(inputs[0])
+		if err != nil {
 			return err
 		}
+		defer m.Close()
+		data = m.Bytes()
 	} else {
 		// Stdin has no size to check up front, and the shared scan must
 		// buffer it whole — bound the read so a runaway pipe cannot take
@@ -361,9 +360,6 @@ func runMulti(specs, ins stringList, dtdPath, root, out string, materialize, val
 		if int64(len(data)) > maxMultiStdinBytes {
 			return fmt.Errorf("stdin input exceeds %d bytes; the shared multi-projection scan buffers its input whole — write it to a file and pass -in", maxMultiStdinBytes)
 		}
-	}
-	if mapped != nil {
-		defer mapped.Close()
 	}
 
 	// Resolve destinations: several projections need -out as a directory

@@ -419,7 +419,8 @@ func TestProjectionCache(t *testing.T) {
 }
 
 // TestPruneBatchKeepGoing: without FailFast a bad document fails alone;
-// every other job still completes.
+// every other job still completes, and the batch's error names the job
+// and the package it came from.
 func TestPruneBatchKeepGoing(t *testing.T) {
 	eng := NewEngine(EngineOptions{})
 	p := titleProjector(t)
@@ -431,6 +432,9 @@ func TestPruneBatchKeepGoing(t *testing.T) {
 	}
 	if results[2].Err == nil {
 		t.Fatal("bad job reported success")
+	}
+	if want := fmt.Sprintf("xmlproj: job %s: %v", jobs[2].Name, results[2].Err); err.Error() != want {
+		t.Fatalf("batch error %q, want %q", err, want)
 	}
 	if agg.Pruned != 5 || agg.Failed != 1 || agg.Skipped != 0 {
 		t.Fatalf("aggregate outcome: %+v", agg)
@@ -722,7 +726,10 @@ var sink *dtd.Projection
 // result fingerprint from a projector after first use (the memo on
 // core.Projector), against compiling it, and what it costs to fuse N
 // members' tables per shared-scan pass (fuse: what PruneMultiGather does
-// before scanning) against dtd.CombineProjections alone.
+// before scanning) against dtd.CombineProjections alone. adhoc is the
+// projector cache's own row: an ad-hoc request's projector built afresh
+// (Compile, Infer, the compiled π and a result fingerprint: the fill a
+// miss pays) against the same request answered by InferCached.
 func BenchmarkDerivedForms(b *testing.B) {
 	d, err := ParseDTDString(xmark.DTDSource, "site")
 	if err != nil {
@@ -795,5 +802,31 @@ func BenchmarkDerivedForms(b *testing.B) {
 				}
 			}
 		})
+	}
+	eng := NewEngine(EngineOptions{})
+	for name, src := range map[string]string{"low": queries[0], "mid": queries[1]} {
+		for _, route := range []string{"miss", "hit"} {
+			b.Run("adhoc/"+route+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					q, err := Compile(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var p *Projector
+					if route == "miss" {
+						p, err = d.Infer(Materialized, q)
+					} else {
+						p, err = eng.InferCached(d, Materialized, q)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					if sink = p.pr.Compiled(); p.pr.ResultFingerprint(false) == "" {
+						b.Fatal("empty fingerprint")
+					}
+				}
+			})
+		}
 	}
 }

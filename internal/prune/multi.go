@@ -8,7 +8,6 @@ package prune
 
 import (
 	"context"
-	"fmt"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/scan"
@@ -56,36 +55,29 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 	sls := make([]*scan.SpanList, n)
 	stats := make([]Stats, n)
 	errs := make([]error, n)
-	if n == 0 {
-		return sls, stats, errs
-	}
-	if err := ctxErr(opts.Ctx); err != nil {
-		fillErr(errs, 0, n, err)
-		return sls, stats, errs
-	}
 	projs := make([]*dtd.Projection, n)
-	for j := range pis {
-		if opts.Projections != nil && opts.Projections[j] != nil {
-			projs[j] = opts.Projections[j]
-		} else {
-			projs[j] = d.CompileProjection(pis[j])
-		}
-	}
 	for base := 0; base < n; base += dtd.MaxMultiProjections {
 		end := base + dtd.MaxMultiProjections
 		if end > n {
 			end = n
 		}
-		if err := ctxErr(opts.Ctx); err != nil {
-			fillErr(errs, base, end, err)
+		if err := cancelled(opts.Ctx); err != nil {
+			fillErr(errs, base, end, wrap(err))
 			continue
+		}
+		for j := base; j < end; j++ {
+			if opts.Projections != nil && opts.Projections[j] != nil {
+				projs[j] = opts.Projections[j]
+			} else {
+				projs[j] = d.CompileProjection(pis[j])
+			}
 		}
 		mp := opts.Combined
 		if mp == nil || mp.N() != n || base != 0 {
 			var err error
 			mp, err = dtd.CombineProjections(projs[base:end])
 			if err != nil {
-				fillErr(errs, base, end, fmt.Errorf("prune: %w", err))
+				fillErr(errs, base, end, wrap(err))
 				continue
 			}
 		}
@@ -96,9 +88,8 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 		ssts, serrs := scan.PruneMultiGather(pass, data, d, mp, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
 		for i := range pass {
 			j := base + i
-			stats[j] = ssts[i]
-			if serrs[i] != nil {
-				errs[j] = fmt.Errorf("prune: %w", serrs[i])
+			stats[j], errs[j] = ssts[i], wrap(serrs[i])
+			if errs[j] != nil {
 				sls[j].Close()
 				sls[j] = nil
 				continue
@@ -107,16 +98,6 @@ func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOpt
 		}
 	}
 	return sls, stats, errs
-}
-
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("prune: %w", err)
-	}
-	return nil
 }
 
 func fillErr(errs []error, base, end int, err error) {

@@ -224,7 +224,7 @@ type StreamOptions struct {
 // body) is never read: the prune scans the caller's bytes in place, as
 // StreamBytes does.
 func Stream(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
-	return run(source{r: src}, sink{w: dst}, d, pi, opts)
+	return run(scan.Source{R: src}, sink{w: dst}, d, pi, opts)
 }
 
 // StreamBytes is Stream over input that is already fully in memory:
@@ -235,7 +235,7 @@ func Stream(dst io.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts Strea
 // buffer growth, which in-memory input does not have) — bound such
 // inputs by size.
 func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
-	return run(source{data: data}, sink{w: dst}, d, pi, opts)
+	return run(scan.Source{Data: data}, sink{w: dst}, d, pi, opts)
 }
 
 // StreamGather prunes in-memory input into a span-gather result
@@ -254,7 +254,7 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 // returned list; data must stay alive and unmodified until then.
 func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*scan.SpanList, Stats, error) {
 	sl := scan.NewSpanList(data)
-	st, err := run(source{data: data}, sink{sl: sl}, d, pi, opts)
+	st, err := run(scan.Source{Data: data}, sink{sl: sl}, d, pi, opts)
 	if err != nil {
 		sl.Close()
 		return nil, st, err
@@ -263,7 +263,7 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 }
 
 // Load prunes the document read from src into a table: the pruning
-// automaton hands each node π keeps to a tree.Builder (scan.PruneHandler),
+// automaton hands each node π keeps to a tree.Builder (scan.Sink.H),
 // so the projected document is built in the pass that prunes it, and is
 // neither rendered nor tokenised a second time. The document, the verdict
 // and the error are tree.ParseBytes's on what Stream writes, at both
@@ -276,7 +276,7 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 // keeps a fraction of it.
 func Load(src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*tree.Document, Stats, error) {
 	b := tree.NewBuilder(0)
-	st, err := run(source{r: src}, sink{h: b}, d, pi, opts)
+	st, err := run(scan.Source{R: src}, sink{h: b}, d, pi, opts)
 	if err != nil {
 		return nil, st, err
 	}
@@ -284,107 +284,70 @@ func Load(src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*tree.
 	return doc, st, err
 }
 
-// source is where a prune's bytes come from: a reader, or (r == nil) a
-// document already resident in memory.
-type source struct {
-	r    io.Reader
-	data []byte
-}
-
-// sink is where they go: a writer, a span list over the resident input,
-// or a handler given the kept nodes (the table sink). One is set.
+// sink is where a prune's kept document goes: a writer, a span list over
+// the resident input, or a handler given the kept nodes (the table sink).
+// One is set. run hands it to the scanner as a scan.Sink, w behind a
+// pooled bufio.Writer that counts what reaches it.
 type sink struct {
 	w  io.Writer
 	sl *scan.SpanList
 	h  scan.Handler
 }
 
-// sinkKind names a sink's kind in run's table.
-type sinkKind uint8
-
-const (
-	toWriter sinkKind = iota
-	toSpans
-	toHandler
-)
-
-func (k sinkKind) String() string { return [...]string{"writer", "span", "handler"}[k] }
-
-func (o sink) kind() sinkKind {
+func (o sink) String() string {
 	switch {
 	case o.sl != nil:
-		return toSpans
+		return "span"
 	case o.h != nil:
-		return toHandler
+		return "handler"
 	}
-	return toWriter
+	return "writer"
 }
-
-// cell is one cell of run's routing table.
-type cell struct {
-	eng      Engine
-	resident bool // the source is in memory
-	to       sinkKind
-}
-
-const fromReader, fromBytes = false, true
 
 // run is the one route every streaming prune takes. It resolves the
-// source (a reader that is a BytesSource is resident input), resolves
-// EngineAuto to the serial scanner, and dispatches on
-//
-//	engine     source  sink     runs
-//	scanner    reader  writer   scan.Prune
-//	scanner    bytes   writer   scan.PruneBytes
-//	scanner    bytes   spans    scan.PruneGather
-//	scanner    reader  handler  scan.PruneHandler
-//	scanner    bytes   handler  scan.PruneBytesHandler
-//	parallel   bytes   writer   scan.PruneParallel (forced only)
-//	pipelined  reader  writer   scan.PrunePipelined (forced only)
-//
-// A span sink needs resident input, so no entry point builds reader ×
+// source (a reader that is a BytesSource is resident input) and
+// EngineAuto, which is the serial scanner, and routes on the engine
+// alone: the scanner takes every source into every sink (scan.Prune).
+// The concurrent engines run only when forced, each from one source into
+// a writer: parallel from resident input (scan.PruneParallel), pipelined
+// from a reader (scan.PrunePipelined). Every other cell fails with "no
+// route": a concurrent engine forced from the other source or into spans
+// or a handler, and EngineDecoder, whose pruner is the tests' oracle. A
+// span sink needs resident input, so no entry point builds reader ×
 // spans, and the shared scan of N > 1 projectors has span lists only.
-// Every other cell fails with "no route": a concurrent engine forced from
-// the other source or into spans or a handler, and EngineDecoder, whose
-// pruner is the tests' oracle.
 //
-// It holds the only projection compile, the only hand-back of stats and
-// the only error wrap.
-func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (st Stats, err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("prune: %w", err)
-		}
-	}()
-	if opts.Ctx != nil {
-		if err := opts.Ctx.Err(); err != nil {
-			return st, err
+// It holds the only projection compile, the only hand-back of stats and,
+// with cancelled and wrap, the only context check and error wrap.
+func run(src scan.Source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (st Stats, err error) {
+	defer func() { err = wrap(err) }()
+	if err := cancelled(opts.Ctx); err != nil {
+		return st, err
+	}
+	if bs, ok := src.R.(BytesSource); ok {
+		if data := bs.InputBytes(); data != nil {
+			src = scan.Source{Data: data}
 		}
 	}
-	if src.r != nil {
-		if data, ok := inputBytesOf(src.r); ok {
-			src = source{data: data}
-		} else if opts.Ctx != nil {
-			src.r = &ctxReader{ctx: opts.Ctx, r: src.r}
-		}
+	if src.R != nil && opts.Ctx != nil {
+		src.R = &ctxReader{ctx: opts.Ctx, r: src.R}
 	}
-	at := cell{opts.Engine, src.r == nil, out.kind()}
-	if at.eng == EngineAuto {
-		at.eng = EngineScanner
+	eng := opts.Engine
+	if eng == EngineAuto {
+		eng = EngineScanner
 	}
 	if opts.Chosen != nil {
-		*opts.Chosen = at.eng
+		*opts.Chosen = eng
 	}
 
-	var bw *bufio.Writer
+	to := scan.Sink{Spans: out.sl, H: out.h}
 	var written *countingWriter
 	if out.w != nil {
 		written = &countingWriter{w: out.w}
-		bw = bwPool.Get().(*bufio.Writer)
-		bw.Reset(written)
+		to.W = bwPool.Get().(*bufio.Writer)
+		to.W.Reset(written)
 		defer func() {
-			bw.Reset(io.Discard) // drop the caller's writer before pooling
-			bwPool.Put(bw)
+			to.W.Reset(io.Discard) // drop the caller's writer before pooling
+			bwPool.Put(to.W)
 		}()
 	}
 	proj := opts.Projection
@@ -392,40 +355,50 @@ func run(src source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 		proj = d.CompileProjection(pi)
 	}
 	so := scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize}
-	switch at {
-	case cell{EngineScanner, fromReader, toWriter}:
-		st, err = scan.Prune(bw, src.r, d, proj, so)
-	case cell{EngineScanner, fromBytes, toWriter}:
-		st, err = scan.PruneBytes(bw, src.data, d, proj, so)
-	case cell{EngineScanner, fromBytes, toSpans}:
-		st, err = scan.PruneGather(out.sl, src.data, d, proj, so)
-	case cell{EngineScanner, fromReader, toHandler}:
-		st, err = scan.PruneHandler(out.h, src.r, d, proj, so)
-	case cell{EngineScanner, fromBytes, toHandler}:
-		st, err = scan.PruneBytesHandler(out.h, src.data, d, proj, so)
-	case cell{EngineParallel, fromBytes, toWriter}:
-		st, _, err = scan.PruneParallel(bw, src.data, d, proj, scan.ParallelOptions{
+	resident := src.R == nil
+	switch {
+	case eng == EngineScanner:
+		st, err = scan.Prune(src, to, d, proj, so)
+	case eng == EngineParallel && resident && to.W != nil:
+		st, _, err = scan.PruneParallel(to.W, src.Data, d, proj, scan.ParallelOptions{
 			Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.parallelChunkSize, FragTarget: opts.parallelFragTarget,
 		})
-	case cell{EnginePipelined, fromReader, toWriter}:
-		st, _, err = scan.PrunePipelined(bw, src.r, d, proj, scan.PipelineOptions{
+	case eng == EnginePipelined && !resident && to.W != nil:
+		st, _, err = scan.PrunePipelined(to.W, src.R, d, proj, scan.PipelineOptions{
 			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.parallelFragTarget,
 			WindowSize: opts.pipelineWindowSize, RingDepth: opts.pipelineRingDepth,
 		})
 	default:
-		return st, fmt.Errorf("no route for engine %s (resident input %v, %s sink)", at.eng, at.resident, at.to)
+		return st, fmt.Errorf("no route for engine %s (resident input %v, %s sink)", eng, resident, out)
 	}
 	// A handler sink's BytesOut was counted by the scanner.
-	switch at.to {
-	case toWriter:
+	switch {
+	case to.W != nil:
 		if err == nil {
-			err = bw.Flush()
+			err = to.W.Flush()
 		}
 		st.BytesOut = written.n
-	case toSpans:
+	case out.sl != nil:
 		st.BytesOut = out.sl.Len()
 	}
 	return st, err
+}
+
+// cancelled is ctx's error, and nil for a nil ctx: the check a prune
+// makes before it reads anything.
+func cancelled(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// wrap names the package on a prune's error.
+func wrap(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("prune: %w", err)
 }
 
 // ctxReader aborts reads once its context is cancelled, so a prune
@@ -454,15 +427,6 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 // readers (counting readers, instrumented streams) should forward it.
 type BytesSource interface {
 	InputBytes() []byte
-}
-
-func inputBytesOf(src io.Reader) ([]byte, bool) {
-	if bs, ok := src.(BytesSource); ok {
-		if b := bs.InputBytes(); b != nil {
-			return b, true
-		}
-	}
-	return nil, false
 }
 
 // bwPool recycles the output buffers across prunes; a batch of small

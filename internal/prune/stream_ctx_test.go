@@ -83,16 +83,18 @@ func (r residentReader) Read([]byte) (int, error) {
 	return 0, io.ErrUnexpectedEOF
 }
 
-// TestStreamChosenEngine is run's routing table, cell by cell: every
-// source × sink the entry points can build, under EngineAuto and under
-// each forced engine. Auto must resolve to the scanner at every size —
-// a small document and a 20 MiB one — from every source, into every
-// sink, at both levels of Validate, with GOMAXPROCS at 8. A forced engine
-// runs in its own rows only (scanner: all five; parallel: bytes into a
-// writer; pipelined: a reader into a writer) and is "no route" in every
-// other cell. Every cell that runs reports the engine the table names
-// and produces output and stats identical to the forced serial scanner —
-// for the table sink, a document whose serialisation is that output.
+// TestStreamChosenEngine is run's dispatch, engine × source × sink: every
+// cell the entry points can build, under EngineAuto and under each forced
+// engine. Auto must resolve to the scanner at every size — a small
+// document and a 20 MiB one — from every source, into every sink, at
+// both levels of Validate, with GOMAXPROCS at 8. The scanner runs in all
+// five cells (reader or resident bytes, into a writer, spans or a
+// handler; spans only from bytes), each forced concurrent engine in its
+// one (parallel: bytes into a writer; pipelined: a reader into a writer),
+// and every other cell fails with run's "no route" text. Every cell that
+// runs reports the engine it ran and produces output and stats identical
+// to the forced serial scanner — for the table sink, a document whose
+// serialisation is that output.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
@@ -129,16 +131,16 @@ func TestStreamChosenEngine(t *testing.T) {
 		name     string
 		run      entry
 		resident bool
-		to       sinkKind
+		to       string
 	}{
-		{"reader unsized → writer", reader(func(doc string) io.Reader { return bufio.NewReader(strings.NewReader(doc)) }), false, toWriter},
-		{"reader sized → writer", reader(func(doc string) io.Reader { return strings.NewReader(doc) }), false, toWriter},
-		{"BytesSource reader → writer", reader(resident), true, toWriter},
+		{"reader unsized → writer", reader(func(doc string) io.Reader { return bufio.NewReader(strings.NewReader(doc)) }), false, "writer"},
+		{"reader sized → writer", reader(func(doc string) io.Reader { return strings.NewReader(doc) }), false, "writer"},
+		{"BytesSource reader → writer", reader(resident), true, "writer"},
 		{"bytes → writer", func(doc string, opts StreamOptions) (string, Stats, error) {
 			var out strings.Builder
 			st, err := StreamBytes(&out, []byte(doc), d, pi, opts)
 			return out.String(), st, err
-		}, true, toWriter},
+		}, true, "writer"},
 		{"bytes → spans", func(doc string, opts StreamOptions) (string, Stats, error) {
 			g, st, err := StreamGather([]byte(doc), d, pi, opts)
 			if err != nil {
@@ -148,20 +150,25 @@ func TestStreamChosenEngine(t *testing.T) {
 			var out strings.Builder
 			_, err = g.WriteTo(&out)
 			return out.String(), st, err
-		}, true, toSpans},
+		}, true, "span"},
 		// The table sink, rendered: a load's serialisation is the bytes it
 		// was loaded from.
-		{"reader → handler", load(func(doc string) io.Reader { return strings.NewReader(doc) }), false, toHandler},
-		{"BytesSource reader → handler", load(resident), true, toHandler},
+		{"reader → handler", load(func(doc string) io.Reader { return strings.NewReader(doc) }), false, "handler"},
+		{"BytesSource reader → handler", load(resident), true, "handler"},
 	}
-	// hasRow reports whether an engine has a row for a source × sink.
-	hasRow := map[Engine]func(resident bool, to sinkKind) bool{
-		EngineScanner:   func(bool, sinkKind) bool { return true },
-		EngineParallel:  func(resident bool, to sinkKind) bool { return resident && to == toWriter },
-		EnginePipelined: func(resident bool, to sinkKind) bool { return !resident && to == toWriter },
-		EngineDecoder:   func(bool, sinkKind) bool { return false },
-		Engine(99):      func(bool, sinkKind) bool { return false },
+	// runs reports whether an engine runs in a source × sink cell.
+	runs := map[Engine]func(resident bool, to string) bool{
+		EngineScanner:   func(bool, string) bool { return true },
+		EngineParallel:  func(resident bool, to string) bool { return resident && to == "writer" },
+		EnginePipelined: func(resident bool, to string) bool { return !resident && to == "writer" },
+		EngineDecoder:   func(bool, string) bool { return false },
+		Engine(99):      func(bool, string) bool { return false },
 	}
+	type cell struct {
+		resident bool
+		to       string
+	}
+	ran := map[Engine]map[cell]bool{}
 
 	for size, doc := range docs {
 		for _, validate := range []bool{false, true} {
@@ -185,15 +192,20 @@ func TestStreamChosenEngine(t *testing.T) {
 					if chosen != want {
 						t.Errorf("%s: chose %v, want %v", label, chosen, want)
 					}
-					if !hasRow[want](src.resident, src.to) {
-						if err == nil || !strings.Contains(err.Error(), "no route for engine "+eng.String()) || out != "" {
-							t.Errorf("%s: got %d bytes and %v, want the no-route error", label, len(out), err)
+					if !runs[want](src.resident, src.to) {
+						noRoute := fmt.Sprintf("prune: no route for engine %s (resident input %v, %s sink)", want, src.resident, src.to)
+						if err == nil || err.Error() != noRoute || out != "" {
+							t.Errorf("%s: got %d bytes and %v, want %q", label, len(out), err, noRoute)
 						}
 						continue
 					}
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
+					if ran[want] == nil {
+						ran[want] = map[cell]bool{}
+					}
+					ran[want][cell{src.resident, src.to}] = true
 					if out != ref.String() || st != refStats {
 						t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats)
 					}
@@ -202,7 +214,13 @@ func TestStreamChosenEngine(t *testing.T) {
 		}
 	}
 
-	// A repeated attribute name is malformed on every row, at both levels,
+	for eng, want := range map[Engine]int{EngineScanner: 5, EngineParallel: 1, EnginePipelined: 1} {
+		if len(ran[eng]) != want {
+			t.Errorf("%s ran in %d cells %v, want %d", eng, len(ran[eng]), ran[eng], want)
+		}
+	}
+
+	// A repeated attribute name is malformed in every cell, at both levels,
 	// in the loader's words.
 	const repeated = "attribute isbn repeated in element"
 	dup := `<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`
@@ -211,7 +229,7 @@ func TestStreamChosenEngine(t *testing.T) {
 	}
 	for _, src := range sources {
 		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
-			if !hasRow[eng](src.resident, src.to) {
+			if !runs[eng](src.resident, src.to) {
 				continue
 			}
 			for _, validate := range []bool{false, true} {

@@ -242,11 +242,11 @@ func TestKernelEndTags(t *testing.T) {
 			opts := Options{Validate: validate}
 			for name, run := range map[string]func(bw *bufio.Writer) error{
 				"resident": func(bw *bufio.Writer) error {
-					_, err := PruneBytes(bw, []byte(c.doc), d, p, opts)
+					_, err := Prune(Source{Data: []byte(c.doc)}, Sink{W: bw}, d, p, opts)
 					return err
 				},
 				"one-byte reader": func(bw *bufio.Writer) error {
-					_, err := Prune(bw, iotest(strings.NewReader(c.doc)), d, p, opts)
+					_, err := Prune(Source{R: iotest(strings.NewReader(c.doc))}, Sink{W: bw}, d, p, opts)
 					return err
 				},
 			} {

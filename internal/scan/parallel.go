@@ -75,7 +75,7 @@ func PruneParallel(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projecti
 	}
 	serial := func() (Stats, ParallelDetail, error) {
 		det.Fallback = true
-		st, err := Prune(bw, bytes.NewReader(data), d, proj, opts.Options)
+		st, err := Prune(Source{R: bytes.NewReader(data)}, Sink{W: bw}, d, proj, opts.Options)
 		return st, det, err
 	}
 	if maxTok < defaultBufSize {
@@ -127,7 +127,7 @@ func PruneParallel(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projecti
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(data)
 	pr.prep(d, proj, opts.Options)
-	pr.useStream(bw)
+	pr.use(Sink{W: bw})
 	if len(tasks) > 0 {
 		pr.sp = &spliceSet{tasks: tasks}
 	}
@@ -180,7 +180,7 @@ func runTask(data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options, t *fra
 		t.res.err = pr.runSkipFragment()
 	} else {
 		t.res.sl = NewSpanList(data)
-		pr.useGather(t.res.sl)
+		pr.use(Sink{Spans: t.res.sl})
 		t.res.err = pr.runFragment(t.ctxSym, t.ctxBase)
 		t.res.events = append([]int32(nil), pr.events...)
 	}

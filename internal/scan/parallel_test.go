@@ -105,7 +105,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				opts := Options{Validate: validate}
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
-				sst, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
+				sst, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, opts)
 				bw.Flush()
 				want := sb.String()
 				for _, workers := range []int{1, 2, 4, 8} {
@@ -239,7 +239,7 @@ func TestParallelVerdictParityOnBadDocs(t *testing.T) {
 			for i, doc := range docs {
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
-				_, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
+				_, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, opts)
 				for _, target := range []int{1, 1 << 20} {
 					_, _, _, perr := pruneParallelStr(t, doc, d, p, ParallelOptions{
 						Options: opts, Workers: 4, ChunkSize: 11, FragTarget: target,
@@ -272,7 +272,7 @@ func TestParallelMaxTokenSize(t *testing.T) {
 	}
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	_, serr := Prune(bw, strings.NewReader(doc), d, p, opts.Options)
+	_, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, opts.Options)
 	if !errors.Is(serr, ErrTokenTooLong) {
 		t.Fatalf("serial scanner disagrees: %v", serr)
 	}
@@ -300,7 +300,7 @@ func TestParallelFallbackOnUnindexable(t *testing.T) {
 	}
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	_, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
+	_, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, Options{})
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("fallback verdict diverges: serial=%v parallel=%v", serr, perr)
 	}

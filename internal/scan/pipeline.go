@@ -149,7 +149,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		// the serial scanner accepts tokens the per-window bound would
 		// reject.
 		det.Fallback = true
-		st, err := Prune(bw, src, d, proj, opts.Options)
+		st, err := Prune(Source{R: src}, Sink{W: bw}, d, proj, opts.Options)
 		return st, det, err
 	}
 
@@ -426,7 +426,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 	pr := prunerPool.Get().(*pruner)
 	pr.s.ResetBytes(nil)
 	pr.prep(d, proj, opts.Options)
-	pr.useStream(bw)
+	pr.use(Sink{W: bw})
 	pr.mode = modePipe
 
 	var err error

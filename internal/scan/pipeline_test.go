@@ -65,7 +65,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 				opts := Options{Validate: validate}
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
-				sst, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
+				sst, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, opts)
 				bw.Flush()
 				want := sb.String()
 				for _, workers := range []int{1, 2, 4} {
@@ -111,7 +111,7 @@ func TestPipelinedTortureReaders(t *testing.T) {
 		opts := Options{Validate: true}
 		var sb strings.Builder
 		bw := bufio.NewWriter(&sb)
-		sst, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
+		sst, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, opts)
 		bw.Flush()
 		want := sb.String()
 		readers := map[string]func() io.Reader{
@@ -170,7 +170,7 @@ func TestPipelinedVerdictParityOnBadDocs(t *testing.T) {
 			for i, doc := range docs {
 				var sb strings.Builder
 				bw := bufio.NewWriter(&sb)
-				_, serr := Prune(bw, strings.NewReader(doc), d, p, opts)
+				_, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, opts)
 				for _, win := range []int{256, 1 << 20} {
 					_, _, _, perr := prunePipelinedStr(t, strings.NewReader(doc), d, p, PipelineOptions{
 						Options: opts, Workers: 4, WindowSize: win, FragTarget: 24,
@@ -205,7 +205,7 @@ func TestPipelinedMaxTokenSize(t *testing.T) {
 	}
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	_, serr := Prune(bw, strings.NewReader(doc), d, p, Options{MaxTokenSize: cap})
+	_, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, Options{MaxTokenSize: cap})
 	if !errors.Is(serr, ErrTokenTooLong) {
 		t.Fatalf("serial scanner disagrees: %v", serr)
 	}
@@ -228,7 +228,7 @@ func TestPipelinedBoundedMemory(t *testing.T) {
 	win, ring := 8<<10, 3
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	sst, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
+	sst, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, Options{})
 	bw.Flush()
 	if serr != nil {
 		t.Fatal(serr)
@@ -262,7 +262,7 @@ func TestPipelinedDelegatesSkippedSubtrees(t *testing.T) {
 	d, p := setupSite(t, siteProjectors["skip-heavy"])
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	sst, serr := Prune(bw, strings.NewReader(doc), d, p, Options{})
+	sst, serr := Prune(Source{R: strings.NewReader(doc)}, Sink{W: bw}, d, p, Options{})
 	bw.Flush()
 	if serr != nil {
 		t.Fatal(serr)

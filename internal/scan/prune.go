@@ -111,118 +111,90 @@ func newPruner(s *Scanner) *pruner {
 	return pr
 }
 
-// Prune runs the byte-level pruner with a single projector: src is
-// tokenized in place, names resolve through the DTD symbol table, and
-// the compiled projection answers keep/skip per element with an array
-// lookup. Output written to bw is byte-identical to the
-// encoding/xml-based pruner's. Scanner and pruner state come from a
-// pool and are returned on completion.
-func Prune(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
-	pr := prunerPool.Get().(*pruner)
-	pr.s.Reset(src)
-	pr.prep(d, proj, opts)
-	pr.useStream(bw)
-	return pr.finish(pr.run())
+// Source is where a prune's bytes come from: R, read through the
+// scanner's sliding buffer, or, when R is nil, Data, a document already
+// resident in memory and scanned in place, so nothing is read or copied
+// on the input side. MaxTokenSize is not enforced on resident input: the
+// cap bounds the sliding buffer's growth, and resident input has no
+// buffer to grow; bound such inputs by size before handing them over.
+type Source struct {
+	R    io.Reader
+	Data []byte
 }
 
-// PruneBytes is Prune over input that is already fully in memory: the
-// scanner aliases data (ResetBytes), so nothing is read or copied on
-// the input side. MaxTokenSize is not enforced — the cap exists to
-// bound the streaming scanner's buffer growth, and an in-memory input
-// has no buffer to grow; bound such inputs by size before handing them
-// over.
-func PruneBytes(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
-	pr := prunerPool.Get().(*pruner)
-	pr.s.ResetBytes(data)
-	pr.prep(d, proj, opts)
-	pr.useStream(bw)
-	return pr.finish(pr.run())
+// Sink is where the kept document goes. Exactly one field is set:
+//
+//   - W is written the rendering, byte-identical to the encoding/xml-based
+//     pruner's;
+//   - Spans records it as a gather list of input spans plus a small escape
+//     buffer of synthesized bytes, copying nothing; it is Reset over the
+//     input first, which must be resident (gather spans are input
+//     offsets); the rendering (SpanList.WriteTo, AppendTo, Bytes) is W's;
+//   - H is the table sink: it receives the pruned document as Walk would
+//     report it — each kept element with its kept attributes (input order,
+//     values decoded, namespace declarations left out), each run of kept
+//     text decoded and joined up to the next kept tag, each end of a kept
+//     element — so that a tree.Builder given the events builds what a load
+//     of W's rendering builds, in the pass that prunes. Nothing is
+//     rendered: Stats.BytesOut is the length W would have been written,
+//     counted.
+type Sink struct {
+	W     *bufio.Writer
+	Spans *SpanList
+	H     Handler
 }
 
-// PruneGather prunes in-memory input into sl: output is recorded as a
-// gather list of input spans plus a small escape buffer of synthesized
-// bytes, copying nothing. The rendered output (SpanList.WriteTo,
-// AppendTo, Bytes) is byte-identical to Prune's. sl is Reset over data
-// first. Like PruneBytes, MaxTokenSize is not enforced.
-func PruneGather(sl *SpanList, data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
-	sl.Reset(data)
+// Prune runs the pruning automaton with a single projector, from src into
+// out: the input is tokenized in place, names resolve through the DTD
+// symbol table, and the compiled projection answers keep/skip per element
+// with an array lookup. Every source goes into every sink but a reader
+// into spans. Scanner and pruner state come from a pool and are returned
+// on completion.
+func Prune(src Source, out Sink, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
+	if out.Spans != nil && src.R != nil {
+		panic("scan.Prune: a span sink needs resident input")
+	}
 	pr := prunerPool.Get().(*pruner)
-	pr.s.ResetBytes(data)
-	pr.prep(d, proj, opts)
-	pr.useGather(sl)
-	return pr.finish(pr.run())
-}
-
-// PruneHandler is Prune into a Handler instead of a writer: the table
-// sink. h receives the pruned document as Walk would report it — each
-// kept element with its kept attributes (input order, values decoded,
-// namespace declarations left out), each run of kept text decoded and
-// joined up to the next kept tag, each end of a kept element — so that a
-// tree.Builder given the events builds what a load of Prune's output
-// builds, in the pass that prunes. Nothing is rendered: Stats.BytesOut is
-// the length Prune would have written, counted.
-func PruneHandler(h Handler, src io.Reader, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
-	pr := prunerPool.Get().(*pruner)
-	pr.s.Reset(src)
-	pr.prep(d, proj, opts)
-	pr.useHandler(h)
-	return pr.finish(pr.run())
-}
-
-// PruneBytesHandler is PruneHandler over input that is already in
-// memory, scanned in place; like PruneBytes, MaxTokenSize is not
-// enforced.
-func PruneBytesHandler(h Handler, data []byte, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
-	pr := prunerPool.Get().(*pruner)
-	pr.s.ResetBytes(data)
-	pr.prep(d, proj, opts)
-	pr.useHandler(h)
-	return pr.finish(pr.run())
+	return pr.finish(pr.pass(src, d, proj, opts, proj.All(), pr.sinkFor(out)))
 }
 
 // PruneMultiGather prunes in-memory input against every projector of a fused
 // decision table in a single scanner pass. sls must hold one SpanList
 // per projector; each is Reset over data and receives that projector's
-// output, byte-identical to a PruneGather with the same projector
+// output, byte-identical to a Prune into spans with the same projector
 // alone. The returned slices are per projector: errs[j] is non-nil when
 // projector j's own prune would have failed (its SpanList contents are
-// then meaningless), and stats[j] are that prune's counters. Like
-// PruneGather, MaxTokenSize is not enforced.
+// then meaningless), and stats[j] are that prune's counters. As on any
+// resident input, MaxTokenSize is not enforced.
 func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projection, opts Options) ([]Stats, []error) {
 	if len(sls) != mp.N() {
 		panic("scan.PruneMultiGather: len(sls) != mp.N()")
 	}
+	outs := make([]emitter, len(sls))
+	for j, sl := range sls {
+		outs[j] = sl
+	}
 	pr := prunerPool.Get().(*pruner)
 	stats := make([]Stats, len(sls))
 	errs := make([]error, len(sls))
-	// pass runs the projectors in alive over data and records their
+	// record runs the projectors in alive over data and records their
 	// results, returning who survived to the end of the pass and the
 	// pass's own error.
-	pass := func(alive uint64) (uint64, error) {
-		pr.s.ResetBytes(data)
-		pr.prep(d, mp, opts)
-		pr.alive = alive
-		for _, sl := range sls {
-			pr.outs = append(pr.outs, sl)
-		}
-		for mk := alive; mk != 0; mk &= mk - 1 {
-			sls[bits.TrailingZeros64(mk)].Reset(data)
-		}
-		gerr := pr.run()
-		pr.flushRuns()
+	record := func(alive uint64) (uint64, error) {
+		gerr := pr.pass(Source{Data: data}, d, mp, opts, alive, outs...)
 		for mk := alive; mk != 0; mk &= mk - 1 {
 			j := bits.TrailingZeros64(mk)
 			stats[j], errs[j] = pr.stats(j), pr.errOf(j, gerr)
 		}
 		return pr.alive, gerr
 	}
-	if met, gerr := pass(mp.All()); gerr != nil && !opts.Validate && met&(met-1) != 0 {
+	if met, gerr := record(mp.All()); gerr != nil && !opts.Validate && met&(met-1) != 0 {
 		// Without Validate a projector checks only the regions it keeps, so
 		// an error the fused pass met in a region another projector keeps
 		// need not be this one's: each projector that got that far reports
 		// a pass of its own instead.
 		for ; met != 0; met &= met - 1 {
-			pass(met & -met)
+			record(met & -met)
 		}
 	}
 	pr.release()
@@ -230,10 +202,34 @@ func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projecti
 	return stats, errs
 }
 
+// pass runs the automaton once over src for the projectors in alive,
+// outs holding one sink per projector of proj: it points the scanner at
+// src, prepares the pooled state, Resets the span lists it is to fill,
+// runs, and hands every pending run to its sink. It returns the pass's
+// own error; errOf and stats give each projector's verdict and counters.
+func (pr *pruner) pass(src Source, d *dtd.DTD, proj *dtd.Projection, opts Options, alive uint64, outs ...emitter) error {
+	if src.R != nil {
+		pr.s.Reset(src.R)
+	} else {
+		pr.s.ResetBytes(src.Data)
+	}
+	pr.prep(d, proj, opts)
+	pr.alive = alive
+	pr.outs = append(pr.outs, outs...)
+	for mk := alive; mk != 0; mk &= mk - 1 {
+		if sl, ok := outs[bits.TrailingZeros64(mk)].(*SpanList); ok {
+			sl.Reset(src.Data)
+		}
+	}
+	err := pr.run()
+	pr.flushRuns()
+	return err
+}
+
 // prep prepares pooled state for a new input. The caller has already
 // pointed the scanner at the input (Reset / ResetBytes / ResetBytesAt)
-// and must install one output target per projector (useStream,
-// useGather, useHandler, useDiscard, or appending to outs) before run.
+// and must install one output target per projector (use, useDiscard, or
+// appending to outs) before run.
 func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.s.SetMaxTokenSize(opts.MaxTokenSize)
 	pr.d, pr.p, pr.opts = d, proj, opts
@@ -266,29 +262,31 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.counted.n, pr.htext = 0, pr.htext[:0]
 }
 
-// useStream targets the buffered-copy output path of a single
-// projector. The streamEmitter lives inside the pooled pruner, so
-// installing it allocates nothing.
-func (pr *pruner) useStream(bw *bufio.Writer) {
-	pr.se.bw = bw
-	pr.outs = append(pr.outs[:0], &pr.se)
+// sinkFor installs out's side state and returns the emitter through
+// which the automaton writes to it. The stream and count emitters live
+// inside the pooled pruner, so installing a sink allocates nothing.
+func (pr *pruner) sinkFor(out Sink) emitter {
+	switch {
+	case out.Spans != nil:
+		return out.Spans
+	case out.H != nil:
+		// The kept nodes go to h where they are decided (handStart,
+		// handEnd, and the text they gather), and the rendering, which the
+		// span and literal logic still drive as for a writer, is only
+		// counted.
+		pr.h = out.H
+		return &pr.counted
+	}
+	pr.se.bw = out.W
+	return &pr.se
 }
 
-// useGather targets a span-gather list (in-memory inputs only: gather
-// spans are absolute input offsets, sound only in ResetBytes mode).
-func (pr *pruner) useGather(sl *SpanList) { pr.outs = append(pr.outs[:0], sl) }
+// use installs out as the single projector's sink. A span list is not
+// Reset: a fragment's is over a window of the input (ResetBytesAt).
+func (pr *pruner) use(out Sink) { pr.outs = append(pr.outs[:0], pr.sinkFor(out)) }
 
 // useDiscard wires a non-emitting role (skip fragments).
 func (pr *pruner) useDiscard() { pr.outs = append(pr.outs[:0], nopEmitter{}) }
-
-// useHandler targets the table sink: the kept nodes go to h where they
-// are decided (handStart, handEnd, and the text they gather), and the
-// rendering, which the span and literal logic still drive as for a
-// writer, is only counted.
-func (pr *pruner) useHandler(h Handler) {
-	pr.h = h
-	pr.outs = append(pr.outs[:0], &pr.counted)
-}
 
 // stats composes projector j's counters: what was read is the same for
 // every projector, what was kept or skipped is its own.
@@ -386,7 +384,7 @@ type pruner struct {
 	outs []emitter
 	se   streamEmitter
 
-	// The table sink (useHandler). h is handed the kept nodes, and
+	// The table sink (Sink.H). h is handed the kept nodes, and
 	// counted, the one output, sums what a writer would have been given.
 	// htext is the decoded text kept since the last kept tag: a discarded
 	// element between two runs does not part them, as it does not in the

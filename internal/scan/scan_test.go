@@ -32,7 +32,7 @@ func prune(t *testing.T, src string, d *dtd.DTD, p *dtd.Projection, opts Options
 	t.Helper()
 	var sb strings.Builder
 	bw := bufio.NewWriter(&sb)
-	st, err := Prune(bw, strings.NewReader(src), d, p, opts)
+	st, err := Prune(Source{R: strings.NewReader(src)}, Sink{W: bw}, d, p, opts)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -197,7 +197,7 @@ func TestScannerBufferBoundaries(t *testing.T) {
 	s := NewScanner(iotest(strings.NewReader(doc)))
 	pr := newPruner(s)
 	pr.prep(d, p, Options{})
-	pr.useStream(bw)
+	pr.use(Sink{W: bw})
 	if err := pr.run(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestNoProgressReaderErrors(t *testing.T) {
 	s := NewScanner(noProgressReader{strings.NewReader(`<bib><book isbn="1">`)})
 	pr := newPruner(s)
 	pr.prep(d, p, Options{})
-	pr.useStream(bw)
+	pr.use(Sink{W: bw})
 	err := pr.run()
 	if err != io.ErrNoProgress {
 		t.Fatalf("want io.ErrNoProgress, got %v", err)
@@ -282,7 +282,7 @@ func freshPrune(w io.Writer, r io.Reader, d *dtd.DTD, p *dtd.Projection, opts Op
 	bw := bufio.NewWriter(w)
 	pr := newPruner(NewScanner(r))
 	pr.prep(d, p, opts)
-	pr.useStream(bw)
+	pr.use(Sink{W: bw})
 	err := pr.errOf(0, pr.run())
 	pr.flushRuns()
 	if err == nil {

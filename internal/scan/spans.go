@@ -52,7 +52,7 @@ func (e *streamEmitter) splice(fr *SpanList) {
 
 // countEmitter renders nothing and sums the length of what it is given:
 // the bytes a writer would have received. It is the table sink's output
-// (useHandler), whose nodes go to a Handler instead.
+// (Sink.H), whose nodes go to a Handler instead.
 type countEmitter struct{ n int64 }
 
 func (e *countEmitter) raw(_ []byte, off, end int) { e.n += int64(end - off) }

@@ -30,8 +30,9 @@ func TestPlanUnchangedByCollapseXMark(t *testing.T) {
 
 // TestSoloPruneAllocs: with a pooled pruner and a compiled projection, a
 // single-projector prune of in-memory input allocates nothing — into a
-// gather list or through a reused bufio.Writer, at any selectivity,
-// validated or not. (README Performance advertises it.)
+// gather list, through a reused bufio.Writer or into a handler, at any
+// selectivity, validated or not — so passing its Source and Sink by
+// value costs nothing either. (README Performance advertises it.)
 func TestSoloPruneAllocs(t *testing.T) {
 	if scan.RaceEnabled {
 		t.Skip("the race detector allocates")
@@ -52,25 +53,32 @@ func TestSoloPruneAllocs(t *testing.T) {
 			"initial", "initial#text"),
 		"full": full,
 	}
-	sl := new(scan.SpanList)
-	bw := bufio.NewWriterSize(io.Discard, 64<<10)
+	sinks := map[string]scan.Sink{
+		"spans":   {Spans: new(scan.SpanList)},
+		"writer":  {W: bufio.NewWriterSize(io.Discard, 64<<10)},
+		"handler": {H: nopHandler{}},
+	}
 	for name, pi := range pis {
 		p := d.CompileProjection(pi)
 		for _, validate := range []bool{false, true} {
 			opts := scan.Options{Validate: validate}
-			gather := testing.AllocsPerRun(10, func() {
-				if _, err := scan.PruneGather(sl, doc.Bytes(), d, p, opts); err != nil {
-					t.Fatal(err)
+			for sink, out := range sinks {
+				allocs := testing.AllocsPerRun(10, func() {
+					if _, err := scan.Prune(scan.Source{Data: doc.Bytes()}, out, d, p, opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s validate=%v, %s sink: %v allocs/op, want 0", name, validate, sink, allocs)
 				}
-			})
-			stream := testing.AllocsPerRun(10, func() {
-				if _, err := scan.PruneBytes(bw, doc.Bytes(), d, p, opts); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if gather != 0 || stream != 0 {
-				t.Errorf("%s validate=%v: PruneGather %v allocs/op, PruneBytes %v allocs/op, want 0", name, validate, gather, stream)
 			}
 		}
 	}
 }
+
+// nopHandler is a table sink that builds nothing.
+type nopHandler struct{}
+
+func (nopHandler) StartElement([]byte, []scan.Attr) {}
+func (nopHandler) Text([]byte)                      {}
+func (nopHandler) EndElement()                      {}
