@@ -60,23 +60,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	materialize := fs.Bool("materialize", true, "keep full subtrees of result nodes")
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")
-	var queries, ins, projSpecs stringList
+	var queries, ins stringList
 	fs.Var(&queries, "q", "query (XPath or XQuery); repeatable")
 	fs.Var(&ins, "in", "input document or glob pattern; repeatable (default stdin)")
-	fs.Var(&projSpecs, "proj", "named projection name=query;query — repeatable: one shared scan prunes the input against every -proj at once, writing <out>/<name>.xml per projection")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if len(projSpecs) > 0 {
-		if len(queries) > 0 || *loadProj != "" {
-			return fmt.Errorf("-proj does not combine with -q or -load-projector")
-		}
-		if *dtdPath == "" {
-			fs.Usage()
-			return fmt.Errorf("-dtd is required")
-		}
-		return runMulti(projSpecs, ins, *dtdPath, *root, *out, *materialize, *validateFlag, *show, stdin, stdout, stderr)
 	}
 
 	if *dtdPath == "" || (len(queries) == 0 && *loadProj == "") {
@@ -264,188 +252,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			agg.ElementsIn, agg.ElementsOut, agg.BytesIn, agg.BytesOut, mbps, agg.MaxDepth)
 	}
 	return batchErr
-}
-
-// maxMultiStdinBytes bounds how much of stdin the -proj shared scan
-// will buffer (it needs the whole document in memory): 1 GiB, matching
-// the serving layer's default body limit. A variable so tests can
-// exercise the rejection without a gigabyte pipe.
-var maxMultiStdinBytes = int64(1 << 30)
-
-// runMulti prunes one document against every -proj projection in a
-// single shared scan: the projector set is fused into one decision
-// table and the input is tokenized once, however many projections ride
-// the pass. Each projection's output is byte-identical to a serial
-// prune with it alone.
-func runMulti(specs, ins stringList, dtdPath, root, out string, materialize, validate, show bool, stdin io.Reader, stdout, stderr io.Writer) error {
-	d, err := xmlproj.ParseSchemaFile(dtdPath, root)
-	if err != nil {
-		return err
-	}
-	mode := xmlproj.NodesOnly
-	if materialize {
-		mode = xmlproj.Materialized
-	}
-	names := make([]string, 0, len(specs))
-	projectors := make([]*xmlproj.Projector, 0, len(specs))
-	seen := make(map[string]bool)
-	start := time.Now()
-	for _, spec := range specs {
-		name, qsrc, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || qsrc == "" {
-			return fmt.Errorf("-proj %q: want name=query;query", spec)
-		}
-		if seen[name] {
-			return fmt.Errorf("-proj name %q given twice", name)
-		}
-		seen[name] = true
-		var compiled []*xmlproj.Query
-		for _, src := range strings.Split(qsrc, ";") {
-			if src = strings.TrimSpace(src); src == "" {
-				continue
-			}
-			q, err := xmlproj.Compile(src)
-			if err != nil {
-				return fmt.Errorf("-proj %s: query %q: %w", name, src, err)
-			}
-			compiled = append(compiled, q)
-		}
-		p, err := d.Infer(mode, compiled...)
-		if err != nil {
-			return fmt.Errorf("-proj %s: %w", name, err)
-		}
-		names = append(names, name)
-		projectors = append(projectors, p)
-	}
-	inferTime := time.Since(start)
-
-	if show {
-		for j, p := range projectors {
-			fmt.Fprintf(stdout, "%s: projector (%d names, keep ratio %.1f%%):\n",
-				names[j], len(p.Names()), 100*p.KeepRatio())
-			for _, n := range p.Names() {
-				fmt.Fprintln(stdout, " ", n)
-			}
-		}
-		return nil
-	}
-
-	inputs, err := expandInputs(ins)
-	if err != nil {
-		return err
-	}
-	if len(inputs) > 1 {
-		return fmt.Errorf("-proj prunes one document against many projections; got %d inputs", len(inputs))
-	}
-
-	// The shared scan tokenizes in place, so the input is materialised
-	// once: mapped when it is a regular file, read otherwise.
-	var data []byte
-	inName := "stdin"
-	if len(inputs) == 1 {
-		inName = inputs[0]
-		m, err := mmapio.Open(inputs[0])
-		if err != nil {
-			return err
-		}
-		defer m.Close()
-		data = m.Bytes()
-	} else {
-		// Stdin has no size to check up front, and the shared scan must
-		// buffer it whole — bound the read so a runaway pipe cannot take
-		// the process's memory hostage.
-		if data, err = io.ReadAll(io.LimitReader(stdin, maxMultiStdinBytes+1)); err != nil {
-			return err
-		}
-		if int64(len(data)) > maxMultiStdinBytes {
-			return fmt.Errorf("stdin input exceeds %d bytes; the shared multi-projection scan buffers its input whole — write it to a file and pass -in", maxMultiStdinBytes)
-		}
-	}
-
-	// Resolve destinations: several projections need -out as a directory
-	// (one <name>.xml each); a single one behaves like a plain prune.
-	sinkPath := make([]string, len(specs))
-	if len(specs) > 1 || isDir(out) {
-		if out == "" {
-			return fmt.Errorf("several -proj outputs need -out naming a directory")
-		}
-		if err := os.MkdirAll(out, 0o755); err != nil {
-			return err
-		}
-		for j, name := range names {
-			sinkPath[j] = filepath.Join(out, name+".xml")
-		}
-	} else {
-		sinkPath[0] = out // possibly "": stdout
-	}
-
-	start = time.Now()
-	results, errs := xmlproj.PruneMultiGather(projectors, data, xmlproj.StreamOptions{Validate: validate})
-	elapsed := time.Since(start)
-
-	var firstErr error
-	var bytesOut int64
-	for j := range specs {
-		if errs[j] != nil {
-			fmt.Fprintf(stderr, "xmlprune: %s: %v\n", names[j], errs[j])
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", names[j], errs[j])
-			}
-			continue
-		}
-		res := results[j]
-		werr := func() error {
-			if sinkPath[j] == "" {
-				_, werr := res.WriteTo(stdout)
-				return werr
-			}
-			return writeFile(sinkPath[j], res)
-		}()
-		st := res.Stats
-		res.Close()
-		if werr != nil {
-			fmt.Fprintf(stderr, "xmlprune: %s: %v\n", names[j], werr)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", names[j], werr)
-			}
-			continue
-		}
-		bytesOut += st.BytesOut
-		fmt.Fprintf(stderr, "xmlprune: %s: elements %d -> %d; %d bytes out\n",
-			names[j], st.ElementsIn, st.ElementsOut, st.BytesOut)
-	}
-	fmt.Fprintf(stderr,
-		"xmlprune: %d projections inferred in %s; shared scan over %s (%d bytes) in %s; %d bytes out total\n",
-		len(specs), inferTime, inName, len(data), elapsed, bytesOut)
-	return firstErr
-}
-
-// writeFile renders src into a new file at path. Close errors surface; a
-// file that did not get all of src is removed.
-func writeFile(path string, src io.WriterTo) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = writeBuffered(f, src)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-	}
-	return err
-}
-
-// writeBuffered renders src to w through a 64 KiB buffer: a gather
-// result is thousands of small segments, one Write each, and an *os.File
-// takes a write(2) per Write.
-func writeBuffered(w io.Writer, src io.WriterTo) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := src.WriteTo(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // expandInputs glob-expands every -in value; a value without matches is

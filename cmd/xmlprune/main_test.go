@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"xmlproj"
 )
 
 const testDTD = `
@@ -234,107 +231,11 @@ func TestRunMissingArgs(t *testing.T) {
 		strings.NewReader(""), &out, &errBuf); err == nil {
 		t.Fatal("missing DTD file accepted")
 	}
-}
-
-func TestRunMultiProj(t *testing.T) {
-	dir := t.TempDir()
-	dtdPath := write(t, dir, "bib.dtd", testDTD)
-	docPath := write(t, dir, "bib.xml", testDoc)
-	outDir := filepath.Join(dir, "out")
-
-	var out, errBuf bytes.Buffer
-	err := run([]string{
-		"-dtd", dtdPath, "-in", docPath, "-out", outDir,
-		"-proj", "titles=//book/title",
-		"-proj", "authors=//book/author",
-	}, strings.NewReader(""), &out, &errBuf)
-	if err != nil {
-		t.Fatalf("%v\nstderr: %s", err, errBuf.String())
-	}
-
-	// Each output must match a serial single-projection run.
-	for _, c := range []struct{ name, query, want, reject string }{
-		{"titles", "//book/title", "Commedia", "Dante"},
-		{"authors", "//book/author", "Dante", "Commedia"},
-	} {
-		got, rerr := os.ReadFile(filepath.Join(outDir, c.name+".xml"))
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		if !strings.Contains(string(got), c.want) || strings.Contains(string(got), c.reject) {
-			t.Fatalf("%s output wrong: %s", c.name, got)
-		}
-		var serial, serialErr bytes.Buffer
-		if err := run([]string{"-dtd", dtdPath, "-q", c.query},
-			strings.NewReader(testDoc), &serial, &serialErr); err != nil {
-			t.Fatal(err)
-		}
-		if serial.String() != string(got) {
-			t.Fatalf("%s diverges from serial prune\nmulti:  %q\nserial: %q", c.name, got, serial.String())
-		}
-	}
-	if !strings.Contains(errBuf.String(), "shared scan") {
-		t.Fatalf("summary missing: %s", errBuf.String())
-	}
-}
-
-func TestRunMultiProjSingleToStdout(t *testing.T) {
-	dir := t.TempDir()
-	dtdPath := write(t, dir, "bib.dtd", testDTD)
-	var out, errBuf bytes.Buffer
-	err := run([]string{"-dtd", dtdPath, "-proj", "titles=//book/title"},
-		strings.NewReader(testDoc), &out, &errBuf)
-	if err != nil {
-		t.Fatalf("%v\nstderr: %s", err, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "<title>Commedia</title>") || strings.Contains(out.String(), "Dante") {
-		t.Fatalf("stdout output wrong: %s", out.String())
-	}
-}
-
-func TestRunMultiProjBadSpecs(t *testing.T) {
-	dir := t.TempDir()
-	dtdPath := write(t, dir, "bib.dtd", testDTD)
-	for _, args := range [][]string{
-		{"-dtd", dtdPath, "-proj", "noequals"},
-		{"-dtd", dtdPath, "-proj", "a=//book/title", "-proj", "a=//book/year"},
-		{"-dtd", dtdPath, "-proj", "a=//book/title", "-q", "//book/year"},
-		{"-dtd", dtdPath, "-proj", "a=//book/title", "-proj", "b=//book/year"}, // two projs, no -out
-	} {
-		var out, errBuf bytes.Buffer
-		if err := run(args, strings.NewReader(testDoc), &out, &errBuf); err == nil {
-			t.Fatalf("args %v accepted", args)
-		}
-	}
-}
-
-// TestRunMultiProjStdinBounded: the -proj shared scan buffers stdin
-// whole, so the read is capped — an over-limit pipe is rejected with a
-// clear error instead of swallowing unbounded memory.
-func TestRunMultiProjStdinBounded(t *testing.T) {
-	dir := t.TempDir()
-	dtdPath := write(t, dir, "bib.dtd", testDTD)
-
-	prev := maxMultiStdinBytes
-	maxMultiStdinBytes = 64
-	defer func() { maxMultiStdinBytes = prev }()
-
-	var out, errBuf bytes.Buffer
-	err := run([]string{"-dtd", dtdPath, "-proj", "titles=//book/title"},
-		strings.NewReader(testDoc), &out, &errBuf)
-	if err == nil || !strings.Contains(err.Error(), "stdin input exceeds") {
-		t.Fatalf("oversized stdin accepted: %v", err)
-	}
-
-	// At the limit exactly, the prune still runs.
-	maxMultiStdinBytes = int64(len(testDoc))
-	out.Reset()
-	if err := run([]string{"-dtd", dtdPath, "-proj", "titles=//book/title"},
-		strings.NewReader(testDoc), &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "<title>Commedia</title>") {
-		t.Fatalf("output wrong: %s", out.String())
+	// One document against many projections is one union projector
+	// (repeated -q), not a shared scan with an output each.
+	err := run([]string{"-dtd", dtdPath, "-proj", "x=//a"}, strings.NewReader(""), &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -proj") {
+		t.Fatalf("-proj: err = %v, want an unknown-flag error", err)
 	}
 }
 
@@ -378,66 +279,6 @@ func TestRunBatchDuplicateInputs(t *testing.T) {
 		strings.NewReader(""), &out, &errBuf)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -result-cache") {
 		t.Fatalf("-result-cache: err = %v, want an unknown-flag error", err)
-	}
-}
-
-// countingWriter counts Write calls.
-type countingWriter struct {
-	calls, bytes int
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.calls++
-	c.bytes += len(p)
-	return len(p), nil
-}
-
-// TestProjOutputIsBuffered: a gather result reaches a -proj output file
-// in 64 KiB writes, not in one write(2) per span — which is what handing
-// the *os.File to WriteTo costs, and what xmlprune did: 5 103 writes for
-// 73 329 bytes on one XMark projection.
-func TestProjOutputIsBuffered(t *testing.T) {
-	d, err := xmlproj.ParseDTDString(testDTD, "bib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := xmlproj.CompileXPath("//book/title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := d.Infer(xmlproj.Materialized, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc strings.Builder
-	doc.WriteString("<bib>")
-	for i := 0; i < 5000; i++ {
-		fmt.Fprintf(&doc, "<book><title>Canto %d</title><author>Dante</author><year>1313</year></book>", i)
-	}
-	doc.WriteString("</bib>")
-	results, errs := xmlproj.PruneMultiGather([]*xmlproj.Projector{p}, []byte(doc.String()), xmlproj.StreamOptions{})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	res := results[0]
-	defer res.Close()
-
-	var direct, buffered countingWriter
-	if _, err := res.WriteTo(&direct); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBuffered(&buffered, res); err != nil {
-		t.Fatal(err)
-	}
-	size := int(res.Len())
-	if buffered.bytes != size || direct.bytes != size {
-		t.Fatalf("wrote %d buffered and %d direct of %d bytes", buffered.bytes, direct.bytes, size)
-	}
-	if direct.calls != res.Segments() || direct.calls < 5000 {
-		t.Fatalf("unbuffered WriteTo made %d writes for %d segments: the fixture no longer shows the problem", direct.calls, res.Segments())
-	}
-	if limit := size/(32<<10) + 2; buffered.calls > limit {
-		t.Fatalf("%d bytes reached the file in %d writes, want <= %d", size, buffered.calls, limit)
 	}
 }
 

@@ -725,8 +725,8 @@ var sink *dtd.Projection
 // caches that are not there: what it costs to obtain a compiled π and a
 // result fingerprint from a projector after first use (the memo on
 // core.Projector), against compiling it, and what it costs to fuse N
-// members' tables per shared-scan pass (fuse: what PruneMultiGather does
-// before scanning) against dtd.CombineProjections alone. adhoc is the
+// members' tables for one shared-scan pass from their projectors (fuse)
+// against dtd.CombineProjections alone. adhoc is the
 // projector cache's own row: an ad-hoc request's projector built afresh
 // (Compile, Infer, the compiled π and a result fingerprint: the fill a
 // miss pays) against the same request answered by InferCached.

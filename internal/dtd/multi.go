@@ -5,7 +5,7 @@ import "fmt"
 // MaxMultiProjections bounds how many projectors one fused decision
 // table can hold: the pruner threads the projector set through its
 // element stack as a uint64 live-set bitmask, so one fused pass covers
-// at most 64 projectors (callers shard larger sets).
+// at most 64 projectors; CombineProjections rejects a larger set.
 const MaxMultiProjections = 64
 
 // CombineProjections fuses up to MaxMultiProjections single-projector

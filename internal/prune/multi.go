@@ -3,12 +3,15 @@ package prune
 // Shared-scan multi-projection: prune one in-memory document against N
 // projectors in a single scanner pass (scan.PruneMultiGather), producing one
 // independent span-gather result per projector. The projector set is
-// fused into one N-wide dtd.Projection decision table; sets larger than the
-// 64-projector fuse limit are sharded into consecutive fused passes.
+// fused into one N-wide dtd.Projection decision table, so a set holds at
+// most dtd.MaxMultiProjections projectors.
+//
+// No product route reaches this file: for many queries the product
+// infers one union projector (§5) and prunes once. StreamMultiGather is
+// kept as the seam benchmark/seams.go times as scan.multi4_mb_s, the row
+// CI's fused-pass gate reads; it goes when that seam does.
 
 import (
-	"context"
-
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/scan"
 )
@@ -23,20 +26,14 @@ type MultiOptions struct {
 	// Validate it only checks the well-formedness of those regions, so
 	// the same holds for a syntax error.
 	Validate bool
-	// MaxTokenSize is accepted for symmetry with StreamOptions but, as
-	// on every in-memory scanner path, not enforced (see StreamBytes).
-	MaxTokenSize int
 	// Projections, when non-nil, holds the compiled form of each π
 	// (aligned with the pis argument; nil entries are compiled on the
 	// spot), letting batch callers compile once per (DTD, π) pair.
 	Projections []*dtd.Projection
 	// Combined, when non-nil, is the pre-fused decision table for the
-	// whole projector set (engine caches hold these); it must have been
-	// combined from the same projections in the same order. Ignored
-	// when the set exceeds the fuse limit.
+	// whole projector set; it must have been combined from the same
+	// projections in the same order.
 	Combined *dtd.Projection
-	// Ctx, when non-nil, aborts between fused passes when cancelled.
-	Ctx context.Context
 }
 
 // StreamMultiGather prunes in-memory input against every projector in
@@ -48,62 +45,45 @@ type MultiOptions struct {
 // serial prune would have failed — sls[j] is then nil, and the
 // other projectors are unaffected unless the failure was a syntax or
 // well-formedness error their serial runs would have met too (with
-// Validate, every one of them). The caller must Close every non-nil
+// Validate, every one of them). A set larger than
+// dtd.MaxMultiProjections fails in every slot with
+// dtd.CombineProjections' error. The caller must Close every non-nil
 // list; data must stay alive and unmodified until then.
 func StreamMultiGather(data []byte, d *dtd.DTD, pis []dtd.NameSet, opts MultiOptions) ([]*scan.SpanList, []Stats, []error) {
 	n := len(pis)
 	sls := make([]*scan.SpanList, n)
 	stats := make([]Stats, n)
 	errs := make([]error, n)
-	projs := make([]*dtd.Projection, n)
-	for base := 0; base < n; base += dtd.MaxMultiProjections {
-		end := base + dtd.MaxMultiProjections
-		if end > n {
-			end = n
-		}
-		if err := cancelled(opts.Ctx); err != nil {
-			fillErr(errs, base, end, wrap(err))
-			continue
-		}
-		for j := base; j < end; j++ {
+	mp := opts.Combined
+	if mp == nil || mp.N() != n {
+		projs := make([]*dtd.Projection, n)
+		for j := range pis {
 			if opts.Projections != nil && opts.Projections[j] != nil {
 				projs[j] = opts.Projections[j]
 			} else {
 				projs[j] = d.CompileProjection(pis[j])
 			}
 		}
-		mp := opts.Combined
-		if mp == nil || mp.N() != n || base != 0 {
-			var err error
-			mp, err = dtd.CombineProjections(projs[base:end])
-			if err != nil {
-				fillErr(errs, base, end, wrap(err))
-				continue
+		var err error
+		if mp, err = dtd.CombineProjections(projs); err != nil {
+			for j := range errs {
+				errs[j] = wrap(err)
 			}
+			return sls, stats, errs
 		}
-		pass := sls[base:end]
-		for i := range pass {
-			pass[i] = scan.NewSpanList(data)
+	}
+	for j := range sls {
+		sls[j] = scan.NewSpanList(data)
+	}
+	ssts, serrs := scan.PruneMultiGather(sls, data, d, mp, scan.Options{Validate: opts.Validate})
+	for j := range sls {
+		stats[j], errs[j] = ssts[j], wrap(serrs[j])
+		if errs[j] != nil {
+			sls[j].Close()
+			sls[j] = nil
+			continue
 		}
-		ssts, serrs := scan.PruneMultiGather(pass, data, d, mp, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
-		for i := range pass {
-			j := base + i
-			stats[j], errs[j] = ssts[i], wrap(serrs[i])
-			if errs[j] != nil {
-				sls[j].Close()
-				sls[j] = nil
-				continue
-			}
-			stats[j].BytesOut = sls[j].Len()
-		}
+		stats[j].BytesOut = sls[j].Len()
 	}
 	return sls, stats, errs
-}
-
-func fillErr(errs []error, base, end int, err error) {
-	for j := base; j < end; j++ {
-		if errs[j] == nil {
-			errs[j] = err
-		}
-	}
 }

@@ -2,7 +2,9 @@ package prune
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xmlproj/internal/dtd"
@@ -20,8 +22,8 @@ import (
 
 // checkMulti runs StreamMultiGather over data and requires
 // per-projector agreement with serial StreamGather runs: verdict, stats,
-// and the bytes both materialised and flushed through WriteTo (the form
-// xmlprune -proj and /multiprune use).
+// and the bytes both materialised and flushed through WriteTo, whose
+// length BytesOut must report.
 func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.NameSet, validate bool) {
 	t.Helper()
 	sopts := StreamOptions{Validate: validate, Engine: EngineScanner}
@@ -56,8 +58,12 @@ func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.N
 				label, validate, j, got, wants[j].out)
 		}
 		var wb bytes.Buffer
-		if n, err := gathers[j].WriteTo(&wb); err != nil || wb.String() != wants[j].out || n != int64(len(wants[j].out)) {
+		n, err := gathers[j].WriteTo(&wb)
+		if err != nil || wb.String() != wants[j].out || n != int64(len(wants[j].out)) {
 			t.Fatalf("%s: multi WriteTo mismatch (projector %d, n=%d, err=%v)", label, j, n, err)
+		}
+		if stats[j].BytesOut != n {
+			t.Fatalf("%s: projector %d BytesOut = %d, WriteTo wrote %d", label, j, stats[j].BytesOut, n)
 		}
 		if stats[j] != wants[j].st {
 			t.Fatalf("%s: multi stats diverge (validate=%v, projector %d)\nmulti:  %+v\nserial: %+v",
@@ -74,11 +80,19 @@ var multiBibPis = []dtd.NameSet{
 	dtd.NewNameSet("bib"),
 }
 
+// TestMultiMatchesSerialFixed also runs every set size from one
+// projector to the widest fused table, cycling through multiBibPis.
 func TestMultiMatchesSerialFixed(t *testing.T) {
 	d := mustDTD(t)
-	for _, doc := range fixedBibDocs {
-		for _, v := range []bool{false, true} {
-			checkMulti(t, "fixed", []byte(doc), d, multiBibPis, v)
+	for _, n := range []int{1, len(multiBibPis), dtd.MaxMultiProjections} {
+		pis := make([]dtd.NameSet, n)
+		for j := range pis {
+			pis[j] = multiBibPis[j%len(multiBibPis)]
+		}
+		for _, doc := range fixedBibDocs {
+			for _, v := range []bool{false, true} {
+				checkMulti(t, fmt.Sprintf("fixed N=%d", n), []byte(doc), d, pis, v)
+			}
 		}
 	}
 }
@@ -159,18 +173,24 @@ func TestMultiMatchesSerialRandom(t *testing.T) {
 	}
 }
 
-// TestMultiShardsBeyondFuseLimit: more than 64 projectors shard into
-// consecutive fused passes, each still matching its serial gather.
-func TestMultiShardsBeyondFuseLimit(t *testing.T) {
+// TestMultiRejectsBeyondFuseLimit: one fused pass holds at most 64
+// projectors, and a larger set is not sharded — every slot carries
+// dtd.CombineProjections' error and no span list.
+func TestMultiRejectsBeyondFuseLimit(t *testing.T) {
 	d := mustDTD(t)
-	doc := []byte(bibDoc)
-	rng := rand.New(rand.NewSource(7))
-	pis := make([]dtd.NameSet, dtd.MaxMultiProjections+6)
+	pis := make([]dtd.NameSet, dtd.MaxMultiProjections+1)
 	for j := range pis {
-		pis[j] = randomProjector(d, rng, 1+rng.Intn(8))
+		pis[j] = multiBibPis[j%len(multiBibPis)]
 	}
-	checkMulti(t, "sharded", doc, d, pis, false)
-	checkMulti(t, "sharded", doc, d, pis, true)
+	gathers, _, errs := StreamMultiGather([]byte(bibDoc), d, pis, MultiOptions{})
+	for j := range pis {
+		if errs[j] == nil || !strings.Contains(errs[j].Error(), "exceed the fused limit of 64") {
+			t.Fatalf("projector %d of %d: err %v, want the fuse-limit error", j, len(pis), errs[j])
+		}
+		if gathers[j] != nil {
+			t.Fatalf("projector %d of %d returned a span list from a rejected set", j, len(pis))
+		}
+	}
 }
 
 // TestMultiPrecompiled: precompiled projections and a pre-fused

@@ -125,7 +125,6 @@ var outcomeCounters = []string{"ok", "bad_requests", "rejected_too_large", "reje
 // the documented attributes.
 func TestOutcomeCountersPartitionRequests(t *testing.T) {
 	const titles = "/prune?projection=titles"
-	const multi = "/multiprune?schema=bib&proj=%2F%2Fbook%2Fauthor&proj=%2F%2Fbook%2Ftitle"
 	big := "<bib>" + strings.Repeat("<book><title>t</title><author>a</author></book>", 20) + "</bib>"
 	// Enough kept output to pass the pruner's write buffer and the first
 	// flush before the undeclared element fails the prune.
@@ -162,9 +161,6 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 		{"413 streamed", Options{MaxBodyBytes: 256}, func(t *testing.T, ts *httptest.Server) {
 			do(t, "POST", ts.URL+titles, chunked(big))
 		}, []want{{413, "bypass"}}},
-		{"413 multiprune", Options{MaxBodyBytes: 256}, func(t *testing.T, ts *httptest.Server) {
-			do(t, "POST", ts.URL+multi, chunked(big))
-		}, []want{{413, ""}}},
 		{"429", Options{MaxConcurrent: 1}, func(t *testing.T, ts *httptest.Server) {
 			pr, pw := io.Pipe()
 			held := make(chan struct{})
@@ -305,19 +301,6 @@ func TestOutcomeCountersPartitionRequests(t *testing.T) {
 			do(t, "HEAD", ts.URL+titles, nil, headerDocDigest, digest, "If-None-Match", etag)
 			do(t, "HEAD", ts.URL+titles, nil, headerDocDigest, "zz")
 		}, []want{{200, "miss"}, {400, ""}, {200, "hit"}, {200, "miss"}, {304, "revalidated"}, {400, ""}}},
-		{"multiprune", Options{}, func(t *testing.T, ts *httptest.Server) {
-			do(t, "POST", ts.URL+multi, strings.NewReader(bibDoc))
-			do(t, "POST", ts.URL+"/multiprune", strings.NewReader(bibDoc))
-		}, []want{{200, "bypass"}, {400, ""}}},
-		{"multiprune with one failed part", Options{}, func(t *testing.T, ts *httptest.Server) {
-			// The title projector trips over <x/>; the author projector
-			// discards title and delivers. The response is 200, the
-			// request's outcome is the part's failure.
-			resp := do(t, "POST", ts.URL+multi, strings.NewReader(`<bib><book><title>T<x/></title><author>A</author></book></bib>`))
-			if resp.StatusCode != 200 {
-				t.Errorf("status %d, want 200 with the verdicts in the parts", resp.StatusCode)
-			}
-		}, []want{{422, "bypass"}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -424,33 +407,31 @@ func outcomeName(status int) string {
 
 // TestDeclaredLengthDoesNotPresize: a Content-Length is a claim. A
 // request that declares just under MaxBodyBytes and sends three bytes
-// must not make the server allocate the declared size on either route
-// (the /multiprune one did: 1 GiB per request before a byte arrived),
-// ends as client_gone, and gives its admission slot back.
+// must not make the server allocate the declared size, ends as
+// client_gone, and gives its admission slot back.
 func TestDeclaredLengthDoesNotPresize(t *testing.T) {
-	for _, url := range []string{"/prune?projection=titles", "/multiprune?projection=titles"} {
-		logs := make(recordingHandler, 4)
-		s := newTestServer(t, Options{Logger: slog.New(logs)})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
+	const url = "/prune?projection=titles"
+	logs := make(recordingHandler, 4)
+	s := newTestServer(t, Options{Logger: slog.New(logs)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		status := rawRequest(t, ts, fmt.Sprintf("POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n<bi", url, DefaultMaxBodyBytes-1))
-		logs.next(t)
-		runtime.ReadMemStats(&after)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status := rawRequest(t, ts, fmt.Sprintf("POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n<bi", url, DefaultMaxBodyBytes-1))
+	logs.next(t)
+	runtime.ReadMemStats(&after)
 
-		if status != statusClientGone {
-			t.Errorf("%s: status %d, want %d", url, status, statusClientGone)
-		}
-		// One buffer of at most the gather bound; a race-detector build
-		// allocates it twice (bytes.Buffer grows through append(nil, make…)).
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 3*DefaultMaxGatherBytes {
-			t.Errorf("%s: the request allocated %d MiB for a 3-byte body", url, grew>>20)
-		}
-		if n := s.m.inFlight.Load(); n != 0 || len(s.sem) != 0 {
-			t.Errorf("%s: in_flight = %d, %d admission slots taken after the request ended", url, n, len(s.sem))
-		}
+	if status != statusClientGone {
+		t.Errorf("%s: status %d, want %d", url, status, statusClientGone)
+	}
+	// One buffer of at most the gather bound; a race-detector build
+	// allocates it twice (bytes.Buffer grows through append(nil, make…)).
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 3*DefaultMaxGatherBytes {
+		t.Errorf("%s: the request allocated %d MiB for a 3-byte body", url, grew>>20)
+	}
+	if n := s.m.inFlight.Load(); n != 0 || len(s.sem) != 0 {
+		t.Errorf("%s: in_flight = %d, %d admission slots taken after the request ended", url, n, len(s.sem))
 	}
 }
 
@@ -458,8 +439,8 @@ func TestDeclaredLengthDoesNotPresize(t *testing.T) {
 // connection run one after another but not on one P, and a bare
 // sync.Pool gives a buffer back only where it was put — each P grew a
 // body-sized buffer of its own, again after every GC cycle. 200 sized
-// POSTs of one 4 MB body must cost one body buffer on both gather
-// routes: under 4 bodies' worth, since a race-detector build allocates
+// POSTs of one 4 MB body must cost one body buffer on the gather
+// route: under 4 bodies' worth, since a race-detector build allocates
 // the buffer twice and has sync.Pool drop a quarter of the transport's
 // 32 KB copy buffers.
 func TestSequentialBodiesReuseOneBuffer(t *testing.T) {
@@ -467,40 +448,38 @@ func TestSequentialBodiesReuseOneBuffer(t *testing.T) {
 	doc := func(n int) string {
 		return `<bib><book><title>t</title><author>` + strings.Repeat("a", n) + `</author></book></bib>`
 	}
-	for _, url := range []string{"/prune?projection=titles", "/multiprune?projection=titles"} {
-		s := newTestServer(t, Options{})
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		// allocated is what 200 sequential POSTs of body allocate, in
-		// this process: client, server and all.
-		allocated := func(body string) uint64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < 200; i++ {
-				if resp := do(t, "POST", ts.URL+url, strings.NewReader(body)); resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s: request %d: status %d", url, i, resp.StatusCode)
-				}
+	const url = "/prune?projection=titles"
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// allocated is what 200 sequential POSTs of body allocate, in
+	// this process: client, server and all.
+	allocated := func(body string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 200; i++ {
+			if resp := do(t, "POST", ts.URL+url, strings.NewReader(body)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: request %d: status %d", url, i, resp.StatusCode)
 			}
-			runtime.ReadMemStats(&after)
-			return after.TotalAlloc - before.TotalAlloc
 		}
-		big := doc(4 << 20)
-		perRequest := allocated(doc(1)) // what a request costs besides its body
-		if grew := allocated(big) - perRequest; grew >= 4*uint64(len(big)) {
-			t.Errorf("%s: 200 sequential requests allocated %d MiB for their bodies, want under 4 bodies of %d MiB", url, grew>>20, len(big)>>20)
-		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	big := doc(4 << 20)
+	perRequest := allocated(doc(1)) // what a request costs besides its body
+	if grew := allocated(big) - perRequest; grew >= 4*uint64(len(big)) {
+		t.Errorf("%s: 200 sequential requests allocated %d MiB for their bodies, want under 4 bodies of %d MiB", url, grew>>20, len(big)>>20)
 	}
 }
 
 // TestTruncatedUploadIsClientGone: a body that ends before its declared
 // length, or before its last chunk, is the client's transport failing —
-// 499 and client_gone on every route, not a bad document (422,
+// 499 and client_gone on both /prune paths, not a bad document (422,
 // prune_failures).
 func TestTruncatedUploadIsClientGone(t *testing.T) {
 	for _, c := range []struct{ name, request string }{
 		{"gathered", "POST /prune?projection=titles HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n<bib><book>"},
 		{"streamed", "POST /prune?projection=titles HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\nb\r\n<bib><book>\r\n"},
-		{"multiprune", "POST /multiprune?projection=titles HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n<bib><book>"},
 	} {
 		logs := make(recordingHandler, 4)
 		s := newTestServer(t, Options{Logger: slog.New(logs)})

@@ -61,8 +61,8 @@ func (h *histogram) snapshot() map[string]any {
 // metrics are the server's own counters, alongside the engine's caches:
 // what a request did is counted here and nowhere else.
 type metrics struct {
-	// requests counts every prune request received (POST and HEAD /prune,
-	// POST /multiprune). The seven outcome counters below partition the
+	// requests counts every prune request received (POST and HEAD
+	// /prune). The seven outcome counters below partition the
 	// finished ones: exchange.done bumps exactly one, chosen by outcome,
 	// and observes latency once.
 	requests      atomic.Int64
@@ -75,11 +75,6 @@ type metrics struct {
 	clientGone    atomic.Int64 // client disconnected or cut its upload short (499)
 	gatherPrunes  atomic.Int64 // requests served by the span-gather path
 	inFlight      atomic.Int64 // prunes currently holding an admission slot
-
-	// multiRequests counts /multiprune requests; multiFanout totals the
-	// projectors they named (fanout/requests is the mean set size).
-	multiRequests atomic.Int64
-	multiFanout   atomic.Int64
 
 	// cacheHits / cacheMisses partition gather-path prunes that went
 	// through the result cache (HIT served cached bytes, MISS filled the
@@ -130,8 +125,6 @@ func (m *metrics) snapshot() map[string]any {
 		"client_gone":          m.clientGone.Load(),
 		"gather_prunes":        m.gatherPrunes.Load(),
 		"in_flight":            m.inFlight.Load(),
-		"multi_requests":       m.multiRequests.Load(),
-		"multi_fanout":         m.multiFanout.Load(),
 		"cache_hits":           m.cacheHits.Load(),
 		"cache_misses":         m.cacheMisses.Load(),
 		"cache_304":            m.cache304.Load(),

@@ -116,10 +116,8 @@ type Server struct {
 
 // namedProjection is a resolved projector: one precompiled at startup,
 // addressable by name so hot workloads skip query compilation entirely,
-// or one a request spelled out (/multiprune names those proj0, proj1, …
-// in its parts).
+// or one a request spelled out with schema= and q=.
 type namedProjection struct {
-	name     string
 	schema   string
 	queries  []string
 	validate bool
@@ -192,7 +190,7 @@ func (s *Server) AddProjection(name, schema string, validate bool, queries ...st
 	if err != nil {
 		return fmt.Errorf("server: projection %q: %w", name, err)
 	}
-	s.projections[name] = &namedProjection{name: name, schema: schema, queries: queries, validate: validate, p: p}
+	s.projections[name] = &namedProjection{schema: schema, queries: queries, validate: validate, p: p}
 	return nil
 }
 
@@ -218,7 +216,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /prune", s.handlePrune)
 	mux.HandleFunc("HEAD /prune", s.handlePruneHead)
-	mux.HandleFunc("POST /multiprune", s.handleMultiprune)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})

@@ -113,7 +113,8 @@ func TestPruneByteIdentical(t *testing.T) {
 
 // TestPruneRejections: the distinct failure statuses — unknown schema
 // or projection 404, missing/bad query 400, bad document 422, oversized
-// body 413, busy 429, timeout 408.
+// body 413, busy 429, timeout 408 — and 404 for the removed shared-scan
+// route.
 func TestPruneRejections(t *testing.T) {
 	s := newTestServer(t, Options{MaxBodyBytes: 256})
 	ts := httptest.NewServer(s.Handler())
@@ -133,6 +134,9 @@ func TestPruneRejections(t *testing.T) {
 		{"query outside schema", "/prune?schema=bib&q=%2F%2Fnope", bibDoc, http.StatusOK},
 		{"bad document", "/prune?projection=titles", "<bib><unknown/></bib>", http.StatusUnprocessableEntity},
 		{"oversized body", "/prune?projection=titles", "<bib>" + strings.Repeat("<book><title>x</title><author>a</author></book>", 20) + "</bib>", http.StatusRequestEntityTooLarge},
+		// One request, many pruned outputs is not served: many queries
+		// share one union projector and one /prune.
+		{"no shared scan", "/multiprune?projection=titles", bibDoc, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		resp, body := postPrune(t, ts, c.url, strings.NewReader(c.body))
@@ -453,10 +457,12 @@ func TestDebugVars(t *testing.T) {
 	// The look-ups these counted are gone: π's compiled table and
 	// fingerprints live on the projector, a fused table is built per pass,
 	// and nothing memoises a file's identity.
-	// Nor do the concurrent engines' counters: nothing chooses them.
+	// Nor do the concurrent engines' counters: nothing chooses them; nor
+	// the shared scan's: no route serves it.
 	for _, key := range []string{"projection_hits", "projection_misses", "multi_projection_hits", "multi_projection_misses",
 		"multi_table_hits", "multi_table_misses", "result_cache_identity_hits", "result_cache_identity_misses",
-		"parallel_prunes", "pipelined_prunes", "peak_window_bytes", "pipelined_peak_window_bytes", "intra_workers"} {
+		"parallel_prunes", "pipelined_prunes", "peak_window_bytes", "pipelined_peak_window_bytes", "intra_workers",
+		"multi_requests", "multi_fanout"} {
 		if bytes.Contains(body, []byte(`"`+key+`"`)) {
 			t.Errorf("/debug/vars still has %q", key)
 		}
@@ -493,7 +499,7 @@ func TestDebugVarsKeys(t *testing.T) {
 			"result_cache_budget_bytes", "result_cache_bypasses", "result_cache_bytes", "result_cache_coalesced",
 			"result_cache_entries", "result_cache_evictions", "result_cache_hits", "result_cache_misses"},
 		"server": {"bad_requests", "bytes_in", "bytes_out", "cache_304", "cache_head", "cache_hits", "cache_misses",
-			"client_gone", "gather_prunes", "in_flight", "latency", "multi_fanout", "multi_requests", "ok",
+			"client_gone", "gather_prunes", "in_flight", "latency", "ok",
 			"prune_failures", "rejected_concurrency", "rejected_too_large", "requests", "timeouts"},
 		"limits": {"max_body_bytes", "max_concurrent", "max_gather_bytes", "max_token_size"},
 	}

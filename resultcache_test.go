@@ -396,39 +396,6 @@ func TestEnginePruneBytesCached(t *testing.T) {
 	}
 }
 
-// TestEngineMultiGatherUnaffectedByResultCache: the shared-scan multi
-// path involves no engine; with one projector's output for this very
-// document sitting in an engine's result cache, its outputs still match
-// serial prunes and no result-cache counters move.
-func TestEngineMultiGatherUnaffectedByResultCache(t *testing.T) {
-	eng, _, pt, py := cacheEngineSetup(t)
-	data := []byte(apiDoc)
-	cached, _, err := eng.PruneGatherDigest(pt, data, "", StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached.Close()
-
-	results, errs := PruneMultiGather([]*Projector{pt, py}, data, StreamOptions{})
-	for j, p := range []*Projector{pt, py} {
-		if errs[j] != nil {
-			t.Fatalf("projector %d: %v", j, errs[j])
-		}
-		serial, err := p.PruneGather(data, StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(results[j].Bytes(), serial.Bytes()) {
-			t.Fatalf("projector %d: multi output differs from serial", j)
-		}
-		serial.Close()
-		results[j].Close()
-	}
-	if m := eng.Metrics(); m.ResultCache.Hits != 0 || m.ResultCache.Misses != 1 {
-		t.Fatalf("multi-projector path touched the result cache: %+v", m)
-	}
-}
-
 // TestPruneResultReleaseContract: double-Close is a guarded no-op and
 // use-after-Close degenerates safely — for both pooled-gather-backed
 // and cache-entry-backed results.

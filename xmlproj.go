@@ -667,63 +667,6 @@ func (p *Projector) PruneGather(data []byte, opts StreamOptions) (*PruneResult, 
 	return &PruneResult{Stats: st, sl: sl}, nil
 }
 
-// MaxFusedProjectors is how many projectors one shared scan can fuse
-// into a single decision table; PruneMultiGather shards larger sets
-// into consecutive fused passes. Servers bounding request fan-out can
-// use it as a natural limit.
-const MaxFusedProjectors = dtd.MaxMultiProjections
-
-// PruneMultiGather prunes in-memory input against every projector in ps
-// with one shared scan: the projector set is fused into a per-symbol
-// decision table and the scanner walks the document once, so a batch of
-// N queries costs one tokenization instead of N. Every projector's
-// rendered output and stats are identical to a serial PruneGather with
-// that projector alone.
-//
-// Results align with ps. Verdicts are per projector: errs[j] non-nil
-// means projector j's serial prune would have failed (results[j] is
-// then nil); syntax and well-formedness errors fail every projector,
-// exactly as they would fail every serial run. All projectors must
-// stem from the same DTD. The caller must Close every non-nil result
-// (see the PruneResult release contract); data must stay alive and
-// unmodified until then.
-//
-// The members' compiled tables are the projectors' own (computed once
-// each); the fused table is built per pass from them — ≈ 6 / 12 / 24 µs
-// at N = 4 / 16 / 64 on the XMark DTD, less than a cache lookup keyed on
-// the set cost.
-func PruneMultiGather(ps []*Projector, data []byte, opts StreamOptions) ([]*PruneResult, []error) {
-	results := make([]*PruneResult, len(ps))
-	errs := make([]error, len(ps))
-	if len(ps) == 0 {
-		return results, errs
-	}
-	d := ps[0].d
-	pis := make([]dtd.NameSet, len(ps))
-	mopts := prune.MultiOptions{
-		Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize, Ctx: opts.Context,
-		Projections: make([]*dtd.Projection, len(ps)),
-	}
-	for j, p := range ps {
-		if p.d != d {
-			for i := range errs {
-				errs[i] = fmt.Errorf("xmlproj: projector %d was inferred from a different DTD", j)
-			}
-			return results, errs
-		}
-		pis[j], mopts.Projections[j] = p.pr.Names, p.pr.Compiled()
-	}
-	sls, stats, gerrs := prune.StreamMultiGather(data, d, pis, mopts)
-	for j := range ps {
-		if gerrs[j] != nil {
-			errs[j] = gerrs[j]
-			continue
-		}
-		results[j] = &PruneResult{Stats: stats[j], sl: sls[j]}
-	}
-	return results, errs
-}
-
 // streamOpts converts public stream options, adding p's compiled table.
 func (p *Projector) streamOpts(opts StreamOptions) prune.StreamOptions {
 	return prune.StreamOptions{
