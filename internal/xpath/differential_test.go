@@ -7,6 +7,7 @@ package xpath_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -24,9 +25,7 @@ import (
 // returns "".
 func differ(doc *tree.Document, vars map[string]xpath.Value, e xpath.Expr) string {
 	ev := xpath.NewEvaluator(doc)
-	for k, v := range vars {
-		ev.Vars[k] = v
-	}
+	ev.Vars = maps.Clone(vars)
 	got, gerr := ev.Eval(e)
 	want, werr := xpath.OracleEval(doc, vars, e)
 	if gerr != nil || werr != nil {

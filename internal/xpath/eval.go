@@ -21,8 +21,8 @@ import (
 // use.
 type Evaluator struct {
 	Doc *tree.Document
-	// Vars provides values for $variables (the XQuery evaluator binds
-	// FLWR variables here).
+	// Vars provides values for $variables: nil until a caller sets it,
+	// as the XQuery evaluator does to bind FLWR variables.
 	Vars map[string]Value
 	// Visited counts the nodes evaluation examined: each node an axis
 	// walk tested. It is a deterministic work metric used by the benchmark
@@ -31,11 +31,15 @@ type Evaluator struct {
 
 	// free holds step buffers between uses.
 	free []NodeSet
+	// args is the stack the function calls being evaluated keep their
+	// arguments on (call, funcs.go), allocated by the first call with room
+	// for the largest fixed arity.
+	args []Value
 }
 
 // NewEvaluator returns an evaluator over doc.
 func NewEvaluator(doc *tree.Document) *Evaluator {
-	return &Evaluator{Doc: doc, Vars: map[string]Value{}}
+	return &Evaluator{Doc: doc}
 }
 
 type context struct {

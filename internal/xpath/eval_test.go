@@ -397,7 +397,7 @@ func TestEvalBooleanFunctions(t *testing.T) {
 func TestEvalVariables(t *testing.T) {
 	doc := bibDoc(t)
 	ev := NewEvaluator(doc)
-	ev.Vars["n"] = 2.0
+	ev.Vars = map[string]Value{"n": 2.0}
 	v, err := ev.Eval(MustParse("book[$n]/@isbn"))
 	if err != nil {
 		t.Fatal(err)

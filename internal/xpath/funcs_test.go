@@ -2,6 +2,8 @@ package xpath
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"xmlproj/internal/tree"
@@ -83,14 +85,18 @@ func TestFuncRoundHalf(t *testing.T) {
 	}
 }
 
+// TestFuncAggregatesOnEmpty: sum of nothing is 0, and avg, min and max
+// of nothing are nothing, the empty node-set, as XQuery's fn:avg, fn:min
+// and fn:max define them — what the same functions give over a FLWR
+// argument (xquery's TestSequenceFunctionsAgree).
 func TestFuncAggregatesOnEmpty(t *testing.T) {
 	doc := fdoc(t)
 	if got := evalVal(t, doc, "sum(/r/none)").(float64); got != 0 {
 		t.Errorf("sum(empty) = %v", got)
 	}
 	for _, src := range []string{"avg(/r/none)", "min(/r/none)", "max(/r/none)"} {
-		if got := evalVal(t, doc, src).(float64); !math.IsNaN(got) {
-			t.Errorf("%s = %v, want NaN", src, got)
+		if got, ok := evalVal(t, doc, src).(NodeSet); !ok || len(got) != 0 {
+			t.Errorf("%s = %v, want the empty node-set", src, got)
 		}
 	}
 }
@@ -111,21 +117,30 @@ func TestFuncArityErrors(t *testing.T) {
 	}
 }
 
-// TestFunctionKinds holds the functions table to what evalCall returns:
-// positional reads a function's kind there to decide whether a predicate
+// TestFunctionKinds holds every library entry's declared kind to what its
+// body returns: positional reads the kind to decide whether a predicate
 // can be a position, and a wrong entry would fuse a step that must not be.
+// Each entry is called through the dispatcher with the first argument
+// list its arity and types accept, XQuery's sequence-only functions too.
 func TestFunctionKinds(t *testing.T) {
 	doc := fdoc(t)
 	ev := NewEvaluator(doc)
-	args := []string{"", "/r/a", "'ab', 'b'", "'ab', 'a', 'b'"}
-	for name, k := range functions {
-		if name == "id" || name == "idref" {
-			continue // listed to be refused by name
-		}
+	ctx := context{node: ElemRef(doc.Root()), pos: 1, size: 1}
+	args := [][]string{{}, {"/r/a"}, {"'ab'", "'b'"}, {"/r/a", "'b'"}, {"'ab'", "'a'", "'b'"}}
+	for _, name := range Names() {
+		f := library[name]
 		var v Value
 		err := error(nil)
+		var first Value
 		for _, a := range args {
-			if v, err = ev.Eval(MustParse(name + "(" + a + ")")); err == nil {
+			v, err = ev.call(name, f, len(a), ctx, func(i int) (Value, error) {
+				v, err := ev.eval(MustParse(a[i]), ctx)
+				if i == 0 {
+					first = v
+				}
+				return v, err
+			})
+			if err == nil {
 				break
 			}
 		}
@@ -134,12 +149,17 @@ func TestFunctionKinds(t *testing.T) {
 			continue
 		}
 		_, isNumber := v.(float64)
-		if k == notNumber && isNumber || k == number && !isNumber {
-			t.Errorf("%s() returned %T, listed as kind %d", name, v, k)
+		switch {
+		case f.kind == notNumber && isNumber, f.kind == number && !isNumber:
+			t.Errorf("%s() returned %T, listed as kind %d", name, v, f.kind)
+		case f.kind == asArgument && !reflect.DeepEqual(v, first):
+			t.Errorf("%s() returned %v, not its argument %v", name, v, first)
 		}
 	}
-	if _, err := ev.Eval(MustParse("nosuch()")); err == nil {
-		t.Error("an unlisted function evaluated")
+	for _, src := range []string{"nosuch()", "distinct-values(/r/a)", "id('x')"} {
+		if _, err := ev.Eval(MustParse(src)); err == nil || !strings.Contains(err.Error(), "unknown function") {
+			t.Errorf("%s: %v, want an unknown function", src, err)
+		}
 	}
 }
 

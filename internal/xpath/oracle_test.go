@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 
@@ -29,9 +30,8 @@ type oracle struct {
 // element as context node.
 func OracleEval(doc *tree.Document, vars map[string]Value, e Expr) (Value, error) {
 	o := &oracle{Evaluator: NewEvaluator(doc)}
-	for k, v := range vars {
-		o.Vars[k] = v
-	}
+	o.Vars = map[string]Value{}
+	maps.Copy(o.Vars, vars)
 	return o.eval(e, context{node: ElemRef(doc.Root()), pos: 1, size: 1})
 }
 

@@ -158,7 +158,7 @@ func numeric(e Expr) bool {
 	case PathExpr:
 		return x.Filter != nil && len(x.FilterPreds) == 0 && len(x.Path.Steps) == 0 && numeric(x.Filter)
 	case Call:
-		switch functions[x.Name] {
+		switch library[x.Name].kind {
 		case notNumber:
 			return false
 		case asArgument:

@@ -120,6 +120,8 @@ func ToString(v Value) string {
 			return ""
 		}
 		return x[0].StringValue()
+	case NodeRef: // an item of a Seq
+		return x.StringValue()
 	case bool:
 		if x {
 			return "true"

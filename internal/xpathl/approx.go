@@ -18,29 +18,16 @@ import (
 // choice keeps the inferred projectors sound (TestSoundness* exercise it).
 
 // FuncArgAxis is the paper's F(f, i): the step to append to paths
-// extracted from the i-th argument of function f. It returns self::node()
-// for functions that only need the nodes themselves, and
-// descendant-or-self::node() for functions that need string-values.
+// extracted from the i-th argument of function f. It reads f's entry in
+// the function library (xpath.Func.Nodes): self::node() for a function
+// that reads only its arguments' nodes, descendant-or-self::node() for one
+// that reads their string-values, and for a name the library does not
+// have.
 func FuncArgAxis(fn string, argIdx int) SStep {
-	switch fn {
-	case "count", "not", "empty", "exists", "boolean", "name", "local-name",
-		"position", "last", "zero-or-one", "exactly-one", "one-or-more":
+	if xpath.Lookup(fn).Nodes {
 		return SStep{Axis: xpath.Self, Test: xpath.NodeTestNode}
-	default:
-		// string, number, contains, substring*, normalize-space, sum, avg,
-		// min, max, floor, ceiling, round, translate, concat, data, …
-		return SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode}
 	}
-}
-
-// structuralFuncs are functions whose truth depends only on the presence
-// of nodes, so that extracted argument paths may restrict the projector
-// without the {self::node} safety disjunct. Everything else (not, count
-// comparisons, arithmetic, string tests …) is non-structural: its paths
-// are kept for data needs but self::node() must be added so no candidate
-// node is pruned away (§3.3).
-var structuralFuncs = map[string]bool{
-	"exists": true, "boolean": true,
+	return SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode}
 }
 
 // ExtractCond implements P(Exp): it approximates a full-XPath predicate
@@ -108,7 +95,12 @@ func (x *extractor) extract(e xpath.Expr, restricting bool) []SimplePath {
 				out = append(out, p.Append(step))
 			}
 		}
-		if !structuralFuncs[t.Name] {
+		// A structural function (xpath.Func.Structural) is true exactly
+		// when its argument's paths reach a node. Everything else (not,
+		// count comparisons, string tests …) keeps its paths for data needs
+		// but adds self::node(), so no candidate node is pruned away
+		// (§3.3).
+		if !xpath.Lookup(t.Name).Structural {
 			out = append(out, SelfNode())
 		}
 		return out

@@ -1,6 +1,7 @@
 package xpathl
 
 import (
+	"slices"
 	"testing"
 
 	"xmlproj/internal/xpath"
@@ -147,18 +148,39 @@ func TestCondAddDedups(t *testing.T) {
 	}
 }
 
+// TestFuncArgAxisTable holds §3.3's extraction to the function
+// library, entry by entry: F(f, i) is self::node() exactly when the entry
+// reads only its arguments' nodes, and a predicate calling f keeps the
+// self::node() disjunct exactly when the entry is not structural. The two
+// name sets are pinned as well: moving one changes projectors
+// (testdata/projectors.golden).
 func TestFuncArgAxisTable(t *testing.T) {
-	selfFns := []string{"count", "not", "empty", "exists", "position", "boolean"}
-	dosFns := []string{"string", "contains", "sum", "number", "normalize-space", "anything-unknown"}
-	for _, f := range selfFns {
-		if FuncArgAxis(f, 0).Axis != xpath.Self {
-			t.Errorf("F(%s) should be self", f)
+	var nodes, structural []string
+	for _, name := range append(xpath.Names(), "anything-unknown") {
+		f := xpath.Lookup(name)
+		if f.Nodes {
+			nodes = append(nodes, name)
+		}
+		if f.Structural {
+			structural = append(structural, name)
+		}
+		for i := range 3 {
+			if got := FuncArgAxis(name, i); (got.Axis == xpath.Self) != f.Nodes || got.Test != xpath.NodeTestNode {
+				t.Errorf("F(%s, %d) = %s, entry reads nodes only: %v", name, i, got, f.Nodes)
+			}
+		}
+		call := xpath.Call{Name: name, Args: []xpath.Expr{xpath.MustParse("a")}}
+		kept := slices.ContainsFunc(ExtractCond(call), func(p SimplePath) bool { return p.String() == SelfNode().String() })
+		if kept == f.Structural {
+			t.Errorf("[%s(a)] keeps self::node(): %v, entry structural: %v", name, kept, f.Structural)
 		}
 	}
-	for _, f := range dosFns {
-		if FuncArgAxis(f, 0).Axis != xpath.DescendantOrSelf {
-			t.Errorf("F(%s) should be descendant-or-self", f)
-		}
+	wantNodes := []string{"boolean", "count", "empty", "exactly-one", "exists", "last", "local-name", "name", "not", "one-or-more", "position", "zero-or-one"}
+	if !slices.Equal(nodes, wantNodes) {
+		t.Errorf("functions reading nodes only: %v, want %v", nodes, wantNodes)
+	}
+	if want := []string{"boolean", "exists"}; !slices.Equal(structural, want) {
+		t.Errorf("structural functions: %v, want %v", structural, want)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 
 // Item is one member of an XQuery sequence: a node (xpath.NodeRef) or an
 // atomic value (string, float64, bool).
-type Item interface{}
+type Item = xpath.Value
 
-// Seq is an XQuery sequence.
-type Seq []Item
+// Seq is an XQuery sequence, the one the function library reads.
+type Seq = xpath.Seq
 
 // Evaluator executes FLWR-core queries over one document. Like the XPath
 // engine it is a DOM-style main-memory processor; it is the system's
@@ -39,7 +39,9 @@ type Evaluator struct {
 
 // NewEvaluator returns an evaluator over doc.
 func NewEvaluator(doc *tree.Document) *Evaluator {
-	return &Evaluator{doc: doc, xe: xpath.NewEvaluator(doc), shadowed: map[string][]xpath.Value{}}
+	xe := xpath.NewEvaluator(doc)
+	xe.Vars = map[string]xpath.Value{}
+	return &Evaluator{doc: doc, xe: xe, shadowed: map[string][]xpath.Value{}}
 }
 
 // Visited exposes the underlying engine's node-visit counter.
@@ -98,6 +100,8 @@ func valueToSeq(v xpath.Value) Seq {
 			out[i] = r
 		}
 		return out
+	case Seq:
+		return t
 	default:
 		return Seq{t}
 	}
@@ -310,7 +314,7 @@ func (ev *Evaluator) evalElement(e Element) (Seq, error) {
 					if pendingAtomic {
 						textBuf.WriteString(" ")
 					}
-					textBuf.WriteString(atomicString(item))
+					textBuf.WriteString(xpath.ToString(item))
 					pendingAtomic = true
 				}
 			}
@@ -345,133 +349,37 @@ func bodyPieces(q Query) []Query {
 	return []Query{q}
 }
 
-func atomicString(it Item) string {
-	switch v := it.(type) {
-	case xpath.NodeRef:
-		return v.StringValue()
-	case string:
-		return v
-	case float64:
-		return xpath.FormatNumber(v)
-	case bool:
-		if v {
-			return "true"
-		}
-		return "false"
-	}
-	return ""
-}
-
 func seqString(s Seq) string {
 	parts := make([]string, len(s))
 	for i, it := range s {
-		parts[i] = atomicString(it)
+		parts[i] = xpath.ToString(it)
 	}
 	return strings.Join(parts, " ")
 }
 
+// evalFuncQ applies a function of a sequence through the library: its
+// first argument passes as the sequence it is, the others are lowered as a
+// variable's value is.
 func (ev *Evaluator) evalFuncQ(f FuncQ) (Seq, error) {
-	args := make([]Seq, len(f.Args))
-	for i, a := range f.Args {
-		s, err := ev.eval(a)
-		if err != nil {
+	v, err := ev.xe.CallSeq(f.Name, len(f.Args), func(i int) (xpath.Value, error) {
+		s, err := ev.eval(f.Args[i])
+		switch {
+		case err != nil:
 			return nil, err
+		case i == 0:
+			return s, nil
 		}
-		args[i] = s
+		return seqToXPathValue(s), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	arity := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("xquery: %s() expects %d argument(s), got %d", f.Name, n, len(args))
-		}
-		return nil
-	}
-	switch f.Name {
-	case "count":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return Seq{float64(len(args[0]))}, nil
-	case "empty":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return Seq{len(args[0]) == 0}, nil
-	case "exists":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return Seq{len(args[0]) > 0}, nil
-	case "sum", "avg", "min", "max":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return aggregateSeq(f.Name, args[0])
-	case "distinct-values":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		seen := map[string]bool{}
-		var out Seq
-		for _, it := range args[0] {
-			s := atomicString(it)
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		return out, nil
-	case "string-join":
-		if err := arity(2); err != nil {
-			return nil, err
-		}
-		parts := make([]string, len(args[0]))
-		for i, it := range args[0] {
-			parts[i] = atomicString(it)
-		}
-		return Seq{strings.Join(parts, seqString(args[1]))}, nil
-	case "zero-or-one", "exactly-one", "data":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return args[0], nil
-	}
-	return nil, fmt.Errorf("xquery: unknown function %s()", f.Name)
-}
-
-func aggregateSeq(name string, s Seq) (Seq, error) {
-	if len(s) == 0 {
-		if name == "sum" {
-			return Seq{0.0}, nil
-		}
-		return nil, nil
-	}
-	acc := 0.0
-	switch name {
-	case "min":
-		acc = math.Inf(1)
-	case "max":
-		acc = math.Inf(-1)
-	}
-	for _, it := range s {
-		f := xpath.ToNumber(atomicString(it))
-		switch name {
-		case "sum", "avg":
-			acc += f
-		case "min":
-			acc = math.Min(acc, f)
-		case "max":
-			acc = math.Max(acc, f)
-		}
-	}
-	if name == "avg" {
-		acc /= float64(len(s))
-	}
-	return Seq{acc}, nil
+	return valueToSeq(v), nil
 }
 
 // Serialize renders a result sequence as XML text (constructed elements
 // serialised, atomics printed, top-level items separated by newlines).
-func Serialize(s Seq) string { return serialize(s, itemNode, atomicString) }
+func Serialize(s Seq) string { return serialize(s, itemNode, xpath.ToString) }
 
 // SerializeNodes is Serialize for a node-set as the XPath engine returns
 // it, without boxing each node into an Item first.

@@ -14,8 +14,8 @@ import (
 //     distinct-values(path) (Q5, Q10, Q20);
 //   - Quantified: some $x in q satisfies q (Q4).
 
-// FuncQ applies a function to query arguments (sequence-level functions
-// whose arguments may be FLWR expressions).
+// FuncQ applies a function of a sequence (xpath.Func.Seq) to query
+// arguments, which may be FLWR expressions.
 type FuncQ struct {
 	Name string
 	Args []Query
@@ -46,14 +46,6 @@ func (q Quantified) String() string {
 		kw = "every"
 	}
 	return fmt.Sprintf("%s $%s in %s satisfies %s", kw, q.Var, q.In, q.Sat)
-}
-
-// seqFuncs are functions parsed at the query level so their arguments may
-// be FLWR expressions or need sequence semantics.
-var seqFuncs = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"distinct-values": true, "empty": true, "exists": true,
-	"zero-or-one": true, "exactly-one": true, "data": true, "string-join": true,
 }
 
 // Parse parses a FLWR-core query.
@@ -143,9 +135,9 @@ func (qp *qparser) parseSingle() (Query, error) {
 		return qp.parseIf()
 	case t.Kind == xpath.TokLt:
 		return qp.parseElement()
-	case t.Kind == xpath.TokIdent && pureSeqFuncs[t.Text] && qp.nextIsLParen():
-		// Functions with no XPath-level counterpart are always parsed at
-		// the query level.
+	case t.Kind == xpath.TokIdent && xpath.Lookup(t.Text).QueryOnly && qp.nextIsLParen():
+		// A function whose result only XQuery can hold is always parsed
+		// at the query level.
 		return qp.parseFuncQ()
 	default:
 		// Try a plain XPath expression first — it covers arithmetic over
@@ -178,17 +170,11 @@ func (qp *qparser) parseSingle() (Query, error) {
 				return nil, err
 			}
 			return q, nil
-		case qp.tok().Kind == xpath.TokIdent && seqFuncs[qp.tok().Text] && qp.nextIsLParen():
+		case qp.tok().Kind == xpath.TokIdent && xpath.Lookup(qp.tok().Text).Seq && qp.nextIsLParen():
 			return qp.parseFuncQ()
 		}
 		return nil, xerr
 	}
-}
-
-// pureSeqFuncs have no XPath-level implementation; they always parse as
-// FuncQ.
-var pureSeqFuncs = map[string]bool{
-	"distinct-values": true, "string-join": true,
 }
 
 // nextIsDollar peeks whether the token after the current keyword is '$'.

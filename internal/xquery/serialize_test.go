@@ -22,7 +22,7 @@ func perItem(items Seq) string {
 			r.N().AppendXML(&sb)
 			parts[i] = sb.String()
 		default:
-			parts[i] = atomicString(it)
+			parts[i] = xpath.ToString(it)
 		}
 	}
 	return strings.Join(parts, "\n")

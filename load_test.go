@@ -23,7 +23,7 @@ func TestLoadProjectedIsTheLoadOfThePrune(t *testing.T) {
 	}
 	input := []byte(xmark.NewGenerator(0.01, 42).Document().XML())
 	sources := []string{`/site/regions/africa/item/location`, `//person[emailaddress]/name`}
-	for _, id := range []string{"QM01", "QM06", "QM07", "QM14", "QM20", "QP09", "QP11", "QP13", "QP19", "QP21"} {
+	for _, id := range q10 {
 		sources = append(sources, benchmarkQuerySource(id))
 	}
 	for _, src := range sources {

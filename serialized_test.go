@@ -160,3 +160,34 @@ func TestEvaluateAllocs(t *testing.T) {
 		t.Errorf("QM07 made %d allocations, want at most 2000", allocs)
 	}
 }
+
+// q10 is the benchmark's answer_* query set (benchmark/queries.go).
+var q10 = []string{"QM01", "QM06", "QM07", "QM14", "QM20", "QP09", "QP11", "QP13", "QP19", "QP21"}
+
+// BenchmarkEvaluateQ10 evaluates the ten Q10 queries, one op the whole
+// set, on the benchmark's d3 document (XMark factor 0.03), loaded once:
+// the evaluator's share of answer_direct, with its allocations.
+func BenchmarkEvaluateQ10(b *testing.B) {
+	doc, err := ParseXMLString(xmark.NewGenerator(0.03, 42).Document().XML())
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]*Query, len(q10))
+	for i, id := range q10 {
+		if qs[i], err = Compile(benchmarkQuerySource(id)); err != nil {
+			b.Fatalf("%s: %v", id, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, q := range qs {
+			if evaluated, err = q.Evaluate(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// evaluated keeps BenchmarkEvaluateQ10's last result live.
+var evaluated Result
