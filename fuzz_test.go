@@ -2,6 +2,8 @@ package xmlproj
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -104,6 +106,50 @@ func FuzzParseDTD(f *testing.F) {
 		}
 		if !slices.Equal(back.Names(), p.Names()) {
 			t.Fatalf("projector does not round-trip\ninferred: %q\nloaded:   %q", p.Names(), back.Names())
+		}
+		p.PruneStreamOpts(io.Discard, strings.NewReader("<"+d.Root()+"/>"), StreamOptions{Validate: true})
+	})
+}
+
+// FuzzParseXSD feeds the XML Schema lowering — the route a .xsd file takes
+// into every tool through ParseSchemaFile — untrusted text: whatever it
+// accepts must lower to the same grammar twice, answer the Def. 4.3
+// property checks, infer a projector for //node() and prune a
+// one-element document with validation, all without a panic.
+func FuzzParseXSD(f *testing.F) {
+	seeds, err := filepath.Glob("internal/xsd/testdata/*.xsd")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed schemas: %v", err)
+	}
+	for _, path := range seeds {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseXSDString(src, "")
+		if err != nil {
+			return
+		}
+		again, err := ParseXSDString(src, "")
+		if err != nil {
+			t.Fatalf("accepted once, then rejected: %v", err)
+		}
+		if d.Grammar() != again.Grammar() || d.d.Fingerprint() != again.d.Fingerprint() {
+			t.Fatalf("one schema, two grammars\n%s\n%s", d.Grammar(), again.Grammar())
+		}
+		d.IsStarGuarded()
+		d.IsRecursive()
+		d.IsParentUnambiguous()
+		q, err := CompileXPath("//node()")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := d.Infer(Materialized, q)
+		if err != nil {
+			return
 		}
 		p.PruneStreamOpts(io.Discard, strings.NewReader("<"+d.Root()+"/>"), StreamOptions{Validate: true})
 	})

@@ -19,13 +19,13 @@ package dataguide
 
 import (
 	"fmt"
-	"sort"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/tree"
 )
 
-// FromDocument builds the dataguide grammar of a document.
+// FromDocument builds the dataguide grammar of a document: one
+// dtd.Element per tag observed, handed to dtd.New like any declaration.
 func FromDocument(doc *tree.Document) (*dtd.DTD, error) {
 	if doc.NumNodes() == 0 {
 		return nil, fmt.Errorf("dataguide: empty document")
@@ -36,23 +36,18 @@ func FromDocument(doc *tree.Document) (*dtd.DTD, error) {
 		text     bool
 	}
 	infos := map[string]*info{}
-	order := []string{}
-	get := func(tag string) *info {
-		if in, ok := infos[tag]; ok {
-			return in
-		}
-		in := &info{children: map[string]bool{}, attrs: map[string]bool{}}
-		infos[tag] = in
-		order = append(order, tag)
-		return in
-	}
-
+	var order []string
 	for i := range int32(doc.NumNodes()) {
 		n := doc.At(i)
 		if n.Kind() != tree.Element {
 			continue
 		}
-		in := get(n.Tag())
+		in := infos[n.Tag()]
+		if in == nil {
+			in = &info{children: map[string]bool{}, attrs: map[string]bool{}}
+			infos[n.Tag()] = in
+			order = append(order, n.Tag())
+		}
 		for k := range n.NumAttrs() {
 			in.attrs[n.AttrAt(k).Name] = true
 		}
@@ -65,52 +60,13 @@ func FromDocument(doc *tree.Document) (*dtd.DTD, error) {
 		}
 	}
 
-	// Render as DTD source and reuse the DTD machinery (automata, caches,
-	// property checks) unchanged.
-	var sb []byte
-	for _, tag := range order {
+	// The text name is in a union only when text was seen, so the
+	// grammar does not invent one the document never uses.
+	elems := make([]dtd.Element, len(order))
+	for i, tag := range order {
 		in := infos[tag]
-		kids := make([]string, 0, len(in.children))
-		for k := range in.children {
-			kids = append(kids, k)
-		}
-		sort.Strings(kids)
-		switch {
-		case len(kids) == 0 && !in.text:
-			sb = fmt.Appendf(sb, "<!ELEMENT %s EMPTY>\n", tag)
-		case len(kids) == 0:
-			sb = fmt.Appendf(sb, "<!ELEMENT %s (#PCDATA)>\n", tag)
-		default:
-			// The star-guarded union of everything observed. #PCDATA is
-			// included only when text was seen, so the grammar does not
-			// invent a text name the document never uses.
-			sb = fmt.Appendf(sb, "<!ELEMENT %s (", tag)
-			if in.text {
-				sb = append(sb, "#PCDATA | "...)
-			}
-			sb = fmt.Appendf(sb, "%s", kids[0])
-			for _, k := range kids[1:] {
-				sb = fmt.Appendf(sb, " | %s", k)
-			}
-			sb = append(sb, ")*>\n"...)
-		}
-		sb = appendAttrs(sb, tag, in.attrs)
+		elems[i] = dtd.Element{Tag: tag, Content: dtd.StarUnion(tag, in.text, in.children),
+			Text: in.text, Atts: dtd.ImpliedCDATA(in.attrs)}
 	}
-	return dtd.ParseString(string(sb), doc.Root().Tag())
-}
-
-func appendAttrs(sb []byte, tag string, attrs map[string]bool) []byte {
-	if len(attrs) == 0 {
-		return sb
-	}
-	names := make([]string, 0, len(attrs))
-	for a := range attrs {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	sb = fmt.Appendf(sb, "<!ATTLIST %s", tag)
-	for _, a := range names {
-		sb = fmt.Appendf(sb, " %s CDATA #IMPLIED", a)
-	}
-	return append(sb, ">\n"...)
+	return dtd.New(doc.Root().Tag(), elems)
 }

@@ -13,6 +13,7 @@ package dtd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -122,6 +123,98 @@ func (d *DTD) ElementName(tag string) (Name, bool) {
 	return n, ok
 }
 
+// Element is one element declaration of a grammar under construction,
+// New's input: what an <!ELEMENT> and its <!ATTLIST>s declare, what the
+// XML Schema lowering derives, what a dataguide observes.
+type Element struct {
+	// Tag is the element tag, which is also the element's name.
+	Tag string
+	// Content is the content model over names (Epsilon for EMPTY); text
+	// content is a Ref to TextName(Tag), as in mixed content.
+	Content Regex
+	// Any marks ANY content: New replaces Content by a star over the
+	// element's text name and every declared element.
+	Any bool
+	// Text gives the element a text name (mixed and #PCDATA content).
+	Text bool
+	// Atts are the attribute declarations, Name unset: New derives it.
+	Atts []AttDef
+}
+
+// New builds the local tree grammar of the declared elements. It is the
+// one constructor of a DTD: the DTD parser, the XML Schema lowering and
+// the dataguide all call it. rootTag names the root element; if empty,
+// the first declared element is the root. Definitions keep declaration
+// order, each element's text name right after it (an ANY element's after
+// every declaration); of two declarations of one attribute the first
+// wins, as in XML. A duplicate element, a name holding the '@' of derived
+// attribute names, and a reference to an undeclared element are errors.
+func New(rootTag string, elems []Element) (*DTD, error) {
+	d := &DTD{Defs: map[Name]*Def{}, ByTag: map[string]Name{}}
+	for _, e := range elems {
+		if strings.Contains(e.Tag, "@") || slices.ContainsFunc(e.Atts, func(a AttDef) bool { return strings.Contains(a.Attr, "@") }) {
+			return nil, fmt.Errorf("dtd: element %s: a name holds '@', which derived attribute names use", e.Tag)
+		}
+		name := Name(e.Tag)
+		def := &Def{Name: name, Tag: e.Tag, Content: e.Content}
+		if err := d.add(def); err != nil {
+			return nil, err
+		}
+		if e.Text {
+			if err := d.add(&Def{Name: TextName(name), Text: true}); err != nil {
+				return nil, err
+			}
+		}
+		for _, a := range e.Atts {
+			if def.AttDef(a.Attr) == nil {
+				a.Name = AttrName(name, a.Attr)
+				def.Atts = append(def.Atts, a)
+			}
+		}
+	}
+	if len(d.order) == 0 {
+		return nil, fmt.Errorf("dtd: no element declarations")
+	}
+	d.Root = d.order[0]
+	if rootTag != "" {
+		n, ok := d.ByTag[rootTag]
+		if !ok {
+			return nil, fmt.Errorf("dtd: root element %q not declared", rootTag)
+		}
+		d.Root = n
+	}
+	for _, e := range elems {
+		if !e.Any {
+			continue
+		}
+		tn := TextName(Name(e.Tag))
+		if _, ok := d.Defs[tn]; !ok {
+			if err := d.add(&Def{Name: tn, Text: true}); err != nil {
+				return nil, err
+			}
+		}
+		alts := []Regex{Ref{tn}}
+		for _, n := range d.order {
+			if !d.Defs[n].Text {
+				alts = append(alts, Ref{n})
+			}
+		}
+		d.Defs[Name(e.Tag)].Content = Star{Alt{alts}}
+	}
+	var err error
+	for _, e := range elems {
+		WalkRefs(e.Content, func(ref Name) {
+			if _, ok := d.Defs[ref]; !ok && err == nil {
+				err = fmt.Errorf("dtd: element %s references undeclared element %s", e.Tag, ref)
+			}
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // add registers a definition, preserving order.
 func (d *DTD) add(def *Def) error {
 	if _, dup := d.Defs[def.Name]; dup {
@@ -130,10 +223,7 @@ func (d *DTD) add(def *Def) error {
 	d.Defs[def.Name] = def
 	d.order = append(d.order, def.Name)
 	if !def.Text {
-		if _, dup := d.ByTag[def.Tag]; dup {
-			return fmt.Errorf("dtd: duplicate element declaration <!ELEMENT %s>", def.Tag)
-		}
-		d.ByTag[def.Tag] = def.Name
+		d.ByTag[def.Tag] = def.Name // an element's name is its tag
 	}
 	return nil
 }

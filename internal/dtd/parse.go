@@ -2,36 +2,21 @@ package dtd
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"unicode"
 )
 
-// Parse reads DTD declarations from r and builds the local tree grammar.
-// rootTag names the document root element; if empty, the first declared
-// element is taken as root (the usual convention for standalone DTDs).
+// ParseString reads DTD declarations and hands them to New, which builds
+// the local tree grammar. rootTag names the document root element; if
+// empty, the first declared element is taken as root (the usual
+// convention for standalone DTDs).
 //
 // Supported declarations: <!ELEMENT …> with EMPTY, ANY, mixed and children
 // content; <!ATTLIST …>; comments. Parameter entities and conditional
-// sections are not supported (none of the benchmark DTDs use them).
-func Parse(r io.Reader, rootTag string) (*DTD, error) {
-	src, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dtd: %w", err)
-	}
-	return ParseString(string(src), rootTag)
-}
-
-// ParseString is Parse over a string.
+// sections are ParseWithEntities' (none of the benchmark DTDs use them).
 func ParseString(src, rootTag string) (*DTD, error) {
 	p := &parser{src: src}
-	d := &DTD{Defs: map[Name]*Def{}, ByTag: map[string]Name{}}
-	type pendingAtt struct {
-		tag  string
-		atts []AttDef
-	}
-	var pendingAtts []pendingAtt
-	var anyTags []string // elements declared ANY, fixed up at the end
+	var elems, attlists []Element
 	for {
 		p.skipMisc()
 		if p.eof() {
@@ -43,30 +28,17 @@ func ParseString(src, rootTag string) (*DTD, error) {
 		}
 		switch kw {
 		case "ELEMENT":
-			tag, content, isAny, mixed, err := p.elementDecl()
+			e, err := p.elementDecl()
 			if err != nil {
 				return nil, err
 			}
-			name := Name(tag)
-			def := &Def{Name: name, Tag: tag, Content: content}
-			if err := d.add(def); err != nil {
-				return nil, err
-			}
-			if isAny {
-				anyTags = append(anyTags, tag)
-			}
-			if mixed {
-				tn := TextName(name)
-				if err := d.add(&Def{Name: tn, Text: true}); err != nil {
-					return nil, err
-				}
-			}
+			elems = append(elems, e)
 		case "ATTLIST":
 			tag, atts, err := p.attlistDecl()
 			if err != nil {
 				return nil, err
 			}
-			pendingAtts = append(pendingAtts, pendingAtt{tag, atts})
+			attlists = append(attlists, Element{Tag: tag, Atts: atts})
 		case "ENTITY", "NOTATION":
 			// Skipped: scan to the closing '>'.
 			if err := p.skipDecl(); err != nil {
@@ -76,72 +48,20 @@ func ParseString(src, rootTag string) (*DTD, error) {
 			return nil, fmt.Errorf("dtd: unsupported declaration <!%s at offset %d", kw, p.pos)
 		}
 	}
-
-	if len(d.order) == 0 {
-		return nil, fmt.Errorf("dtd: no element declarations")
+	// An <!ATTLIST> may come before its <!ELEMENT>, and one element may
+	// have several.
+	byTag := make(map[string]int, len(elems))
+	for i, e := range elems {
+		byTag[e.Tag] = i
 	}
-	if rootTag == "" {
-		d.Root = d.order[0]
-	} else {
-		n, ok := d.ByTag[rootTag]
+	for _, al := range attlists {
+		i, ok := byTag[al.Tag]
 		if !ok {
-			return nil, fmt.Errorf("dtd: root element %q not declared", rootTag)
+			return nil, fmt.Errorf("dtd: <!ATTLIST %s> for undeclared element", al.Tag)
 		}
-		d.Root = n
+		elems[i].Atts = append(elems[i].Atts, al.Atts...)
 	}
-
-	// Fix up ANY content: any sequence of declared elements and text.
-	for _, tag := range anyTags {
-		name := d.ByTag[tag]
-		tn := TextName(name)
-		if _, ok := d.Defs[tn]; !ok {
-			if err := d.add(&Def{Name: tn, Text: true}); err != nil {
-				return nil, err
-			}
-		}
-		var alts []Regex
-		alts = append(alts, Ref{tn})
-		for _, n := range d.order {
-			if def := d.Defs[n]; !def.Text {
-				alts = append(alts, Ref{n})
-			}
-		}
-		d.Defs[name].Content = Star{Alt{alts}}
-	}
-
-	// Attach attribute lists.
-	for _, pa := range pendingAtts {
-		n, ok := d.ByTag[pa.tag]
-		if !ok {
-			return nil, fmt.Errorf("dtd: <!ATTLIST %s> for undeclared element", pa.tag)
-		}
-		def := d.Defs[n]
-		for _, a := range pa.atts {
-			a.Name = AttrName(n, a.Attr)
-			if def.AttDef(a.Attr) != nil {
-				continue // XML spec: first declaration wins
-			}
-			def.Atts = append(def.Atts, a)
-		}
-	}
-
-	// Check that every referenced name is declared.
-	for _, n := range d.order {
-		def := d.Defs[n]
-		if def.Text {
-			continue
-		}
-		var err error
-		walkRefs(def.Content, func(ref Name) {
-			if _, ok := d.Defs[ref]; !ok && err == nil {
-				err = fmt.Errorf("dtd: element %s references undeclared element %s", n, ref)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return New(rootTag, elems)
 }
 
 // MustParseString is ParseString for known-good sources; it panics on error.
@@ -260,34 +180,29 @@ func (p *parser) expect(c byte) error {
 }
 
 // elementDecl parses the remainder of an <!ELEMENT …> declaration. The
-// returned regex is over element names; mixed reports whether a #PCDATA
-// text name must be created for the element, in which case the parser has
-// already inserted Ref(TextName) placeholders.
-func (p *parser) elementDecl() (tag string, content Regex, isAny, mixed bool, err error) {
-	tag, err = p.name()
+// content model is over element names; for mixed content it refers to
+// the element's text name, which Text asks New to create.
+func (p *parser) elementDecl() (Element, error) {
+	tag, err := p.name()
 	if err != nil {
-		return "", nil, false, false, err
+		return Element{}, err
 	}
+	e := Element{Tag: tag, Content: Epsilon{}}
 	p.skipWS()
 	switch {
 	case strings.HasPrefix(p.src[p.pos:], "EMPTY"):
 		p.pos += len("EMPTY")
-		content = Epsilon{}
 	case strings.HasPrefix(p.src[p.pos:], "ANY"):
 		p.pos += len("ANY")
-		content, isAny = Epsilon{}, true
+		e.Any = true
 	case p.peek() == '(':
-		content, mixed, err = p.contentSpec(Name(tag))
-		if err != nil {
-			return "", nil, false, false, err
+		if e.Content, e.Text, err = p.contentSpec(Name(tag)); err != nil {
+			return Element{}, err
 		}
 	default:
-		return "", nil, false, false, fmt.Errorf("dtd: bad content spec for %s at offset %d", tag, p.pos)
+		return Element{}, fmt.Errorf("dtd: bad content spec for %s at offset %d", tag, p.pos)
 	}
-	if err := p.expect('>'); err != nil {
-		return "", nil, false, false, err
-	}
-	return tag, content, isAny, mixed, nil
+	return e, p.expect('>')
 }
 
 // contentSpec parses mixed or children content, starting at '('.

@@ -1,6 +1,9 @@
 package dtd
 
-import "strings"
+import (
+	"sort"
+	"strings"
+)
 
 // Regex is a regular expression over grammar names, used as a content
 // model r in edges X → a[r].
@@ -63,26 +66,60 @@ func (r Star) String() string { return r.Inner.String() + "*" }
 func (r Plus) String() string { return r.Inner.String() + "+" }
 func (r Opt) String() string  { return r.Inner.String() + "?" }
 
-// walkRefs calls f for every occurrence of a name in r.
-func walkRefs(r Regex, f func(Name)) {
+// WalkRefs calls f for every occurrence of a name in r.
+func WalkRefs(r Regex, f func(Name)) {
 	switch x := r.(type) {
 	case Ref:
 		f(x.Name)
 	case Seq:
 		for _, it := range x.Items {
-			walkRefs(it, f)
+			WalkRefs(it, f)
 		}
 	case Alt:
 		for _, it := range x.Items {
-			walkRefs(it, f)
+			WalkRefs(it, f)
 		}
 	case Star:
-		walkRefs(x.Inner, f)
+		WalkRefs(x.Inner, f)
 	case Plus:
-		walkRefs(x.Inner, f)
+		WalkRefs(x.Inner, f)
 	case Opt:
-		walkRefs(x.Inner, f)
+		WalkRefs(x.Inner, f)
 	}
+}
+
+// StarUnion is the content model (t | a | b | …)* over the given element
+// names in sorted order, t being tag's text name when text is set: the
+// over-approximation a merged XML Schema declaration and a dataguide
+// declare. Nothing to repeat is EMPTY, and one element name c alone is
+// c*, as the DTD parser reads "(c)*".
+func StarUnion(tag string, text bool, names map[string]bool) Regex {
+	var alts []Regex
+	for n := range names {
+		alts = append(alts, Ref{Name(n)})
+	}
+	sort.Slice(alts, func(i, j int) bool { return alts[i].(Ref).Name < alts[j].(Ref).Name })
+	switch {
+	case text:
+		return Star{Alt{append([]Regex{Ref{TextName(Name(tag))}}, alts...)}}
+	case len(alts) == 0:
+		return Epsilon{}
+	case len(alts) == 1:
+		return Star{alts[0]}
+	}
+	return Star{Alt{alts}}
+}
+
+// ImpliedCDATA declares each of the attributes CDATA #IMPLIED, in
+// sorted order: the attribute list of a merged XML Schema declaration and
+// of a dataguide element.
+func ImpliedCDATA[V any](attrs map[string]V) []AttDef {
+	var atts []AttDef
+	for a := range attrs {
+		atts = append(atts, AttDef{Attr: a, Type: "CDATA"})
+	}
+	sort.Slice(atts, func(i, j int) bool { return atts[i].Attr < atts[j].Attr })
+	return atts
 }
 
 // Nullable reports whether r matches the empty sequence.

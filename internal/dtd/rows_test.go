@@ -17,7 +17,7 @@ func sym(t *testing.T, s *Symbols, n Name) int32 {
 
 func regexNames(r Regex) NameSet {
 	out := NameSet{}
-	walkRefs(r, func(n Name) { out.Add(n) })
+	WalkRefs(r, func(n Name) { out.Add(n) })
 	return out
 }
 

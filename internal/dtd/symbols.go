@@ -98,7 +98,7 @@ func newSymbols(d *DTD) *Symbols {
 	s.Text, s.Attr = make(Row, words), make(Row, words)
 	for e := range s.infos {
 		e := int32(e)
-		walkRefs(s.infos[e].Def.Content, func(ref Name) {
+		WalkRefs(s.infos[e].Def.Content, func(ref Name) {
 			s.Content.Row(e).Add(s.byName[ref])
 			s.Parents.Row(s.byName[ref]).Add(e)
 		})

@@ -1,20 +1,22 @@
 // Package xsd implements the paper's footnote-1 extension: "the extension
 // of our approach to XML Schema simply needs some special treatment of
-// local elements". It parses a practical subset of XML Schema and lowers
-// it to the local tree grammar the analysis already understands.
+// local elements". It reads a practical subset of XML Schema as a
+// document and lowers it to the local tree grammar the analysis already
+// understands, built by dtd.New like any other.
 //
 // Supported constructs: top-level and local xs:element (inline complex
 // types or type references), xs:complexType (top-level and anonymous),
-// xs:sequence / xs:choice / xs:all, minOccurs / maxOccurs, xs:attribute,
-// mixed content, simple-typed elements (any xs:* simple type becomes
-// text). Namespaces other than the XML Schema namespace itself are not
-// interpreted.
+// xs:sequence / xs:choice / xs:all in document order, minOccurs /
+// maxOccurs, xs:attribute with use="required", mixed content,
+// simple-typed elements (any xs:* simple type becomes text). Namespace
+// prefixes are dropped, as the loader drops them.
 //
 // The special treatment of local elements: a local tree grammar requires
 // one content model per tag, while XSD allows the same tag to have
 // different local types in different contexts. When that happens the
 // lowering merges the declarations — the content model becomes the
-// star-guarded union of every observed content, attributes are unioned —
+// star-guarded union of every observed content, attributes are unioned
+// and required only where every declaration requires them —
 // which over-approximates the schema and therefore keeps projector
 // inference sound (π is inferred against a grammar at least as permissive
 // as the schema).
@@ -23,88 +25,54 @@
 package xsd
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/tree"
 )
 
-// schema mirrors the XSD XML structure (xs namespace).
-type schema struct {
-	XMLName  xml.Name      `xml:"schema"`
-	Elements []element     `xml:"element"`
-	Types    []complexType `xml:"complexType"`
-}
-
-type element struct {
-	Name      string       `xml:"name,attr"`
-	Type      string       `xml:"type,attr"`
-	Ref       string       `xml:"ref,attr"`
-	MinOccurs string       `xml:"minOccurs,attr"`
-	MaxOccurs string       `xml:"maxOccurs,attr"`
-	Complex   *complexType `xml:"complexType"`
-}
-
-type complexType struct {
-	Name       string      `xml:"name,attr"`
-	Mixed      string      `xml:"mixed,attr"`
-	Sequence   *group      `xml:"sequence"`
-	Choice     *group      `xml:"choice"`
-	All        *group      `xml:"all"`
-	Attributes []attribute `xml:"attribute"`
-}
-
-type group struct {
-	MinOccurs string    `xml:"minOccurs,attr"`
-	MaxOccurs string    `xml:"maxOccurs,attr"`
-	Elements  []element `xml:"element"`
-	Sequences []group   `xml:"sequence"`
-	Choices   []group   `xml:"choice"`
-}
-
-type attribute struct {
-	Name string `xml:"name,attr"`
-	Use  string `xml:"use,attr"`
-}
-
-// Parse reads an XML Schema and lowers it to a DTD (local tree grammar).
-// rootTag selects the root element; if empty, the first top-level element
-// declaration is used.
+// Parse reads an XML Schema with tree.Parse, the scanner every other
+// input goes through, lowers its declarations to content models in the
+// order the schema writes them, and builds the local tree grammar with
+// dtd.New. rootTag selects the root element; if empty, the first
+// top-level element declaration is used.
 func Parse(r io.Reader, rootTag string) (*dtd.DTD, error) {
-	var s schema
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&s); err != nil {
+	doc, err := tree.Parse(r)
+	if err != nil {
 		return nil, fmt.Errorf("xsd: %w", err)
 	}
-	if len(s.Elements) == 0 {
-		return nil, fmt.Errorf("xsd: no top-level element declarations")
+	s := doc.Root()
+	if s.Tag() != "schema" {
+		return nil, fmt.Errorf("xsd: root element is <%s>, not <schema>", s.Tag())
 	}
-	l := &lowerer{
-		named: map[string]*complexType{},
-		decls: map[string]*decl{},
-	}
-	for i := range s.Types {
-		if s.Types[i].Name != "" {
-			l.named[s.Types[i].Name] = &s.Types[i]
+	l := &lowerer{named: map[string]tree.Node{}, decls: map[string]*decl{}}
+	var tops []tree.Node
+	for c := s.FirstChild(); c.Valid(); c = c.NextSibling() {
+		switch c.Tag() {
+		case "complexType":
+			if name := attr(c, "name"); name != "" {
+				l.named[name] = c
+			}
+		case "element":
+			tops = append(tops, c)
 		}
 	}
-	for i := range s.Elements {
-		l.topLevel = append(l.topLevel, s.Elements[i].Name)
-		if err := l.element(&s.Elements[i]); err != nil {
+	if len(tops) == 0 {
+		return nil, fmt.Errorf("xsd: no top-level element declarations")
+	}
+	for _, e := range tops {
+		if _, err := l.element(e); err != nil {
 			return nil, err
 		}
 	}
-	if rootTag == "" {
-		rootTag = s.Elements[0].Name
+	elems := make([]dtd.Element, len(l.order))
+	for i, tag := range l.order {
+		elems[i] = l.decls[tag].lower(tag)
 	}
-	src, err := l.render()
-	if err != nil {
-		return nil, err
-	}
-	return dtd.ParseString(src, rootTag)
+	return dtd.New(rootTag, elems)
 }
 
 // ParseString is Parse over a string.
@@ -114,230 +82,198 @@ func ParseString(src, rootTag string) (*dtd.DTD, error) {
 
 // decl accumulates the (possibly merged) declaration of one tag.
 type decl struct {
-	// contents collects one rendered content model per occurrence of the
-	// tag; more than one triggers the local-element merge.
-	contents []string
-	mixed    bool
-	hasText  bool
-	attrs    map[string]bool
-	order    int
+	// contents collects one content model per complex-typed occurrence
+	// of the tag; more than one triggers the local-element merge.
+	contents []dtd.Regex
+	// text is set by mixed content and by simple types.
+	text bool
+	// n counts the declarations of the tag; attrs maps each attribute
+	// any of them declares to how many, from the first on, require it.
+	n     int
+	attrs map[string]int
+	// types are the complex types the tag has been lowered with.
+	types []tree.Node
 }
 
 type lowerer struct {
-	named    map[string]*complexType
-	decls    map[string]*decl
-	topLevel []string
-	count    int
+	named map[string]tree.Node
+	decls map[string]*decl
+	order []string
 }
 
-func (l *lowerer) get(tag string) *decl {
-	if d, ok := l.decls[tag]; ok {
-		return d
+// element registers an element declaration and recursively its locals,
+// and returns the tag it declares or refers to.
+func (l *lowerer) element(e tree.Node) (string, error) {
+	if ref := attr(e, "ref"); ref != "" {
+		return trimNS(ref), nil // a reference to a (top-level) declaration
 	}
-	d := &decl{attrs: map[string]bool{}, order: l.count}
-	l.count++
-	l.decls[tag] = d
-	return d
-}
-
-// element registers an element declaration and recursively its locals.
-func (l *lowerer) element(e *element) error {
-	if e.Ref != "" {
-		return nil // a reference to a (top-level) declaration
+	name := attr(e, "name")
+	if name == "" {
+		return "", fmt.Errorf("xsd: element without name or ref")
 	}
-	if e.Name == "" {
-		return fmt.Errorf("xsd: element without name or ref")
+	d := l.decls[name]
+	if d == nil {
+		d = &decl{attrs: map[string]int{}}
+		l.decls[name] = d
+		l.order = append(l.order, name)
 	}
-	d := l.get(e.Name)
-	ct := e.Complex
-	if ct == nil && e.Type != "" {
-		if named, ok := l.named[trimNS(e.Type)]; ok {
+	ct := child(e, "complexType")
+	if !ct.Valid() {
+		typ := attr(e, "type")
+		named, ok := l.named[trimNS(typ)]
+		switch {
+		case ok:
 			ct = named
-		} else if isSimpleType(e.Type) {
-			d.hasText = true
-			return nil
-		} else {
-			return fmt.Errorf("xsd: element %s references unknown type %s", e.Name, e.Type)
+		case typ == "" || isSimpleType(typ):
+			// No type at all is xs:anyType-ish: treated as text-only.
+			d.n++
+			d.text = true
+			return name, nil
+		default:
+			return "", fmt.Errorf("xsd: element %s references unknown type %s", name, typ)
 		}
 	}
-	if ct == nil {
-		// No type at all: xs:anyType-ish; treat as text-only.
-		d.hasText = true
-		return nil
+	// A tag meets one complex type once: again through a named type it
+	// is the same declaration, and within its own type a recursive one.
+	if slices.Contains(d.types, ct) {
+		return name, nil
 	}
-	if ct.Mixed == "true" {
-		d.mixed = true
+	d.types = append(d.types, ct)
+	d.n++
+	if attr(ct, "mixed") == "true" {
+		d.text = true
 	}
-	for _, a := range ct.Attributes {
-		d.attrs[a.Name] = true
-	}
-	var g *group
-	switch {
-	case ct.Sequence != nil:
-		g = ct.Sequence
-	case ct.Choice != nil:
-		g = ct.Choice
-	case ct.All != nil:
-		g = ct.All
-	}
-	if g == nil {
-		if !d.mixed {
-			d.contents = append(d.contents, "") // EMPTY (attributes only)
+	for a := ct.FirstChild(); a.Valid(); a = a.NextSibling() {
+		if a.Tag() != "attribute" {
+			continue
 		}
-		return nil
+		an := attr(a, "name")
+		if an == "" {
+			return "", fmt.Errorf("xsd: element %s: attribute without a name", name)
+		}
+		// Required only while every declaration so far requires it: a
+		// merge that disagrees stays optional, an over-approximation.
+		r := d.attrs[an]
+		if attr(a, "use") == "required" && r == d.n-1 {
+			r = d.n
+		}
+		d.attrs[an] = r
 	}
-	kind := "seq"
-	if ct.Choice != nil {
-		kind = "choice"
-	} else if ct.All != nil {
-		// xs:all: order-free; the grammar over-approximates it as a
-		// star-guarded union (sound: every permutation matches).
-		kind = "all"
+	g := child(ct, "sequence", "choice", "all")
+	if !g.Valid() {
+		return name, nil // EMPTY (attributes only) or mixed text
 	}
-	content, err := l.group(g, kind)
+	content, err := l.group(g)
 	if err != nil {
-		return fmt.Errorf("xsd: element %s: %w", e.Name, err)
+		return "", fmt.Errorf("xsd: element %s: %w", name, err)
 	}
-	d.contents = append(d.contents, content)
-	return nil
+	if content != nil {
+		d.contents = append(d.contents, content)
+	}
+	return name, nil
 }
 
-// group renders a model group as DTD content-model syntax, recursing into
-// nested groups and registering local element declarations.
-func (l *lowerer) group(g *group, kind string) (string, error) {
-	var parts []string
-	for i := range g.Elements {
-		e := &g.Elements[i]
-		if err := l.element(e); err != nil {
-			return "", err
-		}
-		name := e.Name
-		if name == "" {
-			name = trimNS(e.Ref)
-		}
-		parts = append(parts, name+occurs(e.MinOccurs, e.MaxOccurs))
-	}
-	for i := range g.Sequences {
-		sub, err := l.group(&g.Sequences[i], "seq")
-		if err != nil {
-			return "", err
-		}
-		parts = append(parts, "("+sub+")"+occurs(g.Sequences[i].MinOccurs, g.Sequences[i].MaxOccurs))
-	}
-	for i := range g.Choices {
-		sub, err := l.group(&g.Choices[i], "choice")
-		if err != nil {
-			return "", err
-		}
-		parts = append(parts, "("+sub+")"+occurs(g.Choices[i].MinOccurs, g.Choices[i].MaxOccurs))
-	}
-	if len(parts) == 0 {
-		return "", nil
-	}
-	switch kind {
-	case "choice":
-		return strings.Join(parts, " | "), nil
-	case "all":
-		// (a | b | …)* over-approximates any interleaving; occurrence
-		// bounds inside xs:all are rare and also absorbed by the star.
-		stripped := make([]string, len(parts))
-		for i, p := range parts {
-			stripped[i] = strings.TrimRight(p, "?*+")
-		}
-		return "(" + strings.Join(stripped, " | ") + ")*", nil
-	default:
-		return strings.Join(parts, ", "), nil
-	}
-}
-
-// render emits the accumulated declarations as DTD source.
-func (l *lowerer) render() (string, error) {
-	tags := make([]string, 0, len(l.decls))
-	for t := range l.decls {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return l.decls[tags[i]].order < l.decls[tags[j]].order })
-
-	var sb strings.Builder
-	for _, tag := range tags {
-		d := l.decls[tag]
-		content := mergeContents(d)
-		fmt.Fprintf(&sb, "<!ELEMENT %s %s>\n", tag, content)
-		if len(d.attrs) > 0 {
-			names := make([]string, 0, len(d.attrs))
-			for a := range d.attrs {
-				names = append(names, a)
+// group lowers a model group to a content model over its particles in
+// document order, recursing into nested groups and registering local
+// element declarations. A group with no particles is nil.
+func (l *lowerer) group(g tree.Node) (dtd.Regex, error) {
+	var items []dtd.Regex
+	for c := g.FirstChild(); c.Valid(); c = c.NextSibling() {
+		var item dtd.Regex
+		var err error
+		switch c.Tag() {
+		case "element":
+			var name string
+			name, err = l.element(c)
+			item = dtd.Ref{Name: dtd.Name(name)}
+		case "sequence", "choice":
+			if item, err = l.group(c); item == nil {
+				item = dtd.Epsilon{}
 			}
-			sort.Strings(names)
-			fmt.Fprintf(&sb, "<!ATTLIST %s", tag)
-			for _, a := range names {
-				fmt.Fprintf(&sb, " %s CDATA #IMPLIED", a)
-			}
-			sb.WriteString(">\n")
+		default:
+			continue
 		}
-	}
-	return sb.String(), nil
-}
-
-// mergeContents produces one DTD content spec from the collected
-// occurrences of a tag (the local-element treatment).
-func mergeContents(d *decl) string {
-	var nonEmpty []string
-	for _, c := range d.contents {
-		if c != "" {
-			nonEmpty = append(nonEmpty, c)
+		if err != nil {
+			return nil, err
 		}
+		if g.Tag() != "all" {
+			item = occurs(attr(c, "minOccurs"), attr(c, "maxOccurs"), item)
+		}
+		items = append(items, item)
 	}
-	textish := d.mixed || d.hasText
+	if len(items) == 0 {
+		return nil, nil
+	}
+	r := items[0]
 	switch {
-	case len(nonEmpty) == 0 && !textish:
-		return "EMPTY"
-	case len(nonEmpty) == 0:
-		return "(#PCDATA)"
-	case len(nonEmpty) == 1 && !textish:
-		return "(" + nonEmpty[0] + ")"
-	default:
-		// Multiple local declarations or mixed content: star-guarded union
-		// of every referenced name (sound over-approximation).
-		names := map[string]bool{}
-		for _, c := range nonEmpty {
-			for _, tok := range strings.FieldsFunc(c, func(r rune) bool {
-				return r == ',' || r == '|' || r == '(' || r == ')' || r == ' ' ||
-					r == '?' || r == '*' || r == '+'
-			}) {
-				if tok != "" {
-					names[tok] = true
-				}
-			}
-		}
-		sorted := make([]string, 0, len(names))
-		for n := range names {
-			sorted = append(sorted, n)
-		}
-		sort.Strings(sorted)
-		parts := sorted
-		if textish {
-			parts = append([]string{"#PCDATA"}, parts...)
-		}
-		return "(" + strings.Join(parts, " | ") + ")*"
+	case len(items) > 1 && g.Tag() == "sequence":
+		r = dtd.Seq{Items: items}
+	case len(items) > 1:
+		r = dtd.Alt{Items: items}
 	}
+	if g.Tag() == "all" {
+		// xs:all is order-free: (a | b | …)* over-approximates any
+		// interleaving, and absorbs the occurrence bounds inside it.
+		r = dtd.Star{Inner: r}
+	}
+	return r, nil
 }
 
-func occurs(min, max string) string {
+// lower produces the one declaration of a tag from its collected
+// occurrences (the local-element treatment): a lone content model as it
+// is, several — or any with text — as the star-guarded union of every
+// name they reference, a sound over-approximation.
+func (d *decl) lower(tag string) dtd.Element {
+	e := dtd.Element{Tag: tag, Content: dtd.Epsilon{}, Atts: dtd.ImpliedCDATA(d.attrs)}
+	for i := range e.Atts {
+		e.Atts[i].Required = d.attrs[e.Atts[i].Attr] == d.n
+	}
+	switch {
+	case len(d.contents) == 1 && !d.text:
+		e.Content = d.contents[0]
+	case len(d.contents) > 0 || d.text:
+		names := map[string]bool{}
+		for _, c := range d.contents {
+			dtd.WalkRefs(c, func(n dtd.Name) { names[string(n)] = true })
+		}
+		e.Content, e.Text = dtd.StarUnion(tag, d.text, names), d.text
+	}
+	return e
+}
+
+// occurs applies a particle's minOccurs and maxOccurs to r.
+func occurs(min, max string, r dtd.Regex) dtd.Regex {
 	switch {
 	case max == "unbounded" && (min == "" || min == "1"):
-		return "+"
+		return dtd.Plus{Inner: r}
 	case max == "unbounded":
-		return "*"
+		return dtd.Star{Inner: r}
 	case min == "0" && (max == "" || max == "1"):
-		return "?"
+		return dtd.Opt{Inner: r}
 	case min == "0":
-		return "*"
+		return dtd.Star{Inner: r}
 	case max != "" && max != "1":
-		return "*" // bounded repetition over-approximated by *
+		return dtd.Star{Inner: r} // bounded repetition over-approximated by *
 	default:
-		return ""
+		return r
 	}
+}
+
+// attr is the value of e's attribute, "" when absent.
+func attr(e tree.Node, name string) string {
+	v, _ := e.Attr(name)
+	return v
+}
+
+// child is e's first child element with one of the tags, or the zero
+// Node.
+func child(e tree.Node, tags ...string) tree.Node {
+	for c := e.FirstChild(); c.Valid(); c = c.NextSibling() {
+		if slices.Contains(tags, c.Tag()) {
+			return c
+		}
+	}
+	return tree.Node{}
 }
 
 func trimNS(s string) string {

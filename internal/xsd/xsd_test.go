@@ -1,6 +1,9 @@
 package xsd
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,26 +16,41 @@ import (
 	"xmlproj/internal/xpathl"
 )
 
-const bibXSD = `<?xml version="1.0"?>
-<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="bib">
-    <xs:complexType>
-      <xs:sequence>
-        <xs:element ref="book" minOccurs="0" maxOccurs="unbounded"/>
-      </xs:sequence>
-    </xs:complexType>
-  </xs:element>
-  <xs:element name="book">
-    <xs:complexType>
-      <xs:sequence>
-        <xs:element name="title" type="xs:string"/>
-        <xs:element name="author" type="xs:string" maxOccurs="unbounded"/>
-        <xs:element name="year" type="xs:integer" minOccurs="0"/>
-      </xs:sequence>
-      <xs:attribute name="isbn" use="required"/>
-    </xs:complexType>
-  </xs:element>
-</xs:schema>`
+// bibXSD is a bibliography: a reference to a top-level element, simple
+// types, occurrence bounds and a required attribute.
+var bibXSD = schema("bib.xsd")
+
+// shelfXSD types its elements by reference to named complex types.
+var shelfXSD = schema("shelf.xsd")
+
+// mixedXSD declares mixed content.
+var mixedXSD = schema("mixed.xsd")
+
+// mergedXSD declares item locally twice, with two different types.
+var mergedXSD = schema("merged.xsd")
+
+// allXSD is an order-free xs:all.
+var allXSD = schema("all.xsd")
+
+// orderXSD mixes elements and a nested xs:choice in one xs:sequence: its
+// content model is (a, (x | y), b), in the order the schema writes it.
+var orderXSD = schema("order.xsd")
+
+// requiredXSD requires id on every declaration of item and lang on one
+// of two: only id is #REQUIRED in the merged grammar.
+var requiredXSD = schema("required.xsd")
+
+// recursiveXSD nests section in itself through its named type.
+var recursiveXSD = schema("recursive.xsd")
+
+// schema reads a schema of testdata/, which FuzzParseXSD seeds from too.
+func schema(name string) string {
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
 
 func TestParseBibXSD(t *testing.T) {
 	d, err := ParseString(bibXSD, "")
@@ -71,21 +89,7 @@ func TestParseBibXSD(t *testing.T) {
 }
 
 func TestNamedTypeReference(t *testing.T) {
-	src := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="library" type="shelfType"/>
-  <xs:complexType name="shelfType">
-    <xs:sequence>
-      <xs:element name="shelf" type="shelfContent" minOccurs="0" maxOccurs="unbounded"/>
-    </xs:sequence>
-  </xs:complexType>
-  <xs:complexType name="shelfContent">
-    <xs:choice>
-      <xs:element name="novel" type="xs:string"/>
-      <xs:element name="atlas" type="xs:string"/>
-    </xs:choice>
-  </xs:complexType>
-</xs:schema>`
-	d, err := ParseString(src, "")
+	d, err := ParseString(shelfXSD, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +99,7 @@ func TestNamedTypeReference(t *testing.T) {
 }
 
 func TestMixedContent(t *testing.T) {
-	src := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="p">
-    <xs:complexType mixed="true">
-      <xs:sequence>
-        <xs:element name="em" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
-      </xs:sequence>
-    </xs:complexType>
-  </xs:element>
-</xs:schema>`
-	d, err := ParseString(src, "")
+	d, err := ParseString(mixedXSD, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,29 +112,7 @@ func TestMixedContent(t *testing.T) {
 // The footnote's "special treatment of local elements": the same tag with
 // two different local types merges into one sound declaration.
 func TestLocalElementsMerged(t *testing.T) {
-	src := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="r">
-    <xs:complexType>
-      <xs:sequence>
-        <xs:element name="a">
-          <xs:complexType><xs:sequence>
-            <xs:element name="item" type="xs:string"/>
-          </xs:sequence></xs:complexType>
-        </xs:element>
-        <xs:element name="b">
-          <xs:complexType><xs:sequence>
-            <xs:element name="item">
-              <xs:complexType><xs:sequence>
-                <xs:element name="deep" type="xs:string"/>
-              </xs:sequence></xs:complexType>
-            </xs:element>
-          </xs:sequence></xs:complexType>
-        </xs:element>
-      </xs:sequence>
-    </xs:complexType>
-  </xs:element>
-</xs:schema>`
-	d, err := ParseString(src, "")
+	d, err := ParseString(mergedXSD, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +129,7 @@ func TestLocalElementsMerged(t *testing.T) {
 }
 
 func TestXsAllOverApproximated(t *testing.T) {
-	src := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-  <xs:element name="cfg">
-    <xs:complexType>
-      <xs:all>
-        <xs:element name="host" type="xs:string"/>
-        <xs:element name="port" type="xs:integer"/>
-      </xs:all>
-    </xs:complexType>
-  </xs:element>
-</xs:schema>`
-	d, err := ParseString(src, "")
+	d, err := ParseString(allXSD, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +204,104 @@ func TestOccursMapping(t *testing.T) {
 		{"0", "unbounded"}: "*",
 		{"2", "5"}:         "*",
 	}
+	// suffix is the operator occurs puts on a name.
+	suffix := func(min, max string) string {
+		return strings.TrimPrefix(occurs(min, max, dtd.Ref{Name: "a"}).String(), "a")
+	}
 	for in, want := range cases {
-		if got := occurs(in[0], in[1]); got != want {
+		if got := suffix(in[0], in[1]); got != want {
 			t.Errorf("occurs(%q, %q) = %q, want %q", in[0], in[1], got, want)
 		}
 	}
-	if !strings.Contains("?*+", occurs("0", "unbounded")) {
+	if !strings.Contains("?*+", suffix("0", "unbounded")) {
 		t.Fatal("sanity")
+	}
+}
+
+// A sequence keeps its particles in the order the schema writes them,
+// a nested choice among elements included.
+func TestSequenceKeepsOrder(t *testing.T) {
+	d, err := ParseString(orderXSD, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Def("r").Content.String(); got != "(a, (x | y), b)" {
+		t.Fatalf("r content = %s", got)
+	}
+	if !accepts(t, d, `<r><a/><x/><b/></r>`) {
+		t.Fatal("an instance in schema order is rejected")
+	}
+	if accepts(t, d, `<r><a/><b/><x/></r>`) {
+		t.Fatal("an instance out of schema order is accepted")
+	}
+}
+
+// use="required" holds when every declaration of the tag requires the
+// attribute; declarations that disagree leave it optional.
+func TestRequiredAttribute(t *testing.T) {
+	d, err := ParseString(requiredXSD, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := d.Def("item").AttDef("id"); id == nil || !id.Required {
+		t.Fatalf("item@id = %+v, want required", id)
+	}
+	if lang := d.Def("item").AttDef("lang"); lang == nil || lang.Required {
+		t.Fatalf("item@lang = %+v, want optional", lang)
+	}
+	if !accepts(t, d, `<r><a><item id="1" lang="en"/></a><b><item id="2"/></b></r>`) {
+		t.Fatal("an instance with every required attribute is rejected")
+	}
+	if accepts(t, d, `<r><a/><b><item lang="en"/></b></r>`) {
+		t.Fatal("an instance missing a required attribute is accepted")
+	}
+}
+
+// accepts reports whether src is valid against d, asking both validators
+// — validate.Document over the loaded tree and a validating prune of the
+// bytes that keeps every element, so that it validates every one — and
+// failing the test when they disagree.
+func accepts(t *testing.T, d *dtd.DTD, src string) bool {
+	t.Helper()
+	doc, err := tree.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeErr := validate.Document(d, doc)
+	_, pruneErr := prune.Stream(io.Discard, strings.NewReader(src), d, dtd.NewNameSet(d.Names()...), prune.StreamOptions{Validate: true})
+	if (treeErr == nil) != (pruneErr == nil) {
+		t.Fatalf("the validators disagree on %s\ntree:  %v\nprune: %v", src, treeErr, pruneErr)
+	}
+	return treeErr == nil
+}
+
+// A named type that declares its own tag again lowers once: the grammar
+// is recursive, the lowering is not.
+func TestRecursiveNamedType(t *testing.T) {
+	d, err := ParseString(recursiveXSD, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Def("section").Content.String(); got != "(title, section*)" {
+		t.Fatalf("section content = %s", got)
+	}
+	if id := d.Def("section").AttDef("id"); id == nil || !id.Required {
+		t.Fatalf("section@id = %+v, want required", id)
+	}
+	if !d.IsRecursive() {
+		t.Fatal("a recursive schema gave a non-recursive grammar")
+	}
+	if !accepts(t, d, `<section id="1"><title>a</title><section id="2"><title>b</title></section></section>`) {
+		t.Fatal("a nested instance is rejected")
+	}
+}
+
+// The schema is read by the loader, which takes nothing after the root
+// element but whitespace, comments and processing instructions.
+func TestParseRejectsTrailingContent(t *testing.T) {
+	for _, tail := range []string{"<xs:schema/>", "junk"} {
+		if _, err := ParseString(shelfXSD+tail, ""); err == nil {
+			t.Errorf("accepted a schema followed by %q", tail)
+		}
 	}
 }
