@@ -109,32 +109,36 @@ func (w *Workload) DataNeeds(q QuerySpec) ([]*xpathl.Path, error) {
 	return xpathl.FromQuery(e)
 }
 
-// Evaluate runs the query over a document and returns the serialised
-// result (used for equality checks) and the engine's visited-node count.
-func Evaluate(q QuerySpec, doc *tree.Document) (string, int64, error) {
+// Evaluate runs the query over a document and returns the engine's
+// visited-node count and a function rendering the serialised result
+// (used for equality checks). An XQuery result is serialised here, as
+// part of the run; an XPath node set only when render is called, so a
+// run timed without it is the evaluation alone.
+func Evaluate(q QuerySpec, doc *tree.Document) (render func() string, visited int64, err error) {
 	if q.XQuery {
 		ast, err := xquery.Parse(q.Source)
 		if err != nil {
-			return "", 0, err
+			return nil, 0, err
 		}
 		ev := xquery.NewEvaluator(doc)
 		s, err := ev.Eval(ast)
 		if err != nil {
-			return "", 0, err
+			return nil, 0, err
 		}
-		return xquery.Serialize(s), ev.Visited(), nil
+		res := xquery.Serialize(s)
+		return func() string { return res }, ev.Visited(), nil
 	}
 	ast, err := xpath.Parse(q.Source)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	ev := xpath.NewEvaluator(doc)
 	v, err := ev.Eval(ast)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	ns, _ := v.(xpath.NodeSet)
-	return fmt.Sprintf("%d nodes", len(ns)), ev.Visited, nil
+	return func() string { return xquery.SerializeNodes(ns) }, ev.Visited, nil
 }
 
 // Measured captures one load-and-query run: the cost model of a
@@ -147,7 +151,8 @@ type Measured struct {
 	AllocBytes uint64
 	// Visited counts nodes the engine touched during evaluation.
 	Visited int64
-	// Result is the serialised query result.
+	// Result is the serialised query result, rendered after the run's
+	// time and allocations are read.
 	Result string
 }
 
@@ -162,7 +167,7 @@ func MeasureRun(q QuerySpec, docBytes []byte) (Measured, error) {
 	if err != nil {
 		return Measured{}, err
 	}
-	res, visited, err := Evaluate(q, doc)
+	render, visited, err := Evaluate(q, doc)
 	if err != nil {
 		return Measured{}, err
 	}
@@ -172,7 +177,7 @@ func MeasureRun(q QuerySpec, docBytes []byte) (Measured, error) {
 		Time:       elapsed,
 		AllocBytes: after.TotalAlloc - before.TotalAlloc,
 		Visited:    visited,
-		Result:     res,
+		Result:     render(),
 	}, nil
 }
 

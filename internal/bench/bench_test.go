@@ -126,3 +126,21 @@ func TestMeasureRunCountsWork(t *testing.T) {
 		t.Fatalf("measurement empty: %+v", m)
 	}
 }
+
+// TestXPathResultIsTheAnswer: an XPath row's result is the serialised
+// node set, so two documents with as many answers but different ones
+// compare unequal (RunQuery's soundness check reads it).
+func TestXPathResultIsTheAnswer(t *testing.T) {
+	q := QuerySpec{ID: "t", Source: "//a"}
+	m1, err := MeasureRun(q, []byte("<r><a>1</a></r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := MeasureRun(q, []byte("<r><a>2</a></r>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Result != "<a>1</a>" || m2.Result != "<a>2</a>" {
+		t.Fatalf("results %q and %q, want each document's <a>", m1.Result, m2.Result)
+	}
+}

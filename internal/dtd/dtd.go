@@ -68,10 +68,6 @@ type Def struct {
 	Content Regex
 	// Atts lists declared attributes in declaration order.
 	Atts []AttDef
-
-	// dfa is the compiled content-model automaton (built lazily).
-	dfaOnce sync.Once
-	dfa     *DFA
 }
 
 // AttDef returns the declaration for the named attribute, or nil.

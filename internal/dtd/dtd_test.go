@@ -215,7 +215,7 @@ func TestNullable(t *testing.T) {
 func TestDFAMatching(t *testing.T) {
 	// (title, author+, year?)
 	r := Seq{[]Regex{Ref{"title"}, Plus{Ref{"author"}}, Opt{Ref{"year"}}}}
-	a := CompileRegex(r)
+	syms, e := modelOf(t, r, "title", "author", "year")
 	ok := [][]Name{
 		{"title", "author"},
 		{"title", "author", "author", "year"},
@@ -229,12 +229,12 @@ func TestDFAMatching(t *testing.T) {
 		{"title", "year"},
 	}
 	for _, seq := range ok {
-		if !a.Matches(seq) {
+		if !syms.Matches(e, seq) {
 			t.Errorf("DFA rejects valid %v", seq)
 		}
 	}
 	for _, seq := range bad {
-		if a.Matches(seq) {
+		if syms.Matches(e, seq) {
 			t.Errorf("DFA accepts invalid %v", seq)
 		}
 	}
@@ -243,11 +243,11 @@ func TestDFAMatching(t *testing.T) {
 func TestDFAStarAlt(t *testing.T) {
 	// (#PCDATA | b | k)* style content.
 	r := Star{Alt{[]Regex{Ref{"t"}, Ref{"b"}, Ref{"k"}}}}
-	a := CompileRegex(r)
-	if !a.Matches(nil) || !a.Matches([]Name{"t", "b", "t", "k", "k"}) {
+	syms, e := modelOf(t, r, "t", "b", "k")
+	if !syms.Matches(e, nil) || !syms.Matches(e, []Name{"t", "b", "t", "k", "k"}) {
 		t.Fatal("star-alt DFA rejects valid sequences")
 	}
-	if a.Matches([]Name{"t", "x"}) {
+	if syms.Matches(e, []Name{"t", "x"}) {
 		t.Fatal("star-alt DFA accepts foreign name")
 	}
 }

@@ -68,3 +68,20 @@ func TestDenseTablesBuiltByFirstValidatingPrune(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCompileDense times building XMark's 74 content-model tables,
+// the cost the first validating prune of a grammar pays, and reports
+// their total state count.
+func BenchmarkCompileDense(b *testing.B) {
+	states := 0
+	for range b.N {
+		b.StopTimer()
+		syms := dtd.MustParseString(xmark.DTDSource, "site").Symbols()
+		b.StartTimer()
+		syms.CompileDense()
+		b.StopTimer()
+		states = syms.DenseStates()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(states), "states")
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // naiveMatch is a reference regex matcher (derivative-free backtracking
-// over the structure) used to cross-check the compiled DFA.
+// over the structure) used to cross-check the dense content-model tables.
 func naiveMatch(r Regex, seq []Name) bool {
 	ends := naiveEnds(r, seq, 0)
 	for _, e := range ends {
@@ -121,13 +121,14 @@ func randomRegex(rng *rand.Rand, depth int) Regex {
 
 var alphabet = []Name{"a", "b", "c"}
 
-// TestQuickDFAAgreesWithNaive cross-checks the compiled automaton against
-// the reference matcher on random regexes and random sequences.
+// TestQuickDFAAgreesWithNaive cross-checks the dense table of a random
+// content model (of r, over elements a, b, c) against the reference
+// matcher on random sequences.
 func TestQuickDFAAgreesWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		r := randomRegex(rng, 3)
-		dfa := CompileRegex(r)
+		syms, e := modelOf(t, r, alphabet...)
 		for s := 0; s < 25; s++ {
 			n := rng.Intn(6)
 			seq := make([]Name, n)
@@ -135,7 +136,7 @@ func TestQuickDFAAgreesWithNaive(t *testing.T) {
 				seq[i] = alphabet[rng.Intn(len(alphabet))]
 			}
 			want := naiveMatch(r, seq)
-			if got := dfa.Matches(seq); got != want {
+			if got := syms.Matches(e, seq); got != want {
 				t.Fatalf("regex %s on %v: dfa=%v naive=%v", r, seq, got, want)
 			}
 		}

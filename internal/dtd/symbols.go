@@ -43,9 +43,9 @@ type SymInfo struct {
 	Name Name
 	Def  *Def
 	Tag  string
-	// Dense is the element's content-model automaton recompiled over
-	// symbol IDs (see DenseDFA). It is nil until CompileDense has run,
-	// so only validating code may read it.
+	// Dense is the element's content-model automaton over symbol IDs
+	// (see DenseDFA). It is nil until CompileDense has run, so only
+	// validating code may read it.
 	Dense *DenseDFA
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -18,7 +19,8 @@ import (
 // kept out of the build as the second presentation of §6's pruner. It
 // shares nothing with internal/scan — its tokens come from encoding/xml,
 // ℑ is a concatenated name (dtd.TextName, dtd.AttrName) looked up in the
-// NameSet, content models are walked on the map-based DFA by name, and
+// NameSet, content models are stepped by name with derivatives of the
+// dtd.Regex (derive) rather than through dtd.DenseDFA's tables, and
 // output is escaped by a strings.Replacer — so agreement with the
 // scanner in verdict, bytes and stats (differential_test.go,
 // FuzzStreamDifferential) is agreement between two implementations.
@@ -80,7 +82,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 	type frame struct {
 		name  dtd.Name
 		def   *dtd.Def
-		state int // content-model DFA state (when validating)
+		model []dtd.Regex // content-model derivatives (when validating)
 	}
 	var stack []frame
 	sawRoot := false
@@ -110,11 +112,10 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 		top := &stack[len(stack)-1]
 		tn := dtd.TextName(top.name)
 		if validate {
-			next := top.def.Automaton().Next(top.state, tn)
-			if next < 0 {
+			top.model = derive(top.model, tn)
+			if len(top.model) == 0 {
 				return fmt.Errorf("text content not allowed in %s", top.name)
 			}
-			top.state = next
 		}
 		if pi.Has(tn) {
 			closeOpen()
@@ -153,8 +154,8 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 			}
 			if validate && len(stack) > 0 {
 				top := &stack[len(stack)-1]
-				top.state = top.def.Automaton().Next(top.state, name)
-				if top.state < 0 {
+				top.model = derive(top.model, name)
+				if len(top.model) == 0 {
 					return stats, fmt.Errorf("element %s not allowed here in content of %s", name, top.name)
 				}
 			}
@@ -175,7 +176,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				return stats, err
 			}
 			open = true
-			stack = append(stack, frame{name: name, def: def, state: def.Automaton().Start()})
+			stack = append(stack, frame{name: name, def: def, model: []dtd.Regex{def.Content}})
 			if len(stack) > stats.MaxDepth {
 				stats.MaxDepth = len(stack)
 			}
@@ -187,7 +188,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				return stats, err
 			}
 			top := stack[len(stack)-1]
-			if validate && !top.def.Automaton().Accepting(top.state) {
+			if validate && !slices.ContainsFunc(top.model, dtd.Nullable) {
 				return stats, fmt.Errorf("content of %s is incomplete (model %s)", top.name, top.def.Content)
 			}
 			stack = stack[:len(stack)-1]
@@ -230,6 +231,66 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 		return stats, fmt.Errorf("no root element in input")
 	}
 	return stats, nil
+}
+
+// derive steps a content model by one child name: the derivatives by n
+// of every regex in the set rs (Brzozowski's, kept as a set of terms),
+// deduplicated by String(). The set starts as {content model}, is
+// accepting when a member is nullable and dead when empty.
+func derive(rs []dtd.Regex, n dtd.Name) []dtd.Regex {
+	var out []dtd.Regex
+	seen := map[string]bool{}
+	for _, r := range rs {
+		for _, d := range derivatives(r, n) {
+			if k := d.String(); !seen[k] {
+				seen[k] = true
+				out = append(out, d)
+			}
+		}
+	}
+	return out
+}
+
+// derivatives returns the terms that match what may follow n in a
+// sequence r matches. r* and r+ derive r on its own and append r*:
+// deriving r* by unrolling it to (r, r*) would recurse forever on a
+// nullable r.
+func derivatives(r dtd.Regex, n dtd.Name) []dtd.Regex {
+	var out []dtd.Regex
+	then := func(ds []dtd.Regex, rest dtd.Regex) {
+		for _, d := range ds {
+			if _, ok := d.(dtd.Epsilon); ok {
+				out = append(out, rest)
+			} else {
+				out = append(out, dtd.Seq{Items: []dtd.Regex{d, rest}})
+			}
+		}
+	}
+	switch x := r.(type) {
+	case dtd.Ref:
+		if x.Name == n {
+			out = append(out, dtd.Epsilon{})
+		}
+	case dtd.Seq:
+		if len(x.Items) > 0 {
+			rest := dtd.Seq{Items: x.Items[1:]}
+			then(derivatives(x.Items[0], n), rest)
+			if dtd.Nullable(x.Items[0]) {
+				out = append(out, derivatives(rest, n)...)
+			}
+		}
+	case dtd.Alt:
+		for _, it := range x.Items {
+			out = append(out, derivatives(it, n)...)
+		}
+	case dtd.Star:
+		then(derivatives(x.Inner, n), x)
+	case dtd.Plus:
+		then(derivatives(x.Inner, n), dtd.Star{Inner: x.Inner})
+	case dtd.Opt:
+		out = derivatives(x.Inner, n)
+	}
+	return out
 }
 
 // skipSubtree consumes the remainder of the current element — the
