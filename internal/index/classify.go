@@ -3,8 +3,9 @@ package index
 // The structural classifier: the one piece of code in the tree that
 // reads XML without tokenising it. Build and StreamIndexer run it over
 // whole documents to find cut points; the pruning automaton
-// (internal/scan) runs it over the subtrees a non-validating prune
-// discards, where only element balance matters.
+// (internal/scan) runs Balance, the sweep built on its start-tag rule,
+// over the subtrees a non-validating prune discards, where only element
+// balance matters, and Classify on whatever the sweep hands back.
 
 import "bytes"
 
@@ -72,6 +73,60 @@ func Classify(data []byte, off int) (kind Kind, end int, st Status) {
 		return classifyDirective(data, off)
 	default:
 		return classifyStartTag(data, off)
+	}
+}
+
+// Balance is the structural skip's sweep: from data[pos], inside an
+// element with depth elements open below it, it passes text, start tags
+// and end tags, keeping the depth, and returns where it stopped, the
+// depth there and how many start tags it passed. It stops, with pos at
+// the '<', on whatever it does not settle itself — a comment, CDATA
+// section, PI or directive, the end tag at depth 0, a construct cut off
+// by the end of data, a malformed tag — so the caller's per-construct
+// loop (Classify) meets each of those exactly as it would without the
+// sweep; at the end of data pos is len(data). A start tag is read by
+// classifyStartTag and an end tag ends at its first '>', as Classify
+// reads them.
+func Balance(data []byte, pos, depth int) (int, int, int) {
+	elems := 0
+	for {
+		if pos < len(data) && data[pos] != '<' {
+			j := bytes.IndexByte(data[pos:], '<')
+			if j < 0 {
+				return len(data), depth, elems
+			}
+			pos += j
+		}
+		if pos+1 >= len(data) {
+			return pos, depth, elems
+		}
+		switch data[pos+1] {
+		case '/':
+			if depth == 0 {
+				return pos, depth, elems
+			}
+			k := pos + 2
+			for k < len(data) && data[k] != '>' {
+				k++
+			}
+			if k == len(data) {
+				return pos, depth, elems
+			}
+			pos = k + 1
+			depth--
+		case '?', '!':
+			return pos, depth, elems
+		default:
+			kind, end, st := classifyStartTag(data, pos)
+			if st != OK {
+				return pos, depth, elems
+			}
+			pos = end
+			elems++
+			if kind == Start {
+				depth++
+			}
+		}
 	}
 }
 

@@ -31,7 +31,14 @@
 // single non-empty root) reports ErrStructure and the caller falls back
 // to the serial pruner, which reproduces the exact serial verdict.
 //
-// Defended by: `scan.skip_mb_s` (the skip path's classifier) and `index.build_mb_s`.
+// Beside the classifier (Classify, classify.go) sits the structural
+// skip's sweep, Balance: the pruner balances a subtree it discards
+// without tokenising it, and Balance passes the text, start tags and
+// inner end tags of such a subtree in one loop over the bytes in hand,
+// reading each start tag with the classifier's own start-tag rule and
+// handing everything else back to a per-construct Classify loop.
+//
+// Defended by: `scan.skip_mb_s` (the skip path's sweep and classifier) and `index.build_mb_s`.
 package index
 
 import (

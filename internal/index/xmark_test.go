@@ -5,6 +5,7 @@ package index_test
 // scan imports this package.
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -56,5 +57,18 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		ix.Release()
+	}
+}
+
+// BenchmarkBalance is the structural skip's sweep over the whole of the
+// root element's content, as a prune keeping only the root runs it.
+func BenchmarkBalance(b *testing.B) {
+	data, _ := xmarkDoc(b)
+	start := bytes.Index(data, []byte("<site>")) + len("<site>")
+	b.SetBytes(int64(len(data) - start))
+	for i := 0; i < b.N; i++ {
+		if _, depth, _ := index.Balance(data, start, 0); depth != 0 {
+			b.Fatalf("depth %d at the end", depth)
+		}
 	}
 }

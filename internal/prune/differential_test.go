@@ -1031,6 +1031,26 @@ func FuzzStreamDifferential(f *testing.F) {
 	f.Add(`<bib><book isbn="1"><title p:a="1" p:a="2">T</title><author>A</author></book></bib>`, uint16(6))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-1], uint16(7))
 	f.Add(fixedBibDocs[len(fixedBibDocs)-2], uint16(6))
+	// The structural skip's edge cases inside the discarded <year>: what
+	// the sweep passes (quotes hiding '>' and "/>", a quote inside the
+	// other kind, space before '>' and "/>"), what it hands back to the
+	// per-construct loop (markup holding '<' and '>', a malformed tag,
+	// constructs unterminated at EOF) and the region's own end.
+	const yearOpen = `<bib><book isbn="1"><title>T</title><author>A</author><year>`
+	for i, inner := range []string{
+		`<x a=">" b="/>">t<y c='/>'/></x>`, `<x a="it's" b='say "hi"'>t</x>`,
+		`<a /><a ></a ><b><c/></b >`, `a<!-- <x> </year> -->b<y/>`,
+		`<x><![CDATA[</x></year><y>]]></x>`, `<?p </year> <x> ?><y/>`,
+		`<!D "</year>" <e <!-- > --> > ><y/>`, `<x><y a="1" <z></y></x>`, `<x a="1<2"/>`,
+	} {
+		f.Add(yearOpen+inner+`</year></book></bib>`, uint16(i))
+	}
+	for i, tail := range []string{
+		`<x a="1"`, `<x></x`, `<!-- x`, `<![CDATA[ x`, `<?p x`, `<x><y>`,
+		`<x/></yaer></book></bib>`, `<x><y></year></book></bib>`,
+	} {
+		f.Add(yearOpen+tail, uint16(i+1))
+	}
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
 		// End tags are matched by resolved namespace in encoding/xml but
 		// by literal prefix in the scanner; inputs that bind prefixes are

@@ -10,9 +10,10 @@ package scan
 // against its start tag (skipScan, skipAttrs) — but nothing is
 // materialised: no symbol lookups, no attribute decisions, no output.
 //
-// Without it the subtree is only balanced (skipBalance): memchr to the
-// next '<', classify the construct with the structural classifier
-// internal/index builds its indexes with, adjust a depth counter. No
+// Without it the subtree is only balanced (skipBalance): one sweep
+// (index.Balance) passes text, start tags and inner end tags with a
+// depth counter, and each construct it hands back is classified with the
+// structural classifier internal/index builds its indexes with. No
 // name stack, no attribute parse, no entity decode, no copy, and no
 // mark held across text, a comment, a CDATA section, a PI or a
 // directive: one of any size streams through the buffer, so the level
@@ -387,11 +388,26 @@ func closesName(tag, name []byte) bool {
 // it, so pausing at a modePipe window boundary and resuming on the next
 // window works as it does for skipScan; a modeSkipFragment range is
 // balanced on its own and ends where the range does.
+//
+// Each turn of the loop first runs the sweep over the bytes in hand,
+// which passes text, start tags and inner end tags on locals and stops at
+// the '<' of anything else; the rest of the turn reads that one construct
+// — refilling, checking the discarded element's own end tag, raising
+// every error — as it would without the sweep. The forced parallel
+// engine's roles — skip fragments, and spines with splices pending, where
+// a splice can start at any tag — keep the per-construct loop alone.
 func (pr *pruner) skipBalance() error {
 	s := pr.s
 	frag := pr.mode == modeSkipFragment
+	sweep := !frag && pr.sp == nil
 	s.clearMark()
 	for frag || pr.skipNames.depth() > 0 {
+		if sweep {
+			var n int
+			s.pos, pr.skipDepth, n = index.Balance(s.buf[:s.end], s.pos, pr.skipDepth)
+			pr.st.ElementsIn += int64(n)
+			pr.st.ElementsSkipped += int64(n)
+		}
 		j := 0 // tags mostly follow tags
 		if s.pos == s.end || s.buf[s.pos] != '<' {
 			j = bytes.IndexByte(s.buf[s.pos:s.end], '<')
