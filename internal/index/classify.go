@@ -86,10 +86,19 @@ func Classify(data []byte, off int) (kind Kind, end int, st Status) {
 // loop (Classify) meets each of those exactly as it would without the
 // sweep; at the end of data pos is len(data). A start tag is read by
 // classifyStartTag and an end tag ends at its first '>', as Classify
-// reads them.
+// reads them. Below a start tag, with 64 bytes in hand, it first
+// settles what it can of the next 64 (settleWindow); what a window
+// cannot settle takes one turn of the loop.
 func Balance(data []byte, pos, depth int) (int, int, int) {
 	elems := 0
 	for {
+		if blockSkip && depth > 0 && len(data)-pos >= 64 {
+			n, d, e := settleWindow(&data[pos], depth)
+			pos, depth, elems = pos+n, d, elems+e
+			if n > 0 {
+				continue
+			}
+		}
 		if pos < len(data) && data[pos] != '<' {
 			j := bytes.IndexByte(data[pos:], '<')
 			if j < 0 {

@@ -37,6 +37,19 @@
 // inner end tags of such a subtree in one loop over the bytes in hand,
 // reading each start tag with the classifier's own start-tag rule and
 // handing everything else back to a per-construct Classify loop.
+// Below a start tag, with 64 bytes in hand, it works a window at a time
+// (window.go): one call to an AVX2 + PCLMULQDQ kernel
+// (window_amd64.s) gives the window's '<', '>', '/', '"', single-quote
+// and '!'/'?' bitmaps and the in-tag mask, the prefix XOR of '<' | '>'.
+// Up to the window's last construct boundary, stopping short of the
+// first byte the bitmaps cannot vouch for (a '<' inside a tag, a '>'
+// in text, "<!" or "<?", a single quote in a tag, a quoted '<' or
+// '>'), start tags, end tags and self-closing tags are popcounts; when
+// the window has more end tags than the depth, its tags are walked in
+// order up to the one that finds depth 0. Anything else takes one turn
+// of the per-construct loop, so Balance returns what the loop alone
+// returns. The kernel is chosen once, from CPUID and XGETBV; on other
+// CPUs and architectures Balance is the loop alone.
 //
 // Defended by: `scan.skip_mb_s` (the skip path's sweep and classifier) and `index.build_mb_s`.
 package index

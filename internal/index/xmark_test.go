@@ -45,6 +45,32 @@ func TestBuildColdAllocation(t *testing.T) {
 	}
 }
 
+// TestWindowMasksXMark holds the window kernel to its byte-by-byte
+// reference on every 64-byte window of the XMark document.
+func TestWindowMasksXMark(t *testing.T) {
+	if !index.WindowKernel {
+		t.Skip("the CPU runs no window kernel")
+	}
+	data, _ := xmarkDoc(t)
+	for off := 0; off+64 <= len(data); off += 64 {
+		index.CheckMasks(t, data[off:])
+	}
+}
+
+// TestBalanceXMark holds Balance, with the window path on and off, to
+// the per-construct loop on the XMark document: the root's content
+// whole, and 64 KiB from 700 offsets at every phase and depths 0 to 2.
+func TestBalanceXMark(t *testing.T) {
+	data, _ := xmarkDoc(t)
+	start := bytes.Index(data, []byte("<site>")) + len("<site>")
+	index.CheckBalance(t, data, start, 0)
+	for i := 0; i < 700; i++ {
+		off := start + i*(len(data)/700) + i%64
+		end := min(off+1<<16, len(data))
+		index.CheckBalance(t, data[:end], off, i%3)
+	}
+}
+
 func BenchmarkBuild(b *testing.B) {
 	data, lookup := xmarkDoc(b)
 	b.SetBytes(int64(len(data)))
