@@ -87,17 +87,15 @@ func Classify(data []byte, off int) (kind Kind, end int, st Status) {
 // sweep; at the end of data pos is len(data). A start tag is read by
 // classifyStartTag and an end tag ends at its first '>', as Classify
 // reads them. Below a start tag, with 64 bytes in hand, it first
-// settles what it can of the next 64 (settleWindow); what a window
+// settles what it can 64 bytes at a time (settleWindows); what a window
 // cannot settle takes one turn of the loop.
 func Balance(data []byte, pos, depth int) (int, int, int) {
 	elems := 0
 	for {
 		if blockSkip && depth > 0 && len(data)-pos >= 64 {
-			n, d, e := settleWindow(&data[pos], depth)
-			pos, depth, elems = pos+n, d, elems+e
-			if n > 0 {
-				continue
-			}
+			var n int
+			pos, depth, n = settleWindows(data, pos, depth)
+			elems += n
 		}
 		if pos < len(data) && data[pos] != '<' {
 			j := bytes.IndexByte(data[pos:], '<')
