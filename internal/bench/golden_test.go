@@ -21,9 +21,9 @@ var goldenProjectors = map[string]string{
 	"QM05": "closed_auction closed_auctions price price#text site",
 	"QM06": "africa asia australia europe item namerica regions samerica site",
 	"QM07": "africa annotation asia australia categories category closed_auction closed_auctions description emailaddress europe item namerica open_auction open_auctions people person regions samerica site",
-	"QM08": "annotation author bold bold#text buyer buyer@person closed_auction closed_auctions date date#text description emph emph#text happiness happiness#text itemref keyword keyword#text listitem name name#text parlist people person person@id price price#text quantity quantity#text seller site text text#text type type#text",
-	"QM09": "address age age#text annotation author bold bold#text business business#text buyer buyer@person city city#text closed_auction closed_auctions country country#text creditcard creditcard#text date date#text description education education#text emailaddress emailaddress#text emph emph#text europe from from#text gender gender#text happiness happiness#text homepage homepage#text incategory interest item item@id itemref itemref@item keyword keyword#text listitem location location#text mail mailbox name name#text parlist payment payment#text people person person@id phone phone#text price price#text profile province province#text quantity quantity#text regions seller shipping shipping#text site street street#text text text#text to to#text type type#text watch watches zipcode zipcode#text",
-	"QM10": "address age age#text business business#text city city#text country country#text creditcard creditcard#text education education#text emailaddress emailaddress#text gender gender#text homepage homepage#text interest interest@category name name#text people person phone phone#text profile profile@income province province#text site street street#text watch watches zipcode zipcode#text",
+	"QM08": "annotation author author@person bold bold#text buyer buyer@person closed_auction closed_auctions date date#text description emph emph#text happiness happiness#text itemref itemref@item keyword keyword#text listitem name name#text parlist people person person@id price price#text quantity quantity#text seller seller@person site text text#text type type#text",
+	"QM09": "address age age#text annotation author author@person bold bold#text business business#text buyer buyer@person city city#text closed_auction closed_auctions country country#text creditcard creditcard#text date date#text description education education#text emailaddress emailaddress#text emph emph#text europe from from#text gender gender#text happiness happiness#text homepage homepage#text incategory incategory@category interest interest@category item item@featured item@id itemref itemref@item keyword keyword#text listitem location location#text mail mailbox name name#text parlist payment payment#text people person person@id phone phone#text price price#text profile profile@income province province#text quantity quantity#text regions seller seller@person shipping shipping#text site street street#text text text#text to to#text type type#text watch watch@open_auction watches zipcode zipcode#text",
+	"QM10": "address age age#text business business#text city city#text country country#text creditcard creditcard#text education education#text emailaddress emailaddress#text gender gender#text homepage homepage#text interest interest@category name name#text people person person@id phone phone#text profile profile@income province province#text site street street#text watch watch@open_auction watches zipcode zipcode#text",
 	"QM11": "initial initial#text name name#text open_auction open_auctions people person profile profile@income site",
 	"QM12": "initial initial#text open_auction open_auctions people person profile profile@income site",
 	"QM13": "australia bold bold#text description emph emph#text item keyword keyword#text listitem name name#text parlist regions site text text#text",

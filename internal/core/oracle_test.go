@@ -796,13 +796,22 @@ func oracleInferNoContext(d *oracleGrammar, paths []*xpathl.Path) (dtd.NameSet, 
 }
 
 func (inf *oracleInferencer) inferAll(paths []*xpathl.Path) (dtd.NameSet, error) {
-	out := dtd.NewNameSet(inf.c.D.d.Root)
+	d := inf.c.D
+	out := dtd.NewNameSet(d.d.Root)
 	for _, p := range paths {
 		pr, err := inf.InferPath(p)
 		if err != nil {
 			return nil, err
 		}
 		out.AddAll(pr)
+		// A materialised subtree must keep its attributes as well: the
+		// descendant closure of the base rule only covers tree children, so
+		// add the attribute names of every result name and of its descendants
+		// (the implementation-level attribute extension of §6).
+		if n := len(p.Steps); n > 0 && Materialize(p).String() == p.String() {
+			result := inf.c.Type(&xpathl.Path{Absolute: p.Absolute, Steps: p.Steps[:n-1]})
+			out.AddAll(d.AttNames(nsUnion(result, d.ContentDescendants(result))))
+		}
 	}
 	return out, nil
 }
@@ -815,21 +824,7 @@ func oracleInferMaterialized(d *oracleGrammar, paths []*xpathl.Path) (dtd.NameSe
 	for i, p := range paths {
 		widened[i] = Materialize(p)
 	}
-	pr, err := oracleInfer(d, widened)
-	if err != nil {
-		return nil, err
-	}
-	// A materialised subtree must keep its attributes as well: the
-	// descendant closure of the base rule only covers tree children, so
-	// add the attribute names of every result name and of its descendants
-	// (the implementation-level attribute extension of §6).
-	c := newOracleChecker(d)
-	for _, p := range paths {
-		result := c.Type(p)
-		subtree := nsUnion(result, d.ContentDescendants(result))
-		pr.AddAll(d.AttNames(subtree))
-	}
-	return pr, nil
+	return oracleInfer(d, widened)
 }
 
 // expandSimpleOrSelf is expandOrSelf for predicate-free condition paths.

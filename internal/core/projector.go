@@ -441,34 +441,45 @@ func (inf *Inferencer) render(row dtd.Row) *Projector {
 }
 
 func (inf *Inferencer) inferAll(paths []*xpathl.Path) (dtd.Row, error) {
-	out := inf.c.s.NewRow(inf.c.s.Root())
+	s := inf.c.s
+	out := s.NewRow(s.Root())
 	for _, p := range paths {
 		row, err := inf.inferPath(p)
 		if err != nil {
 			return nil, err
 		}
 		out.Or(row)
+		// A materialised subtree keeps its attributes as well: the
+		// descendant closure of the base rule covers tree children only,
+		// so add the attribute names of the subtree's names (the
+		// implementation-level attribute extension of §6).
+		if materialized(p) {
+			out.Or(s.Atts.Image(inf.c.Type(p)))
+		}
 	}
 	return out, nil
 }
 
-// Materialize widens a path so that the full subtrees of its results are
-// kept (remark after Thm. 4.5): it appends descendant-or-self::node() —
-// whose descendant variant realises A_E(τ″, descendant) — and, for
-// attribute-bearing results, the attribute names.
-func Materialize(p *xpathl.Path) *xpathl.Path {
-	out := &xpathl.Path{Absolute: p.Absolute}
-	out.Steps = append(out.Steps, p.Steps...)
-	if n := len(out.Steps); n > 0 {
-		last := out.Steps[n-1].SStep
-		if last.Axis == xpath.DescendantOrSelf && last.Test.Kind == xpath.TestNode {
-			return out // already materialised
-		}
+// materialized reports whether p ends in descendant-or-self::node(), the
+// materialisation marker of §5.
+func materialized(p *xpathl.Path) bool {
+	n := len(p.Steps)
+	if n == 0 {
+		return false
 	}
-	out.Steps = append(out.Steps, xpathl.Step{
-		SStep: xpathl.SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode},
-	})
-	return out
+	last := p.Steps[n-1]
+	return last.Cond == nil && last.Axis == xpath.DescendantOrSelf && last.Test.Kind == xpath.TestNode
+}
+
+// Materialize widens a path so that the full subtrees of its results are
+// kept (remark after Thm. 4.5): it appends descendant-or-self::node(),
+// whose descendant variant realises A_E(τ″, descendant) and which makes
+// inference keep the subtree's attributes too.
+func Materialize(p *xpathl.Path) *xpathl.Path {
+	if materialized(p) {
+		return p.Clone()
+	}
+	return p.AppendStep(xpathl.SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode})
 }
 
 // InferMaterialized infers a projector that also keeps the subtrees (and
@@ -479,20 +490,5 @@ func InferMaterialized(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
 	for i, p := range paths {
 		widened[i] = Materialize(p)
 	}
-	inf := NewInferencer(d)
-	row, err := inf.inferAll(widened)
-	if err != nil {
-		return nil, err
-	}
-	// A materialised subtree must keep its attributes as well: the
-	// descendant closure of the base rule only covers tree children, so
-	// add the attribute names of every result name and of its descendants
-	// (the implementation-level attribute extension of §6).
-	s := inf.c.s
-	for _, p := range paths {
-		result := inf.c.Type(p)
-		subtree := union(result, s.Descendants.Image(result))
-		row.Or(s.Atts.Image(subtree))
-	}
-	return inf.render(row), nil
+	return Infer(d, widened)
 }

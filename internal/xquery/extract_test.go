@@ -240,6 +240,7 @@ func TestXQuerySoundness(t *testing.T) {
 <!ELEMENT auction (seller?, price)>
 <!ATTLIST auction id CDATA #REQUIRED>
 <!ELEMENT seller (#PCDATA)>
+<!ATTLIST seller person CDATA #REQUIRED>
 <!ELEMENT price (#PCDATA)>
 `, "site")
 	if err != nil {
@@ -255,6 +256,9 @@ func TestXQuerySoundness(t *testing.T) {
 		`sum(/site/auctions/auction/price)`,
 		`if (//auction[seller]) then <found/> else <none/>`,
 		`for $a in //auction return if ($a/seller = "Ada") then $a/price/text() else ()`,
+		// Returned elements whose descendants carry attributes.
+		`for $p in /site/people/person return $p`,
+		`for $a in /site/auctions/auction return $a`,
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		doc := gen.New(d, seed, gen.Options{MaxDepth: 6}).Document()

@@ -297,7 +297,8 @@ const (
 	// Materialized additionally keeps the full subtree (and attributes)
 	// of every result node, so results can be serialised (the remark
 	// after Thm. 4.5). XQuery queries always use Materialized needs:
-	// their extraction already marks returned paths.
+	// Fig. 3 ends every returned path in descendant-or-self::node(), and
+	// inference keeps the attributes of every subtree so marked.
 	Materialized
 )
 
