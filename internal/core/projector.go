@@ -453,22 +453,11 @@ func (inf *Inferencer) inferAll(paths []*xpathl.Path) (dtd.Row, error) {
 		// descendant closure of the base rule covers tree children only,
 		// so add the attribute names of the subtree's names (the
 		// implementation-level attribute extension of §6).
-		if materialized(p) {
+		if p.Materialized() {
 			out.Or(s.Atts.Image(inf.c.Type(p)))
 		}
 	}
 	return out, nil
-}
-
-// materialized reports whether p ends in descendant-or-self::node(), the
-// materialisation marker of §5.
-func materialized(p *xpathl.Path) bool {
-	n := len(p.Steps)
-	if n == 0 {
-		return false
-	}
-	last := p.Steps[n-1]
-	return last.Cond == nil && last.Axis == xpath.DescendantOrSelf && last.Test.Kind == xpath.TestNode
 }
 
 // Materialize widens a path so that the full subtrees of its results are
@@ -476,9 +465,6 @@ func materialized(p *xpathl.Path) bool {
 // whose descendant variant realises A_E(τ″, descendant) and which makes
 // inference keep the subtree's attributes too.
 func Materialize(p *xpathl.Path) *xpathl.Path {
-	if materialized(p) {
-		return p.Clone()
-	}
 	return p.AppendStep(xpathl.SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode})
 }
 

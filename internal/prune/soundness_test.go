@@ -159,6 +159,10 @@ var soundnessQueries = []string{
 	"//person/name | //item/name",
 	"//parlist/listitem/text/bold",
 	`//text[bold = "Dante"]/keyword`,
+	// A call of no argument reads the context node's string-value.
+	"//description[string()]",
+	"//description[string-length() > 3]",
+	"//description[normalize-space()]",
 }
 
 func TestSoundnessFixedQueries(t *testing.T) {

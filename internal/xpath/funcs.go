@@ -121,6 +121,10 @@ var library = map[string]Func{
 	"string-join":     {min: 2, max: 2, Seq: true, QueryOnly: true, kind: notNumber, body: stringJoin},
 }
 
+// ReadsContext says a call of f with n arguments reads the context node
+// as its one argument (XPath 1.0 §4).
+func (f Func) ReadsContext(n int) bool { return n == 0 && f.max == 1 }
+
 // Lookup returns name's entry in the library, the zero Func for a name it
 // does not have.
 func Lookup(name string) Func { return library[name] }
@@ -183,7 +187,7 @@ func (ev *Evaluator) call(name string, f Func, n int, ctx context, arg func(i in
 		}
 		ev.args = append(ev.args, v)
 	}
-	if n == 0 && f.max == 1 {
+	if f.ReadsContext(n) {
 		ev.args = append(ev.args, NodeSet{ctx.node})
 	}
 	a := ev.args[base:]

@@ -6,16 +6,50 @@ import (
 	"xmlproj/internal/xpath"
 )
 
-// This file implements §3.3: rewriting arbitrary XPath predicates into
-// XPathℓ conditions via the path-extraction function P(Exp), and the
-// approximation of whole queries.
+// This file implements Fig. 3's path extraction E(e, Γ, m) over XPath
+// expressions, which is also §3.3's P(Exp): a predicate is E at m = 0,
+// read at the predicate boundary (cond). One walk decides every path
+// of every construct, for whole queries and for predicates alike.
 //
 // One deliberate strengthening over the paper's (elided) formal
-// definition: operands of value comparisons (=, <, eq, …) get
-// descendant-or-self::node() appended, because evaluating the comparison
-// needs the operands' string-values, i.e. their text subtrees. The paper
-// relegates the per-function/per-operator details to its footnote 3; this
-// choice keeps the inferred projectors sound (TestSoundness* exercise it).
+// definition: operands of value comparisons (=, <, eq, …) are read at
+// m = 1, so descendant-or-self::node() is appended to them, because
+// evaluating the comparison needs the operands' string-values, i.e. their
+// text subtrees. The paper relegates the per-function/per-operator
+// details to its footnote 3; this choice keeps the inferred projectors
+// sound (TestSoundness* exercise it).
+
+// Binding is one Γ entry of Fig. 3: (x; for P) or (x; let P).
+type Binding struct {
+	For  bool
+	Path *Path
+}
+
+// Scope is Γ: each variable may be bound to several paths, one per path
+// extracted from its binding expression. A variable it does not bind is
+// bound to the document node.
+type Scope map[string][]Binding
+
+// Extend returns g with name bound to paths.
+func (g Scope) Extend(name string, isFor bool, paths []*Path) Scope {
+	out := make(Scope, len(g)+1)
+	for k, v := range g {
+		out[k] = v
+	}
+	bs := make([]Binding, len(paths))
+	for i, p := range paths {
+		bs[i] = Binding{For: isFor, Path: p}
+	}
+	out[name] = bs
+	return out
+}
+
+var (
+	selfStep = SStep{Axis: xpath.Self, Test: xpath.NodeTestNode}
+	dosStep  = SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode}
+	// selfExpr is the argument a call of no argument reads: its context.
+	selfExpr = xpath.PathExpr{Path: xpath.Path{Steps: []xpath.Step{{Axis: xpath.Self, Test: xpath.NodeTestNode}}}}
+)
 
 // FuncArgAxis is the paper's F(f, i): the step to append to paths
 // extracted from the i-th argument of function f. It reads f's entry in
@@ -25,184 +59,180 @@ import (
 // have.
 func FuncArgAxis(fn string, argIdx int) SStep {
 	if xpath.Lookup(fn).Nodes {
-		return SStep{Axis: xpath.Self, Test: xpath.NodeTestNode}
+		return selfStep
 	}
-	return SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode}
+	return dosStep
 }
 
-// ExtractCond implements P(Exp): it approximates a full-XPath predicate
-// expression by a set of simple paths (relative to the predicate's
-// context node) whose disjunction soundly over-approximates the
-// predicate's data needs.
-func ExtractCond(e xpath.Expr) []SimplePath {
-	x := &extractor{}
-	paths := x.extract(e, true)
-	if len(paths) == 0 {
-		// A predicate with no structural content at all (e.g. [3],
-		// [position() < last()]) must not restrict anything.
-		paths = []SimplePath{SelfNode()}
-	}
-	return dedup(paths)
-}
-
-type extractor struct{}
-
-// extract returns the simple paths of e evaluated for its effective
-// boolean value (a predicate or an or/and operand). Non-structural parts
-// that may be true regardless of structure — truthy constants, function
-// results, variables — contribute the always-true self::node(), which
-// neutralises restriction (§3.3); falsy constants contribute nothing (a
-// disjunct that is never true cannot satisfy the predicate).
-func (x *extractor) extract(e xpath.Expr, restricting bool) []SimplePath {
+// Extract is E(e, Γ, m): the paths e reads, relative to the context node
+// unless absolute, with descendant-or-self::node() appended where m asks
+// for string-values. It also reports whether e, read as a predicate, can
+// be true when none of those paths reaches a node: then the predicate
+// must not restrict (§3.3).
+func Extract(e xpath.Expr, g Scope, m bool) ([]*Path, bool) {
 	switch t := e.(type) {
 	case xpath.Literal:
-		if len(t.S) > 0 {
-			return []SimplePath{SelfNode()} // [..."x" or P]: always true
-		}
-		return nil
+		return nil, t.S != ""
 	case xpath.Number:
 		// A bare number in a predicate is positional ([2]); as an or/and
 		// operand its effective boolean value decides. Either way a
-		// truthy constant must not restrict.
-		if t.F != 0 && t.F == t.F { // non-zero, non-NaN
-			return []SimplePath{SelfNode()}
-		}
-		return nil
+		// non-zero, non-NaN constant may hold.
+		return nil, t.F != 0 && t.F == t.F
 	case xpath.Var:
-		// A free variable's value cannot be analysed here; keep the
-		// context node.
-		return []SimplePath{SelfNode()}
+		return extractPath(xpath.PathExpr{Filter: t}, g, m)
 	case xpath.Neg:
-		return withSelf(x.valueOperand(t.E))
+		ps, _ := Extract(t.E, g, true)
+		return ps, true
 	case xpath.Binary:
 		switch t.Op {
 		case xpath.OpOr, xpath.OpAnd, xpath.OpUnion:
-			return append(x.extract(t.L, restricting), x.extract(t.R, restricting)...)
+			l, lfree := Extract(t.L, g, m)
+			r, rfree := Extract(t.R, g, m)
+			return append(l, r...), lfree || rfree
 		case xpath.OpEq, xpath.OpNeq, xpath.OpLt, xpath.OpLe, xpath.OpGt, xpath.OpGe:
-			// Value comparison: operands' string-values are needed. The
-			// comparison can only be true when its node-set operands are
-			// non-empty, so restriction by the operand paths stays sound
-			// and no self::node() is added.
-			return append(x.valueOperand(t.L), x.valueOperand(t.R)...)
-		default: // arithmetic: non-structural truth
-			return withSelf(append(x.valueOperand(t.L), x.valueOperand(t.R)...))
+			// Value comparison: the operands' string-values are needed. A
+			// comparison with a node-set is false when the node-set is
+			// empty, and a constant operand decides nothing, so only the
+			// other operands can make it hold without a path.
+			l, lfree := Extract(t.L, g, true)
+			r, rfree := Extract(t.R, g, true)
+			return append(l, r...), lfree && !constant(t.L) || rfree && !constant(t.R)
+		default: // arithmetic: its truth does not depend on structure
+			l, _ := Extract(t.L, g, true)
+			r, _ := Extract(t.R, g, true)
+			return append(l, r...), true
 		}
 	case xpath.Call:
-		var out []SimplePath
-		for i, a := range t.Args {
+		// Line 14: the arguments' paths at m = 0 with F(f, i) appended. A
+		// structural function (xpath.Func.Structural) is true exactly when
+		// its argument is, and every other one may hold whatever its
+		// arguments' paths reach (not, count comparisons, string tests …).
+		f := xpath.Lookup(t.Name)
+		args := t.Args
+		if f.ReadsContext(len(args)) {
+			args = []xpath.Expr{selfExpr}
+		}
+		var out []*Path
+		free := !f.Structural
+		for i, a := range args {
+			ps, afree := Extract(a, g, false)
 			step := FuncArgAxis(t.Name, i)
-			for _, p := range x.argOperand(a) {
-				out = append(out, p.Append(step))
+			for _, p := range ps {
+				out = append(out, p.AppendStep(step))
 			}
+			free = free || afree
 		}
-		// A structural function (xpath.Func.Structural) is true exactly
-		// when its argument's paths reach a node. Everything else (not,
-		// count comparisons, string tests …) keeps its paths for data needs
-		// but adds self::node(), so no candidate node is pruned away
-		// (§3.3).
-		if !xpath.Lookup(t.Name).Structural {
-			out = append(out, SelfNode())
-		}
-		return out
+		return out, free
 	case xpath.PathExpr:
-		return x.pathPaths(t, SStep{Axis: xpath.Self, Test: xpath.NodeTestNode})
+		return extractPath(t, g, m)
 	}
-	return []SimplePath{SelfNode()}
+	return nil, true
 }
 
-// argOperand extracts paths from a function argument: constants carry no
-// data needs, path operands keep their skeleton (the caller appends the
-// per-function F(f, i) step, which decides how much of the subtree the
-// function consumes), everything else recurses.
-func (x *extractor) argOperand(e xpath.Expr) []SimplePath {
-	switch t := e.(type) {
+func constant(e xpath.Expr) bool {
+	switch e.(type) {
 	case xpath.Literal, xpath.Number:
-		return nil
-	case xpath.PathExpr:
-		return x.pathPaths(t, SStep{Axis: xpath.Self, Test: xpath.NodeTestNode})
+		return true
 	}
-	return x.extract(e, false)
+	return false
 }
 
-// valueOperand extracts paths from a comparison/arithmetic operand. A
-// direct path operand gets descendant-or-self::node() appended (its
-// string-value is needed); constants carry no data needs (unlike in
-// boolean position, where a truthy constant must block restriction);
-// other shapes recurse normally (their own F-steps already account for
-// data needs).
-func (x *extractor) valueOperand(e xpath.Expr) []SimplePath {
-	switch t := e.(type) {
-	case xpath.Literal, xpath.Number:
-		return nil
-	case xpath.PathExpr:
-		return x.pathPaths(t, SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode})
+// extractPath is lines 8–12: a path from the context or the document
+// node, which restricts, or from a filter — a variable, resolved through
+// Γ, or any other expression — which does not.
+func extractPath(pe xpath.PathExpr, g Scope, m bool) ([]*Path, bool) {
+	rel := approximate(pe.Path, g)
+	widen := func(p *Path) *Path {
+		if m {
+			return p.AppendStep(dosStep) // lines 8, 10
+		}
+		return p
 	}
-	return x.extract(e, false)
+	var bases []*Path
+	switch f := pe.Filter.(type) {
+	case nil:
+		return []*Path{widen(rel)}, false
+	case xpath.Var:
+		for _, b := range g[f.Name] {
+			bases = append(bases, b.Path)
+		}
+		if len(bases) == 0 {
+			bases = []*Path{{Absolute: true}} // a free variable: the document node
+		}
+	default:
+		bases, _ = Extract(f, g, false)
+	}
+	if len(pe.FilterPreds) > 0 {
+		// (F)[Exp]/Q: the filter's predicates are a condition on a self step.
+		rel.Steps = append([]Step{{SStep: selfStep, Cond: cond(pe.FilterPreds, g)}}, rel.Steps...)
+	}
+	out := make([]*Path, len(bases))
+	for i, b := range bases {
+		out[i] = widen(Concat(b, rel))
+	}
+	return out, true
 }
 
-// pathPaths flattens a (possibly predicated, possibly absolute) path
-// expression into simple paths: the skeleton with `final` appended, plus
-// one path per nested predicate, prefixed by the skeleton up to the step
-// carrying it.
-func (x *extractor) pathPaths(pe xpath.PathExpr, final SStep) []SimplePath {
-	if pe.Filter != nil {
-		// $x/path or (expr)/path inside a plain XPath predicate: the
-		// XQuery layer resolves variables before approximation; here we
-		// conservatively keep the context node and any nested structure.
-		out := []SimplePath{SelfNode()}
-		for _, pr := range pe.FilterPreds {
-			out = append(out, x.extract(pr, false)...)
+// approximate rewrites a location path into XPathℓ (§4.3), each step's
+// predicates becoming one condition.
+func approximate(p xpath.Path, g Scope) *Path {
+	out := &Path{Absolute: p.Absolute}
+	for i, st := range p.Steps {
+		for _, s := range RewriteAxis(st.Axis, st.Test) {
+			out.Steps = append(out.Steps, Step{SStep: s})
 		}
-		for _, st := range pe.Path.Steps {
-			for _, pr := range st.Preds {
-				out = append(out, x.extract(pr, false)...)
-			}
+		if i == 0 && p.Absolute {
+			adjustAbsoluteFirst(out.Steps)
 		}
-		return out
-	}
-	var skeleton []SStep
-	out := []SimplePath{}
-	for _, st := range pe.Path.Steps {
-		first := len(skeleton) == 0
-		skeleton = append(skeleton, RewriteAxis(st.Axis, st.Test)...)
-		if first && pe.Path.Absolute {
-			adjustAbsoluteFirst(skeleton)
-		}
-		for _, pr := range st.Preds {
-			prefix := make([]SStep, len(skeleton))
-			copy(prefix, skeleton)
-			for _, np := range x.extract(pr, false) {
-				p := np.Prefix(prefix)
-				p.Absolute = p.Absolute || pe.Path.Absolute && !np.Absolute
-				out = append(out, p)
-			}
+		if len(st.Preds) > 0 {
+			out.Steps[len(out.Steps)-1].Cond = cond(st.Preds, g)
 		}
 	}
-	main := SimplePath{Absolute: pe.Path.Absolute, Steps: skeleton}
-	if len(skeleton) == 0 {
-		main = SelfNode()
-		main.Absolute = pe.Path.Absolute
-	}
-	out = append([]SimplePath{main.Append(final)}, out...)
 	return out
 }
 
-func withSelf(paths []SimplePath) []SimplePath {
-	return append(paths, SelfNode())
+// cond is the predicate boundary, P(Exp): the disjunction of the
+// predicates' paths, each flattened into simple paths, plus self::node()
+// when a predicate may hold without its paths or has none.
+func cond(preds []xpath.Expr, g Scope) *Cond {
+	c := &Cond{}
+	for _, pr := range preds {
+		ps, free := Extract(pr, g, false)
+		n := 0
+		for _, p := range ps {
+			for _, sp := range p.flatten() {
+				c.add(sp)
+				n++
+			}
+		}
+		if free || n == 0 {
+			c.add(SelfNode())
+		}
+	}
+	return c
 }
 
-func dedup(paths []SimplePath) []SimplePath {
-	seen := map[string]bool{}
-	out := paths[:0]
-	for _, p := range paths {
-		k := p.String()
-		if seen[k] {
+// flatten turns a path into simple paths: its skeleton, and each disjunct
+// of a step's condition prefixed by the skeleton up to that step. The
+// document node alone, which every document has, is no path.
+func (p *Path) flatten() []SimplePath {
+	if len(p.Steps) == 0 {
+		return nil
+	}
+	skeleton := SimplePath{Absolute: p.Absolute}
+	var out []SimplePath
+	for _, s := range p.Steps {
+		skeleton.Steps = append(skeleton.Steps, s.SStep)
+		if s.Cond == nil {
 			continue
 		}
-		seen[k] = true
-		out = append(out, p)
+		for _, d := range s.Cond.Disjuncts {
+			sp := d.Prefix(skeleton.Steps)
+			sp.Absolute = sp.Absolute || p.Absolute
+			out = append(out, sp)
+		}
 	}
-	return out
+	return append([]SimplePath{skeleton}, out...)
 }
 
 // FromQuery approximates a full XPath query by one or more XPathℓ paths
@@ -229,7 +259,7 @@ func FromQuery(e xpath.Expr) ([]*Path, error) {
 		if t.Filter != nil {
 			return nil, fmt.Errorf("xpathl: filter expressions are not queries: %s", e)
 		}
-		return []*Path{approximatePath(t.Path)}, nil
+		return []*Path{approximate(t.Path, nil)}, nil
 	default:
 		return nil, fmt.Errorf("xpathl: %T is not a query", e)
 	}
@@ -248,7 +278,7 @@ func MustFromQuery(e xpath.Expr) []*Path {
 // analysis starts at the root *element* while "/" denotes the document
 // node, whose children are exactly the root element and whose descendants
 // are the root element and everything below it.
-func adjustAbsoluteFirst(steps []SStep) {
+func adjustAbsoluteFirst(steps []Step) {
 	if len(steps) == 0 {
 		return
 	}
@@ -264,42 +294,10 @@ func adjustAbsoluteFirst(steps []SStep) {
 // path absolute and applies the document-node adjustment to its first
 // step. Used when a free variable is assumed bound to the document root.
 func MakeAbsolute(p *Path) *Path {
-	if p.Absolute {
-		return p.Clone()
-	}
 	out := p.Clone()
-	out.Absolute = true
-	if len(out.Steps) > 0 {
-		switch out.Steps[0].Axis {
-		case xpath.Child:
-			out.Steps[0].Axis = xpath.Self
-		case xpath.Descendant:
-			out.Steps[0].Axis = xpath.DescendantOrSelf
-		}
-	}
-	return out
-}
-
-func approximatePath(p xpath.Path) *Path {
-	out := &Path{Absolute: p.Absolute}
-	for _, st := range p.Steps {
-		steps := RewriteAxis(st.Axis, st.Test)
-		if p.Absolute && len(out.Steps) == 0 {
-			adjustAbsoluteFirst(steps)
-		}
-		for i, s := range steps {
-			ls := Step{SStep: s}
-			if i == len(steps)-1 && len(st.Preds) > 0 {
-				cond := &Cond{}
-				for _, pr := range st.Preds {
-					for _, sp := range ExtractCond(pr) {
-						cond.add(sp)
-					}
-				}
-				ls.Cond = cond
-			}
-			out.Steps = append(out.Steps, ls)
-		}
+	if !p.Absolute {
+		out.Absolute = true
+		adjustAbsoluteFirst(out.Steps)
 	}
 	return out
 }

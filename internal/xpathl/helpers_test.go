@@ -170,8 +170,7 @@ func TestFuncArgAxisTable(t *testing.T) {
 			}
 		}
 		call := xpath.Call{Name: name, Args: []xpath.Expr{xpath.MustParse("a")}}
-		kept := slices.ContainsFunc(ExtractCond(call), func(p SimplePath) bool { return p.String() == SelfNode().String() })
-		if kept == f.Structural {
+		if _, kept := Extract(call, nil, false); kept == f.Structural {
 			t.Errorf("[%s(a)] keeps self::node(): %v, entry structural: %v", name, kept, f.Structural)
 		}
 	}
@@ -219,5 +218,64 @@ func TestSimplePathPrefixEmpty(t *testing.T) {
 	sp := SelfNode().Prefix(nil)
 	if !sp.IsSelfNode() {
 		t.Fatalf("Prefix(nil) = %s", sp)
+	}
+}
+
+func disjuncts(c *Cond) []string {
+	out := make([]string, len(c.Disjuncts))
+	for i, d := range c.Disjuncts {
+		out[i] = d.String()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// A call inside a call reads its own arguments with their F(f, i) steps:
+// its self::node() does not become the context's whole subtree (QM14's
+// contains(string(exactly-one(…)), …)).
+func TestExtractNestedCall(t *testing.T) {
+	cond := MustFromQuery(xpath.MustParse(`x[contains(string(exactly-one(d)), "g")]`))[0].Steps[0].Cond
+	want := []string{"child::d/descendant-or-self::node()", "self::node()"}
+	if got := disjuncts(cond); !slices.Equal(got, want) {
+		t.Errorf("cond = %v, want %v", got, want)
+	}
+}
+
+// A call of no argument whose entry reads the context is f(self::node()).
+func TestExtractContextCall(t *testing.T) {
+	for src, want := range map[string][]string{
+		`x[string()]`:            {"self::node()", "self::node()/descendant-or-self::node()"},
+		`x[string-length() > 3]`: {"self::node()", "self::node()/descendant-or-self::node()"},
+		`x[normalize-space()]`:   {"self::node()", "self::node()/descendant-or-self::node()"},
+		`x[name() = "a"]`:        {"self::node()"},
+		`x[last()]`:              {"self::node()"},
+	} {
+		if got := disjuncts(MustFromQuery(xpath.MustParse(src))[0].Steps[0].Cond); !slices.Equal(got, want) {
+			t.Errorf("%s: cond = %v, want %v", src, got, want)
+		}
+	}
+}
+
+// A path from a variable resolves through the scope, inside predicates
+// too, and never restricts.
+func TestExtractScope(t *testing.T) {
+	g := Scope{}.Extend("p", true, MustFromQuery(xpath.MustParse("/s/p")))
+	ps, free := Extract(xpath.MustParse(`a[b = $p/@id]`), g, false)
+	if free || len(ps) != 1 {
+		t.Fatalf("a[b = $p/@id]: %d paths, free %v", len(ps), free)
+	}
+	want := []string{"/self::s/child::p/attribute::id/descendant-or-self::node()", "child::b/descendant-or-self::node()", "self::node()"}
+	if got := disjuncts(ps[0].Steps[0].Cond); !slices.Equal(got, want) {
+		t.Errorf("cond = %v, want %v", got, want)
+	}
+	for src, want := range map[string]string{
+		"$p":   "/self::s/child::p/descendant-or-self::node()",
+		"$p/c": "/self::s/child::p/child::c/descendant-or-self::node()",
+		"$q/c": "/self::c/descendant-or-self::node()", // free: the document node
+	} {
+		ps, free := Extract(xpath.MustParse(src), g, true)
+		if !free || len(ps) != 1 || ps[0].String() != want {
+			t.Errorf("%s: %v, free %v, want %s", src, ps, free, want)
+		}
 	}
 }

@@ -5,9 +5,11 @@
 // The package also implements the two sound approximations that map full
 // XPath into XPathℓ:
 //
-//   - §3.3: the path-extraction function P(Exp) turning an arbitrary
-//     predicate expression into a disjunction of simple paths, using the
-//     per-function table F(f, i);
+//   - Fig. 3's path extraction E(e, Γ, m) over XPath expressions
+//     (Extract), using the per-function table F(f, i). §3.3's P(Exp) is
+//     the same walk read at a predicate: it turns an arbitrary predicate
+//     into a disjunction of simple paths. The XQuery layer's embedded
+//     expressions go through the same walk, with its Γ;
 //   - §4.3: the rewriting of the sibling, preceding and following axes
 //     into parent/child/ancestor-or-self/descendant-or-self steps.
 //
@@ -68,19 +70,6 @@ func SelfNode() SimplePath {
 func (p SimplePath) IsSelfNode() bool {
 	return !p.Absolute && len(p.Steps) == 1 &&
 		p.Steps[0].Axis == xpath.Self && p.Steps[0].Test.Kind == xpath.TestNode
-}
-
-// Append returns p extended with an extra step.
-func (p SimplePath) Append(s SStep) SimplePath {
-	steps := make([]SStep, 0, len(p.Steps)+1)
-	steps = append(steps, p.Steps...)
-	// self::node() is the identity step: appending or prefixing it is a
-	// no-op, and dropping it keeps extracted paths readable.
-	if s.Axis == xpath.Self && s.Test.Kind == xpath.TestNode && len(steps) > 0 {
-		return SimplePath{Absolute: p.Absolute, Steps: steps}
-	}
-	steps = append(steps, s)
-	return SimplePath{Absolute: p.Absolute, Steps: steps}
 }
 
 // Prefix returns prefix/p (prefix must be relative-compatible: if p is
@@ -181,9 +170,10 @@ func (p *Path) Clone() *Path {
 }
 
 // AppendStep returns p extended with a trailing step; appending
-// self::node() is the identity.
+// self::node(), or descendant-or-self::node() to a materialised path, is
+// the identity.
 func (p *Path) AppendStep(s SStep) *Path {
-	if s.Axis == xpath.Self && s.Test.Kind == xpath.TestNode && len(p.Steps) > 0 {
+	if s == selfStep && len(p.Steps) > 0 || s == dosStep && p.Materialized() {
 		return p.Clone()
 	}
 	out := p.Clone()
@@ -191,11 +181,22 @@ func (p *Path) AppendStep(s SStep) *Path {
 	return out
 }
 
+// Materialized reports whether p ends in descendant-or-self::node(), the
+// materialisation marker of §5: p keeps the whole subtrees of its results.
+func (p *Path) Materialized() bool {
+	n := len(p.Steps)
+	return n > 0 && p.Steps[n-1].Cond == nil && p.Steps[n-1].SStep == dosStep
+}
+
 // Concat returns prefix/rel. If rel is absolute it ignores the prefix
-// (absolute paths restart at the root).
+// (absolute paths restart at the root), and from the document node
+// alone it is rel made absolute.
 func Concat(prefix, rel *Path) *Path {
 	if rel.Absolute {
 		return rel.Clone()
+	}
+	if prefix.Absolute && len(prefix.Steps) == 0 {
+		return MakeAbsolute(rel)
 	}
 	out := prefix.Clone()
 	for _, s := range rel.Steps {

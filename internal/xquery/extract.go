@@ -5,50 +5,25 @@ import (
 	"xmlproj/internal/xpathl"
 )
 
-// This file implements the Fig. 3 path-extraction function E(q, Γ, m) and
-// the §5 for/if rewriting heuristic. The extracted XPathℓ paths are the
-// query's data needs; their union projector (core.Infer) is a sound
-// projector for the whole query.
-
-// binding is one Γ entry (x; for P) or (x; let P).
-type binding struct {
-	isFor bool
-	path  *xpathl.Path
-}
-
-// env is Γ: each variable may be bound to several paths (one per path
-// extracted from its binding query).
-type env map[string][]binding
-
-func (e env) extend(name string, isFor bool, paths []*xpathl.Path) env {
-	out := make(env, len(e)+1)
-	for k, v := range e {
-		out[k] = v
-	}
-	var bs []binding
-	for _, p := range paths {
-		bs = append(bs, binding{isFor: isFor, path: p})
-	}
-	out[name] = bs
-	return out
-}
-
-// dosStep is the descendant-or-self::node() materialisation step.
-var dosStep = xpathl.SStep{Axis: xpath.DescendantOrSelf, Test: xpath.NodeTestNode}
+// This file implements the Fig. 3 path-extraction function E(q, Γ, m) over
+// the FLWR core and the §5 for/if rewriting heuristic; embedded XPath
+// expressions are read by xpathl.Extract, the same E, with this layer's
+// Γ. The extracted XPathℓ paths are the query's data needs; their union
+// projector (core.Infer) is a sound projector for the whole query.
 
 // Extract computes the data-need paths of a top-level query:
 // E(q, ∅, 1). Free variables are treated as bound to the document root.
 func Extract(q Query) []*xpathl.Path {
-	return dedupPaths(extract(q, env{}, 1))
+	return dedupPaths(extract(q, nil, true))
 }
 
 // forPaths returns {P | (x; for P) ∈ Γ}.
-func forPaths(g env) []*xpathl.Path {
+func forPaths(g xpathl.Scope) []*xpathl.Path {
 	var out []*xpathl.Path
 	for _, bs := range g {
 		for _, b := range bs {
-			if b.isFor {
-				out = append(out, b.path)
+			if b.For {
+				out = append(out, b.Path)
 			}
 		}
 	}
@@ -56,17 +31,17 @@ func forPaths(g env) []*xpathl.Path {
 }
 
 // allPaths returns {P | (x; − P) ∈ Γ}.
-func allPaths(g env) []*xpathl.Path {
+func allPaths(g xpathl.Scope) []*xpathl.Path {
 	var out []*xpathl.Path
 	for _, bs := range g {
 		for _, b := range bs {
-			out = append(out, b.path)
+			out = append(out, b.Path)
 		}
 	}
 	return out
 }
 
-func extract(q Query, g env, m int) []*xpathl.Path {
+func extract(q Query, g xpathl.Scope, m bool) []*xpathl.Path {
 	switch t := q.(type) {
 	case Empty, Text, nil:
 		return nil // lines 1; literal text has no data needs
@@ -80,43 +55,43 @@ func extract(q Query, g env, m int) []*xpathl.Path {
 		out := forPaths(g) // line 5
 		for _, a := range t.Attrs {
 			if a.Expr != nil {
-				out = append(out, extract(a.Expr, g, 1)...)
+				out = append(out, extract(a.Expr, g, true)...)
 			}
 		}
-		out = append(out, extract(t.Body, g, 1)...)
+		out = append(out, extract(t.Body, g, true)...)
 		return out
 	case For:
-		inPaths := extract(t.In, g, 0) // line 16
-		g2 := g.extend(t.Var, true, inPaths)
+		inPaths := extract(t.In, g, false) // line 16
+		g2 := g.Extend(t.Var, true, inPaths)
 		return append(inPaths, extract(t.Return, g2, m)...)
 	case Let:
-		valPaths := extract(t.Val, g, 0) // line 17
-		g2 := g.extend(t.Var, false, valPaths)
+		valPaths := extract(t.Val, g, false) // line 17
+		g2 := g.Extend(t.Var, false, valPaths)
 		return append(valPaths, extract(t.Return, g2, m)...)
 	case If:
 		// Line 15: condition with m=0, branches with m=1, plus every
 		// bound path.
-		out := extract(t.Cond, g, 0)
-		out = append(out, extract(t.Then, g, 1)...)
-		out = append(out, extract(t.Else, g, 1)...)
+		out := extract(t.Cond, g, false)
+		out = append(out, extract(t.Then, g, true)...)
+		out = append(out, extract(t.Else, g, true)...)
 		out = append(out, allPaths(g)...)
 		return out
 	case OrderBy:
 		var out []*xpathl.Path
 		for _, k := range t.Keys {
-			out = append(out, extractExpr(k, g, 1)...)
+			out = append(out, extractExpr(k, g, true)...)
 		}
 		return append(out, extract(t.Body, g, m)...)
 	case Quantified:
-		inPaths := extract(t.In, g, 0)
-		g2 := g.extend(t.Var, true, inPaths)
-		return append(inPaths, extract(t.Sat, g2, 0)...)
+		inPaths := extract(t.In, g, false)
+		g2 := g.Extend(t.Var, true, inPaths)
+		return append(inPaths, extract(t.Sat, g2, false)...)
 	case FuncQ:
 		// Line 14 lifted to sequence functions.
 		var out []*xpathl.Path
 		for i, a := range t.Args {
 			step := xpathl.FuncArgAxis(t.Name, i)
-			for _, p := range extract(a, g, 0) {
+			for _, p := range extract(a, g, false) {
 				out = append(out, p.AppendStep(step))
 			}
 		}
@@ -127,129 +102,24 @@ func extract(q Query, g env, m int) []*xpathl.Path {
 	return nil
 }
 
-// extractExpr implements lines 2–3, 6–14 over embedded XPath expressions,
-// resolving variable-rooted paths through Γ.
-func extractExpr(e xpath.Expr, g env, m int) []*xpathl.Path {
-	switch t := e.(type) {
-	case xpath.Literal, xpath.Number:
-		if m == 1 {
-			return forPaths(g) // line 2
-		}
-		return nil // line 3
-	case xpath.Var:
-		var out []*xpathl.Path
-		for _, b := range g[t.Name] {
-			if m == 1 {
-				out = append(out, b.path.AppendStep(dosStep)) // line 6
-			} else {
-				out = append(out, b.path) // line 7
-			}
-		}
-		if len(out) == 0 && m == 1 {
-			// A free variable is assumed bound to the root.
-			out = append(out, rootDosPath())
-		}
-		return out
-	case xpath.Neg:
-		return extractExpr(t.E, g, 1)
-	case xpath.Binary:
-		switch t.Op {
-		case xpath.OpAnd, xpath.OpOr, xpath.OpUnion:
-			return append(extractExpr(t.L, g, m), extractExpr(t.R, g, m)...)
-		case xpath.OpEq, xpath.OpNeq, xpath.OpLt, xpath.OpLe, xpath.OpGt, xpath.OpGe:
-			// Value comparison: operand string-values are needed (the same
-			// strengthening as xpathl.ExtractCond; see its package note).
-			return append(extractExpr(t.L, g, 1), extractExpr(t.R, g, 1)...)
-		default: // arithmetic
-			return append(extractExpr(t.L, g, 1), extractExpr(t.R, g, 1)...)
-		}
-	case xpath.Call:
-		// Line 14: argument paths with F(f, i) appended.
-		var out []*xpathl.Path
-		for i, a := range t.Args {
-			step := xpathl.FuncArgAxis(t.Name, i)
-			for _, p := range extractExpr(a, g, 0) {
-				out = append(out, p.AppendStep(step))
-			}
-		}
-		return out
-	case xpath.PathExpr:
-		return extractPathExpr(t, g, m)
+// extractExpr is lines 2–3 and 6–14: xpathl.Extract over an embedded XPath
+// expression, its paths rooted at the document node (a relative top-level
+// path is read as the paper's /P form). Line 2, a constant at m = 1,
+// adds only paths that line 16 already emitted, so a constant yields none.
+func extractExpr(e xpath.Expr, g xpathl.Scope, m bool) []*xpathl.Path {
+	ps, _ := xpathl.Extract(e, g, m)
+	for i, p := range ps {
+		ps[i] = xpathl.MakeAbsolute(p)
 	}
-	return nil
-}
-
-func rootDosPath() *xpathl.Path {
-	return &xpathl.Path{Absolute: true, Steps: []xpathl.Step{{SStep: dosStep}}}
-}
-
-// extractPathExpr handles lines 8–12: paths rooted at the document or at
-// a variable, with their predicates approximated into conditions.
-func extractPathExpr(pe xpath.PathExpr, g env, m int) []*xpathl.Path {
-	// Approximate the navigational part (predicates become conditions).
-	approxPath := func(abs bool) *xpathl.Path {
-		cp := pe
-		cp.Filter = nil
-		cp.FilterPreds = nil
-		cp.Path.Absolute = abs
-		ps, err := xpathl.FromQuery(cp)
-		if err != nil || len(ps) != 1 {
-			return &xpathl.Path{Absolute: abs}
-		}
-		return ps[0]
-	}
-	widen := func(p *xpathl.Path) *xpathl.Path {
-		if m == 1 {
-			return p.AppendStep(dosStep) // lines 8, 10
-		}
-		return p
-	}
-	if pe.Filter == nil {
-		// Lines 8–9: a document-rooted path (a relative top-level path is
-		// interpreted against the root, as the paper's /P form).
-		return []*xpathl.Path{widen(approxPath(true))}
-	}
-	v, ok := pe.Filter.(xpath.Var)
-	if !ok {
-		// A non-variable filter (rare; e.g. a parenthesised expression):
-		// conservatively take the filter's needs materialised.
-		return extractExpr(pe.Filter, g, 1)
-	}
-	// Line 10: x/Q — prefix every binding path of x.
-	rel := approxPath(false)
-	// Filter predicates $x[Exp] become a condition on a self step.
-	if len(pe.FilterPreds) > 0 {
-		cond := &xpathl.Cond{}
-		for _, pr := range pe.FilterPreds {
-			for _, sp := range xpathl.ExtractCond(pr) {
-				cond.Disjuncts = append(cond.Disjuncts, sp)
-			}
-		}
-		selfStep := xpathl.Step{
-			SStep: xpathl.SStep{Axis: xpath.Self, Test: xpath.NodeTestNode},
-			Cond:  cond,
-		}
-		rel = &xpathl.Path{Steps: append([]xpathl.Step{selfStep}, rel.Steps...)}
-	}
-	var out []*xpathl.Path
-	bs := g[v.Name]
-	if len(bs) == 0 {
-		// Free variable: treat as bound to the document node.
-		out = append(out, widen(xpathl.MakeAbsolute(rel)))
-		return out
-	}
-	for _, b := range bs {
-		out = append(out, widen(xpathl.Concat(b.path, rel)))
-	}
-	return out
+	return ps
 }
 
 func dedupPaths(paths []*xpathl.Path) []*xpathl.Path {
 	seen := map[string]bool{}
 	var out []*xpathl.Path
 	for _, p := range paths {
-		if p == nil || len(p.Steps) == 0 && !p.Absolute {
-			continue
+		if len(p.Steps) == 0 {
+			continue // the document node alone: the root is always kept
 		}
 		k := p.String()
 		if seen[k] {

@@ -259,6 +259,9 @@ func TestXQuerySoundness(t *testing.T) {
 		// Returned elements whose descendants carry attributes.
 		`for $p in /site/people/person return $p`,
 		`for $a in /site/auctions/auction return $a`,
+		// Variables inside predicates resolve through Γ.
+		`for $a in /site/auctions/auction return /site/people/person[@id != $a/@id]/name/text()`,
+		`for $p in /site/people/person return //auction[seller != $p/name]/seller/@person`,
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		doc := gen.New(d, seed, gen.Options{MaxDepth: 6}).Document()
