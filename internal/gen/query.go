@@ -122,7 +122,7 @@ func (q *QueryGen) FLWRSource() string {
 		}
 		return out
 	}
-	switch q.rng.Intn(6) {
+	switch q.rng.Intn(7) {
 	case 0:
 		return "for $x in " + absPath() + " return " + relPath("x")
 	case 1:
@@ -133,6 +133,8 @@ func (q *QueryGen) FLWRSource() string {
 		return "let $s := " + absPath() + " return count($s)"
 	case 4:
 		return "for $x in " + absPath() + " return (for $y in " + relPath("x") + " return $y)"
+	case 5: // a variable inside a predicate
+		return "for $x in //" + q.tags[q.rng.Intn(len(q.tags))] + " return /*/" + q.tags[q.rng.Intn(len(q.tags))] + "[. != $x/*]"
 	default:
 		return "count(for $x in " + absPath() + " where " + relPath("x") + " return $x)"
 	}
@@ -148,7 +150,7 @@ func (q *QueryGen) predicate(depth int) xpath.Expr {
 		}
 		return xpath.PathExpr{Path: p}
 	}
-	switch q.rng.Intn(8) {
+	switch q.rng.Intn(10) {
 	case 0: // existence
 		return relPath()
 	case 1: // value comparison against a word
@@ -166,6 +168,10 @@ func (q *QueryGen) predicate(depth int) xpath.Expr {
 			return xpath.Binary{Op: xpath.OpOr, L: q.predicate(depth + 1), R: q.predicate(depth + 1)}
 		}
 		return relPath()
+	case 8: // a call of no argument reads the context's string-value
+		return xpath.Call{Name: "normalize-space"}
+	case 9:
+		return xpath.Binary{Op: xpath.OpGt, L: xpath.Call{Name: "string-length"}, R: xpath.Number{F: float64(q.rng.Intn(4))}}
 	default: // conjunction
 		if depth < 1 {
 			return xpath.Binary{Op: xpath.OpAnd, L: q.predicate(depth + 1), R: q.predicate(depth + 1)}
