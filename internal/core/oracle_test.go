@@ -808,7 +808,7 @@ func (inf *oracleInferencer) inferAll(paths []*xpathl.Path) (dtd.NameSet, error)
 		// descendant closure of the base rule only covers tree children, so
 		// add the attribute names of every result name and of its descendants
 		// (the implementation-level attribute extension of §6).
-		if n := len(p.Steps); n > 0 && Materialize(p).String() == p.String() {
+		if n := len(p.Steps); p.Materialized() {
 			result := inf.c.Type(&xpathl.Path{Absolute: p.Absolute, Steps: p.Steps[:n-1]})
 			out.AddAll(d.AttNames(nsUnion(result, d.ContentDescendants(result))))
 		}
