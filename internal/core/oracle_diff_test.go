@@ -285,9 +285,22 @@ func FuzzInferDifferential(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 100, 200} {
 		f.Add(seed, uint8(10))
 	}
+	f.Add(int64(27), uint8(234)) // TestOracleChainedPredicates
 	f.Fuzz(func(t *testing.T, seed int64, size uint8) {
 		diffRandom(t, seed, 2+int(size%48), 6)
 	})
+}
+
+// TestOracleChainedPredicates is FuzzInferDifferential's input (27, 234):
+// a 44-element grammar whose queries chain preceding and following steps
+// with predicates, such as
+// preceding::node()[2]/preceding::node()/child::e22/following::*[3]/child::node().
+// The map-based oracle typed the same steps from the same singletons for
+// every name such a chain passes through and took 18 s, which a fuzz
+// worker reports as a hang; with CondHolds and TypeStep memoised it takes
+// 1.6 s on a 2-vCPU host.
+func TestOracleChainedPredicates(t *testing.T) {
+	diffRandom(t, 27, 2+234%48, 6)
 }
 
 // TestInferAllocs holds QM14 — the benchmark's costliest inference,

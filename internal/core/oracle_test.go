@@ -10,6 +10,7 @@ package core
 // worth testing as such.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -410,10 +411,46 @@ type oracleChecker struct {
 	// naive type system the paper's §4.1 example rejects. It exists only
 	// for the ablation benchmark quantifying what contexts buy.
 	NoContext bool
+	// holds and steps cache CondHolds by (name, context, condition) and
+	// TypeStep by (type, context, step), as the inferencer's memo caches
+	// ⊩: the usefulness premises of Fig. 2 type the same steps from the
+	// same singletons again for every name a chain of predicated steps
+	// passes through. ids numbers the names their keys hold, as first met.
+	holds map[string]bool
+	steps map[string]oracleEnv
+	ids   map[dtd.Name]int
 }
 
 // newOracleChecker returns a oracleChecker for d.
-func newOracleChecker(d *oracleGrammar) *oracleChecker { return &oracleChecker{D: d} }
+func newOracleChecker(d *oracleGrammar) *oracleChecker {
+	return &oracleChecker{D: d, holds: map[string]bool{}, steps: map[string]oracleEnv{}, ids: map[dtd.Name]int{}}
+}
+
+// setKey appends a rendering of s that equal sets share: its length in
+// words, then one bit per name, numbered by c.ids, up to the last word
+// that has one.
+func (c *oracleChecker) setKey(sb *strings.Builder, s dtd.NameSet) {
+	var buf [4]uint64
+	words := buf[:0]
+	for n := range s {
+		id, ok := c.ids[n]
+		if !ok {
+			id = len(c.ids)
+			c.ids[n] = id
+		}
+		for id/64 >= len(words) {
+			words = append(words, 0)
+		}
+		words[id/64] |= 1 << (id % 64)
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(len(words)))
+	sb.Write(b[:])
+	for _, w := range words {
+		binary.LittleEndian.PutUint64(b[:], w)
+		sb.Write(b[:])
+	}
+}
 
 // restrictContext returns κ ∩ (τ ∪ A_E(τ, ancestor)): the names of κ still
 // on a chain ending at τ. It re-establishes well-formedness after τ
@@ -474,13 +511,25 @@ func (c *oracleChecker) TypeSimplePath(env oracleEnv, p xpathl.SimplePath) oracl
 func (c *oracleChecker) CondHolds(x dtd.Name, kappa dtd.NameSet, cond *xpathl.Cond) bool {
 	single := dtd.NewNameSet(x)
 	kx := nsIntersect(kappa, nsUnion(single, c.D.Ancestors(single)))
+	var sb strings.Builder
+	sb.WriteString(string(x))
+	sb.WriteByte(0)
+	c.setKey(&sb, kx)
+	sb.WriteString(cond.String())
+	key := sb.String()
+	if holds, ok := c.holds[key]; ok {
+		return holds
+	}
 	env := oracleEnv{Tau: single, Kappa: kx}
+	holds := false
 	for _, p := range cond.Disjuncts {
 		if !c.TypeSimplePath(env, p).Tau.Empty() {
-			return true
+			holds = true
+			break
 		}
 	}
-	return false
+	c.holds[key] = holds
+	return holds
 }
 
 // TypeCondStep types self::node()[Cond] (fourth rule of Fig. 1): keep the
@@ -498,11 +547,20 @@ func (c *oracleChecker) TypeCondStep(env oracleEnv, cond *xpathl.Cond) oracleEnv
 // TypeStep types one XPathℓ step, conditions included (sixth rule of
 // Fig. 1 encodes Axis::Test[Cond] as Axis::Test/self::node[Cond]).
 func (c *oracleChecker) TypeStep(env oracleEnv, s xpathl.Step) oracleEnv {
-	env = c.TypeSimpleStep(env, s.SStep)
-	if s.Cond != nil {
-		env = c.TypeCondStep(env, s.Cond)
+	var sb strings.Builder
+	c.setKey(&sb, env.Tau)
+	c.setKey(&sb, env.Kappa)
+	sb.WriteString(s.String())
+	key := sb.String()
+	if out, ok := c.steps[key]; ok {
+		return out
 	}
-	return env
+	out := c.TypeSimpleStep(env, s.SStep)
+	if s.Cond != nil {
+		out = c.TypeCondStep(out, s.Cond)
+	}
+	c.steps[key] = out
+	return out
 }
 
 // TypePath types a full XPathℓ path from env: the judgement

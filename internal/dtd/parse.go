@@ -50,12 +50,12 @@ func ParseString(src, rootTag string) (*DTD, error) {
 	}
 	// An <!ATTLIST> may come before its <!ELEMENT>, and one element may
 	// have several.
-	byTag := make(map[string]int, len(elems))
+	elemAt := make(map[string]int, len(elems))
 	for i, e := range elems {
-		byTag[e.Tag] = i
+		elemAt[e.Tag] = i
 	}
 	for _, al := range attlists {
-		i, ok := byTag[al.Tag]
+		i, ok := elemAt[al.Tag]
 		if !ok {
 			return nil, fmt.Errorf("dtd: <!ATTLIST %s> for undeclared element", al.Tag)
 		}

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"math/bits"
 	"strings"
 	"sync"
 )
@@ -14,7 +15,7 @@ import (
 // DTD, on first use, and shared (the grammar is immutable after
 // parsing); the dense content-model automata are not: see CompileDense.
 type Symbols struct {
-	byTag  map[string]int32
+	tags   tagTable
 	byName map[Name]int32
 	infos  []SymInfo
 	names  []Name
@@ -56,10 +57,7 @@ func (d *DTD) Symbols() *Symbols {
 }
 
 func newSymbols(d *DTD) *Symbols {
-	s := &Symbols{
-		byTag:  make(map[string]int32, len(d.ByTag)),
-		byName: make(map[Name]int32, 2*len(d.order)),
-	}
+	s := &Symbols{byName: make(map[Name]int32, 2*len(d.order))}
 	add := func(n Name, label string) {
 		s.byName[n] = int32(len(s.names))
 		s.names = append(s.names, n)
@@ -67,7 +65,6 @@ func newSymbols(d *DTD) *Symbols {
 	}
 	for _, n := range d.order {
 		if def := d.Defs[n]; !def.Text {
-			s.byTag[def.Tag] = int32(len(s.infos))
 			s.infos = append(s.infos, SymInfo{Name: n, Def: def, Tag: def.Tag})
 			add(n, def.Tag)
 		}
@@ -91,6 +88,7 @@ func newSymbols(d *DTD) *Symbols {
 		}
 	}
 	s.root = s.byName[d.Root]
+	s.tags = newTagTable(s.infos)
 
 	n, elems := len(s.names), len(s.infos)
 	words := (n + 63) / 64
@@ -131,17 +129,88 @@ func (s *Symbols) NumNames() int { return len(s.names) }
 // Info returns the per-element data for an element symbol.
 func (s *Symbols) Info(sym int32) *SymInfo { return &s.infos[sym] }
 
-// Lookup resolves an element tag to its symbol. The tag is passed as
-// bytes; the conversion in the map probe does not allocate.
-func (s *Symbols) Lookup(tag []byte) (int32, bool) {
-	sym, ok := s.byTag[string(tag)]
-	return sym, ok
-}
+// Lookup resolves an element tag to its symbol through the tag table:
+// one hash of the tag, and mostly one comparison.
+func (s *Symbols) Lookup(tag []byte) (int32, bool) { return lookup(&s.tags, tag) }
 
 // LookupTag is Lookup for a tag held as a string (a tree node's).
-func (s *Symbols) LookupTag(tag string) (int32, bool) {
-	sym, ok := s.byTag[tag]
-	return sym, ok
+func (s *Symbols) LookupTag(tag string) (int32, bool) { return lookup(&s.tags, tag) }
+
+// tagTable is the element tags as an open-addressed hash table: a
+// power-of-two array of slots, at most half of them full, each tag in
+// the first free slot from its hash on. It is built with the symbol table
+// and never written again, so every prune of the grammar, concurrent ones
+// included, reads it without a lock.
+type tagTable struct {
+	slots []tagSlot
+	shift uint // a hash's top bits, 64 - shift of them, index slots
+}
+
+// tagSlot is one slot: a tag and its symbol, or sym -1 when free.
+type tagSlot struct {
+	tag string
+	sym int32
+}
+
+func newTagTable(infos []SymInfo) tagTable {
+	lg := bits.Len(uint(2 * len(infos)))
+	t := tagTable{slots: make([]tagSlot, 1<<lg), shift: uint(64 - lg)}
+	for i := range t.slots {
+		t.slots[i].sym = -1
+	}
+	mask := uint64(len(t.slots) - 1)
+	for e := range infos {
+		k := tagHash(infos[e].Tag) >> t.shift
+		for t.slots[k].sym >= 0 {
+			k = (k + 1) & mask
+		}
+		t.slots[k] = tagSlot{tag: infos[e].Tag, sym: int32(e)}
+	}
+	return t
+}
+
+// lookup probes t for tag from its hash's slot to the first free one.
+func lookup[T string | []byte](t *tagTable, tag T) (int32, bool) {
+	mask := uint64(len(t.slots) - 1)
+	for k := tagHash(tag) >> t.shift; ; k = (k + 1) & mask {
+		sl := &t.slots[k]
+		if sl.sym < 0 {
+			return -1, false
+		}
+		if sl.tag == string(tag) {
+			return sl.sym, true
+		}
+	}
+}
+
+// tagHash mixes the length and up to the first and last eight bytes of a
+// tag — all of it up to sixteen bytes, which covers most element names —
+// with one multiplication, whose top bits depend on every input bit (the
+// table indexes by them). Tags that differ only further in collide and
+// are told apart by the comparison.
+func tagHash[T string | []byte](tag T) uint64 {
+	n := len(tag)
+	h := uint64(n)
+	switch {
+	case n >= 8:
+		h ^= le64(tag[:8]) ^ bits.RotateLeft64(le64(tag[n-8:]), 29)
+	case n >= 4:
+		h ^= uint64(le32(tag[:4]))<<8 ^ uint64(le32(tag[n-4:]))<<32
+	case n > 0:
+		h ^= uint64(tag[0])<<8 | uint64(tag[n/2])<<16 | uint64(tag[n-1])<<24
+	}
+	return h * 0x9E3779B97F4A7C15
+}
+
+func le64[T string | []byte](b T) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+func le32[T string | []byte](b T) uint32 {
+	_ = b[3]
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // Sym resolves any name of the grammar to its symbol.

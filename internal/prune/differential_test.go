@@ -1051,6 +1051,24 @@ func FuzzStreamDifferential(f *testing.F) {
 	} {
 		f.Add(yearOpen+tail, uint16(i+1))
 	}
+	// The pruner's tag kernel at its edges: an xmlns among plain
+	// attributes (which the body below skips, as it skips every input
+	// naming xmlns; scan's TestPruneTagKernelMatchesGeneralPath holds the
+	// kernel to the long way there), single quotes, '>' in a value, a
+	// repeated attribute, nine attributes, a plain second root, and a
+	// plain tag that the pipelined engine's window cuts (256 + chunk bytes
+	// in) and the one-byte reader of checkSources cuts everywhere.
+	const kernelBook = `<title>T</title><author>A</author></book></bib>`
+	for i, tag := range []string{
+		`<book isbn="1" xmlns="u" lang="en">`, `<book isbn='1' lang='fr'>`, `<book lang="en" isbn='1'>`,
+		`<book isbn="1>2" lang="en">`, `<book lang="it" isbn="a>b">`, `<book isbn="1" lang="en" isbn="2">`,
+		`<book isbn="1" a="" b="" c="" d="" e="" f="" g="" h="">`, `<book a="" b="" c="" d="" e="" f="" g="" isbn="1">`,
+	} {
+		f.Add(`<bib>`+tag+kernelBook, uint16(i))
+	}
+	f.Add(`<bib><book isbn="1" lang="en">`+kernelBook+`<bib lang="en"/>`, uint16(3))
+	cut := `<bib><book isbn="1"><title>` + strings.Repeat("t", 240) + `</title><author>A</author></book>`
+	f.Add(cut+`<book isbn="2" lang="fr">`+kernelBook, uint16(len(cut)+6-256))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
 		// End tags are matched by resolved namespace in encoding/xml but
 		// by literal prefix in the scanner; inputs that bind prefixes are

@@ -4,3 +4,10 @@ package scan
 const RaceEnabled = raceEnabled
 
 var CheckPlanUnchanged = checkPlanUnchanged
+
+// KernelOff returns opts with every start tag sent the long way, past the
+// tag kernel.
+func KernelOff(opts Options) Options {
+	opts.general = true
+	return opts
+}

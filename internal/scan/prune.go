@@ -63,6 +63,10 @@ type Options struct {
 	// (one tag, one text chunk, one attribute value) larger than this
 	// fails with scan.ErrTokenTooLong. Zero means DefaultMaxTokenSize.
 	MaxTokenSize int
+
+	// general sends every start tag the long way, past the tag kernel,
+	// which is how the kernel is held to it (the tests' only switch).
+	general bool
 }
 
 // Stats reports what a streaming prune did. Every engine, and every
@@ -341,6 +345,8 @@ func (pr *pruner) release() {
 	}
 	pr.s.Reset(nil)
 	pr.d, pr.p = nil, nil
+	pr.tag = openTag{}
+	clear(pr.kattrs[:cap(pr.kattrs)])
 	pr.se.bw = nil
 	pr.h = nil
 }
@@ -352,6 +358,18 @@ type frame struct {
 	live   uint64        // projectors keeping every element on this path
 	state  int32         // dense content-model DFA state (when validating)
 	aut    *dtd.DenseDFA // the element's dense automaton
+}
+
+// openTag is the start tag the automaton is deciding: its element and
+// the projectors keeping it (K), set by head, and from keep on its
+// prefix, its attribute decisions, and canon, the keepers whose
+// rendering is still the raw span from the mark.
+type openTag struct {
+	sym      int32
+	info     *dtd.SymInfo
+	prefix   string
+	decl     []dtd.AttrProj
+	K, canon uint64
 }
 
 // projState is what one projector owns in a pass.
@@ -413,6 +431,11 @@ type pruner struct {
 	// emitted as a verbatim span.
 	runPending bool
 	textBuf    []byte
+
+	// tag is the start tag being decided; kattrs holds the attributes the
+	// tag kernel read of it.
+	tag    openTag
+	kattrs []Attr
 
 	attrBuf  []byte // shared canonical attr / escaped text / end-tag scratch
 	attrVal  []byte // decoded attribute value / discard scratch
@@ -570,19 +593,38 @@ func (pr *pruner) run() error {
 			continue
 		}
 		s.setMark()
-		b, ok := s.getc()
-		if !ok {
+		if s.pos == s.end && !s.fill() {
 			if !s.atEOF() {
 				return s.rerr
 			}
 			break
 		}
-		if b != '<' {
-			s.ungetc()
+		if s.buf[s.pos] != '<' {
 			if err := pr.chunk(false); err != nil {
 				return err
 			}
 			continue
+		}
+		s.pos++
+		// As in the walk: an end tag and a plain start tag (the tag
+		// kernel) are taken straight from the bytes, and whatever the
+		// kernel refuses, a second root included, goes through markup and
+		// startTag from the same byte.
+		if s.pos < s.end && s.buf[s.pos] == '/' {
+			s.pos++
+			if err := pr.endTag(); err != nil {
+				return err
+			}
+			continue
+		}
+		if !pr.opts.general && (len(pr.stack) > 0 || !pr.sawRoot) {
+			if name, attrs, empty, canon, ok := s.plainTag(pr.kattrs[:0]); ok {
+				pr.kattrs = attrs
+				if err := pr.plainStartTag(name, attrs, empty, canon); err != nil {
+					return err
+				}
+				continue
+			}
 		}
 		kind, err := s.markup()
 		if err != nil {
@@ -746,8 +788,11 @@ func (pr *pruner) intern(b []byte) string {
 	return p
 }
 
-// startTag handles a start (or empty-element) tag; the scanner mark is
-// at the '<' and the '<' is consumed.
+// startTag reads a start or empty-element tag the tag kernel refused the
+// long way; the mark is at its '<', which is consumed. Both readers end in
+// one decision: head resolves the tag and decides who keeps it, keep
+// starts the keepers' rendering, attribute decides each attribute and
+// element opens and emits the element, or discards it.
 func (pr *pruner) startTag() error {
 	s := pr.s
 	nameRel := s.pos - s.mark
@@ -761,6 +806,69 @@ func (pr *pruner) startTag() error {
 		// checking, in scan.Walk's words.
 		return fmt.Errorf("multiple root elements")
 	}
+	if pr.head(local) == 0 {
+		// Dead for every surviving projector: one skip pass over the tag
+		// and subtree. The root's end-tag name must still match, so copy
+		// the full name before attribute spans invalidate it.
+		if pr.alive == 0 {
+			return nil
+		}
+		pr.skipNames.push(name)
+		empty, err := pr.skipTag()
+		if err != nil {
+			return err
+		}
+		if !empty {
+			s.clearMark() // the tag is read: nothing in it is needed again
+			return pr.skipAll()
+		}
+		pr.skipNames.pop()
+		return nil
+	}
+	pr.keep(pr.intern(prefixB))
+	empty, err := pr.attrs()
+	if err != nil {
+		return err
+	}
+	return pr.element(nameRel, nameEndRel, empty)
+}
+
+// plainStartTag decides a start tag the kernel has read whole, so a
+// discarded one goes straight to the skip scan. Its attributes are handed
+// to attribute as the views the kernel made when canon, each at the offset
+// its spelling ` name="value"` puts it; a kept tag the kernel read
+// otherwise (single quotes, '>' in a value, an xmlns left out) has its
+// attributes read again the long way.
+func (pr *pruner) plainStartTag(name []byte, attrs []Attr, empty, canon bool) error {
+	if pr.head(name) == 0 {
+		if pr.alive == 0 || empty {
+			return nil
+		}
+		pr.skipNames.push(name)
+		pr.s.clearMark() // the tag is read: nothing in it is needed again
+		return pr.skipAll()
+	}
+	pr.keep("")
+	if canon {
+		at := 1 + len(name)
+		for _, a := range attrs {
+			pr.attribute(nil, a.Name, a.Value, at, true)
+			at += len(` =""`) + len(a.Name) + len(a.Value)
+		}
+	} else {
+		pr.s.pos = pr.s.mark + 1 + len(name)
+		var err error
+		if empty, err = pr.attrs(); err != nil {
+			return err
+		}
+	}
+	return pr.element(1, 1+len(name), empty)
+}
+
+// head counts a start tag whose name is read, ending the text run before
+// it, resolves its local part and steps the validating projectors'
+// content models, and returns K, the projectors that keep the element.
+func (pr *pruner) head(local []byte) uint64 {
 	pr.flushText()
 	pr.st.ElementsIn++
 	pr.sawRoot = true
@@ -777,221 +885,230 @@ func (pr *pruner) startTag() error {
 	for mk := pr.alive &^ P; mk != 0; mk &= mk - 1 {
 		pr.per[bits.TrailingZeros64(mk)].st.ElementsSkipped++
 	}
-	var info *dtd.SymInfo
-	var K uint64
 	sym, found := pr.p.Syms.Lookup(local)
 	if !found {
 		pr.kill(P, fmt.Errorf("element %q not declared in DTD", local))
-	} else {
-		info = pr.p.Syms.Info(sym)
-		if pr.opts.Validate && P != 0 {
-			var verr error
-			if len(pr.stack) == 0 {
-				if info.Name != pr.d.Root {
-					verr = fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root)
-				}
-			} else if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
-				// A child of the fragment's context element: its transition in
-				// the context DFA is replayed by the spine at the splice point.
-				pr.events = append(pr.events, sym)
+		return 0
+	}
+	info := pr.p.Syms.Info(sym)
+	if pr.opts.Validate && P != 0 {
+		var verr error
+		if len(pr.stack) == 0 {
+			if info.Name != pr.d.Root {
+				verr = fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root)
+			}
+		} else if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
+			// A child of the fragment's context element: its transition in
+			// the context DFA is replayed by the spine at the splice point.
+			pr.events = append(pr.events, sym)
+		} else {
+			// The parent's dense automaton takes the child transition
+			// with two array loads — no name hashing on the hot path.
+			top := &pr.stack[len(pr.stack)-1]
+			if next := top.aut.Next(top.state, sym); next < 0 {
+				verr = fmt.Errorf("element %s not allowed here in content of %s",
+					info.Name, pr.p.Syms.Info(top.sym).Name)
 			} else {
-				// The parent's dense automaton takes the child transition
-				// with two array loads — no name hashing on the hot path.
-				top := &pr.stack[len(pr.stack)-1]
-				if next := top.aut.Next(top.state, sym); next < 0 {
-					verr = fmt.Errorf("element %s not allowed here in content of %s",
-						info.Name, pr.p.Syms.Info(top.sym).Name)
-				} else {
-					top.state = next
-				}
-			}
-			if verr != nil {
-				pr.kill(P, verr)
+				top.state = next
 			}
 		}
-		K = P & pr.alive & pr.p.KeepElem(sym)
+		if verr != nil {
+			pr.kill(P, verr)
+		}
 	}
+	t := &pr.tag
+	t.sym, t.info, t.K = sym, info, P&pr.alive&pr.p.KeepElem(sym)
+	return t.K
+}
 
-	if K == 0 {
-		// Dead for every surviving projector: one skip pass over the tag
-		// and subtree. The root's end-tag name must still match, so copy
-		// the full name before attribute spans invalidate it.
-		if pr.alive == 0 {
-			return nil
-		}
-		pr.skipNames.push(name)
-		empty, err := pr.skipTag()
-		if err != nil {
-			return err
-		}
-		if !empty {
-			return pr.skipAll()
-		}
-		pr.skipNames.pop()
-		return nil
-	}
-
-	prefix := pr.intern(prefixB)
-	pr.closeOpen(K)
+// keep starts the rendering of a kept start tag, prefix its name's
+// prefix, interned. Rendering is lazy and masked: tag.canon holds the
+// keepers whose rendering so far is exactly the raw span from the mark,
+// so nothing is materialised for them — the bytes are emitted straight
+// from the scanner's buffer. At a projector's first deviation it is
+// demoted: the still-canonical head of the span is copied into its tag
+// buffer and kept attributes append canonically from there. Each
+// attribute is decided once; only the keep decisions differ across
+// projectors.
+func (pr *pruner) keep(prefix string) {
+	t := &pr.tag
+	t.prefix = prefix
+	pr.closeOpen(t.K)
 	if pr.h != nil {
 		pr.hvals, pr.hends = pr.hvals[:0], pr.hends[:0]
 	}
-
-	// Lazy tag rendering, masked: canonMask holds the keepers whose
-	// rendering so far is exactly the raw span from the mark, so nothing
-	// is materialised for them — the bytes are emitted straight from the
-	// scanner's buffer. At a projector's first deviation it is demoted:
-	// the still-canonical head of the span is copied into its tag buffer
-	// and kept attributes append canonically from there. The
-	// per-attribute parse runs once; only the keep decisions differ
-	// across projectors.
-	canonMask := K
-	if len(prefixB) != 0 {
+	t.canon = t.K
+	if prefix != "" {
 		// The prefix is dropped in canonical output, so no raw span was
 		// ever equal to any keeper's rendering.
-		canonMask = 0
-		for mk := K; mk != 0; mk &= mk - 1 {
+		t.canon = 0
+		for mk := t.K; mk != 0; mk &= mk - 1 {
 			pp := &pr.per[bits.TrailingZeros64(mk)]
-			pp.tagBuf = append(append(pp.tagBuf[:0], '<'), info.Tag...)
+			pp.tagBuf = append(append(pp.tagBuf[:0], '<'), t.info.Tag...)
 		}
 	}
-	demote := func(mask uint64, boundaryRel int) {
-		for mk := mask; mk != 0; mk &= mk - 1 {
-			pp := &pr.per[bits.TrailingZeros64(mk)]
-			pp.tagBuf = append(pp.tagBuf[:0], s.buf[s.mark:s.mark+boundaryRel]...)
-		}
-		canonMask &^= mask
-	}
-
-	decl := pr.p.Attrs(sym)
+	t.decl = pr.p.Attrs(t.sym)
 	if pr.opts.Validate {
-		if cap(pr.seen) < len(decl) {
-			pr.seen = make([]bool, len(decl))
+		if cap(pr.seen) < len(t.decl) {
+			pr.seen = make([]bool, len(t.decl))
 		}
-		pr.seen = pr.seen[:len(decl)]
+		pr.seen = pr.seen[:len(t.decl)]
 		for i := range pr.seen {
 			pr.seen[i] = false
 		}
 	}
-
-	empty := false
 	pr.spelt.reset()
 	pr.locals.on = false
+}
+
+// demote takes the projectors in mask off the raw span: each copies the
+// span's head, up to boundaryRel from the mark, into its tag buffer.
+func (pr *pruner) demote(mask uint64, boundaryRel int) {
+	s := pr.s
+	for mk := mask; mk != 0; mk &= mk - 1 {
+		pp := &pr.per[bits.TrailingZeros64(mk)]
+		pp.tagBuf = append(pp.tagBuf[:0], s.buf[s.mark:s.mark+boundaryRel]...)
+	}
+	pr.tag.canon &^= mask
+}
+
+// attrs reads the rest of a kept start tag the long way — each attribute,
+// which attribute decides, then '>' or "/>" — and reports whether the tag
+// was empty.
+func (pr *pruner) attrs() (empty bool, err error) {
+	s := pr.s
 	for {
 		preSpace := s.pos - s.mark
 		s.space()
 		spaceLen := (s.pos - s.mark) - preSpace
 		b, ok := s.getc()
 		if !ok {
-			return s.readErr()
+			return false, s.readErr()
 		}
 		if b == '/' || b == '>' {
-			if spaceLen != 0 && canonMask != 0 {
-				demote(canonMask, preSpace)
+			if spaceLen != 0 {
+				pr.demote(pr.tag.canon, preSpace)
 			}
 			if b == '>' {
-				break
+				return false, nil
 			}
 			b2, ok := s.getc()
 			if !ok {
-				return s.readErr()
+				return false, s.readErr()
 			}
 			if b2 != '>' {
-				return errSyntax("expected /> in element")
+				return false, errSyntax("expected /> in element")
 			}
-			empty = true
-			break
+			return true, nil
 		}
 		s.ungetc()
-		// attrCanon tracks whether this attribute's raw bytes (from
-		// preSpace) are already its canonical rendering — a projector-
-		// independent property of the input.
-		aprefix, alocal, val, attrCanon, err := s.attr(pr.attrVal[:0], &pr.spelt)
+		// canon tracks whether this attribute's raw bytes (from preSpace)
+		// are already its canonical rendering — a projector-independent
+		// property of the input.
+		aprefix, alocal, val, canon, err := s.attr(pr.attrVal[:0], &pr.spelt)
 		pr.attrVal = val
 		if err != nil {
-			return err
+			return false, err
 		}
 		if spaceLen != 1 || s.buf[s.mark+preSpace] != ' ' {
-			attrCanon = false
+			canon = false
 		}
-		api := -1
-		for i := range decl {
-			if string(alocal) == decl[i].Attr {
-				api = i
+		pr.attribute(aprefix, alocal, val, preSpace, canon)
+	}
+}
+
+// attribute decides one attribute of a kept start tag, read from
+// preSpace, the offset from the mark of the space before it, with the
+// value val decoded: it validates it for the keepers, and hands it to
+// the ones that keep it, on the raw span while canon says its bytes are
+// its rendering, appended to their tag buffers otherwise.
+func (pr *pruner) attribute(aprefix, alocal, val []byte, preSpace int, canon bool) {
+	t := &pr.tag
+	decl := t.decl
+	api := -1
+	for i := range decl {
+		if string(alocal) == decl[i].Attr {
+			api = i
+			break
+		}
+	}
+	if pr.opts.Validate && api >= 0 {
+		pr.seen[api] = true
+	}
+	if isXMLNSAttr(aprefix, alocal) {
+		pr.demote(t.canon, preSpace)
+		return
+	}
+	if pr.opts.Validate {
+		// Only the projectors keeping this element validate its
+		// attributes — a discarding one skips past them.
+		if vk := t.K & pr.alive; vk != 0 {
+			if api < 0 {
+				pr.kill(vk, fmt.Errorf("undeclared attribute %q on %s", alocal, t.info.Tag))
+			} else if ad := decl[api].Def; len(ad.Enum) > 0 && !inEnum(ad.Enum, val) {
+				pr.kill(vk, fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, t.info.Tag, val))
+			} else if ad.Fixed != "" && string(val) != ad.Fixed {
+				pr.kill(vk, fmt.Errorf("attribute %q on %s must have fixed value %q", alocal, t.info.Tag, ad.Fixed))
+			}
+		}
+	}
+	var keepMask uint64
+	if api >= 0 {
+		keepMask = decl[api].Keep
+	} else {
+		keepMask = pr.p.KeepExtraAttr(t.sym, alocal)
+	}
+	keepMask &= t.K
+	if keepMask != 0 && (len(aprefix) != 0 || pr.locals.on) {
+		if err := pr.keepLocal(t.info.Tag); err != nil {
+			pr.kill(keepMask, err)
+		}
+	}
+	if pr.h != nil && keepMask != 0 {
+		pr.handAttr(alocal, val)
+	}
+	// Keepers dropping this attribute can no longer ride the raw span,
+	// and nobody can when its raw bytes are not its canonical form.
+	dm := t.canon &^ keepMask
+	if !canon {
+		dm = t.canon
+	}
+	if dm != 0 {
+		pr.demote(dm, preSpace)
+	}
+	// Still-canonical keepers carry the attribute inside their raw span;
+	// the demoted ones get its canonical rendering appended (built once,
+	// shared).
+	if appendMask := keepMask &^ t.canon; appendMask != 0 {
+		pr.attrBuf = append(append(pr.attrBuf[:0], ' '), alocal...)
+		pr.attrBuf = append(pr.attrBuf, '=', '"')
+		pr.attrBuf = appendEscapedAttr(pr.attrBuf, val)
+		pr.attrBuf = append(pr.attrBuf, '"')
+		for mk := appendMask; mk != 0; mk &= mk - 1 {
+			pp := &pr.per[bits.TrailingZeros64(mk)]
+			pp.tagBuf = append(pp.tagBuf, pr.attrBuf...)
+		}
+	}
+}
+
+// element ends a kept start tag, read whole, its name at [nameRel,
+// nameEndRel) from the mark: it checks the required attributes, then
+// opens the element for the keepers left and emits the tag — the raw span
+// for the canonical ones, a tag buffer for the others, or the handler's
+// event — or, when every keeper died in the tag, discards it.
+func (pr *pruner) element(nameRel, nameEndRel int, empty bool) error {
+	s, t := pr.s, &pr.tag
+	info := t.info
+	if pr.opts.Validate && t.K&pr.alive != 0 {
+		for i := range t.decl {
+			if t.decl[i].Def.Required && !pr.seen[i] {
+				pr.kill(t.K, fmt.Errorf("missing required attribute %q on %s", t.decl[i].Def.Attr, info.Tag))
 				break
-			}
-		}
-		if pr.opts.Validate && api >= 0 {
-			pr.seen[api] = true
-		}
-		if isXMLNSAttr(aprefix, alocal) {
-			if canonMask != 0 {
-				demote(canonMask, preSpace)
-			}
-			continue
-		}
-		if pr.opts.Validate {
-			// Only the projectors keeping this element validate its
-			// attributes — a discarding one skips past them.
-			if vk := K & pr.alive; vk != 0 {
-				if api < 0 {
-					pr.kill(vk, fmt.Errorf("undeclared attribute %q on %s", alocal, info.Tag))
-				} else if ad := decl[api].Def; len(ad.Enum) > 0 && !inEnum(ad.Enum, pr.attrVal) {
-					pr.kill(vk, fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, info.Tag, pr.attrVal))
-				} else if ad.Fixed != "" && string(pr.attrVal) != ad.Fixed {
-					pr.kill(vk, fmt.Errorf("attribute %q on %s must have fixed value %q", alocal, info.Tag, ad.Fixed))
-				}
-			}
-		}
-		var keepMask uint64
-		if api >= 0 {
-			keepMask = decl[api].Keep
-		} else {
-			keepMask = pr.p.KeepExtraAttr(sym, alocal)
-		}
-		keepMask &= K
-		if keepMask != 0 && (len(aprefix) != 0 || pr.locals.on) {
-			if err := pr.keepLocal(info.Tag); err != nil {
-				pr.kill(keepMask, err)
-			}
-		}
-		if pr.h != nil && keepMask != 0 {
-			pr.handAttr(alocal, pr.attrVal)
-		}
-		// Keepers dropping this attribute can no longer ride the raw span,
-		// and nobody can when its raw bytes are not its canonical form.
-		dm := canonMask &^ keepMask
-		if !attrCanon {
-			dm = canonMask
-		}
-		if dm != 0 {
-			demote(dm, preSpace)
-		}
-		// Still-canonical keepers carry the attribute inside their raw
-		// span; the demoted ones get its canonical rendering appended
-		// (built once, shared).
-		if appendMask := keepMask &^ canonMask; appendMask != 0 {
-			pr.attrBuf = append(append(pr.attrBuf[:0], ' '), alocal...)
-			pr.attrBuf = append(pr.attrBuf, '=', '"')
-			pr.attrBuf = appendEscapedAttr(pr.attrBuf, pr.attrVal)
-			pr.attrBuf = append(pr.attrBuf, '"')
-			for mk := appendMask; mk != 0; mk &= mk - 1 {
-				pp := &pr.per[bits.TrailingZeros64(mk)]
-				pp.tagBuf = append(pp.tagBuf, pr.attrBuf...)
 			}
 		}
 	}
 
-	if pr.opts.Validate && K&pr.alive != 0 {
-		for i := range decl {
-			if decl[i].Def.Required && !pr.seen[i] {
-				pr.kill(K, fmt.Errorf("missing required attribute %q on %s", decl[i].Def.Attr, info.Tag))
-				break
-			}
-		}
-	}
-
-	K &= pr.alive
+	K := t.K & pr.alive
 	if K == 0 {
 		// Every keeper died mid-tag. The tag is already consumed; the
 		// content, if any, is dead for whoever is left.
@@ -1008,7 +1125,7 @@ func (pr *pruner) startTag() error {
 	if pr.opts.Validate {
 		aut = info.Dense
 	}
-	pr.stack = append(pr.stack, frame{sym: sym, prefix: prefix, live: K, aut: aut})
+	pr.stack = append(pr.stack, frame{sym: t.sym, prefix: t.prefix, live: K, aut: aut})
 	depth := len(pr.stack)
 	// A projector in K is, by the live-set prefix property, live in
 	// every frame below — so this shared depth is its own depth.
@@ -1018,6 +1135,7 @@ func (pr *pruner) startTag() error {
 		}
 	}
 
+	canonMask := t.canon
 	if empty {
 		// The decoder synthesizes the end element immediately.
 		if pr.opts.Validate && !aut.Accepting(aut.Start()) {

@@ -312,13 +312,13 @@ func isNameByte(c byte) bool {
 // Anything else is left, nothing consumed, for readName, checkName and
 // splitName to take from this byte.
 func (s *Scanner) plainName() bool {
-	i := s.pos
-	if i == s.end || class[s.buf[i]]&cNameStart == 0 {
+	buf, i := s.buf[:s.end], s.pos
+	if i >= len(buf) || class[buf[i]]&cNameStart == 0 {
 		return false
 	}
-	for i++; i < s.end && class[s.buf[i]]&cName != 0; i++ {
+	for i++; i < len(buf) && class[buf[i]]&cName != 0; i++ {
 	}
-	if i == s.end || isNameByte(s.buf[i]) {
+	if i == len(buf) || isNameByte(buf[i]) {
 		return false
 	}
 	s.pos = i
@@ -1154,24 +1154,27 @@ func errRepeatedAttr(name []byte) error {
 // most speltLinear attributes, no name repeated. It returns the tag's
 // name and appends its attributes to attrs, all views of the buffer,
 // leaving out the namespace declaration xmlns as isXMLNSAttr does.
-// Anything else is refused, nothing consumed, for markup, qname and attr
-// to take from the same byte.
-func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, ok bool) {
+// canon reports that the tag is spelt as the pruner renders it with every
+// attribute kept: each value in double quotes with no '>' in it, and no
+// xmlns left out. Anything else is refused, nothing consumed, for markup,
+// qname and attr to take from the same byte.
+func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, canon, ok bool) {
 	start, out := s.pos, attrs
 	if !s.plainName() {
-		return nil, attrs, false, false
+		return nil, attrs, false, false, false
 	}
 	name = s.buf[start:s.pos]
 	xmlns := false
+	canon = true
 	for s.pos+1 < s.end {
 		switch s.buf[s.pos] {
 		case '>':
 			s.pos++
-			return name, out, false, true
+			return name, out, false, canon && !xmlns, true
 		case '/':
 			if s.buf[s.pos+1] == '>' {
 				s.pos += 2
-				return name, out, true, true
+				return name, out, true, canon && !xmlns, true
 			}
 		case ' ':
 			s.pos++
@@ -1184,10 +1187,11 @@ func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, ok boo
 				break
 			}
 			s.pos += 2
-			val, _, plain := s.plainChunk(int(q))
+			val, info, plain := s.plainChunk(int(q))
 			if !plain {
 				break
 			}
+			canon = canon && q == '"' && info.verbatim
 			if isXMLNSAttr(nil, aname) {
 				if !xmlns {
 					xmlns = true
@@ -1205,7 +1209,7 @@ func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, ok boo
 		break
 	}
 	s.pos = start
-	return nil, attrs, false, false
+	return nil, attrs, false, false, false
 }
 
 // repeated reports whether name is one of attrs' names.

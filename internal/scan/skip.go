@@ -198,8 +198,7 @@ func (pr *pruner) skipScan() error {
 			}
 			continue
 		}
-		b, ok := s.getc()
-		if !ok {
+		if s.pos == s.end && !s.fill() {
 			switch {
 			case !s.atEOF():
 			case frag:
@@ -217,8 +216,7 @@ func (pr *pruner) skipScan() error {
 			}
 			return s.readErr()
 		}
-		if b != '<' {
-			s.ungetc()
+		if s.buf[s.pos] != '<' {
 			_, info, ok := s.plainChunk(-1)
 			if !ok {
 				var err error
@@ -231,9 +229,30 @@ func (pr *pruner) skipScan() error {
 			}
 			continue
 		}
-		kind, err := s.markup()
-		if err != nil {
-			return err
+		s.pos++
+		// An end tag is taken straight from the bytes, and so is a plain
+		// start tag, read whole by the tag kernel, which checks all the
+		// long way would; whatever it refuses goes through markup.
+		kind, err := markupEnd, error(nil)
+		if s.pos < s.end && s.buf[s.pos] == '/' {
+			s.pos++
+		} else {
+			if !pr.opts.general {
+				if name, attrs, empty, _, ok := s.plainTag(pr.kattrs[:0]); ok {
+					pr.kattrs = attrs
+					s.clearMark() // what pinned the discarded element's tag
+					flush()
+					pr.st.ElementsIn++
+					pr.st.ElementsSkipped++
+					if !empty {
+						pr.skipNames.push(name)
+					}
+					continue
+				}
+			}
+			if kind, err = s.markup(); err != nil {
+				return err
+			}
 		}
 		switch kind {
 		case markupEnd:

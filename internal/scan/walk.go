@@ -102,7 +102,7 @@ func (w *walker) run() error {
 		}
 		// A second root goes the long way, which reports it.
 		if !w.general && (len(w.open) > 0 || !w.sawRoot) {
-			if name, attrs, empty, ok := s.plainTag(w.attrs[:0]); ok {
+			if name, attrs, empty, _, ok := s.plainTag(w.attrs[:0]); ok {
 				w.attrs = attrs
 				w.element(name, name, attrs, empty)
 				continue

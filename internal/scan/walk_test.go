@@ -35,7 +35,7 @@ func TestTagKernelRefuses(t *testing.T) {
 			s := new(Scanner)
 			s.ResetBytes([]byte(src + "t"))
 			s.pos = 1 // past the '<'
-			name, attrs, empty, ok := s.plainTag(nil)
+			name, attrs, empty, _, ok := s.plainTag(nil)
 			switch {
 			case !ok && k == len(tag) && slices.Contains(plain, tag):
 				t.Errorf("%q: refused a plain tag", src)
