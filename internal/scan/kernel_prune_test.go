@@ -35,8 +35,9 @@ const kernelGrammar = `<!ELEMENT r (#PCDATA | a | a.b-c_9)*>
 
 // TestPruneTagKernelMatchesGeneralPath: on every scantest.KernelDocs
 // document with the kernel grammar's root, low, mid and full projectors,
-// and on an XMark document with the benchmark's, the pruner with its tag
-// kernel is the pruner without.
+// on a grammar that requires xmlns, and on an XMark document with the
+// benchmark's projectors, the pruner with its tag kernel is the pruner
+// without.
 func TestPruneTagKernelMatchesGeneralPath(t *testing.T) {
 	d := dtd.MustParseString(kernelGrammar, "r")
 	kpis := []dtd.NameSet{
@@ -47,6 +48,13 @@ func TestPruneTagKernelMatchesGeneralPath(t *testing.T) {
 	}
 	for _, doc := range scantest.KernelDocs() {
 		kernelAgrees(t, []byte(doc), d, kpis)
+	}
+	// A grammar may declare xmlns, which the output drops, #REQUIRED: the
+	// kernel hands the declaration to the pruner for it to be seen.
+	nd := dtd.MustParseString(`<!ELEMENT r (a*)> <!ELEMENT a EMPTY>
+<!ATTLIST a xmlns CDATA #REQUIRED x CDATA #IMPLIED>`, "r")
+	for _, doc := range []string{`<r><a xmlns="u" x="1"/></r>`, `<r><a x='1' xmlns="u"/></r>`, `<r><a x="1"/></r>`} {
+		kernelAgrees(t, []byte(doc), nd, []dtd.NameSet{dtd.NewNameSet("r", "a", "a@x"), dtd.NewNameSet(nd.Names()...)})
 	}
 	xd := xmark.DTD()
 	var xdoc bytes.Buffer

@@ -347,6 +347,13 @@ func (pr *pruner) release() {
 	pr.d, pr.p = nil, nil
 	pr.tag = openTag{}
 	clear(pr.kattrs[:cap(pr.kattrs)])
+	// The long way's scratch is dropped once a wide tag has grown it, as
+	// Reset drops a buffer a long token grew: a pooled pruner does not
+	// keep memory in proportion to the widest tag it has read.
+	if cap(pr.ltag.seen.at) > 2*8*speltLinear {
+		pr.ltag = tagAttrs{}
+	}
+	clear(pr.ltag.attrs[:cap(pr.ltag.attrs)])
 	pr.se.bw = nil
 	pr.h = nil
 }
@@ -433,15 +440,15 @@ type pruner struct {
 	textBuf    []byte
 
 	// tag is the start tag being decided; kattrs holds the attributes the
-	// tag kernel read of it.
+	// tag kernel read of it, ltag what the long way read of it, or of a
+	// discarded tag under Validate.
 	tag    openTag
 	kattrs []Attr
+	ltag   tagAttrs
 
 	attrBuf  []byte // shared canonical attr / escaped text / end-tag scratch
-	attrVal  []byte // decoded attribute value / discard scratch
+	skipText []byte // text the skip scan decodes and drops
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
-	spelt    spelt  // the attribute names of the tag being read
-	skipAttr []byte // a discarded tag's attribute names, for spelt (skipAttrs)
 	// locals is the local parts of the tag's attribute names, recorded
 	// from its first kept prefixed attribute on (keepLocal).
 	locals struct {
@@ -608,8 +615,8 @@ func (pr *pruner) run() error {
 		s.pos++
 		// As in the walk: an end tag and a plain start tag (the tag
 		// kernel) are taken straight from the bytes, and whatever the
-		// kernel refuses, a second root included, goes through markup and
-		// startTag from the same byte.
+		// kernel refuses, a second root included, goes through markup from
+		// the same byte; every start tag is decided by startTag.
 		if s.pos < s.end && s.buf[s.pos] == '/' {
 			s.pos++
 			if err := pr.endTag(); err != nil {
@@ -618,9 +625,9 @@ func (pr *pruner) run() error {
 			continue
 		}
 		if !pr.opts.general && (len(pr.stack) > 0 || !pr.sawRoot) {
-			if name, attrs, empty, canon, ok := s.plainTag(pr.kattrs[:0]); ok {
+			if name, attrs, empty, canon, ok := s.plainTag(pr.kattrs[:0], true); ok {
 				pr.kattrs = attrs
-				if err := pr.plainStartTag(name, attrs, empty, canon); err != nil {
+				if err := pr.startTag(name, attrs, empty, canon); err != nil {
 					return err
 				}
 				continue
@@ -632,7 +639,7 @@ func (pr *pruner) run() error {
 		}
 		switch kind {
 		case markupStart:
-			err = pr.startTag()
+			err = pr.startTag(nil, nil, false, false)
 		case markupEnd:
 			err = pr.endTag()
 		case markupCDATA:
@@ -788,81 +795,78 @@ func (pr *pruner) intern(b []byte) string {
 	return p
 }
 
-// startTag reads a start or empty-element tag the tag kernel refused the
-// long way; the mark is at its '<', which is consumed. Both readers end in
-// one decision: head resolves the tag and decides who keeps it, keep
-// starts the keepers' rendering, attribute decides each attribute and
-// element opens and emits the element, or discards it.
-func (pr *pruner) startTag() error {
+// startTag is the automaton's one entry for a start tag; the mark is at
+// its '<'. Of a plain tag the kernel has read name, attrs (views, each
+// spelt ` name="value"` behind the last when canon), whether it is empty
+// and canon, that it is spelt as it is rendered. Of any other name is nil,
+// and the long way reads it here: the name, then the rest once head has
+// said who keeps the tag — pinned, for attribute to decide, or, when no
+// one does, by skipTag. Both end in one decision: head resolves the tag
+// and decides who keeps it, keep starts the keepers' rendering, attribute
+// decides each attribute and element opens and emits the element, or
+// discards it.
+func (pr *pruner) startTag(name []byte, attrs []Attr, empty, canon bool) error {
 	s := pr.s
-	nameRel := s.pos - s.mark
-	name, prefixB, local, err := s.qname("element name after <")
-	if err != nil {
-		return err
-	}
-	nameEndRel := s.pos - s.mark
-	if len(pr.stack) == 0 && pr.sawRoot {
-		// A well-formedness error, so the whole pass's at both levels of
-		// checking, in scan.Walk's words.
-		return fmt.Errorf("multiple root elements")
-	}
-	if pr.head(local) == 0 {
-		// Dead for every surviving projector: one skip pass over the tag
-		// and subtree. The root's end-tag name must still match, so copy
-		// the full name before attribute spans invalidate it.
-		if pr.alive == 0 {
-			return nil
-		}
-		pr.skipNames.push(name)
-		empty, err := pr.skipTag()
-		if err != nil {
+	kernel, prefix, local := name != nil, []byte(nil), name
+	if !kernel {
+		var err error
+		if name, prefix, local, err = s.qname("element name after <"); err != nil {
 			return err
 		}
-		if !empty {
-			s.clearMark() // the tag is read: nothing in it is needed again
-			return pr.skipAll()
+		if len(pr.stack) == 0 && pr.sawRoot {
+			// A well-formedness error, so the whole pass's at both levels of
+			// checking, in scan.Walk's words.
+			return fmt.Errorf("multiple root elements")
 		}
-		pr.skipNames.pop()
-		return nil
 	}
-	pr.keep(pr.intern(prefixB))
-	empty, err := pr.attrs()
-	if err != nil {
-		return err
-	}
-	return pr.element(nameRel, nameEndRel, empty)
-}
-
-// plainStartTag decides a start tag the kernel has read whole, so a
-// discarded one goes straight to the skip scan. Its attributes are handed
-// to attribute as the views the kernel made when canon, each at the offset
-// its spelling ` name="value"` puts it; a kept tag the kernel read
-// otherwise (single quotes, '>' in a value, an xmlns left out) has its
-// attributes read again the long way.
-func (pr *pruner) plainStartTag(name []byte, attrs []Attr, empty, canon bool) error {
-	if pr.head(name) == 0 {
+	if pr.head(local) == 0 {
+		// Dead for every surviving projector: one skip pass over the rest
+		// of the tag and the subtree. The name is copied before the rest of
+		// the tag moves the buffer; the root's end tag must match it.
 		if pr.alive == 0 || empty {
 			return nil
 		}
 		pr.skipNames.push(name)
-		pr.s.clearMark() // the tag is read: nothing in it is needed again
+		if !kernel {
+			var err error
+			if empty, err = pr.skipTag(); err != nil {
+				return err
+			}
+			if empty {
+				pr.skipNames.pop()
+				return nil
+			}
+		}
+		s.clearMark() // the tag is read: nothing in it is needed again
 		return pr.skipAll()
 	}
-	pr.keep("")
-	if canon {
+	pr.keep(pr.intern(prefix))
+	if kernel {
+		// A tag not spelt as rendered is rendered from its first attribute.
+		if !canon {
+			pr.demote(pr.tag.canon, 1+len(name))
+		}
 		at := 1 + len(name)
-		for _, a := range attrs {
-			pr.attribute(nil, a.Name, a.Value, at, true)
+		for i, a := range attrs {
+			pr.attribute(i, nil, a.Name, a.Value, at, true)
 			at += len(` =""`) + len(a.Name) + len(a.Value)
 		}
-	} else {
-		pr.s.pos = pr.s.mark + 1 + len(name)
-		var err error
-		if empty, err = pr.attrs(); err != nil {
-			return err
-		}
+		return pr.element(len(name), empty)
 	}
-	return pr.element(1, 1+len(name), empty)
+	empty, err := s.longTag(&pr.ltag, true)
+	// The attributes read are decided before an error that ended the tag:
+	// alone, a projector that fails on one of them stops there.
+	for i := range pr.ltag.attrs {
+		a := &pr.ltag.attrs[i]
+		pr.attribute(i, a.prefix, a.Name, a.Value, a.at, a.canon)
+	}
+	if err != nil {
+		return err
+	}
+	if pr.ltag.tail >= 0 {
+		pr.demote(pr.tag.canon, pr.ltag.tail)
+	}
+	return pr.element(len(name), empty)
 }
 
 // head counts a start tag whose name is read, ending the text run before
@@ -957,7 +961,6 @@ func (pr *pruner) keep(prefix string) {
 			pr.seen[i] = false
 		}
 	}
-	pr.spelt.reset()
 	pr.locals.on = false
 }
 
@@ -972,57 +975,12 @@ func (pr *pruner) demote(mask uint64, boundaryRel int) {
 	pr.tag.canon &^= mask
 }
 
-// attrs reads the rest of a kept start tag the long way — each attribute,
-// which attribute decides, then '>' or "/>" — and reports whether the tag
-// was empty.
-func (pr *pruner) attrs() (empty bool, err error) {
-	s := pr.s
-	for {
-		preSpace := s.pos - s.mark
-		s.space()
-		spaceLen := (s.pos - s.mark) - preSpace
-		b, ok := s.getc()
-		if !ok {
-			return false, s.readErr()
-		}
-		if b == '/' || b == '>' {
-			if spaceLen != 0 {
-				pr.demote(pr.tag.canon, preSpace)
-			}
-			if b == '>' {
-				return false, nil
-			}
-			b2, ok := s.getc()
-			if !ok {
-				return false, s.readErr()
-			}
-			if b2 != '>' {
-				return false, errSyntax("expected /> in element")
-			}
-			return true, nil
-		}
-		s.ungetc()
-		// canon tracks whether this attribute's raw bytes (from preSpace)
-		// are already its canonical rendering — a projector-independent
-		// property of the input.
-		aprefix, alocal, val, canon, err := s.attr(pr.attrVal[:0], &pr.spelt)
-		pr.attrVal = val
-		if err != nil {
-			return false, err
-		}
-		if spaceLen != 1 || s.buf[s.mark+preSpace] != ' ' {
-			canon = false
-		}
-		pr.attribute(aprefix, alocal, val, preSpace, canon)
-	}
-}
-
-// attribute decides one attribute of a kept start tag, read from
+// attribute decides the i-th attribute of a kept start tag, read from
 // preSpace, the offset from the mark of the space before it, with the
 // value val decoded: it validates it for the keepers, and hands it to
 // the ones that keep it, on the raw span while canon says its bytes are
 // its rendering, appended to their tag buffers otherwise.
-func (pr *pruner) attribute(aprefix, alocal, val []byte, preSpace int, canon bool) {
+func (pr *pruner) attribute(i int, aprefix, alocal, val []byte, preSpace int, canon bool) {
 	t := &pr.tag
 	decl := t.decl
 	api := -1
@@ -1060,7 +1018,7 @@ func (pr *pruner) attribute(aprefix, alocal, val []byte, preSpace int, canon boo
 	}
 	keepMask &= t.K
 	if keepMask != 0 && (len(aprefix) != 0 || pr.locals.on) {
-		if err := pr.keepLocal(t.info.Tag); err != nil {
+		if err := pr.keepLocal(t.info.Tag, i); err != nil {
 			pr.kill(keepMask, err)
 		}
 	}
@@ -1091,12 +1049,12 @@ func (pr *pruner) attribute(aprefix, alocal, val []byte, preSpace int, canon boo
 	}
 }
 
-// element ends a kept start tag, read whole, its name at [nameRel,
-// nameEndRel) from the mark: it checks the required attributes, then
+// element ends a kept start tag, read whole, its name n bytes after the
+// mark's '<': it checks the required attributes, then
 // opens the element for the keepers left and emits the tag — the raw span
 // for the canonical ones, a tag buffer for the others, or the handler's
 // event — or, when every keeper died in the tag, discards it.
-func (pr *pruner) element(nameRel, nameEndRel int, empty bool) error {
+func (pr *pruner) element(n int, empty bool) error {
 	s, t := pr.s, &pr.tag
 	info := t.info
 	if pr.opts.Validate && t.K&pr.alive != 0 {
@@ -1115,7 +1073,7 @@ func (pr *pruner) element(nameRel, nameEndRel int, empty bool) error {
 		if pr.alive == 0 || empty {
 			return nil
 		}
-		pr.skipNames.push(s.buf[s.mark+nameRel : s.mark+nameEndRel])
+		pr.skipNames.push(s.buf[s.mark+1 : s.mark+1+n])
 		return pr.skipAll()
 	}
 
@@ -1169,28 +1127,29 @@ func (pr *pruner) element(nameRel, nameEndRel int, empty bool) error {
 	return nil
 }
 
-// keepLocal records the local part of the attribute just read, which a
-// projector keeps, and reports one the tag has already: the output drops
-// prefixes, so p:x beside x or q:x, which XML allows, would be written as
-// one name twice. Whether an attribute is kept depends on its local part
-// only, so the earlier one is kept too. Nothing is recorded until the tag's
-// first kept prefixed attribute, where every name before it is.
-func (pr *pruner) keepLocal(tag string) error {
-	s, l := pr.s, &pr.locals
-	from := len(pr.spelt.at) - 2
+// keepLocal records the local part of the i-th attribute of a tag the
+// long way read, which a projector keeps, and reports one the tag has
+// already: the output drops prefixes, so p:x beside x or q:x, which XML
+// allows, would be written as one name twice. Whether an attribute is kept
+// depends on its local part only, so the earlier one is kept too. Nothing
+// is recorded until the tag's first kept prefixed attribute, where every
+// name before it is.
+func (pr *pruner) keepLocal(tag string, i int) error {
+	s, l, at := pr.s, &pr.locals, pr.ltag.seen.at
+	from := 2 * i
 	if !l.on {
 		l.on, from = true, 0
 		l.reset()
 	}
-	for i := from; i < len(pr.spelt.at); i += 2 {
-		lo, hi := pr.spelt.at[i], pr.spelt.at[i+1]
+	for k := from; k <= 2*i; k += 2 {
+		lo, hi := at[k], at[k+1]
 		prefix, local, _ := splitName(s.buf[s.mark+lo : s.mark+hi])
 		if isXMLNSAttr(prefix, local) {
 			continue
 		}
 		// Before the current one, names can repeat only among dropped
 		// attributes, where nothing is written twice.
-		if l.add(s.buf[s.mark:], hi-len(local), hi) != nil && i == len(pr.spelt.at)-2 {
+		if l.add(s.buf[s.mark:], hi-len(local), hi) != nil && k == 2*i {
 			return errSyntax("two attributes named " + string(local) + " on " + tag + " differ only by prefix, which the projection drops")
 		}
 	}

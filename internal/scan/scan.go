@@ -285,17 +285,18 @@ func errSyntax(msg string) error { return fmt.Errorf("XML syntax error: %s", msg
 
 // space skips the tag-level whitespace set (space, CR, LF, tab) —
 // exactly encoding/xml's space(), which is narrower than Unicode
-// whitespace.
-func (s *Scanner) space() {
+// whitespace — and reports whether it skipped any.
+func (s *Scanner) space() (skipped bool) {
 	for {
 		b, ok := s.getc()
 		if !ok {
-			return
+			return skipped
 		}
 		if b != ' ' && b != '\r' && b != '\n' && b != '\t' {
 			s.ungetc()
-			return
+			return skipped
 		}
+		skipped = true
 	}
 }
 
@@ -1053,8 +1054,7 @@ func (s *Scanner) endName() (name, prefix, local []byte, spaced bool, err error)
 		return nil, nil, nil, false, errSyntax("expected element name after </")
 	}
 	end := s.pos - s.mark
-	s.space()
-	spaced = s.pos-s.mark != end
+	spaced = s.space()
 	b, ok := s.getc()
 	if !ok {
 		return nil, nil, nil, false, s.readErr()
@@ -1152,13 +1152,14 @@ func errRepeatedAttr(name []byte) error {
 // plainName, then per attribute exactly one space, a plainName, '=', a
 // quote and a value plainChunk takes whole, then '>' or "/>" — with at
 // most speltLinear attributes, no name repeated. It returns the tag's
-// name and appends its attributes to attrs, all views of the buffer,
-// leaving out the namespace declaration xmlns as isXMLNSAttr does.
-// canon reports that the tag is spelt as the pruner renders it with every
-// attribute kept: each value in double quotes with no '>' in it, and no
-// xmlns left out. Anything else is refused, nothing consumed, for markup,
-// qname and attr to take from the same byte.
-func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, canon, ok bool) {
+// name and appends its attributes to attrs, all views of the buffer; the
+// namespace declaration xmlns is among them when ns is set, and left out,
+// as isXMLNSAttr leaves it, otherwise. canon reports that the tag is spelt
+// as the pruner renders it with every attribute kept: each value in double
+// quotes with no '>' in it, and no xmlns. Anything else is refused,
+// nothing consumed, for markup, qname and longTag to take from the same
+// byte.
+func (s *Scanner) plainTag(attrs []Attr, ns bool) (name []byte, out []Attr, empty, canon, ok bool) {
 	start, out := s.pos, attrs
 	if !s.plainName() {
 		return nil, attrs, false, false, false
@@ -1193,11 +1194,12 @@ func (s *Scanner) plainTag(attrs []Attr) (name []byte, out []Attr, empty, canon,
 			}
 			canon = canon && q == '"' && info.verbatim
 			if isXMLNSAttr(nil, aname) {
-				if !xmlns {
-					xmlns = true
+				if xmlns {
+					break
+				}
+				if xmlns = true; !ns {
 					continue
 				}
-				break
 			}
 			// A wider tag goes the long way, where spelt indexes its names.
 			if took := out[len(attrs):]; len(took) == speltLinear || repeated(took, aname) {
@@ -1222,73 +1224,128 @@ func repeated(attrs []Attr, name []byte) bool {
 	return false
 }
 
-// attr tokenises one attribute — name, '=', quoted value — with the
-// scanner on the name's first byte and a mark held at or before it,
-// pinning the tag; a name the tag has spelt already (seen) is an error.
-// The decoded value is appended to val. prefix and local are the split
-// name, views of the buffer valid until the next read (they are sliced
-// again after the value, whose decode may slide the buffer). canon
-// reports that the attribute's input bytes are already its canonical
-// rendering local="value": no prefix, nothing around the '=', double
-// quotes and a verbatim value.
-func (s *Scanner) attr(val []byte, seen *spelt) (prefix, local, out []byte, canon bool, err error) {
-	out = val
-	nameRel := s.pos - s.mark
-	plain := s.plainName()
-	if !plain {
-		ok, rerr := s.readName()
-		switch name := s.buf[s.mark+nameRel : s.pos]; {
-		case rerr != nil:
-			return nil, nil, out, false, rerr
-		case !ok:
-			return nil, nil, out, false, errSyntax("expected attribute name in element")
-		case !s.checkName(name):
-			return nil, nil, out, false, errSyntax("invalid XML name: " + string(name))
+// tagAttrs is what longTag reads of a start tag, and its scratch.
+type tagAttrs struct {
+	// attrs is each attribute read of a pinned tag, in input order,
+	// namespace declarations included.
+	attrs []longAttr
+	vals  []byte // the values of attrs, decoded, end to end; unpinned, scratch
+	names []byte // unpinned: the names read, end to end, for seen
+	seen  spelt
+	// tail is the offset from the mark of the space before '>' or "/>",
+	// -1 when there is none.
+	tail int
+}
+
+// longAttr is one attribute as longTag reads it: its local part and
+// decoded value, and its prefix, views valid until the next read; at, the
+// offset from the mark of the space before it; canon, that its input
+// bytes are its rendering ` local="value"`: one space before it, no
+// prefix, nothing around the '=', double quotes and a verbatim value.
+type longAttr struct {
+	Attr
+	prefix []byte
+	at     int
+	canon  bool
+	end    int // where the value ends in vals
+}
+
+// longTag reads the rest of a start tag the kernel refused, after the name
+// qname read — each attribute (name, '=', quoted value), then '>' or "/>" —
+// and reports whether the tag was empty; a name the tag has spelt already
+// is an error. Pinned, a mark is held at the tag's '<' and stays there, and
+// t.attrs gets each attribute read, also when an error ends the tag, so
+// that a caller deciding them puts its own verdicts before that error.
+// Unpinned, for a tag nothing is kept of, only each name is pinned while it
+// is read, and copied out for the repeat check, and the values are decoded
+// into scratch and dropped: a value of any size streams.
+func (s *Scanner) longTag(t *tagAttrs, pinned bool) (empty bool, err error) {
+	t.attrs, t.vals, t.names, t.tail = t.attrs[:0], t.vals[:0], t.names[:0], -1
+	t.seen.reset()
+	for {
+		at := s.pos - s.mark
+		spaced := s.space()
+		b, ok := s.getc()
+		if !ok {
+			err = s.readErr()
+			break
+		}
+		if b == '>' || b == '/' {
+			if spaced {
+				t.tail = at
+			}
+			if b == '/' {
+				if b, ok = s.getc(); !ok {
+					err = s.readErr()
+				} else if b != '>' {
+					err = errSyntax("expected /> in element")
+				}
+				empty = true
+			}
+			break
+		}
+		s.ungetc()
+		if !pinned {
+			s.setMark()
+		}
+		rel := s.pos - s.mark
+		var name, prefix []byte
+		if name, prefix, _, err = s.qname("attribute name in element"); err != nil {
+			break
+		}
+		if pinned {
+			err = t.seen.add(s.buf[s.mark:], rel, rel+len(name))
+		} else {
+			lo := len(t.names)
+			t.names = append(t.names, name...)
+			err = t.seen.add(t.names, lo, len(t.names))
+			s.clearMark()
+		}
+		if err != nil {
+			break
+		}
+		canon := pinned && rel == at+1 && s.buf[s.mark+at] == ' ' && len(prefix) == 0
+		canon = !s.space() && canon
+		if b, ok = s.getc(); !ok {
+			err = s.readErr()
+			break
+		}
+		if b != '=' {
+			err = errSyntax("attribute name without = in element")
+			break
+		}
+		canon = !s.space() && canon
+		q, ok := s.getc()
+		if !ok {
+			err = s.readErr()
+			break
+		}
+		if q != '"' && q != '\'' {
+			err = errSyntax("unquoted or missing attribute value in element")
+			break
+		}
+		if !pinned {
+			t.vals = t.vals[:0]
+		}
+		chunk, info, plain := s.plainChunk(int(q))
+		if !plain {
+			if t.vals, info, err = s.text(t.vals, int(q), false); err != nil {
+				break
+			}
+		} else if pinned {
+			t.vals = append(t.vals, chunk...)
+		}
+		if pinned {
+			t.attrs = append(t.attrs, longAttr{at: at, end: len(t.vals), canon: canon && q == '"' && info.verbatim})
 		}
 	}
-	nameEnd := s.pos - s.mark
-	local = s.buf[s.mark+nameRel : s.mark+nameEnd]
-	if !plain {
-		var ok bool
-		if prefix, local, ok = splitName(local); !ok {
-			return nil, nil, out, false, errSyntax("expected attribute name in element")
-		}
+	// The values' decode may have slid the buffer under the names, which
+	// are sliced once the tag is read.
+	off := 0
+	for i := range t.attrs {
+		a := &t.attrs[i]
+		a.prefix, a.Name, _ = splitName(s.buf[s.mark+t.seen.at[2*i] : s.mark+t.seen.at[2*i+1]])
+		a.Value, off = t.vals[off:a.end], a.end
 	}
-	if err = seen.add(s.buf[s.mark:], nameRel, nameEnd); err != nil {
-		return nil, nil, out, false, err
-	}
-	prefixLen, localLen := len(prefix), len(local)
-	s.space()
-	spaced := s.pos-s.mark != nameEnd
-	b, ok := s.getc()
-	if !ok {
-		err = s.readErr()
-		return
-	}
-	if b != '=' {
-		err = errSyntax("attribute name without = in element")
-		return
-	}
-	eqEnd := s.pos - s.mark
-	s.space()
-	spaced = spaced || s.pos-s.mark != eqEnd
-	qb, ok := s.getc()
-	if !ok {
-		err = s.readErr()
-		return
-	}
-	if qb != '"' && qb != '\'' {
-		err = errSyntax("unquoted or missing attribute value in element")
-		return
-	}
-	chunk, info, ok := s.plainChunk(int(qb))
-	if ok {
-		out = append(val, chunk...)
-	} else if out, info, err = s.text(val, int(qb), false); err != nil {
-		return nil, nil, out, false, err
-	}
-	// The value's decode may have slid the buffer under the name.
-	prefix = s.buf[s.mark+nameRel : s.mark+nameRel+prefixLen]
-	local = s.buf[s.mark+nameEnd-localLen : s.mark+nameEnd]
-	return prefix, local, out, !spaced && qb == '"' && info.verbatim && prefixLen == 0, nil
+	return empty, err
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -356,7 +357,7 @@ func TestDiscardedTextStreamsThrough(t *testing.T) {
 // TestDiscardedTagTooLong: without Validate a tag inside a discarded
 // subtree is pinned at its '<' while it is read, so the token cap bounds
 // it exactly as it bounds a kept one. With Validate only an attribute's
-// name is pinned (skipAttrs compares copies of the names), so a value
+// name is pinned (longTag, unpinned, compares copies of the names), so a value
 // longer than the cap streams through.
 func TestDiscardedTagTooLong(t *testing.T) {
 	d, p := setup(t, dtd.NewNameSet("bib", "book", "title", "title#text", "book@isbn"))
@@ -383,6 +384,92 @@ func TestDiscardedTagTooLong(t *testing.T) {
 				if err := prune(2*defaultBufSize, true); err != nil {
 					t.Errorf("%s, chunk %d, validate=true: the value did not stream: %v", name, chunk, err)
 				}
+			}
+		}
+	}
+}
+
+// TestAttributeErrorOrder: a start tag is decided attribute by attribute
+// as it is read, so under Validate a verdict on an earlier attribute
+// comes before a syntax error later in the same tag — the projector's own
+// error is reported first — and without Validate the syntax error is the
+// prune's. In a fused pass a projector that discards the element gets
+// the pass's syntax error under Validate, whose skip reads the tag too,
+// and none without, whose skip only balances it.
+func TestAttributeErrorOrder(t *testing.T) {
+	const (
+		undeclared = `undeclared attribute "zzz" on book`
+		repeated   = `XML syntax error: attribute isbn repeated in element`
+		badName    = `XML syntax error: invalid XML name: 1bad`
+	)
+	pi := dtd.NewNameSet("bib", "book", "book@isbn", "title", "title#text")
+	d, p := setup(t, pi)
+	for _, c := range []struct {
+		tag             string
+		validate, lax   string // the prune's error with and without Validate
+		other, otherLax string // a fused discarding projector's, with and without
+	}{
+		{`<book isbn="1" zzz="no" isbn="2">`, undeclared, repeated, repeated, ""},
+		{"<book isbn=\"1\"\tzzz=\"no\" isbn=\"2\">", undeclared, repeated, repeated, ""},
+		{`<book zzz='no' isbn="1" 1bad="2">`, undeclared, badName, badName, ""},
+	} {
+		doc := `<bib>` + c.tag + `<title>T</title><author>A</author></book></bib>`
+		for _, validate := range []bool{false, true} {
+			want := c.lax
+			if validate {
+				want = c.validate
+			}
+			for _, opts := range []Options{{Validate: validate}, {Validate: validate, general: true}} {
+				for feed, src := range map[string]func() Source{
+					"bytes":           func() Source { return Source{Data: []byte(doc)} },
+					"one-byte reader": func() Source { return Source{R: iotest(strings.NewReader(doc))} },
+				} {
+					_, err := Prune(src(), Sink{W: bufio.NewWriter(io.Discard)}, d, p, opts)
+					if err == nil || err.Error() != want {
+						t.Errorf("%q, %s, %+v: got %v, want %s", c.tag, feed, opts, err, want)
+					}
+				}
+			}
+			// Fused with a projector that discards book.
+			mp, err := dtd.CombineProjections([]*dtd.Projection{p, d.CompileProjection(dtd.NewNameSet("bib"))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := c.otherLax
+			if validate {
+				other = c.other
+			}
+			_, errs := PruneMultiGather([]*SpanList{new(SpanList), new(SpanList)}, []byte(doc), d, mp, Options{Validate: validate})
+			for j, w := range []string{want, other} {
+				if got := errs[j]; (got == nil) != (w == "") || got != nil && got.Error() != w {
+					t.Errorf("%q, fused, validate=%v, projector %d: got %v, want %q", c.tag, validate, j, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestWideTagScratchDropped: once a prune is released, its pruner keeps
+// no long-way scratch sized by a wide tag, read pinned (kept) or unpinned
+// (inside a discarded subtree, under Validate).
+func TestWideTagScratchDropped(t *testing.T) {
+	d, p := setup(t, dtd.NewNameSet("bib", "book", "book@isbn", "title", "title#text"))
+	var wide strings.Builder
+	for i := 0; i < 1000; i++ {
+		wide.WriteString(` a` + strconv.Itoa(i) + `=""`)
+	}
+	for _, doc := range []string{
+		`<bib><book isbn="1"` + wide.String() + `><title>T</title><author>A</author></book></bib>`,
+		`<bib><book isbn="1"><title>T</title><author><x` + wide.String() + `/></author></book></bib>`,
+	} {
+		for _, validate := range []bool{false, true} {
+			pr, _ := freshPrune(io.Discard, strings.NewReader(doc), d, p, Options{Validate: validate})
+			if cap(pr.ltag.seen.at) == 0 && validate {
+				t.Fatalf("%.30q: the long way read no names", doc)
+			}
+			pr.release()
+			if n := cap(pr.ltag.seen.at) + cap(pr.ltag.seen.slots) + cap(pr.ltag.attrs) + cap(pr.ltag.names); n != 0 {
+				t.Errorf("%.30q, validate=%v: %d scratch entries kept", doc, validate, n)
 			}
 		}
 	}

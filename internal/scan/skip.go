@@ -7,8 +7,9 @@ package scan
 // With Validate the subtree is checked as the decoder path checks it
 // when it consumes the subtree token by token — names, attribute syntax,
 // entities, character ranges, comment and PI rules, every end tag
-// against its start tag (skipScan, skipAttrs) — but nothing is
-// materialised: no symbol lookups, no attribute decisions, no output.
+// against its start tag (skipScan, and longTag unpinned for the
+// attributes) — but nothing is materialised: no symbol lookups, no
+// attribute decisions, no output.
 //
 // Without it the subtree is only balanced (skipBalance): one sweep
 // (index.Balance) passes text, start tags and inner end tags with a
@@ -65,78 +66,13 @@ func (n *nameStack) depth() int { return len(n.offs) }
 
 func (n *nameStack) reset() { n.buf, n.offs = n.buf[:0], n.offs[:0] }
 
-// skipAttrs consumes the rest of a start tag — attributes and the
-// closing '>' or '/>' — with syntax-level checks only, reporting
-// whether the element was self-closing. Attribute values are decoded
-// into scratch (their character content must still validate) and
-// discarded. Only each name is pinned while it is read, and copied out for
-// the names to be compared (spelt), so a value of any size streams.
-func (pr *pruner) skipAttrs() (empty bool, err error) {
-	s := pr.s
-	pr.spelt.reset()
-	pr.skipAttr = pr.skipAttr[:0]
-	for {
-		s.space()
-		b, ok := s.getc()
-		if !ok {
-			return false, s.readErr()
-		}
-		if b == '/' {
-			b2, ok := s.getc()
-			if !ok {
-				return false, s.readErr()
-			}
-			if b2 != '>' {
-				return false, errSyntax("expected /> in element")
-			}
-			return true, nil
-		}
-		if b == '>' {
-			return false, nil
-		}
-		s.ungetc()
-		s.setMark()
-		name, _, _, err := s.qname("attribute name in element")
-		if err == nil {
-			lo := len(pr.skipAttr)
-			pr.skipAttr = append(pr.skipAttr, name...)
-			err = pr.spelt.add(pr.skipAttr, lo, len(pr.skipAttr))
-		}
-		s.clearMark()
-		if err != nil {
-			return false, err
-		}
-		s.space()
-		b, ok = s.getc()
-		if !ok {
-			return false, s.readErr()
-		}
-		if b != '=' {
-			return false, errSyntax("attribute name without = in element")
-		}
-		s.space()
-		qb, ok := s.getc()
-		if !ok {
-			return false, s.readErr()
-		}
-		if qb != '"' && qb != '\'' {
-			return false, errSyntax("unquoted or missing attribute value in element")
-		}
-		if _, _, ok := s.plainChunk(int(qb)); ok {
-			continue
-		}
-		if pr.attrVal, _, err = s.text(pr.attrVal[:0], int(qb), false); err != nil {
-			return false, err
-		}
-	}
-}
-
 // skipTag consumes the rest of a discarded element's start tag — the
 // mark is at its '<', its name is read — reporting whether the element
-// was self-closing.
+// was self-closing: with Validate checked as the long way checks a kept
+// one, but unpinned, and without only balanced.
 func (pr *pruner) skipTag() (empty bool, err error) {
 	if pr.opts.Validate {
-		return pr.skipAttrs()
+		return pr.s.longTag(&pr.ltag, false)
 	}
 	pr.s.pos = pr.s.mark
 	kind, _, err := pr.construct()
@@ -220,7 +156,7 @@ func (pr *pruner) skipScan() error {
 			_, info, ok := s.plainChunk(-1)
 			if !ok {
 				var err error
-				if pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, false); err != nil {
+				if pr.skipText, info, err = s.text(pr.skipText[:0], -1, false); err != nil {
 					return err
 				}
 			}
@@ -238,7 +174,7 @@ func (pr *pruner) skipScan() error {
 			s.pos++
 		} else {
 			if !pr.opts.general {
-				if name, attrs, empty, _, ok := s.plainTag(pr.kattrs[:0]); ok {
+				if name, attrs, empty, _, ok := s.plainTag(pr.kattrs[:0], false); ok {
 					pr.kattrs = attrs
 					s.clearMark() // what pinned the discarded element's tag
 					flush()
@@ -277,7 +213,7 @@ func (pr *pruner) skipScan() error {
 			pr.skipNames.pop()
 		case markupCDATA:
 			var info textInfo
-			pr.attrVal, info, err = s.text(pr.attrVal[:0], -1, true)
+			pr.skipText, info, err = s.text(pr.skipText[:0], -1, true)
 			if err != nil {
 				return err
 			}
@@ -297,7 +233,7 @@ func (pr *pruner) skipScan() error {
 			if err != nil {
 				return err
 			}
-			empty, err := pr.skipAttrs()
+			empty, err := s.longTag(&pr.ltag, false)
 			if err != nil {
 				return err
 			}

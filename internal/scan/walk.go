@@ -71,17 +71,17 @@ type walker struct {
 	view, text []byte
 	pending    bool // the run has at least one kept chunk
 
-	vals  []byte // decoded attribute values of the current start tag
-	ends  []int  // ends[i] is where the i-th reported value ends in vals
-	attrs []Attr
-	seen  spelt
+	attrs []Attr   // the current start tag's, as reported
+	tag   tagAttrs // what the long way read of it
 }
 
 // run dispatches from each '<' or text byte. The input is resident, so a
 // token that ends inside the buffer is one that ends before EOF: a plain
 // end tag (closes), a plain start tag (plainTag) and a text chunk
 // (plainChunk) are read straight from the bytes, and whatever the kernels
-// refuse goes through markup, startTag and endTag from the same byte.
+// refuse goes through markup, then qname and longTag or endTag, from the
+// same byte. The input stands still, so the views of a tag's name taken
+// before its attributes are read stay valid.
 func (w *walker) run() error {
 	s := &w.s
 	for s.pos < s.end {
@@ -102,7 +102,7 @@ func (w *walker) run() error {
 		}
 		// A second root goes the long way, which reports it.
 		if !w.general && (len(w.open) > 0 || !w.sawRoot) {
-			if name, attrs, empty, _, ok := s.plainTag(w.attrs[:0]); ok {
+			if name, attrs, empty, _, ok := s.plainTag(w.attrs[:0], false); ok {
 				w.attrs = attrs
 				w.element(name, name, attrs, empty)
 				continue
@@ -114,7 +114,24 @@ func (w *walker) run() error {
 		}
 		switch kind {
 		case markupStart:
-			err = w.startTag()
+			name, _, local, err := s.qname("element name after <")
+			if err != nil {
+				return err
+			}
+			if len(w.open) == 0 && w.sawRoot {
+				return fmt.Errorf("multiple root elements")
+			}
+			empty, err := s.longTag(&w.tag, true)
+			if err != nil {
+				return err
+			}
+			w.attrs = w.attrs[:0]
+			for _, a := range w.tag.attrs {
+				if !isXMLNSAttr(a.prefix, a.Name) {
+					w.attrs = append(w.attrs, a.Attr)
+				}
+			}
+			w.element(name, local, w.attrs, empty)
 		case markupEnd:
 			err = w.endTag()
 		case markupCDATA:
@@ -193,80 +210,13 @@ func (w *walker) element(name, local []byte, attrs []Attr, empty bool) {
 	}
 }
 
-// startTag handles a start or empty-element tag the kernel refused; the
-// mark is at its '<'.
-func (w *walker) startTag() error {
-	s := &w.s
-	name, _, local, err := s.qname("element name after <")
-	if err != nil {
-		return err
-	}
-	if len(w.open) == 0 && w.sawRoot {
-		return fmt.Errorf("multiple root elements")
-	}
-
-	w.vals, w.ends, w.attrs = w.vals[:0], w.ends[:0], w.attrs[:0]
-	w.seen.reset()
-	empty := false
-	for {
-		s.space()
-		b, ok := s.getc()
-		if !ok {
-			return s.readErr()
-		}
-		if b == '>' {
-			break
-		}
-		if b == '/' {
-			if b, ok = s.getc(); !ok {
-				return s.readErr()
-			}
-			if b != '>' {
-				return errSyntax("expected /> in element")
-			}
-			empty = true
-			break
-		}
-		s.ungetc()
-		var prefix, alocal []byte
-		mark := len(w.vals)
-		prefix, alocal, w.vals, _, err = s.attr(w.vals, &w.seen)
-		if err != nil {
-			return err
-		}
-		if isXMLNSAttr(prefix, alocal) {
-			w.vals = w.vals[:mark]
-			continue
-		}
-		// The names are views of the input; vals moves when it grows, so
-		// the values are sliced once the tag is read.
-		w.attrs = append(w.attrs, Attr{Name: alocal})
-		w.ends = append(w.ends, len(w.vals))
-	}
-	off := 0
-	for i, end := range w.ends {
-		w.attrs[i].Value = w.vals[off:end]
-		off = end
-	}
-	w.element(name, local, w.attrs, empty)
-	return nil
-}
-
 // endTag handles an end tag; "</" is consumed.
 func (w *walker) endTag() error {
 	s := &w.s
 	if len(w.open) == 0 || !closes(s, w.open[len(w.open)-1]) {
-		name, _, _, err := s.qname("element name after </")
+		name, _, _, _, err := s.endName()
 		if err != nil {
 			return err
-		}
-		s.space()
-		b, ok := s.getc()
-		if !ok {
-			return s.readErr()
-		}
-		if b != '>' {
-			return errSyntax("invalid characters between </" + string(name) + " and >")
 		}
 		if len(w.open) == 0 {
 			return fmt.Errorf("unbalanced end element %s", name)

@@ -35,7 +35,7 @@ func TestTagKernelRefuses(t *testing.T) {
 			s := new(Scanner)
 			s.ResetBytes([]byte(src + "t"))
 			s.pos = 1 // past the '<'
-			name, attrs, empty, _, ok := s.plainTag(nil)
+			name, attrs, empty, _, ok := s.plainTag(nil, false)
 			switch {
 			case !ok && k == len(tag) && slices.Contains(plain, tag):
 				t.Errorf("%q: refused a plain tag", src)
@@ -46,6 +46,24 @@ func TestTagKernelRefuses(t *testing.T) {
 			case ok && (len(name) == 0 || empty != strings.HasSuffix(src, "/>") || len(attrs) > strings.Count(src, "=")):
 				t.Errorf("%q: name %q, %d attributes, empty %v", src, name, len(attrs), empty)
 			}
+		}
+	}
+}
+
+// TestWalkEndTagLongWay: an end tag the open name does not close is read
+// by endName, as in the pruner, so a malformed name followed by anything
+// but '>' is reported by what follows it.
+func TestWalkEndTagLongWay(t *testing.T) {
+	for doc, want := range map[string]string{
+		`<a></a:b:c x>`: "XML syntax error: invalid characters between </a:b:c and >",
+		`<a></a:b:c>`:   "XML syntax error: expected element name after </",
+		`<a></1a>`:      "XML syntax error: invalid XML name: 1a",
+		`<a></b >`:      "element <a> closed by </b>",
+		`<a/></a>`:      "unbalanced end element a",
+		`<a></a x>`:     "XML syntax error: invalid characters between </a and >",
+	} {
+		if err := Walk([]byte(doc), new(events)); err == nil || err.Error() != want {
+			t.Errorf("%q: got %v, want %s", doc, err, want)
 		}
 	}
 }
