@@ -51,32 +51,6 @@ func TestLoadProjectorRejectsForeignNames(t *testing.T) {
 	}
 }
 
-func TestParseDTDFromDoc(t *testing.T) {
-	doc := `<!DOCTYPE bib [
-<!ELEMENT bib (book*)>
-<!ELEMENT book (title)>
-<!ELEMENT title (#PCDATA)>
-]>
-<bib><book><title>t</title></book></bib>`
-	d, err := ParseDTDFromDoc(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Root() != "bib" {
-		t.Fatalf("root = %s", d.Root())
-	}
-	parsed, err := ParseXMLString(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(parsed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseDTDFromDoc(`<a/>`); err == nil {
-		t.Fatal("doc without DOCTYPE accepted")
-	}
-}
-
 func TestParseDTDWithEntities(t *testing.T) {
 	d, err := ParseDTDString(`
 <!ENTITY % kids "a | b">
@@ -134,7 +108,12 @@ func TestParseXSDAPI(t *testing.T) {
     <xs:element name="b" type="xs:string" minOccurs="0"/>
   </xs:sequence></xs:complexType></xs:element>
 </xs:schema>`
-	d, err := ParseXSDString(xsdSrc, "")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "r.xsd")
+	if err := os.WriteFile(path, []byte(xsdSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseSchemaFile(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +130,14 @@ func TestParseXSDAPI(t *testing.T) {
 	if strings.Contains(pruned.XML(), "<b>") {
 		t.Fatalf("b not pruned: %s", pruned.XML())
 	}
-	if _, err := ParseXSDString("<junk/>", ""); err == nil {
+	junk := filepath.Join(dir, "junk.xsd")
+	if err := os.WriteFile(junk, []byte("<junk/>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSchemaFile(junk, ""); err == nil {
 		t.Fatal("junk schema accepted")
 	}
-	if _, err := ParseXSDFile("/nonexistent.xsd", ""); err == nil {
+	if _, err := ParseSchemaFile(filepath.Join(dir, "missing.xsd"), ""); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -216,32 +199,5 @@ func TestStaticTypeAndCanMatch(t *testing.T) {
 	attr, _ := CompileXPath("//book/@isbn")
 	if got := attr.StaticType(d); len(got) != 1 || got[0] != "book@isbn" {
 		t.Fatalf("attr StaticType = %v", got)
-	}
-}
-
-func TestIndentAndDefaultsAPI(t *testing.T) {
-	d, err := ParseDTDString(`
-<!ELEMENT bib (book*)>
-<!ELEMENT book (title, author+)>
-<!ATTLIST book isbn CDATA #REQUIRED lang (en|fr) "en">
-<!ELEMENT title (#PCDATA)>
-<!ELEMENT author (#PCDATA)>
-`, "bib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := ParseXMLString(`<bib><book isbn="9"><title>t</title><author>a</author></book></bib>`)
-	if n := d.ApplyDefaults(doc); n != 1 { // lang="en" default
-		t.Fatalf("ApplyDefaults = %d", n)
-	}
-	if !strings.Contains(doc.XML(), `lang="en"`) {
-		t.Fatalf("default missing: %s", doc.XML())
-	}
-	ind := doc.IndentedXML()
-	if !strings.Contains(ind, "\n  <book") {
-		t.Fatalf("IndentedXML:\n%s", ind)
-	}
-	if _, err := ParseXMLString(ind); err != nil {
-		t.Fatalf("indented output does not re-parse: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -49,7 +50,11 @@ func TestRunWritesFile(t *testing.T) {
 	if err := run([]string{"-factor", "0.001", "-o", path}, &silent, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := xmlproj.ParseXMLFile(path)
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmlproj.ParseXMLBytes(src)
 	if err != nil {
 		t.Fatal(err)
 	}

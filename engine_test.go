@@ -27,7 +27,7 @@ func TestEngineInferCachedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := CompileXQuery("for $b in /bib/book return $b/author")
+	q2, err := Compile("for $b in /bib/book return $b/author")
 	if err != nil {
 		t.Fatal(err)
 	}

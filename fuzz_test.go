@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/xmark"
+	"xmlproj/internal/xsd"
 )
 
 // fuzzXMark is the auction DTD and a small document valid against it
@@ -129,14 +130,15 @@ func FuzzParseXSD(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		d, err := ParseXSDString(src, "")
+		x, err := xsd.ParseString(src, "")
 		if err != nil {
 			return
 		}
-		again, err := ParseXSDString(src, "")
+		y, err := xsd.ParseString(src, "")
 		if err != nil {
 			t.Fatalf("accepted once, then rejected: %v", err)
 		}
+		d, again := &DTD{d: x}, &DTD{d: y}
 		if d.Grammar() != again.Grammar() || d.d.Fingerprint() != again.d.Fingerprint() {
 			t.Fatalf("one schema, two grammars\n%s\n%s", d.Grammar(), again.Grammar())
 		}

@@ -187,45 +187,6 @@ func skipSpaceIdx(s string, i int) int {
 	return i
 }
 
-// InternalSubset extracts the root element name and the internal DTD
-// subset from a document's <!DOCTYPE root [ … ]> declaration. It returns
-// ok=false when the document carries no internal subset.
-func InternalSubset(doc string) (rootTag, subset string, ok bool) {
-	i := strings.Index(doc, "<!DOCTYPE")
-	if i < 0 {
-		return "", "", false
-	}
-	j := skipSpaceIdx(doc, i+len("<!DOCTYPE"))
-	k := j
-	for k < len(doc) && isNameChar(doc[k]) {
-		k++
-	}
-	rootTag = doc[j:k]
-	open := strings.IndexByte(doc[k:], '[')
-	gt := strings.IndexByte(doc[k:], '>')
-	if open < 0 || (gt >= 0 && gt < open) {
-		return rootTag, "", false // external-only DOCTYPE
-	}
-	// Find the matching ']' of the internal subset (no nesting of '[' in
-	// declarations except conditional sections, which are rare inside
-	// internal subsets; handle them via conditionalBody's scanner).
-	depth := 1
-	p := k + open + 1
-	for p < len(doc) && depth > 0 {
-		switch doc[p] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		}
-		p++
-	}
-	if depth != 0 {
-		return rootTag, "", false
-	}
-	return rootTag, doc[k+open+1 : p-1], true
-}
-
 // ParseWithEntities is ParseString preceded by parameter-entity expansion.
 func ParseWithEntities(src, rootTag string) (*DTD, error) {
 	expanded, err := ExpandParameterEntities(src)

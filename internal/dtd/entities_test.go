@@ -116,38 +116,3 @@ func TestExpandPercentInAttlistSurvives(t *testing.T) {
 		t.Fatalf("literal %% lost: %+v", ad)
 	}
 }
-
-func TestInternalSubset(t *testing.T) {
-	doc := `<?xml version="1.0"?>
-<!DOCTYPE note [
-<!ELEMENT note (to, from)>
-<!ELEMENT to (#PCDATA)>
-<!ELEMENT from (#PCDATA)>
-]>
-<note><to>Ada</to><from>Bob</from></note>`
-	root, subset, ok := InternalSubset(doc)
-	if !ok || root != "note" {
-		t.Fatalf("InternalSubset: ok=%v root=%q", ok, root)
-	}
-	d, err := ParseWithEntities(subset, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Root != "note" || d.Def("from") == nil {
-		t.Fatalf("internal subset DTD wrong: %s", d)
-	}
-}
-
-func TestInternalSubsetAbsent(t *testing.T) {
-	if _, _, ok := InternalSubset(`<note/>`); ok {
-		t.Fatal("no DOCTYPE reported as present")
-	}
-	// External-only DOCTYPE has no internal subset.
-	root, _, ok := InternalSubset(`<!DOCTYPE html SYSTEM "x.dtd"><html/>`)
-	if ok {
-		t.Fatal("external DOCTYPE reported as internal subset")
-	}
-	if root != "html" {
-		t.Fatalf("root = %q", root)
-	}
-}

@@ -767,7 +767,7 @@ func (pr *pruner) endTextRun() {
 	if keep := live & pr.alive & pr.p.KeepText(top.sym); keep != 0 {
 		pr.closeOpen(keep)
 		if len(pr.textBuf) > 0 {
-			pr.attrBuf = appendEscapedText(pr.attrBuf[:0], pr.textBuf)
+			pr.attrBuf = appendEscaped(pr.attrBuf[:0], pr.textBuf, false)
 			pr.litTo(keep, pr.attrBuf)
 			if pr.h != nil {
 				pr.htext = append(pr.htext, pr.textBuf...)
@@ -1040,7 +1040,7 @@ func (pr *pruner) attribute(i int, aprefix, alocal, val []byte, preSpace int, ca
 	if appendMask := keepMask &^ t.canon; appendMask != 0 {
 		pr.attrBuf = append(append(pr.attrBuf[:0], ' '), alocal...)
 		pr.attrBuf = append(pr.attrBuf, '=', '"')
-		pr.attrBuf = appendEscapedAttr(pr.attrBuf, val)
+		pr.attrBuf = appendEscaped(pr.attrBuf, val, true)
 		pr.attrBuf = append(pr.attrBuf, '"')
 		for mk := appendMask; mk != 0; mk &= mk - 1 {
 			pp := &pr.per[bits.TrailingZeros64(mk)]
@@ -1265,45 +1265,38 @@ func inEnum(enum []string, v []byte) bool {
 	return false
 }
 
-// appendEscapedText appends text content with the pruner's escaping
-// (the tree serialiser's: &, < and > become entities, and a carriage
-// return a reference, which a reader does not turn into a line feed).
-func appendEscapedText(dst, b []byte) []byte {
-	for i := 0; i < len(b); i++ {
-		switch b[i] {
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		case '\r':
-			dst = append(dst, "&#13;"...)
-		default:
-			dst = append(dst, b[i])
+// Entity returns what c is written as in element content (quot false)
+// or a double-quoted attribute value (quot true), or "" for a byte
+// written as it is. It is the one escaping rule of the pruner and the
+// tree serialiser, which must agree byte for byte: a pruned load is the
+// load of what the pruner writes. A carriage return is a reference:
+// written raw, any XML reader reads it back as a line feed.
+func Entity(c byte, quot bool) string {
+	switch c {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\r':
+		return "&#13;"
+	case '"':
+		if quot {
+			return "&quot;"
 		}
 	}
-	return dst
+	return ""
 }
 
-// appendEscapedAttr appends an attribute value with the pruner's
-// escaping (the tree serialiser's: &, <, > and " become entities, a
-// carriage return a reference).
-func appendEscapedAttr(dst, b []byte) []byte {
-	for i := 0; i < len(b); i++ {
-		switch b[i] {
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		case '\r':
-			dst = append(dst, "&#13;"...)
-		case '"':
-			dst = append(dst, "&quot;"...)
-		default:
-			dst = append(dst, b[i])
+// appendEscaped appends b escaped by Entity: as text content (quot
+// false) or as a double-quoted attribute value (quot true).
+func appendEscaped(dst, b []byte, quot bool) []byte {
+	for _, c := range b {
+		if e := Entity(c, quot); e != "" {
+			dst = append(dst, e...)
+		} else {
+			dst = append(dst, c)
 		}
 	}
 	return dst

@@ -9,9 +9,9 @@ import (
 )
 
 // Builder makes every Document: the loader, the XQuery constructors, the
-// pruners, the generators and ApplyDefaults call StartElement (or Start) /
-// Attr / Text / EndElement in document order. It is a scan.Handler, so a
-// load is scan.Walk with a Builder as the handler. A node's ID is its
+// pruners and the generators call StartElement (or Start) / Attr / Text /
+// EndElement in document order. It is a scan.Handler, so a load is
+// scan.Walk with a Builder as the handler. A node's ID is its
 // position past the builder's base unless SetID says otherwise. Text and
 // values are appended through strings.Builder: what has been handed out
 // is never written again.

@@ -3,6 +3,8 @@ package tree
 import (
 	"io"
 	"strings"
+
+	"xmlproj/internal/scan"
 )
 
 // The serialiser is two loops over one grammar: XMLSize (XMLSpans) counts
@@ -155,32 +157,11 @@ func special(s string, quot bool) int {
 	return at
 }
 
-// entity returns what c is written as, or "" for a byte written as it is.
-// A carriage return is a reference: written raw, any XML reader reads it
-// back as a line feed.
-func entity(c byte, quot bool) string {
-	switch c {
-	case '&':
-		return "&amp;"
-	case '<':
-		return "&lt;"
-	case '>':
-		return "&gt;"
-	case '\r':
-		return "&#13;"
-	case '"':
-		if quot {
-			return "&quot;"
-		}
-	}
-	return ""
-}
-
 func escapedSize(s string, quot bool) int {
 	size := len(s)
 	if i := special(s, quot); i >= 0 {
 		for ; i < len(s); i++ {
-			if e := entity(s[i], quot); e != "" {
+			if e := scan.Entity(s[i], quot); e != "" {
 				size += len(e) - 1
 			}
 		}
@@ -196,7 +177,7 @@ func writeEscaped(w io.StringWriter, s string, quot bool) {
 	}
 	from := 0
 	for ; i < len(s); i++ {
-		if e := entity(s[i], quot); e != "" {
+		if e := scan.Entity(s[i], quot); e != "" {
 			w.WriteString(s[from:i])
 			w.WriteString(e)
 			from = i + 1

@@ -116,49 +116,3 @@ func validateNode(syms *dtd.Symbols, n tree.Node, sym int32) *Error {
 	}
 	return nil
 }
-
-// ApplyDefaults fills in declared attribute defaults (including #FIXED
-// values) on every element that omits them, as an XML processor does
-// after DTD validation. It rebuilds doc in place, node IDs kept, and
-// reports how many attributes were added.
-func ApplyDefaults(d *dtd.DTD, doc *tree.Document) int {
-	if doc.NumNodes() == 0 {
-		return 0
-	}
-	b := tree.NewBuilder(0)
-	added := withDefaults(b, d, doc.Root())
-	*doc = *b.Document()
-	return added
-}
-
-// withDefaults builds n with the defaults its declaration adds, and its
-// subtree likewise, and counts what was added.
-func withDefaults(b *tree.Builder, d *dtd.DTD, n tree.Node) int {
-	if n.Kind() == tree.Text {
-		b.TextString(n.Data())
-		b.SetID(n.ID())
-		return 0
-	}
-	b.Start(n.Tag())
-	b.SetID(n.ID())
-	for i := range n.NumAttrs() {
-		a := n.AttrAt(i)
-		b.Attr(a.Name, a.Value)
-	}
-	added := 0
-	if name, ok := d.ElementName(n.Tag()); ok {
-		def := d.Def(name)
-		for i := range def.Atts {
-			ad := &def.Atts[i]
-			if _, present := n.Attr(ad.Attr); ad.HasDefault && !present {
-				b.Attr(ad.Attr, ad.Default)
-				added++
-			}
-		}
-	}
-	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
-		added += withDefaults(b, d, c)
-	}
-	b.EndElement()
-	return added
-}

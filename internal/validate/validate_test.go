@@ -150,37 +150,3 @@ func TestEmptyDocument(t *testing.T) {
 		t.Fatal("nil root accepted")
 	}
 }
-
-func TestApplyDefaults(t *testing.T) {
-	d, err := dtd.ParseString(`
-<!ELEMENT r (e*)>
-<!ELEMENT e EMPTY>
-<!ATTLIST e lang (en|fr) "en" fix CDATA #FIXED "1" opt CDATA #IMPLIED>
-`, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := tree.ParseString(`<r><e/><e lang="fr"/></r>`)
-	added := ApplyDefaults(d, doc)
-	if added != 3 { // lang+fix on first, fix on second
-		t.Fatalf("added = %d, want 3", added)
-	}
-	e1 := doc.Root().FirstChild()
-	e2 := e1.NextSibling()
-	if v, _ := e1.Attr("lang"); v != "en" {
-		t.Fatalf("default lang not applied: %q", v)
-	}
-	if v, _ := e2.Attr("lang"); v != "fr" {
-		t.Fatalf("explicit lang overwritten: %q", v)
-	}
-	if v, _ := e1.Attr("fix"); v != "1" {
-		t.Fatalf("fixed value not applied: %q", v)
-	}
-	if _, present := e1.Attr("opt"); present {
-		t.Fatal("#IMPLIED attribute must not be defaulted")
-	}
-	// Idempotent.
-	if again := ApplyDefaults(d, doc); again != 0 {
-		t.Fatalf("second pass added %d", again)
-	}
-}

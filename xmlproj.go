@@ -50,57 +50,16 @@ type DTD struct {
 	d *dtd.DTD
 }
 
-// ParseDTD reads DTD declarations from r, expanding parameter entities
+// ParseDTDString reads DTD declarations, expanding parameter entities
 // and conditional sections first (so real-world DTDs like XHTML parse).
 // rootTag names the document root element; if empty, the first declared
 // element is the root.
-func ParseDTD(r io.Reader, rootTag string) (*DTD, error) {
-	src, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return ParseDTDString(string(src), rootTag)
-}
-
-// ParseDTDString is ParseDTD over a string.
 func ParseDTDString(src, rootTag string) (*DTD, error) {
 	d, err := dtd.ParseWithEntities(src, rootTag)
 	if err != nil {
 		return nil, err
 	}
 	return &DTD{d: d}, nil
-}
-
-// ParseXSD reads an XML Schema (a practical subset: sequence/choice/all,
-// occurrence bounds, attributes, mixed content, named and anonymous
-// complex types) and lowers it to a local tree grammar, per the paper's
-// footnote 1. Local elements whose types differ across contexts are
-// merged soundly.
-func ParseXSD(r io.Reader, rootTag string) (*DTD, error) {
-	d, err := xsd.Parse(r, rootTag)
-	if err != nil {
-		return nil, err
-	}
-	return &DTD{d: d}, nil
-}
-
-// ParseXSDString is ParseXSD over a string.
-func ParseXSDString(src, rootTag string) (*DTD, error) {
-	d, err := xsd.ParseString(src, rootTag)
-	if err != nil {
-		return nil, err
-	}
-	return &DTD{d: d}, nil
-}
-
-// ParseXSDFile is ParseXSD over a file.
-func ParseXSDFile(path, rootTag string) (*DTD, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseXSD(f, rootTag)
 }
 
 // InferDTD builds a dataguide — a structural summary in local-tree-grammar
@@ -116,34 +75,35 @@ func InferDTD(doc *Document) (*DTD, error) {
 	return &DTD{d: d}, nil
 }
 
-// ParseDTDFromDoc extracts and parses the internal DTD subset of a
-// document's <!DOCTYPE root [ … ]> declaration.
-func ParseDTDFromDoc(doc string) (*DTD, error) {
-	root, subset, ok := dtd.InternalSubset(doc)
-	if !ok {
-		return nil, fmt.Errorf("xmlproj: document has no internal DTD subset")
+// ParseDTDFile is ParseDTDString over a file.
+func ParseDTDFile(path, rootTag string) (*DTD, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	return ParseDTDString(subset, root)
+	return ParseDTDString(string(src), rootTag)
 }
 
-// ParseDTDFile is ParseDTD over a file.
-func ParseDTDFile(path, rootTag string) (*DTD, error) {
+// ParseSchemaFile loads the schema a tool's -dtd or -schema flag names:
+// a DTD, or an XML Schema when the file name ends in .xsd. A schema (a
+// practical subset: sequence/choice/all, occurrence bounds, attributes,
+// mixed content, named and anonymous complex types) is lowered to a
+// local tree grammar, per the paper's footnote 1; local elements whose
+// types differ across contexts are merged soundly.
+func ParseSchemaFile(path, rootTag string) (*DTD, error) {
+	if !strings.HasSuffix(path, ".xsd") {
+		return ParseDTDFile(path, rootTag)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ParseDTD(f, rootTag)
-}
-
-// ParseSchemaFile loads the schema a tool's -dtd or -schema flag names:
-// an XML Schema when the file name ends in .xsd (lowered to a local tree
-// grammar, the paper's footnote 1), a DTD otherwise.
-func ParseSchemaFile(path, rootTag string) (*DTD, error) {
-	if strings.HasSuffix(path, ".xsd") {
-		return ParseXSDFile(path, rootTag)
+	d, err := xsd.Parse(f, rootTag)
+	if err != nil {
+		return nil, err
 	}
-	return ParseDTDFile(path, rootTag)
+	return &DTD{d: d}, nil
 }
 
 // Root returns the root element tag.
@@ -194,9 +154,9 @@ func CompileXPath(src string) (*Query, error) {
 	return &Query{Kind: XPathQuery, source: src, xp: e, paths: paths}, nil
 }
 
-// CompileXQuery parses a FLWR-core XQuery query, applies the §5
+// compileXQuery parses a FLWR-core XQuery query, applies the §5
 // rewriting heuristic, and extracts its data-need paths (Fig. 3).
-func CompileXQuery(src string) (*Query, error) {
+func compileXQuery(src string) (*Query, error) {
 	q, err := xquery.Parse(src)
 	if err != nil {
 		return nil, err
@@ -219,7 +179,7 @@ func Compile(src string) (*Query, error) {
 	if xpErr == nil {
 		return q, nil
 	}
-	q, xqErr := CompileXQuery(src)
+	q, xqErr := compileXQuery(src)
 	if xqErr == nil {
 		return q, nil
 	}
@@ -393,30 +353,15 @@ type Document struct {
 	t *tree.Document
 }
 
-// ParseXML reads r to the end and parses what it read: a Document holds
-// the whole input anyway, so nothing is gained by parsing as it arrives.
-func ParseXML(r io.Reader) (*Document, error) {
-	return wrapDoc(tree.Parse(r))
-}
-
-// ParseXMLString is ParseXML over a string.
+// ParseXMLString parses an XML document.
 func ParseXMLString(src string) (*Document, error) {
 	return wrapDoc(tree.ParseString(src))
 }
 
-// ParseXMLBytes is ParseXML over bytes already in memory. The document
-// keeps no reference to src.
+// ParseXMLBytes is ParseXMLString over bytes already in memory. The
+// document keeps no reference to src.
 func ParseXMLBytes(src []byte) (*Document, error) {
 	return wrapDoc(tree.ParseBytes(src))
-}
-
-// ParseXMLFile is ParseXML over a file, read in one go.
-func ParseXMLFile(path string) (*Document, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseXMLBytes(src)
 }
 
 func wrapDoc(t *tree.Document, err error) (*Document, error) {
@@ -432,11 +377,6 @@ func (doc *Document) XML() string { return doc.t.XML() }
 // WriteXML serialises the document to w.
 func (doc *Document) WriteXML(w io.Writer) error { return doc.t.WriteXML(w) }
 
-// IndentedXML serialises the document with indentation for human
-// consumption; mixed content stays on one line, so no significant
-// whitespace is introduced.
-func (doc *Document) IndentedXML() string { return doc.t.IndentedXML() }
-
 // Size returns the document's serialised size in bytes.
 func (doc *Document) Size() int64 { return doc.t.SerializedSize() }
 
@@ -446,13 +386,6 @@ func (doc *Document) NumNodes() int { return doc.t.NumNodes() }
 // Validate checks the document against the DTD (Def. 2.4).
 func (d *DTD) Validate(doc *Document) error {
 	return validate.Document(d.d, doc.t)
-}
-
-// ApplyDefaults fills in the DTD's declared attribute defaults on every
-// element that omits them, as an XML processor does after validation. It
-// returns the number of attributes added.
-func (d *DTD) ApplyDefaults(doc *Document) int {
-	return validate.ApplyDefaults(d.d, doc.t)
 }
 
 // Prune computes the π-projection of an in-memory document (Def. 2.7).

@@ -67,9 +67,12 @@ func TestEndToEndXPath(t *testing.T) {
 
 func TestEndToEndXQuery(t *testing.T) {
 	d, doc := apiSetup(t)
-	q, err := CompileXQuery(`for $b in /bib/book where $b/year return <t>{ $b/title/text() }</t>`)
+	q, err := Compile(`for $b in /bib/book where $b/year return <t>{ $b/title/text() }</t>`)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q.Kind != XQueryQuery {
+		t.Fatalf("compiled as kind %d, want XQuery", q.Kind)
 	}
 	p, err := d.Infer(NodesOnly, q)
 	if err != nil {
@@ -226,13 +229,13 @@ func TestParseErrorsSurface(t *testing.T) {
 	if _, err := CompileXPath("a["); err == nil {
 		t.Fatal("bad XPath accepted")
 	}
-	if _, err := CompileXQuery("for $x"); err == nil {
+	if _, err := Compile("for $x"); err == nil {
 		t.Fatal("bad XQuery accepted")
 	}
 	if _, err := ParseDTDFile("/nonexistent.dtd", ""); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if _, err := ParseXMLFile("/nonexistent.xml"); err == nil {
+	if _, err := ParseSchemaFile("/nonexistent.xsd", ""); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
