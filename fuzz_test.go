@@ -112,6 +112,54 @@ func FuzzParseDTD(f *testing.F) {
 	})
 }
 
+// FuzzLoadProjector feeds LoadProjector untrusted projector text — what
+// xmlprune -load-projector reads from a file — over XMark's DTD: whatever
+// it accepts holds the root, holds nothing but the grammar's names and
+// elem@attr on a declared element, and loads back from its MarshalText
+// rendering with the same names, all without a panic.
+func FuzzLoadProjector(f *testing.F) {
+	f.Add("name\nname#text\npeople\nperson\nperson@id\nsite") // QM01's
+	f.Add("nosuch")
+	f.Add("person@undeclared")
+	f.Add("site#text") // site holds elements only
+	f.Add("")
+	d, _ := fuzzXMark()
+	syms := d.d.Symbols()
+	grammar, elements := map[string]bool{}, map[string]bool{}
+	for sym := range syms.NumNames() {
+		grammar[string(syms.Name(int32(sym)))] = true
+	}
+	for sym := range syms.Len() {
+		elements[string(syms.Info(int32(sym)).Name)] = true
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := d.LoadProjector([]byte(text))
+		if err != nil {
+			return
+		}
+		names := p.Names()
+		if !slices.Contains(names, d.Root()) {
+			t.Fatalf("loaded %q without the root: %q", text, names)
+		}
+		for _, n := range names {
+			if elem, _, attr := strings.Cut(n, "@"); !grammar[n] && !(attr && elements[elem]) {
+				t.Fatalf("loaded %q with %q, neither a name of the grammar nor an attribute of a declared element", text, n)
+			}
+		}
+		out, err := p.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := d.LoadProjector(out)
+		if err != nil {
+			t.Fatalf("LoadProjector rejects MarshalText's rendering %q of %q: %v", out, text, err)
+		}
+		if !slices.Equal(back.Names(), names) {
+			t.Fatalf("%q does not round-trip\nloaded:   %q\nreloaded: %q", text, names, back.Names())
+		}
+	})
+}
+
 // FuzzParseXSD feeds the XML Schema lowering — the route a .xsd file takes
 // into every tool through ParseSchemaFile — untrusted text: whatever it
 // accepts must lower to the same grammar twice, answer the Def. 4.3

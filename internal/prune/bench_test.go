@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-	"time"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/xmark"
@@ -152,64 +151,5 @@ func BenchmarkStreamPrune(b *testing.B) {
 		b.Run("auto/"+name, func(b *testing.B) { benchStream(b, EngineAuto, pi, false) })
 		b.Run("gather/"+name, func(b *testing.B) { benchGather(b, EngineScanner, pi, false) })
 		b.Run("gather-validate/"+name, func(b *testing.B) { benchGather(b, EngineScanner, pi, true) })
-	}
-}
-
-// fusedFour are four low-selectivity projectors over disjoint subtrees,
-// the benchmark's scan.multi4_mb_s set, as name sets.
-var fusedFour = []dtd.NameSet{
-	dtd.NewNameSet("site", "regions", "africa", "item", "location", "location#text"),
-	dtd.NewNameSet("site", "people", "person", "name", "name#text"),
-	dtd.NewNameSet("site", "open_auctions", "open_auction", "initial", "initial#text"),
-	dtd.NewNameSet("site", "categories", "category", "name", "name#text"),
-}
-
-// BenchmarkFusedPass is the shared scan's gate: one fused pass of
-// fusedFour against four serial gather passes of the same four
-// projectors, the fastest of max(b.N, 10) turns of each — the testing
-// framework's first call is a one-turn probe, and a verdict on one turn
-// is a verdict on one scheduling accident. It reports the serial time
-// over the fused one and fails below 1.5: a fused pass that read the
-// document once per projector would read about 1. Both sides skip what
-// their projectors discard and read the tags they meet with the same tag
-// kernel, so a faster skip or kernel moves them together. CI runs it at
-// -benchtime 10x.
-func BenchmarkFusedPass(b *testing.B) {
-	d, src := benchDoc(b)
-	projs := make([]*dtd.Projection, len(fusedFour))
-	for j, pi := range fusedFour {
-		projs[j] = d.CompileProjection(pi)
-	}
-	combined, err := dtd.CombineProjections(projs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mopts := MultiOptions{Projections: projs, Combined: combined}
-	fused, serial := time.Duration(1<<62), time.Duration(1<<62)
-	b.ResetTimer()
-	for i := 0; i < max(b.N, 10); i++ {
-		start := time.Now()
-		gs, _, errs := StreamMultiGather(src, d, fusedFour, mopts)
-		for j, g := range gs {
-			if errs[j] != nil {
-				b.Fatal(errs[j])
-			}
-			g.Close()
-		}
-		fused = min(fused, time.Since(start))
-		start = time.Now()
-		for j, pi := range fusedFour {
-			g, _, err := StreamGather(src, d, pi, StreamOptions{Engine: EngineScanner, Projection: projs[j]})
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Close()
-		}
-		serial = min(serial, time.Since(start))
-	}
-	ratio := float64(serial) / float64(fused)
-	b.ReportMetric(ratio, "serial/fused")
-	if ratio < 1.5 {
-		b.Fatalf("four serial passes took %v, the fused pass %v: %.2fx, want >= 1.5x", serial, fused, ratio)
 	}
 }

@@ -28,9 +28,9 @@ import (
 // (scan/skip.go), and the contract is three properties: (i) whatever the
 // decoder accepts the scanner accepts, with identical bytes and stats;
 // (ii) the level is never the stricter one — what it rejects, the
-// decoder and the validating scanner reject; (iii) every engine and
-// every fused projector equals the serial scanner in bytes, stats and
-// verdict. (iii) is what every engine comparison below asserts at both
+// decoder and the validating scanner reject; (iii) every engine, and
+// every projector of StreamMultiGather, equals the serial scanner in
+// bytes, stats and verdict. (iii) is what every engine comparison below asserts at both
 // levels; checkOracle asserts the rest.
 //
 // One documented divergence is excluded: the scanner matches end tags
@@ -377,7 +377,7 @@ func TestValidateLevelsInsideDiscard(t *testing.T) {
 				for _, pi := range pis {
 					runBoth(t, doc, d, pi, validate)
 				}
-				// Fused with a projector that keeps <year>, and so reads it.
+				// Beside a projector that keeps <year>, and so reads it.
 				checkMulti(t, c.name, []byte(doc), d, append(pis[:len(pis):len(pis)], multiBibPis[0]), validate)
 			}
 		})

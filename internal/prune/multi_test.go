@@ -4,21 +4,19 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/xmark"
 )
 
-// The shared-scan multi-pruner is differentially tested against the
-// serial span-gather path: for every projector in the set, the fused
-// pass must reproduce the serial StreamGather's verdict, rendered
-// bytes and stats exactly — with and without validation, including
-// sets where validation kills some projectors and not others, and
-// documents malformed only where some projectors do not look. The
-// serial gather is the same automaton at N = 1, so each serial result is
-// itself held to the encoding/xml oracle first (checkOracle).
+// StreamMultiGather is the seam benchmark/seams.go times, and these tests
+// are its contract: for every projector in the set it must give the
+// serial StreamGather's verdict, rendered bytes and stats exactly — with
+// and without validation, including sets where validation fails some
+// projectors and not others, and documents malformed only where some
+// projectors do not look. Each serial result is itself held to the
+// encoding/xml oracle first (checkOracle).
 
 // checkMulti runs StreamMultiGather over data and requires
 // per-projector agreement with serial StreamGather runs: verdict, stats,
@@ -80,8 +78,8 @@ var multiBibPis = []dtd.NameSet{
 	dtd.NewNameSet("bib"),
 }
 
-// TestMultiMatchesSerialFixed also runs every set size from one
-// projector to the widest fused table, cycling through multiBibPis.
+// TestMultiMatchesSerialFixed also runs set sizes from one projector to
+// dtd.MaxMultiProjections, cycling through multiBibPis.
 func TestMultiMatchesSerialFixed(t *testing.T) {
 	d := mustDTD(t)
 	for _, n := range []int{1, len(multiBibPis), dtd.MaxMultiProjections} {
@@ -99,9 +97,9 @@ func TestMultiMatchesSerialFixed(t *testing.T) {
 
 // TestMultiMatchesSerialInvalid feeds documents that violate the DTD:
 // validation verdicts are per projector (a projector that never keeps
-// the violating region accepts, one that keeps it fails), and the
-// fused pass must reproduce each serial verdict and the surviving
-// outputs byte for byte.
+// the violating region accepts, one that keeps it fails), and the seam
+// must reproduce each serial verdict and the surviving outputs byte for
+// byte.
 func TestMultiMatchesSerialInvalid(t *testing.T) {
 	d := mustDTD(t)
 	docs := []string{
@@ -124,8 +122,8 @@ func TestMultiMatchesSerialInvalid(t *testing.T) {
 }
 
 // TestMultiMatchesSerialMalformed: with Validate, syntax and
-// well-formedness errors fail every projector of the fused pass, as
-// they fail every serial run. Without it a projector fails on the ones
+// well-formedness errors fail every projector of the set, as they fail
+// every serial run. Without it a projector fails on the ones
 // in what it keeps, exactly as its serial run does — the last projector
 // discards <book> and never sees the unquoted attribute.
 func TestMultiMatchesSerialMalformed(t *testing.T) {
@@ -156,8 +154,8 @@ func TestMultiMatchesSerialMalformed(t *testing.T) {
 }
 
 // TestMultiMatchesSerialRandom draws random projector subsets over the
-// XMark grammar and a corpus document, comparing the fused pass against
-// each serial gather — the satellite's randomized differential.
+// XMark grammar and a corpus document, comparing the seam against each
+// serial gather.
 func TestMultiMatchesSerialRandom(t *testing.T) {
 	d := xmark.DTD()
 	doc := []byte(xmark.NewGenerator(0.002, 23).Document().XML())
@@ -173,28 +171,9 @@ func TestMultiMatchesSerialRandom(t *testing.T) {
 	}
 }
 
-// TestMultiRejectsBeyondFuseLimit: one fused pass holds at most 64
-// projectors, and a larger set is not sharded — every slot carries
-// dtd.CombineProjections' error and no span list.
-func TestMultiRejectsBeyondFuseLimit(t *testing.T) {
-	d := mustDTD(t)
-	pis := make([]dtd.NameSet, dtd.MaxMultiProjections+1)
-	for j := range pis {
-		pis[j] = multiBibPis[j%len(multiBibPis)]
-	}
-	gathers, _, errs := StreamMultiGather([]byte(bibDoc), d, pis, MultiOptions{})
-	for j := range pis {
-		if errs[j] == nil || !strings.Contains(errs[j].Error(), "exceed the fused limit of 64") {
-			t.Fatalf("projector %d of %d: err %v, want the fuse-limit error", j, len(pis), errs[j])
-		}
-		if gathers[j] != nil {
-			t.Fatalf("projector %d of %d returned a span list from a rejected set", j, len(pis))
-		}
-	}
-}
-
-// TestMultiPrecompiled: precompiled projections and a pre-fused
-// decision table must give the same results as on-the-spot compiles.
+// TestMultiPrecompiled: precompiled projections, and a pre-fused
+// decision table, which the seam ignores, give the same results as
+// on-the-spot compiles.
 func TestMultiPrecompiled(t *testing.T) {
 	d := mustDTD(t)
 	doc := []byte(bibDoc)

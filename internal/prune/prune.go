@@ -314,7 +314,8 @@ func (o sink) String() string {
 // route": a concurrent engine forced from the other source or into spans
 // or a handler, and EngineDecoder, whose pruner is the tests' oracle. A
 // span sink needs resident input, so no entry point builds reader ×
-// spans, and the shared scan of N > 1 projectors has span lists only.
+// spans, and StreamMultiGather, one gather per projector, has span
+// lists only.
 //
 // It holds the only projection compile, the only hand-back of stats and,
 // with cancelled and wrap, the only context check and error wrap.

@@ -66,17 +66,15 @@ func (sp *spliceSet) at(pos int) bool {
 // fragment's output, fold its stats, surface its error, and jump the
 // scanner past the range. Event replay precedes the fragment's own
 // error because every recorded event happened earlier in document order
-// than the point where the fragment stopped. The spine has one
-// projector, so every mask here is bit 0.
+// than the point where the fragment stopped.
 func (pr *pruner) applySplice() error {
 	t := pr.sp.tasks[pr.sp.i]
 	pr.sp.i++
 	if t.ready != nil {
 		<-t.ready
 	}
-	pr.flushText()
-	if pr.alive == 0 {
-		return nil
+	if err := pr.flushText(); err != nil {
+		return err
 	}
 	res := &t.res
 	if pr.opts.Validate {
@@ -84,19 +82,17 @@ func (pr *pruner) applySplice() error {
 		for _, ev := range res.events {
 			if ev == eventText {
 				if top.state = top.aut.NextText(top.state); top.state < 0 {
-					pr.kill(1, fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
-					return nil
+					return pr.verdict(fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
 				}
 			} else if top.state = top.aut.Next(top.state, ev); top.state < 0 {
-				pr.kill(1, fmt.Errorf("element %s not allowed here in content of %s",
+				return pr.verdict(fmt.Errorf("element %s not allowed here in content of %s",
 					pr.p.Syms.Info(ev).Name, pr.p.Syms.Info(top.sym).Name))
-				return nil
 			}
 		}
 	}
 	if res.sl != nil && res.sl.Len() > 0 {
-		pr.closeOpen(1)
-		pr.flushRun(0)
+		pr.closeOpen()
+		pr.flushRun()
 		pr.se.splice(res.sl)
 	}
 	pr.foldStats(&res.st)
@@ -126,18 +122,15 @@ func (pr *pruner) applySkipSplice() error {
 func (pr *pruner) foldStats(st *Stats) {
 	pr.st.ElementsIn += st.ElementsIn
 	pr.st.TextIn += st.TextIn
-	own := &pr.per[0].st
-	own.ElementsOut += st.ElementsOut
-	own.TextOut += st.TextOut
-	own.ElementsSkipped += st.ElementsSkipped
-	own.TextSkipped += st.TextSkipped
-	if st.MaxDepth > own.MaxDepth {
-		own.MaxDepth = st.MaxDepth
-	}
+	pr.st.ElementsOut += st.ElementsOut
+	pr.st.TextOut += st.TextOut
+	pr.st.ElementsSkipped += st.ElementsSkipped
+	pr.st.TextSkipped += st.TextSkipped
+	pr.st.MaxDepth = max(pr.st.MaxDepth, st.MaxDepth)
 }
 
 // runFragment prunes one kept content range. The scanner is already
-// reset over the range's bytes; the stack is seeded with ctxBase live
+// reset over the range's bytes; the stack is seeded with ctxBase
 // frames (only the top one's symbol matters — ancestor end tags are
 // outside the range) so stack depth equals real document depth and
 // MaxDepth folds by max.
@@ -146,7 +139,7 @@ func (pr *pruner) runFragment(ctxSym int32, ctxBase int) error {
 	pr.ctxBase = ctxBase
 	pr.stack = pr.stack[:0]
 	for i := 0; i < ctxBase; i++ {
-		pr.stack = append(pr.stack, frame{sym: -1, live: 1})
+		pr.stack = append(pr.stack, frame{sym: -1})
 	}
 	pr.stack[ctxBase-1].sym = ctxSym
 	pr.sawRoot = true

@@ -4,7 +4,7 @@ package scan_test
 // once with plain start tags read by the kernel and once with every start
 // tag read the long way, and the two must be indistinguishable — output,
 // Stats and error text — from every source into every sink, at both
-// levels of checking, alone and fused.
+// levels of checking.
 
 import (
 	"bufio"
@@ -71,9 +71,9 @@ func TestPruneTagKernelMatchesGeneralPath(t *testing.T) {
 	})
 }
 
-// kernelAgrees prunes doc with each projector of pis alone — from bytes
-// and from a one-byte reader, into a writer, spans and a handler, with and
-// without Validate — and with all of them fused, kernel on and off.
+// kernelAgrees prunes doc with each projector of pis — from bytes and
+// from a one-byte reader, into a writer, spans and a handler, with and
+// without Validate — kernel on and off.
 func kernelAgrees(t *testing.T, doc []byte, d *dtd.DTD, pis []dtd.NameSet) {
 	t.Helper()
 	projs := make([]*dtd.Projection, len(pis))
@@ -95,13 +95,6 @@ func kernelAgrees(t *testing.T, doc []byte, d *dtd.DTD, pis []dtd.NameSet) {
 					}
 				}
 			}
-		}
-		combined, err := dtd.CombineProjections(projs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if on, off := pruneFused(doc, d, combined, opts), pruneFused(doc, d, combined, scan.KernelOff(opts)); on != off {
-			t.Errorf("%q, fused, validate=%v:\nkernel  %s\ngeneral %s", doc, validate, on, off)
 		}
 	}
 }
@@ -132,21 +125,6 @@ func pruneInto(doc []byte, d *dtd.DTD, p *dtd.Projection, opts scan.Options, fee
 		out = rec.String()
 	}
 	return fmt.Sprintf("%q %+v %v", out, st, err)
-}
-
-// pruneFused renders one fused pass: every projector's output, Stats and
-// error.
-func pruneFused(doc []byte, d *dtd.DTD, mp *dtd.Projection, opts scan.Options) string {
-	sls := make([]*scan.SpanList, mp.N())
-	for j := range sls {
-		sls[j] = new(scan.SpanList)
-	}
-	stats, errs := scan.PruneMultiGather(sls, doc, d, mp, opts)
-	var sb strings.Builder
-	for j, sl := range sls {
-		fmt.Fprintf(&sb, "%d: %q %+v %v\n", j, sl.Bytes(), stats[j], errs[j])
-	}
-	return sb.String()
 }
 
 // recorder is a table sink that writes the events down.

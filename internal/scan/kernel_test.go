@@ -311,7 +311,7 @@ func TestNameCacheBounded(t *testing.T) {
 			pr.s.Reset(strings.NewReader(`<bib><book isbn="1"><` + name + `/></book></bib>`))
 			pr.prep(d, p, Options{Validate: true})
 			pr.useDiscard()
-			err := pr.errOf(0, pr.run())
+			err := pr.run()
 			pr.release()
 			if want := new(Scanner).checkName([]byte(name)); (err == nil) != want {
 				t.Fatalf("round %d, name %q: pruned with %v, a fresh scanner says valid = %v", round, name, err, want)

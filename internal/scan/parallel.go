@@ -63,6 +63,7 @@ type ParallelDetail struct {
 // through the scanner and so reproduces the exact serial verdict,
 // MaxTokenSize enforcement included.
 func PruneParallel(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelOptions) (Stats, ParallelDetail, error) {
+	solo("scan.PruneParallel", proj)
 	var det ParallelDetail
 	workers := opts.Workers
 	if workers <= 0 {

@@ -134,6 +134,7 @@ func atomicMax(p *int64, v int64) {
 // pruner, writing output byte-identical to Prune's to bw. Memory stays
 // bounded by ring depth × window size regardless of document size.
 func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Projection, opts PipelineOptions) (Stats, PipelineDetail, error) {
+	solo("scan.PrunePipelined", proj)
 	var det PipelineDetail
 	workers := opts.Workers
 	if workers <= 0 {
@@ -446,7 +447,7 @@ func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Proje
 		}
 		pr.sp = sp
 		t0 := time.Now()
-		werr := pr.errOf(0, pr.runWindow())
+		werr := pr.runWindow()
 		pr.flushRuns() // nothing may point into the window's slab once it is recycled
 		emit += time.Since(t0)
 		if werr == errPause {

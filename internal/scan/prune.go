@@ -1,49 +1,39 @@
 package scan
 
-// The pruning automaton. One pass of the byte-level scanner evaluates
-// the N ≥ 1 projectors of a compiled decision table (dtd.Projection)
-// simultaneously: per-symbol keep-element / keep-text / per-attribute
-// bitmasks over the projectors, and a "live set" bitmask threaded
-// through the element stack — bit j set means projector j keeps every
-// element on the path, so this region of the document is being emitted
-// for j. A child's live set is always a subset of its parent's, so the
-// masks shrink monotonically with depth and a subtree whose live set is
-// empty is dead for every projector: it is consumed once by the skip
-// scan (checked token by token with Validate, only balanced without —
-// skip.go), its skipped-node counts distributed to all projectors. The
-// serial pruner is the N = 1 case: every mask is 0 or 1 and the one
-// output is a bufio.Writer, a gather list, a Handler (the table sink:
-// the kept nodes as events, nothing rendered) or nothing; with N > 1
-// each projector writes its own gather list and renders exactly what a
-// run with that projector alone would.
+// The pruning automaton. One pass of the byte-level scanner prunes the
+// document with one projector, compiled into a decision table
+// (dtd.Projection) that answers keep-element, keep-text and
+// keep-attribute per symbol with an array lookup. Every element on the
+// stack is kept: a start tag π discards is consumed with its whole
+// subtree by the skip scan (checked token by token with Validate, only
+// balanced without — skip.go), so a discarded region never reaches the
+// main loop. The one output is a bufio.Writer, a gather list, a Handler
+// (the table sink: the kept nodes as events, nothing rendered) or
+// nothing. Many queries are one projector: projectors are closed under
+// union (§4.2), so one pass serves a whole set.
 //
 // Output is written through the emitter seam as spans of the scanner's
 // buffer wherever the input already is the canonical rendering — tags
 // with nothing dropped, end tags, text with nothing to escape — and as
 // synthesized bytes otherwise. Adjacent spans merge into one pending run
-// per projector (rawTo) before they reach the sink — a start tag's
-// withheld '>' included, which goes out as the input's own byte when
-// the tag did — so a subtree π keeps whole is one gather segment, or
-// one Write, without any token handler knowing it is in one. Offsets
-// are relative to the scanner's mark, pinned at each token's first
-// byte, so they survive buffer refills when the input is a reader.
+// (rawTo) before they reach the sink — a start tag's withheld '>'
+// included, which goes out as the input's own byte when the tag did — so
+// a subtree π keeps whole is one gather segment, or one Write, without
+// any token handler knowing it is in one. Offsets are relative to the
+// scanner's mark, pinned at each token's first byte, so they survive
+// buffer refills when the input is a reader.
 //
-// Validation is per projector: a projector only validates the regions
-// it keeps, so with N projectors the verdicts can differ. A validation
-// failure kills exactly the projectors that would have seen it alone
-// (the emitting-region mask at the failure point, or the keeper mask for
-// attribute checks): their error is recorded, their bits leave the
-// alive mask, and the scan continues for the rest. Syntax and
-// well-formedness errors abort the whole pass: with Validate every
-// projector fails on those; without, a projector fails only on the ones
-// in what it keeps, so PruneMultiGather gives each surviving projector
-// a pass of its own.
+// Validation covers the regions π keeps. A verdict — a validation
+// error, or two kept attributes the output would write under one name —
+// ends the pass where it is found (verdict), as a syntax or
+// well-formedness error does. A start tag is decided attribute by
+// attribute as it is read, so a verdict on an earlier attribute comes
+// before a syntax error later in the same tag.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"sync"
 
 	"xmlproj/internal/dtd"
@@ -69,9 +59,8 @@ type Options struct {
 	general bool
 }
 
-// Stats reports what a streaming prune did. Every engine, and every
-// projector of a fused pass, reports what the serial scanner reports
-// for that projector alone. ElementsIn, ElementsOut, ElementsSkipped,
+// Stats reports what a streaming prune did. Every engine reports what
+// the serial scanner reports. ElementsIn, ElementsOut, ElementsSkipped,
 // TextOut, BytesOut and MaxDepth do not depend on Options.Validate;
 // TextIn and TextSkipped do.
 type Stats struct {
@@ -148,92 +137,43 @@ type Sink struct {
 	H     Handler
 }
 
-// Prune runs the pruning automaton with a single projector, from src into
-// out: the input is tokenized in place, names resolve through the DTD
-// symbol table, and the compiled projection answers keep/skip per element
-// with an array lookup. Every source goes into every sink but a reader
-// into spans. Scanner and pruner state come from a pool and are returned
-// on completion.
+// Prune runs the pruning automaton from src into out: the input is
+// tokenized in place, names resolve through the DTD symbol table, and the
+// compiled projection answers keep/skip per element with an array
+// lookup. Every source goes into every sink but a reader into spans.
+// proj is one projector's table: a pass prunes with one, and a fused
+// table (dtd.CombineProjections) is refused. Scanner and pruner state
+// come from a pool and are returned on completion.
 func Prune(src Source, out Sink, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
 	if out.Spans != nil && src.R != nil {
 		panic("scan.Prune: a span sink needs resident input")
 	}
+	solo("scan.Prune", proj)
 	pr := prunerPool.Get().(*pruner)
-	return pr.finish(pr.pass(src, d, proj, opts, proj.All(), pr.sinkFor(out)))
-}
-
-// PruneMultiGather prunes in-memory input against every projector of a fused
-// decision table in a single scanner pass. sls must hold one SpanList
-// per projector; each is Reset over data and receives that projector's
-// output, byte-identical to a Prune into spans with the same projector
-// alone. The returned slices are per projector: errs[j] is non-nil when
-// projector j's own prune would have failed (its SpanList contents are
-// then meaningless), and stats[j] are that prune's counters. As on any
-// resident input, MaxTokenSize is not enforced.
-func PruneMultiGather(sls []*SpanList, data []byte, d *dtd.DTD, mp *dtd.Projection, opts Options) ([]Stats, []error) {
-	if len(sls) != mp.N() {
-		panic("scan.PruneMultiGather: len(sls) != mp.N()")
-	}
-	outs := make([]emitter, len(sls))
-	for j, sl := range sls {
-		outs[j] = sl
-	}
-	pr := prunerPool.Get().(*pruner)
-	stats := make([]Stats, len(sls))
-	errs := make([]error, len(sls))
-	// record runs the projectors in alive over data and records their
-	// results, returning who survived to the end of the pass and the
-	// pass's own error.
-	record := func(alive uint64) (uint64, error) {
-		gerr := pr.pass(Source{Data: data}, d, mp, opts, alive, outs...)
-		for mk := alive; mk != 0; mk &= mk - 1 {
-			j := bits.TrailingZeros64(mk)
-			stats[j], errs[j] = pr.stats(j), pr.errOf(j, gerr)
-		}
-		return pr.alive, gerr
-	}
-	if met, gerr := record(mp.All()); gerr != nil && !opts.Validate && met&(met-1) != 0 {
-		// Without Validate a projector checks only the regions it keeps, so
-		// an error the fused pass met in a region another projector keeps
-		// need not be this one's: each projector that got that far reports
-		// a pass of its own instead.
-		for ; met != 0; met &= met - 1 {
-			record(met & -met)
-		}
-	}
-	pr.release()
-	prunerPool.Put(pr)
-	return stats, errs
-}
-
-// pass runs the automaton once over src for the projectors in alive,
-// outs holding one sink per projector of proj: it points the scanner at
-// src, prepares the pooled state, Resets the span lists it is to fill,
-// runs, and hands every pending run to its sink. It returns the pass's
-// own error; errOf and stats give each projector's verdict and counters.
-func (pr *pruner) pass(src Source, d *dtd.DTD, proj *dtd.Projection, opts Options, alive uint64, outs ...emitter) error {
 	if src.R != nil {
 		pr.s.Reset(src.R)
 	} else {
 		pr.s.ResetBytes(src.Data)
 	}
 	pr.prep(d, proj, opts)
-	pr.alive = alive
-	pr.outs = append(pr.outs, outs...)
-	for mk := alive; mk != 0; mk &= mk - 1 {
-		if sl, ok := outs[bits.TrailingZeros64(mk)].(*SpanList); ok {
-			sl.Reset(src.Data)
-		}
+	pr.use(out)
+	if out.Spans != nil {
+		out.Spans.Reset(src.Data)
 	}
-	err := pr.run()
-	pr.flushRuns()
-	return err
+	return pr.finish(pr.run())
+}
+
+// solo refuses a decision table of more than one projector at an entry
+// into the automaton.
+func solo(entry string, proj *dtd.Projection) {
+	if n := proj.N(); n != 1 {
+		panic(fmt.Sprintf("%s: a pass prunes with one projector, the table holds %d", entry, n))
+	}
 }
 
 // prep prepares pooled state for a new input. The caller has already
 // pointed the scanner at the input (Reset / ResetBytes / ResetBytesAt)
-// and must install one output target per projector (use, useDiscard, or
-// appending to outs) before run.
+// and must install the output target (use or useDiscard) before run.
 func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.s.SetMaxTokenSize(opts.MaxTokenSize)
 	pr.d, pr.p, pr.opts = d, proj, opts
@@ -244,19 +184,9 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 		proj.Syms.CompileDense()
 	}
 	pr.st = Stats{}
-	pr.outs = pr.outs[:0]
-	n := proj.N()
-	if cap(pr.per) < n {
-		pr.per = make([]projState, n)
-	}
-	pr.per = pr.per[:n]
-	for j := range pr.per {
-		pp := &pr.per[j]
-		pp.st, pp.err, pp.runOff, pp.runEnd = Stats{}, nil, 0, 0
-	}
-	pr.alive = proj.All()
+	pr.runOff, pr.runEnd = 0, 0
 	pr.stack = pr.stack[:0]
-	pr.open, pr.openRaw, pr.begun, pr.sawRoot, pr.runPending = 0, 0, false, false, false
+	pr.open, pr.openRaw, pr.begun, pr.sawRoot, pr.runPending = false, false, false, false, false
 	pr.textBuf = pr.textBuf[:0]
 	pr.skipNames.reset()
 	pr.skipPending, pr.skipDepth = false, 0
@@ -266,62 +196,35 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.counted.n, pr.htext = 0, pr.htext[:0]
 }
 
-// sinkFor installs out's side state and returns the emitter through
-// which the automaton writes to it. The stream and count emitters live
-// inside the pooled pruner, so installing a sink allocates nothing.
-func (pr *pruner) sinkFor(out Sink) emitter {
+// use installs out's side state and the emitter through which the
+// automaton writes to it. The stream and count emitters live inside the
+// pooled pruner, so installing a sink allocates nothing. A span list is
+// not Reset: a fragment's is over a window of the input (ResetBytesAt).
+func (pr *pruner) use(out Sink) {
 	switch {
 	case out.Spans != nil:
-		return out.Spans
+		pr.out = out.Spans
 	case out.H != nil:
 		// The kept nodes go to h where they are decided (handStart,
 		// handEnd, and the text they gather), and the rendering, which the
 		// span and literal logic still drive as for a writer, is only
 		// counted.
 		pr.h = out.H
-		return &pr.counted
+		pr.out = &pr.counted
+	default:
+		pr.se.bw = out.W
+		pr.out = &pr.se
 	}
-	pr.se.bw = out.W
-	return &pr.se
 }
-
-// use installs out as the single projector's sink. A span list is not
-// Reset: a fragment's is over a window of the input (ResetBytesAt).
-func (pr *pruner) use(out Sink) { pr.outs = append(pr.outs[:0], pr.sinkFor(out)) }
 
 // useDiscard wires a non-emitting role (skip fragments).
-func (pr *pruner) useDiscard() { pr.outs = append(pr.outs[:0], nopEmitter{}) }
+func (pr *pruner) useDiscard() { pr.out = nopEmitter{} }
 
-// stats composes projector j's counters: what was read is the same for
-// every projector, what was kept or skipped is its own.
-func (pr *pruner) stats(j int) Stats {
-	st := pr.per[j].st
-	st.ElementsIn, st.TextIn = pr.st.ElementsIn, pr.st.TextIn
-	if !pr.opts.Validate {
-		// What j discards is balanced, not read (skipBalance): a text run
-		// in there was seen only if another projector keeps it, and alone
-		// j would not have counted it.
-		st.TextIn -= st.TextSkipped
-		st.TextSkipped = 0
-	}
-	return st
-}
-
-// errOf is projector j's verdict given the pass's own error: the
-// validation error that killed it, if any, comes first — alone, its
-// prune would have stopped there.
-func (pr *pruner) errOf(j int, gerr error) error {
-	if err := pr.per[j].err; err != nil {
-		return err
-	}
-	return gerr
-}
-
-// finish ends a single-projector prune and recycles the pruner. Only a
-// handler sink's BytesOut is known here: it was counted.
-func (pr *pruner) finish(gerr error) (Stats, error) {
+// finish ends a prune and recycles the pruner. Only a handler sink's
+// BytesOut is known here: it was counted.
+func (pr *pruner) finish(err error) (Stats, error) {
 	pr.flushRuns()
-	st, err := pr.stats(0), pr.errOf(0, gerr)
+	st := pr.st
 	st.BytesOut = pr.counted.n
 	pr.release()
 	prunerPool.Put(pr)
@@ -336,13 +239,7 @@ func (pr *pruner) release() {
 		pr.stack[i] = frame{}
 	}
 	pr.stack = pr.stack[:0]
-	for i := range pr.outs {
-		pr.outs[i] = nil
-	}
-	pr.outs = pr.outs[:0]
-	for j := range pr.per {
-		pr.per[j].err = nil
-	}
+	pr.out = nil
 	pr.s.Reset(nil)
 	pr.d, pr.p = nil, nil
 	pr.tag = openTag{}
@@ -358,38 +255,24 @@ func (pr *pruner) release() {
 	pr.h = nil
 }
 
-// frame is one open element.
+// frame is one open element, kept: a discarded one is never pushed.
 type frame struct {
 	sym    int32
 	prefix string        // interned; "" for unprefixed tags
-	live   uint64        // projectors keeping every element on this path
 	state  int32         // dense content-model DFA state (when validating)
 	aut    *dtd.DenseDFA // the element's dense automaton
 }
 
-// openTag is the start tag the automaton is deciding: its element and
-// the projectors keeping it (K), set by head, and from keep on its
-// prefix, its attribute decisions, and canon, the keepers whose
-// rendering is still the raw span from the mark.
+// openTag is the kept start tag the automaton is deciding: its element,
+// set by head, and from keep on its prefix, its attribute decisions, and
+// canon, whether its rendering so far is still the raw span from the
+// mark.
 type openTag struct {
-	sym      int32
-	info     *dtd.SymInfo
-	prefix   string
-	decl     []dtd.AttrProj
-	K, canon uint64
-}
-
-// projState is what one projector owns in a pass.
-type projState struct {
-	st     Stats  // ElementsOut, TextOut, the skipped counts and MaxDepth
-	err    error  // the validation error that killed it
-	tagBuf []byte // demoted rendering of the current start tag
-	// The pending run: the span buf[runOff:runEnd] of the scanner's
-	// buffer is due to its sink but not handed over yet, so that spans
-	// adjacent to it extend it instead of costing a call each. It goes
-	// out (flushRun) before anything else does, at the end of the pass,
-	// and before the bytes it points at move.
-	runOff, runEnd int
+	sym    int32
+	info   *dtd.SymInfo
+	prefix string
+	decl   []dtd.AttrProj
+	canon  bool
 }
 
 type pruner struct {
@@ -397,20 +280,21 @@ type pruner struct {
 	d    *dtd.DTD
 	p    *dtd.Projection
 	opts Options
+	st   Stats
 
-	// st counts what is the same for every projector: ElementsIn and
-	// TextIn, and the skip scan's running skipped totals, which skipAll
-	// hands to the projectors a skipped region is dead for.
-	st  Stats
-	per []projState
-
-	// outs holds one output target per projector; se backs the single
-	// one of the streaming path so installing it never allocates.
-	outs []emitter
-	se   streamEmitter
+	// out is the output target; se backs the streaming one so installing
+	// it never allocates.
+	out emitter
+	se  streamEmitter
+	// The pending run: the span buf[runOff:runEnd] of the scanner's buffer
+	// is due to out but not handed over yet, so that spans adjacent to it
+	// extend it instead of costing a call each. It goes out (flushRun)
+	// before anything else does, at the end of the pass, and before the
+	// bytes it points at move.
+	runOff, runEnd int
 
 	// The table sink (Sink.H). h is handed the kept nodes, and
-	// counted, the one output, sums what a writer would have been given.
+	// counted, the output, sums what a writer would have been given.
 	// htext is the decoded text kept since the last kept tag: a discarded
 	// element between two runs does not part them, as it does not in the
 	// rendering. hvals holds the kept start tag's attribute names and
@@ -422,14 +306,13 @@ type pruner struct {
 	hends        []int
 	hattrs       []Attr
 
-	alive uint64 // projectors not yet killed by a validation error
 	stack []frame
-	// open has a projector's bit while the '>' of the last start tag it
-	// was given is provisional, so the element can still come out as
-	// <e/>. Where the tag went out as an input span (openRaw) the '>' sits
-	// at the end of the pending run, to be taken back if the element
-	// self-closes; elsewhere it is withheld and synthesized on demand.
-	open, openRaw uint64
+	// open is set while the '>' of the last start tag written is
+	// provisional, so the element can still come out as <e/>. Where the
+	// tag went out as an input span (openRaw) the '>' sits at the end of
+	// the pending run, to be taken back if the element self-closes;
+	// elsewhere it is withheld and synthesized on demand.
+	open, openRaw bool
 	begun         bool // the document's head has been sniffed (run re-enters per pipelined window)
 	sawRoot       bool
 
@@ -441,12 +324,14 @@ type pruner struct {
 
 	// tag is the start tag being decided; kattrs holds the attributes the
 	// tag kernel read of it, ltag what the long way read of it, or of a
-	// discarded tag under Validate.
+	// discarded tag under Validate. tagBuf is its rendering once it can no
+	// longer be the raw span (demote).
 	tag    openTag
 	kattrs []Attr
 	ltag   tagAttrs
+	tagBuf []byte
 
-	attrBuf  []byte // shared canonical attr / escaped text / end-tag scratch
+	attrBuf  []byte // shared escaped text / end-tag scratch
 	skipText []byte // text the skip scan decodes and drops
 	seen     []bool // declared-attribute tracking for #REQUIRED checks
 	// locals is the local parts of the tag's attribute names, recorded
@@ -464,7 +349,7 @@ type pruner struct {
 	// keeps, the discarded element's own (skipBalance).
 	skipDepth int
 
-	// Parallel-prune roles, single projector only. mode selects the role:
+	// Parallel-prune roles. mode selects the role:
 	// modeNormal is the plain pass (also the spine of a parallel prune,
 	// when sp is set); modeFragment prunes one content range of a kept
 	// context element, recording child-level symbols in events instead of
@@ -508,77 +393,63 @@ const eventText int32 = -1
 // than this, at one sink call per 4 KiB of kept input.
 const maxRun = 4 << 10
 
-// Mask-fanned emission helpers, one step per set bit. rawTo emits the
-// span buf[off:end] of the scanner's buffer: it only extends the
-// projector's pending run when adjacent to it. The lit helpers emit
-// synthesized bytes, behind the run.
+// Emission helpers. rawTo emits the span buf[off:end] of the scanner's
+// buffer: it only extends the pending run when adjacent to it. The lit
+// helpers emit synthesized bytes, behind the run.
 
-func (pr *pruner) rawTo(mask uint64, off, end int) {
-	for ; mask != 0; mask &= mask - 1 {
-		j := bits.TrailingZeros64(mask)
-		pp := &pr.per[j]
-		if pp.runEnd != off || end-pp.runOff > maxRun {
-			pr.flushRun(j)
-			pp.runOff = off
-		}
-		pp.runEnd = end
+func (pr *pruner) rawTo(off, end int) {
+	if pr.runEnd != off || end-pr.runOff > maxRun {
+		pr.flushRun()
+		pr.runOff = off
+	}
+	pr.runEnd = end
+}
+
+func (pr *pruner) flushRun() {
+	if pr.runOff < pr.runEnd {
+		pr.out.raw(pr.s.buf, pr.runOff, pr.runEnd)
+		pr.runOff = pr.runEnd
 	}
 }
 
-func (pr *pruner) flushRun(j int) {
-	if pp := &pr.per[j]; pp.runOff < pp.runEnd {
-		pr.outs[j].raw(pr.s.buf, pp.runOff, pp.runEnd)
-		pp.runOff = pp.runEnd
-	}
-}
-
-// flushRuns hands every pending run to its sink, short of a provisional
+// flushRuns hands the pending run to the sink, short of a provisional
 // '>', which is withheld from here on. It is the scanner's beforeFill
 // hook — a refill moves the bytes runs point at — and runs at the end of
 // a pass or a pipelined window.
 func (pr *pruner) flushRuns() {
-	for mk := pr.open & pr.openRaw; mk != 0; mk &= mk - 1 {
-		pr.per[bits.TrailingZeros64(mk)].runEnd--
+	if pr.open && pr.openRaw {
+		pr.runEnd--
 	}
-	pr.openRaw = 0
-	for j := range pr.per {
-		pr.flushRun(j)
-	}
+	pr.openRaw = false
+	pr.flushRun()
 }
 
-func (pr *pruner) litTo(mask uint64, p []byte) {
-	for ; mask != 0; mask &= mask - 1 {
-		j := bits.TrailingZeros64(mask)
-		pr.flushRun(j)
-		pr.outs[j].lit(p)
-	}
+func (pr *pruner) lit(p []byte) {
+	pr.flushRun()
+	pr.out.lit(p)
 }
 
-func (pr *pruner) litStringTo(mask uint64, s string) {
-	for ; mask != 0; mask &= mask - 1 {
-		j := bits.TrailingZeros64(mask)
-		pr.flushRun(j)
-		pr.outs[j].litString(s)
-	}
+func (pr *pruner) litString(s string) {
+	pr.flushRun()
+	pr.out.litString(s)
 }
 
-// kill records err for every projector in mask and removes them from
-// the alive set. Their outputs are abandoned.
-func (pr *pruner) kill(mask uint64, err error) {
-	mask &= pr.alive
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		pr.per[bits.TrailingZeros64(mk)].err = err
-	}
-	pr.alive &^= mask
-	pr.open &^= mask
+// verdict ends the pass with err, a verdict on the document. The output
+// stops where the verdict is found: a provisional '>' riding the pending
+// run goes out with it, where a syntax error's pass takes it back.
+func (pr *pruner) verdict(err error) error {
+	pr.open = false
+	return err
 }
 
-// closeOpen commits the provisional start-tag '>'s of the projectors in
-// mask: the synthesized ones are written, the ones riding a run stay.
-func (pr *pruner) closeOpen(mask uint64) {
-	if pend := pr.open & mask; pend != 0 {
-		pr.open &^= pend
-		pr.litStringTo(pend&^pr.openRaw, ">")
+// closeOpen commits a provisional start-tag '>': a synthesized one is
+// written, one riding the run stays.
+func (pr *pruner) closeOpen() {
+	if pr.open {
+		pr.open = false
+		if !pr.openRaw {
+			pr.litString(">")
+		}
 	}
 }
 
@@ -592,7 +463,7 @@ func (pr *pruner) run() error {
 			}
 		}
 	}
-	for pr.alive != 0 {
+	for {
 		if pr.sp != nil && pr.sp.at(s.pos) {
 			if err := pr.applySplice(); err != nil {
 				return err
@@ -650,10 +521,6 @@ func (pr *pruner) run() error {
 		}
 	}
 	switch {
-	case pr.alive == 0:
-		// Every projector has already failed the way it would have alone;
-		// the rest of the input is irrelevant.
-		return nil
 	case pr.mode == modePipe:
 		// End of a non-final pipelined window. The indexer guarantees the
 		// window ends exactly after a complete construct, so the loop
@@ -663,7 +530,9 @@ func (pr *pruner) run() error {
 	case pr.mode == modeFragment:
 		// The cut rule guarantees the byte after this range is an element
 		// tag, where the pending text run would be flushed.
-		pr.flushText()
+		if err := pr.flushText(); err != nil {
+			return err
+		}
 	case !pr.sawRoot:
 		return ErrNoRoot
 	}
@@ -679,9 +548,9 @@ func (pr *pruner) run() error {
 // mirroring the decoder path: whitespace-only chunks are dropped, others
 // coalesce until the next element tag. A verbatim chunk whose run has no
 // earlier decoded bytes pending is emitted at once as a span of the
-// scanner's buffer for the projectors keeping this element's text — its
-// raw bytes equal the escaped output — instead of joining the run
-// buffer, and one plainChunk took whole is not copied anywhere.
+// scanner's buffer when π keeps this element's text — its raw bytes
+// equal the escaped output — instead of joining the run buffer, and one
+// plainChunk took whole is not copied anywhere.
 func (pr *pruner) chunk(cdata bool) error {
 	s := pr.s
 	kept := len(pr.textBuf)
@@ -704,25 +573,22 @@ func (pr *pruner) chunk(cdata bool) error {
 		return nil
 	}
 	if len(pr.stack) == 0 {
-		// A well-formedness error, so the whole pass's at both levels of
-		// checking, in scan.Walk's words.
+		// A well-formedness error at both levels of checking, in
+		// scan.Walk's words.
 		return errOutsideRoot
 	}
 	pr.runPending = true
-	top := &pr.stack[len(pr.stack)-1]
-	keep := top.live & pr.alive & pr.p.KeepText(top.sym)
 	switch {
-	case keep == 0:
-		// No surviving projector keeps this element's text: the run only
-		// needs its counters and placement validation, not its bytes.
-		// (Masks shrink monotonically, so keep is still 0 at flush.)
+	case pr.p.KeepText(pr.stack[len(pr.stack)-1].sym) == 0:
+		// π drops this element's text: the run only needs its counters
+		// and placement validation, not its bytes.
 	case info.verbatim && !cdata && kept == 0:
 		// The raw bytes are exactly the canonical output (a CDATA body
 		// never is: it is re-escaped) and nothing earlier in this run is
 		// pending in the buffer, which a later flush would reorder behind
 		// these bytes.
-		pr.closeOpen(keep)
-		pr.rawTo(keep, s.mark, s.pos)
+		pr.closeOpen()
+		pr.rawTo(s.mark, s.pos)
 		if pr.h != nil {
 			// Verbatim: the raw bytes are the decoded ones too.
 			pr.htext = append(pr.htext, s.buf[s.mark:s.pos]...)
@@ -736,48 +602,39 @@ func (pr *pruner) chunk(cdata bool) error {
 }
 
 // flushText ends the current logical text run, if there is one: counts
-// it (globally and per dead-region projector), validates its placement
-// for the live projectors, and emits the escaped remainder to the
-// keepers.
-func (pr *pruner) flushText() {
-	if pr.runPending {
-		pr.endTextRun()
+// it, validates its placement, and emits the escaped remainder when π
+// keeps it.
+func (pr *pruner) flushText() error {
+	if !pr.runPending {
+		return nil
 	}
-}
-
-func (pr *pruner) endTextRun() {
 	pr.runPending = false
 	pr.st.TextIn++
 	top := &pr.stack[len(pr.stack)-1]
-	for mk := pr.alive &^ top.live; mk != 0; mk &= mk - 1 {
-		pr.per[bits.TrailingZeros64(mk)].st.TextSkipped++
-	}
-	live := top.live & pr.alive
-	if pr.opts.Validate && live != 0 {
+	if pr.opts.Validate {
 		if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
 			// The context element's incoming DFA state is unknown here;
 			// record the event for the spine to replay at the splice.
 			pr.events = append(pr.events, eventText)
 		} else if next := top.aut.NextText(top.state); next < 0 {
-			pr.kill(live, fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
+			return pr.verdict(fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
 		} else {
 			top.state = next
 		}
 	}
-	if keep := live & pr.alive & pr.p.KeepText(top.sym); keep != 0 {
-		pr.closeOpen(keep)
+	if pr.p.KeepText(top.sym) != 0 {
+		pr.closeOpen()
 		if len(pr.textBuf) > 0 {
 			pr.attrBuf = appendEscaped(pr.attrBuf[:0], pr.textBuf, false)
-			pr.litTo(keep, pr.attrBuf)
+			pr.lit(pr.attrBuf)
 			if pr.h != nil {
 				pr.htext = append(pr.htext, pr.textBuf...)
 			}
 		}
-		for mk := keep; mk != 0; mk &= mk - 1 {
-			pr.per[bits.TrailingZeros64(mk)].st.TextOut++
-		}
+		pr.st.TextOut++
 	}
 	pr.textBuf = pr.textBuf[:0]
+	return nil
 }
 
 func (pr *pruner) intern(b []byte) string {
@@ -800,11 +657,11 @@ func (pr *pruner) intern(b []byte) string {
 // spelt ` name="value"` behind the last when canon), whether it is empty
 // and canon, that it is spelt as it is rendered. Of any other name is nil,
 // and the long way reads it here: the name, then the rest once head has
-// said who keeps the tag — pinned, for attribute to decide, or, when no
-// one does, by skipTag. Both end in one decision: head resolves the tag
-// and decides who keeps it, keep starts the keepers' rendering, attribute
-// decides each attribute and element opens and emits the element, or
-// discards it.
+// said whether π keeps the tag — pinned, for attribute to decide, or,
+// when it does not, by skipTag. Both end in one decision: head resolves
+// the tag and decides whether it is kept, keep starts its rendering,
+// attribute decides each attribute and element opens and emits the
+// element.
 func (pr *pruner) startTag(name []byte, attrs []Attr, empty, canon bool) error {
 	s := pr.s
 	kernel, prefix, local := name != nil, []byte(nil), name
@@ -814,21 +671,24 @@ func (pr *pruner) startTag(name []byte, attrs []Attr, empty, canon bool) error {
 			return err
 		}
 		if len(pr.stack) == 0 && pr.sawRoot {
-			// A well-formedness error, so the whole pass's at both levels of
-			// checking, in scan.Walk's words.
+			// A well-formedness error at both levels of checking, in
+			// scan.Walk's words.
 			return fmt.Errorf("multiple root elements")
 		}
 	}
-	if pr.head(local) == 0 {
-		// Dead for every surviving projector: one skip pass over the rest
-		// of the tag and the subtree. The name is copied before the rest of
-		// the tag moves the buffer; the root's end tag must match it.
-		if pr.alive == 0 || empty {
+	kept, err := pr.head(local)
+	if err != nil {
+		return err
+	}
+	if !kept {
+		if empty {
 			return nil
 		}
+		// Discarded: one skip pass over the rest of the tag and the
+		// subtree. The name is copied before the rest of the tag moves the
+		// buffer; the root's end tag must match it.
 		pr.skipNames.push(name)
 		if !kernel {
-			var err error
 			if empty, err = pr.skipTag(); err != nil {
 				return err
 			}
@@ -844,62 +704,53 @@ func (pr *pruner) startTag(name []byte, attrs []Attr, empty, canon bool) error {
 	if kernel {
 		// A tag not spelt as rendered is rendered from its first attribute.
 		if !canon {
-			pr.demote(pr.tag.canon, 1+len(name))
+			pr.demote(1 + len(name))
 		}
 		at := 1 + len(name)
 		for i, a := range attrs {
-			pr.attribute(i, nil, a.Name, a.Value, at, true)
+			if err := pr.attribute(i, nil, a.Name, a.Value, at, true); err != nil {
+				return err
+			}
 			at += len(` =""`) + len(a.Name) + len(a.Value)
 		}
-		return pr.element(len(name), empty)
+		return pr.element(empty)
 	}
-	empty, err := s.longTag(&pr.ltag, true)
+	empty, err = s.longTag(&pr.ltag, true)
 	// The attributes read are decided before an error that ended the tag:
-	// alone, a projector that fails on one of them stops there.
+	// a verdict on one of them comes first.
 	for i := range pr.ltag.attrs {
 		a := &pr.ltag.attrs[i]
-		pr.attribute(i, a.prefix, a.Name, a.Value, a.at, a.canon)
+		if err := pr.attribute(i, a.prefix, a.Name, a.Value, a.at, a.canon); err != nil {
+			return err
+		}
 	}
 	if err != nil {
 		return err
 	}
 	if pr.ltag.tail >= 0 {
-		pr.demote(pr.tag.canon, pr.ltag.tail)
+		pr.demote(pr.ltag.tail)
 	}
-	return pr.element(len(name), empty)
+	return pr.element(empty)
 }
 
 // head counts a start tag whose name is read, ending the text run before
-// it, resolves its local part and steps the validating projectors'
-// content models, and returns K, the projectors that keep the element.
-func (pr *pruner) head(local []byte) uint64 {
-	pr.flushText()
+// it, resolves its local part and steps the content model, and reports
+// whether π keeps the element.
+func (pr *pruner) head(local []byte) (bool, error) {
 	pr.st.ElementsIn++
 	pr.sawRoot = true
-	// P: projectors for which this element sits in an emitting region.
-	// The rest are inside a subtree they would, alone, consume with the
-	// skip scan — no symbol lookup, no validation, and this element
-	// counts as skipped for them. (A discard root is counted skipped only
-	// for projectors it is *inside* a skipped region of, not for the ones
-	// discarding it right here.)
-	P := pr.alive
-	if len(pr.stack) > 0 {
-		P &= pr.stack[len(pr.stack)-1].live
-	}
-	for mk := pr.alive &^ P; mk != 0; mk &= mk - 1 {
-		pr.per[bits.TrailingZeros64(mk)].st.ElementsSkipped++
+	if err := pr.flushText(); err != nil {
+		return false, err
 	}
 	sym, found := pr.p.Syms.Lookup(local)
 	if !found {
-		pr.kill(P, fmt.Errorf("element %q not declared in DTD", local))
-		return 0
+		return false, pr.verdict(fmt.Errorf("element %q not declared in DTD", local))
 	}
 	info := pr.p.Syms.Info(sym)
-	if pr.opts.Validate && P != 0 {
-		var verr error
+	if pr.opts.Validate {
 		if len(pr.stack) == 0 {
 			if info.Name != pr.d.Root {
-				verr = fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root)
+				return false, pr.verdict(fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root))
 			}
 		} else if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
 			// A child of the fragment's context element: its transition in
@@ -909,47 +760,37 @@ func (pr *pruner) head(local []byte) uint64 {
 			// The parent's dense automaton takes the child transition
 			// with two array loads — no name hashing on the hot path.
 			top := &pr.stack[len(pr.stack)-1]
-			if next := top.aut.Next(top.state, sym); next < 0 {
-				verr = fmt.Errorf("element %s not allowed here in content of %s",
-					info.Name, pr.p.Syms.Info(top.sym).Name)
-			} else {
-				top.state = next
+			next := top.aut.Next(top.state, sym)
+			if next < 0 {
+				return false, pr.verdict(fmt.Errorf("element %s not allowed here in content of %s",
+					info.Name, pr.p.Syms.Info(top.sym).Name))
 			}
-		}
-		if verr != nil {
-			pr.kill(P, verr)
+			top.state = next
 		}
 	}
-	t := &pr.tag
-	t.sym, t.info, t.K = sym, info, P&pr.alive&pr.p.KeepElem(sym)
-	return t.K
+	pr.tag.sym, pr.tag.info = sym, info
+	return pr.p.KeepElem(sym) != 0, nil
 }
 
 // keep starts the rendering of a kept start tag, prefix its name's
-// prefix, interned. Rendering is lazy and masked: tag.canon holds the
-// keepers whose rendering so far is exactly the raw span from the mark,
-// so nothing is materialised for them — the bytes are emitted straight
-// from the scanner's buffer. At a projector's first deviation it is
-// demoted: the still-canonical head of the span is copied into its tag
-// buffer and kept attributes append canonically from there. Each
-// attribute is decided once; only the keep decisions differ across
-// projectors.
+// prefix, interned. Rendering is lazy: while tag.canon holds, the
+// rendering so far is exactly the raw span from the mark, so nothing is
+// materialised — the bytes are emitted straight from the scanner's
+// buffer. At the first deviation the tag is demoted: the still-canonical
+// head of the span is copied into tagBuf and kept attributes append
+// canonically from there.
 func (pr *pruner) keep(prefix string) {
 	t := &pr.tag
 	t.prefix = prefix
-	pr.closeOpen(t.K)
+	pr.closeOpen()
 	if pr.h != nil {
 		pr.hvals, pr.hends = pr.hvals[:0], pr.hends[:0]
 	}
-	t.canon = t.K
-	if prefix != "" {
+	t.canon = prefix == ""
+	if !t.canon {
 		// The prefix is dropped in canonical output, so no raw span was
-		// ever equal to any keeper's rendering.
-		t.canon = 0
-		for mk := t.K; mk != 0; mk &= mk - 1 {
-			pp := &pr.per[bits.TrailingZeros64(mk)]
-			pp.tagBuf = append(append(pp.tagBuf[:0], '<'), t.info.Tag...)
-		}
+		// ever equal to the rendering.
+		pr.tagBuf = append(append(pr.tagBuf[:0], '<'), t.info.Tag...)
 	}
 	t.decl = pr.p.Attrs(t.sym)
 	if pr.opts.Validate {
@@ -964,23 +805,22 @@ func (pr *pruner) keep(prefix string) {
 	pr.locals.on = false
 }
 
-// demote takes the projectors in mask off the raw span: each copies the
-// span's head, up to boundaryRel from the mark, into its tag buffer.
-func (pr *pruner) demote(mask uint64, boundaryRel int) {
-	s := pr.s
-	for mk := mask; mk != 0; mk &= mk - 1 {
-		pp := &pr.per[bits.TrailingZeros64(mk)]
-		pp.tagBuf = append(pp.tagBuf[:0], s.buf[s.mark:s.mark+boundaryRel]...)
+// demote takes a still-canonical tag off the raw span: the span's head,
+// up to boundaryRel from the mark, is copied into tagBuf.
+func (pr *pruner) demote(boundaryRel int) {
+	if pr.tag.canon {
+		s := pr.s
+		pr.tagBuf = append(pr.tagBuf[:0], s.buf[s.mark:s.mark+boundaryRel]...)
+		pr.tag.canon = false
 	}
-	pr.tag.canon &^= mask
 }
 
 // attribute decides the i-th attribute of a kept start tag, read from
 // preSpace, the offset from the mark of the space before it, with the
-// value val decoded: it validates it for the keepers, and hands it to
-// the ones that keep it, on the raw span while canon says its bytes are
-// its rendering, appended to their tag buffers otherwise.
-func (pr *pruner) attribute(i int, aprefix, alocal, val []byte, preSpace int, canon bool) {
+// value val decoded: it validates it, and when π keeps it, leaves it on
+// the raw span while canon says its bytes are its rendering, or appends
+// it to tagBuf.
+func (pr *pruner) attribute(i int, aprefix, alocal, val []byte, preSpace int, canon bool) error {
 	t := &pr.tag
 	decl := t.decl
 	api := -1
@@ -994,87 +834,61 @@ func (pr *pruner) attribute(i int, aprefix, alocal, val []byte, preSpace int, ca
 		pr.seen[api] = true
 	}
 	if isXMLNSAttr(aprefix, alocal) {
-		pr.demote(t.canon, preSpace)
-		return
+		pr.demote(preSpace)
+		return nil
 	}
 	if pr.opts.Validate {
-		// Only the projectors keeping this element validate its
-		// attributes — a discarding one skips past them.
-		if vk := t.K & pr.alive; vk != 0 {
-			if api < 0 {
-				pr.kill(vk, fmt.Errorf("undeclared attribute %q on %s", alocal, t.info.Tag))
-			} else if ad := decl[api].Def; len(ad.Enum) > 0 && !inEnum(ad.Enum, val) {
-				pr.kill(vk, fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, t.info.Tag, val))
-			} else if ad.Fixed != "" && string(val) != ad.Fixed {
-				pr.kill(vk, fmt.Errorf("attribute %q on %s must have fixed value %q", alocal, t.info.Tag, ad.Fixed))
-			}
+		if api < 0 {
+			return pr.verdict(fmt.Errorf("undeclared attribute %q on %s", alocal, t.info.Tag))
+		} else if ad := decl[api].Def; len(ad.Enum) > 0 && !inEnum(ad.Enum, val) {
+			return pr.verdict(fmt.Errorf("attribute %q on %s has value %q outside its enumeration", alocal, t.info.Tag, val))
+		} else if ad.Fixed != "" && string(val) != ad.Fixed {
+			return pr.verdict(fmt.Errorf("attribute %q on %s must have fixed value %q", alocal, t.info.Tag, ad.Fixed))
 		}
 	}
-	var keepMask uint64
+	var kept bool
 	if api >= 0 {
-		keepMask = decl[api].Keep
+		kept = decl[api].Keep != 0
 	} else {
-		keepMask = pr.p.KeepExtraAttr(t.sym, alocal)
+		kept = pr.p.KeepExtraAttr(t.sym, alocal) != 0
 	}
-	keepMask &= t.K
-	if keepMask != 0 && (len(aprefix) != 0 || pr.locals.on) {
+	if !kept || !canon {
+		// A dropped attribute ends the raw span, and so do bytes that are
+		// not the attribute's canonical form.
+		pr.demote(preSpace)
+	}
+	if !kept {
+		return nil
+	}
+	if len(aprefix) != 0 || pr.locals.on {
 		if err := pr.keepLocal(t.info.Tag, i); err != nil {
-			pr.kill(keepMask, err)
+			return pr.verdict(err)
 		}
 	}
-	if pr.h != nil && keepMask != 0 {
+	if pr.h != nil {
 		pr.handAttr(alocal, val)
 	}
-	// Keepers dropping this attribute can no longer ride the raw span,
-	// and nobody can when its raw bytes are not its canonical form.
-	dm := t.canon &^ keepMask
-	if !canon {
-		dm = t.canon
+	if !t.canon {
+		pr.tagBuf = append(append(pr.tagBuf, ' '), alocal...)
+		pr.tagBuf = append(pr.tagBuf, '=', '"')
+		pr.tagBuf = appendEscaped(pr.tagBuf, val, true)
+		pr.tagBuf = append(pr.tagBuf, '"')
 	}
-	if dm != 0 {
-		pr.demote(dm, preSpace)
-	}
-	// Still-canonical keepers carry the attribute inside their raw span;
-	// the demoted ones get its canonical rendering appended (built once,
-	// shared).
-	if appendMask := keepMask &^ t.canon; appendMask != 0 {
-		pr.attrBuf = append(append(pr.attrBuf[:0], ' '), alocal...)
-		pr.attrBuf = append(pr.attrBuf, '=', '"')
-		pr.attrBuf = appendEscaped(pr.attrBuf, val, true)
-		pr.attrBuf = append(pr.attrBuf, '"')
-		for mk := appendMask; mk != 0; mk &= mk - 1 {
-			pp := &pr.per[bits.TrailingZeros64(mk)]
-			pp.tagBuf = append(pp.tagBuf, pr.attrBuf...)
-		}
-	}
+	return nil
 }
 
-// element ends a kept start tag, read whole, its name n bytes after the
-// mark's '<': it checks the required attributes, then
-// opens the element for the keepers left and emits the tag — the raw span
-// for the canonical ones, a tag buffer for the others, or the handler's
-// event — or, when every keeper died in the tag, discards it.
-func (pr *pruner) element(n int, empty bool) error {
+// element ends a kept start tag, read whole: it checks the required
+// attributes, then opens the element and emits the tag — the raw span
+// while canonical, tagBuf otherwise, and the handler's event.
+func (pr *pruner) element(empty bool) error {
 	s, t := pr.s, &pr.tag
 	info := t.info
-	if pr.opts.Validate && t.K&pr.alive != 0 {
+	if pr.opts.Validate {
 		for i := range t.decl {
 			if t.decl[i].Def.Required && !pr.seen[i] {
-				pr.kill(t.K, fmt.Errorf("missing required attribute %q on %s", t.decl[i].Def.Attr, info.Tag))
-				break
+				return pr.verdict(fmt.Errorf("missing required attribute %q on %s", t.decl[i].Def.Attr, info.Tag))
 			}
 		}
-	}
-
-	K := t.K & pr.alive
-	if K == 0 {
-		// Every keeper died mid-tag. The tag is already consumed; the
-		// content, if any, is dead for whoever is left.
-		if pr.alive == 0 || empty {
-			return nil
-		}
-		pr.skipNames.push(s.buf[s.mark+1 : s.mark+1+n])
-		return pr.skipAll()
 	}
 
 	// Only a validating prune steps the automaton, and only then do the
@@ -1083,39 +897,27 @@ func (pr *pruner) element(n int, empty bool) error {
 	if pr.opts.Validate {
 		aut = info.Dense
 	}
-	pr.stack = append(pr.stack, frame{sym: t.sym, prefix: t.prefix, live: K, aut: aut})
+	pr.stack = append(pr.stack, frame{sym: t.sym, prefix: t.prefix, aut: aut})
 	depth := len(pr.stack)
-	// A projector in K is, by the live-set prefix property, live in
-	// every frame below — so this shared depth is its own depth.
-	for mk := K; mk != 0; mk &= mk - 1 {
-		if pp := &pr.per[bits.TrailingZeros64(mk)]; depth > pp.st.MaxDepth {
-			pp.st.MaxDepth = depth
-		}
-	}
-
-	canonMask := t.canon
+	pr.st.MaxDepth = max(pr.st.MaxDepth, depth)
 	if empty {
 		// The decoder synthesizes the end element immediately.
 		if pr.opts.Validate && !aut.Accepting(aut.Start()) {
-			pr.kill(K, fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
-			K &= pr.alive
+			return pr.verdict(fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
 		}
 		pr.stack = pr.stack[:depth-1]
-		for mk := K; mk != 0; mk &= mk - 1 {
-			pr.per[bits.TrailingZeros64(mk)].st.ElementsOut++
-		}
+		pr.st.ElementsOut++
 	} else {
-		// The trailing '>' stays provisional per projector (closeOpen) so
-		// the element can still self-close in that projector's output.
-		pr.open |= K
-		pr.openRaw = pr.openRaw&^K | canonMask&K
+		// The trailing '>' stays provisional (closeOpen) so the element
+		// can still self-close in the output.
+		pr.open, pr.openRaw = true, t.canon
 	}
-	pr.rawTo(canonMask&K, s.mark, s.pos)
-	for mk := K &^ canonMask; mk != 0; mk &= mk - 1 {
-		bit := mk & -mk
-		pr.litTo(bit, pr.per[bits.TrailingZeros64(bit)].tagBuf)
+	if t.canon {
+		pr.rawTo(s.mark, s.pos)
+	} else {
+		pr.lit(pr.tagBuf)
 		if empty {
-			pr.litStringTo(bit, "/>")
+			pr.litString("/>")
 		}
 	}
 	if pr.h != nil {
@@ -1207,51 +1009,49 @@ func (pr *pruner) endTag() error {
 		canon = top.prefix == "" && closes(s, pr.p.Syms.Info(top.sym).Tag)
 	}
 	if canon {
-		pr.flushText()
+		if err := pr.flushText(); err != nil {
+			return err
+		}
 	} else {
 		name, prefixB, local, spaced, err := s.endName()
 		if err != nil {
 			return err
 		}
-		pr.flushText()
+		if err := pr.flushText(); err != nil {
+			return err
+		}
 		if len(pr.stack) == pr.ctxBase {
 			return fmt.Errorf("unbalanced end element %s", local)
 		}
 		top := pr.stack[len(pr.stack)-1]
 		if tag := pr.p.Syms.Info(top.sym).Tag; string(local) != tag || string(prefixB) != top.prefix {
-			// The skip scan enforces end-tag matching too, so every projector
-			// fails here: a whole-pass error, like the other syntax errors.
 			return fmt.Errorf("element <%s> closed by </%s>", tag, name)
 		}
 		canon = len(prefixB) == 0 && !spaced
 	}
 	top := pr.stack[len(pr.stack)-1]
 	info := pr.p.Syms.Info(top.sym)
-	if live := top.live & pr.alive; live != 0 && pr.opts.Validate && !top.aut.Accepting(top.state) {
-		pr.kill(live, fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
+	if pr.opts.Validate && !top.aut.Accepting(top.state) {
+		return pr.verdict(fmt.Errorf("content of %s is incomplete (model %s)", info.Name, info.Def.Content))
 	}
 	pr.stack = pr.stack[:len(pr.stack)-1]
-	live := top.live & pr.alive
-	for mk := live; mk != 0; mk &= mk - 1 {
-		pr.per[bits.TrailingZeros64(mk)].st.ElementsOut++
-	}
-	if pr.h != nil && live != 0 {
+	pr.st.ElementsOut++
+	if pr.h != nil {
 		pr.handEnd()
 	}
-	op := pr.open & live
-	pr.open &^= op
-	for mk := op & pr.openRaw; mk != 0; mk &= mk - 1 {
-		pr.per[bits.TrailingZeros64(mk)].runEnd-- // take the '>' back
-	}
-	pr.litStringTo(op, "/>")
-	if closed := live &^ op; closed != 0 {
-		if canon {
-			pr.rawTo(closed, s.mark, s.pos) // raw "</tag>" is canonical
-		} else {
-			pr.attrBuf = append(append(pr.attrBuf[:0], '<', '/'), info.Tag...)
-			pr.attrBuf = append(pr.attrBuf, '>')
-			pr.litTo(closed, pr.attrBuf)
+	switch {
+	case pr.open:
+		pr.open = false
+		if pr.openRaw {
+			pr.runEnd-- // take the '>' back
 		}
+		pr.litString("/>")
+	case canon:
+		pr.rawTo(s.mark, s.pos) // raw "</tag>" is canonical
+	default:
+		pr.attrBuf = append(append(pr.attrBuf[:0], '<', '/'), info.Tag...)
+		pr.attrBuf = append(pr.attrBuf, '>')
+		pr.lit(pr.attrBuf)
 	}
 	return nil
 }

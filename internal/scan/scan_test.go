@@ -2,7 +2,9 @@ package scan
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -284,7 +286,7 @@ func freshPrune(w io.Writer, r io.Reader, d *dtd.DTD, p *dtd.Projection, opts Op
 	pr := newPruner(NewScanner(r))
 	pr.prep(d, p, opts)
 	pr.use(Sink{W: bw})
-	err := pr.errOf(0, pr.run())
+	err := pr.run()
 	pr.flushRuns()
 	if err == nil {
 		err = bw.Flush()
@@ -342,7 +344,7 @@ func TestDiscardedTextStreamsThrough(t *testing.T) {
 					if err != nil || sb.String() != `<bib><book isbn="1"><title>T</title></book></bib>` {
 						t.Fatalf("%s, chunk %d, %+v: %q, %v", name, chunk, opts, sb.String(), err)
 					}
-					if st := pr.stats(0); st.ElementsIn != int64(4+len(lead)/4) || st.ElementsSkipped != int64(len(lead)/4) {
+					if st := pr.st; st.ElementsIn != int64(4+len(lead)/4) || st.ElementsSkipped != int64(len(lead)/4) {
 						t.Fatalf("%s, chunk %d, %+v: stats %+v", name, chunk, opts, st)
 					}
 					if len(pr.s.buf) != defaultBufSize {
@@ -393,9 +395,7 @@ func TestDiscardedTagTooLong(t *testing.T) {
 // as it is read, so under Validate a verdict on an earlier attribute
 // comes before a syntax error later in the same tag — the projector's own
 // error is reported first — and without Validate the syntax error is the
-// prune's. In a fused pass a projector that discards the element gets
-// the pass's syntax error under Validate, whose skip reads the tag too,
-// and none without, whose skip only balances it.
+// prune's.
 func TestAttributeErrorOrder(t *testing.T) {
 	const (
 		undeclared = `undeclared attribute "zzz" on book`
@@ -405,13 +405,12 @@ func TestAttributeErrorOrder(t *testing.T) {
 	pi := dtd.NewNameSet("bib", "book", "book@isbn", "title", "title#text")
 	d, p := setup(t, pi)
 	for _, c := range []struct {
-		tag             string
-		validate, lax   string // the prune's error with and without Validate
-		other, otherLax string // a fused discarding projector's, with and without
+		tag           string
+		validate, lax string // the prune's error with and without Validate
 	}{
-		{`<book isbn="1" zzz="no" isbn="2">`, undeclared, repeated, repeated, ""},
-		{"<book isbn=\"1\"\tzzz=\"no\" isbn=\"2\">", undeclared, repeated, repeated, ""},
-		{`<book zzz='no' isbn="1" 1bad="2">`, undeclared, badName, badName, ""},
+		{`<book isbn="1" zzz="no" isbn="2">`, undeclared, repeated},
+		{"<book isbn=\"1\"\tzzz=\"no\" isbn=\"2\">", undeclared, repeated},
+		{`<book zzz='no' isbn="1" 1bad="2">`, undeclared, badName},
 	} {
 		doc := `<bib>` + c.tag + `<title>T</title><author>A</author></book></bib>`
 		for _, validate := range []bool{false, true} {
@@ -430,22 +429,37 @@ func TestAttributeErrorOrder(t *testing.T) {
 					}
 				}
 			}
-			// Fused with a projector that discards book.
-			mp, err := dtd.CombineProjections([]*dtd.Projection{p, d.CompileProjection(dtd.NewNameSet("bib"))})
-			if err != nil {
-				t.Fatal(err)
-			}
-			other := c.otherLax
-			if validate {
-				other = c.other
-			}
-			_, errs := PruneMultiGather([]*SpanList{new(SpanList), new(SpanList)}, []byte(doc), d, mp, Options{Validate: validate})
-			for j, w := range []string{want, other} {
-				if got := errs[j]; (got == nil) != (w == "") || got != nil && got.Error() != w {
-					t.Errorf("%q, fused, validate=%v, projector %d: got %v, want %q", c.tag, validate, j, got, w)
-				}
-			}
 		}
+	}
+}
+
+// TestPruneRefusesFusedTable: a pass prunes with one projector, so every
+// entry into the automaton refuses a table that holds two, as Prune
+// refuses a span sink over a reader.
+func TestPruneRefusesFusedTable(t *testing.T) {
+	d, p := setup(t, fullPi)
+	mp, err := dtd.CombineProjections([]*dtd.Projection{p, d.CompileProjection(dtd.NewNameSet("bib"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`<bib><book isbn="1"><title>T</title><author>A</author></book></bib>`)
+	for name, prune := range map[string]func(){
+		"Prune": func() { Prune(Source{Data: doc}, Sink{W: bufio.NewWriter(io.Discard)}, d, mp, Options{}) },
+		"PruneParallel": func() {
+			PruneParallel(bufio.NewWriter(io.Discard), doc, d, mp, ParallelOptions{Workers: 1})
+		},
+		"PrunePipelined": func() {
+			PrunePipelined(bufio.NewWriter(io.Discard), bytes.NewReader(doc), d, mp, PipelineOptions{Workers: 1})
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "one projector, the table holds 2") {
+					t.Errorf("%s on a two-projector table: recovered %v, want the one-projector panic", name, r)
+				}
+			}()
+			prune()
+		}()
 	}
 }
 

@@ -34,7 +34,6 @@ package scan
 
 import (
 	"bytes"
-	"math/bits"
 
 	"xmlproj/internal/index"
 )
@@ -80,25 +79,13 @@ func (pr *pruner) skipTag() (empty bool, err error) {
 }
 
 // skipAll skip-scans the current discarded region — the names of its
-// open elements already sit on the skip name stack — and distributes the
-// skipped-node counts to every surviving projector: alone, each would
-// consume exactly this region with the skip scan, either from this
-// element or from a shallower discarded ancestor.
+// open elements already sit on the skip name stack — counting what it
+// skips: checked token by token with Validate, only balanced without.
 func (pr *pruner) skipAll() error {
-	preE, preT := pr.st.ElementsSkipped, pr.st.TextSkipped
-	var err error
 	if pr.opts.Validate {
-		err = pr.skipScan()
-	} else {
-		err = pr.skipBalance()
+		return pr.skipScan()
 	}
-	dE, dT := pr.st.ElementsSkipped-preE, pr.st.TextSkipped-preT
-	for mk := pr.alive; mk != 0 && dE|dT != 0; mk &= mk - 1 {
-		st := &pr.per[bits.TrailingZeros64(mk)].st
-		st.ElementsSkipped += dE
-		st.TextSkipped += dT
-	}
-	return err
+	return pr.skipBalance()
 }
 
 // skipScan consumes the content and end tags of the discarded elements

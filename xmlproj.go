@@ -190,16 +190,22 @@ func Compile(src string) (*Query, error) {
 }
 
 // startsLikePath reports whether src begins the way a location path does —
-// an axis, an abbreviated step, or a name step — rather than a FLWR
-// keyword, so Compile can pick the more useful diagnostic.
+// an abbreviated step or a name the XPath parser reads as an axis before
+// "::" — rather than a FLWR keyword, so Compile can pick the more useful
+// diagnostic.
 func startsLikePath(src string) bool {
 	s := strings.TrimSpace(src)
-	for _, p := range []string{"/", ".", "@", "*", "(", "child::", "descendant::", "attribute::", "self::", "parent::", "ancestor::"} {
+	for _, p := range []string{"/", ".", "@", "*", "("} {
 		if strings.HasPrefix(s, p) {
 			return true
 		}
 	}
-	return false
+	name, _, found := strings.Cut(s, "::")
+	if !found {
+		return false
+	}
+	_, axis := xpath.AxisByName(strings.TrimSpace(name))
+	return axis
 }
 
 // Source returns the original query text.

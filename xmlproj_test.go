@@ -128,6 +128,25 @@ func TestCompileErrorNotShadowed(t *testing.T) {
 	}
 }
 
+// TestCompileErrorNamesEveryAxis: a broken path that opens with any of
+// XPath's twelve axes gets the XPath diagnostic alone, as `//a[` does.
+func TestCompileErrorNamesEveryAxis(t *testing.T) {
+	for _, axis := range []string{
+		"child", "descendant", "parent", "ancestor", "self", "descendant-or-self",
+		"ancestor-or-self", "following-sibling", "preceding-sibling", "following",
+		"preceding", "attribute",
+	} {
+		src := axis + "::a["
+		_, want := CompileXPath(src)
+		if want == nil {
+			t.Fatalf("%s: broken path accepted", src)
+		}
+		if _, err := Compile(src); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: got %v, want the XPath diagnostic %v", src, err, want)
+		}
+	}
+}
+
 func TestPruneStream(t *testing.T) {
 	d, _ := apiSetup(t)
 	q, _ := CompileXPath("//book/year")
