@@ -184,7 +184,7 @@ func BenchmarkPruningLinear(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var sink bytes.Buffer
-				if _, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, pr.Names, prune.StreamOptions{}); err != nil {
+				if _, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,7 +208,7 @@ func BenchmarkPruneMemory(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var sink bytes.Buffer
-				st, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, pr.Names, prune.StreamOptions{})
+				st, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -323,7 +323,7 @@ func BenchmarkAblationContext(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				with, without = prWith.Names.Len(), prWithout.Names.Len()
+				with, without = prWith.Row.Len(), prWithout.Row.Len()
 			}
 			b.ReportMetric(float64(with), "names-ctx")
 			b.ReportMetric(float64(without), "names-noctx")
@@ -374,5 +374,5 @@ func BenchmarkQueryBunch(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(100*float64(len(pruned))/float64(len(w.DocBytes)), "size%")
-	b.ReportMetric(float64(union.Names.Len()), "names")
+	b.ReportMetric(float64(union.Row.Len()), "names")
 }

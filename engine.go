@@ -314,7 +314,7 @@ func runJob(ctx context.Context, p *Projector, job BatchJob, opts BatchOptions) 
 	} else {
 		src := &countingReader{r: job.Src, ctx: ctx}
 		start := time.Now()
-		res.Stats, res.Err = prune.Stream(job.Dst, src, p.d, p.pr.Names, prune.StreamOptions{
+		res.Stats, res.Err = prune.Stream(job.Dst, src, p.d, nil, prune.StreamOptions{
 			Validate:   opts.Validate,
 			Projection: p.pr.Compiled(),
 		})

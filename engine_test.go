@@ -724,9 +724,7 @@ var sink *dtd.Projection
 // BenchmarkDerivedForms takes the numbers DESIGN §11 quotes for the
 // caches that are not there: what it costs to obtain a compiled π and a
 // result fingerprint from a projector after first use (the memo on
-// core.Projector), against compiling it, and what it costs to fuse N
-// members' tables for one shared-scan pass from their projectors (fuse)
-// against dtd.CombineProjections alone. adhoc is the
+// core.Projector), against compiling it. adhoc is the
 // projector cache's own row: an ad-hoc request's projector built afresh
 // (Compile, Infer, the compiled π and a result fingerprint: the fill a
 // miss pays) against the same request answered by InferCached.
@@ -754,7 +752,7 @@ func BenchmarkDerivedForms(b *testing.B) {
 	}
 	for j, name := range []string{"low", "mid", "item", "full"} {
 		p := projectors(4)[j]
-		size := fmt.Sprintf("%s-%dnames", name, len(p.pr.Names))
+		size := fmt.Sprintf("%s-%dnames", name, len(p.Names()))
 		b.Run("compiled/"+size, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -772,34 +770,7 @@ func BenchmarkDerivedForms(b *testing.B) {
 		b.Run("compile/"+size, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink = p.d.CompileProjection(p.pr.Names)
-			}
-		})
-	}
-	for _, n := range []int{4, 16, 64} {
-		ps := projectors(n)
-		tables := make([]*dtd.Projection, n)
-		b.Run(fmt.Sprintf("fuse/N=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				members := make([]*dtd.Projection, n)
-				for j, p := range ps {
-					members[j] = p.pr.Compiled()
-				}
-				if sink, err = dtd.CombineProjections(members); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for j, p := range ps {
-			tables[j] = p.pr.Compiled()
-		}
-		b.Run(fmt.Sprintf("combine/N=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if sink, err = dtd.CombineProjections(tables); err != nil {
-					b.Fatal(err)
-				}
+				sink = p.d.Symbols().Project(p.pr.Row)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"xmlproj/internal/dtd"
 	"xmlproj/internal/xmark"
 	"xmlproj/internal/xsd"
 )
@@ -113,28 +114,29 @@ func FuzzParseDTD(f *testing.F) {
 }
 
 // FuzzLoadProjector feeds LoadProjector untrusted projector text — what
-// xmlprune -load-projector reads from a file — over XMark's DTD: whatever
-// it accepts holds the root, holds nothing but the grammar's names and
-// elem@attr on a declared element, and loads back from its MarshalText
-// rendering with the same names, all without a panic.
+// xmlprune -load-projector reads from a file — over XMark's DTD: it loads
+// exactly when every name in it is one of the grammar's (π ⊆ DN(E)), and
+// what it loads holds the root, holds nothing but grammar names and loads
+// back from its MarshalText rendering with the same names, all without a
+// panic.
 func FuzzLoadProjector(f *testing.F) {
 	f.Add("name\nname#text\npeople\nperson\nperson@id\nsite") // QM01's
 	f.Add("nosuch")
 	f.Add("person@undeclared")
 	f.Add("site#text") // site holds elements only
 	f.Add("")
+	f.Add("person@")
+	f.Add("person@<")
+	f.Add("person@x@y")
 	d, _ := fuzzXMark()
 	syms := d.d.Symbols()
-	grammar, elements := map[string]bool{}, map[string]bool{}
-	for sym := range syms.NumNames() {
-		grammar[string(syms.Name(int32(sym)))] = true
-	}
-	for sym := range syms.Len() {
-		elements[string(syms.Info(int32(sym)).Name)] = true
-	}
+	grammar := func(n string) bool { _, ok := syms.Sym(dtd.Name(n)); return ok }
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := d.LoadProjector([]byte(text))
 		if err != nil {
+			if !slices.ContainsFunc(strings.Fields(text), func(n string) bool { return !grammar(n) }) {
+				t.Fatalf("rejected %q, which names only the grammar's names: %v", text, err)
+			}
 			return
 		}
 		names := p.Names()
@@ -142,8 +144,8 @@ func FuzzLoadProjector(f *testing.F) {
 			t.Fatalf("loaded %q without the root: %q", text, names)
 		}
 		for _, n := range names {
-			if elem, _, attr := strings.Cut(n, "@"); !grammar[n] && !(attr && elements[elem]) {
-				t.Fatalf("loaded %q with %q, neither a name of the grammar nor an attribute of a declared element", text, n)
+			if !grammar(n) {
+				t.Fatalf("loaded %q with %q, which is not a name of the grammar", text, n)
 			}
 		}
 		out, err := p.MarshalText()

@@ -226,7 +226,7 @@ func RunQuery(w *Workload, q QuerySpec) (Row, error) {
 
 	var pruned bytes.Buffer
 	start = time.Now()
-	if _, err := prune.Stream(&pruned, bytes.NewReader(w.DocBytes), w.D, pr.Names, prune.StreamOptions{}); err != nil {
+	if _, err := prune.Stream(&pruned, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()}); err != nil {
 		return row, fmt.Errorf("%s: prune: %w", q.ID, err)
 	}
 	row.PruneTime = time.Since(start)
@@ -254,7 +254,7 @@ func RunQuery(w *Workload, q QuerySpec) (Row, error) {
 // PruneBytes runs the streaming pruner and returns the pruned document.
 func PruneBytes(w *Workload, pr *core.Projector) ([]byte, prune.Stats, error) {
 	var out bytes.Buffer
-	st, err := prune.Stream(&out, bytes.NewReader(w.DocBytes), w.D, pr.Names, prune.StreamOptions{})
+	st, err := prune.Stream(&out, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
 	return out.Bytes(), st, err
 }
 
@@ -287,7 +287,7 @@ func RunBaseline(w *Workload, q QuerySpec) (BaselineComparison, error) {
 	out.TypePrunedBytes = typePruned.SerializedSize()
 	// The streaming pruner's visited work = elements it actually saw.
 	var sink bytes.Buffer
-	st, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, pr.Names, prune.StreamOptions{})
+	st, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
 	if err != nil {
 		return out, err
 	}

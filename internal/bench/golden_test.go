@@ -71,12 +71,7 @@ func TestGoldenProjectors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		names := pr.Names.Sorted()
-		parts := make([]string, len(names))
-		for i, n := range names {
-			parts[i] = string(n)
-		}
-		if got := strings.Join(parts, " "); got != want {
+		if got := strings.Join(pr.Names(), " "); got != want {
 			t.Errorf("%s projector changed:\n got: %s\nwant: %s", q.ID, got, want)
 		}
 	}

@@ -72,16 +72,17 @@ func TestCompleteness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for y := range pr.Names {
+		names := namesOf(d.Symbols(), pr.Row)
+		for y := range names {
 			if y == d.Root {
 				continue // removing the root empties every document
 			}
-			cut := dtd.NewNameSet(y)
+			cut := newNameSet(y)
 			if sym, ok := d.Symbols().Sym(y); ok {
-				cut.AddAll(d.Symbols().NameSet(d.Symbols().Descendants.Row(sym)))
+				cut.AddAll(namesOf(d.Symbols(), d.Symbols().Descendants.Row(sym)))
 			}
-			smaller := dtd.NameSet{}
-			for n := range pr.Names {
+			smaller := nameSet{}
+			for n := range names {
 				if !cut.Has(n) {
 					smaller.Add(n)
 				}
@@ -89,7 +90,7 @@ func TestCompleteness(t *testing.T) {
 			witness := false
 			for _, doc := range docs {
 				full := results(q, doc)
-				prunedDoc := prune.Tree(doc, d.CompileProjection(smaller))
+				prunedDoc := prune.Tree(doc, d.CompileProjection(dtd.NameSet(smaller)))
 				if prunedDoc.NumNodes() == 0 {
 					if full != "" {
 						witness = true

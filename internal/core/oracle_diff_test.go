@@ -21,15 +21,15 @@ import (
 func diffRelations(t testing.TB, d *dtd.DTD, o *oracleGrammar) {
 	t.Helper()
 	s := d.Symbols()
-	check := func(what string, n dtd.Name, got dtd.Row, want dtd.NameSet) {
+	check := func(what string, n dtd.Name, got dtd.Row, want nameSet) {
 		t.Helper()
-		if g := s.NameSet(got); !g.Equal(want) {
+		if g := namesOf(s, got); !g.Equal(want) {
 			t.Fatalf("%s(%s): rows %s, oracle %s\ngrammar:\n%s", what, n, g, want, d)
 		}
 	}
 	for x := int32(0); x < int32(s.NumNames()); x++ {
 		n := s.Name(x)
-		single := dtd.NewNameSet(n)
+		single := newNameSet(n)
 		check("content", n, s.Content.Row(x), o.ContentNames(n))
 		check("atts", n, s.Atts.Row(x), o.AttNames(single))
 		check("parents", n, s.Parents.Row(x), o.Parents(n))
@@ -50,7 +50,7 @@ func diffRelations(t testing.TB, d *dtd.DTD, o *oracleGrammar) {
 func diffPaths(t testing.TB, d *dtd.DTD, o *oracleGrammar, label string, paths []*xpathl.Path) {
 	t.Helper()
 	s := d.Symbols()
-	fail := func(what string, got, want dtd.NameSet) {
+	fail := func(what string, got, want nameSet) {
 		t.Helper()
 		var srcs []string
 		for _, p := range paths {
@@ -61,14 +61,14 @@ func diffPaths(t testing.TB, d *dtd.DTD, o *oracleGrammar, label string, paths [
 	}
 	c, oc := NewChecker(d), newOracleChecker(o)
 	for _, p := range paths {
-		if got, want := s.NameSet(c.Type(p)), oc.Type(p); !got.Equal(want) {
+		if got, want := namesOf(s, c.Type(p)), oc.Type(p); !got.Equal(want) {
 			fail("Type("+p.String()+")", got, want)
 		}
 	}
 	for _, f := range []struct {
 		what   string
 		rows   func(*dtd.DTD, []*xpathl.Path) (*Projector, error)
-		oracle func(*oracleGrammar, []*xpathl.Path) (dtd.NameSet, error)
+		oracle func(*oracleGrammar, []*xpathl.Path) (nameSet, error)
 	}{
 		{"Infer", Infer, oracleInfer},
 		{"InferNoContext", InferNoContext, oracleInferNoContext},
@@ -82,11 +82,8 @@ func diffPaths(t testing.TB, d *dtd.DTD, o *oracleGrammar, label string, paths [
 		if err != nil {
 			continue
 		}
-		if !pr.Names.Equal(want) {
-			fail(f.what, pr.Names, want)
-		}
-		if got := s.NameSet(pr.Compiled().Row()); !got.Equal(want) {
-			fail(f.what+" (compiled row)", got, want)
+		if got := namesOf(s, pr.Row); !got.Equal(want) {
+			fail(f.what, got, want)
 		}
 	}
 }
@@ -333,7 +330,7 @@ func TestInferAllocs(t *testing.T) {
 func TestConcurrentInfer(t *testing.T) {
 	d := dtd.MustParseString(xmark.DTDSource, "site") // fresh: no Symbols() yet
 	ids, needs := benchmarkNeeds(t)
-	want := make([]dtd.NameSet, len(ids))
+	want := make([]nameSet, len(ids))
 	o := newOracleGrammar(d)
 	for i := range ids {
 		var err error
@@ -353,7 +350,7 @@ func TestConcurrentInfer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !pr.Names.Equal(want[i]) {
+				if !namesOf(d.Symbols(), pr.Row).Equal(want[i]) {
 					t.Errorf("goroutine %d: %s: π = %s, want %s", g, ids[i], pr, want[i])
 				}
 			}

@@ -2,8 +2,8 @@ package core
 
 // This file is the map-based static analysis the bit-row one replaced,
 // kept as the differential oracle (oracle_diff_test.go): the grammar's
-// relations closed over map[Name]NameSet per call, Fig. 1 and Fig. 2 on
-// dtd.NameSet, the memo keyed by rendered strings — the code of the
+// relations closed over map[Name]nameSet per call, Fig. 1 and Fig. 2 on
+// a map of names (nameSet, declared here), the memo keyed by rendered strings — the code of the
 // commit before the replacement (cb27710), renamed with an "oracle"
 // prefix, with the set algebra and name predicates dtd no longer carries
 // as local functions. Two presentations that should be equivalent are
@@ -12,6 +12,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"xmlproj/internal/dtd"
@@ -24,22 +25,99 @@ import (
 type oracleGrammar struct {
 	d           *dtd.DTD
 	order       []dtd.Name
-	childrenOf  map[dtd.Name]dtd.NameSet // ⇒E image incl. text and attribute names
-	contentOf   map[dtd.Name]dtd.NameSet // content-model names only
-	parentsOf   map[dtd.Name]dtd.NameSet // ⇒E preimage
-	ancestorsOf map[dtd.Name]dtd.NameSet // ⇒E⁺ preimage
+	childrenOf  map[dtd.Name]nameSet // ⇒E image incl. text and attribute names
+	contentOf   map[dtd.Name]nameSet // content-model names only
+	parentsOf   map[dtd.Name]nameSet // ⇒E preimage
+	ancestorsOf map[dtd.Name]nameSet // ⇒E⁺ preimage
 }
 
-// The NameSet algebra the oracle was written on; dtd.NameSet itself, now
-// only the exchange form of π, no longer carries it.
-func nsUnion(s, t dtd.NameSet) dtd.NameSet {
+// nameSet is the set of names the oracle is written on: π and every
+// type as a map.
+type nameSet map[dtd.Name]struct{}
+
+func newNameSet(names ...dtd.Name) nameSet {
+	s := make(nameSet, len(names))
+	for _, n := range names {
+		s.Add(n)
+	}
+	return s
+}
+
+// namesOf renders a row over s as a set.
+func namesOf(s *dtd.Symbols, r dtd.Row) nameSet {
+	out := nameSet{}
+	for x := r.Next(0); x >= 0; x = r.Next(x + 1) {
+		out.Add(s.Name(x))
+	}
+	return out
+}
+
+func (s nameSet) Add(n dtd.Name)      { s[n] = struct{}{} }
+func (s nameSet) Has(n dtd.Name) bool { _, ok := s[n]; return ok }
+func (s nameSet) Len() int            { return len(s) }
+func (s nameSet) Empty() bool         { return len(s) == 0 }
+
+// AddAll inserts every element of t and reports whether s grew.
+func (s nameSet) AddAll(t nameSet) bool {
+	grew := false
+	for n := range t {
+		if !s.Has(n) {
+			s.Add(n)
+			grew = true
+		}
+	}
+	return grew
+}
+
+func (s nameSet) Clone() nameSet {
+	u := make(nameSet, len(s))
+	for n := range s {
+		u.Add(n)
+	}
+	return u
+}
+
+func (s nameSet) Equal(t nameSet) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for n := range s {
+		if !t.Has(n) {
+			return false
+		}
+	}
+	return true
+}
+
+// Sorted returns the members in lexicographic order.
+func (s nameSet) Sorted() []dtd.Name {
+	out := make([]dtd.Name, 0, len(s))
+	for n := range s {
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// String renders the set as {a, b, c} in sorted order.
+func (s nameSet) String() string {
+	names := s.Sorted()
+	parts := make([]string, len(names))
+	for i, n := range names {
+		parts[i] = string(n)
+	}
+	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+// The set algebra over nameSet.
+func nsUnion(s, t nameSet) nameSet {
 	u := s.Clone()
 	u.AddAll(t)
 	return u
 }
 
-func nsIntersect(s, t dtd.NameSet) dtd.NameSet {
-	u := dtd.NameSet{}
+func nsIntersect(s, t nameSet) nameSet {
+	u := nameSet{}
 	for n := range s {
 		if t.Has(n) {
 			u.Add(n)
@@ -52,7 +130,7 @@ func nsIntersect(s, t dtd.NameSet) dtd.NameSet {
 func oracleIsText(n dtd.Name) bool { return strings.Contains(string(n), "#text") }
 func oracleIsAttr(n dtd.Name) bool { return strings.Contains(string(n), "@") }
 
-func oracleRegexNames(r dtd.Regex, out dtd.NameSet) {
+func oracleRegexNames(r dtd.Regex, out nameSet) {
 	switch x := r.(type) {
 	case dtd.Ref:
 		out.Add(x.Name)
@@ -75,13 +153,13 @@ func oracleRegexNames(r dtd.Regex, out dtd.NameSet) {
 
 func newOracleGrammar(g *dtd.DTD) *oracleGrammar {
 	d := &oracleGrammar{d: g, order: g.Names()}
-	d.childrenOf = make(map[dtd.Name]dtd.NameSet, len(d.order))
-	d.contentOf = make(map[dtd.Name]dtd.NameSet, len(d.order))
-	d.parentsOf = make(map[dtd.Name]dtd.NameSet, len(d.order))
+	d.childrenOf = make(map[dtd.Name]nameSet, len(d.order))
+	d.contentOf = make(map[dtd.Name]nameSet, len(d.order))
+	d.parentsOf = make(map[dtd.Name]nameSet, len(d.order))
 	for _, n := range d.order {
 		def := g.Def(n)
-		content := dtd.NameSet{}
-		children := dtd.NameSet{}
+		content := nameSet{}
+		children := nameSet{}
 		if !def.Text {
 			oracleRegexNames(def.Content, content)
 			children = content.Clone()
@@ -93,12 +171,12 @@ func newOracleGrammar(g *dtd.DTD) *oracleGrammar {
 		d.childrenOf[n] = children
 	}
 	for _, n := range d.order {
-		d.parentsOf[n] = dtd.NameSet{}
+		d.parentsOf[n] = nameSet{}
 	}
 	for _, z := range d.order {
 		for c := range d.childrenOf[z] {
 			if d.parentsOf[c] == nil {
-				d.parentsOf[c] = dtd.NameSet{}
+				d.parentsOf[c] = nameSet{}
 			}
 			d.parentsOf[c].Add(z)
 		}
@@ -109,12 +187,12 @@ func newOracleGrammar(g *dtd.DTD) *oracleGrammar {
 	for n := range d.parentsOf {
 		names = append(names, n)
 	}
-	d.ancestorsOf = make(map[dtd.Name]dtd.NameSet, len(names))
+	d.ancestorsOf = make(map[dtd.Name]nameSet, len(names))
 	for _, n := range names {
 		out := d.parentsOf[n].Clone()
 		frontier := out.Clone()
 		for !frontier.Empty() {
-			next := dtd.NameSet{}
+			next := nameSet{}
 			for f := range frontier {
 				for p := range d.parentsOf[f] {
 					if !out.Has(p) {
@@ -130,37 +208,37 @@ func newOracleGrammar(g *dtd.DTD) *oracleGrammar {
 	return d
 }
 
-func (d *oracleGrammar) Children(n dtd.Name) dtd.NameSet {
+func (d *oracleGrammar) Children(n dtd.Name) nameSet {
 	if s, ok := d.childrenOf[n]; ok {
 		return s
 	}
-	return dtd.NameSet{}
+	return nameSet{}
 }
 
-func (d *oracleGrammar) ContentNames(n dtd.Name) dtd.NameSet {
+func (d *oracleGrammar) ContentNames(n dtd.Name) nameSet {
 	if s, ok := d.contentOf[n]; ok {
 		return s
 	}
-	return dtd.NameSet{}
+	return nameSet{}
 }
 
-func (d *oracleGrammar) Parents(n dtd.Name) dtd.NameSet {
+func (d *oracleGrammar) Parents(n dtd.Name) nameSet {
 	if s, ok := d.parentsOf[n]; ok {
 		return s
 	}
-	return dtd.NameSet{}
+	return nameSet{}
 }
 
-func (d *oracleGrammar) AncestorsOf(n dtd.Name) dtd.NameSet {
+func (d *oracleGrammar) AncestorsOf(n dtd.Name) nameSet {
 	if s, ok := d.ancestorsOf[n]; ok {
 		return s
 	}
-	return dtd.NameSet{}
+	return nameSet{}
 }
 
 // Step returns the one-step image {Y | ∃Z∈from. Z ⇒E Y}.
-func (d *oracleGrammar) Step(from dtd.NameSet) dtd.NameSet {
-	out := dtd.NameSet{}
+func (d *oracleGrammar) Step(from nameSet) nameSet {
+	out := nameSet{}
 	for z := range from {
 		out.AddAll(d.Children(z))
 	}
@@ -169,8 +247,8 @@ func (d *oracleGrammar) Step(from dtd.NameSet) dtd.NameSet {
 
 // ContentStep is Step restricted to tree children (elements and text):
 // attribute names are not reachable on the XPath child/descendant axes.
-func (d *oracleGrammar) ContentStep(from dtd.NameSet) dtd.NameSet {
-	out := dtd.NameSet{}
+func (d *oracleGrammar) ContentStep(from nameSet) nameSet {
+	out := nameSet{}
 	for z := range from {
 		out.AddAll(d.ContentNames(z))
 	}
@@ -179,12 +257,12 @@ func (d *oracleGrammar) ContentStep(from dtd.NameSet) dtd.NameSet {
 
 // ContentDescendants is Descendants over ContentStep: the names reachable
 // on the XPath descendant axis (no attribute names).
-func (d *oracleGrammar) ContentDescendants(from dtd.NameSet) dtd.NameSet {
+func (d *oracleGrammar) ContentDescendants(from nameSet) nameSet {
 	out := d.ContentStep(from)
 	frontier := out.Clone()
 	for !frontier.Empty() {
 		next := d.ContentStep(frontier)
-		frontier = dtd.NameSet{}
+		frontier = nameSet{}
 		for n := range next {
 			if !out.Has(n) {
 				out.Add(n)
@@ -196,8 +274,8 @@ func (d *oracleGrammar) ContentDescendants(from dtd.NameSet) dtd.NameSet {
 }
 
 // AttNames returns the derived attribute names of the names in from.
-func (d *oracleGrammar) AttNames(from dtd.NameSet) dtd.NameSet {
-	out := dtd.NameSet{}
+func (d *oracleGrammar) AttNames(from nameSet) nameSet {
+	out := nameSet{}
 	for z := range from {
 		def := d.d.Def(z)
 		if def == nil {
@@ -211,8 +289,8 @@ func (d *oracleGrammar) AttNames(from dtd.NameSet) dtd.NameSet {
 }
 
 // StepUp returns the one-step preimage {Z | ∃Y∈from. Z ⇒E Y}.
-func (d *oracleGrammar) StepUp(from dtd.NameSet) dtd.NameSet {
-	out := dtd.NameSet{}
+func (d *oracleGrammar) StepUp(from nameSet) nameSet {
+	out := nameSet{}
 	for y := range from {
 		out.AddAll(d.Parents(y))
 	}
@@ -220,12 +298,12 @@ func (d *oracleGrammar) StepUp(from dtd.NameSet) dtd.NameSet {
 }
 
 // Descendants returns the image of from under ⇒E⁺ (strict descendants).
-func (d *oracleGrammar) Descendants(from dtd.NameSet) dtd.NameSet {
+func (d *oracleGrammar) Descendants(from nameSet) nameSet {
 	out := d.Step(from)
 	frontier := out.Clone()
 	for !frontier.Empty() {
 		next := d.Step(frontier)
-		frontier = dtd.NameSet{}
+		frontier = nameSet{}
 		for n := range next {
 			if !out.Has(n) {
 				out.Add(n)
@@ -237,9 +315,9 @@ func (d *oracleGrammar) Descendants(from dtd.NameSet) dtd.NameSet {
 }
 
 // Ancestors returns the preimage of from under ⇒E⁺ (strict ancestors).
-func (d *oracleGrammar) Ancestors(from dtd.NameSet) dtd.NameSet {
+func (d *oracleGrammar) Ancestors(from nameSet) nameSet {
 	if d.ancestorsOf != nil {
-		out := dtd.NameSet{}
+		out := nameSet{}
 		for n := range from {
 			out.AddAll(d.AncestorsOf(n))
 		}
@@ -249,7 +327,7 @@ func (d *oracleGrammar) Ancestors(from dtd.NameSet) dtd.NameSet {
 	frontier := out.Clone()
 	for !frontier.Empty() {
 		next := d.StepUp(frontier)
-		frontier = dtd.NameSet{}
+		frontier = nameSet{}
 		for n := range next {
 			if !out.Has(n) {
 				out.Add(n)
@@ -262,9 +340,9 @@ func (d *oracleGrammar) Ancestors(from dtd.NameSet) dtd.NameSet {
 
 // ReachableFromRoot returns ⇒E*-image of {Root}: every name that can occur
 // in a valid document.
-func (d *oracleGrammar) ReachableFromRoot() dtd.NameSet {
-	out := dtd.NewNameSet(d.d.Root)
-	out.AddAll(d.Descendants(dtd.NewNameSet(d.d.Root)))
+func (d *oracleGrammar) ReachableFromRoot() nameSet {
+	out := newNameSet(d.d.Root)
+	out.AddAll(d.Descendants(newNameSet(d.d.Root)))
 	return out
 }
 
@@ -329,8 +407,8 @@ func (d *oracleGrammar) IsParentUnambiguous() bool {
 // (well-formedness, §4.1); it is what makes the analysis of upward axes
 // precise on DTDs where a name occurs in several contents.
 type oracleEnv struct {
-	Tau   dtd.NameSet
-	Kappa dtd.NameSet
+	Tau   nameSet
+	Kappa nameSet
 }
 
 func (e oracleEnv) String() string {
@@ -339,13 +417,13 @@ func (e oracleEnv) String() string {
 
 // oracleRootEnv is the initial environment ({X}, {X}) for a DTD rooted at X.
 func oracleRootEnv(d *oracleGrammar) oracleEnv {
-	return oracleEnv{Tau: dtd.NewNameSet(d.d.Root), Kappa: dtd.NewNameSet(d.d.Root)}
+	return oracleEnv{Tau: newNameSet(d.d.Root), Kappa: newNameSet(d.d.Root)}
 }
 
 // oracleAxisType implements A_E(τ, Axis) of Def. 4.1 extended with the
 // descendant-or-self / ancestor-or-self / attribute axes used by the
 // implementation (§6).
-func oracleAxisType(d *oracleGrammar, tau dtd.NameSet, axis xpath.Axis) dtd.NameSet {
+func oracleAxisType(d *oracleGrammar, tau nameSet, axis xpath.Axis) nameSet {
 	switch axis {
 	case xpath.Self:
 		return tau.Clone()
@@ -366,7 +444,7 @@ func oracleAxisType(d *oracleGrammar, tau dtd.NameSet, axis xpath.Axis) dtd.Name
 	default:
 		// Sibling and preceding/following axes are rewritten away by
 		// xpathl.RewriteAxis before the analysis runs.
-		return dtd.NameSet{}
+		return nameSet{}
 	}
 }
 
@@ -375,8 +453,8 @@ func oracleAxisType(d *oracleGrammar, tau dtd.NameSet, axis xpath.Axis) dtd.Name
 // everywhere else), so name and * tests match them by their attribute
 // part without needing to know the axis — which the encoding
 // Axis::Test ⇒ Axis::node/self::Test erases anyway.
-func oracleTestType(d *oracleGrammar, tau dtd.NameSet, test xpath.NodeTest) dtd.NameSet {
-	out := dtd.NameSet{}
+func oracleTestType(d *oracleGrammar, tau nameSet, test xpath.NodeTest) nameSet {
+	out := nameSet{}
 	for n := range tau {
 		switch test.Kind {
 		case xpath.TestNode:
@@ -429,7 +507,7 @@ func newOracleChecker(d *oracleGrammar) *oracleChecker {
 // setKey appends a rendering of s that equal sets share: its length in
 // words, then one bit per name, numbered by c.ids, up to the last word
 // that has one.
-func (c *oracleChecker) setKey(sb *strings.Builder, s dtd.NameSet) {
+func (c *oracleChecker) setKey(sb *strings.Builder, s nameSet) {
 	var buf [4]uint64
 	words := buf[:0]
 	for n := range s {
@@ -455,7 +533,7 @@ func (c *oracleChecker) setKey(sb *strings.Builder, s dtd.NameSet) {
 // restrictContext returns κ ∩ (τ ∪ A_E(τ, ancestor)): the names of κ still
 // on a chain ending at τ. It re-establishes well-formedness after τ
 // shrank.
-func (c *oracleChecker) restrictContext(kappa, tau dtd.NameSet) dtd.NameSet {
+func (c *oracleChecker) restrictContext(kappa, tau nameSet) nameSet {
 	keep := nsUnion(tau, c.D.Ancestors(tau))
 	return nsIntersect(kappa, keep)
 }
@@ -499,7 +577,7 @@ func (c *oracleChecker) TypeSimplePath(env oracleEnv, p xpathl.SimplePath) oracl
 	for _, s := range p.Steps {
 		env = c.TypeSimpleStep(env, s)
 		if env.Tau.Empty() {
-			return oracleEnv{Tau: dtd.NameSet{}, Kappa: dtd.NameSet{}}
+			return oracleEnv{Tau: nameSet{}, Kappa: nameSet{}}
 		}
 	}
 	return env
@@ -508,8 +586,8 @@ func (c *oracleChecker) TypeSimplePath(env oracleEnv, p xpathl.SimplePath) oracl
 // CondHolds reports whether the condition may hold for a single name:
 // some disjunct types to a non-empty set from ({x}, κx) (fourth rule of
 // Fig. 1).
-func (c *oracleChecker) CondHolds(x dtd.Name, kappa dtd.NameSet, cond *xpathl.Cond) bool {
-	single := dtd.NewNameSet(x)
+func (c *oracleChecker) CondHolds(x dtd.Name, kappa nameSet, cond *xpathl.Cond) bool {
+	single := newNameSet(x)
 	kx := nsIntersect(kappa, nsUnion(single, c.D.Ancestors(single)))
 	var sb strings.Builder
 	sb.WriteString(string(x))
@@ -535,7 +613,7 @@ func (c *oracleChecker) CondHolds(x dtd.Name, kappa dtd.NameSet, cond *xpathl.Co
 // TypeCondStep types self::node()[Cond] (fourth rule of Fig. 1): keep the
 // names for which some disjunct may yield a non-empty result.
 func (c *oracleChecker) TypeCondStep(env oracleEnv, cond *xpathl.Cond) oracleEnv {
-	tau := dtd.NameSet{}
+	tau := nameSet{}
 	for x := range env.Tau {
 		if c.CondHolds(x, env.Kappa, cond) {
 			tau.Add(x)
@@ -572,7 +650,7 @@ func (c *oracleChecker) TypePath(env oracleEnv, p *xpathl.Path) oracleEnv {
 	for _, s := range p.Steps {
 		env = c.TypeStep(env, s)
 		if env.Tau.Empty() {
-			return oracleEnv{Tau: dtd.NameSet{}, Kappa: dtd.NameSet{}}
+			return oracleEnv{Tau: nameSet{}, Kappa: nameSet{}}
 		}
 	}
 	return env
@@ -581,7 +659,7 @@ func (c *oracleChecker) TypePath(env oracleEnv, p *xpathl.Path) oracleEnv {
 // Type returns the type of a path evaluated from the DTD root: the set τ
 // with ({X},{X}) ⊢E P : (τ, _). Soundness (Thm. 4.4): every node produced
 // by P on a valid document has its name in τ.
-func (c *oracleChecker) Type(p *xpathl.Path) dtd.NameSet {
+func (c *oracleChecker) Type(p *xpathl.Path) nameSet {
 	return c.TypePath(oracleRootEnv(c.D), p).Tau
 }
 
@@ -589,12 +667,12 @@ func (c *oracleChecker) Type(p *xpathl.Path) dtd.NameSet {
 type oracleInferencer struct {
 	c *oracleChecker
 	// memo caches ⊩ results keyed by (name, context, path suffix).
-	memo map[string]dtd.NameSet
+	memo map[string]nameSet
 }
 
 // newOracleInferencer returns an oracleInferencer over d.
 func newOracleInferencer(d *oracleGrammar) *oracleInferencer {
-	return &oracleInferencer{c: newOracleChecker(d), memo: map[string]dtd.NameSet{}}
+	return &oracleInferencer{c: newOracleChecker(d), memo: map[string]nameSet{}}
 }
 
 // InferPath infers the projector for one XPathℓ path evaluated from the
@@ -607,7 +685,7 @@ func newOracleInferencer(d *oracleGrammar) *oracleInferencer {
 // unioned (projectors are closed under union). A trailing
 // descendant-or-self::node() — the materialisation marker of §5 — thereby
 // realises exactly the remark after Thm. 4.5: π = τ′ ∪ A_E(τ″, descendant).
-func (inf *oracleInferencer) InferPath(p *xpathl.Path) (dtd.NameSet, error) {
+func (inf *oracleInferencer) InferPath(p *xpathl.Path) (nameSet, error) {
 	for _, s := range p.Steps {
 		if err := checkAxis(s.Axis); err != nil {
 			return nil, err
@@ -623,7 +701,7 @@ func (inf *oracleInferencer) InferPath(p *xpathl.Path) (dtd.NameSet, error) {
 		}
 	}
 	root := oracleRootEnv(inf.c.D)
-	names := dtd.NewNameSet(inf.c.D.d.Root)
+	names := newNameSet(inf.c.D.d.Root)
 	for _, variant := range expandOrSelf(p.Steps) {
 		names.AddAll(inf.project(root.Tau, root.Kappa, variant))
 	}
@@ -631,8 +709,8 @@ func (inf *oracleInferencer) InferPath(p *xpathl.Path) (dtd.NameSet, error) {
 }
 
 // project implements Σ ⊩E P : τ for an expanded (or-self-free) path.
-func (inf *oracleInferencer) project(tau, kappa dtd.NameSet, steps []xpathl.Step) dtd.NameSet {
-	out := dtd.NameSet{}
+func (inf *oracleInferencer) project(tau, kappa nameSet, steps []xpathl.Step) nameSet {
+	out := nameSet{}
 	if len(steps) == 0 {
 		return out
 	}
@@ -643,20 +721,20 @@ func (inf *oracleInferencer) project(tau, kappa dtd.NameSet, steps []xpathl.Step
 	return out
 }
 
-func (inf *oracleInferencer) projectSingle(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) dtd.NameSet {
+func (inf *oracleInferencer) projectSingle(y dtd.Name, kappa nameSet, steps []xpathl.Step) nameSet {
 	key := oracleMemoKey(y, kappa, steps)
 	if cached, ok := inf.memo[key]; ok {
 		return cached
 	}
 	// Seed the memo against (impossible in well-founded paths, but cheap)
 	// re-entrancy with the empty set.
-	inf.memo[key] = dtd.NameSet{}
+	inf.memo[key] = nameSet{}
 	res := inf.projectSingleUncached(y, kappa, steps)
 	inf.memo[key] = res
 	return res
 }
 
-func oracleMemoKey(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) string {
+func oracleMemoKey(y dtd.Name, kappa nameSet, steps []xpathl.Step) string {
 	var sb strings.Builder
 	sb.WriteString(string(y))
 	sb.WriteString("\x00")
@@ -672,11 +750,11 @@ func oracleMemoKey(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) string {
 	return sb.String()
 }
 
-func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet, steps []xpathl.Step) dtd.NameSet {
+func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa nameSet, steps []xpathl.Step) nameSet {
 	c := inf.c
 	s := steps[0]
 	rest := steps[1:]
-	selfEnv := oracleEnv{Tau: dtd.NewNameSet(y), Kappa: kappa}
+	selfEnv := oracleEnv{Tau: newNameSet(y), Kappa: kappa}
 
 	// Encoded rules: normalise to the three primitive forms.
 	if s.Cond != nil && !(s.Axis == xpath.Self && s.Test.Kind == xpath.TestNode) {
@@ -711,14 +789,14 @@ func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet
 	case s.Axis == xpath.Self && s.Cond == nil:
 		// First primitive rule: self::Test/P.
 		env := c.TypeStep(selfEnv, s)
-		res := dtd.NewNameSet(y)
+		res := newNameSet(y)
 		res.AddAll(inf.project(env.Tau, env.Kappa, rest))
 		return res
 
 	case s.Axis == xpath.Self && s.Cond != nil:
 		// Second primitive rule: self::node[P1 or … or Pn]/P.
 		env := c.TypeCondStep(selfEnv, s.Cond)
-		res := dtd.NewNameSet(y)
+		res := newNameSet(y)
 		res.AddAll(inf.project(env.Tau, env.Kappa, rest))
 		if !env.Tau.Empty() {
 			for _, d := range s.Cond.Disjuncts {
@@ -737,10 +815,10 @@ func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet
 		// is sound (per-name contexts still contain every name on a chain
 		// to Xi) and strictly more precise than the shared context.
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		res := dtd.NewNameSet(y)
+		res := newNameSet(y)
 		for x := range env.Tau {
 			kx := inf.chainContext(kappa, env.Kappa, x, s.Axis)
-			sub := oracleEnv{Tau: dtd.NewNameSet(x), Kappa: kx}
+			sub := oracleEnv{Tau: newNameSet(x), Kappa: kx}
 			if inf.typePathSteps(sub, rest).Tau.Empty() {
 				continue
 			}
@@ -756,9 +834,9 @@ func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet
 		// (each intermediate has the selection as a descendant), so the
 		// continuation context is κ ∪ useful, not κ ∪ A_E(τ, descendant).
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		useful := dtd.NewNameSet(y)
+		useful := newNameSet(y)
 		for x := range env.Tau {
-			sub := oracleEnv{Tau: dtd.NewNameSet(x), Kappa: env.Kappa}
+			sub := oracleEnv{Tau: newNameSet(x), Kappa: env.Kappa}
 			if !inf.typePathSteps(sub, steps).Tau.Empty() {
 				useful.Add(x)
 			}
@@ -771,9 +849,9 @@ func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet
 	case s.Axis == xpath.Ancestor:
 		// Fifth primitive rule: ancs::node/P, symmetric via parent.
 		env := c.TypeSimpleStep(selfEnv, s.SStep)
-		useful := dtd.NewNameSet(y)
+		useful := newNameSet(y)
 		for x := range env.Tau {
-			sub := oracleEnv{Tau: dtd.NewNameSet(x), Kappa: env.Kappa}
+			sub := oracleEnv{Tau: newNameSet(x), Kappa: env.Kappa}
 			if !inf.typePathSteps(sub, steps).Tau.Empty() {
 				useful.Add(x)
 			}
@@ -792,9 +870,9 @@ func (inf *oracleInferencer) projectSingleUncached(y dtd.Name, kappa dtd.NameSet
 // (post-step shared context kappaAfter): downward steps extend the chain
 // by exactly x; upward steps restrict the post-step context to x's
 // chains.
-func (inf *oracleInferencer) chainContext(kappaBefore, kappaAfter dtd.NameSet, x dtd.Name, axis xpath.Axis) dtd.NameSet {
+func (inf *oracleInferencer) chainContext(kappaBefore, kappaAfter nameSet, x dtd.Name, axis xpath.Axis) nameSet {
 	if axis.Upward() {
-		single := dtd.NewNameSet(x)
+		single := newNameSet(x)
 		return nsIntersect(kappaAfter, nsUnion(single, inf.c.D.Ancestors(single)))
 	}
 	out := kappaBefore.Clone()
@@ -817,8 +895,8 @@ func (inf *oracleInferencer) typePathSteps(env oracleEnv, steps []xpathl.Step) o
 // projectCondPath infers the projector of one condition disjunct
 // (Σ ⊩ Pi : τi in the second primitive rule). Absolute disjuncts run from
 // the root environment.
-func (inf *oracleInferencer) projectCondPath(env oracleEnv, p xpathl.SimplePath) dtd.NameSet {
-	res := dtd.NameSet{}
+func (inf *oracleInferencer) projectCondPath(env oracleEnv, p xpathl.SimplePath) nameSet {
+	res := nameSet{}
 	for _, variant := range expandSimpleOrSelf(p) {
 		steps := make([]xpathl.Step, len(variant.Steps))
 		for i, s := range variant.Steps {
@@ -839,7 +917,7 @@ func (inf *oracleInferencer) projectCondPath(env oracleEnv, p xpathl.SimplePath)
 
 // oracleInfer computes the union projector for a set of XPathℓ paths — the
 // whole-query (or query-bunch) analysis of §5.
-func oracleInfer(d *oracleGrammar, paths []*xpathl.Path) (dtd.NameSet, error) {
+func oracleInfer(d *oracleGrammar, paths []*xpathl.Path) (nameSet, error) {
 	return newOracleInferencer(d).inferAll(paths)
 }
 
@@ -847,15 +925,15 @@ func oracleInfer(d *oracleGrammar, paths []*xpathl.Path) (dtd.NameSet, error) {
 // the naive upward typing the paper's §4.1 example rules out. It exists
 // for the ablation benchmark quantifying the precision contexts buy; it
 // is still sound, just coarser.
-func oracleInferNoContext(d *oracleGrammar, paths []*xpathl.Path) (dtd.NameSet, error) {
+func oracleInferNoContext(d *oracleGrammar, paths []*xpathl.Path) (nameSet, error) {
 	inf := newOracleInferencer(d)
 	inf.c.NoContext = true
 	return inf.inferAll(paths)
 }
 
-func (inf *oracleInferencer) inferAll(paths []*xpathl.Path) (dtd.NameSet, error) {
+func (inf *oracleInferencer) inferAll(paths []*xpathl.Path) (nameSet, error) {
 	d := inf.c.D
-	out := dtd.NewNameSet(d.d.Root)
+	out := newNameSet(d.d.Root)
 	for _, p := range paths {
 		pr, err := inf.InferPath(p)
 		if err != nil {
@@ -877,7 +955,7 @@ func (inf *oracleInferencer) inferAll(paths []*xpathl.Path) (dtd.NameSet, error)
 // oracleInferMaterialized infers a projector that also keeps the subtrees (and
 // attributes) of every result node, suitable for materialising query
 // results.
-func oracleInferMaterialized(d *oracleGrammar, paths []*xpathl.Path) (dtd.NameSet, error) {
+func oracleInferMaterialized(d *oracleGrammar, paths []*xpathl.Path) (nameSet, error) {
 	widened := make([]*xpathl.Path, len(paths))
 	for i, p := range paths {
 		widened[i] = Materialize(p)

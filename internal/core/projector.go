@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 
 	"xmlproj/internal/dtd"
@@ -10,27 +11,20 @@ import (
 	"xmlproj/internal/xpathl"
 )
 
-// Projector is an inferred type projector π for a DTD (Def. 2.6): the set
-// of names whose nodes survive pruning.
-//
-// Names is π in the exchange form — what a projector file, the tree
-// pruner and a hand-built π carry: a set that must exist without a
-// grammar cannot be a bitset over one. Inference works on bit rows and
-// renders Names once, at the end, keeping the row for Compiled.
+// Projector is a type projector π for a DTD (Def. 2.6): the set of the
+// grammar's names whose nodes survive pruning, π ⊆ DN(E), as a row over
+// D.Symbols(). Inference and a projector file both build the row; its
+// one text form is Names.
 //
 // π's derived forms — the decision table the pruners walk and the two
 // fingerprints the result cache keys on — are computed on first use and
 // kept here, so whoever holds the projector (a caller, the engine's
 // inference cache) holds them too and nothing downstream needs a cache
-// to avoid recomputing them. Names must not change once either has been
+// to avoid recomputing them. Row must not change once either has been
 // asked for; inference unions into a projector before handing it out.
 type Projector struct {
-	D     *dtd.DTD
-	Names dtd.NameSet
-
-	// row is Names over D.Symbols() when inference produced π; nil for a
-	// π built by hand (its Names may hold what the grammar never declared).
-	row dtd.Row
+	D   *dtd.DTD
+	Row dtd.Row
 
 	compileOnce sync.Once
 	compiled    *dtd.Projection
@@ -43,13 +37,7 @@ type Projector struct {
 // (≈ 6 µs, 18 allocations on the XMark DTD), computed once per
 // projector.
 func (p *Projector) Compiled() *dtd.Projection {
-	p.compileOnce.Do(func() {
-		if p.row != nil {
-			p.compiled = p.D.Symbols().Project(p.row)
-		} else {
-			p.compiled = p.D.CompileProjection(p.Names)
-		}
-	})
+	p.compileOnce.Do(func() { p.compiled = p.D.Symbols().Project(p.Row) })
 	return p.compiled
 }
 
@@ -61,12 +49,7 @@ func (p *Projector) Compiled() *dtd.Projection {
 // one serves them all.
 func (p *Projector) ResultFingerprint(validate bool) string {
 	p.fpOnce.Do(func() {
-		names := p.Names.Sorted()
-		parts := make([]string, 0, len(names)+2)
-		parts = append(parts, p.D.Fingerprint())
-		for _, n := range names {
-			parts = append(parts, string(n))
-		}
+		parts := append([]string{p.D.Fingerprint()}, p.Names()...)
 		p.fp[0] = dtd.Fingerprint(parts...)
 		p.fp[1] = dtd.Fingerprint(append(parts, "validate")...)
 	})
@@ -76,24 +59,23 @@ func (p *Projector) ResultFingerprint(validate bool) string {
 	return p.fp[0]
 }
 
+// Names returns π's names in lexicographic order: its text form.
+func (p *Projector) Names() []string { return p.D.Symbols().SortedNames(p.Row) }
+
 // Has reports whether a name is kept by the projector.
-func (p *Projector) Has(n dtd.Name) bool { return p.Names.Has(n) }
+func (p *Projector) Has(n dtd.Name) bool {
+	sym, ok := p.D.Symbols().Sym(n)
+	return ok && p.Row.Has(sym)
+}
 
 // Union merges another projector for the same DTD into p (projectors are
 // closed under union, §5).
-func (p *Projector) Union(q *Projector) {
-	p.Names.AddAll(q.Names)
-	if p.row != nil && q.row != nil {
-		p.row.Or(q.row)
-	} else {
-		p.row = nil
-	}
-}
+func (p *Projector) Union(q *Projector) { p.Row.Or(q.Row) }
 
 // missing returns the root-reachable names π does not keep.
 func (p *Projector) missing() dtd.Row {
 	out := p.D.ReachableFromRoot().Clone()
-	out.AndNot(p.Compiled().Row())
+	out.AndNot(p.Row)
 	return out
 }
 
@@ -109,7 +91,7 @@ func (p *Projector) KeepRatio() float64 {
 	return float64(reach-p.missing().Len()) / float64(reach)
 }
 
-func (p *Projector) String() string { return p.Names.String() }
+func (p *Projector) String() string { return "{" + strings.Join(p.Names(), ", ") + "}" }
 
 // Inferencer runs the Fig. 2 projector-inference rules. One Inferencer
 // serves one inference: its memo and step numbering are not shared, so
@@ -431,13 +413,7 @@ func (inf *Inferencer) infer(paths []*xpathl.Path) (*Projector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return inf.render(row), nil
-}
-
-// render turns an inferred row into the exchange form: the one place the
-// analysis produces names, once per inference.
-func (inf *Inferencer) render(row dtd.Row) *Projector {
-	return &Projector{D: inf.c.D, Names: inf.c.s.NameSet(row), row: row}
+	return &Projector{D: inf.c.D, Row: row}, nil
 }
 
 func (inf *Inferencer) inferAll(paths []*xpathl.Path) (dtd.Row, error) {

@@ -100,7 +100,7 @@ func TestProjectorEmptyQueryPrunesHard(t *testing.T) {
 	d := bibDTD(t)
 	// A query that can never match keeps only the root.
 	pr := inferFor(t, d, "child::title")
-	if pr.Names.Len() != 1 || !pr.Has("bib") {
+	if pr.Row.Len() != 1 || !pr.Has("bib") {
 		t.Fatalf("π for empty query = %s, want {bib}", pr)
 	}
 }
@@ -285,11 +285,11 @@ func TestProjectorAncestorClosedChains(t *testing.T) {
 	} {
 		pr := inferFor(t, d, q)
 		s := d.Symbols()
-		for x := pr.row.Next(0); x >= 0; x = pr.row.Next(x + 1) {
+		for x := pr.Row.Next(0); x >= 0; x = pr.Row.Next(x + 1) {
 			if x == s.Root() {
 				continue
 			}
-			if intersect(s.Parents.Row(x), pr.row).Empty() {
+			if intersect(s.Parents.Row(x), pr.Row).Empty() {
 				t.Errorf("%s: name %s has no parent in π = %s", q, s.Name(x), pr)
 			}
 		}
@@ -348,7 +348,7 @@ func TestDerivedFormsOnce(t *testing.T) {
 
 	// The fingerprint is of the grammar and the names, not of the object:
 	// an equal π over an equal grammar agrees, another π does not.
-	same := &Projector{D: bibDTD(t), Names: pr.Names.Clone()}
+	same := &Projector{D: bibDTD(t), Row: pr.Row.Clone()}
 	if same.ResultFingerprint(false) != fps[0][0] || same.ResultFingerprint(true) != fps[0][1] {
 		t.Fatal("equal projectors over equal grammars fingerprint differently")
 	}

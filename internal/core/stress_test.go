@@ -94,7 +94,7 @@ func TestLargeDTDLongQuery(t *testing.T) {
 	if !pr.Has("sec7_7") || !pr.Has("para") {
 		t.Fatalf("projector misses the queried spine: %s", pr)
 	}
-	t.Logf("large-DTD inference: %d names in DTD, %d in π, %s", len(d.Names()), pr.Names.Len(), elapsed)
+	t.Logf("large-DTD inference: %d names in DTD, %d in π, %s", len(d.Names()), pr.Row.Len(), elapsed)
 }
 
 // TestLargeDTDQueryBunch runs all-sections queries as a bunch, the §5
@@ -122,5 +122,5 @@ func TestLargeDTDQueryBunch(t *testing.T) {
 	if !pr.Has("title") {
 		t.Fatalf("bunch projector misses title: %s", pr)
 	}
-	t.Logf("bunch of 20 queries over %d names: π has %d names, %s", len(d.Names()), pr.Names.Len(), elapsed)
+	t.Logf("bunch of 20 queries over %d names: π has %d names, %s", len(d.Names()), pr.Row.Len(), elapsed)
 }

@@ -37,9 +37,9 @@ func lpath(t *testing.T, src string) *xpathl.Path {
 	return ps[0]
 }
 
-func typeOf(t *testing.T, d *dtd.DTD, src string) dtd.NameSet {
+func typeOf(t *testing.T, d *dtd.DTD, src string) nameSet {
 	t.Helper()
-	return d.Symbols().NameSet(NewChecker(d).Type(lpath(t, src)))
+	return namesOf(d.Symbols(), NewChecker(d).Type(lpath(t, src)))
 }
 
 // rowOf is the row of the given names, all of which d must define.
@@ -57,20 +57,20 @@ func rowOf(t *testing.T, d *dtd.DTD, names ...dtd.Name) dtd.Row {
 }
 
 // axisNames and testNames are A_E and T_E from names to names.
-func axisNames(t *testing.T, d *dtd.DTD, axis xpath.Axis, from ...dtd.Name) dtd.NameSet {
+func axisNames(t *testing.T, d *dtd.DTD, axis xpath.Axis, from ...dtd.Name) nameSet {
 	t.Helper()
 	s := d.Symbols()
-	return s.NameSet(AxisType(s, rowOf(t, d, from...), axis))
+	return namesOf(s, AxisType(s, rowOf(t, d, from...), axis))
 }
 
-func testNames(d *dtd.DTD, tau dtd.Row, test xpath.NodeTest) dtd.NameSet {
+func testNames(d *dtd.DTD, tau dtd.Row, test xpath.NodeTest) nameSet {
 	s := d.Symbols()
-	return s.NameSet(TestType(s, tau, test))
+	return namesOf(s, TestType(s, tau, test))
 }
 
 func TestAxisType(t *testing.T) {
 	d := paperDTD(t)
-	if got := axisNames(t, d, xpath.Child, "c"); !got.Equal(dtd.NewNameSet("a", "b")) {
+	if got := axisNames(t, d, xpath.Child, "c"); !got.Equal(newNameSet("a", "b")) {
 		t.Fatalf("child(c) = %s", got)
 	}
 	desc := axisNames(t, d, xpath.Descendant, "c")
@@ -83,7 +83,7 @@ func TestAxisType(t *testing.T) {
 		t.Fatalf("descendant(c) must not contain c: %s", desc)
 	}
 	// Y = a occurs under both c and d.
-	if got := axisNames(t, d, xpath.Parent, "a"); !got.Equal(dtd.NewNameSet("c", "d")) {
+	if got := axisNames(t, d, xpath.Parent, "a"); !got.Equal(newNameSet("c", "d")) {
 		t.Fatalf("parent(a) = %s", got)
 	}
 	if got := axisNames(t, d, xpath.DescendantOrSelf, "c"); !got.Has("c") || !got.Has("d") {
@@ -99,7 +99,7 @@ func TestAxisType(t *testing.T) {
 func TestTestType(t *testing.T) {
 	d := paperDTD(t)
 	all := d.ReachableFromRoot()
-	if got := testNames(d, all, xpath.NameTest("a")); !got.Equal(dtd.NewNameSet("a")) {
+	if got := testNames(d, all, xpath.NameTest("a")); !got.Equal(newNameSet("a")) {
 		t.Fatalf("T(a) = %s", got)
 	}
 	txt := testNames(d, all, xpath.TextTest)
@@ -110,7 +110,7 @@ func TestTestType(t *testing.T) {
 	if star.Has(dtd.TextName("b")) || !star.Has("b") {
 		t.Fatalf("T(*) = %s", star)
 	}
-	if got := testNames(d, all, xpath.NodeTestNode); !got.Equal(d.Symbols().NameSet(all)) {
+	if got := testNames(d, all, xpath.NodeTestNode); !got.Equal(namesOf(d.Symbols(), all)) {
 		t.Fatalf("T(node) = %s", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestTestType(t *testing.T) {
 func TestContextMakesParentPrecise(t *testing.T) {
 	d := paperDTD(t)
 	got := typeOf(t, d, "self::c/child::a/parent::node()")
-	if !got.Equal(dtd.NewNameSet("c")) {
+	if !got.Equal(newNameSet("c")) {
 		t.Fatalf("type = %s, want {c} (the context must exclude d)", got)
 	}
 	// Without a preceding downward step the parent really is ambiguous…
@@ -134,16 +134,16 @@ func TestTypeSimpleQueries(t *testing.T) {
 	d := paperDTD(t)
 	cases := []struct {
 		src  string
-		want dtd.NameSet
+		want nameSet
 	}{
-		{"self::c", dtd.NewNameSet("c")},
-		{"child::a", dtd.NewNameSet("a")},
-		{"child::nosuch", dtd.NameSet{}},
-		{"child::a/child::d", dtd.NewNameSet("d")},
-		{"child::b/child::text()", dtd.NewNameSet(dtd.TextName("b"))},
-		{"descendant::d/ancestor::node()", dtd.NewNameSet("c", "a", "d")},
-		{"child::b/parent::node()", dtd.NewNameSet("c")},
-		{"child::b/child::a", dtd.NameSet{}}, // b has no element children
+		{"self::c", newNameSet("c")},
+		{"child::a", newNameSet("a")},
+		{"child::nosuch", nameSet{}},
+		{"child::a/child::d", newNameSet("d")},
+		{"child::b/child::text()", newNameSet(dtd.TextName("b"))},
+		{"descendant::d/ancestor::node()", newNameSet("c", "a", "d")},
+		{"child::b/parent::node()", newNameSet("c")},
+		{"child::b/child::a", nameSet{}}, // b has no element children
 	}
 	for _, c := range cases {
 		if got := typeOf(t, d, c.src); !got.Equal(c.want) {
@@ -172,7 +172,7 @@ func TestTypeConditions(t *testing.T) {
 	d := paperDTD(t)
 	// [child::d] can hold only for a.
 	got := typeOf(t, d, "descendant::node()[d]")
-	if !got.Equal(dtd.NewNameSet("a")) {
+	if !got.Equal(newNameSet("a")) {
 		t.Fatalf("descendant::node()[d] = %s, want {a}", got)
 	}
 	// An unsatisfiable condition empties the type.
@@ -182,12 +182,12 @@ func TestTypeConditions(t *testing.T) {
 	}
 	// A non-structural condition keeps everything.
 	got = typeOf(t, d, "child::a[position() > 1]")
-	if !got.Equal(dtd.NewNameSet("a")) {
+	if !got.Equal(newNameSet("a")) {
 		t.Fatalf("a[position()>1] = %s", got)
 	}
 	// Disjunction.
 	got = typeOf(t, d, "child::node()[self::a or self::b]")
-	if !got.Equal(dtd.NewNameSet("a", "b")) {
+	if !got.Equal(newNameSet("a", "b")) {
 		t.Fatalf("[self::a or self::b] = %s", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestTypeAttributes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := typeOf(t, d, "child::e/attribute::id")
-	if !got.Equal(dtd.NewNameSet(dtd.AttrName("e", "id"))) {
+	if !got.Equal(newNameSet(dtd.AttrName("e", "id"))) {
 		t.Fatalf("@id = %s", got)
 	}
 	got = typeOf(t, d, "child::e/attribute::*")
@@ -210,7 +210,7 @@ func TestTypeAttributes(t *testing.T) {
 		t.Fatalf("@* = %s", got)
 	}
 	got = typeOf(t, d, "child::e/attribute::id/parent::node()")
-	if !got.Equal(dtd.NewNameSet("e")) {
+	if !got.Equal(newNameSet("e")) {
 		t.Fatalf("@id/parent = %s", got)
 	}
 	// The child axis never yields attribute names.
@@ -267,7 +267,7 @@ func TestWellFormednessPreserved(t *testing.T) {
 		stray.AndNot(env.Tau)
 		stray.AndNot(syms.Ancestors.Image(env.Tau))
 		if !stray.Empty() {
-			t.Fatalf("context %s not well-formed for τ=%s after %s", syms.NameSet(env.Kappa), syms.NameSet(env.Tau), s)
+			t.Fatalf("context %s not well-formed for τ=%s after %s", namesOf(syms, env.Kappa), namesOf(syms, env.Tau), s)
 		}
 	}
 }

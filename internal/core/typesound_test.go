@@ -36,7 +36,7 @@ func TestTypeSoundnessProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %q: %v", seed, q, err)
 			}
-			tau := d.Symbols().NameSet(checker.Type(paths[0]))
+			tau := namesOf(d.Symbols(), checker.Type(paths[0]))
 			res, err := xpath.NewEvaluator(instance).Eval(q)
 			if err != nil {
 				t.Fatalf("seed %d: %q: %v", seed, q, err)

@@ -28,7 +28,7 @@ func TestFromDocumentBasics(t *testing.T) {
 	}
 	// x occurs both with text (under r) and empty (under y); the dataguide
 	// merges by tag, so x allows text.
-	if !childrenOf(d, "r").Has("x") || !childrenOf(d, "y").Has("x") {
+	if !childrenOf(d, "r")["x"] || !childrenOf(d, "y")["x"] {
 		t.Fatalf("child structure wrong: %s", d)
 	}
 	if def := d.Def("r"); def.AttDef("a") == nil {
@@ -166,20 +166,24 @@ func TestDataguideNamesAreTags(t *testing.T) {
 	if _, ok := d.ElementName("text"); !ok {
 		t.Fatal("element named text lost")
 	}
-	if !childrenOf(d, "text").Has(dtd.TextName("text")) {
+	if !childrenOf(d, "text")[dtd.TextName("text")] {
 		t.Fatalf("text content of <text> lost: %s", d)
 	}
 }
 
 // childrenOf is the ⇒E image of one name: its content, text and
 // attribute names.
-func childrenOf(d *dtd.DTD, n dtd.Name) dtd.NameSet {
+func childrenOf(d *dtd.DTD, n dtd.Name) map[dtd.Name]bool {
 	s := d.Symbols()
+	out := map[dtd.Name]bool{}
 	x, ok := s.Sym(n)
 	if !ok {
-		return dtd.NameSet{}
+		return out
 	}
 	kids := s.Content.Row(x).Clone()
 	kids.Or(s.Atts.Row(x))
-	return s.NameSet(kids)
+	for _, k := range s.SortedNames(kids) {
+		out[dtd.Name(k)] = true
+	}
+	return out
 }

@@ -14,7 +14,6 @@ package dtd
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -240,8 +239,9 @@ func (d *DTD) String() string {
 	return sb.String()
 }
 
-// NameSet is a finite set of names. The zero value is not usable; use
-// NewNameSet or a composite literal NameSet{}.
+// NameSet is π as a set of names, the form the streaming pruner's
+// callers in benchmark/ hand it (DTD.CompileProjection). Everything
+// else carries π as a Row over the grammar's symbols.
 type NameSet map[Name]struct{}
 
 // NewNameSet builds a set from the given names.
@@ -255,66 +255,3 @@ func NewNameSet(names ...Name) NameSet {
 
 // Add inserts n.
 func (s NameSet) Add(n Name) { s[n] = struct{}{} }
-
-// Has reports membership.
-func (s NameSet) Has(n Name) bool { _, ok := s[n]; return ok }
-
-// Len returns the cardinality.
-func (s NameSet) Len() int { return len(s) }
-
-// Empty reports whether the set is empty.
-func (s NameSet) Empty() bool { return len(s) == 0 }
-
-// AddAll inserts every element of t and reports whether s grew.
-func (s NameSet) AddAll(t NameSet) bool {
-	grew := false
-	for n := range t {
-		if !s.Has(n) {
-			s.Add(n)
-			grew = true
-		}
-	}
-	return grew
-}
-
-// Clone returns a fresh copy of s.
-func (s NameSet) Clone() NameSet {
-	u := make(NameSet, len(s))
-	for n := range s {
-		u.Add(n)
-	}
-	return u
-}
-
-// Equal reports set equality.
-func (s NameSet) Equal(t NameSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for n := range s {
-		if !t.Has(n) {
-			return false
-		}
-	}
-	return true
-}
-
-// Sorted returns the members in lexicographic order.
-func (s NameSet) Sorted() []Name {
-	out := make([]Name, 0, len(s))
-	for n := range s {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// String renders the set as {a, b, c} in sorted order.
-func (s NameSet) String() string {
-	names := s.Sorted()
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = string(n)
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}

@@ -72,8 +72,8 @@ func TestParseMixedContent(t *testing.T) {
 	txt := d.Def("text")
 	names := regexNames(txt.Content)
 	for _, want := range []Name{TextName("text"), "bold", "keyword"} {
-		if !names.Has(want) {
-			t.Fatalf("mixed content misses %s: %s", want, names)
+		if !names[want] {
+			t.Fatalf("mixed content misses %s: %v", want, names)
 		}
 	}
 	if _, ok := txt.Content.(Star); !ok {
@@ -90,8 +90,8 @@ func TestParseEmptyAndAny(t *testing.T) {
 	}
 	wNames := regexNames(d.Def("w").Content)
 	for _, want := range []Name{"r", "e", "w", TextName("w")} {
-		if !wNames.Has(want) {
-			t.Fatalf("ANY content misses %s: %s", want, wNames)
+		if !wNames[want] {
+			t.Fatalf("ANY content misses %s: %v", want, wNames)
 		}
 	}
 }
@@ -121,36 +121,36 @@ func TestParseSkipsEntityAndComments(t *testing.T) {
 func TestReachability(t *testing.T) {
 	d := mustDTD(t, bookDTD, "")
 	s := d.Symbols()
-	kids := s.NameSet(s.Content.Row(sym(t, s, "book")))
-	kids.AddAll(s.NameSet(s.Atts.Row(sym(t, s, "book"))))
+	kids := s.Content.Row(sym(t, s, "book")).Clone()
+	kids.Or(s.Atts.Row(sym(t, s, "book")))
 	for _, want := range []Name{"title", "author", "year", AttrName("book", "isbn"), AttrName("book", "lang")} {
-		if !kids.Has(want) {
-			t.Fatalf("children of book miss %s: %s", want, kids)
+		if !kids.Has(sym(t, s, want)) {
+			t.Fatalf("children of book miss %s: %s", want, names(s, kids))
 		}
 	}
 	if !s.Parents.Row(sym(t, s, "author")).Has(sym(t, s, "book")) {
 		t.Fatal("Parents(author) misses book")
 	}
-	if p := s.NameSet(s.Parents.Row(sym(t, s, AttrName("book", "isbn")))); !p.Equal(NewNameSet("book")) {
+	if p := names(s, s.Parents.Row(sym(t, s, AttrName("book", "isbn")))); p != "book" {
 		t.Fatalf("Parents(book@isbn) = %s, want {book}", p)
 	}
 	desc := s.Descendants.Row(sym(t, s, "bib"))
 	if !desc.Has(sym(t, s, TextName("year"))) {
-		t.Fatalf("Descendants(bib) misses year text: %s", s.NameSet(desc))
+		t.Fatalf("Descendants(bib) misses year text: %s", names(s, desc))
 	}
 	if desc.Has(sym(t, s, "bib")) {
 		t.Fatal("bib is not its own strict descendant in a non-recursive DTD")
 	}
 	if att := desc.Clone(); func() bool { att.And(s.Attr); return !att.Empty() }() {
-		t.Fatalf("the descendant axis reaches attribute names: %s", s.NameSet(att))
+		t.Fatalf("the descendant axis reaches attribute names: %s", names(s, att))
 	}
-	anc := s.NameSet(s.Ancestors.Row(sym(t, s, TextName("author"))))
-	if !anc.Equal(NewNameSet("author", "book", "bib")) {
+	anc := names(s, s.Ancestors.Row(sym(t, s, TextName("author"))))
+	if anc != "author bib book" {
 		t.Fatalf("Ancestors wrong: %s", anc)
 	}
-	reach := s.NameSet(d.ReachableFromRoot())
-	if reach.Len() != s.NumNames() || !reach.Has(AttrName("book", "lang")) || !reach.Has("bib") {
-		t.Fatalf("ReachableFromRoot = %s, want all %d names", reach, s.NumNames())
+	reach := d.ReachableFromRoot()
+	if reach.Len() != s.NumNames() || !reach.Has(sym(t, s, AttrName("book", "lang"))) || !reach.Has(sym(t, s, "bib")) {
+		t.Fatalf("ReachableFromRoot = %s, want all %d names", names(s, reach), s.NumNames())
 	}
 }
 
@@ -252,25 +252,20 @@ func TestDFAStarAlt(t *testing.T) {
 	}
 }
 
+// TestNameSetOps: a name set is what NewNameSet and Add put in it, and
+// it compiles to the row of the names the grammar defines.
 func TestNameSetOps(t *testing.T) {
-	a := NewNameSet("x", "y")
-	b := NewNameSet("y", "z")
-	if u := a.Clone(); !u.AddAll(b) || u.Len() != 3 || u.AddAll(a) {
-		t.Fatalf("AddAll: union = %s", u)
+	a := NewNameSet("x", "y", "x")
+	a.Add("y")
+	a.Add("z")
+	if _, ok := a["z"]; len(a) != 3 || !ok {
+		t.Fatalf("set = %v, want {x, y, z}", a)
 	}
-	if !a.Equal(NewNameSet("y", "x")) {
-		t.Fatal("Equal should ignore order")
-	}
-	if a.Equal(b) {
-		t.Fatal("distinct sets reported equal")
-	}
-	c := a.Clone()
-	c.Add("w")
-	if a.Has("w") {
-		t.Fatal("Clone aliases underlying map")
-	}
-	if got := NewNameSet("b", "a").String(); got != "{a, b}" {
-		t.Fatalf("String = %q", got)
+	d := mustDTD(t, bookDTD, "")
+	pi := NewNameSet("bib", "book")
+	pi.Add("book@isbn")
+	if got := names(d.Symbols(), d.CompileProjection(pi).row); got != "bib book book@isbn" {
+		t.Fatalf("compiled = %s", got)
 	}
 }
 

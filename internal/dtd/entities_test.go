@@ -41,8 +41,8 @@ func TestExpandParameterEntities(t *testing.T) {
 	}
 	names := regexNames(p.Content)
 	for _, want := range []Name{TextName("p"), "br", "span", "i", "b"} {
-		if !names.Has(want) {
-			t.Fatalf("p content misses %s (entity expansion broken): %s", want, names)
+		if !names[want] {
+			t.Fatalf("p content misses %s (entity expansion broken): %v", want, names)
 		}
 	}
 	// The INCLUDE section applied, the IGNORE one did not.

@@ -15,11 +15,14 @@ func sym(t *testing.T, s *Symbols, n Name) int32 {
 	return x
 }
 
-func regexNames(r Regex) NameSet {
-	out := NameSet{}
-	WalkRefs(r, func(n Name) { out.Add(n) })
+func regexNames(r Regex) map[Name]bool {
+	out := map[Name]bool{}
+	WalkRefs(r, func(n Name) { out[n] = true })
 	return out
 }
+
+// names renders a row as its sorted names, space-separated.
+func names(s *Symbols, r Row) string { return strings.Join(s.SortedNames(r), " ") }
 
 // TestRowOpsAcrossWords exercises every Row operation on members that
 // sit on both sides of the 64- and 128-bit boundaries.
@@ -83,15 +86,15 @@ func TestSymbolNumbering(t *testing.T) {
 			t.Fatalf("Lookup(%s) = %d, want %d", s.Info(e).Tag, got, e)
 		}
 	}
-	if !s.NameSet(s.Text).Equal(NewNameSet(want[5:8]...)) || !s.NameSet(s.Attr).Equal(NewNameSet(want[8:]...)) {
-		t.Fatalf("masks: text %s, attr %s", s.NameSet(s.Text), s.NameSet(s.Attr))
+	if names(s, s.Text) != "author#text title#text year#text" || names(s, s.Attr) != "book@isbn book@lang" {
+		t.Fatalf("masks: text %s, attr %s", names(s, s.Text), names(s, s.Attr))
 	}
 	if s.Label(1) != "book" || s.Label(6) != "#text" || s.Label(9) != "lang" || s.Root() != 0 {
 		t.Fatalf("labels / root wrong: %q %q %q %d", s.Label(1), s.Label(6), s.Label(9), s.Root())
 	}
-	row := d.CompileProjection(NewNameSet("book", "year#text", "book@lang", "book@nosuch", "nosuch")).Row()
-	if !s.NameSet(row).Equal(NewNameSet("book", "year#text", "book@lang")) {
-		t.Fatalf("compiled row = %s", s.NameSet(row))
+	row := d.CompileProjection(NewNameSet("book", "year#text", "book@lang", "book@nosuch", "nosuch")).row
+	if got := names(s, row); got != "book book@lang year#text" {
+		t.Fatalf("compiled row = %s", got)
 	}
 }
 
@@ -124,7 +127,7 @@ func TestRelationsAcrossWords(t *testing.T) {
 			t.Fatalf("n=%d: root has %d descendants, want %d", n, got, 2*n)
 		}
 		last := sym(t, s, TextName(Name(fmt.Sprintf("l%d", n-1))))
-		if anc := s.NameSet(s.Ancestors.Row(last)); !anc.Equal(NewNameSet("r", Name(fmt.Sprintf("l%d", n-1)))) {
+		if anc := names(s, s.Ancestors.Row(last)); anc != fmt.Sprintf("l%d r", n-1) {
 			t.Fatalf("n=%d: ancestors of the last text name = %s", n, anc)
 		}
 		if s.Reachable.Len() != 2*n+1 || d.IsRecursive() || !d.IsParentUnambiguous() {

@@ -2,7 +2,7 @@ package dtd
 
 import (
 	"math/bits"
-	"strings"
+	"sort"
 	"sync"
 )
 
@@ -239,13 +239,15 @@ func (s *Symbols) NewRow(syms ...int32) Row {
 	return r
 }
 
-// NameSet renders a row in the exchange form: the names a projector
-// carries outside the grammar (files, hand-built π, the tree pruner).
-func (s *Symbols) NameSet(r Row) NameSet {
-	out := make(NameSet, r.Len())
+// SortedNames renders a row as text: the names it holds, in
+// lexicographic order. It is π's one text form — a projector file, a
+// projector's String and the result-cache fingerprint all read it.
+func (s *Symbols) SortedNames(r Row) []string {
+	out := make([]string, 0, r.Len())
 	for x := r.Next(0); x >= 0; x = r.Next(x + 1) {
-		out.Add(s.names[x])
+		out = append(out, string(s.names[x]))
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -255,62 +257,46 @@ func (s *Symbols) NameSet(r Row) NameSet {
 type AttrProj struct {
 	// Attr is the attribute name as written in documents.
 	Attr string
-	// Keep has bit j set when projector j keeps elem@attr.
-	Keep uint64
+	// Keep reports whether π keeps elem@attr.
+	Keep bool
 	// Def is the declaration, for validating pruners.
 	Def *AttDef
 }
 
-// Projection is N ≥ 1 type projectors compiled against a symbol table
-// into one per-symbol decision table: for every element symbol,
-// bitmasks over the projector set answer keep-element, keep-text and
-// per-attribute decisions with one array load each. Project and
-// CompileProjection yield N = 1 (every mask is 0 or 1);
-// CombineProjections fuses such tables, projector j answering in bit j.
-// The pruner threads the masks through its element stack as a live set,
-// so a symbol's fate for all N projectors costs the same lookup as for
-// one, and compiling once per (DTD, π) moves every set-membership test
-// off the token loop.
+// Projection is one type projector compiled against a symbol table into
+// a per-symbol decision table: for every element symbol, keep-element,
+// keep-text and per-attribute decisions are one array load each.
+// Compiling once per (DTD, π) moves every set-membership test off the
+// token loop.
 type Projection struct {
-	// Syms is the symbol table the projectors were compiled against.
+	// Syms is the symbol table the projector was compiled against.
 	Syms *Symbols
 
-	n        int
 	row      Row
-	keepElem []uint64
-	keepText []uint64
+	keepElem []bool
+	keepText []bool
 	attrs    [][]AttrProj
-	// extra holds π entries naming attributes that the DTD does not
-	// declare on that element (possible when a caller hand-builds π).
-	// Almost always nil.
-	extra []map[string]uint64
 }
 
 // Project compiles π, given as a row, into a decision table.
 func (s *Symbols) Project(pi Row) *Projection {
 	p := &Projection{
 		Syms:     s,
-		n:        1,
 		row:      pi,
-		keepElem: make([]uint64, len(s.infos)),
-		keepText: make([]uint64, len(s.infos)),
+		keepElem: make([]bool, len(s.infos)),
+		keepText: make([]bool, len(s.infos)),
 		attrs:    make([][]AttrProj, len(s.infos)),
 	}
 	for e := range s.infos {
-		if pi.Has(int32(e)) {
-			p.keepElem[e] = 1
-		}
-		if t := s.textOf[e]; t >= 0 && pi.Has(t) {
-			p.keepText[e] = 1
+		p.keepElem[e] = pi.Has(int32(e))
+		if t := s.textOf[e]; t >= 0 {
+			p.keepText[e] = pi.Has(t)
 		}
 		atts := s.infos[e].Def.Atts
 		if len(atts) > 0 {
 			ap := make([]AttrProj, len(atts))
 			for j := range atts {
-				ap[j] = AttrProj{Attr: atts[j].Attr, Def: &atts[j]}
-				if pi.Has(s.attrBase[e] + int32(j)) {
-					ap[j].Keep = 1
-				}
+				ap[j] = AttrProj{Attr: atts[j].Attr, Keep: pi.Has(s.attrBase[e] + int32(j)), Def: &atts[j]}
 			}
 			p.attrs[e] = ap
 		}
@@ -318,80 +304,25 @@ func (s *Symbols) Project(pi Row) *Projection {
 	return p
 }
 
-// CompileProjection compiles π, given in the exchange form, against the
-// grammar's symbol table. Names the grammar does not define are ignored,
-// with one exception a hand-built π may rely on: elem@attr (and
-// elem#text) on a declared element still keep matching document
-// attributes (text) the DTD never declared there — the decoder-based
-// pruner behaves this way — through a dynamic side table.
+// CompileProjection compiles π, given as a name set, against the
+// grammar's symbol table. Names the grammar does not define are ignored.
 func (d *DTD) CompileProjection(pi NameSet) *Projection {
 	s := d.Symbols()
 	row := s.NewRow()
-	var rest []Name
 	for n := range pi {
 		if sym, ok := s.byName[n]; ok {
 			row.Add(sym)
-		} else {
-			rest = append(rest, n)
 		}
 	}
-	p := s.Project(row)
-	for _, n := range rest {
-		i := strings.IndexAny(string(n), "#@")
-		if i < 0 {
-			continue
-		}
-		e, ok := s.byName[n[:i]]
-		if !ok || int(e) >= len(s.infos) {
-			continue
-		}
-		switch {
-		case n == TextName(n[:i]):
-			p.keepText[e] = 1
-		case n[i] == '@':
-			if p.extra == nil {
-				p.extra = make([]map[string]uint64, len(s.infos))
-			}
-			if p.extra[e] == nil {
-				p.extra[e] = make(map[string]uint64)
-			}
-			p.extra[e][string(n[i+1:])] = 1
-		}
-	}
-	return p
+	return s.Project(row)
 }
 
-// Row returns π as a row over Syms: the names the grammar defines that
-// the projector keeps. It is nil for a fused table.
-func (p *Projection) Row() Row { return p.row }
+// KeepElem reports whether π keeps the element.
+func (p *Projection) KeepElem(sym int32) bool { return p.keepElem[sym] }
 
-// N returns the number of projectors in the table.
-func (p *Projection) N() int { return p.n }
-
-// All is the mask with one bit per projector.
-func (p *Projection) All() uint64 {
-	if p.n == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(p.n)) - 1
-}
-
-// KeepElem returns the mask of projectors keeping the element.
-func (p *Projection) KeepElem(sym int32) uint64 { return p.keepElem[sym] }
-
-// KeepText returns the mask of projectors keeping the element's text.
-func (p *Projection) KeepText(sym int32) uint64 { return p.keepText[sym] }
+// KeepText reports whether π keeps the element's text.
+func (p *Projection) KeepText(sym int32) bool { return p.keepText[sym] }
 
 // Attrs returns the compiled attribute decisions for a symbol, in
 // declaration order.
 func (p *Projection) Attrs(sym int32) []AttrProj { return p.attrs[sym] }
-
-// KeepExtraAttr returns the mask of projectors keeping an attribute the
-// DTD does not declare on this element. The byte-slice map probe does
-// not allocate.
-func (p *Projection) KeepExtraAttr(sym int32, attr []byte) uint64 {
-	if p.extra == nil || p.extra[sym] == nil {
-		return 0
-	}
-	return p.extra[sym][string(attr)]
-}

@@ -18,11 +18,12 @@ type MultiOptions struct {
 	// (StreamOptions.Validate), each projector's pass on its own.
 	Validate bool
 	// Projections, when non-nil, holds the compiled form of each π
-	// (aligned with the pis argument; nil entries are compiled on the
-	// spot), letting batch callers compile once per (DTD, π) pair.
+	// (aligned with the pis argument, which is read only where an entry
+	// is nil), letting batch callers compile once per (DTD, π) pair.
 	Projections []*dtd.Projection
 	// Combined is ignored: each projector is pruned with its own table.
-	// It is kept so that callers that fused the set still compile.
+	// It is kept because benchmark/seams.go sets it to
+	// dtd.CombineProjections's union.
 	Combined *dtd.Projection
 }
 

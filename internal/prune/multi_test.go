@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"xmlproj/internal/dtd"
@@ -79,10 +80,10 @@ var multiBibPis = []dtd.NameSet{
 }
 
 // TestMultiMatchesSerialFixed also runs set sizes from one projector to
-// dtd.MaxMultiProjections, cycling through multiBibPis.
+// 64, the bound the fused pass once had, cycling through multiBibPis.
 func TestMultiMatchesSerialFixed(t *testing.T) {
 	d := mustDTD(t)
-	for _, n := range []int{1, len(multiBibPis), dtd.MaxMultiProjections} {
+	for _, n := range []int{1, len(multiBibPis), 64} {
 		pis := make([]dtd.NameSet, n)
 		for j := range pis {
 			pis[j] = multiBibPis[j%len(multiBibPis)]
@@ -171,9 +172,9 @@ func TestMultiMatchesSerialRandom(t *testing.T) {
 	}
 }
 
-// TestMultiPrecompiled: precompiled projections, and a pre-fused
-// decision table, which the seam ignores, give the same results as
-// on-the-spot compiles.
+// TestMultiPrecompiled: precompiled projections, and a combined table,
+// which the seam ignores, give the same results as on-the-spot compiles.
+// The combined table is the members' union.
 func TestMultiPrecompiled(t *testing.T) {
 	d := mustDTD(t)
 	doc := []byte(bibDoc)
@@ -184,6 +185,9 @@ func TestMultiPrecompiled(t *testing.T) {
 	mp, err := dtd.CombineProjections(projs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := d.CompileProjection(multiBibPis[0]); !reflect.DeepEqual(mp, want) {
+		t.Fatal("combined table is not the table of the members' union")
 	}
 	base, _, berrs := StreamMultiGather(doc, d, multiBibPis, MultiOptions{})
 	pre, _, perrs := StreamMultiGather(doc, d, multiBibPis, MultiOptions{Projections: projs, Combined: mp})

@@ -19,7 +19,8 @@ import (
 // kept out of the build as the second presentation of §6's pruner. It
 // shares nothing with internal/scan — its tokens come from encoding/xml,
 // ℑ is a concatenated name (dtd.TextName, dtd.AttrName) looked up in the
-// NameSet, content models are stepped by name with derivatives of the
+// name set — π ∩ DN(E): a name the grammar does not define is in no π —,
+// content models are stepped by name with derivatives of the
 // dtd.Regex (derive) rather than through dtd.DenseDFA's tables, and
 // output is escaped by a strings.Replacer — so agreement with the
 // scanner in verdict, bytes and stats (differential_test.go,
@@ -63,6 +64,12 @@ var (
 // (scantest.RepeatedAttr, the one copy the loader's oracle shares).
 func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validate bool) (Stats, error) {
 	var stats Stats
+	syms := d.Symbols()
+	keeps := func(n dtd.Name) bool {
+		_, in := pi[n]
+		_, defined := syms.Sym(n)
+		return in && defined
+	}
 	data, err := io.ReadAll(src)
 	if err != nil {
 		return stats, err
@@ -117,7 +124,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				return fmt.Errorf("text content not allowed in %s", top.name)
 			}
 		}
-		if pi.Has(tn) {
+		if keeps(tn) {
 			closeOpen()
 			escapeText.WriteString(bw, s)
 			stats.TextOut++
@@ -159,7 +166,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 					return stats, fmt.Errorf("element %s not allowed here in content of %s", name, top.name)
 				}
 			}
-			if !pi.Has(name) {
+			if !keeps(name) {
 				// Constant memory: the decoder discards the whole subtree
 				// without materialising it, counting what it scans past.
 				// The skipped subtree still counts as validated only
@@ -172,7 +179,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 			}
 			def := d.Def(name)
 			closeOpen()
-			if err := writeStart(bw, tag, t.Attr, def, pi, validate); err != nil {
+			if err := writeStart(bw, tag, t.Attr, def, keeps, validate); err != nil {
 				return stats, err
 			}
 			open = true
@@ -333,7 +340,7 @@ func skipSubtree(token func() (xml.Token, error), stats *Stats, countText bool) 
 	return nil
 }
 
-func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi dtd.NameSet, validate bool) error {
+func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, keeps func(dtd.Name) bool, validate bool) error {
 	bw.WriteString("<")
 	bw.WriteString(tag)
 	var kept []string
@@ -353,7 +360,7 @@ func writeStart(bw *bufio.Writer, tag string, attrs []xml.Attr, def *dtd.Def, pi
 				return fmt.Errorf("attribute %q on %s must have fixed value %q", a.Name.Local, tag, ad.Fixed)
 			}
 		}
-		if !pi.Has(dtd.AttrName(def.Name, a.Name.Local)) {
+		if !keeps(dtd.AttrName(def.Name, a.Name.Local)) {
 			continue
 		}
 		// The output drops prefixes, so two kept names that differ only

@@ -27,9 +27,8 @@ import (
 )
 
 // Tree computes the π-projection t∖π of a document (Def. 2.7), π given
-// as the compiled table the streaming pruner reads (bit 0 of each mask:
-// a single projector's table), so the two pruners cannot disagree about
-// what π keeps. ℑ is a symbol lookup: an element's name is the symbol of
+// as the compiled table the streaming pruner reads, so the two pruners
+// cannot disagree about what π keeps. ℑ is a symbol lookup: an element's name is the symbol of
 // its tag, a text node's the text column of its parent; an element the
 // grammar does not define is in no π.
 //
@@ -37,16 +36,15 @@ import (
 // preserved so that query results on the original and the pruned document
 // can be compared by identity (the form of Thm. 4.5).
 //
-// Attributes are kept when their derived name is in π; if the owning
-// element is kept but none of its attribute names are in π, the element
-// keeps no attributes.
+// Attributes are kept when their derived name is in π: an attribute the
+// grammar does not declare on its element is in no π.
 func Tree(doc *tree.Document, p *dtd.Projection) *tree.Document {
 	b := tree.NewBuilder(0)
 	root := doc.Root()
 	if !root.Valid() {
 		return b.Document()
 	}
-	if sym, ok := p.Syms.LookupTag(root.Tag()); ok && p.KeepElem(sym)&1 != 0 {
+	if sym, ok := p.Syms.LookupTag(root.Tag()); ok && p.KeepElem(sym) {
 		pruneNode(b, p, root, sym)
 	}
 	return b.Document()
@@ -57,18 +55,18 @@ func pruneNode(b *tree.Builder, p *dtd.Projection, n tree.Node, sym int32) {
 	b.SetID(n.ID())
 	decl := p.Attrs(sym)
 	for i := range n.NumAttrs() {
-		if a := n.AttrAt(i); keepAttr(p, sym, decl, a.Name) {
+		if a := n.AttrAt(i); keepAttr(decl, a.Name) {
 			b.Attr(a.Name, a.Value)
 		}
 	}
-	keepText := p.KeepText(sym)&1 != 0
+	keepText := p.KeepText(sym)
 	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
 		if c.Kind() == tree.Text {
 			if keepText {
 				b.TextString(c.Data())
 				b.SetID(c.ID())
 			}
-		} else if csym, ok := p.Syms.LookupTag(c.Tag()); ok && p.KeepElem(csym)&1 != 0 {
+		} else if csym, ok := p.Syms.LookupTag(c.Tag()); ok && p.KeepElem(csym) {
 			pruneNode(b, p, c, csym)
 		}
 	}
@@ -76,14 +74,14 @@ func pruneNode(b *tree.Builder, p *dtd.Projection, n tree.Node, sym int32) {
 }
 
 // keepAttr is the scanner's attribute decision: the declared attribute's
-// Keep bit, or π's side table for one the DTD does not declare there.
-func keepAttr(p *dtd.Projection, sym int32, decl []dtd.AttrProj, attr string) bool {
+// Keep.
+func keepAttr(decl []dtd.AttrProj, attr string) bool {
 	for i := range decl {
 		if decl[i].Attr == attr {
-			return decl[i].Keep&1 != 0
+			return decl[i].Keep
 		}
 	}
-	return p.KeepExtraAttr(sym, []byte(attr))&1 != 0
+	return false
 }
 
 // Stats reports what a streaming prune did: elements and logical text
@@ -174,10 +172,10 @@ type StreamOptions struct {
 	// larger than this fails with scan.ErrTokenTooLong. Zero means
 	// scan.DefaultMaxTokenSize.
 	MaxTokenSize int
-	// Projection, when non-nil, is the compiled form of π to use on the
-	// scanner path, letting batch callers compile π once per (DTD, π)
-	// pair instead of once per document. It must have been compiled from
-	// the same DTD and π passed to Stream.
+	// Projection is π compiled against the DTD passed to Stream, and
+	// the form every product caller hands π in: compiled once per
+	// (DTD, π), not once per document. When it is nil, the pi argument is
+	// compiled instead.
 	Projection *dtd.Projection
 	// ParallelWorkers bounds the concurrency of a forced EngineParallel or
 	// EnginePipelined (0 means GOMAXPROCS).
@@ -207,7 +205,9 @@ type StreamOptions struct {
 }
 
 // Stream prunes the XML document read from src against π, writing the
-// pruned document to dst in one pass. Subtrees rooted at pruned elements
+// pruned document to dst in one pass. π is opts.Projection; pi, a name
+// set, is read only when that is nil (the form benchmark/seams.go hands
+// it in). Subtrees rooted at pruned elements
 // are skipped without buffering, so memory use is bounded by the document
 // depth.
 //
@@ -245,18 +245,21 @@ func StreamBytes(dst io.Writer, data []byte, d *dtd.DTD, pi dtd.NameSet, opts St
 // place, so nothing is copied until the list is written out
 // (io.WriterTo: one Write per span, so the writer should buffer). The
 // rendered output is byte-identical to Stream's, and stats match it
-// (BytesOut is the rendered size).
+// (BytesOut is the rendered size). π is given as to Stream: pi is read
+// only when opts.Projection is nil.
 //
 // Only the serial scanner records spans (run). MaxTokenSize is not
 // enforced on the in-memory scanner paths (see StreamBytes). On error no
-// list is returned (partial output is discarded, unlike the streaming
-// paths which have already written it). The caller must Close the
-// returned list; data must stay alive and unmodified until then.
+// list is returned and Stats.BytesOut is 0: partial output is discarded,
+// unlike the streaming paths, which have already written it. The caller
+// must Close the returned list; data must stay alive and unmodified
+// until then.
 func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*scan.SpanList, Stats, error) {
 	sl := scan.NewSpanList(data)
 	st, err := run(scan.Source{Data: data}, sink{sl: sl}, d, pi, opts)
 	if err != nil {
 		sl.Close()
+		st.BytesOut = 0 // no list is handed back
 		return nil, st, err
 	}
 	return sl, st, nil
@@ -273,7 +276,8 @@ func StreamGather(data []byte, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (
 // pruned in place; any other is read through the scanner's buffer, so
 // MaxTokenSize applies. The builder grows with what is kept: sized from
 // the input, it would reserve the whole input's text for a prune that
-// keeps a fraction of it.
+// keeps a fraction of it. π is given as to Stream: pi is read only when
+// opts.Projection is nil.
 func Load(src io.Reader, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (*tree.Document, Stats, error) {
 	b := tree.NewBuilder(0)
 	st, err := run(scan.Source{R: src}, sink{h: b}, d, pi, opts)

@@ -99,7 +99,7 @@ func TestStreamMatchesTree(t *testing.T) {
 		dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"), dtd.AttrName("book", "isbn")),
 		dtd.NewNameSet("bib", "book", "author", "year", dtd.TextName("author")),
 		dtd.NewNameSet("bib"),
-		d.Symbols().NameSet(d.ReachableFromRoot()),
+		nameSetOf(d.Symbols(), d.ReachableFromRoot()),
 	}
 	for _, pi := range pis {
 		want := Tree(doc, d.CompileProjection(pi)).XML()
@@ -218,7 +218,7 @@ func TestStreamCountsSkippedSubtrees(t *testing.T) {
 
 func TestStreamValidates(t *testing.T) {
 	d, _ := setup(t)
-	pi := d.Symbols().NameSet(d.ReachableFromRoot())
+	pi := nameSetOf(d.Symbols(), d.ReachableFromRoot())
 	cases := []struct {
 		name, doc string
 	}{
@@ -264,7 +264,7 @@ func TestStreamSkipsPrunedSubtreeValidation(t *testing.T) {
 
 func TestStreamUndeclaredElement(t *testing.T) {
 	d, _ := setup(t)
-	pi := d.Symbols().NameSet(d.ReachableFromRoot())
+	pi := nameSetOf(d.Symbols(), d.ReachableFromRoot())
 	if _, _, err := StreamString(`<bib><zine/></bib>`, d, pi, StreamOptions{}); err == nil {
 		t.Fatal("undeclared element must fail (names drive pruning)")
 	}
@@ -295,7 +295,7 @@ func TestStreamEscaping(t *testing.T) {
 
 func TestStreamMalformed(t *testing.T) {
 	d, _ := setup(t)
-	pi := d.Symbols().NameSet(d.ReachableFromRoot())
+	pi := nameSetOf(d.Symbols(), d.ReachableFromRoot())
 	for _, doc := range []string{`<bib>`, `<bib></bok>`, ``} {
 		if _, _, err := StreamString(doc, d, pi, StreamOptions{}); err == nil {
 			t.Errorf("malformed %q accepted", doc)
@@ -303,9 +303,43 @@ func TestStreamMalformed(t *testing.T) {
 	}
 }
 
+// nameSetOf renders a row as a name set, the form Stream's pi takes.
+func nameSetOf(s *dtd.Symbols, r dtd.Row) dtd.NameSet {
+	pi := dtd.NewNameSet()
+	for _, n := range s.SortedNames(r) {
+		pi.Add(dtd.Name(n))
+	}
+	return pi
+}
+
 // StreamString is Stream over strings.
 func StreamString(src string, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (string, Stats, error) {
 	var sb strings.Builder
 	stats, err := Stream(&sb, strings.NewReader(src), d, pi, opts)
 	return sb.String(), stats, err
+}
+
+// TestGatherErrorReportsNoBytes: a StreamGather that fails hands back no
+// list, so it reports no bytes out, and so does each failing
+// StreamMultiGather slot; the writer route still reports what reached
+// the writer. The undeclared <bok> fails after "<bib>" is kept.
+func TestGatherErrorReportsNoBytes(t *testing.T) {
+	d := mustDTD(t)
+	doc := strings.Replace(bibDoc, "<book", "<bok", 1)
+	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
+	sl, st, err := StreamGather([]byte(doc), d, pi, StreamOptions{})
+	if err == nil || sl != nil || st.BytesOut != 0 {
+		t.Fatalf("StreamGather: list %v, BytesOut %d, err %v; want no list, 0 bytes and an error", sl, st.BytesOut, err)
+	}
+	gs, sts, errs := StreamMultiGather([]byte(doc), d, []dtd.NameSet{pi, dtd.NewNameSet("bib")}, MultiOptions{})
+	for j := range gs {
+		if errs[j] == nil || gs[j] != nil || sts[j].BytesOut != 0 {
+			t.Fatalf("StreamMultiGather slot %d: list %v, BytesOut %d, err %v", j, gs[j], sts[j].BytesOut, errs[j])
+		}
+	}
+	var sb strings.Builder
+	st, err = Stream(&sb, strings.NewReader(doc), d, pi, StreamOptions{})
+	if err == nil || st.BytesOut != int64(sb.Len()) {
+		t.Fatalf("Stream: wrote %q, BytesOut %d, err %v; want the length written and an error", sb.String(), st.BytesOut, err)
+	}
 }

@@ -1,7 +1,9 @@
 package prune
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xmlproj/internal/dtd"
@@ -10,17 +12,31 @@ import (
 	"xmlproj/internal/xmark"
 )
 
-// childrenOf is the ⇒E image of one name: its content, text and
+// childrenOf is the ⇒E image of one name, sorted: its content, text and
 // attribute names.
-func childrenOf(d *dtd.DTD, n dtd.Name) dtd.NameSet {
+func childrenOf(d *dtd.DTD, n dtd.Name) []dtd.Name {
 	s := d.Symbols()
 	x, ok := s.Sym(n)
 	if !ok {
-		return dtd.NameSet{}
+		return nil
 	}
 	kids := s.Content.Row(x).Clone()
 	kids.Or(s.Atts.Row(x))
-	return s.NameSet(kids)
+	var out []dtd.Name
+	for _, k := range s.SortedNames(kids) {
+		out = append(out, dtd.Name(k))
+	}
+	return out
+}
+
+// sortedOf lists a name set in lexicographic order.
+func sortedOf(pi dtd.NameSet) []dtd.Name {
+	out := make([]dtd.Name, 0, len(pi))
+	for n := range pi {
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // randomProjector draws a random chain-closed name set: starting from the
@@ -31,12 +47,12 @@ func randomProjector(d *dtd.DTD, rng *rand.Rand, steps int) dtd.NameSet {
 	kept := []dtd.Name{d.Root}
 	for i := 0; i < steps; i++ {
 		from := kept[rng.Intn(len(kept))]
-		children := childrenOf(d, from).Sorted()
+		children := childrenOf(d, from)
 		if len(children) == 0 {
 			continue
 		}
 		c := children[rng.Intn(len(children))]
-		if !pi.Has(c) {
+		if _, ok := pi[c]; !ok {
 			pi.Add(c)
 			kept = append(kept, c)
 		}
@@ -126,17 +142,17 @@ func TestPruneMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		small := randomProjector(d, rng, 8)
-		large := small.Clone()
+		large := maps.Clone(small)
 		// Extend the chain-closed set further.
-		kept := large.Sorted()
+		kept := sortedOf(large)
 		for i := 0; i < 10; i++ {
 			from := kept[rng.Intn(len(kept))]
-			cs := childrenOf(d, from).Sorted()
+			cs := childrenOf(d, from)
 			if len(cs) == 0 {
 				continue
 			}
 			large.Add(cs[rng.Intn(len(cs))])
-			kept = large.Sorted()
+			kept = sortedOf(large)
 		}
 		a := Tree(doc, d.CompileProjection(small))
 		b := Tree(doc, d.CompileProjection(large))

@@ -63,7 +63,6 @@ type ParallelDetail struct {
 // through the scanner and so reproduces the exact serial verdict,
 // MaxTokenSize enforcement included.
 func PruneParallel(bw *bufio.Writer, data []byte, d *dtd.DTD, proj *dtd.Projection, opts ParallelOptions) (Stats, ParallelDetail, error) {
-	solo("scan.PruneParallel", proj)
 	var det ParallelDetail
 	workers := opts.Workers
 	if workers <= 0 {
@@ -216,7 +215,7 @@ func plan(ix *index.Index, proj *dtd.Projection, target int) []*fragTask {
 		target:      target,
 		depthBudget: 64,
 	}
-	kept := proj.KeepElem(root.Sym) != 0
+	kept := proj.KeepElem(root.Sym)
 	pl.content(ix.RootStart, kept, root.Sym)
 	return pl.tasks
 }
@@ -267,7 +266,7 @@ func (pl *planner) content(pi int, kept bool, sym int32) {
 			// Dominant subtree: the spine handles its start and end tags;
 			// its content decomposes recursively.
 			closeAt(e.Off)
-			childKept := kept && e.Sym >= 0 && pl.p.KeepElem(e.Sym) != 0
+			childKept := kept && e.Sym >= 0 && pl.p.KeepElem(e.Sym)
 			pl.depthBudget--
 			pl.content(i, childKept, e.Sym)
 			pl.depthBudget++

@@ -134,7 +134,6 @@ func atomicMax(p *int64, v int64) {
 // pruner, writing output byte-identical to Prune's to bw. Memory stays
 // bounded by ring depth × window size regardless of document size.
 func PrunePipelined(bw *bufio.Writer, src io.Reader, d *dtd.DTD, proj *dtd.Projection, opts PipelineOptions) (Stats, PipelineDetail, error) {
-	solo("scan.PrunePipelined", proj)
 	var det PipelineDetail
 	workers := opts.Workers
 	if workers <= 0 {
@@ -612,7 +611,7 @@ func (pl *pipePlanner) window(ents []index.Entry) []*fragTask {
 		if n := len(pl.stack); n > 0 {
 			parentKept = pl.stack[n-1].kept
 		}
-		kept := parentKept && e.Sym >= 0 && pl.p.KeepElem(e.Sym) != 0
+		kept := parentKept && e.Sym >= 0 && pl.p.KeepElem(e.Sym)
 		pl.stack = append(pl.stack, pipeFrame{sym: e.Sym, kept: kept})
 	}
 

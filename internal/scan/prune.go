@@ -141,14 +141,12 @@ type Sink struct {
 // tokenized in place, names resolve through the DTD symbol table, and the
 // compiled projection answers keep/skip per element with an array
 // lookup. Every source goes into every sink but a reader into spans.
-// proj is one projector's table: a pass prunes with one, and a fused
-// table (dtd.CombineProjections) is refused. Scanner and pruner state
-// come from a pool and are returned on completion.
+// proj is one projector's table: a pass prunes with one. Scanner and
+// pruner state come from a pool and are returned on completion.
 func Prune(src Source, out Sink, d *dtd.DTD, proj *dtd.Projection, opts Options) (Stats, error) {
 	if out.Spans != nil && src.R != nil {
 		panic("scan.Prune: a span sink needs resident input")
 	}
-	solo("scan.Prune", proj)
 	pr := prunerPool.Get().(*pruner)
 	if src.R != nil {
 		pr.s.Reset(src.R)
@@ -161,14 +159,6 @@ func Prune(src Source, out Sink, d *dtd.DTD, proj *dtd.Projection, opts Options)
 		out.Spans.Reset(src.Data)
 	}
 	return pr.finish(pr.run())
-}
-
-// solo refuses a decision table of more than one projector at an entry
-// into the automaton.
-func solo(entry string, proj *dtd.Projection) {
-	if n := proj.N(); n != 1 {
-		panic(fmt.Sprintf("%s: a pass prunes with one projector, the table holds %d", entry, n))
-	}
 }
 
 // prep prepares pooled state for a new input. The caller has already
@@ -579,7 +569,7 @@ func (pr *pruner) chunk(cdata bool) error {
 	}
 	pr.runPending = true
 	switch {
-	case pr.p.KeepText(pr.stack[len(pr.stack)-1].sym) == 0:
+	case !pr.p.KeepText(pr.stack[len(pr.stack)-1].sym):
 		// π drops this element's text: the run only needs its counters
 		// and placement validation, not its bytes.
 	case info.verbatim && !cdata && kept == 0:
@@ -622,7 +612,7 @@ func (pr *pruner) flushText() error {
 			top.state = next
 		}
 	}
-	if pr.p.KeepText(top.sym) != 0 {
+	if pr.p.KeepText(top.sym) {
 		pr.closeOpen()
 		if len(pr.textBuf) > 0 {
 			pr.attrBuf = appendEscaped(pr.attrBuf[:0], pr.textBuf, false)
@@ -769,7 +759,7 @@ func (pr *pruner) head(local []byte) (bool, error) {
 		}
 	}
 	pr.tag.sym, pr.tag.info = sym, info
-	return pr.p.KeepElem(sym) != 0, nil
+	return pr.p.KeepElem(sym), nil
 }
 
 // keep starts the rendering of a kept start tag, prefix its name's
@@ -846,12 +836,7 @@ func (pr *pruner) attribute(i int, aprefix, alocal, val []byte, preSpace int, ca
 			return pr.verdict(fmt.Errorf("attribute %q on %s must have fixed value %q", alocal, t.info.Tag, ad.Fixed))
 		}
 	}
-	var kept bool
-	if api >= 0 {
-		kept = decl[api].Keep != 0
-	} else {
-		kept = pr.p.KeepExtraAttr(t.sym, alocal) != 0
-	}
+	kept := api >= 0 && decl[api].Keep
 	if !kept || !canon {
 		// A dropped attribute ends the raw span, and so do bytes that are
 		// not the attribute's canonical form.

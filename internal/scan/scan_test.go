@@ -2,9 +2,7 @@ package scan
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -430,36 +428,6 @@ func TestAttributeErrorOrder(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPruneRefusesFusedTable: a pass prunes with one projector, so every
-// entry into the automaton refuses a table that holds two, as Prune
-// refuses a span sink over a reader.
-func TestPruneRefusesFusedTable(t *testing.T) {
-	d, p := setup(t, fullPi)
-	mp, err := dtd.CombineProjections([]*dtd.Projection{p, d.CompileProjection(dtd.NewNameSet("bib"))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := []byte(`<bib><book isbn="1"><title>T</title><author>A</author></book></bib>`)
-	for name, prune := range map[string]func(){
-		"Prune": func() { Prune(Source{Data: doc}, Sink{W: bufio.NewWriter(io.Discard)}, d, mp, Options{}) },
-		"PruneParallel": func() {
-			PruneParallel(bufio.NewWriter(io.Discard), doc, d, mp, ParallelOptions{Workers: 1})
-		},
-		"PrunePipelined": func() {
-			PrunePipelined(bufio.NewWriter(io.Discard), bytes.NewReader(doc), d, mp, PipelineOptions{Workers: 1})
-		},
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "one projector, the table holds 2") {
-					t.Errorf("%s on a two-projector table: recovered %v, want the one-projector panic", name, r)
-				}
-			}()
-			prune()
-		}()
 	}
 }
 

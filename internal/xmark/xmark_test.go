@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"xmlproj/internal/core"
-	"xmlproj/internal/dtd"
 	"xmlproj/internal/prune"
 	"xmlproj/internal/validate"
 	"xmlproj/internal/xquery"
@@ -76,9 +75,14 @@ func TestDescriptionDominatesSize(t *testing.T) {
 	doc := NewGenerator(0.004, 2).Document()
 	total := doc.SerializedSize()
 	// Prune away description subtrees and compare sizes.
-	pi := d.Symbols().NameSet(d.ReachableFromRoot())
-	delete(pi, dtd.Name("description"))
-	pruned := prune.Tree(doc, d.CompileProjection(pi))
+	s := d.Symbols()
+	desc, ok := s.Sym("description")
+	if !ok {
+		t.Fatal("no description in the XMark DTD")
+	}
+	pi := d.ReachableFromRoot().Clone()
+	pi.AndNot(s.NewRow(desc))
+	pruned := prune.Tree(doc, s.Project(pi))
 	rest := pruned.SerializedSize()
 	ratio := float64(total-rest) / float64(total)
 	if ratio < 0.4 {

@@ -138,8 +138,8 @@ func TestKeepsAll(t *testing.T) {
 // TestLoadProjectorResolvesNames: every name of a projector file goes
 // through the grammar's symbol table. What MarshalText wrote loads back
 // to the same π for all 43 projectors; a name the grammar does not have
-// is rejected, except elem@attr on a declared element (the documented
-// route for attributes the DTD does not declare).
+// is rejected, elem@attr for an attribute the DTD does not declare on
+// elem included: π ⊆ DN(E).
 func TestLoadProjectorResolvesNames(t *testing.T) {
 	d, ids, ps := inferBenchmark(t)
 	for i, p := range ps {
@@ -155,17 +155,48 @@ func TestLoadProjectorResolvesNames(t *testing.T) {
 			t.Errorf("%s: round trip changed π:\n got %v\nwant %v", ids[i], back.Names(), p.Names())
 		}
 	}
-	for _, bad := range []string{"person#bogus", "nosuch", "nosuch#text", "nosuch@id", "site#text", "@id", "name#text@x"} {
+	for _, bad := range []string{"person#bogus", "nosuch", "nosuch#text", "nosuch@id", "site#text", "@id", "name#text@x",
+		"person@undeclared", "person@", "person@<", "person@x@y"} {
 		if _, err := d.LoadProjector([]byte("site\n" + bad)); err == nil {
 			t.Errorf("LoadProjector accepted %q", bad)
 		}
 	}
-	for _, ok := range []string{"person", "name#text", "person@id", "person@undeclared"} {
+	for _, ok := range []string{"person", "name#text", "person@id"} {
 		p, err := d.LoadProjector([]byte(ok))
 		if err != nil {
 			t.Errorf("LoadProjector rejected %q: %v", ok, err)
 		} else if !p.Has(ok) || !p.Has("site") {
 			t.Errorf("LoadProjector(%q) = %v", ok, p.Names())
+		}
+	}
+}
+
+// TestResultFingerprintsPinned: the result-cache variant of each of the
+// 43 projectors, without and with validation, is the value recorded
+// before π became a row of grammar symbols (testdata/fingerprints.golden:
+// id, then the two fingerprints). ETags and cache keys are derived from
+// these, so a change of π's representation must not move them.
+func TestResultFingerprintsPinned(t *testing.T) {
+	_, ids, ps := inferBenchmark(t)
+	data, err := os.ReadFile("testdata/fingerprints.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("golden line %q: want an id and two fingerprints", line)
+		}
+		want[f[0]] = [2]string{f[1], f[2]}
+	}
+	if len(want) != len(ids) {
+		t.Fatalf("golden has %d projectors, want %d", len(want), len(ids))
+	}
+	for i, p := range ps {
+		got := [2]string{p.pr.ResultFingerprint(false), p.pr.ResultFingerprint(true)}
+		if got != want[ids[i]] {
+			t.Errorf("%s: fingerprints %v, want %v", ids[i], got, want[ids[i]])
 		}
 	}
 }

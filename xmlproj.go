@@ -231,17 +231,7 @@ func (q *Query) StaticType(d *DTD) []string {
 	for _, p := range q.paths {
 		tau.Or(c.Type(p))
 	}
-	return sortedNames(syms.NameSet(tau))
-}
-
-// sortedNames renders a name set as sorted strings.
-func sortedNames(names dtd.NameSet) []string {
-	ns := names.Sorted()
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = string(n)
-	}
-	return out
+	return syms.SortedNames(tau)
 }
 
 // CanMatch reports whether the query can return anything at all on
@@ -308,7 +298,7 @@ func (d *DTD) Infer(mode Mode, queries ...*Query) (*Projector, error) {
 
 // Names returns the projector's names, sorted. Text names carry a
 // "#text" suffix and attribute names an "@attr" suffix.
-func (p *Projector) Names() []string { return sortedNames(p.pr.Names) }
+func (p *Projector) Names() []string { return p.pr.Names() }
 
 // Has reports whether the projector keeps the given name.
 func (p *Projector) Has(name string) bool { return p.pr.Has(dtd.Name(name)) }
@@ -333,25 +323,21 @@ func (p *Projector) MarshalText() ([]byte, error) {
 }
 
 // LoadProjector rebuilds a projector for d from a MarshalText rendering.
-// Unknown names are rejected — a projector is only meaningful against the
-// DTD it was inferred for: every name must be one of the grammar's (an
-// element, its elem#text, a declared elem@attr), with one exception,
-// elem@attr for an attribute the DTD does not declare on a declared
-// element, which keeps matching document attributes of that name.
+// A projector is a set of the grammar's names (π ⊆ DN(E)), only
+// meaningful against the DTD it was inferred for: every name must be one
+// the grammar defines — an element, its elem#text, a declared elem@attr —
+// and any other is rejected. The root is always kept.
 func (d *DTD) LoadProjector(text []byte) (*Projector, error) {
 	syms := d.d.Symbols()
-	names := dtd.NameSet{}
+	row := syms.NewRow(syms.Root())
 	for _, f := range strings.Fields(string(text)) {
-		if _, ok := syms.Sym(dtd.Name(f)); !ok {
-			elem, _, isAttr := strings.Cut(f, "@")
-			if sym, ok := syms.Sym(dtd.Name(elem)); !isAttr || !ok || int(sym) >= syms.Len() {
-				return nil, fmt.Errorf("xmlproj: projector name %q not defined by this DTD", f)
-			}
+		sym, ok := syms.Sym(dtd.Name(f))
+		if !ok {
+			return nil, fmt.Errorf("xmlproj: projector name %q not defined by this DTD", f)
 		}
-		names.Add(dtd.Name(f))
+		row.Add(sym)
 	}
-	names.Add(d.d.Root)
-	return &Projector{d: d.d, pr: &core.Projector{D: d.d, Names: names}}, nil
+	return &Projector{d: d.d, pr: &core.Projector{D: d.d, Row: row}}, nil
 }
 
 // Document is a parsed XML document.
@@ -464,7 +450,7 @@ type StreamOptions struct {
 // token-size limits and context cancellation — what a long-lived server
 // needs to run untrusted streams through the pruner safely.
 func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOptions) (PruneStats, error) {
-	return prune.Stream(dst, src, p.d, p.pr.Names, p.streamOpts(opts))
+	return prune.Stream(dst, src, p.d, nil, p.streamOpts(opts))
 }
 
 // LoadProjected prunes the document read from src and loads what the
@@ -479,7 +465,7 @@ func (p *Projector) PruneStreamOpts(dst io.Writer, src io.Reader, opts StreamOpt
 // any other is read through the scanner's buffer, so a single token
 // longer than MaxTokenSize fails the load.
 func (p *Projector) LoadProjected(src io.Reader, opts StreamOptions) (*Document, PruneStats, error) {
-	t, st, err := prune.Load(src, p.d, p.pr.Names, p.streamOpts(opts))
+	t, st, err := prune.Load(src, p.d, nil, p.streamOpts(opts))
 	if err != nil {
 		return nil, st, err
 	}
@@ -600,7 +586,7 @@ func (r *PruneResult) Close() error {
 // result is flushed. Rendered output is byte-identical to PruneStream.
 // The caller must Close the result.
 func (p *Projector) PruneGather(data []byte, opts StreamOptions) (*PruneResult, error) {
-	sl, st, err := prune.StreamGather(data, p.d, p.pr.Names, p.streamOpts(opts))
+	sl, st, err := prune.StreamGather(data, p.d, nil, p.streamOpts(opts))
 	if err != nil {
 		return nil, err
 	}
