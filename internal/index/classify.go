@@ -1,8 +1,8 @@
 package index
 
 // The structural classifier: the one piece of code in the tree that
-// reads XML without tokenising it. Build and StreamIndexer run it over
-// whole documents to find cut points; the pruning automaton
+// reads XML without tokenising it. Build runs it over whole documents
+// to find cut points; the pruning automaton
 // (internal/scan) runs Balance, the sweep built on its start-tag rule,
 // over the subtrees a non-validating prune discards, where only element
 // balance matters, and Classify on whatever the sweep hands back.

@@ -1,44 +1,15 @@
-// Package index builds a structural index of an XML document for the
-// parallel pruner, simdjson-style: the input is split into byte chunks
-// scanned concurrently for structural '<' positions, each classified as
-// a start tag, end tag, comment, CDATA section, processing instruction
-// or directive; a cheap sequential fix-up pass then stitches chunk
-// boundaries (a construct spanning a cut invalidates the speculative
-// entries it covers) and prefix-sums depth deltas into absolute depths.
+// Package index reads XML structure without tokenising it.
 //
-// Classification is context-free: given that an offset really is a
-// structural '<' (outside every tag, comment, CDATA section, PI and
-// directive), the construct's kind and extent depend only on the bytes
-// from that offset forward. Workers therefore scan speculatively —
-// assuming their chunk starts in element content — and the stitch pass
-// validates each speculative entry by reaching it through verified
-// ground: an entry is kept only when the scan cursor arrives at its
-// offset through a gap the worker proved free of '<'. Entries the
-// cursor lands inside of (the worker had desynchronised) are dropped
-// and the region is rescanned serially until it resynchronises.
-//
-// The index holds cut points, not tags. Its one consumer, the fragment
-// planner, only ever looks at the children of elements larger than a
-// threshold (Options.Collapse), so every element no larger than that is
-// folded into a single Element entry as soon as its end tag is seen —
-// by the chunk workers when both tags lie in one chunk, by the stitch
-// otherwise — and each surviving Start entry records its End entry's
-// position. Entries, time and memory are then proportional to the
-// number of children of dominant elements, not to the number of tags.
-//
-// The index is intentionally conservative: structure it cannot classify
-// (an unterminated construct, '<' inside a quoted attribute value, no
-// single non-empty root) reports ErrStructure and the caller falls back
-// to the serial pruner, which reproduces the exact serial verdict.
-//
-// Beside the classifier (Classify, classify.go) sits the structural
-// skip's sweep, Balance: the pruner balances a subtree it discards
-// without tokenising it, and Balance passes the text, start tags and
-// inner end tags of such a subtree in one loop over the bytes in hand,
-// reading each start tag with the classifier's own start-tag rule and
-// handing everything else back to a per-construct Classify loop.
-// Below a start tag, with 64 bytes in hand, it works a window at a time
-// (window.go): one call to an AVX2 + PCLMULQDQ kernel
+// Its product caller is the pruner's structural skip (internal/scan,
+// skipBalance): a prune without Validate balances a subtree it discards
+// instead of tokenising it. The classifier (Classify, classify.go) gives
+// the kind and extent of the construct at a structural '<' from the bytes
+// forward alone, and the sweep beside it, Balance, passes the text,
+// start tags and inner end tags of such a subtree in one loop over the
+// bytes in hand, reading each start tag with the classifier's own
+// start-tag rule and handing everything else back to a per-construct
+// Classify loop. Below a start tag, with 64 bytes in hand, it works a
+// window at a time (window.go): one call to an AVX2 + PCLMULQDQ kernel
 // (window_amd64.s) gives the window's '<', '>', '/', '"', single-quote
 // and '!'/'?' bitmaps and the in-tag mask, the prefix XOR of '<' | '>'.
 // Up to the window's last construct boundary, stopping short of the
@@ -51,7 +22,18 @@
 // returns. The kernel is chosen once, from CPUID and XGETBV; on other
 // CPUs and architectures Balance is the loop alone.
 //
-// Defended by: `scan.skip_mb_s` (the skip path's sweep and classifier) and `index.build_mb_s`.
+// Build, the rest of this file, is the structural index of a whole
+// document, simdjson-style: byte chunks scanned concurrently for
+// structural '<' positions, each classified, then a sequential stitch
+// that repairs chunk boundaries (a construct spanning a cut invalidates
+// the speculative entries it covers) and prefix-sums depths. Elements no
+// larger than Options.Collapse are folded into one Element entry, so the
+// index holds cut points, not tags. It was stage 1 of the parallel
+// pruner, which is gone; nothing in the product calls it, and it is kept
+// unchanged only so that the benchmark's index.* layer rows time what
+// their names say.
+//
+// Defended by: `scan.skip_mb_s` (Classify and Balance serve the skip) and `index.build_mb_s` (Build, kept for the benchmark seam).
 package index
 
 import (
@@ -115,17 +97,16 @@ type Options struct {
 	// nil leaves every Sym at -1.
 	Lookup func(local []byte) (int32, bool)
 	// Collapse is the largest element, in bytes from its start tag's '<'
-	// to its end tag's '>', that is folded into one Element entry. The
-	// caller promises not to look inside such elements: the planner
-	// passes twice its fragment target, computed once and shared with
-	// plan. 0 means 2×FragTarget(len(data), workers); 1 folds nothing
-	// (no element is that small).
+	// to its end tag's '>', that is folded into one Element entry: the
+	// caller promises not to look inside such elements. 0 means
+	// 2×FragTarget(len(data), workers); 1 folds nothing (no element is
+	// that small).
 	Collapse int
 }
 
-// FragTarget is the planner's default per-fragment size for a document
-// of dataLen bytes pruned by workers workers. It lives here because it
-// also sets the default collapse threshold.
+// FragTarget was the parallel planner's per-fragment size for a
+// document of dataLen bytes pruned by workers workers; it sets Build's
+// default collapse threshold.
 func FragTarget(dataLen, workers int) int {
 	const minTarget, maxTarget = 128 << 10, 8 << 20
 	return min(max(dataLen/(workers*8), minTarget), maxTarget)
@@ -159,8 +140,8 @@ var indexPool = sync.Pool{New: func() any { return new(Index) }}
 // Errors are either ErrStructure (fall back to serial), ErrTokenTooLong
 // (hard failure, matches the serial scanner's cap) — both wrapped.
 //
-// Deprecated: stage 1 of the forced-only parallel engine, kept because
-// benchmark/seams.go:243 times it; it goes with that engine.
+// Deprecated: stage 1 of the parallel pruner, which is gone; kept only
+// because benchmark/seams.go:243 times it.
 func Build(data []byte, opts Options) (*Index, error) {
 	workers := opts.Workers
 	if workers <= 0 {

@@ -56,21 +56,6 @@ func benchStream(b *testing.B, eng Engine, pi dtd.NameSet, validate bool) {
 	}
 }
 
-// benchBytes is benchStream over resident input, the parallel engine's
-// one row.
-func benchBytes(b *testing.B, eng Engine, pi dtd.NameSet, validate bool) {
-	d, src := benchDoc(b)
-	opts := StreamOptions{Engine: eng, Validate: validate, Projection: d.CompileProjection(pi)}
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := StreamBytes(io.Discard, src, d, pi, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchOracle is benchStream for the encoding/xml oracle, which is no
 // engine of run's and is called as the differential tests call it.
 func benchOracle(b *testing.B, pi dtd.NameSet, validate bool) {
@@ -82,24 +67,6 @@ func benchOracle(b *testing.B, pi dtd.NameSet, validate bool) {
 	for i := 0; i < b.N; i++ {
 		rd.Reset(src)
 		if _, err := oracleStream(io.Discard, rd, d, pi, validate); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchStreamUnsized measures the pipelined engine the way it would be
-// met in practice: an io.Reader whose total size is unknown (a socket or
-// pipe). The bytes.Reader is hidden behind a plain io.Reader wrapper.
-func benchStreamUnsized(b *testing.B, eng Engine, pi dtd.NameSet, validate bool) {
-	d, src := benchDoc(b)
-	opts := StreamOptions{Engine: eng, Validate: validate, Projection: d.CompileProjection(pi)}
-	rd := bytes.NewReader(src)
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(src)
-		if _, err := Stream(io.Discard, struct{ io.Reader }{rd}, d, pi, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,11 +98,8 @@ func benchGather(b *testing.B, eng Engine, pi dtd.NameSet, validate bool) {
 // within ~25% of the unvalidated one (dense DFAs keep validation on the
 // verbatim-span and skip-scan fast paths).
 //
-// The parallel cases measure the two-stage intra-document pruner over
-// resident input and the pipelined cases the windowed
-// read→index→prune→emit pipeline over an unsized reader, the two forced
-// rows of run; the auto cases are the serial scanner under the default
-// engine and must match it.
+// The auto cases are the serial scanner under the default engine and
+// must match it.
 func BenchmarkStreamPrune(b *testing.B) {
 	d := xmark.DTD()
 	for name, pi := range benchProjectors(d) {
@@ -144,10 +108,6 @@ func BenchmarkStreamPrune(b *testing.B) {
 		b.Run("decoder/"+name, func(b *testing.B) { benchOracle(b, pi, false) })
 		b.Run("scanner-validate/"+name, func(b *testing.B) { benchStream(b, EngineScanner, pi, true) })
 		b.Run("decoder-validate/"+name, func(b *testing.B) { benchOracle(b, pi, true) })
-		b.Run("parallel/"+name, func(b *testing.B) { benchBytes(b, EngineParallel, pi, false) })
-		b.Run("parallel-validate/"+name, func(b *testing.B) { benchBytes(b, EngineParallel, pi, true) })
-		b.Run("pipelined/"+name, func(b *testing.B) { benchStreamUnsized(b, EnginePipelined, pi, false) })
-		b.Run("pipelined-validate/"+name, func(b *testing.B) { benchStreamUnsized(b, EnginePipelined, pi, true) })
 		b.Run("auto/"+name, func(b *testing.B) { benchStream(b, EngineAuto, pi, false) })
 		b.Run("gather/"+name, func(b *testing.B) { benchGather(b, EngineScanner, pi, false) })
 		b.Run("gather-validate/"+name, func(b *testing.B) { benchGather(b, EngineScanner, pi, true) })

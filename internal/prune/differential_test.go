@@ -1,7 +1,6 @@
 package prune
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -28,10 +27,11 @@ import (
 // (scan/skip.go), and the contract is three properties: (i) whatever the
 // decoder accepts the scanner accepts, with identical bytes and stats;
 // (ii) the level is never the stricter one — what it rejects, the
-// decoder and the validating scanner reject; (iii) every engine, and
-// every projector of StreamMultiGather, equals the serial scanner in
-// bytes, stats and verdict. (iii) is what every engine comparison below asserts at both
-// levels; checkOracle asserts the rest.
+// decoder and the validating scanner reject; (iii) every source and
+// sink, and every projector of StreamMultiGather, equals the serial
+// scanner from a reader into a writer in bytes, stats and verdict. (iii)
+// is what every source, sink and StreamMultiGather comparison below
+// asserts at both levels; checkOracle asserts the rest.
 //
 // One documented divergence is excluded: the scanner matches end tags
 // by literal prefix, while encoding/xml matches them by resolved
@@ -47,36 +47,6 @@ func mustDTD(t *testing.T) *dtd.DTD {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// parallelVariants are the EngineParallel configurations every
-// differential corpus additionally runs under (from resident input, its
-// one row): single worker, several workers with an adversarial stage-1
-// chunk size that cuts mid-tag, and a tiny fragment target that forces
-// many splice points on even the smallest documents.
-var parallelVariants = []StreamOptions{
-	{Engine: EngineParallel, ParallelWorkers: 1},
-	{Engine: EngineParallel, ParallelWorkers: 4, parallelChunkSize: 3},
-	{Engine: EngineParallel, ParallelWorkers: 3, parallelFragTarget: 64},
-}
-
-// pipelinedVariants are the EnginePipelined configurations every
-// differential corpus additionally runs under: windows far smaller than
-// the documents (so constructs straddle window boundaries), a minimal
-// ring, a tiny fragment target forcing splices, and the defaults.
-var pipelinedVariants = []StreamOptions{
-	{Engine: EnginePipelined, ParallelWorkers: 1, pipelineWindowSize: 300},
-	{Engine: EnginePipelined, ParallelWorkers: 4, pipelineWindowSize: 300, pipelineRingDepth: 2, parallelFragTarget: 24},
-	{Engine: EnginePipelined, ParallelWorkers: 3, parallelFragTarget: 64},
-}
-
-// streamForced runs src through the source a forced engine's row of run
-// takes: resident bytes for EngineParallel, a reader for the others.
-func streamForced(dst io.Writer, src string, d *dtd.DTD, pi dtd.NameSet, opts StreamOptions) (Stats, error) {
-	if opts.Engine == EngineParallel {
-		return StreamBytes(dst, []byte(src), d, pi, opts)
-	}
-	return Stream(dst, strings.NewReader(src), d, pi, opts)
 }
 
 // checkGather runs the span-gather path under opts and requires the
@@ -145,7 +115,7 @@ func checkSources(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate
 	sopts := StreamOptions{Validate: validate, Engine: EngineScanner}
 	var bb, ob strings.Builder
 	bst, berr := StreamBytes(&bb, []byte(src), d, pi, sopts)
-	ost, oerr := Stream(&ob, oneByteAtATime{strings.NewReader(src)}, d, pi, sopts)
+	ost, oerr := Stream(&ob, chopReader{strings.NewReader(src), 1}, d, pi, sopts)
 	if (serr == nil) != (berr == nil) || (serr == nil) != (oerr == nil) ||
 		serr == nil && (bb.String() != sout || ob.String() != sout || bst != sst || ost != sst) {
 		t.Fatalf("scanner sources disagree (validate=%v)\nreader:   %q %+v %v\nbytes:    %q %+v %v\none-byte: %q %+v %v\ninput: %q",
@@ -166,7 +136,7 @@ func checkLoad(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bo
 	}
 	for name, r := range map[string]io.Reader{
 		"reader":   strings.NewReader(src),
-		"one-byte": oneByteAtATime{strings.NewReader(src)},
+		"one-byte": chopReader{strings.NewReader(src), 1},
 		"bytes":    residentReader{t, []byte(src)},
 	} {
 		got, gst, gerr := Load(r, d, pi, StreamOptions{Validate: validate})
@@ -192,46 +162,6 @@ func runBoth(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bool
 		StreamOptions{Validate: validate, Engine: EngineScanner}, serr == nil, sb.String(), sst)
 	checkSources(t, src, d, pi, validate, sb.String(), sst, serr)
 	checkLoad(t, src, d, pi, validate, sb.String(), sst, serr)
-	for _, popts := range parallelVariants {
-		popts.Validate = validate
-		var pb strings.Builder
-		pst, perr := streamForced(&pb, src, d, pi, popts)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("parallel engine disagrees on acceptance (validate=%v, workers=%d)\nscanner:  %v\nparallel: %v\ninput: %q",
-				validate, popts.ParallelWorkers, serr, perr, src)
-		}
-		if serr != nil {
-			continue
-		}
-		if pb.String() != sb.String() {
-			t.Fatalf("parallel engine disagrees on output (validate=%v, workers=%d)\nscanner:  %q\nparallel: %q\ninput: %q",
-				validate, popts.ParallelWorkers, sb.String(), pb.String(), src)
-		}
-		if pst != sst {
-			t.Fatalf("parallel engine disagrees on stats (validate=%v, workers=%d)\nscanner:  %+v\nparallel: %+v\ninput: %q",
-				validate, popts.ParallelWorkers, sst, pst, src)
-		}
-	}
-	for _, popts := range pipelinedVariants {
-		popts.Validate = validate
-		var pb strings.Builder
-		pst, perr := Stream(&pb, strings.NewReader(src), d, pi, popts)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("pipelined engine disagrees on acceptance (validate=%v, workers=%d)\nscanner:   %v\npipelined: %v\ninput: %q",
-				validate, popts.ParallelWorkers, serr, perr, src)
-		}
-		if serr != nil {
-			continue
-		}
-		if pb.String() != sb.String() {
-			t.Fatalf("pipelined engine disagrees on output (validate=%v, workers=%d)\nscanner:   %q\npipelined: %q\ninput: %q",
-				validate, popts.ParallelWorkers, sb.String(), pb.String(), src)
-		}
-		if pst != sst {
-			t.Fatalf("pipelined engine disagrees on stats (validate=%v, workers=%d)\nscanner:   %+v\npipelined: %+v\ninput: %q",
-				validate, popts.ParallelWorkers, sst, pst, src)
-		}
-	}
 }
 
 var fixedBibDocs []string
@@ -562,8 +492,7 @@ func checkDocumentLevel(t *testing.T, msg string, docs ...string) {
 }
 
 // documentLevelRoutes is every way to prune a document: the oracle, the
-// scanner from each source into each sink, the shared scan and both
-// forced engines.
+// scanner from each source into each sink, and the shared scan.
 func documentLevelRoutes(t *testing.T, d *dtd.DTD, pi dtd.NameSet) map[string]func(doc string, validate bool) error {
 	return map[string]func(doc string, validate bool) error{
 		"oracle": func(doc string, validate bool) error {
@@ -571,7 +500,7 @@ func documentLevelRoutes(t *testing.T, d *dtd.DTD, pi dtd.NameSet) map[string]fu
 			return err
 		},
 		"reader": func(doc string, validate bool) error {
-			_, err := Stream(io.Discard, oneByteAtATime{strings.NewReader(doc)}, d, pi, StreamOptions{Validate: validate})
+			_, err := Stream(io.Discard, chopReader{strings.NewReader(doc), 1}, d, pi, StreamOptions{Validate: validate})
 			return err
 		},
 		"bytes": func(doc string, validate bool) error {
@@ -586,7 +515,7 @@ func documentLevelRoutes(t *testing.T, d *dtd.DTD, pi dtd.NameSet) map[string]fu
 			return err
 		},
 		"handler": func(doc string, validate bool) error {
-			_, _, err := Load(oneByteAtATime{strings.NewReader(doc)}, d, pi, StreamOptions{Validate: validate})
+			_, _, err := Load(chopReader{strings.NewReader(doc), 1}, d, pi, StreamOptions{Validate: validate})
 			return err
 		},
 		"shared scan": func(doc string, validate bool) error {
@@ -601,19 +530,11 @@ func documentLevelRoutes(t *testing.T, d *dtd.DTD, pi dtd.NameSet) map[string]fu
 			}
 			return errs[0]
 		},
-		"parallel": func(doc string, validate bool) error {
-			_, err := StreamBytes(io.Discard, []byte(doc), d, pi, StreamOptions{Engine: EngineParallel, ParallelWorkers: 2, parallelFragTarget: 1, Validate: validate})
-			return err
-		},
-		"pipelined": func(doc string, validate bool) error {
-			_, err := Stream(io.Discard, strings.NewReader(doc), d, pi, StreamOptions{Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 16, Validate: validate})
-			return err
-		},
 	}
 }
 
-// TestScannerMalformed: the malformed corpus must be rejected by both
-// engines.
+// TestScannerMalformed: the malformed corpus must be rejected by the
+// scanner, from a reader and from resident bytes, and by the oracle.
 func TestScannerMalformed(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text")
@@ -652,13 +573,13 @@ func TestScannerMalformed(t *testing.T) {
 		`<bib><book isbn="1" x:isbn="2" x:isbn='3'><title>T</title><author>A</author></book></bib>`,
 	}
 	for _, src := range cases {
-		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
-			for _, validate := range []bool{false, true} {
-				var sb strings.Builder
-				_, err := streamForced(&sb, src, d, pi, StreamOptions{Engine: eng, Validate: validate})
-				if err == nil || strings.Contains(err.Error(), "no route") {
-					t.Errorf("engine %s (validate=%v) accepted malformed input %q: %v", eng, validate, src, err)
-				}
+		for _, validate := range []bool{false, true} {
+			opts := StreamOptions{Validate: validate}
+			if _, err := Stream(io.Discard, strings.NewReader(src), d, pi, opts); err == nil {
+				t.Errorf("reader (validate=%v) accepted malformed input %q", validate, src)
+			}
+			if _, err := StreamBytes(io.Discard, []byte(src), d, pi, opts); err == nil {
+				t.Errorf("bytes (validate=%v) accepted malformed input %q", validate, src)
 			}
 		}
 		if _, _, err := oracleString(src, d, pi, false); err == nil {
@@ -744,74 +665,6 @@ func TestStreamMaxTokenSize(t *testing.T) {
 	}
 }
 
-// TestParallelEngineAdversarialChunks sweeps worker counts against
-// stage-1 chunk sizes down to a single byte — every cut lands mid-tag,
-// mid-CDATA or mid-comment somewhere in the corpus — and requires the
-// parallel engine to match the serial scanner byte for byte.
-func TestParallelEngineAdversarialChunks(t *testing.T) {
-	d := mustDTD(t)
-	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
-	for _, doc := range fixedBibDocs {
-		var sb strings.Builder
-		sst, serr := Stream(&sb, strings.NewReader(doc), d, pi, StreamOptions{Engine: EngineScanner})
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, chunk := range []int{1, 2, 5} {
-				var pb strings.Builder
-				pst, perr := StreamBytes(&pb, []byte(doc), d, pi, StreamOptions{
-					Engine:             EngineParallel,
-					ParallelWorkers:    workers,
-					parallelChunkSize:  chunk,
-					parallelFragTarget: 1,
-				})
-				if (serr == nil) != (perr == nil) {
-					t.Fatalf("w=%d chunk=%d: verdicts diverge: scanner=%v parallel=%v\ninput: %q",
-						workers, chunk, serr, perr, doc)
-				}
-				if serr != nil {
-					continue
-				}
-				if pb.String() != sb.String() {
-					t.Fatalf("w=%d chunk=%d: output diverges\nscanner:  %q\nparallel: %q\ninput: %q",
-						workers, chunk, sb.String(), pb.String(), doc)
-				}
-				if pst != sst {
-					t.Fatalf("w=%d chunk=%d: stats diverge\nscanner:  %+v\nparallel: %+v",
-						workers, chunk, sst, pst)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelEngineMaxTokenSize: the oversized token is caught by the
-// stage-1 index bound — before any fragment worker would buffer it —
-// not by a fallback to the serial scanner, which scan.PruneParallel's
-// detail tells apart; run's parallel row returns the same verdict.
-func TestParallelEngineMaxTokenSize(t *testing.T) {
-	d := mustDTD(t)
-	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
-	big := `<bib><book isbn="1"><title>` + strings.Repeat("x", 512<<10) +
-		`</title><author>A</author></book></bib>`
-	capped := scan.ParallelOptions{Options: scan.Options{MaxTokenSize: 256 << 10}}
-	_, det, err := scan.PruneParallel(bufio.NewWriter(io.Discard), []byte(big), d, d.CompileProjection(pi), capped)
-	if !errors.Is(err, scan.ErrTokenTooLong) {
-		t.Fatalf("capped parallel prune: want ErrTokenTooLong, got %v", err)
-	}
-	if det.Fallback {
-		t.Fatal("oversized token should fail in the index stage, not via serial fallback")
-	}
-	if _, err := StreamBytes(io.Discard, []byte(big), d, pi, StreamOptions{Engine: EngineParallel, MaxTokenSize: capped.MaxTokenSize}); !errors.Is(err, scan.ErrTokenTooLong) {
-		t.Fatalf("capped parallel row: want ErrTokenTooLong, got %v", err)
-	}
-	var sb strings.Builder
-	if _, err := StreamBytes(&sb, []byte(big), d, pi, StreamOptions{Engine: EngineParallel}); err != nil {
-		t.Fatalf("default cap rejected a 512KiB token: %v", err)
-	}
-	if !strings.Contains(sb.String(), strings.Repeat("x", 512<<10)) {
-		t.Fatal("oversized token mangled in parallel output")
-	}
-}
-
 // shortStutterReader returns short reads and interleaves (0, nil)
 // results, hiding the input's size; io.Reader permits both.
 type shortStutterReader struct {
@@ -830,21 +683,22 @@ func (s *shortStutterReader) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
-// oneByteAtATime yields a single byte per Read.
-type oneByteAtATime struct{ r io.Reader }
+// chopReader hands out at most n bytes a Read.
+type chopReader struct {
+	r io.Reader
+	n int
+}
 
-func (o oneByteAtATime) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
+func (c chopReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
 	}
-	return o.r.Read(p)
+	return c.r.Read(p)
 }
 
 // TestStreamTortureReaders: adversarial readers — one byte per read,
 // short reads with (0, nil) stutters, no size information — must not
-// change any engine's output, stats or verdict. The pipelined engine
-// runs with windows small enough that every read boundary lands inside
-// some construct.
+// change the scanner's output, stats or verdict.
 func TestStreamTortureReaders(t *testing.T) {
 	d := mustDTD(t)
 	pi := dtd.NewNameSet("bib", "book", "title", "title#text", "author", "author#text", "book@isbn")
@@ -852,34 +706,27 @@ func TestStreamTortureReaders(t *testing.T) {
 		for _, validate := range []bool{false, true} {
 			var sb strings.Builder
 			sst, serr := Stream(&sb, strings.NewReader(doc), d, pi, StreamOptions{Validate: validate, Engine: EngineScanner})
-			engines := []StreamOptions{
-				{Engine: EngineScanner},
-				{Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 300, pipelineRingDepth: 2, parallelFragTarget: 16},
-			}
 			readers := map[string]func() io.Reader{
-				"onebyte": func() io.Reader { return oneByteAtATime{strings.NewReader(doc)} },
+				"onebyte": func() io.Reader { return chopReader{strings.NewReader(doc), 1} },
 				"stutter": func() io.Reader { return &shortStutterReader{r: strings.NewReader(doc)} },
 			}
-			for _, opts := range engines {
-				opts.Validate = validate
-				for rname, mk := range readers {
-					var tb strings.Builder
-					tst, terr := Stream(&tb, mk(), d, pi, opts)
-					if (serr == nil) != (terr == nil) {
-						t.Fatalf("engine %d under %s reader disagrees on acceptance (validate=%v)\nplain:   %v\ntorture: %v\ninput: %q",
-							opts.Engine, rname, validate, serr, terr, doc)
-					}
-					if serr != nil {
-						continue
-					}
-					if tb.String() != sb.String() {
-						t.Fatalf("engine %d under %s reader diverges (validate=%v)\nplain:   %q\ntorture: %q",
-							opts.Engine, rname, validate, sb.String(), tb.String())
-					}
-					if tst != sst {
-						t.Fatalf("engine %d under %s reader stats diverge (validate=%v)\nplain:   %+v\ntorture: %+v",
-							opts.Engine, rname, validate, sst, tst)
-					}
+			for rname, mk := range readers {
+				var tb strings.Builder
+				tst, terr := Stream(&tb, mk(), d, pi, StreamOptions{Validate: validate})
+				if (serr == nil) != (terr == nil) {
+					t.Fatalf("%s reader disagrees on acceptance (validate=%v)\nplain:   %v\ntorture: %v\ninput: %q",
+						rname, validate, serr, terr, doc)
+				}
+				if serr != nil {
+					continue
+				}
+				if tb.String() != sb.String() {
+					t.Fatalf("%s reader diverges (validate=%v)\nplain:   %q\ntorture: %q",
+						rname, validate, sb.String(), tb.String())
+				}
+				if tst != sst {
+					t.Fatalf("%s reader stats diverge (validate=%v)\nplain:   %+v\ntorture: %+v",
+						rname, validate, sst, tst)
 				}
 			}
 		}
@@ -911,7 +758,7 @@ func TestKeptSubtreeTokenEdges(t *testing.T) {
 			}
 			opts := StreamOptions{Validate: validate, Engine: EngineScanner}
 			var rd, by strings.Builder
-			rst, rerr := Stream(&rd, oneByteAtATime{strings.NewReader(doc)}, d, pi, opts)
+			rst, rerr := Stream(&rd, chopReader{strings.NewReader(doc), 1}, d, pi, opts)
 			bst, berr := StreamBytes(&by, []byte(doc), d, pi, opts)
 			if rerr != nil || berr != nil || rd.String() != want || by.String() != want || rst != wst || bst != wst {
 				t.Errorf("%s (validate=%v): copying sink diverges from the decoder\nreader: %q %v\nbytes:  %q %v\nwant:   %q",
@@ -951,7 +798,7 @@ func TestNonUTF8Rejected(t *testing.T) {
 	}
 	for _, doc := range docs {
 		opts := StreamOptions{}
-		_, serr := Stream(io.Discard, oneByteAtATime{bytes.NewReader(doc.data)}, d, pi, opts)
+		_, serr := Stream(io.Discard, chopReader{bytes.NewReader(doc.data), 1}, d, pi, opts)
 		_, berr := StreamBytes(io.Discard, doc.data, d, pi, opts)
 		_, _, gerr := StreamGather(doc.data, d, pi, opts)
 		_, _, merrs := StreamMultiGather(doc.data, d, []dtd.NameSet{pi, pi}, MultiOptions{})
@@ -989,8 +836,8 @@ func FuzzStreamDifferential(f *testing.F) {
 	f.Add(`<bib><book><title>T</title><author>A</author></book></bib>`, uint16(0))
 	f.Add(`<bib><book isbn="1" lang="de"><title>T</title><author>A</author></book></bib>`, uint16(8))
 	f.Add(`<bib><book isbn="1"/></bib>`, uint16(2))
-	// Chunk sizes chosen so a stage-1 cut straddles a tag, a CDATA
-	// terminator, a comment close and an entity reference.
+	// Read sizes chosen so a refill straddles a tag, a CDATA terminator,
+	// a comment close and an entity reference.
 	f.Add(`<bib><book isbn="1"><title><![CDATA[a]]b]]></title><author>A</author></book></bib>`, uint16(13))
 	f.Add(`<bib><!-- straddle --><book isbn="1"><title>t</title><author>&#x41;</author></book></bib>`, uint16(10))
 	f.Add(`<bib><book isbn='s'><title>a</title><author>b</author></book><book isbn="t"><title>c</title><author>d</author></book></bib>`, uint16(17))
@@ -1057,8 +904,8 @@ func FuzzStreamDifferential(f *testing.F) {
 	// attributes (a default declaration, which binds no prefix, so the
 	// body below holds it to the decoder too), single quotes, '>' in a
 	// value, a repeated attribute, nine attributes, a plain second root,
-	// and a plain tag that the pipelined engine's window cuts (256 + chunk
-	// bytes in) and the one-byte reader of checkSources cuts everywhere.
+	// and a plain tag that the fuzzed read size cuts 6 bytes in (and the
+	// one-byte reader of checkSources cuts everywhere).
 	const kernelBook = `<title>T</title><author>A</author></book></bib>`
 	for i, tag := range []string{
 		`<book isbn="1" xmlns="u" lang="en">`, `<book isbn='1' lang='fr'>`, `<book lang="en" isbn='1'>`,
@@ -1069,7 +916,7 @@ func FuzzStreamDifferential(f *testing.F) {
 	}
 	f.Add(`<bib><book isbn="1" lang="en">`+kernelBook+`<bib lang="en"/>`, uint16(3))
 	cut := `<bib><book isbn="1"><title>` + strings.Repeat("t", 240) + `</title><author>A</author></book>`
-	f.Add(cut+`<book isbn="2" lang="fr">`+kernelBook, uint16(len(cut)+6-256))
+	f.Add(cut+`<book isbn="2" lang="fr">`+kernelBook, uint16(len(cut)+6))
 	f.Fuzz(func(t *testing.T, src string, chunk uint16) {
 		// End tags are matched by resolved namespace in encoding/xml but
 		// by literal prefix in the scanner; inputs that bind prefixes are
@@ -1121,22 +968,17 @@ func FuzzStreamDifferential(f *testing.F) {
 				}
 			}
 		}
-		// The fuzzed chunk doubles as the pipelined window size (clamped
-		// up to the engine's floor internally), so window boundaries land
-		// wherever the fuzzer steers them.
-		fuzzWin := 256 + int(chunk)
+		// The fuzzed chunk is the read size of a reader into Stream, so
+		// the scanner's refill boundaries land wherever the fuzzer steers
+		// them.
+		chopped := func(validate bool) (string, Stats, error) {
+			var cb strings.Builder
+			st, err := Stream(&cb, chopReader{strings.NewReader(src), max(1, int(chunk))}, d, pi, StreamOptions{Validate: validate})
+			return cb.String(), st, err
+		}
 		if serr != nil {
-			var pb strings.Builder
-			if _, perr := StreamBytes(&pb, []byte(src), d, pi, StreamOptions{
-				Engine: EngineParallel, ParallelWorkers: 4, parallelChunkSize: int(chunk), parallelFragTarget: 1,
-			}); perr == nil {
-				t.Fatalf("parallel engine accepted input the scanner rejects (chunk=%d): %q", chunk, src)
-			}
-			var plb strings.Builder
-			if _, perr := Stream(&plb, strings.NewReader(src), d, pi, StreamOptions{
-				Engine: EnginePipelined, ParallelWorkers: 4, pipelineWindowSize: fuzzWin, pipelineRingDepth: 2, parallelFragTarget: 1,
-			}); perr == nil {
-				t.Fatalf("pipelined engine accepted input the scanner rejects (win=%d): %q", fuzzWin, src)
+			if _, _, cerr := chopped(false); cerr == nil {
+				t.Fatalf("reads of %d bytes accepted input the scanner rejects: %q", chunk, src)
 			}
 			if g, _, gerr := StreamGather([]byte(src), d, pi, StreamOptions{Engine: EngineScanner}); gerr == nil {
 				g.Close()
@@ -1152,61 +994,26 @@ func FuzzStreamDifferential(f *testing.F) {
 		checkOracle(t, src, d, pi, true, sv.String(), svst, sverr)
 		checkSources(t, src, d, pi, true, sv.String(), svst, sverr)
 		checkLoad(t, src, d, pi, true, sv.String(), svst, sverr)
-		// The parallel engine, under the fuzzed stage-1 chunk size and a
-		// fragment target that forces splices, must match the scanner's
-		// verdict, bytes and stats — validated and not. The span-gather
-		// emitter must match on the same grid, serial and parallel.
+		// The chopped reader and the span-gather emitter must match the
+		// scanner's verdict, bytes and stats, validated and not.
 		for _, validate := range []bool{false, true} {
 			wantErr, wantOut, wantStats := serr, sb.String(), sst
 			if validate {
 				wantErr, wantOut, wantStats = sverr, sv.String(), svst
 			}
-			popts := StreamOptions{
-				Validate:           validate,
-				Engine:             EngineParallel,
-				ParallelWorkers:    4,
-				parallelChunkSize:  int(chunk),
-				parallelFragTarget: 1,
-			}
-			var pb strings.Builder
-			pst, perr := StreamBytes(&pb, []byte(src), d, pi, popts)
-			if (wantErr == nil) != (perr == nil) {
-				t.Fatalf("parallel engine disagrees on acceptance (validate=%v, chunk=%d)\nscanner:  %v\nparallel: %v",
-					validate, chunk, wantErr, perr)
-			}
 			checkGather(t, "serial", src, d, pi,
 				StreamOptions{Validate: validate, Engine: EngineScanner}, wantErr == nil, wantOut, wantStats)
-			var plb strings.Builder
-			plst, plerr := Stream(&plb, strings.NewReader(src), d, pi, StreamOptions{
-				Validate:           validate,
-				Engine:             EnginePipelined,
-				ParallelWorkers:    4,
-				pipelineWindowSize: fuzzWin,
-				pipelineRingDepth:  2,
-				parallelFragTarget: 1,
-			})
-			if (wantErr == nil) != (plerr == nil) {
-				t.Fatalf("pipelined engine disagrees on acceptance (validate=%v, win=%d)\nscanner:   %v\npipelined: %v",
-					validate, fuzzWin, wantErr, plerr)
+			cout, cst, cerr := chopped(validate)
+			if (wantErr == nil) != (cerr == nil) {
+				t.Fatalf("reads of %d bytes disagree on acceptance (validate=%v)\nscanner: %v\nchopped: %v",
+					chunk, validate, wantErr, cerr)
 			}
 			if wantErr != nil {
 				continue
 			}
-			if plb.String() != wantOut {
-				t.Fatalf("pipelined engine disagrees on output (validate=%v, win=%d)\nscanner:   %q\npipelined: %q",
-					validate, fuzzWin, wantOut, plb.String())
-			}
-			if plst != wantStats {
-				t.Fatalf("pipelined engine disagrees on stats (validate=%v, win=%d)\nscanner:   %+v\npipelined: %+v",
-					validate, fuzzWin, wantStats, plst)
-			}
-			if pb.String() != wantOut {
-				t.Fatalf("parallel engine disagrees on output (validate=%v, chunk=%d)\nscanner:  %q\nparallel: %q",
-					validate, chunk, wantOut, pb.String())
-			}
-			if !validate && pst != wantStats {
-				t.Fatalf("parallel engine disagrees on stats (chunk=%d)\nscanner:  %+v\nparallel: %+v",
-					chunk, wantStats, pst)
+			if cout != wantOut || cst != wantStats {
+				t.Fatalf("reads of %d bytes disagree (validate=%v)\nscanner: %q %+v\nchopped: %q %+v",
+					chunk, validate, wantOut, wantStats, cout, cst)
 			}
 		}
 	})
@@ -1214,8 +1021,8 @@ func FuzzStreamDifferential(f *testing.F) {
 
 // TestFixedAttributeValidated: a #FIXED attribute spelled with another
 // value is a validity error on every validating route — the serial
-// scanner from each source and into each sink, parallel, pipelined, the
-// fused multi pass, the oracle — with one message (validate.Document says
+// scanner from each source and into each sink, the multi pass, the
+// oracle — with one message (validate.Document says
 // the same and names the element in its path instead);
 // without Validate it passes, and the declared value passes both.
 func TestFixedAttributeValidated(t *testing.T) {
@@ -1263,19 +1070,8 @@ func TestFixedAttributeValidated(t *testing.T) {
 			return err
 		},
 	}
-	for name, opts := range map[string]StreamOptions{
-		"scanner":   {Engine: EngineScanner},
-		"pipelined": {Engine: EnginePipelined, ParallelWorkers: 2, pipelineWindowSize: 16, parallelFragTarget: 8},
-	} {
-		routes[name] = func(doc string, validate bool) error {
-			opts.Validate = validate
-			_, err := Stream(io.Discard, oneByteAtATime{strings.NewReader(doc)}, d, pi, opts)
-			return err
-		}
-	}
-	routes["parallel"] = func(doc string, validate bool) error {
-		opts := StreamOptions{Engine: EngineParallel, ParallelWorkers: 3, parallelFragTarget: 8, Validate: validate}
-		_, err := StreamBytes(io.Discard, []byte(doc), d, pi, opts)
+	routes["reader"] = func(doc string, validate bool) error {
+		_, err := Stream(io.Discard, chopReader{strings.NewReader(doc), 1}, d, pi, StreamOptions{Validate: validate})
 		return err
 	}
 	for _, c := range docs {

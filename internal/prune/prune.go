@@ -103,24 +103,15 @@ const (
 	//
 	// Deprecated: kept only because benchmark/seams.go:151 names it.
 	EngineDecoder
-	// EngineParallel forces the two-stage parallel pruner over resident
-	// input into a writer: a parallel structural index over byte chunks,
-	// concurrent fragment pruning and a sequential splice pass, with
-	// output and verdicts identical to EngineScanner's.
+	// EngineParallel is EngineScanner: the parallel pruner it named is
+	// gone, and forcing it runs, and reports, the serial scanner.
 	//
-	// Deprecated: nothing in the product chooses it; it is kept for the
-	// parallel.* layer rows benchmark/seams.go:145–159 forces, and goes
-	// with them.
+	// Deprecated: kept only because benchmark/seams.go:147 names it.
 	EngineParallel
-	// EnginePipelined forces the pipelined streaming parallel pruner over
-	// a reader into a writer: reading, incremental structural indexing,
-	// concurrent fragment pruning and in-order emission overlap in a
-	// bounded ring of windows, with output and verdicts identical to
-	// EngineScanner's.
+	// EnginePipelined is EngineScanner: the pipelined pruner it named is
+	// gone, and forcing it runs, and reports, the serial scanner.
 	//
-	// Deprecated: nothing in the product chooses it; it is kept for the
-	// pipelined.* layer rows benchmark/seams.go:145–159 forces, and goes
-	// with them.
+	// Deprecated: kept only because benchmark/seams.go:147 names it.
 	EnginePipelined
 )
 
@@ -142,9 +133,14 @@ func (e Engine) String() string {
 	}
 }
 
-// ParallelDetail is the type of xmlproj.BatchResult.Parallel, which the
-// benchmark reads and nothing fills.
-type ParallelDetail = scan.ParallelDetail
+// ParallelDetail is the type of xmlproj.BatchResult.Parallel, always
+// zero: no prune runs in parallel.
+//
+// Deprecated: kept only because benchmark/seams.go:402 reads its fields.
+type ParallelDetail struct {
+	Workers  int
+	Fallback bool
+}
 
 // StreamOptions configures a streaming prune.
 type StreamOptions struct {
@@ -177,10 +173,9 @@ type StreamOptions struct {
 	// (DTD, π), not once per document. When it is nil, the pi argument is
 	// compiled instead.
 	Projection *dtd.Projection
-	// ParallelWorkers bounds the concurrency of a forced EngineParallel or
-	// EnginePipelined (0 means GOMAXPROCS).
+	// ParallelWorkers is ignored: a prune is one serial pass.
 	//
-	// Deprecated: kept only because benchmark/seams.go:155–159 sets it.
+	// Deprecated: kept only because benchmark/seams.go:158 sets it.
 	ParallelWorkers int
 	// Ctx, when non-nil, aborts the prune when the context is cancelled:
 	// the source is checked before every read and Stream returns the
@@ -189,19 +184,9 @@ type StreamOptions struct {
 	// goes away or a deadline passes.
 	Ctx context.Context
 	// Chosen, when non-nil, receives the engine Stream resolved for this
-	// input (never EngineAuto), so callers can log what actually ran.
+	// input (EngineScanner, unless the engine has no route), so callers
+	// can log what actually ran.
 	Chosen *Engine
-
-	// The concurrent engines' granularity, zero meaning their defaults:
-	// the parallel index's chunk size, the per-fragment target size (both
-	// engines), and the pipelined engine's window size and windows in
-	// flight (1 MiB, workers+2; peak input-side memory is their product).
-	// No caller outside this package's tests has a reason to set them —
-	// the tests do, to put fragment and window boundaries on every byte.
-	parallelChunkSize  int
-	parallelFragTarget int
-	pipelineWindowSize int
-	pipelineRingDepth  int
 }
 
 // Stream prunes the XML document read from src against π, writing the
@@ -309,14 +294,11 @@ func (o sink) String() string {
 }
 
 // run is the one route every streaming prune takes. It resolves the
-// source (a reader that is a BytesSource is resident input) and
-// EngineAuto, which is the serial scanner, and routes on the engine
-// alone: the scanner takes every source into every sink (scan.Prune).
-// The concurrent engines run only when forced, each from one source into
-// a writer: parallel from resident input (scan.PruneParallel), pipelined
-// from a reader (scan.PrunePipelined). Every other cell fails with "no
-// route": a concurrent engine forced from the other source or into spans
-// or a handler, and EngineDecoder, whose pruner is the tests' oracle. A
+// source (a reader that is a BytesSource is resident input) and the
+// engine: EngineAuto and the deprecated EngineParallel and
+// EnginePipelined are the serial scanner, which takes every source into
+// every sink (scan.Prune). Any other engine fails with "no route":
+// EngineDecoder, whose pruner is the tests' oracle, and an unknown one. A
 // span sink needs resident input, so no entry point builds reader ×
 // spans, and StreamMultiGather, one gather per projector, has span
 // lists only.
@@ -337,11 +319,14 @@ func run(src scan.Source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptio
 		src.R = &ctxReader{ctx: opts.Ctx, r: src.R}
 	}
 	eng := opts.Engine
-	if eng == EngineAuto {
+	if eng == EngineAuto || eng == EngineParallel || eng == EnginePipelined {
 		eng = EngineScanner
 	}
 	if opts.Chosen != nil {
 		*opts.Chosen = eng
+	}
+	if eng != EngineScanner {
+		return st, fmt.Errorf("no route for engine %s (resident input %v, %s sink)", eng, src.R == nil, out)
 	}
 
 	to := scan.Sink{Spans: out.sl, H: out.h}
@@ -359,23 +344,7 @@ func run(src scan.Source, out sink, d *dtd.DTD, pi dtd.NameSet, opts StreamOptio
 	if proj == nil {
 		proj = d.CompileProjection(pi)
 	}
-	so := scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize}
-	resident := src.R == nil
-	switch {
-	case eng == EngineScanner:
-		st, err = scan.Prune(src, to, d, proj, so)
-	case eng == EngineParallel && resident && to.W != nil:
-		st, _, err = scan.PruneParallel(to.W, src.Data, d, proj, scan.ParallelOptions{
-			Options: so, Workers: opts.ParallelWorkers, ChunkSize: opts.parallelChunkSize, FragTarget: opts.parallelFragTarget,
-		})
-	case eng == EnginePipelined && !resident && to.W != nil:
-		st, _, err = scan.PrunePipelined(to.W, src.R, d, proj, scan.PipelineOptions{
-			Options: so, Workers: opts.ParallelWorkers, FragTarget: opts.parallelFragTarget,
-			WindowSize: opts.pipelineWindowSize, RingDepth: opts.pipelineRingDepth,
-		})
-	default:
-		return st, fmt.Errorf("no route for engine %s (resident input %v, %s sink)", eng, resident, out)
-	}
+	st, err = scan.Prune(src, to, d, proj, scan.Options{Validate: opts.Validate, MaxTokenSize: opts.MaxTokenSize})
 	// A handler sink's BytesOut was counted by the scanner.
 	switch {
 	case to.W != nil:

@@ -89,12 +89,12 @@ func (r residentReader) Read([]byte) (int, error) {
 // document and a 20 MiB one — from every source, into every sink, at
 // both levels of Validate, with GOMAXPROCS at 8. The scanner runs in all
 // five cells (reader or resident bytes, into a writer, spans or a
-// handler; spans only from bytes), each forced concurrent engine in its
-// one (parallel: bytes into a writer; pipelined: a reader into a writer),
-// and every other cell fails with run's "no route" text. Every cell that
-// runs reports the engine it ran and produces output and stats identical
-// to the forced serial scanner — for the table sink, a document whose
-// serialisation is that output.
+// handler; spans only from bytes), and so do the deprecated
+// EngineParallel and EnginePipelined, which resolve to it; EngineDecoder
+// and an unknown engine fail in every cell with run's "no route" text.
+// Every cell that runs reports the scanner and produces output, stats
+// and errors identical to the forced serial scanner — for the table
+// sink, a document whose serialisation is that output.
 func TestStreamChosenEngine(t *testing.T) {
 	d, _ := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
@@ -158,11 +158,9 @@ func TestStreamChosenEngine(t *testing.T) {
 	}
 	// runs reports whether an engine runs in a source × sink cell.
 	runs := map[Engine]func(resident bool, to string) bool{
-		EngineScanner:   func(bool, string) bool { return true },
-		EngineParallel:  func(resident bool, to string) bool { return resident && to == "writer" },
-		EnginePipelined: func(resident bool, to string) bool { return !resident && to == "writer" },
-		EngineDecoder:   func(bool, string) bool { return false },
-		Engine(99):      func(bool, string) bool { return false },
+		EngineScanner: func(bool, string) bool { return true },
+		EngineDecoder: func(bool, string) bool { return false },
+		Engine(99):    func(bool, string) bool { return false },
 	}
 	type cell struct {
 		resident bool
@@ -184,7 +182,7 @@ func TestStreamChosenEngine(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s, %s, %s, validate=%v", size, src.name, eng, validate)
 					want := eng
-					if eng == EngineAuto {
+					if eng == EngineAuto || eng == EngineParallel || eng == EnginePipelined {
 						want = EngineScanner
 					}
 					chosen := EngineAuto
@@ -202,10 +200,10 @@ func TestStreamChosenEngine(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if ran[want] == nil {
-						ran[want] = map[cell]bool{}
+					if ran[eng] == nil {
+						ran[eng] = map[cell]bool{}
 					}
-					ran[want][cell{src.resident, src.to}] = true
+					ran[eng][cell{src.resident, src.to}] = true
 					if out != ref.String() || st != refStats {
 						t.Errorf("%s: output or stats diverge from the serial scanner (stats %+v, want %+v)", label, st, refStats)
 					}
@@ -214,27 +212,30 @@ func TestStreamChosenEngine(t *testing.T) {
 		}
 	}
 
-	for eng, want := range map[Engine]int{EngineScanner: 5, EngineParallel: 1, EnginePipelined: 1} {
+	for eng, want := range map[Engine]int{EngineAuto: 5, EngineScanner: 5, EngineParallel: 5, EnginePipelined: 5} {
 		if len(ran[eng]) != want {
 			t.Errorf("%s ran in %d cells %v, want %d", eng, len(ran[eng]), ran[eng], want)
 		}
 	}
 
 	// A repeated attribute name is malformed in every cell, at both levels,
-	// in the loader's words.
+	// in the loader's words, and every engine that runs says so as the
+	// scanner does.
 	const repeated = "attribute isbn repeated in element"
 	dup := `<bib><book isbn="1" isbn="2"><title>T</title><author>A</author></book></bib>`
 	if _, err := tree.ParseBytes([]byte(dup)); err == nil || !strings.Contains(err.Error(), repeated) {
 		t.Errorf("the loader: %v, want %q", err, repeated)
 	}
 	for _, src := range sources {
-		for _, eng := range []Engine{EngineScanner, EngineParallel, EnginePipelined} {
-			if !runs[eng](src.resident, src.to) {
+		for _, validate := range []bool{false, true} {
+			_, refStats, ref := src.run(dup, StreamOptions{Engine: EngineScanner, Validate: validate})
+			if ref == nil || !strings.Contains(ref.Error(), repeated) {
+				t.Errorf("%s, validate=%v: %v, want %q", src.name, validate, ref, repeated)
 				continue
 			}
-			for _, validate := range []bool{false, true} {
-				if _, _, err := src.run(dup, StreamOptions{Engine: eng, Validate: validate}); err == nil || !strings.Contains(err.Error(), repeated) {
-					t.Errorf("%s, %s, validate=%v: %v, want %q", src.name, eng, validate, err, repeated)
+			for _, eng := range []Engine{EngineAuto, EngineParallel, EnginePipelined} {
+				if _, st, err := src.run(dup, StreamOptions{Engine: eng, Validate: validate}); err == nil || err.Error() != ref.Error() || st != refStats {
+					t.Errorf("%s, %s, validate=%v: %v and %+v, want the scanner's %v and %+v", src.name, eng, validate, err, st, ref, refStats)
 				}
 			}
 		}

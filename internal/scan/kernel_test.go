@@ -302,6 +302,7 @@ func TestTextRunsJoin(t *testing.T) {
 func TestNameCacheBounded(t *testing.T) {
 	d, p := setup(t, dtd.NewNameSet("bib"))
 	pr := newPruner(NewScanner(nil)) // as the pool hands it out, again and again
+	discard := bufio.NewWriter(io.Discard)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 5000; i++ {
 			name := fmt.Sprintf("é%d", i)
@@ -310,7 +311,7 @@ func TestNameCacheBounded(t *testing.T) {
 			}
 			pr.s.Reset(strings.NewReader(`<bib><book isbn="1"><` + name + `/></book></bib>`))
 			pr.prep(d, p, Options{Validate: true})
-			pr.useDiscard()
+			pr.use(Sink{W: discard})
 			err := pr.run()
 			pr.release()
 			if want := new(Scanner).checkName([]byte(name)); (err == nil) != want {

@@ -59,10 +59,9 @@ type Options struct {
 	general bool
 }
 
-// Stats reports what a streaming prune did. Every engine reports what
-// the serial scanner reports. ElementsIn, ElementsOut, ElementsSkipped,
-// TextOut, BytesOut and MaxDepth do not depend on Options.Validate;
-// TextIn and TextSkipped do.
+// Stats reports what a streaming prune did. ElementsIn, ElementsOut,
+// ElementsSkipped, TextOut, BytesOut and MaxDepth do not depend on
+// Options.Validate; TextIn and TextSkipped do.
 type Stats struct {
 	// ElementsIn / ElementsOut count element start tags read / elements
 	// written. ElementsIn includes the descendants of discarded subtrees:
@@ -162,8 +161,8 @@ func Prune(src Source, out Sink, d *dtd.DTD, proj *dtd.Projection, opts Options)
 }
 
 // prep prepares pooled state for a new input. The caller has already
-// pointed the scanner at the input (Reset / ResetBytes / ResetBytesAt)
-// and must install the output target (use or useDiscard) before run.
+// pointed the scanner at the input (Reset / ResetBytes) and must install
+// the output target (use) before run.
 func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.s.SetMaxTokenSize(opts.MaxTokenSize)
 	pr.d, pr.p, pr.opts = d, proj, opts
@@ -176,20 +175,16 @@ func (pr *pruner) prep(d *dtd.DTD, proj *dtd.Projection, opts Options) {
 	pr.st = Stats{}
 	pr.runOff, pr.runEnd = 0, 0
 	pr.stack = pr.stack[:0]
-	pr.open, pr.openRaw, pr.begun, pr.sawRoot, pr.runPending = false, false, false, false, false
+	pr.open, pr.openRaw, pr.sawRoot, pr.runPending = false, false, false, false
 	pr.textBuf = pr.textBuf[:0]
 	pr.skipNames.reset()
-	pr.skipPending, pr.skipDepth = false, 0
-	pr.mode, pr.ctxBase = modeNormal, 0
-	pr.events = pr.events[:0]
-	pr.sp = nil
+	pr.skipDepth = 0
 	pr.counted.n, pr.htext = 0, pr.htext[:0]
 }
 
 // use installs out's side state and the emitter through which the
 // automaton writes to it. The stream and count emitters live inside the
-// pooled pruner, so installing a sink allocates nothing. A span list is
-// not Reset: a fragment's is over a window of the input (ResetBytesAt).
+// pooled pruner, so installing a sink allocates nothing.
 func (pr *pruner) use(out Sink) {
 	switch {
 	case out.Spans != nil:
@@ -206,9 +201,6 @@ func (pr *pruner) use(out Sink) {
 		pr.out = &pr.se
 	}
 }
-
-// useDiscard wires a non-emitting role (skip fragments).
-func (pr *pruner) useDiscard() { pr.out = nopEmitter{} }
 
 // finish ends a prune and recycles the pruner. Only a handler sink's
 // BytesOut is known here: it was counted.
@@ -303,7 +295,6 @@ type pruner struct {
 	// the pending run, to be taken back if the element self-closes;
 	// elsewhere it is withheld and synthesized on demand.
 	open, openRaw bool
-	begun         bool // the document's head has been sniffed (run re-enters per pipelined window)
 	sawRoot       bool
 
 	// Logical text run: runPending is set when a non-whitespace chunk
@@ -338,45 +329,7 @@ type pruner struct {
 	// skipDepth is the structural skip's depth below the one name it
 	// keeps, the discarded element's own (skipBalance).
 	skipDepth int
-
-	// Parallel-prune roles. mode selects the role:
-	// modeNormal is the plain pass (also the spine of a parallel prune,
-	// when sp is set); modeFragment prunes one content range of a kept
-	// context element, recording child-level symbols in events instead of
-	// walking the context element's content-model DFA (the spine replays
-	// them at the splice point, in document order); modeSkipFragment
-	// skip-scans one content range of a discarded element; modePipe is
-	// the spine of a pipelined prune over one non-final window — end of
-	// input means "window exhausted, more to come", so run returns nil
-	// with all cross-window state (stack, DFA states, pending text run,
-	// open '>') left in place for the next window. ctxBase is the seeded
-	// stack depth a fragment starts and must end at.
-	mode    uint8
-	ctxBase int
-	events  []int32
-	sp      *spliceSet
-
-	// skipPending carries skipScan's pending-text-run flag across a
-	// modePipe window pause (errPause), so a logical run straddling
-	// windows inside a skipped subtree still counts once.
-	skipPending bool
 }
-
-const (
-	modeNormal uint8 = iota
-	modeFragment
-	modeSkipFragment
-	modePipe
-)
-
-// errPause is skipScan's internal signal that a modePipe window ended
-// mid-subtree: not an error — the pipelined spine resumes the skip scan
-// at the start of the next window (pr.skipNames is non-empty).
-var errPause = fmt.Errorf("scan: window pause")
-
-// eventText marks a logical text run in a fragment's event stream; other
-// values are child element symbols.
-const eventText int32 = -1
 
 // maxRun is the length past which a pending run is handed to its sink
 // rather than extended: output trails the read position by little more
@@ -405,7 +358,7 @@ func (pr *pruner) flushRun() {
 // flushRuns hands the pending run to the sink, short of a provisional
 // '>', which is withheld from here on. It is the scanner's beforeFill
 // hook — a refill moves the bytes runs point at — and runs at the end of
-// a pass or a pipelined window.
+// a pass.
 func (pr *pruner) flushRuns() {
 	if pr.open && pr.openRaw {
 		pr.runEnd--
@@ -445,21 +398,10 @@ func (pr *pruner) closeOpen() {
 
 func (pr *pruner) run() error {
 	s := pr.s
-	if !pr.begun {
-		pr.begun = true
-		if pr.mode != modeFragment {
-			if err := s.checkEncoding(); err != nil {
-				return err
-			}
-		}
+	if err := s.checkEncoding(); err != nil {
+		return err
 	}
 	for {
-		if pr.sp != nil && pr.sp.at(s.pos) {
-			if err := pr.applySplice(); err != nil {
-				return err
-			}
-			continue
-		}
 		s.setMark()
 		if s.pos == s.end && !s.fill() {
 			if !s.atEOF() {
@@ -510,23 +452,10 @@ func (pr *pruner) run() error {
 			return err
 		}
 	}
-	switch {
-	case pr.mode == modePipe:
-		// End of a non-final pipelined window. The indexer guarantees the
-		// window ends exactly after a complete construct, so the loop
-		// paused at a token boundary; everything else (pending text run,
-		// open '>', element stack) continues into the next window.
-		return nil
-	case pr.mode == modeFragment:
-		// The cut rule guarantees the byte after this range is an element
-		// tag, where the pending text run would be flushed.
-		if err := pr.flushText(); err != nil {
-			return err
-		}
-	case !pr.sawRoot:
+	if !pr.sawRoot {
 		return ErrNoRoot
 	}
-	if len(pr.stack) != pr.ctxBase {
+	if len(pr.stack) != 0 {
 		top := pr.stack[len(pr.stack)-1]
 		return fmt.Errorf("unterminated element %s", pr.p.Syms.Info(top.sym).Name)
 	}
@@ -602,11 +531,7 @@ func (pr *pruner) flushText() error {
 	pr.st.TextIn++
 	top := &pr.stack[len(pr.stack)-1]
 	if pr.opts.Validate {
-		if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
-			// The context element's incoming DFA state is unknown here;
-			// record the event for the spine to replay at the splice.
-			pr.events = append(pr.events, eventText)
-		} else if next := top.aut.NextText(top.state); next < 0 {
+		if next := top.aut.NextText(top.state); next < 0 {
 			return pr.verdict(fmt.Errorf("text content not allowed in %s", pr.p.Syms.Info(top.sym).Name))
 		} else {
 			top.state = next
@@ -742,10 +667,6 @@ func (pr *pruner) head(local []byte) (bool, error) {
 			if info.Name != pr.d.Root {
 				return false, pr.verdict(fmt.Errorf("root element is %s, DTD requires %s", info.Name, pr.d.Root))
 			}
-		} else if pr.mode == modeFragment && len(pr.stack) == pr.ctxBase {
-			// A child of the fragment's context element: its transition in
-			// the context DFA is replayed by the spine at the splice point.
-			pr.events = append(pr.events, sym)
 		} else {
 			// The parent's dense automaton takes the child transition
 			// with two array loads — no name hashing on the hot path.
@@ -989,7 +910,7 @@ func (pr *pruner) endTag() error {
 	// "</" are the open element's tag and '>', that comparison is the whole
 	// check: the name was validated where it opened.
 	canon := false
-	if len(pr.stack) > pr.ctxBase {
+	if len(pr.stack) > 0 {
 		top := &pr.stack[len(pr.stack)-1]
 		canon = top.prefix == "" && closes(s, pr.p.Syms.Info(top.sym).Tag)
 	}
@@ -1005,7 +926,7 @@ func (pr *pruner) endTag() error {
 		if err := pr.flushText(); err != nil {
 			return err
 		}
-		if len(pr.stack) == pr.ctxBase {
+		if len(pr.stack) == 0 {
 			return fmt.Errorf("unbalanced end element %s", local)
 		}
 		top := pr.stack[len(pr.stack)-1]

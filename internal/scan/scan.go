@@ -154,16 +154,6 @@ func (s *Scanner) ResetBytes(data []byte) {
 	s.rerr = io.EOF
 }
 
-// ResetBytesAt is ResetBytes restricted to the window data[lo:hi]:
-// scanning starts at lo and input ends at hi, while positions — and
-// therefore the spans a gather emitter records — remain absolute
-// offsets into data. Parallel fragment workers use it so their gather
-// lists splice into the spine by plain concatenation, no rebasing.
-func (s *Scanner) ResetBytesAt(data []byte, lo, hi int) {
-	s.ResetBytes(data[:hi])
-	s.pos = lo
-}
-
 // SetMaxTokenSize bounds the buffer growth a single token may force;
 // n <= 0 restores DefaultMaxTokenSize. Tokens already fitting the
 // current buffer are unaffected; Reset starts from the default size.

@@ -456,3 +456,22 @@ func TestWideTagScratchDropped(t *testing.T) {
 		}
 	}
 }
+
+// TestResetBytesRestoresOwnBuffer: after a zero-copy prune the pooled
+// scanner must not pin the caller's data.
+func TestResetBytesRestoresOwnBuffer(t *testing.T) {
+	s := NewScanner(nil)
+	own := s.buf
+	data := []byte(`<a>text</a>`)
+	s.ResetBytes(data)
+	if &s.buf[0] != &data[0] {
+		t.Fatal("ResetBytes did not alias the input")
+	}
+	if got := s.Peek(2); string(got) != "<a" {
+		t.Fatalf("Peek over aliased data: %q", got)
+	}
+	s.Reset(strings.NewReader("x"))
+	if len(s.buf) != len(own) || cap(s.buf) != cap(own) {
+		t.Fatal("Reset did not restore the scanner-owned buffer")
+	}
+}

@@ -92,51 +92,20 @@ func (pr *pruner) skipAll() error {
 // whose names sit on the skip name stack, counting skipped elements and
 // logical text runs. Depth-only scanning with full well-formedness
 // checks; memory stays constant. Depth is the name stack itself
-// (pr.skipNames.depth()), so a modePipe window boundary can pause the scan
-// (errPause) and the pipelined spine can resume it on the next window
-// with nothing but the pruner's own state.
-//
-// In modeSkipFragment the scan covers one content range inside a
-// discarded subtree and is terminated by the end of the range instead
-// of by the subtree's end tag. Structure stage 1 verified guarantees the
-// range holds complete, balanced constructs, so no end tag here can
-// close an element opened outside the range.
+// (pr.skipNames.depth()); pending is set while a non-whitespace logical
+// text run is open, to be counted once at the next tag.
 func (pr *pruner) skipScan() error {
 	s := pr.s
-	frag := pr.mode == modeSkipFragment
+	pending := false
 	flush := func() {
-		if pr.skipPending {
+		if pending {
 			pr.st.TextIn++
 			pr.st.TextSkipped++
-			pr.skipPending = false
+			pending = false
 		}
 	}
-	for frag || pr.skipNames.depth() > 0 {
-		if pr.sp != nil && pr.sp.at(s.pos) {
-			// A delegated range inside this skipped subtree. The range
-			// starts at an element tag, where this loop would flush.
-			flush()
-			if err := pr.applySkipSplice(); err != nil {
-				return err
-			}
-			continue
-		}
+	for pr.skipNames.depth() > 0 {
 		if s.pos == s.end && !s.fill() {
-			switch {
-			case !s.atEOF():
-			case frag:
-				// The byte after the range is an element tag, where the
-				// pending run would be flushed.
-				flush()
-				if pr.skipNames.depth() != 0 {
-					return errSyntax("unterminated element in skipped content")
-				}
-				return nil
-			case pr.mode == modePipe:
-				// Non-final window exhausted at a construct boundary;
-				// the next window resumes here.
-				return errPause
-			}
 			return s.readErr()
 		}
 		if s.buf[s.pos] != '<' {
@@ -148,7 +117,7 @@ func (pr *pruner) skipScan() error {
 				}
 			}
 			if !info.ws {
-				pr.skipPending = true
+				pending = true
 			}
 			continue
 		}
@@ -205,7 +174,7 @@ func (pr *pruner) skipScan() error {
 				return err
 			}
 			if !info.ws {
-				pr.skipPending = true
+				pending = true
 			}
 		case markupStart:
 			flush()
@@ -327,29 +296,21 @@ func closesName(tag, name []byte) bool {
 // skipBalance is skipScan without Validate: it consumes the content and
 // end tag of the discarded element whose name sits on the skip name
 // stack by balancing tags. pr.skipDepth counts the elements open inside
-// it, so pausing at a modePipe window boundary and resuming on the next
-// window works as it does for skipScan; a modeSkipFragment range is
-// balanced on its own and ends where the range does.
+// it.
 //
 // Each turn of the loop first runs the sweep over the bytes in hand,
 // which passes text, start tags and inner end tags on locals and stops at
 // the '<' of anything else; the rest of the turn reads that one construct
 // — refilling, checking the discarded element's own end tag, raising
-// every error — as it would without the sweep. The forced parallel
-// engine's roles — skip fragments, and spines with splices pending, where
-// a splice can start at any tag — keep the per-construct loop alone.
+// every error — as it would without the sweep.
 func (pr *pruner) skipBalance() error {
 	s := pr.s
-	frag := pr.mode == modeSkipFragment
-	sweep := !frag && pr.sp == nil
 	s.clearMark()
-	for frag || pr.skipNames.depth() > 0 {
-		if sweep {
-			var n int
-			s.pos, pr.skipDepth, n = index.Balance(s.buf[:s.end], s.pos, pr.skipDepth)
-			pr.st.ElementsIn += int64(n)
-			pr.st.ElementsSkipped += int64(n)
-		}
+	for pr.skipNames.depth() > 0 {
+		var n int
+		s.pos, pr.skipDepth, n = index.Balance(s.buf[:s.end], s.pos, pr.skipDepth)
+		pr.st.ElementsIn += int64(n)
+		pr.st.ElementsSkipped += int64(n)
 		j := 0 // tags mostly follow tags
 		if s.pos == s.end || s.buf[s.pos] != '<' {
 			j = bytes.IndexByte(s.buf[s.pos:s.end], '<')
@@ -359,25 +320,9 @@ func (pr *pruner) skipBalance() error {
 			if s.fill() {
 				continue
 			}
-			switch {
-			case !s.atEOF():
-			case frag:
-				if pr.skipDepth != 0 {
-					return errSyntax("unterminated element in skipped content")
-				}
-				return nil
-			case pr.mode == modePipe:
-				return errPause
-			}
 			return s.readErr()
 		}
 		s.pos += j
-		if pr.sp != nil && pr.sp.at(s.pos) {
-			if err := pr.applySkipSplice(); err != nil {
-				return err
-			}
-			continue
-		}
 		kind, off, err := pr.construct()
 		if err != nil {
 			return err
@@ -395,9 +340,6 @@ func (pr *pruner) skipBalance() error {
 				break
 			}
 			tag := s.buf[off+2 : s.pos-1]
-			if frag {
-				return errSyntax("unbalanced end element " + string(tag))
-			}
 			if !closesName(tag, pr.skipNames.top()) {
 				return errSyntax("element <" + string(pr.skipNames.top()) + "> closed by </" + string(tag) + ">")
 			}

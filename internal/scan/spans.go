@@ -42,14 +42,6 @@ func (e *streamEmitter) raw(buf []byte, off, end int) { e.bw.Write(buf[off:end])
 func (e *streamEmitter) lit(p []byte)                 { e.bw.Write(p) }
 func (e *streamEmitter) litString(s string)           { e.bw.WriteString(s) }
 
-// splice copies a parallel prune's fragment segments out in order at
-// the spine's cut point — one copy per fragment.
-func (e *streamEmitter) splice(fr *SpanList) {
-	for _, sp := range fr.spans {
-		e.bw.Write(fr.segment(sp))
-	}
-}
-
 // countEmitter renders nothing and sums the length of what it is given:
 // the bytes a writer would have received. It is the table sink's output
 // (Sink.H), whose nodes go to a Handler instead.
@@ -58,16 +50,6 @@ type countEmitter struct{ n int64 }
 func (e *countEmitter) raw(_ []byte, off, end int) { e.n += int64(end - off) }
 func (e *countEmitter) lit(p []byte)               { e.n += int64(len(p)) }
 func (e *countEmitter) litString(s string)         { e.n += int64(len(s)) }
-
-// nopEmitter discards everything. Skip fragments never produce output;
-// wiring them to nopEmitter makes that invariant crash-proof (the old
-// arrangement handed them a pooled bufio.Writer wrapping a nil writer,
-// which any stray write would eventually have flushed into a panic).
-type nopEmitter struct{}
-
-func (nopEmitter) raw([]byte, int, int) {}
-func (nopEmitter) lit([]byte)           {}
-func (nopEmitter) litString(string)     {}
 
 // Span is one gather segment. Off >= 0 addresses the input; Off < 0
 // encodes an escape-buffer segment starting at ^Off. The encoding is
@@ -199,8 +181,7 @@ func (sl *SpanList) escSpan(off, n int) {
 	sl.spans = append(sl.spans, Span{Off: ^off, Len: n})
 }
 
-// spanListPool recycles span lists: a gather prune's result, and the
-// fragments of a parallel one.
+// spanListPool recycles span lists, each a gather prune's result.
 var spanListPool = sync.Pool{New: func() any { return new(SpanList) }}
 
 // NewSpanList returns an empty list over input from the pool; Close

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
 )
@@ -49,33 +48,6 @@ func TestSpanListGatherMechanics(t *testing.T) {
 	wb.Reset()
 	if _, err := sl.WriteTo(&wb); err != nil || wb.String() != want {
 		t.Fatalf("second WriteTo: err=%v got %q", err, wb.String())
-	}
-}
-
-// TestSpanListSplice: a parallel prune's fragment gather list spliced
-// into the spine's writer comes out as the list renders it — input spans
-// and escape bytes in order, behind what the spine wrote before.
-func TestSpanListSplice(t *testing.T) {
-	input := []byte("0123456789abcdef")
-	var fr SpanList
-	fr.Reset(input)
-	fr.raw(input, 2, 5)
-	fr.litString("&amp;")
-	fr.raw(input, 8, 10)
-
-	var out bytes.Buffer
-	e := streamEmitter{bw: bufio.NewWriter(&out)}
-	e.litString(">")
-	e.splice(&fr)
-	e.raw(input, 14, 16)
-	e.bw.Flush()
-
-	want := ">234&amp;89ef"
-	if got := out.String(); got != want {
-		t.Fatalf("spliced output = %q, want %q", got, want)
-	}
-	if got := ">" + string(fr.Bytes()) + "ef"; got != want {
-		t.Fatalf("the fragment renders %q, the splice wrote %q", got, want)
 	}
 }
 

@@ -14,20 +14,6 @@ import (
 	"xmlproj/internal/xmark"
 )
 
-// TestPlanUnchangedByCollapseXMark is TestPlanUnchangedByCollapse's
-// XMark half.
-func TestPlanUnchangedByCollapseXMark(t *testing.T) {
-	xd := xmark.DTD()
-	xdoc := xmark.NewGenerator(0.01, 7).Document().XML()
-	for name, pi := range map[string]dtd.NameSet{
-		"xmark all":  dtd.NewNameSet(xd.Names()...),
-		"xmark root": dtd.NewNameSet(xd.Root),
-		"xmark mid":  dtd.NewNameSet("site", "people", "person", "name", "name#text", "open_auctions"),
-	} {
-		scan.CheckPlanUnchanged(t, name, xdoc, xd.CompileProjection(pi))
-	}
-}
-
 // TestSoloPruneAllocs: with a pooled pruner and a compiled projection, a
 // single-projector prune of in-memory input allocates nothing — into a
 // gather list, through a reused bufio.Writer or into a handler, at any

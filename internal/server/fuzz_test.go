@@ -1,6 +1,8 @@
 package server
 
 import (
+	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -47,6 +49,48 @@ func FuzzConditionalHeaders(f *testing.F) {
 		}
 		if got := d.String(); got != strings.ToLower(docDigest) {
 			t.Fatalf("ParseDigest(%q).String() = %q, want its lowercase form", docDigest, got)
+		}
+	})
+}
+
+// FuzzResolveQuery feeds arbitrary raw query strings to resolve, the
+// first thing every prune request's parameters meet, on a server with
+// one schema and one projection registered as validating. Nothing
+// panics; the status is 0 (resolved), 400 or 404; a validate value
+// other than 1, true, 0 or false is a 400; and the validating projection
+// comes back unvalidated only for validate=0 or validate=false.
+func FuzzResolveQuery(f *testing.F) {
+	s := newTestServer(f, Options{})
+	if err := s.AddProjection("strict", "bib", true, "//book/title"); err != nil {
+		f.Fatal(err)
+	}
+	for _, q := range []string{
+		"projection=strict", "projection=strict&validate=0", "projection=strict&validate=false",
+		"projection=strict&validate=yes", "projection=strict&validate=", "projection=strict&validate=TRUE",
+		"projection=strict&validate=0&validate=1", "projection=titles&validate=1", "projection=nosuch",
+		"schema=bib&q=//book/title&validate=true", "schema=bib&q=//book[", "schema=nosuch&q=//a",
+		"schema=bib", "", "%zz", "validate=1;projection=strict", "projection=str%69ct&validate=f%61lse",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		r := &http.Request{Method: http.MethodPost, URL: &url.URL{Path: "/prune", RawQuery: raw}}
+		np, status, msg := s.resolve(r)
+		switch {
+		case np != nil && status != 0:
+			t.Fatalf("%q: a projection and status %d", raw, status)
+		case np == nil && status != http.StatusBadRequest && status != http.StatusNotFound:
+			t.Fatalf("%q: status %d (%s), want 400 or 404", raw, status, msg)
+		}
+		q := r.URL.Query()
+		v := q.Get("validate")
+		known := !q.Has("validate") || v == "1" || v == "true" || v == "0" || v == "false"
+		if !known && status != http.StatusBadRequest {
+			t.Fatalf("%q: validate=%q resolved with status %d, want 400", raw, v, status)
+		}
+		if np != nil && np.p == s.projections["strict"].p && q.Get("projection") == "strict" &&
+			!np.validate && v != "0" && v != "false" {
+			t.Fatalf("%q: the validating projection came back unvalidated", raw)
 		}
 	})
 }

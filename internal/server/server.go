@@ -14,9 +14,11 @@
 // the scanner; the server's parallelism is across requests, bounded by
 // the admission-control width.
 //
-// A request's validate=1 (or a projection registered as validating)
-// runs the prune with StreamOptions.Validate: DTD validation, and
-// well-formedness checked everywhere. Without it a document is checked
+// A request's validate=1 or validate=true (or a projection registered as
+// validating, unless the request says validate=0 or validate=false) runs
+// the prune with StreamOptions.Validate: DTD validation, and
+// well-formedness checked everywhere; any other validate value is a 400.
+// Without it a document is checked
 // where the projection keeps and only balanced where it discards, so a
 // 422 for a malformed document is then a statement about the part of it
 // the client gets back.
@@ -474,10 +476,22 @@ func (s *Server) handlePruneHead(w http.ResponseWriter, r *http.Request) {
 
 // resolve maps the request to a projector: either a precompiled named
 // projection or schema + query bunch (compiled here, inference cached
-// by the engine). A nil return carries the HTTP status and message.
+// by the engine). validate is 1 or true, 0 or false; any other value is
+// a 400, never a silent "no": it would turn off the validation of a
+// projection registered as validating. A nil return carries the HTTP
+// status and message.
 func (s *Server) resolve(r *http.Request) (*namedProjection, int, string) {
 	q := r.URL.Query()
-	validate := q.Get("validate") == "1" || q.Get("validate") == "true"
+	validate := false
+	switch v := q.Get("validate"); v {
+	case "1", "true":
+		validate = true
+	case "0", "false":
+	default:
+		if q.Has("validate") {
+			return nil, http.StatusBadRequest, fmt.Sprintf("validate=%q: want 1, true, 0 or false", v)
+		}
+	}
 	if name := q.Get("projection"); name != "" {
 		np, ok := s.projections[name]
 		if !ok {

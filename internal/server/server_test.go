@@ -36,7 +36,7 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func newTestServer(t *testing.T, opts Options) *Server {
+func newTestServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	if opts.Logger == nil {
 		opts.Logger = quietLogger()
@@ -457,7 +457,7 @@ func TestDebugVars(t *testing.T) {
 	// The look-ups these counted are gone: π's compiled table and
 	// fingerprints live on the projector, a fused table is built per pass,
 	// and nothing memoises a file's identity.
-	// Nor do the concurrent engines' counters: nothing chooses them; nor
+	// Nor do the deleted concurrent engines' counters; nor
 	// the shared scan's: no route serves it.
 	for _, key := range []string{"projection_hits", "projection_misses", "multi_projection_hits", "multi_projection_misses",
 		"multi_table_hits", "multi_table_misses", "result_cache_identity_hits", "result_cache_identity_misses",
@@ -567,21 +567,60 @@ func TestSchemasEndpoint(t *testing.T) {
 }
 
 // TestValidateParam: validation fused into the HTTP prune rejects a
-// DTD-invalid document that parses fine without validation.
+// DTD-invalid document that parses fine without validation. validate
+// is 1 or true, 0 or false, sized and chunked, for a projection
+// registered with and without validation and for an ad-hoc query; any
+// other value is a 400, never a silent "no" that would prune the
+// invalid body of a validating projection unvalidated.
 func TestValidateParam(t *testing.T) {
 	s := newTestServer(t, Options{})
+	if err := s.AddProjection("strict", "bib", true, "//book/title"); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// book without the required author: well-formed, DTD-invalid.
 	invalid := `<bib><book><title>T</title></book></bib>`
-	resp, _ := postPrune(t, ts, "/prune?projection=titles", strings.NewReader(invalid))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unvalidated prune of invalid doc: status %d", resp.StatusCode)
+	const (
+		pruned  = http.StatusOK
+		checked = http.StatusUnprocessableEntity
+		bad     = http.StatusBadRequest
+	)
+	cases := []struct {
+		param       string
+		lax, strict int // status for the projection registered without and with validation
+	}{
+		{"", pruned, checked},
+		{"&validate=1", checked, checked},
+		{"&validate=true", checked, checked},
+		{"&validate=0", pruned, pruned},
+		{"&validate=false", pruned, pruned},
+		{"&validate=yes", bad, bad},
+		{"&validate=", bad, bad},
+		{"&validate", bad, bad},
+		{"&validate=TRUE", bad, bad},
+		{"&validate=2", bad, bad},
 	}
-	resp, body := postPrune(t, ts, "/prune?projection=titles&validate=1", strings.NewReader(invalid))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("validated prune of invalid doc: status %d (body %q)", resp.StatusCode, body)
+	for _, c := range cases {
+		for _, target := range []struct {
+			url  string
+			want int
+		}{
+			{"/prune?projection=titles" + c.param, c.lax},
+			{"/prune?projection=strict" + c.param, c.strict},
+			{"/prune?schema=bib&q=//book/title" + c.param, c.lax},
+		} {
+			resp, body := postPrune(t, ts, target.url, strings.NewReader(invalid))
+			if resp.StatusCode != target.want {
+				t.Errorf("%s, sized: status %d (body %q), want %d", target.url, resp.StatusCode, body, target.want)
+			}
+			// An io.Reader that is no *strings.Reader has no length: chunked.
+			resp, body = postPrune(t, ts, target.url, struct{ io.Reader }{strings.NewReader(invalid)})
+			if resp.StatusCode != target.want {
+				t.Errorf("%s, chunked: status %d (body %q), want %d", target.url, resp.StatusCode, body, target.want)
+			}
+		}
 	}
 }
 
