@@ -170,34 +170,3 @@ func TestParseSchemaFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
-
-func TestStaticTypeAndCanMatch(t *testing.T) {
-	d, _ := apiSetup(t)
-	q, _ := CompileXPath("//book/title")
-	typ := q.StaticType(d)
-	if len(typ) != 1 || typ[0] != "title" {
-		t.Fatalf("StaticType = %v", typ)
-	}
-	if !q.CanMatch(d) {
-		t.Fatal("//book/title must be matchable")
-	}
-	// The emptiness diagnostic: a typo'd name can never match.
-	typo, _ := CompileXPath("//book/titel")
-	if typo.CanMatch(d) {
-		t.Fatal("//book/titel should be statically empty")
-	}
-	// Structurally impossible navigation is caught too.
-	impossible, _ := CompileXPath("/bib/title") // title is under book, not bib
-	if impossible.CanMatch(d) {
-		t.Fatal("/bib/title should be statically empty")
-	}
-	// Text and attribute results are typed as derived names.
-	txt, _ := CompileXPath("//author/text()")
-	if got := txt.StaticType(d); len(got) != 1 || got[0] != "author#text" {
-		t.Fatalf("text StaticType = %v", got)
-	}
-	attr, _ := CompileXPath("//book/@isbn")
-	if got := attr.StaticType(d); len(got) != 1 || got[0] != "book@isbn" {
-		t.Fatalf("attr StaticType = %v", got)
-	}
-}

@@ -16,8 +16,6 @@ package xmlproj_test
 //   BenchmarkHeuristicRewrite — the §5 for/if rewriting heuristic.
 //   BenchmarkBaselineComparison — precision and pruning work vs the
 //                          path-based baseline of [14].
-//   BenchmarkAblationContext — what the Fig. 1 contexts buy on
-//                          backward-axis queries.
 //   BenchmarkQueryBunch  — the §5 multi-query scenario: one union
 //                          projector for the whole workload.
 //
@@ -83,7 +81,7 @@ func prepare(b *testing.B, id string) *prepared {
 	if err != nil {
 		b.Fatalf("%s: %v", id, err)
 	}
-	prunedBytes, _, err := bench.PruneBytes(w, pr)
+	prunedBytes, err := pruneBytes(w, pr)
 	if err != nil {
 		b.Fatalf("%s: %v", id, err)
 	}
@@ -242,10 +240,13 @@ func BenchmarkHeuristicRewrite(b *testing.B) {
 	w := workload()
 	src := `for $y in /site/open_auctions/open_auction/descendant-or-self::node()
 return if ($y/increase = "1.00") then $y/increase else ()`
-	ast := xquery.MustParse(src)
+	ast, err := xquery.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	size := func(pr *core.Projector) float64 {
-		out, _, err := bench.PruneBytes(w, pr)
+		out, err := pruneBytes(w, pr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -302,35 +303,6 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationContext quantifies the Fig. 1 context machinery: on
-// backward-axis queries the context-free analysis keeps more names.
-func BenchmarkAblationContext(b *testing.B) {
-	w := workload()
-	for _, id := range []string{"QP09", "QP10", "QP19"} {
-		q, _ := bench.QueryByID(id)
-		paths, err := w.DataNeeds(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(id, func(b *testing.B) {
-			var with, without int
-			for i := 0; i < b.N; i++ {
-				prWith, err := core.Infer(w.D, paths)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prWithout, err := core.InferNoContext(w.D, paths)
-				if err != nil {
-					b.Fatal(err)
-				}
-				with, without = prWith.Row.Len(), prWithout.Row.Len()
-			}
-			b.ReportMetric(float64(with), "names-ctx")
-			b.ReportMetric(float64(without), "names-noctx")
-		})
-	}
-}
-
 // BenchmarkGenerator measures XMark document generation throughput (the
 // xmlgen stand-in).
 func BenchmarkGenerator(b *testing.B) {
@@ -369,10 +341,17 @@ func BenchmarkQueryBunch(b *testing.B) {
 			}
 		}
 	}
-	pruned, _, err := bench.PruneBytes(w, union)
+	pruned, err := pruneBytes(w, union)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(100*float64(len(pruned))/float64(len(w.DocBytes)), "size%")
 	b.ReportMetric(float64(union.Row.Len()), "names")
+}
+
+// pruneBytes runs the streaming pruner on the workload's document.
+func pruneBytes(w *bench.Workload, pr *core.Projector) ([]byte, error) {
+	var out bytes.Buffer
+	_, err := prune.StreamBytes(&out, w.DocBytes, w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
+	return out.Bytes(), err
 }

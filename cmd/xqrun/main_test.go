@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"xmlproj"
+	"xmlproj/internal/bench"
 	"xmlproj/internal/xmark"
-	"xmlproj/internal/xpathmark"
 )
 
 const testDTD = `
@@ -165,10 +165,8 @@ func TestRunErrors(t *testing.T) {
 var q10 = []string{"QM01", "QM06", "QM07", "QM14", "QM20", "QP09", "QP11", "QP13", "QP19", "QP21"}
 
 func querySource(id string) string {
-	if q := xmark.ByID(id); q != nil {
-		return q.Source
-	}
-	return xpathmark.ByID(id).Source
+	q, _ := bench.QueryByID(id)
+	return q.Source
 }
 
 // xmarkSetup writes the XMark DTD and a factor-0.01 document.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/xmark"
 	"xmlproj/internal/xsd"
@@ -29,7 +30,8 @@ var fuzzXMark = sync.OnceValues(func() (*DTD, *Document) {
 })
 
 // FuzzCompile feeds the query parsers untrusted text: whatever Compile
-// accepts, the static side (StaticType, Infer) and the evaluator must
+// accepts, the static side (Fig. 1's type checker, Infer) and the
+// evaluator must
 // handle without a panic, and the compiled query keeps its source.
 func FuzzCompile(f *testing.F) {
 	for _, want := range q10Serialized {
@@ -49,7 +51,10 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("Source() = %q, compiled from %q", q.Source(), src)
 		}
 		d, doc := fuzzXMark()
-		q.StaticType(d)
+		c := core.NewChecker(d.d)
+		for _, p := range q.paths {
+			c.Type(p)
+		}
 		q.DataNeeds()
 		for _, mode := range []Mode{NodesOnly, Materialized} {
 			if p, err := d.Infer(mode, q); err == nil {
@@ -180,11 +185,11 @@ func FuzzParseXSD(f *testing.F) {
 		f.Add(string(src))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		x, err := xsd.ParseString(src, "")
+		x, err := xsd.Parse(strings.NewReader(src), "")
 		if err != nil {
 			return
 		}
-		y, err := xsd.ParseString(src, "")
+		y, err := xsd.Parse(strings.NewReader(src), "")
 		if err != nil {
 			t.Fatalf("accepted once, then rejected: %v", err)
 		}

@@ -251,13 +251,6 @@ func RunQuery(w *Workload, q QuerySpec) (Row, error) {
 	return row, nil
 }
 
-// PruneBytes runs the streaming pruner and returns the pruned document.
-func PruneBytes(w *Workload, pr *core.Projector) ([]byte, prune.Stats, error) {
-	var out bytes.Buffer
-	st, err := prune.Stream(&out, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
-	return out.Bytes(), st, err
-}
-
 // BaselineComparison contrasts type-based projection with the [14]
 // path-based baseline on one query.
 type BaselineComparison struct {

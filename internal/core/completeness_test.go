@@ -7,6 +7,7 @@ import (
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
 	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
@@ -63,7 +64,7 @@ func TestCompleteness(t *testing.T) {
 	}
 
 	for _, src := range queries {
-		q := xpath.MustParse(src)
+		q := testkit.XPath(src)
 		paths, err := xpathl.FromQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +126,7 @@ func TestCompletenessFailsOutsideClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := xpathl.FromQuery(xpath.MustParse("self::c[a]/child::b"))
+	paths, err := xpathl.FromQuery(testkit.XPath("self::c[a]/child::b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCompletenessFailsOutsideClass(t *testing.T) {
 	}
 	for _, doc := range []int64{0, 1, 2, 3} {
 		instance := gen.New(d, doc, gen.Options{MaxDepth: 4}).Document()
-		v, err := xpath.NewEvaluator(instance).Eval(xpath.MustParse("self::c[a]/child::b"))
+		v, err := xpath.NewEvaluator(instance).Eval(testkit.XPath("self::c[a]/child::b"))
 		if err != nil {
 			t.Fatal(err)
 		}

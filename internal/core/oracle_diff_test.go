@@ -8,8 +8,8 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
-	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 	"xmlproj/internal/xpathmark"
 	"xmlproj/internal/xquery"
@@ -27,7 +27,7 @@ func diffRelations(t testing.TB, d *dtd.DTD, o *oracleGrammar) {
 			t.Fatalf("%s(%s): rows %s, oracle %s\ngrammar:\n%s", what, n, g, want, d)
 		}
 	}
-	for x := int32(0); x < int32(s.NumNames()); x++ {
+	for x := range int32(numNames(s)) {
 		n := s.Name(x)
 		single := newNameSet(n)
 		check("content", n, s.Content.Row(x), o.ContentNames(n))
@@ -93,8 +93,8 @@ func diffPaths(t testing.TB, d *dtd.DTD, o *oracleGrammar, label string, paths [
 // for each of its first three elements that declare attributes.
 func attributeProbes(d *dtd.DTD) []string {
 	probes := []string{"//@*", "/descendant::*/attribute::*/parent::node()", "//*[@*]/child::node()"}
-	for _, n := range d.Names() {
-		def := d.Def(n)
+	for _, n := range testkit.Names(d) {
+		def := d.Defs[n]
 		if def.Text || len(def.Atts) == 0 {
 			continue
 		}
@@ -112,7 +112,7 @@ func attributeProbes(d *dtd.DTD) []string {
 
 func mustPaths(t testing.TB, src string) []*xpathl.Path {
 	t.Helper()
-	paths, err := xpathl.FromQuery(xpath.MustParse(src))
+	paths, err := xpathl.FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -168,10 +168,10 @@ func TestOracleDifferentialRandom(t *testing.T) {
 // TestOracleDifferentialWordBoundaries checks that the random grammars
 // above really do cross the word boundaries they are there for.
 func TestOracleDifferentialWordBoundaries(t *testing.T) {
-	if n := gen.RandomDTD(100, gen.DTDOptions{Elements: 45, AttrChance: 40}).Symbols().NumNames(); n <= 64 || n > 128 {
+	if n := numNames(gen.RandomDTD(100, gen.DTDOptions{Elements: 45, AttrChance: 40}).Symbols()); n <= 64 || n > 128 {
 		t.Fatalf("45-element grammar has %d names, want two words", n)
 	}
-	if n := gen.RandomDTD(200, gen.DTDOptions{Elements: 90, AttrChance: 40}).Symbols().NumNames(); n <= 128 {
+	if n := numNames(gen.RandomDTD(200, gen.DTDOptions{Elements: 90, AttrChance: 40}).Symbols()); n <= 128 {
 		t.Fatalf("90-element grammar has %d names, want three words", n)
 	}
 	if n := xmark.DTD().ReachableFromRoot().Len(); n != 126 {
@@ -205,7 +205,7 @@ const oracleXSD = `<?xml version="1.0"?>
 // the Thm. 4.7 counterexample, the §6 stress grammar — plus an
 // XSD-lowered grammar and one with an ANY element.
 func TestOracleDifferentialFixedGrammars(t *testing.T) {
-	fromXSD, err := xsd.ParseString(oracleXSD, "")
+	fromXSD, err := xsd.Parse(strings.NewReader(oracleXSD), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,4 +357,18 @@ func TestConcurrentInfer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// numNames is the number of symbols: every element, text and attribute
+// name of the grammar.
+func numNames(s *dtd.Symbols) int { return s.Len() + s.Text.Len() + s.Attr.Len() }
+
+// InferNoContext is Infer with the Fig. 1 context machinery disabled —
+// the naive upward typing the paper's §4.1 example rules out. It is
+// still sound, just coarser: BenchmarkAblationContext measures what the
+// contexts buy.
+func InferNoContext(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
+	inf := NewInferencer(d)
+	inf.c.NoContext = true
+	return inf.infer(paths)
 }

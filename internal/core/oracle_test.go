@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 )
@@ -152,12 +153,12 @@ func oracleRegexNames(r dtd.Regex, out nameSet) {
 }
 
 func newOracleGrammar(g *dtd.DTD) *oracleGrammar {
-	d := &oracleGrammar{d: g, order: g.Names()}
+	d := &oracleGrammar{d: g, order: testkit.Names(g)}
 	d.childrenOf = make(map[dtd.Name]nameSet, len(d.order))
 	d.contentOf = make(map[dtd.Name]nameSet, len(d.order))
 	d.parentsOf = make(map[dtd.Name]nameSet, len(d.order))
 	for _, n := range d.order {
-		def := g.Def(n)
+		def := g.Defs[n]
 		content := nameSet{}
 		children := nameSet{}
 		if !def.Text {
@@ -277,7 +278,7 @@ func (d *oracleGrammar) ContentDescendants(from nameSet) nameSet {
 func (d *oracleGrammar) AttNames(from nameSet) nameSet {
 	out := nameSet{}
 	for z := range from {
-		def := d.d.Def(z)
+		def := d.d.Defs[z]
 		if def == nil {
 			continue
 		}
@@ -473,7 +474,7 @@ func oracleTestType(d *oracleGrammar, tau nameSet, test xpath.NodeTest) nameSet 
 					out.Add(n)
 				}
 			} else if !oracleIsText(n) {
-				if def := d.d.Def(n); def != nil && def.Tag == test.Name {
+				if def := d.d.Defs[n]; def != nil && def.Tag == test.Name {
 					out.Add(n)
 				}
 			}

@@ -398,16 +398,6 @@ func Infer(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
 	return NewInferencer(d).infer(paths)
 }
 
-// InferNoContext is Infer with the Fig. 1 context machinery disabled —
-// the naive upward typing the paper's §4.1 example rules out. It exists
-// for the ablation benchmark quantifying the precision contexts buy; it
-// is still sound, just coarser.
-func InferNoContext(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
-	inf := NewInferencer(d)
-	inf.c.NoContext = true
-	return inf.infer(paths)
-}
-
 func (inf *Inferencer) infer(paths []*xpathl.Path) (*Projector, error) {
 	row, err := inf.inferAll(paths)
 	if err != nil {

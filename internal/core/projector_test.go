@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 )
 
 func inferFor(t *testing.T, d *dtd.DTD, src string) *Projector {
 	t.Helper()
-	paths, err := xpathl.FromQuery(xpath.MustParse(src))
+	paths, err := xpathl.FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestProjectorDescendantOrSelfSplit(t *testing.T) {
 
 func TestMaterializeKeepsSubtree(t *testing.T) {
 	d := bibDTD(t)
-	paths, err := xpathl.FromQuery(xpath.MustParse("child::book"))
+	paths, err := xpathl.FromQuery(testkit.XPath("child::book"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestMaterializeKeepsSubtree(t *testing.T) {
 
 func TestMaterializeSelectiveStillPrunes(t *testing.T) {
 	d := bibDTD(t)
-	paths, _ := xpathl.FromQuery(xpath.MustParse("child::book/child::title"))
+	paths, _ := xpathl.FromQuery(testkit.XPath("child::book/child::title"))
 	pr, err := InferMaterialized(d, paths)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +233,8 @@ func TestMaterializeSelectiveStillPrunes(t *testing.T) {
 
 func TestProjectorUnionOfQueries(t *testing.T) {
 	d := bibDTD(t)
-	p1, _ := xpathl.FromQuery(xpath.MustParse("child::book/child::title"))
-	p2, _ := xpathl.FromQuery(xpath.MustParse("child::book/child::year"))
+	p1, _ := xpathl.FromQuery(testkit.XPath("child::book/child::title"))
+	p2, _ := xpathl.FromQuery(testkit.XPath("child::book/child::year"))
 	pr, err := Infer(d, append(p1, p2...))
 	if err != nil {
 		t.Fatal(err)

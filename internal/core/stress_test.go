@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"xmlproj/internal/dtd"
-	"xmlproj/internal/xpath"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xpathl"
 )
 
@@ -52,7 +52,7 @@ func largeDTD(width, depth int) *dtd.DTD {
 // produce a selective projector.
 func TestLargeDTDLongQuery(t *testing.T) {
 	d := largeDTD(30, 8) // 30·8 sections + inlines ≈ 250 element names
-	if got := len(d.Names()); got < 240 {
+	if got := len(d.Defs); got < 240 {
 		t.Fatalf("stress DTD has only %d names", got)
 	}
 
@@ -68,7 +68,7 @@ func TestLargeDTDLongQuery(t *testing.T) {
 		"child::text()", "parent::node()", "ancestor::sec7_3",
 	)
 	src := strings.Join(steps, "/")
-	paths, err := xpathl.FromQuery(xpath.MustParse(src))
+	paths, err := xpathl.FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLargeDTDLongQuery(t *testing.T) {
 	if !pr.Has("sec7_7") || !pr.Has("para") {
 		t.Fatalf("projector misses the queried spine: %s", pr)
 	}
-	t.Logf("large-DTD inference: %d names in DTD, %d in π, %s", len(d.Names()), pr.Row.Len(), elapsed)
+	t.Logf("large-DTD inference: %d names in DTD, %d in π, %s", len(d.Defs), pr.Row.Len(), elapsed)
 }
 
 // TestLargeDTDQueryBunch runs all-sections queries as a bunch, the §5
@@ -105,7 +105,7 @@ func TestLargeDTDQueryBunch(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < 20; i++ {
 		src := fmt.Sprintf("/doc/sec%d_0//para[a]/title | /doc/sec%d_0//title", i, i)
-		ps, err := xpathl.FromQuery(xpath.MustParse(src))
+		ps, err := xpathl.FromQuery(testkit.XPath(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,5 +122,5 @@ func TestLargeDTDQueryBunch(t *testing.T) {
 	if !pr.Has("title") {
 		t.Fatalf("bunch projector misses title: %s", pr)
 	}
-	t.Logf("bunch of 20 queries over %d names: π has %d names, %s", len(d.Names()), pr.Row.Len(), elapsed)
+	t.Logf("bunch of 20 queries over %d names: π has %d names, %s", len(d.Defs), pr.Row.Len(), elapsed)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 )
@@ -27,7 +28,7 @@ func paperDTD(t *testing.T) *dtd.DTD {
 
 func lpath(t *testing.T, src string) *xpathl.Path {
 	t.Helper()
-	ps, err := xpathl.FromQuery(xpath.MustParse(src))
+	ps, err := xpathl.FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestTestType(t *testing.T) {
 	if got := testNames(d, all, xpath.NameTest("a")); !got.Equal(newNameSet("a")) {
 		t.Fatalf("T(a) = %s", got)
 	}
-	txt := testNames(d, all, xpath.TextTest)
+	txt := testNames(d, all, xpath.NodeTest{Kind: xpath.TestText})
 	if !txt.Has(dtd.TextName("b")) || txt.Has("b") {
 		t.Fatalf("T(text) = %s", txt)
 	}

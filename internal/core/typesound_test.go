@@ -59,9 +59,8 @@ func TestTypeSoundnessProperty(t *testing.T) {
 // document: the name its tag defines, or its parent's text name.
 func nameOf(d *dtd.DTD, n tree.Node) dtd.Name {
 	if n.Kind() == tree.Text {
-		pn, _ := d.ElementName(n.Parent().Tag())
-		return dtd.TextName(pn)
+		parent := n.Doc().At(n.Doc().ParentAt(n.Index()))
+		return dtd.TextName(d.ByTag[parent.Tag()])
 	}
-	nm, _ := d.ElementName(n.Tag())
-	return nm
+	return d.ByTag[n.Tag()]
 }

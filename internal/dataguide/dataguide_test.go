@@ -7,10 +7,10 @@ import (
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
 	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
 	"xmlproj/internal/xmark"
-	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 )
 
@@ -31,7 +31,7 @@ func TestFromDocumentBasics(t *testing.T) {
 	if !childrenOf(d, "r")["x"] || !childrenOf(d, "y")["x"] {
 		t.Fatalf("child structure wrong: %s", d)
 	}
-	if def := d.Def("r"); def.AttDef("a") == nil {
+	if def := d.Defs["r"]; def.AttDef("a") == nil {
 		t.Fatal("attribute a lost")
 	}
 	// The producing document is valid against its dataguide.
@@ -72,7 +72,7 @@ func TestSchemalessSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range queries {
-		q := xpath.MustParse(src)
+		q := testkit.XPath(src)
 		paths, err := xpathl.FromQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestSchemalessSoundness(t *testing.T) {
 			t.Fatal(err)
 		}
 		pruned := prune.Tree(doc, pr.Compiled())
-		orig, err := xpath.NewEvaluator(doc).Select(q)
+		orig, err := testkit.Select(doc, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestSchemalessSoundness(t *testing.T) {
 			}
 			continue
 		}
-		after, err := xpath.NewEvaluator(pruned).Select(q)
+		after, err := testkit.Select(pruned, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestSchemalessSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := xpathl.FromQuery(xpath.MustParse("/site/people/person/name"))
+	paths, _ := xpathl.FromQuery(testkit.XPath("/site/people/person/name"))
 	pr, err := core.InferMaterialized(d, paths)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestDataguideNamesAreTags(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The awkward case: an element named "text" must still work.
-	if _, ok := d.ElementName("text"); !ok {
+	if _, ok := d.ByTag["text"]; !ok {
 		t.Fatal("element named text lost")
 	}
 	if !childrenOf(d, "text")[dtd.TextName("text")] {

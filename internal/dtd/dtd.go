@@ -101,23 +101,6 @@ type DTD struct {
 	fp     string
 }
 
-// Names returns the defined element and text names in declaration order
-// (each element's text name right after it).
-func (d *DTD) Names() []Name {
-	out := make([]Name, len(d.order))
-	copy(out, d.order)
-	return out
-}
-
-// Def returns the edge for name n, or nil if n is not defined.
-func (d *DTD) Def(n Name) *Def { return d.Defs[n] }
-
-// ElementName returns the name defining the given element tag.
-func (d *DTD) ElementName(tag string) (Name, bool) {
-	n, ok := d.ByTag[tag]
-	return n, ok
-}
-
 // Element is one element declaration of a grammar under construction,
 // New's input: what an <!ELEMENT> and its <!ATTLIST>s declare, what the
 // XML Schema lowering derives, what a dataguide observes.

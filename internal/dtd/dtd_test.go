@@ -30,7 +30,7 @@ func TestParseBookDTD(t *testing.T) {
 	if d.Root != "bib" {
 		t.Fatalf("root = %s, want bib (first declared)", d.Root)
 	}
-	book := d.Def("book")
+	book := d.Defs["book"]
 	if book == nil || book.Tag != "book" {
 		t.Fatalf("missing book def: %+v", book)
 	}
@@ -38,7 +38,7 @@ func TestParseBookDTD(t *testing.T) {
 		t.Fatalf("book content = %s", got)
 	}
 	// PCDATA elements got a text name.
-	if td := d.Def(TextName("title")); td == nil || !td.Text {
+	if td := d.Defs[TextName("title")]; td == nil || !td.Text {
 		t.Fatalf("title text name missing: %+v", td)
 	}
 	// Attributes.
@@ -69,7 +69,7 @@ func TestParseMixedContent(t *testing.T) {
 	d := mustDTD(t, `<!ELEMENT text (#PCDATA | bold | keyword)*>
 <!ELEMENT bold (#PCDATA)>
 <!ELEMENT keyword (#PCDATA)>`, "text")
-	txt := d.Def("text")
+	txt := d.Defs["text"]
 	names := regexNames(txt.Content)
 	for _, want := range []Name{TextName("text"), "bold", "keyword"} {
 		if !names[want] {
@@ -85,10 +85,10 @@ func TestParseEmptyAndAny(t *testing.T) {
 	d := mustDTD(t, `<!ELEMENT r (e, w)>
 <!ELEMENT e EMPTY>
 <!ELEMENT w ANY>`, "r")
-	if _, ok := d.Def("e").Content.(Epsilon); !ok {
-		t.Fatalf("EMPTY content should be Epsilon: %T", d.Def("e").Content)
+	if _, ok := d.Defs["e"].Content.(Epsilon); !ok {
+		t.Fatalf("EMPTY content should be Epsilon: %T", d.Defs["e"].Content)
 	}
-	wNames := regexNames(d.Def("w").Content)
+	wNames := regexNames(d.Defs["w"].Content)
 	for _, want := range []Name{"r", "e", "w", TextName("w")} {
 		if !wNames[want] {
 			t.Fatalf("ANY content misses %s: %v", want, wNames)
@@ -189,6 +189,8 @@ func TestProperties(t *testing.T) {
 	}
 }
 
+// TestNullable: a content model's automaton accepts the empty sequence
+// exactly when the model is nullable.
 func TestNullable(t *testing.T) {
 	cases := []struct {
 		r    Regex
@@ -206,8 +208,9 @@ func TestNullable(t *testing.T) {
 		{Alt{[]Regex{Ref{"a"}, Ref{"b"}}}, false},
 	}
 	for _, c := range cases {
-		if got := Nullable(c.r); got != c.want {
-			t.Errorf("Nullable(%s) = %v, want %v", c.r, got, c.want)
+		syms, e := modelOf(t, c.r, "a", "b")
+		if got := syms.Matches(e, nil); got != c.want {
+			t.Errorf("the automaton of %s accepts the empty sequence: %v, want %v", c.r, got, c.want)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestExpandParameterEntities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Def("p")
+	p := d.Defs["p"]
 	if p == nil {
 		t.Fatal("p not declared")
 	}
@@ -65,7 +65,7 @@ func TestExpandNestedEntityUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Def("r").Content.String(); !strings.Contains(got, "x, x") {
+	if got := d.Defs["r"].Content.String(); !strings.Contains(got, "x, x") {
 		t.Fatalf("r content = %s", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestExpandPercentInAttlistSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ad := d.Def("r").AttDef("pct"); ad == nil || ad.Default != "100%" {
+	if ad := d.Defs["r"].AttDef("pct"); ad == nil || ad.Default != "100%" {
 		t.Fatalf("literal %% lost: %+v", ad)
 	}
 }

@@ -54,3 +54,6 @@ func (s *Symbols) DenseStates() int {
 	}
 	return n
 }
+
+// NumNames returns the number of symbols: every name of the grammar.
+func (s *Symbols) NumNames() int { return len(s.names) }

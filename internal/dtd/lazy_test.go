@@ -6,6 +6,7 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 )
 
@@ -26,7 +27,7 @@ func TestDenseTablesBuiltByFirstValidatingPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(g.Bytes())
+	want := string(testkit.Rendered(g))
 	g.Close()
 	gs, _, errs := prune.StreamMultiGather(doc, d, []dtd.NameSet{names, items}, prune.MultiOptions{})
 	for j, g := range gs {
@@ -51,7 +52,7 @@ func TestDenseTablesBuiltByFirstValidatingPrune(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if got := string(g.Bytes()); got != want {
+			if got := string(testkit.Rendered(g)); got != want {
 				t.Errorf("validating prune %d wrote %d bytes, want %d", i, len(got), len(want))
 			}
 			g.Close()

@@ -122,35 +122,6 @@ func ImpliedCDATA[V any](attrs map[string]V) []AttDef {
 	return atts
 }
 
-// Nullable reports whether r matches the empty sequence.
-func Nullable(r Regex) bool {
-	switch x := r.(type) {
-	case Epsilon, nil:
-		return true
-	case Ref:
-		return false
-	case Seq:
-		for _, it := range x.Items {
-			if !Nullable(it) {
-				return false
-			}
-		}
-		return true
-	case Alt:
-		for _, it := range x.Items {
-			if Nullable(it) {
-				return true
-			}
-		}
-		return false
-	case Star, Opt:
-		return true
-	case Plus:
-		return Nullable(x.Inner)
-	}
-	return false
-}
-
 // containsAlt reports whether r contains a union node anywhere.
 func containsAlt(r Regex) bool {
 	switch x := r.(type) {

@@ -123,9 +123,6 @@ func newSymbols(d *DTD) *Symbols {
 // Len returns the number of element symbols.
 func (s *Symbols) Len() int { return len(s.infos) }
 
-// NumNames returns the number of symbols: every name of the grammar.
-func (s *Symbols) NumNames() int { return len(s.names) }
-
 // Info returns the per-element data for an element symbol.
 func (s *Symbols) Info(sym int32) *SymInfo { return &s.infos[sym] }
 

@@ -1,6 +1,7 @@
 package dtd_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func tagGrammars(t *testing.T) map[string]*dtd.DTD {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := xsd.ParseString(string(src), "")
+		d, err := xsd.Parse(bytes.NewReader(src), "")
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

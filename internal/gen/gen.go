@@ -60,7 +60,7 @@ func (g *Generator) Document() *tree.Document {
 }
 
 func (g *Generator) element(b *tree.Builder, n dtd.Name, depth int) {
-	def := g.d.Def(n)
+	def := g.d.Defs[n]
 	b.Start(def.Tag)
 	for i := range def.Atts {
 		ad := &def.Atts[i]
@@ -70,7 +70,7 @@ func (g *Generator) element(b *tree.Builder, n dtd.Name, depth int) {
 		b.Attr(ad.Attr, g.attrValue(ad))
 	}
 	for _, c := range g.sequence(def.Content, depth) {
-		if g.d.Def(c).Text {
+		if g.d.Defs[c].Text {
 			b.TextString(g.text())
 		} else {
 			g.element(b, c, depth+1)
@@ -178,8 +178,8 @@ const inf = 1 << 20
 // name.
 func (g *Generator) computeMinDepths() {
 	g.minDepth = map[dtd.Name]int{}
-	for _, n := range g.d.Names() {
-		if g.d.Def(n).Text {
+	for n, def := range g.d.Defs {
+		if def.Text {
 			g.minDepth[n] = 0
 		} else {
 			g.minDepth[n] = inf
@@ -187,8 +187,7 @@ func (g *Generator) computeMinDepths() {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, n := range g.d.Names() {
-			def := g.d.Def(n)
+		for n, def := range g.d.Defs {
 			if def.Text {
 				continue
 			}

@@ -42,10 +42,9 @@ type QueryGen struct {
 // NewQueryGen returns a deterministic query generator.
 func NewQueryGen(d *dtd.DTD, seed int64, opts QueryOptions) *QueryGen {
 	var tags []string
-	for _, n := range d.Names() {
-		if def := d.Def(n); !def.Text {
-			tags = append(tags, def.Tag)
-		}
+	s := d.Symbols()
+	for e := range int32(s.Len()) { // the elements, in declaration order
+		tags = append(tags, s.Info(e).Tag)
 	}
 	return &QueryGen{rng: rand.New(rand.NewSource(seed)), tags: tags, opts: opts.withDefaults()}
 }
@@ -88,7 +87,7 @@ func (q *QueryGen) test() xpath.NodeTest {
 	case 0:
 		return xpath.NodeTestNode
 	case 1:
-		return xpath.TextTest
+		return xpath.NodeTest{Kind: xpath.TestText}
 	case 2:
 		return xpath.NodeTest{Kind: xpath.TestStar}
 	default:

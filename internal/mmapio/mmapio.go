@@ -36,10 +36,6 @@ type Data struct {
 // faults.
 func (d *Data) Bytes() []byte { return d.b }
 
-// Mapped reports whether the content is a memory mapping (as opposed
-// to a heap buffer filled by read).
-func (d *Data) Mapped() bool { return d.mapped }
-
 // Close releases the content. Safe to call more than once.
 func (d *Data) Close() error {
 	b, mapped := d.b, d.mapped

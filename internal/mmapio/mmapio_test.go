@@ -60,3 +60,7 @@ func TestOpenMissing(t *testing.T) {
 		t.Fatal("expected error for missing file")
 	}
 }
+
+// Mapped reports whether the content is a memory mapping (as opposed
+// to a heap buffer filled by read).
+func (d *Data) Mapped() bool { return d.mapped }

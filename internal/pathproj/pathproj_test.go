@@ -3,8 +3,8 @@ package pathproj
 import (
 	"testing"
 
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
-	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 	"xmlproj/internal/xquery"
 )
@@ -22,7 +22,7 @@ func mustDoc(t *testing.T, s string) *tree.Document {
 
 func lowerQuery(t *testing.T, src string) []Path {
 	t.Helper()
-	ps, err := xpathl.FromQuery(xpath.MustParse(src))
+	ps, err := xpathl.FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,10 @@ func TestPruneDescendant(t *testing.T) {
 func TestPruneKeepSubtree(t *testing.T) {
 	d := mustDoc(t, doc)
 	// Materialised paths end with dos::node() after extraction.
-	q := xquery.MustParse("/site/people/person")
+	q, err := xquery.Parse("/site/people/person")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bps, _ := FromXPathL(xquery.Extract(q))
 	out, _ := Prune(d, bps)
 	want := `<site><people><person><name>Ada</name></person></people></site>`
@@ -102,7 +105,7 @@ func TestBackwardAxisDegenerates(t *testing.T) {
 
 func mustApprox(t *testing.T, src string) []*xpathl.Path {
 	t.Helper()
-	ps, err := xpathl.FromQuery(xpath.MustParse(src))
+	ps, err := xpathl.FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +138,8 @@ func TestBaselineSoundOnResults(t *testing.T) {
 	for _, src := range []string{
 		"/site/regions/item/name", "//kw", "//person/name", "//item[desc/kw]/name",
 	} {
-		q := xpath.MustParse(src)
-		orig, err := xpath.NewEvaluator(d).Select(q)
+		q := testkit.XPath(src)
+		orig, err := testkit.Select(d, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +151,7 @@ func TestBaselineSoundOnResults(t *testing.T) {
 			}
 			continue
 		}
-		after, err := xpath.NewEvaluator(pruned).Select(q)
+		after, err := testkit.Select(pruned, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 )
 
@@ -24,7 +25,7 @@ func benchProjectors(d *dtd.DTD) map[string]dtd.NameSet {
 		"name#text", "emailaddress", "emailaddress#text", "open_auctions",
 		"open_auction", "open_auction@id", "initial", "initial#text")
 	full := dtd.NewNameSet()
-	for _, n := range d.Names() {
+	for _, n := range testkit.Names(d) {
 		full.Add(n)
 	}
 	return map[string]dtd.NameSet{"root": root, "low": low, "mid": mid, "full": full}

@@ -14,6 +14,7 @@ import (
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
 	"xmlproj/internal/scan"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/xmark"
 )
@@ -63,7 +64,7 @@ func checkGather(t *testing.T, label, src string, d *dtd.DTD, pi dtd.NameSet, op
 		return
 	}
 	defer g.Close()
-	if got := string(g.Bytes()); got != wantOut {
+	if got := string(testkit.Rendered(g)); got != wantOut {
 		t.Fatalf("%s: gather output differs\ngather:  %q\nscanner: %q\ninput: %q", label, got, wantOut, src)
 	}
 	var wb bytes.Buffer
@@ -147,7 +148,7 @@ func checkLoad(t *testing.T, src string, d *dtd.DTD, pi dtd.NameSet, validate bo
 			// A failed writer prune's BytesOut is what left its buffer.
 		case gst != sst:
 			t.Fatalf("table sink from %s (validate=%v): stats %+v, the writer's %+v\ninput: %q", name, validate, gst, sst, src)
-		case got.NumNodes() != want.NumNodes() || !tree.Equal(got.Root(), want.Root()) || got.XML() != want.XML():
+		case got.NumNodes() != want.NumNodes() || !testkit.Equal(got.Root(), want.Root()) || got.XML() != want.XML():
 			t.Fatalf("table sink from %s (validate=%v) built another document\ntable: %q\nload:  %q\ninput: %q", name, validate, got.XML(), want.XML(), src)
 		}
 	}
@@ -952,7 +953,7 @@ func FuzzStreamDifferential(f *testing.F) {
 				if gerr != nil {
 					continue
 				}
-				if got, want := string(gathers[j].Bytes()), string(g.Bytes()); got != want {
+				if got, want := string(testkit.Rendered(gathers[j])), string(testkit.Rendered(g)); got != want {
 					t.Fatalf("multi output diverges (validate=%v, projector %d)\nmulti:  %q\nserial: %q",
 						validate, j, got, want)
 				}
@@ -1092,9 +1093,9 @@ func TestFixedAttributeValidated(t *testing.T) {
 
 // everyName is π = ⊤ for d: every element, text and attribute name.
 func everyName(d *dtd.DTD) dtd.NameSet {
-	all := dtd.NewNameSet(d.Names()...)
-	for _, n := range d.Names() {
-		if def := d.Def(n); !def.Text {
+	all := dtd.NewNameSet(testkit.Names(d)...)
+	for _, n := range testkit.Names(d) {
+		if def := d.Defs[n]; !def.Text {
 			for _, a := range def.Atts {
 				all.Add(a.Name)
 			}
@@ -1122,7 +1123,7 @@ func checkTop(t *testing.T, src string, d *dtd.DTD, all dtd.NameSet) bool {
 		switch {
 		case err != nil:
 			t.Fatalf("pruner(⊤) (validate=%v) rejects a valid document: %v\ninput: %q", validate, err, src)
-		case got.NumNodes() != want.NumNodes() || !tree.Equal(got.Root(), want.Root()) || got.XML() != want.XML():
+		case got.NumNodes() != want.NumNodes() || !testkit.Equal(got.Root(), want.Root()) || got.XML() != want.XML():
 			t.Fatalf("pruner(⊤) (validate=%v) built another document\npruner: %q\nwalker: %q\ninput: %q", validate, got.XML(), want.XML(), src)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 )
 
@@ -35,7 +36,7 @@ func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.N
 	for j, pi := range pis {
 		g, st, err := StreamGather(data, d, pi, sopts)
 		if err == nil {
-			wants[j] = want{ok: true, out: string(g.Bytes()), st: st}
+			wants[j] = want{ok: true, out: string(testkit.Rendered(g)), st: st}
 			g.Close()
 		}
 		checkOracle(t, string(data), d, pi, validate, wants[j].out, st, err)
@@ -52,7 +53,7 @@ func checkMulti(t *testing.T, label string, data []byte, d *dtd.DTD, pis []dtd.N
 			}
 			continue
 		}
-		if got := string(gathers[j].Bytes()); got != wants[j].out {
+		if got := string(testkit.Rendered(gathers[j])); got != wants[j].out {
 			t.Fatalf("%s: multi output diverges (validate=%v, projector %d)\nmulti:  %q\nserial: %q",
 				label, validate, j, got, wants[j].out)
 		}
@@ -198,7 +199,7 @@ func TestMultiPrecompiled(t *testing.T) {
 		if berrs[j] != nil {
 			continue
 		}
-		if !bytes.Equal(base[j].Bytes(), pre[j].Bytes()) {
+		if !bytes.Equal(testkit.Rendered(base[j]), testkit.Rendered(pre[j])) {
 			t.Fatalf("projector %d: output diverges with precompiled inputs", j)
 		}
 		base[j].Close()

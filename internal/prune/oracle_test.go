@@ -152,7 +152,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 			stats.ElementsIn++
 			sawRoot = true
 			tag := t.Name.Local
-			name, ok := d.ElementName(tag)
+			name, ok := d.ByTag[tag]
 			if !ok {
 				return stats, fmt.Errorf("element %q not declared in DTD", tag)
 			}
@@ -177,7 +177,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				}
 				continue
 			}
-			def := d.Def(name)
+			def := d.Defs[name]
 			closeOpen()
 			if err := writeStart(bw, tag, t.Attr, def, keeps, validate); err != nil {
 				return stats, err
@@ -195,7 +195,7 @@ func decode(bw *bufio.Writer, src io.Reader, d *dtd.DTD, pi dtd.NameSet, validat
 				return stats, err
 			}
 			top := stack[len(stack)-1]
-			if validate && !slices.ContainsFunc(top.model, dtd.Nullable) {
+			if validate && !slices.ContainsFunc(top.model, nullable) {
 				return stats, fmt.Errorf("content of %s is incomplete (model %s)", top.name, top.def.Content)
 			}
 			stack = stack[:len(stack)-1]
@@ -282,7 +282,7 @@ func derivatives(r dtd.Regex, n dtd.Name) []dtd.Regex {
 		if len(x.Items) > 0 {
 			rest := dtd.Seq{Items: x.Items[1:]}
 			then(derivatives(x.Items[0], n), rest)
-			if dtd.Nullable(x.Items[0]) {
+			if nullable(x.Items[0]) {
 				out = append(out, derivatives(rest, n)...)
 			}
 		}
@@ -426,6 +426,35 @@ func hasAttr(attrs []xml.Attr, name string) bool {
 		if a.Name.Local == name {
 			return true
 		}
+	}
+	return false
+}
+
+// nullable reports whether r matches the empty sequence.
+func nullable(r dtd.Regex) bool {
+	switch x := r.(type) {
+	case dtd.Epsilon, nil:
+		return true
+	case dtd.Ref:
+		return false
+	case dtd.Seq:
+		for _, it := range x.Items {
+			if !nullable(it) {
+				return false
+			}
+		}
+		return true
+	case dtd.Alt:
+		for _, it := range x.Items {
+			if nullable(it) {
+				return true
+			}
+		}
+		return false
+	case dtd.Star, dtd.Opt:
+		return true
+	case dtd.Plus:
+		return nullable(x.Inner)
 	}
 	return false
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
 )
@@ -49,7 +50,7 @@ func TestTreePruneIsProjection(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "author", dtd.TextName("author"))
 	out := Tree(doc, d.CompileProjection(pi))
-	if !tree.IsProjectionOf(out.Root(), doc.Root()) {
+	if !testkit.IsProjectionOf(out.Root(), doc.Root()) {
 		t.Fatal("pruned tree is not a ≤-projection of the original (Lemma 2.8)")
 	}
 }

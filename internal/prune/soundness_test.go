@@ -13,6 +13,7 @@ import (
 	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
 	"xmlproj/internal/xpath"
@@ -59,7 +60,7 @@ func checkSound(t *testing.T, d *dtd.DTD, doc *tree.Document, qsrc string, mater
 		t.Fatalf("infer %q: %v", qsrc, err)
 	}
 	pruned := Tree(doc, pr.Compiled())
-	if pruned.NumNodes() > 0 && !tree.IsProjectionOf(pruned.Root(), doc.Root()) {
+	if pruned.NumNodes() > 0 && !testkit.IsProjectionOf(pruned.Root(), doc.Root()) {
 		t.Fatalf("%q: pruned doc is not a projection", qsrc)
 	}
 

@@ -8,7 +8,7 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
-	"xmlproj/internal/tree"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 )
 
@@ -89,7 +89,7 @@ func TestStreamEqualsTreeProperty(t *testing.T) {
 			t.Fatalf("trial %d: stream and tree disagree for π = %s\nstream: %s\ntree:   %s\ninput:  %s",
 				trial, pi, got, want.XML(), doc.XML())
 		}
-		if want.NumNodes() > 0 && !tree.IsProjectionOf(want.Root(), doc.Root()) {
+		if want.NumNodes() > 0 && !testkit.IsProjectionOf(want.Root(), doc.Root()) {
 			t.Fatalf("trial %d: pruned tree is not a projection (Lemma 2.8)", trial)
 		}
 	}
@@ -159,7 +159,7 @@ func TestPruneMonotone(t *testing.T) {
 		if a.NumNodes() == 0 {
 			continue
 		}
-		if !tree.IsProjectionOf(a.Root(), b.Root()) {
+		if !testkit.IsProjectionOf(a.Root(), b.Root()) {
 			t.Fatalf("small-projector prune is not a projection of large-projector prune")
 		}
 	}

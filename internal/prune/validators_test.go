@@ -53,7 +53,7 @@ func withAttr(rng *rand.Rand, d *dtd.DTD, doc *tree.Document, want func(*dtd.Att
 	var ads []*dtd.AttDef
 	els := elements(doc, func(n tree.Node) bool {
 		for i := range n.NumAttrs() {
-			if ad := d.Def(dtd.Name(n.Tag())).AttDef(n.AttrAt(i).Name); ad != nil && want(ad) {
+			if ad := d.Defs[dtd.Name(n.Tag())].AttDef(n.AttrAt(i).Name); ad != nil && want(ad) {
 				ads = append(ads, ad)
 				return true
 			}
@@ -167,7 +167,7 @@ var mutations = []mutation{
 		return rebuilt(doc, els[rng.Intn(len(els))], setAttr("undeclared", "1")), true
 	}},
 	{"text under an element-only model", func(rng *rand.Rand, d *dtd.DTD, doc *tree.Document) (*tree.Document, bool) {
-		els := elements(doc, func(n tree.Node) bool { return d.Def(dtd.TextName(dtd.Name(n.Tag()))) == nil })
+		els := elements(doc, func(n tree.Node) bool { return d.Defs[dtd.TextName(dtd.Name(n.Tag()))] == nil })
 		if len(els) == 0 {
 			return nil, false
 		}

@@ -139,18 +139,11 @@ func NewEntry(out []byte, stats prune.Stats) *Entry {
 	return &Entry{src: rendered(out), Stats: stats}
 }
 
-// Bytes returns the rendered output. The slice is shared and must be
-// treated as read-only.
-func (e *Entry) Bytes() []byte { return e.out }
-
 // Len is the rendered output size in bytes.
 func (e *Entry) Len() int64 { return int64(len(e.out)) }
 
 // WriteTo writes the rendered output to w (io.WriterTo).
 func (e *Entry) WriteTo(w io.Writer) (int64, error) { return rendered(e.out).WriteTo(w) }
-
-// AppendTo appends the rendered output to dst.
-func (e *Entry) AppendTo(dst []byte) []byte { return append(dst, e.out...) }
 
 // digest identifies a fill's output exactly as DigestBytes would
 // identify its rendered bytes; a span list is hashed span by span, uncopied.

@@ -494,3 +494,7 @@ func checkShardInvariants(t *testing.T, c *Cache) {
 		}
 	}
 }
+
+// Bytes returns the rendered output. The slice is shared and must be
+// treated as read-only.
+func (e *Entry) Bytes() []byte { return e.out }

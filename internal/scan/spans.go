@@ -91,9 +91,6 @@ func (sl *SpanList) Len() int64 { return sl.total }
 // not. Len()-RawBytes() is the synthesized remainder.
 func (sl *SpanList) RawBytes() int64 { return sl.rawTotal }
 
-// Segments is the number of gather segments: WriteTo's Write calls.
-func (sl *SpanList) Segments() int { return len(sl.spans) }
-
 func (sl *SpanList) segment(sp Span) []byte {
 	if sp.Off >= 0 {
 		return sl.input[sp.Off : sp.Off+sp.Len]
@@ -118,18 +115,6 @@ func (sl *SpanList) WriteTo(w io.Writer) (n int64, err error) {
 	}
 	return n, nil
 }
-
-// AppendTo appends the rendered output to dst.
-func (sl *SpanList) AppendTo(dst []byte) []byte {
-	for _, sp := range sl.spans {
-		dst = append(dst, sl.segment(sp)...)
-	}
-	return dst
-}
-
-// Bytes materialises the rendered output in a fresh slice (tests,
-// small results).
-func (sl *SpanList) Bytes() []byte { return sl.AppendTo(make([]byte, 0, sl.total)) }
 
 // raw records input[off:end], merging with an adjacent preceding input
 // span: a run the pruner had to hand over early and then continued.

@@ -11,6 +11,7 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/scan"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 )
 
@@ -29,7 +30,7 @@ func TestSoloPruneAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := dtd.NewNameSet()
-	for _, n := range d.Names() {
+	for _, n := range testkit.Names(d) {
 		full.Add(n)
 	}
 	pis := map[string]dtd.NameSet{

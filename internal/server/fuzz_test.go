@@ -57,8 +57,9 @@ func FuzzConditionalHeaders(f *testing.F) {
 // first thing every prune request's parameters meet, on a server with
 // one schema and one projection registered as validating. Nothing
 // panics; the status is 0 (resolved), 400 or 404; a validate value
-// other than 1, true, 0 or false is a 400; and the validating projection
-// comes back unvalidated only for validate=0 or validate=false.
+// other than 1, true, 0 or false, or a second validate, is a 400; and the
+// validating projection comes back unvalidated only for validate=0 or
+// validate=false.
 func FuzzResolveQuery(f *testing.F) {
 	s := newTestServer(f, Options{})
 	if err := s.AddProjection("strict", "bib", true, "//book/title"); err != nil {
@@ -83,10 +84,10 @@ func FuzzResolveQuery(f *testing.F) {
 			t.Fatalf("%q: status %d (%s), want 400 or 404", raw, status, msg)
 		}
 		q := r.URL.Query()
-		v := q.Get("validate")
-		known := !q.Has("validate") || v == "1" || v == "true" || v == "0" || v == "false"
+		vs, v := q["validate"], q.Get("validate")
+		known := len(vs) == 0 || len(vs) == 1 && (v == "1" || v == "true" || v == "0" || v == "false")
 		if !known && status != http.StatusBadRequest {
-			t.Fatalf("%q: validate=%q resolved with status %d, want 400", raw, v, status)
+			t.Fatalf("%q: validate=%q resolved with status %d, want 400", raw, vs, status)
 		}
 		if np != nil && np.p == s.projections["strict"].p && q.Get("projection") == "strict" &&
 			!np.validate && v != "0" && v != "false" {

@@ -476,12 +476,15 @@ func (s *Server) handlePruneHead(w http.ResponseWriter, r *http.Request) {
 
 // resolve maps the request to a projector: either a precompiled named
 // projection or schema + query bunch (compiled here, inference cached
-// by the engine). validate is 1 or true, 0 or false; any other value is
-// a 400, never a silent "no": it would turn off the validation of a
-// projection registered as validating. A nil return carries the HTTP
-// status and message.
+// by the engine). validate is 1 or true, 0 or false, given once; any
+// other value, or a second one, is a 400, never a silent "no": it would
+// turn off the validation of a projection registered as validating. A
+// nil return carries the HTTP status and message.
 func (s *Server) resolve(r *http.Request) (*namedProjection, int, string) {
 	q := r.URL.Query()
+	if vs := q["validate"]; len(vs) > 1 {
+		return nil, http.StatusBadRequest, fmt.Sprintf("validate given %d times: give it once", len(vs))
+	}
 	validate := false
 	switch v := q.Get("validate"); v {
 	case "1", "true":

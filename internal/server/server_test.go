@@ -601,6 +601,9 @@ func TestValidateParam(t *testing.T) {
 		{"&validate", bad, bad},
 		{"&validate=TRUE", bad, bad},
 		{"&validate=2", bad, bad},
+		{"&validate=0&validate=1", bad, bad},
+		{"&validate=1&validate=1", bad, bad},
+		{"&validate=1&validate=yes", bad, bad},
 	}
 	for _, c := range cases {
 		for _, target := range []struct {

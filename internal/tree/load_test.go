@@ -3,9 +3,11 @@ package tree_test
 // Loader tests whose inputs come from packages that import tree.
 
 import (
+	"bytes"
 	"testing"
 
 	"xmlproj/internal/bench"
+	"xmlproj/internal/prune"
 	"xmlproj/internal/tree"
 )
 
@@ -29,12 +31,12 @@ func TestParseMatchesOracleOnXMark(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		pruned, _, err := bench.PruneBytes(w, pr)
-		if err != nil {
+		var pruned bytes.Buffer
+		if _, err := prune.StreamBytes(&pruned, w.DocBytes, w.D, nil, prune.StreamOptions{Projection: pr.Compiled()}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if d := tree.DiffOracle(pruned); d != "" {
-			t.Errorf("%s, pruned to %d bytes: %s", id, len(pruned), d)
+		if d := tree.DiffOracle(pruned.Bytes()); d != "" {
+			t.Errorf("%s, pruned to %d bytes: %s", id, pruned.Len(), d)
 		}
 	}
 }

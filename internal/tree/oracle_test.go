@@ -108,7 +108,7 @@ func parseOracle(src []byte) (doc *Document, nsNamed bool, err error) {
 }
 
 // diffOracle loads src both ways and describes the first disagreement,
-// or returns "". Beyond Equal it compares what Equal does not: node IDs,
+// or returns "". Beyond equal it compares what equal does not: node IDs,
 // parent and subtree links, NumNodes and the serialisation. It also holds
 // the loader to its sizing: the text buffer is allocated once, at the
 // input's length, and never grows.
@@ -131,7 +131,7 @@ func diffOracle(src []byte) string {
 	if got.NumNodes() != want.NumNodes() {
 		return fmt.Sprintf("NumNodes %d, oracle %d", got.NumNodes(), want.NumNodes())
 	}
-	if !Equal(got.Root(), want.Root()) {
+	if !equal(got.Root(), want.Root()) {
 		return "the trees differ"
 	}
 	for i := range int32(got.NumNodes()) {

@@ -124,17 +124,6 @@ func (d *Document) IDAt(i int32) NodeID {
 	return d.base + NodeID(i)
 }
 
-// ByID returns the node with the given ID, or the zero Node. It is a
-// linear search intended for tests and tooling, not for the query engine.
-func (d *Document) ByID(id NodeID) Node {
-	for i := range d.nodes {
-		if d.IDAt(int32(i)) == id {
-			return Node{d, int32(i)}
-		}
-	}
-	return Node{}
-}
-
 // Node is a node of a Document: the document and the index of the node's
 // record. The zero Node is no node.
 type Node struct {
@@ -184,14 +173,6 @@ func (n Node) StringValue() string {
 	return n.d.text[r.off : r.off+r.n]
 }
 
-// Parent returns the node's parent, or the zero Node for a root.
-func (n Node) Parent() Node {
-	if p := n.rec().parent; p >= 0 {
-		return Node{n.d, p}
-	}
-	return Node{}
-}
-
 // LastDescendant returns the last node of n's subtree in document order
 // (n itself for a leaf): the subtree is the records from n's to its.
 func (n Node) LastDescendant() Node { return Node{n.d, n.rec().end} }
@@ -233,48 +214,4 @@ func (n Node) Attr(name string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Equal reports structural equality of two trees: same kinds, tags, data,
-// attributes (ordered) and children. Node IDs are ignored.
-func Equal(a, b Node) bool {
-	if !a.Valid() || !b.Valid() {
-		return a.Valid() == b.Valid()
-	}
-	for k := int32(0); k <= a.rec().end-a.i; k++ { // the sizes agree at k = 0
-		x, y := Node{a.d, a.i + k}, Node{b.d, b.i + k}
-		if x.rec().end-x.i != y.rec().end-y.i || x.Kind() != y.Kind() || x.Tag() != y.Tag() ||
-			x.Data() != y.Data() || x.NumAttrs() != y.NumAttrs() {
-			return false
-		}
-		for i := range x.NumAttrs() {
-			if x.AttrAt(i) != y.AttrAt(i) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsProjectionOf reports whether tree p is a projection of tree t in the
-// sense of Def. 2.1: p is obtained from t by replacing some subforests with
-// the empty forest. Matching is by node identity (IDs), so both trees must
-// stem from the same numbering.
-func IsProjectionOf(p, t Node) bool {
-	if p.ID() != t.ID() || p.Kind() != t.Kind() || p.Tag() != t.Tag() || p.Data() != t.Data() {
-		return false
-	}
-	// Children of p must be an ID-subsequence of children of t, each
-	// recursively a projection.
-	tc := t.FirstChild()
-	for pc := p.FirstChild(); pc.Valid(); pc = pc.NextSibling() {
-		for tc.Valid() && tc.ID() != pc.ID() {
-			tc = tc.NextSibling()
-		}
-		if !tc.Valid() || !IsProjectionOf(pc, tc) {
-			return false
-		}
-		tc = tc.NextSibling()
-	}
-	return true
 }

@@ -16,6 +16,27 @@ func mustParse(t *testing.T, s string) *Document {
 	return d
 }
 
+// equal reports structural equality of two trees: same kinds, tags, data,
+// attributes (ordered) and children. Node IDs are ignored.
+func equal(a, b Node) bool {
+	if !a.Valid() || !b.Valid() {
+		return a.Valid() == b.Valid()
+	}
+	for k := int32(0); k <= a.rec().end-a.i; k++ { // the sizes agree at k = 0
+		x, y := Node{a.d, a.i + k}, Node{b.d, b.i + k}
+		if x.rec().end-x.i != y.rec().end-y.i || x.Kind() != y.Kind() || x.Tag() != y.Tag() ||
+			x.Data() != y.Data() || x.NumAttrs() != y.NumAttrs() {
+			return false
+		}
+		for i := range x.NumAttrs() {
+			if x.AttrAt(i) != y.AttrAt(i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // children lists n's children.
 func children(n Node) []Node {
 	var out []Node
@@ -78,7 +99,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		d := mustParse(t, src)
 		out := d.XML()
 		d2 := mustParse(t, out)
-		if !Equal(d.Root(), d2.Root()) {
+		if !equal(d.Root(), d2.Root()) {
 			t.Errorf("round trip changed tree:\n in: %s\nout: %s", src, out)
 		}
 	}
@@ -113,79 +134,8 @@ func TestStringValue(t *testing.T) {
 	if got := children(d.Root())[1].StringValue(); got != "twothree" {
 		t.Fatalf("StringValue(b) = %q", got)
 	}
-	if got := d.ByID(4).StringValue(); got != "three" {
+	if got := d.At(4).StringValue(); got != "three" {
 		t.Fatalf("StringValue(c) = %q", got)
-	}
-}
-
-// project copies d without the subtrees drop picks, with a new tag for
-// the nodes relabel names, keeping the IDs of what it keeps.
-func project(d *Document, drop func(Node) bool, relabel map[NodeID]string) *Document {
-	b := NewBuilder(0)
-	var walk func(n Node)
-	walk = func(n Node) {
-		if drop(n) {
-			return
-		}
-		if n.Kind() == Text {
-			b.TextString(n.Data())
-			b.SetID(n.ID())
-			return
-		}
-		tag := n.Tag()
-		if l, ok := relabel[n.ID()]; ok {
-			tag = l
-		}
-		b.Start(tag)
-		b.SetID(n.ID())
-		for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
-			walk(c)
-		}
-		b.EndElement()
-	}
-	walk(d.Root())
-	return b.Document()
-}
-
-func TestIsProjectionOf(t *testing.T) {
-	full := mustParse(t, `<a><b><d/></b><c/></a>`)
-	none := func(Node) bool { return false }
-	// Remove <c/>.
-	p1 := project(full, func(n Node) bool { return n.Tag() == "c" }, nil)
-	if !IsProjectionOf(p1.Root(), full.Root()) {
-		t.Fatal("dropping a subtree should be a projection")
-	}
-	if p1.Root().LastDescendant().ID() != 2 {
-		t.Fatalf("the projection renumbered its nodes: %d", p1.Root().LastDescendant().ID())
-	}
-	// Remove <d/> under <b>.
-	p2 := project(full, func(n Node) bool { return n.Tag() == "d" }, nil)
-	if !IsProjectionOf(p2.Root(), full.Root()) {
-		t.Fatal("dropping a nested subtree should be a projection")
-	}
-	// Relabelling is not a projection.
-	p3 := project(full, none, map[NodeID]string{1: "z"})
-	if IsProjectionOf(p3.Root(), full.Root()) {
-		t.Fatal("relabelled tree must not be a projection")
-	}
-	// The full tree is a projection of itself.
-	if !IsProjectionOf(full.Root(), full.Root()) {
-		t.Fatal("tree must be a projection of itself")
-	}
-	// But not vice versa once something is dropped.
-	if IsProjectionOf(full.Root(), p1.Root()) {
-		t.Fatal("projection order must not be symmetric here")
-	}
-}
-
-func TestByID(t *testing.T) {
-	d := mustParse(t, `<a><b/><c/></a>`)
-	n := d.ByID(2)
-	if !n.Valid() || n.Tag() != "c" {
-		t.Fatalf("ByID(2) = %q, want <c>", n.Tag())
-	}
-	if d.ByID(99).Valid() {
-		t.Fatal("ByID(99) should be no node")
 	}
 }
 
@@ -198,10 +148,10 @@ func TestBuilderFixesLinks(t *testing.T) {
 	b.EndElement()
 	d := b.Document()
 	a, kids := d.Root(), children(d.Root())
-	if len(kids) != 2 || kids[0].Parent() != a || kids[1].Parent() != a || kids[0].NextSibling() != kids[1] || a.LastDescendant() != kids[1] {
+	if len(kids) != 2 || d.ParentAt(kids[0].Index()) != a.Index() || d.ParentAt(kids[1].Index()) != a.Index() || kids[0].NextSibling() != kids[1] || a.LastDescendant() != kids[1] {
 		t.Fatalf("links wrong: %s", d.XML())
 	}
-	if a.Parent().Valid() || kids[1].NextSibling().Valid() || kids[0].FirstChild().Valid() {
+	if d.ParentAt(a.Index()) != -1 || kids[1].NextSibling().Valid() || kids[0].FirstChild().Valid() {
 		t.Fatal("a root, a last child and a leaf have links they should not")
 	}
 }
@@ -258,7 +208,7 @@ func TestCopyIsARangeCopy(t *testing.T) {
 	if got := children(v)[0].StringValue(); got != "onetwotail" {
 		t.Fatalf("string-value of the copy: %q", got)
 	}
-	if !Equal(children(w)[0], a) || !Equal(children(v)[0], w) {
+	if !equal(children(w)[0], a) || !equal(children(v)[0], w) {
 		t.Fatal("a copy differs from its source")
 	}
 }
@@ -359,9 +309,45 @@ func TestEqualIgnoresIDs(t *testing.T) {
 	if b.ID() == a.Root().ID() {
 		t.Fatal("a store copy has its source's ID")
 	}
-	if !Equal(a.Root(), b) {
-		t.Fatal("Equal must ignore IDs")
+	if !equal(a.Root(), b) {
+		t.Fatal("equal must ignore IDs")
 	}
+}
+
+// IndentedXML serialises the document with two-space indentation. Mixed
+// content (elements with text children) is left on one line so no
+// significant whitespace is introduced.
+func (d *Document) IndentedXML() string {
+	var sb strings.Builder
+	if root := d.Root(); root.Valid() {
+		writeIndented(&sb, root, 0)
+	}
+	sb.WriteString("\n")
+	return sb.String()
+}
+
+func writeIndented(w *strings.Builder, n Node, depth int) {
+	pad := strings.Repeat("  ", depth)
+	w.WriteString(pad)
+	// Text, and mixed or leaf content, stays on one line.
+	inline := n.Kind() == Text || !n.FirstChild().Valid()
+	for c := n.FirstChild(); c.Valid() && !inline; c = c.NextSibling() {
+		inline = c.Kind() == Text
+	}
+	if inline {
+		writeTree(w, n)
+		return
+	}
+	writeOpenTag(w, n.d, n.rec())
+	w.WriteString(">\n")
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		writeIndented(w, c, depth+1)
+		w.WriteString("\n")
+	}
+	w.WriteString(pad)
+	w.WriteString("</")
+	w.WriteString(n.Tag())
+	w.WriteString(">")
 }
 
 func TestIndentedXML(t *testing.T) {
@@ -401,7 +387,7 @@ func TestQuickDocumentRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if !Equal(d.Root(), out.Root()) {
+		if !equal(d.Root(), out.Root()) {
 			t.Fatalf("round trip changed %s -> %s", src, out.XML())
 		}
 	}

@@ -199,46 +199,3 @@ func (e *errWriter) WriteString(s string) (int, error) {
 	}
 	return len(s), e.err
 }
-
-// WriteIndentedXML serialises the document with two-space indentation for
-// human consumption. Mixed content (elements with text children) is left
-// on one line so no significant whitespace is introduced.
-func (d *Document) WriteIndentedXML(w io.Writer) error {
-	bw := &errWriter{w: w}
-	if root := d.Root(); root.Valid() {
-		writeIndented(bw, root, 0)
-	}
-	bw.WriteString("\n")
-	return bw.err
-}
-
-// IndentedXML returns the indented serialisation as a string.
-func (d *Document) IndentedXML() string {
-	var sb strings.Builder
-	_ = d.WriteIndentedXML(&sb) // a Builder's writes do not fail
-	return sb.String()
-}
-
-func writeIndented(w *errWriter, n Node, depth int) {
-	pad := strings.Repeat("  ", depth)
-	w.WriteString(pad)
-	// Text, and mixed or leaf content, stays on one line.
-	inline := n.Kind() == Text || !n.FirstChild().Valid()
-	for c := n.FirstChild(); c.Valid() && !inline; c = c.NextSibling() {
-		inline = c.Kind() == Text
-	}
-	if inline {
-		writeTree(w, n)
-		return
-	}
-	writeOpenTag(w, n.d, n.rec())
-	w.WriteString(">\n")
-	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
-		writeIndented(w, c, depth+1)
-		w.WriteString("\n")
-	}
-	w.WriteString(pad)
-	w.WriteString("</")
-	w.WriteString(n.Tag())
-	w.WriteString(">")
-}

@@ -125,13 +125,3 @@ return <item name="{$k}">{ $b/location/text() }</item>`},
  <na>{ count(for $p in /site/people/person where empty($p/profile/@income) return $p) }</na>
 </result>`},
 }
-
-// ByID returns the query with the given ID, or nil.
-func ByID(id string) *Query {
-	for i := range Queries {
-		if Queries[i].ID == id {
-			return &Queries[i]
-		}
-	}
-	return nil
-}

@@ -16,7 +16,7 @@ func TestDTDParses(t *testing.T) {
 	if d.Root != "site" {
 		t.Fatalf("root = %s", d.Root)
 	}
-	if _, ok := d.ElementName("open_auction"); !ok {
+	if _, ok := d.ByTag["open_auction"]; !ok {
 		t.Fatal("open_auction not declared")
 	}
 	// The description subtree is recursive (text/bold/keyword/emph).
@@ -24,7 +24,7 @@ func TestDTDParses(t *testing.T) {
 		t.Fatal("auction DTD should be recursive")
 	}
 	// text is a real element name here, not the text() node test.
-	if n, ok := d.ElementName("text"); !ok || n != "text" {
+	if n, ok := d.ByTag["text"]; !ok || n != "text" {
 		t.Fatal("text element missing")
 	}
 }
@@ -121,7 +121,10 @@ func TestAllQueriesSoundUnderPruning(t *testing.T) {
 	d := DTD()
 	doc := NewGenerator(0.002, 4).Document()
 	for _, q := range Queries {
-		ast := xquery.MustParse(q.Source)
+		ast, err := xquery.Parse(q.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
 		paths := xquery.Extract(xquery.RewriteForIf(ast))
 		pr, err := core.Infer(d, paths)
 		if err != nil {
@@ -142,14 +145,5 @@ func TestAllQueriesSoundUnderPruning(t *testing.T) {
 		if o, p := xquery.Serialize(orig), xquery.Serialize(after); o != p {
 			t.Errorf("%s: result changed after pruning\nπ = %s", q.ID, pr)
 		}
-	}
-}
-
-func TestByID(t *testing.T) {
-	if q := ByID("QM05"); q == nil || q.ID != "QM05" {
-		t.Fatal("ByID(QM05)")
-	}
-	if ByID("QM99") != nil {
-		t.Fatal("ByID(QM99) should be nil")
 	}
 }

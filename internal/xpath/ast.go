@@ -60,11 +60,6 @@ func (a Axis) Upward() bool {
 	return a == Parent || a == Ancestor || a == AncestorOrSelf
 }
 
-// Downward reports whether the axis moves towards the leaves (or stays).
-func (a Axis) Downward() bool {
-	return a == Child || a == Descendant || a == DescendantOrSelf || a == Self || a == Attribute
-}
-
 // Reverse reports whether the axis is a reverse axis (proximity position
 // counts in reverse document order).
 func (a Axis) Reverse() bool {
@@ -135,9 +130,6 @@ func NameTest(name string) NodeTest { return NodeTest{Kind: TestName, Name: name
 
 // NodeTestNode is the node() test.
 var NodeTestNode = NodeTest{Kind: TestNode}
-
-// TextTest is the text() test.
-var TextTest = NodeTest{Kind: TestText}
 
 // Step is one location step: Axis::Test[Pred]…[Pred].
 type Step struct {

@@ -54,24 +54,6 @@ func (ev *Evaluator) Eval(e Expr) (Value, error) {
 	return ev.eval(e, context{node: ElemRef(ev.Doc.Root()), pos: 1, size: 1})
 }
 
-// EvalWith evaluates an expression with the given context node.
-func (ev *Evaluator) EvalWith(e Expr, node NodeRef) (Value, error) {
-	return ev.eval(e, context{node: node, pos: 1, size: 1})
-}
-
-// Select evaluates an expression that must produce a node-set.
-func (ev *Evaluator) Select(e Expr) (NodeSet, error) {
-	v, err := ev.Eval(e)
-	if err != nil {
-		return nil, err
-	}
-	ns, ok := v.(NodeSet)
-	if !ok {
-		return nil, fmt.Errorf("xpath: expression %s returned %T, not a node-set", e, v)
-	}
-	return ns, nil
-}
-
 func (ev *Evaluator) eval(e Expr, ctx context) (Value, error) {
 	switch x := e.(type) {
 	case Literal:

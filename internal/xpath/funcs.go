@@ -9,12 +9,13 @@ import (
 
 // kind says whether a function's result can be a number, which is what a
 // predicate compares with the proximity position (positional, path.go).
+// The zero kind is a number, or nothing; it is also what an unknown name
+// reads as.
 type kind uint8
 
 const (
-	number     kind = iota // a number, or nothing; also what an unknown name reads as
-	notNumber              // a boolean, a string or a node-set
-	asArgument             // its one argument, passed through
+	notNumber  kind = iota + 1 // a boolean, a string or a node-set
+	asArgument                 // its one argument, passed through
 )
 
 // Func is one entry of the function library: what the system knows of a
@@ -128,16 +129,6 @@ func (f Func) ReadsContext(n int) bool { return n == 0 && f.max == 1 }
 // Lookup returns name's entry in the library, the zero Func for a name it
 // does not have.
 func Lookup(name string) Func { return library[name] }
-
-// Names returns the library's function names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(library))
-	for n := range library {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	return names
-}
 
 // evalCall evaluates a call through the library: XQuery's sequence-only
 // functions are unknown names here, and every other one is dispatched by

@@ -39,7 +39,6 @@ const (
 	TokGe         // >=
 	TokStar       // *
 	TokDollar     // $
-	TokLAngleTag  // < used as tag open (XQuery constructors; lexed by the XQuery parser itself)
 	TokLBrace     // { (XQuery)
 	TokRBrace     // } (XQuery)
 	TokSemi       // ; (unused in XPath)

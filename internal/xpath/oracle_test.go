@@ -270,10 +270,10 @@ func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 	}
 	// siblings returns n's siblings before it and after it.
 	siblings := func(n tree.Node) (before, after []tree.Node) {
-		if !n.Parent().Valid() {
+		if !parent(n).Valid() {
 			return nil, nil
 		}
-		for c := n.Parent().FirstChild(); c.Valid(); c = c.NextSibling() {
+		for c := parent(n).FirstChild(); c.Valid(); c = c.NextSibling() {
 			switch {
 			case c.ID() < n.ID():
 				before = append(before, c)
@@ -291,14 +291,14 @@ func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 			add(r)
 		case AncestorOrSelf:
 			add(r)
-			for n := r.N(); n.Valid(); n = n.Parent() {
+			for n := r.N(); n.Valid(); n = parent(n) {
 				add(ElemRef(n))
 			}
 			out = out.sortDocOracle()
 		case Parent:
 			add(ElemRef(r.N()))
 		case Ancestor:
-			for n := r.N(); n.Valid(); n = n.Parent() {
+			for n := r.N(); n.Valid(); n = parent(n) {
 				add(ElemRef(n))
 			}
 			out = out.sortDocOracle()
@@ -319,17 +319,17 @@ func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 		add(r)
 		walk(n)
 	case Parent:
-		if p := n.Parent(); p.Valid() {
+		if p := parent(n); p.Valid() {
 			add(ElemRef(p))
 		}
 	case Ancestor:
-		for p := n.Parent(); p.Valid(); p = p.Parent() {
+		for p := parent(n); p.Valid(); p = parent(p) {
 			add(ElemRef(p))
 		}
 		out = out.sortDocOracle()
 	case AncestorOrSelf:
 		add(r)
-		for p := n.Parent(); p.Valid(); p = p.Parent() {
+		for p := parent(n); p.Valid(); p = parent(p) {
 			add(ElemRef(p))
 		}
 		out = out.sortDocOracle()
@@ -344,7 +344,7 @@ func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 			add(ElemRef(s))
 		}
 	case Following:
-		for cur := n; cur.Parent().Valid(); cur = cur.Parent() {
+		for cur := n; parent(cur).Valid(); cur = parent(cur) {
 			_, after := siblings(cur)
 			for _, s := range after {
 				add(ElemRef(s))
@@ -355,7 +355,7 @@ func (o *oracle) axisNodes(r NodeRef, axis Axis) NodeSet {
 	case Preceding:
 		// All nodes strictly before n in document order, excluding
 		// ancestors.
-		for cur := n; cur.Parent().Valid(); cur = cur.Parent() {
+		for cur := n; parent(cur).Valid(); cur = parent(cur) {
 			before, _ := siblings(cur)
 			for _, s := range before {
 				add(ElemRef(s))
@@ -397,4 +397,12 @@ func oracleMatchTest(t NodeTest, r NodeRef, axis Axis) bool {
 	default: // comment(), processing-instruction(): not in the data model
 		return false
 	}
+}
+
+// parent is n's parent, the zero Node for a root.
+func parent(n tree.Node) tree.Node {
+	if p := n.Doc().ParentAt(n.Index()); p >= 0 {
+		return n.Doc().At(p)
+	}
+	return tree.Node{}
 }

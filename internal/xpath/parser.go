@@ -10,7 +10,6 @@ import (
 type Parser struct {
 	lex *Lexer
 	tok Token // lookahead
-	err error
 }
 
 // NewParser returns a parser reading from lex. The lexer's position is
@@ -38,29 +37,6 @@ func Parse(src string) (Expr, error) {
 		return nil, fmt.Errorf("xpath: trailing input at offset %d: %s", p.tok.Pos, p.tok)
 	}
 	return e, nil
-}
-
-// MustParse parses a known-good expression, panicking on error.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// ParsePath parses src and requires the result to be a plain location
-// path (no filter expression).
-func ParsePath(src string) (*Path, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	pe, ok := e.(PathExpr)
-	if !ok || pe.Filter != nil {
-		return nil, fmt.Errorf("xpath: %s is not a location path", src)
-	}
-	return &pe.Path, nil
 }
 
 // Tok returns the current lookahead token (used by the XQuery parser).

@@ -6,11 +6,15 @@ import (
 
 func mustPath(t *testing.T, src string) *Path {
 	t.Helper()
-	p, err := ParsePath(src)
+	e, err := Parse(src)
 	if err != nil {
-		t.Fatalf("ParsePath(%q): %v", src, err)
+		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	return p
+	pe, ok := e.(PathExpr)
+	if !ok || pe.Filter != nil {
+		t.Fatalf("%s is not a location path", src)
+	}
+	return &pe.Path
 }
 
 func TestParseSimplePaths(t *testing.T) {
@@ -36,7 +40,7 @@ func TestParseSimplePaths(t *testing.T) {
 	for _, c := range cases {
 		p := mustPath(t, c.src)
 		if len(p.Steps) != c.steps || p.Absolute != c.abs {
-			t.Errorf("ParsePath(%q) = %d steps abs=%v, want %d abs=%v (%s)",
+			t.Errorf("Parse(%q) = %d steps abs=%v, want %d abs=%v (%s)",
 				c.src, len(p.Steps), p.Absolute, c.steps, c.abs, p)
 		}
 	}
@@ -263,9 +267,6 @@ func TestStringRoundTrip(t *testing.T) {
 func TestAxisHelpers(t *testing.T) {
 	if !Parent.Upward() || !Ancestor.Upward() || Child.Upward() {
 		t.Fatal("Upward wrong")
-	}
-	if !Child.Downward() || !Self.Downward() || Parent.Downward() {
-		t.Fatal("Downward wrong")
 	}
 	for _, a := range []Axis{Parent, Ancestor, AncestorOrSelf, Preceding, PrecedingSibling} {
 		if !a.Reverse() {

@@ -31,10 +31,6 @@ func ref(d *tree.Document, i int32) NodeRef { return NodeRef{d, i, -1} }
 // N returns the tree node: the node itself, or an attribute's element.
 func (r NodeRef) N() tree.Node { return r.doc.At(r.node) }
 
-// AttrIdx is -1 for a tree node, otherwise the index of the attribute
-// among its element's.
-func (r NodeRef) AttrIdx() int { return int(r.attr) }
-
 // IsAttr reports whether the ref designates an attribute node.
 func (r NodeRef) IsAttr() bool { return r.attr >= 0 }
 

@@ -265,15 +265,6 @@ func FromQuery(e xpath.Expr) ([]*Path, error) {
 	}
 }
 
-// MustFromQuery is FromQuery for known-good queries.
-func MustFromQuery(e xpath.Expr) []*Path {
-	ps, err := FromQuery(e)
-	if err != nil {
-		panic(err)
-	}
-	return ps
-}
-
 // adjustAbsoluteFirst fixes up the leading step of an absolute path: the
 // analysis starts at the root *element* while "/" denotes the document
 // node, whose children are exactly the root element and whose descendants

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xpath"
 )
 
@@ -67,17 +68,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestFromSimple(t *testing.T) {
-	sp := SimplePath{Absolute: true, Steps: []SStep{step(xpath.Child, "a")}}
-	p := FromSimple(sp)
-	if p.String() != "/child::a" {
-		t.Fatalf("FromSimple = %s", p)
-	}
-	if back, ok := p.Simple(); !ok || back.String() != sp.String() {
-		t.Fatalf("Simple round trip = %v %s", ok, back)
-	}
-}
-
 func TestMakeAbsolute(t *testing.T) {
 	cases := map[string]string{
 		"child::a/child::b":      "/self::a/child::b",
@@ -86,7 +76,7 @@ func TestMakeAbsolute(t *testing.T) {
 		"parent::node()/self::a": "/parent::node()/self::a", // degenerate, unchanged shape
 	}
 	for src, want := range cases {
-		ps, err := FromQuery(xpath.MustParse(src))
+		ps, err := FromQuery(testkit.XPath(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +85,7 @@ func TestMakeAbsolute(t *testing.T) {
 		}
 	}
 	// Already-absolute paths are untouched.
-	ps, _ := FromQuery(xpath.MustParse("/a/b"))
+	ps, _ := FromQuery(testkit.XPath("/a/b"))
 	if got := MakeAbsolute(ps[0]).String(); got != ps[0].String() {
 		t.Fatalf("MakeAbsolute changed an absolute path: %s", got)
 	}
@@ -104,7 +94,7 @@ func TestMakeAbsolute(t *testing.T) {
 func TestApproxNegationAndArithmetic(t *testing.T) {
 	// Unary minus and arithmetic are value contexts: paths get dos, plus
 	// the self::node() safety disjunct for the non-structural part.
-	ps := MustFromQuery(xpath.MustParse(`x[-a = 1]`))
+	ps := MustFromQuery(testkit.XPath(`x[-a = 1]`))
 	cond := ps[0].Steps[0].Cond
 	var hasDos bool
 	for _, d := range cond.Disjuncts {
@@ -115,7 +105,7 @@ func TestApproxNegationAndArithmetic(t *testing.T) {
 	if !hasDos {
 		t.Fatalf("negated operand lost its dos: %s", cond)
 	}
-	ps = MustFromQuery(xpath.MustParse(`x[a + b > 2]`))
+	ps = MustFromQuery(testkit.XPath(`x[a + b > 2]`))
 	cond = ps[0].Steps[0].Cond
 	var hasA, hasB bool
 	for _, d := range cond.Disjuncts {
@@ -132,7 +122,7 @@ func TestApproxNegationAndArithmetic(t *testing.T) {
 }
 
 func TestApproxUnionInPredicate(t *testing.T) {
-	ps := MustFromQuery(xpath.MustParse(`x[a | b]`))
+	ps := MustFromQuery(testkit.XPath(`x[a | b]`))
 	cond := ps[0].Steps[0].Cond
 	if len(cond.Disjuncts) != 2 {
 		t.Fatalf("union predicate = %s", cond)
@@ -156,7 +146,7 @@ func TestCondAddDedups(t *testing.T) {
 // (testdata/projectors.golden).
 func TestFuncArgAxisTable(t *testing.T) {
 	var nodes, structural []string
-	for _, name := range append(xpath.Names(), "anything-unknown") {
+	for _, name := range append(testkit.Functions, "anything-unknown") {
 		f := xpath.Lookup(name)
 		if f.Nodes {
 			nodes = append(nodes, name)
@@ -169,7 +159,7 @@ func TestFuncArgAxisTable(t *testing.T) {
 				t.Errorf("F(%s, %d) = %s, entry reads nodes only: %v", name, i, got, f.Nodes)
 			}
 		}
-		call := xpath.Call{Name: name, Args: []xpath.Expr{xpath.MustParse("a")}}
+		call := xpath.Call{Name: name, Args: []xpath.Expr{testkit.XPath("a")}}
 		if _, kept := Extract(call, nil, false); kept == f.Structural {
 			t.Errorf("[%s(a)] keeps self::node(): %v, entry structural: %v", name, kept, f.Structural)
 		}
@@ -193,7 +183,7 @@ func TestApproxTruthyConstantDisjunct(t *testing.T) {
 		`x[1 or following-sibling::y/node()]`,
 		`x["s" or a]`,
 	} {
-		ps := MustFromQuery(xpath.MustParse(src))
+		ps := MustFromQuery(testkit.XPath(src))
 		cond := ps[0].Steps[0].Cond
 		if !cond.HasSelfNode() {
 			t.Errorf("%s: truthy constant disjunct must neutralise restriction: %s", src, cond)
@@ -201,13 +191,13 @@ func TestApproxTruthyConstantDisjunct(t *testing.T) {
 	}
 	// A falsy constant disjunct can never satisfy the predicate: the other
 	// disjunct may still restrict.
-	ps := MustFromQuery(xpath.MustParse(`x[0 or a]`))
+	ps := MustFromQuery(testkit.XPath(`x[0 or a]`))
 	if cond := ps[0].Steps[0].Cond; cond.HasSelfNode() {
 		t.Errorf("falsy constant should not block restriction: %s", cond)
 	}
 	// …and value comparisons against constants still restrict (the §3.3
 	// Dante example shape).
-	ps = MustFromQuery(xpath.MustParse(`x[a = "v" or b]`))
+	ps = MustFromQuery(testkit.XPath(`x[a = "v" or b]`))
 	if cond := ps[0].Steps[0].Cond; cond.HasSelfNode() {
 		t.Errorf("comparison operand must not produce self::node(): %s", cond)
 	}
@@ -234,7 +224,7 @@ func disjuncts(c *Cond) []string {
 // its self::node() does not become the context's whole subtree (QM14's
 // contains(string(exactly-one(…)), …)).
 func TestExtractNestedCall(t *testing.T) {
-	cond := MustFromQuery(xpath.MustParse(`x[contains(string(exactly-one(d)), "g")]`))[0].Steps[0].Cond
+	cond := MustFromQuery(testkit.XPath(`x[contains(string(exactly-one(d)), "g")]`))[0].Steps[0].Cond
 	want := []string{"child::d/descendant-or-self::node()", "self::node()"}
 	if got := disjuncts(cond); !slices.Equal(got, want) {
 		t.Errorf("cond = %v, want %v", got, want)
@@ -250,7 +240,7 @@ func TestExtractContextCall(t *testing.T) {
 		`x[name() = "a"]`:        {"self::node()"},
 		`x[last()]`:              {"self::node()"},
 	} {
-		if got := disjuncts(MustFromQuery(xpath.MustParse(src))[0].Steps[0].Cond); !slices.Equal(got, want) {
+		if got := disjuncts(MustFromQuery(testkit.XPath(src))[0].Steps[0].Cond); !slices.Equal(got, want) {
 			t.Errorf("%s: cond = %v, want %v", src, got, want)
 		}
 	}
@@ -259,8 +249,8 @@ func TestExtractContextCall(t *testing.T) {
 // A path from a variable resolves through the scope, inside predicates
 // too, and never restricts.
 func TestExtractScope(t *testing.T) {
-	g := Scope{}.Extend("p", true, MustFromQuery(xpath.MustParse("/s/p")))
-	ps, free := Extract(xpath.MustParse(`a[b = $p/@id]`), g, false)
+	g := Scope{}.Extend("p", true, MustFromQuery(testkit.XPath("/s/p")))
+	ps, free := Extract(testkit.XPath(`a[b = $p/@id]`), g, false)
 	if free || len(ps) != 1 {
 		t.Fatalf("a[b = $p/@id]: %d paths, free %v", len(ps), free)
 	}
@@ -273,9 +263,35 @@ func TestExtractScope(t *testing.T) {
 		"$p/c": "/self::s/child::p/child::c/descendant-or-self::node()",
 		"$q/c": "/self::c/descendant-or-self::node()", // free: the document node
 	} {
-		ps, free := Extract(xpath.MustParse(src), g, true)
+		ps, free := Extract(testkit.XPath(src), g, true)
 		if !free || len(ps) != 1 || ps[0].String() != want {
 			t.Errorf("%s: %v, free %v, want %s", src, ps, free, want)
 		}
 	}
+}
+
+// MustFromQuery is FromQuery for known-good queries.
+func MustFromQuery(e xpath.Expr) []*Path {
+	ps, err := FromQuery(e)
+	if err != nil {
+		panic(err)
+	}
+	return ps
+}
+
+// IsSelfNode reports whether the path is exactly self::node().
+func (p SimplePath) IsSelfNode() bool {
+	return !p.Absolute && len(p.Steps) == 1 &&
+		p.Steps[0].Axis == xpath.Self && p.Steps[0].Test.Kind == xpath.TestNode
+}
+
+// HasSelfNode reports whether one of the disjuncts is the always-true
+// self::node() (the marker for non-structural sub-conditions, §3.3).
+func (c *Cond) HasSelfNode() bool {
+	for _, p := range c.Disjuncts {
+		if p.IsSelfNode() {
+			return true
+		}
+	}
+	return false
 }

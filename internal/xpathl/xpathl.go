@@ -66,12 +66,6 @@ func SelfNode() SimplePath {
 	return SimplePath{Steps: []SStep{{Axis: xpath.Self, Test: xpath.NodeTestNode}}}
 }
 
-// IsSelfNode reports whether the path is exactly self::node().
-func (p SimplePath) IsSelfNode() bool {
-	return !p.Absolute && len(p.Steps) == 1 &&
-		p.Steps[0].Axis == xpath.Self && p.Steps[0].Test.Kind == xpath.TestNode
-}
-
 // Prefix returns prefix/p (prefix must be relative-compatible: if p is
 // absolute, p is returned unchanged, since absolute paths ignore context).
 func (p SimplePath) Prefix(prefix []SStep) SimplePath {
@@ -103,17 +97,6 @@ func (c *Cond) String() string {
 		parts[i] = p.String()
 	}
 	return strings.Join(parts, " or ")
-}
-
-// HasSelfNode reports whether one of the disjuncts is the always-true
-// self::node() (the marker for non-structural sub-conditions, §3.3).
-func (c *Cond) HasSelfNode() bool {
-	for _, p := range c.Disjuncts {
-		if p.IsSelfNode() {
-			return true
-		}
-	}
-	return false
 }
 
 // add inserts a disjunct, dropping duplicates.
@@ -206,61 +189,6 @@ func Concat(prefix, rel *Path) *Path {
 		out.Steps = append(out.Steps, s)
 	}
 	return out
-}
-
-// Simple reports whether no step carries a condition, and returns the
-// path as a SimplePath if so.
-func (p *Path) Simple() (SimplePath, bool) {
-	sp := SimplePath{Absolute: p.Absolute}
-	for _, s := range p.Steps {
-		if s.Cond != nil {
-			return SimplePath{}, false
-		}
-		sp.Steps = append(sp.Steps, s.SStep)
-	}
-	return sp, true
-}
-
-// FromSimple wraps a SimplePath as a Path.
-func FromSimple(sp SimplePath) *Path {
-	p := &Path{Absolute: sp.Absolute}
-	for _, s := range sp.Steps {
-		p.Steps = append(p.Steps, Step{SStep: s})
-	}
-	return p
-}
-
-// ToXPath converts the XPathℓ path back into an equivalent full-XPath
-// AST, used to evaluate approximated queries in tests.
-func (p *Path) ToXPath() xpath.Expr {
-	out := xpath.Path{Absolute: p.Absolute}
-	for _, s := range p.Steps {
-		st := xpath.Step{Axis: s.Axis, Test: s.Test}
-		if s.Cond != nil {
-			var e xpath.Expr
-			for _, d := range s.Cond.Disjuncts {
-				de := simpleToXPath(d)
-				if e == nil {
-					e = de
-				} else {
-					e = xpath.Binary{Op: xpath.OpOr, L: e, R: de}
-				}
-			}
-			if e != nil {
-				st.Preds = []xpath.Expr{e}
-			}
-		}
-		out.Steps = append(out.Steps, st)
-	}
-	return xpath.PathExpr{Path: out}
-}
-
-func simpleToXPath(sp SimplePath) xpath.Expr {
-	out := xpath.Path{Absolute: sp.Absolute}
-	for _, s := range sp.Steps {
-		out.Steps = append(out.Steps, xpath.Step{Axis: s.Axis, Test: s.Test})
-	}
-	return xpath.PathExpr{Path: out}
 }
 
 // RewriteAxis translates one full-XPath step into the equivalent (or

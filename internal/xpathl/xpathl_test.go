@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xpath"
 )
 
@@ -11,7 +12,7 @@ import (
 // XPathℓ path rendered as a string.
 func approx(t *testing.T, src string) string {
 	t.Helper()
-	ps, err := FromQuery(xpath.MustParse(src))
+	ps, err := FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatalf("FromQuery(%q): %v", src, err)
 	}
@@ -81,7 +82,7 @@ func TestApproxStructuralPredicate(t *testing.T) {
 // parent::node/book/author(/dos) or year(/dos)].
 func TestApproxPaperExample(t *testing.T) {
 	src := `x[position() > 1 and parent::node()/book/author = "Dante" and year > 1313]`
-	ps, err := FromQuery(xpath.MustParse(src))
+	ps, err := FromQuery(testkit.XPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestApproxPaperExample(t *testing.T) {
 // while descendant::node()[not(child::a)] and
 // descendant::node()[count(child::a) < 5] must include self::node().
 func TestApproxNonStructuralFunctions(t *testing.T) {
-	ps := MustFromQuery(xpath.MustParse("descendant::node()[not(a)]"))
+	ps := MustFromQuery(testkit.XPath("descendant::node()[not(a)]"))
 	cond := ps[0].Steps[0].Cond
 	if !cond.HasSelfNode() {
 		t.Fatalf("not(): missing self::node(): %s", cond)
@@ -126,7 +127,7 @@ func TestApproxNonStructuralFunctions(t *testing.T) {
 		t.Fatalf("not(): argument path not extracted: %s", cond)
 	}
 
-	ps = MustFromQuery(xpath.MustParse("descendant::node()[count(a) < 5]"))
+	ps = MustFromQuery(testkit.XPath("descendant::node()[count(a) < 5]"))
 	cond = ps[0].Steps[0].Cond
 	if !cond.HasSelfNode() {
 		t.Fatalf("count()<5: missing self::node(): %s", cond)
@@ -137,7 +138,7 @@ func TestApproxValueComparisonAppendsDOS(t *testing.T) {
 	// [a = "x"]: a's string-value is needed, so descendant-or-self::node()
 	// is appended (see the package comment on the deliberate
 	// strengthening of the paper's elided definition).
-	ps := MustFromQuery(xpath.MustParse(`b[a = "x"]`))
+	ps := MustFromQuery(testkit.XPath(`b[a = "x"]`))
 	cond := ps[0].Steps[0].Cond
 	want := "child::a/descendant-or-self::node()"
 	found := false
@@ -156,7 +157,7 @@ func TestApproxValueComparisonAppendsDOS(t *testing.T) {
 
 func TestApproxCountKeepsSelfStep(t *testing.T) {
 	// F(count, 1) = self::node(): the argument subtree is NOT needed.
-	ps := MustFromQuery(xpath.MustParse("b[count(a) = 1]"))
+	ps := MustFromQuery(testkit.XPath("b[count(a) = 1]"))
 	cond := ps[0].Steps[0].Cond
 	for _, d := range cond.Disjuncts {
 		if strings.Contains(d.String(), "descendant-or-self") {
@@ -167,7 +168,7 @@ func TestApproxCountKeepsSelfStep(t *testing.T) {
 
 func TestApproxStringNeedsSubtree(t *testing.T) {
 	// F(string, 1) = descendant-or-self::node().
-	ps := MustFromQuery(xpath.MustParse(`b[contains(a, "x")]`))
+	ps := MustFromQuery(testkit.XPath(`b[contains(a, "x")]`))
 	cond := ps[0].Steps[0].Cond
 	found := false
 	for _, d := range cond.Disjuncts {
@@ -182,7 +183,7 @@ func TestApproxStringNeedsSubtree(t *testing.T) {
 
 func TestApproxPositionalOnly(t *testing.T) {
 	for _, src := range []string{"a[3]", "a[position() = last()]", "a[position() > 1]"} {
-		ps := MustFromQuery(xpath.MustParse(src))
+		ps := MustFromQuery(testkit.XPath(src))
 		cond := ps[0].Steps[0].Cond
 		if !cond.HasSelfNode() {
 			t.Errorf("%s: positional predicate must yield self::node(): %s", src, cond)
@@ -192,7 +193,7 @@ func TestApproxPositionalOnly(t *testing.T) {
 
 func TestApproxNestedPredicates(t *testing.T) {
 	// [a[b]/c] flattens into a/c plus a/b.
-	ps := MustFromQuery(xpath.MustParse("x[a[b]/c]"))
+	ps := MustFromQuery(testkit.XPath("x[a[b]/c]"))
 	cond := ps[0].Steps[0].Cond
 	var got []string
 	for _, d := range cond.Disjuncts {
@@ -205,7 +206,7 @@ func TestApproxNestedPredicates(t *testing.T) {
 }
 
 func TestApproxMultiplePredicatesMerge(t *testing.T) {
-	ps := MustFromQuery(xpath.MustParse("x[a][b]"))
+	ps := MustFromQuery(testkit.XPath("x[a][b]"))
 	cond := ps[0].Steps[0].Cond
 	if len(cond.Disjuncts) != 2 {
 		t.Fatalf("two predicates should merge into one cond: %s", cond)
@@ -214,7 +215,7 @@ func TestApproxMultiplePredicatesMerge(t *testing.T) {
 
 func TestApproxPredicateWithSiblingAxis(t *testing.T) {
 	// Axis rewriting applies inside predicates too.
-	ps := MustFromQuery(xpath.MustParse("x[following-sibling::a]"))
+	ps := MustFromQuery(testkit.XPath("x[following-sibling::a]"))
 	cond := ps[0].Steps[0].Cond
 	if cond.Disjuncts[0].String() != "parent::node()/child::a" {
 		t.Fatalf("sibling axis in predicate: %s", cond)
@@ -222,7 +223,7 @@ func TestApproxPredicateWithSiblingAxis(t *testing.T) {
 }
 
 func TestApproxAbsolutePredicatePath(t *testing.T) {
-	ps := MustFromQuery(xpath.MustParse("x[/r/a]"))
+	ps := MustFromQuery(testkit.XPath("x[/r/a]"))
 	cond := ps[0].Steps[0].Cond
 	found := false
 	for _, d := range cond.Disjuncts {
@@ -236,7 +237,7 @@ func TestApproxAbsolutePredicatePath(t *testing.T) {
 }
 
 func TestApproxVariablePredicate(t *testing.T) {
-	ps := MustFromQuery(xpath.MustParse("x[$v]"))
+	ps := MustFromQuery(testkit.XPath("x[$v]"))
 	if !ps[0].Steps[0].Cond.HasSelfNode() {
 		t.Fatal("variable predicate must be conservative")
 	}
@@ -244,23 +245,24 @@ func TestApproxVariablePredicate(t *testing.T) {
 
 func TestFromQueryErrors(t *testing.T) {
 	for _, src := range []string{"1 + 2", `"s"`, "count(a)", "$x/a", "(a)[1]"} {
-		if _, err := FromQuery(xpath.MustParse(src)); err == nil {
+		if _, err := FromQuery(testkit.XPath(src)); err == nil {
 			t.Errorf("FromQuery(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestToXPathRoundTrip(t *testing.T) {
-	// Approximation output must re-parse as valid XPath.
+	// The approximation as String renders it (Query.DataNeeds prints it)
+	// must re-parse as valid XPath.
 	for _, src := range []string{
 		"descendant::node()[a or not(b)]",
 		"/site//item[name]/description",
 		"x[following::k]",
 		"a[b = 3]/c",
 	} {
-		ps := MustFromQuery(xpath.MustParse(src))
+		ps := MustFromQuery(testkit.XPath(src))
 		for _, p := range ps {
-			rendered := p.ToXPath().String()
+			rendered := p.String()
 			if _, err := xpath.Parse(rendered); err != nil {
 				t.Errorf("approx(%q) = %q does not re-parse: %v", src, rendered, err)
 			}
@@ -285,17 +287,5 @@ func TestSimplePathHelpers(t *testing.T) {
 	sp := SelfNode().Prefix([]SStep{{Axis: xpath.Child, Test: xpath.NameTest("r")}})
 	if sp.String() != "child::r" {
 		t.Fatalf("prefix self = %s", sp)
-	}
-}
-
-func TestPathSimple(t *testing.T) {
-	ps := MustFromQuery(xpath.MustParse("a/b"))
-	sp, ok := ps[0].Simple()
-	if !ok || sp.String() != "child::a/child::b" {
-		t.Fatalf("Simple = %v %q", ok, sp)
-	}
-	ps = MustFromQuery(xpath.MustParse("a[b]"))
-	if _, ok := ps[0].Simple(); ok {
-		t.Fatal("conditioned path reported simple")
 	}
 }

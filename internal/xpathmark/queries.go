@@ -45,13 +45,3 @@ var Queries = []Query{
 	{"QP22", `//mail[preceding::mail]/from/text()`},
 	{"QP23", `/site/people/person/watches/watch/@open_auction`},
 }
-
-// ByID returns the query with the given ID, or nil.
-func ByID(id string) *Query {
-	for i := range Queries {
-		if Queries[i].ID == id {
-			return &Queries[i]
-		}
-	}
-	return nil
-}

@@ -5,6 +5,7 @@ import (
 
 	"xmlproj/internal/core"
 	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
@@ -49,7 +50,7 @@ func TestAllAxesCovered(t *testing.T) {
 		}
 	}
 	for _, q := range Queries {
-		mark(xpath.MustParse(q.Source))
+		mark(testkit.XPath(q.Source))
 	}
 	for ax := xpath.Child; ax <= xpath.Attribute; ax++ {
 		if !covered[ax] {
@@ -62,7 +63,7 @@ func TestAllQueriesRunAndSound(t *testing.T) {
 	d := xmark.DTD()
 	doc := xmark.NewGenerator(0.002, 5).Document()
 	for _, q := range Queries {
-		ast := xpath.MustParse(q.Source)
+		ast := testkit.XPath(q.Source)
 		ev := xpath.NewEvaluator(doc)
 		orig, err := ev.Eval(ast)
 		if err != nil {
@@ -109,7 +110,7 @@ func TestSelectivityShape(t *testing.T) {
 	d := xmark.DTD()
 	ratio := func(id string) float64 {
 		q := ByID(id)
-		paths, err := xpathl.FromQuery(xpath.MustParse(q.Source))
+		paths, err := xpathl.FromQuery(testkit.XPath(q.Source))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,4 +138,14 @@ func TestByID(t *testing.T) {
 	if ByID("QP99") != nil {
 		t.Fatal("ByID(QP99) should be nil")
 	}
+}
+
+// ByID returns the query with the given ID, or nil.
+func ByID(id string) *Query {
+	for i := range Queries {
+		if Queries[i].ID == id {
+			return &Queries[i]
+		}
+	}
+	return nil
 }

@@ -167,63 +167,7 @@ func (o OrderBy) String() string {
 
 func (e Expr) String() string { return e.E.String() }
 
-// FreeVars collects the free variables of a query into out.
-func FreeVars(q Query, out map[string]bool) {
-	switch t := q.(type) {
-	case Empty, Text, nil:
-	case Sequence:
-		for _, it := range t.Items {
-			FreeVars(it, out)
-		}
-	case Element:
-		for _, a := range t.Attrs {
-			if a.Expr != nil {
-				FreeVars(a.Expr, out)
-			}
-		}
-		FreeVars(t.Body, out)
-	case For:
-		FreeVars(t.In, out)
-		inner := map[string]bool{}
-		FreeVars(t.Return, inner)
-		delete(inner, t.Var)
-		for v := range inner {
-			out[v] = true
-		}
-	case Let:
-		FreeVars(t.Val, out)
-		inner := map[string]bool{}
-		FreeVars(t.Return, inner)
-		delete(inner, t.Var)
-		for v := range inner {
-			out[v] = true
-		}
-	case If:
-		FreeVars(t.Cond, out)
-		FreeVars(t.Then, out)
-		FreeVars(t.Else, out)
-	case OrderBy:
-		for _, k := range t.Keys {
-			exprFreeVars(k, out)
-		}
-		FreeVars(t.Body, out)
-	case Quantified:
-		FreeVars(t.In, out)
-		inner := map[string]bool{}
-		FreeVars(t.Sat, inner)
-		delete(inner, t.Var)
-		for v := range inner {
-			out[v] = true
-		}
-	case FuncQ:
-		for _, a := range t.Args {
-			FreeVars(a, out)
-		}
-	case Expr:
-		exprFreeVars(t.E, out)
-	}
-}
-
+// exprFreeVars collects the free variables of an expression into out.
 func exprFreeVars(e xpath.Expr, out map[string]bool) {
 	switch t := e.(type) {
 	case xpath.Var:

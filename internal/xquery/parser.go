@@ -66,15 +66,6 @@ func Parse(src string) (Query, error) {
 	return q, nil
 }
 
-// MustParse parses a known-good query, panicking on error.
-func MustParse(src string) Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type qparser struct {
 	p *xpath.Parser
 }

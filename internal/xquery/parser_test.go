@@ -224,11 +224,11 @@ func TestParseCommentsSkipped(t *testing.T) {
 	}
 }
 
-func TestFreeVars(t *testing.T) {
-	q := MustParse(`for $x in /a/b return ($x/c, $y)`)
-	free := map[string]bool{}
-	FreeVars(q, free)
-	if free["x"] || !free["y"] {
-		t.Fatalf("free vars = %v", free)
+// MustParse parses a known-good query, panicking on error.
+func MustParse(src string) Query {
+	q, err := Parse(src)
+	if err != nil {
+		panic(err)
 	}
+	return q
 }

@@ -9,6 +9,7 @@ import (
 
 	"xmlproj/internal/dataguide"
 	"xmlproj/internal/dtd"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 )
 
@@ -59,8 +60,8 @@ func TestGrammarsGolden(t *testing.T) {
 			t.Fatalf("%s: %v", row.name, err)
 		}
 		fmt.Fprintf(&sb, "== %s\n%s", row.name, d)
-		for _, n := range d.Names() {
-			for _, a := range d.Def(n).Atts {
+		for _, n := range testkit.Names(d) {
+			for _, a := range d.Defs[n].Atts {
 				fmt.Fprintf(&sb, "att %+v\n", a)
 			}
 		}

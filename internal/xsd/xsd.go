@@ -75,11 +75,6 @@ func Parse(r io.Reader, rootTag string) (*dtd.DTD, error) {
 	return dtd.New(rootTag, elems)
 }
 
-// ParseString is Parse over a string.
-func ParseString(src, rootTag string) (*dtd.DTD, error) {
-	return Parse(strings.NewReader(src), rootTag)
-}
-
 // decl accumulates the (possibly merged) declaration of one tag.
 type decl struct {
 	// contents collects one content model per complex-typed occurrence

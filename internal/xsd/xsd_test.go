@@ -10,9 +10,9 @@ import (
 	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
-	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 )
 
@@ -60,7 +60,7 @@ func TestParseBibXSD(t *testing.T) {
 	if d.Root != "bib" {
 		t.Fatalf("root = %s", d.Root)
 	}
-	book := d.Def("book")
+	book := d.Defs["book"]
 	if book == nil {
 		t.Fatal("book missing")
 	}
@@ -71,7 +71,7 @@ func TestParseBibXSD(t *testing.T) {
 		t.Fatal("isbn attribute lost")
 	}
 	// Simple-typed elements became text elements.
-	if td := d.Def(dtd.TextName("title")); td == nil || !td.Text {
+	if td := d.Defs[dtd.TextName("title")]; td == nil || !td.Text {
 		t.Fatal("title text name missing")
 	}
 
@@ -93,7 +93,7 @@ func TestNamedTypeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Def("shelf").Content.String(); got != "(novel | atlas)" {
+	if got := d.Defs["shelf"].Content.String(); got != "(novel | atlas)" {
 		t.Fatalf("shelf content = %s", got)
 	}
 }
@@ -155,7 +155,7 @@ func TestXSDProjectorSoundness(t *testing.T) {
 <book isbn="1"><title>Commedia</title><author>Dante</author><year>1313</year></book>
 <book isbn="2"><title>Decameron</title><author>Boccaccio</author></book>
 </bib>`)
-	q := xpath.MustParse(`//book[year]/title`)
+	q := testkit.XPath(`//book[year]/title`)
 	paths, err := xpathl.FromQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +168,8 @@ func TestXSDProjectorSoundness(t *testing.T) {
 		t.Fatalf("projector keeps authors: %s", pr)
 	}
 	pruned := prune.Tree(doc, pr.Compiled())
-	before, _ := xpath.NewEvaluator(doc).Select(q)
-	after, err := xpath.NewEvaluator(pruned).Select(q)
+	before, _ := testkit.Select(doc, q)
+	after, err := testkit.Select(pruned, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSequenceKeepsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Def("r").Content.String(); got != "(a, (x | y), b)" {
+	if got := d.Defs["r"].Content.String(); got != "(a, (x | y), b)" {
 		t.Fatalf("r content = %s", got)
 	}
 	if !accepts(t, d, `<r><a/><x/><b/></r>`) {
@@ -243,10 +243,10 @@ func TestRequiredAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id := d.Def("item").AttDef("id"); id == nil || !id.Required {
+	if id := d.Defs["item"].AttDef("id"); id == nil || !id.Required {
 		t.Fatalf("item@id = %+v, want required", id)
 	}
-	if lang := d.Def("item").AttDef("lang"); lang == nil || lang.Required {
+	if lang := d.Defs["item"].AttDef("lang"); lang == nil || lang.Required {
 		t.Fatalf("item@lang = %+v, want optional", lang)
 	}
 	if !accepts(t, d, `<r><a><item id="1" lang="en"/></a><b><item id="2"/></b></r>`) {
@@ -268,7 +268,7 @@ func accepts(t *testing.T, d *dtd.DTD, src string) bool {
 		t.Fatal(err)
 	}
 	treeErr := validate.Document(d, doc)
-	_, pruneErr := prune.Stream(io.Discard, strings.NewReader(src), d, dtd.NewNameSet(d.Names()...), prune.StreamOptions{Validate: true})
+	_, pruneErr := prune.Stream(io.Discard, strings.NewReader(src), d, dtd.NewNameSet(testkit.Names(d)...), prune.StreamOptions{Validate: true})
 	if (treeErr == nil) != (pruneErr == nil) {
 		t.Fatalf("the validators disagree on %s\ntree:  %v\nprune: %v", src, treeErr, pruneErr)
 	}
@@ -282,10 +282,10 @@ func TestRecursiveNamedType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Def("section").Content.String(); got != "(title, section*)" {
+	if got := d.Defs["section"].Content.String(); got != "(title, section*)" {
 		t.Fatalf("section content = %s", got)
 	}
-	if id := d.Def("section").AttDef("id"); id == nil || !id.Required {
+	if id := d.Defs["section"].AttDef("id"); id == nil || !id.Required {
 		t.Fatalf("section@id = %+v, want required", id)
 	}
 	if !d.IsRecursive() {
@@ -304,4 +304,9 @@ func TestParseRejectsTrailingContent(t *testing.T) {
 			t.Errorf("accepted a schema followed by %q", tail)
 		}
 	}
+}
+
+// ParseString is Parse over a string.
+func ParseString(src, rootTag string) (*dtd.DTD, error) {
+	return Parse(strings.NewReader(src), rootTag)
 }

@@ -77,3 +77,6 @@ func (r residentInput) Read([]byte) (int, error) {
 	r.t.Error("a reader holding its input in memory was read")
 	return 0, io.ErrUnexpectedEOF
 }
+
+// NumNodes returns the number of element and text nodes.
+func (doc *Document) NumNodes() int { return doc.t.NumNodes() }

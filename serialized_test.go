@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"xmlproj/internal/bench"
 	"xmlproj/internal/xmark"
-	"xmlproj/internal/xpathmark"
 )
 
 // pinned is one query's answer: item count and the SHA-256 of
@@ -87,10 +87,8 @@ var allSerialized = []pinned{
 }
 
 func benchmarkQuerySource(id string) string {
-	if q := xmark.ByID(id); q != nil {
-		return q.Source
-	}
-	return xpathmark.ByID(id).Source
+	q, _ := bench.QueryByID(id)
+	return q.Source
 }
 
 // checkPinned evaluates each pinned query on XMark at the given factor

@@ -221,28 +221,6 @@ func (q *Query) DataNeeds() string {
 	return strings.Join(parts, "\n")
 }
 
-// StaticType returns the set of DTD names the query's results can have —
-// the τ of the paper's Fig. 1 type system, computed on the query's XPathℓ
-// approximation (Thm. 4.4: every result node's name is in the set).
-func (q *Query) StaticType(d *DTD) []string {
-	c := core.NewChecker(d.d)
-	syms := d.d.Symbols()
-	tau := syms.NewRow()
-	for _, p := range q.paths {
-		tau.Or(c.Type(p))
-	}
-	return syms.SortedNames(tau)
-}
-
-// CanMatch reports whether the query can return anything at all on
-// documents valid against d — the §4.1 emptiness diagnostic (property
-// (2)): on *-guarded non-recursive DTDs an empty static type means the
-// query is empty on every instance; a typo'd element name is caught
-// before any document is read.
-func (q *Query) CanMatch(d *DTD) bool {
-	return len(q.StaticType(d)) > 0
-}
-
 // Mode selects what the projector must preserve.
 type Mode uint8
 
@@ -366,14 +344,8 @@ func wrapDoc(t *tree.Document, err error) (*Document, error) {
 // XML serialises the document.
 func (doc *Document) XML() string { return doc.t.XML() }
 
-// WriteXML serialises the document to w.
-func (doc *Document) WriteXML(w io.Writer) error { return doc.t.WriteXML(w) }
-
 // Size returns the document's serialised size in bytes.
 func (doc *Document) Size() int64 { return doc.t.SerializedSize() }
-
-// NumNodes returns the number of element and text nodes.
-func (doc *Document) NumNodes() int { return doc.t.NumNodes() }
 
 // Validate checks the document against the DTD (Def. 2.4).
 func (d *DTD) Validate(doc *Document) error {
@@ -521,18 +493,6 @@ func (r *PruneResult) WriteTo(w io.Writer) (int64, error) {
 	return r.sl.WriteTo(w)
 }
 
-// Bytes materialises the pruned document in a fresh slice (nil after
-// Close).
-func (r *PruneResult) Bytes() []byte {
-	if r.released.Load() {
-		return nil
-	}
-	if r.cached != nil {
-		return r.cached.AppendTo(nil)
-	}
-	return r.sl.Bytes()
-}
-
 // Len is the rendered output size in bytes (0 after Close).
 func (r *PruneResult) Len() int64 {
 	if r.released.Load() {
@@ -542,28 +502,6 @@ func (r *PruneResult) Len() int64 {
 		return r.cached.Len()
 	}
 	return r.sl.Len()
-}
-
-// RawBytes counts output bytes referenced in place from the input —
-// bytes the prune never copied. A cache-served result reports 0: its
-// bytes are a materialized copy, nothing aliases the caller's input.
-func (r *PruneResult) RawBytes() int64 {
-	if r.released.Load() || r.cached != nil {
-		return 0
-	}
-	return r.sl.RawBytes()
-}
-
-// Segments is the number of gather segments, which is WriteTo's number
-// of Write calls; a cache-served result is one contiguous segment.
-func (r *PruneResult) Segments() int {
-	if r.released.Load() {
-		return 0
-	}
-	if r.cached != nil {
-		return 1
-	}
-	return r.sl.Segments()
 }
 
 // Close releases the result's internal state for reuse. Safe to call
