@@ -26,8 +26,7 @@ func TestProjectorMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed projector:\n%v\n%v", p.Names(), p2.Names())
 	}
 	// The loaded projector prunes identically.
-	doc, _ := ParseXMLString(apiDoc)
-	if p.Prune(doc).XML() != p2.Prune(doc).XML() {
+	if loadPruned(t, p, apiDoc).XML() != loadPruned(t, p2, apiDoc).XML() {
 		t.Fatal("loaded projector prunes differently")
 	}
 }
@@ -71,7 +70,8 @@ func TestParseDTDWithEntities(t *testing.T) {
 }
 
 func TestInferDTDDataguide(t *testing.T) {
-	doc, err := ParseXMLString(`<r><a k="1"><b>x</b></a><a k="2"/><junk><blob>zzz</blob></junk></r>`)
+	const src = `<r><a k="1"><b>x</b></a><a k="2"/><junk><blob>zzz</blob></junk></r>`
+	doc, err := ParseXMLString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestInferDTDDataguide(t *testing.T) {
 	if d.Root() != "r" {
 		t.Fatalf("root = %s", d.Root())
 	}
-	if err := d.Validate(doc); err != nil {
+	if err := d.Validate(strings.NewReader(src)); err != nil {
 		t.Fatalf("document invalid against its own dataguide: %v", err)
 	}
 	q, _ := CompileXPath("//a[b]/@k")
@@ -90,7 +90,7 @@ func TestInferDTDDataguide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned := p.Prune(doc)
+	pruned := loadPruned(t, p, src)
 	if p.Has("junk") || p.Has("blob") {
 		t.Fatalf("dataguide projector keeps junk: %s", p)
 	}
@@ -117,8 +117,8 @@ func TestParseXSDAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, _ := ParseXMLString(`<r><a>one</a><a>two</a><b>x</b></r>`)
-	if err := d.Validate(doc); err != nil {
+	const src = `<r><a>one</a><a>two</a><b>x</b></r>`
+	if err := d.Validate(strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
 	q, _ := CompileXPath("//a")
@@ -126,7 +126,7 @@ func TestParseXSDAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned := p.Prune(doc)
+	pruned := loadPruned(t, p, src)
 	if strings.Contains(pruned.XML(), "<b>") {
 		t.Fatalf("b not pruned: %s", pruned.XML())
 	}

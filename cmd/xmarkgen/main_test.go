@@ -22,11 +22,7 @@ func TestRunGeneratesValidDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := xmlproj.ParseXMLString(doc.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(parsed); err != nil {
+	if err := d.Validate(&doc); err != nil {
 		t.Fatalf("generated document invalid: %v", err)
 	}
 }

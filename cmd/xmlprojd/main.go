@@ -14,9 +14,10 @@
 //	  'http://localhost:8080/prune?projection=people'
 //
 // POST /prune streams the body through the one-pass pruner and streams
-// the pruned document back. With validate=1 or validate=true the
-// document is validated against the schema and checked for
-// well-formedness throughout, and anything wrong with it is a 422;
+// the pruned document back. With validate=1 or validate=true what the
+// projection keeps is validated against the schema (a discarded subtree
+// is not), the document is checked for well-formedness throughout, and
+// anything wrong with either is a 422;
 // validate=0 or validate=false is the default, and any other validate
 // value is a 400. Without validation the prune guarantees
 // well-formedness where the projection keeps and balanced tags where it

@@ -14,7 +14,8 @@
 // and the documents are pruned concurrently by -jobs workers (the
 // projector is inferred once and shared — it depends only on the schema
 // and the queries). With -show the inferred projector is printed instead
-// of pruning; -validate fuses DTD validation with the prune;
+// of pruning; -validate fuses DTD validation of what the projector keeps
+// with the prune;
 // -save-projector / -load-projector persist an inferred projector so
 // loaders can reuse it without re-running the analysis.
 package main
@@ -56,7 +57,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	show := fs.Bool("show", false, "print the inferred projector and exit")
 	saveProj := fs.String("save-projector", "", "also write the inferred projector to this file")
 	loadProj := fs.String("load-projector", "", "skip inference and load a projector previously saved with -save-projector")
-	validateFlag := fs.Bool("validate", false, "validate against the DTD while pruning, and check the whole document for well-formedness; without it the subtrees the projector discards are only checked for balanced tags")
+	validateFlag := fs.Bool("validate", false, "validate what the projector keeps against the DTD while pruning, and check the whole document for well-formedness (a discarded subtree is not validated against the DTD); without it the subtrees the projector discards are only checked for balanced tags")
 	materialize := fs.Bool("materialize", true, "keep full subtrees of result nodes")
 	jobs := fs.Int("jobs", 0, "concurrent pruning workers for multiple inputs (default GOMAXPROCS)")
 	keepGoing := fs.Bool("keep-going", false, "with multiple inputs, prune the rest after a document fails")

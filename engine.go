@@ -195,8 +195,9 @@ func (r BatchResult) Throughput() float64 {
 type BatchOptions struct {
 	// Workers bounds the pool for this batch; zero means GOMAXPROCS.
 	Workers int
-	// Validate fuses DTD validation with each prune and checks each whole
-	// document for well-formedness (see StreamOptions.Validate).
+	// Validate fuses DTD validation of what π keeps with each prune and
+	// checks each whole document for well-formedness (see
+	// StreamOptions.Validate).
 	Validate bool
 	// FailFast cancels the remaining jobs after the first failure;
 	// otherwise the batch keeps going and reports every error.

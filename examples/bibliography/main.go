@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"xmlproj"
 )
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dtd.Validate(doc); err != nil {
+	if err := dtd.Validate(strings.NewReader(bibDoc)); err != nil {
 		log.Fatal(err)
 	}
 	// The DTD is in the class for which the analysis is complete.
@@ -59,7 +60,10 @@ func main() {
 		fmt.Printf("  keeps %-12s %v\n", name+":", p.Has(name))
 	}
 
-	pruned := p.Prune(doc)
+	pruned, _, err := p.LoadProjected(strings.NewReader(bibDoc), xmlproj.StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("pruned document:", pruned.XML())
 
 	before, _ := q.Evaluate(doc)
@@ -69,4 +73,7 @@ func main() {
 	}
 	fmt.Println("titles on original:", before.Serialized)
 	fmt.Println("titles on pruned:  ", after.Serialized)
+	if before.Serialized != after.Serialized {
+		log.Fatal("soundness violated?!")
+	}
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"xmlproj"
 )
@@ -54,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dtd.Validate(doc); err != nil {
+	if err := dtd.Validate(strings.NewReader(ordersDoc)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -80,9 +81,13 @@ func main() {
 	}
 	fmt.Printf("union projector keeps %.0f%% of the schema: %s\n", 100*p.KeepRatio(), p)
 
-	pruned := p.Prune(doc)
+	pruned, _, err := p.LoadProjected(strings.NewReader(ordersDoc), xmlproj.StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("document: %d -> %d bytes (shipping and notes are gone)\n\n", doc.Size(), pruned.Size())
 
+	mismatches := 0
 	for _, q := range queries {
 		before, err := q.Evaluate(doc)
 		if err != nil {
@@ -95,7 +100,11 @@ func main() {
 		status := "OK"
 		if before.Serialized != after.Serialized {
 			status = "MISMATCH"
+			mismatches++
 		}
 		fmt.Printf("[%s] %s\n  -> %s\n", status, q.Source(), after.Serialized)
+	}
+	if mismatches > 0 {
+		log.Fatal("soundness violated?!")
 	}
 }

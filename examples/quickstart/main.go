@@ -1,10 +1,11 @@
-// Quickstart: infer a type projector for one query, prune a document,
-// and check that the query result is unchanged.
+// Quickstart: infer a type projector for one query, prune a document
+// while loading it, and check that the query result is unchanged.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"xmlproj"
 )
@@ -34,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dtd.Validate(doc); err != nil {
+	if err := dtd.Validate(strings.NewReader(catalogDoc)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -51,7 +52,10 @@ func main() {
 	fmt.Println("data needs:", query.DataNeeds())
 	fmt.Println("projector:", projector)
 
-	pruned := projector.Prune(doc)
+	pruned, _, err := projector.LoadProjected(strings.NewReader(catalogDoc), xmlproj.StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("document: %d -> %d bytes\n", doc.Size(), pruned.Size())
 	fmt.Println("pruned:", pruned.XML())
 

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"xmlproj"
 )
@@ -48,7 +49,10 @@ func main() {
 	}
 	fmt.Println("\nprojector:", p)
 
-	pruned := p.Prune(doc)
+	pruned, _, err := p.LoadProjected(strings.NewReader(feed), xmlproj.StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("document: %d -> %d bytes (meta, bodies, comments and telemetry gone)\n",
 		doc.Size(), pruned.Size())
 	fmt.Println("pruned:", pruned.XML())
@@ -60,4 +64,7 @@ func main() {
 	}
 	fmt.Println("result on original:", before.Serialized)
 	fmt.Println("result on pruned:  ", after.Serialized)
+	if before.Serialized != after.Serialized {
+		log.Fatal("soundness violated?!")
+	}
 }

@@ -276,14 +276,12 @@ func RunBaseline(w *Workload, q QuerySpec) (BaselineComparison, error) {
 	if err != nil {
 		return out, err
 	}
-	typePruned := prune.Tree(w.Doc, pr.Compiled())
-	out.TypePrunedBytes = typePruned.SerializedSize()
-	// The streaming pruner's visited work = elements it actually saw.
-	var sink bytes.Buffer
-	st, err := prune.Stream(&sink, bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
+	// The pruner's visited work = elements it actually saw.
+	typePruned, st, err := prune.Load(bytes.NewReader(w.DocBytes), w.D, nil, prune.StreamOptions{Projection: pr.Compiled()})
 	if err != nil {
 		return out, err
 	}
+	out.TypePrunedBytes = typePruned.SerializedSize()
 	// Visited work = nodes the pruner surfaced on kept paths; the tokens
 	// scanned past inside discarded subtrees (now included in ElementsIn /
 	// TextIn) are cheap scanner work, not per-node pruning decisions.

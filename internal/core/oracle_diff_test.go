@@ -71,7 +71,6 @@ func diffPaths(t testing.TB, d *dtd.DTD, o *oracleGrammar, label string, paths [
 		oracle func(*oracleGrammar, []*xpathl.Path) (nameSet, error)
 	}{
 		{"Infer", Infer, oracleInfer},
-		{"InferNoContext", InferNoContext, oracleInferNoContext},
 		{"InferMaterialized", InferMaterialized, oracleInferMaterialized},
 	} {
 		pr, err := f.rows(d, paths)
@@ -363,12 +362,10 @@ func TestConcurrentInfer(t *testing.T) {
 // name of the grammar.
 func numNames(s *dtd.Symbols) int { return s.Len() + s.Text.Len() + s.Attr.Len() }
 
-// InferNoContext is Infer with the Fig. 1 context machinery disabled —
-// the naive upward typing the paper's §4.1 example rules out. It is
-// still sound, just coarser: BenchmarkAblationContext measures what the
-// contexts buy.
-func InferNoContext(d *dtd.DTD, paths []*xpathl.Path) (*Projector, error) {
-	inf := NewInferencer(d)
-	inf.c.NoContext = true
-	return inf.infer(paths)
+// OracleNoContextLen is the number of names the map oracle's
+// context-free analysis (oracleInferNoContext) keeps for paths: the
+// ablation benchmark's second row, since the product has no such mode.
+func OracleNoContextLen(d *dtd.DTD, paths []*xpathl.Path) (int, error) {
+	ns, err := oracleInferNoContext(newOracleGrammar(d), paths)
+	return ns.Len(), err
 }

@@ -111,10 +111,6 @@ type Checker struct {
 	// none is the empty row, shared: rows are never modified once handed
 	// on.
 	none dtd.Row
-	// NoContext disables the context intersection on upward axes — the
-	// naive type system the paper's §4.1 example rejects. It exists only
-	// for the ablation benchmark quantifying what contexts buy.
-	NoContext bool
 }
 
 // NewChecker returns a Checker for d.
@@ -166,12 +162,8 @@ func (c *Checker) TypeSimpleStep(env Env, s xpathl.SStep) Env {
 		return Env{Tau: tau, Kappa: c.restrictContext(env.Kappa, tau)}
 	case s.Axis.Upward():
 		// Second rule: upward axes intersect with the context.
-		tau := AxisType(c.s, env.Tau, s.Axis)
-		if !c.NoContext {
-			tau = intersect(tau, env.Kappa)
-			return Env{Tau: tau, Kappa: c.restrictContext(env.Kappa, tau)}
-		}
-		return Env{Tau: tau, Kappa: c.chains(tau)}
+		tau := intersect(AxisType(c.s, env.Tau, s.Axis), env.Kappa)
+		return Env{Tau: tau, Kappa: c.restrictContext(env.Kappa, tau)}
 	default:
 		// First rule: downward axes extend the context.
 		tau := AxisType(c.s, env.Tau, s.Axis)

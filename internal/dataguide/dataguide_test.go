@@ -6,7 +6,6 @@ import (
 	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
-	"xmlproj/internal/prune"
 	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
@@ -81,7 +80,7 @@ func TestSchemalessSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned := prune.Tree(doc, pr.Compiled())
+		pruned := testkit.Prune(doc, pr.Compiled())
 		orig, err := testkit.Select(doc, q)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +119,7 @@ func TestSchemalessSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned := prune.Tree(doc, pr.Compiled())
+	pruned := testkit.Prune(doc, pr.Compiled())
 	ratio := float64(pruned.SerializedSize()) / float64(doc.SerializedSize())
 	if ratio > 0.2 {
 		t.Fatalf("dataguide pruning kept %.0f%%, want selective", 100*ratio)

@@ -42,7 +42,7 @@ func modelOf(t testing.TB, re Regex, names ...Name) (*Symbols, int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := d.Symbols().LookupTag("r")
+	r, _ := d.Symbols().Lookup([]byte("r"))
 	return d.Symbols(), r
 }
 

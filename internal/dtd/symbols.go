@@ -128,10 +128,19 @@ func (s *Symbols) Info(sym int32) *SymInfo { return &s.infos[sym] }
 
 // Lookup resolves an element tag to its symbol through the tag table:
 // one hash of the tag, and mostly one comparison.
-func (s *Symbols) Lookup(tag []byte) (int32, bool) { return lookup(&s.tags, tag) }
-
-// LookupTag is Lookup for a tag held as a string (a tree node's).
-func (s *Symbols) LookupTag(tag string) (int32, bool) { return lookup(&s.tags, tag) }
+func (s *Symbols) Lookup(tag []byte) (int32, bool) {
+	t := &s.tags
+	mask := uint64(len(t.slots) - 1)
+	for k := tagHash(tag) >> t.shift; ; k = (k + 1) & mask {
+		sl := &t.slots[k]
+		if sl.sym < 0 {
+			return -1, false
+		}
+		if sl.tag == string(tag) {
+			return sl.sym, true
+		}
+	}
+}
 
 // tagTable is the element tags as an open-addressed hash table: a
 // power-of-two array of slots, at most half of them full, each tag in
@@ -164,20 +173,6 @@ func newTagTable(infos []SymInfo) tagTable {
 		t.slots[k] = tagSlot{tag: infos[e].Tag, sym: int32(e)}
 	}
 	return t
-}
-
-// lookup probes t for tag from its hash's slot to the first free one.
-func lookup[T string | []byte](t *tagTable, tag T) (int32, bool) {
-	mask := uint64(len(t.slots) - 1)
-	for k := tagHash(tag) >> t.shift; ; k = (k + 1) & mask {
-		sl := &t.slots[k]
-		if sl.sym < 0 {
-			return -1, false
-		}
-		if sl.tag == string(tag) {
-			return sl.sym, true
-		}
-	}
 }
 
 // tagHash mixes the length and up to the first and last eight bytes of a

@@ -60,8 +60,8 @@ func misses(tag string) []string {
 	return out
 }
 
-// TestTagTable: every declared tag resolves to its symbol, through both
-// lookups, and nothing near a tag resolves unless it is a tag itself.
+// TestTagTable: every declared tag resolves to its symbol, and nothing
+// near a tag resolves unless it is a tag itself.
 func TestTagTable(t *testing.T) {
 	for name, d := range tagGrammars(t) {
 		syms := d.Symbols()
@@ -76,17 +76,11 @@ func TestTagTable(t *testing.T) {
 			if got, ok := syms.Lookup([]byte(tag)); !ok || got != e {
 				t.Errorf("%s: Lookup(%q) = %d, %v, want %d", name, tag, got, ok, e)
 			}
-			if got, ok := syms.LookupTag(tag); !ok || got != e {
-				t.Errorf("%s: LookupTag(%q) = %d, %v, want %d", name, tag, got, ok, e)
-			}
 			for _, m := range misses(tag) {
 				want, declared := tags[m]
 				got, ok := syms.Lookup([]byte(m))
 				if ok != declared || ok && got != want {
 					t.Errorf("%s: Lookup(%q) = %d, %v, want %d, %v", name, m, got, ok, want, declared)
-				}
-				if got2, ok2 := syms.LookupTag(m); got2 != got || ok2 != ok {
-					t.Errorf("%s: LookupTag(%q) = %d, %v, Lookup %d, %v", name, m, got2, ok2, got, ok)
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 
 	"xmlproj/internal/core"
 	"xmlproj/internal/gen"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/validate"
 	"xmlproj/internal/xpath"
@@ -46,7 +47,7 @@ func fuzzRound(t *testing.T, dtdSeed int64, recursive bool) {
 				t.Fatalf("%q on original: %v", src, err)
 			}
 			ons := orig.(xpath.NodeSet)
-			pruned := Tree(doc, pr.Compiled())
+			pruned := testkit.Prune(doc, pr.Compiled())
 			if pruned.NumNodes() == 0 {
 				if len(ons) != 0 {
 					t.Fatalf("dtd seed %d doc %d: %q selects %d nodes but π = %s pruned everything\ngrammar:\n%s\ndoc: %s",

@@ -2,14 +2,13 @@
 // document valid w.r.t. a DTD and a type projector π, it erases every
 // node whose name under the interpretation ℑ is not in π.
 //
-// Two pruners are provided. Tree projects an in-memory document.
 // Stream is the paper's §6 pruner: a single bufferless one-pass traversal
 // of the token stream with constant memory, optionally fused with
-// validation, suitable for running at parse/load time. Both decide on
-// one table, π compiled against the grammar's symbols (dtd.Projection),
-// and every streaming prune runs on the byte-level scanner
-// (internal/scan). The encoding/xml pruner is this package's test oracle
-// (oracle_test.go) and no part of the build.
+// validation, suitable for running at parse/load time. It decides on one
+// table, π compiled against the grammar's symbols (dtd.Projection), and
+// every prune runs on the byte-level scanner (internal/scan). Two other
+// pruners are test oracles and no part of the build: the encoding/xml
+// pruner (oracle_test.go) and the tree walker, testkit.Prune.
 //
 // Defended by: Def. 2.7 and §6; `cli_large`, `serve_cold` and `serve_stream` run it.
 package prune
@@ -25,64 +24,6 @@ import (
 	"xmlproj/internal/scan"
 	"xmlproj/internal/tree"
 )
-
-// Tree computes the π-projection t∖π of a document (Def. 2.7), π given
-// as the compiled table the streaming pruner reads, so the two pruners
-// cannot disagree about what π keeps. ℑ is a symbol lookup: an element's name is the symbol of
-// its tag, a text node's the text column of its parent; an element the
-// grammar does not define is in no π.
-//
-// The returned document shares nothing with the input; node IDs are
-// preserved so that query results on the original and the pruned document
-// can be compared by identity (the form of Thm. 4.5).
-//
-// Attributes are kept when their derived name is in π: an attribute the
-// grammar does not declare on its element is in no π.
-func Tree(doc *tree.Document, p *dtd.Projection) *tree.Document {
-	b := tree.NewBuilder(0)
-	root := doc.Root()
-	if !root.Valid() {
-		return b.Document()
-	}
-	if sym, ok := p.Syms.LookupTag(root.Tag()); ok && p.KeepElem(sym) {
-		pruneNode(b, p, root, sym)
-	}
-	return b.Document()
-}
-
-func pruneNode(b *tree.Builder, p *dtd.Projection, n tree.Node, sym int32) {
-	b.Start(n.Tag())
-	b.SetID(n.ID())
-	decl := p.Attrs(sym)
-	for i := range n.NumAttrs() {
-		if a := n.AttrAt(i); keepAttr(decl, a.Name) {
-			b.Attr(a.Name, a.Value)
-		}
-	}
-	keepText := p.KeepText(sym)
-	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
-		if c.Kind() == tree.Text {
-			if keepText {
-				b.TextString(c.Data())
-				b.SetID(c.ID())
-			}
-		} else if csym, ok := p.Syms.LookupTag(c.Tag()); ok && p.KeepElem(csym) {
-			pruneNode(b, p, c, csym)
-		}
-	}
-	b.EndElement()
-}
-
-// keepAttr is the scanner's attribute decision: the declared attribute's
-// Keep.
-func keepAttr(decl []dtd.AttrProj, attr string) bool {
-	for i := range decl {
-		if decl[i].Attr == attr {
-			return decl[i].Keep
-		}
-	}
-	return false
-}
 
 // Stats reports what a streaming prune did: elements and logical text
 // nodes read, written and skipped, bytes written, deepest stack.
@@ -148,7 +89,11 @@ type StreamOptions struct {
 	// element while pruning (§6: "prune the document while validating it").
 	// Validation is fused into the scanner's fast paths: kept input is
 	// still emitted as verbatim spans, with every element and text symbol
-	// walked through the dense content-model DFAs.
+	// walked through the dense content-model DFAs. The DTD checks cover
+	// what π keeps — the root, each kept element's attributes and content
+	// model, and each of its children's names; a subtree π discards gets
+	// well-formedness only. With π = every name nothing is discarded, and
+	// the prune is whole-document validation (xmlproj.DTD.Validate).
 	//
 	// It is also the switch between the two levels of checking a prune
 	// offers. With it the whole document is checked for well-formedness,

@@ -40,7 +40,7 @@ func setup(t *testing.T) (*dtd.DTD, *tree.Document) {
 func TestTreePruneKeepsSelected(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "title", dtd.TextName("title"))
-	out := Tree(doc, d.CompileProjection(pi))
+	out := testkit.Prune(doc, d.CompileProjection(pi))
 	if got := out.XML(); got != `<bib><book><title>Commedia</title></book><book><title>Decameron</title></book></bib>` {
 		t.Fatalf("pruned = %s", got)
 	}
@@ -49,7 +49,7 @@ func TestTreePruneKeepsSelected(t *testing.T) {
 func TestTreePruneIsProjection(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "author", dtd.TextName("author"))
-	out := Tree(doc, d.CompileProjection(pi))
+	out := testkit.Prune(doc, d.CompileProjection(pi))
 	if !testkit.IsProjectionOf(out.Root(), doc.Root()) {
 		t.Fatal("pruned tree is not a ≤-projection of the original (Lemma 2.8)")
 	}
@@ -58,7 +58,7 @@ func TestTreePruneIsProjection(t *testing.T) {
 func TestTreePruneAttributes(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", dtd.AttrName("book", "isbn"))
-	out := Tree(doc, d.CompileProjection(pi))
+	out := testkit.Prune(doc, d.CompileProjection(pi))
 	book := out.Root().FirstChild()
 	if v, ok := book.Attr("isbn"); !ok || v != "1" {
 		t.Fatalf("isbn lost: %s", out.XML())
@@ -70,7 +70,7 @@ func TestTreePruneAttributes(t *testing.T) {
 
 func TestTreePruneRootDropped(t *testing.T) {
 	d, doc := setup(t)
-	out := Tree(doc, d.CompileProjection(dtd.NewNameSet("book")))
+	out := testkit.Prune(doc, d.CompileProjection(dtd.NewNameSet("book")))
 	if out.NumNodes() > 0 {
 		t.Fatal("dropping the root name must yield the empty document")
 	}
@@ -79,7 +79,7 @@ func TestTreePruneRootDropped(t *testing.T) {
 func TestTreePrunePreservesIDs(t *testing.T) {
 	d, doc := setup(t)
 	pi := dtd.NewNameSet("bib", "book", "year", dtd.TextName("year"))
-	out := Tree(doc, d.CompileProjection(pi))
+	out := testkit.Prune(doc, d.CompileProjection(pi))
 	yearID := func(d *tree.Document) (id tree.NodeID) {
 		for i := range int32(d.NumNodes()) {
 			if n := d.At(i); n.Tag() == "year" {
@@ -103,7 +103,7 @@ func TestStreamMatchesTree(t *testing.T) {
 		nameSetOf(d.Symbols(), d.ReachableFromRoot()),
 	}
 	for _, pi := range pis {
-		want := Tree(doc, d.CompileProjection(pi)).XML()
+		want := testkit.Prune(doc, d.CompileProjection(pi)).XML()
 		got, _, err := StreamString(bibDoc, d, pi, StreamOptions{})
 		if err != nil {
 			t.Fatalf("Stream(%s): %v", pi, err)

@@ -13,12 +13,14 @@ import (
 	"xmlproj/internal/validate"
 )
 
-// The repo has two validators: validate.Document over a loaded tree and
-// the validating prune over bytes. Both walk the same dense content-model
-// tables; what each still states on its own is the root check, the
-// attribute rules (declared, enumeration, #FIXED, #REQUIRED) and what an
-// undeclared element is. TestValidatorsAgree holds them to one verdict —
-// and the oracle, a third statement of those rules, with them.
+// The product has one validator, the validating prune over bytes: with
+// π = every name it is xmlproj.DTD.Validate. Two test oracles state
+// Def. 2.4 again: validate.Document over a loaded tree, which walks the
+// same dense content-model tables, and the encoding/xml pruner, which
+// steps content models by derivatives. What each states on its own is
+// the root check, the attribute rules (declared, enumeration, #FIXED,
+// #REQUIRED) and what an undeclared element is. TestValidatorsAgree
+// holds the three to one verdict.
 
 // mutation makes one change to a copy of a valid document; it reports
 // false when the document has no place for it.

@@ -41,9 +41,10 @@ import (
 
 // Options configures a scanner-based prune.
 type Options struct {
-	// Validate checks the document while pruning it: content models,
-	// attribute declarations and the root element against the DTD, and
-	// well-formedness everywhere, the subtrees π discards included.
+	// Validate checks the document while pruning it: the root element,
+	// and the content models and attribute declarations of what π keeps,
+	// against the DTD, and well-formedness everywhere, the subtrees π
+	// discards included (their DTD validity is not looked at).
 	// Without it the prune guarantees well-formedness where π keeps and
 	// structural balance where it discards (skip.go says exactly what is
 	// and is not seen in there) — sound for the paper's claim, which

@@ -16,8 +16,9 @@
 //
 // A request's validate=1 or validate=true (or a projection registered as
 // validating, unless the request says validate=0 or validate=false) runs
-// the prune with StreamOptions.Validate: DTD validation, and
-// well-formedness checked everywhere; any other validate value is a 400.
+// the prune with StreamOptions.Validate: DTD validation of what the
+// projection keeps, and well-formedness checked everywhere; any other
+// validate value is a 400.
 // Without it a document is checked
 // where the projection keeps and only balanced where it discards, so a
 // 422 for a malformed document is then a statement about the part of it

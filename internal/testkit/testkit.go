@@ -1,10 +1,11 @@
 // Package testkit holds what the tests of more than one package share:
-// structural equality and Def. 2.1's projection order on trees, a
-// grammar's names, the function library's names, a parse of a known-good
-// XPath expression, an evaluation to a node-set and a rendering of what a
-// prune gathered. Only tests import it.
+// structural equality and Def. 2.1's projection order on trees, the
+// tree walker that prunes a loaded document (Def. 2.7), a grammar's
+// names, the function library's names, a parse of a known-good XPath
+// expression, an evaluation to a node-set and a rendering of what a prune
+// gathered. Only tests import it.
 //
-// Defended by: test oracle (the tree comparisons and the grammar, library, XPath and output helpers the tests of several packages share).
+// Defended by: test oracle (the tree comparisons, the tree pruner and the grammar, library, XPath and output helpers the tests of several packages share).
 package testkit
 
 import (
@@ -61,6 +62,65 @@ func IsProjectionOf(p, t tree.Node) bool {
 		tc = tc.NextSibling()
 	}
 	return true
+}
+
+// Prune computes the π-projection t∖π of a loaded document (Def. 2.7):
+// the declarative statement of what the scanner's pass keeps, held to it
+// by the tests. π is the compiled table the scanner reads, so the two
+// cannot disagree about what π keeps. ℑ is a symbol lookup: an element's
+// name is the symbol of its tag, a text node's the text column of its
+// parent; an element the grammar does not define is in no π.
+//
+// The returned document shares nothing with the input; node IDs are
+// preserved so that query results on the original and the pruned document
+// can be compared by identity (the form of Thm. 4.5).
+//
+// Attributes are kept when their derived name is in π: an attribute the
+// grammar does not declare on its element is in no π.
+func Prune(doc *tree.Document, p *dtd.Projection) *tree.Document {
+	b := tree.NewBuilder(0)
+	root := doc.Root()
+	if !root.Valid() {
+		return b.Document()
+	}
+	if sym, ok := p.Syms.Lookup([]byte(root.Tag())); ok && p.KeepElem(sym) {
+		pruneNode(b, p, root, sym)
+	}
+	return b.Document()
+}
+
+func pruneNode(b *tree.Builder, p *dtd.Projection, n tree.Node, sym int32) {
+	b.Start(n.Tag())
+	b.SetID(n.ID())
+	decl := p.Attrs(sym)
+	for i := range n.NumAttrs() {
+		if a := n.AttrAt(i); keepAttr(decl, a.Name) {
+			b.Attr(a.Name, a.Value)
+		}
+	}
+	keepText := p.KeepText(sym)
+	for c := n.FirstChild(); c.Valid(); c = c.NextSibling() {
+		if c.Kind() == tree.Text {
+			if keepText {
+				b.TextString(c.Data())
+				b.SetID(c.ID())
+			}
+		} else if csym, ok := p.Syms.Lookup([]byte(c.Tag())); ok && p.KeepElem(csym) {
+			pruneNode(b, p, c, csym)
+		}
+	}
+	b.EndElement()
+}
+
+// keepAttr is the scanner's attribute decision: the declared attribute's
+// Keep.
+func keepAttr(decl []dtd.AttrProj, attr string) bool {
+	for i := range decl {
+		if decl[i].Attr == attr {
+			return decl[i].Keep
+		}
+	}
+	return false
 }
 
 // XPath parses a known-good expression, panicking on error.

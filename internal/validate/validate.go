@@ -11,7 +11,11 @@
 // children through the dense content-model automaton the streaming
 // pruner validates with (dtd.DenseDFA), one array load per child.
 //
-// Defended by: Def. 2.4 (xmlproj.DTD.Validate).
+// It is a test oracle: the declarative statement of Def. 2.4 the tests
+// hold the product's one validator, the scanner's validating pass
+// (xmlproj.DTD.Validate), to. No command links it.
+//
+// Defended by: test oracle (Def. 2.4 over a loaded tree, against which the validating prune is checked).
 package validate
 
 import (
@@ -39,7 +43,7 @@ func Document(d *dtd.DTD, doc *tree.Document) error {
 		return &Error{Path: "/", Msg: "empty document"}
 	}
 	syms := d.Symbols()
-	root, ok := syms.LookupTag(top.Tag())
+	root, ok := syms.Lookup([]byte(top.Tag()))
 	var e *Error
 	switch {
 	case !ok:
@@ -99,7 +103,7 @@ func validateNode(syms *dtd.Symbols, n tree.Node, sym int32) *Error {
 			}
 			continue
 		}
-		csym, ok := syms.LookupTag(c.Tag())
+		csym, ok := syms.Lookup([]byte(c.Tag()))
 		if !ok {
 			return &Error{Path: fmt.Sprintf("/%s[%d]", c.Tag(), i), Msg: "element not declared in DTD"}
 		}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"xmlproj/internal/core"
-	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/validate"
 	"xmlproj/internal/xquery"
 )
@@ -82,7 +82,7 @@ func TestDescriptionDominatesSize(t *testing.T) {
 	}
 	pi := d.ReachableFromRoot().Clone()
 	pi.AndNot(s.NewRow(desc))
-	pruned := prune.Tree(doc, s.Project(pi))
+	pruned := testkit.Prune(doc, s.Project(pi))
 	rest := pruned.SerializedSize()
 	ratio := float64(total-rest) / float64(total)
 	if ratio < 0.4 {
@@ -130,7 +130,7 @@ func TestAllQueriesSoundUnderPruning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: infer: %v", q.ID, err)
 		}
-		pruned := prune.Tree(doc, pr.Compiled())
+		pruned := testkit.Prune(doc, pr.Compiled())
 		if pruned.NumNodes() == 0 {
 			t.Fatalf("%s: projector dropped the root", q.ID)
 		}

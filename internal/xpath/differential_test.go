@@ -13,7 +13,6 @@ import (
 
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
-	"xmlproj/internal/prune"
 	"xmlproj/internal/testkit"
 	"xmlproj/internal/tree"
 	"xmlproj/internal/xmark"
@@ -65,7 +64,7 @@ func differ(doc *tree.Document, vars map[string]xpath.Value, e xpath.Expr) strin
 	return ""
 }
 
-// thinned is doc pruned by prune.Tree against a projector that leaves
+// thinned is doc pruned by testkit.Prune against a projector that leaves
 // out every third name of d but the root: a document whose IDs are
 // ordered but no longer dense, as Def. 2.1 compares them.
 func thinned(d *dtd.DTD, doc *tree.Document) *tree.Document {
@@ -78,7 +77,7 @@ func thinned(d *dtd.DTD, doc *tree.Document) *tree.Document {
 			}
 		}
 	}
-	return prune.Tree(doc, d.CompileProjection(pi))
+	return testkit.Prune(doc, d.CompileProjection(pi))
 }
 
 // constructed is doc's root copied into a constructed element, which is

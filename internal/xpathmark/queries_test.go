@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xmlproj/internal/core"
-	"xmlproj/internal/prune"
 	"xmlproj/internal/testkit"
 	"xmlproj/internal/xmark"
 	"xmlproj/internal/xpath"
@@ -77,7 +76,7 @@ func TestAllQueriesRunAndSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: infer: %v", q.ID, err)
 		}
-		pruned := prune.Tree(doc, pr.Compiled())
+		pruned := testkit.Prune(doc, pr.Compiled())
 		if pruned.NumNodes() == 0 {
 			t.Fatalf("%s: projector dropped the root", q.ID)
 		}

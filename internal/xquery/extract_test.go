@@ -7,7 +7,7 @@ import (
 	"xmlproj/internal/core"
 	"xmlproj/internal/dtd"
 	"xmlproj/internal/gen"
-	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/validate"
 )
 
@@ -275,7 +275,7 @@ func TestXQuerySoundness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q: %v", src, err)
 			}
-			pruned := prune.Tree(doc, pr.Compiled())
+			pruned := testkit.Prune(doc, pr.Compiled())
 			origSeq, err := NewEvaluator(doc).Eval(q)
 			if err != nil {
 				t.Fatalf("%q on original: %v", src, err)

@@ -9,7 +9,7 @@ import (
 
 	"xmlproj/internal/core"
 	"xmlproj/internal/gen"
-	"xmlproj/internal/prune"
+	"xmlproj/internal/testkit"
 	"xmlproj/internal/validate"
 )
 
@@ -39,7 +39,7 @@ func fuzzRound(t *testing.T, seed int64, queries int) {
 		if err != nil {
 			t.Fatalf("seed %d: %q on original: %v", seed, src, err)
 		}
-		pruned := prune.Tree(doc, pr.Compiled())
+		pruned := testkit.Prune(doc, pr.Compiled())
 		if pruned.NumNodes() == 0 {
 			if len(orig) != 0 && Serialize(orig) != "0" {
 				t.Fatalf("seed %d: %q returned %q but π = %s pruned everything\ngrammar:\n%s",

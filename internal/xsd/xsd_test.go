@@ -167,7 +167,7 @@ func TestXSDProjectorSoundness(t *testing.T) {
 	if pr.Has("author") || pr.Has(dtd.TextName("author")) {
 		t.Fatalf("projector keeps authors: %s", pr)
 	}
-	pruned := prune.Tree(doc, pr.Compiled())
+	pruned := testkit.Prune(doc, pr.Compiled())
 	before, _ := testkit.Select(doc, q)
 	after, err := testkit.Select(pruned, q)
 	if err != nil {

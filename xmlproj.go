@@ -37,7 +37,6 @@ import (
 	"xmlproj/internal/rescache"
 	"xmlproj/internal/scan"
 	"xmlproj/internal/tree"
-	"xmlproj/internal/validate"
 	"xmlproj/internal/xpath"
 	"xmlproj/internal/xpathl"
 	"xmlproj/internal/xquery"
@@ -347,15 +346,26 @@ func (doc *Document) XML() string { return doc.t.XML() }
 // Size returns the document's serialised size in bytes.
 func (doc *Document) Size() int64 { return doc.t.SerializedSize() }
 
-// Validate checks the document against the DTD (Def. 2.4).
-func (d *DTD) Validate(doc *Document) error {
-	return validate.Document(d.d, doc.t)
-}
-
-// Prune computes the π-projection of an in-memory document (Def. 2.7).
-// The document must be valid w.r.t. the projector's DTD.
-func (p *Projector) Prune(doc *Document) *Document {
-	return &Document{t: prune.Tree(doc.t, p.pr.Compiled())}
+// Validate checks the document read from src against the DTD
+// (Def. 2.4) and for well-formedness, in one pass with constant memory.
+// It is the validating prune with π = every name of the grammar, its
+// output discarded: with that π no subtree is skipped, so every content
+// model, attribute and the root are checked. A validating prune with a
+// narrower π checks only what π keeps (StreamOptions.Validate).
+func (d *DTD) Validate(src io.Reader) error {
+	syms := d.d.Symbols()
+	all := syms.Text.Clone()
+	all.Or(syms.Attr)
+	for e := range int32(syms.Len()) {
+		all.Add(e)
+	}
+	_, err := prune.Stream(io.Discard, src, d.d, nil, prune.StreamOptions{Validate: true, Projection: syms.Project(all)})
+	if err != nil {
+		// The verdict is the document's, not a prune's: its "prune: "
+		// becomes "validate: ".
+		return fmt.Errorf("validate: %w", errors.Unwrap(err))
+	}
+	return nil
 }
 
 // PruneStats reports what a streaming prune did: elements and logical
@@ -368,8 +378,8 @@ type PruneStats = prune.Stats
 // PruneStream prunes the document read from src to dst in a single
 // bufferless pass with constant memory (§6). Subtrees of pruned elements
 // are skipped without being materialised. It is PruneStreamOpts with the
-// zero options; StreamOptions.Validate fuses DTD validation with the
-// prune.
+// zero options; StreamOptions.Validate fuses DTD validation, over what
+// the projector keeps, with the prune.
 func (p *Projector) PruneStream(dst io.Writer, src io.Reader) (PruneStats, error) {
 	return p.PruneStreamOpts(dst, src, StreamOptions{})
 }
@@ -390,7 +400,12 @@ const PruneAuto = prune.EngineAuto
 // PruneStream: no validation, default limits.
 type StreamOptions struct {
 	// Validate fuses DTD validation with the prune, and checks the whole
-	// document for well-formedness. Without it the prune guarantees
+	// document for well-formedness. The DTD checks cover what π keeps:
+	// the root, each kept element's attributes and content model, and
+	// each of its children's names. A subtree π discards gets
+	// well-formedness only, so a document can pass a validating prune and
+	// be invalid; whole-document validity is DTD.Validate. Without
+	// Validate the prune guarantees
 	// well-formedness where the projector keeps and structural balance
 	// where it discards: inside a discarded subtree unterminated
 	// constructs, truncated input, a '<' inside a tag and unbalanced or
