@@ -55,17 +55,48 @@ import (
 // populations.
 type Digest [16]byte
 
-// docSeed keys DigestBytes.
+// docSeed keys DigestBytes and Digester.
 var docSeed = maphash.MakeSeed()
 
-// DigestBytes digests document content. One pass at memory bandwidth —
-// an order of magnitude cheaper than the scan it stands in for, which
-// is what makes "serve repeat prunes in O(digest) time" a win.
+// DigestBytes digests document content held whole: one pass at memory
+// bandwidth, an order of magnitude cheaper than the scan it stands in
+// for, which is what makes "serve repeat prunes in O(digest) time" a
+// win. Content that arrives in pieces is digested by a Digester as it
+// arrives, with no second pass; the two agree for every split.
 func DigestBytes(b []byte) Digest {
 	var d Digest
 	binary.LittleEndian.PutUint64(d[0:8], maphash.Bytes(docSeed, b))
 	binary.LittleEndian.PutUint64(d[8:16], uint64(len(b)))
 	return d
+}
+
+// Digester is DigestBytes in streaming form: Sum is DigestBytes of the
+// concatenation of everything written since Reset, however it was cut
+// (maphash.Bytes is SetSeed, Write and Sum64). A zero Digester must be
+// Reset before use, and it allocates nothing.
+type Digester struct {
+	h maphash.Hash
+	n uint64
+}
+
+// Reset starts a new digest.
+func (d *Digester) Reset() {
+	d.h.SetSeed(docSeed)
+	d.n = 0
+}
+
+// Write adds p to the digested content. It never fails.
+func (d *Digester) Write(p []byte) (int, error) {
+	d.n += uint64(len(p))
+	return d.h.Write(p)
+}
+
+// Sum is the digest of the content written since Reset.
+func (d *Digester) Sum() Digest {
+	var s Digest
+	binary.LittleEndian.PutUint64(s[0:8], d.h.Sum64())
+	binary.LittleEndian.PutUint64(s[8:16], d.n)
+	return s
 }
 
 // String renders the digest as 32 hex characters.
@@ -148,13 +179,10 @@ func (e *Entry) WriteTo(w io.Writer) (int64, error) { return rendered(e.out).Wri
 // digest identifies a fill's output exactly as DigestBytes would
 // identify its rendered bytes; a span list is hashed span by span, uncopied.
 func (e *Entry) digest() Digest {
-	var h maphash.Hash
-	h.SetSeed(docSeed)
-	e.src.WriteTo(&h) // a Hash never fails a Write
-	var d Digest
-	binary.LittleEndian.PutUint64(d[0:8], h.Sum64())
-	binary.LittleEndian.PutUint64(d[8:16], uint64(e.src.Len()))
-	return d
+	var d Digester
+	d.Reset()
+	e.src.WriteTo(&d) // a Digester never fails a Write
+	return d.Sum()
 }
 
 // own renders a fill's output into bytes of the entry's own.

@@ -206,16 +206,16 @@ func TestMalformedDigest(t *testing.T) {
 }
 
 // TestPruneCacheDisabled: a negative budget turns the cache off — no
-// cache headers on POST, HEAD refused.
+// cache headers on POST, no digest of the body, HEAD refused.
 func TestPruneCacheDisabled(t *testing.T) {
 	s := newTestServer(t, Options{ResultCacheBytes: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	resp, _ := postPrune(t, ts, "/prune?projection=titles", strings.NewReader(bibDoc))
-	if resp.Header.Get(headerXCache) != "" || resp.Header.Get("ETag") != "" {
-		t.Fatalf("disabled cache still set headers: X-Cache=%q ETag=%q",
-			resp.Header.Get(headerXCache), resp.Header.Get("ETag"))
+	if resp.Header.Get(headerXCache) != "" || resp.Header.Get("ETag") != "" || resp.Header.Get(headerDocDigest) != "" {
+		t.Fatalf("disabled cache still set headers: X-Cache=%q ETag=%q %s=%q",
+			resp.Header.Get(headerXCache), resp.Header.Get("ETag"), headerDocDigest, resp.Header.Get(headerDocDigest))
 	}
 
 	req, err := http.NewRequest("HEAD", ts.URL+"/prune?projection=titles", nil)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xmlproj"
+	"xmlproj/internal/rescache"
 )
 
 // exchange is one request, begin → admit → consume → frame → done. The
@@ -34,7 +35,7 @@ type exchange struct {
 	cancel   context.CancelFunc
 	rc       *http.ResponseController // non-nil while the deadlines are armed
 	body     meteredBody
-	buf      *bytes.Buffer // readBody's pooled buffer
+	buf      *gatherBuf // readBody's pooled buffer
 
 	// The outcome. Only reject sets status; otherwise done takes it from
 	// err, or from the response when there is none.
@@ -140,16 +141,27 @@ func (x *exchange) streamOptions(validate bool) xmlproj.StreamOptions {
 // slot makes them reuse one. It is not the pool's to clear: an idle
 // daemon pins at most this one buffer, of at most maxPooledGatherBuf
 // bytes.
-var gatherBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var gatherBufPool = sync.Pool{New: func() any { return new(gatherBuf) }}
+
+// gatherBuf is a request-body buffer and the digest of the bytes read
+// into it. The digester is recycled with the buffer, so digesting a body
+// adds nothing to what a request allocates.
+type gatherBuf struct {
+	bytes.Buffer
+	dig rescache.Digester
+}
 
 const maxPooledGatherBuf = DefaultMaxGatherBytes
 
 // readBody buffers the admitted body whole in a recycled buffer, which
 // done gives back once the handler — and with it every prune result
-// referencing these bytes — is finished. On failure x.err is set.
-func (x *exchange) readBody() []byte {
+// referencing these bytes — is finished. When the engine has a result
+// cache, each chunk is digested where the read puts it, so the body's
+// digest is ready with its last byte; otherwise digest is empty. On
+// failure x.err is set.
+func (x *exchange) readBody() (data []byte, digest string) {
 	if x.buf = x.s.lastBuf.Swap(nil); x.buf == nil {
-		x.buf = gatherBufPool.Get().(*bytes.Buffer)
+		x.buf = gatherBufPool.Get().(*gatherBuf)
 	}
 	x.buf.Reset()
 	// A declared length costs the client nothing, so it pre-sizes the
@@ -159,8 +171,14 @@ func (x *exchange) readBody() []byte {
 	if n := min(x.body.size, x.s.maxGather); n > 0 {
 		x.buf.Grow(int(n) + bytes.MinRead)
 	}
-	_, x.err = x.buf.ReadFrom(&x.body)
-	return x.buf.Bytes()
+	if x.s.eng.ResultCacheEnabled() {
+		x.buf.dig.Reset()
+		x.body.dig = &x.buf.dig
+	}
+	if _, x.err = x.buf.ReadFrom(&x.body); x.err == nil && x.body.dig != nil {
+		digest = x.buf.dig.Sum().String()
+	}
+	return x.buf.Bytes(), digest
 }
 
 // releaseBody gives readBody's buffer to the next request: into the
@@ -330,15 +348,20 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 func (w *responseWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // meteredBody counts bytes read and keeps the declared request size,
-// which routes a body to the gather path and pre-sizes its buffer.
+// which routes a body to the gather path and pre-sizes its buffer. With
+// dig set, every byte read is digested as it lands.
 type meteredBody struct {
 	r    io.Reader
 	n    int64
-	size int64 // Content-Length; <= 0 means unknown
+	size int64              // Content-Length; <= 0 means unknown
+	dig  *rescache.Digester // set by readBody when the result cache is on
 }
 
 func (b *meteredBody) Read(p []byte) (int, error) {
 	n, err := b.r.Read(p)
 	b.n += int64(n)
+	if b.dig != nil {
+		b.dig.Write(p[:n])
+	}
 	return n, err
 }

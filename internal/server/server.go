@@ -32,7 +32,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -114,7 +113,7 @@ type Server struct {
 	maxGather   int64
 	log         *slog.Logger
 	m           metrics
-	lastBuf     atomic.Pointer[bytes.Buffer] // see gatherBufPool
+	lastBuf     atomic.Pointer[gatherBuf] // see gatherBufPool
 }
 
 // namedProjection is a resolved projector: one precompiled at startup,
@@ -393,14 +392,13 @@ func (s *Server) pruneStreamed(x *exchange, np *namedProjection) {
 // written before the prune finishes, errors get a clean pre-write
 // status — no trailer.
 func (s *Server) pruneGathered(x *exchange, np *namedProjection) {
-	data := x.readBody()
+	data, digest := x.readBody()
 	if x.err != nil {
 		return
 	}
-	// The body is in hand and digested (an empty digest and ETag when the
-	// result cache is off); if the client already holds exactly this
-	// pruned entity, skip the prune and send nothing back.
-	digest, _ := s.eng.DigestBytes(data)
+	// The body is in hand and was digested as it arrived (an empty digest
+	// and ETag when the result cache is off); if the client already holds
+	// exactly this pruned entity, skip the prune and send nothing back.
 	if etag := s.eng.ResultETag(np.p, digest, np.validate); etagMatch(x.r.Header.Get("If-None-Match"), etag) {
 		x.notModified(etag, digest)
 		return
